@@ -1,9 +1,12 @@
 package core
 
 import (
+	"bufio"
 	"encoding/binary"
 	"fmt"
+	"hash"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 
@@ -91,25 +94,41 @@ func (e *Engine) gcColdManifests(current uint64) {
 	}
 }
 
+// cpWriter streams a checkpoint image to its file, keeping the running
+// checksum and byte count: the image is never held in memory, so a
+// checkpoint's footprint is one table's page images, not the database's.
+// bufio keeps the first write error and returns it from Flush.
 type cpWriter struct {
-	buf []byte
+	w   *bufio.Writer
+	crc hash.Hash32
+	n   int64
+}
+
+func newCPWriter(f io.Writer) *cpWriter {
+	return &cpWriter{w: bufio.NewWriterSize(f, 1<<20), crc: crc32.NewIEEE()}
+}
+
+func (w *cpWriter) write(b []byte) {
+	w.crc.Write(b)
+	w.w.Write(b)
+	w.n += int64(len(b))
 }
 
 func (w *cpWriter) u32(v uint32) {
 	var b [4]byte
 	binary.LittleEndian.PutUint32(b[:], v)
-	w.buf = append(w.buf, b[:]...)
+	w.write(b[:])
 }
 
 func (w *cpWriter) u64(v uint64) {
 	var b [8]byte
 	binary.LittleEndian.PutUint64(b[:], v)
-	w.buf = append(w.buf, b[:]...)
+	w.write(b[:])
 }
 
 func (w *cpWriter) bytes(b []byte) {
 	w.u32(uint32(len(b)))
-	w.buf = append(w.buf, b...)
+	w.write(b)
 }
 
 type cpReader struct {
@@ -201,7 +220,19 @@ func (e *Engine) Checkpoint() error {
 		return err
 	}
 
-	w := &cpWriter{}
+	// Durable write: temp file, fsync, atomic rename, then log truncation.
+	// A failed attempt leaves no temp file behind.
+	tmp := e.checkpointPath() + ".tmp"
+	f, err := os.Create(tmp)
+	if err != nil {
+		return err
+	}
+	fail := func(err error) error {
+		f.Close()
+		os.Remove(tmp)
+		return err
+	}
+	w := newCPWriter(f)
 	w.u32(checkpointMagic)
 	w.u32(checkpointVersion)
 	w.u64(cpGSN)
@@ -214,7 +245,7 @@ func (e *Engine) Checkpoint() error {
 		w.u32(t.ID)
 		images, nextRID, maxFrozen, err := t.Store.ExportImages(nil)
 		if err != nil {
-			return fmt.Errorf("core: checkpoint table %q: %w", t.Name, err)
+			return fail(fmt.Errorf("core: checkpoint table %q: %w", t.Name, err))
 		}
 		w.u64(nextRID)
 		w.u64(maxFrozen)
@@ -224,28 +255,19 @@ func (e *Engine) Checkpoint() error {
 			w.bytes(im.Img)
 		}
 	}
-	w.u32(crc32.ChecksumIEEE(w.buf))
-
-	// Durable write: temp file, fsync, atomic rename, then log truncation.
-	tmp := e.checkpointPath() + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(w.buf); err != nil {
-		f.Close()
-		return err
+	w.u32(w.crc.Sum32())
+	if err := w.w.Flush(); err != nil {
+		return fail(err)
 	}
 	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
+		return fail(err)
 	}
 	if err := f.Close(); err != nil {
-		return err
+		return fail(err)
 	}
 	// Checkpoint images go to disk outside the page/block files, but they
 	// are data writes all the same — Exp 3/4's write volumes must see them.
-	e.IO.DataWrite.Add(int64(len(w.buf)))
+	e.IO.DataWrite.Add(w.n)
 	if err := os.Rename(tmp, e.checkpointPath()); err != nil {
 		return err
 	}

@@ -109,9 +109,9 @@ type Config struct {
 	// WALGroupOf maps a slot to its WAL group (typically all of a worker's
 	// slots to one group). Defaults to slot modulo WALGroups.
 	WALGroupOf func(slot int) int
-	// GroupCommitWait is how long a commit leader that sees sibling slots
-	// mid-transaction waits for their commits before the shared fsync,
-	// growing the batch one device write retires. 0 flushes immediately.
+	// GroupCommitWait bounds how long a commit leader parks for other
+	// slots' commits before the shared fsync (see wal.Options). 0 flushes
+	// immediately.
 	GroupCommitWait time.Duration
 	// IO receives I/O byte accounting; one is created if nil.
 	IO *metrics.IOCounters

@@ -6,7 +6,10 @@
 // worker's queue when it becomes vacant — the pull-based model that avoids
 // a central dispatcher. The task queue is sharded per worker (submission is
 // round-robin, idle workers steal from siblings) so a many-core pool does
-// not rendezvous on a single channel. Yields carry an urgency class:
+// not rendezvous on a single channel. A vacant slot with nothing to pull
+// parks on its worker's queue and is woken by exactly one event: a task
+// sent to that queue, or a kick from a submitter whose home worker had no
+// parked slot (see park). Nothing polls. Yields carry an urgency class:
 //
 //   - High urgency (latch spins, synchronous page reads): the slot stays
 //     runnable and merely lets siblings proceed (runtime.Gosched), matching
@@ -35,6 +38,7 @@ import (
 	"time"
 
 	"phoebedb/internal/metrics"
+	"phoebedb/internal/park"
 	"phoebedb/internal/waitevent"
 )
 
@@ -60,7 +64,7 @@ type Config struct {
 	// Waits receives per-slot wait-event stamps from yields; may be nil.
 	Waits *waitevent.Slots
 	// Maintain, if set, is invoked by a worker's slots between tasks,
-	// every MaintainEvery completed tasks per slot.
+	// once every MaintainEvery tasks the worker completes.
 	Maintain      func(worker int)
 	MaintainEvery int
 }
@@ -76,9 +80,13 @@ type Slot struct {
 	Metrics *metrics.SlotMetrics
 	// Waits receives the slot's yield wait-event stamps; may be nil.
 	Waits *waitevent.Slots
+	// BeforePark, if set by the running task, is called at the start of
+	// every YieldLow. The task clears it before it returns.
+	BeforePark func()
 
-	pool          *Pool
-	sinceMaintain int
+	pool *Pool
+	// timer is the slot's one park timer, re-armed by every YieldLow.
+	timer park.Timer
 	// Yield counters are atomic so live scrapers can read them while the
 	// slot runs; only the owning slot writes, so the adds stay uncontended.
 	highYields atomic.Int64
@@ -104,6 +112,9 @@ func (s *Slot) YieldHigh() {
 // elapses (0 = no timeout). Returns false on timeout. The worker keeps
 // executing its other slots while this one is parked.
 func (s *Slot) YieldLow(ch <-chan struct{}, timeout time.Duration) bool {
+	if s.BeforePark != nil {
+		s.BeforePark()
+	}
 	s.lowYields.Add(1)
 	// Stamp the park as sched_yield only if the caller has not already
 	// classified the wait (a tuple-lock wait parks through here and must be
@@ -116,14 +127,7 @@ func (s *Slot) YieldLow(ch <-chan struct{}, timeout time.Duration) bool {
 		<-ch
 		return true
 	}
-	t := time.NewTimer(timeout)
-	defer t.Stop()
-	select {
-	case <-ch:
-		return true
-	case <-t.C:
-		return false
-	}
+	return s.timer.Wait(ch, timeout)
 }
 
 // HighYields returns the slot's high-urgency yield count.
@@ -132,18 +136,46 @@ func (s *Slot) HighYields() int64 { return s.highYields.Load() }
 // LowYields returns the slot's low-urgency yield count.
 func (s *Slot) LowYields() int64 { return s.lowYields.Load() }
 
+// worker is one worker's share of the pool: its task queue and the parking
+// state of its slots.
+type worker struct {
+	id int
+	q  chan Task
+	// kick wakes one parked slot of this worker to sweep the other
+	// workers' queues. One pending kick is enough: the woken slot passes
+	// the wake-up on while backlog remains (see wake).
+	kick chan struct{}
+	// idle counts this worker's slots that have announced a park and not
+	// yet left it. Submitters read it to decide whether a task sent to q
+	// already has a receiver.
+	idle atomic.Int32
+	// sinceMaintain counts completed tasks towards the next Maintain call.
+	// It is the worker's, not each slot's: parked slots take tasks in
+	// strict rotation, so per-slot counters would all come due together
+	// and run a worker's maintenance rounds back to back.
+	sinceMaintain atomic.Int64
+}
+
 // Pool is a running co-routine pool. Tasks are sharded across per-worker
 // queues so concurrent submitters and workers no longer rendezvous on one
 // channel; an idle worker whose own queue is empty steals from siblings.
 type Pool struct {
-	cfg      Config
-	queues   []chan Task // one per worker
-	rr       atomic.Uint64
-	wg       sync.WaitGroup
-	slots    []*Slot
-	stopped  atomic.Bool
-	executed atomic.Int64
-	stolen   atomic.Int64
+	cfg     Config
+	workers []*worker
+	rr      atomic.Uint64
+	wg      sync.WaitGroup
+	slots   []*Slot
+	// Stop against in-flight Submits: a Submit checks stopped and joins
+	// submitting under stopMu, then sends holding no lock; Stop sets stopped,
+	// closes stopping to release blocked senders, and closes the queues only
+	// once submitting has drained. No send can reach a closed queue.
+	stopMu      sync.RWMutex
+	stopped     bool
+	stopping    chan struct{}
+	submitting  sync.WaitGroup
+	executed    atomic.Int64
+	stolen      atomic.Int64
+	idleWakeups atomic.Int64
 }
 
 // New creates a pool; call Start to spin up the slots.
@@ -164,11 +196,11 @@ func New(cfg Config) *Pool {
 	if perWorker < 1 {
 		perWorker = 1
 	}
-	queues := make([]chan Task, cfg.Workers)
-	for i := range queues {
-		queues[i] = make(chan Task, perWorker)
+	workers := make([]*worker, cfg.Workers)
+	for i := range workers {
+		workers[i] = &worker{id: i, q: make(chan Task, perWorker), kick: make(chan struct{}, 1)}
 	}
-	return &Pool{cfg: cfg, queues: queues}
+	return &Pool{cfg: cfg, workers: workers, stopping: make(chan struct{})}
 }
 
 // NumSlots returns the total task-slot count.
@@ -184,8 +216,8 @@ func (p *Pool) Executed() int64 { return p.executed.Load() }
 // queues — the admission-control backlog.
 func (p *Pool) QueueDepth() int {
 	n := 0
-	for _, q := range p.queues {
-		n += len(q)
+	for _, w := range p.workers {
+		n += len(w.q)
 	}
 	return n
 }
@@ -193,6 +225,10 @@ func (p *Pool) QueueDepth() int {
 // Stolen returns the number of tasks executed by a worker other than the
 // one they were queued on.
 func (p *Pool) Stolen() int64 { return p.stolen.Load() }
+
+// IdleWakeups returns how often a parked slot was woken and found no task
+// (another slot got there first). An idle pool adds none.
+func (p *Pool) IdleWakeups() int64 { return p.idleWakeups.Load() }
 
 // Yields sums the high- and low-urgency yield counts across all slots.
 func (p *Pool) Yields() (high, low int64) {
@@ -220,134 +256,180 @@ func (p *Pool) Start() {
 	}
 }
 
-// stealPollInterval bounds how long an idle slot blocks on its own queue
-// before sweeping siblings for stealable backlog again.
-const stealPollInterval = time.Millisecond
-
 func (p *Pool) run(s *Slot) {
 	defer p.wg.Done()
 	if p.cfg.ThreadMode {
 		runtime.LockOSThread()
 		defer runtime.UnlockOSThread()
 	}
-	own := p.queues[s.Worker]
-	timer := time.NewTimer(stealPollInterval)
-	defer timer.Stop()
+	w := p.workers[s.Worker]
 	for {
-		// Fast path: the worker's own queue (pull when the slot is vacant).
-		select {
-		case task, ok := <-own:
-			if !ok {
-				p.drainAll(s)
+		// Pull when vacant: own queue first, then the siblings'.
+		task := p.sweep(w)
+		if task == nil {
+			var open bool
+			if task, open = p.park(w); !open {
+				// Stop closed the queues; run what is still buffered.
+				for task = p.sweep(w); task != nil; task = p.sweep(w) {
+					p.exec(s, task)
+				}
 				return
 			}
-			p.exec(s, task)
-			continue
-		default:
-		}
-		// Own queue empty: steal from siblings.
-		if p.steal(s) {
-			continue
-		}
-		// Nothing anywhere: park on the own queue, waking periodically to
-		// re-sweep for stealable work.
-		if !timer.Stop() {
-			select {
-			case <-timer.C:
-			default:
+			if task == nil {
+				continue
 			}
 		}
-		timer.Reset(stealPollInterval)
-		select {
-		case task, ok := <-own:
-			if !ok {
-				p.drainAll(s)
-				return
-			}
-			p.exec(s, task)
-		case <-timer.C:
-		}
+		p.exec(s, task)
 	}
 }
 
 func (p *Pool) exec(s *Slot, task Task) {
 	task(s)
 	p.executed.Add(1)
-	s.sinceMaintain++
-	if p.cfg.Maintain != nil && s.sinceMaintain >= p.cfg.MaintainEvery {
-		s.sinceMaintain = 0
+	if p.cfg.Maintain != nil && p.workers[s.Worker].sinceMaintain.Add(1)%int64(p.cfg.MaintainEvery) == 0 {
 		p.cfg.Maintain(s.Worker)
 	}
 }
 
-// steal runs one non-blocking sweep over sibling queues, executing the
-// first task found. A receive from a sibling's closed queue still yields
-// its buffered backlog, so stopped pools drain fully.
-func (p *Pool) steal(s *Slot) bool {
-	for off := 1; off < len(p.queues); off++ {
-		q := p.queues[(s.Worker+off)%len(p.queues)]
+// sweep takes one task without blocking, from w's own queue or else from
+// the first sibling queue that has one. A closed queue still yields its
+// buffered backlog, so a stopped pool drains fully.
+func (p *Pool) sweep(w *worker) Task {
+	for off := 0; off < len(p.workers); off++ {
+		from := p.workers[(w.id+off)%len(p.workers)]
 		select {
-		case task, ok := <-q:
+		case task, ok := <-from.q:
 			if !ok {
 				continue
 			}
-			p.stolen.Add(1)
-			p.exec(s, task)
-			return true
+			if off > 0 {
+				p.stolen.Add(1)
+			}
+			p.wake(from)
+			return task
 		default:
 		}
 	}
-	return false
+	return nil
 }
 
-// drainAll empties every queue after Stop closed them: buffered tasks must
-// still run. Queues are closed and nothing submits anymore, so one sweep
-// that finds every queue empty means done.
-func (p *Pool) drainAll(s *Slot) {
-	for {
-		found := false
-		for _, q := range p.queues {
+// wake makes sure a task queued on home will be looked at: called by the
+// submitter that queued it, and by a slot that took a task and leaves more
+// behind (so one kick drains a backlog of any length through however many
+// slots are parked). A parked or parking slot of home receives from the
+// queue itself; failing that, one parked slot of another worker is kicked
+// to come and steal. With no slot parked anywhere every slot is busy, and
+// the first to finish sweeps all queues.
+func (p *Pool) wake(home *worker) {
+	if len(home.q) > 0 && home.idle.Load() == 0 {
+		p.kickSibling(home)
+	}
+}
+
+// kickSibling wakes one parked slot of a worker other than w.
+func (p *Pool) kickSibling(w *worker) {
+	for off := 1; off < len(p.workers); off++ {
+		o := p.workers[(w.id+off)%len(p.workers)]
+		if o.idle.Load() > 0 {
 			select {
-			case task, ok := <-q:
-				if ok {
-					p.exec(s, task)
-					found = true
-				}
-			default:
+			case o.kick <- struct{}{}:
+				return
+			default: // a kick is already on its way to o
 			}
 		}
-		if !found {
-			return
-		}
+	}
+}
+
+// park blocks a vacant slot until a task arrives on its worker's queue or
+// a kick sends it stealing. It returns the task (nil when a kick found
+// nothing left to take) and false once the pool is stopped.
+//
+// No wake-up is lost, and none needs a timer. A submitter enqueues first
+// and reads idle second; a parking slot raises idle first and sweeps
+// second. Whichever order the two interleave in, either the submitter sees
+// the slot as idle (and the slot's sweep or receive finds the task, or the
+// kick reaches it), or the slot's sweep already sees the task. A slot that
+// was counted idle while it was in fact leaving with a task makes up for
+// the kick a submitter skipped on its account: once it has lowered idle,
+// unpark re-checks the queue and any kick nobody is parked to receive.
+//
+// A kick does not say whose backlog it was sent for, and the slot it wakes
+// sweeps its own queue first. If it leaves with a task, that task may not be
+// the one the kick was about, so it looks at every queue again on its way
+// out and kicks for any that still has tasks and no parked slot.
+func (p *Pool) park(w *worker) (Task, bool) {
+	w.idle.Add(1)
+	task := p.sweep(w)
+	if task != nil {
+		p.unpark(w)
+		return task, true
+	}
+	select {
+	case task, ok := <-w.q:
+		p.unpark(w)
+		return task, ok
+	case <-w.kick:
+	}
+	task = p.sweep(w)
+	p.unpark(w)
+	if task == nil {
+		p.idleWakeups.Add(1)
+		return nil, true
+	}
+	for _, o := range p.workers {
+		p.wake(o)
+	}
+	return task, true
+}
+
+// unpark takes the slot out of the idle count. If it was the last one,
+// tasks queued and kicks sent on the strength of that count have no
+// receiver left: pass them on to another worker's parked slots.
+func (p *Pool) unpark(w *worker) {
+	if w.idle.Add(-1) > 0 {
+		return
+	}
+	p.wake(w)
+	select {
+	case <-w.kick:
+		p.kickSibling(w)
+	default:
 	}
 }
 
 // Submit enqueues a task, blocking while every worker queue is full
-// (admission control). It fails once the pool is stopped. Placement is
-// round-robin with overflow onto any queue with room, so load spreads
-// without a global rendezvous point.
-func (p *Pool) Submit(t Task) (err error) {
-	if p.stopped.Load() {
+// (admission control). It fails once the pool is stopped, also when Stop
+// arrives while it is blocked. Placement is round-robin with overflow onto
+// any queue with room, so load spreads without a global rendezvous point.
+func (p *Pool) Submit(t Task) error {
+	p.stopMu.RLock()
+	if p.stopped {
+		p.stopMu.RUnlock()
 		return ErrStopped
 	}
-	defer func() {
-		// A concurrent Stop may close the queues under us; surface that as
-		// ErrStopped rather than a panic.
-		if recover() != nil {
-			err = ErrStopped
-		}
-	}()
-	home := int(p.rr.Add(1) % uint64(len(p.queues)))
-	for off := 0; off < len(p.queues); off++ {
+	p.submitting.Add(1)
+	p.stopMu.RUnlock()
+	defer p.submitting.Done()
+	home := int(p.rr.Add(1) % uint64(len(p.workers)))
+	for off := 0; off < len(p.workers); off++ {
+		w := p.workers[(home+off)%len(p.workers)]
 		select {
-		case p.queues[(home+off)%len(p.queues)] <- t:
+		case w.q <- t:
+			p.wake(w)
 			return nil
 		default:
 		}
 	}
-	// All full: block on the round-robin choice.
-	p.queues[home] <- t
-	return nil
+	// All full: block on the round-robin choice, holding no lock, so tasks
+	// that themselves Submit keep running and draining.
+	w := p.workers[home]
+	select {
+	case w.q <- t:
+		p.wake(w)
+		return nil
+	case <-p.stopping:
+		return ErrStopped
+	}
 }
 
 // SubmitWait enqueues a task and blocks until it completes.
@@ -364,13 +446,20 @@ func (p *Pool) SubmitWait(t Task) error {
 	return nil
 }
 
-// Stop drains the queues and waits for all slots to exit. Safe to call once.
+// Stop drains the queues and waits for all slots to exit. Safe to call
+// more than once and concurrently with Submit, also from tasks' own Submits.
 func (p *Pool) Stop() {
-	if p.stopped.Swap(true) {
+	p.stopMu.Lock()
+	if p.stopped {
+		p.stopMu.Unlock()
 		return
 	}
-	for _, q := range p.queues {
-		close(q)
+	p.stopped = true
+	close(p.stopping)
+	p.stopMu.Unlock()
+	p.submitting.Wait()
+	for _, w := range p.workers {
+		close(w.q)
 	}
 	p.wg.Wait()
 }

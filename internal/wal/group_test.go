@@ -3,6 +3,7 @@ package wal
 import (
 	"sync"
 	"testing"
+	"time"
 )
 
 // TestGroupFlushDrainsAllMembers: one member's commit flush must make every
@@ -210,5 +211,174 @@ func TestGroupConcurrentCommitRace(t *testing.T) {
 		if n != perWriter {
 			t.Fatalf("writer %d recovered %d records", s, n)
 		}
+	}
+}
+
+// commitOn appends one insert and its commit record on w and returns the
+// commit's GSN — what a transaction does before calling Flush.
+func commitOn(w *Writer, xid uint64) uint64 {
+	ins := Record{Type: RecInsert, GSN: w.NextGSN(0), XID: xid}
+	w.Append(&ins)
+	c := Record{Type: RecCommit, GSN: w.NextGSN(0), XID: xid}
+	w.Append(&c)
+	return c.GSN
+}
+
+// awaitLeader blocks until a commit leader is parked in g's wait window.
+func awaitLeader(t *testing.T, g *group) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); ; {
+		g.mu.Lock()
+		leading := g.leading
+		g.mu.Unlock()
+		if leading {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("no leader entered the group-commit wait")
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+}
+
+// openWaiting opens one shared group of n writers whose leaders wait up to
+// d: the group is handed the credit a batched flush would have earned.
+func openWaiting(t *testing.T, n int, d time.Duration) (*Manager, *group) {
+	t.Helper()
+	m, err := Open(Options{Dir: t.TempDir(), Writers: n, Groups: 1, GroupCommitWait: d})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { m.Close() })
+	g := m.groups[0]
+	g.waitCredit = waitCreditWindow
+	return m, g
+}
+
+// TestFollowerJoinsParkedLeader: a committer arriving while a leader is
+// parked joins it, ends the 200ms window at once because the batch is
+// complete, and both return at the one flush that covers them.
+func TestFollowerJoinsParkedLeader(t *testing.T) {
+	m, g := openWaiting(t, 3, 200*time.Millisecond)
+
+	start := time.Now()
+	leaderDone := make(chan error, 1)
+	go func() {
+		commitOn(m.Writer(0), 1)
+		leaderDone <- m.Writer(0).Flush()
+	}()
+	awaitLeader(t, g)
+	gsn := commitOn(m.Writer(1), 2)
+	if err := m.Writer(1).Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if got := m.Writer(1).FlushedGSN(); got < gsn {
+		t.Fatalf("follower returned with horizon %d below its commit GSN %d", got, gsn)
+	}
+	if got := m.Flushes(); got != 1 {
+		t.Fatalf("follower returned after %d flushes, want exactly the leader's 1", got)
+	}
+	if err := <-leaderDone; err != nil {
+		t.Fatal(err)
+	}
+	if el := time.Since(start); el > 50*time.Millisecond {
+		t.Fatalf("two concurrent commits took %v against a 200ms window", el)
+	}
+	if w, e := m.GroupWaits(), m.GroupLeadEarly(); w != 1 || e != 1 {
+		t.Fatalf("group waits = %d, ended early = %d; want 1 and 1 (the follower must not open its own window)", w, e)
+	}
+}
+
+// TestLeaderWaitsForOpenTransaction: a joiner does not end the window while
+// a third member is mid-transaction; that member's commit does, and one
+// flush retires all three.
+func TestLeaderWaitsForOpenTransaction(t *testing.T) {
+	m, g := openWaiting(t, 3, 5*time.Second)
+
+	w2 := m.Writer(2)
+	mid := Record{Type: RecInsert, GSN: w2.NextGSN(0), XID: 3}
+	w2.Append(&mid) // slot 2 is mid-transaction
+
+	done := make(chan error, 2)
+	go func() {
+		commitOn(m.Writer(0), 1)
+		done <- m.Writer(0).Flush()
+	}()
+	awaitLeader(t, g)
+	go func() {
+		commitOn(m.Writer(1), 2)
+		done <- m.Writer(1).Flush()
+	}()
+	select {
+	case err := <-done:
+		t.Fatalf("a commit returned (%v) while a member was still mid-transaction", err)
+	case <-time.After(20 * time.Millisecond):
+	}
+	c := Record{Type: RecCommit, GSN: w2.NextGSN(0), XID: 3}
+	w2.Append(&c)
+	if err := w2.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if f, w := m.Flushes(), m.GroupWaits(); f != 1 || w != 1 {
+		t.Fatalf("flushes = %d, group waits = %d; want one flush under one window", f, w)
+	}
+}
+
+// TestParkedLeaderWokenByForeignFlush: a flush from elsewhere (checkpoint,
+// remote flush) that covers a parked leader ends its window.
+func TestParkedLeaderWokenByForeignFlush(t *testing.T) {
+	m, g := openWaiting(t, 2, 5*time.Second)
+	done := make(chan error, 1)
+	go func() {
+		commitOn(m.Writer(0), 1)
+		done <- m.Writer(0).Flush()
+	}()
+	awaitLeader(t, g)
+	if err := m.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("leader stayed parked after a flush covered it")
+	}
+	if got := m.Flushes(); got != 1 {
+		t.Fatalf("covered leader flushed again (flushes = %d)", got)
+	}
+}
+
+// TestSerialCommitsPayOnlyTheProbe: one committer in a shared group earns
+// no credit, so it pays one leader wait per probeInterval flushes.
+func TestSerialCommitsPayOnlyTheProbe(t *testing.T) {
+	const wait = 20 * time.Millisecond
+	m, err := Open(Options{Dir: t.TempDir(), Writers: 2, Groups: 1, GroupCommitWait: wait})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	const commits = 2 * probeInterval
+	start := time.Now()
+	for i := 0; i < commits; i++ {
+		commitOn(m.Writer(0), uint64(i+1))
+		if err := m.Writer(0).Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := m.GroupWaits(); got != commits/probeInterval {
+		t.Fatalf("%d serial commits paid %d leader waits, want %d probes", commits, got, commits/probeInterval)
+	}
+	if got := m.GroupLeadEarly(); got != 0 {
+		t.Fatalf("%d probe waits ended early with nobody to end them", got)
+	}
+	if el := time.Since(start); el < 2*wait || el > 2*wait+time.Second {
+		t.Fatalf("serial stream took %v, want about two %v probes", el, wait)
 	}
 }

@@ -27,7 +27,10 @@
 // fsync window: the first committer to reach the group's flush mutex
 // becomes the leader and drains every member's buffer in a single
 // write+fsync, while followers arriving behind it find their records
-// already durable and return without touching the device. Buffers are
+// already durable and return without touching the device. A leader that
+// expects company parks for a bounded window first; a committer arriving
+// meanwhile joins that leader and ends the window as soon as the batch is
+// complete (see Writer.Flush). Buffers are
 // trimmed only after the write and fsync succeed, so a torn or failed
 // group flush never loses an acknowledged commit. GSN/LSN assignment and
 // the RFA rule are per-writer and unchanged by grouping.
@@ -46,7 +49,6 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -54,6 +56,7 @@ import (
 
 	"phoebedb/internal/fault"
 	"phoebedb/internal/metrics"
+	"phoebedb/internal/park"
 	"phoebedb/internal/waitevent"
 )
 
@@ -171,13 +174,18 @@ type Writer struct {
 	mgr *Manager
 	grp *group
 
-	mu         sync.Mutex
-	buf        []byte
-	lsn        uint64
-	bufferGSN  uint64 // highest GSN appended to buf (may be unflushed)
+	mu        sync.Mutex
+	buf       []byte
+	lsn       uint64
+	bufferGSN uint64 // highest GSN appended to buf (may be unflushed)
 	// bufCommits counts RecCommit records currently in buf; the group
 	// flush uses it to measure how many commits one device write retired.
 	bufCommits int
+	// open is true while buf ends in a record that is neither a commit nor
+	// an abort: the slot is mid-transaction with unflushed records, so its
+	// commit is a candidate for the next group flush. Written under mu,
+	// read lock-free by committers sizing up the batch.
+	open       atomic.Bool
 	flushedGSN atomic.Uint64
 	// appended counts total bytes ever encoded into this writer's stream.
 	// Per-statement accounting differences it around a statement to charge
@@ -200,7 +208,17 @@ type group struct {
 	// mu serializes flushes of the group. A committer that blocks here
 	// while another member flushes is the group-commit win: when it gets
 	// the mutex its records are usually already durable.
-	mu      sync.Mutex
+	mu sync.Mutex
+	// leading is true while a commit leader is parked in its wait window
+	// (mu released). Committers arriving meanwhile join it: they wait on
+	// flushed, which every flush attempt and every leader standing down
+	// broadcasts, instead of opening a window of their own.
+	leading bool
+	flushed sync.Cond
+	// arrive wakes the parked leader before its deadline; timer is that
+	// deadline, one per group since there is one leader at a time.
+	arrive  chan struct{}
+	timer   park.Timer
 	f       *os.File
 	scratch []byte      // concatenated member buffers for the single write
 	parts   []flushPart // per-member drained prefix bookkeeping
@@ -291,6 +309,9 @@ func (w *Writer) Append(r *Record) {
 	if r.Type == RecCommit {
 		w.bufCommits++
 	}
+	if open := r.Type != RecCommit && r.Type != RecAbort; open != w.open.Load() {
+		w.open.Store(open)
+	}
 	w.mu.Unlock()
 }
 
@@ -300,23 +321,40 @@ func (w *Writer) AppendedBytes() int64 { return w.appended.Load() }
 
 // Flush makes every record this writer has buffered durable (fsync if the
 // manager is in sync mode) and advances the writer's flushed-GSN horizon.
-// It is the group-commit entry point: the caller convoys on the group's
-// flush mutex, and whoever holds it drains all members' buffers in one
-// write+fsync window. A committer that blocked behind a leader usually
-// finds its records already durable and returns without a device write.
+// It is the group-commit entry point, and every wait in it is a park with
+// one waker:
+//
+//   - A committer that finds the group's mutex held blocks on it; when it
+//     gets the mutex its records are usually already durable.
+//   - A committer that becomes leader while the group expects company
+//     (shouldWaitLocked: batching credit, or the periodic probe) releases
+//     the mutex and parks for at most GroupCommitWait. It is woken early by
+//     the committer whose arrival completes the batch — no member is left
+//     holding buffered records without a commit record — or by any other
+//     flush of the group.
+//   - A committer that arrives while a leader is parked joins that leader:
+//     it opens no window of its own and returns when the flush covering its
+//     records completes.
 func (w *Writer) Flush() error {
 	ws := w.mgr.waits
 	if ws == nil {
 		return w.flushCommit(nil, nil)
 	}
 	// The writer id is the committing task slot's id, so the stamp lands on
-	// the right slot: followers convoying on g.mu and the device write both
-	// count as wal_flush; the leader's deliberate yield window restamps as
-	// wal_group_lead inside flushCommit.
+	// the right slot: followers waiting for a leader's flush and the device
+	// write both count as wal_flush; the leader's own wait window restamps
+	// as wal_group_lead inside lead.
 	seg := ws.Begin(w.id, waitevent.EvWALFlush)
 	err := w.flushCommit(ws, &seg)
 	ws.End(w.id, waitevent.EvWALFlush, seg)
 	return err
+}
+
+// pending reports whether the writer holds records a flush has not covered.
+func (w *Writer) pending() bool {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return len(w.buf) > 0 || w.bufferGSN > w.flushedGSN.Load()
 }
 
 // flushCommit is Flush's body; seg is the current wait-segment start when
@@ -326,58 +364,89 @@ func (w *Writer) flushCommit(ws *waitevent.Slots, seg *time.Time) error {
 	g := w.grp
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	if w.mgr.broken.Load() {
-		return ErrBroken
-	}
-	w.mu.Lock()
-	pending := len(w.buf) > 0 || w.bufferGSN > w.flushedGSN.Load()
-	w.mu.Unlock()
-	if !pending {
-		// A leader's flush covered us while we waited for the mutex.
-		return nil
-	}
-	if d := w.mgr.groupWait; d > 0 && g.shouldWaitLocked() {
-		// Group-commit leader wait: before paying the fsync, yield the
-		// processor for a bounded window so concurrently executing
-		// transactions can reach their own commit points and convoy on
-		// g.mu — the flush below then retires the whole batch under one
-		// device write. Yielding (rather than sleeping on a timer or
-		// proceeding straight into the fsync syscall) matters on a
-		// saturated machine: Gosched hands the OS thread to a sibling
-		// worker immediately, where a thread blocked in fsync only
-		// releases it after the runtime's syscall-retake latency.
-		//
-		// The wait is adaptive: it keeps firing only while flushes
-		// actually capture multiple commits (waitCredit), plus a cheap
-		// periodic probe to rediscover concurrency after a quiet spell.
-		// A serial commit stream earns no credit, so it pays one
-		// amortized probe per probeInterval flushes and nothing else.
-		w.mgr.groupWaits.Add(1)
-		g.mu.Unlock()
-		if ws != nil {
-			*seg = ws.Switch(w.id, waitevent.EvWALFlush, waitevent.EvWALGroupLead, *seg)
-		}
-		deadline := time.Now().Add(d)
-		for time.Now().Before(deadline) {
-			runtime.Gosched()
-		}
-		if ws != nil {
-			*seg = ws.Switch(w.id, waitevent.EvWALGroupLead, waitevent.EvWALFlush, *seg)
-		}
-		g.mu.Lock()
+	for {
 		if w.mgr.broken.Load() {
 			return ErrBroken
 		}
-		w.mu.Lock()
-		covered := len(w.buf) == 0 && w.bufferGSN <= w.flushedGSN.Load()
-		w.mu.Unlock()
-		if covered {
-			// Another leader flushed the whole batch — us included —
-			// while we yielded.
+		if !w.pending() {
+			// A flush covered us while we waited for the mutex or a leader.
+			return nil
+		}
+		if !g.leading {
+			break
+		}
+		// Join the parked leader. It is woken only once the batch is
+		// complete, so a burst of joiners costs it one wake-up.
+		if !g.anyOpen() {
+			g.poke()
+		}
+		g.flushed.Wait()
+	}
+	if d := w.mgr.groupWait; d > 0 && g.shouldWaitLocked() {
+		w.lead(d, ws, seg)
+		if broken := w.mgr.broken.Load(); broken || !w.pending() {
+			// Another flush covered the whole batch, us included, while we
+			// were parked (or the log failed). The joiners wait on a flush
+			// that will not come from us: let them look again.
+			g.flushed.Broadcast()
+			if broken {
+				return ErrBroken
+			}
 			return nil
 		}
 	}
 	return g.flushLocked()
+}
+
+// lead is the group-commit leader wait: before paying the fsync, park for
+// a bounded window so concurrently executing transactions can reach their
+// own commit points and join — the flush that follows then retires the
+// whole batch under one device write. The window closes at d, or as soon
+// as a joiner (or a flush from elsewhere) pokes. Parking hands the
+// processor to sibling slots at once, where a thread entering fsync only
+// releases it after the runtime's syscall-retake latency. Caller holds
+// g.mu; lead releases it while parked and returns with it held.
+func (w *Writer) lead(d time.Duration, ws *waitevent.Slots, seg *time.Time) {
+	g := w.grp
+	select {
+	case <-g.arrive: // a poke that crossed the previous leader's deadline
+	default:
+	}
+	g.leading = true
+	w.mgr.groupWaits.Add(1)
+	g.mu.Unlock()
+	if ws != nil {
+		*seg = ws.Switch(w.id, waitevent.EvWALFlush, waitevent.EvWALGroupLead, *seg)
+	}
+	early := g.timer.Wait(g.arrive, d)
+	if ws != nil {
+		*seg = ws.Switch(w.id, waitevent.EvWALGroupLead, waitevent.EvWALFlush, *seg)
+	}
+	g.mu.Lock()
+	g.leading = false
+	if early {
+		w.mgr.groupLeadEarly.Add(1)
+	}
+}
+
+// anyOpen reports whether some member holds buffered records without a
+// commit record: a transaction still on its way to the commit point, worth
+// keeping the leader's window open for.
+func (g *group) anyOpen() bool {
+	for _, w := range g.members {
+		if w.open.Load() {
+			return true
+		}
+	}
+	return false
+}
+
+// poke wakes the parked leader. Caller holds g.mu and has seen g.leading.
+func (g *group) poke() {
+	select {
+	case g.arrive <- struct{}{}:
+	default: // already poked
+	}
 }
 
 // probeInterval is how often (in flushes) a group speculatively pays one
@@ -389,11 +458,16 @@ const (
 	waitCreditWindow = 64
 )
 
-// shouldWaitLocked decides whether the next flush leader should yield for
+// shouldWaitLocked decides whether the next flush leader should park for
 // more commits first: yes while recent flushes batched multiple commits
-// (credit), and on a periodic speculative probe otherwise. Caller holds
-// g.mu.
+// (credit), and on a periodic speculative probe otherwise — whether or not
+// any other member has buffered anything yet. A serial commit stream earns
+// no credit, so it pays one probe per probeInterval flushes and nothing
+// else; a group of one has nobody to wait for. Caller holds g.mu.
 func (g *group) shouldWaitLocked() bool {
+	if len(g.members) < 2 {
+		return false
+	}
 	if g.waitCredit > 0 {
 		return true
 	}
@@ -410,7 +484,14 @@ func (g *group) shouldWaitLocked() bool {
 // flushed-GSN horizons. Caller holds g.mu. Nothing is trimmed or published
 // on error: after a failed or torn flush the buffers still hold every
 // unacknowledged record, so an acknowledged commit can never be lost.
+// Whatever the outcome, committers that joined a leader are woken to look
+// at their horizons, and a leader parked through a flush that was not its
+// own (remote flush, checkpoint) is woken to find itself covered.
 func (g *group) flushLocked() error {
+	defer g.flushed.Broadcast()
+	if g.leading {
+		defer g.poke()
+	}
 	m := g.mgr
 	if m.broken.Load() {
 		return ErrBroken
@@ -468,6 +549,9 @@ func (g *group) flushLocked() error {
 			if p.n > 0 {
 				p.w.mu.Lock()
 				p.w.buf = p.w.buf[:copy(p.w.buf, p.w.buf[p.n:])]
+				if len(p.w.buf) == 0 {
+					p.w.open.Store(false)
+				}
 				p.w.mu.Unlock()
 			}
 		}
@@ -522,8 +606,10 @@ type Manager struct {
 	// groupWait is how long a commit leader waits for mid-flight sibling
 	// transactions before issuing the group fsync (0 = flush immediately).
 	groupWait time.Duration
-	// groupWaits counts commits that paid the leader wait.
-	groupWaits atomic.Int64
+	// groupWaits counts commits that paid the leader wait; groupLeadEarly
+	// counts those of them woken before the deadline.
+	groupWaits     atomic.Int64
+	groupLeadEarly atomic.Int64
 	// waits receives wait-event stamps for commit flushes; may be nil.
 	waits *waitevent.Slots
 }
@@ -537,6 +623,10 @@ func (m *Manager) Flushes() int64 { return m.flushes.Load() }
 // GroupWaits returns the number of commits that paid the group-commit
 // leader wait before flushing.
 func (m *Manager) GroupWaits() int64 { return m.groupWaits.Load() }
+
+// GroupLeadEarly returns the number of leader waits that ended before
+// their deadline because the batch was complete or already flushed.
+func (m *Manager) GroupLeadEarly() int64 { return m.groupLeadEarly.Load() }
 
 // Options configures a Manager.
 type Options struct {
@@ -555,10 +645,13 @@ type Options struct {
 	// SyncOnFlush issues fsync on every flush (the paper's "WAL sync
 	// enabled" setting). Off by default in tests for speed.
 	SyncOnFlush bool
-	// GroupCommitWait is how long a commit leader that observes sibling
-	// slots with buffered (mid-transaction) records waits for their
-	// commits to arrive before issuing the shared fsync. 0 flushes
-	// immediately. Serial workloads never trigger the wait.
+	// GroupCommitWait is the upper bound on how long a commit leader parks
+	// for other members' commits before issuing the shared fsync; 0
+	// flushes immediately. The wait arms on evidence of concurrency, not
+	// on what is buffered: while recent flushes batched two or more
+	// commits, plus one probe every 32nd flush. It ends early when an
+	// arriving committer leaves no member with buffered records short of
+	// a commit record. A serial commit stream pays the probe only.
 	GroupCommitWait time.Duration
 	// IO receives write-volume accounting; may be nil.
 	IO *metrics.IOCounters
@@ -590,7 +683,9 @@ func Open(opts Options) (*Manager, error) {
 			m.Close()
 			return nil, err
 		}
-		m.groups = append(m.groups, &group{id: i, mgr: m, f: f})
+		g := &group{id: i, mgr: m, f: f, arrive: make(chan struct{}, 1)}
+		g.flushed.L = &g.mu
+		m.groups = append(m.groups, g)
 	}
 	for i := 0; i < opts.Writers; i++ {
 		gi := groupOf(i)

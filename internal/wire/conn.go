@@ -21,7 +21,8 @@ type request struct {
 
 // conn is one client connection. Its read-side buffers (rbuf, skip) are
 // touched only by the single reader that currently owns the connection
-// (EPOLLONESHOT on Linux, the dedicated read goroutine elsewhere);
+// (EPOLLONESHOT on Linux, the dedicated read goroutine elsewhere), its
+// write-side batch (wbuf, woff) only by the goroutine that holds flushing;
 // everything else is guarded by mu. Lock order: Server.admitMu before
 // conn.mu.
 type conn struct {
@@ -42,17 +43,25 @@ type conn struct {
 	quit    bool // client sent Quit: close once the outbox drains
 	pending []request
 	phead   int
-	running bool // a session task owns this conn
-	waiting bool // the session task is parked awaiting the next frame
-	queued  bool // sitting in the admission queue
-	paused  bool // pipeline full: reads stay un-armed until drained
-	out     []byte
-	spare   []byte
-	wQueued bool // queued on the writer pool
+	running bool   // a session task owns this conn
+	waiting bool   // the session task is parked awaiting the next frame
+	queued  bool   // sitting in the admission queue
+	paused  bool   // pipeline full: reads stay un-armed until drained
+	out     []byte // responses not yet handed to a write
+	// outSince is when out last went from empty to holding a response.
+	outSince time.Time
+	// flushing marks the one goroutine (session slot, rejecting reader or
+	// pool writer) that is writing wbuf[woff:] and then out to the socket.
+	flushing bool
+	wbuf     []byte
+	woff     int
 
 	// notify wakes a parked session task (new frame or close). Cap 1;
 	// sends are non-blocking.
 	notify chan struct{}
+	// flushHeld is Server.flushHeld bound to this conn, built once so a
+	// session start allocates nothing for it.
+	flushHeld func()
 }
 
 func (c *conn) depthLocked() int { return len(c.pending) - c.phead }

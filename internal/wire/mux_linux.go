@@ -2,15 +2,23 @@
 
 package wire
 
-// The Linux read path is the multiplexer the ISSUE calls for: idle
-// connections cost one epoll registration and ~no memory, not a parked
-// goroutine. One poller goroutine runs epoll_wait; readable connections
-// are handed to a small fixed pool of reader goroutines that drain the
-// socket with non-blocking reads and decode frames. EPOLLONESHOT
+// The Linux read path is a multiplexer: idle connections cost one epoll
+// registration and ~no memory, not a parked goroutine. A small fixed pool
+// of reader goroutines call epoll_wait themselves and drain whatever
+// connection an event names with non-blocking reads, decoding frames as
+// they go — no goroutine relays an event to another. EPOLLONESHOT
 // guarantees a connection is owned by at most one reader at a time; the
 // reader re-arms after hitting EAGAIN (or the session re-arms after
 // draining a full pipeline), so total goroutines are O(readers +
 // writers + active sessions), independent of open connections.
+//
+// A reader with nothing ready must not sit in a blocking epoll_wait: that
+// pins an OS thread and strands its P until sysmon retakes it. The epoll
+// descriptor is itself pollable, so it is registered with the Go runtime's
+// network poller through an os.File. Readers call epoll_wait with a zero
+// timeout; on "nothing ready" the one whose turn it is parks as a
+// goroutine until the runtime reports the descriptor readable, the others
+// queue behind it on the file's read lock.
 //
 // Events are routed by token, not file descriptor: the kernel can
 // recycle an fd the instant it closes, but a token is never reused, so
@@ -19,29 +27,76 @@ package wire
 // are deleted (and EPOLL_CTL_DEL issued) before the fd is closed.
 
 import (
+	"fmt"
+	"os"
 	"sync"
 	"syscall"
+	"time"
 )
 
-// wakeToken marks the shutdown pipe's epoll registration; conn tokens
-// start at 1.
-const wakeToken = 0
-
 type pollState struct {
-	epfd    int
-	wakeR   int
-	wakeW   int
+	epfd int
+	// ep owns epfd on behalf of the runtime poller; raw is its parking
+	// handle. epfd stays valid until ep is closed in pollerShutdown.
+	ep      *os.File
+	raw     syscall.RawConn
 	mu      sync.Mutex
 	toks    map[uint32]*conn
 	nextTok uint32
 }
 
-// pollConn is the per-connection read-side state: the raw-syscall handle
-// for non-blocking reads and the epoll routing token.
+// pollConn is the per-connection socket state: the raw-syscall handle for
+// non-blocking reads and writes and the epoll routing token. rd belongs to
+// the connection's current reader, wr to whoever holds conn.flushing.
 type pollConn struct {
-	raw syscall.RawConn
-	fd  int
-	tok uint32
+	raw    syscall.RawConn
+	fd     int
+	tok    uint32
+	rd, wr nbIO
+}
+
+// nbIO is one direction's non-blocking syscall on a connection. The
+// callback handed to the RawConn is built once and takes its argument and
+// leaves its result in the struct, so a read or write allocates nothing.
+type nbIO struct {
+	buf []byte
+	n   int
+	err error
+	fn  func(fd uintptr) bool
+}
+
+// init binds the syscall. The callback always returns true, "don't wait
+// for readiness" — the whole point: EAGAIN surfaces to the caller instead
+// of parking a goroutine.
+func (io *nbIO) init(call func(fd int, p []byte) (int, error)) {
+	io.fn = func(fd uintptr) bool {
+		for {
+			io.n, io.err = call(int(fd), io.buf)
+			if io.err != syscall.EINTR {
+				return true
+			}
+		}
+	}
+}
+
+// run performs the syscall once on p through raw, which pins the fd
+// against close/reuse for its duration.
+func (io *nbIO) run(raw syscall.RawConn, write bool, p []byte) (int, error) {
+	io.buf, io.n, io.err = p, 0, nil
+	var cerr error
+	if write {
+		cerr = raw.Write(io.fn)
+	} else {
+		cerr = raw.Read(io.fn)
+	}
+	io.buf = nil
+	if io.n < 0 {
+		io.n = 0
+	}
+	if cerr != nil {
+		return io.n, cerr
+	}
+	return io.n, io.err
 }
 
 func (s *Server) pollerInit() error {
@@ -49,35 +104,33 @@ func (s *Server) pollerInit() error {
 	if err != nil {
 		return err
 	}
-	var p [2]int
-	if err := syscall.Pipe2(p[:], syscall.O_NONBLOCK|syscall.O_CLOEXEC); err != nil {
+	// os.NewFile hands only non-blocking descriptors to the runtime poller.
+	if err := syscall.SetNonblock(epfd, true); err != nil {
 		syscall.Close(epfd)
 		return err
 	}
-	ev := syscall.EpollEvent{Events: syscall.EPOLLIN, Fd: wakeToken}
-	if err := syscall.EpollCtl(epfd, syscall.EPOLL_CTL_ADD, p[0], &ev); err != nil {
-		syscall.Close(epfd)
-		syscall.Close(p[0])
-		syscall.Close(p[1])
-		return err
+	ep := os.NewFile(uintptr(epfd), "epoll")
+	raw, err := ep.SyscallConn()
+	if err == nil {
+		// Deadlines work only on files the runtime poller accepted.
+		err = ep.SetReadDeadline(time.Time{})
+	}
+	if err != nil {
+		ep.Close()
+		return fmt.Errorf("wire: epoll descriptor not pollable by the runtime: %w", err)
 	}
 	s.poll.epfd = epfd
-	s.poll.wakeR = p[0]
-	s.poll.wakeW = p[1]
+	s.poll.ep = ep
+	s.poll.raw = raw
 	s.poll.toks = make(map[uint32]*conn)
 	return nil
 }
 
-func (s *Server) pollerShutdown() {
-	syscall.Close(s.poll.epfd)
-	syscall.Close(s.poll.wakeR)
-	syscall.Close(s.poll.wakeW)
-}
+func (s *Server) pollerShutdown() { s.poll.ep.Close() }
 
-func (s *Server) pollerWake() {
-	var b [1]byte
-	syscall.Write(s.poll.wakeW, b[:])
-}
+// pollerWake ends every reader's wait, now and from now on: an expired
+// read deadline fails the parked reader and each later attempt to park.
+func (s *Server) pollerWake() { s.poll.ep.SetReadDeadline(time.Unix(1, 0)) }
 
 const connEvents = syscall.EPOLLIN | syscall.EPOLLRDHUP | syscall.EPOLLONESHOT
 
@@ -94,6 +147,8 @@ func (s *Server) pollerRegister(c *conn) error {
 	if err := raw.Control(func(fd uintptr) { c.poll.fd = int(fd) }); err != nil {
 		return err
 	}
+	c.poll.rd.init(syscall.Read)
+	c.poll.wr.init(syscall.Write)
 	s.poll.mu.Lock()
 	s.poll.nextTok++
 	c.poll.tok = s.poll.nextTok
@@ -130,61 +185,40 @@ func (s *Server) pollerUnregister(c *conn) {
 }
 
 func (s *Server) startReaders() {
-	s.wg.Add(1)
-	go s.pollLoop()
 	for i := 0; i < s.Readers; i++ {
 		s.wg.Add(1)
 		go s.reader()
 	}
 }
 
-func (s *Server) pollLoop() {
-	defer s.wg.Done()
-	events := make([]syscall.EpollEvent, 128)
-	for {
-		n, err := syscall.EpollWait(s.poll.epfd, events, -1)
-		if err == syscall.EINTR {
-			continue
-		}
-		if err != nil {
-			return
-		}
-		for i := 0; i < n; i++ {
-			tok := uint32(events[i].Fd)
-			if tok == wakeToken {
-				select {
-				case <-s.done:
-					return
-				default:
-				}
-				var b [8]byte
-				syscall.Read(s.poll.wakeR, b[:])
-				continue
-			}
-			s.poll.mu.Lock()
-			c := s.poll.toks[tok]
-			s.poll.mu.Unlock()
-			if c == nil {
-				continue
-			}
-			select {
-			case s.readable <- c:
-			case <-s.done:
-				return
-			}
-		}
-	}
-}
-
+// reader is one of the pool's read loops: wait for events, then serve each
+// connection named, on this goroutine.
 func (s *Server) reader() {
 	defer s.wg.Done()
 	buf := make([]byte, 64*1024)
+	events := make([]syscall.EpollEvent, 64)
+	var n int
+	var werr error
+	poll := func(fd uintptr) bool {
+		for {
+			n, werr = syscall.EpollWait(int(fd), events, 0)
+			if werr != syscall.EINTR {
+				return n != 0 // nothing ready: park until the descriptor is
+			}
+		}
+	}
 	for {
-		select {
-		case <-s.done:
-			return
-		case c := <-s.readable:
-			s.serveRead(c, buf)
+		n, werr = 0, nil
+		if err := s.poll.raw.Read(poll); err != nil || werr != nil {
+			return // Shutdown's deadline (or a broken epoll descriptor)
+		}
+		for i := 0; i < n; i++ {
+			s.poll.mu.Lock()
+			c := s.poll.toks[uint32(events[i].Fd)]
+			s.poll.mu.Unlock()
+			if c != nil {
+				s.serveRead(c, buf)
+			}
 		}
 	}
 }
@@ -213,26 +247,17 @@ func (s *Server) serveRead(c *conn, buf []byte) {
 	}
 }
 
-// readNB performs one non-blocking read through the RawConn, which pins
-// the fd against close/reuse for the duration of the syscall. Returning
-// true from the callback means "don't wait for readability" — the whole
-// point: EAGAIN surfaces to the caller instead of parking a goroutine.
+// readNB performs one non-blocking read.
 func readNB(c *conn, p []byte) (int, error) {
-	var n int
-	var rerr error
-	cerr := c.poll.raw.Read(func(fd uintptr) bool {
-		for {
-			n, rerr = syscall.Read(int(fd), p)
-			if rerr != syscall.EINTR {
-				return true
-			}
-		}
-	})
-	if n < 0 {
-		n = 0
+	return c.poll.rd.run(c.poll.raw, false, p)
+}
+
+// writeNB performs one non-blocking write. A short count with a nil error
+// means the socket buffer is full.
+func writeNB(c *conn, p []byte) (int, error) {
+	n, err := c.poll.wr.run(c.poll.raw, true, p)
+	if err == syscall.EAGAIN {
+		err = nil
 	}
-	if cerr != nil {
-		return n, cerr
-	}
-	return n, rerr
+	return n, err
 }

@@ -7,7 +7,8 @@ package wire
 // (same framing, admission, and backpressure), but idle connections
 // cost a parked goroutine each — O(connections) instead of O(pool).
 // The connmux benchmark gate runs on Linux, where the epoll path is
-// compiled in.
+// compiled in. There is no portable non-blocking write either, so every
+// flush is handed to the writer pool.
 
 type pollState struct{}
 
@@ -29,6 +30,10 @@ func (s *Server) pollerRegister(c *conn) error {
 	go s.blockingReadLoop(c)
 	return nil
 }
+
+// writeNB writes nothing: a short count with a nil error tells the caller
+// the socket would block, which sends the batch to the writer pool.
+func writeNB(c *conn, p []byte) (int, error) { return 0, nil }
 
 func (s *Server) pollerResume(c *conn) {
 	select {

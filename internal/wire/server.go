@@ -57,7 +57,7 @@ type Server struct {
 
 	done     chan struct{}
 	stopOnce sync.Once
-	wg       sync.WaitGroup // readers, writers, poller
+	wg       sync.WaitGroup // readers, writers
 	sessWg   sync.WaitGroup // session tasks
 
 	connMu sync.Mutex
@@ -69,8 +69,9 @@ type Server struct {
 
 	poll pollState
 
-	readable chan *conn
-	writeq   chan *conn
+	// writeq feeds the writer pool: connections whose socket buffer filled
+	// up under a non-blocking flush. A connection is on it at most once.
+	writeq chan *conn
 
 	nConns     atomic.Int64
 	nActive    atomic.Int64
@@ -84,6 +85,7 @@ type Server struct {
 	cDiscRB    atomic.Int64
 	cBytesIn   atomic.Int64
 	cBytesOut  atomic.Int64
+	cWrites    atomic.Int64 // socket writes issued (tests: responses per write)
 	hDepth     metrics.Histogram
 	hQueueWait metrics.Histogram
 }
@@ -139,7 +141,6 @@ func (s *Server) Serve(l net.Listener) error {
 	s.defaults()
 	s.done = make(chan struct{})
 	s.conns = make(map[*conn]struct{})
-	s.readable = make(chan *conn, s.MaxConnections+16)
 	s.writeq = make(chan *conn, s.MaxConnections+16)
 	s.registerMetrics()
 	if err := s.pollerInit(); err != nil {
@@ -181,6 +182,7 @@ func (s *Server) accept(nc net.Conn) {
 		tc.SetNoDelay(true)
 	}
 	c := &conn{srv: s, nc: nc, notify: make(chan struct{}, 1)}
+	c.flushHeld = func() { s.flushHeld(c) }
 	s.connMu.Lock()
 	s.conns[c] = struct{}{}
 	s.connMu.Unlock()
@@ -238,10 +240,21 @@ func (s *Server) closeConn(c *conn) {
 	s.nConns.Add(-1)
 }
 
-// send appends a response to the conn's outbox and schedules a writer
-// flush. A connection whose outbox exceeds MaxOutbox (a client that has
-// stopped draining responses) is shed.
-func (s *Server) send(c *conn, b []byte) {
+// A session holds its responses back while requests are pending, so that a
+// pipelined burst of small answers leaves in one write. The hold is bounded
+// in bytes (a long pipeline of big result sets streams out instead of
+// running into MaxOutbox) and in time (checked between statements: an
+// answer waits for a batch of quick statements, not for a long pipeline of
+// slow ones), and it ends when the slot parks (flushHeld).
+const (
+	outboxFlushBytes = 64 << 10
+	outboxFlushAfter = time.Millisecond
+)
+
+// queue appends a response to the conn's outbox without writing it. A
+// connection whose outbox exceeds MaxOutbox (a client that has stopped
+// draining responses) is shed.
+func (s *Server) queue(c *conn, b []byte) {
 	if len(b) == 0 {
 		return
 	}
@@ -250,25 +263,46 @@ func (s *Server) send(c *conn, b []byte) {
 		c.mu.Unlock()
 		return
 	}
+	if len(c.out) == 0 {
+		c.outSince = time.Now()
+	}
 	c.out = append(c.out, b...)
 	over := len(c.out) > s.MaxOutbox
-	enq := false
-	if !over && !c.wQueued {
-		c.wQueued = true
-		enq = true
-	}
 	c.mu.Unlock()
 	if over {
 		s.cShedSlow.Add(1)
 		s.closeConn(c)
+	}
+}
+
+// send queues a response and flushes it from the calling goroutine: the
+// path for answers produced outside a session (rejections, protocol
+// errors). Sessions queue as they execute and flush once per batch.
+func (s *Server) send(c *conn, b []byte) {
+	s.queue(c, b)
+	c.mu.Lock()
+	if c.closed || c.flushing {
+		// Whoever is flushing picks the new bytes up before it stops.
+		c.mu.Unlock()
 		return
 	}
-	if enq {
-		select {
-		case s.writeq <- c:
-		case <-s.done:
-		}
+	c.flushing = true
+	c.mu.Unlock()
+	s.drain(c, false)
+}
+
+// flushHeld writes out what a session has been holding back. The session's
+// slot calls it before parking inside a statement (a tuple-lock wait), so
+// answers already computed do not sit out a wait that can last seconds.
+func (s *Server) flushHeld(c *conn) {
+	c.mu.Lock()
+	if c.closed || c.flushing || len(c.out) == 0 {
+		c.mu.Unlock()
+		return
 	}
+	c.flushing = true
+	c.mu.Unlock()
+	s.drain(c, false)
 }
 
 func (s *Server) writer() {
@@ -278,42 +312,69 @@ func (s *Server) writer() {
 		case <-s.done:
 			return
 		case c := <-s.writeq:
-			s.flushConn(c)
+			s.drain(c, true)
 		}
 	}
 }
 
-// flushConn drains the conn's outbox, double-buffering so sessions keep
-// appending while a batch is on the wire. A write error or a flush
-// exceeding WriteTimeout sheds the connection (slow client).
-func (s *Server) flushConn(c *conn) {
+// drain writes the conn's outbox until it is empty, double-buffering so
+// sessions keep appending while a batch is on the wire. The caller owns
+// c.flushing, which makes it the only goroutine writing to the socket.
+//
+// With block false (a session slot, or a reader answering a rejection) the
+// writes are non-blocking: whatever the socket buffer does not take is
+// handed, with the ownership, to the writer pool, so a slow client never
+// holds a pool slot. The writer pool (block true) writes under
+// WriteTimeout; a write error or a timeout sheds the connection.
+func (s *Server) drain(c *conn, block bool) {
 	for {
 		c.mu.Lock()
 		if c.closed {
-			c.wQueued = false
+			c.flushing = false
 			c.mu.Unlock()
 			return
 		}
-		if len(c.out) == 0 {
-			c.wQueued = false
-			doQuit := c.quit
-			c.mu.Unlock()
-			if doQuit {
-				s.closeConn(c)
+		if c.woff == len(c.wbuf) {
+			// The batch is on the wire: recycle its buffer, take the next.
+			c.wbuf, c.out = c.out, c.wbuf[:0]
+			c.woff = 0
+			if len(c.wbuf) == 0 {
+				c.flushing = false
+				doQuit := c.quit
+				c.mu.Unlock()
+				if doQuit {
+					s.closeConn(c)
+				}
+				return
 			}
-			return
 		}
-		buf := c.out
-		c.out = c.spare[:0]
-		c.spare = buf
 		c.mu.Unlock()
-		c.nc.SetWriteDeadline(time.Now().Add(s.WriteTimeout))
-		if _, err := c.nc.Write(buf); err != nil {
+		rest := c.wbuf[c.woff:]
+		var n int
+		var err error
+		if block {
+			c.nc.SetWriteDeadline(time.Now().Add(s.WriteTimeout))
+			n, err = c.nc.Write(rest)
+		} else {
+			n, err = writeNB(c, rest)
+		}
+		s.cWrites.Add(1)
+		s.cBytesOut.Add(int64(n))
+		c.woff += n
+		if err != nil {
 			s.cShedSlow.Add(1)
 			s.closeConn(c)
 			return
 		}
-		s.cBytesOut.Add(int64(len(buf)))
+		if n < len(rest) {
+			// Non-blocking write, socket buffer full: the rest needs a
+			// goroutine that may wait.
+			select {
+			case s.writeq <- c:
+			case <-s.done:
+			}
+			return
+		}
 	}
 }
 
@@ -435,11 +496,19 @@ type sessState struct {
 // transaction is open with no pending work, and exits — releasing the
 // slot — when idle outside a transaction. One conn therefore costs a
 // pool slot only while it has work or an open transaction.
+//
+// Responses collect in the outbox while requests are pending and the slot
+// writes them itself, without blocking, when the queue runs empty — so a
+// pipelined burst is answered with one write, and a synchronous round trip
+// wakes no goroutine between execution and the socket. Held answers also
+// leave when they have waited outboxFlushAfter at a statement boundary, and
+// before the slot parks inside a statement.
 func (s *Server) runSession(c *conn, ps *phoebedb.PoolSession) {
 	defer s.sessWg.Done()
 	s.nActive.Add(1)
 	defer s.nActive.Add(-1)
 	st := &sessState{}
+	ps.BeforePark(c.flushHeld)
 	for {
 		c.mu.Lock()
 		if c.closed {
@@ -451,7 +520,15 @@ func (s *Server) runSession(c *conn, ps *phoebedb.PoolSession) {
 			s.finishSession()
 			return
 		}
-		if !c.hasPendingLocked() {
+		idle := !c.hasPendingLocked()
+		due := len(c.out) >= outboxFlushBytes || len(c.out) > 0 && time.Since(c.outSince) > outboxFlushAfter
+		if !c.flushing && (due || idle && (len(c.out) > 0 || c.quit)) {
+			c.flushing = true
+			c.mu.Unlock()
+			s.drain(c, false)
+			continue // frames may have arrived during the write
+		}
+		if idle {
 			if !ps.InTxn() {
 				c.running = false
 				c.mu.Unlock()
@@ -486,21 +563,12 @@ func (s *Server) runSession(c *conn, ps *phoebedb.PoolSession) {
 		ps.ChargeQueueWait(wait)
 		s.hQueueWait.Observe(wait)
 		resp, quit := s.execute(ps, st, &req)
-		s.send(c, resp)
+		s.queue(c, resp)
 		if quit {
+			// The flush that finds the outbox empty closes the connection.
 			c.mu.Lock()
 			c.quit = true
-			queueFlush := !c.wQueued && !c.closed
-			if queueFlush {
-				c.wQueued = true
-			}
 			c.mu.Unlock()
-			if queueFlush {
-				select {
-				case s.writeq <- c:
-				case <-s.done:
-				}
-			}
 		}
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"net"
 	"runtime"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -634,5 +635,174 @@ func TestWireMaxConnections(t *testing.T) {
 	}
 	if _, err := a.Exec("CREATE TABLE mc (id INT)"); err != nil {
 		t.Fatalf("existing connection broken: %v", err)
+	}
+}
+
+// TestWirePipelinedBurstLeavesInFewWrites: a session collects the answers
+// of a pipelined burst in its outbox and writes them once the queue runs
+// empty, so depth-32 bursts cost about one socket write each, and the
+// answers still come back in request order.
+func TestWirePipelinedBurstLeavesInFewWrites(t *testing.T) {
+	db := openDB(t, phoebedb.Options{})
+	addr, srv := startWire(t, db, nil)
+	if _, err := db.ExecSQL("CREATE TABLE b (id INT, v STRING)"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.ExecSQL("CREATE UNIQUE INDEX b_pk ON b (id)"); err != nil {
+		t.Fatal(err)
+	}
+	const depth, bursts = 32, 10
+	for i := 0; i < depth; i++ {
+		if _, err := db.ExecSQL(fmt.Sprintf("INSERT INTO b VALUES (%d, 'v%d')", i, i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c, err := client.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	before := srv.SocketWrites()
+	for b := 0; b < bursts; b++ {
+		for i := 0; i < depth; i++ {
+			c.Send(fmt.Sprintf("SELECT v FROM b WHERE id = %d", i))
+		}
+		if err := c.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < depth; i++ {
+			res, err := c.Recv()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.Rows) != 1 || res.Rows[0][0] != "v"+strconv.Itoa(i) {
+				t.Fatalf("burst %d answer %d out of order: %+v", b, i, res.Rows)
+			}
+		}
+	}
+	writes := srv.SocketWrites() - before
+	if responses := int64(depth * bursts); writes*8 > responses {
+		t.Fatalf("%d responses left in %d socket writes; want about one write per burst of %d", responses, writes, depth)
+	}
+}
+
+// Answers are held back for a batch only while the session keeps executing:
+// when the second statement of a pipeline parks on a tuple lock, the answer
+// to the first must reach the client before the lock is released.
+func TestWireHeldAnswerLeavesBeforeLockWait(t *testing.T) {
+	db := openDB(t, phoebedb.Options{LockTimeout: 30 * time.Second})
+	addr, _ := startWire(t, db, nil)
+	for _, q := range []string{
+		"CREATE TABLE h (id INT, v STRING)",
+		"CREATE UNIQUE INDEX h_pk ON h (id)",
+		"INSERT INTO h VALUES (1, 'a')",
+		"INSERT INTO h VALUES (2, 'b')",
+	} {
+		if _, err := db.ExecSQL(q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	holder, err := client.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer holder.Close()
+	if err := holder.Begin(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := holder.Exec("UPDATE h SET v = 'held' WHERE id = 1"); err != nil {
+		t.Fatal(err)
+	}
+	c, err := client.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	c.Send("SELECT v FROM h WHERE id = 2")
+	c.Send("UPDATE h SET v = 'mine' WHERE id = 1") // waits for holder
+	if err := c.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	first := make(chan error, 1)
+	go func() {
+		res, err := c.Recv()
+		if err == nil && (len(res.Rows) != 1 || res.Rows[0][0] != "b") {
+			err = fmt.Errorf("first answer: %+v", res.Rows)
+		}
+		first <- err
+	}()
+	select {
+	case err := <-first:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("first answer held back behind the second statement's lock wait")
+	}
+	if err := holder.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Recv(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestWireSlowClientShedAfterSlotReleased: a client that sends requests
+// and never reads the answers fills its socket. The session must not wait
+// for it — it hands the unsent bytes to the writer pool and gives its pool
+// slot back — and the writer pool sheds the connection at WriteTimeout.
+func TestWireSlowClientShedAfterSlotReleased(t *testing.T) {
+	db := openDB(t, phoebedb.Options{})
+	addr, _ := startWire(t, db, func(s *wire.Server) {
+		s.MaxOutbox = 256 << 20          // shed by the write timeout, not the outbox cap
+		s.WriteTimeout = 3 * time.Second // far longer than the session needs, race detector included
+	})
+	if _, err := db.ExecSQL("CREATE TABLE big (id INT, v STRING)"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.ExecSQL("CREATE UNIQUE INDEX big_pk ON big (id)"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.ExecSQL("INSERT INTO big VALUES (1, '" + strings.Repeat("x", 16<<10) + "')"); err != nil {
+		t.Fatal(err)
+	}
+	r := dialRaw(t, addr)
+	defer r.nc.Close()
+	// 1000 answers of 16 KiB: 16 MiB, far beyond what loopback buffers hold.
+	var reqs []byte
+	for i := 0; i < 1000; i++ {
+		reqs = wire.AppendQuery(reqs, "SELECT v FROM big WHERE id = 1")
+	}
+	sent := statValue(t, db, "bytes_in") + int64(len(reqs))
+	r.write(t, reqs)
+
+	waitFor := func(what string, cond func() bool) {
+		t.Helper()
+		for deadline := time.Now().Add(10 * time.Second); !cond(); time.Sleep(5 * time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s", what)
+			}
+		}
+	}
+	waitFor("the session to execute every request and release its slot", func() bool {
+		return statValue(t, db, "bytes_in") == sent && statValue(t, db, "active_sessions") == 0
+	})
+	if shed := statValue(t, db, "shed_slow_clients"); shed != 0 {
+		t.Fatalf("client shed (%d) before its session finished: the slot waited for the socket", shed)
+	}
+	if open := statValue(t, db, "connections"); open != 1 {
+		t.Fatalf("connections = %d with the writer pool still holding the flush", open)
+	}
+	waitFor("the writer pool to shed the client", func() bool {
+		return statValue(t, db, "shed_slow_clients") == 1 && statValue(t, db, "connections") == 0
+	})
+	// The pool slot is free for others.
+	c, err := client.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if res, err := c.Exec("SELECT id FROM big WHERE id = 1"); err != nil || len(res.Rows) != 1 {
+		t.Fatalf("server unusable after shedding: (%+v, %v)", res, err)
 	}
 }

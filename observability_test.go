@@ -198,3 +198,28 @@ func TestExplainAnalyzeSQL(t *testing.T) {
 		t.Fatalf("plain EXPLAIN executed its statement: %d rows left", n)
 	}
 }
+
+// The wake-up counters are registered where phoebe_stat_engine and
+// /metrics pick them up, and an idle database moves neither.
+func TestWakeupCountersListed(t *testing.T) {
+	db := openTestDB(t, Options{})
+	read := func() map[string]int64 {
+		got := map[string]int64{}
+		res := execOrFatal(t, db, "SELECT name, value FROM phoebe_stat_engine")
+		for _, r := range res.Rows {
+			got[r[0].S] = r[1].I
+		}
+		return got
+	}
+	before := read()
+	for _, name := range []string{"phoebe_sched_idle_wakeups_total", "phoebe_wal_group_lead_early_total"} {
+		if _, ok := before[name]; !ok {
+			t.Fatalf("%s missing from phoebe_stat_engine", name)
+		}
+	}
+	time.Sleep(50 * time.Millisecond)
+	after := read()
+	if d := after["phoebe_sched_idle_wakeups_total"] - before["phoebe_sched_idle_wakeups_total"]; d != 0 {
+		t.Fatalf("idle database woke %d slots for nothing in 50ms", d)
+	}
+}

@@ -110,12 +110,15 @@ type Options struct {
 	PageSize, PageCap int
 	// WALSync fsyncs WAL flushes on commit.
 	WALSync bool
-	// GroupCommitWait is how long a commit leader that sees sibling slots
-	// mid-transaction waits for their commits before issuing the shared
-	// fsync (grows the batch one device write retires). 0 picks a default
-	// of 400µs when WALSync is on; negative disables the wait. Serial
-	// workloads never pay it — the wait only arms when another slot has
-	// already buffered records.
+	// GroupCommitWait is the upper bound on how long a commit leader parks
+	// for other slots' commits before issuing the shared fsync (grows the
+	// batch one device write retires). 0 picks a default of 400µs when
+	// WALSync is on; negative disables the wait. The wait arms on evidence
+	// of concurrency — while recent flushes retired two or more commits,
+	// plus one probe every 32nd flush — and ends early once an arriving
+	// committer leaves no slot with buffered records short of a commit
+	// record. A serial workload pays the probe only; two synchronous
+	// clients pay the time until the second one's commit arrives.
 	GroupCommitWait time.Duration
 	// Isolation is the default level for Execute (ReadCommitted).
 	Isolation Isolation

@@ -37,13 +37,21 @@ type PoolSession struct {
 	tx   *Tx
 }
 
+// BeforePark registers fn to run each time a statement of this session is
+// about to park its slot (a tuple-lock wait): the front end's chance to
+// send what it has been holding back for a batch. The registration ends
+// with the session task.
+func (ps *PoolSession) BeforePark(fn func()) { ps.slot.BeforePark = fn }
+
 // abandon rolls back a transaction the callback left open — the slot is
-// being returned to the pool and must not leak an in-flight transaction.
+// being returned to the pool and must not leak an in-flight transaction
+// or the session's park hook.
 func (ps *PoolSession) abandon() {
 	if ps.tx != nil {
 		ps.tx.Rollback()
 		ps.tx = nil
 	}
+	ps.slot.BeforePark = nil
 }
 
 // Slot returns the session's task-slot ID.

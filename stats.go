@@ -64,7 +64,8 @@ func buildRegistry(db *DB) *metrics.Registry {
 	reg.Gauge("phoebe_buffer_resident_bytes", "Main Storage resident footprint.", db.engine.Pool.ResidentBytes)
 
 	reg.Counter("phoebe_wal_flushes_total", "WAL buffer drains that hit the device.", db.engine.WAL.Flushes)
-	reg.Counter("phoebe_wal_group_waits_total", "Commit leaders that yielded the group-commit wait window before flushing.", db.engine.WAL.GroupWaits)
+	reg.Counter("phoebe_wal_group_waits_total", "Commit leaders that parked in the group-commit wait window before flushing.", db.engine.WAL.GroupWaits)
+	reg.Counter("phoebe_wal_group_lead_early_total", "Group-commit leader waits ended before the deadline (batch complete, or covered by another flush).", db.engine.WAL.GroupLeadEarly)
 	reg.Counter("phoebe_wal_remote_flush_waits_total", "Commits that waited on a foreign writer's durable horizon.", st.RemoteFlushWaits.Load)
 	reg.Counter("phoebe_wal_rfa_avoided_total", "Cross-slot page touches whose remote flush RFA proved unnecessary.", st.RFAAvoided.Load)
 
@@ -132,6 +133,7 @@ func buildRegistry(db *DB) *metrics.Registry {
 
 	reg.Counter("phoebe_sched_executed_total", "Pool tasks completed.", db.pool.Executed)
 	reg.Counter("phoebe_sched_stolen_total", "Tasks stolen from a sibling worker's queue.", db.pool.Stolen)
+	reg.Counter("phoebe_sched_idle_wakeups_total", "Parked slots woken that found no task to run.", db.pool.IdleWakeups)
 	reg.Gauge("phoebe_sched_queue_depth", "Tasks waiting in the admission queue.", func() int64 {
 		return int64(db.pool.QueueDepth())
 	})
