@@ -82,8 +82,9 @@ func main() {
 	frozen, err := db.Freeze(1000, 1<<20)
 	must(err)
 	tbl, _ := db.Engine().Table("events")
-	fmt.Printf("phase 3: froze %d rows into %d compressed blocks (%d bytes on disk, frontier row_id %d)\n",
-		frozen, tbl.Frozen.NumBlocks(), tbl.Frozen.CompressedBytes(), tbl.Store.MaxFrozenRowID())
+	cold := tbl.Frozen.Stats()
+	fmt.Printf("phase 3: froze %d rows into %d compressed blocks in %d segments (%d bytes on disk, frontier row_id %d)\n",
+		frozen, cold.Blocks, cold.Segments, tbl.Frozen.CompressedBytes(), tbl.Store.MaxFrozenRowID())
 
 	// Phase 4: an analytical scan across frozen + hot, computing an
 	// aggregate. Table scans do not warm frozen data (§5.2).

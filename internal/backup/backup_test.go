@@ -1,6 +1,7 @@
 package backup_test
 
 import (
+	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"os"
@@ -591,9 +592,6 @@ func TestColdBackupRestore(t *testing.T) {
 		}
 	}
 
-	// Tamper with segment bytes in the copied block file and forge the
-	// label entry so the file-level CRC matches again. verifyBaseFiles is
-	// now blind; the manifest's per-segment checksum must still object.
 	manData, err := os.ReadFile(filepath.Join(bdir, manFile))
 	if err != nil {
 		t.Fatal(err)
@@ -608,6 +606,69 @@ func TestColdBackupRestore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+
+	// A lying block zone with every checksum recomputed: the segment's
+	// last block zone (the 16 bytes before the header CRC) claims a max
+	// far outside its segment zone; the header CRC, the manifest's segment
+	// CRC, the image's manifest CRC and the label's file CRCs are all
+	// re-sealed over it. A scan would trust that zone; only the zone
+	// invariant check in VerifySegmentBytes can object.
+	forged := map[string][]byte{"data.blocks": append([]byte(nil), blocks...)}
+	hdr := forged["data.blocks"][seg.Ref.Offset : seg.Ref.Offset+int64(seg.HeaderLen)]
+	binary.LittleEndian.PutUint64(hdr[len(hdr)-12:], 1<<40)
+	binary.LittleEndian.PutUint32(hdr[len(hdr)-4:], crc32.ChecksumIEEE(hdr[:len(hdr)-4]))
+	m.Tables[0].Segments[0].CRC = crc32.ChecksumIEEE(forged["data.blocks"][seg.Ref.Offset : seg.Ref.Offset+int64(seg.Ref.Len)])
+	forged[manFile] = frozen.EncodeManifest(m)
+	m.Tables[0].Segments[0].CRC = seg.CRC
+	image, err := os.ReadFile(filepath.Join(bdir, "checkpoint.db"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Image: magic u32, version u32, cpGSN u64, clock u64, manifest epoch
+	// u64, manifest CRC u32 (offset 32), ..., body CRC u32.
+	binary.LittleEndian.PutUint32(image[32:], crc32.ChecksumIEEE(forged[manFile]))
+	binary.LittleEndian.PutUint32(image[len(image)-4:], crc32.ChecksumIEEE(image[:len(image)-4]))
+	forged["checkpoint.db"] = image
+	original := map[string][]byte{}
+	forgedLabel := *label
+	forgedLabel.Files = append([]backup.LabelFile(nil), label.Files...)
+	for i, f := range forgedLabel.Files {
+		data, ok := forged[f.Name]
+		if !ok {
+			continue
+		}
+		if original[f.Name], err = os.ReadFile(filepath.Join(bdir, f.Name)); err != nil {
+			t.Fatal(err)
+		}
+		forgedLabel.Files[i].CRC, forgedLabel.Files[i].Size = crc32.ChecksumIEEE(data), uint64(len(data))
+		if err := os.WriteFile(filepath.Join(bdir, f.Name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(original) != 3 {
+		t.Fatalf("label lists %d of the 3 forged files", len(original))
+	}
+	if err := os.WriteFile(filepath.Join(bdir, backup.LabelName), backup.EncodeLabel(&forgedLabel), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := backup.Verify(arch); err == nil || !strings.Contains(err.Error(), "zone") {
+		t.Fatalf("Verify missed a lying block zone sealed under recomputed CRCs: %v", err)
+	}
+	for name, data := range original {
+		if err := os.WriteFile(filepath.Join(bdir, name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := os.WriteFile(filepath.Join(bdir, backup.LabelName), backup.EncodeLabel(label), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := backup.Verify(arch); err != nil {
+		t.Fatalf("backup does not verify after the forgery was undone: %v", err)
+	}
+
+	// Tamper with segment bytes in the copied block file and forge the
+	// label entry so the file-level CRC matches again. verifyBaseFiles is
+	// now blind; the manifest's per-segment checksum must still object.
 	blocks[seg.Ref.Offset+int64(seg.HeaderLen)+4] ^= 0x01
 	if err := os.WriteFile(blocksPath, blocks, 0o644); err != nil {
 		t.Fatal(err)

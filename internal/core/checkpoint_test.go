@@ -152,8 +152,8 @@ func TestCheckpointWithFrozenData(t *testing.T) {
 		t.Fatal(err)
 	}
 	tbl, _ := e.Table("accounts")
-	frozenBlocks := tbl.Frozen.NumBlocks()
-	if frozenBlocks == 0 {
+	frozenSegs := tbl.Frozen.NumSegments()
+	if frozenSegs == 0 {
 		t.Fatal("nothing frozen")
 	}
 	if err := e.Checkpoint(); err != nil {
@@ -183,8 +183,8 @@ func TestCheckpointWithFrozenData(t *testing.T) {
 		t.Fatal(err)
 	}
 	tbl2, _ := e2.Table("accounts")
-	if tbl2.Frozen.NumBlocks() != frozenBlocks {
-		t.Fatalf("frozen blocks = %d, want %d", tbl2.Frozen.NumBlocks(), frozenBlocks)
+	if tbl2.Frozen.NumSegments() != frozenSegs {
+		t.Fatalf("frozen segments = %d, want %d", tbl2.Frozen.NumSegments(), frozenSegs)
 	}
 	r := begin(e2, 0)
 	defer r.Rollback()

@@ -497,7 +497,7 @@ func TestFreezeAndReadFrozen(t *testing.T) {
 	if n == 0 {
 		t.Fatal("nothing frozen")
 	}
-	if tbl.Frozen.NumBlocks() == 0 || tbl.Store.MaxFrozenRowID() == 0 {
+	if tbl.Frozen.NumSegments() == 0 || tbl.Store.MaxFrozenRowID() == 0 {
 		t.Fatal("frozen bookkeeping missing")
 	}
 	// Frozen rows remain readable by rid and via index.

@@ -1,0 +1,91 @@
+package core
+
+import (
+	"sync"
+	"testing"
+	"time"
+
+	"phoebedb/internal/rel"
+	"phoebedb/internal/undo"
+)
+
+// A deleter holds its page's latch while it appends an UNDO record to its
+// slot's arena; GC erases reclaimed tombstones under that same latch. The
+// arena must therefore not hold its mutex across the reclaim callback:
+// when it did, a delete and a GC round on one page deadlocked (the tier-1
+// hang of TestDifferentialOracle and `phoebebench -exp scale`).
+func TestDeleteConcurrentWithGCOnOnePage(t *testing.T) {
+	e := openTestEngine(t, Config{})
+	setupAccounts(t, e)
+	const rows = 400 // a few pages; every delete lands beside a tombstone GC wants
+	rids := make([]rel.RowID, rows)
+	w := begin(e, 0)
+	for i := range rids {
+		rid, err := w.Insert("accounts", acct(i, "owner", 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rids[i] = rid
+	}
+	if err := w.Commit(); err != nil {
+		t.Fatal(err)
+	}
+
+	erase := func(r *undo.Record) {
+		if r.Op == undo.OpDelete {
+			e.eraseTuple(e.tableByID(r.TableID), r.RowID)
+		}
+	}
+	stop := make(chan struct{})
+	var gc sync.WaitGroup
+	for _, collect := range []func(){
+		func() { e.CollectGarbage() },
+		func() { e.Mgr.CollectSlotGarbage(0, erase) },
+	} {
+		gc.Add(1)
+		go func() {
+			defer gc.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+					collect()
+				}
+			}
+		}()
+	}
+	done := make(chan error, 1)
+	go func() {
+		for _, rid := range rids {
+			d := begin(e, 0)
+			if err := d.Delete("accounts", rid); err != nil {
+				done <- err
+				return
+			}
+			if err := d.Commit(); err != nil {
+				done <- err
+				return
+			}
+		}
+		done <- nil
+	}()
+	select {
+	case err := <-done:
+		close(stop)
+		gc.Wait()
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("delete and GC deadlocked on the arena mutex and a page latch")
+	}
+	e.CollectGarbage()
+	tbl, _ := e.Table("accounts")
+	if n := tbl.Index("accounts_pk").Tree.Len(); n != 0 {
+		t.Fatalf("%d index entries survive GC of %d deleted rows", n, rows)
+	}
+	if live := e.Mgr.LiveUndo(); live != 0 {
+		t.Fatalf("%d UNDO records left after a quiescent GC round", live)
+	}
+}

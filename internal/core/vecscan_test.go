@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/rand"
 	"sort"
 	"testing"
 
@@ -391,6 +392,46 @@ func TestScanFilteredThreeTemperatures(t *testing.T) {
 	}
 	check("three tiers")
 
+	// Property: random conjunctions of <,<=,>,>=,=,!= and BETWEEN on the
+	// int and float columns agree with the row path (which scans the cold
+	// tier unpruned) over hot pages, a level-0 and a compacted segment —
+	// and block zone maps prune along the way.
+	rng := rand.New(rand.NewSource(23))
+	ops := []rel.CmpOp{rel.CmpEq, rel.CmpNe, rel.CmpLt, rel.CmpLe, rel.CmpGt, rel.CmpGe}
+	randVal := func(col int) rel.Value {
+		v := rng.Intn(100) - 10
+		if col == 0 {
+			return rel.Int(int64(v))
+		}
+		return rel.Float(float64(v) * 10)
+	}
+	randomPreds := func(stage string) {
+		t.Helper()
+		before := e.ColdStats()
+		for iter := 0; iter < 300; iter++ {
+			var preds []rel.ColPred
+			for n := 1 + rng.Intn(3); n > 0; n-- {
+				col := []int{0, 2}[rng.Intn(2)]
+				if rng.Intn(4) == 0 {
+					preds = append(preds, rel.ColPred{Col: col, Op: rel.CmpGe, Val: randVal(col)},
+						rel.ColPred{Col: col, Op: rel.CmpLe, Val: randVal(col)})
+					continue
+				}
+				preds = append(preds, rel.ColPred{Col: col, Op: ops[rng.Intn(len(ops))], Val: randVal(col)})
+			}
+			r := begin(e, 1)
+			got, want := vecIDs(t, r, preds), rowIDs(t, r, preds)
+			r.Rollback()
+			if !eqIDs(got, want...) {
+				t.Fatalf("%s: preds %+v: vectorized %v, row path %v", stage, preds, got, want)
+			}
+		}
+		if after := e.ColdStats(); after.ScanBlocksPruned == before.ScanBlocksPruned {
+			t.Fatalf("%s: 300 random predicates pruned no cold block", stage)
+		}
+	}
+	randomPreds("three tiers")
+
 	// Delete-mark a compacted row and update an L0 row: both warm into hot
 	// storage with fresh row_ids inside the transaction, leaving frozen
 	// tombstones behind.
@@ -405,6 +446,7 @@ func TestScanFilteredThreeTemperatures(t *testing.T) {
 		t.Fatal(err)
 	}
 	check("after frozen delete+update")
+	randomPreds("after frozen delete+update")
 	r := begin(e, 1)
 	seen := make(map[int64]float64)
 	if err := r.ScanTable("accounts", func(_ rel.RowID, row rel.Row) bool {

@@ -34,8 +34,8 @@ func TestExportImportRoundTrip(t *testing.T) {
 	if err := dst.Import(metas); err != nil {
 		t.Fatal(err)
 	}
-	if dst.NumBlocks() != 2 || dst.MaxRID() != 24 {
-		t.Fatalf("imported = %d blocks, max %d", dst.NumBlocks(), dst.MaxRID())
+	if dst.NumSegments() != 2 || dst.MaxRID() != 24 {
+		t.Fatalf("imported = %d segments, max %d", dst.NumSegments(), dst.MaxRID())
 	}
 	// Live row reads back; tombstones survived.
 	row, ok, err := dst.Get(5)

@@ -7,13 +7,14 @@
 // A segment is a run of consecutive rows — row_id order is preserved —
 // cut into independently compressed blocks of ~DefaultBlockRows rows.
 // Each segment carries a block directory, a bloom filter over its row_ids
-// and per-column-strip zone maps (min/max), so a cold point read touches
-// at most one segment (bloom negatives touch zero) and decompresses one
-// block, not the whole segment. Freeze emits level-0 segments; a
-// background compaction merges the oldest segments of a level into one
-// next-level segment, purging tombstones — row_ids grow monotonically
-// with freeze time, so per-level oldest-first merges keep every segment's
-// rid range disjoint.
+// and min/max zone maps per fixed-width column, for the segment and for
+// each block, so a cold point read touches at most one segment (bloom
+// negatives touch zero) and decompresses one block, and a scan
+// decompresses only the blocks its predicates cannot refute. Freeze emits
+// level-0 segments; a background compaction merges the oldest segments of
+// a level into one next-level segment, purging tombstones — row_ids grow
+// monotonically with freeze time, so per-level oldest-first merges keep
+// every segment's rid range disjoint.
 //
 // Segments are immutable on disk: updates and deletes are out-of-place
 // (§5.2 case 3) — the row is tombstoned in the segment's in-memory
@@ -23,7 +24,7 @@
 // them from the WAL. Each block counts its reads; once a block crosses
 // the warm threshold the engine extracts its surviving rows back into hot
 // storage. A byte-bounded LRU over decompressed blocks bounds repeated-
-// read cost.
+// read cost of point reads; scans read it but never fill or reorder it.
 package frozen
 
 import (
@@ -47,7 +48,8 @@ const DefaultWarmReadThreshold = 1024
 // DefaultCacheBytes bounds the decompressed-block LRU (raw bytes).
 const DefaultCacheBytes = 4 << 20
 
-// blockData is a decompressed block image.
+// blockData is a decompressed block: row ids and a read-only page view
+// over the raw image (see decodeBlock). Shared once cached; never written.
 type blockData struct {
 	ids  []rel.RowID
 	rows *pax.Page
@@ -58,15 +60,21 @@ type ColdStats struct {
 	Lookups        int64 // point reads routed to the cold tier
 	SegmentsProbed int64 // lookups that consulted a segment block
 	BloomNegatives int64 // lookups answered by the bloom filter alone
-	CacheHits      int64
-	CacheMisses    int64
-	Compactions    int64
-	FreezeBytes    int64 // compressed bytes appended by Freeze (level 0)
-	CompactBytes   int64 // compressed bytes appended by compaction merges
-	RawBytes       int64 // uncompressed bytes frozen (level 0)
-	Segments       int64 // gauge
-	Blocks         int64 // gauge
-	MaxLevel       int64 // gauge
+	// CacheHits/CacheMisses count point-path block loads (Get, MarkDeleted,
+	// ExtractLive) only: scans bypass the LRU.
+	CacheHits   int64
+	CacheMisses int64
+	// ScanBlocks counts blocks scans fetched; ScanBlocksPruned counts
+	// blocks their zone maps (segment's or block's) let them skip.
+	ScanBlocks       int64
+	ScanBlocksPruned int64
+	Compactions      int64
+	FreezeBytes      int64 // compressed bytes appended by Freeze (level 0)
+	CompactBytes     int64 // compressed bytes appended by compaction merges
+	RawBytes         int64 // uncompressed bytes frozen (level 0)
+	Segments         int64 // gauge
+	Blocks           int64 // gauge
+	MaxLevel         int64 // gauge
 }
 
 // Add accumulates b into s (gauges sum; MaxLevel takes the max).
@@ -76,6 +84,8 @@ func (s *ColdStats) Add(b ColdStats) {
 	s.BloomNegatives += b.BloomNegatives
 	s.CacheHits += b.CacheHits
 	s.CacheMisses += b.CacheMisses
+	s.ScanBlocks += b.ScanBlocks
+	s.ScanBlocksPruned += b.ScanBlocksPruned
 	s.Compactions += b.Compactions
 	s.FreezeBytes += b.FreezeBytes
 	s.CompactBytes += b.CompactBytes
@@ -94,7 +104,7 @@ type cacheKey struct {
 
 type cacheEntry struct {
 	key   cacheKey
-	d     *blockData
+	d     blockData
 	bytes int64
 }
 
@@ -130,6 +140,8 @@ type Store struct {
 	bloomNeg   atomic.Int64
 	cacheHits  atomic.Int64
 	cacheMiss  atomic.Int64
+	scanBlocks atomic.Int64
+	scanPruned atomic.Int64
 	compacts   atomic.Int64
 	freezeByt  atomic.Int64
 	compactByt atomic.Int64
@@ -175,9 +187,6 @@ func (s *Store) NumSegments() int {
 	return len(s.segs)
 }
 
-// NumBlocks returns the live segment count (legacy name).
-func (s *Store) NumBlocks() int { return s.NumSegments() }
-
 // MaxRID returns the largest frozen row_id (0 if no segments).
 func (s *Store) MaxRID() rel.RowID {
 	s.mu.RLock()
@@ -191,15 +200,17 @@ func (s *Store) MaxRID() rel.RowID {
 // Stats returns a counter snapshot.
 func (s *Store) Stats() ColdStats {
 	st := ColdStats{
-		Lookups:        s.lookups.Load(),
-		SegmentsProbed: s.segProbes.Load(),
-		BloomNegatives: s.bloomNeg.Load(),
-		CacheHits:      s.cacheHits.Load(),
-		CacheMisses:    s.cacheMiss.Load(),
-		Compactions:    s.compacts.Load(),
-		FreezeBytes:    s.freezeByt.Load(),
-		CompactBytes:   s.compactByt.Load(),
-		RawBytes:       s.rawBytes.Load(),
+		Lookups:          s.lookups.Load(),
+		SegmentsProbed:   s.segProbes.Load(),
+		BloomNegatives:   s.bloomNeg.Load(),
+		CacheHits:        s.cacheHits.Load(),
+		CacheMisses:      s.cacheMiss.Load(),
+		ScanBlocks:       s.scanBlocks.Load(),
+		ScanBlocksPruned: s.scanPruned.Load(),
+		Compactions:      s.compacts.Load(),
+		FreezeBytes:      s.freezeByt.Load(),
+		CompactBytes:     s.compactByt.Load(),
+		RawBytes:         s.rawBytes.Load(),
 	}
 	s.mu.RLock()
 	st.Segments = int64(len(s.segs))
@@ -278,28 +289,47 @@ func (s *Store) segmentForLocked(rid rel.RowID) *segment {
 	return s.segs[i]
 }
 
-// loadBlock returns a decompressed block, through the byte-bounded LRU.
-func (s *Store) loadBlock(g *segment, bi int) (*blockData, error) {
-	key := cacheKey{seg: g, idx: bi}
+// readBlock reads and decodes block bi from the block file.
+func (s *Store) readBlock(g *segment, bi int) (blockData, error) {
+	comp, err := s.bf.ReadBlock(g.bodyRef(bi))
+	if err != nil {
+		return blockData{}, err
+	}
+	d, err := decodeBlock(s.schema, comp, g.blocks[bi].rawLen)
+	if err != nil {
+		return blockData{}, fmt.Errorf("frozen: segment block at %d: %w", g.ref.Offset, err)
+	}
+	return d, nil
+}
+
+// cached returns block (g, bi) if the LRU holds it, promoting it when
+// asked to.
+func (s *Store) cached(g *segment, bi int, promote bool) (blockData, bool) {
 	s.cacheMu.Lock()
-	if el, ok := s.cacheMap[key]; ok {
+	defer s.cacheMu.Unlock()
+	el, ok := s.cacheMap[cacheKey{seg: g, idx: bi}]
+	if !ok {
+		return blockData{}, false
+	}
+	if promote {
 		s.cacheLRU.MoveToFront(el)
-		d := el.Value.(*cacheEntry).d
-		s.cacheMu.Unlock()
+	}
+	return el.Value.(*cacheEntry).d, true
+}
+
+// loadBlock returns a decompressed block through the byte-bounded LRU —
+// the point-read path; what the LRU holds is what point reads put there.
+func (s *Store) loadBlock(g *segment, bi int) (blockData, error) {
+	if d, ok := s.cached(g, bi, true); ok {
 		s.cacheHits.Add(1)
 		return d, nil
 	}
-	s.cacheMu.Unlock()
 	s.cacheMiss.Add(1)
-	comp, err := s.bf.ReadBlock(g.bodyRef(bi))
+	d, err := s.readBlock(g, bi)
 	if err != nil {
-		return nil, err
+		return blockData{}, err
 	}
-	ids, page, err := decompressBlock(s.schema, comp, g.blocks[bi].rawLen)
-	if err != nil {
-		return nil, fmt.Errorf("frozen: segment block at %d: %w", g.ref.Offset, err)
-	}
-	d := &blockData{ids: ids, rows: page}
+	key := cacheKey{seg: g, idx: bi}
 	s.cacheMu.Lock()
 	if _, ok := s.cacheMap[key]; !ok {
 		el := s.cacheLRU.PushFront(&cacheEntry{key: key, d: d, bytes: int64(g.blocks[bi].rawLen)})
@@ -484,12 +514,16 @@ func (g *segment) snapshotDeleted() map[rel.RowID]bool {
 }
 
 // ScanBlocks streams decompressed column-strip blocks in row_id order
-// with a selection bitmap over live (non-tombstoned) slots — the
-// vectorized cold-scan path: FilterFixed/AggState fold directly over the
-// strips. Segments whose zone maps refute a predicate are skipped without
-// I/O. fn must not retain ids/page/sel across calls; returning false
-// stops the scan. Scanning does not bump warm counters: per §5.2,
-// "operations like table scans do not warm any data".
+// with a selection bitmap over live (non-tombstoned) slots — the one cold
+// scan entry point: FilterFixed/AggState fold directly over the strips.
+// Segments, then blocks, whose zone maps refute a predicate are skipped
+// without I/O. A block a point read left in the LRU is used in place but
+// not promoted; any other is decoded privately and never inserted, so a
+// scan cannot sweep the point-read cache. fn must not retain ids/page/sel
+// across calls (strings read from page may be kept: they alias the block's
+// raw image, which is never reused); returning false stops the scan.
+// Scanning does not bump warm counters: per §5.2, "operations like table
+// scans do not warm any data".
 func (s *Store) ScanBlocks(preds []rel.ColPred, fn func(ids []rel.RowID, page *pax.Page, sel pax.Sel) bool) error {
 	s.mu.RLock()
 	segs := append([]*segment(nil), s.segs...)
@@ -497,13 +531,22 @@ func (s *Store) ScanBlocks(preds []rel.ColPred, fn func(ids []rel.RowID, page *p
 	var sel pax.Sel
 	for _, g := range segs {
 		if zonesPrune(g.zones, preds) {
+			s.scanPruned.Add(int64(len(g.blocks)))
 			continue
 		}
 		dels := g.snapshotDeleted()
 		for bi := range g.blocks {
-			d, err := s.loadBlock(g, bi)
-			if err != nil {
-				return err
+			if zonesPrune(g.zonesOf(bi), preds) {
+				s.scanPruned.Add(1)
+				continue
+			}
+			s.scanBlocks.Add(1)
+			d, ok := s.cached(g, bi, false)
+			if !ok {
+				var err error
+				if d, err = s.readBlock(g, bi); err != nil {
+					return err
+				}
 			}
 			sel = sel.Reset(len(d.ids))
 			live := len(d.ids)
@@ -585,19 +628,15 @@ func (s *Store) Compact() (int, error) {
 	rows := 0
 	for i, g := range inputs {
 		for bi := range g.blocks {
-			comp, err := s.bf.ReadBlock(g.bodyRef(bi))
+			d, err := s.readBlock(g, bi)
 			if err != nil {
 				return 0, err
 			}
-			ids, page, err := decompressBlock(s.schema, comp, g.blocks[bi].rawLen)
-			if err != nil {
-				return 0, err
-			}
-			for j, id := range ids {
+			for j, id := range d.ids {
 				if snaps[i][id] {
 					continue
 				}
-				if err := sb.add(id, page.Row(j)); err != nil {
+				if err := sb.add(id, d.rows.Row(j)); err != nil {
 					return 0, err
 				}
 				rows++

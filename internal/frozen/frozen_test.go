@@ -5,7 +5,6 @@ import (
 	"path/filepath"
 	"testing"
 
-	"phoebedb/internal/pax"
 	"phoebedb/internal/rel"
 	"phoebedb/internal/storage"
 )
@@ -195,50 +194,6 @@ func TestScanLiveSkipsDeleted(t *testing.T) {
 	s.ScanLive(func(rel.RowID, rel.Row) bool { n++; return n < 3 })
 	if n != 3 {
 		t.Fatalf("early stop visited %d", n)
-	}
-}
-
-// ScanBlocks must skip whole segments whose zone maps refute a predicate,
-// without decompressing (or even reading) any of their blocks.
-func TestScanBlocksZonePruning(t *testing.T) {
-	s := newTestStore(t)
-	ids1, rows1 := batch(1, 100) // k in [1,100]
-	mustFreeze(t, s, ids1, rows1)
-	ids2, rows2 := batch(1000, 100) // k in [1000,1099]
-	mustFreeze(t, s, ids2, rows2)
-
-	before := s.Stats().CacheMisses
-	calls := 0
-	preds := []rel.ColPred{{Col: 0, Op: rel.CmpGe, Val: rel.Int(500)}}
-	if err := s.ScanBlocks(preds, func(ids []rel.RowID, page *pax.Page, sel pax.Sel) bool {
-		for _, id := range ids {
-			if id < 1000 {
-				t.Fatalf("pruned segment emitted rid %d", id)
-			}
-		}
-		calls++
-		return true
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if calls == 0 {
-		t.Fatal("second segment not scanned")
-	}
-	// Only the surviving segment's block was decompressed.
-	if got := s.Stats().CacheMisses - before; got != int64(calls) {
-		t.Fatalf("%d blocks decompressed for %d surviving blocks", got, calls)
-	}
-	// A predicate refuting both segments touches nothing.
-	before = s.Stats().CacheMisses
-	if err := s.ScanBlocks([]rel.ColPred{{Col: 0, Op: rel.CmpGt, Val: rel.Int(10_000)}},
-		func([]rel.RowID, *pax.Page, pax.Sel) bool {
-			t.Fatal("block emitted despite refuting predicate")
-			return false
-		}); err != nil {
-		t.Fatal(err)
-	}
-	if got := s.Stats().CacheMisses - before; got != 0 {
-		t.Fatalf("%d blocks read under a fully refuting predicate", got)
 	}
 }
 

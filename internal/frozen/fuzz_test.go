@@ -1,6 +1,9 @@
 package frozen
 
 import (
+	"bytes"
+	"encoding/binary"
+	"hash/crc32"
 	"testing"
 
 	"phoebedb/internal/rel"
@@ -59,6 +62,81 @@ func FuzzSegmentManifest(f *testing.F) {
 				len(m.Tables[i].Segments) != len(m2.Tables[i].Segments) {
 				t.Fatalf("table %d drift", i)
 			}
+		}
+	})
+}
+
+// fuzzSegmentHeaders builds the hand-made FuzzSegmentHeader seeds: a
+// levelled version-2 header, a flat one, a version-1 header, and the
+// version-1 header of a table with no fixed-width column (zone section
+// present, zero zones — a spelling only version 1 has).
+func fuzzSegmentHeaders(t testing.TB) [][]byte {
+	build := func(schema *rel.Schema, rows []rel.Row, flat bool) []byte {
+		blockRows := 4
+		if flat {
+			blockRows = len(rows) // one whole-batch block, as Freeze does
+		}
+		sb := newSegmentBuilder(schema, 1, flat, blockRows)
+		for i, row := range rows {
+			if err := sb.add(rel.RowID(i+1), row); err != nil {
+				t.Fatal(err)
+			}
+		}
+		data, hlen, err := sb.finish()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data[:hlen]
+	}
+	_, rows := batch(1, 10)
+	_, varRows := varBatch(10)
+	v2 := build(testSchema(), rows, false)
+	return [][]byte{v2, build(testSchema(), rows[:6], true), v1Header(t, v2),
+		v1Header(t, build(varSchema(), varRows, false))}
+}
+
+// FuzzSegmentHeader throws arbitrary bytes at the segment header decoder
+// (the CRC is recomputed so mutations reach the parser): it must never
+// panic, a header it accepts must satisfy what readers index by — one
+// block zone per block per segment zone, or none before version 2 — and a
+// version-2 header must re-encode to the very same bytes, so nothing the
+// decoder tolerates can be silently rewritten by a later merge or backup.
+func FuzzSegmentHeader(f *testing.F) {
+	f.Add([]byte{})
+	for _, hdr := range fuzzSegmentHeaders(f) {
+		f.Add(hdr)
+		for _, off := range []int{4, 12, len(hdr) / 2, len(hdr) - 12} {
+			bad := append([]byte(nil), hdr...)
+			bad[off] ^= 0xFF
+			f.Add(bad)
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) >= 4 {
+			data = append([]byte(nil), data...)
+			binary.LittleEndian.PutUint32(data[len(data)-4:], crc32.ChecksumIEEE(data[:len(data)-4]))
+		}
+		g, err := decodeSegmentHeader(data)
+		if err != nil {
+			return
+		}
+		if len(g.blocks) == 0 || len(g.reads) != len(g.blocks) {
+			t.Fatalf("accepted header with %d blocks, %d read counters", len(g.blocks), len(g.reads))
+		}
+		if binary.LittleEndian.Uint32(data[4:]) == 1 {
+			if g.blockZones != nil {
+				t.Fatal("version-1 header decoded with block zones")
+			}
+			return
+		}
+		if len(g.blockZones) != len(g.blocks)*len(g.zones) {
+			t.Fatalf("%d block zones for %d blocks x %d zones", len(g.blockZones), len(g.blocks), len(g.zones))
+		}
+		for i := range g.blocks {
+			_ = g.zonesOf(i)
+		}
+		if re := g.encodeHeader(); !bytes.Equal(re, data) {
+			t.Fatalf("accepted header is not canonical:\n in  %x\n out %x", data, re)
 		}
 	})
 }

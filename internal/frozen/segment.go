@@ -23,6 +23,7 @@ import (
 //	per block: firstRID u64 | lastRID u64 | numRows u32 | rawLen u32 | compOff u32 | compLen u32
 //	bloomPresent u8 [ bloom: hashes u32, numWords u32, words u64[] ]
 //	zonesPresent u8 [ numZones u16, per zone: col u16, kind u8, min u64, max u64 ]
+//	numBlockZones u32 | per block, per zone in segment-zone order: min u64, max u64   (version 2)
 //	headerCRC u32
 //	body: concatenated DEFLATE blocks, each raw = count u32, ids u64[], pax image
 //
@@ -31,9 +32,16 @@ import (
 // header CRC covers everything before it; the whole-segment CRC recorded
 // in the manifest covers header+body and is what backup verification
 // checks.
+//
+// Zone invariant: a zone bounds every value of its column in the rows it
+// summarises — the segment zones over the segment, block zone (b, z) over
+// block b — so numBlockZones is numBlocks x numZones and every block zone
+// nests inside its segment zone. Version 1 headers end after the segment
+// zones; they decode as "no block zones", which prunes nothing. The writer
+// emits version 2 only.
 const (
 	segmentMagic   uint32 = 0x50435331 // "PCS1"
-	segmentVersion uint32 = 1
+	segmentVersion uint32 = 2
 
 	segFlagFlat byte = 1 << 0 // flat ablation segment: one block, no bloom/zones
 )
@@ -138,6 +146,9 @@ type segment struct {
 	blocks    []segBlock
 	filter    *bloom
 	zones     []zone
+	// blockZones holds len(zones) entries per block, block-major; empty
+	// for flat and version-1 segments.
+	blockZones []zone
 
 	reads []atomic.Uint32 // per block, drives warming
 
@@ -162,6 +173,15 @@ func (g *segment) blockFor(rid rel.RowID) int {
 	return lo
 }
 
+// zonesOf returns block i's zones (nil when the segment carries none).
+func (g *segment) zonesOf(i int) []zone {
+	if len(g.blockZones) == 0 {
+		return nil
+	}
+	nz := len(g.zones)
+	return g.blockZones[i*nz : (i+1)*nz]
+}
+
 // bodyRef returns the sub-range BlockRef of block i's compressed bytes.
 func (g *segment) bodyRef(i int) storage.BlockRef {
 	b := g.blocks[i]
@@ -175,7 +195,8 @@ func (g *segment) bodyRef(i int) storage.BlockRef {
 
 // segmentBuilder accumulates rows in rid order and emits one encoded
 // segment: blocks are cut every blockRows rows, each compressed
-// independently; bloom and zone summaries accumulate across all rows.
+// independently; zones fold per block and the segment's zones are the fold
+// of its blocks'; the bloom filter covers every row id.
 type segmentBuilder struct {
 	schema    *rel.Schema
 	level     int
@@ -189,9 +210,10 @@ type segmentBuilder struct {
 	curIDs  []rel.RowID
 	curPage *pax.Page
 
-	zones    []zone
-	zoneInit bool
-	rawTotal int64
+	curZones   []zone // the open block's; nil until its first row
+	blockZones []zone
+	zones      []zone
+	rawTotal   int64
 }
 
 func newSegmentBuilder(schema *rel.Schema, level int, flat bool, blockRows int) *segmentBuilder {
@@ -223,26 +245,31 @@ func (sb *segmentBuilder) add(id rel.RowID, row rel.Row) error {
 	return nil
 }
 
+// foldZones widens the open block's zones to cover row.
 func (sb *segmentBuilder) foldZones(row rel.Row) {
-	if !sb.zoneInit {
-		sb.zoneInit = true
+	if sb.curZones == nil {
 		for ci, c := range sb.schema.Cols {
 			if c.Type.FixedWidth() <= 0 {
 				continue
 			}
-			sb.zones = append(sb.zones, zone{col: uint16(ci), kind: c.Type, min: rawBits(row[ci]), max: rawBits(row[ci])})
+			sb.curZones = append(sb.curZones, zone{col: uint16(ci), kind: c.Type, min: rawBits(row[ci]), max: rawBits(row[ci])})
 		}
 		return
 	}
-	for i := range sb.zones {
-		z := &sb.zones[i]
+	for i := range sb.curZones {
+		z := &sb.curZones[i]
 		v := rawBits(row[int(z.col)])
-		if zoneLess(z.kind, v, z.min) {
-			z.min = v
-		}
-		if zoneLess(z.kind, z.max, v) {
-			z.max = v
-		}
+		z.widen(v, v)
+	}
+}
+
+// widen extends the zone to cover [min, max].
+func (z *zone) widen(min, max uint64) {
+	if zoneLess(z.kind, min, z.min) {
+		z.min = min
+	}
+	if zoneLess(z.kind, z.max, max) {
+		z.max = max
 	}
 }
 
@@ -295,8 +322,16 @@ func (sb *segmentBuilder) flushBlock() error {
 		compOff:  uint32(compOff),
 		compLen:  uint32(sb.body.Len() - compOff),
 	})
+	if sb.zones == nil {
+		sb.zones = append(sb.zones, sb.curZones...)
+	}
+	for i, z := range sb.curZones {
+		sb.zones[i].widen(z.min, z.max)
+	}
+	sb.blockZones = append(sb.blockZones, sb.curZones...)
 	sb.curPage = nil
 	sb.curIDs = nil
+	sb.curZones = nil
 	return nil
 }
 
@@ -309,7 +344,20 @@ func (sb *segmentBuilder) finish() (data []byte, headerLen int, err error) {
 	if len(sb.ids) == 0 {
 		return nil, 0, fmt.Errorf("frozen: empty segment")
 	}
+	h := &segment{level: sb.level, flat: sb.flat, numRows: len(sb.ids), blocks: sb.blocks,
+		zones: sb.zones, blockZones: sb.blockZones}
+	if !sb.flat {
+		h.filter = newBloom(len(sb.ids))
+		for _, id := range sb.ids {
+			h.filter.add(uint64(id))
+		}
+	}
+	hdr := h.encodeHeader()
+	return append(hdr, sb.body.Bytes()...), len(hdr), nil
+}
 
+// encodeHeader emits the segment's version-2 header, CRC trailer included.
+func (g *segment) encodeHeader() []byte {
 	var hdr []byte
 	var b8 [8]byte
 	putU32 := func(v uint32) {
@@ -322,15 +370,15 @@ func (sb *segmentBuilder) finish() (data []byte, headerLen int, err error) {
 	}
 	putU32(segmentMagic)
 	putU32(segmentVersion)
-	putU32(uint32(sb.level))
+	putU32(uint32(g.level))
 	var flags byte
-	if sb.flat {
+	if g.flat {
 		flags |= segFlagFlat
 	}
 	hdr = append(hdr, flags)
-	putU32(uint32(len(sb.ids)))
-	putU32(uint32(len(sb.blocks)))
-	for _, b := range sb.blocks {
+	putU32(uint32(g.numRows))
+	putU32(uint32(len(g.blocks)))
+	for _, b := range g.blocks {
 		putU64(uint64(b.firstRID))
 		putU64(uint64(b.lastRID))
 		putU32(b.numRows)
@@ -338,19 +386,19 @@ func (sb *segmentBuilder) finish() (data []byte, headerLen int, err error) {
 		putU32(b.compOff)
 		putU32(b.compLen)
 	}
-	if sb.flat {
-		hdr = append(hdr, 0, 0) // no bloom, no zones
+	if g.filter == nil {
+		hdr = append(hdr, 0)
 	} else {
 		hdr = append(hdr, 1)
-		bl := newBloom(len(sb.ids))
-		for _, id := range sb.ids {
-			bl.add(uint64(id))
-		}
-		hdr = bl.encode(hdr)
+		hdr = g.filter.encode(hdr)
+	}
+	if len(g.zones) == 0 {
+		hdr = append(hdr, 0)
+	} else {
 		hdr = append(hdr, 1)
-		binary.LittleEndian.PutUint16(b8[:2], uint16(len(sb.zones)))
+		binary.LittleEndian.PutUint16(b8[:2], uint16(len(g.zones)))
 		hdr = append(hdr, b8[:2]...)
-		for _, z := range sb.zones {
+		for _, z := range g.zones {
 			binary.LittleEndian.PutUint16(b8[:2], z.col)
 			hdr = append(hdr, b8[:2]...)
 			hdr = append(hdr, byte(z.kind))
@@ -358,9 +406,13 @@ func (sb *segmentBuilder) finish() (data []byte, headerLen int, err error) {
 			putU64(z.max)
 		}
 	}
+	putU32(uint32(len(g.blockZones)))
+	for _, z := range g.blockZones {
+		putU64(z.min)
+		putU64(z.max)
+	}
 	putU32(crc32.ChecksumIEEE(hdr))
-	headerLen = len(hdr)
-	return append(hdr, sb.body.Bytes()...), headerLen, nil
+	return hdr
 }
 
 // decodeSegmentHeader parses a segment header (hdr must be exactly the
@@ -395,13 +447,17 @@ func decodeSegmentHeader(hdr []byte) (*segment, error) {
 	if u32() != segmentMagic {
 		return nil, fmt.Errorf("frozen: bad segment magic")
 	}
-	if v := u32(); v != segmentVersion {
-		return nil, fmt.Errorf("frozen: unsupported segment version %d", v)
+	version := u32()
+	if version != 1 && version != segmentVersion {
+		return nil, fmt.Errorf("frozen: unsupported segment version %d", version)
 	}
 	g := &segment{deleted: make(map[rel.RowID]bool)}
 	g.level = int(u32())
 	flags := buf[0]
 	buf = buf[1:]
+	if flags&^segFlagFlat != 0 {
+		return nil, fmt.Errorf("frozen: unknown segment flags %#x", flags)
+	}
 	g.flat = flags&segFlagFlat != 0
 	g.numRows = int(u32())
 	nb := int(u32())
@@ -423,33 +479,49 @@ func decodeSegmentHeader(hdr []byte) (*segment, error) {
 	}
 	g.firstRID = g.blocks[0].firstRID
 	g.lastRID = g.blocks[nb-1].lastRID
-	if err := need(1); err != nil {
+	// present reads a section's presence byte: exactly 0 or 1.
+	present := func() (bool, error) {
+		if err := need(1); err != nil {
+			return false, err
+		}
+		b := buf[0]
+		buf = buf[1:]
+		if b > 1 {
+			return false, fmt.Errorf("frozen: bad section presence byte %#x", b)
+		}
+		return b == 1, nil
+	}
+	hasBloom, err := present()
+	if err != nil {
 		return nil, err
 	}
-	hasBloom := buf[0] == 1
-	buf = buf[1:]
 	if hasBloom {
-		var err error
 		g.filter, buf, err = decodeBloom(buf)
 		if err != nil {
 			return nil, err
 		}
 	}
-	if err := need(1); err != nil {
+	hasZones, err := present()
+	if err != nil {
 		return nil, err
 	}
-	hasZones := buf[0] == 1
-	buf = buf[1:]
 	if hasZones {
 		if err := need(2); err != nil {
 			return nil, err
 		}
 		nz := int(binary.LittleEndian.Uint16(buf[:2]))
 		buf = buf[2:]
+		// The version-1 writer marked the section present even for a table
+		// with no fixed-width column; version 2 has one spelling of "none".
+		if nz == 0 && version >= 2 {
+			return nil, fmt.Errorf("frozen: empty zone section marked present")
+		}
 		if err := need(nz * 19); err != nil {
 			return nil, err
 		}
-		g.zones = make([]zone, nz)
+		if nz > 0 {
+			g.zones = make([]zone, nz)
+		}
 		for i := range g.zones {
 			g.zones[i].col = binary.LittleEndian.Uint16(buf[:2])
 			buf = buf[2:]
@@ -459,6 +531,24 @@ func decodeSegmentHeader(hdr []byte) (*segment, error) {
 			g.zones[i].max = u64()
 		}
 	}
+	if version >= 2 {
+		if err := need(4); err != nil {
+			return nil, err
+		}
+		nbz := int(u32())
+		if nbz != nb*len(g.zones) {
+			return nil, fmt.Errorf("frozen: %d block zones for %d blocks x %d zones", nbz, nb, len(g.zones))
+		}
+		if err := need(nbz * 16); err != nil {
+			return nil, err
+		}
+		g.blockZones = make([]zone, nbz)
+		for i := range g.blockZones {
+			z := g.zones[i%len(g.zones)]
+			z.min, z.max = u64(), u64()
+			g.blockZones[i] = z
+		}
+	}
 	if len(buf) != 0 {
 		return nil, fmt.Errorf("frozen: %d trailing header bytes", len(buf))
 	}
@@ -466,53 +556,94 @@ func decodeSegmentHeader(hdr []byte) (*segment, error) {
 	return g, nil
 }
 
-// decompressBlock expands one compressed block into (ids, page).
-func decompressBlock(schema *rel.Schema, comp []byte, wantRaw uint32) ([]rel.RowID, *pax.Page, error) {
-	raw, err := io.ReadAll(flate.NewReader(bytes.NewReader(comp)))
-	if err != nil {
-		return nil, nil, fmt.Errorf("frozen: decompress block: %w", err)
+// inflater is a reusable DEFLATE reader over its own source.
+type inflater struct {
+	src bytes.Reader
+	fr  io.ReadCloser
+}
+
+var inflaters = sync.Pool{New: func() any {
+	z := new(inflater)
+	z.fr = flate.NewReader(&z.src)
+	return z
+}}
+
+// inflate expands comp, which must hold exactly len(raw) bytes, into raw.
+// The inflater is pooled (flate.Resetter); what still allocates per call is
+// compress/flate rebuilding its Huffman link tables.
+func inflate(raw, comp []byte) error {
+	z := inflaters.Get().(*inflater)
+	defer func() {
+		z.src.Reset(nil) // a parked inflater must not pin the caller's buffer
+		inflaters.Put(z)
+	}()
+	z.src.Reset(comp)
+	z.fr.(flate.Resetter).Reset(&z.src, nil)
+	if _, err := io.ReadFull(z.fr, raw); err != nil {
+		return err
 	}
-	if wantRaw != 0 && uint32(len(raw)) != wantRaw {
-		return nil, nil, fmt.Errorf("frozen: block raw length %d, want %d", len(raw), wantRaw)
+	// The stream must end where the directory says it does.
+	var one [1]byte
+	if n, err := z.fr.Read(one[:]); n != 0 || err != io.EOF {
+		return fmt.Errorf("stream runs past its directory entry (%v)", err)
+	}
+	return nil
+}
+
+// maxInflate bounds DEFLATE's expansion (RFC 1951: under 1032:1), so a
+// forged rawLen cannot size an allocation its compressed bytes could
+// never fill.
+const maxInflate = 1032
+
+// decodeBlock expands one compressed block — the only block decoder. The
+// raw image is one fresh rawLen-byte buffer and is never recycled, because
+// the page's strips and var values are sub-slices of it and the strings
+// Row/Col hand out (pax viewStr) alias it for as long as any consumer
+// keeps them — the executor's sort and hash-build stages do, past the scan
+// callback. Each kept string therefore pins its block's whole image (see
+// pax.View); a stage buffering one row per block holds every image it
+// scanned. A nil schema decodes the row ids only.
+func decodeBlock(schema *rel.Schema, comp []byte, rawLen uint32) (blockData, error) {
+	if uint64(rawLen) > maxInflate*uint64(len(comp))+64 {
+		return blockData{}, fmt.Errorf("frozen: block raw length %d impossible for %d compressed bytes", rawLen, len(comp))
+	}
+	raw := make([]byte, rawLen)
+	if err := inflate(raw, comp); err != nil {
+		return blockData{}, fmt.Errorf("frozen: decompress block (raw length %d): %w", rawLen, err)
 	}
 	if len(raw) < 4 {
-		return nil, nil, errTruncated("block row count")
+		return blockData{}, errTruncated("block row count")
 	}
 	n := int(binary.LittleEndian.Uint32(raw[:4]))
 	off := 4
-	if n < 0 || len(raw) < off+8*n {
-		return nil, nil, errTruncated("block ids")
+	if len(raw)-off < 8*n {
+		return blockData{}, errTruncated("block ids")
 	}
-	ids := make([]rel.RowID, n)
-	for i := 0; i < n; i++ {
-		ids[i] = rel.RowID(binary.LittleEndian.Uint64(raw[off:]))
+	d := blockData{ids: make([]rel.RowID, n)}
+	for i := range d.ids {
+		d.ids[i] = rel.RowID(binary.LittleEndian.Uint64(raw[off:]))
 		off += 8
 	}
 	if schema == nil {
-		return ids, nil, nil
+		return d, nil
 	}
-	page, err := pax.Deserialize(schema, maxInt(n, 1), raw[off:])
-	if err != nil {
-		return nil, nil, err
+	var err error
+	if d.rows, err = pax.View(schema, raw[off:]); err != nil {
+		return blockData{}, err
 	}
-	if page.Len() != n {
-		return nil, nil, fmt.Errorf("frozen: block pax rows %d, ids %d", page.Len(), n)
+	if d.rows.Len() != n {
+		return blockData{}, fmt.Errorf("frozen: block pax rows %d, ids %d", d.rows.Len(), n)
 	}
-	return ids, page, nil
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
+	return d, nil
 }
 
 // VerifySegmentBytes checks a raw segment image against its manifest
 // record without needing the table schema: whole-segment CRC, header CRC
-// and shape, block directory ordering, per-block decompression, row-id
-// ordering, and bloom membership of every stored row id. Used by backup
-// verification.
+// and shape (a version-2 header must carry one block zone per block per
+// segment zone), block directory ordering, per-block decompression, row-id
+// ordering, bloom membership of every stored row id, and that every zone
+// has min <= max with block zones nested inside their segment zone. Used
+// by backup verification.
 func VerifySegmentBytes(data []byte, m SegmentMeta) error {
 	if int64(len(data)) != int64(m.Ref.Len) {
 		return fmt.Errorf("frozen: segment length %d, manifest says %d", len(data), m.Ref.Len)
@@ -542,10 +673,11 @@ func VerifySegmentBytes(data []byte, m SegmentMeta) error {
 		if int64(b.compOff)+int64(b.compLen) > int64(len(body)) {
 			return fmt.Errorf("frozen: block %d overruns segment body", i)
 		}
-		ids, _, err := decompressBlock(nil, body[b.compOff:b.compOff+b.compLen], b.rawLen)
+		d, err := decodeBlock(nil, body[b.compOff:b.compOff+b.compLen], b.rawLen)
 		if err != nil {
 			return fmt.Errorf("frozen: block %d: %w", i, err)
 		}
+		ids := d.ids
 		if len(ids) != int(b.numRows) {
 			return fmt.Errorf("frozen: block %d has %d rows, directory says %d", i, len(ids), b.numRows)
 		}
@@ -562,6 +694,12 @@ func VerifySegmentBytes(data []byte, m SegmentMeta) error {
 	for _, z := range g.zones {
 		if zoneLess(z.kind, z.max, z.min) {
 			return fmt.Errorf("frozen: zone map for col %d has min > max", z.col)
+		}
+	}
+	for i, z := range g.blockZones {
+		sz := g.zones[i%len(g.zones)]
+		if zoneLess(z.kind, z.max, z.min) || zoneLess(z.kind, z.min, sz.min) || zoneLess(z.kind, sz.max, z.max) {
+			return fmt.Errorf("frozen: block %d zone for col %d is empty or outside its segment zone", i/len(g.zones), z.col)
 		}
 	}
 	if total != g.numRows {

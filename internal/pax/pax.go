@@ -48,6 +48,7 @@ type Page struct {
 	vars   [][][]byte // per var column: slot -> bytes
 	fixIdx []int      // column -> index into fixed, or -1
 	varIdx []int      // column -> index into vars, or -1
+	view   bool       // strips alias a serialized image (View); read-only
 }
 
 // NewPage allocates an empty page for the schema with capacity cap rows.
@@ -75,6 +76,13 @@ func NewPage(schema *rel.Schema, cap int) *Page {
 	return p
 }
 
+// mustOwn guards the mutators: a View page's strips are a shared image.
+func (p *Page) mustOwn() {
+	if p.view {
+		panic("pax: write to a read-only page view")
+	}
+}
+
 // Schema returns the page's schema.
 func (p *Page) Schema() *rel.Schema { return p.schema }
 
@@ -90,6 +98,7 @@ func (p *Page) Full() bool { return p.n == p.cap }
 // Insert places row at slot `at`, shifting later slots right. at must be in
 // [0, Len()] and the page must not be full.
 func (p *Page) Insert(at int, row rel.Row) error {
+	p.mustOwn()
 	if p.Full() {
 		return fmt.Errorf("pax: page full (%d rows)", p.cap)
 	}
@@ -123,6 +132,7 @@ func (p *Page) Append(row rel.Row) (int, error) {
 
 // Delete removes the row at slot `at`, shifting later slots left.
 func (p *Page) Delete(at int) error {
+	p.mustOwn()
 	if at < 0 || at >= p.n {
 		return fmt.Errorf("pax: delete position %d out of range [0,%d)", at, p.n)
 	}
@@ -161,6 +171,7 @@ func (p *Page) SetRow(at int, row rel.Row) error {
 // SetCol updates one column of slot `at` in place. The caller must have
 // captured the before-image for UNDO if required.
 func (p *Page) SetCol(at, col int, v rel.Value) {
+	p.mustOwn()
 	if fi := p.fixIdx[col]; fi >= 0 {
 		mp := p.fixed[fi][at*8 : at*8+8]
 		switch v.Kind {
@@ -232,6 +243,7 @@ func (p *Page) ScanCol(col int, fn func(slot int, v rel.Value)) {
 // SplitInto moves the upper half of the page's rows into dst (which must be
 // empty and share the schema) and returns the number of rows moved.
 func (p *Page) SplitInto(dst *Page) int {
+	p.mustOwn()
 	half := p.n / 2
 	moved := p.n - half
 	for i := half; i < p.n; i++ {
@@ -289,16 +301,24 @@ func (p *Page) Serialize(dst []byte) []byte {
 	return dst
 }
 
+// imageRows validates a Serialize image's prefix and returns its row count.
+func imageRows(img []byte) (int, error) {
+	if len(img) < 8 {
+		return 0, fmt.Errorf("pax: truncated page image")
+	}
+	if binary.LittleEndian.Uint32(img[:4]) != pageMagic {
+		return 0, fmt.Errorf("pax: bad page magic %#x", binary.LittleEndian.Uint32(img[:4]))
+	}
+	return int(binary.LittleEndian.Uint32(img[4:8])), nil
+}
+
 // Deserialize reconstructs a page from a Serialize image. cap must be at
 // least the stored row count.
 func Deserialize(schema *rel.Schema, cap int, img []byte) (*Page, error) {
-	if len(img) < 8 {
-		return nil, fmt.Errorf("pax: truncated page image")
+	n, err := imageRows(img)
+	if err != nil {
+		return nil, err
 	}
-	if binary.LittleEndian.Uint32(img[:4]) != pageMagic {
-		return nil, fmt.Errorf("pax: bad page magic %#x", binary.LittleEndian.Uint32(img[:4]))
-	}
-	n := int(binary.LittleEndian.Uint32(img[4:8]))
 	if n > cap {
 		return nil, fmt.Errorf("pax: stored %d rows exceeds capacity %d", n, cap)
 	}
@@ -326,5 +346,63 @@ func Deserialize(schema *rel.Schema, cap int, img []byte) (*Page, error) {
 		}
 	}
 	p.n = n
+	return p, nil
+}
+
+// View builds a read-only page over a Serialize image without copying it:
+// every fixed strip and every var value is a sub-slice of img, so the cost
+// is the slice headers, not the data. The page is full (Cap == Len) and
+// its mutators panic. The caller must never modify or reuse img: strings
+// handed out by Col/Row alias it (viewStr) and may outlive the page. The
+// price is retention: one kept string pins all of img, not just its own
+// bytes as with Deserialize, so a consumer that buffers a row from each of
+// N views holds N whole images until it drops them.
+func View(schema *rel.Schema, img []byte) (*Page, error) {
+	n, err := imageRows(img)
+	if err != nil {
+		return nil, err
+	}
+	nc := schema.NumCols()
+	idx := make([]int, 2*nc)
+	p := &Page{schema: schema, cap: n, n: n, fixIdx: idx[:nc:nc], varIdx: idx[nc:], view: true}
+	nvar := 0
+	for _, c := range schema.Cols {
+		if c.Type.FixedWidth() <= 0 {
+			nvar++
+		}
+	}
+	// The length check also bounds n before anything is sized by it.
+	if (nc-nvar)*8*n+nvar*4*n > len(img)-8 {
+		return nil, fmt.Errorf("pax: truncated page image")
+	}
+	p.fixed = make([][]byte, 0, nc-nvar)
+	p.vars = make([][][]byte, 0, nvar)
+	vals := make([][]byte, nvar*n) // one backing array for every var column
+	off := 8
+	for i, c := range schema.Cols {
+		if c.Type.FixedWidth() > 0 {
+			p.fixIdx[i], p.varIdx[i] = len(p.fixed), -1
+			p.fixed = append(p.fixed, img[off:off+n*8:off+n*8])
+			off += n * 8
+		} else {
+			p.fixIdx[i], p.varIdx[i] = -1, len(p.vars)
+			p.vars = append(p.vars, vals[:n:n])
+			vals = vals[n:]
+		}
+	}
+	for _, vc := range p.vars {
+		for i := range vc {
+			if off+4 > len(img) {
+				return nil, fmt.Errorf("pax: truncated var length")
+			}
+			l := int(binary.LittleEndian.Uint32(img[off : off+4]))
+			off += 4
+			if l > len(img)-off {
+				return nil, fmt.Errorf("pax: truncated var value")
+			}
+			vc[i] = img[off : off+l : off+l]
+			off += l
+		}
+	}
 	return p, nil
 }

@@ -247,6 +247,88 @@ func TestRoundTripProperty(t *testing.T) {
 	}
 }
 
+// View reads what Deserialize reads — rows, column scans, the vectorized
+// filter — off the image itself: its allocations do not grow with the row
+// count, every truncation is rejected without a panic, and it refuses
+// writes (the image is shared).
+func TestViewMatchesDeserialize(t *testing.T) {
+	s := testSchema()
+	r := rand.New(rand.NewSource(7))
+	for _, n := range []int{0, 1, 9, 64} {
+		p := NewPage(s, 64)
+		for i := 0; i < n; i++ {
+			name := make([]byte, r.Intn(12)) // includes empty strings
+			r.Read(name)
+			p.Append(rel.Row{rel.Int(r.Int63()), rel.Str(string(name)), rel.Float(r.NormFloat64())})
+		}
+		img := p.Serialize(nil)
+		v, err := View(s, img)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v.Len() != n || v.Cap() != n || !v.Full() {
+			t.Fatalf("view of %d rows: Len %d Cap %d", n, v.Len(), v.Cap())
+		}
+		for i := 0; i < n; i++ {
+			if !v.Row(i).Equal(p.Row(i)) {
+				t.Fatalf("n=%d row %d = %v, want %v", n, i, v.Row(i), p.Row(i))
+			}
+		}
+		if !reflect.DeepEqual(v.Serialize(nil), img) {
+			t.Fatalf("n=%d: view does not re-serialize to its image", n)
+		}
+		pred := []rel.ColPred{{Col: 2, Op: rel.CmpGt, Val: rel.Float(0)}}
+		vs, ps := MakeSel(n).Reset(n), MakeSel(n).Reset(n)
+		if err := v.FilterFixed(pred, vs); err != nil {
+			t.Fatal(err)
+		}
+		p.FilterFixed(pred, ps)
+		if !reflect.DeepEqual(vs, ps) {
+			t.Fatalf("n=%d: filter over the view selects %v, over the page %v", n, vs, ps)
+		}
+		for cut := 0; cut < len(img); cut++ {
+			if _, err := View(s, img[:cut]); err == nil && n > 0 {
+				t.Fatalf("n=%d: image truncated to %d of %d bytes accepted", n, cut, len(img))
+			}
+		}
+	}
+
+	small, large := NewPage(s, 512), NewPage(s, 512)
+	small.Append(mkRow(0))
+	for i := 0; i < 512; i++ {
+		large.Append(mkRow(i))
+	}
+	allocs := func(p *Page) float64 {
+		img := p.Serialize(nil)
+		return testing.AllocsPerRun(50, func() {
+			if _, err := View(s, img); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if a, b := allocs(small), allocs(large); a != b || b > 5 {
+		t.Fatalf("View allocates %.0f times for 1 row, %.0f for 512; want equal and <= 5", a, b)
+	}
+
+	v, _ := View(s, large.Serialize(nil))
+	for name, write := range map[string]func(){
+		"SetCol":    func() { v.SetCol(0, 0, rel.Int(1)) },
+		"SetRow":    func() { v.SetRow(0, mkRow(1)) },
+		"Insert":    func() { v.Insert(0, mkRow(1)) },
+		"Delete":    func() { v.Delete(0) },
+		"SplitInto": func() { v.SplitInto(NewPage(s, 512)) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("%s on a view did not panic", name)
+				}
+			}()
+			write()
+		}()
+	}
+}
+
 func BenchmarkScanColFixed(b *testing.B) {
 	p := NewPage(testSchema(), 256)
 	for i := 0; i < 256; i++ {

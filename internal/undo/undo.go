@@ -189,6 +189,11 @@ func (r *Record) Reclaimed() bool {
 type Arena struct {
 	Slot int
 
+	// reclaimMu serialises Reclaim calls on this arena. New never takes
+	// it, so it may be held across the reclaim callbacks, which take page
+	// latches; mu may not, because a writer holding a page latch calls New.
+	reclaimMu sync.Mutex
+
 	mu      sync.Mutex
 	records []*Record
 	head    int
@@ -239,36 +244,59 @@ func (a *Arena) Live() int {
 // Reclaim scans from the queue head, recycling records of finished
 // transactions whose commit timestamp is earlier than minActiveStart (the
 // minimum active transaction start timestamp watermark), plus dead
-// (aborted) records. onReclaim is invoked for each recycled record before
-// it is dropped — the engine uses it to physically erase deleted tuples and
-// trim twin tables. Returns the number reclaimed.
+// (aborted) records. onReclaim is invoked for each recycled record, in
+// queue order, before it is dropped — the engine uses it to physically
+// erase deleted tuples and trim twin tables. Returns the number reclaimed.
+//
+// The callbacks run without the arena mutex: under it Reclaim only finds
+// the reclaimable run and publishes floor, so visibility checks already
+// treat those records as invalid while they are torn down. The run leaves
+// the queue, and LastReclaimedXID moves, only after its callbacks return,
+// which keeps FirstUnreclaimedXID (hence the max-frozen-XID watermark)
+// behind every tuple still waiting to be erased.
 func (a *Arena) Reclaim(minActiveStart uint64, onReclaim func(*Record)) int {
+	a.reclaimMu.Lock()
+	defer a.reclaimMu.Unlock()
+
 	a.mu.Lock()
-	defer a.mu.Unlock()
-	n := 0
-	for a.head < len(a.records) {
-		r := a.records[a.head]
+	end := a.head
+	for end < len(a.records) {
+		r := a.records[end]
 		if !r.dead.Load() {
 			ets, committed := r.EffectiveETS()
 			if !committed || ets >= minActiveStart {
 				break
 			}
 		}
-		// Publish reclamation before the callback so visibility checks
-		// already treat the record as invalid while it is torn down.
-		a.floor.Store(r.seq + 1)
-		a.lastReclaimedXID.Store(r.Meta.XID)
-		if onReclaim != nil {
+		end++
+	}
+	if end == a.head {
+		a.mu.Unlock()
+		return 0
+	}
+	// New only appends, so indices head..end keep naming the run even if
+	// the slice grows (and this view of the old backing array stays valid).
+	run := a.records[a.head:end]
+	last := run[len(run)-1]
+	a.floor.Store(last.seq + 1)
+	a.mu.Unlock()
+
+	if onReclaim != nil {
+		for _, r := range run {
 			onReclaim(r)
 		}
-		a.records[a.head] = nil
-		a.head++
-		n++
 	}
+
+	a.mu.Lock()
+	n := end - a.head
+	clear(a.records[a.head:end])
+	a.head = end
 	if a.head == len(a.records) {
 		a.records = a.records[:0]
 		a.head = 0
 	}
+	a.mu.Unlock()
+	a.lastReclaimedXID.Store(last.Meta.XID)
 	return n
 }
 

@@ -135,6 +135,43 @@ func TestArenaReclaimQueueOrder(t *testing.T) {
 	}
 }
 
+// A reclaim callback may append to the arena it is reclaiming (it takes a
+// page latch whose holder is inside New), sees its own record already
+// invalid, and leaves the queue head — what the max-frozen-XID watermark
+// reads — on the run until the callbacks are done.
+func TestArenaReclaimCallbackRunsUnlocked(t *testing.T) {
+	a := NewArena(0)
+	var metas []*TxnMeta
+	for i := 0; i < 3; i++ {
+		m := metaFor(uint64(i + 1))
+		r := a.New(m, 1, rel.RowID(i), OpDelete, nil, nil)
+		m.Commit(uint64(i + 2))
+		r.SetETS(uint64(i + 2))
+		metas = append(metas, m)
+	}
+	late := metaFor(50)
+	calls := 0
+	n := a.Reclaim(10, func(r *Record) {
+		calls++
+		if !r.Reclaimed() {
+			t.Errorf("record %d handed to the callback before floor moved", r.RowID)
+		}
+		if got := a.FirstUnreclaimedXID(); got != metas[0].XID {
+			t.Errorf("FirstUnreclaimedXID = %x during the callbacks, want the run's first %x", got, metas[0].XID)
+		}
+		if got := a.LastReclaimedXID(); got != 0 {
+			t.Errorf("LastReclaimedXID = %x before the callbacks returned", got)
+		}
+		a.New(late, 1, 100+r.RowID, OpInsert, nil, nil) // deadlocked when mu was held here
+	})
+	if n != 3 || calls != 3 {
+		t.Fatalf("reclaimed %d with %d callbacks, want 3/3", n, calls)
+	}
+	if a.Live() != 3 || a.FirstUnreclaimedXID() != late.XID || a.LastReclaimedXID() != metas[2].XID {
+		t.Fatalf("after reclaim: live %d, first %x, last %x", a.Live(), a.FirstUnreclaimedXID(), a.LastReclaimedXID())
+	}
+}
+
 func TestArenaReclaimStopsAtActive(t *testing.T) {
 	a := NewArena(0)
 	mActive := metaFor(1)

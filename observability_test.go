@@ -1,6 +1,7 @@
 package phoebedb
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -196,6 +197,60 @@ func TestExplainAnalyzeSQL(t *testing.T) {
 	}
 	if n := len(execOrFatal(t, db, "SELECT oid FROM o").Rows); n != 3 {
 		t.Fatalf("plain EXPLAIN executed its statement: %d rows left", n)
+	}
+}
+
+// The cold scan counters are registered where phoebe_stat_engine and
+// /metrics pick them up, a zone-prunable range moves both, and it leaves
+// the point-read cache counters alone.
+func TestColdScanCountersListed(t *testing.T) {
+	db := openTestDB(t, Options{PageCap: 8, Workers: 1})
+	execOrFatal(t, db, "CREATE TABLE ev (id INT, v INT)")
+	for i := 0; i < 48; i++ { // six pages; the open last one stays hot
+		execOrFatal(t, db, fmt.Sprintf("INSERT INTO ev VALUES (%d, %d)", i, i%5))
+	}
+	db.CollectGarbage()
+	tbl, err := db.Engine().Table("ev")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl.Frozen.BlockRows = 8
+	if n, err := db.Freeze(5, ^uint32(0)); err != nil || n != 40 {
+		t.Fatalf("freeze = (%d, %v), want 40 rows", n, err)
+	}
+	read := func() map[string]int64 {
+		got := map[string]int64{}
+		for _, r := range execOrFatal(t, db, "SELECT name, value FROM phoebe_stat_engine").Rows {
+			got[r[0].S] = r[1].I
+		}
+		return got
+	}
+	before := read()
+	names := []string{"phoebe_cold_scan_blocks_total", "phoebe_cold_scan_blocks_pruned_total",
+		"phoebe_cold_block_cache_hits_total", "phoebe_cold_block_cache_misses_total"}
+	for _, name := range names {
+		if _, ok := before[name]; !ok {
+			t.Fatalf("%s missing from phoebe_stat_engine", name)
+		}
+	}
+	res := execOrFatal(t, db, "SELECT count(*) FROM ev WHERE id BETWEEN 10 AND 13")
+	if res.Rows[0][0].I != 4 {
+		t.Fatalf("range count = %v, want 4", res.Rows[0][0])
+	}
+	after := read()
+	delta := func(name string) int64 { return after[name] - before[name] }
+	if delta(names[0]) != 1 || delta(names[1]) != 4 {
+		t.Fatalf("range over 5 cold blocks fetched %d and pruned %d, want 1 and 4", delta(names[0]), delta(names[1]))
+	}
+	if delta(names[2]) != 0 || delta(names[3]) != 0 {
+		t.Fatalf("a scan moved the point-read cache counters by %d/%d", delta(names[2]), delta(names[3]))
+	}
+	var buf strings.Builder
+	db.Metrics().WritePrometheus(&buf)
+	for _, name := range names[:2] {
+		if !strings.Contains(buf.String(), name) {
+			t.Fatalf("%s missing from /metrics", name)
+		}
 	}
 }
 

@@ -95,10 +95,14 @@ func buildRegistry(db *DB) *metrics.Registry {
 		cold(func(s ColdStats) int64 { return s.SegmentsProbed }))
 	reg.Counter("phoebe_cold_bloom_negatives_total", "Cold lookups answered 'absent' by a segment bloom filter without I/O.",
 		cold(func(s ColdStats) int64 { return s.BloomNegatives }))
-	reg.Counter("phoebe_cold_block_cache_hits_total", "Cold block reads served from the decompressed-block LRU.",
+	reg.Counter("phoebe_cold_block_cache_hits_total", "Cold point-path block loads (reads, deletes, warm-ups) served from the decompressed-block LRU; scans bypass it and are not counted.",
 		cold(func(s ColdStats) int64 { return s.CacheHits }))
-	reg.Counter("phoebe_cold_block_cache_misses_total", "Cold block reads that decompressed from disk.",
+	reg.Counter("phoebe_cold_block_cache_misses_total", "Cold point-path block loads that decompressed from disk; scans bypass the LRU and are not counted.",
 		cold(func(s ColdStats) int64 { return s.CacheMisses }))
+	reg.Counter("phoebe_cold_scan_blocks_total", "Cold blocks fetched by scans (from the LRU unpromoted, else decoded privately and not cached).",
+		cold(func(s ColdStats) int64 { return s.ScanBlocks }))
+	reg.Counter("phoebe_cold_scan_blocks_pruned_total", "Cold blocks scans skipped without I/O because a segment or block zone map refuted a predicate.",
+		cold(func(s ColdStats) int64 { return s.ScanBlocksPruned }))
 	reg.Counter("phoebe_cold_compactions_total", "Cold segment merges completed.",
 		cold(func(s ColdStats) int64 { return s.Compactions }))
 	reg.Counter("phoebe_cold_freeze_bytes_total", "Compressed bytes written by freezing (first cold write).",
