@@ -31,16 +31,13 @@ func main() {
 
 func run() int {
 	var (
-		exp      = flag.String("exp", "all", "experiment: 1-9, 'ablations', 'overhead', 'scale', 'read', 'vecscan', 'coldread', 'connmux', or 'all'")
+		exp      = flag.String("exp", "all", "experiment: 1-9, 'ablations', 'overhead', 'scale', 'connmux', or 'all'")
 		seconds  = flag.Float64("seconds", 3, "measured duration per run")
 		workers  = flag.Int("workers", 0, "max worker threads (default GOMAXPROCS)")
 		slots    = flag.Int("slots", 32, "task slots per worker (paper: 32)")
 		walSync  = flag.Bool("walsync", true, "fsync WAL on commit (the paper's evaluated setting)")
 		maxOver  = flag.Float64("max-overhead", 0, "with -exp overhead: exit non-zero if instrumentation regression exceeds this percent (0 = report only)")
 		minScale = flag.Float64("min-scale", 0, "with -exp scale: exit non-zero if 8-worker tpm is below this multiple of 1-worker tpm (0 = report only)")
-		minRead  = flag.Float64("min-read-gain", 0, "with -exp read: exit non-zero if the fast-path point-read speedup over the ablation is below this ratio (0 = report only)")
-		minVec   = flag.Float64("min-vec-gain", 0, "with -exp vecscan: exit non-zero if the vectorized filtered-aggregate speedup over the ablation is below this ratio (0 = report only)")
-		minCold  = flag.Float64("min-cold-gain", 0, "with -exp coldread: exit non-zero if the levelled cold-tier point-read speedup over the flat ablation is below this ratio, or if a cold point read probes more than one segment on average (0 = report only)")
 		conns    = flag.Int("conns", 10000, "with -exp connmux: loopback connection count (clamped to the fd limit)")
 		pipeline = flag.Int("pipeline", 32, "with -exp connmux: pipelined statements per flush")
 		minMux   = flag.Float64("min-mux-gain", 0, "with -exp connmux: exit non-zero if pipelined throughput over the sync baseline is below this ratio, or if the goroutine count is not O(pool) (0 = report only)")
@@ -121,36 +118,6 @@ func run() int {
 			fmt.Fprintf(os.Stderr, "%d-worker scaling %.2fx is below the %.2fx floor\n",
 				res.Workers, res.Ratio, *minScale)
 			return 1
-		}
-	case "read":
-		var res bench.ReadResult
-		if res, err = bench.ExpRead(cfg); err == nil &&
-			*minRead > 0 && res.Gain < *minRead {
-			fmt.Fprintf(os.Stderr, "read fast-path gain %.2fx is below the %.2fx floor\n",
-				res.Gain, *minRead)
-			return 1
-		}
-	case "vecscan":
-		var res bench.VecScanResult
-		if res, err = bench.ExpVecScan(cfg); err == nil &&
-			*minVec > 0 && res.Gain < *minVec {
-			fmt.Fprintf(os.Stderr, "vectorized scan gain %.2fx is below the %.2fx floor\n",
-				res.Gain, *minVec)
-			return 1
-		}
-	case "coldread":
-		var res bench.ColdReadResult
-		if res, err = bench.ExpColdRead(cfg); err == nil && *minCold > 0 {
-			if res.Gain < *minCold {
-				fmt.Fprintf(os.Stderr, "cold-tier point-read gain %.2fx is below the %.2fx floor\n",
-					res.Gain, *minCold)
-				return 1
-			}
-			if res.ReadAmp > 1 {
-				fmt.Fprintf(os.Stderr, "cold read amplification %.3f segments/lookup exceeds 1\n",
-					res.ReadAmp)
-				return 1
-			}
 		}
 	case "connmux":
 		var res bench.ConnMuxResult

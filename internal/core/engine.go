@@ -79,21 +79,6 @@ type Config struct {
 	// (pure latch coupling) — the ablation baseline for the hybrid lock
 	// strategy of §7.2.
 	PessimisticIndex bool
-	// DisableReadFastPath reverts point reads and scans to the legacy
-	// visibility path (fresh row materialization per read, no watermark
-	// short-circuit, no scratch reuse) — the ablation baseline for the
-	// read-path overhaul.
-	DisableReadFastPath bool
-	// DisableVectorizedScan turns off batch predicate evaluation over PAX
-	// minipages (selection vectors): filtered full scans fall back to
-	// row-at-a-time materialization — the ablation baseline for the
-	// vectorized scan path.
-	DisableVectorizedScan bool
-	// DisableColdCompaction reverts the cold tier to flat frozen blocks:
-	// Freeze writes one whole-batch compressed block per call, with no
-	// bloom filters, zone maps, or levelled compaction — the ablation
-	// baseline for the levelled cold store.
-	DisableColdCompaction bool
 	// ColdCacheBytes bounds the per-table decompressed cold-block LRU
 	// (0 = frozen.DefaultCacheBytes).
 	ColdCacheBytes int64
@@ -347,7 +332,6 @@ func (e *Engine) CreateTable(name string, schema *rel.Schema) (*Tbl, error) {
 	}
 	e.nextTableID++
 	fs := frozen.NewStore(e.bf, schema)
-	fs.Flat = e.cfg.DisableColdCompaction
 	fs.CacheBytes = e.cfg.ColdCacheBytes
 	t := &Tbl{
 		Name:    name,

@@ -143,3 +143,41 @@ func TestTableScanSteadyStateAllocs(t *testing.T) {
 		t.Fatalf("table scan allocates %.2f per run (%.3f per row), want ~0 per row", allocs, perRow)
 	}
 }
+
+// Once the watermark has passed every head, every visibility check is a
+// watermark hit: the fast-path count equals the read count, on the point
+// path and on the scan loop, and nothing walks a chain.
+func TestWatermarkFastPathServesEveryRead(t *testing.T) {
+	e := openTestEngine(t, Config{PageCap: 16})
+	rids := setupReadAlloc(t, e, 64)
+	// A second committed version per row, so every slot has a two-link
+	// chain a missed fast path would have to look at.
+	w := begin(e, 0)
+	for _, rid := range rids {
+		if err := w.Update("accounts", rid, map[string]rel.Value{"balance": rel.Float(7)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	e.Mgr.RefreshWatermark()
+
+	tx := begin(e, 1)
+	defer tx.Rollback()
+	for _, rid := range rids {
+		if row, ok, err := tx.Get("accounts", rid); err != nil || !ok || row[2].F != 7 {
+			t.Fatalf("Get(%d) = (%v, %v, %v)", rid, row, ok, err)
+		}
+	}
+	if tx.vis.Fast != int64(len(rids)) || tx.vis.Walks != 0 {
+		t.Fatalf("%d point reads: %d fast-path hits, %d chain walks", len(rids), tx.vis.Fast, tx.vis.Walks)
+	}
+	n := 0
+	if err := tx.ScanTable("accounts", func(rel.RowID, rel.Row) bool { n++; return true }); err != nil {
+		t.Fatal(err)
+	}
+	if n != len(rids) || tx.vis.Fast != int64(2*len(rids)) || tx.vis.Walks != 0 {
+		t.Fatalf("scan of %d rows: %d fast-path hits in total, %d chain walks", n, tx.vis.Fast, tx.vis.Walks)
+	}
+}

@@ -421,13 +421,6 @@ func (tx *Tx) readRowInto(t *Tbl, rid rel.RowID, buf *rel.Row) (rel.Row, bool, e
 		if tt := h.TwinTable(false); tt != nil {
 			head = tt.Head(rid)
 		}
-		if tx.e.cfg.DisableReadFastPath {
-			// Ablation baseline: fresh materialization, full visibility
-			// check with no watermark short-circuit.
-			out, ok = txn.ReadVisible(head, tx.inner.Snapshot(), tx.XID(), h.Row(), h.Deleted())
-			tx.track(metrics.CompMVCC, start)
-			return nil
-		}
 		n := t.Schema.NumCols()
 		if cap(*buf) < n {
 			*buf = make(rel.Row, n)
@@ -666,61 +659,6 @@ func (tx *Tx) scanIndexKeys(t *Tbl, ix *Index, loKey, hiKey []byte, fn func(rid 
 		}
 	}
 	return nil
-}
-
-// ScanTable iterates every visible row: the frozen layer first (lower
-// row_ids), then hot/cold pages, until fn returns false.
-func (tx *Tx) ScanTable(tableName string, fn func(rid rel.RowID, row rel.Row) bool) error {
-	if err := tx.stmt(); err != nil {
-		return err
-	}
-	t, err := tx.e.Table(tableName)
-	if err != nil {
-		return err
-	}
-	if err := tx.lockTable(t, lock.ModeIS); err != nil {
-		return err
-	}
-	stop := false
-	if err := t.Frozen.ScanLive(func(rid rel.RowID, row rel.Row) bool {
-		if !fn(rid, row) {
-			stop = true
-			return false
-		}
-		return true
-	}); err != nil {
-		return err
-	}
-	if stop {
-		return nil
-	}
-	snapshot := tx.inner.Snapshot()
-	xid := tx.XID()
-	// A watermark loaded once is a valid (if slightly stale) lower bound
-	// for the whole scan: it only ever advances.
-	wm := tx.e.Mgr.Watermark()
-	slow := tx.e.cfg.DisableReadFastPath
-	// ScanAll: tombstoned rows flow through the visibility check so older
-	// snapshots still see rows deleted after them. The scan's scratch row
-	// is owned by this callback (refilled per row), so the visibility check
-	// may apply before-image deltas to it in place.
-	return t.Store.ScanAll(&tx.tctx, func(rid rel.RowID, row rel.Row, h *table.Handle) bool {
-		var head *undo.Record
-		if tt := h.TwinTable(false); tt != nil {
-			head = tt.Head(rid)
-		}
-		var visRow rel.Row
-		var ok bool
-		if slow {
-			visRow, ok = txn.ReadVisible(head, snapshot, xid, row, h.Deleted())
-		} else {
-			visRow, ok = txn.ReadVisibleAt(head, snapshot, xid, wm, row, h.Deleted(), true, &tx.vis)
-		}
-		if !ok {
-			return true
-		}
-		return fn(rid, visRow)
-	})
 }
 
 // --- Update / Delete -------------------------------------------------------------

@@ -12,28 +12,24 @@ import (
 	"phoebedb/internal/txn"
 )
 
-// Vectorized table scans (§5.2): predicates on fixed-width columns
-// evaluate column-at-a-time against PAX minipage bytes into a selection
-// bitmap, so rows failing the filter are never materialized. MVCC
-// qualification happens page-at-a-time first: slots whose newest version
-// is visible by the watermark (or snapshot) short-circuit join the batch
-// path; only the residue — slots with in-flight or post-snapshot writers —
-// falls back to a per-row chain walk.
-
-// VectorizedScanEnabled reports whether batch scans may run. The path
-// builds on the watermark read fast path, so either ablation flag turns it
-// off (implements the sql layer's VectorizedTxn).
-func (tx *Tx) VectorizedScanEnabled() bool {
-	return !tx.e.cfg.DisableVectorizedScan && !tx.e.cfg.DisableReadFastPath
-}
+// Full-table reads (§5.2) have one loop, scanTable: cold blocks, then hot
+// pages, each handed to the consumer as column strips plus a selection
+// bitmap. Predicates on fixed-width columns evaluate column-at-a-time
+// against the strip bytes, so rows failing the filter are never
+// materialized. MVCC qualification happens page-at-a-time first: slots
+// whose newest version is visible by the watermark (or snapshot)
+// short-circuit join the batch; only the residue — slots with in-flight or
+// post-snapshot writers — takes a per-row chain walk. The two consumers
+// are ScanTable/ScanTableFiltered (emit rows) and AggTableFiltered (fold
+// aggregates).
 
 // qualifyPage partitions a page's slots for this transaction's snapshot:
 // bits left set in sel are slots whose current page bytes are the visible
 // version (tombstones honored); returned residue slots need a chain walk.
 // Caller holds the page's shared latch via ScanPages.
 func (tx *Tx) qualifyPage(v table.PageView, snapshot, wm uint64, sel pax.Sel, residue []int) []int {
-	pl := v.Pl
-	if v.Twin == nil {
+	pl, twin := v.Pl, v.Pg.Twin
+	if twin == nil {
 		// No version chains anywhere on the page: current versions are
 		// globally visible, tombstones invisible to everyone.
 		for i, d := range pl.Deleted {
@@ -44,7 +40,7 @@ func (tx *Tx) qualifyPage(v table.PageView, snapshot, wm uint64, sel pax.Sel, re
 		return residue
 	}
 	for i, rid := range pl.IDs {
-		head := v.Twin.Head(rid)
+		head := twin.Head(rid)
 		if head == nil || head.Reclaimed() {
 			if pl.Deleted[i] {
 				sel.Clear(i)
@@ -66,8 +62,8 @@ func (tx *Tx) qualifyPage(v table.PageView, snapshot, wm uint64, sel pax.Sel, re
 	return residue
 }
 
-// evalPreds applies the predicates to a materialized row (residue and
-// frozen-layer rows, which bypass the batch filter).
+// evalPreds applies the predicates to a materialized residue row, which
+// bypassed the batch filter.
 func evalPreds(preds []rel.ColPred, row rel.Row) bool {
 	for _, p := range preds {
 		if !p.EvalRow(row) {
@@ -77,170 +73,126 @@ func evalPreds(preds []rel.ColPred, row rel.Row) bool {
 	return true
 }
 
-// ScanTableFiltered invokes fn for every visible row satisfying all
-// predicates, with the filter evaluated batch-at-a-time against minipage
-// bytes (implements the sql layer's VectorizedTxn). Every predicate column
-// must be fixed-width — the SQL planner guarantees it. The borrowed-row
-// contract of ScanTable applies.
-func (tx *Tx) ScanTableFiltered(tableName string, preds []rel.ColPred, fn func(rid rel.RowID, row rel.Row) bool) error {
+// tableForScan opens the statement and takes the table's intention-shared
+// lock.
+func (tx *Tx) tableForScan(tableName string) (*Tbl, error) {
 	if err := tx.stmt(); err != nil {
-		return err
+		return nil, err
 	}
 	t, err := tx.e.Table(tableName)
 	if err != nil {
+		return nil, err
+	}
+	return t, tx.lockTable(t, lock.ModeIS)
+}
+
+// scanTable runs the one full-table read loop for this transaction's
+// snapshot. Frozen rows are immutable and globally visible, so a cold block
+// arrives with only its tombstones cleared from sel (zone maps skip blocks
+// the predicates refute); a hot page arrives after qualifyPage. Either way
+// FilterFixed narrows sel by preds — every predicate column must be
+// fixed-width — and batch consumes the survivors straight from the strips.
+// Residue rows are rebuilt by ReadVisibleAt, checked against preds and
+// handed to row. Either callback stops the scan by returning false.
+func (tx *Tx) scanTable(t *Tbl, preds []rel.ColPred,
+	batch func(ids []rel.RowID, page *pax.Page, sel pax.Sel) (bool, error),
+	row func(rid rel.RowID, row rel.Row) bool) error {
+	var cbErr error
+	stopped := false
+	filtered := func(ids []rel.RowID, page *pax.Page, sel pax.Sel) bool {
+		cont := false
+		if cbErr = page.FilterFixed(preds, sel); cbErr == nil {
+			cont, cbErr = batch(ids, page, sel)
+		}
+		stopped = !cont || cbErr != nil
+		return !stopped
+	}
+	if err := t.Frozen.ScanBlocks(preds, filtered); err != nil {
 		return err
 	}
-	if err := tx.lockTable(t, lock.ModeIS); err != nil {
-		return err
-	}
-	// Frozen rows are immutable and globally visible, so the cold tier
-	// runs the same column-strip filter as the hot path: segments stream
-	// decompressed blocks (zone maps prune segments the predicates
-	// refute), FilterFixed narrows the live-row bitmap, and only
-	// qualifying rows materialize.
-	stop := false
-	var frozenBuf rel.Row
-	var ferr2 error
-	if err := t.Frozen.ScanBlocks(preds, func(ids []rel.RowID, page *pax.Page, fsel pax.Sel) bool {
-		if ferr2 = page.FilterFixed(preds, fsel); ferr2 != nil {
-			return false
-		}
-		if frozenBuf == nil {
-			frozenBuf = make(rel.Row, t.Schema.NumCols())
-		}
-		cont := true
-		fsel.ForEach(func(i int) bool {
-			page.ReadRowInto(i, frozenBuf)
-			cont = fn(ids[i], frozenBuf)
-			return cont
-		})
-		if !cont {
-			stop = true
-		}
-		return cont
-	}); err != nil {
-		return err
-	}
-	if ferr2 != nil {
-		return ferr2
-	}
-	if stop {
-		return nil
+	if stopped {
+		return cbErr
 	}
 	snapshot := tx.inner.Snapshot()
 	xid := tx.XID()
+	// A watermark loaded once is a valid (if slightly stale) lower bound
+	// for the whole scan: it only ever advances.
 	wm := tx.e.Mgr.Watermark()
 	buf := make(rel.Row, t.Schema.NumCols())
 	var sel pax.Sel
 	var residue []int
-	var ferr error
-	serr := t.Store.ScanPages(&tx.tctx, func(v table.PageView) bool {
+	err := t.Store.ScanPages(&tx.tctx, func(v table.PageView) bool {
 		start := time.Now()
 		pl := v.Pl
 		sel = sel.Reset(len(pl.IDs))
 		residue = tx.qualifyPage(v, snapshot, wm, sel, residue[:0])
-		if ferr = pl.Rows.FilterFixed(preds, sel); ferr != nil {
-			return false
-		}
 		tx.track(metrics.CompMVCC, start)
-		cont := true
-		sel.ForEach(func(i int) bool {
-			pl.Rows.ReadRowInto(i, buf)
-			cont = fn(pl.IDs[i], buf)
-			return cont
-		})
-		if !cont {
+		if !filtered(pl.IDs, pl.Rows, sel) {
 			return false
 		}
 		for _, i := range residue {
-			mvccStart := time.Now()
+			start := time.Now()
 			pl.Rows.ReadRowInto(i, buf)
-			row, ok := txn.ReadVisibleAt(v.Twin.Head(pl.IDs[i]), snapshot, xid, wm,
+			vis, ok := txn.ReadVisibleAt(v.Pg.Twin.Head(pl.IDs[i]), snapshot, xid, wm,
 				buf, pl.Deleted[i], true, &tx.vis)
-			tx.track(metrics.CompMVCC, mvccStart)
-			if !ok || !evalPreds(preds, row) {
-				continue
-			}
-			if !fn(pl.IDs[i], row) {
+			tx.track(metrics.CompMVCC, start)
+			if ok && evalPreds(preds, vis) && !row(pl.IDs[i], vis) {
 				return false
 			}
 		}
 		return true
 	})
-	if ferr != nil {
-		return ferr
+	if cbErr != nil {
+		return cbErr
 	}
-	return serr
+	return err
+}
+
+// ScanTable iterates every visible row: the frozen layer first (lower
+// row_ids), then hot/cold pages, until fn returns false.
+func (tx *Tx) ScanTable(tableName string, fn func(rid rel.RowID, row rel.Row) bool) error {
+	return tx.ScanTableFiltered(tableName, nil, fn)
+}
+
+// ScanTableFiltered invokes fn for every visible row satisfying all
+// predicates. Every predicate column must be fixed-width — the SQL planner
+// guarantees it. The borrowed-row contract of Get applies.
+func (tx *Tx) ScanTableFiltered(tableName string, preds []rel.ColPred, fn func(rid rel.RowID, row rel.Row) bool) error {
+	t, err := tx.tableForScan(tableName)
+	if err != nil {
+		return err
+	}
+	buf := make(rel.Row, t.Schema.NumCols())
+	return tx.scanTable(t, preds, func(ids []rel.RowID, page *pax.Page, sel pax.Sel) (bool, error) {
+		cont := true
+		sel.ForEach(func(i int) bool {
+			page.ReadRowInto(i, buf)
+			cont = fn(ids[i], buf)
+			return cont
+		})
+		return cont, nil
+	}, fn)
 }
 
 // AggTableFiltered computes pushed-down aggregates over the qualifying
-// rows without materializing them: qualification and filtering as in
-// ScanTableFiltered, then each aggregate folds directly over its column
-// strip. Returns one value per spec plus the qualifying row count (vals
-// are meaningless when n is 0).
+// rows without materializing them: each aggregate folds directly over its
+// column strip. Returns one value per spec plus the qualifying row count
+// (vals are meaningless when n is 0).
 func (tx *Tx) AggTableFiltered(tableName string, preds []rel.ColPred, specs []rel.AggSpec) ([]rel.Value, int64, error) {
-	if err := tx.stmt(); err != nil {
-		return nil, 0, err
-	}
-	t, err := tx.e.Table(tableName)
+	t, err := tx.tableForScan(tableName)
 	if err != nil {
 		return nil, 0, err
 	}
-	if err := tx.lockTable(t, lock.ModeIS); err != nil {
-		return nil, 0, err
-	}
 	agg := pax.NewAggState(specs)
-	// Cold segments fold aggregates directly over their decompressed
-	// column strips — no row materialization, same as the hot batch path.
-	var ferr2 error
-	if err := t.Frozen.ScanBlocks(preds, func(ids []rel.RowID, page *pax.Page, fsel pax.Sel) bool {
-		if ferr2 = page.FilterFixed(preds, fsel); ferr2 != nil {
-			return false
-		}
-		if ferr2 = agg.Fold(page, fsel); ferr2 != nil {
-			return false
-		}
-		return true
-	}); err != nil {
-		return nil, 0, err
-	}
-	if ferr2 != nil {
-		return nil, 0, ferr2
-	}
-	snapshot := tx.inner.Snapshot()
-	xid := tx.XID()
-	wm := tx.e.Mgr.Watermark()
-	buf := make(rel.Row, t.Schema.NumCols())
-	var sel pax.Sel
-	var residue []int
-	var ferr error
-	serr := t.Store.ScanPages(&tx.tctx, func(v table.PageView) bool {
-		start := time.Now()
-		pl := v.Pl
-		sel = sel.Reset(len(pl.IDs))
-		residue = tx.qualifyPage(v, snapshot, wm, sel, residue[:0])
-		if ferr = pl.Rows.FilterFixed(preds, sel); ferr != nil {
-			return false
-		}
-		if ferr = agg.Fold(pl.Rows, sel); ferr != nil {
-			return false
-		}
-		for _, i := range residue {
-			pl.Rows.ReadRowInto(i, buf)
-			row, ok := txn.ReadVisibleAt(v.Twin.Head(pl.IDs[i]), snapshot, xid, wm,
-				buf, pl.Deleted[i], true, &tx.vis)
-			if ok && evalPreds(preds, row) {
-				agg.FoldRow(row)
-			}
-		}
-		tx.track(metrics.CompMVCC, start)
+	err = tx.scanTable(t, preds, func(_ []rel.RowID, page *pax.Page, sel pax.Sel) (bool, error) {
+		err := agg.Fold(page, sel)
+		return err == nil, err
+	}, func(_ rel.RowID, row rel.Row) bool {
+		agg.FoldRow(row)
 		return true
 	})
-	if ferr != nil {
-		return nil, 0, ferr
-	}
-	if serr != nil {
-		return nil, 0, serr
+	if err != nil {
+		return nil, 0, err
 	}
 	vals := make([]rel.Value, len(specs))
 	for si, sp := range specs {

@@ -1,11 +1,13 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
 
 	"phoebedb/internal/rel"
+	"phoebedb/internal/txn"
 )
 
 // vecIDs runs one ScanTableFiltered in tx and returns matching ids sorted
@@ -24,25 +26,45 @@ func vecIDs(t *testing.T, tx *Tx, preds []rel.ColPred) []int64 {
 	return ids
 }
 
-// rowIDs is the row-at-a-time oracle: ScanTable plus per-row predicate
-// evaluation, sorted the same way.
-func rowIDs(t *testing.T, tx *Tx, preds []rel.ColPred) []int64 {
+// pointScan is the reference the scan tests compare against — the point
+// path, which shares nothing with the scan loop: every row_id the table has
+// assigned is read with Tx.Get (WithRow + ReadVisibleAt on hot pages,
+// frozen.Store.Get on cold blocks; no ScanBlocks, ScanPages, qualifyPage or
+// FilterFixed) and filtered with ColPred.EvalRow.
+func pointScan(t *testing.T, tx *Tx, preds []rel.ColPred, fn func(row rel.Row)) {
 	t.Helper()
-	var ids []int64
-	err := tx.ScanTable("accounts", func(rid rel.RowID, row rel.Row) bool {
-		if evalPreds(preds, row) {
-			ids = append(ids, row[0].I)
-		}
-		return true
-	})
+	tb, err := tx.e.Table("accounts")
 	if err != nil {
 		t.Fatal(err)
 	}
+	for rid := rel.RowID(1); rid <= tb.Store.NextRowID(); rid++ {
+		row, ok, err := tx.Get("accounts", rid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			continue
+		}
+		match := true
+		for _, p := range preds {
+			match = match && p.EvalRow(row)
+		}
+		if match {
+			fn(row)
+		}
+	}
+}
+
+// pointIDs collects pointScan's matching ids, sorted like vecIDs.
+func pointIDs(t *testing.T, tx *Tx, preds []rel.ColPred) []int64 {
+	t.Helper()
+	var ids []int64
+	pointScan(t, tx, preds, func(row rel.Row) { ids = append(ids, row[0].I) })
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	return ids
 }
 
-// The batch path must agree with the row path across version chains,
+// The scan loop must agree with the point path across version chains,
 // tombstones, multiple pages, and a frozen prefix.
 func TestScanTableFilteredEquivalence(t *testing.T) {
 	e := openTestEngine(t, Config{PageCap: 8})
@@ -88,17 +110,18 @@ func TestScanTableFilteredEquivalence(t *testing.T) {
 		{{Col: 0, Op: rel.CmpGt, Val: rel.Int(1000)}}, // matches nothing
 	} {
 		r := begin(e, 1)
-		got, want := vecIDs(t, r, preds), rowIDs(t, r, preds)
+		got, want := vecIDs(t, r, preds), pointIDs(t, r, preds)
 		r.Rollback()
 		if !eqIDs(got, want...) {
-			t.Fatalf("preds %v: vectorized %v, row path %v", preds, got, want)
+			t.Fatalf("preds %v: scan %v, point path %v", preds, got, want)
 		}
 	}
 }
 
 // Slots with in-flight writers fall to the residue chain walk: a reader
-// must see the pre-image, the writer its own version — and both through
-// the filter.
+// must see the pre-image, the writer its own version — both through the
+// filter, and both as the point path sees them. A RepeatableRead reader
+// keeps its view after the writer commits.
 func TestScanTableFilteredConcurrentWriter(t *testing.T) {
 	e := openTestEngine(t, Config{PageCap: 8})
 	setupAccounts(t, e)
@@ -114,6 +137,24 @@ func TestScanTableFilteredConcurrentWriter(t *testing.T) {
 	if err := tx.Commit(); err != nil {
 		t.Fatal(err)
 	}
+	preds := []rel.ColPred{{Col: 2, Op: rel.CmpGe, Val: rel.Float(50)}}
+	// agree checks the scan against both the literal expectation and the
+	// point path, for the filter and for no filter.
+	agree := func(who string, tx *Tx, filtered, all []int64) {
+		t.Helper()
+		for _, c := range []struct {
+			preds []rel.ColPred
+			want  []int64
+		}{{preds, filtered}, {nil, all}} {
+			got, point := vecIDs(t, tx, c.preds), pointIDs(t, tx, c.preds)
+			if !eqIDs(got, c.want...) || !eqIDs(point, c.want...) {
+				t.Fatalf("%s, preds %v: scan %v, point path %v, want %v", who, c.preds, got, point, c.want)
+			}
+		}
+	}
+	reader := e.Begin(1, txn.RepeatableRead, nil, nil, nil)
+	agree("reader before the writer", reader, nil, []int64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10})
+
 	writer := begin(e, 0)
 	// Move row 3's balance across the predicate boundary and delete row 7.
 	if err := writer.Update("accounts", rids[2], map[string]rel.Value{"balance": rel.Float(100)}); err != nil {
@@ -125,31 +166,18 @@ func TestScanTableFilteredConcurrentWriter(t *testing.T) {
 	if _, err := writer.Insert("accounts", acct(11, "o", 100)); err != nil {
 		t.Fatal(err)
 	}
-	preds := []rel.ColPred{{Col: 2, Op: rel.CmpGe, Val: rel.Float(50)}}
-
 	// The writer sees its own updated/inserted rows and not the deleted one.
-	if got := vecIDs(t, writer, preds); !eqIDs(got, 3, 11) {
-		t.Fatalf("writer sees %v, want [3 11]", got)
-	}
-	// A concurrent reader sees only the committed pre-images.
-	reader := begin(e, 1)
-	if got := vecIDs(t, reader, preds); len(got) != 0 {
-		t.Fatalf("reader sees %v, want none", got)
-	}
-	if got := vecIDs(t, reader, nil); !eqIDs(got, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10) {
-		t.Fatalf("reader sees %v, want 1..10", got)
-	}
-	reader.Rollback()
+	agree("writer", writer, []int64{3, 11}, []int64{1, 2, 3, 4, 5, 6, 8, 9, 10, 11})
+	// The reader sees only the committed pre-images, in flight...
+	agree("reader, writer in flight", reader, nil, []int64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10})
 	if err := writer.Commit(); err != nil {
 		t.Fatal(err)
 	}
+	// ...and after the commit its snapshot predates.
+	agree("reader, writer committed", reader, nil, []int64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10})
+	reader.Rollback()
 	after := begin(e, 1)
-	if got := vecIDs(t, after, preds); !eqIDs(got, 3, 11) {
-		t.Fatalf("post-commit %v, want [3 11]", got)
-	}
-	if got := vecIDs(t, after, nil); !eqIDs(got, 1, 2, 3, 4, 5, 6, 8, 9, 10, 11) {
-		t.Fatalf("post-commit full %v", got)
-	}
+	agree("post-commit", after, []int64{3, 11}, []int64{1, 2, 3, 4, 5, 6, 8, 9, 10, 11})
 	after.Rollback()
 }
 
@@ -180,8 +208,8 @@ func TestScanTableFilteredEarlyStop(t *testing.T) {
 	}
 }
 
-// AggTableFiltered must match aggregates computed row at a time, across
-// chains, tombstones, and the frozen layer.
+// AggTableFiltered must match aggregates folded over the point path,
+// across chains, tombstones, and the frozen layer.
 func TestAggTableFilteredEquivalence(t *testing.T) {
 	e := openTestEngine(t, Config{PageCap: 8})
 	setupAccounts(t, e)
@@ -225,14 +253,11 @@ func TestAggTableFilteredEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Row-at-a-time oracle.
+	// Point-path oracle.
 	var cnt int64
 	var sum, minB, maxB float64
 	minS := ""
-	if err := r.ScanTable("accounts", func(rid rel.RowID, row rel.Row) bool {
-		if !evalPreds(preds, row) {
-			return true
-		}
+	pointScan(t, r, preds, func(row rel.Row) {
 		b := row[2].F
 		if cnt == 0 || b < minB {
 			minB = b
@@ -245,10 +270,7 @@ func TestAggTableFilteredEquivalence(t *testing.T) {
 		}
 		sum += b
 		cnt++
-		return true
-	}); err != nil {
-		t.Fatal(err)
-	}
+	})
 	if n != cnt || vals[0].I != cnt {
 		t.Fatalf("count = (%d, %v), want %d", n, vals[0], cnt)
 	}
@@ -287,32 +309,11 @@ func TestAggTableFilteredEmpty(t *testing.T) {
 	}
 }
 
-// Both ablation flags must turn the vectorized capability off — the batch
-// path builds on the watermark read fast path.
-func TestVectorizedScanAblation(t *testing.T) {
-	for _, cfg := range []Config{
-		{DisableVectorizedScan: true},
-		{DisableReadFastPath: true},
-	} {
-		e := openTestEngine(t, cfg)
-		tx := begin(e, 0)
-		if tx.VectorizedScanEnabled() {
-			t.Fatalf("VectorizedScanEnabled under %+v", cfg)
-		}
-		tx.Rollback()
-	}
-	e := openTestEngine(t, Config{})
-	tx := begin(e, 0)
-	if !tx.VectorizedScanEnabled() {
-		t.Fatal("vectorized scan disabled by default")
-	}
-	tx.Rollback()
-}
-
 // A table spanning all three temperatures at once — compacted cold
-// levels, a fresh L0 segment, and hot pages — must filter identically on
-// the batch and row paths, including after delete-marks and warm-ups move
-// rows between tiers, and even when a warm-up lands mid-scan.
+// levels, a fresh L0 segment, and hot pages — must scan exactly what the
+// point path reads, including after delete-marks and warm-ups move rows
+// between tiers, and — under one RepeatableRead snapshot — beside a
+// concurrent updater, deleter and inserter and a warm-up landing mid-scan.
 func TestScanFilteredThreeTemperatures(t *testing.T) {
 	e := openTestEngine(t, Config{PageCap: 8})
 	setupAccounts(t, e)
@@ -322,6 +323,7 @@ func TestScanFilteredThreeTemperatures(t *testing.T) {
 	}
 	tb.Frozen.Fanout = 2
 	tb.Frozen.BlockRows = 8
+	tb.Frozen.WarmThreshold = math.MaxUint32 // the reference's Gets never queue a warm-up
 
 	tx := begin(e, 0)
 	rids := make([]rel.RowID, 0, 80)
@@ -383,19 +385,19 @@ func TestScanFilteredThreeTemperatures(t *testing.T) {
 		t.Helper()
 		for _, preds := range predSets {
 			r := begin(e, 1)
-			got, want := vecIDs(t, r, preds), rowIDs(t, r, preds)
+			got, want := vecIDs(t, r, preds), pointIDs(t, r, preds)
 			r.Rollback()
 			if !eqIDs(got, want...) {
-				t.Fatalf("%s: preds %v: vectorized %v, row path %v", stage, preds, got, want)
+				t.Fatalf("%s: preds %v: scan %v, point path %v", stage, preds, got, want)
 			}
 		}
 	}
 	check("three tiers")
 
 	// Property: random conjunctions of <,<=,>,>=,=,!= and BETWEEN on the
-	// int and float columns agree with the row path (which scans the cold
-	// tier unpruned) over hot pages, a level-0 and a compacted segment —
-	// and block zone maps prune along the way.
+	// int and float columns agree with the point path (which never sees a
+	// zone map) over hot pages, a level-0 and a compacted segment — and
+	// block zone maps prune along the way.
 	rng := rand.New(rand.NewSource(23))
 	ops := []rel.CmpOp{rel.CmpEq, rel.CmpNe, rel.CmpLt, rel.CmpLe, rel.CmpGt, rel.CmpGe}
 	randVal := func(col int) rel.Value {
@@ -420,10 +422,10 @@ func TestScanFilteredThreeTemperatures(t *testing.T) {
 				preds = append(preds, rel.ColPred{Col: col, Op: ops[rng.Intn(len(ops))], Val: randVal(col)})
 			}
 			r := begin(e, 1)
-			got, want := vecIDs(t, r, preds), rowIDs(t, r, preds)
+			got, want := vecIDs(t, r, preds), pointIDs(t, r, preds)
 			r.Rollback()
 			if !eqIDs(got, want...) {
-				t.Fatalf("%s: preds %+v: vectorized %v, row path %v", stage, preds, got, want)
+				t.Fatalf("%s: preds %+v: scan %v, point path %v", stage, preds, got, want)
 			}
 		}
 		if after := e.ColdStats(); after.ScanBlocksPruned == before.ScanBlocksPruned {
@@ -463,14 +465,57 @@ func TestScanFilteredThreeTemperatures(t *testing.T) {
 		t.Fatalf("warmed id 51 balance = %v, want 2000", seen[51])
 	}
 
+	// One RepeatableRead snapshot. Its first reads pin it; then writers
+	// change hot rows behind it — committed and still in flight, each
+	// moving a row across a predicate boundary, deleting one and inserting
+	// one — so those slots are the scan's chain-walk residue. (Hot rows
+	// only: ROADMAP item 1(a), a frozen row moved after a snapshot is
+	// invisible to it in both tiers, on either path.)
+	r = e.Begin(1, txn.RepeatableRead, nil, nil, nil)
+	want := make([][]int64, len(predSets))
+	for i, preds := range predSets {
+		want[i] = pointIDs(t, r, preds)
+	}
+	for _, i := range []int{65, 71, 74, 77} {
+		if rids[i] <= maxFrozen {
+			t.Fatalf("id %d is not hot (frontier %d)", i+1, maxFrozen)
+		}
+	}
+	write := func(w *Tx, upd, del, ins int) {
+		t.Helper()
+		if err := w.Update("accounts", rids[upd], map[string]rel.Value{"balance": rel.Float(1)}); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Delete("accounts", rids[del]); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := w.Insert("accounts", acct(ins, "o", 9000)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	committed := begin(e, 2)
+	write(committed, 74, 77, 81)
+	if err := committed.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	inflight := begin(e, 3)
+	write(inflight, 71, 65, 82)
+	for i, preds := range predSets {
+		if got := pointIDs(t, r, preds); !eqIDs(got, want[i]...) {
+			t.Fatalf("snapshot moved on the point path: preds %v: %v, was %v", preds, got, want[i])
+		}
+		if i > 0 { // the unfiltered scan runs last, with the warm-up
+			if got := vecIDs(t, r, preds); !eqIDs(got, want[i]...) {
+				t.Fatalf("snapshot scan: preds %v: scan %v, point path %v", preds, got, want[i])
+			}
+		}
+	}
+
 	// Mid-scan warm-up: the frozen sections stream before hot pages, so a
 	// warm triggered at the first hot row moves already-emitted frozen rows
 	// into hot storage beneath the running scan. The warmed copies commit
-	// after the statement snapshot, so the scan still sees every row
-	// exactly once.
+	// after the snapshot, so the scan still sees every row exactly once.
 	tb.Frozen.WarmThreshold = 1
-	r = begin(e, 1)
-	want := rowIDs(t, r, nil)
 	var got []int64
 	warmed := false
 	err = r.ScanTableFiltered("accounts", nil, func(rid rel.RowID, row rel.Row) bool {
@@ -496,8 +541,13 @@ func TestScanFilteredThreeTemperatures(t *testing.T) {
 		t.Fatal("scan never reached a hot row")
 	}
 	sort.Slice(got, func(i, j int) bool { return got[i] < got[j] })
-	if !eqIDs(got, want...) {
-		t.Fatalf("mid-scan warm: scan saw %v, want %v", got, want)
+	if !eqIDs(got, want[0]...) {
+		t.Fatalf("mid-scan warm: scan saw %v, want %v", got, want[0])
 	}
-	check("after mid-scan warm")
+	tb.Frozen.WarmThreshold = math.MaxUint32
+	check("writer in flight, after mid-scan warm")
+	if err := inflight.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	check("writers committed")
 }

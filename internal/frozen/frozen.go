@@ -114,10 +114,6 @@ type Store struct {
 	schema        *rel.Schema
 	WarmThreshold uint32
 
-	// Flat disables compaction, blooms and zone maps: Freeze emits one
-	// whole-batch block per segment, reproducing the flat frozen tier
-	// (the DisableColdCompaction ablation).
-	Flat bool
 	// CacheBytes bounds the decompressed-block LRU (0 = default).
 	CacheBytes int64
 	// Fanout is the per-level segment count that triggers a merge
@@ -233,11 +229,7 @@ func (s *Store) Freeze(ids []rel.RowID, rows []rel.Row) error {
 	if max := s.MaxRID(); ids[0] <= max {
 		return fmt.Errorf("frozen: row_id %d overlaps frozen range (max %d)", ids[0], max)
 	}
-	blockRows := s.blockRows()
-	if s.Flat {
-		blockRows = len(ids) // one whole-batch block, the flat ablation
-	}
-	sb := newSegmentBuilder(s.schema, 0, s.Flat, blockRows)
+	sb := newSegmentBuilder(s.schema, 0, s.blockRows())
 	for i, id := range ids {
 		if err := sb.add(id, rows[i]); err != nil {
 			return err
@@ -570,7 +562,7 @@ func (s *Store) ScanBlocks(preds []rel.ColPred, fn func(ids []rel.RowID, page *p
 }
 
 // ScanLive streams every live frozen row in row_id order — the
-// row-at-a-time path kept for index rebuilds and non-vectorized scans.
+// row-at-a-time form index rebuilds use, which read outside any snapshot.
 func (s *Store) ScanLive(fn func(rid rel.RowID, row rel.Row) bool) error {
 	return s.ScanBlocks(nil, func(ids []rel.RowID, page *pax.Page, sel pax.Sel) bool {
 		for i := range ids {
@@ -592,9 +584,6 @@ func (s *Store) ScanLive(fn func(rid rel.RowID, row rel.Row) bool) error {
 // limit: the maintenance loop calls this between batches so foreground
 // latency is unaffected.
 func (s *Store) Compact() (int, error) {
-	if s.Flat {
-		return 0, nil
-	}
 	s.compactMu.Lock()
 	defer s.compactMu.Unlock()
 
@@ -624,7 +613,7 @@ func (s *Store) Compact() (int, error) {
 		snaps[i] = g.snapshotDeleted()
 	}
 
-	sb := newSegmentBuilder(s.schema, inputs[0].level+1, false, s.blockRows())
+	sb := newSegmentBuilder(s.schema, inputs[0].level+1, s.blockRows())
 	rows := 0
 	for i, g := range inputs {
 		for bi := range g.blocks {

@@ -389,22 +389,31 @@ func TestCompactionDropsAllDeadInputs(t *testing.T) {
 	}
 }
 
-// The flat ablation (DisableColdCompaction) reproduces the old frozen
-// tier: one whole-batch block per segment, no bloom or zones, no merging.
-func TestFlatAblation(t *testing.T) {
+// Legacy flat segments (one whole-batch block, no bloom or zones) are
+// read-only input: they import, verify, answer point reads without a bloom
+// filter, and a merge rewrites them as levelled segments.
+func TestLegacyFlatSegmentsRead(t *testing.T) {
 	s := newTestStore(t)
-	s.Flat = true
-	s.BlockRows = 4 // ignored when flat
+	s.BlockRows = 4
 	for b := 0; b < 5; b++ {
 		ids, rows := batch(b*100+1, 20)
-		mustFreeze(t, s, ids, rows)
+		addFlatSegment(t, s, ids, rows)
 	}
 	st := s.Stats()
 	if st.Segments != 5 || st.Blocks != 5 {
 		t.Fatalf("flat stats = %+v, want one block per segment", st)
 	}
-	if n, err := s.CompactAll(); err != nil || n != 0 {
-		t.Fatalf("flat compaction = (%d,%v), want no-op", n, err)
+	for _, m := range s.Export() {
+		data, err := s.bf.ReadBlock(m.Ref)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !m.Flat {
+			t.Fatalf("segment at %d exported as levelled", m.FirstRID)
+		}
+		if err := VerifySegmentBytes(data, m); err != nil {
+			t.Fatalf("flat segment at %d rejected: %v", m.FirstRID, err)
+		}
 	}
 	if row, ok, _ := s.Get(215); !ok || row[0].I != 215 {
 		t.Fatal("flat segment unreadable")
@@ -414,6 +423,84 @@ func TestFlatAblation(t *testing.T) {
 	}
 	if st := s.Stats(); st.BloomNegatives != 0 {
 		t.Fatalf("flat store reported %d bloom negatives", st.BloomNegatives)
+	}
+	if n, err := s.CompactAll(); err != nil || n < 4 {
+		t.Fatalf("compaction over flat segments = (%d,%v), want a merge", n, err)
+	}
+	for _, m := range s.Export() {
+		if m.Flat && m.Level > 0 {
+			t.Fatalf("merge wrote a flat level-%d segment", m.Level)
+		}
+	}
+	if got := scanRows(t, s, nil, true); len(got) != 100 {
+		t.Fatalf("%d rows after the merge, want 100", len(got))
+	}
+	if row, ok, _ := s.Get(215); !ok || row[0].I != 215 {
+		t.Fatal("row lost in the merge")
+	}
+}
+
+// Read amplification of the compacted tier, as counts: a present key
+// probes exactly one segment (levels are rid-disjoint), and a key absent
+// from its segment's rid range or refused by its bloom filter is answered
+// without a block read.
+func TestCompactedPointReadAmplification(t *testing.T) {
+	s := newTestStore(t)
+	s.BlockRows = 16
+	s.Fanout = 2
+	var present []rel.RowID
+	for b := 0; b < 8; b++ {
+		ids := make([]rel.RowID, 40)
+		rows := make([]rel.Row, 40)
+		for i := range ids {
+			ids[i] = rel.RowID(b*100 + 2*(i+1)) // even rids; gaps between batches
+			rows[i] = rel.Row{rel.Int(int64(ids[i])), rel.Str("x")}
+		}
+		mustFreeze(t, s, ids, rows)
+		present = append(present, ids...)
+	}
+	if n, err := s.CompactAll(); err != nil || n == 0 {
+		t.Fatalf("CompactAll = (%d, %v)", n, err)
+	}
+	if st := s.Stats(); st.MaxLevel < 1 {
+		t.Fatalf("tier not compacted: %+v", st)
+	}
+	before := s.Stats()
+	for _, rid := range present {
+		if row, ok, err := s.Get(rid); err != nil || !ok || row[0].I != int64(rid) {
+			t.Fatalf("Get(%d) = (%v, %v, %v)", rid, row, ok, err)
+		}
+	}
+	after := s.Stats()
+	n := int64(len(present))
+	if probed := after.SegmentsProbed - before.SegmentsProbed; after.Lookups-before.Lookups != n || probed > n {
+		t.Fatalf("%d present-key lookups probed %d segments", n, probed)
+	}
+	// Absent keys: odd rids inside a segment's range (the bloom filter's
+	// case) and rids past the last segment (the directory's).
+	before = after
+	absent := 0
+	for _, rid := range present {
+		if _, ok, err := s.Get(rid + 1); ok || err != nil {
+			t.Fatalf("absent rid %d = (%v, %v)", rid+1, ok, err)
+		}
+		absent++
+	}
+	for rid := rel.RowID(5000); rid < 5100; rid++ {
+		if _, ok, _ := s.Get(rid); ok {
+			t.Fatalf("rid %d past the tier found", rid)
+		}
+		absent++
+	}
+	after = s.Stats()
+	falsePositives := after.SegmentsProbed - before.SegmentsProbed
+	loads := (after.CacheHits + after.CacheMisses) - (before.CacheHits + before.CacheMisses)
+	if loads != falsePositives {
+		t.Fatalf("%d block loads for %d bloom false positives", loads, falsePositives)
+	}
+	// 10 bits/key, 7 hashes: ~1% false positives. Allow 5x slack.
+	if falsePositives > int64(absent)/20 {
+		t.Fatalf("%d of %d absent-key lookups read a block", falsePositives, absent)
 	}
 }
 

@@ -71,12 +71,8 @@ func FuzzSegmentManifest(f *testing.F) {
 // version-1 header of a table with no fixed-width column (zone section
 // present, zero zones — a spelling only version 1 has).
 func fuzzSegmentHeaders(t testing.TB) [][]byte {
-	build := func(schema *rel.Schema, rows []rel.Row, flat bool) []byte {
-		blockRows := 4
-		if flat {
-			blockRows = len(rows) // one whole-batch block, as Freeze does
-		}
-		sb := newSegmentBuilder(schema, 1, flat, blockRows)
+	build := func(schema *rel.Schema, rows []rel.Row) []byte {
+		sb := newSegmentBuilder(schema, 1, 4)
 		for i, row := range rows {
 			if err := sb.add(rel.RowID(i+1), row); err != nil {
 				t.Fatal(err)
@@ -88,11 +84,11 @@ func fuzzSegmentHeaders(t testing.TB) [][]byte {
 		}
 		return data[:hlen]
 	}
-	_, rows := batch(1, 10)
+	ids, rows := batch(1, 10)
 	_, varRows := varBatch(10)
-	v2 := build(testSchema(), rows, false)
-	return [][]byte{v2, build(testSchema(), rows[:6], true), v1Header(t, v2),
-		v1Header(t, build(varSchema(), varRows, false))}
+	v2 := build(testSchema(), rows)
+	flat, hlen := flatSegment(t, testSchema(), ids[:6], rows[:6])
+	return [][]byte{v2, flat[:hlen], v1Header(t, v2), v1Header(t, build(varSchema(), varRows))}
 }
 
 // FuzzSegmentHeader throws arbitrary bytes at the segment header decoder

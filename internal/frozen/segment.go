@@ -43,7 +43,7 @@ const (
 	segmentMagic   uint32 = 0x50435331 // "PCS1"
 	segmentVersion uint32 = 2
 
-	segFlagFlat byte = 1 << 0 // flat ablation segment: one block, no bloom/zones
+	segFlagFlat byte = 1 << 0 // legacy flat segment (one block, no bloom/zones): read, never written
 )
 
 // DefaultBlockRows is the row count per compressed block inside a segment:
@@ -200,7 +200,6 @@ func (g *segment) bodyRef(i int) storage.BlockRef {
 type segmentBuilder struct {
 	schema    *rel.Schema
 	level     int
-	flat      bool
 	blockRows int
 
 	ids    []rel.RowID // all rids, for the bloom filter
@@ -216,11 +215,11 @@ type segmentBuilder struct {
 	rawTotal   int64
 }
 
-func newSegmentBuilder(schema *rel.Schema, level int, flat bool, blockRows int) *segmentBuilder {
+func newSegmentBuilder(schema *rel.Schema, level int, blockRows int) *segmentBuilder {
 	if blockRows <= 0 {
 		blockRows = DefaultBlockRows
 	}
-	return &segmentBuilder{schema: schema, level: level, flat: flat, blockRows: blockRows}
+	return &segmentBuilder{schema: schema, level: level, blockRows: blockRows}
 }
 
 func (sb *segmentBuilder) add(id rel.RowID, row rel.Row) error {
@@ -236,10 +235,8 @@ func (sb *segmentBuilder) add(id rel.RowID, row rel.Row) error {
 	}
 	sb.curIDs = append(sb.curIDs, id)
 	sb.ids = append(sb.ids, id)
-	if !sb.flat {
-		sb.foldZones(row)
-	}
-	if !sb.flat && sb.curPage.Len() >= sb.blockRows {
+	sb.foldZones(row)
+	if sb.curPage.Len() >= sb.blockRows {
 		return sb.flushBlock()
 	}
 	return nil
@@ -344,13 +341,10 @@ func (sb *segmentBuilder) finish() (data []byte, headerLen int, err error) {
 	if len(sb.ids) == 0 {
 		return nil, 0, fmt.Errorf("frozen: empty segment")
 	}
-	h := &segment{level: sb.level, flat: sb.flat, numRows: len(sb.ids), blocks: sb.blocks,
-		zones: sb.zones, blockZones: sb.blockZones}
-	if !sb.flat {
-		h.filter = newBloom(len(sb.ids))
-		for _, id := range sb.ids {
-			h.filter.add(uint64(id))
-		}
+	h := &segment{level: sb.level, numRows: len(sb.ids), blocks: sb.blocks,
+		zones: sb.zones, blockZones: sb.blockZones, filter: newBloom(len(sb.ids))}
+	for _, id := range sb.ids {
+		h.filter.add(uint64(id))
 	}
 	hdr := h.encodeHeader()
 	return append(hdr, sb.body.Bytes()...), len(hdr), nil

@@ -1,6 +1,8 @@
 package frozen
 
 import (
+	"bytes"
+	"compress/flate"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -157,10 +159,8 @@ func TestScanBlocksZonePruning(t *testing.T) {
 	}
 
 	// A flat segment has no zones at all: its one block always streams.
-	s.Flat = true
 	ids, rows = wideBatch(5000, 40)
-	mustFreeze(t, s, ids, rows)
-	s.Flat = false
+	addFlatSegment(t, s, ids, rows)
 	got, fetched, pruned = scanDelta(t, s, between(wideSeq, rel.Int(5010), rel.Int(5019)))
 	if len(got) != 10 || fetched != 1 || pruned != 20 {
 		t.Fatalf("range in the flat segment: %d rows, %d fetched, %d pruned; want 10/1/20", len(got), fetched, pruned)
@@ -189,10 +189,8 @@ func TestScanBlocksPruningEquivalence(t *testing.T) {
 			}
 		}
 	}
-	s.Flat = true
 	ids, rows := wideBatch(batches*rowsPerBatch, 50)
-	mustFreeze(t, s, ids, rows)
-	s.Flat = false
+	addFlatSegment(t, s, ids, rows)
 	total := batches*rowsPerBatch + 50
 	if st := s.Stats(); st.MaxLevel < 1 || st.Segments < 3 {
 		t.Fatalf("tier shape: %+v", st)
@@ -330,7 +328,7 @@ func TestBufferedStringsSurviveLaterBlocks(t *testing.T) {
 // its Huffman link tables on every stream, data-dependently, so the gate
 // is on what decodeBlock adds to a bare inflate of the same bytes.
 func TestDecodeBlockAllocs(t *testing.T) {
-	sb := newSegmentBuilder(wideSchema(), 0, false, DefaultBlockRows)
+	sb := newSegmentBuilder(wideSchema(), 0, DefaultBlockRows)
 	for i := 0; i < DefaultBlockRows; i++ {
 		if err := sb.add(rel.RowID(i+1), wideRow(i)); err != nil {
 			t.Fatal(err)
@@ -426,6 +424,70 @@ func v1Header(t testing.TB, hdr []byte) []byte {
 		}
 	}
 	return le.AppendUint32(out, crc32.ChecksumIEEE(out))
+}
+
+// flatSegment lays out, field by field, the segment the retired flat
+// writer produced for one freeze batch: a single block holding every row,
+// segFlagFlat set, no bloom filter and no zones. No writer emits these any
+// more; the reader still takes them from old stores and backups.
+func flatSegment(t testing.TB, schema *rel.Schema, ids []rel.RowID, rows []rel.Row) (data []byte, headerLen int) {
+	t.Helper()
+	le := binary.LittleEndian
+	page := pax.NewPage(schema, len(rows))
+	raw := le.AppendUint32(nil, uint32(len(ids)))
+	for i, id := range ids {
+		raw = le.AppendUint64(raw, uint64(id))
+		if _, err := page.Append(rows[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	raw = page.Serialize(raw)
+	var body bytes.Buffer
+	fw, err := flate.NewWriter(&body, flate.BestSpeed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fw.Write(raw); err != nil {
+		t.Fatal(err)
+	}
+	if err := fw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	hdr := le.AppendUint32(nil, segmentMagic)
+	hdr = le.AppendUint32(hdr, segmentVersion)
+	hdr = le.AppendUint32(hdr, 0) // level
+	hdr = append(hdr, segFlagFlat)
+	hdr = le.AppendUint32(hdr, uint32(len(ids)))
+	hdr = le.AppendUint32(hdr, 1) // one block
+	hdr = le.AppendUint64(hdr, uint64(ids[0]))
+	hdr = le.AppendUint64(hdr, uint64(ids[len(ids)-1]))
+	hdr = le.AppendUint32(hdr, uint32(len(ids)))
+	hdr = le.AppendUint32(hdr, uint32(len(raw)))
+	hdr = le.AppendUint32(hdr, 0) // compOff
+	hdr = le.AppendUint32(hdr, uint32(body.Len()))
+	hdr = append(hdr, 0, 0)       // no bloom, no zones
+	hdr = le.AppendUint32(hdr, 0) // no block zones
+	hdr = le.AppendUint32(hdr, crc32.ChecksumIEEE(hdr))
+	return append(hdr, body.Bytes()...), len(hdr)
+}
+
+// addFlatSegment installs a flatSegment of the batch at the tail of s the
+// way a recovered manifest would: through Import.
+func addFlatSegment(t testing.TB, s *Store, ids []rel.RowID, rows []rel.Row) {
+	t.Helper()
+	data, hlen := flatSegment(t, s.schema, ids, rows)
+	ref, err := s.bf.AppendBlock(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	metas := append(s.Export(), SegmentMeta{Flat: true, FirstRID: ids[0], LastRID: ids[len(ids)-1],
+		NumRows: len(ids), Ref: ref, HeaderLen: hlen, CRC: crc32.ChecksumIEEE(data)})
+	s.mu.Lock()
+	s.segs = nil
+	s.mu.Unlock()
+	if err := s.Import(metas); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // VerifySegmentBytes holds block zones to the zone invariant as far as it

@@ -49,11 +49,26 @@ func errStatReadOnly(table string) error {
 }
 
 // Txn is the DML surface the executor needs (a subset of the kernel's
-// transaction API, also satisfied by the baseline engine).
+// transaction API). Rows handed to scan callbacks are borrowed: valid
+// until the callback returns.
 type Txn interface {
 	Insert(table string, row rel.Row) (rel.RowID, error)
 	ScanIndex(table, index string, vals []rel.Value, fn func(rid rel.RowID, row rel.Row) bool) error
-	ScanTable(table string, fn func(rid rel.RowID, row rel.Row) bool) error
+	// ScanIndexRange is the B-Tree range scan: prefix carries the equality
+	// values pinning the leading index columns; the bounds constrain the
+	// next index column. An unset bound (hasLo/hasHi false) leaves that
+	// side open within the prefix.
+	ScanIndexRange(table, index string, prefix []rel.Value, lo, hi rel.Value,
+		hasLo, hasHi, loIncl, hiIncl bool, fn func(rid rel.RowID, row rel.Row) bool) error
+	// ScanTableFiltered is the full scan: fn sees only visible rows
+	// satisfying every predicate, each of which must name a fixed-width
+	// column — they evaluate batch-at-a-time against PAX column strips
+	// (selection vectors, §5.2) and prune cold blocks by zone map.
+	ScanTableFiltered(table string, preds []rel.ColPred, fn func(rid rel.RowID, row rel.Row) bool) error
+	// AggTableFiltered folds the rows ScanTableFiltered would emit into the
+	// given aggregates without materializing them, returning one value per
+	// spec plus the qualifying row count (vals are meaningless when n is 0).
+	AggTableFiltered(table string, preds []rel.ColPred, specs []rel.AggSpec) (vals []rel.Value, n int64, err error)
 	Update(table string, rid rel.RowID, set map[string]rel.Value) error
 	Delete(table string, rid rel.RowID) error
 }
@@ -107,10 +122,6 @@ type plan struct {
 	lo, hi         rel.Value
 	hasLo, hasHi   bool
 	loIncl, hiIncl bool
-	// rangeConds are the bound conditions in residual form, used when the
-	// transaction cannot run a native range scan (the bounds then demote
-	// to a filter over a wider scan).
-	rangeConds []Cond
 	// residual are the conditions not covered by the index prefix or the
 	// range bounds, evaluated against each candidate row.
 	residual []Cond
@@ -186,7 +197,6 @@ func (h *planHint) rebuild(schema *rel.Schema, where []Cond) (plan, bool, error)
 		}
 		c := where[h.rangeLo]
 		p.rangeCol, p.lo, p.hasLo, p.loIncl = c.Col, v, true, c.Op == rel.CmpGe
-		p.rangeConds = append(p.rangeConds, Cond{Col: c.Col, Op: c.Op, Val: v})
 	}
 	if h.rangeHi >= 0 {
 		v, ok, err := coerce(hintCond{whereIdx: h.rangeHi, col: h.rangeCol})
@@ -195,7 +205,6 @@ func (h *planHint) rebuild(schema *rel.Schema, where []Cond) (plan, bool, error)
 		}
 		c := where[h.rangeHi]
 		p.rangeCol, p.hi, p.hasHi, p.hiIncl = c.Col, v, true, c.Op == rel.CmpLe
-		p.rangeConds = append(p.rangeConds, Cond{Col: c.Col, Op: c.Op, Val: v})
 	}
 	if p.hasLo && p.hasHi {
 		if c := rel.Compare(p.lo, p.hi); c > 0 || (c == 0 && !(p.loIncl && p.hiIncl)) {
@@ -495,12 +504,10 @@ func planWhereHint(schema *rel.Schema, indexes []IndexMeta, where []Cond) (plan,
 			if bestRange.lo.set {
 				p.lo, p.hasLo, p.loIncl = bestRange.lo.val, true, bestRange.lo.incl
 				h.rangeLo = bestRange.lo.whereIdx
-				p.rangeConds = append(p.rangeConds, boundCond(schema, bestRange.col, bestRange.lo, true))
 			}
 			if bestRange.hi.set {
 				p.hi, p.hasHi, p.hiIncl = bestRange.hi.val, true, bestRange.hi.incl
 				h.rangeHi = bestRange.hi.whereIdx
-				p.rangeConds = append(p.rangeConds, boundCond(schema, bestRange.col, bestRange.hi, false))
 			}
 		}
 	}
@@ -566,60 +573,24 @@ func matches(schema *rel.Schema, row rel.Row, conds []Cond) bool {
 	return true
 }
 
-// RangeTxn is optionally implemented by transactions whose index scans
-// accept lo/hi range bounds (the kernel's B-Tree Scan(lo, hi)). prefix
-// carries the equality values pinning the leading index columns; the
-// bounds constrain the next index column. An unset bound (hasLo/hasHi
-// false) leaves that side open within the prefix.
-type RangeTxn interface {
-	ScanIndexRange(table, index string, prefix []rel.Value, lo, hi rel.Value,
-		hasLo, hasHi, loIncl, hiIncl bool, fn func(rid rel.RowID, row rel.Row) bool) error
-}
-
-// VectorizedTxn is optionally implemented by transactions that can
-// evaluate fixed-width column predicates batch-at-a-time against PAX
-// minipages (selection vectors, §5.2) instead of materializing every row.
-// Both scans honor the borrowed-row contract of ScanTable.
-type VectorizedTxn interface {
-	// VectorizedScanEnabled reports whether the engine has the vectorized
-	// path enabled (false under the DisableVectorizedScan ablation).
-	VectorizedScanEnabled() bool
-	// ScanTableFiltered invokes fn only for visible rows satisfying every
-	// predicate.
-	ScanTableFiltered(table string, preds []rel.ColPred, fn func(rid rel.RowID, row rel.Row) bool) error
-	// AggTableFiltered folds the qualifying rows into the given aggregates
-	// without materializing rows, returning one value per spec plus the
-	// qualifying row count (vals are meaningless when n is 0).
-	AggTableFiltered(table string, preds []rel.ColPred, specs []rel.AggSpec) (vals []rel.Value, n int64, err error)
-}
-
-// colPreds lowers residual conditions to column predicates for the
-// vectorized path. ok is false when any condition touches a var-width
-// column (string comparisons keep the row-at-a-time path) or an unknown
-// column.
-func colPreds(schema *rel.Schema, conds []Cond) ([]rel.ColPred, bool) {
-	if len(conds) == 0 {
-		return nil, true
+// splitResidual divides the plan's residual between the engine and the
+// executor. On a full scan, conjuncts on fixed-width columns lower to strip
+// predicates the engine evaluates batch-at-a-time (and prunes cold blocks
+// with), and conjuncts on var-width columns stay behind as the row-at-a-time
+// rest. An index scan checks its whole residual per row.
+func (p *plan) splitResidual(schema *rel.Schema) (strips []rel.ColPred, rest []Cond) {
+	if p.index != "" {
+		return nil, p.residual
 	}
-	preds := make([]rel.ColPred, len(conds))
-	for i, c := range conds {
+	for _, c := range p.residual {
 		pos := schema.ColIndex(c.Col)
 		if pos < 0 || schema.Cols[pos].Type.FixedWidth() == 0 {
-			return nil, false
+			rest = append(rest, c)
+			continue
 		}
-		preds[i] = rel.ColPred{Col: pos, Op: c.Op, Val: c.Val}
+		strips = append(strips, rel.ColPred{Col: pos, Op: c.Op, Val: c.Val})
 	}
-	return preds, true
-}
-
-// vectorizedFor returns the vectorized transaction surface when tx
-// supports it and the engine has it enabled.
-func vectorizedFor(tx Txn) (VectorizedTxn, bool) {
-	vt, ok := tx.(VectorizedTxn)
-	if !ok || !vt.VectorizedScanEnabled() {
-		return nil, false
-	}
-	return vt, true
+	return strips, rest
 }
 
 // scanMatching drives the planned access path, invoking fn for each
@@ -628,21 +599,20 @@ func vectorizedFor(tx Txn) (VectorizedTxn, bool) {
 // the residual filter (out), and wall time; a nil op costs one branch.
 //
 // Access paths, in order: a provably empty plan scans nothing; an index
-// plan with range bounds runs a B-Tree range scan (demoting the bounds to
-// residual filters when tx lacks RangeTxn); an equality-prefix index plan
-// runs a prefix scan; a full scan evaluates its residual vectorized over
-// PAX column strips when tx supports it and every filtered column is
-// fixed-width, else row at a time.
+// plan with range bounds runs a B-Tree range scan; an equality-prefix index
+// plan runs a prefix scan; a full scan hands the fixed-width part of its
+// residual to the engine's column strips and checks the rest per row.
 func scanMatching(tx Txn, schema *rel.Schema, table string, p plan, op *opTrace, fn func(rid rel.RowID, row rel.Row) bool) error {
 	if p.empty {
 		return nil
 	}
 	start := op.begin()
+	strips, residual := p.splitResidual(schema)
 	visit := func(rid rel.RowID, row rel.Row) bool {
 		if op != nil {
 			op.rowsIn++
 		}
-		if !matches(schema, row, p.residual) {
+		if !matches(schema, row, residual) {
 			return true
 		}
 		if op != nil {
@@ -653,45 +623,12 @@ func scanMatching(tx Txn, schema *rel.Schema, table string, p plan, op *opTrace,
 	var err error
 	switch {
 	case p.index != "" && p.hasRange():
-		if rt, ok := tx.(RangeTxn); ok {
-			err = rt.ScanIndexRange(table, p.index, p.prefixVals, p.lo, p.hi,
-				p.hasLo, p.hasHi, p.loIncl, p.hiIncl, visit)
-			break
-		}
-		// No native range scan: widen to the prefix (or full) scan and
-		// re-apply the bounds as filters.
-		widened := visit
-		if len(p.rangeConds) > 0 {
-			widened = func(rid rel.RowID, row rel.Row) bool {
-				if !matches(schema, row, p.rangeConds) {
-					return true
-				}
-				return visit(rid, row)
-			}
-		}
-		if len(p.prefixVals) > 0 {
-			err = tx.ScanIndex(table, p.index, p.prefixVals, widened)
-		} else {
-			err = tx.ScanTable(table, widened)
-		}
+		err = tx.ScanIndexRange(table, p.index, p.prefixVals, p.lo, p.hi,
+			p.hasLo, p.hasHi, p.loIncl, p.hiIncl, visit)
 	case p.index != "":
 		err = tx.ScanIndex(table, p.index, p.prefixVals, visit)
 	default:
-		if vt, ok := vectorizedFor(tx); ok {
-			if preds, ok := colPreds(schema, p.residual); ok {
-				// The selection vector already applied every predicate:
-				// fn sees exactly the qualifying rows.
-				err = vt.ScanTableFiltered(table, preds, func(rid rel.RowID, row rel.Row) bool {
-					if op != nil {
-						op.rowsIn++
-						op.rowsOut++
-					}
-					return fn(rid, row)
-				})
-				break
-			}
-		}
-		err = tx.ScanTable(table, visit)
+		err = tx.ScanTableFiltered(table, strips, visit)
 	}
 	op.end(start)
 	return err

@@ -218,10 +218,9 @@ func rangeCondString(p plan) string {
 
 // scanPlanNode builds the plan node for a planned table access: the
 // access path plus Index Cond / Index Range Cond / Filter annotations.
-// tx is consulted (never executed) for the vectorized capability: a full
-// scan whose residual runs batch-at-a-time over column strips is marked
-// "Vectorized: true" — the same test scanMatching applies.
-func scanPlanNode(table string, schema *rel.Schema, indexes []IndexMeta, p plan, op *opTrace, tx Txn) *planNode {
+// A full scan whose whole residual runs batch-at-a-time over column strips
+// is marked "Vectorized: true" — the split scanMatching applies.
+func scanPlanNode(table string, schema *rel.Schema, indexes []IndexMeta, p plan, op *opTrace) *planNode {
 	n := &planNode{label: scanLabel(table, p), op: op}
 	if p.empty {
 		n.notes = append(n.notes, "One-Time Filter: false (contradictory WHERE)")
@@ -247,10 +246,8 @@ func scanPlanNode(table string, schema *rel.Schema, indexes []IndexMeta, p plan,
 		n.notes = append(n.notes, "Filter: "+condsString(p.residual))
 	}
 	if p.index == "" {
-		if _, ok := vectorizedFor(tx); ok {
-			if _, ok := colPreds(schema, p.residual); ok {
-				n.notes = append(n.notes, "Vectorized: true")
-			}
+		if _, rest := p.splitResidual(schema); len(rest) == 0 {
+			n.notes = append(n.notes, "Vectorized: true")
 		}
 	}
 	return n
@@ -295,9 +292,9 @@ func shapePlanNodes(ss *srcSchema, s SelectStmt, child *planNode, sorted bool, t
 
 // buildSelectPlan reconstructs the plan tree for a SELECT by invoking
 // the same planner decisions the executor makes.
-func buildSelectPlan(cat Catalog, tx Txn, s SelectStmt, tr *execTrace) (*planNode, error) {
+func buildSelectPlan(cat Catalog, s SelectStmt, tr *execTrace) (*planNode, error) {
 	if s.Join != nil {
-		return buildJoinPlan(cat, tx, s, tr)
+		return buildJoinPlan(cat, s, tr)
 	}
 	if schema, _, ok := statTable(cat, s.Table); ok {
 		if err := checkWhereQualifiers(s.Table, s.Where); err != nil {
@@ -333,7 +330,7 @@ func buildSelectPlan(cat Catalog, tx Txn, s SelectStmt, tr *execTrace) (*planNod
 			return nil, err
 		}
 	}
-	scan := scanPlanNode(s.Table, schema, indexes, p, tr.scanOp(), tx)
+	scan := scanPlanNode(s.Table, schema, indexes, p, tr.scanOp())
 	if sorted {
 		scan.notes = append(scan.notes, "Order: "+p.index+" scan order satisfies ORDER BY (sort avoided)")
 	}
@@ -345,7 +342,7 @@ func buildSelectPlan(cat Catalog, tx Txn, s SelectStmt, tr *execTrace) (*planNod
 
 // buildJoinPlan reconstructs the join subtree via the executor's own
 // strategy choice (hint-less, so the pick is recomputed deterministically).
-func buildJoinPlan(cat Catalog, tx Txn, s SelectStmt, tr *execTrace) (*planNode, error) {
+func buildJoinPlan(cat Catalog, s SelectStmt, tr *execTrace) (*planNode, error) {
 	ji, err := resolveJoin(cat, s)
 	if err != nil {
 		return nil, err
@@ -368,7 +365,7 @@ func buildJoinPlan(cat Catalog, tx Txn, s SelectStmt, tr *execTrace) (*planNode,
 		if err != nil {
 			return nil, err
 		}
-		drive := scanPlanNode(driveName, driveSchema, driveIndexes, dp, tr.scanOp(), tx)
+		drive := scanPlanNode(driveName, driveSchema, driveIndexes, dp, tr.scanOp())
 		probe := &planNode{
 			label: "Index Scan using " + sh.probeIndex + " on " + probeName,
 			op:    tr.probeOp(),
@@ -391,8 +388,8 @@ func buildJoinPlan(cat Catalog, tx Txn, s SelectStmt, tr *execTrace) (*planNode,
 		if err != nil {
 			return nil, err
 		}
-		outer := scanPlanNode(s.Table, ji.outerSchema, ji.outerIndexes, outp, tr.scanOp(), tx)
-		inner := scanPlanNode(s.Join.Table, ji.innerSchema, ji.innerIndexes, ip, tr.buildOp(), tx)
+		outer := scanPlanNode(s.Table, ji.outerSchema, ji.outerIndexes, outp, tr.scanOp())
+		inner := scanPlanNode(s.Join.Table, ji.innerSchema, ji.innerIndexes, ip, tr.buildOp())
 		build := &planNode{label: "Hash Build", children: []*planNode{inner}}
 		join = &planNode{
 			label:    "Hash Join (" + cond + ")",
@@ -404,10 +401,10 @@ func buildJoinPlan(cat Catalog, tx Txn, s SelectStmt, tr *execTrace) (*planNode,
 }
 
 // buildPlan reconstructs the plan tree for any explainable statement.
-func buildPlan(cat Catalog, tx Txn, stmt Stmt, tr *execTrace) (*planNode, error) {
+func buildPlan(cat Catalog, stmt Stmt, tr *execTrace) (*planNode, error) {
 	switch s := stmt.(type) {
 	case SelectStmt:
-		return buildSelectPlan(cat, tx, s, tr)
+		return buildSelectPlan(cat, s, tr)
 	case InsertStmt:
 		return &planNode{
 			label: fmt.Sprintf("Insert on %s (%d rows)", s.Table, len(s.Rows)),
@@ -426,7 +423,7 @@ func buildPlan(cat Catalog, tx Txn, stmt Stmt, tr *execTrace) (*planNode, error)
 		if err != nil {
 			return nil, err
 		}
-		scan := scanPlanNode(s.Table, schema, indexes, p, tr.scanOp(), tx)
+		scan := scanPlanNode(s.Table, schema, indexes, p, tr.scanOp())
 		return &planNode{
 			label:    "Update on " + s.Table,
 			op:       tr.modifyOp(),
@@ -445,7 +442,7 @@ func buildPlan(cat Catalog, tx Txn, stmt Stmt, tr *execTrace) (*planNode, error)
 		if err != nil {
 			return nil, err
 		}
-		scan := scanPlanNode(s.Table, schema, indexes, p, tr.scanOp(), tx)
+		scan := scanPlanNode(s.Table, schema, indexes, p, tr.scanOp())
 		return &planNode{
 			label:    "Delete on " + s.Table,
 			op:       tr.modifyOp(),
@@ -496,7 +493,7 @@ func execExplain(cat Catalog, tx Txn, s ExplainStmt) (Result, error) {
 		}
 		tr.total = time.Since(start)
 	}
-	root, err := buildPlan(cat, tx, s.Inner, tr)
+	root, err := buildPlan(cat, s.Inner, tr)
 	if err != nil {
 		return Result{}, err
 	}

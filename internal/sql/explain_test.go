@@ -49,6 +49,7 @@ func TestExplainSingleTable(t *testing.T) {
 		"Project (id)",
 		"  -> Seq Scan on o",
 		"       Filter: amt = 20",
+		"       Vectorized: true",
 	}, "seq scan")
 
 	// o_region pins region and continues in id order: sort avoided and
@@ -78,6 +79,7 @@ func TestExplainSingleTable(t *testing.T) {
 		"Project (region, count(*))",
 		"  -> HashAggregate (group by region)",
 		"    -> Seq Scan on o",
+		"         Vectorized: true",
 	}, "group by")
 }
 
@@ -90,6 +92,7 @@ func TestExplainJoins(t *testing.T) {
 		"Project (region, sku)",
 		"  -> IndexNestedLoop Join (o.id = i.oid)",
 		"    -> Seq Scan on o",
+		"         Vectorized: true",
 		"    -> Index Scan using i_oid on i",
 		"         Index Cond: oid = o.id",
 	}, "index nested loop")
@@ -100,8 +103,10 @@ func TestExplainJoins(t *testing.T) {
 		"Project (id, sku)",
 		"  -> Hash Join (o.amt = i.price)",
 		"    -> Seq Scan on o",
+		"         Vectorized: true",
 		"    -> Hash Build",
 		"      -> Seq Scan on i",
+		"           Vectorized: true",
 	}, "hash join")
 }
 
@@ -271,6 +276,7 @@ func TestExplainRangeConds(t *testing.T) {
 		"Project (id)",
 		"  -> Seq Scan on o",
 		"       Filter: amt >= 10",
+		"       Vectorized: true",
 	}, "op-aware filter")
 
 	// Contradictory bounds prove emptiness before any scan.
@@ -282,11 +288,9 @@ func TestExplainRangeConds(t *testing.T) {
 }
 
 // TestExplainVectorizedNote pins when a scan node advertises the batch
-// path: full scan, capability present and enabled, every filtered column
-// fixed-width.
+// path: full scan, every filtered column fixed-width.
 func TestExplainVectorizedNote(t *testing.T) {
-	cat, mtx := ordersFixture()
-	tx := &vecMemTxn{memTxn: mtx, enabled: true}
+	cat, tx := ordersFixture()
 
 	wantLines(t, explainLines(t, cat, tx, "EXPLAIN SELECT id FROM o WHERE amt >= 10"), []string{
 		"Project (id)",
@@ -303,11 +307,11 @@ func TestExplainVectorizedNote(t *testing.T) {
 		"       Filter: amt > 1",
 	}, "index scan never vectorized")
 
-	// Capability disabled (the ablation): no note.
-	tx.enabled = false
-	wantLines(t, explainLines(t, cat, tx, "EXPLAIN SELECT id FROM o WHERE amt >= 10"), []string{
+	// One var-width conjunct on a full scan: the scan splits, the note
+	// (which promises the whole filter runs on strips) stays off.
+	wantLines(t, explainLines(t, cat, tx, "EXPLAIN SELECT id FROM o WHERE region != 'x' AND amt > 1"), []string{
 		"Project (id)",
 		"  -> Seq Scan on o",
-		"       Filter: amt >= 10",
-	}, "ablation off")
+		"       Filter: region != \"x\" AND amt > 1",
+	}, "mixed filter")
 }

@@ -29,8 +29,10 @@
 // range scan with lo/hi bounds. Range conditions on one column intersect
 // (a provably empty intersection short-circuits the scan); equality keeps
 // the documented last-wins dedupe. Everything else falls back to a
-// visibility-checked full scan with a residual filter — vectorized over
-// PAX column strips when every filtered column is fixed-width. Joins are
+// visibility-checked full scan whose residual filter splits by column
+// width: conjuncts on fixed-width columns run vectorized over PAX column
+// strips, conjuncts on var-width columns run on the rows that survive
+// them. Joins are
 // two-table inner equi-joins: index nested loop when a join column is a
 // usable index prefix, hash join otherwise. ORDER BY skips its sort when
 // the chosen index already delivers the order (a range column still

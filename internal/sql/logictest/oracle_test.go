@@ -6,6 +6,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"phoebedb"
 )
 
 // The oracle's fixed two-table universe. Distinct column names keep
@@ -361,5 +363,68 @@ func TestDifferentialOracle(t *testing.T) {
 	}
 	if st := e.ColdStats(); st.Segments == 0 || st.Compactions == 0 {
 		t.Fatalf("oracle stream never built a cold tier: %+v", st)
+	}
+}
+
+// One string conjunct must not cost a full scan its strips: over hot
+// pages, an L0 segment and a compacted one, a fixed-width range ANDed with
+// a string equality returns the reference's rows, and the range still
+// reaches the cold zone maps.
+func TestMixedWidthFilterPrunesColdBlocks(t *testing.T) {
+	db, err := phoebedb.Open(phoebedb.Options{Dir: t.TempDir(), Workers: 2, SlotsPerWorker: 4, PageCap: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	ref := NewReference()
+	exec := func(stmt string) {
+		t.Helper()
+		if err := Diff(stmt, db.ExecSQL, ref); err != nil {
+			t.Fatal(err)
+		}
+	}
+	exec("CREATE TABLE ev (seq INT, kind STRING, score FLOAT)")
+	for i := 0; i < 480; i += 8 {
+		var vals []string
+		for j := i; j < i+8; j++ {
+			vals = append(vals, fmt.Sprintf("(%d, '%s', %d.5)", j, []string{"info", "warn", "err"}[j%3], j%50))
+		}
+		exec("INSERT INTO ev VALUES " + strings.Join(vals, ", "))
+	}
+	e := db.Engine()
+	tb, err := e.Table("ev")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tb.Frozen.Fanout = 2
+	tb.Frozen.BlockRows = 16
+	e.CollectGarbage()
+	e.CollectGarbage()
+	for i := 0; i < 2; i++ { // two L0 segments, merged into one level-1
+		if n, err := e.FreezeTables(6, ^uint32(0)); err != nil || n == 0 {
+			t.Fatalf("freeze %d = (%d, %v)", i, n, err)
+		}
+	}
+	if _, err := e.CompactColdAll(); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := e.FreezeTables(6, ^uint32(0)); err != nil || n == 0 { // a fresh L0
+		t.Fatalf("post-compact freeze = (%d, %v)", n, err)
+	}
+	if st := e.ColdStats(); st.MaxLevel < 1 || st.Segments < 2 || tb.Store.MaxFrozenRowID() >= tb.Store.NextRowID() {
+		t.Fatalf("tier shape: %+v, frontier %d of %d", st, tb.Store.MaxFrozenRowID(), tb.Store.NextRowID())
+	}
+	before := e.ColdStats()
+	for _, q := range []string{
+		"SELECT seq, score FROM ev WHERE seq >= 40 AND seq < 90 AND kind = 'warn'",
+		"SELECT seq FROM ev WHERE kind != 'info' AND seq BETWEEN 200 AND 330",
+		"SELECT count(*), sum(score) FROM ev WHERE kind = 'err' AND seq > 400",
+		"SELECT seq FROM ev WHERE kind = 'warn' AND seq > 9000",
+	} {
+		exec(q)
+	}
+	if after := e.ColdStats(); after.ScanBlocksPruned == before.ScanBlocksPruned {
+		t.Fatalf("four range+string filters fetched %d cold blocks and pruned none",
+			after.ScanBlocks-before.ScanBlocks)
 	}
 }

@@ -466,19 +466,14 @@ func aggregateRows(ss *srcSchema, s SelectStmt, outCols []outCol, rows []rel.Row
 }
 
 // pushdownScalarAggs computes an all-aggregate scalar SELECT over a full
-// table scan through the vectorized path: predicates filter column
-// strips into a selection vector and each aggregate folds directly over
-// its minipage, so no qualifying row is materialized (§5.2). ok is false
-// when the shape doesn't qualify — a non-aggregate output column, a
-// var-width filter column, or a transaction without the batch surface —
-// and the caller falls back to the gather + shape pipeline.
+// table scan inside the engine: predicates filter column strips into a
+// selection vector and each aggregate folds directly over its minipage, so
+// no qualifying row is materialized (§5.2). ok is false when the shape
+// doesn't qualify — a non-aggregate output column or a var-width filter
+// column — and the caller falls back to the gather + shape pipeline.
 func pushdownScalarAggs(tx Txn, ss *srcSchema, s SelectStmt, p plan) (Result, bool, error) {
-	vt, ok := vectorizedFor(tx)
-	if !ok {
-		return Result{}, false, nil
-	}
-	preds, ok := colPreds(ss.schemas[0], p.residual)
-	if !ok {
+	preds, rest := p.splitResidual(ss.schemas[0])
+	if len(rest) > 0 {
 		return Result{}, false, nil
 	}
 	outCols, err := buildOutCols(ss, s)
@@ -509,7 +504,7 @@ func pushdownScalarAggs(tx Txn, ss *srcSchema, s SelectStmt, p plan) (Result, bo
 		specs = append(specs, rel.AggSpec{Op: op, Col: oc.pos})
 	}
 	notePlan(tx, scanLabel(s.Table, p))
-	vals, n, err := vt.AggTableFiltered(s.Table, preds, specs)
+	vals, n, err := tx.AggTableFiltered(s.Table, preds, specs)
 	if err != nil {
 		return Result{}, false, err
 	}

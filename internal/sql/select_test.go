@@ -32,9 +32,11 @@ func (c *memCat) TableSchema(name string) (*rel.Schema, error) {
 func (c *memCat) IndexInfo(name string) ([]IndexMeta, error) { return c.indexes[name], nil }
 
 type memTxn struct {
-	cat   *memCat
-	rows  map[string][]rel.Row
-	scans []string // access-path audit trail
+	cat      *memCat
+	rows     map[string][]rel.Row
+	scans    []string      // access-path audit trail
+	strips   []rel.ColPred // predicates the last full scan pushed to the engine
+	aggCalls int
 }
 
 func (m *memTxn) Insert(table string, row rel.Row) (rel.RowID, error) {
@@ -42,10 +44,21 @@ func (m *memTxn) Insert(table string, row rel.Row) (rel.RowID, error) {
 	return rel.RowID(len(m.rows[table])), nil
 }
 
-func (m *memTxn) ScanTable(table string, fn func(rel.RowID, rel.Row) bool) error {
+func (m *memTxn) ScanTableFiltered(table string, preds []rel.ColPred, fn func(rel.RowID, rel.Row) bool) error {
 	m.scans = append(m.scans, "table:"+table)
+	m.strips = preds
 	for i, row := range m.rows[table] {
-		if !fn(rel.RowID(i+1), row) {
+		ok := true
+		for _, p := range preds {
+			if m.cat.schemas[table].Cols[p.Col].Type.FixedWidth() == 0 {
+				return fmt.Errorf("var-width column %d pushed to the strips", p.Col)
+			}
+			if !p.EvalRow(row) {
+				ok = false
+				break
+			}
+		}
+		if ok && !fn(rel.RowID(i+1), row) {
 			return nil
 		}
 	}
@@ -96,6 +109,31 @@ func (m *memTxn) ScanIndex(table, index string, vals []rel.Value, fn func(rel.Ro
 		}
 	}
 	return nil
+}
+
+// ScanIndexRange is ScanIndex over the prefix with the bounds applied to
+// the next index column.
+func (m *memTxn) ScanIndexRange(table, index string, prefix []rel.Value, lo, hi rel.Value,
+	hasLo, hasHi, loIncl, hiIncl bool, fn func(rel.RowID, rel.Row) bool) error {
+	var col int
+	for _, meta := range m.cat.indexes[table] {
+		if meta.Name == index {
+			col = meta.Cols[len(prefix)]
+		}
+	}
+	return m.ScanIndex(table, index, prefix, func(rid rel.RowID, row rel.Row) bool {
+		if hasLo {
+			if c := compareValues(row[col], lo); c < 0 || (c == 0 && !loIncl) {
+				return true
+			}
+		}
+		if hasHi {
+			if c := compareValues(row[col], hi); c > 0 || (c == 0 && !hiIncl) {
+				return true
+			}
+		}
+		return fn(rid, row)
+	})
 }
 
 func (m *memTxn) Update(string, rel.RowID, map[string]rel.Value) error { return nil }
@@ -344,39 +382,13 @@ func TestExecShapedErrors(t *testing.T) {
 	}
 }
 
-// vecMemTxn adds the VectorizedTxn capability on top of memTxn, delegating
-// to row-at-a-time evaluation. It lets unit tests exercise the planner's
-// vectorized dispatch and the scalar aggregate pushdown without an engine.
-type vecMemTxn struct {
-	*memTxn
-	enabled  bool
-	aggCalls int
-}
-
-func (v *vecMemTxn) VectorizedScanEnabled() bool { return v.enabled }
-
-func (v *vecMemTxn) ScanTableFiltered(table string, preds []rel.ColPred, fn func(rel.RowID, rel.Row) bool) error {
-	v.scans = append(v.scans, "vec:"+table)
-	for i, row := range v.rows[table] {
-		ok := true
-		for _, p := range preds {
-			if !p.EvalRow(row) {
-				ok = false
-				break
-			}
-		}
-		if ok && !fn(rel.RowID(i+1), row) {
-			return nil
-		}
-	}
-	return nil
-}
-
-func (v *vecMemTxn) AggTableFiltered(table string, preds []rel.ColPred, specs []rel.AggSpec) ([]rel.Value, int64, error) {
-	v.aggCalls++
+// AggTableFiltered folds row at a time over ScanTableFiltered, so unit
+// tests exercise the scalar aggregate pushdown without an engine.
+func (m *memTxn) AggTableFiltered(table string, preds []rel.ColPred, specs []rel.AggSpec) ([]rel.Value, int64, error) {
+	m.aggCalls++
 	var n int64
 	vals := make([]rel.Value, len(specs))
-	err := v.ScanTableFiltered(table, preds, func(_ rel.RowID, row rel.Row) bool {
+	err := m.ScanTableFiltered(table, preds, func(_ rel.RowID, row rel.Row) bool {
 		for si, sp := range specs {
 			if sp.Op == rel.AggOpCount {
 				continue
@@ -421,8 +433,7 @@ func (v *vecMemTxn) AggTableFiltered(table string, preds []rel.ColPred, specs []
 // pushdown path (one AggTableFiltered call, no row materialization in the
 // shaped pipeline) and produce the same results as the row path.
 func TestScalarAggPushdown(t *testing.T) {
-	cat, mtx := ordersFixture()
-	tx := &vecMemTxn{memTxn: mtx, enabled: true}
+	cat, tx := ordersFixture()
 
 	res := mustExec(t, cat, tx, "SELECT count(*), sum(amt), min(amt), max(amt), avg(amt) FROM o WHERE amt >= 10")
 	if tx.aggCalls != 1 {
@@ -465,35 +476,39 @@ func TestScalarAggPushdown(t *testing.T) {
 	if tx.aggCalls != 2 {
 		t.Fatalf("aggCalls = %d, want 2 (GROUP BY must not push down)", tx.aggCalls)
 	}
-
-	// Ablation off: row path, same answer.
-	tx.enabled = false
-	res = mustExec(t, cat, tx, "SELECT count(*), sum(amt) FROM o WHERE amt >= 10")
-	if tx.aggCalls != 2 {
-		t.Fatalf("aggCalls = %d, want 2 (disabled capability must not push down)", tx.aggCalls)
-	}
-	if !res.Rows[0][0].Equal(rel.Int(3)) || !res.Rows[0][1].Equal(rel.Float(60.5)) {
-		t.Fatalf("ablation aggs = %v", res.Rows[0])
-	}
 }
 
-// The vectorized dispatch must route filtered full scans through
-// ScanTableFiltered and leave indexed/var-width scans on the row path.
-func TestVectorizedScanDispatch(t *testing.T) {
-	cat, mtx := ordersFixture()
-	tx := &vecMemTxn{memTxn: mtx, enabled: true}
+// A full scan pushes exactly its fixed-width conjuncts to the engine's
+// strips and checks the var-width ones per row; an index scan pushes none.
+func TestFullScanPredicateSplit(t *testing.T) {
+	cat, tx := ordersFixture()
+	strips := func() string {
+		var parts []string
+		for _, p := range tx.strips {
+			parts = append(parts, fmt.Sprintf("%s %s %v", cat.schemas["o"].Cols[p.Col].Name, p.Op, p.Val))
+		}
+		return strings.Join(parts, " AND ")
+	}
 
 	res := mustExec(t, cat, tx, "SELECT id FROM o WHERE amt >= 10 ORDER BY id")
 	if got := fmt.Sprint(res.Rows); got != "[[1] [2] [3]]" {
 		t.Fatalf("rows = %s", got)
 	}
-	if len(tx.scans) == 0 || tx.scans[len(tx.scans)-1] != "vec:o" {
-		t.Fatalf("scans = %v, want trailing vec:o", tx.scans)
+	if tx.scans[len(tx.scans)-1] != "table:o" || strips() != "amt >= 10" {
+		t.Fatalf("scans = %v, strips = %q", tx.scans, strips())
 	}
 
-	// String predicate: row path.
-	mustExec(t, cat, tx, "SELECT id FROM o WHERE region != 'eu'")
-	if tx.scans[len(tx.scans)-1] != "table:o" {
-		t.Fatalf("scans = %v, want trailing table:o", tx.scans)
+	// Mixed: the range reaches the strips, the string inequality does not.
+	// (o_region needs an equality or a range on region to be chosen.)
+	res = mustExec(t, cat, tx, "SELECT id FROM o WHERE amt >= 10 AND region != 'eu' ORDER BY id")
+	if tx.scans[len(tx.scans)-1] != "table:o" || strips() != "amt >= 10" {
+		t.Fatalf("mixed: scans = %v, strips = %q", tx.scans, strips())
+	}
+	if got := fmt.Sprint(res.Rows); got != "[[1]]" { // amt >= 10: ids 1, 2, 3; not eu: ids 1, 4
+		t.Fatalf("mixed rows = %s, want [[1]]", got)
+	}
+	res = mustExec(t, cat, tx, "SELECT id FROM o WHERE region != 'eu' ORDER BY id")
+	if got := fmt.Sprint(res.Rows); got != "[[1] [4]]" || strips() != "" {
+		t.Fatalf("string-only filter: rows = %s, strips = %q", got, strips())
 	}
 }

@@ -1,6 +1,7 @@
 package sql
 
 import (
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
@@ -345,14 +346,27 @@ func (f *fakeTxn) ScanIndex(table, index string, vals []rel.Value, fn func(rel.R
 	return nil
 }
 
-func (f *fakeTxn) ScanTable(table string, fn func(rel.RowID, rel.Row) bool) error {
+func (f *fakeTxn) ScanIndexRange(table, index string, prefix []rel.Value, lo, hi rel.Value,
+	hasLo, hasHi, loIncl, hiIncl bool, fn func(rel.RowID, rel.Row) bool) error {
+	return errors.New("fakeTxn: no range scans")
+}
+
+func (f *fakeTxn) ScanTableFiltered(table string, preds []rel.ColPred, fn func(rel.RowID, rel.Row) bool) error {
 	f.scans = append(f.scans, "table")
 	for rid, row := range f.rows {
-		if !fn(rid, row) {
+		ok := true
+		for _, p := range preds {
+			ok = ok && p.EvalRow(row)
+		}
+		if ok && !fn(rid, row) {
 			return nil
 		}
 	}
 	return nil
+}
+
+func (f *fakeTxn) AggTableFiltered(string, []rel.ColPred, []rel.AggSpec) ([]rel.Value, int64, error) {
+	return nil, 0, errors.New("fakeTxn: no aggregates")
 }
 
 func (f *fakeTxn) Update(table string, rid rel.RowID, set map[string]rel.Value) error {

@@ -658,84 +658,50 @@ func (t *Table) Scan(io *Ctx, fn func(rid rel.RowID, row rel.Row, h *Handle) boo
 	return t.scan(io, false, fn)
 }
 
-// ScanAll is Scan including tombstoned rows: MVCC scans need them because
-// a delete committed after a reader's snapshot must still be visible to
-// that reader through its version chain. The same scratch-reuse contract as
-// Scan applies.
+// ScanAll is Scan including tombstoned rows: an index backfill needs them
+// because a delete committed after a reader's snapshot must still be
+// visible to that reader through its version chain. The same scratch-reuse
+// contract as Scan applies.
 func (t *Table) ScanAll(io *Ctx, fn func(rid rel.RowID, row rel.Row, h *Handle) bool) error {
 	return t.scan(io, true, fn)
 }
 
 func (t *Table) scan(io *Ctx, includeTombstones bool, fn func(rid rel.RowID, row rel.Row, h *Handle) bool) error {
-	t.dirMu.RLock()
-	pages := append([]*Page(nil), t.dir...)
-	t.dirMu.RUnlock()
-	// One scratch row and one handle for the whole scan: the old
-	// per-row Rows.Row + &Handle{...} pair dominated scan allocations.
+	// One scratch row and one handle for the whole scan.
 	buf := make(rel.Row, t.Schema.NumCols())
 	var h Handle
-	for _, pg := range pages {
-		cont, err := t.scanPage(pg, io, includeTombstones, buf, &h, fn)
-		if err != nil {
-			return err
-		}
-		if !cont {
-			return nil
-		}
-	}
-	return nil
-}
-
-func (t *Table) scanPage(pg *Page, io *Ctx, includeTombstones bool, buf rel.Row, h *Handle, fn func(rid rel.RowID, row rel.Row, h *Handle) bool) (bool, error) {
-	for {
-		if pg.swip.State() == swizzle.Cold {
-			pg.lt.LockExclusive(io.yieldFunc())
-			if _, err := pg.ensureResident(io); err != nil {
-				pg.lt.UnlockExclusive()
-				return false, err
-			}
-			pg.lt.UnlockExclusive()
-			continue
-		}
-		pg.lt.LockShared(io.yieldFunc())
-		if pg.swip.State() == swizzle.Cold {
-			pg.lt.UnlockShared()
-			continue
-		}
-		pg.touch()
-		pl := pg.swip.Ptr()
-		h.Pg, h.Pl = pg, pl
-		for i := 0; i < len(pl.IDs); i++ {
+	return t.ScanPages(io, func(v PageView) bool {
+		pl := v.Pl
+		h.Pg, h.Pl = v.Pg, pl
+		for i, rid := range pl.IDs {
 			if pl.Deleted[i] && !includeTombstones {
 				continue
 			}
 			pl.Rows.ReadRowInto(i, buf)
-			h.Slot, h.RID = i, pl.IDs[i]
-			if !fn(pl.IDs[i], buf, h) {
-				pg.lt.UnlockShared()
-				return false, nil
+			h.Slot, h.RID = i, rid
+			if !fn(rid, buf, &h) {
+				return false
 			}
 		}
-		pg.lt.UnlockShared()
-		return true, nil
-	}
+		return true
+	})
 }
 
 // PageView is one resident page's content handed to ScanPages callbacks.
 // Everything in it is borrowed: valid only under the page's shared latch,
 // for the duration of the callback.
 type PageView struct {
+	// Pg is the page; Pg.Twin is its twin table (nil when no slot has an
+	// uncollected version chain or tuple lock).
+	Pg *Page
 	Pl *Payload
-	// Twin is the page's twin table (nil when no slot has an uncollected
-	// version chain or tuple lock).
-	Twin *undo.TwinTable
 }
 
 // ScanPages iterates the hot/cold pages in row_id order, invoking fn once
-// per page under its shared latch, until fn returns false. This is the
-// batch counterpart of Scan: the callback sees the whole PAX payload at
-// once (tombstones included) and evaluates column predicates against
-// minipage bytes without materializing rows.
+// per page under its shared latch, until fn returns false — the one place
+// a scan swizzles a cold page in and latches it. The callback sees the
+// whole PAX payload at once (tombstones included) and evaluates column
+// predicates against minipage bytes without materializing rows.
 func (t *Table) ScanPages(io *Ctx, fn func(v PageView) bool) error {
 	t.dirMu.RLock()
 	pages := append([]*Page(nil), t.dir...)
@@ -757,7 +723,7 @@ func (t *Table) ScanPages(io *Ctx, fn func(v PageView) bool) error {
 				continue
 			}
 			pg.touch()
-			cont := fn(PageView{Pl: pg.swip.Ptr(), Twin: pg.Twin})
+			cont := fn(PageView{Pg: pg, Pl: pg.swip.Ptr()})
 			pg.lt.UnlockShared()
 			if !cont {
 				return nil

@@ -71,21 +71,46 @@ func NewOrder(c Client, r *rng, s Scale, wID int64) error {
 		return err
 	}
 
-	var total float64
-	for ol := int64(1); ol <= olCnt; ol++ {
-		iID := r.itemID(int64(s.Items))
-		if rollbackLast && ol == olCnt {
-			iID = int64(s.Items) + 777777 // unused item id -> abort
+	// Draw every line first, then take the stock tuple locks in one global
+	// order, (supply_w, i_id): two terminals locking in generated order
+	// form real lock cycles that only LockTimeout breaks. Each line keeps
+	// its generated ol_number. The invalid item of the abort path takes no
+	// lock and stays last, after all the other lines' work.
+	type orderLine struct {
+		number, iID, supplyW, quantity int64
+	}
+	lines := make([]orderLine, olCnt)
+	for i := range lines {
+		l := &lines[i]
+		l.number = int64(i) + 1
+		l.iID = r.itemID(int64(s.Items))
+		if rollbackLast && l.number == olCnt {
+			l.iID = int64(s.Items) + 777777 // unused item id -> abort
 		}
-		supplyW := wID
+		l.supplyW = wID
 		if s.Warehouses > 1 && r.Intn(100) == 0 {
 			// 1 % remote order line.
-			for supplyW == wID {
-				supplyW = r.uniform(1, int64(s.Warehouses))
+			for l.supplyW == wID {
+				l.supplyW = r.uniform(1, int64(s.Warehouses))
 			}
 			allLocal = 0
 		}
-		quantity := r.uniform(1, 10)
+		l.quantity = r.uniform(1, 10)
+	}
+	valid := lines
+	if rollbackLast {
+		valid = lines[:olCnt-1]
+	}
+	sort.Slice(valid, func(i, j int) bool {
+		if valid[i].supplyW != valid[j].supplyW {
+			return valid[i].supplyW < valid[j].supplyW
+		}
+		return valid[i].iID < valid[j].iID
+	})
+
+	var total float64
+	for _, l := range lines {
+		iID, supplyW, quantity := l.iID, l.supplyW, l.quantity
 
 		_, iRow, ok, err := c.GetByIndex("item", "item_pk", rel.Int(iID))
 		if err != nil {
@@ -126,7 +151,7 @@ func NewOrder(c Client, r *rng, s Scale, wID int64) error {
 		amount := float64(quantity) * iPrice
 		total += amount
 		if _, err := c.Insert("order_line", rel.Row{
-			rel.Int(oID), rel.Int(dID), rel.Int(wID), rel.Int(ol),
+			rel.Int(oID), rel.Int(dID), rel.Int(wID), rel.Int(l.number),
 			rel.Int(iID), rel.Int(supplyW), rel.Int(0),
 			rel.Int(quantity), rel.Float(amount), rel.Str(sRow[SDist].S),
 		}); err != nil {

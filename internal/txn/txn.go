@@ -337,7 +337,8 @@ func (m *Manager) CollectSlotGarbage(slot int, onReclaim func(*undo.Record)) int
 // Algorithm 1 extended with existence tracking for inserts and deletes.
 // current is the newest physical image (not retained; a copy is made
 // before deltas are applied), currentDeleted its tombstone flag. The bool
-// reports whether a visible version exists.
+// reports whether a visible version exists. It is the reference the
+// property test holds ReadVisibleAt to; the engine calls only the latter.
 func ReadVisible(head *undo.Record, snapshot, xid uint64, current rel.Row, currentDeleted bool) (rel.Row, bool) {
 	// Lines 1-4: no chain, reclaimed chain, or newest version visible.
 	if head == nil || head.Reclaimed() {

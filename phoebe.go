@@ -130,18 +130,6 @@ type Options struct {
 	// PessimisticIndex disables optimistic lock coupling on index B-Trees
 	// (the hybrid-lock ablation).
 	PessimisticIndex bool
-	// DisableReadFastPath reverts point reads and scans to the legacy
-	// visibility path — fresh row materialization per read, no watermark
-	// short-circuit (the read-path-overhaul ablation).
-	DisableReadFastPath bool
-	// DisableVectorizedScan turns off batch predicate evaluation over PAX
-	// minipages: filtered full scans and pushed-down aggregates fall back
-	// to row-at-a-time materialization (the vectorized-scan ablation).
-	DisableVectorizedScan bool
-	// DisableColdCompaction reverts the cold tier to flat frozen blocks:
-	// one whole-batch compressed block per freeze, no bloom filters, zone
-	// maps, or levelled compaction (the levelled-cold-store ablation).
-	DisableColdCompaction bool
 	// ColdCacheBytes bounds the per-table LRU of decompressed cold-segment
 	// blocks (0 = default 4 MiB).
 	ColdCacheBytes int64
@@ -248,23 +236,20 @@ func Open(opts Options) (*DB, error) {
 		waits = waitevent.New(totalSlots)
 	}
 	eng, err := core.Open(core.Config{
-		Dir:                   opts.Dir,
-		PageSize:              opts.PageSize,
-		PageCap:               opts.PageCap,
-		BufferBytes:           opts.BufferBytes,
-		Partitions:            workers,
-		Slots:                 totalSlots,
-		WALSync:               opts.WALSync,
-		LockTimeout:           opts.LockTimeout,
-		DisableRFA:            opts.DisableRFA,
-		PessimisticIndex:      opts.PessimisticIndex,
-		DisableReadFastPath:   opts.DisableReadFastPath,
-		DisableVectorizedScan: opts.DisableVectorizedScan,
-		DisableColdCompaction: opts.DisableColdCompaction,
-		ColdCacheBytes:        opts.ColdCacheBytes,
-		SlowTxnThreshold:      opts.SlowTxnThreshold,
-		StatsLite:             opts.StatsLite,
-		Waits:                 waits,
+		Dir:              opts.Dir,
+		PageSize:         opts.PageSize,
+		PageCap:          opts.PageCap,
+		BufferBytes:      opts.BufferBytes,
+		Partitions:       workers,
+		Slots:            totalSlots,
+		WALSync:          opts.WALSync,
+		LockTimeout:      opts.LockTimeout,
+		DisableRFA:       opts.DisableRFA,
+		PessimisticIndex: opts.PessimisticIndex,
+		ColdCacheBytes:   opts.ColdCacheBytes,
+		SlowTxnThreshold: opts.SlowTxnThreshold,
+		StatsLite:        opts.StatsLite,
+		Waits:            waits,
 		// Pool slot IDs are contiguous per worker; session and system
 		// slots fold onto workers round-robin.
 		PartitionOf: func(slot int) int {
