@@ -39,11 +39,11 @@ func runBackup(args []string) error {
 		}
 		var startGSN uint64
 		if img, err := os.ReadFile(filepath.Join(*dir, "checkpoint.db")); err == nil {
-			g, gerr := core.ReadCheckpointGSNFromImage(img)
-			if gerr != nil {
-				return gerr
+			hdr, _, herr := core.ReadCheckpointHeader(img)
+			if herr != nil {
+				return herr
 			}
-			startGSN = g
+			startGSN = hdr.GSN
 		}
 		a, err := backup.OpenArchiver(filepath.Join(*dir, "wal"), *arch, startGSN)
 		if err != nil {

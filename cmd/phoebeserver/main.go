@@ -10,15 +10,9 @@
 //	c, _ := client.Dial("localhost:5440")
 //	c.Exec("CREATE TABLE t (id INT, v STRING)")
 //
-// The legacy newline-delimited text protocol (drivable with netcat)
-// stays available behind -text-listen:
-//
-//	$ phoebeserver -dir /var/lib/phoebe -text-listen :5441 &
-//	$ printf "SELECT * FROM t\nquit\n" | nc localhost 5441
-//
-// Schema persistence: DDL executed over either protocol is recorded in
-// a journal-first schema journal (schema.sql in the data directory) and
-// re-applied before WAL recovery on restart.
+// Schema persistence: DDL is recorded in a journal-first schema journal
+// (schema.sql in the data directory) and re-applied before WAL recovery
+// on restart.
 package main
 
 import (
@@ -34,7 +28,6 @@ import (
 
 	phoebedb "phoebedb"
 
-	"phoebedb/internal/server"
 	"phoebedb/internal/wire"
 )
 
@@ -42,7 +35,6 @@ func main() {
 	var (
 		dir         = flag.String("dir", "phoebe-data", "database directory")
 		listen      = flag.String("listen", "127.0.0.1:5440", "wire-protocol listen address")
-		textListen  = flag.String("text-listen", "", "also serve the legacy newline text protocol on this address (e.g. :5441)")
 		workers     = flag.Int("workers", 0, "worker threads (default GOMAXPROCS)")
 		slots       = flag.Int("slots", 32, "task slots per worker")
 		walSync     = flag.Bool("walsync", true, "fsync WAL on commit")
@@ -106,24 +98,6 @@ func main() {
 	srv.MaxPipeline = *maxPipeline
 	srv.IdleTxnTimeout = *idleTxn
 
-	var textSrv *server.Server
-	var textL net.Listener
-	if *textListen != "" {
-		textL, err = net.Listen("tcp", *textListen)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "text-listen:", err)
-			os.Exit(1)
-		}
-		textSrv = server.New(db)
-		textSrv.Journal = journal
-		go func() {
-			if err := textSrv.Serve(textL); err != nil {
-				fmt.Fprintln(os.Stderr, "text serve:", err)
-			}
-		}()
-		fmt.Printf("legacy text protocol on %s\n", *textListen)
-	}
-
 	if *slowTxn > 0 {
 		db.SlowLog().SetOutput(log.New(os.Stderr, "", log.LstdFlags|log.Lmicroseconds))
 	}
@@ -141,9 +115,6 @@ func main() {
 	go func() {
 		<-sig
 		fmt.Println("shutting down")
-		if textSrv != nil {
-			textSrv.Shutdown(textL)
-		}
 		srv.Shutdown(l)
 	}()
 

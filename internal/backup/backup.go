@@ -6,10 +6,12 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
 
+	"phoebedb/internal/durable"
 	"phoebedb/internal/fault"
 	"phoebedb/internal/wal"
 )
@@ -51,6 +53,9 @@ type Archiver struct {
 
 	mu sync.Mutex
 	m  *Manifest
+	// tail follows the live WAL; its offsets are m.SrcOff plus whatever
+	// the round in progress has consumed.
+	tail *wal.Tailer
 
 	// Counters surfaced via the metrics registry.
 	rounds        atomic.Int64
@@ -75,7 +80,7 @@ func OpenArchiver(walDir, dir string, startGSN uint64) (*Archiver, error) {
 		return nil, err
 	}
 	a := &Archiver{walDir: walDir, dir: dir}
-	data, err := os.ReadFile(filepath.Join(dir, ManifestName))
+	m, err := LoadManifest(dir)
 	switch {
 	case os.IsNotExist(err):
 		a.m = &Manifest{ContinuousFrom: startGSN, SealGSN: startGSN}
@@ -85,15 +90,12 @@ func OpenArchiver(walDir, dir string, startGSN uint64) (*Archiver, error) {
 	case err != nil:
 		return nil, err
 	default:
-		m, err := DecodeManifest(data)
-		if err != nil {
-			return nil, err
-		}
 		a.m = m
 		if err := a.resyncLocked(); err != nil {
 			return nil, err
 		}
 	}
+	a.tail = wal.NewTailer(walDir, a.m.SrcOff)
 	a.refreshHorizonLocked()
 	return a, nil
 }
@@ -109,7 +111,7 @@ func (a *Archiver) Dir() string { return a.dir }
 func (a *Archiver) resyncLocked() error {
 	for i := range a.m.Segments {
 		s := &a.m.Segments[i]
-		p := a.segPath(s)
+		p := SegmentPath(a.dir, s)
 		st, err := os.Stat(p)
 		if os.IsNotExist(err) {
 			if s.Length == 0 {
@@ -133,19 +135,6 @@ func (a *Archiver) resyncLocked() error {
 	return nil
 }
 
-func (a *Archiver) segPath(s *Segment) string {
-	return filepath.Join(a.dir, segmentsDir, s.Name())
-}
-
-func (a *Archiver) livePaths() ([]string, error) {
-	paths, err := filepath.Glob(filepath.Join(a.walDir, "wal-*.log"))
-	if err != nil {
-		return nil, err
-	}
-	sort.Strings(paths)
-	return paths, nil
-}
-
 // currentSegLocked returns the unsealed segment for group g in the current
 // epoch, creating its manifest entry on first use.
 func (a *Archiver) currentSegLocked(g int) *Segment {
@@ -159,33 +148,10 @@ func (a *Archiver) currentSegLocked(g int) *Segment {
 	return &a.m.Segments[len(a.m.Segments)-1]
 }
 
-// persistLocked atomically rewrites the manifest.
+// persistLocked atomically and durably rewrites the manifest.
 func (a *Archiver) persistLocked() error {
-	enc := EncodeManifest(a.m)
-	tmp := filepath.Join(a.dir, ManifestName+".tmp")
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(enc); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, filepath.Join(a.dir, ManifestName)); err != nil {
-		return err
-	}
-	if d, err := os.Open(a.dir); err == nil {
-		d.Sync()
-		d.Close()
-	}
-	return nil
+	_, err := durable.ReplaceFile(filepath.Join(a.dir, ManifestName), "", durable.Bytes(EncodeManifest(a.m)))
+	return err
 }
 
 func (a *Archiver) refreshHorizonLocked() {
@@ -213,40 +179,20 @@ func (a *Archiver) Archive() (int64, error) {
 
 func (a *Archiver) archiveLocked() (int64, error) {
 	a.rounds.Add(1)
-	paths, err := a.livePaths()
-	if err != nil {
-		return 0, err
+	// Only Checkpoint truncates the WAL, and it seals first (which rewinds
+	// the tailer). A file that restarted under the archived offset means
+	// the archive-before-truncate protocol was violated.
+	if err := a.tail.Fetch(); err != nil {
+		return 0, fmt.Errorf("backup: %w", err)
 	}
-	for len(a.m.SrcOff) < len(paths) {
-		a.m.SrcOff = append(a.m.SrcOff, 0)
-	}
+	before := a.tail.Offsets()
 	var total int64
-	dirty := false
-	for g, p := range paths {
-		data, err := os.ReadFile(p)
-		if err != nil {
-			return total, err
-		}
-		off := a.m.SrcOff[g]
-		if uint64(len(data)) < off {
-			// Only Checkpoint truncates the WAL, and it seals first (which
-			// resets SrcOff to zero). A shrink below our offset means the
-			// archive-before-truncate protocol was violated.
-			return total, fmt.Errorf("backup: %s shrank to %d below archived offset %d",
-				p, len(data), off)
-		}
-		seg := a.currentSegLocked(g)
+	for g := 0; g < a.tail.Groups(); g++ {
 		var out []byte
 		var firstGSN, lastGSN uint64
-		consumed := 0
-		buf := data[off:]
-		for {
-			r, n, ok := wal.DecodeRecordAt(buf, consumed)
-			if !ok {
-				break
-			}
+		a.tail.Scan(g, func(r wal.Record, raw []byte) bool {
 			if r.GSN > a.m.SealGSN {
-				out = append(out, buf[consumed:consumed+n]...)
+				out = append(out, raw...)
 				if firstGSN == 0 {
 					firstGSN = r.GSN
 				}
@@ -254,16 +200,18 @@ func (a *Archiver) archiveLocked() (int64, error) {
 					lastGSN = r.GSN
 				}
 			}
-			consumed += n
-		}
-		if consumed == 0 {
-			continue
-		}
+			return true
+		})
 		if len(out) > 0 {
-			if err := fault.Eval(fault.BackupArchiveCopy); err != nil {
-				return total, err
+			seg := a.currentSegLocked(g)
+			err := fault.Eval(fault.BackupArchiveCopy)
+			if err == nil {
+				err = a.appendSegment(seg, out)
 			}
-			if err := a.appendSegment(seg, out); err != nil {
+			if err != nil {
+				// None of this group's batch reached its segment: the next
+				// round must read it again.
+				a.tail.Seek(g, int64(before[g]))
 				return total, err
 			}
 			seg.CRC = crc32.Update(seg.CRC, crc32.IEEETable, out)
@@ -276,10 +224,9 @@ func (a *Archiver) archiveLocked() (int64, error) {
 			}
 			total += int64(len(out))
 		}
-		a.m.SrcOff[g] = off + uint64(consumed)
-		dirty = true
 	}
-	if dirty {
+	if off := a.tail.Offsets(); !slices.Equal(off, a.m.SrcOff) {
+		a.m.SrcOff = off
 		if err := a.persistLocked(); err != nil {
 			return total, err
 		}
@@ -316,22 +263,25 @@ func (a *Archiver) syncSidecarLocked() error {
 	if old, err := os.ReadFile(dst); err == nil && bytes.Equal(old, data) {
 		return nil
 	}
-	tmp := dst + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, dst)
+	_, err = durable.ReplaceFile(dst, "", durable.Bytes(data))
+	return err
 }
 
 // appendSegment appends out to the segment file and fsyncs it. The
 // manifest still covers only the old length until persistLocked runs, so a
 // crash anywhere in here leaves a torn tail that resync discards.
 func (a *Archiver) appendSegment(seg *Segment, out []byte) error {
-	f, err := os.OpenFile(a.segPath(seg), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := os.OpenFile(SegmentPath(a.dir, seg), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return err
 	}
 	defer f.Close()
+	// Bytes past the covered length are the unacknowledged tail of a
+	// crashed round. resync already cut them for segments the manifest
+	// lists; a segment whose very first append tore has no entry yet.
+	if err := f.Truncate(int64(seg.Length)); err != nil {
+		return err
+	}
 	if cut := fault.TornCut(fault.BackupTornSegment, len(out)); cut > 0 {
 		f.Write(out[:len(out)-cut])
 		f.Sync()
@@ -355,23 +305,14 @@ func (a *Archiver) Seal(cpGSN uint64) error {
 	if _, err := a.archiveLocked(); err != nil {
 		return err
 	}
-	paths, err := a.livePaths()
-	if err != nil {
+	if lag, err := a.tail.Lag(); err != nil {
 		return err
-	}
-	for g, p := range paths {
-		st, err := os.Stat(p)
-		if err != nil {
-			return err
-		}
-		if uint64(st.Size()) != a.m.SrcOff[g] {
-			return fmt.Errorf("backup: seal: %s has %d unarchivable bytes at offset %d",
-				p, uint64(st.Size())-a.m.SrcOff[g], a.m.SrcOff[g])
-		}
+	} else if lag != 0 {
+		return fmt.Errorf("backup: seal: %d unarchivable WAL bytes past offsets %v", lag, a.m.SrcOff)
 	}
 	// Every group gets a segment entry this epoch — empty ones too, so
 	// verify can prove per-group epoch coverage is complete, not absent.
-	for g := range paths {
+	for g := 0; g < a.tail.Groups(); g++ {
 		seg := a.currentSegLocked(g)
 		if seg.LastGSN > cpGSN {
 			return fmt.Errorf("backup: seal: segment %s holds GSN %d above checkpoint horizon %d",
@@ -381,9 +322,10 @@ func (a *Archiver) Seal(cpGSN uint64) error {
 	}
 	a.m.SealGSN = cpGSN
 	a.m.Epoch++
-	for g := range a.m.SrcOff {
-		a.m.SrcOff[g] = 0
-	}
+	// The checkpoint truncates the log next: the new epoch starts at the
+	// head of every file.
+	a.tail.Rewind()
+	a.m.SrcOff = a.tail.Offsets()
 	if err := a.persistLocked(); err != nil {
 		return err
 	}
@@ -415,23 +357,9 @@ func (a *Archiver) LastBaseGSN() uint64 { return a.lastBaseGSN.Load() }
 func (a *Archiver) LagBytes() int64 {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	paths, err := a.livePaths()
+	lag, err := a.tail.Lag()
 	if err != nil {
 		return 0
-	}
-	var lag int64
-	for g, p := range paths {
-		st, err := os.Stat(p)
-		if err != nil {
-			continue
-		}
-		var off uint64
-		if g < len(a.m.SrcOff) {
-			off = a.m.SrcOff[g]
-		}
-		if uint64(st.Size()) > off {
-			lag += st.Size() - int64(off)
-		}
 	}
 	return lag
 }
@@ -472,4 +400,27 @@ func (m *Manifest) NumGroups() int {
 // SegmentPath returns the segment's location under the archive root.
 func SegmentPath(dir string, s *Segment) string {
 	return filepath.Join(dir, segmentsDir, s.Name())
+}
+
+// ScanSegment walks the manifest-covered records of a segment file from
+// byte off (a record boundary). Bytes beyond Length are an unacknowledged
+// tail from a crashed round and do not count; a file shorter than Length,
+// or a covered byte that does not decode, has lost archived history.
+func ScanSegment(dir string, s *Segment, off int, fn func(r wal.Record, raw []byte)) error {
+	data, err := os.ReadFile(SegmentPath(dir, s))
+	if os.IsNotExist(err) && s.Length == 0 {
+		return nil
+	}
+	if err != nil {
+		return err
+	}
+	if uint64(len(data)) < s.Length {
+		return fmt.Errorf("backup: segment %s torn: %d bytes on disk, %d covered",
+			s.Name(), len(data), s.Length)
+	}
+	data = data[:s.Length]
+	if end := wal.Scan(data, off, func(r wal.Record, raw []byte) bool { fn(r, raw); return true }); end != len(data) {
+		return fmt.Errorf("backup: segment %s: torn record at offset %d", s.Name(), end)
+	}
+	return nil
 }

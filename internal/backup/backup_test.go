@@ -2,6 +2,7 @@ package backup_test
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"os"
@@ -15,6 +16,7 @@ import (
 	"phoebedb/internal/frozen"
 	"phoebedb/internal/rel"
 	"phoebedb/internal/txn"
+	"phoebedb/internal/wal"
 )
 
 // openKV opens an engine on dir with a single WAL group and a small
@@ -155,6 +157,68 @@ func TestArchiveRestoreRoundtrip(t *testing.T) {
 	}
 	if a.HorizonGSN() == 0 || a.Seals() != 1 || a.BaseBackups() != 1 {
 		t.Fatalf("counters: horizon=%d seals=%d bases=%d", a.HorizonGSN(), a.Seals(), a.BaseBackups())
+	}
+}
+
+// TestFirstSegmentAppendTornBeforeManifestEntry: the very first append to
+// an epoch's segment tears (crash mid-write), so the file holds a torn
+// prefix the manifest has no entry for and reopen's resync cannot know
+// about. The next round must write at the covered length — zero — not
+// after the garbage.
+func TestFirstSegmentAppendTornBeforeManifestEntry(t *testing.T) {
+	dir, arch := t.TempDir(), t.TempDir()
+	e := openKV(t, dir)
+	defer e.Close()
+	for k := int64(1); k <= 5; k++ {
+		put(t, e, k, k*10)
+	}
+	if _, err := backup.OpenArchiver(filepath.Join(dir, "wal"), arch, 0); err != nil {
+		t.Fatal(err)
+	}
+	torn := filepath.Join(arch, "segments", (&backup.Segment{}).Name())
+	if err := os.WriteFile(torn, []byte("half a record"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	a := attach(t, e, dir, arch) // the restarted archiver
+	if n, err := a.Archive(); err != nil || n == 0 {
+		t.Fatalf("archive = %d bytes, %v", n, err)
+	}
+	if _, err := backup.Verify(arch); err != nil {
+		t.Fatalf("segment kept the torn prefix: %v", err)
+	}
+	if got := restoreAndScan(t, arch, 0); len(got) != 5 {
+		t.Fatalf("restored %d rows, want 5", len(got))
+	}
+}
+
+// TestArchiverDetectsRestartedLog: a WAL file truncated without a seal
+// (the archive-before-truncate protocol violated) must stop the archiver
+// with wal.ErrLostPosition, whether the file is still shorter than the
+// archived offset or has already regrown past it.
+func TestArchiverDetectsRestartedLog(t *testing.T) {
+	for _, regrow := range []int64{0, 40} {
+		dir, arch := t.TempDir(), t.TempDir()
+		e := openKV(t, dir)
+		a, err := backup.OpenArchiver(filepath.Join(dir, "wal"), arch, 0) // not wired into Checkpoint
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k := int64(1); k <= 5; k++ {
+			put(t, e, k, k*10)
+		}
+		if _, err := a.Archive(); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.Checkpoint(); err != nil { // truncates behind the archiver's back
+			t.Fatal(err)
+		}
+		for k := int64(100); k < 100+regrow; k++ {
+			put(t, e, k, k*10)
+		}
+		if _, err := a.Archive(); !errors.Is(err, wal.ErrLostPosition) {
+			t.Fatalf("regrow %d: Archive returned %v, want wal.ErrLostPosition", regrow, err)
+		}
+		e.Close()
 	}
 }
 

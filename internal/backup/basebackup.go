@@ -9,6 +9,7 @@ import (
 	"strconv"
 
 	"phoebedb/internal/core"
+	"phoebedb/internal/durable"
 	"phoebedb/internal/fault"
 	"phoebedb/internal/frozen"
 )
@@ -91,6 +92,7 @@ func (a *Archiver) BaseBackup(src BaseSource) (*Label, string, error) {
 	// always lands on a live pair).
 	var cpData, manData []byte
 	var manName string
+	var cpGSN uint64
 	for attempt := 0; ; attempt++ {
 		var err error
 		cpData, err = os.ReadFile(filepath.Join(src.DataDir, "checkpoint.db"))
@@ -101,15 +103,19 @@ func (a *Archiver) BaseBackup(src BaseSource) (*Label, string, error) {
 		if err != nil {
 			return nil, "", err
 		}
-		epoch, _, err := core.ReadColdManifestRefFromImage(cpData)
+		// Describe the image bytes actually captured, not whatever the
+		// engine's horizon was when we asked — a checkpoint may have
+		// replaced the file since.
+		hdr, _, err := core.ReadCheckpointHeader(cpData)
 		if err != nil {
 			return nil, "", fmt.Errorf("backup: base backup: %w", err)
 		}
-		if epoch == 0 {
+		cpGSN = hdr.GSN
+		if hdr.ColdEpoch == 0 {
 			manName = ""
 			break
 		}
-		manName = frozen.ManifestFileName(epoch)
+		manName = frozen.ManifestFileName(hdr.ColdEpoch)
 		manData, err = os.ReadFile(filepath.Join(src.DataDir, manName))
 		if err == nil {
 			break
@@ -120,9 +126,8 @@ func (a *Archiver) BaseBackup(src BaseSource) (*Label, string, error) {
 	}
 
 	var files []LabelFile
-	var cpGSN uint64
 	copyOne := func(name string, data []byte) error {
-		if err := writeFileSync(filepath.Join(bdir, name), data); err != nil {
+		if err := durable.WriteFile(filepath.Join(bdir, name), data); err != nil {
 			return err
 		}
 		files = append(files, LabelFile{
@@ -145,15 +150,6 @@ func (a *Archiver) BaseBackup(src BaseSource) (*Label, string, error) {
 			}
 		} else if data == nil {
 			continue
-		} else {
-			// Describe the image bytes actually captured, not whatever the
-			// engine's horizon was when we asked — a checkpoint may have
-			// replaced the file between the two.
-			var err error
-			cpGSN, err = core.ReadCheckpointGSNFromImage(data)
-			if err != nil {
-				return nil, "", fmt.Errorf("backup: base backup: %w", err)
-			}
 		}
 		if err := copyOne(name, data); err != nil {
 			return nil, "", err
@@ -176,12 +172,8 @@ func (a *Archiver) BaseBackup(src BaseSource) (*Label, string, error) {
 		return nil, "", err
 	}
 	label := &Label{CheckpointGSN: cpGSN, HorizonGSN: horizon, Files: files}
-	if err := writeFileAtomic(filepath.Join(bdir, LabelName), EncodeLabel(label)); err != nil {
+	if _, err := durable.ReplaceFile(filepath.Join(bdir, LabelName), "", durable.Bytes(EncodeLabel(label))); err != nil {
 		return nil, "", err
-	}
-	if d, err := os.Open(bdir); err == nil {
-		d.Sync()
-		d.Close()
 	}
 
 	a.m.NextBase = seq + 1
@@ -241,31 +233,4 @@ func listBases(archiveDir string) ([]baseEntry, error) {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].seq < out[j].seq })
 	return out, nil
-}
-
-// writeFileSync writes data to path and fsyncs it.
-func writeFileSync(path string, data []byte) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// writeFileAtomic writes data via a temp file, fsync, and rename, so the
-// destination either has the old content or the complete new content.
-func writeFileAtomic(path string, data []byte) error {
-	tmp := path + ".tmp"
-	if err := writeFileSync(tmp, data); err != nil {
-		return err
-	}
-	return os.Rename(tmp, path)
 }

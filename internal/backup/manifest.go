@@ -10,7 +10,7 @@
 //	                              frozen-block file, schema journal,
 //	                              backup_label)
 //
-// Archiving is continuous: the archiver tails the live wal-*.log files and
+// Archiving is continuous: the archiver tails the live WAL group files and
 // copies whole checksum-valid records into the current epoch's segments.
 // An epoch ends when the engine checkpoints: Seal drains every remaining
 // log byte into the archive, marks the epoch's segments sealed, and only
@@ -26,14 +26,15 @@
 package backup
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
+
+	"phoebedb/internal/durable"
 )
 
-// Binary format magics. Both files end with a CRC32 trailer over every
-// preceding byte and reject trailing garbage, so the codecs are canonical:
-// any accepted input re-encodes to exactly itself (fuzzed property).
+// Both files are durable frames (internal/durable) whose decoders reject
+// trailing bytes and out-of-range field values, so the codecs are
+// canonical: any accepted input re-encodes to exactly itself (fuzzed
+// property).
 const (
 	manifestMagic   uint32 = 0x50424D31 // "PBM1"
 	labelMagic      uint32 = 0x50424C31 // "PBL1"
@@ -92,188 +93,58 @@ type Manifest struct {
 // segmentWire is the encoded size of one Segment.
 const segmentWire = 4 + 4 + 1 + 8 + 4 + 8 + 8
 
-// mWriter appends little-endian fields.
-type mWriter struct{ buf []byte }
-
-func (w *mWriter) u8(v uint8) { w.buf = append(w.buf, v) }
-
-func (w *mWriter) u32(v uint32) {
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], v)
-	w.buf = append(w.buf, b[:]...)
-}
-
-func (w *mWriter) u64(v uint64) {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], v)
-	w.buf = append(w.buf, b[:]...)
-}
-
-func (w *mWriter) bytes(b []byte) {
-	w.u32(uint32(len(b)))
-	w.buf = append(w.buf, b...)
-}
-
-// finish appends the CRC trailer and returns the encoded file.
-func (w *mWriter) finish() []byte {
-	w.u32(crc32.ChecksumIEEE(w.buf))
-	return w.buf
-}
-
-// mReader consumes little-endian fields with sticky error handling.
-type mReader struct {
-	buf []byte
-	off int
-	err error
-}
-
-func (r *mReader) fail() {
-	if r.err == nil {
-		r.err = fmt.Errorf("backup: truncated or malformed encoding")
-	}
-}
-
-func (r *mReader) u8() uint8 {
-	if r.err != nil || r.off+1 > len(r.buf) {
-		r.fail()
-		return 0
-	}
-	v := r.buf[r.off]
-	r.off++
-	return v
-}
-
-func (r *mReader) u32() uint32 {
-	if r.err != nil || r.off+4 > len(r.buf) {
-		r.fail()
-		return 0
-	}
-	v := binary.LittleEndian.Uint32(r.buf[r.off:])
-	r.off += 4
-	return v
-}
-
-func (r *mReader) u64() uint64 {
-	if r.err != nil || r.off+8 > len(r.buf) {
-		r.fail()
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(r.buf[r.off:])
-	r.off += 8
-	return v
-}
-
-func (r *mReader) bytes() []byte {
-	n := int(r.u32())
-	if r.err != nil || n < 0 || r.off+n > len(r.buf) {
-		r.fail()
-		return nil
-	}
-	b := r.buf[r.off : r.off+n]
-	r.off += n
-	return b
-}
-
-// count reads a u32 element count and bounds it by the bytes remaining at
-// elemSize each, so a corrupted count cannot drive a huge allocation.
-func (r *mReader) count(elemSize int) int {
-	n := int(r.u32())
-	if r.err != nil {
-		return 0
-	}
-	if n < 0 || n*elemSize > len(r.buf)-r.off {
-		r.fail()
-		return 0
-	}
-	return n
-}
-
-// checkTrailer verifies the CRC trailer and strips it, returning the body.
-func checkTrailer(data []byte, what string) ([]byte, error) {
-	if len(data) < 4 {
-		return nil, fmt.Errorf("backup: %s too short", what)
-	}
-	body, sum := data[:len(data)-4], binary.LittleEndian.Uint32(data[len(data)-4:])
-	if crc32.ChecksumIEEE(body) != sum {
-		return nil, fmt.Errorf("backup: %s checksum mismatch", what)
-	}
-	return body, nil
-}
-
 // EncodeManifest renders the manifest in its canonical binary form.
 func EncodeManifest(m *Manifest) []byte {
-	w := &mWriter{}
-	w.u32(manifestMagic)
-	w.u32(manifestVersion)
-	w.u64(m.ContinuousFrom)
-	w.u64(m.SealGSN)
-	w.u32(m.Epoch)
-	w.u32(m.NextBase)
-	w.u32(uint32(len(m.SrcOff)))
-	for _, off := range m.SrcOff {
-		w.u64(off)
-	}
-	w.u32(uint32(len(m.Segments)))
-	for _, s := range m.Segments {
-		w.u32(s.Group)
-		w.u32(s.Epoch)
-		sealed := uint8(0)
-		if s.Sealed {
-			sealed = 1
+	return durable.Encode(manifestMagic, manifestVersion, func(w *durable.Writer) {
+		w.U64(m.ContinuousFrom)
+		w.U64(m.SealGSN)
+		w.U32(m.Epoch)
+		w.U32(m.NextBase)
+		w.U32(uint32(len(m.SrcOff)))
+		for _, off := range m.SrcOff {
+			w.U64(off)
 		}
-		w.u8(sealed)
-		w.u64(s.Length)
-		w.u32(s.CRC)
-		w.u64(s.FirstGSN)
-		w.u64(s.LastGSN)
-	}
-	return w.finish()
+		w.U32(uint32(len(m.Segments)))
+		for _, s := range m.Segments {
+			w.U32(s.Group)
+			w.U32(s.Epoch)
+			w.Bool(s.Sealed)
+			w.U64(s.Length)
+			w.U32(s.CRC)
+			w.U64(s.FirstGSN)
+			w.U64(s.LastGSN)
+		}
+	})
 }
 
 // DecodeManifest parses and validates a manifest file image.
 func DecodeManifest(data []byte) (*Manifest, error) {
-	body, err := checkTrailer(data, "manifest")
+	r, err := durable.Open(data, "backup: manifest", manifestMagic, manifestVersion)
 	if err != nil {
 		return nil, err
 	}
-	r := &mReader{buf: body}
-	if r.u32() != manifestMagic {
-		return nil, fmt.Errorf("backup: bad manifest magic")
-	}
-	if v := r.u32(); r.err == nil && v != manifestVersion {
-		return nil, fmt.Errorf("backup: unsupported manifest version %d", v)
-	}
 	m := &Manifest{
-		ContinuousFrom: r.u64(),
-		SealGSN:        r.u64(),
-		Epoch:          r.u32(),
-		NextBase:       r.u32(),
+		ContinuousFrom: r.U64(),
+		SealGSN:        r.U64(),
+		Epoch:          r.U32(),
+		NextBase:       r.U32(),
 	}
-	nOff := r.count(8)
-	for i := 0; i < nOff && r.err == nil; i++ {
-		m.SrcOff = append(m.SrcOff, r.u64())
+	for i, n := 0, r.Count(8); i < n; i++ {
+		m.SrcOff = append(m.SrcOff, r.U64())
 	}
-	nSeg := r.count(segmentWire)
-	for i := 0; i < nSeg && r.err == nil; i++ {
-		s := Segment{Group: r.u32(), Epoch: r.u32()}
-		switch r.u8() {
-		case 0:
-		case 1:
-			s.Sealed = true
-		default:
-			r.fail()
-		}
-		s.Length = r.u64()
-		s.CRC = r.u32()
-		s.FirstGSN = r.u64()
-		s.LastGSN = r.u64()
-		m.Segments = append(m.Segments, s)
+	for i, n := 0, r.Count(segmentWire); i < n; i++ {
+		m.Segments = append(m.Segments, Segment{
+			Group:    r.U32(),
+			Epoch:    r.U32(),
+			Sealed:   r.Bool(),
+			Length:   r.U64(),
+			CRC:      r.U32(),
+			FirstGSN: r.U64(),
+			LastGSN:  r.U64(),
+		})
 	}
-	if r.err != nil {
-		return nil, r.err
-	}
-	if r.off != len(body) {
-		return nil, fmt.Errorf("backup: %d trailing bytes after manifest", len(body)-r.off)
+	if err := r.Done(); err != nil {
+		return nil, err
 	}
 	return m, nil
 }
@@ -306,46 +177,34 @@ type Label struct {
 
 // EncodeLabel renders the label in its canonical binary form.
 func EncodeLabel(l *Label) []byte {
-	w := &mWriter{}
-	w.u32(labelMagic)
-	w.u32(labelVersion)
-	w.u64(l.CheckpointGSN)
-	w.u64(l.HorizonGSN)
-	w.u32(uint32(len(l.Files)))
-	for _, f := range l.Files {
-		w.bytes([]byte(f.Name))
-		w.u64(f.Size)
-		w.u32(f.CRC)
-	}
-	return w.finish()
+	return durable.Encode(labelMagic, labelVersion, func(w *durable.Writer) {
+		w.U64(l.CheckpointGSN)
+		w.U64(l.HorizonGSN)
+		w.U32(uint32(len(l.Files)))
+		for _, f := range l.Files {
+			w.Bytes([]byte(f.Name))
+			w.U64(f.Size)
+			w.U32(f.CRC)
+		}
+	})
 }
 
 // DecodeLabel parses and validates a backup_label image.
 func DecodeLabel(data []byte) (*Label, error) {
-	body, err := checkTrailer(data, "backup label")
+	r, err := durable.Open(data, "backup: label", labelMagic, labelVersion)
 	if err != nil {
 		return nil, err
 	}
-	r := &mReader{buf: body}
-	if r.u32() != labelMagic {
-		return nil, fmt.Errorf("backup: bad label magic")
+	l := &Label{CheckpointGSN: r.U64(), HorizonGSN: r.U64()}
+	for i, n := 0, r.Count(4+8+4); i < n; i++ {
+		l.Files = append(l.Files, LabelFile{
+			Name: string(r.Bytes()),
+			Size: r.U64(),
+			CRC:  r.U32(),
+		})
 	}
-	if v := r.u32(); r.err == nil && v != labelVersion {
-		return nil, fmt.Errorf("backup: unsupported label version %d", v)
-	}
-	l := &Label{CheckpointGSN: r.u64(), HorizonGSN: r.u64()}
-	nf := r.count(4 + 8 + 4)
-	for i := 0; i < nf && r.err == nil; i++ {
-		f := LabelFile{Name: string(r.bytes())}
-		f.Size = r.u64()
-		f.CRC = r.u32()
-		l.Files = append(l.Files, f)
-	}
-	if r.err != nil {
-		return nil, r.err
-	}
-	if r.off != len(body) {
-		return nil, fmt.Errorf("backup: %d trailing bytes after label", len(body)-r.off)
+	if err := r.Done(); err != nil {
+		return nil, err
 	}
 	return l, nil
 }

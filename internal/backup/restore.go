@@ -8,6 +8,7 @@ import (
 	"strings"
 
 	"phoebedb/internal/core"
+	"phoebedb/internal/durable"
 	"phoebedb/internal/frozen"
 	"phoebedb/internal/wal"
 )
@@ -116,32 +117,10 @@ func Verify(archiveDir string) (*VerifyReport, error) {
 // verifySegment checks one segment file against its manifest entry and
 // returns the record count and covered bytes.
 func verifySegment(archiveDir string, s *Segment) (int, int64, error) {
-	p := SegmentPath(archiveDir, s)
-	data, err := os.ReadFile(p)
-	if os.IsNotExist(err) && s.Length == 0 {
-		return 0, 0, nil
-	}
-	if err != nil {
-		return 0, 0, err
-	}
-	if uint64(len(data)) < s.Length {
-		return 0, 0, fmt.Errorf("backup: segment %s torn: %d bytes on disk, %d covered",
-			s.Name(), len(data), s.Length)
-	}
-	// Bytes beyond Length are an unacknowledged tail from a crashed round;
-	// the archiver truncates them on reopen. Only the covered prefix counts.
-	data = data[:s.Length]
-	if got := crc32.ChecksumIEEE(data); got != s.CRC {
-		return 0, 0, fmt.Errorf("backup: segment %s checksum mismatch", s.Name())
-	}
 	var first, last uint64
+	var crc uint32
 	count := 0
-	off := 0
-	for off < len(data) {
-		r, n, ok := wal.DecodeRecordAt(data, off)
-		if !ok {
-			return 0, 0, fmt.Errorf("backup: segment %s: torn record at offset %d", s.Name(), off)
-		}
+	if err := ScanSegment(archiveDir, s, 0, func(r wal.Record, raw []byte) {
 		if count == 0 {
 			first = r.GSN
 		}
@@ -149,13 +128,19 @@ func verifySegment(archiveDir string, s *Segment) (int, int64, error) {
 			last = r.GSN
 		}
 		count++
-		off += n
+		crc = crc32.Update(crc, crc32.IEEETable, raw)
+	}); err != nil {
+		return 0, 0, err
+	}
+	// Every covered byte decoded, so the records' checksum is the file's.
+	if crc != s.CRC {
+		return 0, 0, fmt.Errorf("backup: segment %s checksum mismatch", s.Name())
 	}
 	if first != s.FirstGSN || last != s.LastGSN {
 		return 0, 0, fmt.Errorf("backup: segment %s GSN range [%d,%d] does not match manifest [%d,%d]",
 			s.Name(), first, last, s.FirstGSN, s.LastGSN)
 	}
-	return count, int64(len(data)), nil
+	return count, int64(s.Length), nil
 }
 
 // verifyBaseFiles checks a labeled base backup's files byte-for-byte
@@ -200,10 +185,11 @@ func verifyColdTier(dir string, l *Label) error {
 	if err != nil {
 		return err
 	}
-	epoch, wantCRC, err := core.ReadColdManifestRefFromImage(cpData)
+	hdr, _, err := core.ReadCheckpointHeader(cpData)
 	if err != nil {
 		return err
 	}
+	epoch, wantCRC := hdr.ColdEpoch, hdr.ColdCRC
 	if epoch == 0 {
 		if manName != "" {
 			return fmt.Errorf("%s present but the image names no cold manifest", manName)
@@ -326,7 +312,7 @@ func Restore(archiveDir, destDir string, targetGSN uint64) (*RestoreReport, erro
 			if err != nil {
 				return nil, err
 			}
-			if err := writeFileSync(filepath.Join(destDir, f.Name), data); err != nil {
+			if err := durable.WriteFile(filepath.Join(destDir, f.Name), data); err != nil {
 				return nil, err
 			}
 		}
@@ -338,7 +324,7 @@ func Restore(archiveDir, destDir string, targetGSN uint64) (*RestoreReport, erro
 	// predates every base, so schema replay can run before WAL replay.
 	if _, err := os.Stat(filepath.Join(destDir, SidecarName)); os.IsNotExist(err) {
 		if data, rerr := os.ReadFile(filepath.Join(archiveDir, SidecarName)); rerr == nil {
-			if err := writeFileSync(filepath.Join(destDir, SidecarName), data); err != nil {
+			if err := durable.WriteFile(filepath.Join(destDir, SidecarName), data); err != nil {
 				return nil, err
 			}
 		}
@@ -355,38 +341,26 @@ func Restore(archiveDir, destDir string, targetGSN uint64) (*RestoreReport, erro
 	for g := 0; g < rep.Groups; g++ {
 		var out []byte
 		for _, s := range m.GroupSegments(g) {
-			if s.Length == 0 {
-				continue
-			}
-			data, err := os.ReadFile(SegmentPath(archiveDir, &s))
-			if err != nil {
-				return nil, err
-			}
-			data = data[:s.Length]
-			off := 0
-			for off < len(data) {
-				r, n, ok := wal.DecodeRecordAt(data, off)
-				if !ok {
-					return nil, fmt.Errorf("backup: segment %s: torn record at offset %d", s.Name(), off)
-				}
+			if err := ScanSegment(archiveDir, &s, 0, func(r wal.Record, raw []byte) {
 				if r.GSN > rep.CheckpointGSN && r.GSN <= target {
-					out = append(out, data[off:off+n]...)
+					out = append(out, raw...)
 					rep.Records++
 					if r.GSN > rep.MaxGSN {
 						rep.MaxGSN = r.GSN
 					}
 				}
-				off += n
+			}); err != nil {
+				return nil, err
 			}
 		}
-		name := filepath.Join(walDir, fmt.Sprintf("wal-%04d.log", g))
-		if err := writeFileSync(name, out); err != nil {
+		if err := durable.WriteFile(filepath.Join(walDir, wal.GroupFileName(g)), out); err != nil {
 			return nil, err
 		}
 	}
-	if d, err := os.Open(destDir); err == nil {
-		d.Sync()
-		d.Close()
+	// WriteFile made every file durable in its own directory; the wal/
+	// entry itself lives in destDir.
+	if err := durable.SyncDir(destDir); err != nil {
+		return nil, err
 	}
 	return rep, nil
 }

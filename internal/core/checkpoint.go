@@ -1,15 +1,12 @@
 package core
 
 import (
-	"bufio"
-	"encoding/binary"
 	"fmt"
-	"hash"
 	"hash/crc32"
-	"io"
 	"os"
 	"path/filepath"
 
+	"phoebedb/internal/durable"
 	"phoebedb/internal/fault"
 	"phoebedb/internal/frozen"
 	"phoebedb/internal/rel"
@@ -46,35 +43,6 @@ func (e *Engine) coldManifestPath(epoch uint64) string {
 	return filepath.Join(e.cfg.Dir, frozen.ManifestFileName(epoch))
 }
 
-// writeColdManifest durably writes one manifest epoch file (tmp, fsync,
-// rename). The frozen.manifestSwap failpoint guards the rename: a crash
-// before or during it leaves at worst a stray epoch file that no
-// checkpoint references.
-func (e *Engine) writeColdManifest(epoch uint64, data []byte) error {
-	path := e.coldManifestPath(epoch)
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	e.IO.DataWrite.Add(int64(len(data)))
-	if err := fault.Eval(fault.FrozenManifestSwap); err != nil {
-		return fmt.Errorf("core: cold manifest swap: %w", err)
-	}
-	return os.Rename(tmp, path)
-}
-
 // gcColdManifests removes superseded manifest epochs, keeping the current
 // one and its predecessor (a base backup that read checkpoint.db just
 // before a checkpoint may still be copying the previous epoch).
@@ -92,80 +60,6 @@ func (e *Engine) gcColdManifests(current uint64) {
 			os.Remove(filepath.Join(e.cfg.Dir, ent.Name()))
 		}
 	}
-}
-
-// cpWriter streams a checkpoint image to its file, keeping the running
-// checksum and byte count: the image is never held in memory, so a
-// checkpoint's footprint is one table's page images, not the database's.
-// bufio keeps the first write error and returns it from Flush.
-type cpWriter struct {
-	w   *bufio.Writer
-	crc hash.Hash32
-	n   int64
-}
-
-func newCPWriter(f io.Writer) *cpWriter {
-	return &cpWriter{w: bufio.NewWriterSize(f, 1<<20), crc: crc32.NewIEEE()}
-}
-
-func (w *cpWriter) write(b []byte) {
-	w.crc.Write(b)
-	w.w.Write(b)
-	w.n += int64(len(b))
-}
-
-func (w *cpWriter) u32(v uint32) {
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], v)
-	w.write(b[:])
-}
-
-func (w *cpWriter) u64(v uint64) {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], v)
-	w.write(b[:])
-}
-
-func (w *cpWriter) bytes(b []byte) {
-	w.u32(uint32(len(b)))
-	w.write(b)
-}
-
-type cpReader struct {
-	buf []byte
-	off int
-	err error
-}
-
-func (r *cpReader) u32() uint32 {
-	if r.err != nil || r.off+4 > len(r.buf) {
-		r.err = fmt.Errorf("core: truncated checkpoint")
-		return 0
-	}
-	v := binary.LittleEndian.Uint32(r.buf[r.off:])
-	r.off += 4
-	return v
-}
-
-func (r *cpReader) u64() uint64 {
-	if r.err != nil || r.off+8 > len(r.buf) {
-		r.err = fmt.Errorf("core: truncated checkpoint")
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(r.buf[r.off:])
-	r.off += 8
-	return v
-}
-
-func (r *cpReader) bytes() []byte {
-	n := int(r.u32())
-	if r.err != nil || r.off+n > len(r.buf) {
-		r.err = fmt.Errorf("core: truncated checkpoint")
-		return nil
-	}
-	b := r.buf[r.off : r.off+n]
-	r.off += n
-	return b
 }
 
 // Checkpoint captures the full database state and truncates the WAL. The
@@ -214,61 +108,41 @@ func (e *Engine) Checkpoint() error {
 			Segments: t.Frozen.Export(),
 		})
 	}
+	// The manifest is an immutable epoch-named file. The frozen.manifestSwap
+	// failpoint guards its rename: a crash before or during it leaves at
+	// worst a stray epoch file that no checkpoint references.
 	manifestBytes := frozen.EncodeManifest(manifest)
 	manifestCRC := crc32.ChecksumIEEE(manifestBytes)
-	if err := e.writeColdManifest(manifest.Epoch, manifestBytes); err != nil {
-		return err
+	n, err := durable.ReplaceFile(e.coldManifestPath(manifest.Epoch), fault.FrozenManifestSwap,
+		durable.Bytes(manifestBytes))
+	e.IO.DataWrite.Add(n)
+	if err != nil {
+		return fmt.Errorf("core: cold manifest swap: %w", err)
 	}
 
-	// Durable write: temp file, fsync, atomic rename, then log truncation.
-	// A failed attempt leaves no temp file behind.
-	tmp := e.checkpointPath() + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	fail := func(err error) error {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	w := newCPWriter(f)
-	w.u32(checkpointMagic)
-	w.u32(checkpointVersion)
-	w.u64(cpGSN)
-	w.u64(e.Mgr.Clock.Now())
-	w.u64(manifest.Epoch)
-	w.u32(manifestCRC)
-	w.u32(uint32(len(tables)))
-	for _, t := range tables {
-		w.bytes([]byte(t.Name))
-		w.u32(t.ID)
-		images, nextRID, maxFrozen, err := t.Store.ExportImages(nil)
-		if err != nil {
-			return fail(fmt.Errorf("core: checkpoint table %q: %w", t.Name, err))
+	// The image streams to its file table by table, so a checkpoint's
+	// footprint is one table's page images, not the database's. Only once
+	// ReplaceFile returns — image renamed into place and the directory
+	// fsynced — may the steps below that depend on it run: manifest GC,
+	// the archive seal, WAL truncation.
+	n, err = durable.ReplaceFile(e.checkpointPath(), "", func(w *durable.Writer) error {
+		w.Header(checkpointMagic, checkpointVersion)
+		CheckpointHeader{GSN: cpGSN, Clock: e.Mgr.Clock.Now(), ColdEpoch: manifest.Epoch, ColdCRC: manifestCRC}.write(w)
+		w.U32(uint32(len(tables)))
+		for _, t := range tables {
+			images, nextRID, maxFrozen, err := t.Store.ExportImages(nil)
+			if err != nil {
+				return fmt.Errorf("core: checkpoint table %q: %w", t.Name, err)
+			}
+			writeCheckpointTable(w, checkpointTable{t.Name, t.ID, nextRID, maxFrozen, images})
 		}
-		w.u64(nextRID)
-		w.u64(maxFrozen)
-		w.u32(uint32(len(images)))
-		for _, im := range images {
-			w.u64(uint64(im.FirstRID))
-			w.bytes(im.Img)
-		}
-	}
-	w.u32(w.crc.Sum32())
-	if err := w.w.Flush(); err != nil {
-		return fail(err)
-	}
-	if err := f.Sync(); err != nil {
-		return fail(err)
-	}
-	if err := f.Close(); err != nil {
-		return fail(err)
-	}
+		w.Trailer()
+		return nil
+	})
 	// Checkpoint images go to disk outside the page/block files, but they
 	// are data writes all the same — Exp 3/4's write volumes must see them.
-	e.IO.DataWrite.Add(w.n)
-	if err := os.Rename(tmp, e.checkpointPath()); err != nil {
+	e.IO.DataWrite.Add(n)
+	if err != nil {
 		return err
 	}
 	if err := fault.Eval(fault.CheckpointPostSave); err != nil {
@@ -331,58 +205,77 @@ func (e *Engine) loadColdManifest(epoch uint64, wantCRC uint32) error {
 	return nil
 }
 
-// ReadColdManifestRefFromImage extracts the cold manifest (epoch, crc)
-// reference from an encoded checkpoint image. Base backups use it to copy
-// the exact manifest the captured image names.
-func ReadColdManifestRefFromImage(data []byte) (epoch uint64, crc uint32, err error) {
-	if len(data) < 4 {
-		return 0, 0, fmt.Errorf("core: checkpoint too short")
-	}
-	body, sum := data[:len(data)-4], binary.LittleEndian.Uint32(data[len(data)-4:])
-	if crc32.ChecksumIEEE(body) != sum {
-		return 0, 0, fmt.Errorf("core: checkpoint checksum mismatch")
-	}
-	r := &cpReader{buf: body}
-	if r.u32() != checkpointMagic {
-		return 0, 0, fmt.Errorf("core: bad checkpoint magic")
-	}
-	if v := r.u32(); r.err == nil && v != checkpointVersion {
-		return 0, 0, fmt.Errorf("core: unsupported checkpoint version %d", v)
-	}
-	r.u64() // cpGSN
-	r.u64() // clock
-	epoch = r.u64()
-	crc = r.u32()
-	if r.err != nil {
-		return 0, 0, r.err
-	}
-	return epoch, crc, nil
+// CheckpointHeader is the fixed head of a checkpoint image.
+type CheckpointHeader struct {
+	// GSN is the image's horizon: every change at or below it is contained
+	// in the image.
+	GSN uint64
+	// Clock is the transaction clock at checkpoint time.
+	Clock uint64
+	// ColdEpoch and ColdCRC name the cold manifest file the image commits
+	// (epoch 0: none) and the checksum of its bytes.
+	ColdEpoch uint64
+	ColdCRC   uint32
 }
 
-// ReadCheckpointGSNFromImage extracts the GSN horizon from an encoded
-// checkpoint image without loading it into an engine. Base backups use it
-// so the recorded horizon always describes the exact image bytes captured,
-// even if the engine checkpointed again mid-copy.
-func ReadCheckpointGSNFromImage(data []byte) (uint64, error) {
-	if len(data) < 4 {
-		return 0, fmt.Errorf("core: checkpoint too short")
+func (h CheckpointHeader) write(w *durable.Writer) {
+	w.U64(h.GSN)
+	w.U64(h.Clock)
+	w.U64(h.ColdEpoch)
+	w.U32(h.ColdCRC)
+}
+
+// ReadCheckpointHeader verifies an encoded checkpoint image (checksum,
+// magic, version) and returns its header and a reader positioned at the
+// table section. Base backups use the header so that what they record
+// always describes the exact image bytes captured, even if the engine
+// checkpointed again mid-copy.
+func ReadCheckpointHeader(data []byte) (CheckpointHeader, *durable.Reader, error) {
+	r, err := durable.Open(data, "core: checkpoint", checkpointMagic, checkpointVersion)
+	if err != nil {
+		return CheckpointHeader{}, nil, err
 	}
-	body, sum := data[:len(data)-4], binary.LittleEndian.Uint32(data[len(data)-4:])
-	if crc32.ChecksumIEEE(body) != sum {
-		return 0, fmt.Errorf("core: checkpoint checksum mismatch")
+	h := CheckpointHeader{GSN: r.U64(), Clock: r.U64(), ColdEpoch: r.U64(), ColdCRC: r.U32()}
+	return h, r, r.Err()
+}
+
+// checkpointTable is one table's record in the image's table section.
+type checkpointTable struct {
+	name      string
+	id        uint32 // recorded for diagnostics; loading matches by name
+	nextRID   uint64
+	maxFrozen uint64
+	images    []table.PageImage
+}
+
+// checkpointTableWire and pageImageWire are the smallest encodings of a
+// table record and of one page image.
+const (
+	checkpointTableWire = 4 + 4 + 8 + 8 + 4
+	pageImageWire       = 8 + 4
+)
+
+func writeCheckpointTable(w *durable.Writer, t checkpointTable) {
+	w.Bytes([]byte(t.name))
+	w.U32(t.id)
+	w.U64(t.nextRID)
+	w.U64(t.maxFrozen)
+	w.U32(uint32(len(t.images)))
+	for _, im := range t.images {
+		w.U64(uint64(im.FirstRID))
+		w.Bytes(im.Img)
 	}
-	r := &cpReader{buf: body}
-	if r.u32() != checkpointMagic {
-		return 0, fmt.Errorf("core: bad checkpoint magic")
+}
+
+func readCheckpointTable(r *durable.Reader) checkpointTable {
+	t := checkpointTable{name: string(r.Bytes()), id: r.U32(), nextRID: r.U64(), maxFrozen: r.U64()}
+	n := r.Count(pageImageWire)
+	t.images = make([]table.PageImage, 0, n)
+	for p := 0; p < n; p++ {
+		first := rel.RowID(r.U64())
+		t.images = append(t.images, table.PageImage{FirstRID: first, Img: append([]byte(nil), r.Bytes()...)})
 	}
-	if v := r.u32(); r.err == nil && v != checkpointVersion {
-		return 0, fmt.Errorf("core: unsupported checkpoint version %d", v)
-	}
-	g := r.u64()
-	if r.err != nil {
-		return 0, r.err
-	}
-	return g, nil
+	return t
 }
 
 // loadCheckpoint restores tables from the newest checkpoint, if one
@@ -397,57 +290,33 @@ func (e *Engine) loadCheckpoint() (bool, uint64, error) {
 	if err != nil {
 		return false, 0, err
 	}
-	if len(data) < 4 {
-		return false, 0, fmt.Errorf("core: checkpoint too short")
-	}
-	body, sum := data[:len(data)-4], binary.LittleEndian.Uint32(data[len(data)-4:])
-	if crc32.ChecksumIEEE(body) != sum {
-		return false, 0, fmt.Errorf("core: checkpoint checksum mismatch")
-	}
-	r := &cpReader{buf: body}
-	if r.u32() != checkpointMagic {
-		return false, 0, fmt.Errorf("core: bad checkpoint magic")
-	}
-	if v := r.u32(); v != checkpointVersion {
-		return false, 0, fmt.Errorf("core: unsupported checkpoint version %d", v)
-	}
-	maxGSN := r.u64()
-	cpTS := r.u64()
-	manifestEpoch := r.u64()
-	manifestCRC := r.u32()
-	numTables := int(r.u32())
-	for i := 0; i < numTables && r.err == nil; i++ {
-		name := string(r.bytes())
-		r.u32() // table id recorded for diagnostics; matching is by name
-		t, terr := e.Table(name)
-		if terr != nil {
-			return false, 0, fmt.Errorf("core: checkpoint references undeclared table %q", name)
-		}
-		nextRID := r.u64()
-		maxFrozen := r.u64()
-		numPages := int(r.u32())
-		images := make([]table.PageImage, 0, numPages)
-		for p := 0; p < numPages && r.err == nil; p++ {
-			first := rel.RowID(r.u64())
-			img := append([]byte(nil), r.bytes()...)
-			images = append(images, table.PageImage{FirstRID: first, Img: img})
-		}
-		if r.err == nil {
-			if err := t.Store.ImportImages(images, nextRID, maxFrozen); err != nil {
-				return false, 0, err
-			}
-		}
-	}
-	if r.err != nil {
-		return false, 0, r.err
-	}
-	if err := e.loadColdManifest(manifestEpoch, manifestCRC); err != nil {
+	hdr, r, err := ReadCheckpointHeader(data)
+	if err != nil {
 		return false, 0, err
 	}
-	e.Mgr.Clock.AdvanceTo(cpTS + 1)
-	for i := 0; i < e.WAL.NumWriters(); i++ {
-		e.WAL.Writer(i).AdvanceGSN(maxGSN)
+	for i, n := 0, r.Count(checkpointTableWire); i < n; i++ {
+		ct := readCheckpointTable(r)
+		if r.Err() != nil {
+			break
+		}
+		t, terr := e.Table(ct.name)
+		if terr != nil {
+			return false, 0, fmt.Errorf("core: checkpoint references undeclared table %q", ct.name)
+		}
+		if err := t.Store.ImportImages(ct.images, ct.nextRID, ct.maxFrozen); err != nil {
+			return false, 0, err
+		}
 	}
-	e.lastCpGSN.Store(maxGSN)
-	return true, maxGSN, nil
+	if err := r.Done(); err != nil {
+		return false, 0, err
+	}
+	if err := e.loadColdManifest(hdr.ColdEpoch, hdr.ColdCRC); err != nil {
+		return false, 0, err
+	}
+	e.Mgr.Clock.AdvanceTo(hdr.Clock + 1)
+	for i := 0; i < e.WAL.NumWriters(); i++ {
+		e.WAL.Writer(i).AdvanceGSN(hdr.GSN)
+	}
+	e.lastCpGSN.Store(hdr.GSN)
+	return true, hdr.GSN, nil
 }

@@ -1,11 +1,10 @@
 package frozen
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"sort"
 
+	"phoebedb/internal/durable"
 	"phoebedb/internal/rel"
 	"phoebedb/internal/storage"
 )
@@ -55,140 +54,64 @@ type Manifest struct {
 	Tables []TableManifest
 }
 
-// EncodeManifest serializes m with a crc32 trailer.
+// segmentMetaWire is the encoded size of a SegmentMeta with no tombstones.
+const segmentMetaWire = 4 + 1 + 8 + 8 + 4 + 8 + 4 + 4 + 4 + 4
+
+// EncodeManifest serializes m as a durable frame.
 func EncodeManifest(m *Manifest) []byte {
-	var out []byte
-	var b8 [8]byte
-	putU32 := func(v uint32) {
-		binary.LittleEndian.PutUint32(b8[:4], v)
-		out = append(out, b8[:4]...)
-	}
-	putU64 := func(v uint64) {
-		binary.LittleEndian.PutUint64(b8[:], v)
-		out = append(out, b8[:]...)
-	}
-	putU32(manifestMagic)
-	putU32(manifestVersion)
-	putU64(m.Epoch)
-	putU32(uint32(len(m.Tables)))
-	for _, t := range m.Tables {
-		putU32(uint32(len(t.Table)))
-		out = append(out, t.Table...)
-		putU32(uint32(len(t.Segments)))
-		for _, s := range t.Segments {
-			putU32(uint32(s.Level))
-			if s.Flat {
-				out = append(out, 1)
-			} else {
-				out = append(out, 0)
-			}
-			putU64(uint64(s.FirstRID))
-			putU64(uint64(s.LastRID))
-			putU32(uint32(s.NumRows))
-			putU64(uint64(s.Ref.Offset))
-			putU32(uint32(s.Ref.Len))
-			putU32(uint32(s.HeaderLen))
-			putU32(s.CRC)
-			putU32(uint32(len(s.Deleted)))
-			for _, rid := range s.Deleted {
-				putU64(uint64(rid))
+	return durable.Encode(manifestMagic, manifestVersion, func(w *durable.Writer) {
+		w.U64(m.Epoch)
+		w.U32(uint32(len(m.Tables)))
+		for _, t := range m.Tables {
+			w.Bytes([]byte(t.Table))
+			w.U32(uint32(len(t.Segments)))
+			for _, s := range t.Segments {
+				w.U32(uint32(s.Level))
+				w.Bool(s.Flat)
+				w.U64(uint64(s.FirstRID))
+				w.U64(uint64(s.LastRID))
+				w.U32(uint32(s.NumRows))
+				w.U64(uint64(s.Ref.Offset))
+				w.U32(uint32(s.Ref.Len))
+				w.U32(uint32(s.HeaderLen))
+				w.U32(s.CRC)
+				w.U32(uint32(len(s.Deleted)))
+				for _, rid := range s.Deleted {
+					w.U64(uint64(rid))
+				}
 			}
 		}
-	}
-	putU32(crc32.ChecksumIEEE(out))
-	return out
+	})
 }
 
 // DecodeManifest parses and CRC-checks a manifest image.
 func DecodeManifest(data []byte) (*Manifest, error) {
-	if len(data) < 4 {
-		return nil, fmt.Errorf("frozen: truncated manifest")
+	r, err := durable.Open(data, "frozen: manifest", manifestMagic, manifestVersion)
+	if err != nil {
+		return nil, err
 	}
-	body := data[:len(data)-4]
-	if got := crc32.ChecksumIEEE(body); got != binary.LittleEndian.Uint32(data[len(data)-4:]) {
-		return nil, fmt.Errorf("frozen: manifest CRC mismatch")
-	}
-	buf := body
-	fail := func(what string) error { return fmt.Errorf("frozen: truncated manifest: %s", what) }
-	u32 := func() (uint32, bool) {
-		if len(buf) < 4 {
-			return 0, false
-		}
-		v := binary.LittleEndian.Uint32(buf[:4])
-		buf = buf[4:]
-		return v, true
-	}
-	u64 := func() (uint64, bool) {
-		if len(buf) < 8 {
-			return 0, false
-		}
-		v := binary.LittleEndian.Uint64(buf[:8])
-		buf = buf[8:]
-		return v, true
-	}
-	magic, ok := u32()
-	if !ok || magic != manifestMagic {
-		return nil, fmt.Errorf("frozen: bad manifest magic")
-	}
-	ver, ok := u32()
-	if !ok || ver != manifestVersion {
-		return nil, fmt.Errorf("frozen: unsupported manifest version %d", ver)
-	}
-	m := &Manifest{}
-	var ok2 bool
-	if m.Epoch, ok2 = u64(); !ok2 {
-		return nil, fail("epoch")
-	}
-	nt, ok := u32()
-	if !ok || nt > 1<<20 {
-		return nil, fail("table count")
-	}
-	for ti := uint32(0); ti < nt; ti++ {
-		nameLen, ok := u32()
-		if !ok || int(nameLen) > len(buf) {
-			return nil, fail("table name")
-		}
-		t := TableManifest{Table: string(buf[:nameLen])}
-		buf = buf[nameLen:]
-		ns, ok := u32()
-		if !ok || ns > 1<<24 {
-			return nil, fail("segment count")
-		}
-		for si := uint32(0); si < ns; si++ {
-			var s SegmentMeta
-			lv, ok := u32()
-			if !ok || len(buf) < 1 {
-				return nil, fail("segment level")
+	m := &Manifest{Epoch: r.U64()}
+	for ti, nt := 0, r.Count(4+4); ti < nt; ti++ {
+		t := TableManifest{Table: string(r.Bytes())}
+		for si, ns := 0, r.Count(segmentMetaWire); si < ns; si++ {
+			s := SegmentMeta{
+				Level:    int(r.U32()),
+				Flat:     r.Bool(),
+				FirstRID: rel.RowID(r.U64()),
+				LastRID:  rel.RowID(r.U64()),
+				NumRows:  int(r.U32()),
+				Ref:      storage.BlockRef{Offset: int64(r.U64()), Len: int32(r.U32())},
 			}
-			s.Level = int(lv)
-			s.Flat = buf[0] == 1
-			buf = buf[1:]
-			first, ok1 := u64()
-			last, ok2 := u64()
-			nr, ok3 := u32()
-			off, ok4 := u64()
-			rlen, ok5 := u32()
-			hlen, ok6 := u32()
-			crc, ok7 := u32()
-			nd, ok8 := u32()
-			if !(ok1 && ok2 && ok3 && ok4 && ok5 && ok6 && ok7 && ok8) {
-				return nil, fail("segment record")
+			s.HeaderLen = int(r.U32())
+			s.CRC = r.U32()
+			if r.Err() != nil {
+				return nil, r.Err()
 			}
-			s.FirstRID = rel.RowID(first)
-			s.LastRID = rel.RowID(last)
-			s.NumRows = int(nr)
-			s.Ref = storage.BlockRef{Offset: int64(off), Len: int32(rlen)}
-			s.HeaderLen = int(hlen)
-			s.CRC = crc
 			if s.FirstRID > s.LastRID || s.NumRows < 0 || s.Ref.Len < 0 || s.HeaderLen <= 0 {
 				return nil, fmt.Errorf("frozen: manifest segment record invalid")
 			}
-			if nd > 1<<24 || len(buf) < int(nd)*8 {
-				return nil, fail("tombstones")
-			}
-			for di := uint32(0); di < nd; di++ {
-				rid, _ := u64()
-				s.Deleted = append(s.Deleted, rel.RowID(rid))
+			for di, nd := 0, r.Count(8); di < nd; di++ {
+				s.Deleted = append(s.Deleted, rel.RowID(r.U64()))
 			}
 			t.Segments = append(t.Segments, s)
 		}
@@ -199,8 +122,8 @@ func DecodeManifest(data []byte) (*Manifest, error) {
 		}
 		m.Tables = append(m.Tables, t)
 	}
-	if len(buf) != 0 {
-		return nil, fmt.Errorf("frozen: %d trailing manifest bytes", len(buf))
+	if err := r.Done(); err != nil {
+		return nil, err
 	}
 	return m, nil
 }

@@ -4,9 +4,10 @@
 // transactions to its own engine, which serves consistent read-only
 // queries and can be promoted when the primary dies.
 //
-// Mechanics: each polling round reads the new bytes of every `wal-*.log`
-// (per-file byte offsets are remembered; a torn record at a file's tail is
-// retried next round), buffers data records per transaction, and applies
+// Mechanics: each polling round reads the new bytes of every group file
+// through a wal.Tailer (per-file byte offsets are remembered; a torn record
+// at a file's tail is retried next round; a file that restarts under its
+// offset is reported), buffers data records per transaction, and applies
 // transactions whose commit record has arrived. Applies run in global GSN
 // order within a round, the same merge recovery uses (§8); out-of-order
 // row_id arrivals across table tail pages are handled by the table layer's
@@ -23,8 +24,6 @@ package replica
 import (
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
 	"sort"
 	"sync"
 	"time"
@@ -42,8 +41,9 @@ import (
 // checkpoint) past the standby's shipping position. Without a WAL archive
 // the truncated records exist only inside the primary's checkpoint image,
 // which the standby cannot apply incrementally — it must be re-seeded (or
-// pointed at an archive, which never truncates).
-var ErrLostPosition = errors.New("replica: primary truncated WAL past shipping position; re-seed the standby or configure a WAL archive")
+// pointed at an archive, which never truncates). It is the tailer's error,
+// so errors.Is matches either name.
+var ErrLostPosition = wal.ErrLostPosition
 
 // Standby applies a primary's WAL stream to a local engine.
 type Standby struct {
@@ -64,8 +64,8 @@ type Standby struct {
 	ArchiveDir string
 
 	mu       sync.Mutex
-	offsets  map[string]int64        // file (or group stream) -> bytes consumed
-	firstGSN map[string]uint64       // live file -> first record's GSN (restart detector)
+	tail     *wal.Tailer             // live-file positions and restart detection
+	stream   []int64                 // ArchiveDir only: group -> archived-stream bytes consumed
 	pending  map[uint64][]wal.Record // xid -> data records
 	commits  map[uint64]uint64       // xid -> cts, commit seen but unapplied
 	applied  int64
@@ -77,8 +77,7 @@ func NewStandby(e *core.Engine, primaryWALDir string) *Standby {
 	return &Standby{
 		Engine:        e,
 		PrimaryWALDir: primaryWALDir,
-		offsets:       make(map[string]int64),
-		firstGSN:      make(map[string]uint64),
+		tail:          wal.NewTailer(primaryWALDir, nil),
 		pending:       make(map[uint64][]wal.Record),
 		commits:       make(map[uint64]uint64),
 	}
@@ -179,50 +178,15 @@ func (s *Standby) readNew(final bool) ([]wal.Record, error) {
 	if s.ArchiveDir != "" {
 		return s.readNewArchived(final)
 	}
-	paths, err := filepath.Glob(filepath.Join(s.PrimaryWALDir, "wal-*.log"))
-	if err != nil {
-		return nil, err
+	if err := s.tail.Fetch(); err != nil {
+		return nil, fmt.Errorf("replica: re-seed the standby or configure a WAL archive: %w", err)
 	}
-	sort.Strings(paths)
 	var out []wal.Record
-	for wi, p := range paths {
-		data, err := os.ReadFile(p)
-		if err != nil {
-			return nil, err
-		}
-		off := s.offsets[p]
-		// Detect the file restarting under us. A primary checkpoint
-		// truncates the log, so (a) the file can shrink below our offset,
-		// or (b) — the insidious case — it can shrink and regrow past the
-		// offset before we poll again, leaving the offset pointing into the
-		// middle of an unrelated record where decoding fails forever. Case
-		// (b) is caught by the first record's GSN changing: a truncation
-		// can only be followed by records above the checkpoint horizon,
-		// which every pre-truncation record is at or below.
-		if len(data) > 0 {
-			if r0, _, ok := wal.DecodeRecordAt(data, 0); ok {
-				if prev, seen := s.firstGSN[p]; seen && prev != r0.GSN {
-					return nil, fmt.Errorf("%w (%s restarted: first GSN %d -> %d)",
-						ErrLostPosition, filepath.Base(p), prev, r0.GSN)
-				} else if !seen {
-					s.firstGSN[p] = r0.GSN
-				}
-			}
-		}
-		if int64(len(data)) < off {
-			return nil, fmt.Errorf("%w (%s shrank to %d below offset %d)",
-				ErrLostPosition, filepath.Base(p), len(data), off)
-		}
-		for {
-			r, n, ok := wal.DecodeRecordAt(data, int(off))
-			if !ok {
-				break // torn/incomplete tail: retry next round
-			}
-			r.Writer = int32(wi)
+	for g := 0; g < s.tail.Groups(); g++ {
+		s.tail.Scan(g, func(r wal.Record, _ []byte) bool {
 			out = append(out, r)
-			off += int64(n)
-		}
-		s.offsets[p] = off
+			return true
+		})
 	}
 	return out, nil
 }
@@ -234,62 +198,54 @@ func (s *Standby) readNew(final bool) ([]wal.Record, error) {
 // primary checkpoints. The live file supplies only the not-yet-archived
 // tail.
 //
-// Ordering matters: the live files are snapshotted BEFORE the manifest is
-// read. Seal persists the manifest strictly before Checkpoint truncates
-// the WAL, so a truncated-and-regrown file can never be paired with a
-// pre-seal manifest — the one combination whose offset arithmetic would
-// land mid-record in unrelated bytes. Every other interleaving is safe:
-// with a post-seal manifest the stale file's records all sit at or below
-// SealGSN and the GSN filter drops them without advancing the stream.
+// Ordering matters: the live files are snapshotted (Tailer.Fetch) BEFORE
+// the manifest is read. Seal persists the manifest strictly before
+// Checkpoint truncates the WAL, so a truncated-and-regrown file can never
+// be paired with a pre-seal manifest — the one combination whose offset
+// arithmetic would land mid-record in unrelated bytes. Every other
+// interleaving is safe: with a post-seal manifest the stale file's records
+// all sit at or below SealGSN and the GSN filter drops them without
+// advancing the stream. A restart the tailer does notice is the expected
+// checkpoint, not a lost position: the archive holds what the file lost,
+// so the tailer rewinds and the snapshot is retaken, still before the
+// manifest.
 func (s *Standby) readNewArchived(final bool) ([]wal.Record, error) {
-	paths, err := filepath.Glob(filepath.Join(s.PrimaryWALDir, "wal-*.log"))
+	err := s.tail.Fetch()
+	if errors.Is(err, wal.ErrLostPosition) {
+		s.tail.Rewind()
+		err = s.tail.Fetch()
+	}
 	if err != nil {
 		return nil, err
-	}
-	sort.Strings(paths)
-	live := make([][]byte, len(paths))
-	for i, p := range paths {
-		if live[i], err = os.ReadFile(p); err != nil {
-			return nil, err
-		}
 	}
 	m, err := backup.LoadManifest(s.ArchiveDir)
 	if err != nil {
 		return nil, fmt.Errorf("replica: archive manifest: %w", err)
 	}
-	if m.ContinuousFrom != 0 && len(s.offsets) == 0 {
+	if m.ContinuousFrom != 0 && s.stream == nil {
 		return nil, fmt.Errorf("%w (archive history begins at GSN %d; start from a restored base backup)",
 			ErrLostPosition, m.ContinuousFrom)
 	}
 	groups := m.NumGroups()
-	if len(paths) > groups {
-		groups = len(paths)
+	if n := s.tail.Groups(); n > groups {
+		groups = n
+	}
+	for len(s.stream) < groups {
+		s.stream = append(s.stream, 0)
 	}
 	var out []wal.Record
 	for g := 0; g < groups; g++ {
-		key := fmt.Sprintf("group-%04d", g)
-		o := s.offsets[key]
+		o := s.stream[g]
 		var sAll int64
 		for _, seg := range m.GroupSegments(g) {
 			segEnd := sAll + int64(seg.Length)
 			if o < segEnd && seg.Length > 0 {
-				data, err := os.ReadFile(backup.SegmentPath(s.ArchiveDir, &seg))
-				if err != nil {
-					return nil, err
-				}
-				if int64(len(data)) < int64(seg.Length) {
-					return nil, fmt.Errorf("replica: archive segment %s torn", seg.Name())
-				}
-				data = data[:seg.Length]
-				off := int(o - sAll) // record boundary: o only advances whole records
-				for off < len(data) {
-					r, n, ok := wal.DecodeRecordAt(data, off)
-					if !ok {
-						return nil, fmt.Errorf("replica: archive segment %s: bad record at %d", seg.Name(), off)
-					}
+				// o - sAll is a record boundary: o only advances whole records.
+				if err := backup.ScanSegment(s.ArchiveDir, &seg, int(o-sAll), func(r wal.Record, _ []byte) {
 					r.Writer = int32(g)
 					out = append(out, r)
-					off += n
+				}); err != nil {
+					return nil, err
 				}
 				o = segEnd
 			}
@@ -301,34 +257,35 @@ func (s *Standby) readNewArchived(final bool) ([]wal.Record, error) {
 		// archived prefix, so the file position continues there. Records at
 		// or below SealGSN are pre-seal leftovers the archiver will skip
 		// too: drop them without advancing the stream offset.
-		if g < len(paths) && o >= sAll {
-			data := live[g]
+		if g < s.tail.Groups() && o >= sAll {
 			var srcOff uint64
 			if g < len(m.SrcOff) {
 				srcOff = m.SrcOff[g]
 			}
-			off := int64(srcOff) + (o - sAll)
-			for off < int64(len(data)) {
-				r, n, ok := wal.DecodeRecordAt(data, int(off))
-				if !ok {
-					break // torn tail, or the archiver lags a skipped prefix
+			// A position outside the snapshot (behind it after a seal, or
+			// ahead of it when the archiver outran this round) waits for the
+			// next round's snapshot. At promote time nothing runs
+			// concurrently, so the ordering above is moot: read it now.
+			if !s.tail.Seek(g, int64(srcOff)+(o-sAll)) && final {
+				if err := s.tail.Fetch(); err != nil {
+					return nil, err
 				}
-				if r.GSN > m.SealGSN {
-					r.Writer = int32(g)
-					out = append(out, r)
-					o += int64(n)
-				} else if !final {
-					// Mid-epoch the skipped bytes desynchronize the offset
-					// arithmetic until the archiver's SrcOff absorbs them;
-					// stop here and let it catch up. At promote time
-					// (final) nothing will ever be archived again, so keep
-					// scanning — the filter alone is the dedup.
-					break
-				}
-				off += int64(n)
 			}
+			s.tail.Scan(g, func(r wal.Record, raw []byte) bool {
+				if r.GSN > m.SealGSN {
+					out = append(out, r)
+					o += int64(len(raw))
+					return true
+				}
+				// Mid-epoch the skipped bytes desynchronize the offset
+				// arithmetic until the archiver's SrcOff absorbs them;
+				// stop here and let it catch up. At promote time
+				// (final) nothing will ever be archived again, so keep
+				// scanning — the filter alone is the dedup.
+				return final
+			})
 		}
-		s.offsets[key] = o
+		s.stream[g] = o
 	}
 	return out, nil
 }

@@ -1,0 +1,205 @@
+package wal
+
+import (
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"io"
+	"os"
+	"path/filepath"
+)
+
+// ErrLostPosition reports that a group file restarted under a Tailer: it
+// shrank below the tailing offset, or its first record's GSN changed. Only
+// a checkpoint truncates the log, so the bytes between the offset and the
+// truncation are gone from the live files.
+var ErrLostPosition = errors.New("wal: log restarted under the tailing position")
+
+// Tailer follows the group files of a live WAL directory. It owns file
+// discovery (group g is the g-th file in name order) and one byte offset
+// per group, reads only the bytes past that offset, and hands out whole
+// checksum-valid records: a torn or still-being-written tail stays
+// unconsumed and is read again by the next Fetch.
+//
+// Restart detection. A checkpoint truncates the log in place, so between
+// two Fetches a file can (a) shrink below the offset or (b) shrink and
+// regrow past it, leaving the offset inside unrelated bytes. (a) is a size
+// check. (b) is caught by the first record's GSN: a truncation is only
+// ever followed by records above the checkpoint horizon, which every
+// earlier record was at or below. At offset 0 there is no position to lose
+// and no check is made.
+//
+// Fetch takes the snapshot (every file read happens there); Scan consumes
+// from it. A Tailer is not safe for concurrent use.
+type Tailer struct {
+	dir    string
+	paths  []string
+	groups []tailGroup
+	read   int64 // bytes read from the log files so far
+}
+
+type tailGroup struct {
+	off   int64  // file offset of the next unconsumed byte
+	buf   []byte // the file's bytes from off, as of the last Fetch
+	first uint64 // GSN of the file's first record; 0 = not known yet
+}
+
+// firstGSNEnd is the end of the GSN field in a record header.
+const firstGSNEnd = 4 + 4 + 1 + 8
+
+// NewTailer returns a Tailer over dir that resumes at the given per-group
+// offsets (nil: the start of every file).
+func NewTailer(dir string, offsets []uint64) *Tailer {
+	t := &Tailer{dir: dir, groups: make([]tailGroup, len(offsets))}
+	for g, off := range offsets {
+		t.groups[g].off = int64(off)
+	}
+	return t
+}
+
+// Groups returns how many group files the last Fetch (or Lag) found.
+func (t *Tailer) Groups() int { return len(t.paths) }
+
+// Offsets returns every group's offset: the bytes of its file consumed.
+func (t *Tailer) Offsets() []uint64 {
+	out := make([]uint64, len(t.groups))
+	for g := range t.groups {
+		out[g] = uint64(t.groups[g].off)
+	}
+	return out
+}
+
+func (t *Tailer) discover() error {
+	paths, err := groupFiles(t.dir)
+	if err != nil {
+		return err
+	}
+	t.paths = paths
+	for len(t.groups) < len(paths) {
+		t.groups = append(t.groups, tailGroup{})
+	}
+	return nil
+}
+
+// Fetch snapshots, for every group, the bytes past its offset. It returns
+// ErrLostPosition (wrapped) when a file restarted under its offset.
+func (t *Tailer) Fetch() error {
+	if err := t.discover(); err != nil {
+		return err
+	}
+	for g, p := range t.paths {
+		if err := t.fetchGroup(&t.groups[g], p); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func (t *Tailer) fetchGroup(tg *tailGroup, path string) error {
+	f, err := os.Open(path)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	st, err := f.Stat()
+	if err != nil {
+		return err
+	}
+	tg.buf = nil
+	if st.Size() < tg.off {
+		return fmt.Errorf("%w (%s shrank to %d below offset %d)",
+			ErrLostPosition, filepath.Base(path), st.Size(), tg.off)
+	}
+	buf := make([]byte, st.Size()-tg.off)
+	n, err := f.ReadAt(buf, tg.off)
+	t.read += int64(n)
+	if err != nil && err != io.EOF {
+		return err
+	}
+	buf = buf[:n] // short only if the file shrank since Stat
+	if tg.off > 0 {
+		// The first-record check runs after the tail read: if the file
+		// restarted before the read, the header read now sees the new file.
+		var hdr [firstGSNEnd]byte
+		n, err = f.ReadAt(hdr[:], 0)
+		t.read += int64(n)
+		if err != nil && err != io.EOF {
+			return err
+		}
+		gsn := binary.LittleEndian.Uint64(hdr[firstGSNEnd-8:])
+		switch {
+		case n < len(hdr):
+			return fmt.Errorf("%w (%s shrank below offset %d)", ErrLostPosition, filepath.Base(path), tg.off)
+		case tg.first == 0:
+			tg.first = gsn // resumed from a persisted offset: learn it now
+		case tg.first != gsn:
+			return fmt.Errorf("%w (%s restarted: first GSN %d -> %d)",
+				ErrLostPosition, filepath.Base(path), tg.first, gsn)
+		}
+	}
+	tg.buf = buf
+	return nil
+}
+
+// Scan walks group g's snapshot with wal.Scan, advancing the offset past
+// every record fn accepts (Record.Writer is set to g). The raw bytes handed
+// to fn are valid until the next Fetch.
+func (t *Tailer) Scan(g int, fn func(r Record, raw []byte) bool) {
+	tg := &t.groups[g]
+	atStart := tg.off == 0
+	n := Scan(tg.buf, 0, func(r Record, raw []byte) bool {
+		r.Writer = int32(g)
+		if !fn(r, raw) {
+			return false
+		}
+		if atStart {
+			tg.first, atStart = r.GSN, false
+		}
+		return true
+	})
+	tg.off += int64(n)
+	tg.buf = tg.buf[n:]
+}
+
+// Seek moves group g's offset. It reports whether the snapshot still
+// covers the new position; if not (the position lies before the offset or
+// beyond the snapshot) the snapshot is dropped and the next Fetch reads
+// from there.
+func (t *Tailer) Seek(g int, off int64) bool {
+	tg := &t.groups[g]
+	d := off - tg.off
+	tg.off = off
+	if d < 0 || d > int64(len(tg.buf)) {
+		tg.buf = nil
+		return false
+	}
+	tg.buf = tg.buf[d:]
+	return true
+}
+
+// Rewind returns every group to the start of its file and forgets the
+// first GSNs: for the owner of the truncation once it has drained the log
+// (the archiver at Seal), and for a consumer that expected the restart.
+func (t *Tailer) Rewind() {
+	for g := range t.groups {
+		t.groups[g] = tailGroup{}
+	}
+}
+
+// Lag returns how many bytes of the group files lie past the offsets.
+func (t *Tailer) Lag() (int64, error) {
+	if err := t.discover(); err != nil {
+		return 0, err
+	}
+	var lag int64
+	for g, p := range t.paths {
+		st, err := os.Stat(p)
+		if err != nil {
+			return 0, err
+		}
+		if d := st.Size() - t.groups[g].off; d > 0 {
+			lag += d
+		}
+	}
+	return lag, nil
+}

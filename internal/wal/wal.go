@@ -701,7 +701,7 @@ func Open(opts Options) (*Manager, error) {
 }
 
 func (m *Manager) groupPath(i int) string {
-	return filepath.Join(m.dir, fmt.Sprintf("wal-%04d.log", i))
+	return filepath.Join(m.dir, GroupFileName(i))
 }
 
 // Writer returns the slot's writer.
@@ -827,19 +827,38 @@ func NeedsRemoteFlush(ps PageStamp, slot int, lastWriterFlushed uint64) bool {
 	return ps.LastWriter >= 0 && int(ps.LastWriter) != slot && ps.GSN > lastWriterFlushed
 }
 
-// DecodeRecordAt parses one record from b starting at off. It returns the
-// record, the bytes consumed, and false when no complete, checksum-valid
-// record starts there (an incomplete tail). Exposed for WAL shipping.
-func DecodeRecordAt(b []byte, off int) (Record, int, bool) {
-	if off < 0 || off > len(b) {
-		return Record{}, 0, false
+// --- Reading the log ----------------------------------------------------------
+
+// GroupFileName returns the name of commit group g's log file.
+func GroupFileName(g int) string { return fmt.Sprintf("wal-%04d.log", g) }
+
+// groupFiles returns dir's group log files in group order.
+func groupFiles(dir string) ([]string, error) {
+	paths, err := filepath.Glob(filepath.Join(dir, "wal-*.log"))
+	if err != nil {
+		return nil, err
 	}
-	return decodeRecord(b[off:])
+	sort.Strings(paths)
+	return paths, nil
 }
 
-// --- Recovery ----------------------------------------------------------------
+// Scan is the one walk over log bytes: starting at off it decodes whole,
+// checksum-valid records and hands each, with its encoded bytes, to fn,
+// until fn returns false, the data ends, or the bytes stop decoding (a
+// torn or incomplete tail). It returns the offset of the first byte not
+// consumed — len(data) when everything decoded and was accepted.
+func Scan(data []byte, off int, fn func(r Record, raw []byte) bool) (next int) {
+	for off >= 0 && off < len(data) {
+		r, n, ok := decodeRecord(data[off:])
+		if !ok || !fn(r, data[off:off+n]) {
+			break
+		}
+		off += n
+	}
+	return off
+}
 
-// Recover reads every writer file in dir, drops torn tails, and returns the
+// Recover reads every group file in dir, drops torn tails, and returns the
 // records ordered by (GSN, writer, LSN) for redo.
 //
 // A file whose tail fails to parse (a crash tore the final write, or a
@@ -850,29 +869,23 @@ func DecodeRecordAt(b []byte, off int) (Record, int, bool) {
 // Callers recovering someone else's live log (none today — the standby's
 // Promote only reads the log of a dead primary) must copy it first.
 func Recover(dir string) ([]Record, error) {
-	paths, err := filepath.Glob(filepath.Join(dir, "wal-*.log"))
+	paths, err := groupFiles(dir)
 	if err != nil {
 		return nil, err
 	}
-	sort.Strings(paths)
 	var all []Record
 	for wi, p := range paths {
 		data, err := os.ReadFile(p)
 		if err != nil {
 			return nil, fmt.Errorf("wal: recover %s: %w", p, err)
 		}
-		off := 0
-		for off < len(data) {
-			r, n, ok := decodeRecord(data[off:])
-			if !ok {
-				break // torn tail: everything after is discarded
-			}
+		valid := Scan(data, 0, func(r Record, _ []byte) bool {
 			r.Writer = int32(wi)
 			all = append(all, r)
-			off += n
-		}
-		if off < len(data) {
-			if err := os.Truncate(p, int64(off)); err != nil {
+			return true
+		})
+		if valid < len(data) { // torn tail: everything after is discarded
+			if err := os.Truncate(p, int64(valid)); err != nil {
 				return nil, fmt.Errorf("wal: truncate torn tail of %s: %w", p, err)
 			}
 		}

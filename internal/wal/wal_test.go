@@ -394,7 +394,7 @@ func writeTornFixture(t *testing.T, dir string) (string, []byte, int64) {
 	// Locate the last record's start by walking the decoded records.
 	var lastOff int64
 	for off := 0; off < len(full); {
-		_, n, ok := DecodeRecordAt(full, off)
+		_, n, ok := decodeRecord(full[off:])
 		if !ok {
 			t.Fatalf("fixture log does not decode cleanly at %d", off)
 		}

@@ -2,7 +2,9 @@ package wire
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"sync"
@@ -14,8 +16,8 @@ import (
 // rejected.
 const revokeMarker = "--revoke"
 
-// Journal is the durable DDL journal shared by the wire and legacy text
-// front ends. The ordering invariant is journal-first: a statement is
+// Journal is the server's durable DDL journal. The ordering invariant is
+// journal-first: a statement is
 // recorded (and fsynced) BEFORE it executes, so a crash between the two
 // replays the statement forward on restart — the journal can only ever
 // be ahead of the catalog, never behind it. When execution fails after
@@ -31,11 +33,24 @@ type Journal struct {
 	f    *os.File
 }
 
-// OpenJournal opens (creating if needed) the journal at path.
+// OpenJournal opens (creating if needed) the journal at path. A final
+// line without its newline is an append a crash tore: journal-first means
+// it never executed, so it is cut off (and the cut fsynced) before the
+// next statement could be glued onto it.
 func OpenJournal(path string) (*Journal, error) {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, err
+	}
+	data, err := io.ReadAll(f)
+	if end := bytes.LastIndexByte(data, '\n') + 1; err == nil && end != len(data) {
+		if err = f.Truncate(int64(end)); err == nil {
+			err = f.Sync()
+		}
+	}
+	if err != nil {
+		f.Close()
+		return nil, fmt.Errorf("schema journal: %w", err)
 	}
 	return &Journal{path: path, f: f}, nil
 }

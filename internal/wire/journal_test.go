@@ -86,3 +86,32 @@ func TestJournalRejectsNewlines(t *testing.T) {
 		t.Fatal("newline statement journaled")
 	}
 }
+
+// TestJournalTornTailTruncatedOnOpen: a crash mid-append leaves a final
+// line without its newline. Journal-first means that statement never
+// executed, so reopening must cut it off — otherwise the next statement is
+// glued onto it and both are lost to replay.
+func TestJournalTornTailTruncatedOnOpen(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "schema.sql")
+	if err := os.WriteFile(path, []byte("CREATE TABLE a (x INT)\nCREATE TABLE b"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	j, err := OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	if err := j.Exec("CREATE TABLE c (x INT)", func() error { return nil }); err != nil {
+		t.Fatal(err)
+	}
+	var replayed []string
+	if _, err := j.Replay(func(stmt string) error {
+		replayed = append(replayed, stmt)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if len(replayed) != 2 || replayed[0] != "CREATE TABLE a (x INT)" || replayed[1] != "CREATE TABLE c (x INT)" {
+		t.Fatalf("replayed = %q", replayed)
+	}
+}

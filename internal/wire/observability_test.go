@@ -1,4 +1,7 @@
-package server
+package wire_test
+
+// The HTTP side of the front door (/metrics, /slowlog) and the DDL journal,
+// each driven end to end through wire.Server and the client package.
 
 import (
 	"bytes"
@@ -6,6 +9,8 @@ import (
 	"log"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"sync"
@@ -14,7 +19,9 @@ import (
 
 	phoebedb "phoebedb"
 
+	"phoebedb/client"
 	"phoebedb/internal/fault"
+	"phoebedb/internal/wire"
 )
 
 // scrape fetches the Prometheus endpoint and returns the body.
@@ -52,23 +59,33 @@ func metricValue(t *testing.T, body, name string) int64 {
 	return 0
 }
 
+func dial(t *testing.T, addr string) *client.Conn {
+	t.Helper()
+	c, err := client.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	return c
+}
+
 // TestMetricsEndpointUnderLoad scrapes the Prometheus endpoint and queries
 // the pg_stat-style virtual tables while concurrent sessions run a write
 // workload, checking that counters are live, monotonic, and merged across
 // task slots.
 func TestMetricsEndpointUnderLoad(t *testing.T) {
-	db := openServerDB(t)
-	addr, srv, _ := startServer(t, db)
+	db := openDB(t, phoebedb.Options{})
+	addr, srv := startWire(t, db, nil)
 	ms := httptest.NewServer(srv.MetricsHandler())
 	defer ms.Close()
 
-	setup, err := dialText(addr)
-	if err != nil {
+	setup := dial(t, addr)
+	if _, err := setup.Exec("CREATE TABLE load (id INT, v STRING)"); err != nil {
 		t.Fatal(err)
 	}
-	setup.Exec("CREATE TABLE load (id INT, v STRING)")
-	setup.Exec("CREATE UNIQUE INDEX load_pk ON load (id)")
-	setup.Close()
+	if _, err := setup.Exec("CREATE UNIQUE INDEX load_pk ON load (id)"); err != nil {
+		t.Fatal(err)
+	}
 
 	// Concurrent sessions hammer inserts while the main goroutine scrapes.
 	const clients, per = 4, 50
@@ -77,7 +94,7 @@ func TestMetricsEndpointUnderLoad(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			c, err := dialText(addr)
+			c, err := client.Dial(addr)
 			if err != nil {
 				t.Error(err)
 				return
@@ -125,11 +142,7 @@ func TestMetricsEndpointUnderLoad(t *testing.T) {
 	}
 
 	// The same numbers are queryable over SQL as virtual tables.
-	c, err := dialText(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+	c := dial(t, addr)
 	res, err := c.Exec("SELECT name, value FROM phoebe_stat_engine WHERE name = 'phoebe_txn_commits_total'")
 	if err != nil {
 		t.Fatal(err)
@@ -163,21 +176,16 @@ func TestSlowTxnTracer(t *testing.T) {
 	}
 	defer fault.Reset()
 
-	db, err := phoebedb.Open(phoebedb.Options{
-		Dir: t.TempDir(), Workers: 2, SlotsPerWorker: 4,
-		SlowTxnThreshold: 5 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
+	db := openDB(t, phoebedb.Options{SlotsPerWorker: 4, SlowTxnThreshold: 5 * time.Millisecond})
 	var logged bytes.Buffer
 	db.SlowLog().SetOutput(log.New(&logged, "", 0))
+	addr, srv := startWire(t, db, nil)
+	c := dial(t, addr)
 
-	if _, err := db.ExecSQL("CREATE TABLE s (id INT)"); err != nil {
+	if _, err := c.Exec("CREATE TABLE s (id INT)"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.ExecSQL("INSERT INTO s VALUES (1)"); err != nil {
+	if _, err := c.Exec("INSERT INTO s VALUES (1)"); err != nil {
 		t.Fatal(err)
 	}
 
@@ -192,19 +200,17 @@ func TestSlowTxnTracer(t *testing.T) {
 		t.Fatalf("slow log output = %q", logged.String())
 	}
 
-	res, err := db.ExecSQL("SELECT xid, committed, total_us FROM phoebe_stat_slow")
+	res, err := c.Exec("SELECT xid, committed, total_us FROM phoebe_stat_slow")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Rows) == 0 {
 		t.Fatal("phoebe_stat_slow is empty")
 	}
-	us := res.Rows[0][2].String()
-	if v, _ := strconv.ParseInt(us, 10, 64); v < 30_000 {
-		t.Fatalf("total_us = %s, want >= 30000", us)
+	if v, _ := strconv.ParseInt(res.Rows[0][2], 10, 64); v < 30_000 {
+		t.Fatalf("total_us = %s, want >= 30000", res.Rows[0][2])
 	}
 
-	srv := New(db)
 	ms := httptest.NewServer(srv.MetricsHandler())
 	defer ms.Close()
 	resp, err := http.Get(ms.URL + "/slowlog")
@@ -219,5 +225,59 @@ func TestSlowTxnTracer(t *testing.T) {
 	body := scrape(t, ms.URL)
 	if v := metricValue(t, body, "phoebe_txn_slow_total"); v == 0 {
 		t.Fatal("phoebe_txn_slow_total = 0")
+	}
+}
+
+// TestJournalDDLFirst drives DDL through the server's journal and checks
+// the journal-first ordering: successful statements are recorded, a
+// failing statement is recorded then revoked, and replay reconstructs
+// exactly the surviving schema.
+func TestJournalDDLFirst(t *testing.T) {
+	db := openDB(t, phoebedb.Options{})
+	jpath := filepath.Join(t.TempDir(), "schema.sql")
+	j, err := wire.OpenJournal(jpath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	addr, _ := startWire(t, db, func(s *wire.Server) { s.Journal = j })
+	c := dial(t, addr)
+
+	if _, err := c.Exec("CREATE TABLE j (a INT)"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Exec("INSERT INTO j VALUES (1)"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Exec("CREATE INDEX j_a ON j (a)"); err != nil {
+		t.Fatal(err)
+	}
+	// A duplicate CREATE fails to apply: it must be recorded, then
+	// revoked, so replay does not resurrect it.
+	if _, err := c.Exec("CREATE TABLE j (a INT)"); err == nil {
+		t.Fatal("duplicate CREATE TABLE succeeded")
+	}
+
+	raw, err := os.ReadFile(jpath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(string(raw)), "\n")
+	if len(lines) != 4 || !strings.HasPrefix(lines[0], "CREATE TABLE") ||
+		!strings.HasPrefix(lines[1], "CREATE INDEX") ||
+		!strings.HasPrefix(lines[2], "CREATE TABLE") || lines[3] != "--revoke" {
+		t.Fatalf("journal file = %q", lines)
+	}
+
+	var replayed []string
+	n, err := j.Replay(func(stmt string) error {
+		replayed = append(replayed, stmt)
+		return nil
+	})
+	if err != nil || n != 2 {
+		t.Fatalf("replay = (%d, %v)", n, err)
+	}
+	if !strings.HasPrefix(replayed[0], "CREATE TABLE") || !strings.HasPrefix(replayed[1], "CREATE INDEX") {
+		t.Fatalf("replayed = %v", replayed)
 	}
 }

@@ -295,8 +295,8 @@ func Open(opts Options) (*DB, error) {
 		// records that horizon so restores demand a base backup covering it.
 		var startGSN uint64
 		if img, rerr := os.ReadFile(filepath.Join(opts.Dir, "checkpoint.db")); rerr == nil {
-			if g, gerr := core.ReadCheckpointGSNFromImage(img); gerr == nil {
-				startGSN = g
+			if hdr, _, herr := core.ReadCheckpointHeader(img); herr == nil {
+				startGSN = hdr.GSN
 			}
 		}
 		arch, aerr := backup.OpenArchiver(filepath.Join(opts.Dir, "wal"), opts.ArchiveDir, startGSN)
