@@ -25,14 +25,15 @@ package client
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"strconv"
 	"time"
 
-	"phoebedb/internal/rel"
 	"phoebedb/internal/wire"
 )
 
@@ -66,7 +67,18 @@ type Conn struct {
 	// outstanding counts pipelined requests sent but not yet Recv'd.
 	outstanding int
 	hdr         [4]byte
-	scratch     []byte
+	// scratch is the request-frame encoding buffer and frame the response
+	// frame read buffer, both reused: a Result never aliases frame.
+	scratch []byte
+	frame   []byte
+	// colsRaw and cols remember the last Rows frame's encoded column list
+	// and its decoded names: a connection repeats a few statement shapes, so
+	// the names are decoded once per run of equal results, not per result.
+	colsRaw []byte
+	cols    []string
+	// text and ends are decodeRows' working buffers.
+	text []byte
+	ends []int
 }
 
 // Dial connects to a PhoebeDB server and performs the protocol
@@ -111,10 +123,9 @@ func (c *Conn) Close() error {
 // Send, in order, to collect results.
 func (c *Conn) Send(query string) error {
 	c.outstanding++
-	if _, err := c.w.Write(wire.AppendQuery(c.takeScratch(), query)); err != nil {
-		return err
-	}
-	return nil
+	c.scratch = wire.AppendQuery(c.scratch[:0], query)
+	_, err := c.w.Write(c.scratch)
+	return err
 }
 
 // Flush pushes all buffered frames to the server.
@@ -161,20 +172,21 @@ func (c *Conn) BeginReadCommitted() error  { return c.beginIso(1) }
 func (c *Conn) BeginRepeatableRead() error { return c.beginIso(2) }
 
 func (c *Conn) beginIso(iso byte) error {
-	return c.ctlRoundTrip(wire.AppendBegin(c.takeScratch(), iso))
+	return c.ctlRoundTrip(wire.AppendBegin(c.scratch[:0], iso))
 }
 
 // Commit commits the open transaction.
 func (c *Conn) Commit() error {
-	return c.ctlRoundTrip(wire.AppendFrame(c.takeScratch(), wire.FrameCommit, nil))
+	return c.ctlRoundTrip(wire.AppendFrame(c.scratch[:0], wire.FrameCommit, nil))
 }
 
 // Rollback aborts the open transaction (a no-op without one).
 func (c *Conn) Rollback() error {
-	return c.ctlRoundTrip(wire.AppendFrame(c.takeScratch(), wire.FrameRollback, nil))
+	return c.ctlRoundTrip(wire.AppendFrame(c.scratch[:0], wire.FrameRollback, nil))
 }
 
 func (c *Conn) ctlRoundTrip(frame []byte) error {
+	c.scratch = frame
 	if c.outstanding != 0 {
 		return fmt.Errorf("client: transaction control with %d pipelined responses pending; Recv them first", c.outstanding)
 	}
@@ -188,13 +200,9 @@ func (c *Conn) ctlRoundTrip(frame []byte) error {
 	return err
 }
 
-// takeScratch hands out the reusable frame-encoding buffer.
-func (c *Conn) takeScratch() []byte {
-	if c.scratch == nil {
-		c.scratch = make([]byte, 0, 512)
-	}
-	return c.scratch[:0]
-}
+// maxKeptFrame bounds the read buffer a connection keeps between
+// responses; a larger result gets a buffer of its own.
+const maxKeptFrame = 64 << 10
 
 // recvFrame reads one server frame and decodes it into a Result.
 func (c *Conn) recvFrame() (Result, error) {
@@ -205,7 +213,16 @@ func (c *Conn) recvFrame() (Result, error) {
 	if ln < 4 || ln > wire.MaxFrame {
 		return Result{}, fmt.Errorf("client: bad frame length %d", ln)
 	}
-	buf := make([]byte, ln)
+	var buf []byte
+	switch {
+	case ln > maxKeptFrame:
+		buf = make([]byte, ln)
+	case ln > cap(c.frame):
+		c.frame = make([]byte, ln, max(ln, 512))
+		buf = c.frame
+	default:
+		buf = c.frame[:ln]
+	}
 	if _, err := io.ReadFull(c.r, buf); err != nil {
 		return Result{}, fmt.Errorf("client: read frame: %w", err)
 	}
@@ -224,27 +241,96 @@ func (c *Conn) recvFrame() (Result, error) {
 		}
 		return Result{}, &ServerError{Code: code, Msg: msg}
 	case wire.FrameRows:
-		cols, rows, err := wire.DecodeRows(body)
-		if err != nil {
-			return Result{}, err
-		}
-		res := Result{Columns: cols, Rows: make([][]string, len(rows))}
-		for i, row := range rows {
-			out := make([]string, len(row))
-			for j, v := range row {
-				switch v.Kind {
-				case rel.TInt64:
-					out[j] = strconv.FormatInt(v.I, 10)
-				case rel.TFloat64:
-					out[j] = strconv.FormatFloat(v.F, 'g', -1, 64)
-				default:
-					out[j] = v.S
-				}
-			}
-			res.Rows[i] = out
-		}
-		return res, nil
+		return c.decodeRows(body)
 	default:
 		return Result{}, fmt.Errorf("client: unexpected frame type %q", typ)
 	}
+}
+
+// decodeRows decodes a Rows frame body straight into the Result's strings.
+// A result costs four allocations whatever its size: the column list, the
+// row list, one []string cut into the rows, and one string holding every
+// value's text, which the values are substrings of.
+func (c *Conn) decodeRows(body []byte) (Result, error) {
+	bad := func() (Result, error) {
+		return Result{}, fmt.Errorf("client: malformed rows frame")
+	}
+	ncols, used := binary.Uvarint(body)
+	if used <= 0 || ncols > uint64(len(body)) {
+		return bad()
+	}
+	rest := body[used:]
+	for i := uint64(0); i < ncols; i++ {
+		ln, u := binary.Uvarint(rest)
+		if u <= 0 || ln > uint64(len(rest)-u) {
+			return bad()
+		}
+		rest = rest[u+int(ln):]
+	}
+	if raw := body[used : len(body)-len(rest)]; !bytes.Equal(raw, c.colsRaw) || len(c.cols) != int(ncols) {
+		c.colsRaw = append(c.colsRaw[:0], raw...)
+		c.cols = make([]string, 0, ncols)
+		for len(raw) > 0 {
+			ln, u := binary.Uvarint(raw)
+			c.cols = append(c.cols, string(raw[u:u+int(ln)]))
+			raw = raw[u+int(ln):]
+		}
+	}
+	nrows, used := binary.Uvarint(rest)
+	if used <= 0 || nrows > uint64(len(rest)) {
+		return bad()
+	}
+	rest = rest[used:]
+
+	// First pass: render every value's text into one buffer, noting where
+	// each ends; second pass: cut the one string made of it into values.
+	if nrows*ncols > uint64(len(rest)) {
+		return bad() // every value takes at least one byte
+	}
+	text, ends := c.text[:0], c.ends[:0]
+	for i := uint64(0); i < nrows*ncols; i++ {
+		if len(rest) < 1 {
+			return bad()
+		}
+		kind := rest[0]
+		rest = rest[1:]
+		switch kind {
+		case wire.KindInt, wire.KindFloat:
+			if len(rest) < 8 {
+				return bad()
+			}
+			bits := binary.BigEndian.Uint64(rest)
+			if kind == wire.KindInt {
+				text = strconv.AppendInt(text, int64(bits), 10)
+			} else {
+				text = strconv.AppendFloat(text, math.Float64frombits(bits), 'g', -1, 64)
+			}
+			rest = rest[8:]
+		case wire.KindString:
+			ln, u := binary.Uvarint(rest)
+			if u <= 0 || ln > uint64(len(rest)-u) {
+				return bad()
+			}
+			text = append(text, rest[u:u+int(ln)]...)
+			rest = rest[u+int(ln):]
+		default:
+			return bad()
+		}
+		ends = append(ends, len(text))
+	}
+	if cap(text) <= maxKeptFrame && cap(ends) <= maxKeptFrame/8 {
+		c.text, c.ends = text, ends
+	}
+	all := string(text)
+	vals := make([]string, len(ends))
+	off := 0
+	for i, end := range ends {
+		vals[i] = all[off:end]
+		off = end
+	}
+	res := Result{Columns: append([]string(nil), c.cols...), Rows: make([][]string, nrows)}
+	for i := range res.Rows {
+		res.Rows[i] = vals[i*int(ncols) : (i+1)*int(ncols) : (i+1)*int(ncols)]
+	}
+	return res, nil
 }

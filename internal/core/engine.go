@@ -42,6 +42,9 @@ var (
 	ErrDuplicate    = errors.New("core: duplicate key in unique index")
 	ErrNotFound     = errors.New("core: row not found")
 	ErrTxnDone      = errors.New("core: transaction already finished")
+	// ErrExists marks a CREATE of a table or index whose name is taken; a
+	// schema replay tells it from a statement the catalog rejects.
+	ErrExists = errors.New("already exists")
 	// ErrTableNotEmpty rejects plain CreateIndex on a table that already
 	// holds data; CreateIndexOnline backfills instead.
 	ErrTableNotEmpty = errors.New("core: table not empty")
@@ -242,6 +245,10 @@ type Engine struct {
 
 	warms warmQueue
 
+	// txs holds each slot's transaction state, reused by every Begin on
+	// that slot (see Tx).
+	txs []*Tx
+
 	mu          sync.RWMutex
 	tables      map[string]*Tbl
 	tablesByID  map[uint32]*Tbl
@@ -284,6 +291,10 @@ func Open(cfg Config) (*Engine, error) {
 		return nil, err
 	}
 	e.Mgr = txn.NewManager(cfg.Slots)
+	e.txs = make([]*Tx, cfg.Slots)
+	for i := range e.txs {
+		e.txs[i] = newTx(e, i)
+	}
 	e.Pool = buffer.New(cfg.Partitions, cfg.BufferBytes)
 	e.stats.SlowLog.SetThreshold(cfg.SlowTxnThreshold)
 	return e, nil
@@ -328,7 +339,7 @@ func (e *Engine) CreateTable(name string, schema *rel.Schema) (*Tbl, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if _, ok := e.tables[name]; ok {
-		return nil, fmt.Errorf("core: table %q already exists", name)
+		return nil, fmt.Errorf("core: table %q %w", name, ErrExists)
 	}
 	e.nextTableID++
 	fs := frozen.NewStore(e.bf, schema)
@@ -391,7 +402,7 @@ func (e *Engine) registerIndex(t *Tbl, indexName string, cols []string, unique, 
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if _, ok := t.indexes[indexName]; ok {
-		return nil, fmt.Errorf("core: index %q already exists on %q", indexName, t.Name)
+		return nil, fmt.Errorf("core: index %q %w on %q", indexName, ErrExists, t.Name)
 	}
 	t.indexes[indexName] = ix
 	t.rebuildIndexCacheLocked()

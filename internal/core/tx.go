@@ -9,6 +9,7 @@ import (
 
 	"phoebedb/internal/lock"
 	"phoebedb/internal/metrics"
+	"phoebedb/internal/park"
 	"phoebedb/internal/rel"
 	"phoebedb/internal/table"
 	"phoebedb/internal/txn"
@@ -19,34 +20,33 @@ import (
 
 // Tx is one transaction bound to a task slot. All methods must be called
 // from that slot's goroutine; a slot runs one transaction at a time (§7.1).
+//
+// The engine keeps exactly one Tx per slot and Begin resets it in place, so
+// the handle Begin returns IS the slot's transaction state: its scratch
+// buffers (rowBuf, cands, encBuf, the UNDO record list, ...) survive from
+// one transaction to the next and a steady-state Begin allocates nothing.
+// A handle used after Commit/Rollback reports ErrTxnDone until the slot's
+// next Begin, from which point it names that new transaction — callers
+// must not keep a handle past the transaction it was returned for.
 type Tx struct {
 	e     *Engine
-	inner *txn.Txn
+	inner txn.Txn
 	slot  int
 
-	// Yield hooks supplied by the scheduler; either may be nil.
-	yield   func()                                               // high urgency
-	waitLow func(ch <-chan struct{}, timeout time.Duration) bool // low urgency
+	// waitTimer backs the blocking low-urgency wait of a caller that
+	// supplied no waitLow (sessions, system slots, crash tests).
+	waitTimer park.Timer
+	// ownMets receives the accounting of a Begin that supplied no
+	// SlotMetrics; created on the slot's first such Begin.
+	ownMets *metrics.SlotMetrics
 
 	// tctx is the table-layer context: the yield hook plus the wait-event
 	// identity (slots + slot id) that residency misses stamp as buffer_io.
 	tctx table.Ctx
 
-	// stmtFP/planNote carry the SQL layer's statement fingerprint and plan
-	// provenance into the transaction trace (slow log, trace ring).
-	stmtFP   string
-	planNote string
-
-	mets     *metrics.SlotMetrics
-	started  time.Time
-	tracked  time.Duration
-	finished bool
-
-	// comp and waited are the transaction-local copy of the component
-	// accounting, kept for the per-transaction trace (slow-transaction log
-	// and trace ring) without re-reading the shared slot counters.
-	comp   [metrics.NumComponents]time.Duration
-	waited time.Duration
+	// txnState is everything that belongs to the current transaction alone;
+	// Begin replaces it wholesale.
+	txnState
 
 	// tableLocks is the per-transaction table-lock set. Transactions touch
 	// a handful of tables, so a linear-scanned slice (inline backing array,
@@ -90,11 +90,40 @@ type Tx struct {
 	// any callback runs, so nested scans may clobber them freely).
 	keyBuf []byte
 	endBuf []byte
+	// frozenRestores lists frozen tombstones to clear on rollback.
+	frozenRestores []frozenRestore
+	// setNames/setCols/setVals are resolveSet's scratch: a write's SET
+	// ordered by column name and resolved to schema positions.
+	setNames []string
+	setCols  []int
+	setVals  rel.Row
+}
+
+// txnState is the part of a Tx that does not outlive a transaction.
+type txnState struct {
+	// Yield hooks supplied by the scheduler; either may be nil.
+	yield   func()                                               // high urgency
+	waitLow func(ch <-chan struct{}, timeout time.Duration) bool // low urgency
+	mets    *metrics.SlotMetrics
+
+	// stmtFP/planNote carry the SQL layer's statement fingerprint and plan
+	// provenance into the transaction trace (slow log, trace ring).
+	stmtFP   string
+	planNote string
+
+	started time.Time
+	tracked time.Duration
+	// active is set by Begin and cleared by Commit/Rollback.
+	active bool
+
+	// comp and waited are the transaction-local copy of the component
+	// accounting, kept for the per-transaction trace (slow-transaction log
+	// and trace ring) without re-reading the shared slot counters.
+	comp   [metrics.NumComponents]time.Duration
+	waited time.Duration
 	// vis accumulates visibility-check outcomes locally; finishMetrics
 	// flushes the totals into the engine's shared counters in one shot.
 	vis txn.VisStats
-	// frozenRestores lists frozen tombstones to clear on rollback.
-	frozenRestores []frozenRestore
 }
 
 type tblLock struct {
@@ -121,43 +150,73 @@ type frozenRestore struct {
 	rid rel.RowID
 }
 
-// Begin starts a transaction on the slot. mets may be nil; yield and
-// waitLow may be nil (blocking defaults are used).
+// Begin starts a transaction on the slot, resetting the slot's Tx in place.
+// mets may be nil (the slot's own metrics block is used); yield and waitLow
+// may be nil (blocking defaults are used). The slot's previous transaction
+// must have finished: a slot runs one transaction at a time, the invariant
+// the manager's per-slot active-start word already rests on, so a Begin
+// over an open transaction is a caller bug and panics.
 func (e *Engine) Begin(slot int, iso txn.Isolation, mets *metrics.SlotMetrics,
 	yield func(), waitLow func(ch <-chan struct{}, timeout time.Duration) bool) *Tx {
+	tx := e.txs[slot]
+	if tx.active {
+		panic(fmt.Sprintf("core: Begin on slot %d while its transaction %d is still open", slot, tx.XID()))
+	}
 	if mets == nil {
-		mets = &metrics.SlotMetrics{}
-	}
-	if waitLow == nil {
-		waitLow = func(ch <-chan struct{}, timeout time.Duration) bool {
-			if timeout <= 0 {
-				<-ch
-				return true
-			}
-			t := time.NewTimer(timeout)
-			defer t.Stop()
-			select {
-			case <-ch:
-				return true
-			case <-t.C:
-				return false
-			}
+		if tx.ownMets == nil {
+			tx.ownMets = &metrics.SlotMetrics{}
 		}
+		mets = tx.ownMets
 	}
-	tx := &Tx{
-		e:       e,
-		inner:   e.Mgr.Begin(slot, iso),
-		slot:    slot,
-		yield:   yield,
-		waitLow: waitLow,
-		mets:    mets,
+	e.Mgr.Begin(&tx.inner, slot, iso)
+	tx.txnState = txnState{
+		yield: yield, waitLow: waitLow, mets: mets,
 		started: time.Now(),
+		active:  true,
+		vis:     txn.VisStats{ChainLen: &e.stats.MVCCChainLen},
 	}
-	tx.tctx = table.Ctx{Yield: yield, Waits: e.cfg.Waits, Slot: slot}
+	tx.tctx.Yield = yield
+	return tx
+}
+
+// newTx builds a slot's transaction state; called once per slot at Open.
+func newTx(e *Engine, slot int) *Tx {
+	tx := &Tx{e: e, slot: slot}
+	tx.tctx = table.Ctx{Waits: e.cfg.Waits, Slot: slot}
 	tx.tableLocks = tx.tableLocksBuf[:0]
 	tx.idxOps = tx.idxOpsBuf[:0]
-	tx.vis.ChainLen = &e.stats.MVCCChainLen
 	return tx
+}
+
+// Bounds, in elements, on the per-slot lists a transaction leaves behind
+// for the next one. A bulk transaction's index-op list (a 100 000-row load)
+// is dropped, an OLTP transaction's kept; the index-scan candidate lists
+// get more room, because an ordinary statement fills them with every entry
+// under its prefix before it visits the first (TPC-C's oldest-new-order
+// probe collects a district's ~900 entries to return one).
+const (
+	maxKeptIdxOps = 256
+	maxKeptCands  = 16384
+)
+
+// finish closes the transaction's handle and releases what its scratch
+// lists reference (index keys, UNDO records); the arrays stay. The row
+// buffers keep their last values — a borrowed row handed out by the
+// transaction's final read stays readable until the slot's next one, and
+// what they can pin is at most one hot page's string bytes per slot (cold
+// rows are returned from the block image, never copied here).
+func (tx *Tx) finish() {
+	tx.active = false
+	clear(tx.idxOps)
+	tx.idxOps = tx.idxOps[:0]
+	if cap(tx.idxOps) > maxKeptIdxOps {
+		tx.idxOps = tx.idxOpsBuf[:0]
+	}
+	clear(tx.frozenRestores)
+	tx.frozenRestores = tx.frozenRestores[:0]
+	if cap(tx.cands) > maxKeptCands {
+		tx.cands, tx.candKeys, tx.candEnds = nil, nil, nil
+	}
 }
 
 // XID returns the transaction ID.
@@ -198,7 +257,7 @@ func (tx *Tx) addWait(d time.Duration) {
 // stmt begins a statement: poisoned-transaction check plus snapshot
 // refresh (read committed re-snapshots; repeatable read keeps its pin).
 func (tx *Tx) stmt() error {
-	if tx.finished {
+	if !tx.active {
 		return ErrTxnDone
 	}
 	tx.inner.RefreshSnapshot()
@@ -673,9 +732,7 @@ func (errWait) Error() string { return "core: internal wait sentinel" }
 
 // Update modifies the named columns of a row in place (§6.2's write path).
 func (tx *Tx) Update(tableName string, rid rel.RowID, set map[string]rel.Value) error {
-	_, err := tx.Modify(tableName, rid, func(rel.Row) (map[string]rel.Value, error) {
-		return set, nil
-	})
+	_, err := tx.modify(tableName, rid, set, nil)
 	return err
 }
 
@@ -686,6 +743,13 @@ func (tx *Tx) Update(tableName string, rid rel.RowID, set map[string]rel.Value) 
 // needs for counters like D_NEXT_O_ID and the YTD accumulations. fn may
 // run more than once if the transaction has to wait and retry.
 func (tx *Tx) Modify(tableName string, rid rel.RowID, fn func(cur rel.Row) (map[string]rel.Value, error)) (rel.Row, error) {
+	return tx.modify(tableName, rid, nil, fn)
+}
+
+// modify is the write path behind Update (a fixed set, no row handed out or
+// back) and Modify (fn computes the set from the current row and the
+// resulting row is returned).
+func (tx *Tx) modify(tableName string, rid rel.RowID, set map[string]rel.Value, fn func(cur rel.Row) (map[string]rel.Value, error)) (rel.Row, error) {
 	if err := tx.stmt(); err != nil {
 		return nil, err
 	}
@@ -698,7 +762,7 @@ func (tx *Tx) Modify(tableName string, rid rel.RowID, fn func(cur rel.Row) (map[
 	}
 	deadline := time.Now().Add(tx.e.cfg.LockTimeout)
 	for {
-		row, err := tx.modifyOnce(t, rid, fn)
+		row, err := tx.modifyOnce(t, rid, set, fn)
 		var w errWait
 		if !errors.As(err, &w) {
 			return row, err
@@ -725,19 +789,23 @@ func (tx *Tx) waitOn(w errWait, deadline time.Time) bool {
 	}
 	seg := tx.tctx.Waits.Begin(tx.slot, waitevent.EvTupleLock)
 	defer tx.tctx.Waits.End(tx.slot, waitevent.EvTupleLock, seg)
+	ch := w.ch
 	if w.meta != nil {
-		return tx.waitLow(w.meta.Done(), remaining)
+		ch = w.meta.Done()
 	}
-	return tx.waitLow(w.ch, remaining)
+	if tx.waitLow != nil {
+		return tx.waitLow(ch, remaining)
+	}
+	return tx.waitTimer.Wait(ch, remaining)
 }
 
-func (tx *Tx) modifyOnce(t *Tbl, rid rel.RowID, fn func(cur rel.Row) (map[string]rel.Value, error)) (rel.Row, error) {
+func (tx *Tx) modifyOnce(t *Tbl, rid rel.RowID, set map[string]rel.Value, fn func(cur rel.Row) (map[string]rel.Value, error)) (rel.Row, error) {
 	var result rel.Row
 	err := t.Store.WithRow(rid, true, &tx.tctx, func(h table.Handle) error {
 		mvccStart := time.Now()
 		tt := h.TwinTable(true)
 		head := tt.Head(rid)
-		waitMeta, err := txn.CheckWriteConflict(head, tx.inner)
+		waitMeta, err := txn.CheckWriteConflict(head, &tx.inner)
 		tx.track(metrics.CompMVCC, mvccStart)
 		if err != nil {
 			return err
@@ -757,12 +825,14 @@ func (tx *Tx) modifyOnce(t *Tbl, rid rel.RowID, fn func(cur rel.Row) (map[string
 		}
 		tx.track(metrics.CompLock, lockStart)
 
-		set, err := fn(h.Row())
-		if err != nil {
-			lock.UnlockTuple(entry, true)
-			return err
+		set := set
+		if fn != nil {
+			if set, err = fn(h.Row()); err != nil {
+				lock.UnlockTuple(entry, true)
+				return err
+			}
 		}
-		cols, vals, err := resolveSet(t.Schema, set)
+		cols, vals, err := tx.resolveSet(t.Schema, set)
 		if err != nil {
 			lock.UnlockTuple(entry, true)
 			return err
@@ -771,10 +841,8 @@ func (tx *Tx) modifyOnce(t *Tbl, rid rel.RowID, fn func(cur rel.Row) (map[string
 		// Before-image delta, version chain push, in-place update.
 		mvccStart = time.Now()
 		delta := make([]undo.ColVal, len(cols))
-		oldVals := make(rel.Row, len(cols))
 		for i, c := range cols {
-			oldVals[i] = h.Col(c)
-			delta[i] = undo.ColVal{Col: c, Val: oldVals[i]}
+			delta[i] = undo.ColVal{Col: c, Val: h.Col(c)}
 		}
 		rec := tx.inner.AddUndo(t.ID, rid, undo.OpUpdate, delta, head)
 		tt.Push(rid, rec)
@@ -788,20 +856,27 @@ func (tx *Tx) modifyOnce(t *Tbl, rid rel.RowID, fn func(cur rel.Row) (map[string
 		// Index maintenance: if an indexed column changed, add an entry
 		// for the new key. The old entry stays for older snapshots and is
 		// filtered by the scan-side key verification; it is physically
-		// removed when the row is eventually deleted and GC'd.
-		newRow := h.Row()
-		result = newRow
+		// removed when the row is eventually deleted and GC'd. The new row
+		// is materialized only for that, or for Modify's caller.
+		var newRow rel.Row
+		if fn != nil {
+			newRow = h.Row()
+			result = newRow
+		}
 		for _, ix := range t.Indexes() {
 			changed := false
 			for _, c := range ix.Cols {
 				for j, uc := range cols {
-					if uc == c && !oldVals[j].Equal(vals[j]) {
+					if uc == c && !delta[j].Val.Equal(vals[j]) {
 						changed = true
 					}
 				}
 			}
 			if !changed {
 				continue
+			}
+			if newRow == nil {
+				newRow = h.Row()
 			}
 			k := indexKey(ix, newRow, rid)
 			ix.Tree.Insert(k, uint64(rid))
@@ -820,7 +895,7 @@ func (tx *Tx) modifyOnce(t *Tbl, rid rel.RowID, fn func(cur rel.Row) (map[string
 		if werr != nil {
 			return nil, werr
 		}
-		return tx.modifyOnce(t, newRID, fn)
+		return tx.modifyOnce(t, newRID, set, fn)
 	}
 	if errors.Is(err, table.ErrNotFound) {
 		return nil, ErrNotFound
@@ -859,7 +934,7 @@ func (tx *Tx) deleteOnce(t *Tbl, rid rel.RowID) error {
 		mvccStart := time.Now()
 		tt := h.TwinTable(true)
 		head := tt.Head(rid)
-		waitMeta, err := txn.CheckWriteConflict(head, tx.inner)
+		waitMeta, err := txn.CheckWriteConflict(head, &tx.inner)
 		tx.track(metrics.CompMVCC, mvccStart)
 		if err != nil {
 			return err
@@ -957,15 +1032,16 @@ func (tx *Tx) repointWarmedIndexes(insRec *undo.Record, t *Tbl, row rel.Row, old
 	}
 }
 
-func resolveSet(s *rel.Schema, set map[string]rel.Value) ([]int, rel.Row, error) {
-	names := make([]string, 0, len(set))
+// resolveSet orders a SET by column name and resolves it to positions and
+// values, in the transaction's scratch lists (valid until its next call).
+func (tx *Tx) resolveSet(s *rel.Schema, set map[string]rel.Value) ([]int, rel.Row, error) {
+	names := tx.setNames[:0]
 	for n := range set {
 		names = append(names, n)
 	}
 	sort.Strings(names)
-	cols := make([]int, len(names))
-	vals := make(rel.Row, len(names))
-	for i, n := range names {
+	cols, vals := tx.setCols[:0], tx.setVals[:0]
+	for _, n := range names {
 		c := s.ColIndex(n)
 		if c < 0 {
 			return nil, nil, fmt.Errorf("%w: %q", ErrNoSuchColumn, n)
@@ -973,9 +1049,10 @@ func resolveSet(s *rel.Schema, set map[string]rel.Value) ([]int, rel.Row, error)
 		if set[n].Kind != s.Cols[c].Type {
 			return nil, nil, fmt.Errorf("core: column %q: wrong value kind", n)
 		}
-		cols[i] = c
-		vals[i] = set[n]
+		cols = append(cols, c)
+		vals = append(vals, set[n])
 	}
+	tx.setNames, tx.setCols, tx.setVals = names, cols, vals
 	return cols, vals, nil
 }
 
@@ -984,10 +1061,10 @@ func resolveSet(s *rel.Schema, set map[string]rel.Value) ([]int, rel.Row, error)
 // Commit makes the transaction durable and visible. Read-only transactions
 // skip the WAL entirely.
 func (tx *Tx) Commit() error {
-	if tx.finished {
+	if !tx.active {
 		return ErrTxnDone
 	}
-	tx.finished = true
+	defer tx.finish()
 	cts := tx.inner.PrepareCommit()
 	if len(tx.inner.Records) > 0 {
 		walStart := time.Now()
@@ -1034,10 +1111,10 @@ func (tx *Tx) Commit() error {
 // Rollback aborts the transaction, restoring every before image and
 // unlinking its version-chain records.
 func (tx *Tx) Rollback() error {
-	if tx.finished {
+	if !tx.active {
 		return ErrTxnDone
 	}
-	tx.finished = true
+	defer tx.finish()
 	tx.rollbackChanges()
 	if len(tx.inner.Records) > 0 {
 		w := tx.e.WAL.Writer(tx.slot)

@@ -83,6 +83,12 @@ type Slot struct {
 	// BeforePark, if set by the running task, is called at the start of
 	// every YieldLow. The task clears it before it returns.
 	BeforePark func()
+	// Yield and Wait are YieldHigh and YieldLow as func values, bound once
+	// when the slot is made: a task hands them to the engine with every
+	// transaction it begins, and a method value built there would be an
+	// allocation each.
+	Yield func()
+	Wait  func(ch <-chan struct{}, timeout time.Duration) bool
 
 	pool *Pool
 	// timer is the slot's one park timer, re-armed by every YieldLow.
@@ -244,6 +250,7 @@ func (p *Pool) Start() {
 	for w := 0; w < p.cfg.Workers; w++ {
 		for i := 0; i < p.cfg.SlotsPerWorker; i++ {
 			s := &Slot{Worker: w, ID: w*p.cfg.SlotsPerWorker + i, pool: p, Waits: p.cfg.Waits}
+			s.Yield, s.Wait = s.YieldHigh, s.YieldLow
 			if p.cfg.Recorder != nil {
 				s.Metrics = p.cfg.Recorder.NewSlot()
 			} else {

@@ -2,7 +2,6 @@ package sql
 
 import (
 	"container/list"
-	"fmt"
 	"strconv"
 	"strings"
 	"sync"
@@ -40,6 +39,26 @@ type CachedStmt struct {
 	// literal-independent, so it survives rebinding. nil until a join
 	// statement first executes.
 	sel atomic.Pointer[selectHint]
+	// meta and proj cache what a single-table statement re-derived from the
+	// catalog on every execution although it depends only on the template
+	// and the schema: the table's schema and live indexes, and a streaming
+	// SELECT's projection. Like the plan hint they are published once and
+	// die with the entry when DDL invalidates the cache.
+	meta atomic.Pointer[tableMeta]
+	proj atomic.Pointer[projection]
+}
+
+// tableMeta is a statement's table as the planner sees it.
+type tableMeta struct {
+	schema  *rel.Schema
+	indexes []IndexMeta
+}
+
+// projection is a streaming SELECT's output: source positions (nil for
+// SELECT *, whose output row is the scan row) and column names.
+type projection struct {
+	pos  []int
+	cols []string
 }
 
 // Fingerprint returns the normalized statement text the template was
@@ -50,63 +69,11 @@ func (cs *CachedStmt) Fingerprint() string { return cs.key }
 // query — the same key the plan cache uses — falling back to the trimmed
 // source text when the normalizer cannot handle the statement.
 func Fingerprint(query string) string {
-	if key, _, ok := normalize(query); ok {
-		return key
+	var sc Scratch
+	if key, _, ok := normalize(query, &sc); ok {
+		return string(key)
 	}
 	return strings.TrimSpace(query)
-}
-
-// bind substitutes params into a deep copy of the template. The template
-// itself is never mutated: every slice/map reachable from the returned
-// statement is freshly allocated.
-func (cs *CachedStmt) bind(params []rel.Value) (Stmt, error) {
-	if len(params) != cs.nParams {
-		return nil, fmt.Errorf("sql: template wants %d parameters, got %d", cs.nParams, len(params))
-	}
-	bindVal := func(v rel.Value) rel.Value {
-		if isParam(v) {
-			return params[v.I]
-		}
-		return v
-	}
-	bindConds := func(conds []Cond) []Cond {
-		if conds == nil {
-			return nil
-		}
-		out := make([]Cond, len(conds))
-		for i, c := range conds {
-			out[i] = Cond{Table: c.Table, Col: c.Col, Op: c.Op, Val: bindVal(c.Val)}
-		}
-		return out
-	}
-	switch s := cs.tmpl.(type) {
-	case InsertStmt:
-		rows := make([][]rel.Value, len(s.Rows))
-		for i, r := range s.Rows {
-			row := make([]rel.Value, len(r))
-			for j, v := range r {
-				row[j] = bindVal(v)
-			}
-			rows[i] = row
-		}
-		s.Rows = rows
-		return s, nil
-	case SelectStmt:
-		s.Where = bindConds(s.Where)
-		return s, nil
-	case UpdateStmt:
-		set := make(map[string]rel.Value, len(s.Set))
-		for k, v := range s.Set {
-			set[k] = bindVal(v)
-		}
-		s.Set = set
-		s.Where = bindConds(s.Where)
-		return s, nil
-	case DeleteStmt:
-		s.Where = bindConds(s.Where)
-		return s, nil
-	}
-	return nil, ErrUnsupported
 }
 
 // PlanCache is a bounded LRU of CachedStmt keyed by normalized statement
@@ -162,17 +129,18 @@ func (c *PlanCache) Invalidate() {
 
 // Prepare resolves src against the cache: normalize, look up, and on a
 // miss parse the template and insert it. The returned params are the
-// literals extracted from src in source order, ready for ExecPrepared.
+// literals extracted from src in source order, ready for ExecPrepared; they
+// live in sc and are valid until its next use. src itself is only read.
 // cacheable=false means the statement bypasses the cache — DDL, statements
 // the normalizer cannot handle, or text that fails to parse (the caller
 // should fall back to Parse on the original text for a faithful error).
-func (c *PlanCache) Prepare(src string) (cs *CachedStmt, params []rel.Value, cacheable bool) {
-	key, params, ok := normalize(src)
+func (c *PlanCache) Prepare(src string, sc *Scratch) (cs *CachedStmt, params []rel.Value, cacheable bool) {
+	keyBytes, params, ok := normalize(src, sc)
 	if !ok {
 		return nil, nil, false
 	}
 	c.mu.Lock()
-	if el, hit := c.entries[key]; hit {
+	if el, hit := c.entries[string(keyBytes)]; hit {
 		c.lru.MoveToFront(el)
 		cs := el.Value.(*cacheEntry).cs
 		c.mu.Unlock()
@@ -181,6 +149,7 @@ func (c *PlanCache) Prepare(src string) (cs *CachedStmt, params []rel.Value, cac
 	}
 	c.mu.Unlock()
 
+	key := string(keyBytes)
 	tmpl, n, err := parseTemplate(key)
 	if err != nil || n != len(params) {
 		// Unparseable (or a normalizer/parser disagreement): let the
@@ -208,17 +177,18 @@ func (c *PlanCache) Prepare(src string) (cs *CachedStmt, params []rel.Value, cac
 }
 
 // normalize rewrites src into a cache key with every literal replaced by
-// '?', returning the extracted literals in source order. It mirrors the
-// lexer's token boundaries in a single allocation-light pass: identifiers
-// lowercase (the parser lowercases them anyway), symbols verbatim, string
-// and number literals parameterized. Two exceptions keep templates sound:
-// LIMIT counts stay verbatim in the key (the planner treats LIMIT as part
-// of the plan, and `LIMIT ?` would hide it), and CREATE statements are
-// uncacheable (DDL runs once; caching it would mask Invalidate ordering).
-func normalize(src string) (key string, params []rel.Value, ok bool) {
-	var sb strings.Builder
-	sb.Grow(len(src))
-	prevWord := ""
+// '?', returning the extracted literals in source order; both are built in
+// sc and valid until its next use. It mirrors the lexer's token boundaries
+// in a single pass that allocates only the string literals' values:
+// identifiers lowercase (the parser lowercases them anyway), symbols
+// verbatim, string and number literals parameterized. Two exceptions keep
+// templates sound: LIMIT counts stay verbatim in the key (the planner
+// treats LIMIT as part of the plan, and `LIMIT ?` would hide it), and
+// CREATE statements are uncacheable (DDL runs once; caching it would mask
+// Invalidate ordering).
+func normalize(src string, sc *Scratch) (key []byte, params []rel.Value, ok bool) {
+	sc.key, sc.params = sc.key[:0], sc.params[:0]
+	afterLimit := false
 	first := true
 	pos := 0
 	for pos < len(src) {
@@ -228,20 +198,24 @@ func normalize(src string) (key string, params []rel.Value, ok bool) {
 			pos++
 			continue
 		case isIdentStart(rune(c)):
-			start := pos
+			wstart := len(sc.key)
 			for pos < len(src) && isIdentPart(rune(src[pos])) {
+				b := src[pos]
+				if b >= 'A' && b <= 'Z' {
+					b += 'a' - 'A'
+				}
+				sc.key = append(sc.key, b)
 				pos++
 			}
-			word := strings.ToLower(src[start:pos])
+			word := sc.key[wstart:]
 			// CREATE: DDL runs once, caching would mask Invalidate ordering.
 			// EXPLAIN: a diagnostic whose literals must survive verbatim into
 			// the rendered plan — parameterizing them would lie.
-			if first && (word == "create" || word == "explain") {
-				return "", nil, false
+			if first && (string(word) == "create" || string(word) == "explain") {
+				return nil, nil, false
 			}
-			sb.WriteString(word)
-			sb.WriteByte(' ')
-			prevWord = word
+			afterLimit = string(word) == "limit"
+			sc.key = append(sc.key, ' ')
 		case c >= '0' && c <= '9' || c == '-' && pos+1 < len(src) && src[pos+1] >= '0' && src[pos+1] <= '9':
 			start := pos
 			pos++
@@ -249,68 +223,81 @@ func normalize(src string) (key string, params []rel.Value, ok bool) {
 				pos++
 			}
 			text := src[start:pos]
-			if prevWord == "limit" {
+			if afterLimit {
 				// Keep the count in the key: different limits are
 				// different plans.
-				sb.WriteString(text)
-				sb.WriteByte(' ')
+				sc.key = append(sc.key, text...)
+				sc.key = append(sc.key, ' ')
 			} else {
 				v, err := numberValue(text)
 				if err != nil {
-					return "", nil, false
+					return nil, nil, false
 				}
-				params = append(params, v)
-				sb.WriteString("? ")
+				sc.params = append(sc.params, v)
+				sc.key = append(sc.key, '?', ' ')
 			}
-			prevWord = ""
+			afterLimit = false
 		case c == '\'':
 			pos++
+			// The literal's text is copied out of src (a value may outlive
+			// the statement text: an inserted string lands in a page). A
+			// literal without quote escapes is one contiguous run.
+			start, escaped := pos, false
 			var lit strings.Builder
 			for {
 				if pos >= len(src) {
-					return "", nil, false // unterminated; Parse reports it
+					return nil, nil, false // unterminated; Parse reports it
 				}
 				if src[pos] == '\'' {
 					if pos+1 < len(src) && src[pos+1] == '\'' {
+						if !escaped {
+							escaped = true
+							lit.WriteString(src[start:pos])
+						}
 						lit.WriteByte('\'')
 						pos += 2
 						continue
 					}
-					pos++
 					break
 				}
-				lit.WriteByte(src[pos])
+				if escaped {
+					lit.WriteByte(src[pos])
+				}
 				pos++
 			}
-			params = append(params, rel.Str(lit.String()))
-			sb.WriteString("? ")
-			prevWord = ""
+			if escaped {
+				sc.params = append(sc.params, rel.Str(lit.String()))
+			} else {
+				sc.params = append(sc.params, rel.Str(strings.Clone(src[start:pos])))
+			}
+			pos++ // closing quote
+			sc.key = append(sc.key, '?', ' ')
+			afterLimit = false
 		case c == '<' || c == '>' || c == '!':
 			// Mirror the lexer: <=, >=, != are single tokens. A bare '!' is
 			// a lex error — uncacheable, let Parse report it.
-			sb.WriteByte(c)
+			sc.key = append(sc.key, c)
 			pos++
 			if pos < len(src) && src[pos] == '=' {
-				sb.WriteByte('=')
+				sc.key = append(sc.key, '=')
 				pos++
 			} else if c == '!' {
-				return "", nil, false
+				return nil, nil, false
 			}
-			sb.WriteByte(' ')
-			prevWord = ""
-		case strings.ContainsRune("(),=*.", rune(c)):
-			sb.WriteByte(c)
-			sb.WriteByte(' ')
+			sc.key = append(sc.key, ' ')
+			afterLimit = false
+		case c == '(' || c == ')' || c == ',' || c == '=' || c == '*' || c == '.':
+			sc.key = append(sc.key, c, ' ')
 			pos++
-			prevWord = ""
+			afterLimit = false
 		default:
 			// '?' in user text, or anything the lexer would reject:
 			// uncacheable, let Parse produce the error.
-			return "", nil, false
+			return nil, nil, false
 		}
 		first = false
 	}
-	return sb.String(), params, true
+	return sc.key, sc.params, true
 }
 
 // numberValue mirrors parser.value's literal typing: a '.' makes a float,

@@ -1,6 +1,7 @@
 package sql
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -45,7 +46,7 @@ func TestNormalize(t *testing.T) {
 		{src: "SELECT * FROM t WHERE a = 'oops", ok: false}, // unterminated
 	}
 	for _, tc := range cases {
-		key, params, ok := normalize(tc.src)
+		key, params, ok := normalize(tc.src, new(Scratch))
 		if ok != tc.ok {
 			t.Errorf("%q: ok=%v want %v", tc.src, ok, tc.ok)
 			continue
@@ -53,13 +54,40 @@ func TestNormalize(t *testing.T) {
 		if !ok {
 			continue
 		}
-		if key != tc.key {
+		if string(key) != tc.key {
 			t.Errorf("%q: key=%q want %q", tc.src, key, tc.key)
+		}
+		if len(params) == 0 {
+			params = nil
 		}
 		if !reflect.DeepEqual(params, tc.params) {
 			t.Errorf("%q: params=%v want %v", tc.src, params, tc.params)
 		}
 	}
+}
+
+// bindStmt substitutes params into cs's template the way ExecPreparedInto
+// does, boxed back into a Stmt for comparison with the parser's output.
+func bindStmt(cs *CachedStmt, sc *Scratch, params []rel.Value) (Stmt, error) {
+	if len(params) != cs.nParams {
+		return nil, fmt.Errorf("template wants %d parameters, got %d", cs.nParams, len(params))
+	}
+	switch s := cs.tmpl.(type) {
+	case InsertStmt:
+		s.Rows = sc.bindRows(s.Rows, params)
+		return s, nil
+	case SelectStmt:
+		s.Where = sc.bindConds(s.Where, params)
+		return s, nil
+	case UpdateStmt:
+		s.Set = sc.bindSet(s.Set, params)
+		s.Where = sc.bindConds(s.Where, params)
+		return s, nil
+	case DeleteStmt:
+		s.Where = sc.bindConds(s.Where, params)
+		return s, nil
+	}
+	return nil, ErrUnsupported
 }
 
 // Binding the cached template with the extracted literals must reproduce
@@ -74,16 +102,17 @@ func TestPrepareBindEquivalence(t *testing.T) {
 		"SELECT * FROM t",
 	}
 	c := NewPlanCache(16)
+	var sc Scratch
 	for _, src := range corpus {
 		want, err := Parse(src)
 		if err != nil {
 			t.Fatalf("Parse(%q): %v", src, err)
 		}
-		cs, params, ok := c.Prepare(src)
+		cs, params, ok := c.Prepare(src, &sc)
 		if !ok {
 			t.Fatalf("Prepare(%q): uncacheable", src)
 		}
-		got, err := cs.bind(params)
+		got, err := bindStmt(cs, &sc, params)
 		if err != nil {
 			t.Fatalf("bind(%q): %v", src, err)
 		}
@@ -100,11 +129,11 @@ func TestPrepareBindEquivalence(t *testing.T) {
 		"DELETE FROM t WHERE a = 123",
 	} {
 		want, _ := Parse(src)
-		cs, params, ok := c.Prepare(src)
+		cs, params, ok := c.Prepare(src, &sc)
 		if !ok {
 			t.Fatalf("Prepare(%q): uncacheable", src)
 		}
-		got, err := cs.bind(params)
+		got, err := bindStmt(cs, &sc, params)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -125,7 +154,7 @@ func TestPlanCacheLRU(t *testing.T) {
 		"SELECT * FROM c WHERE x = 1",
 	}
 	for _, s := range stmts {
-		if _, _, ok := c.Prepare(s); !ok {
+		if _, _, ok := c.Prepare(s, new(Scratch)); !ok {
 			t.Fatalf("Prepare(%q) failed", s)
 		}
 	}
@@ -134,7 +163,7 @@ func TestPlanCacheLRU(t *testing.T) {
 	}
 	// The oldest shape (table a) was evicted: preparing it again misses.
 	misses := c.Misses()
-	if _, _, ok := c.Prepare(stmts[0]); !ok {
+	if _, _, ok := c.Prepare(stmts[0], new(Scratch)); !ok {
 		t.Fatal("re-prepare failed")
 	}
 	if c.Misses() != misses+1 {
@@ -142,7 +171,7 @@ func TestPlanCacheLRU(t *testing.T) {
 	}
 	// Table c is still resident: hits.
 	hits := c.Hits()
-	if _, _, ok := c.Prepare(stmts[2]); !ok {
+	if _, _, ok := c.Prepare(stmts[2], new(Scratch)); !ok {
 		t.Fatal("re-prepare failed")
 	}
 	if c.Hits() != hits+1 {
@@ -191,7 +220,7 @@ func TestPlanHintRebuild(t *testing.T) {
 			}
 			rebound[i] = Cond{Col: c.Col, Val: v}
 		}
-		got, ok, err := hint.rebuild(schema, rebound)
+		got, ok, err := hint.rebuild(schema, rebound, new(Scratch))
 		if err != nil || !ok {
 			t.Fatalf("rebuild: ok=%v err=%v", ok, err)
 		}
@@ -208,7 +237,7 @@ func TestPlanHintRebuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := hint.rebuild(schema, []Cond{{Col: "id", Val: rel.Str("nope")}}); err == nil {
+	if _, _, err := hint.rebuild(schema, []Cond{{Col: "id", Val: rel.Str("nope")}}, new(Scratch)); err == nil {
 		t.Fatal("mistyped rebind accepted")
 	}
 }

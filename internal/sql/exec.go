@@ -128,6 +128,9 @@ type plan struct {
 	// empty marks a provably empty result: contradictory conditions on
 	// one column (e.g. x > 5 AND x < 3). No scan runs at all.
 	empty bool
+	// label is the plan's provenance line (scanLabel) when it came out of a
+	// cached hint, which renders it once; "" otherwise.
+	label string
 }
 
 // hasRange reports whether the plan carries index range bounds.
@@ -150,48 +153,56 @@ type planHint struct {
 	rangeCol         int
 	rangeLo, rangeHi int
 	residual         []hintCond
+	// label and emptyLabel are scanLabel of the plans the hint rebuilds
+	// (emptiness is the one value-dependent part of the label).
+	label, emptyLabel string
 }
 
 // hintCond ties one planned condition to its WHERE position and column.
 type hintCond struct{ whereIdx, col int }
 
-// rebuild re-derives the plan from the hint for a freshly bound WHERE.
-// ok=false signals a structural mismatch (the caller re-plans from
-// scratch); an error is a genuine literal type mismatch. Range bounds
-// re-coerce (int literals widen on float columns) and the contradiction
-// check re-runs — a cached BETWEEN bound to an empty interval yields an
-// empty plan, not a wrong scan.
-func (h *planHint) rebuild(schema *rel.Schema, where []Cond) (plan, bool, error) {
+// coerceCond returns the WHERE literal a hint position names, coerced to its
+// column's type. ok=false signals a structural mismatch; an error is a
+// genuine literal type mismatch.
+func coerceCond(schema *rel.Schema, where []Cond, hc hintCond) (rel.Value, bool, error) {
+	if hc.whereIdx >= len(where) || hc.col >= schema.NumCols() {
+		return rel.Value{}, false, nil
+	}
+	v := where[hc.whereIdx].Val
+	ct := schema.Cols[hc.col].Type
+	if v.Kind != ct {
+		if v.Kind == rel.TInt64 && ct == rel.TFloat64 {
+			return rel.Float(float64(v.I)), true, nil
+		}
+		return rel.Value{}, false, fmt.Errorf("sql: column %q: literal type mismatch", where[hc.whereIdx].Col)
+	}
+	return v, true, nil
+}
+
+// rebuild re-derives the plan from the hint for a freshly bound WHERE, its
+// value lists in sc. ok=false signals a structural mismatch (the caller
+// re-plans from scratch); an error is a genuine literal type mismatch.
+// Range bounds re-coerce (int literals widen on float columns) and the
+// contradiction check re-runs — a cached BETWEEN bound to an empty interval
+// yields an empty plan, not a wrong scan.
+func (h *planHint) rebuild(schema *rel.Schema, where []Cond, sc *Scratch) (plan, bool, error) {
 	if h.nWhere != len(where) {
 		return plan{}, false, nil
 	}
-	coerce := func(hc hintCond) (rel.Value, bool, error) {
-		if hc.whereIdx >= len(where) || hc.col >= schema.NumCols() {
-			return rel.Value{}, false, nil
-		}
-		v := where[hc.whereIdx].Val
-		ct := schema.Cols[hc.col].Type
-		if v.Kind != ct {
-			if v.Kind == rel.TInt64 && ct == rel.TFloat64 {
-				return rel.Float(float64(v.I)), true, nil
-			}
-			return rel.Value{}, false, fmt.Errorf("sql: column %q: literal type mismatch", where[hc.whereIdx].Col)
-		}
-		return v, true, nil
-	}
-	p := plan{index: h.index}
+	p := plan{index: h.index, label: h.label}
 	if len(h.prefix) > 0 {
-		p.prefixVals = make([]rel.Value, len(h.prefix))
-		for i, hc := range h.prefix {
-			v, ok, err := coerce(hc)
+		p.prefixVals = sc.prefix[:0]
+		for _, hc := range h.prefix {
+			v, ok, err := coerceCond(schema, where, hc)
 			if !ok || err != nil {
 				return plan{}, false, err
 			}
-			p.prefixVals[i] = v
+			p.prefixVals = append(p.prefixVals, v)
 		}
+		sc.prefix = p.prefixVals
 	}
 	if h.rangeLo >= 0 {
-		v, ok, err := coerce(hintCond{whereIdx: h.rangeLo, col: h.rangeCol})
+		v, ok, err := coerceCond(schema, where, hintCond{whereIdx: h.rangeLo, col: h.rangeCol})
 		if !ok || err != nil {
 			return plan{}, false, err
 		}
@@ -199,7 +210,7 @@ func (h *planHint) rebuild(schema *rel.Schema, where []Cond) (plan, bool, error)
 		p.rangeCol, p.lo, p.hasLo, p.loIncl = c.Col, v, true, c.Op == rel.CmpGe
 	}
 	if h.rangeHi >= 0 {
-		v, ok, err := coerce(hintCond{whereIdx: h.rangeHi, col: h.rangeCol})
+		v, ok, err := coerceCond(schema, where, hintCond{whereIdx: h.rangeHi, col: h.rangeCol})
 		if !ok || err != nil {
 			return plan{}, false, err
 		}
@@ -208,18 +219,19 @@ func (h *planHint) rebuild(schema *rel.Schema, where []Cond) (plan, bool, error)
 	}
 	if p.hasLo && p.hasHi {
 		if c := rel.Compare(p.lo, p.hi); c > 0 || (c == 0 && !(p.loIncl && p.hiIncl)) {
-			p.empty = true
+			p.empty, p.label = true, h.emptyLabel
 		}
 	}
 	if len(h.residual) > 0 {
-		p.residual = make([]Cond, len(h.residual))
-		for i, hc := range h.residual {
-			v, ok, err := coerce(hc)
+		p.residual = sc.residual[:0]
+		for _, hc := range h.residual {
+			v, ok, err := coerceCond(schema, where, hc)
 			if !ok || err != nil {
 				return plan{}, false, err
 			}
-			p.residual[i] = Cond{Col: where[hc.whereIdx].Col, Op: where[hc.whereIdx].Op, Val: v}
+			p.residual = append(p.residual, Cond{Col: where[hc.whereIdx].Col, Op: where[hc.whereIdx].Op, Val: v})
 		}
+		sc.residual = p.residual
 	}
 	return p, true, nil
 }
@@ -540,12 +552,12 @@ func planWhereHint(schema *rel.Schema, indexes []IndexMeta, where []Cond) (plan,
 
 // planFor resolves the access path, consulting and populating the cached
 // statement's plan hint when one is supplied.
-func planFor(hint *CachedStmt, schema *rel.Schema, indexes []IndexMeta, where []Cond) (plan, error) {
+func planFor(hint *CachedStmt, schema *rel.Schema, indexes []IndexMeta, table string, where []Cond, sc *Scratch) (plan, error) {
 	if hint == nil {
 		return planWhere(schema, indexes, where)
 	}
 	if h := hint.plan.Load(); h != nil {
-		p, ok, err := h.rebuild(schema, where)
+		p, ok, err := h.rebuild(schema, where, sc)
 		if err != nil {
 			return plan{}, err
 		}
@@ -558,9 +570,35 @@ func planFor(hint *CachedStmt, schema *rel.Schema, indexes []IndexMeta, where []
 		return plan{}, err
 	}
 	if h != nil {
+		nonEmpty := p
+		nonEmpty.empty = false
+		h.label = scanLabel(table, nonEmpty)
+		h.emptyLabel = scanLabel(table, plan{empty: true})
 		hint.plan.Store(h)
 	}
 	return p, nil
+}
+
+// stmtTable resolves a single-table statement's schema and live indexes,
+// from the cached statement when it has them.
+func stmtTable(cat Catalog, hint *CachedStmt, table string) (*rel.Schema, []IndexMeta, error) {
+	if hint != nil {
+		if m := hint.meta.Load(); m != nil {
+			return m.schema, m.indexes, nil
+		}
+	}
+	schema, err := cat.TableSchema(table)
+	if err != nil {
+		return nil, nil, err
+	}
+	indexes, err := cat.IndexInfo(table)
+	if err != nil {
+		return nil, nil, err
+	}
+	if hint != nil {
+		hint.meta.Store(&tableMeta{schema: schema, indexes: indexes})
+	}
+	return schema, indexes, nil
 }
 
 func matches(schema *rel.Schema, row rel.Row, conds []Cond) bool {
@@ -577,11 +615,13 @@ func matches(schema *rel.Schema, row rel.Row, conds []Cond) bool {
 // executor. On a full scan, conjuncts on fixed-width columns lower to strip
 // predicates the engine evaluates batch-at-a-time (and prunes cold blocks
 // with), and conjuncts on var-width columns stay behind as the row-at-a-time
-// rest. An index scan checks its whole residual per row.
-func (p *plan) splitResidual(schema *rel.Schema) (strips []rel.ColPred, rest []Cond) {
+// rest; both lists live in sc. An index scan checks its whole residual per
+// row.
+func (p *plan) splitResidual(schema *rel.Schema, sc *Scratch) (strips []rel.ColPred, rest []Cond) {
 	if p.index != "" {
 		return nil, p.residual
 	}
+	strips, rest = sc.strips[:0], sc.rest[:0]
 	for _, c := range p.residual {
 		pos := schema.ColIndex(c.Col)
 		if pos < 0 || schema.Cols[pos].Type.FixedWidth() == 0 {
@@ -589,6 +629,13 @@ func (p *plan) splitResidual(schema *rel.Schema) (strips []rel.ColPred, rest []C
 			continue
 		}
 		strips = append(strips, rel.ColPred{Col: pos, Op: c.Op, Val: c.Val})
+	}
+	sc.strips, sc.rest = strips, rest
+	if len(strips) == 0 {
+		strips = nil
+	}
+	if len(rest) == 0 {
+		rest = nil
 	}
 	return strips, rest
 }
@@ -602,90 +649,108 @@ func (p *plan) splitResidual(schema *rel.Schema) (strips []rel.ColPred, rest []C
 // plan with range bounds runs a B-Tree range scan; an equality-prefix index
 // plan runs a prefix scan; a full scan hands the fixed-width part of its
 // residual to the engine's column strips and checks the rest per row.
-func scanMatching(tx Txn, schema *rel.Schema, table string, p plan, op *opTrace, fn func(rid rel.RowID, row rel.Row) bool) error {
+func scanMatching(tx Txn, schema *rel.Schema, table string, p plan, op *opTrace, sc *Scratch, fn func(rid rel.RowID, row rel.Row) bool) error {
 	if p.empty {
 		return nil
 	}
 	start := op.begin()
-	strips, residual := p.splitResidual(schema)
-	visit := func(rid rel.RowID, row rel.Row) bool {
-		if op != nil {
-			op.rowsIn++
-		}
-		if !matches(schema, row, residual) {
-			return true
-		}
-		if op != nil {
-			op.rowsOut++
-		}
-		return fn(rid, row)
-	}
+	strips, residual := p.splitResidual(schema, sc)
+	sc.bindCallbacks()
+	outer := sc.scan
+	sc.scan = scanState{schema: schema, residual: residual, op: op, fn: fn}
 	var err error
 	switch {
 	case p.index != "" && p.hasRange():
 		err = tx.ScanIndexRange(table, p.index, p.prefixVals, p.lo, p.hi,
-			p.hasLo, p.hasHi, p.loIncl, p.hiIncl, visit)
+			p.hasLo, p.hasHi, p.loIncl, p.hiIncl, sc.visitFn)
 	case p.index != "":
-		err = tx.ScanIndex(table, p.index, p.prefixVals, visit)
+		err = tx.ScanIndex(table, p.index, p.prefixVals, sc.visitFn)
 	default:
-		err = tx.ScanTableFiltered(table, strips, visit)
+		err = tx.ScanTableFiltered(table, strips, sc.visitFn)
 	}
+	sc.scan = outer
 	op.end(start)
 	return err
 }
 
-// Exec runs a DML statement inside tx.
+// Exec runs a DML statement inside tx and materializes its result.
 func Exec(cat Catalog, tx Txn, stmt Stmt) (Result, error) {
-	return exec(cat, tx, stmt, nil, nil)
+	return Materialize(func(sink RowSink) (int, error) {
+		return exec(cat, tx, stmt, nil, nil, new(Scratch), sink)
+	})
 }
 
-// ExecPrepared binds params into cs's template and executes it, reusing
-// the cached access-path choice. It is the hit-path counterpart of
-// Parse+Exec.
-func ExecPrepared(cat Catalog, tx Txn, cs *CachedStmt, params []rel.Value) (Result, error) {
-	stmt, err := cs.bind(params)
-	if err != nil {
-		return Result{}, err
+// ExecInto is Exec with the caller's scratch and row sink: a SELECT's rows
+// go to sink as they are produced, and n is the number of rows returned
+// (SELECT) or affected (writes).
+func ExecInto(cat Catalog, tx Txn, stmt Stmt, sc *Scratch, sink RowSink) (n int, err error) {
+	return exec(cat, tx, stmt, nil, nil, sc, sink)
+}
+
+// ExecPreparedInto binds params into cs's template and executes it, reusing
+// the cached access-path choice — the hit-path counterpart of Parse+ExecInto.
+// The template is never mutated: params are bound into sc's lists, and a
+// long-lived sc makes the hit path allocation-free.
+func ExecPreparedInto(cat Catalog, tx Txn, cs *CachedStmt, params []rel.Value, sc *Scratch, sink RowSink) (n int, err error) {
+	if len(params) != cs.nParams {
+		return 0, fmt.Errorf("sql: template wants %d parameters, got %d", cs.nParams, len(params))
 	}
-	return exec(cat, tx, stmt, cs, nil)
+	switch s := cs.tmpl.(type) {
+	case InsertStmt:
+		s.Rows = sc.bindRows(s.Rows, params)
+		return execInsert(cat, tx, s, nil, sc)
+	case SelectStmt:
+		s.Where = sc.bindConds(s.Where, params)
+		return execSelect(cat, tx, s, cs, nil, sc, sink)
+	case UpdateStmt:
+		s.Set = sc.bindSet(s.Set, params)
+		s.Where = sc.bindConds(s.Where, params)
+		return execUpdate(cat, tx, s, cs, nil, sc)
+	case DeleteStmt:
+		s.Where = sc.bindConds(s.Where, params)
+		return execDelete(cat, tx, s, cs, nil, sc)
+	}
+	return 0, ErrUnsupported
 }
 
-func exec(cat Catalog, tx Txn, stmt Stmt, hint *CachedStmt, tr *execTrace) (Result, error) {
+func exec(cat Catalog, tx Txn, stmt Stmt, hint *CachedStmt, tr *execTrace, sc *Scratch, sink RowSink) (int, error) {
 	switch s := stmt.(type) {
 	case InsertStmt:
-		return execInsert(cat, tx, s, tr)
+		return execInsert(cat, tx, s, tr, sc)
 	case SelectStmt:
-		return execSelect(cat, tx, s, hint, tr)
+		return execSelect(cat, tx, s, hint, tr, sc, sink)
 	case UpdateStmt:
-		return execUpdate(cat, tx, s, hint, tr)
+		return execUpdate(cat, tx, s, hint, tr, sc)
 	case DeleteStmt:
-		return execDelete(cat, tx, s, hint, tr)
+		return execDelete(cat, tx, s, hint, tr, sc)
 	case ExplainStmt:
-		return execExplain(cat, tx, s)
+		return execExplain(cat, tx, s, sc, sink)
 	case CreateTableStmt, CreateIndexStmt:
-		return Result{}, fmt.Errorf("%w: DDL inside a transaction", ErrUnsupported)
+		return 0, fmt.Errorf("%w: DDL inside a transaction", ErrUnsupported)
 	default:
-		return Result{}, ErrUnsupported
+		return 0, ErrUnsupported
 	}
 }
 
-func execInsert(cat Catalog, tx Txn, s InsertStmt, tr *execTrace) (Result, error) {
+func execInsert(cat Catalog, tx Txn, s InsertStmt, tr *execTrace, sc *Scratch) (int, error) {
 	if _, _, ok := statTable(cat, s.Table); ok {
-		return Result{}, errStatReadOnly(s.Table)
+		return 0, errStatReadOnly(s.Table)
 	}
 	schema, err := cat.TableSchema(s.Table)
 	if err != nil {
-		return Result{}, err
+		return 0, err
 	}
 	mop := tr.modifyOp()
 	mstart := mop.begin()
 	n := 0
 	for _, vals := range s.Rows {
 		if len(vals) != schema.NumCols() {
-			return Result{Affected: n}, fmt.Errorf("sql: INSERT has %d values, table %q has %d columns",
+			return n, fmt.Errorf("sql: INSERT has %d values, table %q has %d columns",
 				len(vals), s.Table, schema.NumCols())
 		}
-		row := make(rel.Row, len(vals))
+		// The engine copies the row into its page; the scratch row is free
+		// again when Insert returns.
+		row := sc.rowBuf(len(vals))
 		for i, v := range vals {
 			// Int literals coerce to float columns.
 			if v.Kind == rel.TInt64 && schema.Cols[i].Type == rel.TFloat64 {
@@ -694,87 +759,98 @@ func execInsert(cat Catalog, tx Txn, s InsertStmt, tr *execTrace) (Result, error
 			row[i] = v
 		}
 		if _, err := tx.Insert(s.Table, row); err != nil {
-			return Result{Affected: n}, err
+			return n, err
 		}
 		n++
 	}
 	mop.rows(int64(len(s.Rows)), int64(n))
 	mop.end(mstart)
-	return Result{Affected: n}, nil
+	return n, nil
 }
 
-func execSelect(cat Catalog, tx Txn, s SelectStmt, hint *CachedStmt, tr *execTrace) (Result, error) {
+func execSelect(cat Catalog, tx Txn, s SelectStmt, hint *CachedStmt, tr *execTrace, sc *Scratch, sink RowSink) (int, error) {
 	if s.Join != nil {
-		return execSelectJoin(cat, tx, s, hint, tr)
+		return execSelectJoin(cat, tx, s, hint, tr, sc, sink)
 	}
 	if schema, rows, ok := statTable(cat, s.Table); ok {
-		return selectRows(cat, schema, rows, s, tr)
+		return selectRows(cat, schema, rows, s, tr, sink)
 	}
 	if tr != nil || len(s.GroupBy) > 0 || len(s.OrderBy) > 0 || hasAggs(s.Exprs) {
 		// EXPLAIN ANALYZE routes the streaming fast path through the shaped
 		// pipeline too: same rows, and every operator gets instrumented
 		// while the hot untraced path keeps zero branches.
-		return execSelectShaped(cat, tx, s, hint, tr)
+		return execSelectShaped(cat, tx, s, hint, tr, sc, sink)
 	}
-	schema, err := cat.TableSchema(s.Table)
+	schema, indexes, err := stmtTable(cat, hint, s.Table)
 	if err != nil {
-		return Result{}, err
-	}
-	indexes, err := cat.IndexInfo(s.Table)
-	if err != nil {
-		return Result{}, err
+		return 0, err
 	}
 	if err := checkWhereQualifiers(s.Table, s.Where); err != nil {
-		return Result{}, err
+		return 0, err
 	}
-	p, err := planFor(hint, schema, indexes, s.Where)
+	p, err := planFor(hint, schema, indexes, s.Table, s.Where, sc)
 	if err != nil {
-		return Result{}, err
+		return 0, err
 	}
-	notePlan(tx, scanLabel(s.Table, p))
-	// Projection.
-	var proj []int
-	var cols []string
+	notePlan(tx, s.Table, p)
+	pr, err := projectionFor(hint, schema, s)
+	if err != nil {
+		return 0, err
+	}
+	sink.Header(pr.cols)
+	sc.bindCallbacks()
+	sc.emit = emitState{sink: sink, proj: pr.pos, limit: s.Limit}
+	err = scanMatching(tx, schema, s.Table, p, nil, sc, sc.emitFn)
+	n := sc.emit.n
+	// Let go of the sink and of what the projected values reference (a
+	// string value pins its page's bytes or a whole decoded cold block).
+	sc.emit = emitState{}
+	clear(sc.row[:cap(sc.row)])
+	return n, err
+}
+
+// projectionFor resolves a streaming SELECT's select list, from the cached
+// statement when it has it.
+func projectionFor(hint *CachedStmt, schema *rel.Schema, s SelectStmt) (*projection, error) {
+	if hint != nil {
+		if pr := hint.proj.Load(); pr != nil {
+			return pr, nil
+		}
+	}
+	pr := &projection{}
 	if s.Exprs == nil {
-		for i, c := range schema.Cols {
-			proj = append(proj, i)
-			cols = append(cols, c.Name)
+		for _, c := range schema.Cols {
+			pr.cols = append(pr.cols, c.Name)
 		}
 	} else {
 		for _, e := range s.Exprs {
 			if e.Ref.Table != "" && e.Ref.Table != s.Table {
-				return Result{}, fmt.Errorf("sql: unknown table %q in column reference", e.Ref.Table)
+				return nil, fmt.Errorf("sql: unknown table %q in column reference", e.Ref.Table)
 			}
 			pos := schema.ColIndex(e.Ref.Col)
 			if pos < 0 {
-				return Result{}, fmt.Errorf("sql: unknown column %q", e.Ref.Col)
+				return nil, fmt.Errorf("sql: unknown column %q", e.Ref.Col)
 			}
-			proj = append(proj, pos)
-			cols = append(cols, e.Ref.Col)
+			pr.pos = append(pr.pos, pos)
+			pr.cols = append(pr.cols, e.Ref.Col)
 		}
 	}
-	res := Result{Columns: cols}
-	err = scanMatching(tx, schema, s.Table, p, nil, func(rid rel.RowID, row rel.Row) bool {
-		out := make(rel.Row, len(proj))
-		for i, pos := range proj {
-			out[i] = row[pos]
-		}
-		res.Rows = append(res.Rows, out)
-		return s.Limit == 0 || len(res.Rows) < s.Limit
-	})
-	return res, err
+	if hint != nil {
+		hint.proj.Store(pr)
+	}
+	return pr, nil
 }
 
 // selectRows runs a SELECT over pre-materialized rows (virtual stat
 // tables): WHERE becomes pure residual filtering, then the shared shaping
 // pipeline (aggregation, ORDER BY, LIMIT, projection) applies.
-func selectRows(cat Catalog, schema *rel.Schema, rows []rel.Row, s SelectStmt, tr *execTrace) (Result, error) {
+func selectRows(cat Catalog, schema *rel.Schema, rows []rel.Row, s SelectStmt, tr *execTrace, sink RowSink) (int, error) {
 	if err := checkWhereQualifiers(s.Table, s.Where); err != nil {
-		return Result{}, err
+		return 0, err
 	}
 	p, err := planWhere(schema, nil, s.Where)
 	if err != nil {
-		return Result{}, err
+		return 0, err
 	}
 	op := tr.scanOp()
 	start := op.begin()
@@ -791,100 +867,106 @@ func selectRows(cat Catalog, schema *rel.Schema, rows []rel.Row, s SelectStmt, t
 		}
 	}
 	op.end(start)
-	return shapeRows(singleSource(s.Table, schema), s, matched, false, countersOf(cat), tr)
+	return shapeRows(singleSource(s.Table, schema), s, matched, false, countersOf(cat), tr, sink)
 }
 
-func execUpdate(cat Catalog, tx Txn, s UpdateStmt, hint *CachedStmt, tr *execTrace) (Result, error) {
+func execUpdate(cat Catalog, tx Txn, s UpdateStmt, hint *CachedStmt, tr *execTrace, sc *Scratch) (int, error) {
 	if _, _, ok := statTable(cat, s.Table); ok {
-		return Result{}, errStatReadOnly(s.Table)
+		return 0, errStatReadOnly(s.Table)
 	}
-	schema, err := cat.TableSchema(s.Table)
+	schema, indexes, err := stmtTable(cat, hint, s.Table)
 	if err != nil {
-		return Result{}, err
-	}
-	indexes, err := cat.IndexInfo(s.Table)
-	if err != nil {
-		return Result{}, err
+		return 0, err
 	}
 	if err := checkWhereQualifiers(s.Table, s.Where); err != nil {
-		return Result{}, err
+		return 0, err
 	}
 	// Validate and coerce the SET clause.
-	set := make(map[string]rel.Value, len(s.Set))
+	if sc.coerced == nil {
+		sc.coerced = make(map[string]rel.Value, len(s.Set))
+	}
+	set := sc.coerced
+	clear(set)
 	for name, v := range s.Set {
 		pos := schema.ColIndex(name)
 		if pos < 0 {
-			return Result{}, fmt.Errorf("sql: unknown column %q", name)
+			return 0, fmt.Errorf("sql: unknown column %q", name)
 		}
 		if v.Kind == rel.TInt64 && schema.Cols[pos].Type == rel.TFloat64 {
 			v = rel.Float(float64(v.I))
 		}
 		if v.Kind != schema.Cols[pos].Type {
-			return Result{}, fmt.Errorf("sql: column %q: literal type mismatch", name)
+			return 0, fmt.Errorf("sql: column %q: literal type mismatch", name)
 		}
 		set[name] = v
 	}
-	p, err := planFor(hint, schema, indexes, s.Where)
+	p, err := planFor(hint, schema, indexes, s.Table, s.Where, sc)
 	if err != nil {
-		return Result{}, err
+		return 0, err
 	}
-	notePlan(tx, scanLabel(s.Table, p))
+	notePlan(tx, s.Table, p)
 	// Collect targets first: updating while scanning the same index could
 	// revisit moved entries.
-	var rids []rel.RowID
-	if err := scanMatching(tx, schema, s.Table, p, tr.scanOp(), func(rid rel.RowID, row rel.Row) bool {
-		rids = append(rids, rid)
-		return true
-	}); err != nil {
-		return Result{}, err
+	rids, err := collectRIDs(tx, schema, s.Table, p, tr.scanOp(), sc)
+	if err != nil {
+		return 0, err
 	}
 	mop := tr.modifyOp()
 	mstart := mop.begin()
 	for _, rid := range rids {
 		if err := tx.Update(s.Table, rid, set); err != nil {
-			return Result{}, err
+			return 0, err
 		}
 	}
 	mop.rows(int64(len(rids)), int64(len(rids)))
 	mop.end(mstart)
-	return Result{Affected: len(rids)}, nil
+	return len(rids), nil
 }
 
-func execDelete(cat Catalog, tx Txn, s DeleteStmt, hint *CachedStmt, tr *execTrace) (Result, error) {
+// maxKeptRIDs bounds the row-id list a Scratch keeps between statements (a
+// whole-table UPDATE's is dropped).
+const maxKeptRIDs = 4096
+
+// collectRIDs runs the planned scan and returns the matching row IDs, in
+// sc's list (valid until the Scratch's next statement).
+func collectRIDs(tx Txn, schema *rel.Schema, table string, p plan, op *opTrace, sc *Scratch) ([]rel.RowID, error) {
+	sc.bindCallbacks()
+	if cap(sc.rids) > maxKeptRIDs {
+		sc.rids = nil
+	}
+	sc.rids = sc.rids[:0]
+	err := scanMatching(tx, schema, table, p, op, sc, sc.collectFn)
+	return sc.rids, err
+}
+
+func execDelete(cat Catalog, tx Txn, s DeleteStmt, hint *CachedStmt, tr *execTrace, sc *Scratch) (int, error) {
 	if _, _, ok := statTable(cat, s.Table); ok {
-		return Result{}, errStatReadOnly(s.Table)
+		return 0, errStatReadOnly(s.Table)
 	}
-	schema, err := cat.TableSchema(s.Table)
+	schema, indexes, err := stmtTable(cat, hint, s.Table)
 	if err != nil {
-		return Result{}, err
-	}
-	indexes, err := cat.IndexInfo(s.Table)
-	if err != nil {
-		return Result{}, err
+		return 0, err
 	}
 	if err := checkWhereQualifiers(s.Table, s.Where); err != nil {
-		return Result{}, err
+		return 0, err
 	}
-	p, err := planFor(hint, schema, indexes, s.Where)
+	p, err := planFor(hint, schema, indexes, s.Table, s.Where, sc)
 	if err != nil {
-		return Result{}, err
+		return 0, err
 	}
-	notePlan(tx, scanLabel(s.Table, p))
-	var rids []rel.RowID
-	if err := scanMatching(tx, schema, s.Table, p, tr.scanOp(), func(rid rel.RowID, row rel.Row) bool {
-		rids = append(rids, rid)
-		return true
-	}); err != nil {
-		return Result{}, err
+	notePlan(tx, s.Table, p)
+	rids, err := collectRIDs(tx, schema, s.Table, p, tr.scanOp(), sc)
+	if err != nil {
+		return 0, err
 	}
 	mop := tr.modifyOp()
 	mstart := mop.begin()
 	for _, rid := range rids {
 		if err := tx.Delete(s.Table, rid); err != nil {
-			return Result{}, err
+			return 0, err
 		}
 	}
 	mop.rows(int64(len(rids)), int64(len(rids)))
 	mop.end(mstart)
-	return Result{Affected: len(rids)}, nil
+	return len(rids), nil
 }

@@ -138,9 +138,21 @@ type PlanNoter interface {
 
 // notePlan records the chosen plan's one-line provenance on transaction
 // handles that care; a non-PlanNoter Txn costs one type assertion.
-func notePlan(tx Txn, desc string) {
+func noteLabel(tx Txn, desc string) {
 	if pn, ok := tx.(PlanNoter); ok {
 		pn.NotePlan(desc)
+	}
+}
+
+// notePlan notes a planned scan's access path; a plan rebuilt from a cached
+// hint carries its label, any other renders it here.
+func notePlan(tx Txn, table string, p plan) {
+	if pn, ok := tx.(PlanNoter); ok {
+		label := p.label
+		if label == "" {
+			label = scanLabel(table, p)
+		}
+		pn.NotePlan(label)
 	}
 }
 
@@ -246,7 +258,7 @@ func scanPlanNode(table string, schema *rel.Schema, indexes []IndexMeta, p plan,
 		n.notes = append(n.notes, "Filter: "+condsString(p.residual))
 	}
 	if p.index == "" {
-		if _, rest := p.splitResidual(schema); len(rest) == 0 {
+		if _, rest := p.splitResidual(schema, new(Scratch)); len(rest) == 0 {
 			n.notes = append(n.notes, "Vectorized: true")
 		}
 	}
@@ -477,34 +489,36 @@ func renderPlan(n *planNode, depth int, analyze bool, out *[]string) {
 // runs; ANALYZE executes the statement first (including its side effects,
 // like Postgres) with a trace collector attached, then renders the tree
 // with per-operator actuals and the total wall time.
-func execExplain(cat Catalog, tx Txn, s ExplainStmt) (Result, error) {
+func execExplain(cat Catalog, tx Txn, s ExplainStmt, sc *Scratch, sink RowSink) (int, error) {
 	switch s.Inner.(type) {
 	case ExplainStmt:
-		return Result{}, fmt.Errorf("%w: nested EXPLAIN", ErrUnsupported)
+		return 0, fmt.Errorf("%w: nested EXPLAIN", ErrUnsupported)
 	case CreateTableStmt, CreateIndexStmt:
-		return Result{}, fmt.Errorf("%w: EXPLAIN of DDL", ErrUnsupported)
+		return 0, fmt.Errorf("%w: EXPLAIN of DDL", ErrUnsupported)
 	}
 	var tr *execTrace
 	if s.Analyze {
 		tr = &execTrace{}
 		start := time.Now()
-		if _, err := exec(cat, tx, s.Inner, nil, tr); err != nil {
-			return Result{}, err
+		if _, err := exec(cat, tx, s.Inner, nil, tr, sc, discard{}); err != nil {
+			return 0, err
 		}
 		tr.total = time.Since(start)
 	}
 	root, err := buildPlan(cat, s.Inner, tr)
 	if err != nil {
-		return Result{}, err
+		return 0, err
 	}
 	var lines []string
 	renderPlan(root, 0, s.Analyze, &lines)
 	if s.Analyze {
 		lines = append(lines, fmt.Sprintf("Execution Time: %.3f ms", float64(tr.total.Nanoseconds())/1e6))
 	}
-	res := Result{Columns: []string{"plan"}, Rows: make([]rel.Row, len(lines))}
-	for i, l := range lines {
-		res.Rows[i] = rel.Row{rel.Str(l)}
+	sink.Header([]string{"plan"})
+	for _, l := range lines {
+		if !sink.Row(rel.Row{rel.Str(l)}) {
+			break
+		}
 	}
-	return res, nil
+	return len(lines), nil
 }

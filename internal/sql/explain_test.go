@@ -246,7 +246,7 @@ func TestExplainAnalyzeUntracedZeroCost(t *testing.T) {
 	op.end(op.begin()) // must not panic
 	op.rows(1, 1)
 	stmt, _ := Parse("SELECT id FROM o WHERE region = 'eu'")
-	if _, err := exec(cat, tx, stmt, nil, nil); err != nil {
+	if _, err := exec(cat, tx, stmt, nil, nil, new(Scratch), discard{}); err != nil {
 		t.Fatal(err)
 	}
 }

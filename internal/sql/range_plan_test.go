@@ -223,7 +223,7 @@ func TestPlanHintRangeRebind(t *testing.T) {
 		{Col: "id", Op: rel.CmpGe, Val: rel.Int(100)},
 		{Col: "id", Op: rel.CmpLe, Val: rel.Int(200)},
 	}
-	got, ok, err := hint.rebuild(schema, rebound)
+	got, ok, err := hint.rebuild(schema, rebound, new(Scratch))
 	if err != nil || !ok {
 		t.Fatalf("rebuild: ok=%v err=%v", ok, err)
 	}
@@ -242,7 +242,7 @@ func TestPlanHintRangeRebind(t *testing.T) {
 		{Col: "id", Op: rel.CmpGe, Val: rel.Int(200)},
 		{Col: "id", Op: rel.CmpLe, Val: rel.Int(100)},
 	}
-	got, ok, err = hint.rebuild(schema, flipped)
+	got, ok, err = hint.rebuild(schema, flipped, new(Scratch))
 	if err != nil || !ok {
 		t.Fatalf("rebuild flipped: ok=%v err=%v", ok, err)
 	}

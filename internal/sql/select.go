@@ -200,19 +200,19 @@ func buildOutCols(ss *srcSchema, s SelectStmt) ([]outCol, error) {
 // ORDER BY order (index-order sort avoidance); rows is mutated in place
 // by sorting, so callers must own the slice. tr, when non-nil, collects
 // per-operator actuals for EXPLAIN ANALYZE.
-func shapeRows(ss *srcSchema, s SelectStmt, rows []rel.Row, sorted bool, c *Counters, tr *execTrace) (Result, error) {
+func shapeRows(ss *srcSchema, s SelectStmt, rows []rel.Row, sorted bool, c *Counters, tr *execTrace, sink RowSink) (int, error) {
 	outCols, err := buildOutCols(ss, s)
 	if err != nil {
-		return Result{}, err
+		return 0, err
 	}
 	if len(s.GroupBy) > 0 || hasAggs(s.Exprs) {
-		return aggregateRows(ss, s, outCols, rows, c, tr)
+		return aggregateRows(ss, s, outCols, rows, c, tr, sink)
 	}
 	if len(s.OrderBy) > 0 && !sorted {
 		sop := tr.sortOp()
 		sstart := sop.begin()
 		if err := sortRows(ss, s.OrderBy, rows); err != nil {
-			return Result{}, err
+			return 0, err
 		}
 		sop.rows(int64(len(rows)), int64(len(rows)))
 		sop.end(sstart)
@@ -228,17 +228,21 @@ func shapeRows(ss *srcSchema, s SelectStmt, rows []rel.Row, sorted bool, c *Coun
 	}
 	pop := tr.projectOp()
 	pstart := pop.begin()
-	res := Result{Columns: colNames(outCols), Rows: make([]rel.Row, len(rows))}
-	for i, row := range rows {
-		out := make(rel.Row, len(outCols))
+	sink.Header(colNames(outCols))
+	out := make(rel.Row, len(outCols))
+	n := 0
+	for _, row := range rows {
 		for j, oc := range outCols {
 			out[j] = row[oc.pos]
 		}
-		res.Rows[i] = out
+		n++
+		if !sink.Row(out) {
+			break
+		}
 	}
-	pop.rows(int64(len(rows)), int64(len(res.Rows)))
+	pop.rows(int64(len(rows)), int64(n))
 	pop.end(pstart)
-	return res, nil
+	return n, nil
 }
 
 // sortRows sorts the combined rows by the ORDER BY keys, stably.
@@ -336,12 +340,12 @@ func (st *aggState) final(agg AggFunc, ct rel.Type) rel.Value {
 // (or into a single scalar group). Output order is the encoded group-key
 // order — deterministic — unless ORDER BY (over grouping columns)
 // overrides it.
-func aggregateRows(ss *srcSchema, s SelectStmt, outCols []outCol, rows []rel.Row, c *Counters, tr *execTrace) (Result, error) {
+func aggregateRows(ss *srcSchema, s SelectStmt, outCols []outCol, rows []rel.Row, c *Counters, tr *execTrace, sink RowSink) (int, error) {
 	groupPos := make([]int, len(s.GroupBy))
 	for i, ref := range s.GroupBy {
 		p, err := ss.resolve(ref)
 		if err != nil {
-			return Result{}, err
+			return 0, err
 		}
 		groupPos[i] = p
 	}
@@ -356,7 +360,7 @@ func aggregateRows(ss *srcSchema, s SelectStmt, outCols []outCol, rows []rel.Row
 	// Every plain output column must be one of the grouping columns.
 	for _, oc := range outCols {
 		if oc.agg == AggNone && inGroup(oc.pos) < 0 {
-			return Result{}, fmt.Errorf("sql: column %q must appear in GROUP BY or an aggregate", oc.name)
+			return 0, fmt.Errorf("sql: column %q must appear in GROUP BY or an aggregate", oc.name)
 		}
 	}
 	type group struct {
@@ -414,11 +418,11 @@ func aggregateRows(ss *srcSchema, s SelectStmt, outCols []outCol, rows []rel.Row
 		for i, key := range s.OrderBy {
 			p, err := ss.resolve(key.Ref)
 			if err != nil {
-				return Result{}, err
+				return 0, err
 			}
 			gi := inGroup(p)
 			if gi < 0 {
-				return Result{}, fmt.Errorf("sql: ORDER BY column %q must appear in GROUP BY", key.Ref.Col)
+				return 0, fmt.Errorf("sql: ORDER BY column %q must appear in GROUP BY", key.Ref.Col)
 			}
 			idx[i] = gi
 		}
@@ -444,9 +448,10 @@ func aggregateRows(ss *srcSchema, s SelectStmt, outCols []outCol, rows []rel.Row
 	}
 	pop := tr.projectOp()
 	pstart := pop.begin()
-	res := Result{Columns: colNames(outCols), Rows: make([]rel.Row, len(out))}
-	for i, g := range out {
-		row := make(rel.Row, len(outCols))
+	sink.Header(colNames(outCols))
+	row := make(rel.Row, len(outCols))
+	n := 0
+	for _, g := range out {
 		for j, oc := range outCols {
 			if oc.agg == AggNone {
 				row[j] = g.vals[inGroup(oc.pos)]
@@ -458,11 +463,14 @@ func aggregateRows(ss *srcSchema, s SelectStmt, outCols []outCol, rows []rel.Row
 			}
 			row[j] = g.states[j].final(oc.agg, ct)
 		}
-		res.Rows[i] = row
+		n++
+		if !sink.Row(row) {
+			break
+		}
 	}
-	pop.rows(int64(len(out)), int64(len(res.Rows)))
+	pop.rows(int64(len(out)), int64(n))
 	pop.end(pstart)
-	return res, nil
+	return n, nil
 }
 
 // pushdownScalarAggs computes an all-aggregate scalar SELECT over a full
@@ -471,14 +479,14 @@ func aggregateRows(ss *srcSchema, s SelectStmt, outCols []outCol, rows []rel.Row
 // no qualifying row is materialized (§5.2). ok is false when the shape
 // doesn't qualify — a non-aggregate output column or a var-width filter
 // column — and the caller falls back to the gather + shape pipeline.
-func pushdownScalarAggs(tx Txn, ss *srcSchema, s SelectStmt, p plan) (Result, bool, error) {
-	preds, rest := p.splitResidual(ss.schemas[0])
+func pushdownScalarAggs(tx Txn, ss *srcSchema, s SelectStmt, p plan, sc *Scratch, sink RowSink) (int, bool, error) {
+	preds, rest := p.splitResidual(ss.schemas[0], sc)
 	if len(rest) > 0 {
-		return Result{}, false, nil
+		return 0, false, nil
 	}
 	outCols, err := buildOutCols(ss, s)
 	if err != nil {
-		return Result{}, false, err
+		return 0, false, err
 	}
 	// Lower each output to a fold spec. COUNT (star or column — the
 	// dialect has no NULLs, so they agree) reads the shared row count;
@@ -498,17 +506,17 @@ func pushdownScalarAggs(tx Txn, ss *srcSchema, s SelectStmt, p plan) (Result, bo
 		case AggMax:
 			op = rel.AggOpMax
 		default: // AggNone: plain column in an aggregate select list
-			return Result{}, false, nil
+			return 0, false, nil
 		}
 		specIdx[i] = len(specs)
 		specs = append(specs, rel.AggSpec{Op: op, Col: oc.pos})
 	}
-	notePlan(tx, scanLabel(s.Table, p))
+	notePlan(tx, s.Table, p)
 	vals, n, err := tx.AggTableFiltered(s.Table, preds, specs)
 	if err != nil {
-		return Result{}, false, err
+		return 0, false, err
 	}
-	row := make(rel.Row, len(outCols))
+	row := sc.rowBuf(len(outCols))
 	for i, oc := range outCols {
 		ct := rel.TInt64
 		if !oc.star {
@@ -534,7 +542,9 @@ func pushdownScalarAggs(tx Txn, ss *srcSchema, s SelectStmt, p plan) (Result, bo
 			row[i] = vals[specIdx[i]]
 		}
 	}
-	return Result{Columns: colNames(outCols), Rows: []rel.Row{row}}, true, nil
+	sink.Header(colNames(outCols))
+	sink.Row(row)
+	return 1, true, nil
 }
 
 // orderSatisfied reports whether the planned index scan already emits
@@ -587,36 +597,32 @@ func orderSatisfied(ss *srcSchema, indexes []IndexMeta, p plan, keys []OrderKey)
 
 // execSelectShaped runs a single-table SELECT with ORDER BY, GROUP BY,
 // or aggregates: gather matching rows (cloned), then shape.
-func execSelectShaped(cat Catalog, tx Txn, s SelectStmt, hint *CachedStmt, tr *execTrace) (Result, error) {
-	schema, err := cat.TableSchema(s.Table)
+func execSelectShaped(cat Catalog, tx Txn, s SelectStmt, hint *CachedStmt, tr *execTrace, sc *Scratch, sink RowSink) (int, error) {
+	schema, indexes, err := stmtTable(cat, hint, s.Table)
 	if err != nil {
-		return Result{}, err
-	}
-	indexes, err := cat.IndexInfo(s.Table)
-	if err != nil {
-		return Result{}, err
+		return 0, err
 	}
 	if err := checkWhereQualifiers(s.Table, s.Where); err != nil {
-		return Result{}, err
+		return 0, err
 	}
 	ss := singleSource(s.Table, schema)
-	p, err := planFor(hint, schema, indexes, s.Where)
+	p, err := planFor(hint, schema, indexes, s.Table, s.Where, sc)
 	if err != nil {
-		return Result{}, err
+		return 0, err
 	}
 	c := countersOf(cat)
 	aggregate := len(s.GroupBy) > 0 || hasAggs(s.Exprs)
 	if aggregate && tr == nil && len(s.GroupBy) == 0 && len(s.OrderBy) == 0 &&
 		p.index == "" && !p.empty {
-		if res, ok, err := pushdownScalarAggs(tx, ss, s, p); ok || err != nil {
-			return res, err
+		if n, ok, err := pushdownScalarAggs(tx, ss, s, p, sc, sink); ok || err != nil {
+			return n, err
 		}
 	}
 	sorted := false
 	if !aggregate && len(s.OrderBy) > 0 {
 		sorted, err = orderSatisfied(ss, indexes, p, s.OrderBy)
 		if err != nil {
-			return Result{}, err
+			return 0, err
 		}
 		if sorted {
 			c.SortAvoided.Add(1)
@@ -627,18 +633,18 @@ func execSelectShaped(cat Catalog, tx Txn, s SelectStmt, hint *CachedStmt, tr *e
 	if !aggregate && s.Limit > 0 && (len(s.OrderBy) == 0 || sorted) {
 		early = s.Limit
 	}
-	notePlan(tx, scanLabel(s.Table, p))
+	notePlan(tx, s.Table, p)
 	var rows []rel.Row
-	err = scanMatching(tx, schema, s.Table, p, tr.scanOp(), func(_ rel.RowID, row rel.Row) bool {
+	err = scanMatching(tx, schema, s.Table, p, tr.scanOp(), sc, func(_ rel.RowID, row rel.Row) bool {
 		r := make(rel.Row, len(row))
 		copy(r, row) // the scan only lends us the row
 		rows = append(rows, r)
 		return early == 0 || len(rows) < early
 	})
 	if err != nil {
-		return Result{}, err
+		return 0, err
 	}
-	return shapeRows(ss, s, rows, sorted, c, tr)
+	return shapeRows(ss, s, rows, sorted, c, tr, sink)
 }
 
 // selectHint caches a join's strategy for a prepared statement: which
@@ -779,10 +785,10 @@ func chooseJoinStrategy(hint *CachedStmt, ji *joinInfo) *selectHint {
 // probing whichever side has an index on its join column (preferring the
 // JOIN-clause table), falling back to a hash join built on the inner
 // side. The combined rows then flow through the shared shaping pipeline.
-func execSelectJoin(cat Catalog, tx Txn, s SelectStmt, hint *CachedStmt, tr *execTrace) (Result, error) {
+func execSelectJoin(cat Catalog, tx Txn, s SelectStmt, hint *CachedStmt, tr *execTrace, sc *Scratch, sink RowSink) (int, error) {
 	ji, err := resolveJoin(cat, s)
 	if err != nil {
-		return Result{}, err
+		return 0, err
 	}
 	sh := chooseJoinStrategy(hint, ji)
 
@@ -814,24 +820,24 @@ func execSelectJoin(cat Catalog, tx Txn, s SelectStmt, hint *CachedStmt, tr *exe
 		}
 		dp, err := planWhere(driveSchema, driveIndexes, driveConds)
 		if err != nil {
-			return Result{}, err
+			return 0, err
 		}
-		notePlan(tx, joinLabel(sh, scanLabel(driveName, dp), probeName))
+		noteLabel(tx, joinLabel(sh, scanLabel(driveName, dp), probeName))
 		// The probe side bypasses planWhere, so apply the same dedupe
 		// (last condition wins), range intersection, and int→float coercion
 		// here; matches() compares raw values and must see normalized
 		// conditions.
 		prw, err := resolveWhere(probeSchema, probeConds)
 		if err != nil {
-			return Result{}, err
+			return 0, err
 		}
 		if prw.empty {
-			return shapeRows(ji.ss, s, nil, false, c, tr)
+			return shapeRows(ji.ss, s, nil, false, c, tr, sink)
 		}
 		probeConds = prw.flatten(probeSchema)
 		pop := tr.probeOp()
 		var perr error
-		err = scanMatching(tx, driveSchema, driveName, dp, tr.scanOp(), func(_ rel.RowID, drow rel.Row) bool {
+		err = scanMatching(tx, driveSchema, driveName, dp, tr.scanOp(), sc, func(_ rel.RowID, drow rel.Row) bool {
 			more := true
 			pstart := pop.begin()
 			perr = tx.ScanIndex(probeName, sh.probeIndex, []rel.Value{drow[driveJoin]}, func(_ rel.RowID, prow rel.Row) bool {
@@ -866,33 +872,33 @@ func execSelectJoin(cat Catalog, tx Txn, s SelectStmt, hint *CachedStmt, tr *exe
 			err = perr
 		}
 		if err != nil {
-			return Result{}, err
+			return 0, err
 		}
 	} else {
 		// Hash join: build on the inner side, probe while scanning outer.
 		ip, err := planWhere(ji.innerSchema, ji.innerIndexes, ji.innerConds)
 		if err != nil {
-			return Result{}, err
+			return 0, err
 		}
 		build := make(map[string][]rel.Row)
-		err = scanMatching(tx, ji.innerSchema, s.Join.Table, ip, tr.buildOp(), func(_ rel.RowID, row rel.Row) bool {
+		err = scanMatching(tx, ji.innerSchema, s.Join.Table, ip, tr.buildOp(), sc, func(_ rel.RowID, row rel.Row) bool {
 			r := make(rel.Row, len(row))
 			copy(r, row)
 			build[string(rel.EncodeKey(nil, row[ji.innerPos]))] = append(build[string(rel.EncodeKey(nil, row[ji.innerPos]))], r)
 			return true
 		})
 		if err != nil {
-			return Result{}, err
+			return 0, err
 		}
 		outp, err := planWhere(ji.outerSchema, ji.outerIndexes, ji.outerConds)
 		if err != nil {
-			return Result{}, err
+			return 0, err
 		}
-		notePlan(tx, joinLabel(sh, scanLabel(s.Table, outp), s.Join.Table))
+		noteLabel(tx, joinLabel(sh, scanLabel(s.Table, outp), s.Join.Table))
 		pop := tr.probeOp()
 		pstart := pop.begin()
 		var probeKey []byte
-		err = scanMatching(tx, ji.outerSchema, s.Table, outp, tr.scanOp(), func(_ rel.RowID, orow rel.Row) bool {
+		err = scanMatching(tx, ji.outerSchema, s.Table, outp, tr.scanOp(), sc, func(_ rel.RowID, orow rel.Row) bool {
 			probeKey = rel.EncodeKey(probeKey[:0], orow[ji.outerPos])
 			matched := build[string(probeKey)]
 			if pop != nil {
@@ -914,9 +920,9 @@ func execSelectJoin(cat Catalog, tx Txn, s SelectStmt, hint *CachedStmt, tr *exe
 			}
 		}
 		if err != nil {
-			return Result{}, err
+			return 0, err
 		}
 	}
 	c.JoinRows.Add(int64(len(rows)))
-	return shapeRows(ji.ss, s, rows, false, c, tr)
+	return shapeRows(ji.ss, s, rows, false, c, tr, sink)
 }

@@ -82,6 +82,10 @@ type Manager struct {
 	lastWMRefresh atomic.Uint64
 }
 
+// maxKeptRecords bounds the UNDO record list a slot's Txn keeps from one
+// transaction to the next.
+const maxKeptRecords = 1024
+
 // watermarkRefreshTicks bounds how often Begin rescans the active-slot
 // array for the visibility watermark (amortizing the O(slots) scan).
 const watermarkRefreshTicks = 1024
@@ -101,14 +105,22 @@ func (m *Manager) NumSlots() int { return len(m.arenas) }
 // Arena returns the slot's UNDO arena.
 func (m *Manager) Arena(slot int) *undo.Arena { return m.arenas[slot] }
 
-// Txn is one running transaction, bound to a task slot.
+// Txn is one running transaction, bound to a task slot. The value is owned
+// by its slot and reused: Begin resets it in place, keeping the Records
+// backing array.
 type Txn struct {
+	// Meta is the transaction's shared commit state and transaction-ID lock.
+	// It is nil until the first AddUndo: a version record is the only thing
+	// that can point another transaction at this one, so a transaction that
+	// wrote nothing allocates none. Each writing transaction gets a fresh
+	// one — records outlive the Txn value's reuse through it.
 	Meta    *undo.TxnMeta
 	StartTS uint64
 	Iso     Isolation
 	Slot    int
 
 	mgr      *Manager
+	xid      uint64
 	snapshot uint64
 	finished bool
 
@@ -122,25 +134,27 @@ type Txn struct {
 	MaxObservedGSN   uint64
 }
 
-// Begin starts a transaction on the slot. The slot must be idle.
-func (m *Manager) Begin(slot int, iso Isolation) *Txn {
+// Begin starts a transaction on the slot in t, resetting it in place. The
+// slot must be idle: t's previous transaction (if any) has finished.
+func (m *Manager) Begin(t *Txn, slot int, iso Isolation) {
 	start := m.Clock.Next()
 	m.activeStart[slot].v.Store(start)
 	if start-m.lastWMRefresh.Load() >= watermarkRefreshTicks {
 		m.lastWMRefresh.Store(start)
 		m.RefreshWatermark()
 	}
-	return &Txn{
-		Meta:    undo.NewTxnMeta(clock.MakeXID(start)),
+	*t = Txn{
 		StartTS: start,
 		Iso:     iso,
 		Slot:    slot,
 		mgr:     m,
+		xid:     clock.MakeXID(start),
+		Records: t.Records[:0],
 	}
 }
 
 // XID returns the transaction ID.
-func (t *Txn) XID() uint64 { return t.Meta.XID }
+func (t *Txn) XID() uint64 { return t.xid }
 
 // Snapshot returns the transaction's current snapshot, taking one if none
 // is active. Acquisition is a single atomic clock load — O(1) (§6.1).
@@ -162,6 +176,9 @@ func (t *Txn) RefreshSnapshot() {
 // AddUndo appends a before-image record to the slot's arena, linking prev
 // as the next-older version, and registers it for commit stamping.
 func (t *Txn) AddUndo(tableID uint32, rid rel.RowID, op undo.Op, delta []undo.ColVal, prev *undo.Record) *undo.Record {
+	if t.Meta == nil {
+		t.Meta = undo.NewTxnMeta(t.xid)
+	}
 	rec := t.mgr.arenas[t.Slot].New(t.Meta, tableID, rid, op, delta, prev)
 	t.Records = append(t.Records, rec)
 	return rec
@@ -182,12 +199,29 @@ func (t *Txn) FinalizeCommit(cts uint64) {
 		panic("txn: FinalizeCommit on finished transaction")
 	}
 	t.finished = true
+	if t.Meta == nil { // wrote nothing: no version names this transaction
+		t.mgr.activeStart[t.Slot].v.Store(0)
+		return
+	}
 	t.Meta.Commit(cts)
 	for _, r := range t.Records {
 		r.SetETS(cts)
 	}
 	t.mgr.activeStart[t.Slot].v.Store(0)
 	t.Meta.Finish()
+	t.releaseRecords()
+}
+
+// releaseRecords empties the record list of a finished transaction, so the
+// idle slot's Txn pins no UNDO storage (reclaimed records would otherwise
+// stay reachable until the slot's next Begin), keeping the array for the
+// next transaction unless a bulk one grew it.
+func (t *Txn) releaseRecords() {
+	clear(t.Records)
+	t.Records = t.Records[:0]
+	if cap(t.Records) > maxKeptRecords {
+		t.Records = nil
+	}
 }
 
 // FinalizeAbort publishes the abort after the engine has rolled back the
@@ -198,9 +232,14 @@ func (t *Txn) FinalizeAbort() {
 		panic("txn: FinalizeAbort on finished transaction")
 	}
 	t.finished = true
+	if t.Meta == nil {
+		t.mgr.activeStart[t.Slot].v.Store(0)
+		return
+	}
 	t.Meta.Abort()
 	t.mgr.activeStart[t.Slot].v.Store(0)
 	t.Meta.Finish()
+	t.releaseRecords()
 }
 
 // --- GC watermarks (§7.3) ---------------------------------------------------

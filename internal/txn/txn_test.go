@@ -9,13 +9,20 @@ import (
 	"phoebedb/internal/undo"
 )
 
+// begin starts a transaction in a fresh Txn (the engine reuses one per slot).
+func begin(m *Manager, slot int, iso Isolation) *Txn {
+	t := new(Txn)
+	m.Begin(t, slot, iso)
+	return t
+}
+
 func row(s string) rel.Row { return rel.Row{rel.Str(s)} }
 
 func delta(s string) []undo.ColVal { return []undo.ColVal{{Col: 0, Val: rel.Str(s)}} }
 
 func TestBeginAssignsXIDAndStart(t *testing.T) {
 	m := NewManager(2)
-	tx := m.Begin(0, ReadCommitted)
+	tx := begin(m, 0, ReadCommitted)
 	if !clock.IsXID(tx.XID()) {
 		t.Fatal("XID flag missing")
 	}
@@ -29,7 +36,7 @@ func TestBeginAssignsXIDAndStart(t *testing.T) {
 
 func TestSnapshotSemantics(t *testing.T) {
 	m := NewManager(1)
-	rc := m.Begin(0, ReadCommitted)
+	rc := begin(m, 0, ReadCommitted)
 	s1 := rc.Snapshot()
 	m.Clock.Next() // someone commits
 	if rc.Snapshot() != s1 {
@@ -41,7 +48,7 @@ func TestSnapshotSemantics(t *testing.T) {
 	}
 	rc.FinalizeCommit(rc.PrepareCommit())
 
-	rr := m.Begin(0, RepeatableRead)
+	rr := begin(m, 0, RepeatableRead)
 	s2 := rr.Snapshot()
 	m.Clock.Next()
 	rr.RefreshSnapshot()
@@ -188,7 +195,7 @@ func TestVisibilityDeleteResurrection(t *testing.T) {
 func TestCommitAtomicityViaMeta(t *testing.T) {
 	// A committed-but-unstamped record must already be visible at its cts.
 	m := NewManager(1)
-	tx := m.Begin(0, ReadCommitted)
+	tx := begin(m, 0, ReadCommitted)
 	rec := tx.AddUndo(1, 1, undo.OpUpdate, delta("old"), nil)
 	cts := tx.PrepareCommit()
 	// Before FinalizeCommit: invisible to others.
@@ -209,9 +216,9 @@ func TestCommitAtomicityViaMeta(t *testing.T) {
 func TestCheckWriteConflict(t *testing.T) {
 	m := NewManager(2)
 	// Foreign uncommitted head -> wait.
-	writer := m.Begin(0, ReadCommitted)
+	writer := begin(m, 0, ReadCommitted)
 	rec := writer.AddUndo(1, 1, undo.OpUpdate, delta("x"), nil)
-	me := m.Begin(1, ReadCommitted)
+	me := begin(m, 1, ReadCommitted)
 	wait, err := CheckWriteConflict(rec, me)
 	if err != nil || wait != writer.Meta {
 		t.Fatalf("conflict = (%v,%v), want wait on writer", wait, err)
@@ -228,9 +235,9 @@ func TestCheckWriteConflict(t *testing.T) {
 	me.FinalizeCommit(me.PrepareCommit())
 
 	// Repeatable read: version committed after snapshot -> abort.
-	rr := m.Begin(1, RepeatableRead)
+	rr := begin(m, 1, RepeatableRead)
 	rr.Snapshot()
-	w2 := m.Begin(0, ReadCommitted)
+	w2 := begin(m, 0, ReadCommitted)
 	rec2 := w2.AddUndo(1, 2, undo.OpUpdate, delta("y"), nil)
 	w2.FinalizeCommit(w2.PrepareCommit())
 	if _, err := CheckWriteConflict(rec2, rr); !errors.Is(err, ErrWriteConflict) {
@@ -238,7 +245,7 @@ func TestCheckWriteConflict(t *testing.T) {
 	}
 	rr.FinalizeAbort()
 	// Nil / reclaimed heads -> proceed.
-	fresh := m.Begin(1, RepeatableRead)
+	fresh := begin(m, 1, RepeatableRead)
 	if wait, err := CheckWriteConflict(nil, fresh); wait != nil || err != nil {
 		t.Fatal("nil head should proceed")
 	}
@@ -251,9 +258,9 @@ func TestMinActiveStartTS(t *testing.T) {
 	if idle != m.Clock.Now()+1 {
 		t.Fatalf("idle watermark = %d", idle)
 	}
-	t1 := m.Begin(0, ReadCommitted)
+	t1 := begin(m, 0, ReadCommitted)
 	m.Clock.Next()
-	t2 := m.Begin(1, ReadCommitted)
+	t2 := begin(m, 1, ReadCommitted)
 	if m.MinActiveStartTS() != t1.StartTS {
 		t.Fatalf("watermark = %d, want %d", m.MinActiveStartTS(), t1.StartTS)
 	}
@@ -266,10 +273,10 @@ func TestMinActiveStartTS(t *testing.T) {
 
 func TestCollectGarbageRespectsActiveSnapshot(t *testing.T) {
 	m := NewManager(2)
-	old := m.Begin(0, RepeatableRead)
+	old := begin(m, 0, RepeatableRead)
 	old.Snapshot() // pins a snapshot at the current clock
 
-	w := m.Begin(1, ReadCommitted)
+	w := begin(m, 1, ReadCommitted)
 	w.AddUndo(1, 1, undo.OpUpdate, delta("before"), nil)
 	w.FinalizeCommit(w.PrepareCommit())
 
@@ -286,7 +293,7 @@ func TestCollectGarbageRespectsActiveSnapshot(t *testing.T) {
 func TestCollectSlotGarbagePartitioned(t *testing.T) {
 	m := NewManager(2)
 	for slot := 0; slot < 2; slot++ {
-		w := m.Begin(slot, ReadCommitted)
+		w := begin(m, slot, ReadCommitted)
 		w.AddUndo(1, rel.RowID(slot), undo.OpUpdate, delta("v"), nil)
 		w.FinalizeCommit(w.PrepareCommit())
 	}
@@ -300,7 +307,7 @@ func TestCollectSlotGarbagePartitioned(t *testing.T) {
 
 func TestMaxFrozenXIDAdvances(t *testing.T) {
 	m := NewManager(1)
-	w := m.Begin(0, ReadCommitted)
+	w := begin(m, 0, ReadCommitted)
 	w.AddUndo(1, 1, undo.OpUpdate, delta("v"), nil)
 	w.FinalizeCommit(w.PrepareCommit())
 	// Unreclaimed record holds the watermark below the writer's XID.
@@ -315,7 +322,7 @@ func TestMaxFrozenXIDAdvances(t *testing.T) {
 
 func TestDoubleFinalizePanics(t *testing.T) {
 	m := NewManager(1)
-	tx := m.Begin(0, ReadCommitted)
+	tx := begin(m, 0, ReadCommitted)
 	tx.FinalizeCommit(tx.PrepareCommit())
 	defer func() {
 		if recover() == nil {
@@ -333,7 +340,7 @@ func TestIsolationString(t *testing.T) {
 
 func BenchmarkSnapshotAcquisition(b *testing.B) {
 	m := NewManager(1)
-	tx := m.Begin(0, ReadCommitted)
+	tx := begin(m, 0, ReadCommitted)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tx.RefreshSnapshot()

@@ -118,7 +118,12 @@ type Record struct {
 const recordHeaderSize = 4 + 4 + 1 + 8 + 8 + 8 + 4 + 8
 
 func encodeRecord(dst []byte, r *Record) []byte {
-	var hdr [recordHeaderSize]byte
+	// The header is laid out in dst itself: a local array would escape
+	// through the checksum call, one allocation per record.
+	start := len(dst)
+	var zero [recordHeaderSize]byte
+	dst = append(dst, zero[:]...)
+	hdr := dst[start:]
 	binary.LittleEndian.PutUint32(hdr[0:], uint32(len(r.Payload)))
 	hdr[8] = byte(r.Type)
 	binary.LittleEndian.PutUint64(hdr[9:], r.GSN)
@@ -126,12 +131,9 @@ func encodeRecord(dst []byte, r *Record) []byte {
 	binary.LittleEndian.PutUint64(hdr[25:], r.XID)
 	binary.LittleEndian.PutUint32(hdr[33:], r.TableID)
 	binary.LittleEndian.PutUint64(hdr[37:], r.RowID)
-	crc := crc32.NewIEEE()
-	crc.Write(hdr[8:])
-	crc.Write(r.Payload)
-	binary.LittleEndian.PutUint32(hdr[4:], crc.Sum32())
-	dst = append(dst, hdr[:]...)
-	return append(dst, r.Payload...)
+	dst = append(dst, r.Payload...)
+	binary.LittleEndian.PutUint32(dst[start+4:], crc32.ChecksumIEEE(dst[start+8:]))
+	return dst
 }
 
 // decodeRecord parses one record from b. It returns the record, the number
@@ -147,10 +149,7 @@ func decodeRecord(b []byte) (Record, int, bool) {
 		return Record{}, 0, false
 	}
 	want := binary.LittleEndian.Uint32(b[4:])
-	crc := crc32.NewIEEE()
-	crc.Write(b[8:recordHeaderSize])
-	crc.Write(b[recordHeaderSize:total])
-	if crc.Sum32() != want {
+	if crc32.ChecksumIEEE(b[8:total]) != want {
 		return Record{}, 0, false
 	}
 	r := Record{

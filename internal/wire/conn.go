@@ -4,13 +4,18 @@ import (
 	"net"
 	"sync"
 	"time"
+
+	phoebedb "phoebedb"
 )
 
 // request is one decoded client frame waiting for its session task, or a
 // pre-failed placeholder (an oversized frame already discarded by the
 // reader) that still owes the client an in-order error response.
 type request struct {
-	typ  byte
+	typ byte
+	// body lives in the conn's arena (or, when that was full, in an array
+	// of its own) and is valid until the session has finished executing
+	// the request.
 	body []byte
 	at   time.Time // enqueue time; charged to the "server" wait event
 	// failCode, when non-empty, short-circuits execution: the response is
@@ -19,12 +24,31 @@ type request struct {
 	failMsg  string
 }
 
+// Bounds on what a connection keeps between statements. A response buffer
+// that a large result grew past respKeep is dropped when it empties, not
+// recycled; the body arena never grows past arenaMax (frames beyond it get
+// arrays of their own) and an idle connection keeps at most arenaKeep of it.
+const (
+	respKeep  = 2 * outboxFlushBytes
+	arenaMax  = 64 << 10
+	arenaKeep = 4 << 10
+)
+
+// recycle empties a response buffer for reuse, letting an outsized one go.
+func recycle(b []byte) []byte {
+	if cap(b) > respKeep {
+		return nil
+	}
+	return b[:0]
+}
+
 // conn is one client connection. Its read-side buffers (rbuf, skip) are
 // touched only by the single reader that currently owns the connection
 // (EPOLLONESHOT on Linux, the dedicated read goroutine elsewhere), its
-// write-side batch (wbuf, woff) only by the goroutine that holds flushing;
-// everything else is guarded by mu. Lock order: Server.admitMu before
-// conn.mu.
+// write-side batch (wbuf, woff) only by the goroutine that holds flushing,
+// its session state (ps, st, enc, encSince, rows) only by its session task
+// — one at a time, see running; everything else is guarded by mu. Lock
+// order: Server.admitMu before conn.mu.
 type conn struct {
 	srv *Server
 	nc  net.Conn
@@ -38,18 +62,23 @@ type conn struct {
 	rbuf []byte
 	skip int
 
-	mu      sync.Mutex
-	closed  bool
-	quit    bool // client sent Quit: close once the outbox drains
+	mu     sync.Mutex
+	closed bool
+	quit   bool // client sent Quit: close once the outbox drains
+	// pending[phead:] is the queue of decoded requests. Its array is
+	// reused: popping advances phead, pushing into a full array first
+	// moves the live entries down.
 	pending []request
 	phead   int
+	// arena holds the bodies of the queued requests and of the one being
+	// executed (busy). It is rewound when both are gone.
+	arena   []byte
+	busy    bool
 	running bool   // a session task owns this conn
 	waiting bool   // the session task is parked awaiting the next frame
 	queued  bool   // sitting in the admission queue
 	paused  bool   // pipeline full: reads stay un-armed until drained
-	out     []byte // responses not yet handed to a write
-	// outSince is when out last went from empty to holding a response.
-	outSince time.Time
+	out     []byte // responses released for writing, not yet handed to a write
 	// flushing marks the one goroutine (session slot, rejecting reader or
 	// pool writer) that is writing wbuf[woff:] and then out to the socket.
 	flushing bool
@@ -59,9 +88,22 @@ type conn struct {
 	// notify wakes a parked session task (new frame or close). Cap 1;
 	// sends are non-blocking.
 	notify chan struct{}
-	// flushHeld is Server.flushHeld bound to this conn, built once so a
-	// session start allocates nothing for it.
+
+	// ps is the connection's session handle and flushHeld Server.flushHeld
+	// bound to this conn, both built once at accept so that starting a
+	// session task allocates nothing.
+	ps        *phoebedb.PoolSession
 	flushHeld func()
+	st        sessState
+	// enc is where the session encodes its responses, and holds them back
+	// in while requests are pending; release moves them to out (swapping
+	// the two arrays when out is empty, so a response is written where it
+	// was encoded). encSince is when enc last went from empty to holding a
+	// response.
+	enc      []byte
+	encSince time.Time
+	// rows streams a SELECT's result from the scan into enc.
+	rows rowsEncoder
 }
 
 func (c *conn) depthLocked() int { return len(c.pending) - c.phead }
@@ -79,6 +121,29 @@ func (c *conn) popPendingLocked() request {
 	return req
 }
 
+func (c *conn) pushPendingLocked(req request) {
+	if c.phead > 0 && len(c.pending) == cap(c.pending) {
+		n := copy(c.pending, c.pending[c.phead:])
+		clear(c.pending[n:])
+		c.pending, c.phead = c.pending[:n], 0
+	}
+	c.pending = append(c.pending, req)
+}
+
+// keepBodyLocked copies a frame body out of the read buffer into the arena.
+func (c *conn) keepBodyLocked(body []byte) []byte {
+	if len(body) == 0 {
+		return nil
+	}
+	if len(c.arena)+len(body) > arenaMax {
+		return append([]byte(nil), body...)
+	}
+	off := len(c.arena)
+	// If this append moves the arena, earlier bodies keep the old array.
+	c.arena = append(c.arena, body...)
+	return c.arena[off:len(c.arena):len(c.arena)]
+}
+
 // ingest outcome for the platform read loops.
 type ingestResult int
 
@@ -92,17 +157,30 @@ const (
 	ingestDead
 )
 
-// ingest consumes freshly read bytes: it splits frames out of the stream,
-// enqueues them as requests, discards oversized frames (queueing an
-// in-order TOO_LARGE response), and decides whether the connection needs
-// admission or backpressure. Called only by the conn's current reader.
+// ingest consumes freshly read bytes: it splits frames out of the stream
+// where they lie, queues each as a request (its body copied into the
+// conn's arena), discards oversized frames (queueing an in-order TOO_LARGE
+// response), and decides whether the connection needs admission or
+// backpressure. Called only by the conn's current reader.
 func (s *Server) ingest(c *conn, data []byte) ingestResult {
 	buf := data
 	if len(c.rbuf) > 0 {
-		buf = append(c.rbuf, data...)
+		c.rbuf = append(c.rbuf, data...)
+		buf = c.rbuf
 	}
 	now := time.Now()
-	var reqs []request
+	tooLarge := request{at: now, failCode: ErrCodeTooLarge, failMsg: "frame exceeds 1 MiB limit"}
+	queued := 0
+	var perr error
+
+	c.mu.Lock()
+	if c.closed {
+		c.mu.Unlock()
+		return ingestDead
+	}
+	if !c.busy && !c.hasPendingLocked() {
+		c.arena = c.arena[:0]
+	}
 	for {
 		if c.skip > 0 {
 			n := c.skip
@@ -114,8 +192,8 @@ func (s *Server) ingest(c *conn, data []byte) ingestResult {
 			if c.skip > 0 {
 				break
 			}
-			reqs = append(reqs, request{at: now, failCode: ErrCodeTooLarge,
-				failMsg: "frame exceeds 1 MiB limit"})
+			c.pushPendingLocked(tooLarge)
+			queued++
 			continue
 		}
 		ln, ok := PeekLength(buf)
@@ -129,8 +207,8 @@ func (s *Server) ingest(c *conn, data []byte) ingestResult {
 				// The whole oversized frame is already buffered.
 				buf = buf[4+ln:]
 				c.skip = 0
-				reqs = append(reqs, request{at: now, failCode: ErrCodeTooLarge,
-					failMsg: "frame exceeds 1 MiB limit"})
+				c.pushPendingLocked(tooLarge)
+				queued++
 				continue
 			}
 			buf = buf[len(buf):]
@@ -138,31 +216,29 @@ func (s *Server) ingest(c *conn, data []byte) ingestResult {
 		}
 		f, n, err := ParseFrame(buf)
 		if err != nil {
-			s.send(c, AppendError(nil, ErrCodeProtocol, err.Error()))
-			s.closeConn(c)
-			return ingestDead
+			perr = err
+			break
 		}
 		if n == 0 {
 			break
 		}
-		body := make([]byte, len(f.Body))
-		copy(body, f.Body)
-		reqs = append(reqs, request{typ: f.Type, body: body, at: now})
+		c.pushPendingLocked(request{typ: f.Type, body: c.keepBodyLocked(f.Body), at: now})
+		queued++
 		buf = buf[n:]
 	}
-	// Compact the partial tail into the conn's own buffer: buf may alias
-	// the reader's scratch slice, which is reused for other conns.
-	c.rbuf = append(c.rbuf[:0], buf...)
-
-	if len(reqs) == 0 {
-		return ingestMore
-	}
-	c.mu.Lock()
-	if c.closed {
+	if perr != nil {
 		c.mu.Unlock()
+		s.send(c, AppendError(nil, ErrCodeProtocol, perr.Error()))
+		s.closeConn(c)
 		return ingestDead
 	}
-	c.pending = append(c.pending, reqs...)
+	// Keep the partial tail in the conn's own buffer: buf may alias the
+	// reader's scratch slice, which is reused for other conns.
+	c.rbuf = append(c.rbuf[:0], buf...)
+	if queued == 0 {
+		c.mu.Unlock()
+		return ingestMore
+	}
 	depth := c.depthLocked()
 	if depth >= s.MaxPipeline {
 		c.paused = true

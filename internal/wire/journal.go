@@ -3,11 +3,14 @@ package wire
 import (
 	"bufio"
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"os"
 	"strings"
 	"sync"
+
+	"phoebedb/internal/core"
 )
 
 // revokeMarker cancels the statement recorded immediately before it.
@@ -95,11 +98,26 @@ func (j *Journal) Exec(stmt string, apply func() error) error {
 	return aerr
 }
 
+// ReplayError is a journaled statement the catalog refused at replay: the
+// schema on disk cannot be rebuilt, and serving on would mean serving half
+// of it.
+type ReplayError struct {
+	Stmt string
+	Err  error
+}
+
+func (e *ReplayError) Error() string {
+	return fmt.Sprintf("schema journal: replaying %q: %v", e.Stmt, e.Err)
+}
+
+func (e *ReplayError) Unwrap() error { return e.Err }
+
 // Replay re-executes the journaled statements in order through exec,
-// skipping revoked entries. Statements that fail to re-apply are skipped
-// (the catalog may already contain them when the crash happened between
-// record and a completed apply); it returns how many statements were
-// attempted.
+// skipping revoked entries, and returns how many it applied. A statement
+// the catalog already holds (core.ErrExists: the crash came between record
+// and a completed apply, or the caller declared schema before replaying)
+// is expected and skipped; any other failure stops the replay with a
+// *ReplayError.
 func (j *Journal) Replay(exec func(stmt string) error) (int, error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -129,10 +147,10 @@ func (j *Journal) Replay(exec func(stmt string) error) (int, error) {
 	if err := sc.Err(); err != nil {
 		return 0, err
 	}
-	for _, s := range stmts {
-		// Idempotent replay: "already exists" from a statement that
-		// completed before the crash is expected, not an error.
-		_ = exec(s)
+	for i, s := range stmts {
+		if err := exec(s); err != nil && !errors.Is(err, core.ErrExists) {
+			return i, &ReplayError{Stmt: s, Err: err}
+		}
 	}
 	return len(stmts), nil
 }

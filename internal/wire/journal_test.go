@@ -6,6 +6,10 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	phoebedb "phoebedb"
+
+	"phoebedb/internal/core"
 )
 
 func TestJournalExecOrdering(t *testing.T) {
@@ -113,5 +117,47 @@ func TestJournalTornTailTruncatedOnOpen(t *testing.T) {
 	}
 	if len(replayed) != 2 || replayed[0] != "CREATE TABLE a (x INT)" || replayed[1] != "CREATE TABLE c (x INT)" {
 		t.Fatalf("replayed = %q", replayed)
+	}
+}
+
+// TestJournalReplayFailsFast: a journaled statement the engine refuses must
+// stop the replay with a typed error — the alternative is a server that
+// opens with half its schema — while a statement the catalog already holds
+// (the one class of failure a replay expects) is skipped.
+func TestJournalReplayFailsFast(t *testing.T) {
+	db, err := phoebedb.Open(phoebedb.Options{Dir: t.TempDir(), Workers: 1, SlotsPerWorker: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	apply := func(stmt string) error {
+		_, err := db.ExecSQL(stmt)
+		return err
+	}
+	path := filepath.Join(t.TempDir(), "schema.sql")
+	lines := "CREATE TABLE a (x INT)\n" +
+		"CREATE TABLE a (x INT)\n" + // already there: skipped
+		"CREATE INDEX a_x ON a (x)\n" +
+		"CREATE INDEX a_x ON a (x)\n" + // already there: skipped
+		"CREATE INDEX ghost_x ON ghost (x)\n" + // no such table: fatal
+		"CREATE TABLE b (x INT)\n"
+	if err := os.WriteFile(path, []byte(lines), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	j, err := OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	n, err := j.Replay(apply)
+	var rerr *ReplayError
+	if !errors.As(err, &rerr) || n != 4 {
+		t.Fatalf("replay = (%d, %v), want 4 applied and a *ReplayError", n, err)
+	}
+	if rerr.Stmt != "CREATE INDEX ghost_x ON ghost (x)" || !errors.Is(err, core.ErrNoSuchTable) {
+		t.Fatalf("replay error = %v (stmt %q)", err, rerr.Stmt)
+	}
+	if _, err := db.ExecSQL("SELECT * FROM b"); err == nil {
+		t.Fatal("replay went on past the rejected statement")
 	}
 }

@@ -72,9 +72,9 @@ const (
 
 // Value kind tags inside a Rows frame.
 const (
-	kindInt    = 1
-	kindFloat  = 2
-	kindString = 3
+	KindInt    = 1
+	KindFloat  = 2
+	KindString = 3
 )
 
 // Structured error codes carried by Error frames.
@@ -98,11 +98,16 @@ const (
 	ErrCodeShutdown = "SHUTDOWN"
 )
 
+// appendHeader appends the length field and fixed header of a frame whose
+// body is n bytes long.
+func appendHeader(dst []byte, typ byte, n int) []byte {
+	dst = binary.BigEndian.AppendUint32(dst, uint32(headerLen+n))
+	return append(dst, typ, 0, 0, 0) // type, flags, tenant (reserved)
+}
+
 // AppendFrame appends a complete frame (length, header, body) to dst.
 func AppendFrame(dst []byte, typ byte, body []byte) []byte {
-	dst = binary.BigEndian.AppendUint32(dst, uint32(headerLen+len(body)))
-	dst = append(dst, typ, 0, 0, 0) // type, flags, tenant (reserved)
-	return append(dst, body...)
+	return append(appendHeader(dst, typ, len(body)), body...)
 }
 
 // AppendOK appends an OK frame carrying the affected-row count.
@@ -112,49 +117,137 @@ func AppendOK(dst []byte, affected int) []byte {
 	return AppendFrame(dst, FrameOK, body[:n])
 }
 
+// uvarintLen is the encoded size of v.
+func uvarintLen(v uint64) int {
+	n := 1
+	for v >= 0x80 {
+		v >>= 7
+		n++
+	}
+	return n
+}
+
 // AppendError appends an Error frame with a structured code and message.
 func AppendError(dst []byte, code, msg string) []byte {
-	body := make([]byte, 0, 1+len(code)+len(msg))
-	body = binary.AppendUvarint(body, uint64(len(code)))
-	body = append(body, code...)
-	body = append(body, msg...)
-	return AppendFrame(dst, FrameError, body)
+	dst = appendHeader(dst, FrameError, uvarintLen(uint64(len(code)))+len(code)+len(msg))
+	dst = binary.AppendUvarint(dst, uint64(len(code)))
+	dst = append(dst, code...)
+	return append(dst, msg...)
+}
+
+// A rowsEncoder streams one Rows frame into a buffer, row by row, without
+// knowing the row count in advance: Begin, Header, Row per row, End. It is
+// the executor's second row sink (sql.RowSink) — rows are encoded straight
+// from the scan's borrowed row, nothing is kept. The frame's length field
+// and row count are patched in by End, and a result that would exceed
+// MaxFrame is cut off there, so the buffer only ever gains a whole frame or
+// nothing.
+type rowsEncoder struct {
+	buf   []byte
+	start int // offset of the frame's length field
+	count int // offset of the row count (one byte reserved)
+	rows  int
+	// open is set between Begin and End; header once Header has run — a
+	// statement that never called it was not a SELECT.
+	open, header bool
+	tooLarge     bool
+}
+
+// Begin starts a frame at the end of buf.
+func (e *rowsEncoder) Begin(buf []byte) {
+	*e = rowsEncoder{buf: buf, start: len(buf), open: true}
+}
+
+// Header implements sql.RowSink: the frame header and the column names.
+func (e *rowsEncoder) Header(cols []string) {
+	e.header = true
+	e.buf = appendHeader(e.buf, FrameRows, 0)
+	e.buf = binary.AppendUvarint(e.buf, uint64(len(cols)))
+	for _, c := range cols {
+		e.buf = binary.AppendUvarint(e.buf, uint64(len(c)))
+		e.buf = append(e.buf, c...)
+	}
+	e.count = len(e.buf)
+	e.buf = append(e.buf, 0)
+}
+
+// bodyLen is the frame body's final size if no further row follows.
+func (e *rowsEncoder) bodyLen() int {
+	return len(e.buf) - (e.start + 4 + headerLen) + uvarintLen(uint64(e.rows)) - 1
+}
+
+// Row implements sql.RowSink: one row of kind-tagged values. It returns
+// false — stop producing — once the frame is over MaxFrame.
+func (e *rowsEncoder) Row(row rel.Row) bool {
+	if e.tooLarge {
+		return false
+	}
+	for _, v := range row {
+		switch v.Kind {
+		case rel.TInt64:
+			e.buf = append(e.buf, KindInt)
+			e.buf = binary.BigEndian.AppendUint64(e.buf, uint64(v.I))
+		case rel.TFloat64:
+			e.buf = append(e.buf, KindFloat)
+			e.buf = binary.BigEndian.AppendUint64(e.buf, math.Float64bits(v.F))
+		default:
+			e.buf = append(e.buf, KindString)
+			e.buf = binary.AppendUvarint(e.buf, uint64(len(v.S)))
+			e.buf = append(e.buf, v.S...)
+		}
+	}
+	e.rows++
+	if headerLen+e.bodyLen() > MaxFrame {
+		e.tooLarge = true
+		e.buf = e.buf[:e.count+1] // nothing of it will be sent
+		return false
+	}
+	return true
+}
+
+// End finishes the frame and returns the buffer. rows reports whether a
+// Rows frame was written: false with ok set means Header never ran (the
+// caller answers with an OK frame instead); ok false means the result
+// exceeded MaxFrame (the caller substitutes an ErrCodeTooLarge error). In
+// both cases, and after Abort, the buffer is back where Begin found it.
+func (e *rowsEncoder) End() (buf []byte, rows, ok bool) {
+	e.open = false
+	if !e.header || e.tooLarge {
+		return e.buf[:e.start], false, !e.tooLarge
+	}
+	if extra := uvarintLen(uint64(e.rows)) - 1; extra > 0 {
+		// The count outgrew its reserved byte: move the rows up.
+		var pad [binary.MaxVarintLen64]byte
+		n := len(e.buf)
+		e.buf = append(e.buf, pad[:extra]...)
+		copy(e.buf[e.count+1+extra:], e.buf[e.count+1:n])
+	}
+	binary.PutUvarint(e.buf[e.count:], uint64(e.rows))
+	binary.BigEndian.PutUint32(e.buf[e.start:], uint32(len(e.buf)-e.start-4))
+	return e.buf, true, true
+}
+
+// Abort drops whatever the frame holds so far (the statement failed) and
+// returns the buffer as Begin found it.
+func (e *rowsEncoder) Abort() []byte {
+	e.open = false
+	return e.buf[:e.start]
 }
 
 // AppendRows appends a Rows frame for a result set. It fails (with a
 // nil append) when the encoding would exceed MaxFrame; the caller
 // substitutes an ErrCodeTooLarge error so framing stays intact.
 func AppendRows(dst []byte, cols []string, rows []rel.Row) ([]byte, bool) {
-	body := make([]byte, 0, 64+32*len(rows))
-	body = binary.AppendUvarint(body, uint64(len(cols)))
-	for _, c := range cols {
-		body = binary.AppendUvarint(body, uint64(len(c)))
-		body = append(body, c...)
-	}
-	body = binary.AppendUvarint(body, uint64(len(rows)))
+	var e rowsEncoder
+	e.Begin(dst)
+	e.Header(cols)
 	for _, row := range rows {
-		for _, v := range row {
-			switch v.Kind {
-			case rel.TInt64:
-				body = append(body, kindInt)
-				body = binary.BigEndian.AppendUint64(body, uint64(v.I))
-			case rel.TFloat64:
-				body = append(body, kindFloat)
-				body = binary.BigEndian.AppendUint64(body, math.Float64bits(v.F))
-			default:
-				body = append(body, kindString)
-				body = binary.AppendUvarint(body, uint64(len(v.S)))
-				body = append(body, v.S...)
-			}
-		}
-		if headerLen+len(body) > MaxFrame {
-			return dst, false
+		if !e.Row(row) {
+			break
 		}
 	}
-	if headerLen+len(body) > MaxFrame {
-		return dst, false
-	}
-	return AppendFrame(dst, FrameRows, body), true
+	buf, _, ok := e.End()
+	return buf, ok
 }
 
 // Frame is one decoded frame header plus its body bytes.
@@ -251,19 +344,19 @@ func DecodeRows(body []byte) ([]string, []rel.Row, error) {
 			kind := body[0]
 			body = body[1:]
 			switch kind {
-			case kindInt:
+			case KindInt:
 				if len(body) < 8 {
 					return bad()
 				}
 				row = append(row, rel.Int(int64(binary.BigEndian.Uint64(body))))
 				body = body[8:]
-			case kindFloat:
+			case KindFloat:
 				if len(body) < 8 {
 					return bad()
 				}
 				row = append(row, rel.Float(math.Float64frombits(binary.BigEndian.Uint64(body))))
 				body = body[8:]
-			case kindString:
+			case KindString:
 				ln, u := binary.Uvarint(body)
 				if u <= 0 || int(ln) > len(body)-u {
 					return bad()
@@ -288,7 +381,7 @@ func AppendHello(dst []byte) []byte {
 
 // AppendQuery appends a Query frame.
 func AppendQuery(dst []byte, sql string) []byte {
-	return AppendFrame(dst, FrameQuery, []byte(sql))
+	return append(appendHeader(dst, FrameQuery, len(sql)), sql...)
 }
 
 // AppendBegin appends a Begin frame; iso is the isolation byte.

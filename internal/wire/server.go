@@ -10,6 +10,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	phoebedb "phoebedb"
 	"phoebedb/internal/metrics"
@@ -183,6 +184,7 @@ func (s *Server) accept(nc net.Conn) {
 	}
 	c := &conn{srv: s, nc: nc, notify: make(chan struct{}, 1)}
 	c.flushHeld = func() { s.flushHeld(c) }
+	c.ps = s.DB.NewPoolSession(func(ps *phoebedb.PoolSession) { s.runSession(c, ps) })
 	s.connMu.Lock()
 	s.conns[c] = struct{}{}
 	s.connMu.Unlock()
@@ -251,9 +253,8 @@ const (
 	outboxFlushAfter = time.Millisecond
 )
 
-// queue appends a response to the conn's outbox without writing it. A
-// connection whose outbox exceeds MaxOutbox (a client that has stopped
-// draining responses) is shed.
+// queue appends a response to the conn's outbox without writing it: the
+// path for answers produced outside a session.
 func (s *Server) queue(c *conn, b []byte) {
 	if len(b) == 0 {
 		return
@@ -263,16 +264,37 @@ func (s *Server) queue(c *conn, b []byte) {
 		c.mu.Unlock()
 		return
 	}
-	if len(c.out) == 0 {
-		c.outSince = time.Now()
-	}
 	c.out = append(c.out, b...)
 	over := len(c.out) > s.MaxOutbox
 	c.mu.Unlock()
 	if over {
-		s.cShedSlow.Add(1)
-		s.closeConn(c)
+		s.shed(c)
 	}
+}
+
+// shed closes a connection whose client is not draining its responses.
+func (s *Server) shed(c *conn) {
+	s.cShedSlow.Add(1)
+	s.closeConn(c)
+}
+
+// releaseLocked moves the responses the session has been holding back in
+// enc to the outbox, where the next flush picks them up. With the outbox
+// empty the two arrays swap places, so the bytes go out from where they
+// were encoded. It reports false when the outbox now exceeds MaxOutbox — a
+// client that has stopped draining responses — and the caller sheds the
+// connection.
+func (s *Server) releaseLocked(c *conn) bool {
+	if len(c.enc) == 0 {
+		return true
+	}
+	if len(c.out) == 0 {
+		c.out, c.enc = c.enc, recycle(c.out)
+	} else {
+		c.out = append(c.out, c.enc...)
+		c.enc = recycle(c.enc)
+	}
+	return len(c.out) <= s.MaxOutbox
 }
 
 // send queues a response and flushes it from the calling goroutine: the
@@ -293,11 +315,28 @@ func (s *Server) send(c *conn, b []byte) {
 
 // flushHeld writes out what a session has been holding back. The session's
 // slot calls it before parking inside a statement (a tuple-lock wait), so
-// answers already computed do not sit out a wait that can last seconds.
+// answers already computed do not sit out a wait that can last seconds. A
+// Rows frame already being streamed stays where it is (only a statement
+// that reads has one, and those do not wait on locks); an encoder that has
+// written nothing yet is restarted on the buffer it will find afterwards.
 func (s *Server) flushHeld(c *conn) {
+	if c.rows.open && c.rows.header {
+		return
+	}
 	c.mu.Lock()
-	if c.closed || c.flushing || len(c.out) == 0 {
+	if c.closed {
 		c.mu.Unlock()
+		return
+	}
+	fits := s.releaseLocked(c)
+	if c.rows.open {
+		c.rows.Begin(c.enc)
+	}
+	if !fits || c.flushing || len(c.out) == 0 {
+		c.mu.Unlock()
+		if !fits {
+			s.shed(c)
+		}
 		return
 	}
 	c.flushing = true
@@ -336,7 +375,7 @@ func (s *Server) drain(c *conn, block bool) {
 		}
 		if c.woff == len(c.wbuf) {
 			// The batch is on the wire: recycle its buffer, take the next.
-			c.wbuf, c.out = c.out, c.wbuf[:0]
+			c.wbuf, c.out = c.out, recycle(c.wbuf)
 			c.woff = 0
 			if len(c.wbuf) == 0 {
 				c.flushing = false
@@ -362,8 +401,7 @@ func (s *Server) drain(c *conn, block bool) {
 		s.cBytesOut.Add(int64(n))
 		c.woff += n
 		if err != nil {
-			s.cShedSlow.Add(1)
-			s.closeConn(c)
+			s.shed(c)
 			return
 		}
 		if n < len(rest) {
@@ -461,10 +499,7 @@ func (s *Server) finishSession() {
 // c.running.
 func (s *Server) startSession(c *conn) {
 	s.sessWg.Add(1)
-	err := s.DB.SubmitSessionTask(func(ps *phoebedb.PoolSession) {
-		s.runSession(c, ps)
-	})
-	if err != nil {
+	if err := c.ps.Submit(); err != nil {
 		s.sessWg.Done()
 		c.mu.Lock()
 		var out []byte
@@ -497,20 +532,22 @@ type sessState struct {
 // slot — when idle outside a transaction. One conn therefore costs a
 // pool slot only while it has work or an open transaction.
 //
-// Responses collect in the outbox while requests are pending and the slot
-// writes them itself, without blocking, when the queue runs empty — so a
-// pipelined burst is answered with one write, and a synchronous round trip
-// wakes no goroutine between execution and the socket. Held answers also
-// leave when they have waited outboxFlushAfter at a statement boundary, and
-// before the slot parks inside a statement.
+// Responses are encoded into the conn's enc buffer and held there while
+// requests are pending; the slot releases them to the outbox and writes
+// them itself, without blocking, when the queue runs empty — so a pipelined
+// burst is answered with one write, and a synchronous round trip wakes no
+// goroutine between execution and the socket. Held answers also leave when
+// they have waited outboxFlushAfter at a statement boundary, and before the
+// slot parks inside a statement.
 func (s *Server) runSession(c *conn, ps *phoebedb.PoolSession) {
 	defer s.sessWg.Done()
 	s.nActive.Add(1)
 	defer s.nActive.Add(-1)
-	st := &sessState{}
+	c.st = sessState{}
 	ps.BeforePark(c.flushHeld)
 	for {
 		c.mu.Lock()
+		c.busy = false // the previous request's body is no longer needed
 		if c.closed {
 			c.mu.Unlock()
 			if ps.InTxn() {
@@ -521,8 +558,13 @@ func (s *Server) runSession(c *conn, ps *phoebedb.PoolSession) {
 			return
 		}
 		idle := !c.hasPendingLocked()
-		due := len(c.out) >= outboxFlushBytes || len(c.out) > 0 && time.Since(c.outSince) > outboxFlushAfter
-		if !c.flushing && (due || idle && (len(c.out) > 0 || c.quit)) {
+		due := len(c.enc) >= outboxFlushBytes || len(c.enc) > 0 && time.Since(c.encSince) > outboxFlushAfter
+		if (due || idle) && !s.releaseLocked(c) {
+			c.mu.Unlock()
+			s.shed(c)
+			continue
+		}
+		if !c.flushing && (len(c.out) > 0 || idle && c.quit) {
 			c.flushing = true
 			c.mu.Unlock()
 			s.drain(c, false)
@@ -530,7 +572,12 @@ func (s *Server) runSession(c *conn, ps *phoebedb.PoolSession) {
 		}
 		if idle {
 			if !ps.InTxn() {
+				// Nothing of this task may touch c's session state past this
+				// point: the next frame starts the conn's next task.
 				c.running = false
+				if cap(c.arena) > arenaKeep {
+					c.arena = nil
+				}
 				c.mu.Unlock()
 				s.finishSession()
 				return
@@ -545,12 +592,13 @@ func (s *Server) runSession(c *conn, ps *phoebedb.PoolSession) {
 			c.mu.Unlock()
 			if !fired && empty && !closed {
 				ps.Rollback()
-				st.aborted = false
+				c.st.aborted = false
 				s.cIdleRB.Add(1)
 			}
 			continue
 		}
 		req := c.popPendingLocked()
+		c.busy = true
 		resume := c.paused && c.depthLocked() < s.MaxPipeline
 		if resume {
 			c.paused = false
@@ -562,8 +610,11 @@ func (s *Server) runSession(c *conn, ps *phoebedb.PoolSession) {
 		wait := time.Since(req.at)
 		ps.ChargeQueueWait(wait)
 		s.hQueueWait.Observe(wait)
-		resp, quit := s.execute(ps, st, &req)
-		s.queue(c, resp)
+		if len(c.enc) == 0 {
+			c.encSince = time.Now()
+		}
+		var quit bool
+		c.enc, quit = s.execute(c, ps, &req, c.enc)
 		if quit {
 			// The flush that finds the outbox empty closes the connection.
 			c.mu.Lock()
@@ -581,30 +632,41 @@ func isDDL(q string) bool {
 	return len(q) >= 7 && strings.EqualFold(q[:7], "create ")
 }
 
-// execute runs one request and returns its response frame. quit=true
-// closes the connection after the outbox flushes.
-func (s *Server) execute(ps *phoebedb.PoolSession, st *sessState, req *request) (resp []byte, quit bool) {
+// borrowString views b as a string without copying it. The caller
+// guarantees b is not written while the string is in use and that the
+// string is not kept beyond that — here: a request body, which stays put
+// in the conn's arena until its statement has finished (conn.busy), handed
+// to PoolSession.ExecSQL, which only reads its query argument.
+func borrowString(b []byte) string {
+	return unsafe.String(unsafe.SliceData(b), len(b))
+}
+
+// execute runs one request and appends its response frame to dst.
+// quit=true closes the connection after the outbox flushes.
+func (s *Server) execute(c *conn, ps *phoebedb.PoolSession, req *request, dst []byte) (resp []byte, quit bool) {
+	st := &c.st
 	if req.failCode != "" {
-		return AppendError(nil, req.failCode, req.failMsg), false
+		return AppendError(dst, req.failCode, req.failMsg), false
 	}
 	switch req.typ {
 	case FrameHello:
 		if len(req.body) < 2 || uint16(req.body[0])<<8|uint16(req.body[1]) != ProtocolVersion {
-			return AppendError(nil, ErrCodeProtocol,
+			return AppendError(dst, ErrCodeProtocol,
 				fmt.Sprintf("unsupported protocol version (server speaks %d)", ProtocolVersion)), false
 		}
-		return AppendOK(nil, 0), false
+		return AppendOK(dst, 0), false
 
 	case FrameQuery:
-		query := string(req.body)
 		if st.aborted {
-			return AppendError(nil, ErrCodeTxn,
+			return AppendError(dst, ErrCodeTxn,
 				"current transaction is aborted, commands ignored until end of transaction block"), false
 		}
-		if isDDL(query) {
+		if isDDL(borrowString(req.body)) {
 			if ps.InTxn() {
-				return AppendError(nil, ErrCodeTxn, "DDL is not transactional"), false
+				return AppendError(dst, ErrCodeTxn, "DDL is not transactional"), false
 			}
+			// DDL keeps its text (journal, catalog names): give it its own.
+			query := string(req.body)
 			var res phoebedb.SQLResult
 			apply := func() error {
 				var aerr error
@@ -618,11 +680,13 @@ func (s *Server) execute(ps *phoebedb.PoolSession, st *sessState, req *request) 
 				err = apply()
 			}
 			if err != nil {
-				return AppendError(nil, ErrCodeSQL, err.Error()), false
+				return AppendError(dst, ErrCodeSQL, err.Error()), false
 			}
-			return AppendOK(nil, res.Affected), false
+			return AppendOK(dst, res.Affected), false
 		}
-		res, err := ps.ExecSQL(query)
+		// A SELECT's rows stream from the scan into the response buffer.
+		c.rows.Begin(dst)
+		n, err := ps.ExecSQL(borrowString(req.body), &c.rows)
 		if err != nil {
 			// Inside an explicit transaction the session enters the
 			// aborted state: the transaction stays open (keeping the
@@ -632,20 +696,20 @@ func (s *Server) execute(ps *phoebedb.PoolSession, st *sessState, req *request) 
 			if ps.InTxn() {
 				st.aborted = true
 			}
-			return AppendError(nil, ErrCodeSQL, err.Error()), false
+			return AppendError(c.rows.Abort(), ErrCodeSQL, err.Error()), false
 		}
-		if res.Columns == nil {
-			return AppendOK(nil, res.Affected), false
+		dst, rows, ok := c.rows.End()
+		switch {
+		case !ok:
+			return AppendError(dst, ErrCodeTooLarge, "result set exceeds the 1 MiB frame limit"), false
+		case !rows:
+			return AppendOK(dst, n), false
 		}
-		b, ok := AppendRows(nil, res.Columns, res.Rows)
-		if !ok {
-			return AppendError(nil, ErrCodeTooLarge, "result set exceeds the 1 MiB frame limit"), false
-		}
-		return b, false
+		return dst, false
 
 	case FrameBegin:
 		if ps.InTxn() || st.aborted {
-			return AppendError(nil, ErrCodeTxn, "transaction already in progress"), false
+			return AppendError(dst, ErrCodeTxn, "transaction already in progress"), false
 		}
 		iso := ps.DefaultIsolation()
 		if len(req.body) >= 1 {
@@ -656,13 +720,13 @@ func (s *Server) execute(ps *phoebedb.PoolSession, st *sessState, req *request) 
 			case 2:
 				iso = phoebedb.RepeatableRead
 			default:
-				return AppendError(nil, ErrCodeProtocol, "unknown isolation level"), false
+				return AppendError(dst, ErrCodeProtocol, "unknown isolation level"), false
 			}
 		}
 		if err := ps.Begin(iso); err != nil {
-			return AppendError(nil, ErrCodeTxn, err.Error()), false
+			return AppendError(dst, ErrCodeTxn, err.Error()), false
 		}
-		return AppendOK(nil, 0), false
+		return AppendOK(dst, 0), false
 
 	case FrameCommit:
 		if st.aborted {
@@ -670,28 +734,28 @@ func (s *Server) execute(ps *phoebedb.PoolSession, st *sessState, req *request) 
 			if ps.InTxn() {
 				ps.Rollback()
 			}
-			return AppendError(nil, ErrCodeTxn, "transaction aborted; changes rolled back"), false
+			return AppendError(dst, ErrCodeTxn, "transaction aborted; changes rolled back"), false
 		}
 		if !ps.InTxn() {
-			return AppendError(nil, ErrCodeTxn, "no transaction in progress"), false
+			return AppendError(dst, ErrCodeTxn, "no transaction in progress"), false
 		}
 		if err := ps.Commit(); err != nil {
-			return AppendError(nil, ErrCodeSQL, err.Error()), false
+			return AppendError(dst, ErrCodeSQL, err.Error()), false
 		}
-		return AppendOK(nil, 0), false
+		return AppendOK(dst, 0), false
 
 	case FrameRollback:
 		st.aborted = false
 		if ps.InTxn() {
 			ps.Rollback()
 		}
-		return AppendOK(nil, 0), false
+		return AppendOK(dst, 0), false
 
 	case FrameQuit:
-		return AppendOK(nil, 0), true
+		return AppendOK(dst, 0), true
 
 	default:
-		return AppendError(nil, ErrCodeProtocol,
+		return AppendError(dst, ErrCodeProtocol,
 			fmt.Sprintf("unknown frame type %q", req.typ)), false
 	}
 }

@@ -204,6 +204,10 @@ type DB struct {
 	// planCache holds prepared-statement templates shared by all sessions;
 	// nil when Options.PlanCacheSize is negative.
 	planCache *sql.PlanCache
+	// scratch holds each task slot's statement scratch (normalized key,
+	// bound literals, plan lists): a statement runs on one slot and a slot
+	// runs one statement at a time, so the slot is its single owner.
+	scratch []*sql.Scratch
 	// sqlCounters aggregates executor statistics (join rows, sorts) across
 	// all sessions for the metrics registry.
 	sqlCounters sql.Counters
@@ -288,6 +292,10 @@ func Open(opts Options) (*DB, error) {
 	}
 	if !opts.StatsLite {
 		db.stmtStats = metrics.NewStmtStats(0)
+	}
+	db.scratch = make([]*sql.Scratch, totalSlots)
+	for i := range db.scratch {
+		db.scratch[i] = new(sql.Scratch)
 	}
 	if opts.ArchiveDir != "" {
 		// A fresh archive attached to a database that already checkpointed
@@ -444,7 +452,7 @@ func (db *DB) Execute(fn func(tx *Tx) error) error {
 func (db *DB) ExecuteIso(iso Isolation, fn func(tx *Tx) error) error {
 	var txErr error
 	err := db.pool.SubmitWait(func(s *sched.Slot) {
-		tx := db.engine.Begin(s.ID, iso, s.Metrics, s.YieldHigh, s.YieldLow)
+		tx := db.engine.Begin(s.ID, iso, s.Metrics, s.Yield, s.Wait)
 		if txErr = fn(tx); txErr != nil {
 			tx.Rollback()
 			return
@@ -468,15 +476,15 @@ func (db *DB) ExecuteTagged(tag string, fn func(tx *Tx) error) error {
 	}
 	var txErr error
 	err := db.pool.SubmitWait(func(s *sched.Slot) {
-		done := db.stmtBegin(s.ID, st)
-		tx := db.engine.Begin(s.ID, db.opts.Isolation, s.Metrics, s.YieldHigh, s.YieldLow)
+		span := db.stmtBegin(s.ID, st)
+		tx := db.engine.Begin(s.ID, db.opts.Isolation, s.Metrics, s.Yield, s.Wait)
 		tx.NoteStatement(tag)
 		if txErr = fn(tx); txErr != nil {
 			tx.Rollback()
 		} else {
 			txErr = tx.Commit()
 		}
-		done(0, txErr)
+		db.stmtEnd(&span, 0, txErr)
 	})
 	if err != nil {
 		return err
@@ -484,46 +492,60 @@ func (db *DB) ExecuteTagged(tag string, fn func(tx *Tx) error) error {
 	return txErr
 }
 
+// stmtSpan is one statement's open measurement: the slot's wait totals and
+// WAL position at its start. A plain value the caller keeps on its stack.
+type stmtSpan struct {
+	st        *metrics.StmtStat
+	slot      int
+	start     time.Time
+	walBefore int64
+	before    waitevent.Snapshot
+}
+
 // stmtBegin snapshots a slot's wait totals and WAL position before a
-// statement and returns the closure that differences them into st after.
-// The statement ID is published in the slot's waitevent word for the ASH
-// sampler to resolve.
-func (db *DB) stmtBegin(slot int, st *metrics.StmtStat) func(rows int64, err error) {
+// statement; stmtEnd differences them into st. The statement ID is
+// published in the slot's waitevent word for the ASH sampler to resolve.
+// A nil st (StatsLite) makes both a single branch.
+func (db *DB) stmtBegin(slot int, st *metrics.StmtStat) stmtSpan {
+	span := stmtSpan{st: st, slot: slot}
 	if st == nil {
-		return func(int64, error) {}
+		return span
 	}
-	var before waitevent.Snapshot
-	db.waits.SlotSnapshot(slot, &before)
+	db.waits.SlotSnapshot(slot, &span.before)
 	db.waits.SetStmt(slot, st.ID)
-	walBefore := db.engine.WAL.Writer(slot).AppendedBytes()
-	start := time.Now()
-	return func(rows int64, err error) {
-		elapsed := time.Since(start)
-		var after waitevent.Snapshot
-		db.waits.SlotSnapshot(slot, &after)
-		db.waits.SetStmt(slot, 0)
-		sample := metrics.StmtSample{
-			Elapsed:  elapsed,
-			Rows:     rows,
-			Err:      err != nil,
-			WALBytes: db.engine.WAL.Writer(slot).AppendedBytes() - walBefore,
-		}
-		for e := 0; e < waitevent.NumEvents; e++ {
-			sample.Waits.Count[e] = after.Count[e] - before.Count[e]
-			sample.Waits.Nanos[e] = after.Nanos[e] - before.Nanos[e]
-		}
-		// Every buffer miss is one EvBufferIO wait, so the event count is
-		// the statement's miss count.
-		sample.BufMisses = sample.Waits.Count[waitevent.EvBufferIO]
-		st.Record(&sample)
+	span.walBefore = db.engine.WAL.Writer(slot).AppendedBytes()
+	span.start = time.Now()
+	return span
+}
+
+// stmtEnd closes the span stmtBegin opened.
+func (db *DB) stmtEnd(span *stmtSpan, rows int64, err error) {
+	if span.st == nil {
+		return
 	}
+	sample := metrics.StmtSample{
+		Elapsed:  time.Since(span.start),
+		Rows:     rows,
+		Err:      err != nil,
+		WALBytes: db.engine.WAL.Writer(span.slot).AppendedBytes() - span.walBefore,
+	}
+	db.waits.SlotSnapshot(span.slot, &sample.Waits)
+	db.waits.SetStmt(span.slot, 0)
+	for e := 0; e < waitevent.NumEvents; e++ {
+		sample.Waits.Count[e] -= span.before.Count[e]
+		sample.Waits.Nanos[e] -= span.before.Nanos[e]
+	}
+	// Every buffer miss is one EvBufferIO wait, so the event count is
+	// the statement's miss count.
+	sample.BufMisses = sample.Waits.Count[waitevent.EvBufferIO]
+	span.st.Record(&sample)
 }
 
 // Submit runs fn as one transaction without waiting for it; done (if not
 // nil) receives the transaction's final error.
 func (db *DB) Submit(fn func(tx *Tx) error, done chan<- error) error {
 	return db.pool.Submit(func(s *sched.Slot) {
-		tx := db.engine.Begin(s.ID, db.opts.Isolation, s.Metrics, s.YieldHigh, s.YieldLow)
+		tx := db.engine.Begin(s.ID, db.opts.Isolation, s.Metrics, s.Yield, s.Wait)
 		err := fn(tx)
 		if err != nil {
 			tx.Rollback()

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"phoebedb/internal/sched"
+	"phoebedb/internal/sql"
 	"phoebedb/internal/waitevent"
 )
 
@@ -15,24 +16,39 @@ import (
 // network — an idle-in-transaction session parks its slot (YieldLow) and
 // its worker keeps executing other slots.
 
-// SubmitSessionTask schedules fn on a pool task slot. Unlike Execute,
-// which runs exactly one transaction, fn receives a PoolSession and may
-// execute any number of statements and transactions before returning;
-// the slot is released when fn returns. Fails with sched.ErrStopped once
-// the pool is stopping.
-func (db *DB) SubmitSessionTask(fn func(ps *PoolSession)) error {
-	return db.pool.Submit(func(s *sched.Slot) {
-		ps := &PoolSession{db: db, slot: s}
-		defer ps.abandon()
+// NewPoolSession returns a session handle whose task is fn: every Submit
+// runs fn(ps) once on a pool task slot. Unlike Execute, which runs exactly
+// one transaction, fn may execute any number of statements and
+// transactions before returning; the slot is released when fn returns. The
+// handle is built once and reused — a front end keeps one per connection,
+// so starting a task allocates nothing.
+//
+// Two rules come with the reuse. The owner must not Submit again before fn
+// has stopped using ps (fn's last statement may be the one that lets the
+// owner resubmit; nothing here touches ps after fn returns). And fn must
+// not return with a transaction open: it would stay open on the slot, and
+// the slot's next Begin panics on it.
+func (db *DB) NewPoolSession(fn func(ps *PoolSession)) *PoolSession {
+	ps := &PoolSession{db: db}
+	ps.task = func(s *sched.Slot) {
+		ps.slot = s
 		fn(ps)
-	})
+		s.BeforePark = nil // the session's park hook ends with its task
+	}
+	return ps
 }
 
+// Submit schedules the session's task on a pool task slot. Fails with
+// sched.ErrStopped once the pool is stopping.
+func (ps *PoolSession) Submit() error { return ps.db.pool.Submit(ps.task) }
+
 // PoolSession is a multi-statement session bound to a pool task slot for
-// the duration of one SubmitSessionTask callback. Not safe for concurrent
-// use; it lives on exactly one slot and must not escape the callback.
+// the duration of one task. Not safe for concurrent use; while a task runs
+// it lives on exactly one slot, and between tasks it holds no slot and no
+// transaction.
 type PoolSession struct {
 	db   *DB
+	task sched.Task
 	slot *sched.Slot
 	tx   *Tx
 }
@@ -42,17 +58,6 @@ type PoolSession struct {
 // send what it has been holding back for a batch. The registration ends
 // with the session task.
 func (ps *PoolSession) BeforePark(fn func()) { ps.slot.BeforePark = fn }
-
-// abandon rolls back a transaction the callback left open — the slot is
-// being returned to the pool and must not leak an in-flight transaction
-// or the session's park hook.
-func (ps *PoolSession) abandon() {
-	if ps.tx != nil {
-		ps.tx.Rollback()
-		ps.tx = nil
-	}
-	ps.slot.BeforePark = nil
-}
 
 // Slot returns the session's task-slot ID.
 func (ps *PoolSession) Slot() int { return ps.slot.ID }
@@ -69,7 +74,7 @@ func (ps *PoolSession) Begin(iso Isolation) error {
 	if ps.tx != nil {
 		return fmt.Errorf("phoebedb: transaction already in progress")
 	}
-	ps.tx = ps.db.engine.Begin(ps.slot.ID, iso, ps.slot.Metrics, ps.slot.YieldHigh, ps.slot.YieldLow)
+	ps.tx = ps.db.engine.Begin(ps.slot.ID, iso, ps.slot.Metrics, ps.slot.Yield, ps.slot.Wait)
 	return nil
 }
 
@@ -93,21 +98,23 @@ func (ps *PoolSession) Rollback() error {
 	return nil
 }
 
-// ExecSQL executes one DML statement. Inside an explicit transaction the
-// statement joins it; otherwise it runs as its own auto-commit
-// transaction on the session's slot. DDL is rejected — the wire layer
-// routes DDL through DB.ExecSQL (plus the schema journal) instead.
-func (ps *PoolSession) ExecSQL(query string) (SQLResult, error) {
+// ExecSQL executes one DML statement, sending a SELECT's rows to sink as
+// the scan produces them and returning the rows returned or affected.
+// Inside an explicit transaction the statement joins it; otherwise it runs
+// as its own auto-commit transaction on the session's slot. DDL is rejected
+// — the wire layer routes DDL through DB.ExecSQL (plus the schema journal)
+// instead. query is only read during the call, never retained.
+func (ps *PoolSession) ExecSQL(query string, sink sql.RowSink) (int, error) {
 	if ps.tx != nil {
-		return ps.db.ExecSQLTx(ps.tx, query)
+		return ps.db.execTx(ps.tx, query, sink)
 	}
-	tx := ps.db.engine.Begin(ps.slot.ID, ps.db.opts.Isolation, ps.slot.Metrics, ps.slot.YieldHigh, ps.slot.YieldLow)
-	res, err := ps.db.ExecSQLTx(tx, query)
+	tx := ps.db.engine.Begin(ps.slot.ID, ps.db.opts.Isolation, ps.slot.Metrics, ps.slot.Yield, ps.slot.Wait)
+	n, err := ps.db.execTx(tx, query, sink)
 	if err != nil {
 		tx.Rollback()
-		return res, err
+		return n, err
 	}
-	return res, tx.Commit()
+	return n, tx.Commit()
 }
 
 // Park blocks the session until ch fires or the timeout elapses (false on

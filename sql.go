@@ -2,6 +2,7 @@ package phoebedb
 
 import (
 	"fmt"
+	"strings"
 
 	"phoebedb/internal/rel"
 	"phoebedb/internal/sql"
@@ -63,81 +64,83 @@ func (c sqlCatalog) IndexInfo(table string) ([]sql.IndexMeta, error) {
 // CREATE INDEX) applies immediately; DML runs as one transaction on the
 // co-routine pool. Repeated statement shapes hit the prepared-statement
 // plan cache, skipping the parser and planner (see Options.PlanCacheSize).
-// The supported subset is documented in internal/sql.
+// The supported subset is documented in internal/sql. The Result is the
+// caller's: its rows and column list are copies.
 func (db *DB) ExecSQL(query string) (SQLResult, error) {
-	cat := sqlCatalog{db: db}
-	if cs, params, ok := db.prepare(query); ok {
-		fp := cs.Fingerprint()
-		st := db.stmtStats.Intern(fp)
-		var res SQLResult
-		err := db.Execute(func(tx *Tx) error {
-			done := db.stmtBegin(tx.Slot(), st)
-			tx.NoteStatement(fp)
-			var execErr error
-			res, execErr = sql.ExecPrepared(cat, tx, cs, params)
-			done(resultRows(res), execErr)
-			return execErr
+	// The cache lookup runs on the caller's goroutine, before a slot is
+	// held, so it cannot use a slot's scratch.
+	cs, params, ok := db.prepare(query, new(sql.Scratch))
+	var stmt sql.Stmt
+	var fp string
+	if ok {
+		fp = cs.Fingerprint()
+	} else {
+		var err error
+		if stmt, err = sql.Parse(query); err != nil {
+			return SQLResult{}, err
+		}
+		if sql.IsDDL(stmt) {
+			// The catalog adapter routes through db.CreateTable/CreateIndex,
+			// which invalidate the plan cache.
+			return sql.ExecDDL(sqlCatalog{db: db}, stmt)
+		}
+		fp = sql.Fingerprint(query)
+	}
+	return sql.Materialize(func(sink sql.RowSink) (n int, err error) {
+		txErr := db.Execute(func(tx *Tx) error {
+			n, err = db.runStmt(tx, cs, params, stmt, fp, sink)
+			return err
 		})
-		return res, err
-	}
-	stmt, err := sql.Parse(query)
-	if err != nil {
-		return SQLResult{}, err
-	}
-	if sql.IsDDL(stmt) {
-		// The catalog adapter routes through db.CreateTable/CreateIndex,
-		// which invalidate the plan cache.
-		return sql.ExecDDL(cat, stmt)
-	}
-	fp := sql.Fingerprint(query)
-	st := db.stmtStats.Intern(fp)
-	var res SQLResult
-	err = db.Execute(func(tx *Tx) error {
-		done := db.stmtBegin(tx.Slot(), st)
-		tx.NoteStatement(fp)
-		var execErr error
-		res, execErr = sql.Exec(cat, tx, stmt)
-		done(resultRows(res), execErr)
-		return execErr
+		return n, txErr
 	})
-	return res, err
-}
-
-// resultRows is the rows figure a statement contributes to its
-// aggregates: rows returned for SELECT, rows affected for writes.
-func resultRows(r SQLResult) int64 {
-	if len(r.Columns) > 0 {
-		return int64(len(r.Rows))
-	}
-	return int64(r.Affected)
 }
 
 // ExecSQLTx executes one DML statement inside an existing transaction
 // (session use). Statements share the database-wide plan cache with
-// ExecSQL and all other sessions.
+// ExecSQL and all other sessions. The Result is the caller's: its rows and
+// column list are copies.
 func (db *DB) ExecSQLTx(tx *Tx, query string) (SQLResult, error) {
-	cat := sqlCatalog{db: db}
-	if cs, params, ok := db.prepare(query); ok {
-		fp := cs.Fingerprint()
-		done := db.stmtBegin(tx.Slot(), db.stmtStats.Intern(fp))
-		tx.NoteStatement(fp)
-		res, err := sql.ExecPrepared(cat, tx, cs, params)
-		done(resultRows(res), err)
-		return res, err
+	return sql.Materialize(func(sink sql.RowSink) (int, error) {
+		return db.execTx(tx, query, sink)
+	})
+}
+
+// execTx executes one DML statement inside tx, sending a SELECT's rows to
+// sink and returning the rows returned or affected. It runs on the
+// transaction's slot and uses that slot's statement scratch throughout, so
+// a plan-cache hit allocates nothing here. query is only read, never kept.
+func (db *DB) execTx(tx *Tx, query string, sink sql.RowSink) (int, error) {
+	if cs, params, ok := db.prepare(query, db.scratch[tx.Slot()]); ok {
+		return db.runStmt(tx, cs, params, nil, cs.Fingerprint(), sink)
 	}
+	// Past the plan cache the text is kept — parsed identifiers and
+	// literals, the fingerprint — so it has to be this call's own.
+	query = strings.Clone(query)
 	stmt, err := sql.Parse(query)
 	if err != nil {
-		return SQLResult{}, err
+		return 0, err
 	}
 	if sql.IsDDL(stmt) {
-		return SQLResult{}, fmt.Errorf("phoebedb: DDL is not transactional; use ExecSQL")
+		return 0, fmt.Errorf("phoebedb: DDL is not transactional; use ExecSQL")
 	}
-	fp := sql.Fingerprint(query)
-	done := db.stmtBegin(tx.Slot(), db.stmtStats.Intern(fp))
+	return db.runStmt(tx, nil, nil, stmt, sql.Fingerprint(query), sink)
+}
+
+// runStmt executes a prepared (cs, params) or parsed (stmt) DML statement
+// inside tx under a statement span, with the slot's scratch.
+func (db *DB) runStmt(tx *Tx, cs *sql.CachedStmt, params []Value, stmt sql.Stmt, fp string, sink sql.RowSink) (int, error) {
+	span := db.stmtBegin(tx.Slot(), db.stmtStats.Intern(fp))
 	tx.NoteStatement(fp)
-	res, err := sql.Exec(cat, tx, stmt)
-	done(resultRows(res), err)
-	return res, err
+	cat, sc := sqlCatalog{db: db}, db.scratch[tx.Slot()]
+	var n int
+	var err error
+	if cs != nil {
+		n, err = sql.ExecPreparedInto(cat, tx, cs, params, sc, sink)
+	} else {
+		n, err = sql.ExecInto(cat, tx, stmt, sc, sink)
+	}
+	db.stmtEnd(&span, int64(n), err)
+	return n, err
 }
 
 // PlanCacheStats reports the prepared-statement plan cache's hit and miss
@@ -153,9 +156,9 @@ func (db *DB) PlanCacheStats() (hits, misses int64) {
 // parse path: the cache is disabled, the statement is DDL, or it contains
 // something the normalizer does not handle (including syntax errors, so
 // the parser reports them against the original text).
-func (db *DB) prepare(query string) (*sql.CachedStmt, []Value, bool) {
+func (db *DB) prepare(query string, sc *sql.Scratch) (*sql.CachedStmt, []Value, bool) {
 	if db.planCache == nil {
 		return nil, nil, false
 	}
-	return db.planCache.Prepare(query)
+	return db.planCache.Prepare(query, sc)
 }
