@@ -1,12 +1,10 @@
 // Package adapter bridges the TPC-C workload's engine-agnostic Backend
-// interface to the two systems under test: the PhoebeDB kernel and the
-// PostgreSQL-style baseline engine.
+// interface to the PhoebeDB kernel.
 package adapter
 
 import (
 	phoebedb "phoebedb"
 
-	"phoebedb/internal/baseline"
 	"phoebedb/internal/tpcc"
 )
 
@@ -36,25 +34,4 @@ func (p Phoebe) Execute(fn func(c tpcc.Client) error) error {
 // in phoebe_stat_statements.
 func (p Phoebe) ExecuteTagged(name string, fn func(c tpcc.Client) error) error {
 	return p.DB.ExecuteTagged(name, func(tx *phoebedb.Tx) error { return fn(tx) })
-}
-
-// Baseline adapts a baseline.DB to tpcc.Backend.
-type Baseline struct {
-	DB *baseline.DB
-}
-
-// CreateTable implements tpcc.Backend.
-func (b Baseline) CreateTable(name string, schema *phoebedb.Schema) error {
-	return b.DB.CreateTable(name, schema)
-}
-
-// CreateIndex implements tpcc.Backend.
-func (b Baseline) CreateIndex(table, index string, cols []string, unique bool) error {
-	return b.DB.CreateIndex(table, index, cols, unique)
-}
-
-// Execute implements tpcc.Backend: the transaction runs thread-per-
-// transaction on the caller's goroutine.
-func (b Baseline) Execute(fn func(c tpcc.Client) error) error {
-	return b.DB.Execute(func(tx *baseline.Tx) error { return fn(tx) })
 }

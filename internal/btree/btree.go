@@ -94,7 +94,8 @@ func childIndex(keys [][]byte, k []byte) int {
 	return lo
 }
 
-// Stats counts synchronization events for the ablation benchmarks.
+// Stats counts synchronization events: optimistic restarts and fallbacks
+// to the pessimistic descents.
 type Stats struct {
 	OptimisticRestarts atomic.Int64
 	SharedFallbacks    atomic.Int64
@@ -103,11 +104,8 @@ type Stats struct {
 
 // Tree is a concurrent B-Tree. Create with New.
 type Tree struct {
-	root atomic.Pointer[node]
-	// Pessimistic disables optimistic traversal entirely (pure lock
-	// coupling), used by the hybrid-lock ablation.
-	Pessimistic bool
-	Stats       Stats
+	root  atomic.Pointer[node]
+	Stats Stats
 }
 
 // New returns an empty tree.
@@ -119,15 +117,13 @@ func New() *Tree {
 
 // Lookup returns the value stored under key.
 func (t *Tree) Lookup(key []byte) (uint64, bool) {
-	if !t.Pessimistic {
-		for attempt := 0; attempt < optimisticRetries; attempt++ {
-			if v, ok, valid := t.lookupOptimistic(key); valid {
-				return v, ok
-			}
-			t.Stats.OptimisticRestarts.Add(1)
+	for attempt := 0; attempt < optimisticRetries; attempt++ {
+		if v, ok, valid := t.lookupOptimistic(key); valid {
+			return v, ok
 		}
-		t.Stats.SharedFallbacks.Add(1)
+		t.Stats.OptimisticRestarts.Add(1)
 	}
+	t.Stats.SharedFallbacks.Add(1)
 	return t.lookupShared(key)
 }
 
@@ -250,12 +246,10 @@ func (t *Tree) lockedLeafOptimistic(key []byte, needsRoom bool) *node {
 func (t *Tree) Insert(key []byte, val uint64) bool {
 	key = append([]byte(nil), key...)
 	var n *node
-	if !t.Pessimistic {
-		for attempt := 0; attempt < optimisticRetries && n == nil; attempt++ {
-			n = t.lockedLeafOptimistic(key, true)
-			if n == nil {
-				t.Stats.OptimisticRestarts.Add(1)
-			}
+	for attempt := 0; attempt < optimisticRetries && n == nil; attempt++ {
+		n = t.lockedLeafOptimistic(key, true)
+		if n == nil {
+			t.Stats.OptimisticRestarts.Add(1)
 		}
 	}
 	if n == nil {
@@ -263,6 +257,12 @@ func (t *Tree) Insert(key []byte, val uint64) bool {
 		n = t.lockedLeafPessimistic(key)
 	}
 	defer n.lt.UnlockExclusive()
+	return n.put(key, val)
+}
+
+// put stores val under key in the exclusively latched leaf n, reporting
+// whether the key is new.
+func (n *node) put(key []byte, val uint64) bool {
 	c := n.c.Load()
 	i, found := searchKeys(c.keys, key)
 	nc := c.clone()
@@ -284,12 +284,10 @@ func (t *Tree) Insert(key []byte, val uint64) bool {
 // Delete removes key, reporting whether it was present.
 func (t *Tree) Delete(key []byte) bool {
 	var n *node
-	if !t.Pessimistic {
-		for attempt := 0; attempt < optimisticRetries && n == nil; attempt++ {
-			n = t.lockedLeafOptimistic(key, false)
-			if n == nil {
-				t.Stats.OptimisticRestarts.Add(1)
-			}
+	for attempt := 0; attempt < optimisticRetries && n == nil; attempt++ {
+		n = t.lockedLeafOptimistic(key, false)
+		if n == nil {
+			t.Stats.OptimisticRestarts.Add(1)
 		}
 	}
 	if n == nil {

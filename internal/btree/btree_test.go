@@ -259,22 +259,42 @@ func TestConcurrentMixedReadWrite(t *testing.T) {
 	writers.Wait()
 }
 
+// TestPessimisticMode drives the fallback descents directly: exclusive
+// lock coupling with preemptive splits builds the whole tree, and shared
+// lock coupling reads every key back, agreeing with the optimistic path.
 func TestPessimisticMode(t *testing.T) {
 	tr := New()
-	tr.Pessimistic = true
 	for i := 0; i < 2000; i++ {
-		tr.Insert(key(i), uint64(i))
+		n := tr.lockedLeafPessimistic(key(i))
+		if !n.put(key(i), uint64(i)) {
+			t.Fatalf("key %d already present", i)
+		}
+		n.lt.UnlockExclusive()
+	}
+	if tr.root.Load().c.Load().leaf {
+		t.Fatal("2000 keys did not split the root")
 	}
 	for i := 0; i < 2000; i++ {
+		if v, ok := tr.lookupShared(key(i)); !ok || v != uint64(i) {
+			t.Fatalf("shared lookup %d = (%d, %v)", i, v, ok)
+		}
 		if v, ok := tr.Lookup(key(i)); !ok || v != uint64(i) {
-			t.Fatalf("pessimistic lookup %d failed", i)
+			t.Fatalf("optimistic lookup %d = (%d, %v)", i, v, ok)
 		}
 	}
-	if tr.Stats.ExclusiveFallbacks.Load() != 2000 {
-		t.Fatalf("pessimistic inserts took the optimistic path: %d fallbacks", tr.Stats.ExclusiveFallbacks.Load())
+	if _, ok := tr.lookupShared(key(2000)); ok {
+		t.Fatal("shared lookup found an absent key")
 	}
-	if tr.Stats.OptimisticRestarts.Load() != 0 {
-		t.Fatal("pessimistic mode attempted optimistic traversal")
+	n := 0
+	tr.Scan(nil, nil, func(k []byte, v uint64) bool {
+		if !bytes.Equal(k, key(n)) || v != uint64(n) {
+			t.Fatalf("scan position %d = (%q, %d)", n, k, v)
+		}
+		n++
+		return true
+	})
+	if n != 2000 {
+		t.Fatalf("scan saw %d keys", n)
 	}
 }
 

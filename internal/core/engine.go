@@ -30,8 +30,8 @@ import (
 	"phoebedb/internal/table"
 	"phoebedb/internal/txn"
 	"phoebedb/internal/undo"
-	"phoebedb/internal/wal"
 	"phoebedb/internal/waitevent"
+	"phoebedb/internal/wal"
 )
 
 // Errors surfaced by the engine API.
@@ -75,13 +75,6 @@ type Config struct {
 	// LockTimeout bounds lock waits; expiry aborts the waiter (deadlock
 	// recovery). Default 2s.
 	LockTimeout time.Duration
-	// DisableRFA makes every commit wait for the global flush horizon —
-	// the ablation baseline for Remote Flush Avoidance.
-	DisableRFA bool
-	// PessimisticIndex disables optimistic lock coupling on index B-Trees
-	// (pure latch coupling) — the ablation baseline for the hybrid lock
-	// strategy of §7.2.
-	PessimisticIndex bool
 	// ColdCacheBytes bounds the per-table decompressed cold-block LRU
 	// (0 = frozen.DefaultCacheBytes).
 	ColdCacheBytes int64
@@ -111,10 +104,6 @@ type Config struct {
 	// total latency exceeds it is captured with its component breakdown.
 	// Zero disables the log.
 	SlowTxnThreshold time.Duration
-	// StatsLite turns off per-transaction histogram and trace-ring updates
-	// (the scalar counters stay on — they are single atomic adds). Used by
-	// the instrumentation-overhead benchmark; production keeps it off.
-	StatsLite bool
 }
 
 func (c *Config) defaults() {
@@ -321,8 +310,8 @@ func (e *Engine) Close() error {
 // Config returns the engine's effective configuration.
 func (e *Engine) Config() Config { return e.cfg }
 
-// Waits returns the engine's wait-event slots (nil when observability is
-// off).
+// Waits returns the engine's wait-event slots (nil when Config.Waits was
+// left unset).
 func (e *Engine) Waits() *waitevent.Slots { return e.cfg.Waits }
 
 // SetWALArchiver attaches a WAL archiver: from now on Checkpoint seals the
@@ -397,7 +386,6 @@ func (e *Engine) registerIndex(t *Tbl, indexName string, cols []string, unique, 
 		positions[i] = p
 	}
 	ix := &Index{Name: indexName, Cols: positions, Unique: unique, Tree: btree.New()}
-	ix.Tree.Pessimistic = e.cfg.PessimisticIndex
 	ix.hidden.Store(hidden)
 	t.mu.Lock()
 	defer t.mu.Unlock()

@@ -13,7 +13,7 @@ import (
 // slot's arena; GC erases reclaimed tombstones under that same latch. The
 // arena must therefore not hold its mutex across the reclaim callback:
 // when it did, a delete and a GC round on one page deadlocked (the tier-1
-// hang of TestDifferentialOracle and `phoebebench -exp scale`).
+// hang of TestDifferentialOracle and of the since-retired scaling gate).
 func TestDeleteConcurrentWithGCOnOnePage(t *testing.T) {
 	e := openTestEngine(t, Config{})
 	setupAccounts(t, e)

@@ -14,8 +14,8 @@ import (
 	"phoebedb/internal/table"
 	"phoebedb/internal/txn"
 	"phoebedb/internal/undo"
-	"phoebedb/internal/wal"
 	"phoebedb/internal/waitevent"
+	"phoebedb/internal/wal"
 )
 
 // Tx is one transaction bound to a task slot. All methods must be called
@@ -1076,14 +1076,7 @@ func (tx *Tx) Commit() error {
 		// accounted separately from WAL CPU work.
 		flushStart := time.Now()
 		err := w.Flush()
-		if err == nil && tx.e.cfg.DisableRFA {
-			// Ablation: behave like a serialized log — wait until every
-			// writer's durable horizon covers this commit.
-			tx.e.stats.RemoteFlushWaits.Add(1)
-			seg := tx.tctx.Waits.Begin(tx.slot, waitevent.EvRemoteFlush)
-			err = tx.e.WAL.WaitRemoteFlush(cr.GSN)
-			tx.tctx.Waits.End(tx.slot, waitevent.EvRemoteFlush, seg)
-		} else if err == nil && tx.inner.NeedsRemoteFlush {
+		if err == nil && tx.inner.NeedsRemoteFlush {
 			// RFA slow path: a foreign slot's unflushed change to one of
 			// our pages must be durable before we report commit.
 			tx.e.stats.RemoteFlushWaits.Add(1)
@@ -1128,9 +1121,9 @@ func (tx *Tx) Rollback() error {
 }
 
 // finishMetrics closes out the transaction's accounting: the untracked
-// residual is charged to Compute, the outcome counter bumps, and — unless
-// the engine runs in StatsLite mode — the latency histogram, the slot's
-// trace ring, and the slow-transaction log observe the full breakdown.
+// residual is charged to Compute, the outcome counter bumps, and the
+// latency histogram, the slot's trace ring, and the slow-transaction log
+// observe the full breakdown.
 func (tx *Tx) finishMetrics(committed bool) {
 	total := time.Since(tx.started)
 	if rest := total - tx.tracked; rest > 0 {
@@ -1151,9 +1144,6 @@ func (tx *Tx) finishMetrics(committed bool) {
 	if tx.vis.Walks != 0 {
 		tx.e.stats.MVCCChainWalks.Add(tx.vis.Walks)
 		tx.e.stats.MVCCChainLinks.Add(tx.vis.Links)
-	}
-	if tx.e.cfg.StatsLite {
-		return
 	}
 	tx.mets.Hist.Observe(total)
 	tr := metrics.TxnTrace{

@@ -140,18 +140,6 @@ func TestSlowLogThresholdAndOutput(t *testing.T) {
 	}
 }
 
-func TestSeriesOverflowCap(t *testing.T) {
-	// Backdate the start so the next observation lands past the cap.
-	s := &Series{start: time.Now().Add(-2 * MaxSeriesBuckets * time.Nanosecond), bucket: time.Nanosecond}
-	s.Observe(7)
-	if got := s.Overflow(); got != 7 {
-		t.Fatalf("overflow = %d", got)
-	}
-	if n := len(s.Buckets()); n != 0 {
-		t.Fatalf("capped series still grew to %d buckets", n)
-	}
-}
-
 func TestRegistryPrometheusOutput(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("test_total", "A counter.", func() int64 { return 42 })

@@ -1,9 +1,9 @@
 // Package metrics provides the measurement substrate for the evaluation
 // harness and the always-on observability layer: per-component time
 // accounting (the Go stand-in for the paper's per-transaction instruction
-// counts, Exp 7), byte-level I/O counters (Exp 3 and 4), bucketed throughput
-// time series (Exp 1 and 4), log-bucketed latency histograms, per-slot
-// transaction trace rings, and a registry that exposes all of it live.
+// counts, Exp 7), byte-level I/O counters (Exp 3 and 4), log-bucketed
+// latency histograms, per-slot transaction trace rings, and a registry that
+// exposes all of it live.
 //
 // Component accounting is slot-local: each task slot owns a SlotMetrics that
 // only the owning slot mutates, mirroring PhoebeDB's principle of
@@ -212,84 +212,3 @@ func (c *IOCounters) Snapshot() SnapshotIO {
 		WALWrite:  c.WALWrite.Load(),
 	}
 }
-
-// --- Throughput time series -------------------------------------------------
-
-// MaxSeriesBuckets caps a Series' length: a stalled engine (or a forgotten
-// long-running server) stops growing the slice and counts overflowed
-// observations instead of allocating without bound. At the default 1s bucket
-// width this is over a day of data.
-const MaxSeriesBuckets = 1 << 17
-
-// Series collects a value per fixed-width time bucket; used for the
-// tpmC-over-time and MB/s-over-time figures.
-//
-// Observe is designed for many concurrent slots: the common case (bucket
-// already allocated) takes a read lock and an atomic add, so observers don't
-// serialize behind each other. The write lock is only taken to grow the
-// slice, which geometric doubling makes amortised O(1) per bucket.
-type Series struct {
-	start  time.Time
-	bucket time.Duration
-
-	mu       sync.RWMutex
-	buckets  []atomic.Int64 // grown under mu; cells are atomics so readers don't block writers
-	overflow atomic.Int64
-}
-
-// NewSeries creates a series with the given bucket width, starting now.
-func NewSeries(bucket time.Duration) *Series {
-	return &Series{start: time.Now(), bucket: bucket}
-}
-
-// Observe adds v to the bucket covering time now. Observations past
-// MaxSeriesBuckets are dropped and counted in Overflow.
-func (s *Series) Observe(v int64) {
-	idx := int(time.Since(s.start) / s.bucket)
-	if idx >= MaxSeriesBuckets {
-		s.overflow.Add(v)
-		return
-	}
-	s.mu.RLock()
-	if idx < len(s.buckets) {
-		s.buckets[idx].Add(v)
-		s.mu.RUnlock()
-		return
-	}
-	s.mu.RUnlock()
-
-	s.mu.Lock()
-	if idx >= len(s.buckets) {
-		newLen := 2 * len(s.buckets)
-		if newLen <= idx {
-			newLen = idx + 1
-		}
-		if newLen > MaxSeriesBuckets {
-			newLen = MaxSeriesBuckets
-		}
-		grown := make([]atomic.Int64, newLen)
-		for i := range s.buckets {
-			grown[i].Store(s.buckets[i].Load())
-		}
-		s.buckets = grown
-	}
-	s.buckets[idx].Add(v)
-	s.mu.Unlock()
-}
-
-// Buckets returns a copy of the per-bucket totals.
-func (s *Series) Buckets() []int64 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := make([]int64, len(s.buckets))
-	for i := range s.buckets {
-		out[i] = s.buckets[i].Load()
-	}
-	return out
-}
-
-// Overflow reports the total value observed past MaxSeriesBuckets.
-func (s *Series) Overflow() int64 { return s.overflow.Load() }
-
-// BucketWidth returns the series' bucket duration.
-func (s *Series) BucketWidth() time.Duration { return s.bucket }

@@ -92,50 +92,3 @@ func TestIOCountersConcurrent(t *testing.T) {
 		t.Fatalf("snapshot = %+v", s)
 	}
 }
-
-func TestSeriesBucketing(t *testing.T) {
-	s := NewSeries(10 * time.Millisecond)
-	s.Observe(5)
-	s.Observe(7)
-	time.Sleep(25 * time.Millisecond)
-	s.Observe(1)
-	b := s.Buckets()
-	if len(b) < 3 {
-		t.Fatalf("expected >= 3 buckets, got %d", len(b))
-	}
-	if b[0] != 12 {
-		t.Fatalf("bucket 0 = %d, want 12", b[0])
-	}
-	var total int64
-	for _, v := range b {
-		total += v
-	}
-	if total != 13 {
-		t.Fatalf("total = %d, want 13", total)
-	}
-	if s.BucketWidth() != 10*time.Millisecond {
-		t.Fatal("BucketWidth wrong")
-	}
-}
-
-func TestSeriesConcurrentObserve(t *testing.T) {
-	s := NewSeries(time.Second)
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 500; i++ {
-				s.Observe(1)
-			}
-		}()
-	}
-	wg.Wait()
-	var total int64
-	for _, v := range s.Buckets() {
-		total += v
-	}
-	if total != 4000 {
-		t.Fatalf("total = %d", total)
-	}
-}

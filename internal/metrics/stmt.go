@@ -49,12 +49,8 @@ type StmtSample struct {
 	Waits     waitevent.Snapshot
 }
 
-// Record folds one execution into the statement's totals. No-op on nil so
-// callers need not guard the StatsLite path.
+// Record folds one execution into the statement's totals.
 func (st *StmtStat) Record(s *StmtSample) {
-	if st == nil {
-		return
-	}
 	st.mu.Lock()
 	st.calls++
 	if s.Err {
@@ -141,12 +137,7 @@ func NewStmtStats(max int) *StmtStats {
 
 // Intern returns the stat row for the normalized statement text, creating
 // it on first sight (or routing to the overflow bucket at capacity).
-// Returns nil on a nil store, so the StatsLite path is a single branch in
-// the caller's Record.
 func (ss *StmtStats) Intern(text string) *StmtStat {
-	if ss == nil {
-		return nil
-	}
 	ss.mu.RLock()
 	st := ss.byText[text]
 	ss.mu.RUnlock()
@@ -175,9 +166,6 @@ func (ss *StmtStats) Intern(text string) *StmtStat {
 
 // ByID resolves a statement ID (as sampled from a slot's waitevent word).
 func (ss *StmtStats) ByID(id uint64) *StmtStat {
-	if ss == nil {
-		return nil
-	}
 	ss.mu.RLock()
 	defer ss.mu.RUnlock()
 	return ss.byID[id]
@@ -196,9 +184,6 @@ func (ss *StmtStats) TextByID(id uint64) string {
 // Snapshot returns every tracked statement's totals, statements with the
 // most total time first.
 func (ss *StmtStats) Snapshot() []StmtSnapshot {
-	if ss == nil {
-		return nil
-	}
 	ss.mu.RLock()
 	stats := make([]*StmtStat, 0, len(ss.byID))
 	for _, st := range ss.byID {

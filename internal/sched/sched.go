@@ -20,14 +20,12 @@
 //
 // The co-routine substrate is the goroutine: user-level context switching
 // with stack management by the Go runtime stands in for the C++ original's
-// hand-rolled coroutines. For the thread-model comparison (Exp 6) the pool
-// can lock every slot to a dedicated OS thread, recreating the
-// thread-per-task-slot configuration the paper benchmarks against.
+// hand-rolled coroutines.
 //
 // Periodic duties — page swaps when a buffer partition runs low, garbage
 // collection after a number of transactions — are run by each worker's
-// slots between tasks via the Maintain callback, keeping maintenance
-// partitioned by worker (§7.1).
+// slots between tasks via the Maintain callback, once every maintainEvery
+// tasks, keeping maintenance partitioned by worker (§7.1).
 package sched
 
 import (
@@ -45,6 +43,10 @@ import (
 // Task is one unit of work (typically one transaction attempt).
 type Task func(s *Slot)
 
+// maintainEvery is how many completed tasks a worker runs between two
+// Maintain calls.
+const maintainEvery = 64
+
 // Config configures a Pool.
 type Config struct {
 	// Workers is the number of worker threads; defaults to GOMAXPROCS.
@@ -52,9 +54,6 @@ type Config struct {
 	// SlotsPerWorker is the task-slot count per worker (the paper's
 	// evaluation default is 32). Defaults to 1.
 	SlotsPerWorker int
-	// ThreadMode locks every task slot to its own OS thread (Exp 6's
-	// thread model). Off = co-routine model.
-	ThreadMode bool
 	// QueueDepth bounds the total queued-task backlog; Submit blocks when
 	// every per-worker queue is full. Defaults to 4 × total slots. The
 	// budget is split evenly across the per-worker queues.
@@ -64,9 +63,8 @@ type Config struct {
 	// Waits receives per-slot wait-event stamps from yields; may be nil.
 	Waits *waitevent.Slots
 	// Maintain, if set, is invoked by a worker's slots between tasks,
-	// once every MaintainEvery tasks the worker completes.
-	Maintain      func(worker int)
-	MaintainEvery int
+	// once every maintainEvery tasks the worker completes.
+	Maintain func(worker int)
 }
 
 // ErrStopped is returned by Submit after Stop.
@@ -195,9 +193,6 @@ func New(cfg Config) *Pool {
 	if cfg.QueueDepth <= 0 {
 		cfg.QueueDepth = 4 * cfg.Workers * cfg.SlotsPerWorker
 	}
-	if cfg.MaintainEvery <= 0 {
-		cfg.MaintainEvery = 64
-	}
 	perWorker := cfg.QueueDepth / cfg.Workers
 	if perWorker < 1 {
 		perWorker = 1
@@ -265,10 +260,6 @@ func (p *Pool) Start() {
 
 func (p *Pool) run(s *Slot) {
 	defer p.wg.Done()
-	if p.cfg.ThreadMode {
-		runtime.LockOSThread()
-		defer runtime.UnlockOSThread()
-	}
 	w := p.workers[s.Worker]
 	for {
 		// Pull when vacant: own queue first, then the siblings'.
@@ -293,7 +284,7 @@ func (p *Pool) run(s *Slot) {
 func (p *Pool) exec(s *Slot, task Task) {
 	task(s)
 	p.executed.Add(1)
-	if p.cfg.Maintain != nil && p.workers[s.Worker].sinceMaintain.Add(1)%int64(p.cfg.MaintainEvery) == 0 {
+	if p.cfg.Maintain != nil && p.workers[s.Worker].sinceMaintain.Add(1)%maintainEvery == 0 {
 		p.cfg.Maintain(s.Worker)
 	}
 }

@@ -165,10 +165,9 @@ func TestMaintainCallback(t *testing.T) {
 		Workers:        1,
 		SlotsPerWorker: 1,
 		Maintain:       func(worker int) { maintained.Add(1) },
-		MaintainEvery:  10,
 	})
 	p.Start()
-	for i := 0; i < 35; i++ {
+	for i := 0; i < 3*maintainEvery+5; i++ {
 		p.Submit(func(s *Slot) {})
 	}
 	p.Stop()
@@ -194,19 +193,6 @@ func TestMetricsRecorderWiring(t *testing.T) {
 	}
 	if b.Nanos[metrics.CompCompute] != 20*1000 {
 		t.Fatalf("compute nanos = %d", b.Nanos[metrics.CompCompute])
-	}
-}
-
-func TestThreadMode(t *testing.T) {
-	p := New(Config{Workers: 2, SlotsPerWorker: 2, ThreadMode: true})
-	p.Start()
-	var count atomic.Int64
-	for i := 0; i < 100; i++ {
-		p.Submit(func(s *Slot) { count.Add(1) })
-	}
-	p.Stop()
-	if count.Load() != 100 {
-		t.Fatalf("thread mode executed %d tasks", count.Load())
 	}
 }
 

@@ -30,8 +30,8 @@ import (
 	"phoebedb/internal/storage"
 	"phoebedb/internal/swizzle"
 	"phoebedb/internal/undo"
-	"phoebedb/internal/wal"
 	"phoebedb/internal/waitevent"
+	"phoebedb/internal/wal"
 )
 
 // Ctx carries a caller's scheduling and observability identity through the

@@ -5,8 +5,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"phoebedb/internal/metrics"
 )
 
 // TxnType enumerates the five TPC-C transactions.
@@ -63,8 +61,6 @@ type Result struct {
 	Completed [NumTxnTypes]int64
 	UserAbort int64 // intentional 1 % New-Order rollbacks
 	Errors    int64 // unexpected failures (lock timeouts, conflicts)
-	// PerTxnNanos is the mean latency per transaction type.
-	PerTxnNanos [NumTxnTypes]float64
 }
 
 // Total returns the count of all completed transactions.
@@ -102,19 +98,11 @@ type DriverConfig struct {
 	Duration     time.Duration
 	Transactions int64
 	// Affinity binds terminal i to warehouse (i mod W)+1, the paper's
-	// default. Without affinity, warehouses are drawn at random —
-	// Exp 6/7 use this to induce cross-worker contention.
+	// default. Without affinity, warehouses are drawn at random, which
+	// induces cross-worker contention.
 	Affinity bool
 	// Seed randomizes terminals deterministically.
 	Seed int64
-	// TpmCSeries, if set, receives one observation per committed
-	// New-Order (for throughput-over-time figures).
-	TpmCSeries *metrics.Series
-	// LatencyHists, if set, receives per-transaction-type latency
-	// observations; register each histogram with
-	// DB.RegisterTxnTypeHist to expose p50/p95/p99 over the metrics
-	// endpoint and phoebe_stat_latency.
-	LatencyHists *[NumTxnTypes]metrics.Histogram
 }
 
 // Run drives the workload against the backend and returns the result.
@@ -126,7 +114,6 @@ func Run(b Backend, cfg DriverConfig) Result {
 		cfg.Duration = time.Second
 	}
 	var completed [NumTxnTypes]atomic.Int64
-	var latency [NumTxnTypes]atomic.Int64
 	var userAborts, errCount, budget atomic.Int64
 	budget.Store(cfg.Transactions)
 
@@ -169,24 +156,15 @@ func Run(b Backend, cfg DriverConfig) Result {
 						return StockLevel(c, r, cfg.Scale, w)
 					}
 				}
-				t0 := time.Now()
 				var err error
 				if tagged != nil {
 					err = tagged.ExecuteTagged("tpcc."+tt.String(), work)
 				} else {
 					err = b.Execute(work)
 				}
-				el := time.Since(t0)
 				switch {
 				case err == nil:
 					completed[tt].Add(1)
-					latency[tt].Add(int64(el))
-					if cfg.LatencyHists != nil {
-						cfg.LatencyHists[tt].Observe(el)
-					}
-					if tt == TxnNewOrder && cfg.TpmCSeries != nil {
-						cfg.TpmCSeries.Observe(1)
-					}
 				case errors.Is(err, ErrRollback):
 					userAborts.Add(1)
 				default:
@@ -204,9 +182,6 @@ func Run(b Backend, cfg DriverConfig) Result {
 	}
 	for i := 0; i < NumTxnTypes; i++ {
 		res.Completed[i] = completed[i].Load()
-		if res.Completed[i] > 0 {
-			res.PerTxnNanos[i] = float64(latency[i].Load()) / float64(res.Completed[i])
-		}
 	}
 	return res
 }

@@ -4,20 +4,19 @@
 // Stock-Level 4 %), a multi-terminal driver reporting tpmC and tpm, and
 // the consistency conditions used to validate an engine after a run.
 //
-// The workload is engine-agnostic: transactions are written against the
-// Client interface, which both the PhoebeDB kernel and the PostgreSQL-
-// style baseline engine satisfy, so the comparison experiments run the
-// same code against both systems — the in-process analogue of the paper's
-// HammerDB TPROC-C setup, where both systems execute the same server-side
-// transaction procedures.
+// Transactions are written against the Client interface, which the
+// PhoebeDB kernel's transactions satisfy: the in-process analogue of the
+// paper's HammerDB TPROC-C setup, where the transaction procedures run
+// server-side. The wire benchmark's tpcc workload, the crash harness and
+// the replica failover test drive it.
 package tpcc
 
 import (
 	"phoebedb/internal/rel"
 )
 
-// Client is the transaction-scope surface the workload needs. Both
-// phoebedb's *core.Tx and the baseline engine's transactions satisfy it.
+// Client is the transaction-scope surface the workload needs; phoebedb's
+// *core.Tx satisfies it.
 type Client interface {
 	Insert(table string, row rel.Row) (rel.RowID, error)
 	Get(table string, rid rel.RowID) (rel.Row, bool, error)
@@ -32,8 +31,8 @@ type Client interface {
 	Delete(table string, rid rel.RowID) error
 }
 
-// Backend executes transactions and declares schema; implemented by thin
-// adapters over phoebedb.DB and baseline.DB.
+// Backend executes transactions and declares schema; implemented by a
+// thin adapter over phoebedb.DB.
 type Backend interface {
 	CreateTable(name string, schema *rel.Schema) error
 	CreateIndex(table, index string, cols []string, unique bool) error

@@ -7,7 +7,6 @@ import (
 	phoebedb "phoebedb"
 
 	"phoebedb/internal/adapter"
-	"phoebedb/internal/baseline"
 	"phoebedb/internal/rel"
 	"phoebedb/internal/tpcc"
 )
@@ -25,16 +24,6 @@ func phoebeBackend(t testing.TB) tpcc.Backend {
 	}
 	t.Cleanup(func() { db.Close() })
 	return adapter.Phoebe{DB: db}
-}
-
-func baselineBackend(t testing.TB) tpcc.Backend {
-	t.Helper()
-	db, err := baseline.Open(baseline.Config{Dir: t.TempDir(), LockTimeout: 5 * time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { db.Close() })
-	return adapter.Baseline{DB: db}
 }
 
 func loadSmall(t testing.TB, b tpcc.Backend, warehouses int) tpcc.Scale {
@@ -117,15 +106,6 @@ func TestEachTransactionTypeOnPhoebe(t *testing.T) {
 	}
 }
 
-func TestEachTransactionTypeOnBaseline(t *testing.T) {
-	b := baselineBackend(t)
-	s := loadSmall(t, b, 1)
-	runEachTxn(t, b, s)
-	if err := tpcc.CheckConsistency(b, s); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func runEachTxn(t *testing.T, b tpcc.Backend, s tpcc.Scale) {
 	t.Helper()
 	// A short fixed-count run exercises all five profiles via the mix;
@@ -146,37 +126,29 @@ func TestWorkloadConcurrentConsistency(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	for _, sys := range []struct {
-		name string
-		mk   func(testing.TB) tpcc.Backend
-	}{
-		{"phoebe", phoebeBackend},
-		{"baseline", baselineBackend},
-	} {
-		t.Run(sys.name, func(t *testing.T) {
-			b := sys.mk(t)
-			s := loadSmall(t, b, 2)
-			res := tpcc.Run(b, tpcc.DriverConfig{
-				Scale:     s,
-				Terminals: 8,
-				Duration:  400 * time.Millisecond,
-				Affinity:  true,
-				Seed:      11,
-			})
-			if res.Total() == 0 {
-				t.Fatal("nothing completed")
-			}
-			if res.Errors > res.Total()/10 {
-				t.Fatalf("too many errors: %d of %d", res.Errors, res.Total())
-			}
-			if err := tpcc.CheckConsistency(b, s); err != nil {
-				t.Fatal(err)
-			}
-			if res.TpmC() <= 0 || res.Tpm() < res.TpmC() {
-				t.Fatalf("throughput bookkeeping wrong: tpmC=%.0f tpm=%.0f", res.TpmC(), res.Tpm())
-			}
+	t.Run("phoebe", func(t *testing.T) {
+		b := phoebeBackend(t)
+		s := loadSmall(t, b, 2)
+		res := tpcc.Run(b, tpcc.DriverConfig{
+			Scale:     s,
+			Terminals: 8,
+			Duration:  400 * time.Millisecond,
+			Affinity:  true,
+			Seed:      11,
 		})
-	}
+		if res.Total() == 0 {
+			t.Fatal("nothing completed")
+		}
+		if res.Errors > res.Total()/10 {
+			t.Fatalf("too many errors: %d of %d", res.Errors, res.Total())
+		}
+		if err := tpcc.CheckConsistency(b, s); err != nil {
+			t.Fatal(err)
+		}
+		if res.TpmC() <= 0 || res.Tpm() < res.TpmC() {
+			t.Fatalf("throughput bookkeeping wrong: tpmC=%.0f tpm=%.0f", res.TpmC(), res.Tpm())
+		}
+	})
 }
 
 func TestUserAbortPathRollsBack(t *testing.T) {

@@ -15,7 +15,7 @@
 // Only the owning slot writes its cell, so every store is uncontended; a
 // stamp is two atomic stores plus two time.Now calls. All methods are
 // no-ops on a nil *Slots, so subsystems constructed without observability
-// (unit tests, StatsLite) pay a single predictable branch.
+// (unit tests, tools opening a bare engine) pay a single predictable branch.
 package waitevent
 
 import (

@@ -545,9 +545,9 @@ func TestWireManyConnections(t *testing.T) {
 		defer c.Close()
 	}
 
+	// All connections idle: goroutines must not scale with conns.
+	before := runtime.NumGoroutine()
 	if runtime.GOOS == "linux" {
-		// All connections idle: goroutines must not scale with conns.
-		before := runtime.NumGoroutine()
 		if before > conns/2 {
 			t.Errorf("idle goroutines = %d with %d connections; multiplexer not multiplexing", before, conns)
 		}
@@ -591,6 +591,38 @@ func TestWireManyConnections(t *testing.T) {
 	}
 	if v := statValue(t, db, "admitted"); v < 1 {
 		t.Fatalf("admitted = %d", v)
+	}
+	if runtime.GOOS != "linux" {
+		return
+	}
+
+	// Idle phase: connections parked in epoll cost a descriptor each, not a
+	// goroutine, so going from 64 to 2,000 idle connections must leave the
+	// goroutine count where the 64-connection phase had it. Every loopback
+	// connection burns two descriptors; keep headroom for the database's.
+	idle := 2000
+	if lim := openFilesLimit(); lim > 1000 {
+		idle = min(idle, int((lim-1000)/2))
+	}
+	for n := conns; n < idle; n++ {
+		r := dialRaw(t, addr)
+		defer r.nc.Close()
+	}
+	if v := statValue(t, db, "connections"); v != int64(idle) {
+		t.Fatalf("server holds %d connections, want %d", v, idle)
+	}
+	// The pipelined phase's goroutines may still be exiting: allow them a
+	// moment, then compare, with room for a timer firing meanwhile.
+	const slack = 4
+	var atIdle int
+	for deadline := time.Now().Add(2 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+		if atIdle = runtime.NumGoroutine(); atIdle <= before+slack || time.Now().After(deadline) {
+			break
+		}
+	}
+	t.Logf("goroutines: %d at %d idle connections, %d at %d", before, conns, atIdle, idle)
+	if atIdle > before+slack {
+		t.Errorf("goroutines grew from %d at %d idle connections to %d at %d", before, conns, atIdle, idle)
 	}
 }
 

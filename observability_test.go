@@ -84,24 +84,6 @@ func TestExecuteTaggedAttribution(t *testing.T) {
 	}
 }
 
-// TestStatsLiteDisablesObservability: with StatsLite on, wait tracking,
-// statement aggregates, and the ASH sampler are all absent, and the stat
-// tables stay readable (empty).
-func TestStatsLiteDisablesObservability(t *testing.T) {
-	db := openTestDB(t, Options{StatsLite: true})
-	if db.Waits() != nil || db.StmtStats() != nil || db.ash != nil {
-		t.Fatal("observability state allocated under StatsLite")
-	}
-	execOrFatal(t, db, "CREATE TABLE kv (k INT, v INT)")
-	execOrFatal(t, db, "INSERT INTO kv VALUES (1, 2)")
-	if res := execOrFatal(t, db, "SELECT * FROM phoebe_stat_statements"); len(res.Rows) != 0 {
-		t.Fatalf("stat_statements rows = %d under StatsLite", len(res.Rows))
-	}
-	if res := execOrFatal(t, db, "SELECT * FROM phoebe_stat_activity_history"); len(res.Rows) != 0 {
-		t.Fatalf("ASH rows = %d under StatsLite", len(res.Rows))
-	}
-}
-
 // TestASHCapturesTupleLockWait holds a row lock in one transaction while
 // a second, tagged transaction blocks updating the same row; the 1ms ASH
 // sampler must observe the blocked session in tuple_lock, and the tagged

@@ -27,6 +27,7 @@
 package phoebedb
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -101,8 +102,6 @@ type Options struct {
 	// Sessions reserves extra dedicated slots for interactive Session use
 	// (default 4).
 	Sessions int
-	// ThreadMode pins every task slot to an OS thread (Exp 6 comparison).
-	ThreadMode bool
 	// BufferBytes is the Main Storage budget (default 256 MiB).
 	BufferBytes int64
 	// PageSize / PageCap tune the data page geometry (defaults 32 KiB /
@@ -124,12 +123,6 @@ type Options struct {
 	Isolation Isolation
 	// LockTimeout bounds lock waits (default 2s).
 	LockTimeout time.Duration
-	// DisableRFA forces commits to wait for the global flush horizon (the
-	// Remote Flush Avoidance ablation).
-	DisableRFA bool
-	// PessimisticIndex disables optimistic lock coupling on index B-Trees
-	// (the hybrid-lock ablation).
-	PessimisticIndex bool
 	// ColdCacheBytes bounds the per-table LRU of decompressed cold-segment
 	// blocks (0 = default 4 MiB).
 	ColdCacheBytes int64
@@ -137,23 +130,15 @@ type Options struct {
 	// cached statement shapes per database; default 256, negative
 	// disables caching).
 	PlanCacheSize int
-	// MaintainEvery runs worker maintenance (page swap, GC) after this
-	// many transactions per slot (default 64).
-	MaintainEvery int
 	// SlowTxnThreshold arms the slow-transaction log: transactions slower
 	// than this are captured with their full component breakdown (see
 	// SlowLog). Zero leaves it off.
 	SlowTxnThreshold time.Duration
-	// StatsLite disables per-transaction histogram and trace updates,
-	// keeping only the scalar counters. It also turns off wait-event
-	// stamping, per-statement aggregation, and the ASH sampler. Used to
-	// measure instrumentation overhead; leave off in normal operation.
-	StatsLite bool
 	// ASHSampleInterval is the active-session-history sampling cadence:
 	// a background sampler captures every slot's (txn state, statement,
 	// wait event) into a fixed ring exposed as
 	// phoebe_stat_activity_history. 0 picks the 10ms default; negative
-	// disables sampling. Ignored under StatsLite.
+	// disables sampling.
 	ASHSampleInterval time.Duration
 	// ArchiveDir enables continuous WAL archiving into this directory: a
 	// background archiver copies committed log bytes there, checkpoints
@@ -185,13 +170,13 @@ type DB struct {
 	archiver *backup.Archiver
 	archErrs atomic.Int64
 	archStop chan struct{}
-	archDone chan struct{}
+	archDone chan error // the final round's error, sent as the loop exits
 
 	// waits is the per-slot wait-event state stamped by the kernel's
-	// blocking sites; nil under StatsLite.
+	// blocking sites.
 	waits *waitevent.Slots
 	// stmtStats aggregates per-statement execution profiles keyed by the
-	// plan cache's normalized fingerprint; nil under StatsLite.
+	// plan cache's normalized fingerprint.
 	stmtStats *metrics.StmtStats
 	// ash samples slot activity into a fixed ring; nil when disabled.
 	ash *ashSampler
@@ -235,10 +220,7 @@ func Open(opts Options) (*DB, error) {
 	if groupWait < 0 {
 		groupWait = 0
 	}
-	var waits *waitevent.Slots
-	if !opts.StatsLite {
-		waits = waitevent.New(totalSlots)
-	}
+	waits := waitevent.New(totalSlots)
 	eng, err := core.Open(core.Config{
 		Dir:              opts.Dir,
 		PageSize:         opts.PageSize,
@@ -248,11 +230,8 @@ func Open(opts Options) (*DB, error) {
 		Slots:            totalSlots,
 		WALSync:          opts.WALSync,
 		LockTimeout:      opts.LockTimeout,
-		DisableRFA:       opts.DisableRFA,
-		PessimisticIndex: opts.PessimisticIndex,
 		ColdCacheBytes:   opts.ColdCacheBytes,
 		SlowTxnThreshold: opts.SlowTxnThreshold,
-		StatsLite:        opts.StatsLite,
 		Waits:            waits,
 		// Pool slot IDs are contiguous per worker; session and system
 		// slots fold onto workers round-robin.
@@ -282,16 +261,14 @@ func Open(opts Options) (*DB, error) {
 		return nil, err
 	}
 	db := &DB{
-		engine:   eng,
-		rec:      metrics.NewRecorder(),
-		opts:     opts,
-		sysSlot:  poolSlots,
-		sessNext: poolSlots + 1,
-		sessMax:  totalSlots,
-		waits:    waits,
-	}
-	if !opts.StatsLite {
-		db.stmtStats = metrics.NewStmtStats(0)
+		engine:    eng,
+		rec:       metrics.NewRecorder(),
+		opts:      opts,
+		sysSlot:   poolSlots,
+		sessNext:  poolSlots + 1,
+		sessMax:   totalSlots,
+		waits:     waits,
+		stmtStats: metrics.NewStmtStats(0),
 	}
 	db.scratch = make([]*sql.Scratch, totalSlots)
 	for i := range db.scratch {
@@ -315,7 +292,7 @@ func Open(opts Options) (*DB, error) {
 		db.archiver = arch
 		eng.SetWALArchiver(arch)
 		db.archStop = make(chan struct{})
-		db.archDone = make(chan struct{})
+		db.archDone = make(chan error, 1)
 		interval := opts.ArchiveInterval
 		if interval <= 0 {
 			interval = 100 * time.Millisecond
@@ -332,14 +309,12 @@ func Open(opts Options) (*DB, error) {
 	db.pool = sched.New(sched.Config{
 		Workers:        workers,
 		SlotsPerWorker: opts.SlotsPerWorker,
-		ThreadMode:     opts.ThreadMode,
-		MaintainEvery:  opts.MaintainEvery,
 		Recorder:       db.rec,
 		Waits:          waits,
 		Maintain:       db.maintain,
 	})
 	db.pool.Start()
-	if waits != nil && opts.ASHSampleInterval >= 0 {
+	if opts.ASHSampleInterval >= 0 {
 		interval := opts.ASHSampleInterval
 		if interval == 0 {
 			interval = 10 * time.Millisecond
@@ -367,14 +342,19 @@ func (db *DB) maintain(worker int) {
 
 // archiveLoop drives the background archiver until Close.
 func (db *DB) archiveLoop(interval time.Duration) {
-	defer close(db.archDone)
 	t := time.NewTicker(interval)
 	defer t.Stop()
 	for {
 		select {
 		case <-db.archStop:
-			// Final round so Close leaves the smallest possible archive lag.
-			db.archiver.Archive()
+			// Final round so Close leaves the smallest possible archive lag;
+			// Close reports its failure, since the archive then lacks the tail.
+			_, err := db.archiver.Archive()
+			if err != nil {
+				db.archErrs.Add(1)
+				err = fmt.Errorf("phoebedb: final archive round: %w", err)
+			}
+			db.archDone <- err
 			return
 		case <-t.C:
 			if _, err := db.archiver.Archive(); err != nil {
@@ -384,19 +364,21 @@ func (db *DB) archiveLoop(interval time.Duration) {
 	}
 }
 
-// Close stops the pool and closes the engine.
+// Close stops the pool and closes the engine. It also reports a failed
+// final archive round.
 func (db *DB) Close() error {
 	if db.ash != nil {
 		db.ash.halt()
 		db.ash = nil
 	}
+	var archErr error
 	if db.archStop != nil {
 		close(db.archStop)
-		<-db.archDone
+		archErr = <-db.archDone
 		db.archStop = nil
 	}
 	db.pool.Stop()
-	return db.engine.Close()
+	return errors.Join(archErr, db.engine.Close())
 }
 
 // Engine exposes the kernel for benchmarks and diagnostics.
@@ -405,11 +387,10 @@ func (db *DB) Engine() *core.Engine { return db.engine }
 // Recorder exposes the per-component metrics recorder.
 func (db *DB) Recorder() *metrics.Recorder { return db.rec }
 
-// Waits exposes the per-slot wait-event state (nil under StatsLite).
+// Waits exposes the per-slot wait-event state.
 func (db *DB) Waits() *waitevent.Slots { return db.waits }
 
-// StmtStats exposes the per-statement aggregate store (nil under
-// StatsLite).
+// StmtStats exposes the per-statement aggregate store.
 func (db *DB) StmtStats() *metrics.StmtStats { return db.stmtStats }
 
 // CreateTable declares a relation. DDL invalidates the plan cache: any
@@ -471,9 +452,6 @@ func (db *DB) ExecuteIso(iso Isolation, fn func(tx *Tx) error) error {
 // bytes all land under tag in phoebe_stat_statements.
 func (db *DB) ExecuteTagged(tag string, fn func(tx *Tx) error) error {
 	st := db.stmtStats.Intern(tag)
-	if st == nil {
-		return db.Execute(fn)
-	}
 	var txErr error
 	err := db.pool.SubmitWait(func(s *sched.Slot) {
 		span := db.stmtBegin(s.ID, st)
@@ -505,12 +483,8 @@ type stmtSpan struct {
 // stmtBegin snapshots a slot's wait totals and WAL position before a
 // statement; stmtEnd differences them into st. The statement ID is
 // published in the slot's waitevent word for the ASH sampler to resolve.
-// A nil st (StatsLite) makes both a single branch.
 func (db *DB) stmtBegin(slot int, st *metrics.StmtStat) stmtSpan {
 	span := stmtSpan{st: st, slot: slot}
-	if st == nil {
-		return span
-	}
 	db.waits.SlotSnapshot(slot, &span.before)
 	db.waits.SetStmt(slot, st.ID)
 	span.walBefore = db.engine.WAL.Writer(slot).AppendedBytes()
@@ -520,9 +494,6 @@ func (db *DB) stmtBegin(slot int, st *metrics.StmtStat) stmtSpan {
 
 // stmtEnd closes the span stmtBegin opened.
 func (db *DB) stmtEnd(span *stmtSpan, rows int64, err error) {
-	if span.st == nil {
-		return
-	}
 	sample := metrics.StmtSample{
 		Elapsed:  time.Since(span.start),
 		Rows:     rows,

@@ -5,6 +5,9 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
+
+	"phoebedb/internal/fault"
 )
 
 func openTestDB(t *testing.T, opts Options) *DB {
@@ -262,5 +265,75 @@ func TestFreezeViaFacade(t *testing.T) {
 	})
 	if _, err := db.ProcessWarmQueue(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestPoolSlotsShareFsyncs: every pool slot, whichever worker owns it,
+// commits into one WAL group, so commits arriving together from different
+// workers share one device flush instead of paying one fsync each.
+func TestPoolSlotsShareFsyncs(t *testing.T) {
+	db := openTestDB(t, Options{WALSync: true, Workers: 4, SlotsPerWorker: 1})
+	declareUsers(t, db)
+	const clients, perClient = 4, 200
+	st := db.Engine().Stats()
+	flushes0, commits0 := db.Engine().WAL.Flushes(), st.Commits.Load()
+	var wg sync.WaitGroup
+	errs := make([]error, clients)
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for i := 0; i < perClient && errs[c] == nil; i++ {
+				errs[c] = db.Execute(func(tx *Tx) error {
+					_, err := tx.Insert("users", Row{Int(int64(c*perClient + i)), Str("u"), Float(0)})
+					return err
+				})
+			}
+		}(c)
+	}
+	wg.Wait()
+	for c, err := range errs {
+		if err != nil {
+			t.Fatalf("client %d: %v", c, err)
+		}
+	}
+	flushes, commits := db.Engine().WAL.Flushes()-flushes0, st.Commits.Load()-commits0
+	if commits != clients*perClient {
+		t.Fatalf("commits = %d, want %d", commits, clients*perClient)
+	}
+	ratio := float64(flushes) / float64(commits)
+	t.Logf("%d WAL flushes for %d commits (%.3f per commit)", flushes, commits, ratio)
+	if ratio > 0.6 {
+		t.Fatalf("%.3f WAL flushes per commit: concurrent commits on different workers are not sharing fsyncs", ratio)
+	}
+}
+
+// TestCloseReportsFailedFinalArchive: Close runs one last archive round so
+// the archive ends at the log's tail; when that round fails, the archive is
+// missing the tail and Close must say so.
+func TestCloseReportsFailedFinalArchive(t *testing.T) {
+	fault.Reset()
+	defer fault.Reset()
+	db, err := Open(Options{Dir: t.TempDir(), ArchiveDir: t.TempDir(), ArchiveInterval: time.Hour, Workers: 1, SlotsPerWorker: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	declareUsers(t, db)
+	for i := 0; i < 5; i++ {
+		if err := db.Execute(func(tx *Tx) error {
+			_, err := tx.Insert("users", Row{Int(int64(i)), Str("tail"), Float(0)})
+			return err
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := fault.Enable(fault.BackupArchiveCopy, "error"); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err == nil {
+		t.Fatal("Close returned nil after its final archive round failed")
+	}
+	if n := db.ArchiveErrors(); n != 1 {
+		t.Fatalf("archive errors = %d, want 1", n)
 	}
 }

@@ -14,21 +14,12 @@ import (
 // pg_stat-style virtual tables served over the SQL protocol.
 
 // Metrics returns the DB's live metrics registry. Callers may register
-// additional sources (the TPC-C driver adds per-transaction-type latency
-// histograms this way).
+// additional sources.
 func (db *DB) Metrics() *metrics.Registry { return db.reg }
 
 // SlowLog returns the engine's slow-transaction log. Arm it with
 // SlowLog().SetThreshold or Options.SlowTxnThreshold.
 func (db *DB) SlowLog() *metrics.SlowLog { return &db.engine.Stats().SlowLog }
-
-// RegisterTxnTypeHist registers a per-transaction-type latency histogram
-// under the shared phoebe_txn_type_latency_seconds family (label
-// type=typeName). The caller owns the histogram and observes into it.
-func (db *DB) RegisterTxnTypeHist(typeName string, h *metrics.Histogram) {
-	db.reg.Histogram("phoebe_txn_type_latency_seconds",
-		"Transaction latency by transaction type.", "type", typeName, h.Snapshot)
-}
 
 // buildRegistry registers every kernel counter, gauge, and histogram.
 // Sources are read functions over the subsystems' own atomics, so
@@ -150,32 +141,30 @@ func buildRegistry(db *DB) *metrics.Registry {
 		return low
 	})
 
-	if db.waits != nil {
-		reg.CounterVec("phoebe_wait_event_micros_total",
-			"Cumulative off-CPU time by wait event, across all slots.", "event",
-			func() []metrics.LabeledValue {
-				_, nanos := db.waits.Totals()
-				out := make([]metrics.LabeledValue, 0, waitevent.NumEvents-1)
-				for e := 1; e < waitevent.NumEvents; e++ {
-					out = append(out, metrics.LabeledValue{
-						Label: waitevent.Event(e).String(), Value: nanos[e] / 1000,
-					})
-				}
-				return out
-			})
-		reg.CounterVec("phoebe_wait_event_waits_total",
-			"Completed waits by wait event, across all slots.", "event",
-			func() []metrics.LabeledValue {
-				count, _ := db.waits.Totals()
-				out := make([]metrics.LabeledValue, 0, waitevent.NumEvents-1)
-				for e := 1; e < waitevent.NumEvents; e++ {
-					out = append(out, metrics.LabeledValue{
-						Label: waitevent.Event(e).String(), Value: count[e],
-					})
-				}
-				return out
-			})
-	}
+	reg.CounterVec("phoebe_wait_event_micros_total",
+		"Cumulative off-CPU time by wait event, across all slots.", "event",
+		func() []metrics.LabeledValue {
+			_, nanos := db.waits.Totals()
+			out := make([]metrics.LabeledValue, 0, waitevent.NumEvents-1)
+			for e := 1; e < waitevent.NumEvents; e++ {
+				out = append(out, metrics.LabeledValue{
+					Label: waitevent.Event(e).String(), Value: nanos[e] / 1000,
+				})
+			}
+			return out
+		})
+	reg.CounterVec("phoebe_wait_event_waits_total",
+		"Completed waits by wait event, across all slots.", "event",
+		func() []metrics.LabeledValue {
+			count, _ := db.waits.Totals()
+			out := make([]metrics.LabeledValue, 0, waitevent.NumEvents-1)
+			for e := 1; e < waitevent.NumEvents; e++ {
+				out = append(out, metrics.LabeledValue{
+					Label: waitevent.Event(e).String(), Value: count[e],
+				})
+			}
+			return out
+		})
 
 	reg.CounterVec("phoebe_failpoint_hits", "Evaluations of armed failpoint sites.", "site",
 		func() []metrics.LabeledValue {
