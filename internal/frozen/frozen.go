@@ -5,12 +5,14 @@
 // the buffer pool.
 //
 // A segment is a run of consecutive rows — row_id order is preserved —
-// cut into independently compressed blocks of ~DefaultBlockRows rows.
-// Each segment carries a block directory, a bloom filter over its row_ids
-// and min/max zone maps per fixed-width column, for the segment and for
-// each block, so a cold point read touches at most one segment (bloom
-// negatives touch zero) and decompresses one block, and a scan
-// decompresses only the blocks its predicates cannot refute. Freeze emits
+// cut into independently compressed blocks of at most blockTargetBytes
+// (8 KiB) raw and DefaultBlockRows rows: what a cold point read inflates
+// to return one row. Each segment carries a block directory, a bloom
+// filter over its row_ids and min/max zone maps per fixed-width column,
+// for the segment and for each block, so a cold point read touches at
+// most one segment (bloom negatives touch zero) and decompresses one
+// block, and a scan decompresses only the blocks its predicates cannot
+// refute. Freeze emits
 // level-0 segments; a background compaction merges the oldest segments of
 // a level into one next-level segment, purging tombstones — row_ids grow
 // monotonically with freeze time, so per-level oldest-first merges keep
@@ -119,7 +121,9 @@ type Store struct {
 	// Fanout is the per-level segment count that triggers a merge
 	// (0 = DefaultFanout).
 	Fanout int
-	// BlockRows is the row count per compressed block (0 = default).
+	// BlockRows caps the rows per compressed block (0 = DefaultBlockRows);
+	// blocks are cut earlier at blockTargetBytes raw. Tests set it to get
+	// many small blocks.
 	BlockRows int
 
 	mu   sync.RWMutex

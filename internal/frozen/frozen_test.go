@@ -36,7 +36,7 @@ func batch(first, n int) ([]rel.RowID, []rel.Row) {
 	return ids, rows
 }
 
-func mustFreeze(t *testing.T, s *Store, ids []rel.RowID, rows []rel.Row) {
+func mustFreeze(t testing.TB, s *Store, ids []rel.RowID, rows []rel.Row) {
 	t.Helper()
 	if err := s.Freeze(ids, rows); err != nil {
 		t.Fatal(err)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"hash/crc32"
+	"strings"
 	"testing"
 
 	"phoebedb/internal/rel"
@@ -67,9 +68,11 @@ func FuzzSegmentManifest(f *testing.F) {
 }
 
 // fuzzSegmentHeaders builds the hand-made FuzzSegmentHeader seeds: a
-// levelled version-2 header, a flat one, a version-1 header, and the
+// levelled version-2 header, a flat one, a version-1 header, the
 // version-1 header of a table with no fixed-width column (zone section
-// present, zero zones — a spelling only version 1 has).
+// present, zero zones — a spelling only version 1 has), and a version-2
+// header of 200 blocks the builder cut at blockTargetBytes (three ~2.7 KB
+// rows each).
 func fuzzSegmentHeaders(t testing.TB) [][]byte {
 	build := func(schema *rel.Schema, rows []rel.Row) []byte {
 		sb := newSegmentBuilder(schema, 1, 4)
@@ -88,7 +91,11 @@ func fuzzSegmentHeaders(t testing.TB) [][]byte {
 	_, varRows := varBatch(10)
 	v2 := build(testSchema(), rows)
 	flat, hlen := flatSegment(t, testSchema(), ids[:6], rows[:6])
-	return [][]byte{v2, flat[:hlen], v1Header(t, v2), v1Header(t, build(varSchema(), varRows))}
+	wide := make([]rel.Row, 600)
+	for i := range wide {
+		wide[i] = rel.Row{rel.Int(int64(i)), rel.Str(strings.Repeat(string(rune('a'+i%26)), 2700))}
+	}
+	return [][]byte{v2, flat[:hlen], v1Header(t, v2), v1Header(t, build(varSchema(), varRows)), build(testSchema(), wide)}
 }
 
 // FuzzSegmentHeader throws arbitrary bytes at the segment header decoder

@@ -46,10 +46,15 @@ const (
 	segFlagFlat byte = 1 << 0 // legacy flat segment (one block, no bloom/zones): read, never written
 )
 
-// DefaultBlockRows is the row count per compressed block inside a segment:
-// small enough that a point read decompresses a few tens of KB, large
-// enough that flate still finds redundancy and scans amortize the per-
-// block directory walk.
+// blockTargetBytes is the raw block size (count | ids | pax image) at
+// which the builder cuts a block: the unit of decompression is what a
+// point read inflates to return one row, so it is sized for that read,
+// while flate still finds redundancy across a few dozen rows.
+const blockTargetBytes = 8 << 10
+
+// DefaultBlockRows caps the rows in one block and sizes the builder's page.
+// blockTargetBytes binds first for any row of 16 raw bytes or more: the
+// `big` benchmark table's 104-byte rows give 78-row blocks.
 const DefaultBlockRows = 512
 
 // DefaultFanout is the per-level segment count that triggers a merge into
@@ -194,9 +199,13 @@ func (g *segment) bodyRef(i int) storage.BlockRef {
 // --- Builder -----------------------------------------------------------------
 
 // segmentBuilder accumulates rows in rid order and emits one encoded
-// segment: blocks are cut every blockRows rows, each compressed
-// independently; zones fold per block and the segment's zones are the fold
-// of its blocks'; the bloom filter covers every row id.
+// segment of independently compressed blocks. A block is closed before a
+// row that would take its raw image past blockTargetBytes (a row larger
+// than that gets a block of its own) and once it holds blockRows rows.
+// Zones fold per block and the segment's zones are the fold of its
+// blocks'; the bloom filter covers every row id. One page, one raw buffer
+// and one compressor serve every block of the build: flate.NewWriter
+// allocates ~1.2 MB.
 type segmentBuilder struct {
 	schema    *rel.Schema
 	level     int
@@ -205,9 +214,12 @@ type segmentBuilder struct {
 	ids    []rel.RowID // all rids, for the bloom filter
 	blocks []segBlock
 	body   bytes.Buffer
+	fw     *flate.Writer
+	raw    []byte
 
 	curIDs  []rel.RowID
 	curPage *pax.Page
+	curRaw  int // the open block's raw image size
 
 	curZones   []zone // the open block's; nil until its first row
 	blockZones []zone
@@ -219,24 +231,47 @@ func newSegmentBuilder(schema *rel.Schema, level int, blockRows int) *segmentBui
 	if blockRows <= 0 {
 		blockRows = DefaultBlockRows
 	}
-	return &segmentBuilder{schema: schema, level: level, blockRows: blockRows}
+	return &segmentBuilder{schema: schema, level: level, blockRows: blockRows,
+		curPage: pax.NewPage(schema, blockRows), curRaw: blockOverhead}
+}
+
+// blockOverhead is a block's raw size before its first row: the count,
+// then the pax image's magic and row count.
+const blockOverhead = 4 + 8
+
+// rawRowBytes is what one row adds to its block's raw image: its id, an
+// 8-byte minipage slot per fixed-width value, a length-prefixed string per
+// var-width one.
+func rawRowBytes(row rel.Row) int {
+	n := 8
+	for _, v := range row {
+		if v.Kind.FixedWidth() > 0 {
+			n += 8
+		} else {
+			n += 4 + len(v.S)
+		}
+	}
+	return n
 }
 
 func (sb *segmentBuilder) add(id rel.RowID, row rel.Row) error {
 	if n := len(sb.ids); n > 0 && id <= sb.ids[n-1] {
 		return fmt.Errorf("frozen: row_ids not ascending (%d after %d)", id, sb.ids[n-1])
 	}
-	if sb.curPage == nil {
-		sb.curPage = pax.NewPage(sb.schema, sb.blockRows)
-		sb.curIDs = sb.curIDs[:0]
+	rowBytes := rawRowBytes(row)
+	if len(sb.curIDs) > 0 && sb.curRaw+rowBytes > blockTargetBytes {
+		if err := sb.flushBlock(); err != nil {
+			return err
+		}
 	}
 	if _, err := sb.curPage.Append(row); err != nil {
 		return err
 	}
+	sb.curRaw += rowBytes
 	sb.curIDs = append(sb.curIDs, id)
 	sb.ids = append(sb.ids, id)
 	sb.foldZones(row)
-	if sb.curPage.Len() >= sb.blockRows {
+	if len(sb.curIDs) >= sb.blockRows {
 		return sb.flushBlock()
 	}
 	return nil
@@ -285,29 +320,31 @@ func zoneLess(kind rel.Type, a, b uint64) bool {
 }
 
 func (sb *segmentBuilder) flushBlock() error {
-	if sb.curPage == nil || sb.curPage.Len() == 0 {
+	n := len(sb.curIDs)
+	if n == 0 {
 		return nil
 	}
-	n := sb.curPage.Len()
-	raw := make([]byte, 0, 4+8*n+sb.curPage.SerializedSize())
-	var b8 [8]byte
-	binary.LittleEndian.PutUint32(b8[:4], uint32(n))
-	raw = append(raw, b8[:4]...)
+	raw := binary.LittleEndian.AppendUint32(sb.raw[:0], uint32(n))
 	for _, id := range sb.curIDs {
-		binary.LittleEndian.PutUint64(b8[:], uint64(id))
-		raw = append(raw, b8[:]...)
+		raw = binary.LittleEndian.AppendUint64(raw, uint64(id))
 	}
 	raw = sb.curPage.Serialize(raw)
+	sb.raw = raw
 
 	compOff := sb.body.Len()
-	fw, err := flate.NewWriter(&sb.body, flate.BestSpeed)
-	if err != nil {
+	if sb.fw == nil {
+		fw, err := flate.NewWriter(&sb.body, flate.BestSpeed)
+		if err != nil {
+			return err
+		}
+		sb.fw = fw
+	} else {
+		sb.fw.Reset(&sb.body)
+	}
+	if _, err := sb.fw.Write(raw); err != nil {
 		return err
 	}
-	if _, err := fw.Write(raw); err != nil {
-		return err
-	}
-	if err := fw.Close(); err != nil {
+	if err := sb.fw.Close(); err != nil {
 		return err
 	}
 	sb.rawTotal += int64(len(raw))
@@ -326,8 +363,9 @@ func (sb *segmentBuilder) flushBlock() error {
 		sb.zones[i].widen(z.min, z.max)
 	}
 	sb.blockZones = append(sb.blockZones, sb.curZones...)
-	sb.curPage = nil
-	sb.curIDs = nil
+	sb.curPage.Reset()
+	sb.curIDs = sb.curIDs[:0]
+	sb.curRaw = blockOverhead
 	sb.curZones = nil
 	return nil
 }

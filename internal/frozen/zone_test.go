@@ -236,21 +236,25 @@ func TestScanBlocksPruningEquivalence(t *testing.T) {
 	}
 }
 
-// The benchmark's shape: a 4096-row range over a 100-block segment reads
-// the 8-9 blocks it overlaps, not the segment.
+// The benchmark's shape: a range eight blocks wide over a 100-block
+// segment reads the 8-9 blocks it overlaps, not the segment. Every wideRow
+// has the same raw size, so the builder cuts every block at the same row
+// count: the most that fit in blockTargetBytes.
 func TestRangeScanDecodesOnlyOverlappingBlocks(t *testing.T) {
+	perBlock := (blockTargetBytes - blockOverhead) / rawRowBytes(wideRow(0))
 	s := newWideStore(t)
-	ids, rows := wideBatch(0, 100*DefaultBlockRows)
+	ids, rows := wideBatch(0, 100*perBlock)
 	mustFreeze(t, s, ids, rows)
 	if st := s.Stats(); st.Segments != 1 || st.Blocks != 100 {
 		t.Fatalf("shape: %+v", st)
 	}
-	got, fetched, pruned := scanDelta(t, s, between(wideSeq, rel.Int(20_000), rel.Int(20_000+4095)))
-	if len(got) != 4096 {
-		t.Fatalf("range returned %d rows, want 4096", len(got))
+	span, lo := 8*perBlock, 40*perBlock+perBlock/3
+	got, fetched, pruned := scanDelta(t, s, between(wideSeq, rel.Int(int64(lo)), rel.Int(int64(lo+span-1))))
+	if len(got) != span {
+		t.Fatalf("range returned %d rows, want %d", len(got), span)
 	}
 	if fetched > 10 || fetched+pruned != 100 {
-		t.Fatalf("4096-row range fetched %d of 100 blocks (%d pruned), want <= 10", fetched, pruned)
+		t.Fatalf("%d-row range fetched %d of 100 blocks (%d pruned), want <= 10", span, fetched, pruned)
 	}
 }
 
@@ -338,7 +342,7 @@ func TestDecodeBlockAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := sb.blocks[0]
+	b := sb.blocks[0] // a full block, cut at blockTargetBytes
 	comp := data[hlen+int(b.compOff) : hlen+int(b.compOff+b.compLen)]
 	schema := wideSchema()
 	if _, err := decodeBlock(schema, comp, b.rawLen); err != nil { // primes the inflater pool
@@ -352,7 +356,7 @@ func TestDecodeBlockAllocs(t *testing.T) {
 	})
 	allocs := testing.AllocsPerRun(100, func() {
 		d, err := decodeBlock(schema, comp, b.rawLen)
-		if err != nil || len(d.ids) != DefaultBlockRows || d.rows.Col(7, wideTag).S != "tag-00007" {
+		if err != nil || len(d.ids) != int(b.numRows) || d.rows.Col(7, wideTag).S != "tag-00007" {
 			t.Fatalf("decode: %v", err)
 		}
 	})

@@ -95,6 +95,16 @@ func (p *Page) Cap() int { return p.cap }
 // Full reports whether the page has no free slots.
 func (p *Page) Full() bool { return p.n == p.cap }
 
+// Reset empties the page, keeping its strips for reuse; var values are
+// dropped so their allocations can be collected.
+func (p *Page) Reset() {
+	p.mustOwn()
+	for _, vc := range p.vars {
+		clear(vc[:p.n])
+	}
+	p.n = 0
+}
+
 // Insert places row at slot `at`, shifting later slots right. at must be in
 // [0, Len()] and the page must not be full.
 func (p *Page) Insert(at int, row rel.Row) error {

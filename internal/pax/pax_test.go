@@ -169,6 +169,28 @@ func TestSplitInto(t *testing.T) {
 	}
 }
 
+// A reset page refills to the image a fresh page would serialize, and rows
+// read before the reset keep their strings.
+func TestReset(t *testing.T) {
+	p := NewPage(testSchema(), 8)
+	for i := 0; i < 8; i++ {
+		p.Append(mkRow(i))
+	}
+	kept := p.Row(3)
+	p.Reset()
+	fresh := NewPage(testSchema(), 8)
+	for i := 10; i < 15; i++ {
+		p.Append(mkRow(i))
+		fresh.Append(mkRow(i))
+	}
+	if p.Len() != 5 || !reflect.DeepEqual(p.Serialize(nil), fresh.Serialize(nil)) {
+		t.Fatalf("reset page holds %d rows, image differs from a fresh page's", p.Len())
+	}
+	if !kept.Equal(mkRow(3)) {
+		t.Fatalf("row read before the reset = %v, want %v", kept, mkRow(3))
+	}
+}
+
 func TestSerializeRoundTrip(t *testing.T) {
 	p := NewPage(testSchema(), 16)
 	for i := 0; i < 9; i++ {
