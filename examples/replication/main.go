@@ -26,22 +26,18 @@ func main() {
 	defer os.RemoveAll(pdir)
 	defer os.RemoveAll(sdir)
 
-	schema := rel.NewSchema(
-		rel.Column{Name: "id", Type: rel.TInt64},
-		rel.Column{Name: "note", Type: rel.TString},
-	)
-	declare := func(e *core.Engine) {
-		must2(e.CreateTable("events", schema))
-		must2(e.CreateIndex("events", "events_pk", []string{"id"}, true))
-	}
-
 	primary, err := core.Open(core.Config{Dir: pdir, Slots: 4})
 	must(err)
-	declare(primary)
+	must2(primary.CreateTable("events", rel.NewSchema(
+		rel.Column{Name: "id", Type: rel.TInt64},
+		rel.Column{Name: "note", Type: rel.TString},
+	)))
+	must2(primary.CreateIndex("events", "events_pk", []string{"id"}, true))
 
+	// The standby declares nothing: the primary's catalog records, shipped
+	// with its rows, create the table and the index.
 	standbyEngine, err := core.Open(core.Config{Dir: sdir, Slots: 4})
 	must(err)
-	declare(standbyEngine)
 	standby := replica.NewStandby(standbyEngine, primary.WAL.Dir())
 
 	// Continuous shipping in the background.

@@ -1,7 +1,6 @@
 package backup
 
 import (
-	"bytes"
 	"fmt"
 	"hash/crc32"
 	"os"
@@ -20,11 +19,8 @@ import (
 const (
 	ManifestName = "MANIFEST"
 	LabelName    = "backup_label"
-	// SidecarName is the server's append-only DDL journal, snapshotted
-	// into the archive root each round (see syncSidecarLocked).
-	SidecarName = "schema.sql"
-	segmentsDir = "segments"
-	baseDir     = "base"
+	segmentsDir  = "segments"
+	baseDir      = "base"
 )
 
 // Archiver continuously copies the live WAL into an archive directory. One
@@ -48,8 +44,7 @@ const (
 // segment is always durable, whole records; a crash between them leaves a
 // torn segment tail that reopen truncates away and re-copies.
 type Archiver struct {
-	walDir string
-	dir    string
+	dir string
 
 	mu sync.Mutex
 	m  *Manifest
@@ -79,7 +74,7 @@ func OpenArchiver(walDir, dir string, startGSN uint64) (*Archiver, error) {
 	if err := os.MkdirAll(filepath.Join(dir, baseDir), 0o755); err != nil {
 		return nil, err
 	}
-	a := &Archiver{walDir: walDir, dir: dir}
+	a := &Archiver{dir: dir}
 	m, err := LoadManifest(dir)
 	switch {
 	case os.IsNotExist(err):
@@ -233,38 +228,7 @@ func (a *Archiver) archiveLocked() (int64, error) {
 	}
 	a.archivedBytes.Add(total)
 	a.refreshHorizonLocked()
-	if err := a.syncSidecarLocked(); err != nil {
-		return total, err
-	}
 	return total, nil
-}
-
-// syncSidecarLocked snapshots the DDL journal (schema.sql, kept by the
-// server next to the wal/ directory) into the archive root so a restore
-// that predates the first base backup can still declare the schema before
-// replay. The journal is newline-delimited append-only text, so the copy
-// is cut at the last newline — a torn in-flight append never yields a
-// half statement — and strictly grows, so the newest copy always covers
-// every table any archived record can reference.
-func (a *Archiver) syncSidecarLocked() error {
-	data, err := os.ReadFile(filepath.Join(filepath.Dir(a.walDir), SidecarName))
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil
-		}
-		return err
-	}
-	i := bytes.LastIndexByte(data, '\n')
-	if i < 0 {
-		return nil
-	}
-	data = data[:i+1]
-	dst := filepath.Join(a.dir, SidecarName)
-	if old, err := os.ReadFile(dst); err == nil && bytes.Equal(old, data) {
-		return nil
-	}
-	_, err = durable.ReplaceFile(dst, "", durable.Bytes(data))
-	return err
 }
 
 // appendSegment appends out to the segment file and fsyncs it. The

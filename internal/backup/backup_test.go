@@ -512,46 +512,6 @@ func TestSealFailureKeepsWAL(t *testing.T) {
 	}
 }
 
-// TestSidecarSchemaJournal: phoebeserver keeps its DDL in an append-only
-// journal next to the WAL, outside the log stream. The archiver snapshots
-// it each round — cut at the last newline so a torn in-flight append never
-// yields a half statement — and a restore that predates every base backup
-// materializes it, so schema replay can run before WAL replay.
-func TestSidecarSchemaJournal(t *testing.T) {
-	dir := t.TempDir()
-	arch := t.TempDir()
-	e := openKV(t, dir)
-	defer e.Close()
-	a := attach(t, e, dir, arch)
-	journal := filepath.Join(dir, backup.SidecarName)
-	const whole = "CREATE TABLE t (id INT, v STRING)\n"
-	if err := os.WriteFile(journal, []byte(whole+"CREATE TAB"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	put(t, e, 1, 10)
-	if _, err := a.Archive(); err != nil {
-		t.Fatal(err)
-	}
-	got, err := os.ReadFile(filepath.Join(arch, backup.SidecarName))
-	if err != nil {
-		t.Fatalf("archive sidecar: %v", err)
-	}
-	if string(got) != whole {
-		t.Fatalf("archived sidecar %q, want torn tail cut to %q", got, whole)
-	}
-	dest := filepath.Join(t.TempDir(), "restored")
-	if _, err := backup.Restore(arch, dest, 0); err != nil {
-		t.Fatal(err)
-	}
-	rgot, err := os.ReadFile(filepath.Join(dest, backup.SidecarName))
-	if err != nil {
-		t.Fatalf("restored sidecar: %v", err)
-	}
-	if string(rgot) != whole {
-		t.Fatalf("restored sidecar %q, want %q", rgot, whole)
-	}
-}
-
 // TestColdBackupRestore proves a base backup carries the cold tier — the
 // compacted, compressed segments in data.blocks plus the manifest epoch
 // the checkpoint image names — and that restore and PITR reproduce frozen

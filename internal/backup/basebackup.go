@@ -14,13 +14,6 @@ import (
 	"phoebedb/internal/frozen"
 )
 
-// BaseFileNames are the data-directory files a base backup captures:
-// the checkpoint image, the frozen-block file its BlockRefs point into,
-// and the DDL journal. The live page file (data.pages) is deliberately
-// absent — checkpoint images carry full page bytes, and everything after
-// the checkpoint is replayed from archived WAL.
-var BaseFileNames = []string{"checkpoint.db", "data.blocks", "schema.sql"}
-
 // BaseSource describes where a base backup copies from. The three hooks
 // bind it to a live engine and are all nil for an offline (stopped
 // database) backup.
@@ -125,40 +118,26 @@ func (a *Archiver) BaseBackup(src BaseSource) (*Label, string, error) {
 		}
 	}
 
-	var files []LabelFile
-	copyOne := func(name string, data []byte) error {
-		if err := durable.WriteFile(filepath.Join(bdir, name), data); err != nil {
-			return err
-		}
-		files = append(files, LabelFile{
-			Name: name,
-			Size: uint64(len(data)),
-			CRC:  crc32.ChecksumIEEE(data),
-		})
-		return nil
+	// The image (which carries the catalog), the block file its cold
+	// segments live in, and the cold manifest it names. The live page file
+	// is deliberately absent: images carry full page bytes, and everything
+	// after the checkpoint is replayed from archived WAL.
+	blocks, err := os.ReadFile(filepath.Join(src.DataDir, "data.blocks"))
+	if err != nil && !os.IsNotExist(err) {
+		return nil, "", err
 	}
-	for _, name := range BaseFileNames {
-		data := cpData
-		if name != "checkpoint.db" {
-			var err error
-			data, err = os.ReadFile(filepath.Join(src.DataDir, name))
-			if os.IsNotExist(err) {
-				continue
-			}
-			if err != nil {
-				return nil, "", err
-			}
-		} else if data == nil {
+	var files []LabelFile
+	for _, f := range []struct {
+		name string
+		data []byte
+	}{{"checkpoint.db", cpData}, {"data.blocks", blocks}, {manName, manData}} {
+		if f.data == nil {
 			continue
 		}
-		if err := copyOne(name, data); err != nil {
+		if err := durable.WriteFile(filepath.Join(bdir, f.name), f.data); err != nil {
 			return nil, "", err
 		}
-	}
-	if manName != "" {
-		if err := copyOne(manName, manData); err != nil {
-			return nil, "", err
-		}
+		files = append(files, LabelFile{Name: f.name, Size: uint64(len(f.data)), CRC: crc32.ChecksumIEEE(f.data)})
 	}
 	if cpGSN < a.m.ContinuousFrom {
 		return nil, "", fmt.Errorf("backup: base backup checkpoint horizon %d predates archive history (continuous from %d)",

@@ -7,7 +7,7 @@
 //	<archive>/MANIFEST            checksummed index of everything below
 //	<archive>/segments/seg-E-G.wal archived log bytes, epoch E, WAL group G
 //	<archive>/base/<seq>/         online base backups (checkpoint image,
-//	                              frozen-block file, schema journal,
+//	                              frozen-block file, cold manifest,
 //	                              backup_label)
 //
 // Archiving is continuous: the archiver tails the live WAL group files and
@@ -22,7 +22,9 @@
 // the newest complete base backup's files plus per-group wal files rebuilt
 // from the segment chain, optionally cut at a target GSN (PITR). The
 // engine's normal Recover path then replays it — restore introduces no
-// second recovery code path.
+// second recovery code path, and the catalog travels in the image and the
+// log like everything else, so a PITR target keeps exactly the tables
+// created at or before it.
 package backup
 
 import (

@@ -318,18 +318,6 @@ func Restore(archiveDir, destDir string, targetGSN uint64) (*RestoreReport, erro
 		}
 	}
 
-	// The server's DDL journal rides along as an archive sidecar (see
-	// Archiver.syncSidecarLocked). A base backup carries its own
-	// checksummed copy; fill it in from the sidecar only when the restore
-	// predates every base, so schema replay can run before WAL replay.
-	if _, err := os.Stat(filepath.Join(destDir, SidecarName)); os.IsNotExist(err) {
-		if data, rerr := os.ReadFile(filepath.Join(archiveDir, SidecarName)); rerr == nil {
-			if err := durable.WriteFile(filepath.Join(destDir, SidecarName), data); err != nil {
-				return nil, err
-			}
-		}
-	}
-
 	target := targetGSN
 	if target == 0 {
 		target = ^uint64(0)

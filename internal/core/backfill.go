@@ -44,10 +44,11 @@ import (
 //     re-verifies that no two visible rows share a key (writers racing
 //     the scan could each have passed their uniqueness check before
 //     either entry existed).
-//  6. Flip the index live.
+//  6. Log the index definition, then flip the index live.
 //
 // A crash mid-backfill is benign by construction: the build only mutates
-// the in-memory B-tree, which is rebuilt from the WAL on recovery; the
+// the in-memory B-tree, and the index is in neither the log nor a
+// checkpoint image until step 6, so recovery comes back without it; the
 // fault.SQLIndexBackfill failpoint in the scan loop lets the crash
 // harness prove it.
 
@@ -69,14 +70,14 @@ var errBackfillCrash = errors.New("core: injected backfill crash")
 func (e *Engine) CreateIndexOnline(tableName, indexName string, cols []string, unique bool,
 	run func(fn func(tx *Tx) error) error) (*Index, error) {
 
-	t, err := e.Table(tableName)
+	e.sysMu.Lock()
+	t, d, err := e.indexDef(tableName, indexName, cols, unique)
 	if err != nil {
+		e.sysMu.Unlock()
 		return nil, err
 	}
-	ix, err := e.registerIndex(t, indexName, cols, unique, true)
-	if err != nil {
-		return nil, err
-	}
+	ix := addIndex(t, d, true)
+	e.sysMu.Unlock()
 	fail := func(err error) (*Index, error) {
 		e.dropIndex(t, indexName)
 		return nil, err
@@ -105,6 +106,12 @@ func (e *Engine) CreateIndexOnline(tableName, indexName string, cols []string, u
 		}
 	}
 
+	// Step 6: log the index, then flip it live.
+	e.sysMu.Lock()
+	defer e.sysMu.Unlock()
+	if err := e.logCatalog(d); err != nil {
+		return fail(err)
+	}
 	ix.hidden.Store(false)
 	return ix, nil
 }

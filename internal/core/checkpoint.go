@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"os"
@@ -26,9 +27,11 @@ import (
 // image and is left out, as the paper's "Non-Force, Steal" recovery
 // (§8) already covers the steady-state path.
 
+// Version 3 records each table's columns and index definitions; version 2
+// images (no catalog) still load when the schema is declared first.
 const (
 	checkpointMagic   uint32 = 0x50434B31 // "PCK1"
-	checkpointVersion uint32 = 2
+	checkpointVersion uint32 = 3
 )
 
 // ErrActiveTransactions reports a checkpoint attempt while transactions
@@ -66,6 +69,8 @@ func (e *Engine) gcColdManifests(current uint64) {
 // engine must be quiesced (no active transactions); run a GC round first
 // so UNDO history is drained and tombstones are erased.
 func (e *Engine) Checkpoint() error {
+	e.sysMu.Lock()
+	defer e.sysMu.Unlock()
 	if n := e.Mgr.ActiveCount(); n != 0 {
 		return fmt.Errorf("%w: %d active transactions", ErrActiveTransactions, n)
 	}
@@ -134,7 +139,14 @@ func (e *Engine) Checkpoint() error {
 			if err != nil {
 				return fmt.Errorf("core: checkpoint table %q: %w", t.Name, err)
 			}
-			writeCheckpointTable(w, checkpointTable{t.Name, t.ID, nextRID, maxFrozen, images})
+			ct := checkpointTable{name: t.Name, id: t.ID, nextRID: nextRID, maxFrozen: maxFrozen, images: images,
+				catalog: [][]byte{encodeCatalog(catalogChange{id: t.ID, name: t.Name, cols: t.Schema.Cols})}}
+			for _, ix := range t.Indexes() {
+				if ix.Live() { // a hidden index is logged when its backfill completes
+					ct.catalog = append(ct.catalog, encodeCatalog(indexChange(t, ix)))
+				}
+			}
+			writeCheckpointTable(w, ct)
 		}
 		w.Trailer()
 		return nil
@@ -148,7 +160,6 @@ func (e *Engine) Checkpoint() error {
 	if err := fault.Eval(fault.CheckpointPostSave); err != nil {
 		return err
 	}
-	e.lastCpGSN.Store(cpGSN)
 	e.coldEpoch.Store(manifest.Epoch)
 	e.stats.Checkpoints.Add(1)
 	e.gcColdManifests(manifest.Epoch)
@@ -207,6 +218,8 @@ func (e *Engine) loadColdManifest(epoch uint64, wantCRC uint32) error {
 
 // CheckpointHeader is the fixed head of a checkpoint image.
 type CheckpointHeader struct {
+	// Version is the image's format version (read, not written here).
+	Version uint32
 	// GSN is the image's horizon: every change at or below it is contained
 	// in the image.
 	GSN uint64
@@ -226,25 +239,30 @@ func (h CheckpointHeader) write(w *durable.Writer) {
 }
 
 // ReadCheckpointHeader verifies an encoded checkpoint image (checksum,
-// magic, version) and returns its header and a reader positioned at the
-// table section. Base backups use the header so that what they record
+// magic, version 2 or 3) and returns its header and a reader positioned at
+// the table section. Base backups use the header so that what they record
 // always describes the exact image bytes captured, even if the engine
 // checkpointed again mid-copy.
 func ReadCheckpointHeader(data []byte) (CheckpointHeader, *durable.Reader, error) {
-	r, err := durable.Open(data, "core: checkpoint", checkpointMagic, checkpointVersion)
+	h := CheckpointHeader{Version: checkpointVersion}
+	if len(data) >= 8 && binary.LittleEndian.Uint32(data[4:]) == 2 {
+		h.Version = 2
+	}
+	r, err := durable.Open(data, "core: checkpoint", checkpointMagic, h.Version)
 	if err != nil {
 		return CheckpointHeader{}, nil, err
 	}
-	h := CheckpointHeader{GSN: r.U64(), Clock: r.U64(), ColdEpoch: r.U64(), ColdCRC: r.U32()}
+	h.GSN, h.Clock, h.ColdEpoch, h.ColdCRC = r.U64(), r.U64(), r.U64(), r.U32()
 	return h, r, r.Err()
 }
 
 // checkpointTable is one table's record in the image's table section.
 type checkpointTable struct {
 	name      string
-	id        uint32 // recorded for diagnostics; loading matches by name
+	id        uint32
 	nextRID   uint64
 	maxFrozen uint64
+	catalog   [][]byte // version 3: the table's and its indexes' catalog records
 	images    []table.PageImage
 }
 
@@ -260,6 +278,10 @@ func writeCheckpointTable(w *durable.Writer, t checkpointTable) {
 	w.U32(t.id)
 	w.U64(t.nextRID)
 	w.U64(t.maxFrozen)
+	w.U32(uint32(len(t.catalog)))
+	for _, c := range t.catalog {
+		w.Bytes(c)
+	}
 	w.U32(uint32(len(t.images)))
 	for _, im := range t.images {
 		w.U64(uint64(im.FirstRID))
@@ -267,56 +289,118 @@ func writeCheckpointTable(w *durable.Writer, t checkpointTable) {
 	}
 }
 
-func readCheckpointTable(r *durable.Reader) checkpointTable {
+// readCheckpointTable decodes a table record; its byte fields alias r's input.
+func readCheckpointTable(r *durable.Reader, version uint32) checkpointTable {
 	t := checkpointTable{name: string(r.Bytes()), id: r.U32(), nextRID: r.U64(), maxFrozen: r.U64()}
-	n := r.Count(pageImageWire)
-	t.images = make([]table.PageImage, 0, n)
-	for p := 0; p < n; p++ {
-		first := rel.RowID(r.U64())
-		t.images = append(t.images, table.PageImage{FirstRID: first, Img: append([]byte(nil), r.Bytes()...)})
+	if version >= 3 {
+		t.catalog = make([][]byte, r.Count(4))
+		for i := range t.catalog {
+			t.catalog[i] = r.Bytes()
+		}
+	}
+	t.images = make([]table.PageImage, r.Count(pageImageWire))
+	for p := range t.images {
+		t.images[p] = table.PageImage{FirstRID: rel.RowID(r.U64()), Img: r.Bytes()}
 	}
 	return t
 }
 
-// loadCheckpoint restores tables from the newest checkpoint, if one
-// exists; returns whether one was loaded and the checkpoint's GSN horizon
-// (every change at or below it is contained in the image). Tables must be
-// declared (by the same names) before calling.
-func (e *Engine) loadCheckpoint() (bool, uint64, error) {
+// catalogChange is one RecCatalog record: a table's definition (id, name,
+// cols), or with index set an index's (its table's id, name, key columns
+// by position, unique).
+type catalogChange struct {
+	id     uint32
+	index  bool
+	name   string
+	cols   []rel.Column
+	keys   []int
+	unique bool
+}
+
+const (
+	catalogMagic   uint32 = 0x50434331 // "PCC1"
+	catalogVersion uint32 = 1
+)
+
+// encodeCatalog frames a catalog change as a RecCatalog payload, which a
+// version 3 checkpoint image also stores per table.
+func encodeCatalog(c catalogChange) []byte {
+	return durable.Encode(catalogMagic, catalogVersion, func(w *durable.Writer) {
+		w.U32(c.id)
+		w.Bool(c.index)
+		w.Bytes([]byte(c.name))
+		w.U32(uint32(len(c.cols)))
+		for _, col := range c.cols {
+			w.Bytes([]byte(col.Name))
+			w.U8(uint8(col.Type))
+		}
+		w.U32(uint32(len(c.keys)))
+		for _, k := range c.keys {
+			w.U32(uint32(k))
+		}
+		w.Bool(c.unique)
+	})
+}
+
+// decodeCatalog verifies and decodes a RecCatalog payload.
+func decodeCatalog(payload []byte) (catalogChange, error) {
+	r, err := durable.Open(payload, "core: catalog record", catalogMagic, catalogVersion)
+	if err != nil {
+		return catalogChange{}, err
+	}
+	c := catalogChange{id: r.U32(), index: r.Bool(), name: string(r.Bytes())}
+	c.cols = make([]rel.Column, r.Count(4+1))
+	for i := range c.cols {
+		c.cols[i] = rel.Column{Name: string(r.Bytes()), Type: rel.Type(r.U8())}
+	}
+	c.keys = make([]int, r.Count(4))
+	for i := range c.keys {
+		c.keys[i] = int(r.U32())
+	}
+	c.unique = r.Bool()
+	return c, r.Done()
+}
+
+// readCheckpoint decodes the newest checkpoint image; a zero header (and
+// no tables) when there is none.
+func (e *Engine) readCheckpoint() (CheckpointHeader, []checkpointTable, error) {
 	data, err := os.ReadFile(e.checkpointPath())
 	if os.IsNotExist(err) {
-		return false, 0, nil
+		return CheckpointHeader{}, nil, nil
 	}
 	if err != nil {
-		return false, 0, err
+		return CheckpointHeader{}, nil, err
 	}
 	hdr, r, err := ReadCheckpointHeader(data)
 	if err != nil {
-		return false, 0, err
+		return CheckpointHeader{}, nil, err
 	}
-	for i, n := 0, r.Count(checkpointTableWire); i < n; i++ {
-		ct := readCheckpointTable(r)
-		if r.Err() != nil {
-			break
-		}
-		t, terr := e.Table(ct.name)
-		if terr != nil {
-			return false, 0, fmt.Errorf("core: checkpoint references undeclared table %q", ct.name)
+	tables := make([]checkpointTable, r.Count(checkpointTableWire))
+	for i := range tables {
+		tables[i] = readCheckpointTable(r, hdr.Version)
+	}
+	return hdr, tables, r.Done()
+}
+
+// loadCheckpoint restores the tables' pages and cold segments from a
+// decoded image (every table it names must exist by now) and fast-forwards
+// the clocks past its horizon.
+func (e *Engine) loadCheckpoint(hdr CheckpointHeader, tables []checkpointTable) error {
+	for _, ct := range tables {
+		t, err := e.Table(ct.name)
+		if err != nil {
+			return fmt.Errorf("core: checkpoint references undeclared table %q", ct.name)
 		}
 		if err := t.Store.ImportImages(ct.images, ct.nextRID, ct.maxFrozen); err != nil {
-			return false, 0, err
+			return err
 		}
 	}
-	if err := r.Done(); err != nil {
-		return false, 0, err
-	}
 	if err := e.loadColdManifest(hdr.ColdEpoch, hdr.ColdCRC); err != nil {
-		return false, 0, err
+		return err
 	}
 	e.Mgr.Clock.AdvanceTo(hdr.Clock + 1)
 	for i := 0; i < e.WAL.NumWriters(); i++ {
 		e.WAL.Writer(i).AdvanceGSN(hdr.GSN)
 	}
-	e.lastCpGSN.Store(hdr.GSN)
-	return true, hdr.GSN, nil
+	return nil
 }

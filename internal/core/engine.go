@@ -4,11 +4,11 @@
 // and the maintenance duties (page swap, garbage collection, freezing)
 // that the co-routine scheduler drives.
 //
-// The engine is embedded: schema DDL is performed through the API at
-// startup, transactions are executed on task slots (pool slots for the
-// high-throughput path, reserved session slots for interactive use), and
-// durability comes from full WAL replay at open (checkpointing is future
-// work, mirroring the paper's roadmap).
+// The engine is embedded: DDL is performed through the API and logged like
+// any other change, transactions are executed on task slots (pool slots
+// for the high-throughput path, reserved session slots for interactive
+// use), and durability comes from the newest checkpoint image plus a WAL
+// replay at open.
 package core
 
 import (
@@ -42,8 +42,7 @@ var (
 	ErrDuplicate    = errors.New("core: duplicate key in unique index")
 	ErrNotFound     = errors.New("core: row not found")
 	ErrTxnDone      = errors.New("core: transaction already finished")
-	// ErrExists marks a CREATE of a table or index whose name is taken; a
-	// schema replay tells it from a statement the catalog rejects.
+	// ErrExists marks a CREATE of a table or index whose name is taken.
 	ErrExists = errors.New("already exists")
 	// ErrTableNotEmpty rejects plain CreateIndex on a table that already
 	// holds data; CreateIndexOnline backfills instead.
@@ -68,7 +67,8 @@ type Config struct {
 	// (default 1).
 	Partitions int
 	// Slots is the total task-slot count: pool slots plus sessions
-	// (default 8). Each slot has a private WAL writer and UNDO arena.
+	// (default 8). Each slot has a private WAL writer and UNDO arena. The
+	// last slot is the system slot: catalog records are logged there.
 	Slots int
 	// WALSync fsyncs on every WAL flush (the paper's evaluated setting).
 	WALSync bool
@@ -222,9 +222,6 @@ type Engine struct {
 
 	// archiver, when set, is sealed before every checkpoint truncation.
 	archiver WALArchiver
-	// lastCpGSN is the GSN horizon of the newest durable checkpoint image
-	// (written by Checkpoint, restored by loadCheckpoint).
-	lastCpGSN atomic.Uint64
 	// coldEpoch is the cold-manifest epoch the newest durable checkpoint
 	// references; Checkpoint writes epoch+1 next.
 	coldEpoch atomic.Uint64
@@ -238,14 +235,23 @@ type Engine struct {
 	// that slot (see Tx).
 	txs []*Tx
 
+	// sysMu serialises catalog changes with each other, with Checkpoint and
+	// with warming, which the DB runs on the system slot catalog records use.
+	sysMu sync.Mutex
+	// recovering is set from Open to the end of Recover when the directory
+	// holds history; DDL meanwhile is not logged but collected in declared.
+	recovering bool
+	declared   []catalogChange
+
 	mu          sync.RWMutex
 	tables      map[string]*Tbl
 	tablesByID  map[uint32]*Tbl
 	nextTableID uint32
 }
 
-// Open creates or opens an engine in cfg.Dir. Existing WAL files are NOT
-// replayed automatically; call Recover after re-declaring the schema.
+// Open creates or opens an engine in cfg.Dir. An existing directory's
+// checkpoint image and WAL are NOT read automatically: call Recover before
+// any transaction.
 func Open(cfg Config) (*Engine, error) {
 	cfg.defaults()
 	e := &Engine{
@@ -253,6 +259,7 @@ func Open(cfg Config) (*Engine, error) {
 		IO:         cfg.IO,
 		tables:     make(map[string]*Tbl),
 		tablesByID: make(map[uint32]*Tbl),
+		recovering: hasHistory(cfg.Dir),
 	}
 	var err error
 	e.pf, err = storage.OpenPageFile(filepath.Join(cfg.Dir, "data.pages"), cfg.PageSize, e.IO)
@@ -319,25 +326,34 @@ func (e *Engine) Waits() *waitevent.Slots { return e.cfg.Waits }
 // to truncate the WAL. Attach before the first post-Open checkpoint.
 func (e *Engine) SetWALArchiver(a WALArchiver) { e.archiver = a }
 
-// LastCheckpointGSN returns the GSN horizon of the newest durable
-// checkpoint image (0 if none). Base backups record it in their label.
-func (e *Engine) LastCheckpointGSN() uint64 { return e.lastCpGSN.Load() }
-
-// CreateTable declares a relation.
+// CreateTable declares a relation. The definition is logged and flushed
+// before the table becomes visible (see logCatalog).
 func (e *Engine) CreateTable(name string, schema *rel.Schema) (*Tbl, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if _, ok := e.tables[name]; ok {
+	e.sysMu.Lock()
+	defer e.sysMu.Unlock()
+	if t, _ := e.Table(name); t != nil {
 		return nil, fmt.Errorf("core: table %q %w", name, ErrExists)
 	}
-	e.nextTableID++
+	c := catalogChange{id: e.nextTableID + 1, name: name, cols: schema.Cols}
+	if err := e.logCatalog(c); err != nil {
+		return nil, err
+	}
+	return e.defineTable(c.id, name, schema), nil
+}
+
+// defineTable publishes a table under id. The caller holds sysMu (which
+// every writer of nextTableID holds) and has checked the name and id free.
+func (e *Engine) defineTable(id uint32, name string, schema *rel.Schema) *Tbl {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	e.nextTableID = max(e.nextTableID, id)
 	fs := frozen.NewStore(e.bf, schema)
 	fs.CacheBytes = e.cfg.ColdCacheBytes
 	t := &Tbl{
 		Name:    name,
-		ID:      e.nextTableID,
+		ID:      id,
 		Schema:  schema,
-		Store:   table.New(e.nextTableID, schema, e.cfg.PageCap, e.pf, e.Pool),
+		Store:   table.New(id, schema, e.cfg.PageCap, e.pf, e.Pool),
 		Frozen:  fs,
 		indexes: make(map[string]*Index),
 	}
@@ -346,24 +362,30 @@ func (e *Engine) CreateTable(name string, schema *rel.Schema) (*Tbl, error) {
 	// workers append through disjoint open pages instead of one tail.
 	t.Store.SetInsertLanes(e.cfg.Partitions)
 	e.tables[name] = t
-	e.tablesByID[t.ID] = t
-	return t, nil
+	e.tablesByID[id] = t
+	return t
 }
 
-// CreateIndex declares a secondary index over the named columns. It only
-// covers the empty-table DDL flow (schema declaration before data load or
-// recovery): on a table that already holds pages it refuses with
-// ErrTableNotEmpty instead of silently registering an index that misses
-// the existing rows — use CreateIndexOnline for that.
+// CreateIndex declares a secondary index over the named columns, logged
+// before it becomes visible like CreateTable. It only covers the
+// empty-table DDL flow (schema declaration before data load or recovery):
+// on a table that already holds pages it refuses with ErrTableNotEmpty
+// instead of silently registering an index that misses the existing rows
+// — use CreateIndexOnline for that.
 func (e *Engine) CreateIndex(tableName, indexName string, cols []string, unique bool) (*Index, error) {
-	t, err := e.Table(tableName)
+	e.sysMu.Lock()
+	defer e.sysMu.Unlock()
+	t, d, err := e.indexDef(tableName, indexName, cols, unique)
 	if err != nil {
 		return nil, err
 	}
 	if tableHasData(t) {
 		return nil, fmt.Errorf("%w: CREATE INDEX %q on %q requires an online backfill", ErrTableNotEmpty, indexName, tableName)
 	}
-	return e.registerIndex(t, indexName, cols, unique, false)
+	if err := e.logCatalog(d); err != nil {
+		return nil, err
+	}
+	return addIndex(t, d, false), nil
 }
 
 // tableHasData reports whether the table may hold rows (conservatively:
@@ -373,28 +395,36 @@ func tableHasData(t *Tbl) bool {
 	return t.Store.NumPages() > 0 || t.Frozen.NumSegments() > 0
 }
 
-// registerIndex adds an index to the table's catalog entry. With hidden
-// set the index is maintained by writers from here on but reported
-// non-live until the backfill promotes it.
-func (e *Engine) registerIndex(t *Tbl, indexName string, cols []string, unique, hidden bool) (*Index, error) {
-	positions := make([]int, len(cols))
-	for i, c := range cols {
-		p := t.Schema.ColIndex(c)
-		if p < 0 {
-			return nil, fmt.Errorf("%w: %q in table %q", ErrNoSuchColumn, c, t.Name)
-		}
-		positions[i] = p
+// indexDef resolves a new index's columns on the named table. The caller
+// holds sysMu, so the name it finds free stays free.
+func (e *Engine) indexDef(tableName, indexName string, cols []string, unique bool) (*Tbl, catalogChange, error) {
+	t, err := e.Table(tableName)
+	if err != nil {
+		return nil, catalogChange{}, err
 	}
-	ix := &Index{Name: indexName, Cols: positions, Unique: unique, Tree: btree.New()}
+	if t.Index(indexName) != nil {
+		return nil, catalogChange{}, fmt.Errorf("core: index %q %w on %q", indexName, ErrExists, t.Name)
+	}
+	d := catalogChange{id: t.ID, index: true, name: indexName, keys: make([]int, len(cols)), unique: unique}
+	for i, c := range cols {
+		if d.keys[i] = t.Schema.ColIndex(c); d.keys[i] < 0 {
+			return nil, catalogChange{}, fmt.Errorf("%w: %q in table %q", ErrNoSuchColumn, c, t.Name)
+		}
+	}
+	return t, d, nil
+}
+
+// addIndex adds index d to the table's catalog entry. With hidden set the
+// index is maintained by writers from here on but reported non-live until
+// the backfill promotes it.
+func addIndex(t *Tbl, d catalogChange, hidden bool) *Index {
+	ix := &Index{Name: d.name, Cols: d.keys, Unique: d.unique, Tree: btree.New()}
 	ix.hidden.Store(hidden)
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if _, ok := t.indexes[indexName]; ok {
-		return nil, fmt.Errorf("core: index %q %w on %q", indexName, ErrExists, t.Name)
-	}
-	t.indexes[indexName] = ix
+	t.indexes[d.name] = ix
 	t.rebuildIndexCacheLocked()
-	return ix, nil
+	return ix
 }
 
 // dropIndex removes an index registration (backfill failure cleanup).
@@ -418,14 +448,12 @@ func (e *Engine) Table(name string) (*Tbl, error) {
 	return t, nil
 }
 
-func (e *Engine) tableByID(id uint32) *Tbl {
+// TableByID resolves a table by its catalog id, or returns nil.
+func (e *Engine) TableByID(id uint32) *Tbl {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	return e.tablesByID[id]
 }
-
-// TableByID resolves a table by its catalog id (WAL shipping, tooling).
-func (e *Engine) TableByID(id uint32) *Tbl { return e.tableByID(id) }
 
 // Tables returns all tables sorted by name.
 func (e *Engine) Tables() []*Tbl {
@@ -490,7 +518,7 @@ func (e *Engine) CollectGarbage() int {
 		}
 		// Deleted-tuple GC: physically erase the tombstoned tuple and its
 		// index entries once the delete is globally visible.
-		t := e.tableByID(r.TableID)
+		t := e.TableByID(r.TableID)
 		if t == nil {
 			return
 		}

@@ -10,10 +10,15 @@ import (
 	"phoebedb/internal/wal"
 )
 
-// Recover replays the write-ahead log into the (empty) tables declared on
-// this engine, implementing ARIES-style redo over the per-slot log files
-// merged by GSN (§8). Call it after CreateTable/CreateIndex and before any
-// transactions.
+// Recover rebuilds the catalog and replays the write-ahead log into it,
+// implementing ARIES-style redo over the per-slot log files merged by GSN
+// (§8). Call it after Open and before any transactions.
+//
+// The catalog comes first: the checkpoint image's, then the log's catalog
+// records in GSN order, so every table exists before any page image or row
+// names it. A table or index declared beforehand must match its recovered
+// definition (*SchemaMismatchError); one the history lacks is logged now,
+// which imports a directory written before catalog records existed.
 //
 // Replay is redo-only: records of transactions without a commit record are
 // skipped (their effects were never made visible, and "Non-Force, Steal"
@@ -23,11 +28,16 @@ import (
 // recovered rows. Replay starts from the newest checkpoint when one
 // exists, bounding redo work to the post-checkpoint log suffix.
 func (e *Engine) Recover() (replayed int, err error) {
-	// Load the newest checkpoint first (if any); the WAL then holds only
-	// post-checkpoint records (Checkpoint truncates it).
-	_, cpGSN, err := e.loadCheckpoint()
+	e.sysMu.Lock()
+	defer e.sysMu.Unlock()
+	hdr, images, err := e.readCheckpoint()
 	if err != nil {
 		return 0, err
+	}
+	// A version 2 image holds no catalog: its tables are declared.
+	var history [][]byte
+	for _, ct := range images {
+		history = append(history, ct.catalog...)
 	}
 	recs, err := wal.Recover(e.WAL.Dir())
 	if err != nil {
@@ -38,14 +48,30 @@ func (e *Engine) Recover() (replayed int, err error) {
 	// rows the image already holds. Checkpoint fast-forwards every writer
 	// past the horizon before the image is durable, so records at or below
 	// it are exactly the covered ones — drop them.
-	if cpGSN > 0 {
-		kept := recs[:0]
-		for _, r := range recs {
-			if r.GSN > cpGSN {
-				kept = append(kept, r)
-			}
+	kept := recs[:0]
+	for _, r := range recs {
+		if r.GSN <= hdr.GSN {
+			continue
 		}
-		recs = kept
+		kept = append(kept, r)
+		if r.Type == wal.RecCatalog {
+			history = append(history, r.Payload)
+		}
+	}
+	recs = kept
+	defined := make(map[string]bool)
+	for _, raw := range history {
+		c, err := decodeCatalog(raw)
+		if err == nil {
+			err = e.applyCatalog(c)
+		}
+		if err != nil {
+			return 0, err
+		}
+		defined[c.String()] = true
+	}
+	if err := e.loadCheckpoint(hdr, images); err != nil {
+		return 0, err
 	}
 	committed := make(map[uint64]bool)
 	var maxTS, maxGSN uint64
@@ -65,15 +91,15 @@ func (e *Engine) Recover() (replayed int, err error) {
 	}
 	for _, r := range recs {
 		switch r.Type {
-		case wal.RecCommit, wal.RecAbort:
+		case wal.RecCommit, wal.RecAbort, wal.RecCatalog:
 			continue
 		}
 		if !committed[r.XID] {
 			continue
 		}
-		t := e.tableByID(r.TableID)
+		t := e.TableByID(r.TableID)
 		if t == nil {
-			return replayed, fmt.Errorf("core: recovery references unknown table id %d (declare schema before Recover)", r.TableID)
+			return replayed, fmt.Errorf("core: recovery references unknown table id %d", r.TableID)
 		}
 		switch r.Type {
 		case wal.RecInsert:
@@ -121,30 +147,20 @@ func (e *Engine) Recover() (replayed int, err error) {
 	for i := 0; i < e.WAL.NumWriters(); i++ {
 		e.WAL.Writer(i).AdvanceGSN(maxGSN)
 	}
-	// Rebuild secondary indexes from the recovered base tables: the frozen
-	// layer (restored from the checkpoint) first, then hot/cold pages.
+	// Rebuild secondary indexes from the recovered base tables.
 	for _, t := range e.Tables() {
-		indexes := t.Indexes()
-		if len(indexes) == 0 {
-			continue
-		}
-		if err := t.Frozen.ScanLive(func(rid rel.RowID, row rel.Row) bool {
-			for _, ix := range indexes {
-				ix.Tree.Insert(indexKey(ix, row, rid), uint64(rid))
-			}
-			return true
-		}); err != nil {
-			return replayed, err
-		}
-		err := t.Store.Scan(nil, func(rid rel.RowID, row rel.Row, h *table.Handle) bool {
-			for _, ix := range indexes {
-				ix.Tree.Insert(indexKey(ix, row, rid), uint64(rid))
-			}
-			return true
-		})
-		if err != nil {
+		if err := fillIndexes(t, t.Indexes()); err != nil {
 			return replayed, err
 		}
 	}
+	e.recovering = false
+	for _, c := range e.declared {
+		if !defined[c.String()] {
+			if err := e.logCatalog(c); err != nil {
+				return replayed, err
+			}
+		}
+	}
+	e.declared = nil
 	return replayed, nil
 }

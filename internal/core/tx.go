@@ -246,10 +246,9 @@ func (tx *Tx) track(c metrics.Component, start time.Time) {
 	tx.comp[c] += d
 }
 
-// addWait charges blocked time to the slot metrics and the transaction's
-// accounted total (so it is excluded from the Compute residual).
+// addWait charges blocked time to the transaction's accounted total (so it
+// is excluded from the Compute residual).
 func (tx *Tx) addWait(d time.Duration) {
-	tx.mets.AddWait(d)
 	tx.tracked += d
 	tx.waited += d
 }
@@ -1122,15 +1121,14 @@ func (tx *Tx) Rollback() error {
 
 // finishMetrics closes out the transaction's accounting: the untracked
 // residual is charged to Compute, the outcome counter bumps, and the
-// latency histogram, the slot's trace ring, and the slow-transaction log
-// observe the full breakdown.
+// latency histogram and the slow-transaction log observe the full
+// breakdown.
 func (tx *Tx) finishMetrics(committed bool) {
 	total := time.Since(tx.started)
 	if rest := total - tx.tracked; rest > 0 {
 		tx.mets.Add(metrics.CompCompute, rest)
 		tx.comp[metrics.CompCompute] += rest
 	}
-	tx.mets.CountTxn()
 	if committed {
 		tx.e.stats.Commits.Add(1)
 	} else {
@@ -1146,7 +1144,7 @@ func (tx *Tx) finishMetrics(committed bool) {
 		tx.e.stats.MVCCChainLinks.Add(tx.vis.Links)
 	}
 	tx.mets.Hist.Observe(total)
-	tr := metrics.TxnTrace{
+	tx.e.stats.SlowLog.Offer(metrics.TxnTrace{
 		XID:       tx.XID(),
 		Slot:      tx.slot,
 		Start:     tx.started,
@@ -1156,9 +1154,7 @@ func (tx *Tx) finishMetrics(committed bool) {
 		Comp:      tx.comp,
 		Stmt:      tx.stmtFP,
 		Plan:      tx.planNote,
-	}
-	tx.mets.Ring.Record(tr)
-	tx.e.stats.SlowLog.Offer(tr)
+	})
 }
 
 // rollbackChanges undoes the transaction's physical effects in reverse
@@ -1172,7 +1168,7 @@ func (tx *Tx) rollbackChanges() {
 	opEnd := len(tx.idxOps)
 	for i := len(recs) - 1; i >= 0; i-- {
 		rec := recs[i]
-		t := tx.e.tableByID(rec.TableID)
+		t := tx.e.TableByID(rec.TableID)
 		// Revert this record's index mutations.
 		opStart := opEnd
 		for opStart > 0 && tx.idxOps[opStart-1].rec == rec {

@@ -60,7 +60,9 @@ func (e *Engine) requestWarm(t *Tbl, rid rel.RowID) {
 // ProcessWarmQueue warms pending frozen blocks (§5.2 case 3) on the given
 // idle task slot: each block's surviving rows are tombstoned in the frozen
 // layer and re-inserted into hot storage under a system transaction, with
-// index entries repointed. Returns the number of rows warmed.
+// index entries repointed. Each block is warmed under sysMu (the DB runs
+// warming on the system slot, where catalog records are logged). Returns
+// the number of rows warmed.
 func (e *Engine) ProcessWarmQueue(slot int) (int, error) {
 	total := 0
 	for {
@@ -68,39 +70,41 @@ func (e *Engine) ProcessWarmQueue(slot int) (int, error) {
 		if !ok {
 			return total, nil
 		}
-		ids, rows, err := req.t.Frozen.ExtractLive(req.rid)
+		e.sysMu.Lock()
+		n, err := e.warmBlock(slot, req)
+		e.sysMu.Unlock()
+		total += n
 		if err != nil {
 			return total, err
 		}
-		if len(ids) == 0 {
-			continue
-		}
-		tx := e.Begin(slot, txn.ReadCommitted, nil, nil, nil)
-		ok = true
-		for i, oldRID := range ids {
-			tx.logUnstamped(wal.RecDelete, req.t.ID, oldRID, nil)
-			_, err := tx.insertRow(req.t, rows[i], false)
-			if err != nil {
-				ok = false
-				break
-			}
-			insRec := tx.inner.Records[len(tx.inner.Records)-1]
-			tx.repointWarmedIndexes(insRec, req.t, rows[i], oldRID)
-		}
-		if !ok {
+	}
+}
+
+// warmBlock warms the frozen block req names and returns the rows warmed.
+func (e *Engine) warmBlock(slot int, req warmRequest) (int, error) {
+	ids, rows, err := req.t.Frozen.ExtractLive(req.rid)
+	if err != nil || len(ids) == 0 {
+		return 0, err
+	}
+	tx := e.Begin(slot, txn.ReadCommitted, nil, nil, nil)
+	for i, oldRID := range ids {
+		tx.logUnstamped(wal.RecDelete, req.t.ID, oldRID, nil)
+		if _, err := tx.insertRow(req.t, rows[i], false); err != nil {
 			// Roll back the inserts and restore the frozen tombstones.
 			tx.Rollback()
 			for _, id := range ids {
 				req.t.Frozen.Undelete(id)
 			}
-			continue
+			return 0, nil
 		}
-		if err := tx.Commit(); err != nil {
-			for _, id := range ids {
-				req.t.Frozen.Undelete(id)
-			}
-			return total, err
-		}
-		total += len(ids)
+		insRec := tx.inner.Records[len(tx.inner.Records)-1]
+		tx.repointWarmedIndexes(insRec, req.t, rows[i], oldRID)
 	}
+	if err := tx.Commit(); err != nil {
+		for _, id := range ids {
+			req.t.Frozen.Undelete(id)
+		}
+		return 0, err
+	}
+	return len(ids), nil
 }

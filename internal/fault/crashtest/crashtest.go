@@ -41,7 +41,8 @@ type Config struct {
 	// site's prefix selects how the crash is provoked: "wal." sites fire
 	// from commit flushes inside the concurrent workload, "checkpoint."
 	// sites from an explicit Checkpoint call after the workload quiesces,
-	// and "buffer."/"storage." sites from forced buffer-pool maintenance.
+	// "catalog." sites from a CREATE TABLE after it quiesces, and
+	// "buffer."/"storage." sites from forced buffer-pool maintenance.
 	Site string
 	// Workers is the number of concurrent writer goroutines (default 4).
 	Workers int
@@ -398,6 +399,18 @@ func Run(cfg Config) (Report, error) {
 		if !crashed {
 			return rep, fmt.Errorf("crashtest: backfill did not crash at %s (err=%v)", cfg.Site, cerr)
 		}
+	case strings.HasPrefix(cfg.Site, "catalog."): // crash between a catalog record's flush and publication
+		runWorkload(e, workers, cfg.OpsPerWorker-phase1)
+		if err := fault.Enable(cfg.Site, "panic"); err != nil {
+			return rep, err
+		}
+		crashed, cerr := crashAt(func() error {
+			_, err := e.CreateTable("late", kvSchema())
+			return err
+		})
+		if !crashed {
+			return rep, fmt.Errorf("crashtest: CREATE TABLE did not crash at %s (err=%v)", cfg.Site, cerr)
+		}
 	case strings.HasPrefix(cfg.Site, "frozen."): // crash inside cold-tier maintenance
 		// Quiesce the workload, then demote pages into cold segments in
 		// small freeze/compact/checkpoint rounds so segments accumulate
@@ -470,6 +483,12 @@ func Run(cfg Config) (Report, error) {
 	rep.Replayed, err = e2.Recover()
 	if err != nil {
 		return rep, fmt.Errorf("crashtest: recover: %w", err)
+	}
+	if strings.HasPrefix(cfg.Site, "catalog.") {
+		// Durable before the crash, never visible: back, and empty.
+		if t, err := e2.Table("late"); err != nil || t.Store.NumPages() != 0 {
+			return rep, fmt.Errorf("crashtest: table logged before the crash at %s not recovered empty (%v)", cfg.Site, err)
+		}
 	}
 	if strings.HasPrefix(cfg.Site, "frozen.") {
 		// The run is only meaningful if the last completed checkpoint's

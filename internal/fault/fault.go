@@ -83,7 +83,7 @@ const (
 	// acknowledged archive and is discarded on the archiver's next open.
 	BackupTornSegment = "backup.tornSegment"
 	// BackupPreLabel fires during a base backup after the data files
-	// (checkpoint image, frozen blocks, schema) are copied but before the
+	// (checkpoint image, frozen blocks, cold manifest) are copied but before the
 	// backup label is written. A crash here leaves a label-less base
 	// directory that verify/restore must ignore.
 	BackupPreLabel = "backup.preLabel"
@@ -105,6 +105,10 @@ const (
 	// recovery), so a crash here must leave the table data consistent and
 	// the half-built index simply gone.
 	SQLIndexBackfill = "sql.indexBackfill"
+	// CatalogPrePublish fires after a CREATE TABLE or CREATE INDEX record
+	// is flushed, before the table or index becomes visible. A crash here
+	// must recover the object, and nothing in it.
+	CatalogPrePublish = "catalog.prePublish"
 )
 
 var allSites = []string{
@@ -114,7 +118,7 @@ var allSites = []string{
 	BufferEvict, ReplicaApply,
 	BackupArchiveCopy, BackupTornSegment, BackupPreLabel,
 	FrozenSegmentWrite, FrozenManifestSwap, FrozenCompactMerge,
-	SQLIndexBackfill,
+	SQLIndexBackfill, CatalogPrePublish,
 }
 
 // BackupSites are the failpoints in the backup/archive path; the backup
@@ -133,7 +137,7 @@ var crashSites = []string{
 	CheckpointPreSave, CheckpointPostSave, CheckpointPreTruncate,
 	BufferEvict, StorageWritePage,
 	FrozenSegmentWrite, FrozenManifestSwap, FrozenCompactMerge,
-	SQLIndexBackfill,
+	SQLIndexBackfill, CatalogPrePublish,
 }
 
 // AllSites returns every failpoint site compiled into the kernel.

@@ -2,8 +2,8 @@
 // harness and the always-on observability layer: per-component time
 // accounting (the Go stand-in for the paper's per-transaction instruction
 // counts, Exp 7), byte-level I/O counters (Exp 3 and 4), log-bucketed
-// latency histograms, per-slot transaction trace rings, and a registry that
-// exposes all of it live.
+// latency histograms, the slow-transaction log, and a registry that exposes
+// all of it live.
 //
 // Component accounting is slot-local: each task slot owns a SlotMetrics that
 // only the owning slot mutates, mirroring PhoebeDB's principle of
@@ -56,21 +56,17 @@ func (c Component) String() string {
 	return "unknown"
 }
 
-// SlotMetrics accumulates per-component nanoseconds, transaction counts, a
-// transaction-latency histogram, and a recent-transaction trace ring for one
-// task slot. Only the owning slot may call the mutating methods; scrapers
-// may read concurrently (all counters are atomic). Padding keeps adjacent
-// slots' hot fields off the same cache line.
+// SlotMetrics accumulates per-component nanoseconds and a
+// transaction-latency histogram for one task slot. Only the owning slot may
+// call the mutating methods; scrapers may read concurrently (all counters
+// are atomic). Padding keeps adjacent slots' hot fields off the same cache
+// line.
 type SlotMetrics struct {
 	nanos [NumComponents]atomic.Int64
-	wait  atomic.Int64
-	txns  atomic.Int64
 	_     [64]byte // padding against false sharing between slots
 
 	// Hist is the slot-local transaction latency distribution.
 	Hist Histogram
-	// Ring holds the slot's most recent transaction traces.
-	Ring TraceRing
 }
 
 // Add charges d to the component.
@@ -84,14 +80,6 @@ func (s *SlotMetrics) Track(c Component, fn func()) {
 	fn()
 	s.nanos[c].Add(int64(time.Since(start)))
 }
-
-// AddWait charges blocked time (lock waits, flush waits, I/O stalls).
-// Waits are reported separately from the component breakdown: the paper's
-// Figure 12 counts instructions, and a blocked transaction executes none.
-func (s *SlotMetrics) AddWait(d time.Duration) { s.wait.Add(int64(d)) }
-
-// CountTxn records one completed transaction.
-func (s *SlotMetrics) CountTxn() { s.txns.Add(1) }
 
 // Recorder owns the slot metrics for a run and aggregates them. Aggregation
 // is safe at any time, not just post-quiesce: a scrape concurrent with a
@@ -113,38 +101,11 @@ func (r *Recorder) NewSlot() *SlotMetrics {
 	return s
 }
 
-// Breakdown is the aggregated per-component cost of a run.
+// Breakdown is the aggregated per-component cost of a run. Blocked time is
+// not in it: the paper's Figure 12 counts instructions, and a blocked
+// transaction executes none (waitevent accounts for waits).
 type Breakdown struct {
 	Nanos [NumComponents]int64
-	// WaitNanos is blocked time, excluded from the component totals.
-	WaitNanos int64
-	Txns      int64
-}
-
-// Total returns the sum over all components.
-func (b Breakdown) Total() int64 {
-	var t int64
-	for _, n := range b.Nanos {
-		t += n
-	}
-	return t
-}
-
-// Fraction returns the component's share of the total cost in [0,1].
-func (b Breakdown) Fraction(c Component) float64 {
-	t := b.Total()
-	if t == 0 {
-		return 0
-	}
-	return float64(b.Nanos[c]) / float64(t)
-}
-
-// PerTxnNanos returns the average per-transaction cost of the component.
-func (b Breakdown) PerTxnNanos(c Component) float64 {
-	if b.Txns == 0 {
-		return 0
-	}
-	return float64(b.Nanos[c]) / float64(b.Txns)
 }
 
 // Aggregate sums all slot accumulators. Safe to call at any time.
@@ -156,8 +117,6 @@ func (r *Recorder) Aggregate() Breakdown {
 		for c := 0; c < NumComponents; c++ {
 			out.Nanos[c] += s.nanos[c].Load()
 		}
-		out.WaitNanos += s.wait.Load()
-		out.Txns += s.txns.Load()
 	}
 	return out
 }
@@ -170,22 +129,6 @@ func (r *Recorder) MergedHist() HistSnapshot {
 	var out HistSnapshot
 	for _, s := range r.slots {
 		out.Merge(s.Hist.Snapshot())
-	}
-	return out
-}
-
-// RecentTraces returns up to max recent transaction traces drawn from every
-// slot's ring, newest slots-interleaved order (not globally time-sorted).
-func (r *Recorder) RecentTraces(max int) []TxnTrace {
-	r.mu.Lock()
-	slots := append([]*SlotMetrics(nil), r.slots...)
-	r.mu.Unlock()
-	var out []TxnTrace
-	for _, s := range slots {
-		out = append(out, s.Ring.Recent()...)
-		if max > 0 && len(out) >= max {
-			return out[:max]
-		}
 	}
 	return out
 }

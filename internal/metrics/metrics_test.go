@@ -12,39 +12,13 @@ func TestSlotAccumulationAndAggregate(t *testing.T) {
 	s2 := r.NewSlot()
 	s1.Add(CompWAL, 100*time.Nanosecond)
 	s1.Add(CompCompute, 50*time.Nanosecond)
-	s1.CountTxn()
 	s2.Add(CompWAL, 25*time.Nanosecond)
-	s2.CountTxn()
-	s2.CountTxn()
 	b := r.Aggregate()
 	if b.Nanos[CompWAL] != 125 {
 		t.Fatalf("WAL nanos = %d", b.Nanos[CompWAL])
 	}
 	if b.Nanos[CompCompute] != 50 {
 		t.Fatalf("Compute nanos = %d", b.Nanos[CompCompute])
-	}
-	if b.Txns != 3 {
-		t.Fatalf("Txns = %d", b.Txns)
-	}
-	if b.Total() != 175 {
-		t.Fatalf("Total = %d", b.Total())
-	}
-}
-
-func TestFractionAndPerTxn(t *testing.T) {
-	var b Breakdown
-	b.Nanos[CompWAL] = 75
-	b.Nanos[CompCompute] = 25
-	b.Txns = 5
-	if f := b.Fraction(CompWAL); f != 0.75 {
-		t.Fatalf("Fraction = %g", f)
-	}
-	if p := b.PerTxnNanos(CompWAL); p != 15 {
-		t.Fatalf("PerTxnNanos = %g", p)
-	}
-	var empty Breakdown
-	if empty.Fraction(CompWAL) != 0 || empty.PerTxnNanos(CompWAL) != 0 {
-		t.Fatal("empty breakdown should be zero")
 	}
 }
 

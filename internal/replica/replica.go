@@ -18,7 +18,9 @@
 // own transaction machinery is idle), so reads on the standby see a
 // transaction-consistent prefix of the primary's history: a transaction's
 // records are applied only after its commit record is durable on the
-// primary.
+// primary. Catalog records (CREATE TABLE, CREATE INDEX) ship in the same
+// stream and apply before each round's transactions, so the standby needs
+// no schema of its own.
 package replica
 
 import (
@@ -47,8 +49,8 @@ var ErrLostPosition = wal.ErrLostPosition
 
 // Standby applies a primary's WAL stream to a local engine.
 type Standby struct {
-	// Engine is the standby's kernel; declare the same schema as the
-	// primary before starting.
+	// Engine is the standby's kernel. It follows the primary's catalog; a
+	// table declared on it first must match the primary's definition.
 	Engine *core.Engine
 	// PrimaryWALDir is the primary's WAL directory (shared filesystem or
 	// synchronized copy).
@@ -68,11 +70,13 @@ type Standby struct {
 	stream   []int64                 // ArchiveDir only: group -> archived-stream bytes consumed
 	pending  map[uint64][]wal.Record // xid -> data records
 	commits  map[uint64]uint64       // xid -> cts, commit seen but unapplied
+	catalog  []wal.Record            // catalog records not yet applied
 	applied  int64
 	promoted bool
 }
 
-// NewStandby creates a standby over an engine with the schema declared.
+// NewStandby creates a standby over an engine; the primary's catalog
+// records create its tables and indexes.
 func NewStandby(e *core.Engine, primaryWALDir string) *Standby {
 	return &Standby{
 		Engine:        e,
@@ -122,6 +126,15 @@ func (s *Standby) catchUp(final bool) (int, error) {
 	if err := s.ingest(final); err != nil { // pass two: dependencies
 		return 0, err
 	}
+	// A catalog record is flushed before its object is published, so pass
+	// two has read every one a cutoff transaction depends on.
+	sort.Slice(s.catalog, func(i, j int) bool { return s.catalog[i].GSN < s.catalog[j].GSN })
+	for len(s.catalog) > 0 {
+		if err := s.Engine.ApplyCatalog(s.catalog[0].Payload); err != nil {
+			return 0, fmt.Errorf("replica: apply catalog record: %w", err)
+		}
+		s.catalog = s.catalog[1:]
+	}
 	// Apply eligible transactions in cts order.
 	type txnBatch struct {
 		xid uint64
@@ -166,6 +179,8 @@ func (s *Standby) ingest(final bool) error {
 			s.commits[r.XID] = r.RowID // cts travels in the RowID field
 		case wal.RecAbort:
 			delete(s.pending, r.XID)
+		case wal.RecCatalog:
+			s.catalog = append(s.catalog, r)
 		default:
 			s.pending[r.XID] = append(s.pending[r.XID], r)
 		}

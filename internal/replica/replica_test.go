@@ -301,3 +301,66 @@ func TestApplyFailpoint(t *testing.T) {
 		}
 	}
 }
+
+// TestStandbyFollowsCatalog: a standby with nothing declared follows the
+// CREATE TABLE and CREATE INDEX the primary issues after it started — the
+// index built online over rows both sides already hold — serves the rows
+// through the new index, and promotes.
+func TestStandbyFollowsCatalog(t *testing.T) {
+	primary, err := core.Open(core.Config{Dir: t.TempDir(), Slots: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { primary.Close() })
+	sEng, err := core.Open(core.Config{Dir: t.TempDir(), Slots: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { sEng.Close() })
+	s := NewStandby(sEng, primary.WAL.Dir())
+	if _, err := s.CatchUp(); err != nil {
+		t.Fatal(err)
+	}
+
+	declare(t, primary)
+	commitTx(t, primary, 0, insertAccount(1))
+	if _, err := s.CatchUp(); err != nil {
+		t.Fatal(err)
+	}
+	if _, found := standbyRead(t, s, 1); !found {
+		t.Fatal("standby did not follow CREATE TABLE / CREATE INDEX")
+	}
+	if _, err := primary.CreateIndexOnline("accounts", "accounts_owner", []string{"owner"}, false,
+		func(fn func(tx *core.Tx) error) error {
+			commitTx(t, primary, 1, fn)
+			return nil
+		}); err != nil {
+		t.Fatal(err)
+	}
+	commitTx(t, primary, 0, insertAccount(2))
+	if _, err := s.CatchUp(); err != nil {
+		t.Fatal(err)
+	}
+	owners := func() int {
+		tx := sEng.Begin(3, txn.ReadCommitted, nil, nil, nil)
+		defer tx.Rollback()
+		n := 0
+		if err := tx.ScanIndex("accounts", "accounts_owner", []rel.Value{rel.Str("o")}, func(rel.RowID, rel.Row) bool {
+			n++
+			return true
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
+	if n := owners(); n != 2 {
+		t.Fatalf("standby index accounts_owner reaches %d rows, want 2", n)
+	}
+	if err := s.Promote(); err != nil {
+		t.Fatal(err)
+	}
+	commitTx(t, sEng, 0, insertAccount(3))
+	if n := owners(); n != 3 {
+		t.Fatalf("promoted standby's index reaches %d rows, want 3", n)
+	}
+}

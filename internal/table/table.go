@@ -738,14 +738,6 @@ func (t *Table) ScanPages(io *Ctx, fn func(v PageView) bool) error {
 // remainders don't count: they may be burned without ever holding a row).
 func (t *Table) NextRowID() rel.RowID { return rel.RowID(t.maxAssigned.Load()) }
 
-// SetNextRowID fast-forwards the row_id counter (recovery): later appends
-// assign strictly greater row_ids.
-func (t *Table) SetNextRowID(rid rel.RowID) {
-	t.recMu.Lock()
-	defer t.recMu.Unlock()
-	t.fastForwardLocked(uint64(rid))
-}
-
 // MaxFrozenRowID returns the frozen frontier (§5.2).
 func (t *Table) MaxFrozenRowID() rel.RowID { return rel.RowID(t.maxFrozenRowID.Load()) }
 

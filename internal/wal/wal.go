@@ -81,6 +81,10 @@ const (
 	RecCommit
 	// RecAbort marks a transaction abort.
 	RecAbort
+	// RecCatalog logs a CREATE TABLE or CREATE INDEX (payload: the
+	// definition, encoded by internal/core). It belongs to no transaction:
+	// it is durable once flushed.
+	RecCatalog
 )
 
 // String implements fmt.Stringer.
@@ -96,6 +100,8 @@ func (t RecordType) String() string {
 		return "COMMIT"
 	case RecAbort:
 		return "ABORT"
+	case RecCatalog:
+		return "CATALOG"
 	default:
 		return fmt.Sprintf("REC(%d)", uint8(t))
 	}
@@ -612,9 +618,6 @@ type Manager struct {
 	// waits receives wait-event stamps for commit flushes; may be nil.
 	waits *waitevent.Slots
 }
-
-// Broken reports whether the log has failed stop.
-func (m *Manager) Broken() bool { return m.broken.Load() }
 
 // Flushes returns the number of non-empty buffer drains across all writers.
 func (m *Manager) Flushes() int64 { return m.flushes.Load() }

@@ -1,16 +1,15 @@
 package wire_test
 
-// The HTTP side of the front door (/metrics, /slowlog) and the DDL journal,
+// The HTTP side of the front door (/metrics, /slowlog) and DDL durability,
 // each driven end to end through wire.Server and the client package.
 
 import (
 	"bytes"
 	"io"
 	"log"
+	"net"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"strconv"
 	"strings"
 	"sync"
@@ -228,56 +227,51 @@ func TestSlowTxnTracer(t *testing.T) {
 	}
 }
 
-// TestJournalDDLFirst drives DDL through the server's journal and checks
-// the journal-first ordering: successful statements are recorded, a
-// failing statement is recorded then revoked, and replay reconstructs
-// exactly the surviving schema.
-func TestJournalDDLFirst(t *testing.T) {
-	db := openDB(t, phoebedb.Options{})
-	jpath := filepath.Join(t.TempDir(), "schema.sql")
-	j, err := wire.OpenJournal(jpath)
+// TestDDLOverWireSurvivesRestart: DDL is routed on CREATE followed by any
+// whitespace — a tab, a newline, a statement spanning lines — and is logged
+// like every other change, so a restarted server recovers the table, its
+// index and its rows with nothing declared before Recover.
+func TestDDLOverWireSurvivesRestart(t *testing.T) {
+	opts := phoebedb.Options{Dir: t.TempDir(), Workers: 2, SlotsPerWorker: 8}
+	db, err := phoebedb.Open(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer j.Close()
-	addr, _ := startWire(t, db, func(s *wire.Server) { s.Journal = j })
-	c := dial(t, addr)
-
-	if _, err := c.Exec("CREATE TABLE j (a INT)"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Exec("INSERT INTO j VALUES (1)"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Exec("CREATE INDEX j_a ON j (a)"); err != nil {
-		t.Fatal(err)
-	}
-	// A duplicate CREATE fails to apply: it must be recorded, then
-	// revoked, so replay does not resurrect it.
-	if _, err := c.Exec("CREATE TABLE j (a INT)"); err == nil {
-		t.Fatal("duplicate CREATE TABLE succeeded")
-	}
-
-	raw, err := os.ReadFile(jpath)
+	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	lines := strings.Split(strings.TrimSpace(string(raw)), "\n")
-	if len(lines) != 4 || !strings.HasPrefix(lines[0], "CREATE TABLE") ||
-		!strings.HasPrefix(lines[1], "CREATE INDEX") ||
-		!strings.HasPrefix(lines[2], "CREATE TABLE") || lines[3] != "--revoke" {
-		t.Fatalf("journal file = %q", lines)
+	srv := wire.NewServer(db)
+	go srv.Serve(l)
+	c, err := client.Dial(l.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range []string{
+		"CREATE\tTABLE j (a INT,\n  b STRING)",
+		"CREATE\nUNIQUE INDEX j_a\nON j (a)",
+		"INSERT INTO j VALUES (1, 'x'), (2, 'y')",
+	} {
+		if _, err := c.Exec(q); err != nil {
+			t.Fatalf("%q: %v", q, err)
+		}
+	}
+	c.Close()
+	srv.Shutdown(l)
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
 	}
 
-	var replayed []string
-	n, err := j.Replay(func(stmt string) error {
-		replayed = append(replayed, stmt)
-		return nil
-	})
-	if err != nil || n != 2 {
-		t.Fatalf("replay = (%d, %v)", n, err)
+	db = openDB(t, opts)
+	if _, err := db.Recover(); err != nil {
+		t.Fatal(err)
 	}
-	if !strings.HasPrefix(replayed[0], "CREATE TABLE") || !strings.HasPrefix(replayed[1], "CREATE INDEX") {
-		t.Fatalf("replayed = %v", replayed)
+	if tbl, err := db.Engine().Table("j"); err != nil || tbl.Index("j_a") == nil {
+		t.Fatalf("after restart: table j = %v, %v", tbl, err)
+	}
+	addr, _ := startWire(t, db, nil)
+	res, err := dial(t, addr).Exec("SELECT b FROM j WHERE a = 2")
+	if err != nil || len(res.Rows) != 1 || res.Rows[0][0] != "y" {
+		t.Fatalf("after restart: %+v, %v", res, err)
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unicode"
 	"unsafe"
 
 	phoebedb "phoebedb"
@@ -21,9 +22,6 @@ import (
 // before calling Serve; zero values get production defaults.
 type Server struct {
 	DB *phoebedb.DB
-	// Journal, if set, persists DDL under the journal-first protocol so
-	// schema survives restarts (see Journal).
-	Journal *Journal
 
 	// MaxConnections caps accepted connections; excess connects receive a
 	// TOO_MANY_CONNECTIONS error frame and are closed. Default 10000.
@@ -213,8 +211,8 @@ func (s *Server) Shutdown(l net.Listener) {
 		for _, c := range open {
 			s.closeConn(c)
 		}
+		s.wg.Wait() // readers first: one still ingesting may start a session
 		s.sessWg.Wait()
-		s.wg.Wait()
 		s.pollerShutdown()
 	})
 }
@@ -625,11 +623,12 @@ func (s *Server) runSession(c *conn, ps *phoebedb.PoolSession) {
 }
 
 // isDDL mirrors the SQL layer's DDL set (CREATE TABLE / CREATE INDEX)
-// with a prefix test, so the front end can route DDL through the schema
-// journal without parsing twice.
+// with a prefix test — CREATE followed by whitespace, as the lexer reads it
+// — so the front end can route DDL outside the session without parsing
+// twice.
 func isDDL(q string) bool {
 	q = strings.TrimSpace(q)
-	return len(q) >= 7 && strings.EqualFold(q[:7], "create ")
+	return len(q) > 6 && strings.EqualFold(q[:6], "create") && unicode.IsSpace(rune(q[6]))
 }
 
 // borrowString views b as a string without copying it. The caller
@@ -665,20 +664,8 @@ func (s *Server) execute(c *conn, ps *phoebedb.PoolSession, req *request, dst []
 			if ps.InTxn() {
 				return AppendError(dst, ErrCodeTxn, "DDL is not transactional"), false
 			}
-			// DDL keeps its text (journal, catalog names): give it its own.
-			query := string(req.body)
-			var res phoebedb.SQLResult
-			apply := func() error {
-				var aerr error
-				res, aerr = s.DB.ExecSQL(query)
-				return aerr
-			}
-			var err error
-			if s.Journal != nil {
-				err = s.Journal.Exec(query, apply)
-			} else {
-				err = apply()
-			}
+			// DDL keeps its text (catalog names): give it its own.
+			res, err := s.DB.ExecSQL(string(req.body))
 			if err != nil {
 				return AppendError(dst, ErrCodeSQL, err.Error()), false
 			}

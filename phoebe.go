@@ -99,9 +99,6 @@ type Options struct {
 	// SlotsPerWorker is the task-slot count per worker (default 32, the
 	// paper's evaluated setting).
 	SlotsPerWorker int
-	// Sessions reserves extra dedicated slots for interactive Session use
-	// (default 4).
-	Sessions int
 	// BufferBytes is the Main Storage budget (default 256 MiB).
 	BufferBytes int64
 	// PageSize / PageCap tune the data page geometry (defaults 32 KiB /
@@ -126,10 +123,6 @@ type Options struct {
 	// ColdCacheBytes bounds the per-table LRU of decompressed cold-segment
 	// blocks (0 = default 4 MiB).
 	ColdCacheBytes int64
-	// PlanCacheSize bounds the prepared-statement plan cache (number of
-	// cached statement shapes per database; default 256, negative
-	// disables caching).
-	PlanCacheSize int
 	// SlowTxnThreshold arms the slow-transaction log: transactions slower
 	// than this are captured with their full component breakdown (see
 	// SlowLog). Zero leaves it off.
@@ -161,11 +154,10 @@ type DB struct {
 	opts   Options
 
 	maintainMu sync.Mutex // serializes system-slot maintenance work
-	sysSlot    int        // reserved slot for warming / system txns
+	sysSlot    int        // the engine's last slot: warming, catalog records
 
 	sessMu   sync.Mutex
 	sessNext int
-	sessMax  int
 
 	archiver *backup.Archiver
 	archErrs atomic.Int64
@@ -186,8 +178,7 @@ type DB struct {
 	statExtraMu sync.RWMutex
 	statExtras  map[string]func() (*Schema, []Row)
 
-	// planCache holds prepared-statement templates shared by all sessions;
-	// nil when Options.PlanCacheSize is negative.
+	// planCache holds prepared-statement templates shared by all sessions.
 	planCache *sql.PlanCache
 	// scratch holds each task slot's statement scratch (normalized key,
 	// bound literals, plan lists): a statement runs on one slot and a slot
@@ -198,20 +189,25 @@ type DB struct {
 	sqlCounters sql.Counters
 }
 
-// Open creates or opens a database.
+// sessions is the number of task slots reserved for Session use, and
+// planCacheSize the number of statement shapes the plan cache holds.
+const (
+	sessions      = 4
+	planCacheSize = 256
+)
+
+// Open creates or opens a database. To reopen an existing directory, call
+// Recover before the first transaction.
 func Open(opts Options) (*DB, error) {
 	if opts.SlotsPerWorker <= 0 {
 		opts.SlotsPerWorker = 32
-	}
-	if opts.Sessions <= 0 {
-		opts.Sessions = 4
 	}
 	workers := opts.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	poolSlots := workers * opts.SlotsPerWorker
-	totalSlots := poolSlots + opts.Sessions + 1 // +1 system slot
+	totalSlots := poolSlots + sessions + 1 // the system slot is the last
 	spw := opts.SlotsPerWorker
 	groupWait := opts.GroupCommitWait
 	if groupWait == 0 && opts.WALSync {
@@ -248,7 +244,7 @@ func Open(opts Options) (*DB, error) {
 		// into ~one fsync. Session and system slots keep private
 		// files — they are interactive and must not convoy behind
 		// pool commits.
-		WALGroups: 1 + opts.Sessions + 1,
+		WALGroups: 1 + sessions + 1,
 		WALGroupOf: func(slot int) int {
 			if slot < poolSlots {
 				return 0
@@ -264,9 +260,8 @@ func Open(opts Options) (*DB, error) {
 		engine:    eng,
 		rec:       metrics.NewRecorder(),
 		opts:      opts,
-		sysSlot:   poolSlots,
-		sessNext:  poolSlots + 1,
-		sessMax:   totalSlots,
+		sysSlot:   totalSlots - 1,
+		sessNext:  poolSlots,
 		waits:     waits,
 		stmtStats: metrics.NewStmtStats(0),
 	}
@@ -299,13 +294,7 @@ func Open(opts Options) (*DB, error) {
 		}
 		go db.archiveLoop(interval)
 	}
-	cacheSize := opts.PlanCacheSize
-	if cacheSize == 0 {
-		cacheSize = 256
-	}
-	if cacheSize > 0 {
-		db.planCache = sql.NewPlanCache(cacheSize)
-	}
+	db.planCache = sql.NewPlanCache(planCacheSize)
 	db.pool = sched.New(sched.Config{
 		Workers:        workers,
 		SlotsPerWorker: opts.SlotsPerWorker,
@@ -397,7 +386,7 @@ func (db *DB) StmtStats() *metrics.StmtStats { return db.stmtStats }
 // cached access path may be stale against the new catalog.
 func (db *DB) CreateTable(name string, schema *Schema) error {
 	_, err := db.engine.CreateTable(name, schema)
-	if err == nil && db.planCache != nil {
+	if err == nil {
 		db.planCache.Invalidate()
 	}
 	return err
@@ -413,14 +402,16 @@ func (db *DB) CreateTable(name string, schema *Schema) error {
 // core.ErrDuplicate and leaves no trace.
 func (db *DB) CreateIndex(table, index string, cols []string, unique bool) error {
 	_, err := db.engine.CreateIndexOnline(table, index, cols, unique, db.Execute)
-	if err == nil && db.planCache != nil {
+	if err == nil {
 		db.planCache.Invalidate()
 	}
 	return err
 }
 
-// Recover replays the WAL into the declared schema; call after DDL and
-// before transactions when reopening an existing directory.
+// Recover rebuilds the catalog and the data from the checkpoint image and
+// the WAL; call it before transactions when reopening an existing
+// directory. Tables and indexes declared before it must match what it
+// recovers (see internal/core Recover).
 func (db *DB) Recover() (int, error) { return db.engine.Recover() }
 
 // Execute runs fn as one transaction on a pool task slot: commit on nil,
@@ -615,13 +606,12 @@ type Session struct {
 	metrics *metrics.SlotMetrics
 }
 
-// Session allocates a session slot. It fails once Options.Sessions slots
-// are taken.
+// Session allocates a session slot. It fails once all four are taken.
 func (db *DB) Session() (*Session, error) {
 	db.sessMu.Lock()
 	defer db.sessMu.Unlock()
-	if db.sessNext >= db.sessMax {
-		return nil, fmt.Errorf("phoebedb: all %d session slots in use", db.opts.Sessions)
+	if db.sessNext >= db.sysSlot { // session slots end where the system slot begins
+		return nil, fmt.Errorf("phoebedb: all %d session slots in use", sessions)
 	}
 	s := &Session{db: db, slot: db.sessNext, metrics: db.rec.NewSlot()}
 	db.sessNext++

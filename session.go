@@ -102,8 +102,8 @@ func (ps *PoolSession) Rollback() error {
 // the scan produces them and returning the rows returned or affected.
 // Inside an explicit transaction the statement joins it; otherwise it runs
 // as its own auto-commit transaction on the session's slot. DDL is rejected
-// — the wire layer routes DDL through DB.ExecSQL (plus the schema journal)
-// instead. query is only read during the call, never retained.
+// — the wire layer routes DDL through DB.ExecSQL instead. query is only
+// read during the call, never retained.
 func (ps *PoolSession) ExecSQL(query string, sink sql.RowSink) (int, error) {
 	if ps.tx != nil {
 		return ps.db.execTx(ps.tx, query, sink)

@@ -63,13 +63,13 @@ func (c sqlCatalog) IndexInfo(table string) ([]sql.IndexMeta, error) {
 // ExecSQL parses and executes one SQL statement. DDL (CREATE TABLE /
 // CREATE INDEX) applies immediately; DML runs as one transaction on the
 // co-routine pool. Repeated statement shapes hit the prepared-statement
-// plan cache, skipping the parser and planner (see Options.PlanCacheSize).
+// plan cache, skipping the parser and planner.
 // The supported subset is documented in internal/sql. The Result is the
 // caller's: its rows and column list are copies.
 func (db *DB) ExecSQL(query string) (SQLResult, error) {
 	// The cache lookup runs on the caller's goroutine, before a slot is
 	// held, so it cannot use a slot's scratch.
-	cs, params, ok := db.prepare(query, new(sql.Scratch))
+	cs, params, ok := db.planCache.Prepare(query, new(sql.Scratch))
 	var stmt sql.Stmt
 	var fp string
 	if ok {
@@ -110,7 +110,7 @@ func (db *DB) ExecSQLTx(tx *Tx, query string) (SQLResult, error) {
 // transaction's slot and uses that slot's statement scratch throughout, so
 // a plan-cache hit allocates nothing here. query is only read, never kept.
 func (db *DB) execTx(tx *Tx, query string, sink sql.RowSink) (int, error) {
-	if cs, params, ok := db.prepare(query, db.scratch[tx.Slot()]); ok {
+	if cs, params, ok := db.planCache.Prepare(query, db.scratch[tx.Slot()]); ok {
 		return db.runStmt(tx, cs, params, nil, cs.Fingerprint(), sink)
 	}
 	// Past the plan cache the text is kept — parsed identifiers and
@@ -144,21 +144,7 @@ func (db *DB) runStmt(tx *Tx, cs *sql.CachedStmt, params []Value, stmt sql.Stmt,
 }
 
 // PlanCacheStats reports the prepared-statement plan cache's hit and miss
-// counts (both zero when the cache is disabled).
+// counts.
 func (db *DB) PlanCacheStats() (hits, misses int64) {
-	if db.planCache == nil {
-		return 0, 0
-	}
 	return db.planCache.Hits(), db.planCache.Misses()
-}
-
-// prepare consults the plan cache. ok=false sends the statement down the
-// parse path: the cache is disabled, the statement is DDL, or it contains
-// something the normalizer does not handle (including syntax errors, so
-// the parser reports them against the original text).
-func (db *DB) prepare(query string, sc *sql.Scratch) (*sql.CachedStmt, []Value, bool) {
-	if db.planCache == nil {
-		return nil, nil, false
-	}
-	return db.planCache.Prepare(query, sc)
 }

@@ -107,21 +107,6 @@ func TestPlanCacheConcurrentSessions(t *testing.T) {
 	}
 }
 
-// PlanCacheSize < 0 disables the cache entirely; every statement takes the
-// parse path and behaves identically.
-func TestPlanCacheDisabled(t *testing.T) {
-	db := openTestDB(t, Options{PlanCacheSize: -1})
-	if db.planCache != nil {
-		t.Fatal("plan cache allocated despite PlanCacheSize=-1")
-	}
-	execOrFatal(t, db, "CREATE TABLE t (id INT)")
-	execOrFatal(t, db, "INSERT INTO t VALUES (1)")
-	res := execOrFatal(t, db, "SELECT * FROM t WHERE id = 1")
-	if len(res.Rows) != 1 {
-		t.Fatalf("rows = %+v", res.Rows)
-	}
-}
-
 // ExecSQLTx shares the database-wide cache with ExecSQL.
 func TestPlanCacheSessionPath(t *testing.T) {
 	db := openTestDB(t, Options{})

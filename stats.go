@@ -69,10 +69,8 @@ func buildRegistry(db *DB) *metrics.Registry {
 	reg.Counter("phoebe_mvcc_chain_walks_total", "Visibility checks that had to walk the UNDO version chain.", st.MVCCChainWalks.Load)
 	reg.Counter("phoebe_mvcc_chain_links_total", "UNDO links traversed across all chain walks.", st.MVCCChainLinks.Load)
 
-	if db.planCache != nil {
-		reg.Counter("phoebe_sql_plan_cache_hits_total", "SQL statements served from a cached prepared-statement template.", db.planCache.Hits)
-		reg.Counter("phoebe_sql_plan_cache_misses_total", "Cacheable SQL statements that had to lex, parse, and plan.", db.planCache.Misses)
-	}
+	reg.Counter("phoebe_sql_plan_cache_hits_total", "SQL statements served from a cached prepared-statement template.", db.planCache.Hits)
+	reg.Counter("phoebe_sql_plan_cache_misses_total", "Cacheable SQL statements that had to lex, parse, and plan.", db.planCache.Misses)
 	reg.Counter("phoebe_sql_join_rows_total", "Combined rows emitted by SQL JOIN executions.", db.sqlCounters.JoinRows.Load)
 	reg.Counter("phoebe_sql_sorts_total", "In-memory sorts run for ORDER BY.", db.sqlCounters.Sorts.Load)
 	reg.Counter("phoebe_sql_sort_avoided_total", "ORDER BY queries served directly in index scan order.", db.sqlCounters.SortAvoided.Load)
