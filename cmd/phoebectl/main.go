@@ -11,6 +11,9 @@
 //	phoebe> stats
 //	phoebe> quit
 //
+// -dir names a database directory, created if missing; a later session on
+// the same directory recovers its tables, indexes and rows from the log.
+//
 // It also carries one-shot backup tooling (no shell):
 //
 //	$ phoebectl backup create  -dir /var/lib/phoebe -archive /backups/phoebe
@@ -55,7 +58,7 @@ func main() {
 		defer os.RemoveAll(tmp)
 		d = tmp
 	}
-	db, err := phoebedb.Open(phoebedb.Options{Dir: d, Workers: 2, SlotsPerWorker: 4})
+	db, err := openDB(d, os.Stdout)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
@@ -76,20 +79,40 @@ func main() {
 		if line == "quit" || line == "exit" {
 			return
 		}
-		if err := run(db, line); err != nil {
+		if err := run(db, os.Stdout, line); err != nil {
 			fmt.Println("error:", err)
 		}
 	}
 }
 
-func run(db *phoebedb.DB, line string) error {
+// openDB opens the database in dir, creating the directory if it does not
+// exist, and recovers it: the tables, indexes and rows of earlier sessions
+// come back from the log, and the DDL of this one is logged.
+func openDB(dir string, w io.Writer) (*phoebedb.DB, error) {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return nil, err
+	}
+	db, err := phoebedb.Open(phoebedb.Options{Dir: dir, Workers: 2, SlotsPerWorker: 4})
+	if err != nil {
+		return nil, err
+	}
+	n, err := db.Recover()
+	if err != nil {
+		db.Close()
+		return nil, fmt.Errorf("recover: %w", err)
+	}
+	fmt.Fprintf(w, "recovered %d log records\n", n)
+	return db, nil
+}
+
+func run(db *phoebedb.DB, w io.Writer, line string) error {
 	fields := strings.Fields(line)
 	switch strings.ToLower(fields[0]) {
 	case "select", "update", "explain":
 		// Full SQL statements route through the SQL layer.
-		return runSQL(db, line)
+		return runSQL(db, w, line)
 	case "help":
-		fmt.Println(`commands (SQL or shell style):
+		fmt.Fprintln(w, `commands (SQL or shell style):
   any SQL:  CREATE TABLE/INDEX, INSERT INTO, SELECT, UPDATE, DELETE FROM
   sql <statement>   force SQL parsing
   create table <name> (<col> <int|string|float>, ...)
@@ -109,34 +132,34 @@ func run(db *phoebedb.DB, line string) error {
 		// syntax (create table t (a int, ...)) is detected by the missing
 		// ON/column types and still handled below.
 		if strings.Contains(strings.ToLower(line), " table ") || strings.Contains(strings.ToLower(line), " index ") {
-			if err := runSQL(db, line); err == nil {
+			if err := runSQL(db, w, line); err == nil {
 				return nil
 			}
 		}
-		return create(db, line)
+		return create(db, w, line)
 	case "insert":
 		if strings.Contains(strings.ToLower(line), " into ") {
-			return runSQL(db, line)
+			return runSQL(db, w, line)
 		}
-		return insert(db, fields[1], fields[2:])
+		return insert(db, w, fields[1], fields[2:])
 	case "get":
-		return get(db, fields)
+		return get(db, w, fields)
 	case "scan":
-		return scan(db, fields[1])
+		return scan(db, w, fields[1])
 	case "delete":
 		if strings.Contains(strings.ToLower(line), " from ") {
-			return runSQL(db, line)
+			return runSQL(db, w, line)
 		}
-		return del(db, fields)
+		return del(db, w, fields)
 	case "freeze":
 		n, err := db.Freeze(64, 1<<20)
-		fmt.Println("froze", n, "rows")
+		fmt.Fprintln(w, "froze", n, "rows")
 		return err
 	case "gc":
-		fmt.Println("reclaimed", db.CollectGarbage(), "undo records")
+		fmt.Fprintln(w, "reclaimed", db.CollectGarbage(), "undo records")
 		return nil
 	case "sql":
-		return runSQL(db, strings.TrimSpace(line[3:]))
+		return runSQL(db, w, strings.TrimSpace(line[3:]))
 	case "stats":
 		if len(fields) > 1 && (fields[1] == "-top" || fields[1] == "top") {
 			n := 10
@@ -145,16 +168,16 @@ func run(db *phoebedb.DB, line string) error {
 					n = v
 				}
 			}
-			return statsTop(db, os.Stdout, n)
+			return statsTop(db, w, n)
 		}
 		// Summary line first, then the full registry dump.
 		st := db.Stats()
-		fmt.Printf("txns=%d resident=%dB dataR=%dB dataW=%dB wal=%dB\n\n",
+		fmt.Fprintf(w, "txns=%d resident=%dB dataR=%dB dataW=%dB wal=%dB\n\n",
 			st.TasksExecuted, st.BufferResidentBytes, st.DataReadBytes, st.DataWriteBytes, st.WALWriteBytes)
-		db.Metrics().WriteHuman(os.Stdout)
+		db.Metrics().WriteHuman(w)
 		if traces := db.SlowLog().Recent(); len(traces) > 0 {
-			fmt.Println("\nrecent slow transactions:")
-			db.SlowLog().Dump(os.Stdout)
+			fmt.Fprintln(w, "\nrecent slow transactions:")
+			db.SlowLog().Dump(w)
 		}
 		return nil
 	default:
@@ -194,28 +217,28 @@ func statsTop(db *phoebedb.DB, w io.Writer, n int) error {
 }
 
 // runSQL executes a SQL statement and prints its result.
-func runSQL(db *phoebedb.DB, query string) error {
+func runSQL(db *phoebedb.DB, w io.Writer, query string) error {
 	res, err := db.ExecSQL(query)
 	if err != nil {
 		return err
 	}
 	if res.Columns != nil {
-		fmt.Println(strings.Join(res.Columns, " | "))
+		fmt.Fprintln(w, strings.Join(res.Columns, " | "))
 		for _, row := range res.Rows {
 			parts := make([]string, len(row))
 			for i, v := range row {
 				parts[i] = v.String()
 			}
-			fmt.Println(strings.Join(parts, " | "))
+			fmt.Fprintln(w, strings.Join(parts, " | "))
 		}
-		fmt.Printf("(%d rows)\n", len(res.Rows))
+		fmt.Fprintf(w, "(%d rows)\n", len(res.Rows))
 		return nil
 	}
-	fmt.Printf("ok (%d rows affected)\n", res.Affected)
+	fmt.Fprintf(w, "ok (%d rows affected)\n", res.Affected)
 	return nil
 }
 
-func create(db *phoebedb.DB, line string) error {
+func create(db *phoebedb.DB, w io.Writer, line string) error {
 	// create table <name> (a int, b string) | create index <name> on <t> (a, b) [unique]
 	open := strings.Index(line, "(")
 	closeP := strings.LastIndex(line, ")")
@@ -252,7 +275,7 @@ func create(db *phoebedb.DB, line string) error {
 		if err := db.CreateTable(head[2], phoebedb.NewSchema(cols...)); err != nil {
 			return err
 		}
-		fmt.Println("created table", head[2])
+		fmt.Fprintln(w, "created table", head[2])
 		return nil
 	case "index":
 		if len(head) < 5 || head[3] != "on" {
@@ -266,7 +289,7 @@ func create(db *phoebedb.DB, line string) error {
 		if err := db.CreateIndex(head[4], head[2], cols, unique); err != nil {
 			return err
 		}
-		fmt.Println("created index", head[2])
+		fmt.Fprintln(w, "created index", head[2])
 		return nil
 	default:
 		return fmt.Errorf("create what?")
@@ -315,7 +338,7 @@ func parseLoose(words []string) []phoebedb.Value {
 	return out
 }
 
-func insert(db *phoebedb.DB, table string, words []string) error {
+func insert(db *phoebedb.DB, w io.Writer, table string, words []string) error {
 	tbl, err := db.Engine().Table(table)
 	if err != nil {
 		return err
@@ -327,13 +350,13 @@ func insert(db *phoebedb.DB, table string, words []string) error {
 	return db.Execute(func(tx *phoebedb.Tx) error {
 		rid, err := tx.Insert(table, phoebedb.Row(vals))
 		if err == nil {
-			fmt.Println("row_id", rid)
+			fmt.Fprintln(w, "row_id", rid)
 		}
 		return err
 	})
 }
 
-func get(db *phoebedb.DB, fields []string) error {
+func get(db *phoebedb.DB, w io.Writer, fields []string) error {
 	if len(fields) < 4 {
 		return fmt.Errorf("usage: get <table> <index> <key...>")
 	}
@@ -343,30 +366,30 @@ func get(db *phoebedb.DB, fields []string) error {
 			return err
 		}
 		if !found {
-			fmt.Println("(not found)")
+			fmt.Fprintln(w, "(not found)")
 			return nil
 		}
-		fmt.Printf("row_id %d: %v\n", rid, row)
+		fmt.Fprintf(w, "row_id %d: %v\n", rid, row)
 		return nil
 	})
 }
 
-func scan(db *phoebedb.DB, table string) error {
+func scan(db *phoebedb.DB, w io.Writer, table string) error {
 	return db.Execute(func(tx *phoebedb.Tx) error {
 		n := 0
 		err := tx.ScanTable(table, func(rid phoebedb.RowID, row phoebedb.Row) bool {
-			fmt.Printf("  %d: %v\n", rid, row)
+			fmt.Fprintf(w, "  %d: %v\n", rid, row)
 			n++
 			return n < 100
 		})
 		if n == 100 {
-			fmt.Println("  ... (truncated at 100 rows)")
+			fmt.Fprintln(w, "  ... (truncated at 100 rows)")
 		}
 		return err
 	})
 }
 
-func del(db *phoebedb.DB, fields []string) error {
+func del(db *phoebedb.DB, w io.Writer, fields []string) error {
 	if len(fields) < 4 {
 		return fmt.Errorf("usage: delete <table> <index> <key...>")
 	}
@@ -376,13 +399,13 @@ func del(db *phoebedb.DB, fields []string) error {
 			return err
 		}
 		if !found {
-			fmt.Println("(not found)")
+			fmt.Fprintln(w, "(not found)")
 			return nil
 		}
 		if err := tx.Delete(fields[1], rid); err != nil {
 			return err
 		}
-		fmt.Println("deleted row_id", rid)
+		fmt.Fprintln(w, "deleted row_id", rid)
 		return nil
 	})
 }

@@ -75,7 +75,7 @@ type Config struct {
 	// LockTimeout bounds lock waits; expiry aborts the waiter (deadlock
 	// recovery). Default 2s.
 	LockTimeout time.Duration
-	// ColdCacheBytes bounds the per-table decompressed cold-block LRU
+	// ColdCacheBytes bounds the per-table decoded cold-block LRU
 	// (0 = frozen.DefaultCacheBytes).
 	ColdCacheBytes int64
 	// PartitionOf maps a task slot to its worker's buffer partition, so a

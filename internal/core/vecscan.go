@@ -92,9 +92,11 @@ func (tx *Tx) tableForScan(tableName string) (*Tbl, error) {
 // the predicates refute); a hot page arrives after qualifyPage. Either way
 // FilterFixed narrows sel by preds — every predicate column must be
 // fixed-width — and batch consumes the survivors straight from the strips.
-// Residue rows are rebuilt by ReadVisibleAt, checked against preds and
-// handed to row. Either callback stops the scan by returning false.
-func (tx *Tx) scanTable(t *Tbl, preds []rel.ColPred,
+// strs says whether batch reads any string column; without it cold blocks
+// arrive with no strings decoded. Residue rows are rebuilt by
+// ReadVisibleAt, checked against preds and handed to row. Either callback
+// stops the scan by returning false.
+func (tx *Tx) scanTable(t *Tbl, preds []rel.ColPred, strs bool,
 	batch func(ids []rel.RowID, page *pax.Page, sel pax.Sel) (bool, error),
 	row func(rid rel.RowID, row rel.Row) bool) error {
 	var cbErr error
@@ -107,7 +109,7 @@ func (tx *Tx) scanTable(t *Tbl, preds []rel.ColPred,
 		stopped = !cont || cbErr != nil
 		return !stopped
 	}
-	if err := t.Frozen.ScanBlocks(preds, filtered); err != nil {
+	if err := t.Frozen.ScanBlocks(preds, strs, filtered); err != nil {
 		return err
 	}
 	if stopped {
@@ -163,7 +165,7 @@ func (tx *Tx) ScanTableFiltered(tableName string, preds []rel.ColPred, fn func(r
 		return err
 	}
 	buf := make(rel.Row, t.Schema.NumCols())
-	return tx.scanTable(t, preds, func(ids []rel.RowID, page *pax.Page, sel pax.Sel) (bool, error) {
+	return tx.scanTable(t, preds, true, func(ids []rel.RowID, page *pax.Page, sel pax.Sel) (bool, error) {
 		cont := true
 		sel.ForEach(func(i int) bool {
 			page.ReadRowInto(i, buf)
@@ -183,8 +185,12 @@ func (tx *Tx) AggTableFiltered(tableName string, preds []rel.ColPred, specs []re
 	if err != nil {
 		return nil, 0, err
 	}
+	strs := false // does any aggregate read a string column?
+	for _, sp := range specs {
+		strs = strs || (sp.Op != rel.AggOpCount && t.Schema.Cols[sp.Col].Type.FixedWidth() == 0)
+	}
 	agg := pax.NewAggState(specs)
-	err = tx.scanTable(t, preds, func(_ []rel.RowID, page *pax.Page, sel pax.Sel) (bool, error) {
+	err = tx.scanTable(t, preds, strs, func(_ []rel.RowID, page *pax.Page, sel pax.Sel) (bool, error) {
 		err := agg.Fold(page, sel)
 		return err == nil, err
 	}, func(_ rel.RowID, row rel.Row) bool {

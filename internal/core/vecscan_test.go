@@ -1,11 +1,13 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
 	"testing"
 
+	"phoebedb/internal/frozen"
 	"phoebedb/internal/rel"
 	"phoebedb/internal/txn"
 )
@@ -306,6 +308,62 @@ func TestAggTableFilteredEmpty(t *testing.T) {
 		[]rel.AggSpec{{Op: rel.AggOpCount}, {Op: rel.AggOpSum, Col: 2}})
 	if err != nil || n != 0 {
 		t.Fatalf("empty agg = (%d, %v), want (0, nil)", n, err)
+	}
+}
+
+// An aggregate whose predicates and aggregates read only fixed-width
+// columns inflates no cold block's var stream, and still agrees with the
+// row path; one over the string column inflates them.
+func TestAggOverColdFixedColumnsInflatesNoStrings(t *testing.T) {
+	e := openTestEngine(t, Config{PageCap: 8})
+	setupAccounts(t, e)
+	tb, err := e.Table("accounts")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tb.Frozen.BlockRows = 8
+	tb.Frozen.CacheBytes = 1 // the reference's Gets leave the scans one cached block
+	tx := begin(e, 0)
+	for i := 1; i <= 64; i++ {
+		if _, err := tx.Insert("accounts", acct(i, fmt.Sprintf("owner-%02d", i), float64(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	e.CollectGarbage()
+	e.CollectGarbage()
+	if n, err := e.FreezeTables(6, 1<<20); err != nil || n < 40 {
+		t.Fatalf("FreezeTables = (%d, %v), want most rows frozen", n, err)
+	}
+	preds := []rel.ColPred{{Col: 0, Op: rel.CmpGe, Val: rel.Int(5)}, {Col: 0, Op: rel.CmpLe, Val: rel.Int(50)}}
+	var wantSum float64
+	var wantN int64
+	r := begin(e, 1)
+	defer r.Rollback()
+	pointScan(t, r, preds, func(row rel.Row) {
+		wantSum += row[2].F
+		wantN++
+	})
+	before := frozen.Inflates()
+	vals, n, err := r.AggTableFiltered("accounts", preds,
+		[]rel.AggSpec{{Op: rel.AggOpCount}, {Op: rel.AggOpSum, Col: 2}, {Op: rel.AggOpMax, Col: 0}})
+	if err != nil || n != wantN || vals[1].F != wantSum || vals[2].I != 50 {
+		t.Fatalf("agg = (%v, %d, %v), want count %d, sum %v, max 50", vals, n, err, wantN, wantSum)
+	}
+	if got := frozen.Inflates() - before; got != 0 {
+		t.Fatalf("a fixed-column aggregate inflated %d cold var streams, want 0", got)
+	}
+	if st := e.ColdStats(); st.ScanBlocks == 0 {
+		t.Fatalf("the aggregate read no cold block: %+v", st)
+	}
+	vals, _, err = r.AggTableFiltered("accounts", preds, []rel.AggSpec{{Op: rel.AggOpMax, Col: 1}})
+	if err != nil || vals[0].S != "owner-50" {
+		t.Fatalf("max(owner) = (%v, %v), want owner-50", vals, err)
+	}
+	if frozen.Inflates() == before {
+		t.Fatal("an aggregate over the string column inflated no var stream")
 	}
 }
 

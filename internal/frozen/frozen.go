@@ -1,18 +1,21 @@
 // Package frozen implements the Data Block File layer (§5.2) as a
 // levelled cold store: long-cold rows are demoted into immutable,
-// DEFLATE-compressed column-strip segments, primarily serving analytical
-// scans and rare point reads while keeping OLTP table scans from warming
-// the buffer pool.
+// compressed column-strip segments, primarily serving analytical scans
+// and rare point reads while keeping OLTP table scans from warming the
+// buffer pool.
 //
 // A segment is a run of consecutive rows — row_id order is preserved —
-// cut into independently compressed blocks of at most blockTargetBytes
-// (8 KiB) raw and DefaultBlockRows rows: what a cold point read inflates
-// to return one row. Each segment carries a block directory, a bloom
-// filter over its row_ids and min/max zone maps per fixed-width column,
-// for the segment and for each block, so a cold point read touches at
-// most one segment (bloom negatives touch zero) and decompresses one
-// block, and a scan decompresses only the blocks its predicates cannot
-// refute. Freeze emits
+// cut into independently decodable blocks of at most blockTargetBytes
+// (8 KiB) raw and DefaultBlockRows rows: what a cold point read decodes
+// to return one row. Within a block, row ids and integer columns are
+// frame-of-reference bit-packed, floats are raw words and only the
+// strings pass through DEFLATE, so a point read inflates one block's
+// strings and a scan over fixed-width columns inflates nothing. Each
+// segment carries a block directory, a bloom filter over its row_ids and
+// min/max zone maps per fixed-width column, for the segment and for each
+// block, so a cold point read touches at most one segment (bloom negatives
+// touch zero) and decodes one block, and a scan decodes only the blocks
+// its predicates cannot refute. Freeze emits
 // level-0 segments; a background compaction merges the oldest segments of
 // a level into one next-level segment, purging tombstones — row_ids grow
 // monotonically with freeze time, so per-level oldest-first merges keep
@@ -25,8 +28,8 @@
 // manifest written at checkpoint; between checkpoints recovery replays
 // them from the WAL. Each block counts its reads; once a block crosses
 // the warm threshold the engine extracts its surviving rows back into hot
-// storage. A byte-bounded LRU over decompressed blocks bounds repeated-
-// read cost of point reads; scans read it but never fill or reorder it.
+// storage. A byte-bounded LRU over decoded blocks bounds repeated-read
+// cost of point reads; scans read it but never fill or reorder it.
 package frozen
 
 import (
@@ -47,14 +50,16 @@ import (
 // engine should warm the block back into hot storage.
 const DefaultWarmReadThreshold = 1024
 
-// DefaultCacheBytes bounds the decompressed-block LRU (raw bytes).
+// DefaultCacheBytes bounds the decoded-block LRU (decoded bytes).
 const DefaultCacheBytes = 4 << 20
 
-// blockData is a decompressed block: row ids and a read-only page view
-// over the raw image (see decodeBlock). Shared once cached; never written.
+// blockData is a decoded block: row ids and a read-only page view over
+// the decoder's buffers (see decodeBlock). Shared once cached; never
+// written.
 type blockData struct {
 	ids  []rel.RowID
 	rows *pax.Page
+	size int64 // decoded bytes (ids, strips, var values): the LRU's charge
 }
 
 // ColdStats is a snapshot of one store's cold-tier counters.
@@ -105,9 +110,8 @@ type cacheKey struct {
 }
 
 type cacheEntry struct {
-	key   cacheKey
-	d     blockData
-	bytes int64
+	key cacheKey
+	d   blockData
 }
 
 // Store manages one table's cold segments.
@@ -116,7 +120,7 @@ type Store struct {
 	schema        *rel.Schema
 	WarmThreshold uint32
 
-	// CacheBytes bounds the decompressed-block LRU (0 = default).
+	// CacheBytes bounds the decoded-block LRU (0 = default).
 	CacheBytes int64
 	// Fanout is the per-level segment count that triggers a merge
 	// (0 = DefaultFanout).
@@ -285,13 +289,14 @@ func (s *Store) segmentForLocked(rid rel.RowID) *segment {
 	return s.segs[i]
 }
 
-// readBlock reads and decodes block bi from the block file.
-func (s *Store) readBlock(g *segment, bi int) (blockData, error) {
+// readBlock reads and decodes block bi from the block file; strs=false
+// skips a version-3 block's strings (see decodeBlock).
+func (s *Store) readBlock(g *segment, bi int, strs bool) (blockData, error) {
 	comp, err := s.bf.ReadBlock(g.bodyRef(bi))
 	if err != nil {
 		return blockData{}, err
 	}
-	d, err := decodeBlock(s.schema, comp, g.blocks[bi].rawLen)
+	d, err := decodeBlock(s.schema, g.version, comp, g.blocks[bi].rawLen, strs)
 	if err != nil {
 		return blockData{}, fmt.Errorf("frozen: segment block at %d: %w", g.ref.Offset, err)
 	}
@@ -313,7 +318,7 @@ func (s *Store) cached(g *segment, bi int, promote bool) (blockData, bool) {
 	return el.Value.(*cacheEntry).d, true
 }
 
-// loadBlock returns a decompressed block through the byte-bounded LRU —
+// loadBlock returns a decoded block through the byte-bounded LRU —
 // the point-read path; what the LRU holds is what point reads put there.
 func (s *Store) loadBlock(g *segment, bi int) (blockData, error) {
 	if d, ok := s.cached(g, bi, true); ok {
@@ -321,23 +326,23 @@ func (s *Store) loadBlock(g *segment, bi int) (blockData, error) {
 		return d, nil
 	}
 	s.cacheMiss.Add(1)
-	d, err := s.readBlock(g, bi)
+	d, err := s.readBlock(g, bi, true)
 	if err != nil {
 		return blockData{}, err
 	}
 	key := cacheKey{seg: g, idx: bi}
 	s.cacheMu.Lock()
 	if _, ok := s.cacheMap[key]; !ok {
-		el := s.cacheLRU.PushFront(&cacheEntry{key: key, d: d, bytes: int64(g.blocks[bi].rawLen)})
+		el := s.cacheLRU.PushFront(&cacheEntry{key: key, d: d})
 		s.cacheMap[key] = el
-		s.cacheUsed += int64(g.blocks[bi].rawLen)
+		s.cacheUsed += d.size
 		cap := s.cacheCapBytes()
 		for s.cacheUsed > cap && s.cacheLRU.Len() > 1 {
 			back := s.cacheLRU.Back()
 			e := back.Value.(*cacheEntry)
 			s.cacheLRU.Remove(back)
 			delete(s.cacheMap, e.key)
-			s.cacheUsed -= e.bytes
+			s.cacheUsed -= e.d.size
 		}
 	}
 	s.cacheMu.Unlock()
@@ -350,7 +355,7 @@ func (s *Store) dropCached(g *segment) {
 	s.cacheMu.Lock()
 	for key, el := range s.cacheMap {
 		if key.seg == g {
-			s.cacheUsed -= el.Value.(*cacheEntry).bytes
+			s.cacheUsed -= el.Value.(*cacheEntry).d.size
 			s.cacheLRU.Remove(el)
 			delete(s.cacheMap, key)
 		}
@@ -509,18 +514,20 @@ func (g *segment) snapshotDeleted() map[rel.RowID]bool {
 	return dels
 }
 
-// ScanBlocks streams decompressed column-strip blocks in row_id order
-// with a selection bitmap over live (non-tombstoned) slots — the one cold
-// scan entry point: FilterFixed/AggState fold directly over the strips.
+// ScanBlocks streams decoded column-strip blocks in row_id order with a
+// selection bitmap over live (non-tombstoned) slots — the one cold scan
+// entry point: FilterFixed/AggState fold directly over the strips.
 // Segments, then blocks, whose zone maps refute a predicate are skipped
 // without I/O. A block a point read left in the LRU is used in place but
 // not promoted; any other is decoded privately and never inserted, so a
-// scan cannot sweep the point-read cache. fn must not retain ids/page/sel
-// across calls (strings read from page may be kept: they alias the block's
-// raw image, which is never reused); returning false stops the scan.
-// Scanning does not bump warm counters: per §5.2, "operations like table
-// scans do not warm any data".
-func (s *Store) ScanBlocks(preds []rel.ColPred, fn func(ids []rel.RowID, page *pax.Page, sel pax.Sel) bool) error {
+// scan cannot sweep the point-read cache. strs says whether fn reads any
+// string column: without it a version-3 block's var stream is never
+// inflated, and reading a string column of such a page panics. fn must
+// not retain ids/page/sel across calls (strings read from page may be
+// kept: they alias the block's var values, which are never reused);
+// returning false stops the scan. Scanning does not bump warm counters:
+// per §5.2, "operations like table scans do not warm any data".
+func (s *Store) ScanBlocks(preds []rel.ColPred, strs bool, fn func(ids []rel.RowID, page *pax.Page, sel pax.Sel) bool) error {
 	s.mu.RLock()
 	segs := append([]*segment(nil), s.segs...)
 	s.mu.RUnlock()
@@ -540,7 +547,7 @@ func (s *Store) ScanBlocks(preds []rel.ColPred, fn func(ids []rel.RowID, page *p
 			d, ok := s.cached(g, bi, false)
 			if !ok {
 				var err error
-				if d, err = s.readBlock(g, bi); err != nil {
+				if d, err = s.readBlock(g, bi, strs); err != nil {
 					return err
 				}
 			}
@@ -568,7 +575,7 @@ func (s *Store) ScanBlocks(preds []rel.ColPred, fn func(ids []rel.RowID, page *p
 // ScanLive streams every live frozen row in row_id order — the
 // row-at-a-time form index rebuilds use, which read outside any snapshot.
 func (s *Store) ScanLive(fn func(rid rel.RowID, row rel.Row) bool) error {
-	return s.ScanBlocks(nil, func(ids []rel.RowID, page *pax.Page, sel pax.Sel) bool {
+	return s.ScanBlocks(nil, true, func(ids []rel.RowID, page *pax.Page, sel pax.Sel) bool {
 		for i := range ids {
 			if !sel.Has(i) {
 				continue
@@ -621,7 +628,7 @@ func (s *Store) Compact() (int, error) {
 	rows := 0
 	for i, g := range inputs {
 		for bi := range g.blocks {
-			d, err := s.readBlock(g, bi)
+			d, err := s.readBlock(g, bi, true)
 			if err != nil {
 				return 0, err
 			}

@@ -18,12 +18,18 @@ func testSchema() *rel.Schema {
 
 func newTestStore(t *testing.T) *Store {
 	t.Helper()
+	return newStoreWith(t, testSchema())
+}
+
+// newStoreWith opens a store of the schema over a fresh block file.
+func newStoreWith(t testing.TB, schema *rel.Schema) *Store {
+	t.Helper()
 	bf, err := storage.OpenBlockFile(filepath.Join(t.TempDir(), "frozen.blocks"), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { bf.Close() })
-	return NewStore(bf, testSchema())
+	return NewStore(bf, schema)
 }
 
 func batch(first, n int) ([]rel.RowID, []rel.Row) {

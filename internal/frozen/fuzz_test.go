@@ -68,11 +68,11 @@ func FuzzSegmentManifest(f *testing.F) {
 }
 
 // fuzzSegmentHeaders builds the hand-made FuzzSegmentHeader seeds: a
-// levelled version-2 header, a flat one, a version-1 header, the
+// levelled version-3 header, a flat one, a version-1 header, the
 // version-1 header of a table with no fixed-width column (zone section
-// present, zero zones — a spelling only version 1 has), and a version-2
+// present, zero zones — a spelling only version 1 has), a version-3
 // header of 200 blocks the builder cut at blockTargetBytes (three ~2.7 KB
-// rows each).
+// rows each), and the first header as version 2 wrote it.
 func fuzzSegmentHeaders(t testing.TB) [][]byte {
 	build := func(schema *rel.Schema, rows []rel.Row) []byte {
 		sb := newSegmentBuilder(schema, 1, 4)
@@ -89,21 +89,25 @@ func fuzzSegmentHeaders(t testing.TB) [][]byte {
 	}
 	ids, rows := batch(1, 10)
 	_, varRows := varBatch(10)
-	v2 := build(testSchema(), rows)
+	v3 := build(testSchema(), rows)
+	v2 := append([]byte(nil), v3...)
+	binary.LittleEndian.PutUint32(v2[4:], 2)
+	binary.LittleEndian.PutUint32(v2[len(v2)-4:], crc32.ChecksumIEEE(v2[:len(v2)-4]))
 	flat, hlen := flatSegment(t, testSchema(), ids[:6], rows[:6])
 	wide := make([]rel.Row, 600)
 	for i := range wide {
 		wide[i] = rel.Row{rel.Int(int64(i)), rel.Str(strings.Repeat(string(rune('a'+i%26)), 2700))}
 	}
-	return [][]byte{v2, flat[:hlen], v1Header(t, v2), v1Header(t, build(varSchema(), varRows)), build(testSchema(), wide)}
+	return [][]byte{v3, flat[:hlen], v1Header(t, v3), v1Header(t, build(varSchema(), varRows)), build(testSchema(), wide), v2}
 }
 
 // FuzzSegmentHeader throws arbitrary bytes at the segment header decoder
 // (the CRC is recomputed so mutations reach the parser): it must never
 // panic, a header it accepts must satisfy what readers index by — one
 // block zone per block per segment zone, or none before version 2 — and a
-// version-2 header must re-encode to the very same bytes, so nothing the
-// decoder tolerates can be silently rewritten by a later merge or backup.
+// header of version 2 or later must re-encode to the very same bytes, so
+// nothing the decoder tolerates can be silently rewritten by a later merge
+// or backup.
 func FuzzSegmentHeader(f *testing.F) {
 	f.Add([]byte{})
 	for _, hdr := range fuzzSegmentHeaders(f) {

@@ -8,6 +8,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 
@@ -17,15 +18,35 @@ import (
 )
 
 // Segment on-disk format ("PCS1"): a self-describing run of sorted cold
-// rows stored as independently compressed column-strip blocks.
+// rows stored as independently decodable column-strip blocks.
 //
 //	magic u32 | version u32 | level u32 | flags u8 | numRows u32 | numBlocks u32
 //	per block: firstRID u64 | lastRID u64 | numRows u32 | rawLen u32 | compOff u32 | compLen u32
 //	bloomPresent u8 [ bloom: hashes u32, numWords u32, words u64[] ]
 //	zonesPresent u8 [ numZones u16, per zone: col u16, kind u8, min u64, max u64 ]
-//	numBlockZones u32 | per block, per zone in segment-zone order: min u64, max u64   (version 2)
+//	numBlockZones u32 | per block, per zone in segment-zone order: min u64, max u64   (version >= 2)
 //	headerCRC u32
-//	body: concatenated DEFLATE blocks, each raw = count u32, ids u64[], pax image
+//	body: concatenated blocks
+//
+// A version-3 block keeps fixed-width columns out of DEFLATE:
+//
+//	count u32 | numCols u16 | ids: FOR strip
+//	per column, in schema order: kind u8, then
+//	    int64: FOR strip | float64: raw u64[count] | string: nothing
+//	[ if any string column: varRawLen u32 | DEFLATE stream running to the CRC ]
+//	blockCRC u32 (CRC-32C of everything before it)
+//
+//	FOR strip: base u64 | width u8 (0-64) | u64[ceil(count*width/64)]
+//
+// A frame-of-reference (FOR) strip stores each value as its offset from
+// the strip's minimum, width bits apiece, low bits first. The var stream
+// inflates to every string column's length-prefixed values (len u32,
+// bytes), column by column, so a point read inflates only its block's
+// strings and a scan over fixed-width columns inflates nothing. A version
+// 1 or 2 block is one DEFLATE stream of count u32 | ids u64[] | pax image.
+// rawLen is that image's size in every version: it drives the block cut
+// and the raw-bytes counter, and a version-3 decoder checks its block
+// against it.
 //
 // compOff is relative to the body start (header end), so a point read
 // issues one small sub-range read of exactly the block it needs. The
@@ -37,24 +58,25 @@ import (
 // summarises — the segment zones over the segment, block zone (b, z) over
 // block b — so numBlockZones is numBlocks x numZones and every block zone
 // nests inside its segment zone. Version 1 headers end after the segment
-// zones; they decode as "no block zones", which prunes nothing. The writer
-// emits version 2 only.
+// zones; they decode as "no block zones", which prunes nothing. Version 3
+// headers are version 2 headers; only the blocks differ. The writer emits
+// version 3 only.
 const (
 	segmentMagic   uint32 = 0x50435331 // "PCS1"
-	segmentVersion uint32 = 2
+	segmentVersion uint32 = 3
 
 	segFlagFlat byte = 1 << 0 // legacy flat segment (one block, no bloom/zones): read, never written
 )
 
 // blockTargetBytes is the raw block size (count | ids | pax image) at
-// which the builder cuts a block: the unit of decompression is what a
-// point read inflates to return one row, so it is sized for that read,
-// while flate still finds redundancy across a few dozen rows.
+// which the builder cuts a block: the block is what a point read decodes
+// to return one row, so it is sized for that read, while flate still finds
+// redundancy across the strings of a few dozen rows.
 const blockTargetBytes = 8 << 10
 
-// DefaultBlockRows caps the rows in one block and sizes the builder's page.
-// blockTargetBytes binds first for any row of 16 raw bytes or more: the
-// `big` benchmark table's 104-byte rows give 78-row blocks.
+// DefaultBlockRows caps the rows in one block. blockTargetBytes binds
+// first for any row of 16 raw bytes or more: the `big` benchmark table's
+// 104-byte rows give 78-row blocks.
 const DefaultBlockRows = 512
 
 // DefaultFanout is the per-level segment count that triggers a merge into
@@ -144,6 +166,7 @@ type segment struct {
 	lastRID   rel.RowID
 	numRows   int
 	level     int
+	version   uint32 // picks the block decoder
 	flat      bool
 	ref       storage.BlockRef // whole segment: header + body
 	headerLen int
@@ -199,13 +222,13 @@ func (g *segment) bodyRef(i int) storage.BlockRef {
 // --- Builder -----------------------------------------------------------------
 
 // segmentBuilder accumulates rows in rid order and emits one encoded
-// segment of independently compressed blocks. A block is closed before a
-// row that would take its raw image past blockTargetBytes (a row larger
-// than that gets a block of its own) and once it holds blockRows rows.
-// Zones fold per block and the segment's zones are the fold of its
-// blocks'; the bloom filter covers every row id. One page, one raw buffer
-// and one compressor serve every block of the build: flate.NewWriter
-// allocates ~1.2 MB.
+// version-3 segment of independently decodable blocks. A block is closed
+// before a row that would take its raw image past blockTargetBytes (a row
+// larger than that gets a block of its own) and once it holds blockRows
+// rows. Zones fold per block and the segment's zones are the fold of its
+// blocks'; the bloom filter covers every row id. One set of column
+// buffers and one compressor serve every block of the build:
+// flate.NewWriter allocates ~1.2 MB.
 type segmentBuilder struct {
 	schema    *rel.Schema
 	level     int
@@ -215,11 +238,11 @@ type segmentBuilder struct {
 	blocks []segBlock
 	body   bytes.Buffer
 	fw     *flate.Writer
-	raw    []byte
+	buf    []byte // the open block's strips, before the var stream
 
-	curIDs  []rel.RowID
-	curPage *pax.Page
-	curRaw  int // the open block's raw image size
+	start  int      // index in ids of the open block's first row
+	cols   []colBuf // the open block's values, per column
+	curRaw int      // the open block's raw image size
 
 	curZones   []zone // the open block's; nil until its first row
 	blockZones []zone
@@ -227,12 +250,19 @@ type segmentBuilder struct {
 	rawTotal   int64
 }
 
+// colBuf is one column of the open block, in the form flushBlock writes.
+type colBuf struct {
+	ints   []int64 // int64: the values, FOR-packed at flush
+	floats []byte  // float64: raw little-endian words
+	vals   []byte  // string: length-prefixed values, the var stream's input
+}
+
 func newSegmentBuilder(schema *rel.Schema, level int, blockRows int) *segmentBuilder {
 	if blockRows <= 0 {
 		blockRows = DefaultBlockRows
 	}
 	return &segmentBuilder{schema: schema, level: level, blockRows: blockRows,
-		curPage: pax.NewPage(schema, blockRows), curRaw: blockOverhead}
+		cols: make([]colBuf, schema.NumCols()), curRaw: blockOverhead}
 }
 
 // blockOverhead is a block's raw size before its first row: the count,
@@ -258,20 +288,31 @@ func (sb *segmentBuilder) add(id rel.RowID, row rel.Row) error {
 	if n := len(sb.ids); n > 0 && id <= sb.ids[n-1] {
 		return fmt.Errorf("frozen: row_ids not ascending (%d after %d)", id, sb.ids[n-1])
 	}
+	if err := row.Conforms(sb.schema); err != nil {
+		return err
+	}
 	rowBytes := rawRowBytes(row)
-	if len(sb.curIDs) > 0 && sb.curRaw+rowBytes > blockTargetBytes {
+	if len(sb.ids) > sb.start && sb.curRaw+rowBytes > blockTargetBytes {
 		if err := sb.flushBlock(); err != nil {
 			return err
 		}
 	}
-	if _, err := sb.curPage.Append(row); err != nil {
-		return err
+	for ci, v := range row {
+		cb := &sb.cols[ci]
+		switch v.Kind {
+		case rel.TInt64:
+			cb.ints = append(cb.ints, v.I)
+		case rel.TFloat64:
+			cb.floats = binary.LittleEndian.AppendUint64(cb.floats, math.Float64bits(v.F))
+		default:
+			cb.vals = binary.LittleEndian.AppendUint32(cb.vals, uint32(len(v.S)))
+			cb.vals = append(cb.vals, v.S...)
+		}
 	}
 	sb.curRaw += rowBytes
-	sb.curIDs = append(sb.curIDs, id)
 	sb.ids = append(sb.ids, id)
 	sb.foldZones(row)
-	if len(sb.curIDs) >= sb.blockRows {
+	if len(sb.ids)-sb.start >= sb.blockRows {
 		return sb.flushBlock()
 	}
 	return nil
@@ -319,40 +360,71 @@ func zoneLess(kind rel.Type, a, b uint64) bool {
 	return int64(a) < int64(b)
 }
 
+// flushBlock writes the open block in the version-3 layout: the strips,
+// then one DEFLATE stream of every string column's values, then the CRC.
 func (sb *segmentBuilder) flushBlock() error {
-	n := len(sb.curIDs)
+	ids := sb.ids[sb.start:]
+	n := len(ids)
 	if n == 0 {
 		return nil
 	}
-	raw := binary.LittleEndian.AppendUint32(sb.raw[:0], uint32(n))
-	for _, id := range sb.curIDs {
-		raw = binary.LittleEndian.AppendUint64(raw, uint64(id))
+	le := binary.LittleEndian
+	b := le.AppendUint32(sb.buf[:0], uint32(n))
+	b = le.AppendUint16(b, uint16(len(sb.cols)))
+	b = appendFOR(b, ids)
+	nvar, varRaw := 0, 0
+	for ci, c := range sb.schema.Cols {
+		cb := &sb.cols[ci]
+		b = append(b, byte(c.Type))
+		switch c.Type {
+		case rel.TInt64:
+			b = appendFOR(b, cb.ints)
+		case rel.TFloat64:
+			b = append(b, cb.floats...)
+		default:
+			nvar++
+			varRaw += len(cb.vals)
+		}
 	}
-	raw = sb.curPage.Serialize(raw)
-	sb.raw = raw
+	if nvar > 0 {
+		b = le.AppendUint32(b, uint32(varRaw))
+	}
+	sb.buf = b
 
 	compOff := sb.body.Len()
-	if sb.fw == nil {
-		fw, err := flate.NewWriter(&sb.body, flate.BestSpeed)
-		if err != nil {
+	sb.body.Write(b)
+	if nvar > 0 {
+		if sb.fw == nil {
+			fw, err := flate.NewWriter(&sb.body, flate.BestSpeed)
+			if err != nil {
+				return err
+			}
+			sb.fw = fw
+		} else {
+			sb.fw.Reset(&sb.body)
+		}
+		for ci, c := range sb.schema.Cols {
+			if c.Type.FixedWidth() > 0 {
+				continue
+			}
+			if _, err := sb.fw.Write(sb.cols[ci].vals); err != nil {
+				return err
+			}
+		}
+		if err := sb.fw.Close(); err != nil {
 			return err
 		}
-		sb.fw = fw
-	} else {
-		sb.fw.Reset(&sb.body)
 	}
-	if _, err := sb.fw.Write(raw); err != nil {
-		return err
-	}
-	if err := sb.fw.Close(); err != nil {
-		return err
-	}
-	sb.rawTotal += int64(len(raw))
+	var crc [4]byte
+	le.PutUint32(crc[:], crc32.Checksum(sb.body.Bytes()[compOff:], blockCRC))
+	sb.body.Write(crc[:])
+
+	sb.rawTotal += int64(sb.curRaw)
 	sb.blocks = append(sb.blocks, segBlock{
-		firstRID: sb.curIDs[0],
-		lastRID:  sb.curIDs[n-1],
+		firstRID: ids[0],
+		lastRID:  ids[n-1],
 		numRows:  uint32(n),
-		rawLen:   uint32(len(raw)),
+		rawLen:   uint32(sb.curRaw),
 		compOff:  uint32(compOff),
 		compLen:  uint32(sb.body.Len() - compOff),
 	})
@@ -363,11 +435,47 @@ func (sb *segmentBuilder) flushBlock() error {
 		sb.zones[i].widen(z.min, z.max)
 	}
 	sb.blockZones = append(sb.blockZones, sb.curZones...)
-	sb.curPage.Reset()
-	sb.curIDs = sb.curIDs[:0]
+	for ci := range sb.cols {
+		cb := &sb.cols[ci]
+		cb.ints, cb.floats, cb.vals = cb.ints[:0], cb.floats[:0], cb.vals[:0]
+	}
+	sb.start = len(sb.ids)
 	sb.curRaw = blockOverhead
 	sb.curZones = nil
 	return nil
+}
+
+// appendFOR appends vals as a frame-of-reference strip: their minimum as
+// the base, the bit width of the largest offset from it, then every offset
+// packed that many bits apiece, low bits first, into little-endian u64
+// words. The span is taken in uint64, so a column holding both MinInt64
+// and MaxInt64 gets width 64 rather than overflowing.
+func appendFOR[T ~uint64 | ~int64](dst []byte, vals []T) []byte {
+	lo, hi := vals[0], vals[0]
+	for _, v := range vals[1:] {
+		lo, hi = min(lo, v), max(hi, v)
+	}
+	w := uint(bits.Len64(uint64(hi) - uint64(lo)))
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(lo))
+	dst = append(dst, byte(w))
+	var word uint64
+	used := uint(0) // bits of word filled
+	for _, v := range vals {
+		d := uint64(v) - uint64(lo)
+		word |= d << used
+		if used += w; used >= 64 {
+			dst = binary.LittleEndian.AppendUint64(dst, word)
+			used -= 64
+			word = 0
+			if used > 0 {
+				word = d >> (w - used)
+			}
+		}
+	}
+	if used > 0 {
+		dst = binary.LittleEndian.AppendUint64(dst, word)
+	}
+	return dst
 }
 
 // finish encodes the full segment. Returns the segment bytes and the
@@ -379,7 +487,7 @@ func (sb *segmentBuilder) finish() (data []byte, headerLen int, err error) {
 	if len(sb.ids) == 0 {
 		return nil, 0, fmt.Errorf("frozen: empty segment")
 	}
-	h := &segment{level: sb.level, numRows: len(sb.ids), blocks: sb.blocks,
+	h := &segment{level: sb.level, version: segmentVersion, numRows: len(sb.ids), blocks: sb.blocks,
 		zones: sb.zones, blockZones: sb.blockZones, filter: newBloom(len(sb.ids))}
 	for _, id := range sb.ids {
 		h.filter.add(uint64(id))
@@ -388,7 +496,8 @@ func (sb *segmentBuilder) finish() (data []byte, headerLen int, err error) {
 	return append(hdr, sb.body.Bytes()...), len(hdr), nil
 }
 
-// encodeHeader emits the segment's version-2 header, CRC trailer included.
+// encodeHeader emits the segment's header in its version (2 or 3: the
+// same fields), CRC trailer included.
 func (g *segment) encodeHeader() []byte {
 	var hdr []byte
 	var b8 [8]byte
@@ -401,7 +510,7 @@ func (g *segment) encodeHeader() []byte {
 		hdr = append(hdr, b8[:]...)
 	}
 	putU32(segmentMagic)
-	putU32(segmentVersion)
+	putU32(g.version)
 	putU32(uint32(g.level))
 	var flags byte
 	if g.flat {
@@ -480,10 +589,10 @@ func decodeSegmentHeader(hdr []byte) (*segment, error) {
 		return nil, fmt.Errorf("frozen: bad segment magic")
 	}
 	version := u32()
-	if version != 1 && version != segmentVersion {
+	if version < 1 || version > segmentVersion {
 		return nil, fmt.Errorf("frozen: unsupported segment version %d", version)
 	}
-	g := &segment{deleted: make(map[rel.RowID]bool)}
+	g := &segment{version: version, deleted: make(map[rel.RowID]bool)}
 	g.level = int(u32())
 	flags := buf[0]
 	buf = buf[1:]
@@ -491,6 +600,9 @@ func decodeSegmentHeader(hdr []byte) (*segment, error) {
 		return nil, fmt.Errorf("frozen: unknown segment flags %#x", flags)
 	}
 	g.flat = flags&segFlagFlat != 0
+	if g.flat && version >= 3 {
+		return nil, fmt.Errorf("frozen: flat segment in version %d", version)
+	}
 	g.numRows = int(u32())
 	nb := int(u32())
 	if nb <= 0 || nb > 1<<20 {
@@ -600,10 +712,18 @@ var inflaters = sync.Pool{New: func() any {
 	return z
 }}
 
+// inflates counts DEFLATE streams inflated, process-wide (Inflates).
+var inflates atomic.Int64
+
+// Inflates returns how many DEFLATE streams the cold tier has inflated in
+// this process: a test hook that shows which reads paid for one.
+func Inflates() int64 { return inflates.Load() }
+
 // inflate expands comp, which must hold exactly len(raw) bytes, into raw.
 // The inflater is pooled (flate.Resetter); what still allocates per call is
 // compress/flate rebuilding its Huffman link tables.
 func inflate(raw, comp []byte) error {
+	inflates.Add(1)
 	z := inflaters.Get().(*inflater)
 	defer func() {
 		z.src.Reset(nil) // a parked inflater must not pin the caller's buffer
@@ -623,19 +743,27 @@ func inflate(raw, comp []byte) error {
 }
 
 // maxInflate bounds DEFLATE's expansion (RFC 1951: under 1032:1), so a
-// forged rawLen cannot size an allocation its compressed bytes could
+// forged raw length cannot size an allocation its compressed bytes could
 // never fill.
 const maxInflate = 1032
 
-// decodeBlock expands one compressed block — the only block decoder. The
-// raw image is one fresh rawLen-byte buffer and is never recycled, because
-// the page's strips and var values are sub-slices of it and the strings
-// Row/Col hand out (pax viewStr) alias it for as long as any consumer
-// keeps them — the executor's sort and hash-build stages do, past the scan
-// callback. Each kept string therefore pins its block's whole image (see
-// pax.View); a stage buffering one row per block holds every image it
-// scanned. A nil schema decodes the row ids only.
-func decodeBlock(schema *rel.Schema, comp []byte, rawLen uint32) (blockData, error) {
+// decodeBlock decodes one block of a segment of the given version — the
+// only block decoder, with one branch per block layout and one result: row
+// ids and a read-only pax page. Nothing it allocates is ever recycled,
+// because the page's strips and var values are sub-slices of its buffers
+// and the strings Row/Col hand out (pax viewStr) alias them for as long as
+// any consumer keeps them — the executor's sort and hash-build stages do,
+// past the scan callback. Each kept string therefore pins its block's var
+// values (see pax.View); a stage buffering one row per block holds those of
+// every block it scanned. A nil schema decodes and checks the whole block
+// but returns the row ids only. strs=false leaves a version-3 block's var
+// stream uninflated and the page without its string columns, for a
+// consumer that reads fixed-width columns only; such a page is private to
+// that consumer.
+func decodeBlock(schema *rel.Schema, version uint32, comp []byte, rawLen uint32, strs bool) (blockData, error) {
+	if version >= 3 {
+		return decodeStrips(schema, comp, rawLen, strs)
+	}
 	if uint64(rawLen) > maxInflate*uint64(len(comp))+64 {
 		return blockData{}, fmt.Errorf("frozen: block raw length %d impossible for %d compressed bytes", rawLen, len(comp))
 	}
@@ -651,7 +779,7 @@ func decodeBlock(schema *rel.Schema, comp []byte, rawLen uint32) (blockData, err
 	if len(raw)-off < 8*n {
 		return blockData{}, errTruncated("block ids")
 	}
-	d := blockData{ids: make([]rel.RowID, n)}
+	d := blockData{ids: make([]rel.RowID, n), size: int64(8*n) + int64(rawLen)}
 	for i := range d.ids {
 		d.ids[i] = rel.RowID(binary.LittleEndian.Uint64(raw[off:]))
 		off += 8
@@ -669,13 +797,208 @@ func decodeBlock(schema *rel.Schema, comp []byte, rawLen uint32) (blockData, err
 	return d, nil
 }
 
+// blockCRC is the version-3 block checksum's polynomial: CRC-32C, which
+// the hardware computes on the platforms this runs on.
+var blockCRC = crc32.MakeTable(crc32.Castagnoli)
+
+// maxStripRows bounds a version-3 block's row count before anything is
+// sized by it: the builder closes a block before its raw image passes
+// blockTargetBytes, and every row adds at least its 8-byte id.
+const maxStripRows = blockTargetBytes / 8
+
+// decodeStrips decodes a version-3 block (see the format comment): it
+// checks the CRC, unpacks the row ids, unpacks every fixed-width strip into
+// one allocation of 8-byte minipages and, when strs is set, inflates the
+// var stream into one fresh buffer its values alias.
+func decodeStrips(schema *rel.Schema, body []byte, rawLen uint32, strs bool) (blockData, error) {
+	le := binary.LittleEndian
+	if len(body) < 4 {
+		return blockData{}, errTruncated("block checksum")
+	}
+	end := len(body) - 4
+	if crc32.Checksum(body[:end], blockCRC) != le.Uint32(body[end:]) {
+		return blockData{}, fmt.Errorf("frozen: block checksum mismatch")
+	}
+	r := stripReader{b: body[:end]}
+	h := r.take(6, "block row and column counts")
+	if r.err != nil {
+		return blockData{}, r.err
+	}
+	n, ncols := int(le.Uint32(h)), int(le.Uint16(h[4:]))
+	if n == 0 || n > maxStripRows {
+		return blockData{}, fmt.Errorf("frozen: block row count %d", n)
+	}
+	if schema != nil && ncols != schema.NumCols() {
+		return blockData{}, fmt.Errorf("frozen: block has %d columns, schema %d", ncols, schema.NumCols())
+	}
+	idStrip := r.forStrip(n, "row ids")
+	var fixed []byte // every fixed-width strip, unpacked, in schema order
+	if schema != nil {
+		nf := 0
+		for _, c := range schema.Cols {
+			if c.Type.FixedWidth() > 0 {
+				nf++
+			}
+		}
+		fixed = make([]byte, 0, nf*8*n)
+	}
+	nfixed, nvar := 0, 0
+	for c := 0; c < ncols && r.err == nil; c++ {
+		k := r.take(1, "column kind")
+		if k == nil {
+			break
+		}
+		kind := rel.Type(k[0])
+		if schema != nil && kind != schema.Cols[c].Type {
+			return blockData{}, fmt.Errorf("frozen: block column %d is %v, schema says %v", c, kind, schema.Cols[c].Type)
+		}
+		switch kind {
+		case rel.TInt64:
+			f := r.forStrip(n, "int strip")
+			if schema != nil && r.err == nil {
+				for i := 0; i < n; i++ {
+					fixed = le.AppendUint64(fixed, f.at(i))
+				}
+			}
+			nfixed++
+		case rel.TFloat64:
+			words := r.take(8*n, "float strip")
+			if schema != nil {
+				fixed = append(fixed, words...)
+			}
+			nfixed++
+		case rel.TString:
+			nvar++
+		default:
+			return blockData{}, fmt.Errorf("frozen: block column %d has unknown kind %d", c, kind)
+		}
+	}
+	varRaw := 0
+	if nvar > 0 {
+		if h := r.take(4, "var stream length"); h != nil {
+			varRaw = int(le.Uint32(h))
+		}
+	}
+	if r.err != nil {
+		return blockData{}, r.err
+	}
+	comp := r.b // the var stream runs to the CRC
+	if nvar == 0 && len(comp) != 0 {
+		return blockData{}, fmt.Errorf("frozen: %d trailing block bytes", len(comp))
+	}
+	if want := uint64(blockOverhead) + uint64(8*n)*uint64(1+nfixed) + uint64(varRaw); uint64(rawLen) != want {
+		return blockData{}, fmt.Errorf("frozen: block raw length %d, directory says %d", want, rawLen)
+	}
+	d := blockData{ids: make([]rel.RowID, n), size: int64(8*n + len(fixed))}
+	for i := range d.ids {
+		d.ids[i] = rel.RowID(idStrip.at(i))
+	}
+	var vals [][]byte
+	if nvar > 0 && (strs || schema == nil) {
+		if varRaw < 4*n*nvar || uint64(varRaw) > maxInflate*uint64(len(comp))+64 {
+			return blockData{}, fmt.Errorf("frozen: var stream length %d impossible for %d rows in %d bytes", varRaw, n, len(comp))
+		}
+		raw := make([]byte, varRaw)
+		if err := inflate(raw, comp); err != nil {
+			return blockData{}, fmt.Errorf("frozen: inflate var stream (raw length %d): %w", varRaw, err)
+		}
+		if schema != nil {
+			vals = make([][]byte, nvar*n)
+		}
+		off := 0
+		for i := 0; i < nvar*n; i++ {
+			if len(raw)-off < 4 {
+				return blockData{}, errTruncated("var value length")
+			}
+			l := int(le.Uint32(raw[off:]))
+			off += 4
+			if l > len(raw)-off {
+				return blockData{}, errTruncated("var value")
+			}
+			if vals != nil {
+				vals[i] = raw[off : off+l : off+l]
+			}
+			off += l
+		}
+		if off != len(raw) {
+			return blockData{}, fmt.Errorf("frozen: %d trailing var stream bytes", len(raw)-off)
+		}
+		d.size += int64(varRaw)
+	}
+	if schema != nil {
+		d.rows = pax.ViewColumns(schema, n, fixed, vals)
+	}
+	return d, nil
+}
+
+// stripReader walks a version-3 block; its first short read sticks as err.
+type stripReader struct {
+	b   []byte
+	err error
+}
+
+// take consumes the next k bytes, or returns nil and sets err.
+func (r *stripReader) take(k int, what string) []byte {
+	if r.err != nil {
+		return nil
+	}
+	if k < 0 || k > len(r.b) {
+		r.err = errTruncated(what)
+		return nil
+	}
+	s := r.b[:k:k]
+	r.b = r.b[k:]
+	return s
+}
+
+// forStrip consumes a frame-of-reference strip of n values.
+func (r *stripReader) forStrip(n int, what string) forStrip {
+	h := r.take(9, what)
+	if h == nil {
+		return forStrip{}
+	}
+	f := forStrip{base: binary.LittleEndian.Uint64(h), width: uint(h[8])}
+	if f.width > 64 {
+		r.err = fmt.Errorf("frozen: %s bit width %d", what, f.width)
+		return forStrip{}
+	}
+	f.words = r.take((n*int(f.width)+63)/64*8, what)
+	return f
+}
+
+// forStrip is a parsed frame-of-reference strip (see appendFOR).
+type forStrip struct {
+	base  uint64
+	width uint
+	words []byte // ceil(n*width/64) little-endian u64 words
+}
+
+// at returns value i: O(1), whatever the width.
+func (f forStrip) at(i int) uint64 {
+	if f.width == 0 {
+		return f.base
+	}
+	bit := uint(i) * f.width
+	w, sh := bit/64*8, bit%64
+	v := binary.LittleEndian.Uint64(f.words[w:]) >> sh
+	if sh+f.width > 64 {
+		v |= binary.LittleEndian.Uint64(f.words[w+8:]) << (64 - sh)
+	}
+	if f.width < 64 {
+		v &= 1<<f.width - 1
+	}
+	return f.base + v
+}
+
 // VerifySegmentBytes checks a raw segment image against its manifest
 // record without needing the table schema: whole-segment CRC, header CRC
-// and shape (a version-2 header must carry one block zone per block per
-// segment zone), block directory ordering, per-block decompression, row-id
-// ordering, bloom membership of every stored row id, and that every zone
-// has min <= max with block zones nested inside their segment zone. Used
-// by backup verification.
+// and shape (a version-2 or -3 header must carry one block zone per block
+// per segment zone), block directory ordering, every block decoded in full
+// (for version 3: its CRC, every strip's bit width and length, and a var
+// stream that inflates to exactly its recorded length of well-framed
+// values), row-id ordering, bloom membership of every stored row id, and
+// that every zone has min <= max with block zones nested inside their
+// segment zone. Used by backup verification.
 func VerifySegmentBytes(data []byte, m SegmentMeta) error {
 	if int64(len(data)) != int64(m.Ref.Len) {
 		return fmt.Errorf("frozen: segment length %d, manifest says %d", len(data), m.Ref.Len)
@@ -705,7 +1028,7 @@ func VerifySegmentBytes(data []byte, m SegmentMeta) error {
 		if int64(b.compOff)+int64(b.compLen) > int64(len(body)) {
 			return fmt.Errorf("frozen: block %d overruns segment body", i)
 		}
-		d, err := decodeBlock(nil, body[b.compOff:b.compOff+b.compLen], b.rawLen)
+		d, err := decodeBlock(nil, g.version, body[b.compOff:b.compOff+b.compLen], b.rawLen, true)
 		if err != nil {
 			return fmt.Errorf("frozen: block %d: %w", i, err)
 		}

@@ -7,13 +7,11 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math/rand"
-	"path/filepath"
 	"runtime"
 	"testing"
 
 	"phoebedb/internal/pax"
 	"phoebedb/internal/rel"
-	"phoebedb/internal/storage"
 )
 
 // wideSchema has the benchmark's `big` shape: four fixed-width columns
@@ -55,12 +53,7 @@ func wideBatch(first, n int) ([]rel.RowID, []rel.Row) {
 
 func newWideStore(t testing.TB) *Store {
 	t.Helper()
-	bf, err := storage.OpenBlockFile(filepath.Join(t.TempDir(), "frozen.blocks"), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { bf.Close() })
-	return NewStore(bf, wideSchema())
+	return newStoreWith(t, wideSchema())
 }
 
 func between(col int, lo, hi rel.Value) []rel.ColPred {
@@ -77,7 +70,7 @@ func scanRows(t *testing.T, s *Store, preds []rel.ColPred, prune bool) []string 
 		zonePreds = preds
 	}
 	var out []string
-	err := s.ScanBlocks(zonePreds, func(ids []rel.RowID, page *pax.Page, sel pax.Sel) bool {
+	err := s.ScanBlocks(zonePreds, true, func(ids []rel.RowID, page *pax.Page, sel pax.Sel) bool {
 		if err := page.FilterFixed(preds, sel); err != nil {
 			t.Fatal(err)
 		}
@@ -305,7 +298,7 @@ func TestBufferedStringsSurviveLaterBlocks(t *testing.T) {
 	ids, rows := wideBatch(0, 640) // 40 blocks
 	mustFreeze(t, s, ids, rows)
 	var kept []rel.Row
-	if err := s.ScanBlocks(nil, func(ids []rel.RowID, page *pax.Page, sel pax.Sel) bool {
+	if err := s.ScanBlocks(nil, true, func(ids []rel.RowID, page *pax.Page, sel pax.Sel) bool {
 		kept = append(kept, page.Row(0), page.Row(len(ids)-1))
 		return true
 	}); err != nil {
@@ -327,10 +320,35 @@ func TestBufferedStringsSurviveLaterBlocks(t *testing.T) {
 	}
 }
 
-// decodeBlock's own allocations are the raw image, the ids, and the page
-// view's headers — independent of the row count. compress/flate rebuilds
-// its Huffman link tables on every stream, data-dependently, so the gate
-// is on what decodeBlock adds to a bare inflate of the same bytes.
+// varStream returns a version-3 block's DEFLATE stream and its raw length,
+// walking the strips before it.
+func varStream(t *testing.T, body []byte) (comp []byte, rawLen int) {
+	t.Helper()
+	r := stripReader{b: body[:len(body)-4]}
+	h := r.take(6, "counts")
+	n, ncols := int(binary.LittleEndian.Uint32(h)), int(binary.LittleEndian.Uint16(h[4:]))
+	r.forStrip(n, "ids")
+	for c := 0; c < ncols; c++ {
+		switch rel.Type(r.take(1, "kind")[0]) {
+		case rel.TInt64:
+			r.forStrip(n, "ints")
+		case rel.TFloat64:
+			r.take(8*n, "floats")
+		}
+	}
+	rawLen = int(binary.LittleEndian.Uint32(r.take(4, "var length")))
+	if r.err != nil {
+		t.Fatal(r.err)
+	}
+	return r.b, rawLen
+}
+
+// decodeBlock's own allocations are the ids, the fixed strips, the var
+// buffer and its value headers, and the page view's headers — independent
+// of the row count. compress/flate rebuilds its Huffman link tables on
+// every stream, data-dependently, so the gate is on what decodeBlock adds
+// to a bare inflate of the block's var stream. Decoding without strings
+// inflates nothing and allocates less.
 func TestDecodeBlockAllocs(t *testing.T) {
 	sb := newSegmentBuilder(wideSchema(), 0, DefaultBlockRows)
 	for i := 0; i < DefaultBlockRows; i++ {
@@ -345,17 +363,18 @@ func TestDecodeBlockAllocs(t *testing.T) {
 	b := sb.blocks[0] // a full block, cut at blockTargetBytes
 	comp := data[hlen+int(b.compOff) : hlen+int(b.compOff+b.compLen)]
 	schema := wideSchema()
-	if _, err := decodeBlock(schema, comp, b.rawLen); err != nil { // primes the inflater pool
+	if _, err := decodeBlock(schema, segmentVersion, comp, b.rawLen, true); err != nil { // primes the inflater pool
 		t.Fatal(err)
 	}
-	raw := make([]byte, b.rawLen)
+	varComp, varRaw := varStream(t, comp)
+	raw := make([]byte, varRaw)
 	flateAllocs := testing.AllocsPerRun(100, func() {
-		if err := inflate(raw, comp); err != nil {
+		if err := inflate(raw, varComp); err != nil {
 			t.Fatal(err)
 		}
 	})
 	allocs := testing.AllocsPerRun(100, func() {
-		d, err := decodeBlock(schema, comp, b.rawLen)
+		d, err := decodeBlock(schema, segmentVersion, comp, b.rawLen, true)
 		if err != nil || len(d.ids) != int(b.numRows) || d.rows.Col(7, wideTag).S != "tag-00007" {
 			t.Fatalf("decode: %v", err)
 		}
@@ -363,6 +382,16 @@ func TestDecodeBlockAllocs(t *testing.T) {
 	if allocs-flateAllocs > 8 {
 		t.Fatalf("decodeBlock of a 5-column block allocates %.0f times beyond flate's own %.0f, want <= 8",
 			allocs-flateAllocs, flateAllocs)
+	}
+	before := Inflates()
+	fixedAllocs := testing.AllocsPerRun(100, func() {
+		d, err := decodeBlock(schema, segmentVersion, comp, b.rawLen, false)
+		if err != nil || d.rows.Col(7, wideSeq).I != 7 || d.rows.Col(7, wideScore).F != 7.0/4 {
+			t.Fatalf("decode: %v", err)
+		}
+	})
+	if n := Inflates() - before; n != 0 || fixedAllocs > 5 {
+		t.Fatalf("decoding without strings inflated %d streams in %.0f allocations, want 0 in <= 5", n, fixedAllocs)
 	}
 }
 
@@ -438,12 +467,38 @@ func flatSegment(t testing.TB, schema *rel.Schema, ids []rel.RowID, rows []rel.R
 	t.Helper()
 	le := binary.LittleEndian
 	page := pax.NewPage(schema, len(rows))
-	raw := le.AppendUint32(nil, uint32(len(ids)))
-	for i, id := range ids {
-		raw = le.AppendUint64(raw, uint64(id))
-		if _, err := page.Append(rows[i]); err != nil {
+	for _, row := range rows {
+		if _, err := page.Append(row); err != nil {
 			t.Fatal(err)
 		}
+	}
+	body, rawLen := legacyBlock(t, ids, page)
+	hdr := le.AppendUint32(nil, segmentMagic)
+	hdr = le.AppendUint32(hdr, 2) // flat segments predate version 3
+	hdr = le.AppendUint32(hdr, 0) // level
+	hdr = append(hdr, segFlagFlat)
+	hdr = le.AppendUint32(hdr, uint32(len(ids)))
+	hdr = le.AppendUint32(hdr, 1) // one block
+	hdr = le.AppendUint64(hdr, uint64(ids[0]))
+	hdr = le.AppendUint64(hdr, uint64(ids[len(ids)-1]))
+	hdr = le.AppendUint32(hdr, uint32(len(ids)))
+	hdr = le.AppendUint32(hdr, uint32(rawLen))
+	hdr = le.AppendUint32(hdr, 0) // compOff
+	hdr = le.AppendUint32(hdr, uint32(len(body)))
+	hdr = append(hdr, 0, 0)       // no bloom, no zones
+	hdr = le.AppendUint32(hdr, 0) // no block zones
+	hdr = le.AppendUint32(hdr, crc32.ChecksumIEEE(hdr))
+	return append(hdr, body...), len(hdr)
+}
+
+// legacyBlock lays out a block the way writers before version 3 did: one
+// DEFLATE stream of count u32 | ids u64[] | pax image. It returns the
+// stream and the raw image's length.
+func legacyBlock(t testing.TB, ids []rel.RowID, page *pax.Page) ([]byte, int) {
+	t.Helper()
+	raw := binary.LittleEndian.AppendUint32(nil, uint32(len(ids)))
+	for _, id := range ids {
+		raw = binary.LittleEndian.AppendUint64(raw, uint64(id))
 	}
 	raw = page.Serialize(raw)
 	var body bytes.Buffer
@@ -457,22 +512,34 @@ func flatSegment(t testing.TB, schema *rel.Schema, ids []rel.RowID, rows []rel.R
 	if err := fw.Close(); err != nil {
 		t.Fatal(err)
 	}
-	hdr := le.AppendUint32(nil, segmentMagic)
-	hdr = le.AppendUint32(hdr, segmentVersion)
-	hdr = le.AppendUint32(hdr, 0) // level
-	hdr = append(hdr, segFlagFlat)
-	hdr = le.AppendUint32(hdr, uint32(len(ids)))
-	hdr = le.AppendUint32(hdr, 1) // one block
-	hdr = le.AppendUint64(hdr, uint64(ids[0]))
-	hdr = le.AppendUint64(hdr, uint64(ids[len(ids)-1]))
-	hdr = le.AppendUint32(hdr, uint32(len(ids)))
-	hdr = le.AppendUint32(hdr, uint32(len(raw)))
-	hdr = le.AppendUint32(hdr, 0) // compOff
-	hdr = le.AppendUint32(hdr, uint32(body.Len()))
-	hdr = append(hdr, 0, 0)       // no bloom, no zones
-	hdr = le.AppendUint32(hdr, 0) // no block zones
-	hdr = le.AppendUint32(hdr, crc32.ChecksumIEEE(hdr))
-	return append(hdr, body.Bytes()...), len(hdr)
+	return body.Bytes(), len(raw)
+}
+
+// asVersion2 rewrites a segment the builder wrote as the version-2 writer
+// laid it out: the same header in version 2, every block a legacyBlock.
+func asVersion2(t testing.TB, schema *rel.Schema, data []byte, m SegmentMeta) ([]byte, SegmentMeta) {
+	t.Helper()
+	g, err := decodeSegmentHeader(data[:m.HeaderLen])
+	if err != nil {
+		t.Fatal(err)
+	}
+	var body []byte
+	for i := range g.blocks {
+		b := &g.blocks[i]
+		off := m.HeaderLen + int(b.compOff)
+		d, err := decodeBlock(schema, g.version, data[off:off+int(b.compLen)], b.rawLen, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		comp, rawLen := legacyBlock(t, d.ids, d.rows)
+		if rawLen != int(b.rawLen) {
+			t.Fatalf("block %d: version-2 image of %d bytes, directory says %d", i, rawLen, b.rawLen)
+		}
+		b.compOff, b.compLen = uint32(len(body)), uint32(len(comp))
+		body = append(body, comp...)
+	}
+	g.version = 2
+	return sealed(g.encodeHeader(), body, m)
 }
 
 // addFlatSegment installs a flatSegment of the batch at the tail of s the
@@ -540,6 +607,7 @@ func TestVersion1SegmentReadsWithoutBlockZones(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	data, m = asVersion2(t, s.schema, data, m)
 	v1, m1 := sealed(v1Header(t, data[:m.HeaderLen]), data[m.HeaderLen:], m)
 	if err := VerifySegmentBytes(v1, m1); err != nil {
 		t.Fatalf("version-1 image rejected: %v", err)
@@ -586,12 +654,7 @@ func varBatch(n int) ([]rel.RowID, []rel.Row) {
 
 func TestVersion1AllVarWidthSegmentReads(t *testing.T) {
 	open := func() *Store {
-		bf, err := storage.OpenBlockFile(filepath.Join(t.TempDir(), "frozen.blocks"), nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { bf.Close() })
-		s := NewStore(bf, varSchema())
+		s := newStoreWith(t, varSchema())
 		s.BlockRows = 16
 		return s
 	}
@@ -603,6 +666,7 @@ func TestVersion1AllVarWidthSegmentReads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	data, m = asVersion2(t, s.schema, data, m)
 	hdr := v1Header(t, data[:m.HeaderLen])
 	g, err := decodeSegmentHeader(hdr)
 	if err != nil {
@@ -613,7 +677,7 @@ func TestVersion1AllVarWidthSegmentReads(t *testing.T) {
 	}
 	// The same spelling under version 2 is not canonical and is refused.
 	v2 := append([]byte(nil), hdr...)
-	binary.LittleEndian.PutUint32(v2[4:], segmentVersion)
+	binary.LittleEndian.PutUint32(v2[4:], 2)
 	v2 = binary.LittleEndian.AppendUint32(v2[:len(v2)-4], 0) // block-zone count
 	v2 = binary.LittleEndian.AppendUint32(v2, crc32.ChecksumIEEE(v2))
 	if _, err := decodeSegmentHeader(v2); err == nil {
@@ -637,7 +701,7 @@ func TestVersion1AllVarWidthSegmentReads(t *testing.T) {
 	if row, ok, err := old.Get(30); err != nil || !ok || !row.Equal(rows[29]) {
 		t.Fatalf("Get on version-1 segment = (%v, %v, %v)", row, ok, err)
 	}
-	// A merge rewrites it as version 2, with the one spelling of "no zones".
+	// A merge rewrites it as version 3, with the one spelling of "no zones".
 	old.Fanout = 2
 	mustFreeze(t, old, []rel.RowID{100}, []rel.Row{{rel.Str("k"), rel.Str("v")}})
 	if n, err := old.Compact(); err != nil || n != 2 {

@@ -95,16 +95,6 @@ func (p *Page) Cap() int { return p.cap }
 // Full reports whether the page has no free slots.
 func (p *Page) Full() bool { return p.n == p.cap }
 
-// Reset empties the page, keeping its strips for reuse; var values are
-// dropped so their allocations can be collected.
-func (p *Page) Reset() {
-	p.mustOwn()
-	for _, vc := range p.vars {
-		clear(vc[:p.n])
-	}
-	p.n = 0
-}
-
 // Insert places row at slot `at`, shifting later slots right. at must be in
 // [0, Len()] and the page must not be full.
 func (p *Page) Insert(at int, row rel.Row) error {
@@ -372,47 +362,68 @@ func View(schema *rel.Schema, img []byte) (*Page, error) {
 	if err != nil {
 		return nil, err
 	}
+	nfixed := fixedCols(schema)
+	nvar := schema.NumCols() - nfixed
+	// The length check also bounds n before anything is sized by it.
+	if nfixed*8*n+nvar*4*n > len(img)-8 {
+		return nil, fmt.Errorf("pax: truncated page image")
+	}
+	off := 8 + nfixed*8*n
+	vals := make([][]byte, nvar*n)
+	for i := range vals {
+		if off+4 > len(img) {
+			return nil, fmt.Errorf("pax: truncated var length")
+		}
+		l := int(binary.LittleEndian.Uint32(img[off : off+4]))
+		off += 4
+		if l > len(img)-off {
+			return nil, fmt.Errorf("pax: truncated var value")
+		}
+		vals[i] = img[off : off+l : off+l]
+		off += l
+	}
+	return ViewColumns(schema, n, img[8:8+nfixed*8*n], vals), nil
+}
+
+// ViewColumns builds a read-only page of n rows over decoded columns
+// without copying them: fixed holds every fixed-width column's n*8-byte
+// minipage and vals every var-width column's n values, each laid end to
+// end in schema order. The View contract applies to both: the caller
+// never modifies or reuses them. A nil vals builds a page without its
+// var-width values, for a consumer that reads fixed-width columns only;
+// reading a var-width column of it panics.
+func ViewColumns(schema *rel.Schema, n int, fixed []byte, vals [][]byte) *Page {
 	nc := schema.NumCols()
 	idx := make([]int, 2*nc)
 	p := &Page{schema: schema, cap: n, n: n, fixIdx: idx[:nc:nc], varIdx: idx[nc:], view: true}
-	nvar := 0
-	for _, c := range schema.Cols {
-		if c.Type.FixedWidth() <= 0 {
-			nvar++
-		}
+	nfixed := fixedCols(schema)
+	p.fixed = make([][]byte, 0, nfixed)
+	if vals != nil {
+		p.vars = make([][][]byte, 0, nc-nfixed)
 	}
-	// The length check also bounds n before anything is sized by it.
-	if (nc-nvar)*8*n+nvar*4*n > len(img)-8 {
-		return nil, fmt.Errorf("pax: truncated page image")
-	}
-	p.fixed = make([][]byte, 0, nc-nvar)
-	p.vars = make([][][]byte, 0, nvar)
-	vals := make([][]byte, nvar*n) // one backing array for every var column
-	off := 8
 	for i, c := range schema.Cols {
 		if c.Type.FixedWidth() > 0 {
 			p.fixIdx[i], p.varIdx[i] = len(p.fixed), -1
-			p.fixed = append(p.fixed, img[off:off+n*8:off+n*8])
-			off += n * 8
+			p.fixed = append(p.fixed, fixed[:n*8:n*8])
+			fixed = fixed[n*8:]
 		} else {
 			p.fixIdx[i], p.varIdx[i] = -1, len(p.vars)
-			p.vars = append(p.vars, vals[:n:n])
-			vals = vals[n:]
+			if vals != nil {
+				p.vars = append(p.vars, vals[:n:n])
+				vals = vals[n:]
+			}
 		}
 	}
-	for _, vc := range p.vars {
-		for i := range vc {
-			if off+4 > len(img) {
-				return nil, fmt.Errorf("pax: truncated var length")
-			}
-			l := int(binary.LittleEndian.Uint32(img[off : off+4]))
-			off += 4
-			if l > len(img)-off {
-				return nil, fmt.Errorf("pax: truncated var value")
-			}
-			vc[i] = img[off : off+l : off+l]
-			off += l
+	return p
+}
+
+// fixedCols counts the schema's fixed-width columns.
+func fixedCols(schema *rel.Schema) int {
+	n := 0
+	for _, c := range schema.Cols {
+		if c.Type.FixedWidth() > 0 {
+			n++
 		}
 	}
-	return p, nil
+	return n
 }

@@ -184,6 +184,16 @@ func (s *Server) accept(nc net.Conn) {
 	c.flushHeld = func() { s.flushHeld(c) }
 	c.ps = s.DB.NewPoolSession(func(ps *phoebedb.PoolSession) { s.runSession(c, ps) })
 	s.connMu.Lock()
+	// Accept can return just before Shutdown closes the listener. Once
+	// Shutdown has begun, its snapshot of s.conns may already be taken, so
+	// a connection registered now would never be closed: refuse it.
+	select {
+	case <-s.done:
+		s.connMu.Unlock()
+		nc.Close()
+		return
+	default:
+	}
 	s.conns[c] = struct{}{}
 	s.connMu.Unlock()
 	s.nConns.Add(1)

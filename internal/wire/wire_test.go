@@ -626,6 +626,62 @@ func TestWireManyConnections(t *testing.T) {
 	}
 }
 
+// lateListener's first Accept takes a connection but hands it over only
+// once release is closed; later calls report the listener closed. It is an
+// Accept that returned just before Shutdown closed the listener, seen by
+// Serve only after Shutdown has returned.
+type lateListener struct {
+	net.Listener
+	accepting chan struct{} // closed once Serve is inside Accept
+	release   chan struct{}
+	calls     int
+}
+
+func (l *lateListener) Accept() (net.Conn, error) {
+	if l.calls++; l.calls > 1 {
+		return nil, net.ErrClosed
+	}
+	nc, err := l.Listener.Accept()
+	close(l.accepting)
+	<-l.release
+	return nc, err
+}
+
+// A connection Accept returns after Shutdown has begun is refused, not
+// adopted: nothing would ever close it, and its session could start after
+// Shutdown's wait for sessions. The client sees EOF and Serve returns nil.
+func TestWireAcceptAfterShutdownIsRefused(t *testing.T) {
+	db := openDB(t, phoebedb.Options{})
+	inner, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := &lateListener{Listener: inner, accepting: make(chan struct{}), release: make(chan struct{})}
+	nc, err := net.Dial("tcp", inner.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	srv := wire.NewServer(db)
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve(l) }()
+	<-l.accepting
+	srv.Shutdown(l)
+	close(l.release)
+	select {
+	case err := <-served:
+		if err != nil {
+			t.Fatalf("Serve = %v, want nil", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Serve did not return after Shutdown")
+	}
+	nc.SetReadDeadline(time.Now().Add(10 * time.Second))
+	if n, err := nc.Read(make([]byte, 1)); err != io.EOF {
+		t.Fatalf("client read after Shutdown = (%d, %v), want EOF", n, err)
+	}
+}
+
 // TestWireMaxConnections checks the accept-time cap: the excess
 // connection gets a structured TOO_MANY_CONNECTIONS error, existing
 // connections keep working.

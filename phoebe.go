@@ -120,8 +120,8 @@ type Options struct {
 	Isolation Isolation
 	// LockTimeout bounds lock waits (default 2s).
 	LockTimeout time.Duration
-	// ColdCacheBytes bounds the per-table LRU of decompressed cold-segment
-	// blocks (0 = default 4 MiB).
+	// ColdCacheBytes bounds the per-table LRU of decoded cold-segment
+	// blocks, charged at their decoded size (0 = default 4 MiB).
 	ColdCacheBytes int64
 	// SlowTxnThreshold arms the slow-transaction log: transactions slower
 	// than this are captured with their full component breakdown (see
