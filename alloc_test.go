@@ -2,6 +2,7 @@ package phoebedb
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"phoebedb/internal/rel"
@@ -40,6 +41,14 @@ func inPoolSession(t *testing.T, db *DB, fn func(ps *PoolSession)) {
 // left it — lower it when one of those goes.
 const updateAllocFloor = 5
 
+// foldAllocCeiling and limitAllocCeiling pin the cached in-scan count/sum
+// and the streaming LIMIT where this gate was introduced: output column
+// names and fold specs (fold), and the full scan's engine-side state.
+const (
+	foldAllocCeiling  = 18
+	limitAllocCeiling = 4
+)
+
 func TestAllocPoolSessionExecSQL(t *testing.T) {
 	// The sampler and the archiver allocate on their own clocks.
 	db := openTestDB(t, Options{ASHSampleInterval: -1})
@@ -48,7 +57,7 @@ func TestAllocPoolSessionExecSQL(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		execOrFatal(t, db, fmt.Sprintf("INSERT INTO acct VALUES (%d, %d, 'n%d')", i, i, i))
 	}
-	var sel, upd float64
+	var sel, upd, fold, limit float64
 	var sink countSink
 	inPoolSession(t, db, func(ps *PoolSession) {
 		run := func(q string) {
@@ -61,15 +70,54 @@ func TestAllocPoolSessionExecSQL(t *testing.T) {
 		run("UPDATE acct SET bal = 1 WHERE id = 7")
 		sel = testing.AllocsPerRun(200, func() { run("SELECT * FROM acct WHERE id = 9") })
 		upd = testing.AllocsPerRun(200, func() { run("UPDATE acct SET bal = 5 WHERE id = 9") })
+		if sink.cols != 3 || sink.rows < 200 {
+			t.Fatalf("sink saw %d columns, %d rows", sink.cols, sink.rows)
+		}
+		// The in-scan count/sum over a fixed-width range and a streaming
+		// LIMIT: the shapes the cold_read and tpcc workloads send.
+		const foldQ = "SELECT count(*), sum(bal) FROM acct WHERE bal >= 10 AND bal <= 40"
+		const limitQ = "SELECT * FROM acct WHERE bal >= 5 LIMIT 3"
+		run(foldQ)
+		run(limitQ)
+		fold = testing.AllocsPerRun(200, func() { run(foldQ) })
+		limit = testing.AllocsPerRun(200, func() { run(limitQ) })
 	})
-	if sink.cols != 3 || sink.rows < 200 {
-		t.Fatalf("sink saw %d columns, %d rows", sink.cols, sink.rows)
-	}
 	if sel != 0 {
 		t.Errorf("autocommit point SELECT allocates %.1f objects per statement, want 0", sel)
 	}
 	if upd > updateAllocFloor {
 		t.Errorf("autocommit point UPDATE allocates %.1f objects per statement, want <= %d", upd, updateAllocFloor)
 	}
-	t.Logf("allocs per statement: SELECT %.1f, UPDATE %.1f", sel, upd)
+	if fold > foldAllocCeiling {
+		t.Errorf("in-scan count/sum allocates %.1f objects per statement, want <= %d", fold, foldAllocCeiling)
+	}
+	if limit > limitAllocCeiling {
+		t.Errorf("streaming LIMIT 3 allocates %.1f objects per statement, want <= %d", limit, limitAllocCeiling)
+	}
+	t.Logf("allocs per statement: SELECT %.1f, UPDATE %.1f, fold %.1f, LIMIT %.1f", sel, upd, fold, limit)
+}
+
+// TestAllocExplainAnalyzeFold checks that EXPLAIN ANALYZE of an in-scan
+// aggregate runs the fold itself: its allocations do not grow with the
+// number of qualifying rows, as they would if the traced statement cloned
+// each row into a gather.
+func TestAllocExplainAnalyzeFold(t *testing.T) {
+	db := openTestDB(t, Options{ASHSampleInterval: -1})
+	execOrFatal(t, db, "CREATE TABLE big (seq INT, hits INT)")
+	for i := 0; i < 640; i++ {
+		execOrFatal(t, db, fmt.Sprintf("INSERT INTO big VALUES (%d, %d)", i, i%7))
+	}
+	allocs := func(hi int) float64 {
+		q := fmt.Sprintf("EXPLAIN ANALYZE SELECT count(*), sum(hits) FROM big WHERE seq >= 0 AND seq < %d", hi)
+		res := execOrFatal(t, db, q)
+		if got := res.Rows[1][0].S; !strings.HasPrefix(strings.TrimSpace(got), "-> Aggregate (in scan) (actual rows=1 ") {
+			t.Fatalf("%s: aggregate node %q", q, got)
+		}
+		return testing.AllocsPerRun(20, func() { execOrFatal(t, db, q) })
+	}
+	small, large := allocs(64), allocs(640)
+	if d := large - small; d >= 10 || d <= -10 {
+		t.Errorf("EXPLAIN ANALYZE fold allocates %.1f objects over 64 rows and %.1f over 640", small, large)
+	}
+	t.Logf("EXPLAIN ANALYZE fold allocs: %.1f over 64 rows, %.1f over 640", small, large)
 }

@@ -72,7 +72,18 @@ func main() {
 	must(err)
 	must(tx.Commit())
 	fmt.Printf("new primary serving writes: %d events total\n", countRows(standbyEngine))
-	standbyEngine.Close()
+	must(standbyEngine.Close())
+
+	// The new primary restarts from its own directory alone.
+	restarted, err := core.Open(core.Config{Dir: sdir, Slots: 4})
+	must(err)
+	_, err = restarted.Recover()
+	must(err)
+	if n := countRows(restarted); n != 101 {
+		log.Fatalf("restarted new primary sees %d events, want 101", n)
+	}
+	fmt.Println("new primary restarted: 101 events recovered")
+	must(restarted.Close())
 }
 
 func countRows(e *core.Engine) int {

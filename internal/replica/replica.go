@@ -407,9 +407,10 @@ func (s *Standby) Run(stop <-chan struct{}, interval time.Duration) error {
 }
 
 // Promote finishes replication and makes the standby writable: it applies
-// any remaining log, fast-forwards the standby's WAL GSN clocks, and
-// marks the standby promoted. After promotion the engine serves normal
-// transactions as the new primary.
+// any remaining log, fast-forwards the standby's WAL GSN clocks, marks the
+// standby promoted, and checkpoints. After promotion the engine serves
+// normal transactions as the new primary and restarts from its own
+// directory.
 func (s *Standby) Promote() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -456,5 +457,9 @@ func (s *Standby) Promote() error {
 	for i := 0; i < s.Engine.WAL.NumWriters(); i++ {
 		s.Engine.WAL.Writer(i).AdvanceGSN(maxGSN)
 	}
-	return nil
+	// Applying logged nothing to the standby's own WAL, so nothing recovery
+	// reads holds the shipped catalog and rows yet. A checkpoint makes them
+	// the new timeline's starting point, so the promoted engine can restart
+	// from its own directory.
+	return s.Engine.Checkpoint()
 }

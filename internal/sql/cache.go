@@ -44,14 +44,8 @@ type CachedStmt struct {
 	// and the schema: the table's schema and live indexes, and a streaming
 	// SELECT's projection. Like the plan hint they are published once and
 	// die with the entry when DDL invalidates the cache.
-	meta atomic.Pointer[tableMeta]
+	meta atomic.Pointer[planTable]
 	proj atomic.Pointer[projection]
-}
-
-// tableMeta is a statement's table as the planner sees it.
-type tableMeta struct {
-	schema  *rel.Schema
-	indexes []IndexMeta
 }
 
 // projection is a streaming SELECT's output: source positions (nil for

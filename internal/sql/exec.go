@@ -581,24 +581,26 @@ func planFor(hint *CachedStmt, schema *rel.Schema, indexes []IndexMeta, table st
 
 // stmtTable resolves a single-table statement's schema and live indexes,
 // from the cached statement when it has them.
-func stmtTable(cat Catalog, hint *CachedStmt, table string) (*rel.Schema, []IndexMeta, error) {
+func stmtTable(cat Catalog, hint *CachedStmt, table string) (planTable, error) {
 	if hint != nil {
 		if m := hint.meta.Load(); m != nil {
-			return m.schema, m.indexes, nil
+			return *m, nil
 		}
 	}
 	schema, err := cat.TableSchema(table)
 	if err != nil {
-		return nil, nil, err
+		return planTable{}, err
 	}
 	indexes, err := cat.IndexInfo(table)
 	if err != nil {
-		return nil, nil, err
+		return planTable{}, err
 	}
+	t := planTable{name: table, schema: schema, indexes: indexes}
 	if hint != nil {
-		hint.meta.Store(&tableMeta{schema: schema, indexes: indexes})
+		m := t
+		hint.meta.Store(&m)
 	}
-	return schema, indexes, nil
+	return t, nil
 }
 
 func matches(schema *rel.Schema, row rel.Row, conds []Cond) bool {
@@ -740,7 +742,7 @@ func execInsert(cat Catalog, tx Txn, s InsertStmt, tr *execTrace, sc *Scratch) (
 	if err != nil {
 		return 0, err
 	}
-	mop := tr.modifyOp()
+	mop := tr.op(opModify)
 	mstart := mop.begin()
 	n := 0
 	for _, vals := range s.Rows {
@@ -766,47 +768,6 @@ func execInsert(cat Catalog, tx Txn, s InsertStmt, tr *execTrace, sc *Scratch) (
 	mop.rows(int64(len(s.Rows)), int64(n))
 	mop.end(mstart)
 	return n, nil
-}
-
-func execSelect(cat Catalog, tx Txn, s SelectStmt, hint *CachedStmt, tr *execTrace, sc *Scratch, sink RowSink) (int, error) {
-	if s.Join != nil {
-		return execSelectJoin(cat, tx, s, hint, tr, sc, sink)
-	}
-	if schema, rows, ok := statTable(cat, s.Table); ok {
-		return selectRows(cat, schema, rows, s, tr, sink)
-	}
-	if tr != nil || len(s.GroupBy) > 0 || len(s.OrderBy) > 0 || hasAggs(s.Exprs) {
-		// EXPLAIN ANALYZE routes the streaming fast path through the shaped
-		// pipeline too: same rows, and every operator gets instrumented
-		// while the hot untraced path keeps zero branches.
-		return execSelectShaped(cat, tx, s, hint, tr, sc, sink)
-	}
-	schema, indexes, err := stmtTable(cat, hint, s.Table)
-	if err != nil {
-		return 0, err
-	}
-	if err := checkWhereQualifiers(s.Table, s.Where); err != nil {
-		return 0, err
-	}
-	p, err := planFor(hint, schema, indexes, s.Table, s.Where, sc)
-	if err != nil {
-		return 0, err
-	}
-	notePlan(tx, s.Table, p)
-	pr, err := projectionFor(hint, schema, s)
-	if err != nil {
-		return 0, err
-	}
-	sink.Header(pr.cols)
-	sc.bindCallbacks()
-	sc.emit = emitState{sink: sink, proj: pr.pos, limit: s.Limit}
-	err = scanMatching(tx, schema, s.Table, p, nil, sc, sc.emitFn)
-	n := sc.emit.n
-	// Let go of the sink and of what the projected values reference (a
-	// string value pins its page's bytes or a whole decoded cold block).
-	sc.emit = emitState{}
-	clear(sc.row[:cap(sc.row)])
-	return n, err
 }
 
 // projectionFor resolves a streaming SELECT's select list, from the cached
@@ -841,53 +802,55 @@ func projectionFor(hint *CachedStmt, schema *rel.Schema, s SelectStmt) (*project
 	return pr, nil
 }
 
-// selectRows runs a SELECT over pre-materialized rows (virtual stat
-// tables): WHERE becomes pure residual filtering, then the shared shaping
-// pipeline (aggregation, ORDER BY, LIMIT, projection) applies.
-func selectRows(cat Catalog, schema *rel.Schema, rows []rel.Row, s SelectStmt, tr *execTrace, sink RowSink) (int, error) {
-	if err := checkWhereQualifiers(s.Table, s.Where); err != nil {
-		return 0, err
+// writePlan is an UPDATE's or DELETE's target scan: the table and the
+// access path that finds the rows to change. The executor runs it and
+// EXPLAIN renders it.
+type writePlan struct {
+	from planTable
+	scan plan
+}
+
+// planWrite plans the target scan of an UPDATE or DELETE on table.
+func planWrite(cat Catalog, hint *CachedStmt, table string, where []Cond, sc *Scratch) (wp writePlan, err error) {
+	if _, _, ok := statTable(cat, table); ok {
+		return wp, errStatReadOnly(table)
 	}
-	p, err := planWhere(schema, nil, s.Where)
-	if err != nil {
-		return 0, err
+	if wp.from, err = stmtTable(cat, hint, table); err != nil {
+		return wp, err
 	}
-	op := tr.scanOp()
-	start := op.begin()
-	var matched []rel.Row
-	for _, row := range rows {
-		if op != nil {
-			op.rowsIn++
-		}
-		if matches(schema, row, p.residual) {
-			if op != nil {
-				op.rowsOut++
-			}
-			matched = append(matched, row)
-		}
+	if err = checkWhereQualifiers(table, where); err != nil {
+		return wp, err
 	}
-	op.end(start)
-	return shapeRows(singleSource(s.Table, schema), s, matched, false, countersOf(cat), tr, sink)
+	wp.scan, err = planFor(hint, wp.from.schema, wp.from.indexes, table, where, sc)
+	return wp, err
 }
 
 func execUpdate(cat Catalog, tx Txn, s UpdateStmt, hint *CachedStmt, tr *execTrace, sc *Scratch) (int, error) {
-	if _, _, ok := statTable(cat, s.Table); ok {
-		return 0, errStatReadOnly(s.Table)
-	}
-	schema, indexes, err := stmtTable(cat, hint, s.Table)
+	wp, err := planWrite(cat, hint, s.Table, s.Where, sc)
 	if err != nil {
 		return 0, err
 	}
-	if err := checkWhereQualifiers(s.Table, s.Where); err != nil {
+	return wp.update(tx, s.Set, tr, sc)
+}
+
+func execDelete(cat Catalog, tx Txn, s DeleteStmt, hint *CachedStmt, tr *execTrace, sc *Scratch) (int, error) {
+	wp, err := planWrite(cat, hint, s.Table, s.Where, sc)
+	if err != nil {
 		return 0, err
 	}
-	// Validate and coerce the SET clause.
+	return wp.apply(tx, tr, sc, func(rid rel.RowID) error { return tx.Delete(wp.from.name, rid) })
+}
+
+// update validates and coerces the SET clause, then applies it to every
+// target row.
+func (wp *writePlan) update(tx Txn, set map[string]rel.Value, tr *execTrace, sc *Scratch) (int, error) {
+	schema := wp.from.schema
 	if sc.coerced == nil {
-		sc.coerced = make(map[string]rel.Value, len(s.Set))
+		sc.coerced = make(map[string]rel.Value, len(set))
 	}
-	set := sc.coerced
-	clear(set)
-	for name, v := range s.Set {
+	coerced := sc.coerced
+	clear(coerced)
+	for name, v := range set {
 		pos := schema.ColIndex(name)
 		if pos < 0 {
 			return 0, fmt.Errorf("sql: unknown column %q", name)
@@ -898,75 +861,37 @@ func execUpdate(cat Catalog, tx Txn, s UpdateStmt, hint *CachedStmt, tr *execTra
 		if v.Kind != schema.Cols[pos].Type {
 			return 0, fmt.Errorf("sql: column %q: literal type mismatch", name)
 		}
-		set[name] = v
+		coerced[name] = v
 	}
-	p, err := planFor(hint, schema, indexes, s.Table, s.Where, sc)
-	if err != nil {
-		return 0, err
-	}
-	notePlan(tx, s.Table, p)
-	// Collect targets first: updating while scanning the same index could
-	// revisit moved entries.
-	rids, err := collectRIDs(tx, schema, s.Table, p, tr.scanOp(), sc)
-	if err != nil {
-		return 0, err
-	}
-	mop := tr.modifyOp()
-	mstart := mop.begin()
-	for _, rid := range rids {
-		if err := tx.Update(s.Table, rid, set); err != nil {
-			return 0, err
-		}
-	}
-	mop.rows(int64(len(rids)), int64(len(rids)))
-	mop.end(mstart)
-	return len(rids), nil
+	return wp.apply(tx, tr, sc, func(rid rel.RowID) error { return tx.Update(wp.from.name, rid, coerced) })
 }
 
 // maxKeptRIDs bounds the row-id list a Scratch keeps between statements (a
 // whole-table UPDATE's is dropped).
 const maxKeptRIDs = 4096
 
-// collectRIDs runs the planned scan and returns the matching row IDs, in
-// sc's list (valid until the Scratch's next statement).
-func collectRIDs(tx Txn, schema *rel.Schema, table string, p plan, op *opTrace, sc *Scratch) ([]rel.RowID, error) {
+// apply runs the target scan, collecting every matching row ID first —
+// changing rows while scanning the same index could revisit moved entries
+// — then applies change to each.
+func (wp *writePlan) apply(tx Txn, tr *execTrace, sc *Scratch, change func(rel.RowID) error) (int, error) {
+	notePlan(tx, wp.from.name, wp.scan)
 	sc.bindCallbacks()
 	if cap(sc.rids) > maxKeptRIDs {
 		sc.rids = nil
 	}
 	sc.rids = sc.rids[:0]
-	err := scanMatching(tx, schema, table, p, op, sc, sc.collectFn)
-	return sc.rids, err
-}
-
-func execDelete(cat Catalog, tx Txn, s DeleteStmt, hint *CachedStmt, tr *execTrace, sc *Scratch) (int, error) {
-	if _, _, ok := statTable(cat, s.Table); ok {
-		return 0, errStatReadOnly(s.Table)
-	}
-	schema, indexes, err := stmtTable(cat, hint, s.Table)
-	if err != nil {
+	if err := scanMatching(tx, wp.from.schema, wp.from.name, wp.scan, tr.op(opScan), sc, sc.collectFn); err != nil {
 		return 0, err
 	}
-	if err := checkWhereQualifiers(s.Table, s.Where); err != nil {
-		return 0, err
-	}
-	p, err := planFor(hint, schema, indexes, s.Table, s.Where, sc)
-	if err != nil {
-		return 0, err
-	}
-	notePlan(tx, s.Table, p)
-	rids, err := collectRIDs(tx, schema, s.Table, p, tr.scanOp(), sc)
-	if err != nil {
-		return 0, err
-	}
-	mop := tr.modifyOp()
+	mop := tr.op(opModify)
 	mstart := mop.begin()
-	for _, rid := range rids {
-		if err := tx.Delete(s.Table, rid); err != nil {
+	for _, rid := range sc.rids {
+		if err := change(rid); err != nil {
 			return 0, err
 		}
 	}
-	mop.rows(int64(len(rids)), int64(len(rids)))
+	n := len(sc.rids)
+	mop.rows(int64(n), int64(n))
 	mop.end(mstart)
-	return len(rids), nil
+	return n, nil
 }

@@ -10,13 +10,14 @@ import (
 
 // EXPLAIN and EXPLAIN ANALYZE.
 //
-// EXPLAIN renders the plan the executor would run — access path, join
-// strategy, sort avoidance, LIMIT pushdown — by consulting the same
-// planner entry points (planWhere, resolveJoin, chooseJoinStrategy,
-// orderSatisfied) the executor itself uses, so the rendered tree cannot
-// drift from execution. EXPLAIN ANALYZE additionally runs the statement
-// with a trace collector threaded through every operator and annotates
-// each node with its actuals: rows out, loop count, and wall time.
+// EXPLAIN renders the plan value the executor runs: planSelect's
+// selectPlan for a SELECT (access path, join strategy, in-scan aggregate
+// fold, sort avoidance, LIMIT pushdown) and planWrite's target scan for an
+// UPDATE or DELETE. Nothing is planned twice, so the rendered tree cannot
+// drift from execution. EXPLAIN ANALYZE runs that same plan with a trace
+// collector threaded through every operator and annotates each node with
+// its actuals: rows out, loop count, and wall time. The collector never
+// picks a path, so the traced run is the untraced one.
 //
 // The collector is designed so the untraced hot path pays nothing: every
 // operator holds a *opTrace that is nil when tracing is off, and every
@@ -48,6 +49,16 @@ func (op *opTrace) end(start time.Time) {
 	op.nanos += time.Since(start).Nanoseconds()
 }
 
+// count records one untimed invocation: an operator that runs inside
+// another's callback, whose time that one already carries.
+func (op *opTrace) count(in, out int64) {
+	if op == nil {
+		return
+	}
+	op.loops++
+	op.rows(in, out)
+}
+
 // rows adds to the operator's row counters.
 func (op *opTrace) rows(in, out int64) {
 	if op == nil {
@@ -57,77 +68,30 @@ func (op *opTrace) rows(in, out int64) {
 	op.rowsOut += out
 }
 
-// execTrace is the per-statement collector: one slot per operator of the
-// gather → join → aggregate → sort → limit → project pipeline (plus the
-// DML apply step). Accessors return nil on a nil trace so operators can
-// be handed a trace slot unconditionally.
-type execTrace struct {
-	scan    opTrace // driving scan (or stat-table / streaming scan)
-	probe   opTrace // join probe side (index probes, or hash probe)
-	build   opTrace // hash-join build-side scan
-	agg     opTrace // grouping + aggregate fold
-	sort    opTrace // ORDER BY sort
-	limit   opTrace // LIMIT truncation
-	project opTrace // output projection
-	modify  opTrace // INSERT/UPDATE/DELETE apply loop
+// The operators of the gather → join → aggregate → sort → limit → project
+// pipeline, plus the DML apply step: one execTrace slot each.
+const (
+	opScan    = iota // driving scan (or stat-table / streaming scan)
+	opProbe          // join probe side (index probes, or hash probe)
+	opBuild          // hash-join build-side scan
+	opAgg            // grouping + aggregate fold
+	opSort           // ORDER BY sort
+	opLimit          // LIMIT truncation
+	opProject        // output projection
+	opModify         // INSERT/UPDATE/DELETE apply loop
+	numOps
+)
 
-	total time.Duration // statement wall time (EXPLAIN ANALYZE)
-}
+// execTrace is the per-statement collector, one opTrace per operator.
+type execTrace [numOps]opTrace
 
-func (tr *execTrace) scanOp() *opTrace {
+// op returns operator k's slot, or nil on a nil trace, so operators can be
+// handed a slot unconditionally.
+func (tr *execTrace) op(k int) *opTrace {
 	if tr == nil {
 		return nil
 	}
-	return &tr.scan
-}
-
-func (tr *execTrace) probeOp() *opTrace {
-	if tr == nil {
-		return nil
-	}
-	return &tr.probe
-}
-
-func (tr *execTrace) buildOp() *opTrace {
-	if tr == nil {
-		return nil
-	}
-	return &tr.build
-}
-
-func (tr *execTrace) aggOp() *opTrace {
-	if tr == nil {
-		return nil
-	}
-	return &tr.agg
-}
-
-func (tr *execTrace) sortOp() *opTrace {
-	if tr == nil {
-		return nil
-	}
-	return &tr.sort
-}
-
-func (tr *execTrace) limitOp() *opTrace {
-	if tr == nil {
-		return nil
-	}
-	return &tr.limit
-}
-
-func (tr *execTrace) projectOp() *opTrace {
-	if tr == nil {
-		return nil
-	}
-	return &tr.project
-}
-
-func (tr *execTrace) modifyOp() *opTrace {
-	if tr == nil {
-		return nil
-	}
-	return &tr.modify
+	return &tr[k]
 }
 
 // PlanNoter is implemented by transaction handles that record plan
@@ -136,7 +100,7 @@ type PlanNoter interface {
 	NotePlan(desc string)
 }
 
-// notePlan records the chosen plan's one-line provenance on transaction
+// noteLabel records the chosen plan's one-line provenance on transaction
 // handles that care; a non-PlanNoter Txn costs one type assertion.
 func noteLabel(tx Txn, desc string) {
 	if pn, ok := tx.(PlanNoter); ok {
@@ -169,9 +133,13 @@ func scanLabel(table string, p plan) string {
 	return "Seq Scan on " + table
 }
 
+// foldLabel marks the in-scan aggregate fold, in plan trees and, followed
+// by the table, in the slow log's plan line.
+const foldLabel = "Aggregate (in scan)"
+
 // joinLabel is the one-line join-strategy description for provenance:
 // strategy, driving-side access path, and the probed/built side.
-func joinLabel(sh *selectHint, driveLabel, otherTable string) string {
+func joinLabel(sh selectHint, driveLabel, otherTable string) string {
 	if sh.probeIndex != "" {
 		return fmt.Sprintf("IndexNestedLoop Join (%s; probe %s via %s)", driveLabel, otherTable, sh.probeIndex)
 	}
@@ -232,20 +200,20 @@ func rangeCondString(p plan) string {
 // access path plus Index Cond / Index Range Cond / Filter annotations.
 // A full scan whose whole residual runs batch-at-a-time over column strips
 // is marked "Vectorized: true" — the split scanMatching applies.
-func scanPlanNode(table string, schema *rel.Schema, indexes []IndexMeta, p plan, op *opTrace) *planNode {
-	n := &planNode{label: scanLabel(table, p), op: op}
+func scanPlanNode(t planTable, p plan, op *opTrace) *planNode {
+	n := &planNode{label: scanLabel(t.name, p), op: op}
 	if p.empty {
 		n.notes = append(n.notes, "One-Time Filter: false (contradictory WHERE)")
 		return n
 	}
 	if p.index != "" && len(p.prefixVals) > 0 {
-		for i := range indexes {
-			if indexes[i].Name != p.index {
+		for _, ix := range t.indexes {
+			if ix.Name != p.index {
 				continue
 			}
 			conds := make([]string, len(p.prefixVals))
 			for j, v := range p.prefixVals {
-				conds[j] = schema.Cols[indexes[i].Cols[j]].Name + " = " + v.String()
+				conds[j] = t.schema.Cols[ix.Cols[j]].Name + " = " + v.String()
 			}
 			n.notes = append(n.notes, "Index Cond: "+strings.Join(conds, " AND "))
 			break
@@ -258,34 +226,34 @@ func scanPlanNode(table string, schema *rel.Schema, indexes []IndexMeta, p plan,
 		n.notes = append(n.notes, "Filter: "+condsString(p.residual))
 	}
 	if p.index == "" {
-		if _, rest := p.splitResidual(schema, new(Scratch)); len(rest) == 0 {
+		if _, rest := p.splitResidual(t.schema, new(Scratch)); len(rest) == 0 {
 			n.notes = append(n.notes, "Vectorized: true")
 		}
 	}
 	return n
 }
 
-// shapePlanNodes wraps the gather node in the shaping pipeline the
-// executor applies: aggregate → sort → limit → project, innermost first.
-func shapePlanNodes(ss *srcSchema, s SelectStmt, child *planNode, sorted bool, tr *execTrace) (*planNode, error) {
-	outCols, err := buildOutCols(ss, s)
-	if err != nil {
-		return nil, err
+// planTree renders the plan: its gather node under the shaping nodes the
+// executor applies — aggregate → sort → limit → project, innermost first.
+func (sp *selectPlan) planTree(tr *execTrace) *planNode {
+	s := &sp.s
+	n := sp.gatherNode(tr)
+	wrap := func(label string, op *opTrace) {
+		n = &planNode{label: label, op: op, children: []*planNode{n}}
 	}
-	n := child
-	aggregate := len(s.GroupBy) > 0 || hasAggs(s.Exprs)
-	if aggregate {
-		label := "Aggregate"
-		if len(s.GroupBy) > 0 {
-			keys := make([]string, len(s.GroupBy))
-			for i, r := range s.GroupBy {
-				keys[i] = refString(r)
-			}
-			label = "HashAggregate (group by " + strings.Join(keys, ", ") + ")"
+	switch {
+	case sp.kind == selFold:
+		wrap(foldLabel, tr.op(opAgg))
+	case len(s.GroupBy) > 0:
+		keys := make([]string, len(s.GroupBy))
+		for i, r := range s.GroupBy {
+			keys[i] = refString(r)
 		}
-		n = &planNode{label: label, op: tr.aggOp(), children: []*planNode{n}}
+		wrap("HashAggregate (group by "+strings.Join(keys, ", ")+")", tr.op(opAgg))
+	case sp.aggregate:
+		wrap("Aggregate", tr.op(opAgg))
 	}
-	if len(s.OrderBy) > 0 && (aggregate || !sorted) {
+	if len(s.OrderBy) > 0 && (sp.aggregate || !sp.sorted) {
 		keys := make([]string, len(s.OrderBy))
 		for i, k := range s.OrderBy {
 			keys[i] = refString(k.Ref)
@@ -293,175 +261,123 @@ func shapePlanNodes(ss *srcSchema, s SelectStmt, child *planNode, sorted bool, t
 				keys[i] += " DESC"
 			}
 		}
-		n = &planNode{label: "Sort (" + strings.Join(keys, ", ") + ")", op: tr.sortOp(), children: []*planNode{n}}
+		wrap("Sort ("+strings.Join(keys, ", ")+")", tr.op(opSort))
 	}
 	if s.Limit > 0 {
-		n = &planNode{label: fmt.Sprintf("Limit %d", s.Limit), op: tr.limitOp(), children: []*planNode{n}}
+		wrap(fmt.Sprintf("Limit %d", s.Limit), tr.op(opLimit))
 	}
-	n = &planNode{label: "Project (" + strings.Join(colNames(outCols), ", ") + ")", op: tr.projectOp(), children: []*planNode{n}}
-	return n, nil
+	names := sp.outColNames()
+	wrap("Project ("+strings.Join(names, ", ")+")", tr.op(opProject))
+	return n
 }
 
-// buildSelectPlan reconstructs the plan tree for a SELECT by invoking
-// the same planner decisions the executor makes.
-func buildSelectPlan(cat Catalog, s SelectStmt, tr *execTrace) (*planNode, error) {
-	if s.Join != nil {
-		return buildJoinPlan(cat, s, tr)
+// outColNames names the plan's output columns.
+func (sp *selectPlan) outColNames() []string {
+	if sp.kind == selStream {
+		return sp.proj.cols
 	}
-	if schema, _, ok := statTable(cat, s.Table); ok {
-		if err := checkWhereQualifiers(s.Table, s.Where); err != nil {
-			return nil, err
-		}
-		scan := &planNode{label: "Stat Scan on " + s.Table, op: tr.scanOp()}
-		if len(s.Where) > 0 {
-			scan.notes = append(scan.notes, "Filter: "+condsString(s.Where))
-		}
-		return shapePlanNodes(singleSource(s.Table, schema), s, scan, false, tr)
-	}
-	schema, err := cat.TableSchema(s.Table)
-	if err != nil {
-		return nil, err
-	}
-	indexes, err := cat.IndexInfo(s.Table)
-	if err != nil {
-		return nil, err
-	}
-	if err := checkWhereQualifiers(s.Table, s.Where); err != nil {
-		return nil, err
-	}
-	p, err := planWhere(schema, indexes, s.Where)
-	if err != nil {
-		return nil, err
-	}
-	ss := singleSource(s.Table, schema)
-	aggregate := len(s.GroupBy) > 0 || hasAggs(s.Exprs)
-	sorted := false
-	if !aggregate && len(s.OrderBy) > 0 {
-		sorted, err = orderSatisfied(ss, indexes, p, s.OrderBy)
-		if err != nil {
-			return nil, err
-		}
-	}
-	scan := scanPlanNode(s.Table, schema, indexes, p, tr.scanOp())
-	if sorted {
-		scan.notes = append(scan.notes, "Order: "+p.index+" scan order satisfies ORDER BY (sort avoided)")
-	}
-	if !aggregate && s.Limit > 0 && (len(s.OrderBy) == 0 || sorted) {
-		scan.notes = append(scan.notes, fmt.Sprintf("Limit Pushdown: stop after %d rows", s.Limit))
-	}
-	return shapePlanNodes(ss, s, scan, sorted, tr)
+	return colNames(sp.outCols)
 }
 
-// buildJoinPlan reconstructs the join subtree via the executor's own
-// strategy choice (hint-less, so the pick is recomputed deterministically).
-func buildJoinPlan(cat Catalog, s SelectStmt, tr *execTrace) (*planNode, error) {
-	ji, err := resolveJoin(cat, s)
-	if err != nil {
-		return nil, err
+// gatherNode renders where the plan's rows come from: a stat table, the
+// single table's access path, or the join.
+func (sp *selectPlan) gatherNode(tr *execTrace) *planNode {
+	var n *planNode
+	switch sp.kind {
+	case selStat:
+		n = &planNode{label: "Stat Scan on " + sp.from.name, op: tr.op(opScan)}
+		if len(sp.scan.residual) > 0 {
+			n.notes = append(n.notes, "Filter: "+condsString(sp.scan.residual))
+		}
+	case selJoin:
+		n = sp.joinNode(tr)
+	default:
+		n = scanPlanNode(sp.from, sp.scan, tr.op(opScan))
+		if sp.sorted {
+			n.notes = append(n.notes, "Order: "+sp.scan.index+" scan order satisfies ORDER BY (sort avoided)")
+		}
 	}
-	sh := chooseJoinStrategy(nil, ji)
-	cond := refString(s.Join.Left) + " = " + refString(s.Join.Right)
-	var join *planNode
-	if sh.probeIndex != "" {
-		driveName, driveSchema, driveConds := s.Table, ji.outerSchema, ji.outerConds
-		driveIndexes := ji.outerIndexes
-		probeName, probeSchema, probeConds := s.Join.Table, ji.innerSchema, ji.innerConds
-		probeCol, driveCol := ji.innerPos, ji.outerPos
-		if sh.swapped {
-			driveName, driveSchema, driveConds = s.Join.Table, ji.innerSchema, ji.innerConds
-			driveIndexes = ji.innerIndexes
-			probeName, probeSchema, probeConds = s.Table, ji.outerSchema, ji.outerConds
-			probeCol, driveCol = ji.outerPos, ji.innerPos
-		}
-		dp, err := planWhere(driveSchema, driveIndexes, driveConds)
-		if err != nil {
-			return nil, err
-		}
-		drive := scanPlanNode(driveName, driveSchema, driveIndexes, dp, tr.scanOp())
-		probe := &planNode{
-			label: "Index Scan using " + sh.probeIndex + " on " + probeName,
-			op:    tr.probeOp(),
-		}
-		probe.notes = append(probe.notes, "Index Cond: "+probeSchema.Cols[probeCol].Name+
-			" = "+driveName+"."+driveSchema.Cols[driveCol].Name)
-		if len(probeConds) > 0 {
-			probe.notes = append(probe.notes, "Filter: "+condsString(probeConds))
-		}
-		join = &planNode{
-			label:    "IndexNestedLoop Join (" + cond + ")",
-			children: []*planNode{drive, probe},
-		}
-	} else {
-		outp, err := planWhere(ji.outerSchema, ji.outerIndexes, ji.outerConds)
-		if err != nil {
-			return nil, err
-		}
-		ip, err := planWhere(ji.innerSchema, ji.innerIndexes, ji.innerConds)
-		if err != nil {
-			return nil, err
-		}
-		outer := scanPlanNode(s.Table, ji.outerSchema, ji.outerIndexes, outp, tr.scanOp())
-		inner := scanPlanNode(s.Join.Table, ji.innerSchema, ji.innerIndexes, ip, tr.buildOp())
+	if sp.early > 0 {
+		n.notes = append(n.notes, fmt.Sprintf("Limit Pushdown: stop after %d rows", sp.early))
+	}
+	return n
+}
+
+// joinNode renders the join: the driving scan and the probed index, or
+// the scanned outer side and the hash build over the inner one.
+func (sp *selectPlan) joinNode(tr *execTrace) *planNode {
+	jp := sp.join
+	cond := refString(sp.s.Join.Left) + " = " + refString(sp.s.Join.Right)
+	drive := scanPlanNode(jp.drive.planTable, sp.scan, tr.op(opScan))
+	if jp.probeIndex == "" {
+		inner := scanPlanNode(jp.other.planTable, jp.build, tr.op(opBuild))
 		build := &planNode{label: "Hash Build", children: []*planNode{inner}}
-		join = &planNode{
-			label:    "Hash Join (" + cond + ")",
-			op:       tr.probeOp(),
-			children: []*planNode{outer, build},
-		}
+		return &planNode{label: "Hash Join (" + cond + ")", op: tr.op(opProbe), children: []*planNode{drive, build}}
 	}
-	return shapePlanNodes(ji.ss, s, join, false, tr)
+	probe := &planNode{label: "Index Scan using " + jp.probeIndex + " on " + jp.other.name, op: tr.op(opProbe)}
+	probe.notes = append(probe.notes, "Index Cond: "+jp.other.schema.Cols[jp.other.col].Name+
+		" = "+jp.drive.name+"."+jp.drive.schema.Cols[jp.drive.col].Name)
+	switch {
+	case jp.probeEmpty:
+		probe.notes = append(probe.notes, "One-Time Filter: false (contradictory WHERE)")
+	case len(jp.probeConds) > 0:
+		probe.notes = append(probe.notes, "Filter: "+condsString(jp.probeConds))
+	}
+	return &planNode{label: "IndexNestedLoop Join (" + cond + ")", children: []*planNode{drive, probe}}
 }
 
-// buildPlan reconstructs the plan tree for any explainable statement.
-func buildPlan(cat Catalog, stmt Stmt, tr *execTrace) (*planNode, error) {
+// explainStmt plans stmt, runs the plan when tr is set (EXPLAIN ANALYZE),
+// and renders it.
+func explainStmt(cat Catalog, tx Txn, stmt Stmt, tr *execTrace, sc *Scratch) (*planNode, error) {
 	switch s := stmt.(type) {
 	case SelectStmt:
-		return buildSelectPlan(cat, s, tr)
+		sp, err := planSelect(cat, s, nil, sc)
+		if err == nil && tr != nil {
+			_, err = sp.run(cat, tx, tr, sc, discard{})
+		}
+		if err != nil {
+			return nil, err
+		}
+		return sp.planTree(tr), nil
 	case InsertStmt:
-		return &planNode{
-			label: fmt.Sprintf("Insert on %s (%d rows)", s.Table, len(s.Rows)),
-			op:    tr.modifyOp(),
-		}, nil
+		if tr != nil {
+			if _, err := execInsert(cat, tx, s, tr, sc); err != nil {
+				return nil, err
+			}
+		}
+		return &planNode{label: fmt.Sprintf("Insert on %s (%d rows)", s.Table, len(s.Rows)), op: tr.op(opModify)}, nil
 	case UpdateStmt:
-		schema, err := cat.TableSchema(s.Table)
+		wp, err := planWrite(cat, nil, s.Table, s.Where, sc)
+		if err == nil && tr != nil {
+			_, err = wp.update(tx, s.Set, tr, sc)
+		}
 		if err != nil {
 			return nil, err
 		}
-		indexes, err := cat.IndexInfo(s.Table)
-		if err != nil {
-			return nil, err
-		}
-		p, err := planWhere(schema, indexes, s.Where)
-		if err != nil {
-			return nil, err
-		}
-		scan := scanPlanNode(s.Table, schema, indexes, p, tr.scanOp())
-		return &planNode{
-			label:    "Update on " + s.Table,
-			op:       tr.modifyOp(),
-			children: []*planNode{scan},
-		}, nil
+		return wp.planTree("Update", tr), nil
 	case DeleteStmt:
-		schema, err := cat.TableSchema(s.Table)
+		wp, err := planWrite(cat, nil, s.Table, s.Where, sc)
+		if err == nil && tr != nil {
+			_, err = wp.apply(tx, tr, sc, func(rid rel.RowID) error { return tx.Delete(s.Table, rid) })
+		}
 		if err != nil {
 			return nil, err
 		}
-		indexes, err := cat.IndexInfo(s.Table)
-		if err != nil {
-			return nil, err
-		}
-		p, err := planWhere(schema, indexes, s.Where)
-		if err != nil {
-			return nil, err
-		}
-		scan := scanPlanNode(s.Table, schema, indexes, p, tr.scanOp())
-		return &planNode{
-			label:    "Delete on " + s.Table,
-			op:       tr.modifyOp(),
-			children: []*planNode{scan},
-		}, nil
-	default:
-		return nil, ErrUnsupported
+		return wp.planTree("Delete", tr), nil
+	case ExplainStmt:
+		return nil, fmt.Errorf("%w: nested EXPLAIN", ErrUnsupported)
+	case CreateTableStmt, CreateIndexStmt:
+		return nil, fmt.Errorf("%w: EXPLAIN of DDL", ErrUnsupported)
+	}
+	return nil, ErrUnsupported
+}
+
+// planTree renders a write: the apply node over its target scan.
+func (wp *writePlan) planTree(verb string, tr *execTrace) *planNode {
+	return &planNode{
+		label:    verb + " on " + wp.from.name,
+		op:       tr.op(opModify),
+		children: []*planNode{scanPlanNode(wp.from, wp.scan, tr.op(opScan))},
 	}
 }
 
@@ -485,34 +401,24 @@ func renderPlan(n *planNode, depth int, analyze bool, out *[]string) {
 	}
 }
 
-// execExplain runs EXPLAIN [ANALYZE]: for plain EXPLAIN only the planner
-// runs; ANALYZE executes the statement first (including its side effects,
-// like Postgres) with a trace collector attached, then renders the tree
-// with per-operator actuals and the total wall time.
+// execExplain runs EXPLAIN [ANALYZE]: plain EXPLAIN only plans; ANALYZE
+// also runs the plan (side effects included, like Postgres) with a trace
+// collector attached, then renders the tree with per-operator actuals and
+// the total wall time.
 func execExplain(cat Catalog, tx Txn, s ExplainStmt, sc *Scratch, sink RowSink) (int, error) {
-	switch s.Inner.(type) {
-	case ExplainStmt:
-		return 0, fmt.Errorf("%w: nested EXPLAIN", ErrUnsupported)
-	case CreateTableStmt, CreateIndexStmt:
-		return 0, fmt.Errorf("%w: EXPLAIN of DDL", ErrUnsupported)
-	}
 	var tr *execTrace
 	if s.Analyze {
 		tr = &execTrace{}
-		start := time.Now()
-		if _, err := exec(cat, tx, s.Inner, nil, tr, sc, discard{}); err != nil {
-			return 0, err
-		}
-		tr.total = time.Since(start)
 	}
-	root, err := buildPlan(cat, s.Inner, tr)
+	start := time.Now()
+	root, err := explainStmt(cat, tx, s.Inner, tr, sc)
 	if err != nil {
 		return 0, err
 	}
 	var lines []string
 	renderPlan(root, 0, s.Analyze, &lines)
 	if s.Analyze {
-		lines = append(lines, fmt.Sprintf("Execution Time: %.3f ms", float64(tr.total.Nanoseconds())/1e6))
+		lines = append(lines, fmt.Sprintf("Execution Time: %.3f ms", float64(time.Since(start).Nanoseconds())/1e6))
 	}
 	sink.Header([]string{"plan"})
 	for _, l := range lines {

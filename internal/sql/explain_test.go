@@ -239,7 +239,7 @@ func TestExplainAnalyzeTimesSum(t *testing.T) {
 func TestExplainAnalyzeUntracedZeroCost(t *testing.T) {
 	cat, tx := ordersFixture()
 	var tr *execTrace
-	if op := tr.scanOp(); op != nil {
+	if op := tr.op(opScan); op != nil {
 		t.Fatal("nil trace returned a live operator")
 	}
 	var op *opTrace
@@ -315,3 +315,48 @@ func TestExplainVectorizedNote(t *testing.T) {
 		"       Filter: region != \"x\" AND amt > 1",
 	}, "mixed filter")
 }
+
+// TestExplainAnalyzeInScanFold: EXPLAIN renders the in-scan fold under its
+// own label, and EXPLAIN ANALYZE runs that fold — one AggTableFiltered
+// call, no gather — charging the scan with the qualifying rows and the
+// aggregate with its one row.
+func TestExplainAnalyzeInScanFold(t *testing.T) {
+	cat, tx := ordersFixture()
+	const q = "SELECT count(*), sum(amt) FROM o WHERE amt >= 10"
+	wantLines(t, explainLines(t, cat, tx, "EXPLAIN "+q), []string{
+		"Project (count(*), sum(amt))",
+		"  -> Aggregate (in scan)",
+		"    -> Seq Scan on o",
+		"         Filter: amt >= 10",
+		"         Vectorized: true",
+	}, "in-scan fold")
+
+	before := tx.aggCalls
+	lines := explainLines(t, cat, tx, "EXPLAIN ANALYZE "+q)
+	if tx.aggCalls != before+1 {
+		t.Fatalf("EXPLAIN ANALYZE made %d AggTableFiltered calls, want 1", tx.aggCalls-before)
+	}
+	for i, want := range []string{"1", "1", "3"} { // project, aggregate, scan
+		if m := actualRE.FindStringSubmatch(lines[i]); m == nil || m[1] != want || m[2] != "1" {
+			t.Errorf("line %q: want actual rows=%s loops=1", lines[i], want)
+		}
+	}
+
+	// The slow log's plan line carries the same label.
+	noting := &notingTxn{memTxn: tx}
+	stmt, _ := Parse(q)
+	if _, err := Exec(cat, noting, stmt); err != nil {
+		t.Fatal(err)
+	}
+	if len(noting.notes) != 1 || noting.notes[0] != "Aggregate (in scan) on o" {
+		t.Fatalf("noted plans %q, want [Aggregate (in scan) on o]", noting.notes)
+	}
+}
+
+// notingTxn records the plan lines the executor notes for the slow log.
+type notingTxn struct {
+	*memTxn
+	notes []string
+}
+
+func (n *notingTxn) NotePlan(desc string) { n.notes = append(n.notes, desc) }

@@ -8,42 +8,47 @@ import (
 	"phoebedb/internal/rel"
 )
 
-// Shaped SELECT execution: joins, GROUP BY + aggregates, ORDER BY, and
-// their combinations. The simple single-table projection stays on the
-// streaming fast path in exec.go; everything here materializes matching
-// rows first (cloning them — scan callbacks only borrow their row) and
-// then applies the shared shaping pipeline:
+// SELECT planning and execution. planSelect makes every decision a SELECT
+// needs once — the source (stat table, one table, or a join), each side's
+// access path, the join strategy, whether the aggregate folds inside the
+// engine's scan, sort avoidance, the early-stop LIMIT and the output
+// columns — into one selectPlan value. execSelect runs that value and
+// EXPLAIN renders it, so what EXPLAIN shows is what runs, traced or not.
+//
+// A plan produces rows one of five ways (selectKind): a plain projection
+// streams from the scan into the sink; an all-aggregate scalar select list
+// over a strip-filtered full scan folds inside the engine (§5.2); every
+// other shape gathers its matching rows — cloned, since scan callbacks only
+// borrow their row — from one table, a join, or a stat table, and shapes
+// them:
 //
 //	gather (scan / join)  →  aggregate  →  sort  →  limit  →  project
 //
-// Two optimizations carry over from the flat path: LIMIT stops the
-// gather early whenever output order is scan order, and an ORDER BY
-// whose keys are already delivered by the chosen index scan skips the
-// sort entirely (counted in Counters.SortAvoided).
+// LIMIT stops the gather early whenever output order is scan order, and an
+// ORDER BY whose keys the chosen index scan already delivers skips the sort
+// (counted in Counters.SortAvoided).
 
 // srcSchema describes the row shape a shaped SELECT operates on: one
-// table, or two concatenated (outer ++ inner) for a join.
+// table, or two concatenated (outer ++ inner) for a join. A value with
+// room for both, so a single-table source costs no allocation.
 type srcSchema struct {
-	tables  []string
-	schemas []*rel.Schema
-	offsets []int
+	n       int // tables in use
+	tables  [2]string
+	schemas [2]*rel.Schema
+	offsets [2]int
 	width   int
 }
 
-func singleSource(table string, schema *rel.Schema) *srcSchema {
-	return &srcSchema{
-		tables:  []string{table},
-		schemas: []*rel.Schema{schema},
-		offsets: []int{0},
-		width:   schema.NumCols(),
-	}
+func singleSource(table string, schema *rel.Schema) srcSchema {
+	return srcSchema{n: 1, tables: [2]string{table}, schemas: [2]*rel.Schema{schema}, width: schema.NumCols()}
 }
 
-func joinSource(outer string, os *rel.Schema, inner string, is *rel.Schema) *srcSchema {
-	return &srcSchema{
-		tables:  []string{outer, inner},
-		schemas: []*rel.Schema{os, is},
-		offsets: []int{0, os.NumCols()},
+func joinSource(outer string, os *rel.Schema, inner string, is *rel.Schema) srcSchema {
+	return srcSchema{
+		n:       2,
+		tables:  [2]string{outer, inner},
+		schemas: [2]*rel.Schema{os, is},
+		offsets: [2]int{0, os.NumCols()},
 		width:   os.NumCols() + is.NumCols(),
 	}
 }
@@ -52,8 +57,8 @@ func joinSource(outer string, os *rel.Schema, inner string, is *rel.Schema) *src
 // Unqualified names must be unambiguous across the source tables.
 func (ss *srcSchema) resolve(ref ColRef) (int, error) {
 	if ref.Table != "" {
-		for i, t := range ss.tables {
-			if t == ref.Table {
+		for i := 0; i < ss.n; i++ {
+			if ss.tables[i] == ref.Table {
 				if pos := ss.schemas[i].ColIndex(ref.Col); pos >= 0 {
 					return ss.offsets[i] + pos, nil
 				}
@@ -63,7 +68,7 @@ func (ss *srcSchema) resolve(ref ColRef) (int, error) {
 		return 0, fmt.Errorf("sql: unknown table %q in column reference", ref.Table)
 	}
 	found := -1
-	for i := range ss.schemas {
+	for i := 0; i < ss.n; i++ {
 		if pos := ss.schemas[i].ColIndex(ref.Col); pos >= 0 {
 			if found >= 0 {
 				return 0, fmt.Errorf("sql: ambiguous column %q", ref.Col)
@@ -79,7 +84,7 @@ func (ss *srcSchema) resolve(ref ColRef) (int, error) {
 
 // colMeta returns the column definition behind a combined-row position.
 func (ss *srcSchema) colMeta(pos int) rel.Column {
-	for i := len(ss.offsets) - 1; i >= 0; i-- {
+	for i := ss.n - 1; i >= 0; i-- {
 		if pos >= ss.offsets[i] {
 			return ss.schemas[i].Cols[pos-ss.offsets[i]]
 		}
@@ -141,6 +146,7 @@ type outCol struct {
 	agg  AggFunc
 	star bool // COUNT(*)
 	pos  int  // combined-row position (aggregate argument, or plain output)
+	spec int  // in-scan fold: index of the column's AggSpec (-1: the row count)
 }
 
 func colNames(outCols []outCol) []string {
@@ -158,7 +164,7 @@ func buildOutCols(ss *srcSchema, s SelectStmt) ([]outCol, error) {
 			return nil, fmt.Errorf("sql: SELECT * cannot be combined with GROUP BY")
 		}
 		var out []outCol
-		for i := range ss.schemas {
+		for i := 0; i < ss.n; i++ {
 			for j, c := range ss.schemas[i].Cols {
 				out = append(out, outCol{name: c.Name, pos: ss.offsets[i] + j})
 			}
@@ -195,75 +201,76 @@ func buildOutCols(ss *srcSchema, s SelectStmt) ([]outCol, error) {
 	return out, nil
 }
 
-// shapeRows applies aggregation, ordering, LIMIT, and projection to
-// materialized combined rows. sorted reports that rows already arrive in
-// ORDER BY order (index-order sort avoidance); rows is mutated in place
-// by sorting, so callers must own the slice. tr, when non-nil, collects
-// per-operator actuals for EXPLAIN ANALYZE.
-func shapeRows(ss *srcSchema, s SelectStmt, rows []rel.Row, sorted bool, c *Counters, tr *execTrace, sink RowSink) (int, error) {
-	outCols, err := buildOutCols(ss, s)
-	if err != nil {
-		return 0, err
+// shapeRows applies aggregation, ordering, LIMIT, and projection to the
+// gathered rows, which it owns (sorting is in place).
+func (sp *selectPlan) shapeRows(rows []rel.Row, c *Counters, tr *execTrace, sink RowSink) (int, error) {
+	s := &sp.s
+	var keys []int // ORDER BY key positions in rows
+	if len(s.OrderBy) > 0 && !sp.sorted {
+		keys = make([]int, len(s.OrderBy))
+		for i, k := range s.OrderBy {
+			p, err := sp.ss.resolve(k.Ref)
+			if err != nil {
+				return 0, err
+			}
+			keys[i] = p
+		}
 	}
-	if len(s.GroupBy) > 0 || hasAggs(s.Exprs) {
-		return aggregateRows(ss, s, outCols, rows, c, tr, sink)
-	}
-	if len(s.OrderBy) > 0 && !sorted {
-		sop := tr.sortOp()
-		sstart := sop.begin()
-		if err := sortRows(ss, s.OrderBy, rows); err != nil {
+	if sp.aggregate {
+		var err error
+		if rows, err = sp.aggregateRows(rows, keys, tr); err != nil {
 			return 0, err
 		}
+	}
+	if len(keys) > 0 {
+		sop := tr.op(opSort)
+		sstart := sop.begin()
+		sort.SliceStable(rows, func(i, j int) bool {
+			for k, p := range keys {
+				if cmp := compareValues(rows[i][p], rows[j][p]); cmp != 0 {
+					return (cmp < 0) != s.OrderBy[k].Desc
+				}
+			}
+			return false
+		})
 		sop.rows(int64(len(rows)), int64(len(rows)))
 		sop.end(sstart)
 		c.Sorts.Add(1)
 	}
 	if s.Limit > 0 {
-		lop := tr.limitOp()
-		lop.rows(int64(len(rows)), 0)
-		if len(rows) > s.Limit {
-			rows = rows[:s.Limit]
-		}
-		lop.rows(0, int64(len(rows)))
+		in := len(rows)
+		rows = rows[:min(in, s.Limit)]
+		tr.op(opLimit).count(int64(in), int64(len(rows)))
 	}
-	pop := tr.projectOp()
+	return sp.project(rows, tr, sink), nil
+}
+
+// project hands the shaped rows to the sink, picking each output column
+// out of its row; an aggregate's rows already are output rows.
+func (sp *selectPlan) project(rows []rel.Row, tr *execTrace, sink RowSink) int {
+	pop := tr.op(opProject)
 	pstart := pop.begin()
-	sink.Header(colNames(outCols))
-	out := make(rel.Row, len(outCols))
+	sink.Header(colNames(sp.outCols))
+	var out rel.Row
+	if !sp.aggregate {
+		out = make(rel.Row, len(sp.outCols))
+	}
 	n := 0
 	for _, row := range rows {
-		for j, oc := range outCols {
-			out[j] = row[oc.pos]
+		if out != nil {
+			for j, oc := range sp.outCols {
+				out[j] = row[oc.pos]
+			}
+			row = out
 		}
 		n++
-		if !sink.Row(out) {
+		if !sink.Row(row[:len(sp.outCols)]) {
 			break
 		}
 	}
 	pop.rows(int64(len(rows)), int64(n))
 	pop.end(pstart)
-	return n, nil
-}
-
-// sortRows sorts the combined rows by the ORDER BY keys, stably.
-func sortRows(ss *srcSchema, keys []OrderKey, rows []rel.Row) error {
-	pos := make([]int, len(keys))
-	for i, k := range keys {
-		p, err := ss.resolve(k.Ref)
-		if err != nil {
-			return err
-		}
-		pos[i] = p
-	}
-	sort.SliceStable(rows, func(i, j int) bool {
-		for k := range keys {
-			if cmp := compareValues(rows[i][pos[k]], rows[j][pos[k]]); cmp != 0 {
-				return (cmp < 0) != keys[k].Desc
-			}
-		}
-		return false
-	})
-	return nil
+	return n
 }
 
 // aggState accumulates one aggregate over one group.
@@ -336,16 +343,19 @@ func (st *aggState) final(agg AggFunc, ct rel.Type) rel.Value {
 	return rel.Value{}
 }
 
-// aggregateRows hash-aggregates the combined rows by the GROUP BY keys
-// (or into a single scalar group). Output order is the encoded group-key
-// order — deterministic — unless ORDER BY (over grouping columns)
-// overrides it.
-func aggregateRows(ss *srcSchema, s SelectStmt, outCols []outCol, rows []rel.Row, c *Counters, tr *execTrace, sink RowSink) (int, error) {
+// aggregateRows hash-aggregates the combined rows by the GROUP BY keys (or
+// into a single scalar group), in encoded group-key order — deterministic.
+// Each result row is the output columns followed by the group's key
+// values; keys, the ORDER BY positions, are remapped onto the latter, so
+// ORDER BY may only name grouping columns.
+func (sp *selectPlan) aggregateRows(rows []rel.Row, keys []int, tr *execTrace) ([]rel.Row, error) {
+	s, ss, outCols := &sp.s, &sp.ss, sp.outCols
+	width := len(outCols)
 	groupPos := make([]int, len(s.GroupBy))
 	for i, ref := range s.GroupBy {
 		p, err := ss.resolve(ref)
 		if err != nil {
-			return 0, err
+			return nil, err
 		}
 		groupPos[i] = p
 	}
@@ -360,14 +370,24 @@ func aggregateRows(ss *srcSchema, s SelectStmt, outCols []outCol, rows []rel.Row
 	// Every plain output column must be one of the grouping columns.
 	for _, oc := range outCols {
 		if oc.agg == AggNone && inGroup(oc.pos) < 0 {
-			return 0, fmt.Errorf("sql: column %q must appear in GROUP BY or an aggregate", oc.name)
+			return nil, fmt.Errorf("sql: column %q must appear in GROUP BY or an aggregate", oc.name)
 		}
 	}
+	for i, p := range keys {
+		gi := inGroup(p)
+		if gi < 0 {
+			return nil, fmt.Errorf("sql: ORDER BY column %q must appear in GROUP BY", s.OrderBy[i].Ref.Col)
+		}
+		keys[i] = width + gi
+	}
 	type group struct {
-		vals   []rel.Value // grouping column values, groupPos order
+		row    rel.Row // output columns, then the grouping values
 		states []aggState
 	}
-	aop := tr.aggOp()
+	newGroup := func() *group {
+		return &group{row: make(rel.Row, width+len(groupPos)), states: make([]aggState, width)}
+	}
+	aop := tr.op(opAgg)
 	astart := aop.begin()
 	groups := make(map[string]*group)
 	keyBuf := make([]rel.Value, len(groupPos))
@@ -379,10 +399,8 @@ func aggregateRows(ss *srcSchema, s SelectStmt, outCols []outCol, rows []rel.Row
 		keyBytes = rel.EncodeKey(keyBytes[:0], keyBuf...)
 		g := groups[string(keyBytes)]
 		if g == nil {
-			g = &group{
-				vals:   append([]rel.Value(nil), keyBuf...),
-				states: make([]aggState, len(outCols)),
-			}
+			g = newGroup()
+			copy(g.row[width:], keyBuf)
 			groups[string(keyBytes)] = g
 		}
 		for i, oc := range outCols {
@@ -398,130 +416,48 @@ func aggregateRows(ss *srcSchema, s SelectStmt, outCols []outCol, rows []rel.Row
 	}
 	if len(groupPos) == 0 && len(groups) == 0 {
 		// A scalar aggregate over zero rows still yields one row.
-		groups[""] = &group{states: make([]aggState, len(outCols))}
+		groups[""] = newGroup()
 	}
-	keys := make([]string, 0, len(groups))
+	order := make([]string, 0, len(groups))
 	for k := range groups {
-		keys = append(keys, k)
+		order = append(order, k)
 	}
-	sort.Strings(keys)
-	out := make([]*group, len(keys))
-	for i, k := range keys {
-		out[i] = groups[k]
+	sort.Strings(order)
+	out := make([]rel.Row, len(order))
+	for i, k := range order {
+		g := groups[k]
+		for j, oc := range outCols {
+			switch {
+			case oc.agg == AggNone:
+				g.row[j] = g.row[width+inGroup(oc.pos)]
+			case oc.star:
+				g.row[j] = g.states[j].final(oc.agg, rel.TInt64)
+			default:
+				g.row[j] = g.states[j].final(oc.agg, ss.colMeta(oc.pos).Type)
+			}
+		}
+		out[i] = g.row
 	}
 	aop.rows(int64(len(rows)), int64(len(out)))
 	aop.end(astart)
-	if len(s.OrderBy) > 0 {
-		sop := tr.sortOp()
-		sstart := sop.begin()
-		idx := make([]int, len(s.OrderBy))
-		for i, key := range s.OrderBy {
-			p, err := ss.resolve(key.Ref)
-			if err != nil {
-				return 0, err
-			}
-			gi := inGroup(p)
-			if gi < 0 {
-				return 0, fmt.Errorf("sql: ORDER BY column %q must appear in GROUP BY", key.Ref.Col)
-			}
-			idx[i] = gi
-		}
-		sort.SliceStable(out, func(a, b int) bool {
-			for k, gi := range idx {
-				if cmp := compareValues(out[a].vals[gi], out[b].vals[gi]); cmp != 0 {
-					return (cmp < 0) != s.OrderBy[k].Desc
-				}
-			}
-			return false
-		})
-		sop.rows(int64(len(out)), int64(len(out)))
-		sop.end(sstart)
-		c.Sorts.Add(1)
-	}
-	if s.Limit > 0 {
-		lop := tr.limitOp()
-		lop.rows(int64(len(out)), 0)
-		if len(out) > s.Limit {
-			out = out[:s.Limit]
-		}
-		lop.rows(0, int64(len(out)))
-	}
-	pop := tr.projectOp()
-	pstart := pop.begin()
-	sink.Header(colNames(outCols))
-	row := make(rel.Row, len(outCols))
-	n := 0
-	for _, g := range out {
-		for j, oc := range outCols {
-			if oc.agg == AggNone {
-				row[j] = g.vals[inGroup(oc.pos)]
-				continue
-			}
-			ct := rel.TInt64
-			if !oc.star {
-				ct = ss.colMeta(oc.pos).Type
-			}
-			row[j] = g.states[j].final(oc.agg, ct)
-		}
-		n++
-		if !sink.Row(row) {
-			break
-		}
-	}
-	pop.rows(int64(len(out)), int64(n))
-	pop.end(pstart)
-	return n, nil
+	return out, nil
 }
 
-// pushdownScalarAggs computes an all-aggregate scalar SELECT over a full
-// table scan inside the engine: predicates filter column strips into a
-// selection vector and each aggregate folds directly over its minipage, so
-// no qualifying row is materialized (§5.2). ok is false when the shape
-// doesn't qualify — a non-aggregate output column or a var-width filter
-// column — and the caller falls back to the gather + shape pipeline.
-func pushdownScalarAggs(tx Txn, ss *srcSchema, s SelectStmt, p plan, sc *Scratch, sink RowSink) (int, bool, error) {
-	preds, rest := p.splitResidual(ss.schemas[0], sc)
-	if len(rest) > 0 {
-		return 0, false, nil
-	}
-	outCols, err := buildOutCols(ss, s)
+// fold runs the in-scan aggregate and emits its one row.
+func (sp *selectPlan) fold(tx Txn, tr *execTrace, sc *Scratch, sink RowSink) (int, error) {
+	noteLabel(tx, foldLabel+" on "+sp.from.name)
+	op := tr.op(opScan)
+	start := op.begin()
+	vals, n, err := tx.AggTableFiltered(sp.from.name, sp.strips, sp.specs)
+	op.rows(n, n)
+	op.end(start)
 	if err != nil {
-		return 0, false, err
+		return 0, err
 	}
-	// Lower each output to a fold spec. COUNT (star or column — the
-	// dialect has no NULLs, so they agree) reads the shared row count;
-	// AVG folds a SUM and divides by it.
-	specIdx := make([]int, len(outCols))
-	var specs []rel.AggSpec
-	for i, oc := range outCols {
-		var op rel.AggOp
-		switch oc.agg {
-		case AggCount:
-			specIdx[i] = -1
-			continue
-		case AggSum, AggAvg:
-			op = rel.AggOpSum
-		case AggMin:
-			op = rel.AggOpMin
-		case AggMax:
-			op = rel.AggOpMax
-		default: // AggNone: plain column in an aggregate select list
-			return 0, false, nil
-		}
-		specIdx[i] = len(specs)
-		specs = append(specs, rel.AggSpec{Op: op, Col: oc.pos})
-	}
-	notePlan(tx, s.Table, p)
-	vals, n, err := tx.AggTableFiltered(s.Table, preds, specs)
-	if err != nil {
-		return 0, false, err
-	}
-	row := sc.rowBuf(len(outCols))
-	for i, oc := range outCols {
-		ct := rel.TInt64
-		if !oc.star {
-			ct = ss.colMeta(oc.pos).Type
-		}
+	aop := tr.op(opAgg)
+	astart := aop.begin()
+	row := sc.rowBuf(len(sp.outCols))
+	for i, oc := range sp.outCols {
 		switch {
 		case oc.agg == AggCount:
 			row[i] = rel.Int(n)
@@ -530,21 +466,21 @@ func pushdownScalarAggs(tx Txn, ss *srcSchema, s SelectStmt, p plan, sc *Scratch
 				row[i] = rel.Float(0)
 				break
 			}
-			sum := vals[specIdx[i]]
+			sum := vals[oc.spec]
 			f := sum.F
 			if sum.Kind == rel.TInt64 {
 				f = float64(sum.I)
 			}
 			row[i] = rel.Float(f / float64(n))
 		case n == 0:
-			row[i] = zeroValue(ct)
+			row[i] = zeroValue(sp.ss.colMeta(oc.pos).Type)
 		default:
-			row[i] = vals[specIdx[i]]
+			row[i] = vals[oc.spec]
 		}
 	}
-	sink.Header(colNames(outCols))
-	sink.Row(row)
-	return 1, true, nil
+	aop.rows(n, 1)
+	aop.end(astart)
+	return sp.project([]rel.Row{row}, tr, sink), nil
 }
 
 // orderSatisfied reports whether the planned index scan already emits
@@ -595,56 +531,241 @@ func orderSatisfied(ss *srcSchema, indexes []IndexMeta, p plan, keys []OrderKey)
 	return true, nil
 }
 
-// execSelectShaped runs a single-table SELECT with ORDER BY, GROUP BY,
-// or aggregates: gather matching rows (cloned), then shape.
-func execSelectShaped(cat Catalog, tx Txn, s SelectStmt, hint *CachedStmt, tr *execTrace, sc *Scratch, sink RowSink) (int, error) {
-	schema, indexes, err := stmtTable(cat, hint, s.Table)
-	if err != nil {
-		return 0, err
+// selectKind is how a planned SELECT produces its rows.
+type selectKind uint8
+
+const (
+	// selStream projects matching rows straight from the scan into the sink.
+	selStream selectKind = iota
+	// selFold folds an all-aggregate select list inside the engine's scan.
+	selFold
+	// selGather clones one table's matching rows, then shapes them.
+	selGather
+	// selJoin gathers a two-table equi-join's combined rows, then shapes them.
+	selJoin
+	// selStat filters a virtual stat table's rows, then shapes them.
+	selStat
+)
+
+// planTable is one table as the planner sees it.
+type planTable struct {
+	name    string
+	schema  *rel.Schema
+	indexes []IndexMeta
+}
+
+// selectPlan is every decision one SELECT execution makes. It lives on
+// the caller's stack; what it points into is the statement's own memory,
+// the Scratch, or the plan cache's read-only entries.
+type selectPlan struct {
+	s         SelectStmt
+	kind      selectKind
+	aggregate bool
+	// from is the scanned table: the single table, or a join's driving side.
+	from planTable
+	// scan is from's access path.
+	scan plan
+	// sorted reports that the scan delivers ORDER BY order (no sort runs);
+	// early is the LIMIT the scan stops at (0: none).
+	sorted bool
+	early  int
+	// proj is a streaming plan's output; every other kind has ss and outCols.
+	proj    *projection
+	ss      srcSchema
+	outCols []outCol
+	// strips and specs are the in-scan fold's filter and aggregates.
+	strips []rel.ColPred
+	specs  []rel.AggSpec
+	join   *joinPlan
+	// statRows are a stat table's materialized rows.
+	statRows []rel.Row
+}
+
+// planSelect plans s. hint, when non-nil, supplies and caches the table
+// metadata, the access path, the projection and the join strategy.
+func planSelect(cat Catalog, s SelectStmt, hint *CachedStmt, sc *Scratch) (sp selectPlan, err error) {
+	sp.s = s
+	sp.aggregate = len(s.GroupBy) > 0 || hasAggs(s.Exprs)
+	if s.Join != nil {
+		return sp, sp.planJoin(cat, hint)
+	}
+	sp.kind = selGather
+	if schema, rows, ok := statTable(cat, s.Table); ok {
+		sp.kind, sp.statRows = selStat, rows
+		sp.from = planTable{name: s.Table, schema: schema}
+	} else if sp.from, err = stmtTable(cat, hint, s.Table); err != nil {
+		return sp, err
 	}
 	if err := checkWhereQualifiers(s.Table, s.Where); err != nil {
-		return 0, err
+		return sp, err
 	}
-	ss := singleSource(s.Table, schema)
-	p, err := planFor(hint, schema, indexes, s.Table, s.Where, sc)
+	if sp.scan, err = planFor(hint, sp.from.schema, sp.from.indexes, s.Table, s.Where, sc); err != nil {
+		return sp, err
+	}
+	if sp.kind == selGather && !sp.aggregate && len(s.OrderBy) == 0 {
+		sp.kind, sp.early = selStream, s.Limit
+		sp.proj, err = projectionFor(hint, sp.from.schema, s)
+		return sp, err
+	}
+	return sp, sp.planShape(singleSource(s.Table, sp.from.schema), sc)
+}
+
+// planShape resolves the select list over ss and decides what the shaping
+// pipeline can skip: the sort (index order), the gather's tail (LIMIT), or
+// the whole gather (the in-scan fold).
+func (sp *selectPlan) planShape(ss srcSchema, sc *Scratch) (err error) {
+	sp.ss = ss
+	if sp.outCols, err = buildOutCols(&sp.ss, sp.s); err != nil {
+		return err
+	}
+	if sp.kind == selGather && !sp.aggregate && len(sp.s.OrderBy) > 0 {
+		if sp.sorted, err = orderSatisfied(&sp.ss, sp.from.indexes, sp.scan, sp.s.OrderBy); err != nil {
+			return err
+		}
+	}
+	sp.planFold(sc)
+	if !sp.aggregate && sp.s.Limit > 0 && (len(sp.s.OrderBy) == 0 || sp.sorted) {
+		sp.early = sp.s.Limit
+	}
+	return nil
+}
+
+// planFold lowers an all-aggregate scalar SELECT over a full table scan to
+// the engine's in-scan fold: predicates filter column strips into a
+// selection vector and each aggregate folds directly over its minipage, so
+// no qualifying row is materialized (§5.2). It applies when every output
+// column is an aggregate and every filter column is fixed-width.
+func (sp *selectPlan) planFold(sc *Scratch) {
+	s := &sp.s
+	if sp.kind != selGather || !sp.aggregate || len(s.GroupBy) > 0 || len(s.OrderBy) > 0 ||
+		sp.scan.index != "" || sp.scan.empty {
+		return
+	}
+	for _, oc := range sp.outCols {
+		if oc.agg == AggNone {
+			return
+		}
+	}
+	strips, rest := sp.scan.splitResidual(sp.from.schema, sc)
+	if len(rest) > 0 {
+		return
+	}
+	// COUNT (star or column — the dialect has no NULLs, so they agree)
+	// reads the shared row count; AVG folds a SUM and divides by it.
+	var specs []rel.AggSpec
+	for i := range sp.outCols {
+		oc := &sp.outCols[i]
+		var op rel.AggOp
+		switch oc.agg {
+		case AggCount:
+			oc.spec = -1
+			continue
+		case AggSum, AggAvg:
+			op = rel.AggOpSum
+		case AggMin:
+			op = rel.AggOpMin
+		case AggMax:
+			op = rel.AggOpMax
+		}
+		oc.spec = len(specs)
+		specs = append(specs, rel.AggSpec{Op: op, Col: oc.pos})
+	}
+	sp.kind, sp.strips, sp.specs = selFold, strips, specs
+	s.Limit = 0 // no LIMIT cuts the fold's one row
+}
+
+// execSelect plans s and runs the plan.
+func execSelect(cat Catalog, tx Txn, s SelectStmt, hint *CachedStmt, tr *execTrace, sc *Scratch, sink RowSink) (int, error) {
+	sp, err := planSelect(cat, s, hint, sc)
 	if err != nil {
 		return 0, err
+	}
+	return sp.run(cat, tx, tr, sc, sink)
+}
+
+// run executes the plan. tr, when non-nil, collects per-operator actuals
+// for EXPLAIN ANALYZE; it never changes what runs.
+func (sp *selectPlan) run(cat Catalog, tx Txn, tr *execTrace, sc *Scratch, sink RowSink) (int, error) {
+	switch sp.kind {
+	case selStream:
+		return sp.stream(tx, tr, sc, sink)
+	case selFold:
+		return sp.fold(tx, tr, sc, sink)
 	}
 	c := countersOf(cat)
-	aggregate := len(s.GroupBy) > 0 || hasAggs(s.Exprs)
-	if aggregate && tr == nil && len(s.GroupBy) == 0 && len(s.OrderBy) == 0 &&
-		p.index == "" && !p.empty {
-		if n, ok, err := pushdownScalarAggs(tx, ss, s, p, sc, sink); ok || err != nil {
-			return n, err
-		}
-	}
-	sorted := false
-	if !aggregate && len(s.OrderBy) > 0 {
-		sorted, err = orderSatisfied(ss, indexes, p, s.OrderBy)
-		if err != nil {
-			return 0, err
-		}
-		if sorted {
+	var rows []rel.Row
+	var err error
+	switch sp.kind {
+	case selStat:
+		rows = sp.filterStat(tr)
+	case selJoin:
+		rows, err = sp.gatherJoin(tx, tr, sc)
+		c.JoinRows.Add(int64(len(rows)))
+	default:
+		if sp.sorted {
 			c.SortAvoided.Add(1)
 		}
+		rows, err = sp.gather(tx, tr, sc)
 	}
-	// LIMIT can stop the gather early only when output order is scan order.
-	early := 0
-	if !aggregate && s.Limit > 0 && (len(s.OrderBy) == 0 || sorted) {
-		early = s.Limit
-	}
-	notePlan(tx, s.Table, p)
-	var rows []rel.Row
-	err = scanMatching(tx, schema, s.Table, p, tr.scanOp(), sc, func(_ rel.RowID, row rel.Row) bool {
-		r := make(rel.Row, len(row))
-		copy(r, row) // the scan only lends us the row
-		rows = append(rows, r)
-		return early == 0 || len(rows) < early
-	})
 	if err != nil {
 		return 0, err
 	}
-	return shapeRows(ss, s, rows, sorted, c, tr, sink)
+	return sp.shapeRows(rows, c, tr, sink)
+}
+
+// stream runs a plain projection: each matching row is projected into the
+// Scratch's row and handed to the sink, until LIMIT.
+func (sp *selectPlan) stream(tx Txn, tr *execTrace, sc *Scratch, sink RowSink) (int, error) {
+	notePlan(tx, sp.from.name, sp.scan)
+	sink.Header(sp.proj.cols)
+	sc.bindCallbacks()
+	sc.emit = emitState{sink: sink, proj: sp.proj.pos, limit: sp.early}
+	err := scanMatching(tx, sp.from.schema, sp.from.name, sp.scan, tr.op(opScan), sc, sc.emitFn)
+	n := sc.emit.n
+	// Let go of the sink and of what the projected values reference (a
+	// string value pins its page's bytes or a whole decoded cold block).
+	sc.emit = emitState{}
+	clear(sc.row[:cap(sc.row)])
+	// LIMIT and the projection run inside the scan's callback, whose time
+	// the scan carries: they count rows only.
+	if sp.s.Limit > 0 {
+		tr.op(opLimit).count(int64(n), int64(n))
+	}
+	tr.op(opProject).count(int64(n), int64(n))
+	return n, err
+}
+
+// gather clones one table's matching rows, stopping at the early LIMIT.
+func (sp *selectPlan) gather(tx Txn, tr *execTrace, sc *Scratch) ([]rel.Row, error) {
+	notePlan(tx, sp.from.name, sp.scan)
+	early := sp.early
+	var rows []rel.Row
+	err := scanMatching(tx, sp.from.schema, sp.from.name, sp.scan, tr.op(opScan), sc, func(_ rel.RowID, row rel.Row) bool {
+		rows = append(rows, row.Clone()) // the scan only lends us the row
+		return early == 0 || len(rows) < early
+	})
+	return rows, err
+}
+
+// filterStat filters a stat table's materialized rows: its WHERE is pure
+// residual filtering.
+func (sp *selectPlan) filterStat(tr *execTrace) []rel.Row {
+	op := tr.op(opScan)
+	start := op.begin()
+	var matched []rel.Row
+	examined := 0
+	for _, row := range sp.statRows {
+		if sp.early > 0 && len(matched) == sp.early {
+			break
+		}
+		examined++
+		if matches(sp.from.schema, row, sp.scan.residual) {
+			matched = append(matched, row)
+		}
+	}
+	op.rows(int64(examined), int64(len(matched)))
+	op.end(start)
+	return matched
 }
 
 // selectHint caches a join's strategy for a prepared statement: which
@@ -673,256 +794,226 @@ func indexOnCol(indexes []IndexMeta, pos int) string {
 	return name
 }
 
-// joinInfo is a two-table equi-join resolved against the catalog: the
-// combined source schema, the join columns (schema-local on each side),
-// the WHERE conditions partitioned by side, and each side's indexes.
-// Shared between execution and EXPLAIN's plan rendering.
-type joinInfo struct {
-	ss                         *srcSchema
-	outerSchema, innerSchema   *rel.Schema
-	outerPos, innerPos         int
-	outerConds, innerConds     []Cond
-	outerIndexes, innerIndexes []IndexMeta
+// joinSide is one table of a two-table equi-join.
+type joinSide struct {
+	planTable
+	col   int    // the join column's schema position
+	conds []Cond // this side's WHERE conjuncts, qualifiers stripped
 }
 
-// resolveJoin validates and resolves s's two-table join: schemas, the
-// equi-join columns, WHERE partitioned by side, and index metadata.
-func resolveJoin(cat Catalog, s SelectStmt) (*joinInfo, error) {
-	if _, _, ok := statTable(cat, s.Table); ok {
-		return nil, fmt.Errorf("sql: stat table %q cannot be joined", s.Table)
-	}
-	if _, _, ok := statTable(cat, s.Join.Table); ok {
-		return nil, fmt.Errorf("sql: stat table %q cannot be joined", s.Join.Table)
+// joinPlan is a planned join. The driving side is scanned through
+// selectPlan.scan; the other side is probed through probeIndex per driving
+// row (index nested loop) or scanned once into a hash table (hash join).
+type joinPlan struct {
+	selectHint
+	drive, other joinSide
+	// Index nested loop: other's WHERE, normalized like planWhere's;
+	// probeEmpty marks it contradictory, so nothing runs at all.
+	probeConds []Cond
+	probeEmpty bool
+	// Hash join: other's access path for the build scan.
+	build plan
+}
+
+// resolveJoin validates and resolves s's two-table join: the combined
+// source schema, the equi-join columns, and WHERE partitioned by side.
+func resolveJoin(cat Catalog, s SelectStmt) (ss srcSchema, outer, inner joinSide, err error) {
+	for _, t := range []string{s.Table, s.Join.Table} {
+		if _, _, ok := statTable(cat, t); ok {
+			return ss, outer, inner, fmt.Errorf("sql: stat table %q cannot be joined", t)
+		}
 	}
 	if s.Join.Table == s.Table {
-		return nil, fmt.Errorf("%w: self-join of %q", ErrUnsupported, s.Table)
+		return ss, outer, inner, fmt.Errorf("%w: self-join of %q", ErrUnsupported, s.Table)
 	}
-	outerSchema, err := cat.TableSchema(s.Table)
-	if err != nil {
-		return nil, err
+	if outer.planTable, err = stmtTable(cat, nil, s.Table); err != nil {
+		return ss, outer, inner, err
 	}
-	innerSchema, err := cat.TableSchema(s.Join.Table)
-	if err != nil {
-		return nil, err
+	if inner.planTable, err = stmtTable(cat, nil, s.Join.Table); err != nil {
+		return ss, outer, inner, err
 	}
-	ss := joinSource(s.Table, outerSchema, s.Join.Table, innerSchema)
+	ss = joinSource(s.Table, outer.schema, s.Join.Table, inner.schema)
 
 	// Resolve the equi-join condition: one side per table, either order.
 	lpos, err := ss.resolve(s.Join.Left)
 	if err != nil {
-		return nil, err
+		return ss, outer, inner, err
 	}
 	rpos, err := ss.resolve(s.Join.Right)
 	if err != nil {
-		return nil, err
+		return ss, outer, inner, err
 	}
-	outerPos, innerPos := lpos, rpos
+	outer.col, inner.col = lpos, rpos
 	if lpos >= ss.offsets[1] {
-		outerPos, innerPos = rpos, lpos
+		outer.col, inner.col = rpos, lpos
 	}
-	if outerPos >= ss.offsets[1] || innerPos < ss.offsets[1] {
-		return nil, fmt.Errorf("sql: join condition must reference both tables")
+	if outer.col >= ss.offsets[1] || inner.col < ss.offsets[1] {
+		return ss, outer, inner, fmt.Errorf("sql: join condition must reference both tables")
 	}
-	innerPos -= ss.offsets[1]
-	if outerSchema.Cols[outerPos].Type != innerSchema.Cols[innerPos].Type {
-		return nil, fmt.Errorf("sql: join columns have different types")
+	inner.col -= ss.offsets[1]
+	if outer.schema.Cols[outer.col].Type != inner.schema.Cols[inner.col].Type {
+		return ss, outer, inner, fmt.Errorf("sql: join columns have different types")
 	}
 
 	// Partition WHERE by side, stripping qualifiers: each side's planner
 	// resolves bare column names against its own schema.
-	var outerConds, innerConds []Cond
 	for _, cd := range s.Where {
 		pos, err := ss.resolve(ColRef{Table: cd.Table, Col: cd.Col})
 		if err != nil {
-			return nil, err
+			return ss, outer, inner, err
 		}
-		if pos < ss.offsets[1] {
-			outerConds = append(outerConds, Cond{Col: cd.Col, Op: cd.Op, Val: cd.Val})
-		} else {
-			innerConds = append(innerConds, Cond{Col: cd.Col, Op: cd.Op, Val: cd.Val})
+		side := &outer
+		if pos >= ss.offsets[1] {
+			side = &inner
 		}
+		side.conds = append(side.conds, Cond{Col: cd.Col, Op: cd.Op, Val: cd.Val})
 	}
-	outerIndexes, err := cat.IndexInfo(s.Table)
-	if err != nil {
-		return nil, err
-	}
-	innerIndexes, err := cat.IndexInfo(s.Join.Table)
-	if err != nil {
-		return nil, err
-	}
-	return &joinInfo{
-		ss:          ss,
-		outerSchema: outerSchema, innerSchema: innerSchema,
-		outerPos: outerPos, innerPos: innerPos,
-		outerConds: outerConds, innerConds: innerConds,
-		outerIndexes: outerIndexes, innerIndexes: innerIndexes,
-	}, nil
+	return ss, outer, inner, nil
 }
 
 // chooseJoinStrategy picks (and caches on hint) the join strategy: index
 // nested loop through whichever side has an index on its join column
 // (preferring the JOIN-clause table), else hash join.
-func chooseJoinStrategy(hint *CachedStmt, ji *joinInfo) *selectHint {
+func chooseJoinStrategy(hint *CachedStmt, outer, inner *joinSide) selectHint {
 	var sh *selectHint
 	if hint != nil {
 		sh = hint.sel.Load()
 	}
 	if sh == nil {
 		sh = &selectHint{}
-		if ixn := indexOnCol(ji.innerIndexes, ji.innerPos); ixn != "" {
+		if ixn := indexOnCol(inner.indexes, inner.col); ixn != "" {
 			sh.probeIndex = ixn
-		} else if ixn := indexOnCol(ji.outerIndexes, ji.outerPos); ixn != "" {
+		} else if ixn := indexOnCol(outer.indexes, outer.col); ixn != "" {
 			sh.probeIndex, sh.swapped = ixn, true
 		}
 		if hint != nil {
 			hint.sel.Store(sh)
 		}
 	}
-	return sh
+	return *sh
 }
 
-// execSelectJoin runs a two-table inner equi-join: index nested loop
-// probing whichever side has an index on its join column (preferring the
-// JOIN-clause table), falling back to a hash join built on the inner
-// side. The combined rows then flow through the shared shaping pipeline.
-func execSelectJoin(cat Catalog, tx Txn, s SelectStmt, hint *CachedStmt, tr *execTrace, sc *Scratch, sink RowSink) (int, error) {
-	ji, err := resolveJoin(cat, s)
+// planJoin plans a two-table inner equi-join: the strategy, the driving
+// side's access path, and the other side's probe conditions or build path.
+func (sp *selectPlan) planJoin(cat Catalog, hint *CachedStmt) error {
+	ss, outer, inner, err := resolveJoin(cat, sp.s)
 	if err != nil {
-		return 0, err
+		return err
 	}
-	sh := chooseJoinStrategy(hint, ji)
+	jp := &joinPlan{selectHint: chooseJoinStrategy(hint, &outer, &inner), drive: outer, other: inner}
+	if jp.swapped {
+		jp.drive, jp.other = inner, outer
+	}
+	sp.kind, sp.join, sp.from = selJoin, jp, jp.drive.planTable
+	if sp.scan, err = planWhere(jp.drive.schema, jp.drive.indexes, jp.drive.conds); err != nil {
+		return err
+	}
+	if jp.probeIndex != "" {
+		// The probe side bypasses planWhere, so apply the same dedupe (last
+		// condition wins), range intersection, and int→float coercion here;
+		// matches() compares raw values and must see normalized conditions.
+		prw, err := resolveWhere(jp.other.schema, jp.other.conds)
+		if err != nil {
+			return err
+		}
+		jp.probeEmpty, jp.probeConds = prw.empty, prw.flatten(jp.other.schema)
+	} else if jp.build, err = planWhere(jp.other.schema, jp.other.indexes, jp.other.conds); err != nil {
+		return err
+	}
+	return sp.planShape(ss, nil)
+}
 
-	c := countersOf(cat)
-	aggregate := len(s.GroupBy) > 0 || hasAggs(s.Exprs)
-	early := 0
-	if !aggregate && len(s.OrderBy) == 0 && s.Limit > 0 {
-		early = s.Limit
-	}
+// gatherJoin runs the planned join into combined (outer ++ inner) rows.
+func (sp *selectPlan) gatherJoin(tx Txn, tr *execTrace, sc *Scratch) ([]rel.Row, error) {
+	jp := sp.join
+	noteLabel(tx, joinLabel(jp.selectHint, scanLabel(jp.drive.name, sp.scan), jp.other.name))
+	width, split, early, swapped := sp.ss.width, sp.ss.offsets[1], sp.early, jp.swapped
 	var rows []rel.Row
-	emit := func(orow, irow rel.Row) bool {
-		out := make(rel.Row, ji.ss.width)
-		copy(out, orow)
-		copy(out[ji.ss.offsets[1]:], irow)
+	emit := func(drow, orow rel.Row) bool {
+		if swapped {
+			drow, orow = orow, drow
+		}
+		out := make(rel.Row, width)
+		copy(out, drow)
+		copy(out[split:], orow)
 		rows = append(rows, out)
 		return early == 0 || len(rows) < early
 	}
-
-	if sh.probeIndex != "" {
-		// Index nested loop: scan the driving side through its own WHERE
-		// plan, probe the other side's index with each join value.
-		driveName, driveSchema, driveConds := s.Table, ji.outerSchema, ji.outerConds
-		probeName, probeSchema, probeConds := s.Join.Table, ji.innerSchema, ji.innerConds
-		driveJoin, driveIndexes := ji.outerPos, ji.outerIndexes
-		if sh.swapped {
-			driveName, driveSchema, driveConds = s.Join.Table, ji.innerSchema, ji.innerConds
-			probeName, probeSchema, probeConds = s.Table, ji.outerSchema, ji.outerConds
-			driveJoin, driveIndexes = ji.innerPos, ji.innerIndexes
-		}
-		dp, err := planWhere(driveSchema, driveIndexes, driveConds)
-		if err != nil {
-			return 0, err
-		}
-		noteLabel(tx, joinLabel(sh, scanLabel(driveName, dp), probeName))
-		// The probe side bypasses planWhere, so apply the same dedupe
-		// (last condition wins), range intersection, and int→float coercion
-		// here; matches() compares raw values and must see normalized
-		// conditions.
-		prw, err := resolveWhere(probeSchema, probeConds)
-		if err != nil {
-			return 0, err
-		}
-		if prw.empty {
-			return shapeRows(ji.ss, s, nil, false, c, tr, sink)
-		}
-		probeConds = prw.flatten(probeSchema)
-		pop := tr.probeOp()
-		var perr error
-		err = scanMatching(tx, driveSchema, driveName, dp, tr.scanOp(), sc, func(_ rel.RowID, drow rel.Row) bool {
-			more := true
-			pstart := pop.begin()
-			perr = tx.ScanIndex(probeName, sh.probeIndex, []rel.Value{drow[driveJoin]}, func(_ rel.RowID, prow rel.Row) bool {
-				if pop != nil {
-					pop.rowsIn++
-				}
-				if !matches(probeSchema, prow, probeConds) {
-					return true
-				}
-				if pop != nil {
-					pop.rowsOut++
-				}
-				if sh.swapped {
-					more = emit(prow, drow)
-				} else {
-					more = emit(drow, prow)
-				}
-				return more
-			})
-			pop.end(pstart)
-			return perr == nil && more
-		})
-		if tr != nil {
-			// The probe runs inside the drive scan's callback; keep each
-			// wall-second charged to exactly one operator.
-			tr.scan.nanos -= tr.probe.nanos
-			if tr.scan.nanos < 0 {
-				tr.scan.nanos = 0
-			}
-		}
-		if err == nil {
-			err = perr
-		}
-		if err != nil {
-			return 0, err
-		}
+	var err error
+	if jp.probeIndex != "" {
+		err = jp.indexNestedLoop(tx, sp.scan, tr, sc, emit)
 	} else {
-		// Hash join: build on the inner side, probe while scanning outer.
-		ip, err := planWhere(ji.innerSchema, ji.innerIndexes, ji.innerConds)
-		if err != nil {
-			return 0, err
-		}
-		build := make(map[string][]rel.Row)
-		err = scanMatching(tx, ji.innerSchema, s.Join.Table, ip, tr.buildOp(), sc, func(_ rel.RowID, row rel.Row) bool {
-			r := make(rel.Row, len(row))
-			copy(r, row)
-			build[string(rel.EncodeKey(nil, row[ji.innerPos]))] = append(build[string(rel.EncodeKey(nil, row[ji.innerPos]))], r)
-			return true
-		})
-		if err != nil {
-			return 0, err
-		}
-		outp, err := planWhere(ji.outerSchema, ji.outerIndexes, ji.outerConds)
-		if err != nil {
-			return 0, err
-		}
-		noteLabel(tx, joinLabel(sh, scanLabel(s.Table, outp), s.Join.Table))
-		pop := tr.probeOp()
+		err = jp.hashJoin(tx, sp.scan, tr, sc, emit)
+	}
+	return rows, err
+}
+
+// indexNestedLoop scans the driving side through drive, probing the other
+// side's index with each driving row's join value.
+func (jp *joinPlan) indexNestedLoop(tx Txn, drive plan, tr *execTrace, sc *Scratch, emit func(drow, orow rel.Row) bool) error {
+	if jp.probeEmpty {
+		return nil
+	}
+	other, probeConds, probeIndex, driveCol := jp.other, jp.probeConds, jp.probeIndex, jp.drive.col
+	pop := tr.op(opProbe)
+	var perr error
+	err := scanMatching(tx, jp.drive.schema, jp.drive.name, drive, tr.op(opScan), sc, func(_ rel.RowID, drow rel.Row) bool {
+		more := true
 		pstart := pop.begin()
-		var probeKey []byte
-		err = scanMatching(tx, ji.outerSchema, s.Table, outp, tr.scanOp(), sc, func(_ rel.RowID, orow rel.Row) bool {
-			probeKey = rel.EncodeKey(probeKey[:0], orow[ji.outerPos])
-			matched := build[string(probeKey)]
-			if pop != nil {
-				pop.rowsIn++
-				pop.rowsOut += int64(len(matched))
+		perr = tx.ScanIndex(other.name, probeIndex, []rel.Value{drow[driveCol]}, func(_ rel.RowID, orow rel.Row) bool {
+			pop.rows(1, 0)
+			if !matches(other.schema, orow, probeConds) {
+				return true
 			}
-			for _, irow := range matched {
-				if !emit(orow, irow) {
-					return false
-				}
-			}
-			return true
+			pop.rows(0, 1)
+			more = emit(drow, orow)
+			return more
 		})
 		pop.end(pstart)
-		if tr != nil {
-			tr.probe.nanos -= tr.scan.nanos
-			if tr.probe.nanos < 0 {
-				tr.probe.nanos = 0
+		return perr == nil && more
+	})
+	if tr != nil {
+		// The probe runs inside the drive scan's callback; keep each
+		// wall-second charged to exactly one operator.
+		tr[opScan].nanos = max(tr[opScan].nanos-tr[opProbe].nanos, 0)
+	}
+	if err == nil {
+		err = perr
+	}
+	return err
+}
+
+// hashJoin builds a hash table over the other side's matching rows, then
+// probes it while scanning the driving side through drive.
+func (jp *joinPlan) hashJoin(tx Txn, drive plan, tr *execTrace, sc *Scratch, emit func(drow, orow rel.Row) bool) error {
+	buildCol, driveCol := jp.other.col, jp.drive.col
+	build := make(map[string][]rel.Row)
+	err := scanMatching(tx, jp.other.schema, jp.other.name, jp.build, tr.op(opBuild), sc, func(_ rel.RowID, row rel.Row) bool {
+		key := string(rel.EncodeKey(nil, row[buildCol]))
+		build[key] = append(build[key], row.Clone())
+		return true
+	})
+	if err != nil {
+		return err
+	}
+	pop := tr.op(opProbe)
+	pstart := pop.begin()
+	var probeKey []byte
+	err = scanMatching(tx, jp.drive.schema, jp.drive.name, drive, tr.op(opScan), sc, func(_ rel.RowID, drow rel.Row) bool {
+		probeKey = rel.EncodeKey(probeKey[:0], drow[driveCol])
+		matched := build[string(probeKey)]
+		pop.rows(1, int64(len(matched)))
+		for _, orow := range matched {
+			if !emit(drow, orow) {
+				return false
 			}
 		}
-		if err != nil {
-			return 0, err
-		}
+		return true
+	})
+	pop.end(pstart)
+	if tr != nil {
+		// The outer scan runs inside the probe's bracket.
+		tr[opProbe].nanos = max(tr[opProbe].nanos-tr[opScan].nanos, 0)
 	}
-	c.JoinRows.Add(int64(len(rows)))
-	return shapeRows(ji.ss, s, rows, false, c, tr, sink)
+	return err
 }

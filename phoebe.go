@@ -503,23 +503,6 @@ func (db *DB) stmtEnd(span *stmtSpan, rows int64, err error) {
 	span.st.Record(&sample)
 }
 
-// Submit runs fn as one transaction without waiting for it; done (if not
-// nil) receives the transaction's final error.
-func (db *DB) Submit(fn func(tx *Tx) error, done chan<- error) error {
-	return db.pool.Submit(func(s *sched.Slot) {
-		tx := db.engine.Begin(s.ID, db.opts.Isolation, s.Metrics, s.Yield, s.Wait)
-		err := fn(tx)
-		if err != nil {
-			tx.Rollback()
-		} else {
-			err = tx.Commit()
-		}
-		if done != nil {
-			done <- err
-		}
-	})
-}
-
 // Freeze runs one freezing round over all tables (§5.2): up to maxPages
 // coldest prefix pages per table with decayed access counts <= maxHot move
 // to the compressed frozen layer. Returns rows frozen.

@@ -161,21 +161,6 @@ func TestConcurrentExecutes(t *testing.T) {
 	}
 }
 
-func TestSubmitAsync(t *testing.T) {
-	db := openTestDB(t, Options{})
-	declareUsers(t, db)
-	done := make(chan error, 1)
-	if err := db.Submit(func(tx *Tx) error {
-		_, err := tx.Insert("users", Row{Int(9), Str("async"), Float(0)})
-		return err
-	}, done); err != nil {
-		t.Fatal(err)
-	}
-	if err := <-done; err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestRecoverAcrossReopen(t *testing.T) {
 	dir := t.TempDir()
 	db, err := Open(Options{Dir: dir, Workers: 1, SlotsPerWorker: 2})
