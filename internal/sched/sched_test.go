@@ -81,7 +81,7 @@ func TestSubmitAfterStop(t *testing.T) {
 }
 
 func TestStopDrainsQueue(t *testing.T) {
-	p := New(Config{Workers: 1, SlotsPerWorker: 1, QueueDepth: 100})
+	p := New(Config{Workers: 1, SlotsPerWorker: 1})
 	p.Start()
 	var count atomic.Int64
 	for i := 0; i < 50; i++ {
@@ -194,18 +194,34 @@ func TestMetricsRecorderWiring(t *testing.T) {
 
 func TestDefaults(t *testing.T) {
 	p := New(Config{})
-	if p.cfg.Workers <= 0 || p.cfg.SlotsPerWorker != 1 || p.cfg.QueueDepth <= 0 {
+	if p.cfg.Workers <= 0 || p.cfg.SlotsPerWorker != 1 {
 		t.Fatalf("defaults not applied: %+v", p.cfg)
+	}
+	// Before Start nothing pulls, so the queue fills to its constant depth.
+	var ran atomic.Int64
+	depth := queuePerSlot * p.NumSlots()
+	for i := 0; i < depth; i++ {
+		if err := p.Submit(func(*Slot) { ran.Add(1) }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if p.QueueDepth() != depth || cap(p.q) != depth {
+		t.Fatalf("QueueDepth() = %d, capacity %d, want %d", p.QueueDepth(), cap(p.q), depth)
+	}
+	p.Start()
+	p.Stop()
+	if ran.Load() != int64(depth) {
+		t.Fatalf("drained %d of %d queued tasks", ran.Load(), depth)
 	}
 }
 
-// An idle pool must not wake anything: every slot parks on its worker's
-// queue and stays there until a task or a kick arrives.
+// An idle pool must not run anything: every vacant slot waits in its one
+// receive on the run queue until a task arrives.
 func TestIdlePoolDoesNotWake(t *testing.T) {
 	p := New(Config{Workers: 2, SlotsPerWorker: 32})
 	p.Start()
 	defer p.Stop()
-	// Run one task per slot so every slot has been through a park cycle.
+	// Run one task per slot so every slot has been through a vacant wait.
 	for i := 0; i < p.NumSlots(); i++ {
 		if err := p.SubmitWait(func(s *Slot) {}); err != nil {
 			t.Fatal(err)
@@ -215,19 +231,16 @@ func TestIdlePoolDoesNotWake(t *testing.T) {
 	for p.Executed() != int64(p.NumSlots()) {
 		time.Sleep(time.Millisecond)
 	}
-	before, execBefore := p.IdleWakeups(), p.Executed()
+	execBefore := p.Executed()
 	time.Sleep(200 * time.Millisecond)
-	if got := p.IdleWakeups() - before; got != 0 {
-		t.Fatalf("idle pool woke %d slots in 200ms", got)
-	}
 	if p.Executed() != execBefore {
 		t.Fatal("idle pool executed tasks")
 	}
 }
 
-// A task queued on a worker whose slots are all blocked must be run by a
-// parked slot of the sibling worker, woken by the submitter's kick.
-func TestBlockedWorkerBacklogIsStolen(t *testing.T) {
+// With every slot but one blocked, each task submitted runs on the one
+// vacant slot promptly: blocked slots hold no backlog of their own.
+func TestBacklogRunsBesideBlockedSlots(t *testing.T) {
 	p := New(Config{Workers: 2, SlotsPerWorker: 2})
 	p.Start()
 	release := make(chan struct{})
@@ -235,103 +248,77 @@ func TestBlockedWorkerBacklogIsStolen(t *testing.T) {
 		close(release)
 		p.Stop()
 	}()
-	// Block both slots of one worker. Placement is round-robin, so keep
-	// submitting blockers until one worker holds two; the sibling's excess
-	// blockers are released again.
-	held := make(map[int][]chan struct{})
-	blocked := -1
-	for blocked < 0 {
-		entered := make(chan int)
-		free := make(chan struct{})
+	entered := make(chan int)
+	blocked := map[int]bool{}
+	for i := 0; i < p.NumSlots()-1; i++ {
 		p.Submit(func(s *Slot) {
-			entered <- s.Worker
-			select {
-			case <-free:
-			case <-release:
-			}
+			entered <- s.ID
+			<-release
 		})
-		w := <-entered
-		held[w] = append(held[w], free)
-		if len(held[w]) == 2 {
-			blocked = w
-		}
+		blocked[<-entered] = true
 	}
-	for _, free := range held[1-blocked] {
-		close(free)
-	}
-	for p.workers[1-blocked].idle.Load() != 2 { // both sibling slots parked again
-		time.Sleep(time.Millisecond)
-	}
-	// Queue straight onto the blocked worker, as Submit does for its
-	// round-robin choice, and wake as Submit does.
 	for i := 0; i < 4; i++ {
 		ran := make(chan int, 1)
 		start := time.Now()
-		w := p.workers[blocked]
-		w.q <- func(s *Slot) { ran <- s.Worker }
-		p.wake(w)
+		if err := p.Submit(func(s *Slot) { ran <- s.ID }); err != nil {
+			t.Fatal(err)
+		}
 		select {
-		case by := <-ran:
-			if by == blocked {
-				t.Fatalf("task ran on the blocked worker")
+		case id := <-ran:
+			if blocked[id] {
+				t.Fatalf("task ran on blocked slot %d", id)
 			}
 		case <-time.After(50 * time.Millisecond):
-			t.Fatalf("task behind a blocked worker not stolen within 50ms (waited %v)", time.Since(start))
+			t.Fatalf("task %d not run within 50ms with a slot vacant (waited %v)", i, time.Since(start))
 		}
-	}
-	if p.Stolen() < 4 {
-		t.Fatalf("Stolen() = %d, want >= 4", p.Stolen())
 	}
 }
 
-// A kick is sent for one worker's backlog, but the slot it wakes sweeps its
-// own queue first. When a task landed there meanwhile (its submitter saw the
-// slot parked and sent no kick), the slot leaves with that task and must pass
-// the wake-up on: the backlog still has no one looking at it, and another
-// worker has a parked slot.
-func TestKickSurvivesOwnQueueTask(t *testing.T) {
-	p := New(Config{Workers: 3, SlotsPerWorker: 1})
+// Every slot of every worker pulls from the one queue: rounds of tasks
+// that each wait for their whole round occupy all four slots at once, and
+// each worker's completions bring its Maintain call due.
+func TestOneQueueFeedsEverySlot(t *testing.T) {
+	var maintained [2]atomic.Int64
+	p := New(Config{
+		Workers:        2,
+		SlotsPerWorker: 2,
+		Maintain:       func(worker int) { maintained[worker].Add(1) },
+	})
 	p.Start()
-	release := make(chan struct{})
-	defer func() {
-		close(release)
-		p.Stop()
-	}()
-	a, b, c := p.workers[0], p.workers[1], p.workers[2]
-	waitParked := func(ws ...*worker) {
-		for _, w := range ws {
-			for w.idle.Load() != 1 {
-				time.Sleep(100 * time.Microsecond)
-			}
+	const rounds = maintainEvery
+	for r := 0; r < rounds; r++ {
+		var entered, done sync.WaitGroup
+		entered.Add(p.NumSlots())
+		done.Add(p.NumSlots())
+		var mu sync.Mutex
+		slots := map[int]int{} // slot ID -> worker
+		for i := 0; i < p.NumSlots(); i++ {
+			p.Submit(func(s *Slot) {
+				defer done.Done()
+				mu.Lock()
+				slots[s.ID] = s.Worker
+				mu.Unlock()
+				entered.Done()
+				entered.Wait()
+			})
+		}
+		done.Wait()
+		if r > 0 {
+			continue
+		}
+		workers := map[int]bool{}
+		for _, w := range slots {
+			workers[w] = true
+		}
+		if len(slots) != 4 || len(workers) != 2 {
+			t.Fatalf("4 blocked tasks held slots %v, want 4 distinct slots across 2 workers", slots)
 		}
 	}
-	waitParked(a, b, c)
-	entered := make(chan struct{})
-	b.q <- func(*Slot) {
-		close(entered)
-		<-release
-	}
-	<-entered
-	for round := 0; round < 50; round++ {
-		waitParked(a, c)
-		ran := make(chan struct{})
-		// b's only slot is busy: this kicks c, the next worker round.
-		b.q <- func(*Slot) { close(ran) }
-		p.wake(b)
-		// c's slot is parked, so this sends no kick; if it is the kick that
-		// wakes the slot, it finds this task first and holds on to it.
-		c.q <- func(*Slot) {
-			select {
-			case <-ran:
-			case <-release:
-			}
-		}
-		p.wake(c)
-		select {
-		case <-ran:
-		case <-time.After(50 * time.Millisecond):
-			t.Fatalf("round %d: backlog of the blocked worker not run within 50ms with a slot parked (idle a=%d c=%d)",
-				round, a.idle.Load(), c.idle.Load())
+	p.Stop()
+	// Each round runs two tasks per worker: 2*rounds completions each.
+	for w := range maintained {
+		if got := maintained[w].Load(); got != 2 {
+			t.Fatalf("Maintain(%d) ran %d times, want 2", w, got)
 		}
 	}
 }
@@ -382,9 +369,9 @@ func TestConcurrentSubmitAndStop(t *testing.T) {
 
 // Tasks submit tasks (a wire session hands its slot to the next session
 // that way). Stop must not wedge when it arrives while every slot is inside
-// such a nested Submit and an outside Submit is blocked on full queues.
+// such a nested Submit and an outside Submit is blocked on a full queue.
 func TestStopWithNestedAndBlockedSubmits(t *testing.T) {
-	p := New(Config{Workers: 1, SlotsPerWorker: 1, QueueDepth: 1})
+	p := New(Config{Workers: 1, SlotsPerWorker: 1})
 	p.Start()
 	var ran, accepted atomic.Int64
 	count := func(*Slot) { ran.Add(1) }
@@ -402,7 +389,9 @@ func TestStopWithNestedAndBlockedSubmits(t *testing.T) {
 		submit()
 	})
 	<-entered
-	submit() // fills the one-deep queue
+	for i := 0; i < queuePerSlot; i++ {
+		submit() // fills the queue
+	}
 	outer := make(chan struct{})
 	go func() {
 		defer close(outer)

@@ -61,7 +61,8 @@ func (r *Reference) skippable(stmt sql.Stmt) bool {
 // Comparison rules:
 //   - error status must match (messages are not compared);
 //   - writes must report the same affected-row count;
-//   - SELECT results compare as multisets of rendered rows;
+//   - SELECT results compare as multisets of rows, float cells within a
+//     relative floatTol (see SameRowSet);
 //   - with LIMIT n the engine may return any n reference rows, so the
 //     engine rows must number min(n, |reference rows without LIMIT|) and
 //     be contained in that unlimited reference result;

@@ -2,7 +2,9 @@ package logictest
 
 import (
 	"fmt"
+	"math"
 	"os"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -16,8 +18,8 @@ import (
 type Target func(stmt string) (sql.Result, error)
 
 // RenderValue prints a value the way the logic tests and the oracle
-// compare them. Floats use the shortest round-tripping form, so results
-// only compare equal when bit-equal.
+// compare them. Floats use the shortest round-tripping form, so golden
+// rows pin a float's exact bits.
 func RenderValue(v rel.Value) string {
 	switch v.Kind {
 	case rel.TInt64:
@@ -52,32 +54,71 @@ func RenderRows(rows []rel.Row, rowsort bool) []string {
 	return out
 }
 
-// SameRowSet reports whether two results hold the same multiset of rows.
+// floatTol is the relative difference within which the oracle takes two
+// float cells as equal. A float sum depends on the order rows are added in,
+// and the engine's scan order departs from the reference's insertion order
+// once inserts reuse slots a DELETE freed.
+const floatTol = 1e-9
+
+// SameRowSet reports whether two results hold the same multiset of rows,
+// float cells compared within floatTol.
 func SameRowSet(a, b []rel.Row) bool {
-	if len(a) != len(b) {
-		return false
+	return len(a) == len(b) && ContainsRowSet(a, b)
+}
+
+// ContainsRowSet reports whether sub's rows are a sub-multiset of super's,
+// float cells compared within floatTol.
+func ContainsRowSet(super, sub []rel.Row) bool {
+	// Rows that render identically pair off first, through a map, so a
+	// large result costs linear time; only the rest are matched cell by
+	// cell against every unpaired row.
+	have := map[string][]rel.Row{}
+	for _, r := range super {
+		k := RenderRow(r)
+		have[k] = append(have[k], r)
 	}
-	as, bs := RenderRows(a, true), RenderRows(b, true)
-	for i := range as {
-		if as[i] != bs[i] {
+	var rest []rel.Row
+	for _, r := range sub {
+		k := RenderRow(r)
+		if n := len(have[k]); n > 0 {
+			have[k] = have[k][:n-1]
+		} else {
+			rest = append(rest, r)
+		}
+	}
+	if len(rest) == 0 {
+		return true
+	}
+	var left []rel.Row
+	for _, rows := range have {
+		left = append(left, rows...)
+	}
+	for _, r := range rest {
+		i := slices.IndexFunc(left, func(l rel.Row) bool { return rowsClose(l, r) })
+		if i < 0 {
 			return false
 		}
+		left[i] = left[len(left)-1]
+		left = left[:len(left)-1]
 	}
 	return true
 }
 
-// ContainsRowSet reports whether sub's rows are a sub-multiset of super's.
-func ContainsRowSet(super, sub []rel.Row) bool {
-	have := map[string]int{}
-	for _, r := range super {
-		have[RenderRow(r)]++
+// rowsClose reports whether two rows agree: float cells within floatTol,
+// every other cell as rendered.
+func rowsClose(a, b rel.Row) bool {
+	if len(a) != len(b) {
+		return false
 	}
-	for _, r := range sub {
-		k := RenderRow(r)
-		if have[k] == 0 {
+	for i := range a {
+		if a[i].Kind == rel.TFloat64 && b[i].Kind == rel.TFloat64 {
+			x, y := a[i].F, b[i].F
+			if x != y && math.Abs(x-y) > floatTol*math.Max(math.Abs(x), math.Abs(y)) {
+				return false
+			}
+		} else if RenderValue(a[i]) != RenderValue(b[i]) {
 			return false
 		}
-		have[k]--
 	}
 	return true
 }

@@ -236,27 +236,26 @@ func TestColdScanCountersListed(t *testing.T) {
 	}
 }
 
-// The wake-up counters are registered where phoebe_stat_engine and
-// /metrics pick them up, and an idle database moves neither.
+// The group-commit wake-up counter is registered where phoebe_stat_engine
+// and /metrics pick it up, and an idle database does not move it.
 func TestWakeupCountersListed(t *testing.T) {
 	db := openTestDB(t, Options{})
-	read := func() map[string]int64 {
-		got := map[string]int64{}
+	const name = "phoebe_wal_group_lead_early_total"
+	read := func() (int64, bool) {
 		res := execOrFatal(t, db, "SELECT name, value FROM phoebe_stat_engine")
 		for _, r := range res.Rows {
-			got[r[0].S] = r[1].I
+			if r[0].S == name {
+				return r[1].I, true
+			}
 		}
-		return got
+		return 0, false
 	}
-	before := read()
-	for _, name := range []string{"phoebe_sched_idle_wakeups_total", "phoebe_wal_group_lead_early_total"} {
-		if _, ok := before[name]; !ok {
-			t.Fatalf("%s missing from phoebe_stat_engine", name)
-		}
+	before, ok := read()
+	if !ok {
+		t.Fatalf("%s missing from phoebe_stat_engine", name)
 	}
 	time.Sleep(50 * time.Millisecond)
-	after := read()
-	if d := after["phoebe_sched_idle_wakeups_total"] - before["phoebe_sched_idle_wakeups_total"]; d != 0 {
-		t.Fatalf("idle database woke %d slots for nothing in 50ms", d)
+	if after, _ := read(); after != before {
+		t.Fatalf("idle database moved %s by %d in 50ms", name, after-before)
 	}
 }

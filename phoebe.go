@@ -422,19 +422,7 @@ func (db *DB) Execute(fn func(tx *Tx) error) error {
 
 // ExecuteIso is Execute at an explicit isolation level.
 func (db *DB) ExecuteIso(iso Isolation, fn func(tx *Tx) error) error {
-	var txErr error
-	err := db.pool.SubmitWait(func(s *sched.Slot) {
-		tx := db.engine.Begin(s.ID, iso, s.Metrics, s.Yield, s.Wait)
-		if txErr = fn(tx); txErr != nil {
-			tx.Rollback()
-			return
-		}
-		txErr = tx.Commit()
-	})
-	if err != nil {
-		return err
-	}
-	return txErr
+	return db.execute(iso, "", fn)
 }
 
 // ExecuteTagged is Execute with the transaction's cost attributed to the
@@ -442,18 +430,33 @@ func (db *DB) ExecuteIso(iso Isolation, fn func(tx *Tx) error) error {
 // aggregates: wall time, wait-event breakdown, buffer misses, and WAL
 // bytes all land under tag in phoebe_stat_statements.
 func (db *DB) ExecuteTagged(tag string, fn func(tx *Tx) error) error {
-	st := db.stmtStats.Intern(tag)
+	return db.execute(db.opts.Isolation, tag, fn)
+}
+
+// execute is the body of Execute, ExecuteIso and ExecuteTagged: fn runs as
+// one transaction on a pool slot, committed on nil and rolled back on
+// error. A non-empty tag wraps it in a statement span.
+func (db *DB) execute(iso Isolation, tag string, fn func(tx *Tx) error) error {
+	var st *metrics.StmtStat
+	if tag != "" {
+		st = db.stmtStats.Intern(tag)
+	}
 	var txErr error
 	err := db.pool.SubmitWait(func(s *sched.Slot) {
-		span := db.stmtBegin(s.ID, st)
-		tx := db.engine.Begin(s.ID, db.opts.Isolation, s.Metrics, s.Yield, s.Wait)
+		var span stmtSpan
+		if st != nil {
+			span = db.stmtBegin(s.ID, st)
+		}
+		tx := db.engine.Begin(s.ID, iso, s.Metrics, s.Yield, s.Wait)
 		tx.NoteStatement(tag)
 		if txErr = fn(tx); txErr != nil {
 			tx.Rollback()
 		} else {
 			txErr = tx.Commit()
 		}
-		db.stmtEnd(&span, 0, txErr)
+		if st != nil {
+			db.stmtEnd(&span, 0, txErr)
+		}
 	})
 	if err != nil {
 		return err

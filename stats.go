@@ -125,8 +125,6 @@ func buildRegistry(db *DB) *metrics.Registry {
 	}
 
 	reg.Counter("phoebe_sched_executed_total", "Pool tasks completed.", db.pool.Executed)
-	reg.Counter("phoebe_sched_stolen_total", "Tasks stolen from a sibling worker's queue.", db.pool.Stolen)
-	reg.Counter("phoebe_sched_idle_wakeups_total", "Parked slots woken that found no task to run.", db.pool.IdleWakeups)
 	reg.Gauge("phoebe_sched_queue_depth", "Tasks waiting in the admission queue.", func() int64 {
 		return int64(db.pool.QueueDepth())
 	})
