@@ -75,23 +75,20 @@ func (e *Engine) logCatalog(c catalogChange) error {
 	return fault.Eval(fault.CatalogPrePublish)
 }
 
-// ApplyCatalog applies a shipped RecCatalog payload without logging it;
-// the standby calls it for each catalog record, in GSN order.
-func (e *Engine) ApplyCatalog(payload []byte) error {
+// applyCatalogRecord decodes a RecCatalog payload and applies it.
+func (e *Engine) applyCatalogRecord(payload []byte) (catalogChange, error) {
 	c, err := decodeCatalog(payload)
-	if err != nil {
-		return err
+	if err == nil {
+		err = e.applyCatalog(c)
 	}
-	e.sysMu.Lock()
-	defer e.sysMu.Unlock()
-	return e.applyCatalog(c)
+	return c, err
 }
 
 // applyCatalog makes the catalog agree with a recorded change without
 // logging it: what is missing is created, what exists under the name or id
 // must match (*SchemaMismatchError). A new index over rows (on a standby;
-// recovery applies the catalog first) is filled before it goes live. The
-// caller holds sysMu.
+// recovery applies the catalog before it loads any row) is filled before
+// it goes live. The caller holds sysMu.
 func (e *Engine) applyCatalog(c catalogChange) error {
 	if !c.index {
 		t, _ := e.Table(c.name)
@@ -110,6 +107,11 @@ func (e *Engine) applyCatalog(c catalogChange) error {
 	}
 	if ix := t.Index(c.name); ix != nil {
 		return mismatch(indexChange(t, ix), c)
+	}
+	for _, k := range c.keys {
+		if k < 0 || k >= len(t.Schema.Cols) {
+			return fmt.Errorf("core: catalog index %q names column %d of table %q", c.name, k, t.Name)
+		}
 	}
 	fill := tableHasData(t)
 	ix := addIndex(t, c, fill)

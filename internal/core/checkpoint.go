@@ -352,6 +352,9 @@ func decodeCatalog(payload []byte) (catalogChange, error) {
 	c.cols = make([]rel.Column, r.Count(4+1))
 	for i := range c.cols {
 		c.cols[i] = rel.Column{Name: string(r.Bytes()), Type: rel.Type(r.U8())}
+		if t := c.cols[i].Type; t < rel.TInt64 || t > rel.TString {
+			return catalogChange{}, fmt.Errorf("core: catalog record: column %q has type %v", c.cols[i].Name, t)
+		}
 	}
 	c.keys = make([]int, r.Count(4))
 	for i := range c.keys {

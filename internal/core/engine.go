@@ -485,11 +485,6 @@ func indexKeyInto(dst []byte, ix *Index, row rel.Row, rid rel.RowID) []byte {
 	return dst
 }
 
-// IndexKeyOf builds an index entry key for external appliers (replication).
-func IndexKeyOf(ix *Index, row rel.Row, rid rel.RowID) []byte {
-	return indexKey(ix, row, rid)
-}
-
 // indexPrefix appends the search prefix for the given (possibly partial)
 // key values to dst, so scan-heavy callers can reuse one buffer.
 func indexPrefix(dst []byte, ix *Index, vals []rel.Value) []byte {
@@ -547,16 +542,7 @@ func (e *Engine) eraseTuple(t *Tbl, rid rel.RowID) {
 		return // already erased, frozen, or resurrected
 	}
 	for _, ix := range t.Indexes() {
-		k := indexKey(ix, row, rid)
-		if ix.Unique {
-			// A unique key carries no row_id suffix, so the entry may have
-			// been reclaimed by a re-insert of the same key since this
-			// tombstone was created; erase it only if it still points here.
-			if cur, ok := ix.Tree.Lookup(k); !ok || rel.RowID(cur) != rid {
-				continue
-			}
-		}
-		ix.Tree.Delete(k)
+		unindex(ix, row, rid)
 	}
 	_ = t.Store.RemoveRow(rid, nil)
 }

@@ -71,7 +71,8 @@ const (
 	// BufferEvict fires in the buffer pool's eviction loop, before a
 	// cooling frame is written out and dropped.
 	BufferEvict = "buffer.evict"
-	// ReplicaApply fires before a standby applies a shipped WAL record.
+	// ReplicaApply fires before a standby applies a round of shipped
+	// committed transactions.
 	ReplicaApply = "replica.apply"
 	// BackupArchiveCopy fires in the WAL archiver before newly parsed log
 	// bytes are appended to the current archive segment (crash mid-archive:

@@ -7,35 +7,31 @@
 // Mechanics: each polling round reads the new bytes of every group file
 // through a wal.Tailer (per-file byte offsets are remembered; a torn record
 // at a file's tail is retried next round; a file that restarts under its
-// offset is reported), buffers data records per transaction, and applies
-// transactions whose commit record has arrived. Applies run in global GSN
-// order within a round, the same merge recovery uses (§8); out-of-order
-// row_id arrivals across table tail pages are handled by the table layer's
-// ordered insert. Uncommitted transactions stay buffered until their
-// commit or abort arrives; aborted transactions are dropped.
+// offset is reported) and hands every record to the engine's redo applier
+// (core.Redo), the same one crash recovery uses. The applier buffers data
+// records per transaction, drops aborted transactions, applies catalog
+// records (CREATE TABLE, CREATE INDEX) in GSN order, and applies the
+// round's committed transactions in commit-timestamp order, keeping every
+// index current; uncommitted transactions stay buffered until their commit
+// or abort arrives. The standby owns only the reading and the cutoff of
+// which commits a round may apply.
 //
-// The standby applies physical-logical records below the MVCC layer (its
-// own transaction machinery is idle), so reads on the standby see a
-// transaction-consistent prefix of the primary's history: a transaction's
-// records are applied only after its commit record is durable on the
-// primary. Catalog records (CREATE TABLE, CREATE INDEX) ship in the same
-// stream and apply before each round's transactions, so the standby needs
+// Records apply below the MVCC layer (the standby's own transaction
+// machinery is idle), so reads on the standby see a transaction-consistent
+// prefix of the primary's history: a transaction's records are applied
+// only after its commit record is durable on the primary. The standby needs
 // no schema of its own.
 package replica
 
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
 	"phoebedb/internal/backup"
-	"phoebedb/internal/clock"
 	"phoebedb/internal/core"
 	"phoebedb/internal/fault"
-	"phoebedb/internal/rel"
-	"phoebedb/internal/table"
 	"phoebedb/internal/wal"
 )
 
@@ -66,11 +62,9 @@ type Standby struct {
 	ArchiveDir string
 
 	mu       sync.Mutex
-	tail     *wal.Tailer             // live-file positions and restart detection
-	stream   []int64                 // ArchiveDir only: group -> archived-stream bytes consumed
-	pending  map[uint64][]wal.Record // xid -> data records
-	commits  map[uint64]uint64       // xid -> cts, commit seen but unapplied
-	catalog  []wal.Record            // catalog records not yet applied
+	tail     *wal.Tailer // live-file positions and restart detection
+	stream   []int64     // ArchiveDir only: group -> archived-stream bytes consumed
+	redo     *core.Redo  // records read and not yet applied
 	applied  int64
 	promoted bool
 }
@@ -82,8 +76,7 @@ func NewStandby(e *core.Engine, primaryWALDir string) *Standby {
 		Engine:        e,
 		PrimaryWALDir: primaryWALDir,
 		tail:          wal.NewTailer(primaryWALDir, nil),
-		pending:       make(map[uint64][]wal.Record),
-		commits:       make(map[uint64]uint64),
+		redo:          e.NewRedo(),
 	}
 }
 
@@ -119,71 +112,33 @@ func (s *Standby) catchUp(final bool) (int, error) {
 	if err := s.ingest(final); err != nil { // pass one
 		return 0, err
 	}
-	cutoff := make(map[uint64]uint64, len(s.commits))
-	for xid, cts := range s.commits {
-		cutoff[xid] = cts
-	}
-	if err := s.ingest(final); err != nil { // pass two: dependencies
+	cutoff := s.redo.Commits()
+	// Pass two reads the cutoff's dependencies, catalog records included: a
+	// catalog record is flushed before its object is published.
+	if err := s.ingest(final); err != nil {
 		return 0, err
 	}
-	// A catalog record is flushed before its object is published, so pass
-	// two has read every one a cutoff transaction depends on.
-	sort.Slice(s.catalog, func(i, j int) bool { return s.catalog[i].GSN < s.catalog[j].GSN })
-	for len(s.catalog) > 0 {
-		if err := s.Engine.ApplyCatalog(s.catalog[0].Payload); err != nil {
-			return 0, fmt.Errorf("replica: apply catalog record: %w", err)
+	if cutoff > 0 {
+		if err := fault.Eval(fault.ReplicaApply); err != nil {
+			return 0, fmt.Errorf("replica: apply: %w", err)
 		}
-		s.catalog = s.catalog[1:]
 	}
-	// Apply eligible transactions in cts order.
-	type txnBatch struct {
-		xid uint64
-		cts uint64
+	n, err := s.redo.Apply(cutoff)
+	s.applied += int64(n)
+	if err != nil {
+		return n, fmt.Errorf("replica: %w", err)
 	}
-	var order []txnBatch
-	for xid, cts := range cutoff {
-		order = append(order, txnBatch{xid, cts})
-	}
-	sort.Slice(order, func(i, j int) bool { return order[i].cts < order[j].cts })
-	applied := 0
-	var maxTS uint64
-	for _, tb := range order {
-		for _, r := range s.pending[tb.xid] {
-			if err := s.apply(r); err != nil {
-				return applied, fmt.Errorf("replica: apply %s rid %d: %w", r.Type, r.RowID, err)
-			}
-			s.applied++
-			applied++
-		}
-		if tb.cts > maxTS {
-			maxTS = tb.cts
-		}
-		delete(s.pending, tb.xid)
-		delete(s.commits, tb.xid)
-	}
-	if maxTS > 0 {
-		s.Engine.Mgr.Clock.AdvanceTo(maxTS + 1)
-	}
-	return applied, nil
+	return n, nil
 }
 
-// ingest reads newly durable records into the pending/commits state.
+// ingest hands newly durable records to the applier.
 func (s *Standby) ingest(final bool) error {
-	newRecs, err := s.readNew(final)
+	recs, err := s.readNew(final)
 	if err != nil {
 		return err
 	}
-	for _, r := range newRecs {
-		switch r.Type {
-		case wal.RecCommit:
-			s.commits[r.XID] = r.RowID // cts travels in the RowID field
-		case wal.RecAbort:
-			delete(s.pending, r.XID)
-		case wal.RecCatalog:
-			s.catalog = append(s.catalog, r)
-		default:
-			s.pending[r.XID] = append(s.pending[r.XID], r)
-		}
+	for _, r := range recs {
+		s.redo.Add(r)
 	}
 	return nil
 }
@@ -305,88 +260,6 @@ func (s *Standby) readNewArchived(final bool) ([]wal.Record, error) {
 	return out, nil
 }
 
-// apply replays one data record into the standby engine (below MVCC,
-// mirroring recovery's redo).
-func (s *Standby) apply(r wal.Record) error {
-	if err := fault.Eval(fault.ReplicaApply); err != nil {
-		return err
-	}
-	t := s.Engine.TableByID(r.TableID)
-	if t == nil {
-		return fmt.Errorf("unknown table id %d", r.TableID)
-	}
-	switch r.Type {
-	case wal.RecInsert:
-		row, err := rel.DecodeRow(r.Payload)
-		if err != nil {
-			return err
-		}
-		if err := t.Store.InsertAt(rel.RowID(r.RowID), row); err != nil {
-			return err
-		}
-		for _, ix := range t.Indexes() {
-			ix.Tree.Insert(core.IndexKeyOf(ix, row, rel.RowID(r.RowID)), r.RowID)
-		}
-		return nil
-	case wal.RecUpdate:
-		cols, vals, err := rel.DecodeDelta(r.Payload)
-		if err != nil {
-			return err
-		}
-		var newRow rel.Row
-		werr := t.Store.WithRow(rel.RowID(r.RowID), true, nil, func(h table.Handle) error {
-			for i, c := range cols {
-				h.SetCol(c, vals[i])
-			}
-			newRow = h.Row()
-			return nil
-		})
-		if werr != nil {
-			return werr
-		}
-		// Keep indexes over changed key columns current.
-		for _, ix := range t.Indexes() {
-			changed := false
-			for _, c := range ix.Cols {
-				for _, uc := range cols {
-					if uc == c {
-						changed = true
-					}
-				}
-			}
-			if changed {
-				ix.Tree.Insert(core.IndexKeyOf(ix, newRow, rel.RowID(r.RowID)), r.RowID)
-			}
-		}
-		return nil
-	case wal.RecDelete:
-		var old rel.Row
-		rerr := t.Store.WithRow(rel.RowID(r.RowID), false, nil, func(h table.Handle) error {
-			old = h.Row()
-			return nil
-		})
-		if errors.Is(rerr, table.ErrNotFound) {
-			return nil // already gone (idempotent)
-		}
-		if errors.Is(rerr, table.ErrFrozen) {
-			_, err := t.Frozen.MarkDeleted(rel.RowID(r.RowID))
-			return err
-		}
-		if rerr != nil {
-			return rerr
-		}
-		if err := t.Store.RemoveRow(rel.RowID(r.RowID), nil); err != nil {
-			return err
-		}
-		for _, ix := range t.Indexes() {
-			ix.Tree.Delete(core.IndexKeyOf(ix, old, rel.RowID(r.RowID)))
-		}
-		return nil
-	default:
-		return fmt.Errorf("unexpected record type %v", r.Type)
-	}
-}
-
 // Run polls until stop closes, applying new log continuously.
 func (s *Standby) Run(stop <-chan struct{}, interval time.Duration) error {
 	if interval <= 0 {
@@ -407,10 +280,10 @@ func (s *Standby) Run(stop <-chan struct{}, interval time.Duration) error {
 }
 
 // Promote finishes replication and makes the standby writable: it applies
-// any remaining log, fast-forwards the standby's WAL GSN clocks, marks the
-// standby promoted, and checkpoints. After promotion the engine serves
-// normal transactions as the new primary and restarts from its own
-// directory.
+// any remaining log, fast-forwards the standby's WAL GSN clocks past the
+// archive, marks the standby promoted, and checkpoints. After promotion the
+// engine serves normal transactions as the new primary and restarts from
+// its own directory. It reads the primary's files but never writes them.
 func (s *Standby) Promote() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -418,44 +291,28 @@ func (s *Standby) Promote() error {
 		return errors.New("replica: standby already promoted")
 	}
 	// Terminal drain: the primary is dead, so this is the last chance to
-	// apply committed transactions. Whatever stays in s.pending afterwards
-	// is uncommitted work from transactions the primary never acknowledged
-	// — dropping it is exactly what the primary's own crash recovery would
-	// do.
+	// apply committed transactions. Whatever the applier still buffers
+	// afterwards is uncommitted work from transactions the primary never
+	// acknowledged — dropping it is exactly what the primary's own crash
+	// recovery would do. The applier has fast-forwarded the clocks past
+	// every record read, those included.
 	if _, err := s.catchUp(true); err != nil {
 		return err
 	}
 	s.promoted = true
-	s.pending = make(map[uint64][]wal.Record)
-	// New log records must sort after everything shipped.
-	maxGSN := uint64(0)
-	recs, err := wal.Recover(s.PrimaryWALDir)
-	if err == nil {
-		for _, r := range recs {
-			if r.GSN > maxGSN {
-				maxGSN = r.GSN
-			}
-			if ts := clock.StartTS(r.XID); ts > 0 {
-				s.Engine.Mgr.Clock.AdvanceTo(ts + 1)
-			}
-		}
-	}
+	s.redo = nil
 	if s.ArchiveDir != "" {
 		// Archived history can reach past the live files (they truncate on
 		// checkpoint); the promoted timeline must sort above it too.
 		if m, merr := backup.LoadManifest(s.ArchiveDir); merr == nil {
-			if m.SealGSN > maxGSN {
-				maxGSN = m.SealGSN
-			}
+			maxGSN := m.SealGSN
 			for _, seg := range m.Segments {
-				if seg.LastGSN > maxGSN {
-					maxGSN = seg.LastGSN
-				}
+				maxGSN = max(maxGSN, seg.LastGSN)
+			}
+			for i := 0; i < s.Engine.WAL.NumWriters(); i++ {
+				s.Engine.WAL.Writer(i).AdvanceGSN(maxGSN)
 			}
 		}
-	}
-	for i := 0; i < s.Engine.WAL.NumWriters(); i++ {
-		s.Engine.WAL.Writer(i).AdvanceGSN(maxGSN)
 	}
 	// Applying logged nothing to the standby's own WAL, so nothing recovery
 	// reads holds the shipped catalog and rows yet. A checkpoint makes them

@@ -867,9 +867,8 @@ func Scan(data []byte, off int, fn func(r Record, raw []byte) bool) (next int) {
 // partial sector flipped bytes in it) is physically truncated back to its
 // last checksum-valid record. Without the truncation the torn bytes would
 // stay on disk and the reopened engine's O_APPEND writers would extend
-// them, leaving every post-recovery record unreachable behind garbage.
-// Callers recovering someone else's live log (none today — the standby's
-// Promote only reads the log of a dead primary) must copy it first.
+// them, leaving every post-recovery record unreachable behind garbage, so
+// only the log's owner may recover it.
 func Recover(dir string) ([]Record, error) {
 	paths, err := groupFiles(dir)
 	if err != nil {

@@ -185,7 +185,7 @@ func (s *Server) pollerUnregister(c *conn) {
 }
 
 func (s *Server) startReaders() {
-	for i := 0; i < s.Readers; i++ {
+	for i := 0; i < s.pool; i++ {
 		s.wg.Add(1)
 		go s.reader()
 	}

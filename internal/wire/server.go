@@ -49,10 +49,9 @@ type Server struct {
 	// transaction open with no pending statements before the server rolls
 	// it back. Default 60s.
 	IdleTxnTimeout time.Duration
-	// Readers and Writers size the reader/writer goroutine pools.
-	// Default min(GOMAXPROCS, 4).
-	Readers int
-	Writers int
+	// pool sizes both the reader and the writer goroutine pools:
+	// min(GOMAXPROCS, 4).
+	pool int
 
 	done     chan struct{}
 	stopOnce sync.Once
@@ -119,19 +118,7 @@ func (s *Server) defaults() {
 	if s.IdleTxnTimeout <= 0 {
 		s.IdleTxnTimeout = 60 * time.Second
 	}
-	pool := runtime.GOMAXPROCS(0)
-	if pool > 4 {
-		pool = 4
-	}
-	if pool < 1 {
-		pool = 1
-	}
-	if s.Readers <= 0 {
-		s.Readers = pool
-	}
-	if s.Writers <= 0 {
-		s.Writers = pool
-	}
+	s.pool = min(runtime.GOMAXPROCS(0), 4)
 }
 
 // Serve accepts and serves connections until the listener closes. It
@@ -145,7 +132,7 @@ func (s *Server) Serve(l net.Listener) error {
 	if err := s.pollerInit(); err != nil {
 		return err
 	}
-	for i := 0; i < s.Writers; i++ {
+	for i := 0; i < s.pool; i++ {
 		s.wg.Add(1)
 		go s.writer()
 	}
