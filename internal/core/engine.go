@@ -75,8 +75,8 @@ type Config struct {
 	// LockTimeout bounds lock waits; expiry aborts the waiter (deadlock
 	// recovery). Default 2s.
 	LockTimeout time.Duration
-	// ColdCacheBytes bounds the per-table decoded cold-block LRU
-	// (0 = frozen.DefaultCacheBytes).
+	// ColdCacheBytes bounds the per-table LRU of stored cold blocks,
+	// charged at their stored size (0 = frozen.DefaultCacheBytes).
 	ColdCacheBytes int64
 	// PartitionOf maps a task slot to its worker's buffer partition, so a
 	// slot's page allocations land in the partition its worker maintains

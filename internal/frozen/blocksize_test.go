@@ -1,8 +1,6 @@
 package frozen
 
 import (
-	"bytes"
-	"compress/flate"
 	"encoding/binary"
 	"fmt"
 	"math/rand"
@@ -10,6 +8,8 @@ import (
 	"path/filepath"
 	"runtime"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"phoebedb/internal/pax"
@@ -34,16 +34,20 @@ func bigRow(i int) rel.Row {
 		rel.Int(int64(i % 100)), rel.Str(bigTags[i%len(bigTags)])}
 }
 
-// newBigStore freezes big rows [0, n) (row_id = seq + 1) as one segment.
+// newBigStore freezes big rows [0, n) (row_id = seq + 1), in segments of
+// at most 1<<16 rows.
 func newBigStore(t testing.TB, n int) *Store {
 	t.Helper()
 	s := newWideStore(t)
-	ids := make([]rel.RowID, n)
-	rows := make([]rel.Row, n)
-	for i := range ids {
-		ids[i], rows[i] = rel.RowID(i+1), bigRow(i)
+	for lo := 0; lo < n; lo += 1 << 16 {
+		hi := min(n, lo+1<<16)
+		ids := make([]rel.RowID, hi-lo)
+		rows := make([]rel.Row, hi-lo)
+		for i := range ids {
+			ids[i], rows[i] = rel.RowID(lo+i+1), bigRow(lo+i)
+		}
+		mustFreeze(t, s, ids, rows)
 	}
-	mustFreeze(t, s, ids, rows)
 	return s
 }
 
@@ -71,53 +75,85 @@ func checkBlockSizes(t *testing.T, s *Store) {
 	}
 }
 
-// A cold point read that misses the block cache decodes one block to
-// return one row: its compressed bytes, its ids and fixed strips, and its
-// inflated strings with their value headers — about 12.6 KB for a block of
-// `big` rows.
-func TestColdGetAllocBytes(t *testing.T) {
-	const n, gets = 20_000, 1000
-	s := newBigStore(t, n)
-	s.CacheBytes = 1 // every Get decodes
-	checkBlockSizes(t, s)
+// getAllocBytes returns the bytes each of gets uniform Gets over rids
+// [1, n] of s allocates, and how many of them the pools a Get takes an
+// inflater and a var scratch buffer from spent building new ones: none,
+// except under the race detector, where sync.Pool drops a share of Puts
+// and each miss builds a ~40 KB inflater or an 8 KiB buffer.
+func getAllocBytes(t *testing.T, s *Store, n, gets int) (perGet, poolCost uint64) {
+	t.Helper()
 	r := rand.New(rand.NewSource(7))
 	rids := make([]rel.RowID, gets)
 	for i := range rids {
 		rids[i] = rel.RowID(1 + r.Intn(n))
 	}
-	s.Get(rids[0]) // primes the inflater pool
+	s.Get(rids[0]) // primes the pools
+	inflatersBuilt, inflaterCost := countNews(t, &inflaters)
+	scratchBuilt, scratchCost := countNews(t, &varScratch)
 	var failed error
-	perGet := totalAlloc(func() {
+	perGet = totalAlloc(func() {
 		for _, rid := range rids {
 			if row, ok, err := s.Get(rid); err != nil || !ok || row[0].I != int64(rid) {
 				failed = fmt.Errorf("Get(%d) = (%v, %v, %v)", rid, row, ok, err)
 				return
 			}
 		}
-	}) / gets
+	}) / uint64(gets)
 	if failed != nil {
 		t.Fatal(failed)
 	}
-	// What taking an inflater from its pool costs by itself: nothing, except
-	// under the race detector, where sync.Pool drops a share of Puts and
-	// each miss builds a ~40 KB inflater.
-	var empty bytes.Buffer
-	fw, _ := flate.NewWriter(&empty, flate.BestSpeed)
-	fw.Close()
-	poolCost := totalAlloc(func() {
-		for range gets {
-			if err := inflate(nil, empty.Bytes()); err != nil {
-				failed = err
-				return
-			}
+	poolCost = (uint64(inflatersBuilt.Load())*inflaterCost + uint64(scratchBuilt.Load())*scratchCost) / uint64(gets)
+	return perGet, poolCost
+}
+
+// countNews wraps p's constructor until the test ends: it returns a count
+// of the objects the wrapper builds and what building one costs.
+func countNews(t *testing.T, p *sync.Pool) (built *atomic.Int64, cost uint64) {
+	build := p.New
+	cost = totalAlloc(func() { build() })
+	built = new(atomic.Int64)
+	p.New = func() any {
+		built.Add(1)
+		return build()
+	}
+	t.Cleanup(func() { p.New = build })
+	return built, cost
+}
+
+// A cold point read that misses the block cache reads one stored block
+// (~1.2 KB for `big` rows) and parses it, then reads its row in place:
+// the row, its copied string and the cache entry. Nothing is unpacked,
+// and the var stream inflates into pooled scratch.
+func TestColdGetAllocBytes(t *testing.T) {
+	const n, gets = 20_000, 1000
+	s := newBigStore(t, n)
+	s.CacheBytes = 1 // every Get reads its block from the file
+	checkBlockSizes(t, s)
+	perGet, poolCost := getAllocBytes(t, s, n, gets)
+	t.Logf("%d B allocated per cold Get, %d B of it the pools' own", perGet, poolCost)
+	if perGet > poolCost+5<<9 {
+		t.Fatalf("a cold Get allocates %d B beyond the pools' %d B, want <= 2.5 KiB (one stored block and one row)", perGet-poolCost, poolCost)
+	}
+}
+
+// A cold point read that hits the block cache allocates only the row it
+// returns and that row's copied strings.
+func TestColdGetCachedAllocBytes(t *testing.T) {
+	const n, gets = 20_000, 1000
+	s := newBigStore(t, n) // ~260 stored blocks: well inside DefaultCacheBytes
+	for rid := 1; rid <= n; rid += 16 {
+		if _, ok, err := s.Get(rel.RowID(rid)); !ok || err != nil {
+			t.Fatalf("Get(%d) = (%v, %v)", rid, ok, err)
 		}
-	}) / gets
-	if failed != nil {
-		t.Fatal(failed)
 	}
-	t.Logf("%d B allocated per cold Get, %d B of it the inflater pool's own", perGet, poolCost)
-	if perGet > poolCost+27<<9 {
-		t.Fatalf("a cold Get allocates %d B beyond the pool's %d B, want <= 13.5 KiB (about one decoded block)", perGet-poolCost, poolCost)
+	before := s.Stats()
+	perGet, poolCost := getAllocBytes(t, s, n, gets)
+	if st := s.Stats(); st.CacheMisses != before.CacheMisses {
+		t.Fatalf("%d cache misses once the cache held every block", st.CacheMisses-before.CacheMisses)
+	}
+	t.Logf("%d B allocated per cached cold Get, %d B of it the pools' own", perGet, poolCost)
+	if perGet > poolCost+512 {
+		t.Fatalf("a cached cold Get allocates %d B beyond the pools' %d B, want <= 512 B", perGet-poolCost, poolCost)
 	}
 }
 
@@ -239,6 +275,7 @@ func TestParent512BlocksReadAndMerge(t *testing.T) {
 		if got := scanRows(t, s, nil, true); len(got) != 2048 {
 			t.Fatalf("scan returned %d rows, want 2048", len(got))
 		}
+		checkGetMatchesScan(t, s)
 	}
 	readAll()
 	verify(2)
@@ -255,20 +292,37 @@ func TestParent512BlocksReadAndMerge(t *testing.T) {
 	readAll()
 }
 
-// BenchmarkColdGet is a cold point read that misses the block cache: one
-// block inflated to return one row.
+// BenchmarkColdGet is a cold point read of a uniform row. miss: every
+// read fetches its block from the file (20k rows, a 1-byte cache).
+// cached: cold_read's shape, 300k rows behind the default cache, which
+// holds most of their ~3,900 stored blocks; it reports the hit ratio.
 func BenchmarkColdGet(b *testing.B) {
-	const n = 20_000
-	s := newBigStore(b, n)
-	s.CacheBytes = 1
-	r := rand.New(rand.NewSource(1))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, ok, err := s.Get(rel.RowID(1 + r.Intn(n))); !ok || err != nil {
-			b.Fatalf("Get = (%v, %v)", ok, err)
+	run := func(b *testing.B, s *Store, n int) {
+		r := rand.New(rand.NewSource(1))
+		before := s.Stats()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, ok, err := s.Get(rel.RowID(1 + r.Intn(n))); !ok || err != nil {
+				b.Fatalf("Get = (%v, %v)", ok, err)
+			}
 		}
+		b.StopTimer()
+		st := s.Stats()
+		hits, misses := st.CacheHits-before.CacheHits, st.CacheMisses-before.CacheMisses
+		b.ReportMetric(float64(hits)/float64(hits+misses), "hit-ratio")
 	}
+	miss := newBigStore(b, 20_000)
+	miss.CacheBytes = 1
+	b.Run("miss", func(b *testing.B) { run(b, miss, 20_000) })
+
+	const n = 300_000
+	cached := newBigStore(b, n)
+	r := rand.New(rand.NewSource(2))
+	for i := 0; i < n/10; i++ { // warm the cache to its steady state
+		cached.Get(rel.RowID(1 + r.Intn(n)))
+	}
+	b.Run("cached", func(b *testing.B) { run(b, cached, n) })
 }
 
 // BenchmarkColdRangeScan4096 is the benchmark's range aggregate over

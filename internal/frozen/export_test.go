@@ -1,6 +1,7 @@
 package frozen
 
 import (
+	"errors"
 	"testing"
 
 	"phoebedb/internal/rel"
@@ -66,5 +67,40 @@ func TestExportEmptyStore(t *testing.T) {
 	}
 	if _, ok, _ := s.Get(rel.RowID(1)); ok {
 		t.Fatal("phantom row")
+	}
+}
+
+// A block directory entry that reaches past its segment is refused with a
+// *BlockRangeError by Import and by VerifySegmentBytes, so no read is ever
+// issued for it: a length of 2^31 would make a negative read length (a
+// panic in the read), and 1 MiB would read past the end of the file.
+func TestImportRejectsBlockOutsideSegment(t *testing.T) {
+	s := newWideStore(t)
+	s.BlockRows = 16
+	ids, rows := wideBatch(0, 64)
+	mustFreeze(t, s, ids, rows)
+	m := s.Export()[0]
+	data, err := s.bf.ReadBlock(m.Ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, compLen := range []uint32{1 << 31, 1 << 20} {
+		forged, fm := resealHeader(t, data, m, func(g *segment) { g.blocks[0].compLen = compLen })
+		var re *BlockRangeError
+		if err := VerifySegmentBytes(forged, fm); !errors.As(err, &re) || re.Block != 0 || re.Len != compLen {
+			t.Fatalf("compLen %d: VerifySegmentBytes = %v, want a *BlockRangeError for block 0", compLen, err)
+		}
+		dst := newWideStore(t)
+		if fm.Ref, err = dst.bf.AppendBlock(forged); err != nil {
+			t.Fatal(err)
+		}
+		err := dst.Import([]SegmentMeta{fm})
+		if err == nil {
+			_, _, gerr := dst.Get(1)
+			t.Fatalf("compLen %d: Import accepted the segment; Get(1) = %v", compLen, gerr)
+		}
+		if !errors.As(err, &re) || re.Block != 0 || re.Len != compLen {
+			t.Fatalf("compLen %d: Import = %v, want a *BlockRangeError for block 0", compLen, err)
+		}
 	}
 }

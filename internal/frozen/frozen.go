@@ -6,15 +6,16 @@
 //
 // A segment is a run of consecutive rows — row_id order is preserved —
 // cut into independently decodable blocks of at most blockTargetBytes
-// (8 KiB) raw and DefaultBlockRows rows: what a cold point read decodes
-// to return one row. Within a block, row ids and integer columns are
+// (8 KiB) raw and DefaultBlockRows rows: what a cold point read fetches to
+// return one row. Within a block, row ids and integer columns are
 // frame-of-reference bit-packed, floats are raw words and only the
-// strings pass through DEFLATE, so a point read inflates one block's
-// strings and a scan over fixed-width columns inflates nothing. Each
-// segment carries a block directory, a bloom filter over its row_ids and
-// min/max zone maps per fixed-width column, for the segment and for each
-// block, so a cold point read touches at most one segment (bloom negatives
-// touch zero) and decodes one block, and a scan decodes only the blocks
+// strings pass through DEFLATE, so a point read finds its row in the id
+// strip and reads its fixed-width values in place, inflating only the
+// block's strings, and a scan over fixed-width columns inflates nothing.
+// Each segment carries a block directory, a bloom filter over its row_ids
+// and min/max zone maps per fixed-width column, for the segment and for
+// each block, so a cold point read touches at most one segment (bloom
+// negatives touch zero) and one block, and a scan decodes only the blocks
 // its predicates cannot refute. Freeze emits
 // level-0 segments; a background compaction merges the oldest segments of
 // a level into one next-level segment, purging tombstones — row_ids grow
@@ -28,8 +29,9 @@
 // manifest written at checkpoint; between checkpoints recovery replays
 // them from the WAL. Each block counts its reads; once a block crosses
 // the warm threshold the engine extracts its surviving rows back into hot
-// storage. A byte-bounded LRU over decoded blocks bounds repeated-read
-// cost of point reads; scans read it but never fill or reorder it.
+// storage. A byte-bounded LRU of blocks as they are stored (parsed and
+// CRC-checked, charged at their stored size) spares point reads the file
+// read; scans read it but never fill or reorder it.
 package frozen
 
 import (
@@ -50,17 +52,9 @@ import (
 // engine should warm the block back into hot storage.
 const DefaultWarmReadThreshold = 1024
 
-// DefaultCacheBytes bounds the decoded-block LRU (decoded bytes).
+// DefaultCacheBytes bounds the stored-block LRU, in stored (compressed)
+// bytes.
 const DefaultCacheBytes = 4 << 20
-
-// blockData is a decoded block: row ids and a read-only page view over
-// the decoder's buffers (see decodeBlock). Shared once cached; never
-// written.
-type blockData struct {
-	ids  []rel.RowID
-	rows *pax.Page
-	size int64 // decoded bytes (ids, strips, var values): the LRU's charge
-}
 
 // ColdStats is a snapshot of one store's cold-tier counters.
 type ColdStats struct {
@@ -68,7 +62,8 @@ type ColdStats struct {
 	SegmentsProbed int64 // lookups that consulted a segment block
 	BloomNegatives int64 // lookups answered by the bloom filter alone
 	// CacheHits/CacheMisses count point-path block loads (Get, MarkDeleted,
-	// ExtractLive) only: scans bypass the LRU.
+	// ExtractLive) served from the stored-block LRU or read from the file;
+	// scans bypass the LRU.
 	CacheHits   int64
 	CacheMisses int64
 	// ScanBlocks counts blocks scans fetched; ScanBlocksPruned counts
@@ -111,7 +106,7 @@ type cacheKey struct {
 
 type cacheEntry struct {
 	key cacheKey
-	d   blockData
+	b   storedBlock
 }
 
 // Store manages one table's cold segments.
@@ -120,7 +115,8 @@ type Store struct {
 	schema        *rel.Schema
 	WarmThreshold uint32
 
-	// CacheBytes bounds the decoded-block LRU (0 = default).
+	// CacheBytes bounds the stored-block LRU, charged at each block's
+	// stored size (0 = DefaultCacheBytes).
 	CacheBytes int64
 	// Fanout is the per-level segment count that triggers a merge
 	// (0 = DefaultFanout).
@@ -271,6 +267,9 @@ func (s *Store) appendSegment(sb *segmentBuilder) (*segment, int64, error) {
 		return nil, 0, err
 	}
 	g, err := decodeSegmentHeader(data[:hlen])
+	if err == nil {
+		err = g.checkBody(int64(len(data) - hlen))
+	}
 	if err != nil {
 		return nil, 0, fmt.Errorf("frozen: self-check of new segment: %w", err)
 	}
@@ -289,64 +288,63 @@ func (s *Store) segmentForLocked(rid rel.RowID) *segment {
 	return s.segs[i]
 }
 
-// readBlock reads and decodes block bi from the block file; strs=false
-// skips a version-3 block's strings (see decodeBlock).
-func (s *Store) readBlock(g *segment, bi int, strs bool) (blockData, error) {
+// readBlock reads block bi from the block file and parses it.
+func (s *Store) readBlock(g *segment, bi int) (storedBlock, error) {
 	comp, err := s.bf.ReadBlock(g.bodyRef(bi))
 	if err != nil {
-		return blockData{}, err
+		return storedBlock{}, err
 	}
-	d, err := decodeBlock(s.schema, g.version, comp, g.blocks[bi].rawLen, strs)
+	b, err := parseBlock(s.schema, g.version, comp, g.blocks[bi].rawLen)
 	if err != nil {
-		return blockData{}, fmt.Errorf("frozen: segment block at %d: %w", g.ref.Offset, err)
+		return storedBlock{}, fmt.Errorf("frozen: segment block at %d: %w", g.ref.Offset, err)
 	}
-	return d, nil
+	return b, nil
 }
 
 // cached returns block (g, bi) if the LRU holds it, promoting it when
 // asked to.
-func (s *Store) cached(g *segment, bi int, promote bool) (blockData, bool) {
+func (s *Store) cached(g *segment, bi int, promote bool) (storedBlock, bool) {
 	s.cacheMu.Lock()
 	defer s.cacheMu.Unlock()
 	el, ok := s.cacheMap[cacheKey{seg: g, idx: bi}]
 	if !ok {
-		return blockData{}, false
+		return storedBlock{}, false
 	}
 	if promote {
 		s.cacheLRU.MoveToFront(el)
 	}
-	return el.Value.(*cacheEntry).d, true
+	return el.Value.(*cacheEntry).b, true
 }
 
-// loadBlock returns a decoded block through the byte-bounded LRU —
+// loadBlock returns a parsed stored block through the byte-bounded LRU —
 // the point-read path; what the LRU holds is what point reads put there.
-func (s *Store) loadBlock(g *segment, bi int) (blockData, error) {
-	if d, ok := s.cached(g, bi, true); ok {
+func (s *Store) loadBlock(g *segment, bi int) (storedBlock, error) {
+	if b, ok := s.cached(g, bi, true); ok {
 		s.cacheHits.Add(1)
-		return d, nil
+		return b, nil
 	}
 	s.cacheMiss.Add(1)
-	d, err := s.readBlock(g, bi, true)
+	b, err := s.readBlock(g, bi)
 	if err != nil {
-		return blockData{}, err
+		return storedBlock{}, err
 	}
 	key := cacheKey{seg: g, idx: bi}
 	s.cacheMu.Lock()
 	if _, ok := s.cacheMap[key]; !ok {
-		el := s.cacheLRU.PushFront(&cacheEntry{key: key, d: d})
+		el := s.cacheLRU.PushFront(&cacheEntry{key: key, b: b})
 		s.cacheMap[key] = el
-		s.cacheUsed += d.size
+		s.cacheUsed += int64(len(b.comp))
 		cap := s.cacheCapBytes()
 		for s.cacheUsed > cap && s.cacheLRU.Len() > 1 {
 			back := s.cacheLRU.Back()
 			e := back.Value.(*cacheEntry)
 			s.cacheLRU.Remove(back)
 			delete(s.cacheMap, e.key)
-			s.cacheUsed -= e.d.size
+			s.cacheUsed -= int64(len(e.b.comp))
 		}
 	}
 	s.cacheMu.Unlock()
-	return d, nil
+	return b, nil
 }
 
 // dropCached evicts every cached block of a segment (after compaction
@@ -355,7 +353,7 @@ func (s *Store) dropCached(g *segment) {
 	s.cacheMu.Lock()
 	for key, el := range s.cacheMap {
 		if key.seg == g {
-			s.cacheUsed -= el.Value.(*cacheEntry).d.size
+			s.cacheUsed -= int64(len(el.Value.(*cacheEntry).b.comp))
 			s.cacheLRU.Remove(el)
 			delete(s.cacheMap, key)
 		}
@@ -393,19 +391,16 @@ func (s *Store) Get(rid rel.RowID) (rel.Row, bool, error) {
 		return nil, false, nil
 	}
 	s.segProbes.Add(1)
-	d, err := s.loadBlock(g, bi)
+	b, err := s.loadBlock(g, bi)
 	if err != nil {
 		return nil, false, err
 	}
-	i := sort.Search(len(d.ids), func(i int) bool { return d.ids[i] >= rid })
-	if i == len(d.ids) || d.ids[i] != rid {
-		return nil, false, nil
-	}
-	return d.rows.Row(i), true, nil
+	return b.get(s.schema, rid)
 }
 
 // MarkDeleted tombstones a frozen row (out-of-place delete/update). It
-// reports whether the row existed and was live. The whole operation runs
+// reports whether the row existed and was live; a version-3 block answers
+// that from its id strip, inflating nothing. The whole operation runs
 // under the directory read-lock so a concurrent compaction swap cannot
 // strand the tombstone on a retired segment.
 func (s *Store) MarkDeleted(rid rel.RowID) (bool, error) {
@@ -422,13 +417,12 @@ func (s *Store) MarkDeleted(rid rel.RowID) (bool, error) {
 	if bi < 0 {
 		return false, nil
 	}
-	d, err := s.loadBlock(g, bi)
+	b, err := s.loadBlock(g, bi)
 	if err != nil {
 		return false, err
 	}
-	i := sort.Search(len(d.ids), func(i int) bool { return d.ids[i] >= rid })
-	if i == len(d.ids) || d.ids[i] != rid {
-		return false, nil
+	if _, ok, err := b.get(nil, rid); !ok || err != nil {
+		return false, err
 	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -480,7 +474,11 @@ func (s *Store) ExtractLive(rid rel.RowID) (ids []rel.RowID, rows []rel.Row, err
 	if bi < 0 {
 		return nil, nil, nil
 	}
-	d, err := s.loadBlock(g, bi)
+	b, err := s.loadBlock(g, bi)
+	if err != nil {
+		return nil, nil, err
+	}
+	d, err := b.decode(s.schema, true)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -518,15 +516,16 @@ func (g *segment) snapshotDeleted() map[rel.RowID]bool {
 // selection bitmap over live (non-tombstoned) slots — the one cold scan
 // entry point: FilterFixed/AggState fold directly over the strips.
 // Segments, then blocks, whose zone maps refute a predicate are skipped
-// without I/O. A block a point read left in the LRU is used in place but
-// not promoted; any other is decoded privately and never inserted, so a
-// scan cannot sweep the point-read cache. strs says whether fn reads any
-// string column: without it a version-3 block's var stream is never
-// inflated, and reading a string column of such a page panics. fn must
-// not retain ids/page/sel across calls (strings read from page may be
-// kept: they alias the block's var values, which are never reused);
-// returning false stops the scan. Scanning does not bump warm counters:
-// per §5.2, "operations like table scans do not warm any data".
+// without I/O. A block a point read left in the LRU spares the scan its
+// file read but is not promoted; any other is read privately and never
+// inserted, so a scan cannot sweep the point-read cache. Either way the
+// scan decodes the block itself. strs says whether fn reads any string
+// column: without it a version-3 block's var stream is never inflated,
+// and reading a string column of such a page panics. fn must not retain
+// ids/page/sel across calls (strings read from page may be kept: they
+// alias the block's var values, which are never reused); returning false
+// stops the scan. Scanning does not bump warm counters: per §5.2,
+// "operations like table scans do not warm any data".
 func (s *Store) ScanBlocks(preds []rel.ColPred, strs bool, fn func(ids []rel.RowID, page *pax.Page, sel pax.Sel) bool) error {
 	s.mu.RLock()
 	segs := append([]*segment(nil), s.segs...)
@@ -544,12 +543,16 @@ func (s *Store) ScanBlocks(preds []rel.ColPred, strs bool, fn func(ids []rel.Row
 				continue
 			}
 			s.scanBlocks.Add(1)
-			d, ok := s.cached(g, bi, false)
+			b, ok := s.cached(g, bi, false)
 			if !ok {
 				var err error
-				if d, err = s.readBlock(g, bi, strs); err != nil {
+				if b, err = s.readBlock(g, bi); err != nil {
 					return err
 				}
+			}
+			d, err := b.decode(s.schema, strs)
+			if err != nil {
+				return err
 			}
 			sel = sel.Reset(len(d.ids))
 			live := len(d.ids)
@@ -628,7 +631,11 @@ func (s *Store) Compact() (int, error) {
 	rows := 0
 	for i, g := range inputs {
 		for bi := range g.blocks {
-			d, err := s.readBlock(g, bi, true)
+			b, err := s.readBlock(g, bi)
+			if err != nil {
+				return 0, err
+			}
+			d, err := b.decode(s.schema, true)
 			if err != nil {
 				return 0, err
 			}
@@ -771,6 +778,9 @@ func (s *Store) Import(metas []SegmentMeta) error {
 			return err
 		}
 		g, err := decodeSegmentHeader(hdr)
+		if err == nil {
+			err = g.checkBody(int64(m.Ref.Len) - int64(m.HeaderLen))
+		}
 		if err != nil {
 			return fmt.Errorf("frozen: import segment at %d: %w", m.Ref.Offset, err)
 		}

@@ -430,6 +430,7 @@ func TestLegacyFlatSegmentsRead(t *testing.T) {
 	if st := s.Stats(); st.BloomNegatives != 0 {
 		t.Fatalf("flat store reported %d bloom negatives", st.BloomNegatives)
 	}
+	checkGetMatchesScan(t, s)
 	if n, err := s.CompactAll(); err != nil || n < 4 {
 		t.Fatalf("compaction over flat segments = (%d,%v), want a merge", n, err)
 	}
@@ -444,6 +445,7 @@ func TestLegacyFlatSegmentsRead(t *testing.T) {
 	if row, ok, _ := s.Get(215); !ok || row[0].I != 215 {
 		t.Fatal("row lost in the merge")
 	}
+	checkGetMatchesScan(t, s)
 }
 
 // Read amplification of the compacted tier, as counts: a present key

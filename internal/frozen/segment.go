@@ -9,6 +9,7 @@ import (
 	"io"
 	"math"
 	"math/bits"
+	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -210,7 +211,35 @@ func (g *segment) zonesOf(i int) []zone {
 	return g.blockZones[i*nz : (i+1)*nz]
 }
 
-// bodyRef returns the sub-range BlockRef of block i's compressed bytes.
+// BlockRangeError reports a block directory entry whose bytes would lie
+// outside its segment's body.
+type BlockRangeError struct {
+	Block   int
+	Off     uint32 // the entry's compOff
+	Len     uint32 // the entry's compLen
+	BodyLen int64  // the segment body's length
+}
+
+func (e *BlockRangeError) Error() string {
+	return fmt.Sprintf("frozen: block %d at body offset %d, length %d, overruns a segment body of %d bytes",
+		e.Block, e.Off, e.Len, e.BodyLen)
+}
+
+// checkBody checks that every block of the directory lies inside a
+// segment body of bodyLen bytes: what keeps bodyRef's reads inside the
+// segment. Import, appendSegment's self-check and VerifySegmentBytes all
+// call it.
+func (g *segment) checkBody(bodyLen int64) error {
+	for i, b := range g.blocks {
+		if int64(b.compOff)+int64(b.compLen) > bodyLen {
+			return &BlockRangeError{Block: i, Off: b.compOff, Len: b.compLen, BodyLen: bodyLen}
+		}
+	}
+	return nil
+}
+
+// bodyRef returns the sub-range BlockRef of block i's compressed bytes;
+// checkBody has held it inside the segment.
 func (g *segment) bodyRef(i int) storage.BlockRef {
 	b := g.blocks[i]
 	return storage.BlockRef{
@@ -747,29 +776,68 @@ func inflate(raw, comp []byte) error {
 // never fill.
 const maxInflate = 1032
 
-// decodeBlock decodes one block of a segment of the given version — the
-// only block decoder, with one branch per block layout and one result: row
-// ids and a read-only pax page. Nothing it allocates is ever recycled,
-// because the page's strips and var values are sub-slices of its buffers
-// and the strings Row/Col hand out (pax viewStr) alias them for as long as
-// any consumer keeps them — the executor's sort and hash-build stages do,
-// past the scan callback. Each kept string therefore pins its block's var
-// values (see pax.View); a stage buffering one row per block holds those of
-// every block it scanned. A nil schema decodes and checks the whole block
-// but returns the row ids only. strs=false leaves a version-3 block's var
-// stream uninflated and the page without its string columns, for a
-// consumer that reads fixed-width columns only; such a page is private to
-// that consumer.
+// storedBlock is one block as the block file stores it, parsed once when
+// it is read: a version-3 block's CRC, strips and lengths are checked and
+// located (parseStrips), a version-1 or -2 block is its one DEFLATE
+// stream. It is what the point-read cache holds, charged at len(comp),
+// and it is read-only, so one value is shared by every reader.
+type storedBlock struct {
+	comp    []byte
+	version uint32
+	rawLen  uint32
+	strips  stripBlock // version 3 only: views over comp
+}
+
+// blockData is a decoded block: row ids and a read-only page view over
+// the decoder's buffers (see decode).
+type blockData struct {
+	ids  []rel.RowID
+	rows *pax.Page
+}
+
+// parseBlock parses block bytes of a segment of the given version. A nil
+// schema parses without checking the column kinds against one.
+func parseBlock(schema *rel.Schema, version uint32, comp []byte, rawLen uint32) (storedBlock, error) {
+	b := storedBlock{comp: comp, version: version, rawLen: rawLen}
+	if version < 3 {
+		return b, nil
+	}
+	var err error
+	b.strips, err = parseStrips(schema, comp, rawLen)
+	return b, err
+}
+
+// decodeBlock parses and decodes one block (see storedBlock.decode).
 func decodeBlock(schema *rel.Schema, version uint32, comp []byte, rawLen uint32, strs bool) (blockData, error) {
-	if version >= 3 {
-		return decodeStrips(schema, comp, rawLen, strs)
+	b, err := parseBlock(schema, version, comp, rawLen)
+	if err != nil {
+		return blockData{}, err
 	}
-	if uint64(rawLen) > maxInflate*uint64(len(comp))+64 {
-		return blockData{}, fmt.Errorf("frozen: block raw length %d impossible for %d compressed bytes", rawLen, len(comp))
+	return b.decode(schema, strs)
+}
+
+// decode unpacks the whole block — what scans, compaction, ExtractLive and
+// VerifySegmentBytes read, with one branch per block layout and one
+// result: row ids and a read-only pax page. Nothing it allocates is ever
+// recycled, because the page's strips and var values are sub-slices of its
+// buffers and the strings Row/Col hand out (pax viewStr) alias them for as
+// long as any consumer keeps them — the executor's sort and hash-build
+// stages do, past the scan callback. Each kept string therefore pins its
+// block's var values (see pax.View); a stage buffering one row per block
+// holds those of every block it scanned. A nil schema decodes and checks
+// the whole block but returns the row ids only. strs=false leaves a
+// version-3 block's var stream uninflated and the page without its string
+// columns, for a consumer that reads fixed-width columns only.
+func (b *storedBlock) decode(schema *rel.Schema, strs bool) (blockData, error) {
+	if b.version >= 3 {
+		return b.strips.unpack(schema, strs)
 	}
-	raw := make([]byte, rawLen)
-	if err := inflate(raw, comp); err != nil {
-		return blockData{}, fmt.Errorf("frozen: decompress block (raw length %d): %w", rawLen, err)
+	if uint64(b.rawLen) > maxInflate*uint64(len(b.comp))+64 {
+		return blockData{}, fmt.Errorf("frozen: block raw length %d impossible for %d compressed bytes", b.rawLen, len(b.comp))
+	}
+	raw := make([]byte, b.rawLen)
+	if err := inflate(raw, b.comp); err != nil {
+		return blockData{}, fmt.Errorf("frozen: decompress block (raw length %d): %w", b.rawLen, err)
 	}
 	if len(raw) < 4 {
 		return blockData{}, errTruncated("block row count")
@@ -779,7 +847,7 @@ func decodeBlock(schema *rel.Schema, version uint32, comp []byte, rawLen uint32,
 	if len(raw)-off < 8*n {
 		return blockData{}, errTruncated("block ids")
 	}
-	d := blockData{ids: make([]rel.RowID, n), size: int64(8*n) + int64(rawLen)}
+	d := blockData{ids: make([]rel.RowID, n)}
 	for i := range d.ids {
 		d.ids[i] = rel.RowID(binary.LittleEndian.Uint64(raw[off:]))
 		off += 8
@@ -797,6 +865,33 @@ func decodeBlock(schema *rel.Schema, version uint32, comp []byte, rawLen uint32,
 	return d, nil
 }
 
+// get returns the row stored under rid, if the block holds it: a version-3
+// block reads it in place (stripBlock.row), an older one is decoded whole.
+// A nil schema only reports presence, which a version-3 block answers from
+// its id strip, inflating nothing.
+func (b *storedBlock) get(schema *rel.Schema, rid rel.RowID) (rel.Row, bool, error) {
+	if b.version >= 3 {
+		i, ok := b.strips.find(rid)
+		if !ok || schema == nil {
+			return nil, ok, nil
+		}
+		row, err := b.strips.row(schema, i)
+		return row, err == nil, err
+	}
+	d, err := b.decode(schema, true)
+	if err != nil {
+		return nil, false, err
+	}
+	i := sort.Search(len(d.ids), func(i int) bool { return d.ids[i] >= rid })
+	if i == len(d.ids) || d.ids[i] != rid {
+		return nil, false, nil
+	}
+	if schema == nil {
+		return nil, true, nil
+	}
+	return d.rows.Row(i), true, nil
+}
+
 // blockCRC is the version-3 block checksum's polynomial: CRC-32C, which
 // the hardware computes on the platforms this runs on.
 var blockCRC = crc32.MakeTable(crc32.Castagnoli)
@@ -806,129 +901,222 @@ var blockCRC = crc32.MakeTable(crc32.Castagnoli)
 // blockTargetBytes, and every row adds at least its 8-byte id.
 const maxStripRows = blockTargetBytes / 8
 
-// decodeStrips decodes a version-3 block (see the format comment): it
-// checks the CRC, unpacks the row ids, unpacks every fixed-width strip into
-// one allocation of 8-byte minipages and, when strs is set, inflates the
-// var stream into one fresh buffer its values alias.
-func decodeStrips(schema *rel.Schema, body []byte, rawLen uint32, strs bool) (blockData, error) {
+// stripBlock is a parsed version-3 block: views over its stored bytes
+// that parseStrips has checked, so reading them cannot fail.
+type stripBlock struct {
+	n, ncols, nvar int
+	ids            forStrip
+	cols           []byte // the per-column section: kind bytes and strips
+	varRaw         int    // the var stream's inflated length
+	varComp        []byte // the var stream, running to the CRC
+}
+
+// parseStrips parses a version-3 block (see the format comment) and is the
+// one place its layout is checked: the CRC, the row count, the column
+// count and kinds against the schema (unless it is nil), every strip's bit
+// width and length, the var stream's length against what its compressed
+// bytes and its values' length prefixes allow, and the raw-length identity
+// with the directory's rawLen. The var stream's own framing is checked
+// where it is inflated (inflateVars), the ids' order where they are
+// unpacked.
+func parseStrips(schema *rel.Schema, body []byte, rawLen uint32) (stripBlock, error) {
 	le := binary.LittleEndian
 	if len(body) < 4 {
-		return blockData{}, errTruncated("block checksum")
+		return stripBlock{}, errTruncated("block checksum")
 	}
 	end := len(body) - 4
 	if crc32.Checksum(body[:end], blockCRC) != le.Uint32(body[end:]) {
-		return blockData{}, fmt.Errorf("frozen: block checksum mismatch")
+		return stripBlock{}, fmt.Errorf("frozen: block checksum mismatch")
 	}
 	r := stripReader{b: body[:end]}
 	h := r.take(6, "block row and column counts")
 	if r.err != nil {
-		return blockData{}, r.err
+		return stripBlock{}, r.err
 	}
-	n, ncols := int(le.Uint32(h)), int(le.Uint16(h[4:]))
-	if n == 0 || n > maxStripRows {
-		return blockData{}, fmt.Errorf("frozen: block row count %d", n)
+	p := stripBlock{n: int(le.Uint32(h)), ncols: int(le.Uint16(h[4:]))}
+	if p.n == 0 || p.n > maxStripRows {
+		return stripBlock{}, fmt.Errorf("frozen: block row count %d", p.n)
 	}
-	if schema != nil && ncols != schema.NumCols() {
-		return blockData{}, fmt.Errorf("frozen: block has %d columns, schema %d", ncols, schema.NumCols())
+	if schema != nil && p.ncols != schema.NumCols() {
+		return stripBlock{}, fmt.Errorf("frozen: block has %d columns, schema %d", p.ncols, schema.NumCols())
 	}
-	idStrip := r.forStrip(n, "row ids")
-	var fixed []byte // every fixed-width strip, unpacked, in schema order
-	if schema != nil {
-		nf := 0
-		for _, c := range schema.Cols {
-			if c.Type.FixedWidth() > 0 {
-				nf++
-			}
+	p.ids = r.forStrip(p.n, "row ids")
+	p.cols = r.b
+	for c := 0; c < p.ncols; c++ {
+		kind, _ := r.column(p.n)
+		if r.err != nil {
+			return stripBlock{}, r.err
 		}
-		fixed = make([]byte, 0, nf*8*n)
-	}
-	nfixed, nvar := 0, 0
-	for c := 0; c < ncols && r.err == nil; c++ {
-		k := r.take(1, "column kind")
-		if k == nil {
-			break
-		}
-		kind := rel.Type(k[0])
 		if schema != nil && kind != schema.Cols[c].Type {
-			return blockData{}, fmt.Errorf("frozen: block column %d is %v, schema says %v", c, kind, schema.Cols[c].Type)
+			return stripBlock{}, fmt.Errorf("frozen: block column %d is %v, schema says %v", c, kind, schema.Cols[c].Type)
 		}
-		switch kind {
-		case rel.TInt64:
-			f := r.forStrip(n, "int strip")
-			if schema != nil && r.err == nil {
-				for i := 0; i < n; i++ {
-					fixed = le.AppendUint64(fixed, f.at(i))
-				}
-			}
-			nfixed++
-		case rel.TFloat64:
-			words := r.take(8*n, "float strip")
-			if schema != nil {
-				fixed = append(fixed, words...)
-			}
-			nfixed++
-		case rel.TString:
-			nvar++
-		default:
-			return blockData{}, fmt.Errorf("frozen: block column %d has unknown kind %d", c, kind)
+		if kind == rel.TString {
+			p.nvar++
 		}
 	}
-	varRaw := 0
-	if nvar > 0 {
+	p.cols = p.cols[:len(p.cols)-len(r.b)]
+	if p.nvar > 0 {
 		if h := r.take(4, "var stream length"); h != nil {
-			varRaw = int(le.Uint32(h))
+			p.varRaw = int(le.Uint32(h))
 		}
 	}
 	if r.err != nil {
-		return blockData{}, r.err
+		return stripBlock{}, r.err
 	}
-	comp := r.b // the var stream runs to the CRC
-	if nvar == 0 && len(comp) != 0 {
-		return blockData{}, fmt.Errorf("frozen: %d trailing block bytes", len(comp))
+	p.varComp = r.b
+	if p.nvar == 0 && len(p.varComp) != 0 {
+		return stripBlock{}, fmt.Errorf("frozen: %d trailing block bytes", len(p.varComp))
 	}
-	if want := uint64(blockOverhead) + uint64(8*n)*uint64(1+nfixed) + uint64(varRaw); uint64(rawLen) != want {
-		return blockData{}, fmt.Errorf("frozen: block raw length %d, directory says %d", want, rawLen)
+	if p.nvar > 0 && (p.varRaw < 4*p.n*p.nvar || uint64(p.varRaw) > maxInflate*uint64(len(p.varComp))+64) {
+		return stripBlock{}, fmt.Errorf("frozen: var stream length %d impossible for %d rows in %d bytes", p.varRaw, p.n, len(p.varComp))
 	}
-	d := blockData{ids: make([]rel.RowID, n), size: int64(8*n + len(fixed))}
+	if want := uint64(blockOverhead) + uint64(8*p.n)*uint64(1+p.ncols-p.nvar) + uint64(p.varRaw); uint64(rawLen) != want {
+		return stripBlock{}, fmt.Errorf("frozen: block raw length %d, directory says %d", want, rawLen)
+	}
+	return p, nil
+}
+
+// unpack decodes the whole block (see storedBlock.decode): it unpacks the
+// row ids, which must ascend strictly, every fixed-width strip into one
+// allocation of 8-byte minipages and, when strs is set, inflates the var
+// stream into one fresh buffer its values alias.
+func (p *stripBlock) unpack(schema *rel.Schema, strs bool) (blockData, error) {
+	le := binary.LittleEndian
+	d := blockData{ids: make([]rel.RowID, p.n)}
 	for i := range d.ids {
-		d.ids[i] = rel.RowID(idStrip.at(i))
+		d.ids[i] = rel.RowID(p.ids.at(i))
+		if i > 0 && d.ids[i] <= d.ids[i-1] {
+			return blockData{}, fmt.Errorf("frozen: block row ids not ascending at %d", i)
+		}
 	}
 	var vals [][]byte
-	if nvar > 0 && (strs || schema == nil) {
-		if varRaw < 4*n*nvar || uint64(varRaw) > maxInflate*uint64(len(comp))+64 {
-			return blockData{}, fmt.Errorf("frozen: var stream length %d impossible for %d rows in %d bytes", varRaw, n, len(comp))
-		}
-		raw := make([]byte, varRaw)
-		if err := inflate(raw, comp); err != nil {
-			return blockData{}, fmt.Errorf("frozen: inflate var stream (raw length %d): %w", varRaw, err)
-		}
+	if p.nvar > 0 && (strs || schema == nil) {
 		if schema != nil {
-			vals = make([][]byte, nvar*n)
+			vals = make([][]byte, p.nvar*p.n)
 		}
-		off := 0
-		for i := 0; i < nvar*n; i++ {
-			if len(raw)-off < 4 {
-				return blockData{}, errTruncated("var value length")
-			}
-			l := int(le.Uint32(raw[off:]))
-			off += 4
-			if l > len(raw)-off {
-				return blockData{}, errTruncated("var value")
-			}
+		if err := p.inflateVars(make([]byte, p.varRaw), func(k int, v []byte) {
 			if vals != nil {
-				vals[i] = raw[off : off+l : off+l]
+				vals[k] = v
 			}
-			off += l
+		}); err != nil {
+			return blockData{}, err
 		}
-		if off != len(raw) {
-			return blockData{}, fmt.Errorf("frozen: %d trailing var stream bytes", len(raw)-off)
+	}
+	if schema == nil {
+		return d, nil
+	}
+	fixed := make([]byte, 0, (p.ncols-p.nvar)*8*p.n)
+	r := stripReader{b: p.cols}
+	for c := 0; c < p.ncols; c++ {
+		switch kind, f := r.column(p.n); kind {
+		case rel.TFloat64:
+			fixed = append(fixed, f.words...)
+		case rel.TInt64:
+			for i := 0; i < p.n; i++ {
+				fixed = le.AppendUint64(fixed, f.at(i))
+			}
 		}
-		d.size += int64(varRaw)
 	}
-	if schema != nil {
-		d.rows = pax.ViewColumns(schema, n, fixed, vals)
-	}
+	d.rows = pax.ViewColumns(schema, p.n, fixed, vals)
 	return d, nil
+}
+
+// find binary-searches the packed id strip for rid, reading each probed id
+// in place. The writer stores ids ascending; a block whose ids do not
+// ascend, which unpack refuses, can hide a row from find but never
+// returns another row's.
+func (p *stripBlock) find(rid rel.RowID) (int, bool) {
+	i := sort.Search(p.n, func(i int) bool { return rel.RowID(p.ids.at(i)) >= rid })
+	return i, i < p.n && rel.RowID(p.ids.at(i)) == rid
+}
+
+// row reads row i in place: each fixed-width value from its strip and,
+// when the block has string columns, this row's strings copied out of the
+// var stream, which is inflated into pooled scratch and checked in full on
+// the way. The row owns everything it holds.
+func (p *stripBlock) row(schema *rel.Schema, i int) (rel.Row, error) {
+	out := make(rel.Row, p.ncols)
+	r := stripReader{b: p.cols}
+	for c := range out {
+		switch kind, f := r.column(p.n); kind {
+		case rel.TInt64:
+			out[c] = rel.Int(int64(f.at(i)))
+		case rel.TFloat64:
+			out[c] = rel.Float(math.Float64frombits(f.at(i)))
+		}
+	}
+	if p.nvar == 0 {
+		return out, nil
+	}
+	buf := getScratch(p.varRaw)
+	defer putScratch(buf)
+	c := -1
+	if err := p.inflateVars(*buf, func(k int, v []byte) {
+		if k%p.n != i {
+			return
+		}
+		c++ // the next string column: value k is string column k/n's
+		for schema.Cols[c].Type != rel.TString {
+			c++
+		}
+		out[c] = rel.Str(string(v))
+	}); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// inflateVars inflates the var stream into raw, which is p.varRaw long,
+// and walks all of its framing: nvar×n length-prefixed values, column by
+// column, that fill raw exactly. It hands value k — string column k/n,
+// row k%n — to each; the value aliases raw.
+func (p *stripBlock) inflateVars(raw []byte, each func(k int, v []byte)) error {
+	if err := inflate(raw, p.varComp); err != nil {
+		return fmt.Errorf("frozen: inflate var stream (raw length %d): %w", p.varRaw, err)
+	}
+	off := 0
+	for k := 0; k < p.nvar*p.n; k++ {
+		if len(raw)-off < 4 {
+			return errTruncated("var value length")
+		}
+		l := int(binary.LittleEndian.Uint32(raw[off:]))
+		off += 4
+		if l > len(raw)-off {
+			return errTruncated("var value")
+		}
+		each(k, raw[off:off+l:off+l])
+		off += l
+	}
+	if off != len(raw) {
+		return fmt.Errorf("frozen: %d trailing var stream bytes", len(raw)-off)
+	}
+	return nil
+}
+
+// varScratch pools the buffers point reads inflate var streams into. A
+// point read copies its strings out, so nothing aliases a buffer once it
+// is back in the pool.
+var varScratch = sync.Pool{New: func() any {
+	b := make([]byte, 0, blockTargetBytes)
+	return &b
+}}
+
+// getScratch returns a pooled buffer of length n.
+func getScratch(n int) *[]byte {
+	p := varScratch.Get().(*[]byte)
+	if cap(*p) < n { // a block holding one oversize row
+		*p = make([]byte, n)
+	}
+	*p = (*p)[:n]
+	return p
+}
+
+// putScratch returns a buffer to the pool; one larger than
+// blockTargetBytes, for a block holding one oversize row, goes to the GC.
+func putScratch(p *[]byte) {
+	if cap(*p) <= blockTargetBytes {
+		varScratch.Put(p)
+	}
 }
 
 // stripReader walks a version-3 block; its first short read sticks as err.
@@ -949,6 +1137,27 @@ func (r *stripReader) take(k int, what string) []byte {
 	s := r.b[:k:k]
 	r.b = r.b[k:]
 	return s
+}
+
+// column consumes one column of n values: its kind byte, then an int64
+// column's FOR strip or a float64 column's raw words, which read as a
+// strip of base 0 and width 64. A string column has no strip here.
+func (r *stripReader) column(n int) (rel.Type, forStrip) {
+	k := r.take(1, "column kind")
+	if k == nil {
+		return 0, forStrip{}
+	}
+	switch kind := rel.Type(k[0]); kind {
+	case rel.TInt64:
+		return kind, r.forStrip(n, "int strip")
+	case rel.TFloat64:
+		return kind, forStrip{width: 64, words: r.take(8*n, "float strip")}
+	case rel.TString:
+		return kind, forStrip{}
+	default:
+		r.err = fmt.Errorf("frozen: block column has unknown kind %d", kind)
+		return kind, forStrip{}
+	}
 }
 
 // forStrip consumes a frame-of-reference strip of n values.
@@ -984,16 +1193,14 @@ func (f forStrip) at(i int) uint64 {
 	if sh+f.width > 64 {
 		v |= binary.LittleEndian.Uint64(f.words[w+8:]) << (64 - sh)
 	}
-	if f.width < 64 {
-		v &= 1<<f.width - 1
-	}
-	return f.base + v
+	return f.base + v&(^uint64(0)>>(64-f.width))
 }
 
 // VerifySegmentBytes checks a raw segment image against its manifest
 // record without needing the table schema: whole-segment CRC, header CRC
 // and shape (a version-2 or -3 header must carry one block zone per block
-// per segment zone), block directory ordering, every block decoded in full
+// per segment zone), block directory ordering and bounds (checkBody),
+// every block decoded in full
 // (for version 3: its CRC, every strip's bit width and length, and a var
 // stream that inflates to exactly its recorded length of well-framed
 // values), row-id ordering, bloom membership of every stored row id, and
@@ -1018,6 +1225,9 @@ func VerifySegmentBytes(data []byte, m SegmentMeta) error {
 		return fmt.Errorf("frozen: segment header disagrees with manifest record")
 	}
 	body := data[m.HeaderLen:]
+	if err := g.checkBody(int64(len(body))); err != nil {
+		return err
+	}
 	total := 0
 	var prev rel.RowID
 	for i, b := range g.blocks {
@@ -1025,9 +1235,6 @@ func VerifySegmentBytes(data []byte, m SegmentMeta) error {
 			return fmt.Errorf("frozen: block %d rid range out of order", i)
 		}
 		prev = b.lastRID
-		if int64(b.compOff)+int64(b.compLen) > int64(len(body)) {
-			return fmt.Errorf("frozen: block %d overruns segment body", i)
-		}
 		d, err := decodeBlock(nil, g.version, body[b.compOff:b.compOff+b.compLen], b.rawLen, true)
 		if err != nil {
 			return fmt.Errorf("frozen: block %d: %w", i, err)

@@ -5,7 +5,9 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+	"math/rand"
 	"strings"
+	"sync"
 	"testing"
 
 	"phoebedb/internal/pax"
@@ -46,6 +48,28 @@ func sameRow(a, b rel.Row) bool {
 		}
 	}
 	return true
+}
+
+// checkGetMatchesScan fails unless Get of every row ScanLive streams
+// returns that very row, bit for bit.
+func checkGetMatchesScan(t *testing.T, s *Store) {
+	t.Helper()
+	var rids []rel.RowID
+	var rows []rel.Row
+	if err := s.ScanLive(func(rid rel.RowID, row rel.Row) bool {
+		rids, rows = append(rids, rid), append(rows, row)
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if len(rids) == 0 {
+		t.Fatal("ScanLive streamed no row")
+	}
+	for i, rid := range rids {
+		if got, ok, err := s.Get(rid); err != nil || !ok || !sameRow(got, rows[i]) {
+			t.Fatalf("Get(%d) = (%v, %v, %v), ScanLive read %v", rid, got, ok, err, rows[i])
+		}
+	}
 }
 
 // Values at the edges of every kind survive a version-3 round trip
@@ -107,6 +131,7 @@ func TestStripBlocksRoundTripEdgeValues(t *testing.T) {
 		if fmt.Sprint(got) != fmt.Sprint(fixedOnly) {
 			t.Fatalf("%s: ScanLive saw %v, fixed-only scan %v", stage, got, fixedOnly)
 		}
+		checkGetMatchesScan(t, s)
 		for _, m := range s.Export() {
 			data, err := s.bf.ReadBlock(m.Ref)
 			if err != nil {
@@ -143,15 +168,106 @@ func TestStripBlocksRoundTripEdgeValues(t *testing.T) {
 	}
 }
 
+// A point read returns strings of its own: they do not alias the pooled
+// buffer its block's var stream was inflated into, so rows kept from 1,000
+// reads are intact after 2,000 more reads of other blocks have reused that
+// buffer. A delete finds its row in the id strip and inflates nothing.
+func TestGetStringsAreTheirOwn(t *testing.T) {
+	const n = 20_000
+	s := newWideStore(t)
+	ids, rows := wideBatch(0, n)
+	mustFreeze(t, s, ids, rows)
+	r := rand.New(rand.NewSource(11))
+	kept := make(map[rel.RowID]rel.Row)
+	for len(kept) < 1000 {
+		rid := rel.RowID(1 + r.Intn(n/2))
+		row, ok, err := s.Get(rid)
+		if err != nil || !ok {
+			t.Fatalf("Get(%d) = (%v, %v)", rid, ok, err)
+		}
+		kept[rid] = row
+	}
+	for i := 0; i < 2000; i++ {
+		rid := rel.RowID(n/2 + 1 + r.Intn(n/2))
+		if row, ok, err := s.Get(rid); err != nil || !ok || !row.Equal(rows[rid-1]) {
+			t.Fatalf("Get(%d) = (%v, %v, %v)", rid, row, ok, err)
+		}
+	}
+	for rid, row := range kept {
+		if !row.Equal(rows[rid-1]) {
+			t.Fatalf("row %d read earlier is now %v, want %v", rid, row, rows[rid-1])
+		}
+	}
+
+	s.CacheBytes = 1 // every delete reads its block from the file
+	before := Inflates()
+	for rid := rel.RowID(1); rid <= n; rid += 97 {
+		if ok, err := s.MarkDeleted(rid); err != nil || !ok {
+			t.Fatalf("MarkDeleted(%d) = (%v, %v)", rid, ok, err)
+		}
+	}
+	if got := Inflates() - before; got != 0 {
+		t.Fatalf("deletes inflated %d var streams, want 0", got)
+	}
+}
+
+// Point reads from several goroutines share cached stored blocks and the
+// scratch pool, beside a scan and beside evictions from a cache a few
+// blocks large, and each still reads its own row.
+func TestConcurrentColdGets(t *testing.T) {
+	const n, readers = 5000, 4
+	s := newWideStore(t)
+	ids, rows := wideBatch(0, n)
+	mustFreeze(t, s, ids, rows)
+	s.CacheBytes = 8 << 10 // a few blocks: loads insert and evict all the time
+	var wg sync.WaitGroup
+	errs := make(chan error, readers+1) // one per goroutine
+	for w := 0; w < readers; w++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			r := rand.New(rand.NewSource(seed))
+			for i := 0; i < 2000; i++ {
+				rid := rel.RowID(1 + r.Intn(n))
+				if row, ok, err := s.Get(rid); err != nil || !ok || !row.Equal(rows[rid-1]) {
+					errs <- fmt.Errorf("Get(%d) = (%v, %v, %v)", rid, row, ok, err)
+					return
+				}
+			}
+		}(int64(w))
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		seen := 0
+		err := s.ScanLive(func(rid rel.RowID, row rel.Row) bool {
+			seen++
+			return row.Equal(rows[rid-1])
+		})
+		if err != nil || seen != n {
+			errs <- fmt.Errorf("scan beside the reads saw %d of %d rows (%v)", seen, n, err)
+		}
+	}()
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+}
+
 // A block decoded without its strings keeps its fixed-width columns and
-// panics on a string column; the LRU charges a cached block its decoded
+// panics on a string column; the LRU charges a cached block its stored
 // bytes.
 func TestStripBlockWithoutStrings(t *testing.T) {
 	s := newWideStore(t)
 	ids, rows := wideBatch(0, 200)
 	mustFreeze(t, s, ids, rows)
 	g := s.segs[0]
-	d, err := s.readBlock(g, 0, false)
+	b, err := s.readBlock(g, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := b.decode(s.schema, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,10 +285,8 @@ func TestStripBlockWithoutStrings(t *testing.T) {
 	if _, ok, err := s.Get(1); !ok || err != nil {
 		t.Fatalf("Get(1) = (%v, %v)", ok, err)
 	}
-	// The ids, four 8-byte strips and the var values: the raw image less
-	// its framing.
-	if want := int64(g.blocks[0].rawLen) - blockOverhead; s.cacheUsed != want {
-		t.Fatalf("cached block charged %d B, want its %d decoded bytes", s.cacheUsed, want)
+	if want := int64(g.blocks[0].compLen); s.cacheUsed != want {
+		t.Fatalf("cached block charged %d B, want its %d stored bytes", s.cacheUsed, want)
 	}
 }
 

@@ -320,29 +320,6 @@ func TestBufferedStringsSurviveLaterBlocks(t *testing.T) {
 	}
 }
 
-// varStream returns a version-3 block's DEFLATE stream and its raw length,
-// walking the strips before it.
-func varStream(t *testing.T, body []byte) (comp []byte, rawLen int) {
-	t.Helper()
-	r := stripReader{b: body[:len(body)-4]}
-	h := r.take(6, "counts")
-	n, ncols := int(binary.LittleEndian.Uint32(h)), int(binary.LittleEndian.Uint16(h[4:]))
-	r.forStrip(n, "ids")
-	for c := 0; c < ncols; c++ {
-		switch rel.Type(r.take(1, "kind")[0]) {
-		case rel.TInt64:
-			r.forStrip(n, "ints")
-		case rel.TFloat64:
-			r.take(8*n, "floats")
-		}
-	}
-	rawLen = int(binary.LittleEndian.Uint32(r.take(4, "var length")))
-	if r.err != nil {
-		t.Fatal(r.err)
-	}
-	return r.b, rawLen
-}
-
 // decodeBlock's own allocations are the ids, the fixed strips, the var
 // buffer and its value headers, and the page view's headers — independent
 // of the row count. compress/flate rebuilds its Huffman link tables on
@@ -366,10 +343,13 @@ func TestDecodeBlockAllocs(t *testing.T) {
 	if _, err := decodeBlock(schema, segmentVersion, comp, b.rawLen, true); err != nil { // primes the inflater pool
 		t.Fatal(err)
 	}
-	varComp, varRaw := varStream(t, comp)
-	raw := make([]byte, varRaw)
+	p, err := parseStrips(schema, comp, b.rawLen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw := make([]byte, p.varRaw)
 	flateAllocs := testing.AllocsPerRun(100, func() {
-		if err := inflate(raw, varComp); err != nil {
+		if err := inflate(raw, p.varComp); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -630,6 +610,7 @@ func TestVersion1SegmentReadsWithoutBlockZones(t *testing.T) {
 	if row, ok, err := old.Get(30); err != nil || !ok || !row.Equal(wideRow(29)) {
 		t.Fatalf("Get on version-1 segment = (%v, %v, %v)", row, ok, err)
 	}
+	checkGetMatchesScan(t, old)
 }
 
 // varSchema has no fixed-width column, so its segments carry no zones. The

@@ -84,9 +84,9 @@ func buildRegistry(db *DB) *metrics.Registry {
 		cold(func(s ColdStats) int64 { return s.SegmentsProbed }))
 	reg.Counter("phoebe_cold_bloom_negatives_total", "Cold lookups answered 'absent' by a segment bloom filter without I/O.",
 		cold(func(s ColdStats) int64 { return s.BloomNegatives }))
-	reg.Counter("phoebe_cold_block_cache_hits_total", "Cold point-path block loads (reads, deletes, warm-ups) served from the decompressed-block LRU; scans bypass it and are not counted.",
+	reg.Counter("phoebe_cold_block_cache_hits_total", "Cold point-path block loads (reads, deletes, warm-ups) served from the LRU of stored blocks; scans bypass it and are not counted.",
 		cold(func(s ColdStats) int64 { return s.CacheHits }))
-	reg.Counter("phoebe_cold_block_cache_misses_total", "Cold point-path block loads that decompressed from disk; scans bypass the LRU and are not counted.",
+	reg.Counter("phoebe_cold_block_cache_misses_total", "Cold point-path block loads read from the block file; scans bypass the LRU and are not counted.",
 		cold(func(s ColdStats) int64 { return s.CacheMisses }))
 	reg.Counter("phoebe_cold_scan_blocks_total", "Cold blocks fetched by scans (from the LRU unpromoted, else decoded privately and not cached).",
 		cold(func(s ColdStats) int64 { return s.ScanBlocks }))
