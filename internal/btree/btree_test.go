@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sort"
 	"sync"
 	"testing"
@@ -259,6 +260,97 @@ func TestConcurrentMixedReadWrite(t *testing.T) {
 	writers.Wait()
 }
 
+// TestInPlaceShiftsNeverHideKeys interleaves writers with readers inside
+// the same leaves: the stable keys are the even numbers 0..7998, and two
+// writers insert, replace and delete the odd keys between them, so every
+// write shifts stable keys' slots. The stable keys go in in random order,
+// which leaves their leaves part-full; each writer first sweeps its half of
+// the odd keys in, and 8,000 keys do not fit in those leaves, so leaves
+// split under the readers. Lookups must always find a stable key with its
+// value, and every full scan must see all 4,000 stable keys in order.
+func TestInPlaceShiftsNeverHideKeys(t *testing.T) {
+	const stable = 4000
+	tr := New()
+	for _, i := range rand.New(rand.NewSource(1)).Perm(stable) {
+		tr.Insert(key(2*i), uint64(2*i))
+	}
+	var writers, readers sync.WaitGroup
+	done := make(chan struct{})
+	for g := 0; g < 2; g++ {
+		writers.Add(1)
+		go func(g int) {
+			defer writers.Done()
+			rng := rand.New(rand.NewSource(int64(g)))
+			for i := 0; i < 20000; i++ {
+				k := key(2*rng.Intn(stable) + 1)
+				if i < stable/2 {
+					k = key(2*(2*i+g) + 1)
+				}
+				if i < stable/2 || rng.Intn(3) < 2 {
+					tr.Insert(k, uint64(i))
+				} else {
+					tr.Delete(k)
+				}
+			}
+		}(g)
+	}
+	running := func() bool {
+		select {
+		case <-done:
+			return false
+		default:
+			return true
+		}
+	}
+	for g := 0; g < 2; g++ {
+		readers.Add(1)
+		go func(g int) {
+			defer readers.Done()
+			rng := rand.New(rand.NewSource(int64(10 + g)))
+			for running() {
+				j := 2 * rng.Intn(stable)
+				if v, ok := tr.Lookup(key(j)); !ok || v != uint64(j) {
+					t.Errorf("stable key %d = (%d, %v)", j, v, ok)
+					return
+				}
+			}
+		}(g)
+	}
+	readers.Add(1)
+	go func() {
+		defer readers.Done()
+		for pass := 0; pass == 0 || running(); pass++ {
+			next, prev := 0, -1
+			tr.Scan(nil, nil, func(k []byte, v uint64) bool {
+				i := int(binary.BigEndian.Uint64(k))
+				if i <= prev {
+					t.Errorf("pass %d: key %d after %d", pass, i, prev)
+					return false
+				}
+				prev = i
+				if i%2 == 0 {
+					if i != next || v != uint64(i) {
+						t.Errorf("pass %d: stable key (%d, %d), want %d", pass, i, v, next)
+						return false
+					}
+					next += 2
+				}
+				return true
+			})
+			if next != 2*stable {
+				t.Errorf("pass %d saw stable keys up to %d, want %d", pass, next, 2*stable)
+				return
+			}
+		}
+	}()
+	writers.Wait()
+	close(done)
+	readers.Wait()
+	if tr.Stats.ExclusiveFallbacks.Load() == 0 {
+		t.Fatal("no insert took the exclusive descent, so no leaf split")
+	}
+}
+
 // TestPessimisticMode drives the fallback descents directly: exclusive
 // lock coupling with preemptive splits builds the whole tree, and shared
 // lock coupling reads every key back, agreeing with the optimistic path.
@@ -271,7 +363,7 @@ func TestPessimisticMode(t *testing.T) {
 		}
 		n.lt.UnlockExclusive()
 	}
-	if tr.root.Load().c.Load().leaf {
+	if tr.root.Load().leaf {
 		t.Fatal("2000 keys did not split the root")
 	}
 	for i := 0; i < 2000; i++ {
@@ -352,5 +444,53 @@ func BenchmarkInsert(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tr.Insert(key(i), uint64(i))
+	}
+}
+
+// BenchmarkInsertRandom inserts in random key order, the shape of a
+// secondary index, where leaves split half-full and fill up again.
+func BenchmarkInsertRandom(b *testing.B) {
+	keys := make([][]byte, b.N)
+	for i, j := range rand.New(rand.NewSource(1)).Perm(b.N) {
+		keys[i] = key(j)
+	}
+	tr := New()
+	b.ResetTimer()
+	for i, k := range keys {
+		tr.Insert(k, uint64(i))
+	}
+}
+
+// TestInsertAllocBytes gates what an insert allocates now that leaves
+// change in place: a new key costs its entry and its copied bytes, and
+// only splits (a new leaf, a copied parent) add more.
+func TestInsertAllocBytes(t *testing.T) {
+	const n = 20000
+	keys := make([][]byte, n)
+	for i := range keys {
+		keys[i] = key(i)
+	}
+	perm := rand.New(rand.NewSource(1)).Perm(n)
+	tr := New()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, i := range perm {
+		tr.Insert(keys[i], uint64(i))
+	}
+	runtime.ReadMemStats(&after)
+	if perInsert := (after.TotalAlloc - before.TotalAlloc) / n; perInsert > 256 {
+		t.Fatalf("%d random-order inserts allocated %d B each, want <= 256", n, perInsert)
+	}
+
+	// An insert into a leaf with room: the 51 runs (one warm-up) all land
+	// in the root leaf, which holds Degree keys.
+	room := New()
+	next := 0
+	allocs := testing.AllocsPerRun(50, func() {
+		room.Insert(keys[next], uint64(next))
+		next++
+	})
+	if allocs > 2 {
+		t.Fatalf("an insert into a leaf with room made %.1f allocations, want <= 2", allocs)
 	}
 }

@@ -782,3 +782,93 @@ func TestMaintainWorkerRuns(t *testing.T) {
 		t.Fatalf("arena live = %d after maintain", e.Mgr.Arena(0).Live())
 	}
 }
+
+// insertAsync runs the insert of acct(id, owner, 0) on its own transaction
+// in slot 1 and reports the insert's error, committing when it succeeds.
+func insertAsync(e *Engine, id int, owner string) <-chan error {
+	done := make(chan error, 1)
+	go func() {
+		tx := begin(e, 1)
+		if _, err := tx.Insert("accounts", acct(id, owner, 0)); err != nil {
+			tx.Rollback()
+			done <- err
+			return
+		}
+		done <- tx.Commit()
+	}()
+	return done
+}
+
+// awaitWaiter returns once a transaction has parked on another one since
+// the tuple-lock wait count read waits, and fails if the transaction behind
+// done finishes first.
+func awaitWaiter(t *testing.T, e *Engine, waits int64, done <-chan error) {
+	t.Helper()
+	for e.Stats().TupleLockWaits.Load() == waits {
+		select {
+		case err := <-done:
+			t.Fatalf("second insert of key 1 finished without waiting for the first: %v", err)
+		case <-time.After(time.Millisecond):
+		}
+	}
+}
+
+// A second insert of a unique key that an unfinished transaction holds
+// waits for it, and the first one's commit makes the second a duplicate:
+// the table never holds two committed rows with one key.
+func TestUniqueInsertWaitsForUncommittedCommit(t *testing.T) {
+	e := openTestEngine(t, Config{LockTimeout: 5 * time.Second})
+	setupAccounts(t, e)
+	a := begin(e, 0)
+	if _, err := a.Insert("accounts", acct(1, "alice", 0)); err != nil {
+		t.Fatal(err)
+	}
+	waits := e.Stats().TupleLockWaits.Load()
+	done := insertAsync(e, 1, "bob")
+	awaitWaiter(t, e, waits, done)
+	if err := a.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-done; !errors.Is(err, ErrDuplicate) {
+		t.Fatalf("second insert after the first committed = %v, want ErrDuplicate", err)
+	}
+	r := begin(e, 2)
+	defer r.Rollback()
+	var owners []string
+	r.ScanTable("accounts", func(_ rel.RowID, row rel.Row) bool {
+		if row[0].I == 1 {
+			owners = append(owners, row[1].S)
+		}
+		return true
+	})
+	if len(owners) != 1 || owners[0] != "alice" {
+		t.Fatalf("rows with key 1 = %q, want [alice]", owners)
+	}
+}
+
+// When the first insert of a unique key rolls back, the waiting second
+// insert goes ahead, and the first one's rollback does not take the
+// second one's index entry with it.
+func TestUniqueInsertWaitsForUncommittedRollback(t *testing.T) {
+	e := openTestEngine(t, Config{LockTimeout: 5 * time.Second})
+	setupAccounts(t, e)
+	a := begin(e, 0)
+	if _, err := a.Insert("accounts", acct(1, "alice", 0)); err != nil {
+		t.Fatal(err)
+	}
+	waits := e.Stats().TupleLockWaits.Load()
+	done := insertAsync(e, 1, "bob")
+	awaitWaiter(t, e, waits, done)
+	if err := a.Rollback(); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-done; err != nil {
+		t.Fatalf("second insert after the first rolled back: %v", err)
+	}
+	r := begin(e, 2)
+	defer r.Rollback()
+	_, row, found, err := r.GetByIndex("accounts", "accounts_pk", rel.Int(1))
+	if err != nil || !found || row[1].S != "bob" {
+		t.Fatalf("GetByIndex(1) = (%v, %v, %v), want bob's committed row", row, found, err)
+	}
+}

@@ -401,24 +401,60 @@ func (tx *Tx) insertRow(t *Tbl, row rel.Row, checkUnique bool) (rel.RowID, error
 }
 
 // checkUnique rejects the insert if an entry under the same unique key
-// resolves to a row version visible to this transaction (or an uncommitted
-// insert by anyone, conservatively treated as a duplicate).
+// resolves to a row visible to this transaction, or to a live row another
+// transaction committed after this snapshot. An entry whose row another
+// transaction has written and not yet finished is waited on, as a write
+// conflict is, and probed again: that transaction's commit makes this
+// insert a duplicate, and its rollback removes the entry. Only an entry
+// for a dead row is dropped, so that the new insert can claim its key.
 func (tx *Tx) checkUnique(t *Tbl, ix *Index, row rel.Row) error {
 	k := indexKey(ix, row, 0)
-	rid, ok := ix.Tree.Lookup(k)
-	if !ok {
+	deadline := time.Now().Add(tx.e.cfg.LockTimeout)
+	for {
+		rid, ok := ix.Tree.Lookup(k)
+		if !ok {
+			return nil
+		}
+		_, visible, err := tx.readRow(t, rel.RowID(rid))
+		if err != nil && !errors.Is(err, ErrNotFound) {
+			return err
+		}
+		if visible {
+			return fmt.Errorf("%w: index %q", ErrDuplicate, ix.Name)
+		}
+		writer, live := tx.rowState(t, rel.RowID(rid))
+		if live {
+			return fmt.Errorf("%w: index %q", ErrDuplicate, ix.Name)
+		}
+		if writer == nil {
+			ix.Tree.Delete(k) // stale entry for a dead row
+			return nil
+		}
+		if !tx.waitOn(errWait{meta: writer}, deadline) {
+			return fmt.Errorf("unique index %q: %w", ix.Name, lock.ErrLockTimeout)
+		}
+	}
+}
+
+// rowState returns the unfinished transaction other than tx that wrote
+// row rid's newest version, if there is one, and otherwise whether that
+// version is a live row. A row that is gone or frozen reports neither.
+func (tx *Tx) rowState(t *Tbl, rid rel.RowID) (writer *undo.TxnMeta, live bool) {
+	t.Store.WithRow(rid, false, &tx.tctx, func(h table.Handle) error {
+		var head *undo.Record
+		if tt := h.TwinTable(false); tt != nil {
+			head = tt.Head(rid)
+		}
+		if head != nil && !head.Reclaimed() && head.Meta != tx.inner.Meta {
+			if _, committed := head.EffectiveETS(); !committed {
+				writer = head.Meta
+				return nil
+			}
+		}
+		live = !h.Deleted()
 		return nil
-	}
-	_, visible, err := tx.readRow(t, rel.RowID(rid))
-	if err != nil && !errors.Is(err, ErrNotFound) {
-		return err
-	}
-	if visible {
-		return fmt.Errorf("%w: index %q", ErrDuplicate, ix.Name)
-	}
-	// Stale entry for a dead row: drop it so the new insert can claim it.
-	ix.Tree.Delete(k)
-	return nil
+	})
+	return writer, live
 }
 
 // partition maps the slot to its worker's buffer partition.

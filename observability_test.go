@@ -259,3 +259,36 @@ func TestWakeupCountersListed(t *testing.T) {
 		t.Fatalf("idle database moved %s by %d in 50ms", name, after-before)
 	}
 }
+
+// The B-Tree latch counters are registered where phoebe_stat_engine and
+// /metrics pick them up, summed over every index: filling one index until
+// its leaves split takes the exclusive descent.
+func TestBTreeCountersListed(t *testing.T) {
+	db := openTestDB(t, Options{})
+	execOrFatal(t, db, "CREATE TABLE kv (id INT, v INT)")
+	execOrFatal(t, db, "CREATE UNIQUE INDEX kv_pk ON kv (id)")
+	for i := 0; i < 200; i++ { // more than one 64-key leaf
+		execOrFatal(t, db, fmt.Sprintf("INSERT INTO kv VALUES (%d, %d)", i, i))
+	}
+	got := map[string]int64{}
+	for _, r := range execOrFatal(t, db, "SELECT name, value FROM phoebe_stat_engine").Rows {
+		got[r[0].S] = r[1].I
+	}
+	names := []string{"phoebe_btree_optimistic_restarts_total", "phoebe_btree_shared_fallbacks_total",
+		"phoebe_btree_exclusive_fallbacks_total"}
+	for _, name := range names {
+		if _, ok := got[name]; !ok {
+			t.Fatalf("%s missing from phoebe_stat_engine", name)
+		}
+	}
+	if got[names[2]] == 0 {
+		t.Fatalf("%s = 0 after 200 inserts split the primary key's leaves", names[2])
+	}
+	var buf strings.Builder
+	db.Metrics().WritePrometheus(&buf)
+	for _, name := range names {
+		if !strings.Contains(buf.String(), name) {
+			t.Fatalf("%s missing from /metrics", name)
+		}
+	}
+}

@@ -2,8 +2,10 @@ package phoebedb
 
 import (
 	"sort"
+	"sync/atomic"
 	"time"
 
+	"phoebedb/internal/btree"
 	"phoebedb/internal/fault"
 	"phoebedb/internal/metrics"
 	"phoebedb/internal/waitevent"
@@ -108,6 +110,23 @@ func buildRegistry(db *DB) *metrics.Registry {
 	})
 	reg.Counter("phoebe_checkpoints_total", "Completed checkpoints.", st.Checkpoints.Load)
 	reg.Counter("phoebe_index_backfill_rows_total", "Index entries written by online CREATE INDEX backfill scans.", st.IndexBackfillRows.Load)
+
+	index := func(f func(s *btree.Stats) *atomic.Int64) func() int64 {
+		return func() (n int64) {
+			for _, t := range db.engine.Tables() {
+				for _, ix := range t.Indexes() {
+					n += f(&ix.Tree.Stats).Load()
+				}
+			}
+			return n
+		}
+	}
+	reg.Counter("phoebe_btree_optimistic_restarts_total", "Optimistic B-Tree descents and leaf reads that restarted (a failed validation or latch upgrade, or a writer whose leaf was full), over all live indexes.",
+		index(func(s *btree.Stats) *atomic.Int64 { return &s.OptimisticRestarts }))
+	reg.Counter("phoebe_btree_shared_fallbacks_total", "B-Tree reads that ran out of optimistic restarts and took shared latches, over all live indexes.",
+		index(func(s *btree.Stats) *atomic.Int64 { return &s.SharedFallbacks }))
+	reg.Counter("phoebe_btree_exclusive_fallbacks_total", "B-Tree writes that took the exclusive descent from the root (full leaf, or out of optimistic restarts), over all live indexes.",
+		index(func(s *btree.Stats) *atomic.Int64 { return &s.ExclusiveFallbacks }))
 
 	if a := db.archiver; a != nil {
 		reg.Counter("phoebe_archive_rounds_total", "WAL archiving rounds run.", a.Rounds)
