@@ -19,16 +19,14 @@ import (
 	"phoebedb/internal/wal"
 )
 
-// openKV opens an engine on dir with a single WAL group and a small
-// indexed kv table, the fixture every test here shares.
+// openKV opens an engine on dir with a small indexed kv table, the
+// fixture every test here shares.
 func openKV(t *testing.T, dir string) *core.Engine {
 	t.Helper()
 	e, err := core.Open(core.Config{
-		Dir:        dir,
-		Slots:      2,
-		WALSync:    true,
-		WALGroups:  1,
-		WALGroupOf: func(int) int { return 0 },
+		Dir:     dir,
+		Slots:   2,
+		WALSync: true,
 	})
 	if err != nil {
 		t.Fatal(err)

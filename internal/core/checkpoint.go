@@ -16,7 +16,7 @@ import (
 
 // Checkpointing bounds recovery work: a checkpoint captures every table's
 // hot/cold pages and frozen-block directory plus the clock and GSN
-// horizons, then truncates the per-slot WAL files. Recovery loads the
+// horizons, then truncates the WAL files. Recovery loads the
 // newest checkpoint and replays only the log written after it. This
 // extends the paper's recovery story (which replays the full log; the
 // paper lists durability infrastructure under future work).

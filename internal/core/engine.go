@@ -67,8 +67,9 @@ type Config struct {
 	// (default 1).
 	Partitions int
 	// Slots is the total task-slot count: pool slots plus sessions
-	// (default 8). Each slot has a private WAL writer and UNDO arena. The
-	// last slot is the system slot: catalog records are logged there.
+	// (default 8). Each slot has a private WAL writer, all of them draining
+	// into one log file, and a private UNDO arena. The last slot is the
+	// system slot: catalog records are logged there.
 	Slots int
 	// WALSync fsyncs on every WAL flush (the paper's evaluated setting).
 	WALSync bool
@@ -82,14 +83,6 @@ type Config struct {
 	// slot's page allocations land in the partition its worker maintains
 	// (§7.1). Defaults to slot modulo Partitions.
 	PartitionOf func(slot int) int
-	// WALGroups is the number of WAL group-commit files: slots mapped to
-	// the same group share one log file, and any member's commit flush
-	// drains every member's buffer in a single write+fsync. 0 (default)
-	// keeps one file per slot — no batching, the paper's per-slot layout.
-	WALGroups int
-	// WALGroupOf maps a slot to its WAL group (typically all of a worker's
-	// slots to one group). Defaults to slot modulo WALGroups.
-	WALGroupOf func(slot int) int
 	// GroupCommitWait bounds how long a commit leader parks for other
 	// slots' commits before the shared fsync (see wal.Options). 0 flushes
 	// immediately.
@@ -274,8 +267,6 @@ func Open(cfg Config) (*Engine, error) {
 	e.WAL, err = wal.Open(wal.Options{
 		Dir:             filepath.Join(cfg.Dir, "wal"),
 		Writers:         cfg.Slots,
-		Groups:          cfg.WALGroups,
-		GroupOf:         cfg.WALGroupOf,
 		SyncOnFlush:     cfg.WALSync,
 		GroupCommitWait: cfg.GroupCommitWait,
 		IO:              e.IO,

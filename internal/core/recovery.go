@@ -3,7 +3,7 @@ package core
 import "phoebedb/internal/wal"
 
 // Recover rebuilds the catalog and replays the write-ahead log into it,
-// implementing redo over the per-slot log files (§8). Call it after Open
+// implementing redo over the log files (§8). Call it after Open
 // and before any transactions.
 //
 // The catalog comes first: the checkpoint image's, then the log's catalog

@@ -202,8 +202,6 @@ func TPCCBackupRestore(dir, archiveDir, restoreDir string, seed int64, site stri
 			Slots:           terminals + 1,
 			WALSync:         true,
 			LockTimeout:     time.Second,
-			WALGroups:       1,
-			WALGroupOf:      func(int) int { return 0 },
 			GroupCommitWait: 200 * time.Microsecond,
 		})
 		if err != nil {

@@ -242,12 +242,9 @@ func openEngine(dir string, slots int, bufBytes int64) (*core.Engine, error) {
 		BufferBytes: bufBytes,
 		PageCap:     16,
 		LockTimeout: 500 * time.Millisecond,
-		// Share WAL files across slots and enable the adaptive leader
-		// wait, so every wal.* failpoint fires inside the group-commit
-		// path: a crash mid-flush must not lose acked commits from any
-		// slot batched into the same window.
-		WALGroups:       2,
-		WALGroupOf:      func(slot int) int { return slot % 2 },
+		// Enable the adaptive leader wait, so every wal.* failpoint fires
+		// inside the group-commit path: a crash mid-flush must not lose
+		// acked commits from any slot batched into the same window.
 		GroupCommitWait: 200 * time.Microsecond,
 	})
 	if err != nil {
@@ -850,10 +847,8 @@ func TPCCCrash(dir string, seed int64, site string, after int) error {
 			Slots:       terminals + 1,
 			WALSync:     true,
 			LockTimeout: time.Second,
-			// All terminals share one WAL group so the crash lands in a
-			// flush window batching commits from several terminals.
-			WALGroups:       1,
-			WALGroupOf:      func(int) int { return 0 },
+			// The leader wait makes the crash land in a flush window
+			// batching commits from several terminals.
 			GroupCommitWait: 200 * time.Microsecond,
 		})
 		if err != nil {

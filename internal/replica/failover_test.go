@@ -196,8 +196,6 @@ func TestPromoteMidTPCCConsistency(t *testing.T) {
 			Slots:           terminals + 1,
 			WALSync:         true,
 			LockTimeout:     time.Second,
-			WALGroups:       1,
-			WALGroupOf:      func(int) int { return 0 },
 			GroupCommitWait: 200 * time.Microsecond,
 		})
 		if err != nil {

@@ -1,10 +1,10 @@
 // Package replica implements primary-standby high availability — the
 // paper's future-work item 2 — by WAL shipping: a standby continuously
-// tails the primary's per-slot WAL files and applies committed
-// transactions to its own engine, which serves consistent read-only
-// queries and can be promoted when the primary dies.
+// tails the primary's WAL files and applies committed transactions to
+// its own engine, which serves consistent read-only queries and can be
+// promoted when the primary dies.
 //
-// Mechanics: each polling round reads the new bytes of every group file
+// Mechanics: each polling round reads the new bytes of every log file
 // through a wal.Tailer (per-file byte offsets are remembered; a torn record
 // at a file's tail is retried next round; a file that restarts under its
 // offset is reported) and hands every record to the engine's redo applier

@@ -10,12 +10,12 @@ import (
 // member's buffered records durable in a single device write.
 func TestGroupFlushDrainsAllMembers(t *testing.T) {
 	dir := t.TempDir()
-	m, err := Open(Options{Dir: dir, Writers: 4, Groups: 1})
+	m, err := Open(Options{Dir: dir, Writers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.NumGroups() != 1 || m.NumWriters() != 4 {
-		t.Fatalf("groups=%d writers=%d", m.NumGroups(), m.NumWriters())
+	if logs, _ := groupFiles(dir); len(logs) != 1 || m.NumWriters() != 4 {
+		t.Fatalf("log files=%v writers=%d, want one file for four writers", logs, m.NumWriters())
 	}
 	var gsns [4]uint64
 	for i := 0; i < 4; i++ {
@@ -59,40 +59,23 @@ func TestGroupFlushDrainsAllMembers(t *testing.T) {
 // TestNeedsRemoteFlushAgainstGroupFlusher pins the RFA rule's interaction
 // with group commit: a page stamped by an unflushed foreign writer needs a
 // remote flush until ANY group flush covering that writer runs — including
-// a flush led by a different member — while writers in other groups are
-// unaffected.
+// a flush led by a different writer.
 func TestNeedsRemoteFlushAgainstGroupFlusher(t *testing.T) {
-	m, err := Open(Options{
-		Dir:     t.TempDir(),
-		Writers: 3,
-		Groups:  2,
-		GroupOf: func(w int) int { // writers 0,1 share a group; 2 is alone
-			if w < 2 {
-				return 0
-			}
-			return 1
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Close()
-	w0, w1, w2 := m.Writer(0), m.Writer(1), m.Writer(2)
+	m := openTestManager(t, 2)
+	w0, w1 := m.Writer(0), m.Writer(1)
 
-	// Writer 1 and writer 2 each log a change to their own page.
+	// Writer 1 logs a change to its own page.
 	r1 := Record{Type: RecUpdate, GSN: w1.NextGSN(0), XID: 11}
 	w1.Append(&r1)
 	ps1 := PageStamp{GSN: r1.GSN, LastWriter: 1}
-	r2 := Record{Type: RecUpdate, GSN: w2.NextGSN(0), XID: 22}
-	w2.Append(&r2)
-	ps2 := PageStamp{GSN: r2.GSN, LastWriter: 2}
 
-	// Slot 0 touching either page depends on the foreign unflushed change.
+	// Slot 0 touching the page depends on the foreign unflushed change.
 	if !NeedsRemoteFlush(ps1, 0, w1.FlushedGSN()) {
 		t.Fatal("unflushed same-group foreign write did not require a remote flush")
 	}
-	if !NeedsRemoteFlush(ps2, 0, w2.FlushedGSN()) {
-		t.Fatal("unflushed cross-group foreign write did not require a remote flush")
+	// Its own page never depends on it, flushed or not.
+	if NeedsRemoteFlush(ps1, 1, w1.FlushedGSN()) {
+		t.Fatal("RFA fired for the stamping slot itself")
 	}
 
 	// Writer 0 commits. Its group flush drains writer 1 as a side effect,
@@ -105,22 +88,45 @@ func TestNeedsRemoteFlushAgainstGroupFlusher(t *testing.T) {
 	if NeedsRemoteFlush(ps1, 0, w1.FlushedGSN()) {
 		t.Fatal("group flush did not clear the same-group RFA dependency")
 	}
-	// Writer 2 is in another group: its records stayed buffered, so the
-	// dependency must survive the group-0 flush.
-	if !NeedsRemoteFlush(ps2, 0, w2.FlushedGSN()) {
-		t.Fatal("group-0 flush wrongly cleared a group-1 writer's dependency")
-	}
-	// Its own page never depends on it, flushed or not.
-	if NeedsRemoteFlush(ps2, 2, w2.FlushedGSN()) {
-		t.Fatal("RFA fired for the stamping slot itself")
-	}
+}
 
-	// WaitRemoteFlush still forces the lagging group when RFA says so.
-	if err := m.WaitRemoteFlush(r2.GSN); err != nil {
+// TestWaitRemoteFlushIsOnePass: after a commit's own flush, WaitRemoteFlush
+// advances idle writers without a device write; with records buffered on
+// several writers since, it drains them all in at most one.
+func TestWaitRemoteFlushIsOnePass(t *testing.T) {
+	m := openTestManager(t, 4)
+	w0, w1, w2 := m.Writer(0), m.Writer(1), m.Writer(2)
+	held := Record{Type: RecUpdate, GSN: w1.NextGSN(0), XID: 11}
+	w1.Append(&held) // writer 1 holds a record; writers 2 and 3 stay idle
+	gsn := commitOn(w0, 1)
+	if err := w0.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if NeedsRemoteFlush(ps2, 0, w2.FlushedGSN()) {
-		t.Fatal("WaitRemoteFlush did not clear the cross-group dependency")
+	before := m.Flushes()
+	if err := m.WaitRemoteFlush(gsn); err != nil {
+		t.Fatal(err)
+	}
+	if got := m.Flushes() - before; got != 0 {
+		t.Fatalf("WaitRemoteFlush after a covering commit flush wrote %d times, want 0", got)
+	}
+	if got := m.GlobalFlushedGSN(); got < gsn {
+		t.Fatalf("global horizon %d below %d after WaitRemoteFlush", got, gsn)
+	}
+
+	// Records buffered since on two writers: one pass covers both.
+	ra := Record{Type: RecUpdate, GSN: w1.NextGSN(gsn), XID: 12}
+	w1.Append(&ra)
+	rb := Record{Type: RecUpdate, GSN: w2.NextGSN(ra.GSN), XID: 13}
+	w2.Append(&rb)
+	before = m.Flushes()
+	if err := m.WaitRemoteFlush(rb.GSN); err != nil {
+		t.Fatal(err)
+	}
+	if got := m.Flushes() - before; got > 1 {
+		t.Fatalf("WaitRemoteFlush over two lagging writers wrote %d times, want at most 1", got)
+	}
+	if got := m.GlobalFlushedGSN(); got < rb.GSN {
+		t.Fatalf("global horizon %d below %d after WaitRemoteFlush", got, rb.GSN)
 	}
 }
 
@@ -129,7 +135,7 @@ func TestNeedsRemoteFlushAgainstGroupFlusher(t *testing.T) {
 // and flush later with higher GSNs.
 func TestGroupFlushKeepsMidFlightAppends(t *testing.T) {
 	dir := t.TempDir()
-	m, err := Open(Options{Dir: dir, Writers: 2, Groups: 1})
+	m, err := Open(Options{Dir: dir, Writers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +171,7 @@ func TestGroupFlushKeepsMidFlightAppends(t *testing.T) {
 // nothing is lost, duplicated, or reordered per writer.
 func TestGroupConcurrentCommitRace(t *testing.T) {
 	dir := t.TempDir()
-	m, err := Open(Options{Dir: dir, Writers: 4, Groups: 1})
+	m, err := Open(Options{Dir: dir, Writers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,13 +230,13 @@ func commitOn(w *Writer, xid uint64) uint64 {
 	return c.GSN
 }
 
-// awaitLeader blocks until a commit leader is parked in g's wait window.
-func awaitLeader(t *testing.T, g *group) {
+// awaitLeader blocks until a commit leader is parked in m's wait window.
+func awaitLeader(t *testing.T, m *Manager) {
 	t.Helper()
 	for deadline := time.Now().Add(5 * time.Second); ; {
-		g.mu.Lock()
-		leading := g.leading
-		g.mu.Unlock()
+		m.mu.Lock()
+		leading := m.leading
+		m.mu.Unlock()
 		if leading {
 			return
 		}
@@ -241,25 +247,24 @@ func awaitLeader(t *testing.T, g *group) {
 	}
 }
 
-// openWaiting opens one shared group of n writers whose leaders wait up to
-// d: the group is handed the credit a batched flush would have earned.
-func openWaiting(t *testing.T, n int, d time.Duration) (*Manager, *group) {
+// openWaiting opens n writers whose leaders wait up to d: the group is
+// handed the credit a batched flush would have earned.
+func openWaiting(t *testing.T, n int, d time.Duration) *Manager {
 	t.Helper()
-	m, err := Open(Options{Dir: t.TempDir(), Writers: n, Groups: 1, GroupCommitWait: d})
+	m, err := Open(Options{Dir: t.TempDir(), Writers: n, GroupCommitWait: d})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { m.Close() })
-	g := m.groups[0]
-	g.waitCredit = waitCreditWindow
-	return m, g
+	m.waitCredit = waitCreditWindow
+	return m
 }
 
 // TestFollowerJoinsParkedLeader: a committer arriving while a leader is
 // parked joins it, ends the 200ms window at once because the batch is
 // complete, and both return at the one flush that covers them.
 func TestFollowerJoinsParkedLeader(t *testing.T) {
-	m, g := openWaiting(t, 3, 200*time.Millisecond)
+	m := openWaiting(t, 3, 200*time.Millisecond)
 
 	start := time.Now()
 	leaderDone := make(chan error, 1)
@@ -267,7 +272,7 @@ func TestFollowerJoinsParkedLeader(t *testing.T) {
 		commitOn(m.Writer(0), 1)
 		leaderDone <- m.Writer(0).Flush()
 	}()
-	awaitLeader(t, g)
+	awaitLeader(t, m)
 	gsn := commitOn(m.Writer(1), 2)
 	if err := m.Writer(1).Flush(); err != nil {
 		t.Fatal(err)
@@ -293,7 +298,7 @@ func TestFollowerJoinsParkedLeader(t *testing.T) {
 // a third member is mid-transaction; that member's commit does, and one
 // flush retires all three.
 func TestLeaderWaitsForOpenTransaction(t *testing.T) {
-	m, g := openWaiting(t, 3, 5*time.Second)
+	m := openWaiting(t, 3, 5*time.Second)
 
 	w2 := m.Writer(2)
 	mid := Record{Type: RecInsert, GSN: w2.NextGSN(0), XID: 3}
@@ -304,7 +309,7 @@ func TestLeaderWaitsForOpenTransaction(t *testing.T) {
 		commitOn(m.Writer(0), 1)
 		done <- m.Writer(0).Flush()
 	}()
-	awaitLeader(t, g)
+	awaitLeader(t, m)
 	go func() {
 		commitOn(m.Writer(1), 2)
 		done <- m.Writer(1).Flush()
@@ -332,13 +337,13 @@ func TestLeaderWaitsForOpenTransaction(t *testing.T) {
 // TestParkedLeaderWokenByForeignFlush: a flush from elsewhere (checkpoint,
 // remote flush) that covers a parked leader ends its window.
 func TestParkedLeaderWokenByForeignFlush(t *testing.T) {
-	m, g := openWaiting(t, 2, 5*time.Second)
+	m := openWaiting(t, 2, 5*time.Second)
 	done := make(chan error, 1)
 	go func() {
 		commitOn(m.Writer(0), 1)
 		done <- m.Writer(0).Flush()
 	}()
-	awaitLeader(t, g)
+	awaitLeader(t, m)
 	if err := m.FlushAll(); err != nil {
 		t.Fatal(err)
 	}
@@ -355,11 +360,11 @@ func TestParkedLeaderWokenByForeignFlush(t *testing.T) {
 	}
 }
 
-// TestSerialCommitsPayOnlyTheProbe: one committer in a shared group earns
+// TestSerialCommitsPayOnlyTheProbe: one committer among two writers earns
 // no credit, so it pays one leader wait per probeInterval flushes.
 func TestSerialCommitsPayOnlyTheProbe(t *testing.T) {
 	const wait = 20 * time.Millisecond
-	m, err := Open(Options{Dir: t.TempDir(), Writers: 2, Groups: 1, GroupCommitWait: wait})
+	m, err := Open(Options{Dir: t.TempDir(), Writers: 2, GroupCommitWait: wait})
 	if err != nil {
 		t.Fatal(err)
 	}

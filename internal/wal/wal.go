@@ -6,7 +6,7 @@
 // transactions may be written out — recovery replays the log.
 //
 // Unlike a traditional serialized log, PhoebeDB maintains one WAL writer
-// per task slot, each with a private in-memory buffer and file. Every
+// per task slot, each with a private in-memory buffer and GSN clock. Every
 // record carries two sequence numbers:
 //
 //   - GSN (Global Sequence Number): monotonically increasing but not
@@ -21,25 +21,22 @@
 // writer. Only when it observed an unflushed change by another slot does it
 // wait for the remote flush horizon.
 //
-// Group commit batches writers into flush groups (Options.Groups /
-// Options.GroupOf; by default every writer is its own group, the original
-// one-file-per-slot layout). Writers in a group share one log file and one
-// fsync window: the first committer to reach the group's flush mutex
-// becomes the leader and drains every member's buffer in a single
-// write+fsync, while followers arriving behind it find their records
-// already durable and return without touching the device. A leader that
-// expects company parks for a bounded window first; a committer arriving
-// meanwhile joins that leader and ends the window as soon as the batch is
-// complete (see Writer.Flush). Buffers are
-// trimmed only after the write and fsync succeed, so a torn or failed
-// group flush never loses an acknowledged commit. GSN/LSN assignment and
-// the RFA rule are per-writer and unchanged by grouping.
+// Every writer drains into one commit group and one log file,
+// wal-0000.log. The first committer to reach the flush mutex becomes the
+// leader and drains every writer's buffer in a single write+fsync, while
+// followers arriving behind it find their records already durable and
+// return without touching the device. A leader that expects company parks
+// for a bounded window first; a committer arriving meanwhile joins that
+// leader and ends the window as soon as the batch is complete (see
+// Writer.Flush). Buffers are trimmed only after the write and fsync
+// succeed, so a torn or failed flush never loses an acknowledged commit.
 //
-// Recovery merges all log files, orders records by GSN (stable by file,
-// LSN), verifies checksums, truncates at the first torn record of each
-// file, and hands the ordered stream to the engine for redo. Per-writer
-// order survives the merge because a writer's records carry strictly
-// increasing GSNs and drain to the file in LSN order.
+// Recovery merges all log files (a directory written by an earlier release
+// may hold several), orders records by GSN (stable by file, LSN), verifies
+// checksums, truncates at the first torn record of each file, and hands
+// the ordered stream to the engine for redo. Per-writer order survives the
+// merge because a writer's records carry strictly increasing GSNs and
+// drain to the file in LSN order.
 package wal
 
 import (
@@ -173,11 +170,10 @@ func decodeRecord(b []byte) (Record, int, bool) {
 }
 
 // Writer is one task slot's private WAL stream. Records buffer per writer;
-// the bytes drain to the writer's group file during a group flush.
+// the bytes drain to the log file during a commit-group flush.
 type Writer struct {
 	id  int
 	mgr *Manager
-	grp *group
 
 	mu        sync.Mutex
 	buf       []byte
@@ -197,47 +193,13 @@ type Writer struct {
 	// log volume to the statement that generated it.
 	appended atomic.Int64
 	// localGSN is the highest GSN assigned by this writer. Atomic rather
-	// than owner-private: a remote commit's flushPast fast-forwards it
-	// when it advances the flushed horizon past an empty buffer, so the
+	// than owner-private: a remote commit's WaitRemoteFlush fast-forwards
+	// it when it advances the flushed horizon past an empty buffer, so the
 	// owner can never assign a GSN below an already-published horizon.
 	localGSN atomic.Uint64
 }
 
-// group is one commit group: the shared log file and the flush mutex its
-// members' commits convoy on.
-type group struct {
-	id      int
-	mgr     *Manager
-	members []*Writer
-
-	// mu serializes flushes of the group. A committer that blocks here
-	// while another member flushes is the group-commit win: when it gets
-	// the mutex its records are usually already durable.
-	mu sync.Mutex
-	// leading is true while a commit leader is parked in its wait window
-	// (mu released). Committers arriving meanwhile join it: they wait on
-	// flushed, which every flush attempt and every leader standing down
-	// broadcasts, instead of opening a window of their own.
-	leading bool
-	flushed sync.Cond
-	// arrive wakes the parked leader before its deadline; timer is that
-	// deadline, one per group since there is one leader at a time.
-	arrive  chan struct{}
-	timer   park.Timer
-	f       *os.File
-	scratch []byte      // concatenated member buffers for the single write
-	parts   []flushPart // per-member drained prefix bookkeeping
-
-	// waitCredit and sinceProbe drive the adaptive group-commit leader
-	// wait (see Flush): credit is granted while flushes capture multiple
-	// commit records and drains on single-commit flushes; the probe
-	// counter forces one speculative wait per probeInterval flushes so a
-	// group can rediscover concurrency after going serial.
-	waitCredit int
-	sinceProbe int
-}
-
-// flushPart records how much of one member's buffer a group flush captured:
+// flushPart records how much of one writer's buffer a group flush captured:
 // the first n buffered bytes and the buffer's GSN high-water mark at capture
 // time. Only that prefix is trimmed (and only that horizon published) after
 // the write and fsync succeed — records appended while the flush was in
@@ -329,14 +291,14 @@ func (w *Writer) AppendedBytes() int64 { return w.appended.Load() }
 // It is the group-commit entry point, and every wait in it is a park with
 // one waker:
 //
-//   - A committer that finds the group's mutex held blocks on it; when it
+//   - A committer that finds the flush mutex held blocks on it; when it
 //     gets the mutex its records are usually already durable.
 //   - A committer that becomes leader while the group expects company
 //     (shouldWaitLocked: batching credit, or the periodic probe) releases
 //     the mutex and parks for at most GroupCommitWait. It is woken early by
-//     the committer whose arrival completes the batch — no member is left
+//     the committer whose arrival completes the batch — no writer is left
 //     holding buffered records without a commit record — or by any other
-//     flush of the group.
+//     flush.
 //   - A committer that arrives while a leader is parked joins that leader:
 //     it opens no window of its own and returns when the flush covering its
 //     records completes.
@@ -366,41 +328,41 @@ func (w *Writer) pending() bool {
 // wait-event stamping is on (ws non-nil), updated in place when the stamp
 // switches between wal_flush and wal_group_lead.
 func (w *Writer) flushCommit(ws *waitevent.Slots, seg *time.Time) error {
-	g := w.grp
-	g.mu.Lock()
-	defer g.mu.Unlock()
+	m := w.mgr
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	for {
-		if w.mgr.broken.Load() {
+		if m.broken.Load() {
 			return ErrBroken
 		}
 		if !w.pending() {
 			// A flush covered us while we waited for the mutex or a leader.
 			return nil
 		}
-		if !g.leading {
+		if !m.leading {
 			break
 		}
 		// Join the parked leader. It is woken only once the batch is
 		// complete, so a burst of joiners costs it one wake-up.
-		if !g.anyOpen() {
-			g.poke()
+		if !m.anyOpen() {
+			m.poke()
 		}
-		g.flushed.Wait()
+		m.flushed.Wait()
 	}
-	if d := w.mgr.groupWait; d > 0 && g.shouldWaitLocked() {
+	if d := m.groupWait; d > 0 && m.shouldWaitLocked() {
 		w.lead(d, ws, seg)
-		if broken := w.mgr.broken.Load(); broken || !w.pending() {
+		if broken := m.broken.Load(); broken || !w.pending() {
 			// Another flush covered the whole batch, us included, while we
 			// were parked (or the log failed). The joiners wait on a flush
 			// that will not come from us: let them look again.
-			g.flushed.Broadcast()
+			m.flushed.Broadcast()
 			if broken {
 				return ErrBroken
 			}
 			return nil
 		}
 	}
-	return g.flushLocked()
+	return m.flushLocked()
 }
 
 // lead is the group-commit leader wait: before paying the fsync, park for
@@ -410,35 +372,35 @@ func (w *Writer) flushCommit(ws *waitevent.Slots, seg *time.Time) error {
 // as a joiner (or a flush from elsewhere) pokes. Parking hands the
 // processor to sibling slots at once, where a thread entering fsync only
 // releases it after the runtime's syscall-retake latency. Caller holds
-// g.mu; lead releases it while parked and returns with it held.
+// m.mu; lead releases it while parked and returns with it held.
 func (w *Writer) lead(d time.Duration, ws *waitevent.Slots, seg *time.Time) {
-	g := w.grp
+	m := w.mgr
 	select {
-	case <-g.arrive: // a poke that crossed the previous leader's deadline
+	case <-m.arrive: // a poke that crossed the previous leader's deadline
 	default:
 	}
-	g.leading = true
-	w.mgr.groupWaits.Add(1)
-	g.mu.Unlock()
+	m.leading = true
+	m.groupWaits.Add(1)
+	m.mu.Unlock()
 	if ws != nil {
 		*seg = ws.Switch(w.id, waitevent.EvWALFlush, waitevent.EvWALGroupLead, *seg)
 	}
-	early := g.timer.Wait(g.arrive, d)
+	early := m.timer.Wait(m.arrive, d)
 	if ws != nil {
 		*seg = ws.Switch(w.id, waitevent.EvWALGroupLead, waitevent.EvWALFlush, *seg)
 	}
-	g.mu.Lock()
-	g.leading = false
+	m.mu.Lock()
+	m.leading = false
 	if early {
-		w.mgr.groupLeadEarly.Add(1)
+		m.groupLeadEarly.Add(1)
 	}
 }
 
-// anyOpen reports whether some member holds buffered records without a
+// anyOpen reports whether some writer holds buffered records without a
 // commit record: a transaction still on its way to the commit point, worth
 // keeping the leader's window open for.
-func (g *group) anyOpen() bool {
-	for _, w := range g.members {
+func (m *Manager) anyOpen() bool {
+	for _, w := range m.writers {
 		if w.open.Load() {
 			return true
 		}
@@ -446,18 +408,18 @@ func (g *group) anyOpen() bool {
 	return false
 }
 
-// poke wakes the parked leader. Caller holds g.mu and has seen g.leading.
-func (g *group) poke() {
+// poke wakes the parked leader. Caller holds m.mu and has seen m.leading.
+func (m *Manager) poke() {
 	select {
-	case g.arrive <- struct{}{}:
+	case m.arrive <- struct{}{}:
 	default: // already poked
 	}
 }
 
-// probeInterval is how often (in flushes) a group speculatively pays one
+// probeInterval is how often (in flushes) the group speculatively pays one
 // leader wait with no credit, to rediscover commit concurrency.
-// waitCreditWindow is how many single-commit flushes a group keeps waiting
-// after a batched one before concluding the workload went serial.
+// waitCreditWindow is how many single-commit flushes the group keeps
+// waiting after a batched one before concluding the workload went serial.
 const (
 	probeInterval    = 32
 	waitCreditWindow = 64
@@ -466,82 +428,81 @@ const (
 // shouldWaitLocked decides whether the next flush leader should park for
 // more commits first: yes while recent flushes batched multiple commits
 // (credit), and on a periodic speculative probe otherwise — whether or not
-// any other member has buffered anything yet. A serial commit stream earns
+// any other writer has buffered anything yet. A serial commit stream earns
 // no credit, so it pays one probe per probeInterval flushes and nothing
-// else; a group of one has nobody to wait for. Caller holds g.mu.
-func (g *group) shouldWaitLocked() bool {
-	if len(g.members) < 2 {
+// else; a lone writer has nobody to wait for. Caller holds m.mu.
+func (m *Manager) shouldWaitLocked() bool {
+	if len(m.writers) < 2 {
 		return false
 	}
-	if g.waitCredit > 0 {
+	if m.waitCredit > 0 {
 		return true
 	}
-	g.sinceProbe++
-	if g.sinceProbe >= probeInterval {
-		g.sinceProbe = 0
+	m.sinceProbe++
+	if m.sinceProbe >= probeInterval {
+		m.sinceProbe = 0
 		return true
 	}
 	return false
 }
 
-// flushLocked drains every member's buffered records to the group file in
+// flushLocked drains every writer's buffered records to the log file in
 // one write (+fsync), then trims the drained prefixes and publishes the
-// flushed-GSN horizons. Caller holds g.mu. Nothing is trimmed or published
+// flushed-GSN horizons. Caller holds m.mu. Nothing is trimmed or published
 // on error: after a failed or torn flush the buffers still hold every
 // unacknowledged record, so an acknowledged commit can never be lost.
 // Whatever the outcome, committers that joined a leader are woken to look
 // at their horizons, and a leader parked through a flush that was not its
 // own (remote flush, checkpoint) is woken to find itself covered.
-func (g *group) flushLocked() error {
-	defer g.flushed.Broadcast()
-	if g.leading {
-		defer g.poke()
+func (m *Manager) flushLocked() error {
+	defer m.flushed.Broadcast()
+	if m.leading {
+		defer m.poke()
 	}
-	m := g.mgr
 	if m.broken.Load() {
 		return ErrBroken
 	}
-	g.scratch = g.scratch[:0]
-	g.parts = g.parts[:0]
+	m.scratch = m.scratch[:0]
+	m.parts = m.parts[:0]
 	commits := 0
-	for _, w := range g.members {
+	for _, w := range m.writers {
 		w.mu.Lock()
 		n := len(w.buf)
 		gsn := w.bufferGSN
 		if n > 0 {
-			g.scratch = append(g.scratch, w.buf[:n]...)
+			m.scratch = append(m.scratch, w.buf[:n]...)
 			commits += w.bufCommits
 			w.bufCommits = 0
 		}
 		w.mu.Unlock()
 		if n > 0 || gsn > w.flushedGSN.Load() {
-			g.parts = append(g.parts, flushPart{w: w, n: n, gsn: gsn})
+			m.parts = append(m.parts, flushPart{w: w, n: n, gsn: gsn})
 		}
 	}
 	// Feed the adaptive leader wait: batching multiple commits under this
 	// one device write earns a credit window; a serial flush burns one.
 	if commits >= 2 {
-		g.waitCredit = waitCreditWindow
-	} else if g.waitCredit > 0 {
-		g.waitCredit--
+		m.waitCredit = waitCreditWindow
+	} else if m.waitCredit > 0 {
+		m.waitCredit--
 	}
-	if len(g.scratch) > 0 {
-		if cut := fault.TornCut(fault.WALTornWrite, len(g.scratch)); cut > 0 {
+	if len(m.scratch) > 0 {
+		if cut := fault.TornCut(fault.WALTornWrite, len(m.scratch)); cut > 0 {
 			// Simulate a crash tearing the flush: persist a prefix that
 			// ends mid-record, then die. The buffers are left intact so a
 			// racing flush cannot complete the write and acknowledge a
 			// commit behind the "dead" process's back (the armed site
 			// would tear that flush too).
-			g.f.Write(g.scratch[:len(g.scratch)-cut])
+			m.f.Write(m.scratch[:len(m.scratch)-cut])
 			fault.Crash(fault.WALTornWrite)
 		}
-		n, err := g.f.Write(g.scratch)
+		n, err := m.f.Write(m.scratch)
 		if m.io != nil {
 			m.io.WALWrite.Add(int64(n))
 		}
 		if err != nil {
 			m.broken.Store(true)
-			return fmt.Errorf("wal: group %d flush: %w", g.id, err)
+			return fmt.Errorf("wal: flush: %w", err)
 		}
 		m.flushes.Add(1)
 		// Trim the written prefixes NOW, before the sync failpoints: the
@@ -550,7 +511,7 @@ func (g *group) flushLocked() error {
 		// behalf) write them a second time. Records appended mid-flush
 		// keep their place behind the cut. A real sync failure latches
 		// broken, so trimming early never drops an acked commit.
-		for _, p := range g.parts {
+		for _, p := range m.parts {
 			if p.n > 0 {
 				p.w.mu.Lock()
 				p.w.buf = p.w.buf[:copy(p.w.buf, p.w.buf[p.n:])]
@@ -566,24 +527,24 @@ func (g *group) flushLocked() error {
 				skipSync = true // lost-durability run: pretend the fsync happened
 			} else {
 				m.broken.Store(true)
-				return fmt.Errorf("wal: group %d: %w", g.id, ferr)
+				return fmt.Errorf("wal: %w", ferr)
 			}
 		}
 		if m.syncOnFlush && !skipSync {
-			if err := g.f.Sync(); err != nil {
+			if err := m.f.Sync(); err != nil {
 				m.broken.Store(true)
-				return fmt.Errorf("wal: group %d sync: %w", g.id, err)
+				return fmt.Errorf("wal: sync: %w", err)
 			}
 		}
 		if ferr := fault.Eval(fault.WALPostSync); ferr != nil {
 			// The records are durable but the caller never learns it: the
 			// acknowledgment is lost, not the data.
 			m.broken.Store(true)
-			return fmt.Errorf("wal: group %d: %w", g.id, ferr)
+			return fmt.Errorf("wal: %w", ferr)
 		}
 	}
-	// Durable: publish every member's horizon.
-	for _, p := range g.parts {
+	// Durable: publish every drained writer's horizon.
+	for _, p := range m.parts {
 		if p.gsn > p.w.flushedGSN.Load() {
 			p.w.flushedGSN.Store(p.gsn)
 		}
@@ -594,19 +555,45 @@ func (g *group) flushLocked() error {
 // FlushedGSN returns the writer's durable GSN horizon.
 func (w *Writer) FlushedGSN() uint64 { return w.flushedGSN.Load() }
 
-// Manager owns the per-slot writers, their commit groups, and the global
-// flush horizon.
+// Manager owns the per-slot writers, the one commit group they all drain
+// through, its log file, and the global flush horizon.
 type Manager struct {
 	dir         string
 	syncOnFlush bool
 	io          *metrics.IOCounters
 	writers     []*Writer
-	groups      []*group
+
+	// mu serializes flushes. A committer that blocks here while another
+	// writer flushes is the group-commit win: when it gets the mutex its
+	// records are usually already durable.
+	mu sync.Mutex
+	// leading is true while a commit leader is parked in its wait window
+	// (mu released). Committers arriving meanwhile join it: they wait on
+	// flushed, which every flush attempt and every leader standing down
+	// broadcasts, instead of opening a window of their own.
+	leading bool
+	flushed sync.Cond
+	// arrive wakes the parked leader before its deadline; timer is that
+	// deadline, one since there is one leader at a time.
+	arrive  chan struct{}
+	timer   park.Timer
+	f       *os.File
+	scratch []byte      // concatenated writer buffers for the single write
+	parts   []flushPart // per-writer drained prefix bookkeeping
+
+	// waitCredit and sinceProbe drive the adaptive group-commit leader
+	// wait (see Flush): credit is granted while flushes capture multiple
+	// commit records and drains on single-commit flushes; the probe
+	// counter forces one speculative wait per probeInterval flushes so the
+	// group can rediscover concurrency after going serial.
+	waitCredit int
+	sinceProbe int
+
 	// broken latches the first flush/sync failure (fail-stop, see
 	// ErrBroken).
 	broken atomic.Bool
-	// flushes counts device writes across all groups (buffer drains that
-	// actually hit the file, not empty-buffer Flush calls).
+	// flushes counts device writes (buffer drains that actually hit the
+	// file, not empty-buffer Flush calls).
 	flushes atomic.Int64
 	// groupWait is how long a commit leader waits for mid-flight sibling
 	// transactions before issuing the group fsync (0 = flush immediately).
@@ -632,27 +619,19 @@ func (m *Manager) GroupLeadEarly() int64 { return m.groupLeadEarly.Load() }
 
 // Options configures a Manager.
 type Options struct {
-	// Dir is the directory holding the log files (wal-<n>.log, one per
-	// commit group).
+	// Dir is the directory holding the log file, wal-0000.log.
 	Dir string
 	// Writers is the number of task-slot writers.
 	Writers int
-	// Groups is the number of commit groups (log files). 0 means one group
-	// per writer — the original ungrouped layout with no shared fsync.
-	Groups int
-	// GroupOf maps a writer id to its commit group [0, Groups). Nil means
-	// writer i joins group i%Groups. The engine maps every slot of a worker
-	// to one group so a worker's concurrent commits share a fsync window.
-	GroupOf func(writer int) int
 	// SyncOnFlush issues fsync on every flush (the paper's "WAL sync
 	// enabled" setting). Off by default in tests for speed.
 	SyncOnFlush bool
 	// GroupCommitWait is the upper bound on how long a commit leader parks
-	// for other members' commits before issuing the shared fsync; 0
+	// for other writers' commits before issuing the shared fsync; 0
 	// flushes immediately. The wait arms on evidence of concurrency, not
 	// on what is buffered: while recent flushes batched two or more
 	// commits, plus one probe every 32nd flush. It ends early when an
-	// arriving committer leaves no member with buffered records short of
+	// arriving committer leaves no writer with buffered records short of
 	// a commit record. A serial commit stream pays the probe only.
 	GroupCommitWait time.Duration
 	// IO receives write-volume accounting; may be nil.
@@ -662,48 +641,25 @@ type Options struct {
 	Waits *waitevent.Slots
 }
 
-// Open creates a Manager, its commit groups, and their log files.
+// Open creates a Manager, its writers, and the log file they share.
 func Open(opts Options) (*Manager, error) {
 	if opts.Writers <= 0 {
 		return nil, fmt.Errorf("wal: need at least one writer")
 	}
-	groups := opts.Groups
-	if groups <= 0 {
-		groups = opts.Writers
-	}
-	groupOf := opts.GroupOf
-	if groupOf == nil {
-		groupOf = func(w int) int { return w % groups }
-	}
 	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
 		return nil, err
 	}
-	m := &Manager{dir: opts.Dir, syncOnFlush: opts.SyncOnFlush, groupWait: opts.GroupCommitWait, io: opts.IO, waits: opts.Waits}
-	for i := 0; i < groups; i++ {
-		f, err := os.OpenFile(m.groupPath(i), os.O_RDWR|os.O_CREATE|os.O_APPEND, 0o644)
-		if err != nil {
-			m.Close()
-			return nil, err
-		}
-		g := &group{id: i, mgr: m, f: f, arrive: make(chan struct{}, 1)}
-		g.flushed.L = &g.mu
-		m.groups = append(m.groups, g)
+	f, err := os.OpenFile(filepath.Join(opts.Dir, GroupFileName(0)), os.O_RDWR|os.O_CREATE|os.O_APPEND, 0o644)
+	if err != nil {
+		return nil, err
 	}
+	m := &Manager{dir: opts.Dir, syncOnFlush: opts.SyncOnFlush, groupWait: opts.GroupCommitWait,
+		io: opts.IO, waits: opts.Waits, f: f, arrive: make(chan struct{}, 1)}
+	m.flushed.L = &m.mu
 	for i := 0; i < opts.Writers; i++ {
-		gi := groupOf(i)
-		if gi < 0 || gi >= groups {
-			m.Close()
-			return nil, fmt.Errorf("wal: GroupOf(%d) = %d outside [0,%d)", i, gi, groups)
-		}
-		w := &Writer{id: i, mgr: m, grp: m.groups[gi]}
-		m.groups[gi].members = append(m.groups[gi].members, w)
-		m.writers = append(m.writers, w)
+		m.writers = append(m.writers, &Writer{id: i, mgr: m})
 	}
 	return m, nil
-}
-
-func (m *Manager) groupPath(i int) string {
-	return filepath.Join(m.dir, GroupFileName(i))
 }
 
 // Writer returns the slot's writer.
@@ -711,9 +667,6 @@ func (m *Manager) Writer(slot int) *Writer { return m.writers[slot] }
 
 // NumWriters returns the writer count.
 func (m *Manager) NumWriters() int { return len(m.writers) }
-
-// NumGroups returns the commit-group (log file) count.
-func (m *Manager) NumGroups() int { return len(m.groups) }
 
 // constraintGSN returns the writer's contribution to the global flush
 // horizon: its flushed GSN while it has unflushed records, otherwise no
@@ -741,71 +694,50 @@ func (m *Manager) GlobalFlushedGSN() uint64 {
 }
 
 // WaitRemoteFlush makes every change with GSN <= gsn durable. This is the
-// expensive path RFA lets most transactions skip: it forces a flush on
-// every writer lagging the horizon.
+// expensive path RFA lets most transactions skip. Every writer lagging the
+// horizon whose buffer holds nothing at or above gsn has its horizon
+// advanced without touching the disk (flushing is still the only way to
+// know its buffer is empty up to gsn); then one flush drains every writer.
+// The unlocks are deferred so an injected crash mid-flush cannot strand a
+// mutex and deadlock peers.
 func (m *Manager) WaitRemoteFlush(gsn uint64) error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	lagging := false
 	for _, w := range m.writers {
 		if w.FlushedGSN() >= gsn {
 			continue
 		}
-		// The writer may simply have nothing at that GSN; flushing is
-		// still the only way to know its buffer is empty up to gsn.
-		if err := w.flushPast(gsn); err != nil {
-			return err
+		lagging = true
+		w.mu.Lock()
+		if w.bufferGSN < gsn {
+			w.raiseLocalGSN(gsn)
+			w.bufferGSN = gsn
 		}
+		w.mu.Unlock()
 	}
-	return nil
+	if !lagging {
+		return nil
+	}
+	return m.flushLocked()
 }
 
-// flushPast flushes the writer and advances its horizon to at least gsn
-// when it has nothing buffered at or above it. The unlocks are deferred so
-// an injected crash mid-flush cannot strand a mutex and deadlock peers.
-func (w *Writer) flushPast(gsn uint64) error {
-	g := w.grp
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	w.mu.Lock()
-	if w.bufferGSN < gsn {
-		// Everything this writer has even buffered is below gsn;
-		// advance its horizon without touching the disk.
-		w.raiseLocalGSN(gsn)
-		w.bufferGSN = gsn
-	}
-	w.mu.Unlock()
-	return g.flushLocked()
-}
-
-// FlushAll flushes every group (used at shutdown and checkpoints).
+// FlushAll drains every writer (used at shutdown and checkpoints).
 func (m *Manager) FlushAll() error {
-	for _, g := range m.groups {
-		g.mu.Lock()
-		err := g.flushLocked()
-		g.mu.Unlock()
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.flushLocked()
 }
 
-// Close flushes and closes all group files.
+// Close flushes every writer and closes the log file.
 func (m *Manager) Close() error {
-	var first error
-	for _, g := range m.groups {
-		if g == nil || g.f == nil {
-			continue
-		}
-		g.mu.Lock()
-		if err := g.flushLocked(); err != nil && first == nil {
-			first = err
-		}
-		err := g.f.Close()
-		g.mu.Unlock()
-		if err != nil && first == nil {
-			first = err
-		}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	err := m.flushLocked()
+	if cerr := m.f.Close(); err == nil {
+		err = cerr
 	}
-	return first
+	return err
 }
 
 // --- Remote Flush Avoidance tracking ----------------------------------------
@@ -831,10 +763,12 @@ func NeedsRemoteFlush(ps PageStamp, slot int, lastWriterFlushed uint64) bool {
 
 // --- Reading the log ----------------------------------------------------------
 
-// GroupFileName returns the name of commit group g's log file.
+// GroupFileName returns the name of the g-th log file. The manager writes
+// file 0; a directory or archive written by an earlier release may hold
+// more, one per commit group then, and every reader reads them all.
 func GroupFileName(g int) string { return fmt.Sprintf("wal-%04d.log", g) }
 
-// groupFiles returns dir's group log files in group order.
+// groupFiles returns dir's log files in name order.
 func groupFiles(dir string) ([]string, error) {
 	paths, err := filepath.Glob(filepath.Join(dir, "wal-*.log"))
 	if err != nil {
@@ -860,7 +794,7 @@ func Scan(data []byte, off int, fn func(r Record, raw []byte) bool) (next int) {
 	return off
 }
 
-// Recover reads every group file in dir, drops torn tails, and returns the
+// Recover reads every log file in dir, drops torn tails, and returns the
 // records ordered by (GSN, writer, LSN) for redo.
 //
 // A file whose tail fails to parse (a crash tore the final write, or a
@@ -918,25 +852,29 @@ func (m *Manager) MaxGSN() uint64 {
 	return max
 }
 
-// Truncate discards every group's on-disk log. The checkpoint that
-// captured the database state must be durable first. GSN clocks and LSNs
-// keep advancing so post-truncation records sort after history.
+// Truncate empties every log file in the directory: the open one and any
+// a directory written by an earlier release still holds (one per commit
+// group then). The checkpoint that captured the database state must be
+// durable first. GSN clocks and LSNs keep advancing so post-truncation
+// records sort after history.
 func (m *Manager) Truncate() error {
-	for _, g := range m.groups {
-		g.mu.Lock()
-		for _, w := range g.members {
-			w.mu.Lock()
-			pending := len(w.buf) != 0
-			w.mu.Unlock()
-			if pending {
-				g.mu.Unlock()
-				return fmt.Errorf("wal: truncate with unflushed records on writer %d", w.id)
-			}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for _, w := range m.writers {
+		w.mu.Lock()
+		pending := len(w.buf) != 0
+		w.mu.Unlock()
+		if pending {
+			return fmt.Errorf("wal: truncate with unflushed records on writer %d", w.id)
 		}
-		err := g.f.Truncate(0)
-		g.mu.Unlock()
-		if err != nil {
-			return fmt.Errorf("wal: truncate group %d: %w", g.id, err)
+	}
+	paths, err := groupFiles(m.dir)
+	if err != nil {
+		return err
+	}
+	for _, p := range paths {
+		if err := os.Truncate(p, 0); err != nil {
+			return fmt.Errorf("wal: truncate: %w", err)
 		}
 	}
 	return nil

@@ -237,7 +237,7 @@ func TestUnflushedRecordsNotRecovered(t *testing.T) {
 	rec := Record{Type: RecInsert, GSN: w.NextGSN(0)}
 	w.Append(&rec)
 	// Crash without flush: close the raw file without flushing the buffer.
-	w.grp.f.Close()
+	m.f.Close()
 	recs, err := Recover(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -331,6 +331,12 @@ func TestMaxGSNAndTruncate(t *testing.T) {
 	if g := m.MaxGSN(); g != 6 {
 		t.Fatalf("MaxGSN = %d, want 6", g)
 	}
+	// A second log file, as a directory written with several commit groups
+	// holds: truncation must empty it too.
+	legacy := filepath.Join(dir, GroupFileName(3))
+	if err := os.WriteFile(legacy, encodeRecord(nil, &Record{Type: RecInsert, GSN: 2}), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	if err := m.Truncate(); err != nil {
 		t.Fatal(err)
 	}
@@ -340,6 +346,11 @@ func TestMaxGSNAndTruncate(t *testing.T) {
 	}
 	if len(recs) != 0 {
 		t.Fatalf("recovered %d records after truncate", len(recs))
+	}
+	if st, err := os.Stat(legacy); err != nil {
+		t.Fatal(err)
+	} else if st.Size() != 0 {
+		t.Fatalf("second log file holds %d bytes after truncate, want 0", st.Size())
 	}
 	// GSN clock survives truncation: new records sort after history.
 	if g := w1.NextGSN(0); g <= 6 {
@@ -357,7 +368,7 @@ func TestFlushIOErrorSurfaces(t *testing.T) {
 	w := m.Writer(0)
 	rec := Record{Type: RecInsert, GSN: w.NextGSN(0), Payload: []byte("doomed")}
 	w.Append(&rec)
-	w.grp.f.Close() // simulate device failure
+	m.f.Close() // simulate device failure
 	if err := w.Flush(); err == nil {
 		t.Fatal("flush on closed file succeeded")
 	}

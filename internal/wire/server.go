@@ -695,12 +695,10 @@ func (s *Server) execute(c *conn, ps *phoebedb.PoolSession, req *request, dst []
 		if ps.InTxn() || st.aborted {
 			return AppendError(dst, ErrCodeTxn, "transaction already in progress"), false
 		}
-		iso := ps.DefaultIsolation()
+		iso := phoebedb.ReadCommitted
 		if len(req.body) >= 1 {
 			switch req.body[0] {
-			case 0:
-			case 1:
-				iso = phoebedb.ReadCommitted
+			case 0, 1: // 0 asks for the default, ReadCommitted
 			case 2:
 				iso = phoebedb.RepeatableRead
 			default:

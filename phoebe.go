@@ -116,8 +116,6 @@ type Options struct {
 	// record. A serial workload pays the probe only; two synchronous
 	// clients pay the time until the second one's commit arrives.
 	GroupCommitWait time.Duration
-	// Isolation is the default level for Execute (ReadCommitted).
-	Isolation Isolation
 	// LockTimeout bounds lock waits (default 2s).
 	LockTimeout time.Duration
 	// ColdCacheBytes bounds the per-table LRU of cold-segment blocks as
@@ -237,20 +235,6 @@ func Open(opts Options) (*DB, error) {
 				return slot / spw
 			}
 			return slot - poolSlots
-		},
-		// Group commit: every pool slot shares one WAL file, so one
-		// member's commit fsync covers every concurrently buffered
-		// commit — across workers, not just within one worker's
-		// co-routine set. That is what turns N simultaneous commits
-		// into ~one fsync. Session and system slots keep private
-		// files — they are interactive and must not convoy behind
-		// pool commits.
-		WALGroups: 1 + sessions + 1,
-		WALGroupOf: func(slot int) int {
-			if slot < poolSlots {
-				return 0
-			}
-			return 1 + (slot - poolSlots)
 		},
 		GroupCommitWait: groupWait,
 	})
@@ -415,10 +399,11 @@ func (db *DB) CreateIndex(table, index string, cols []string, unique bool) error
 // recovers (see internal/core Recover).
 func (db *DB) Recover() (int, error) { return db.engine.Recover() }
 
-// Execute runs fn as one transaction on a pool task slot: commit on nil,
-// rollback on error. It blocks until the transaction finishes.
+// Execute runs fn as one ReadCommitted transaction on a pool task slot:
+// commit on nil, rollback on error. It blocks until the transaction
+// finishes.
 func (db *DB) Execute(fn func(tx *Tx) error) error {
-	return db.ExecuteIso(db.opts.Isolation, fn)
+	return db.ExecuteIso(ReadCommitted, fn)
 }
 
 // ExecuteIso is Execute at an explicit isolation level.
@@ -431,7 +416,7 @@ func (db *DB) ExecuteIso(iso Isolation, fn func(tx *Tx) error) error {
 // aggregates: wall time, wait-event breakdown, buffer misses, and WAL
 // bytes all land under tag in phoebe_stat_statements.
 func (db *DB) ExecuteTagged(tag string, fn func(tx *Tx) error) error {
-	return db.execute(db.opts.Isolation, tag, fn)
+	return db.execute(ReadCommitted, tag, fn)
 }
 
 // execute is the body of Execute, ExecuteIso and ExecuteTagged: fn runs as

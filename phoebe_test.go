@@ -256,7 +256,7 @@ func TestFreezeViaFacade(t *testing.T) {
 }
 
 // TestPoolSlotsShareFsyncs: every pool slot, whichever worker owns it,
-// commits into one WAL group, so commits arriving together from different
+// commits into the one WAL commit group, so commits arriving together from different
 // workers share one device flush instead of paying one fsync each.
 func TestPoolSlotsShareFsyncs(t *testing.T) {
 	db := openTestDB(t, Options{WALSync: true, Workers: 4, SlotsPerWorker: 1})

@@ -65,9 +65,6 @@ func (ps *PoolSession) Slot() int { return ps.slot.ID }
 // InTxn reports whether an explicit transaction is open.
 func (ps *PoolSession) InTxn() bool { return ps.tx != nil }
 
-// DefaultIsolation returns the database's configured default level.
-func (ps *PoolSession) DefaultIsolation() Isolation { return ps.db.opts.Isolation }
-
 // Begin opens an explicit transaction on the session's slot. It fails if
 // one is already open.
 func (ps *PoolSession) Begin(iso Isolation) error {
@@ -108,7 +105,7 @@ func (ps *PoolSession) ExecSQL(query string, sink sql.RowSink) (int, error) {
 	if ps.tx != nil {
 		return ps.db.execTx(ps.tx, query, sink)
 	}
-	tx := ps.db.engine.Begin(ps.slot.ID, ps.db.opts.Isolation, ps.slot.Metrics, ps.slot.Yield, ps.slot.Wait)
+	tx := ps.db.engine.Begin(ps.slot.ID, ReadCommitted, ps.slot.Metrics, ps.slot.Yield, ps.slot.Wait)
 	n, err := ps.db.execTx(tx, query, sink)
 	if err != nil {
 		tx.Rollback()
