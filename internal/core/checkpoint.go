@@ -92,7 +92,7 @@ func (e *Engine) Checkpoint() error {
 	// post-checkpoint records below it.)
 	cpGSN := e.WAL.MaxGSN()
 	for i := 0; i < e.WAL.NumWriters(); i++ {
-		e.WAL.Writer(i).AdvanceGSN(cpGSN)
+		e.WAL.Writer(i).RaiseGSN(cpGSN)
 	}
 
 	// Cold-tier durability rides the checkpoint: segments already live in
@@ -403,7 +403,7 @@ func (e *Engine) loadCheckpoint(hdr CheckpointHeader, tables []checkpointTable) 
 	}
 	e.Mgr.Clock.AdvanceTo(hdr.Clock + 1)
 	for i := 0; i < e.WAL.NumWriters(); i++ {
-		e.WAL.Writer(i).AdvanceGSN(hdr.GSN)
+		e.WAL.Writer(i).RaiseGSN(hdr.GSN)
 	}
 	return nil
 }

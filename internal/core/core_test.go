@@ -3,6 +3,9 @@ package core
 import (
 	"errors"
 	"fmt"
+	"io/fs"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -10,6 +13,7 @@ import (
 	"phoebedb/internal/lock"
 	"phoebedb/internal/rel"
 	"phoebedb/internal/txn"
+	"phoebedb/internal/wal"
 )
 
 func accountSchema() *rel.Schema {
@@ -737,34 +741,117 @@ func TestCatalogErrors(t *testing.T) {
 	}
 }
 
-func TestRFATracksRemoteDependencies(t *testing.T) {
-	e := openTestEngine(t, Config{Slots: 4})
+// TestCommitOutlivesLostForeignRecords: a commit that shares a page with
+// another slot's uncommitted change depends on nothing but its own records.
+// Slot 3 updates row A and does not commit; slot 2 inserts row B on the same
+// page and commits. A copy of the directory whose log lacks every record of
+// slot 3's transaction (what a lost foreign flush would leave) recovers B
+// and A's committed value, because redo applies only transactions whose
+// commit record is on disk and never compares page GSNs. A copy taken after
+// slot 3 commits recovers A's new value.
+func TestCommitOutlivesLostForeignRecords(t *testing.T) {
+	dir := t.TempDir()
+	e := openTestEngine(t, Config{Dir: dir, Slots: 4})
 	setupAccounts(t, e)
 	w := begin(e, 0)
-	rid, _ := w.Insert("accounts", acct(1, "a", 1))
-	w.Commit()
-	// Slot 0 committed (and flushed). A write from slot 1 to the same page
-	// sees a flushed remote stamp: no remote dependency.
-	t1 := begin(e, 1)
-	t1.Update("accounts", rid, map[string]rel.Value{"balance": rel.Float(2)})
-	if t1.inner.NeedsRemoteFlush {
-		t.Fatal("flushed remote write flagged as dependency")
-	}
-	t1.Commit()
-	// Now slot 2 writes but does NOT commit (log unflushed), then slot 3
-	// touches the same page: remote dependency.
-	t2 := begin(e, 2)
-	t2.Update("accounts", rid, map[string]rel.Value{"balance": rel.Float(3)})
-	t3 := begin(e, 3)
-	rid2, _ := t3.Insert("accounts", acct(2, "b", 1)) // same tail page
-	_ = rid2
-	if !t3.inner.NeedsRemoteFlush {
-		t.Fatal("unflushed remote write not flagged")
-	}
-	if err := t3.Commit(); err != nil { // must trigger the remote wait path
+	ridA, err := w.Insert("accounts", acct(1, "a", 1))
+	if err != nil {
 		t.Fatal(err)
 	}
-	t2.Commit()
+	if err := w.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	foreign := begin(e, 3)
+	if err := foreign.Update("accounts", ridA, map[string]rel.Value{"balance": rel.Float(3)}); err != nil {
+		t.Fatal(err)
+	}
+	own := begin(e, 2)
+	if _, err := own.Insert("accounts", acct(2, "b", 2)); err != nil {
+		t.Fatal(err)
+	}
+	if tbl, _ := e.Table("accounts"); tbl.Store.NumPages() != 1 {
+		t.Fatalf("rows span %d pages, want both changes on one page", tbl.Store.NumPages())
+	}
+	if err := own.Commit(); err != nil {
+		t.Fatal(err)
+	}
+
+	lost := filepath.Join(t.TempDir(), "lost")
+	copyDir(t, dir, lost)
+	if dropped := dropXID(t, filepath.Join(lost, "wal", wal.GroupFileName(0)), foreign.XID()); dropped == 0 {
+		t.Fatal("slot 3's update never reached the log: nothing to lose")
+	}
+	checkBalances(t, lost, 1)
+
+	if err := foreign.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	later := filepath.Join(t.TempDir(), "later")
+	copyDir(t, dir, later)
+	checkBalances(t, later, 3)
+}
+
+// copyDir copies the regular files under src to dst.
+func copyDir(t *testing.T, src, dst string) {
+	t.Helper()
+	err := filepath.WalkDir(src, func(p string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		name, _ := filepath.Rel(src, p)
+		if d.IsDir() {
+			return os.MkdirAll(filepath.Join(dst, name), 0o755)
+		}
+		b, err := os.ReadFile(p)
+		if err != nil {
+			return err
+		}
+		return os.WriteFile(filepath.Join(dst, name), b, 0o644)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// dropXID rewrites the log at path without xid's records and returns how
+// many it dropped.
+func dropXID(t *testing.T, path string, xid uint64) (dropped int) {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var kept []byte
+	wal.Scan(data, 0, func(r wal.Record, raw []byte) bool {
+		if r.XID == xid {
+			dropped++
+		} else {
+			kept = append(kept, raw...)
+		}
+		return true
+	})
+	if err := os.WriteFile(path, kept, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return dropped
+}
+
+// checkBalances recovers dir and requires row 1 at balance a and row 2
+// present.
+func checkBalances(t *testing.T, dir string, a float64) {
+	t.Helper()
+	e := openTestEngine(t, Config{Dir: dir, Slots: 4})
+	if _, err := e.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	r := begin(e, 0)
+	defer r.Rollback()
+	if _, row, ok, _ := r.GetByIndex("accounts", "accounts_pk", rel.Int(1)); !ok || row[2].F != a {
+		t.Fatalf("row 1 after recovery = (%v, %v), want balance %v", row, ok, a)
+	}
+	if _, _, ok, _ := r.GetByIndex("accounts", "accounts_pk", rel.Int(2)); !ok {
+		t.Fatal("committed row 2 lost")
+	}
 }
 
 func TestMaintainWorkerRuns(t *testing.T) {

@@ -1,8 +1,8 @@
 // Package core assembles PhoebeDB's kernel (§4): the temperature-layered
 // storage engine, MVCC transaction management with in-memory UNDO, the
-// decentralized lock manager, the parallel WAL with Remote Flush Avoidance,
-// and the maintenance duties (page swap, garbage collection, freezing)
-// that the co-routine scheduler drives.
+// decentralized lock manager, the parallel WAL with group commit, and the
+// maintenance duties (page swap, garbage collection, freezing) that the
+// co-routine scheduler drives.
 //
 // The engine is embedded: DDL is performed through the API and logged like
 // any other change, transactions are executed on task slots (pool slots
@@ -90,8 +90,8 @@ type Config struct {
 	// IO receives I/O byte accounting; one is created if nil.
 	IO *metrics.IOCounters
 	// Waits receives per-slot wait-event stamps from the engine's blocking
-	// sites (table/tuple lock waits, remote-flush waits, buffer-miss reads,
-	// WAL flushes); may be nil, in which case no stamping occurs.
+	// sites (table/tuple lock waits, buffer-miss reads, WAL flushes); may
+	// be nil, in which case no stamping occurs.
 	Waits *waitevent.Slots
 	// SlowTxnThreshold arms the slow-transaction log: any transaction whose
 	// total latency exceeds it is captured with its component breakdown.

@@ -81,7 +81,7 @@ func (rd *Redo) Apply(n int) (int, error) {
 func (rd *Redo) apply(n int) (applied int, err error) {
 	rd.e.Mgr.Clock.AdvanceTo(rd.maxTS + 1)
 	for i := 0; i < rd.e.WAL.NumWriters(); i++ {
-		rd.e.WAL.Writer(i).AdvanceGSN(rd.maxGSN)
+		rd.e.WAL.Writer(i).RaiseGSN(rd.maxGSN)
 	}
 	n = min(n, len(rd.commits))
 	due := rd.commits[:n]

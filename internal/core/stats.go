@@ -8,9 +8,9 @@ import (
 )
 
 // EngineStats are the engine-wide always-on counters. Everything here is
-// atomic and incremented at the source (commit path, lock manager, RFA
-// check, GC rounds), so scraping is race-free while transactions run. The
-// cost per increment is one uncontended atomic add — the same bookkeeping
+// atomic and incremented at the source (commit path, lock manager, GC
+// rounds), so scraping is race-free while transactions run. The cost per
+// increment is one uncontended atomic add — the same bookkeeping
 // partitioning argument as §7.1, since each counter is touched either by
 // one slot at a time or rarely.
 type EngineStats struct {
@@ -23,13 +23,6 @@ type EngineStats struct {
 	// the decentralized table-lock blocks.
 	TupleLockWaits atomic.Int64
 	TableLocks     lock.Stats
-
-	// RemoteFlushWaits counts commits that had to wait for a foreign
-	// writer's durable horizon; RFAAvoided counts cross-slot page touches
-	// where the stamp check proved the foreign change already durable —
-	// the remote flushes that RFA (§8) eliminated.
-	RemoteFlushWaits atomic.Int64
-	RFAAvoided       atomic.Int64
 
 	// MVCCFastPath counts visibility checks satisfied by the watermark
 	// fast path (stamped commit timestamp below the global watermark: no

@@ -314,27 +314,12 @@ func (tx *Tx) releaseTableLocks() {
 }
 
 // logChange appends a WAL record for a change to pg under its latch,
-// maintaining the RFA page stamp (§8).
+// advancing the page's GSN (§8).
 func (tx *Tx) logChange(pg *table.Page, typ wal.RecordType, tableID uint32, rid rel.RowID, payload []byte) {
 	start := time.Now()
 	w := tx.e.WAL.Writer(tx.slot)
-	st := pg.Stamp
-	if st.LastWriter >= 0 && int(st.LastWriter) != tx.slot {
-		lastFlushed := tx.e.WAL.Writer(int(st.LastWriter)).FlushedGSN()
-		if wal.NeedsRemoteFlush(st, tx.slot, lastFlushed) {
-			tx.inner.NeedsRemoteFlush = true
-			if st.GSN > tx.inner.MaxObservedGSN {
-				tx.inner.MaxObservedGSN = st.GSN
-			}
-		} else {
-			// The foreign writer's change is already durable: RFA (§8)
-			// just avoided a remote flush dependency.
-			tx.e.stats.RFAAvoided.Add(1)
-		}
-	}
-	gsn := w.NextGSN(st.GSN)
-	pg.Stamp = wal.PageStamp{GSN: gsn, LastWriter: int32(tx.slot)}
-	rec := wal.Record{Type: typ, GSN: gsn, XID: tx.XID(), TableID: tableID, RowID: uint64(rid), Payload: payload}
+	pg.GSN = w.NextGSN(pg.GSN)
+	rec := wal.Record{Type: typ, GSN: pg.GSN, XID: tx.XID(), TableID: tableID, RowID: uint64(rid), Payload: payload}
 	w.Append(&rec)
 	tx.track(metrics.CompWAL, start)
 }
@@ -1107,18 +1092,10 @@ func (tx *Tx) Commit() error {
 		cr := wal.Record{Type: wal.RecCommit, GSN: w.NextGSN(0), XID: tx.XID(), RowID: cts}
 		w.Append(&cr)
 		tx.track(metrics.CompWAL, walStart)
-		// The flush itself (and any remote-flush wait) is an I/O stall,
-		// accounted separately from WAL CPU work.
+		// The flush itself is an I/O stall, accounted separately from WAL
+		// CPU work.
 		flushStart := time.Now()
 		err := w.Flush()
-		if err == nil && tx.inner.NeedsRemoteFlush {
-			// RFA slow path: a foreign slot's unflushed change to one of
-			// our pages must be durable before we report commit.
-			tx.e.stats.RemoteFlushWaits.Add(1)
-			seg := tx.tctx.Waits.Begin(tx.slot, waitevent.EvRemoteFlush)
-			err = tx.e.WAL.WaitRemoteFlush(tx.inner.MaxObservedGSN)
-			tx.tctx.Waits.End(tx.slot, waitevent.EvRemoteFlush, seg)
-		}
 		tx.addWait(time.Since(flushStart))
 		if err != nil {
 			tx.rollbackChanges()

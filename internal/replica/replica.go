@@ -212,7 +212,6 @@ func (s *Standby) readNewArchived(final bool) ([]wal.Record, error) {
 			if o < segEnd && seg.Length > 0 {
 				// o - sAll is a record boundary: o only advances whole records.
 				if err := backup.ScanSegment(s.ArchiveDir, &seg, int(o-sAll), func(r wal.Record, _ []byte) {
-					r.Writer = int32(g)
 					out = append(out, r)
 				}); err != nil {
 					return nil, err
@@ -310,7 +309,7 @@ func (s *Standby) Promote() error {
 				maxGSN = max(maxGSN, seg.LastGSN)
 			}
 			for i := 0; i < s.Engine.WAL.NumWriters(); i++ {
-				s.Engine.WAL.Writer(i).AdvanceGSN(maxGSN)
+				s.Engine.WAL.Writer(i).RaiseGSN(maxGSN)
 			}
 		}
 	}

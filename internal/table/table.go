@@ -5,9 +5,9 @@
 // tree's key space only ever grows at the right edge; the structure is a
 // routing directory (the inner level) over PAX leaf pages. Each leaf page
 // carries its own latch, swizzled payload (hot/cooling/cold), twin table
-// pointer (§6.2), RFA page stamp (§8), and decayed access count (§5.2's
-// data temperature). There is no global page table: a page is reached only
-// through the directory and its swip.
+// pointer (§6.2), the GSN of its last logged change (§8), and decayed
+// access count (§5.2's data temperature). There is no global page table: a
+// page is reached only through the directory and its swip.
 //
 // Pages holding version chains or tuple locks (a live twin table) are
 // pinned in memory — their UNDO bookkeeping must stay addressable — and
@@ -31,7 +31,6 @@ import (
 	"phoebedb/internal/swizzle"
 	"phoebedb/internal/undo"
 	"phoebedb/internal/waitevent"
-	"phoebedb/internal/wal"
 )
 
 // Ctx carries a caller's scheduling and observability identity through the
@@ -143,8 +142,10 @@ type Page struct {
 	open atomic.Bool
 
 	// Guarded by lt (exclusive for writes):
-	Twin  *undo.TwinTable
-	Stamp wal.PageStamp
+	Twin *undo.TwinTable
+	// GSN is the GSN of the page's last logged change: the next change's
+	// record takes a GSN above it, so changes to one page are GSN-ordered.
+	GSN uint64
 
 	table *Table
 	part  int // buffer partition owning this page
@@ -305,7 +306,6 @@ func (t *Table) newPage(firstRID rel.RowID, part int, open bool) *Page {
 	pg := &Page{firstRowID: firstRID, table: t, part: part}
 	pl := &Payload{Rows: pax.NewPage(t.Schema, t.PageCap)}
 	pg.swip.Swizzle(pl)
-	pg.Stamp.LastWriter = -1
 	pg.open.Store(open)
 	t.dirMu.Lock()
 	pos := sort.Search(len(t.dir), func(i int) bool { return t.dir[i].firstRowID > pg.firstRowID })
@@ -848,7 +848,6 @@ func (t *Table) ImportImages(images []PageImage, nextRowID, maxFrozenRID uint64)
 		}
 		pg := &Page{firstRowID: im.FirstRID, table: t, part: 0}
 		pg.swip.Swizzle(pl)
-		pg.Stamp.LastWriter = -1
 		t.dirMu.Lock()
 		t.dir = append(t.dir, pg)
 		t.dirMu.Unlock()
@@ -981,7 +980,6 @@ func (t *Table) splitPage(pg *Page, pl *Payload) error {
 	pl.IDs = pl.IDs[:half]
 	pl.Deleted = pl.Deleted[:half]
 	right.swip.Swizzle(rpl)
-	right.Stamp.LastWriter = -1
 
 	t.dirMu.Lock()
 	pos := sort.Search(len(t.dir), func(i int) bool { return t.dir[i].firstRowID > pg.firstRowID })

@@ -127,11 +127,6 @@ type Txn struct {
 	// Records are the transaction's UNDO records in creation order; the
 	// commit-phase stamping scan walks them once (§6.2).
 	Records []*undo.Record
-
-	// RFA state (§8): set when the transaction touched a page whose last
-	// logged change came from another slot and was not yet durable.
-	NeedsRemoteFlush bool
-	MaxObservedGSN   uint64
 }
 
 // Begin starts a transaction on the slot in t, resetting it in place. The

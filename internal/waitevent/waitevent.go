@@ -41,8 +41,6 @@ const (
 	// EvWALGroupLead is the group-commit leader's adaptive wait window,
 	// deliberately idling so followers can join the flush.
 	EvWALGroupLead
-	// EvRemoteFlush is waiting for a standby to acknowledge the commit GSN.
-	EvRemoteFlush
 	// EvSchedYield is a low-urgency scheduler park (the slot gave its
 	// worker away while waiting for a wakeup).
 	EvSchedYield
@@ -62,7 +60,6 @@ var names = [NumEvents]string{
 	EvBufferIO:     "buffer_io",
 	EvWALFlush:     "wal_flush",
 	EvWALGroupLead: "wal_group_lead",
-	EvRemoteFlush:  "remote_flush",
 	EvSchedYield:   "sched_yield",
 	EvServer:       "server",
 }

@@ -17,11 +17,9 @@ func TestGroupFlushDrainsAllMembers(t *testing.T) {
 	if logs, _ := groupFiles(dir); len(logs) != 1 || m.NumWriters() != 4 {
 		t.Fatalf("log files=%v writers=%d, want one file for four writers", logs, m.NumWriters())
 	}
-	var gsns [4]uint64
 	for i := 0; i < 4; i++ {
 		w := m.Writer(i)
 		rec := Record{Type: RecInsert, GSN: w.NextGSN(0), XID: uint64(i + 1)}
-		gsns[i] = rec.GSN
 		w.Append(&rec)
 	}
 	// Writer 0 commits; the leader flush must carry writers 1-3 too.
@@ -32,9 +30,8 @@ func TestGroupFlushDrainsAllMembers(t *testing.T) {
 		t.Fatalf("group flush hit the device %d times, want 1", got)
 	}
 	for i := 0; i < 4; i++ {
-		if m.Writer(i).FlushedGSN() < gsns[i] {
-			t.Fatalf("writer %d horizon %d below its record GSN %d after group flush",
-				i, m.Writer(i).FlushedGSN(), gsns[i])
+		if m.Writer(i).pending() {
+			t.Fatalf("writer %d still buffers records after the group flush", i)
 		}
 	}
 	// A follower arriving after the leader has nothing left to write.
@@ -56,80 +53,6 @@ func TestGroupFlushDrainsAllMembers(t *testing.T) {
 	}
 }
 
-// TestNeedsRemoteFlushAgainstGroupFlusher pins the RFA rule's interaction
-// with group commit: a page stamped by an unflushed foreign writer needs a
-// remote flush until ANY group flush covering that writer runs — including
-// a flush led by a different writer.
-func TestNeedsRemoteFlushAgainstGroupFlusher(t *testing.T) {
-	m := openTestManager(t, 2)
-	w0, w1 := m.Writer(0), m.Writer(1)
-
-	// Writer 1 logs a change to its own page.
-	r1 := Record{Type: RecUpdate, GSN: w1.NextGSN(0), XID: 11}
-	w1.Append(&r1)
-	ps1 := PageStamp{GSN: r1.GSN, LastWriter: 1}
-
-	// Slot 0 touching the page depends on the foreign unflushed change.
-	if !NeedsRemoteFlush(ps1, 0, w1.FlushedGSN()) {
-		t.Fatal("unflushed same-group foreign write did not require a remote flush")
-	}
-	// Its own page never depends on it, flushed or not.
-	if NeedsRemoteFlush(ps1, 1, w1.FlushedGSN()) {
-		t.Fatal("RFA fired for the stamping slot itself")
-	}
-
-	// Writer 0 commits. Its group flush drains writer 1 as a side effect,
-	// clearing the RFA dependency on ps1 without writer 1 ever flushing.
-	rc := Record{Type: RecCommit, GSN: w0.NextGSN(0), XID: 1}
-	w0.Append(&rc)
-	if err := w0.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if NeedsRemoteFlush(ps1, 0, w1.FlushedGSN()) {
-		t.Fatal("group flush did not clear the same-group RFA dependency")
-	}
-}
-
-// TestWaitRemoteFlushIsOnePass: after a commit's own flush, WaitRemoteFlush
-// advances idle writers without a device write; with records buffered on
-// several writers since, it drains them all in at most one.
-func TestWaitRemoteFlushIsOnePass(t *testing.T) {
-	m := openTestManager(t, 4)
-	w0, w1, w2 := m.Writer(0), m.Writer(1), m.Writer(2)
-	held := Record{Type: RecUpdate, GSN: w1.NextGSN(0), XID: 11}
-	w1.Append(&held) // writer 1 holds a record; writers 2 and 3 stay idle
-	gsn := commitOn(w0, 1)
-	if err := w0.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	before := m.Flushes()
-	if err := m.WaitRemoteFlush(gsn); err != nil {
-		t.Fatal(err)
-	}
-	if got := m.Flushes() - before; got != 0 {
-		t.Fatalf("WaitRemoteFlush after a covering commit flush wrote %d times, want 0", got)
-	}
-	if got := m.GlobalFlushedGSN(); got < gsn {
-		t.Fatalf("global horizon %d below %d after WaitRemoteFlush", got, gsn)
-	}
-
-	// Records buffered since on two writers: one pass covers both.
-	ra := Record{Type: RecUpdate, GSN: w1.NextGSN(gsn), XID: 12}
-	w1.Append(&ra)
-	rb := Record{Type: RecUpdate, GSN: w2.NextGSN(ra.GSN), XID: 13}
-	w2.Append(&rb)
-	before = m.Flushes()
-	if err := m.WaitRemoteFlush(rb.GSN); err != nil {
-		t.Fatal(err)
-	}
-	if got := m.Flushes() - before; got > 1 {
-		t.Fatalf("WaitRemoteFlush over two lagging writers wrote %d times, want at most 1", got)
-	}
-	if got := m.GlobalFlushedGSN(); got < rb.GSN {
-		t.Fatalf("global horizon %d below %d after WaitRemoteFlush", got, rb.GSN)
-	}
-}
-
 // TestGroupFlushKeepsMidFlightAppends: records appended to a member while a
 // leader's flush is in flight must survive in the buffer (trim-by-prefix)
 // and flush later with higher GSNs.
@@ -140,16 +63,19 @@ func TestGroupFlushKeepsMidFlightAppends(t *testing.T) {
 		t.Fatal(err)
 	}
 	w0, w1 := m.Writer(0), m.Writer(1)
-	ra := Record{Type: RecInsert, GSN: w1.NextGSN(0), RowID: 1}
+	ra := Record{Type: RecInsert, GSN: w1.NextGSN(0), XID: 2, RowID: 1}
 	w1.Append(&ra)
-	if err := w0.Flush(); err != nil { // drains w1's first record
+	commitOn(w0, 1)
+	if err := w0.Flush(); err != nil { // drains w1's first record too
 		t.Fatal(err)
 	}
-	horizon := w1.FlushedGSN()
-	rb := Record{Type: RecInsert, GSN: w1.NextGSN(0), RowID: 2}
+	if w1.pending() {
+		t.Fatal("w0's flush left w1's record buffered")
+	}
+	rb := Record{Type: RecInsert, GSN: w1.NextGSN(0), XID: 2, RowID: 2}
 	w1.Append(&rb)
-	if w1.FlushedGSN() != horizon || horizon >= rb.GSN {
-		t.Fatalf("horizon %d moved past undrained record GSN %d", w1.FlushedGSN(), rb.GSN)
+	if !w1.pending() {
+		t.Fatal("record appended after the flush is not buffered")
 	}
 	if err := w1.Flush(); err != nil {
 		t.Fatal(err)
@@ -161,7 +87,13 @@ func TestGroupFlushKeepsMidFlightAppends(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(recs) != 2 || recs[0].RowID != 1 || recs[1].RowID != 2 {
+	var rows []uint64
+	for _, r := range recs {
+		if r.XID == 2 {
+			rows = append(rows, r.RowID)
+		}
+	}
+	if len(recs) != 4 || len(rows) != 2 || rows[0] != 1 || rows[1] != 2 {
 		t.Fatalf("recovered %v", recs)
 	}
 }
@@ -277,8 +209,8 @@ func TestFollowerJoinsParkedLeader(t *testing.T) {
 	if err := m.Writer(1).Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if got := m.Writer(1).FlushedGSN(); got < gsn {
-		t.Fatalf("follower returned with horizon %d below its commit GSN %d", got, gsn)
+	if got := logGSNs(t, m); len(got) == 0 || got[len(got)-1] < gsn {
+		t.Fatalf("follower returned with its commit GSN %d not in the log %v", gsn, got)
 	}
 	if got := m.Flushes(); got != 1 {
 		t.Fatalf("follower returned after %d flushes, want exactly the leader's 1", got)
@@ -334,8 +266,8 @@ func TestLeaderWaitsForOpenTransaction(t *testing.T) {
 	}
 }
 
-// TestParkedLeaderWokenByForeignFlush: a flush from elsewhere (checkpoint,
-// remote flush) that covers a parked leader ends its window.
+// TestParkedLeaderWokenByForeignFlush: a flush from elsewhere (a checkpoint,
+// a catalog record) that covers a parked leader ends its window.
 func TestParkedLeaderWokenByForeignFlush(t *testing.T) {
 	m := openWaiting(t, 2, 5*time.Second)
 	done := make(chan error, 1)

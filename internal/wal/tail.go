@@ -142,13 +142,12 @@ func (t *Tailer) fetchGroup(tg *tailGroup, path string) error {
 }
 
 // Scan walks group g's snapshot with wal.Scan, advancing the offset past
-// every record fn accepts (Record.Writer is set to g). The raw bytes handed
-// to fn are valid until the next Fetch.
+// every record fn accepts. The raw bytes handed to fn are valid until the
+// next Fetch.
 func (t *Tailer) Scan(g int, fn func(r Record, raw []byte) bool) {
 	tg := &t.groups[g]
 	atStart := tg.off == 0
 	n := Scan(tg.buf, 0, func(r Record, raw []byte) bool {
-		r.Writer = int32(g)
 		if !fn(r, raw) {
 			return false
 		}

@@ -1,5 +1,4 @@
-// Package wal implements PhoebeDB's parallel write-ahead log with Remote
-// Flush Avoidance (§8).
+// Package wal implements PhoebeDB's parallel write-ahead log (§8).
 //
 // Following the "Non-Force, Steal" principle, committed transactions need
 // not have their data pages flushed, and dirty pages of uncommitted
@@ -15,11 +14,14 @@
 //     a page, so any two changes to the same page are GSN-ordered.
 //   - LSN (Log Sequence Number): strictly increasing within one writer.
 //
-// Remote Flush Avoidance decouples commit from unrelated writers: a
-// transaction that only touched pages last written by its own slot (or
-// whose foreign writes are already durable) commits after flushing its own
-// writer. Only when it observed an unflushed change by another slot does it
-// wait for the remote flush horizon.
+// A commit flushes once and returns. The paper's Remote Flush Avoidance,
+// which makes a commit wait for another slot's flush when it touched a page
+// that slot changed, has no work here: redo applies only transactions whose
+// commit record is on disk, each writer's records reach the file in order,
+// and no transaction sees another's writes before their commit is durable.
+// A foreign record that shares a page with a commit therefore needs no
+// flush on the commit's behalf: if its transaction commits, that commit's
+// own flush makes it durable; if not, redo drops it, on disk or not.
 //
 // Every writer drains into one commit group and one log file,
 // wal-0000.log. The first committer to reach the flush mutex becomes the
@@ -28,15 +30,16 @@
 // return without touching the device. A leader that expects company parks
 // for a bounded window first; a committer arriving meanwhile joins that
 // leader and ends the window as soon as the batch is complete (see
-// Writer.Flush). Buffers are trimmed only after the write and fsync
-// succeed, so a torn or failed flush never loses an acknowledged commit.
+// Writer.Flush). Buffers are trimmed only after the write succeeds, and a
+// failed fsync latches the log broken, so a torn or failed flush never
+// loses an acknowledged commit.
 //
-// Recovery merges all log files (a directory written by an earlier release
-// may hold several), orders records by GSN (stable by file, LSN), verifies
-// checksums, truncates at the first torn record of each file, and hands
-// the ordered stream to the engine for redo. Per-writer order survives the
-// merge because a writer's records carry strictly increasing GSNs and
-// drain to the file in LSN order.
+// Recovery reads all log files in name order (a directory written by an
+// earlier release may hold several), verifies checksums, truncates at the
+// first torn record of each file, sorts the records stably by GSN, and
+// hands the ordered stream to the engine for redo. Per-writer order
+// survives the sort because a writer's records carry strictly increasing
+// GSNs and drain to the file in LSN order.
 package wal
 
 import (
@@ -112,7 +115,6 @@ type Record struct {
 	XID     uint64
 	TableID uint32
 	RowID   uint64
-	Writer  int32 // filled during recovery
 	Payload []byte
 }
 
@@ -175,10 +177,9 @@ type Writer struct {
 	id  int
 	mgr *Manager
 
-	mu        sync.Mutex
-	buf       []byte
-	lsn       uint64
-	bufferGSN uint64 // highest GSN appended to buf (may be unflushed)
+	mu  sync.Mutex
+	buf []byte
+	lsn uint64
 	// bufCommits counts RecCommit records currently in buf; the group
 	// flush uses it to measure how many commits one device write retired.
 	bufCommits int
@@ -186,28 +187,23 @@ type Writer struct {
 	// an abort: the slot is mid-transaction with unflushed records, so its
 	// commit is a candidate for the next group flush. Written under mu,
 	// read lock-free by committers sizing up the batch.
-	open       atomic.Bool
-	flushedGSN atomic.Uint64
+	open atomic.Bool
 	// appended counts total bytes ever encoded into this writer's stream.
 	// Per-statement accounting differences it around a statement to charge
 	// log volume to the statement that generated it.
 	appended atomic.Int64
 	// localGSN is the highest GSN assigned by this writer. Atomic rather
-	// than owner-private: a remote commit's WaitRemoteFlush fast-forwards
-	// it when it advances the flushed horizon past an empty buffer, so the
-	// owner can never assign a GSN below an already-published horizon.
+	// than owner-private: RaiseGSN lifts it from other goroutines (catalog
+	// records, checkpoints, backup horizons) while the owner logs.
 	localGSN atomic.Uint64
 }
 
 // flushPart records how much of one writer's buffer a group flush captured:
-// the first n buffered bytes and the buffer's GSN high-water mark at capture
-// time. Only that prefix is trimmed (and only that horizon published) after
-// the write and fsync succeed — records appended while the flush was in
-// flight stay buffered with strictly greater GSNs.
+// the first n buffered bytes. Only that prefix is trimmed once the write
+// succeeds — records appended while the flush was in flight stay buffered.
 type flushPart struct {
-	w   *Writer
-	n   int
-	gsn uint64
+	w *Writer
+	n int
 }
 
 // ID returns the writer's slot id.
@@ -228,36 +224,18 @@ func (w *Writer) NextGSN(pageGSN uint64) uint64 {
 	}
 }
 
-// raiseLocalGSN lifts the local GSN clock to at least g.
-func (w *Writer) raiseLocalGSN(g uint64) {
+// RaiseGSN lifts the writer's local GSN clock to at least g without
+// touching the buffer, so it is safe while transactions run: every record
+// logged after the raise sorts strictly above g. Recovery and checkpoints
+// use it so post-restart records sort after every recovered or captured
+// one; the base-backup horizon uses it to turn the GSN partial order into
+// a clean cut on every writer.
+func (w *Writer) RaiseGSN(g uint64) {
 	for {
 		cur := w.localGSN.Load()
 		if g <= cur || w.localGSN.CompareAndSwap(cur, g) {
 			return
 		}
-	}
-}
-
-// RaiseGSN lifts the writer's local GSN clock to at least g without
-// touching the buffer or flushed horizons, so it is safe while
-// transactions run: future records sort above g, and durability claims
-// are unchanged. The base-backup horizon uses this to turn the GSN
-// partial order into a clean cut — every record logged after the raise
-// is strictly above the backup's horizon GSN on every writer.
-func (w *Writer) RaiseGSN(g uint64) { w.raiseLocalGSN(g) }
-
-// AdvanceGSN fast-forwards the writer's GSN clock (and flushed horizon) to
-// at least g. Recovery uses this so that post-restart records sort after
-// every recovered record.
-func (w *Writer) AdvanceGSN(g uint64) {
-	w.raiseLocalGSN(g)
-	w.mu.Lock()
-	if g > w.bufferGSN {
-		w.bufferGSN = g
-	}
-	w.mu.Unlock()
-	if g > w.flushedGSN.Load() {
-		w.flushedGSN.Store(g)
 	}
 }
 
@@ -270,9 +248,6 @@ func (w *Writer) Append(r *Record) {
 	before := len(w.buf)
 	w.buf = encodeRecord(w.buf, r)
 	w.appended.Add(int64(len(w.buf) - before))
-	if r.GSN > w.bufferGSN {
-		w.bufferGSN = r.GSN
-	}
 	if r.Type == RecCommit {
 		w.bufCommits++
 	}
@@ -287,9 +262,8 @@ func (w *Writer) Append(r *Record) {
 func (w *Writer) AppendedBytes() int64 { return w.appended.Load() }
 
 // Flush makes every record this writer has buffered durable (fsync if the
-// manager is in sync mode) and advances the writer's flushed-GSN horizon.
-// It is the group-commit entry point, and every wait in it is a park with
-// one waker:
+// manager is in sync mode). It is the group-commit entry point, and every
+// wait in it is a park with one waker:
 //
 //   - A committer that finds the flush mutex held blocks on it; when it
 //     gets the mutex its records are usually already durable.
@@ -321,7 +295,7 @@ func (w *Writer) Flush() error {
 func (w *Writer) pending() bool {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return len(w.buf) > 0 || w.bufferGSN > w.flushedGSN.Load()
+	return len(w.buf) > 0
 }
 
 // flushCommit is Flush's body; seg is the current wait-segment start when
@@ -447,13 +421,12 @@ func (m *Manager) shouldWaitLocked() bool {
 }
 
 // flushLocked drains every writer's buffered records to the log file in
-// one write (+fsync), then trims the drained prefixes and publishes the
-// flushed-GSN horizons. Caller holds m.mu. Nothing is trimmed or published
-// on error: after a failed or torn flush the buffers still hold every
+// one write (+fsync) and trims the drained prefixes. Caller holds m.mu.
+// Nothing is trimmed if the write fails: the buffers still hold every
 // unacknowledged record, so an acknowledged commit can never be lost.
 // Whatever the outcome, committers that joined a leader are woken to look
-// at their horizons, and a leader parked through a flush that was not its
-// own (remote flush, checkpoint) is woken to find itself covered.
+// at their buffers, and a leader parked through a flush that was not its
+// own (a checkpoint's, a catalog record's) is woken to find itself covered.
 func (m *Manager) flushLocked() error {
 	defer m.flushed.Broadcast()
 	if m.leading {
@@ -467,17 +440,13 @@ func (m *Manager) flushLocked() error {
 	commits := 0
 	for _, w := range m.writers {
 		w.mu.Lock()
-		n := len(w.buf)
-		gsn := w.bufferGSN
-		if n > 0 {
-			m.scratch = append(m.scratch, w.buf[:n]...)
+		if n := len(w.buf); n > 0 {
+			m.scratch = append(m.scratch, w.buf...)
+			m.parts = append(m.parts, flushPart{w: w, n: n})
 			commits += w.bufCommits
 			w.bufCommits = 0
 		}
 		w.mu.Unlock()
-		if n > 0 || gsn > w.flushedGSN.Load() {
-			m.parts = append(m.parts, flushPart{w: w, n: n, gsn: gsn})
-		}
 	}
 	// Feed the adaptive leader wait: batching multiple commits under this
 	// one device write earns a credit window; a serial flush burns one.
@@ -507,19 +476,16 @@ func (m *Manager) flushLocked() error {
 		m.flushes.Add(1)
 		// Trim the written prefixes NOW, before the sync failpoints: the
 		// records are in the OS's hands, and a crash injected below must
-		// not let a later flush (ours or a remote-flush on a survivor's
-		// behalf) write them a second time. Records appended mid-flush
-		// keep their place behind the cut. A real sync failure latches
-		// broken, so trimming early never drops an acked commit.
+		// not let a later flush write them a second time. Records appended
+		// mid-flush keep their place behind the cut. A real sync failure
+		// latches broken, so trimming early never drops an acked commit.
 		for _, p := range m.parts {
-			if p.n > 0 {
-				p.w.mu.Lock()
-				p.w.buf = p.w.buf[:copy(p.w.buf, p.w.buf[p.n:])]
-				if len(p.w.buf) == 0 {
-					p.w.open.Store(false)
-				}
-				p.w.mu.Unlock()
+			p.w.mu.Lock()
+			p.w.buf = p.w.buf[:copy(p.w.buf, p.w.buf[p.n:])]
+			if len(p.w.buf) == 0 {
+				p.w.open.Store(false)
 			}
+			p.w.mu.Unlock()
 		}
 		skipSync := false
 		if ferr := fault.Eval(fault.WALPreSync); ferr != nil {
@@ -543,20 +509,11 @@ func (m *Manager) flushLocked() error {
 			return fmt.Errorf("wal: %w", ferr)
 		}
 	}
-	// Durable: publish every drained writer's horizon.
-	for _, p := range m.parts {
-		if p.gsn > p.w.flushedGSN.Load() {
-			p.w.flushedGSN.Store(p.gsn)
-		}
-	}
 	return nil
 }
 
-// FlushedGSN returns the writer's durable GSN horizon.
-func (w *Writer) FlushedGSN() uint64 { return w.flushedGSN.Load() }
-
 // Manager owns the per-slot writers, the one commit group they all drain
-// through, its log file, and the global flush horizon.
+// through, and its log file.
 type Manager struct {
 	dir         string
 	syncOnFlush bool
@@ -668,60 +625,6 @@ func (m *Manager) Writer(slot int) *Writer { return m.writers[slot] }
 // NumWriters returns the writer count.
 func (m *Manager) NumWriters() int { return len(m.writers) }
 
-// constraintGSN returns the writer's contribution to the global flush
-// horizon: its flushed GSN while it has unflushed records, otherwise no
-// constraint (everything it ever logged is durable).
-func (w *Writer) constraintGSN() uint64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.bufferGSN > w.flushedGSN.Load() {
-		return w.flushedGSN.Load()
-	}
-	return ^uint64(0)
-}
-
-// GlobalFlushedGSN returns the horizon below which every logged change is
-// durable regardless of which writer logged it: the minimum flushed GSN
-// over writers that still hold unflushed records.
-func (m *Manager) GlobalFlushedGSN() uint64 {
-	min := uint64(1<<64 - 1)
-	for _, w := range m.writers {
-		if g := w.constraintGSN(); g < min {
-			min = g
-		}
-	}
-	return min
-}
-
-// WaitRemoteFlush makes every change with GSN <= gsn durable. This is the
-// expensive path RFA lets most transactions skip. Every writer lagging the
-// horizon whose buffer holds nothing at or above gsn has its horizon
-// advanced without touching the disk (flushing is still the only way to
-// know its buffer is empty up to gsn); then one flush drains every writer.
-// The unlocks are deferred so an injected crash mid-flush cannot strand a
-// mutex and deadlock peers.
-func (m *Manager) WaitRemoteFlush(gsn uint64) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	lagging := false
-	for _, w := range m.writers {
-		if w.FlushedGSN() >= gsn {
-			continue
-		}
-		lagging = true
-		w.mu.Lock()
-		if w.bufferGSN < gsn {
-			w.raiseLocalGSN(gsn)
-			w.bufferGSN = gsn
-		}
-		w.mu.Unlock()
-	}
-	if !lagging {
-		return nil
-	}
-	return m.flushLocked()
-}
-
 // FlushAll drains every writer (used at shutdown and checkpoints).
 func (m *Manager) FlushAll() error {
 	m.mu.Lock()
@@ -738,27 +641,6 @@ func (m *Manager) Close() error {
 		err = cerr
 	}
 	return err
-}
-
-// --- Remote Flush Avoidance tracking ----------------------------------------
-
-// PageStamp is the per-page RFA bookkeeping: the GSN of the page's last
-// logged change and the slot that made it. It is embedded in buffer-managed
-// page frames and mutated under the page's exclusive latch.
-type PageStamp struct {
-	GSN        uint64
-	LastWriter int32
-}
-
-// NeedsRemoteFlush evaluates the RFA rule for a transaction on slot `slot`
-// about to modify a page with stamp ps: the transaction depends on a
-// remote flush iff another slot wrote the page and that writer has not yet
-// flushed past the page's GSN. lastWriterFlushed is that writer's durable
-// horizon — the per-writer check is what makes RFA effective: once the
-// previous writer committed (and therefore flushed), reusing its page
-// creates no dependency even while unrelated writers lag.
-func NeedsRemoteFlush(ps PageStamp, slot int, lastWriterFlushed uint64) bool {
-	return ps.LastWriter >= 0 && int(ps.LastWriter) != slot && ps.GSN > lastWriterFlushed
 }
 
 // --- Reading the log ----------------------------------------------------------
@@ -795,7 +677,8 @@ func Scan(data []byte, off int, fn func(r Record, raw []byte) bool) (next int) {
 }
 
 // Recover reads every log file in dir, drops torn tails, and returns the
-// records ordered by (GSN, writer, LSN) for redo.
+// records sorted stably by GSN for redo. Records are gathered in file-name
+// order, so ties keep file order; one writer's records never tie.
 //
 // A file whose tail fails to parse (a crash tore the final write, or a
 // partial sector flipped bytes in it) is physically truncated back to its
@@ -809,13 +692,12 @@ func Recover(dir string) ([]Record, error) {
 		return nil, err
 	}
 	var all []Record
-	for wi, p := range paths {
+	for _, p := range paths {
 		data, err := os.ReadFile(p)
 		if err != nil {
 			return nil, fmt.Errorf("wal: recover %s: %w", p, err)
 		}
 		valid := Scan(data, 0, func(r Record, _ []byte) bool {
-			r.Writer = int32(wi)
 			all = append(all, r)
 			return true
 		})
@@ -825,15 +707,7 @@ func Recover(dir string) ([]Record, error) {
 			}
 		}
 	}
-	sort.SliceStable(all, func(i, j int) bool {
-		if all[i].GSN != all[j].GSN {
-			return all[i].GSN < all[j].GSN
-		}
-		if all[i].Writer != all[j].Writer {
-			return all[i].Writer < all[j].Writer
-		}
-		return all[i].LSN < all[j].LSN
-	})
+	sort.SliceStable(all, func(i, j int) bool { return all[i].GSN < all[j].GSN })
 	return all, nil
 }
 

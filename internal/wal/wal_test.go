@@ -102,62 +102,33 @@ func TestFlushAdvancesHorizon(t *testing.T) {
 	w := m.Writer(0)
 	r := Record{Type: RecInsert, GSN: w.NextGSN(0)}
 	w.Append(&r)
-	if w.FlushedGSN() != 0 {
-		t.Fatal("horizon advanced before flush")
+	if !w.pending() || len(logGSNs(t, m)) != 0 {
+		t.Fatal("record left the buffer before flush")
 	}
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if w.FlushedGSN() != r.GSN {
-		t.Fatalf("flushed GSN = %d, want %d", w.FlushedGSN(), r.GSN)
+	if w.pending() {
+		t.Fatal("flushed record still buffered")
 	}
-	// With everything flushed and writer 1 idle, nothing constrains the
-	// global horizon.
-	if m.GlobalFlushedGSN() != ^uint64(0) {
-		t.Fatalf("global horizon = %d with no pending writers", m.GlobalFlushedGSN())
-	}
-	// An unflushed record on writer 1 pulls the horizon down to 0.
-	w1 := m.Writer(1)
-	r1 := Record{Type: RecInsert, GSN: w1.NextGSN(0)}
-	w1.Append(&r1)
-	if m.GlobalFlushedGSN() != 0 {
-		t.Fatalf("global horizon = %d with pending writer", m.GlobalFlushedGSN())
+	if got := logGSNs(t, m); len(got) != 1 || got[0] != r.GSN {
+		t.Fatalf("log holds GSNs %v, want [%d]", got, r.GSN)
 	}
 }
 
-func TestNeedsRemoteFlushRule(t *testing.T) {
-	cases := []struct {
-		ps      PageStamp
-		slot    int
-		horizon uint64
-		want    bool
-	}{
-		{PageStamp{GSN: 0, LastWriter: -1}, 0, 0, false}, // untouched page
-		{PageStamp{GSN: 5, LastWriter: 0}, 0, 0, false},  // own slot
-		{PageStamp{GSN: 5, LastWriter: 1}, 0, 10, false}, // remote but durable
-		{PageStamp{GSN: 5, LastWriter: 1}, 0, 4, true},   // remote, not durable
-		{PageStamp{GSN: 5, LastWriter: 1}, 1, 0, false},  // same slot id
-	}
-	for i, c := range cases {
-		if got := NeedsRemoteFlush(c.ps, c.slot, c.horizon); got != c.want {
-			t.Errorf("case %d: NeedsRemoteFlush = %v, want %v", i, got, c.want)
-		}
-	}
-}
-
-func TestWaitRemoteFlush(t *testing.T) {
-	m := openTestManager(t, 3)
-	w0, w1 := m.Writer(0), m.Writer(1)
-	r0 := Record{Type: RecInsert, GSN: w0.NextGSN(0)}
-	w0.Append(&r0)
-	r1 := Record{Type: RecInsert, GSN: w1.NextGSN(10)} // GSN 11
-	w1.Append(&r1)
-	if err := m.WaitRemoteFlush(11); err != nil {
+// logGSNs returns the GSNs of the records in m's log file, in file order.
+func logGSNs(t *testing.T, m *Manager) []uint64 {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join(m.Dir(), GroupFileName(0)))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if m.GlobalFlushedGSN() < 11 {
-		t.Fatalf("global horizon = %d after WaitRemoteFlush(11)", m.GlobalFlushedGSN())
-	}
+	var gsns []uint64
+	Scan(data, 0, func(r Record, _ []byte) bool {
+		gsns = append(gsns, r.GSN)
+		return true
+	})
+	return gsns
 }
 
 func TestRecoveryOrdersByGSN(t *testing.T) {
@@ -182,14 +153,27 @@ func TestRecoveryOrdersByGSN(t *testing.T) {
 		wantOrder = append(wantOrder, uint64(i))
 	}
 	m.FlushAll()
+	// A GSN tie between writers keeps file order, whatever the LSNs: w1's
+	// record at GSN 8 (its LSN 5) reaches the file before w0's (LSN 4).
+	for _, rid := range []uint64{6, 7} {
+		rec := Record{Type: RecUpdate, GSN: w1.NextGSN(0), RowID: rid}
+		w1.Append(&rec)
+	}
+	m.FlushAll()
+	rec := Record{Type: RecUpdate, GSN: w0.NextGSN(7), RowID: 8}
+	w0.Append(&rec)
 	m.Close()
+	if rec.GSN != 8 || rec.LSN != 4 {
+		t.Fatalf("tied record GSN %d LSN %d, want 8 and 4", rec.GSN, rec.LSN)
+	}
+	wantOrder = append(wantOrder, 6, 7, 8)
 
 	recs, err := Recover(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(recs) != 6 {
-		t.Fatalf("recovered %d records, want 6", len(recs))
+	if len(recs) != len(wantOrder) {
+		t.Fatalf("recovered %d records, want %d", len(recs), len(wantOrder))
 	}
 	for i, r := range recs {
 		if r.RowID != wantOrder[i] {
@@ -372,9 +356,9 @@ func TestFlushIOErrorSurfaces(t *testing.T) {
 	if err := w.Flush(); err == nil {
 		t.Fatal("flush on closed file succeeded")
 	}
-	// The horizon must not advance past unflushed data.
-	if w.FlushedGSN() >= rec.GSN {
-		t.Fatal("flush error advanced the durable horizon")
+	// The record must stay buffered: nothing was written.
+	if !w.pending() {
+		t.Fatal("flush error dropped the unwritten record from the buffer")
 	}
 }
 

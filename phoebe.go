@@ -5,7 +5,7 @@
 // co-routine-pool runtime with a pull-based scheduler, MVCC with in-memory
 // UNDO logs and O(1) snapshots, hybrid optimistic/pessimistic concurrency
 // control with decentralized lock management, and a parallel write-ahead
-// log with Remote Flush Avoidance.
+// log with group commit.
 //
 // # Quick start
 //

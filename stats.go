@@ -59,8 +59,6 @@ func buildRegistry(db *DB) *metrics.Registry {
 	reg.Counter("phoebe_wal_flushes_total", "WAL buffer drains that hit the device.", db.engine.WAL.Flushes)
 	reg.Counter("phoebe_wal_group_waits_total", "Commit leaders that parked in the group-commit wait window before flushing.", db.engine.WAL.GroupWaits)
 	reg.Counter("phoebe_wal_group_lead_early_total", "Group-commit leader waits ended before the deadline (batch complete, or covered by another flush).", db.engine.WAL.GroupLeadEarly)
-	reg.Counter("phoebe_wal_remote_flush_waits_total", "Commits that waited on a foreign writer's durable horizon.", st.RemoteFlushWaits.Load)
-	reg.Counter("phoebe_wal_rfa_avoided_total", "Cross-slot page touches whose remote flush RFA proved unnecessary.", st.RFAAvoided.Load)
 
 	io := db.engine.IO
 	reg.Counter("phoebe_io_data_read_bytes_total", "Bytes read from the data page/block files.", io.DataRead.Load)
