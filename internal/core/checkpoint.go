@@ -135,18 +135,22 @@ func (e *Engine) Checkpoint() error {
 		CheckpointHeader{GSN: cpGSN, Clock: e.Mgr.Clock.Now(), ColdEpoch: manifest.Epoch, ColdCRC: manifestCRC}.write(w)
 		w.U32(uint32(len(tables)))
 		for _, t := range tables {
-			images, nextRID, maxFrozen, err := t.Store.ExportImages(nil)
-			if err != nil {
-				return fmt.Errorf("core: checkpoint table %q: %w", t.Name, err)
-			}
-			ct := checkpointTable{name: t.Name, id: t.ID, nextRID: nextRID, maxFrozen: maxFrozen, images: images,
+			x := t.Store.ExportImages()
+			ct := checkpointTable{name: t.Name, id: t.ID, nextRID: x.NextRowID, maxFrozen: x.MaxFrozenRID,
 				catalog: [][]byte{encodeCatalog(catalogChange{id: t.ID, name: t.Name, cols: t.Schema.Cols})}}
 			for _, ix := range t.Indexes() {
 				if ix.Live() { // a hidden index is logged when its backfill completes
 					ct.catalog = append(ct.catalog, encodeCatalog(indexChange(t, ix)))
 				}
 			}
-			writeCheckpointTable(w, ct)
+			writeCheckpointTableHead(w, ct, x.Len())
+			for i := 0; i < x.Len(); i++ {
+				im, err := x.Next(nil)
+				if err != nil {
+					return fmt.Errorf("core: checkpoint table %q: %w", t.Name, err)
+				}
+				writePageImage(w, im)
+			}
 		}
 		w.Trailer()
 		return nil
@@ -274,6 +278,15 @@ const (
 )
 
 func writeCheckpointTable(w *durable.Writer, t checkpointTable) {
+	writeCheckpointTableHead(w, t, len(t.images))
+	for _, im := range t.images {
+		writePageImage(w, im)
+	}
+}
+
+// writeCheckpointTableHead writes a table record up to its page images,
+// of which there will be pages; writePageImage writes each of them.
+func writeCheckpointTableHead(w *durable.Writer, t checkpointTable, pages int) {
 	w.Bytes([]byte(t.name))
 	w.U32(t.id)
 	w.U64(t.nextRID)
@@ -282,11 +295,12 @@ func writeCheckpointTable(w *durable.Writer, t checkpointTable) {
 	for _, c := range t.catalog {
 		w.Bytes(c)
 	}
-	w.U32(uint32(len(t.images)))
-	for _, im := range t.images {
-		w.U64(uint64(im.FirstRID))
-		w.Bytes(im.Img)
-	}
+	w.U32(uint32(pages))
+}
+
+func writePageImage(w *durable.Writer, im table.PageImage) {
+	w.U64(uint64(im.FirstRID))
+	w.Bytes(im.Img)
 }
 
 // readCheckpointTable decodes a table record; its byte fields alias r's input.

@@ -1,6 +1,7 @@
 package table
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 
@@ -45,6 +46,60 @@ func TestAppendAt(t *testing.T) {
 	}
 }
 
+// exportAll runs a whole export, copying each image out of the buffer the
+// export reuses.
+func exportAll(tb *Table) (images []PageImage, nextRID, maxFrozen uint64, err error) {
+	x := tb.ExportImages()
+	for i := 0; i < x.Len(); i++ {
+		im, err := x.Next(nil)
+		if err != nil {
+			return nil, 0, 0, err
+		}
+		images = append(images, PageImage{FirstRID: im.FirstRID, Img: append([]byte(nil), im.Img...)})
+	}
+	return images, x.NextRowID, x.MaxFrozenRID, nil
+}
+
+// A checkpoint's pass over a table of many pages allocates the same few
+// objects whatever the page count — the export and one image buffer — and
+// each image is the bytes the page serializes to.
+func TestAllocExportImages(t *testing.T) {
+	tb := newTestTable(t, 4, nil)
+	for i := 1000; i < 1000+4*256; i++ { // rows of one width: pages of one size
+		if _, err := tb.Append(mkRow(i), 0, nil, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if tb.NumPages() < 256 {
+		t.Fatalf("%d pages, want >= 256", tb.NumPages())
+	}
+	want := make([][]byte, 0, tb.NumPages())
+	for _, pg := range tb.dir {
+		want = append(want, pg.swip.Ptr().serialize(nil))
+	}
+	x := tb.ExportImages()
+	for i := 0; i < x.Len(); i++ {
+		im, err := x.Next(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(im.Img, want[i]) {
+			t.Fatalf("page %d: image differs from the page's serialization", i)
+		}
+	}
+	allocs := testing.AllocsPerRun(10, func() {
+		x := tb.ExportImages()
+		for i := 0; i < x.Len(); i++ {
+			if _, err := x.Next(nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if allocs > 3 {
+		t.Errorf("exporting %d pages allocates %.0f objects, want <= 3", tb.NumPages(), allocs)
+	}
+}
+
 func TestExportImportRoundTrip(t *testing.T) {
 	pool := buffer.New(1, 1<<20)
 	src := newTestTable(t, 4, pool)
@@ -52,7 +107,7 @@ func TestExportImportRoundTrip(t *testing.T) {
 	// Tombstone one row; its flag must survive the round trip.
 	src.WithRow(rids[2], true, nil, func(h Handle) error { h.SetDeleted(true); return nil })
 
-	images, nextRID, maxFrozen, err := src.ExportImages(nil)
+	images, nextRID, maxFrozen, err := exportAll(src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +157,7 @@ func TestExportImportColdPages(t *testing.T) {
 		}
 		pool.Maintain(0)
 	}
-	images, nextRID, maxFrozen, err := src.ExportImages(nil)
+	images, nextRID, maxFrozen, err := exportAll(src)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -84,6 +84,11 @@ func (pl *Payload) find(rid rel.RowID) int {
 	return -1
 }
 
+// serializedSize returns the exact byte length serialize appends.
+func (pl *Payload) serializedSize() int {
+	return 4 + 9*len(pl.IDs) + pl.Rows.SerializedSize()
+}
+
 func (pl *Payload) serialize(dst []byte) []byte {
 	var b8 [8]byte
 	binary.LittleEndian.PutUint32(b8[:4], uint32(len(pl.IDs)))
@@ -810,24 +815,48 @@ type PageImage struct {
 	Img      []byte
 }
 
-// ExportImages serializes every hot/cold page (loading cold pages) for a
-// checkpoint. The engine quiesces transactions first; the table must not
-// be mutated during the export.
-func (t *Table) ExportImages(io *Ctx) (images []PageImage, nextRowID, maxFrozenRID uint64, err error) {
+// ImageExport streams a table's page images into a checkpoint: the pages
+// in the directory when ExportImages was called, in row_id order, each
+// serialized under its latch into one buffer that every image reuses, so
+// a checkpoint holds one page image at a time, not a table's worth.
+type ImageExport struct {
+	// NextRowID and MaxFrozenRID are the table's row_id counters.
+	NextRowID, MaxFrozenRID uint64
+	pages                   []*Page
+	next                    int
+	buf                     []byte
+}
+
+// ExportImages starts a checkpoint's pass over the table's hot and cold
+// pages. The engine quiesces transactions first; the table must not be
+// mutated during the export.
+func (t *Table) ExportImages() *ImageExport {
 	t.dirMu.RLock()
 	pages := append([]*Page(nil), t.dir...)
 	t.dirMu.RUnlock()
-	for _, pg := range pages {
-		pg.lt.LockExclusive(io.yieldFunc())
-		pl, lerr := pg.ensureResident(io)
-		if lerr != nil {
-			pg.lt.UnlockExclusive()
-			return nil, 0, 0, lerr
-		}
-		images = append(images, PageImage{FirstRID: pg.firstRowID, Img: pl.serialize(nil)})
-		pg.lt.UnlockExclusive()
+	return &ImageExport{NextRowID: t.maxAssigned.Load(), MaxFrozenRID: t.maxFrozenRowID.Load(), pages: pages}
+}
+
+// Len returns the number of images the export yields.
+func (x *ImageExport) Len() int { return len(x.pages) }
+
+// Next serializes the next of the Len pages, loading it first if it is
+// cold. The image is valid until the following call; the caller writes it
+// with the page latch already released.
+func (x *ImageExport) Next(io *Ctx) (PageImage, error) {
+	pg := x.pages[x.next]
+	x.next++
+	pg.lt.LockExclusive(io.yieldFunc())
+	defer pg.lt.UnlockExclusive()
+	pl, err := pg.ensureResident(io)
+	if err != nil {
+		return PageImage{}, err
 	}
-	return images, t.maxAssigned.Load(), t.maxFrozenRowID.Load(), nil
+	if n := pl.serializedSize(); cap(x.buf) < n {
+		x.buf = make([]byte, 0, n)
+	}
+	x.buf = pl.serialize(x.buf[:0])
+	return PageImage{FirstRID: pg.firstRowID, Img: x.buf}, nil
 }
 
 // ImportImages rebuilds the table's directory from a checkpoint export.

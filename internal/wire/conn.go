@@ -44,11 +44,12 @@ func recycle(b []byte) []byte {
 
 // conn is one client connection. Its read-side buffers (rbuf, skip) are
 // touched only by the single reader that currently owns the connection
-// (EPOLLONESHOT on Linux, the dedicated read goroutine elsewhere), its
+// (on Linux the reader EPOLLONESHOT handed it to, or its session while
+// selfRead is set; the dedicated read goroutine elsewhere), its
 // write-side batch (wbuf, woff) only by the goroutine that holds flushing,
 // its session state (ps, st, enc, encSince, rows) only by its session task
 // — one at a time, see running; everything else is guarded by mu. Lock
-// order: Server.admitMu before conn.mu.
+// order: Server.admitMu before conn.mu before pollState.mu.
 type conn struct {
 	srv *Server
 	nc  net.Conn
@@ -75,10 +76,15 @@ type conn struct {
 	arena   []byte
 	busy    bool
 	running bool   // a session task owns this conn
-	waiting bool   // the session task is parked awaiting the next frame
+	waiting bool   // the session task is parked awaiting a wake-up on notify
 	queued  bool   // sitting in the admission queue
 	paused  bool   // pipeline full: reads stay un-armed until drained
 	out     []byte // responses released for writing, not yet handed to a write
+	// selfRead: the session, inside a transaction, reads the socket itself
+	// and the epoll registration stays disarmed; reading: a pool reader is
+	// draining the socket. Linux only (DESIGN.md §4.14).
+	selfRead bool
+	reading  bool
 	// flushing marks the one goroutine (session slot, rejecting reader or
 	// pool writer) that is writing wbuf[woff:] and then out to the socket.
 	flushing bool
@@ -94,7 +100,7 @@ type conn struct {
 	// session task allocates nothing.
 	ps        *phoebedb.PoolSession
 	flushHeld func()
-	st        sessState
+	st        sessState // kept from task to task until the transaction ends
 	// enc is where the session encodes its responses, and holds them back
 	// in while requests are pending; release moves them to out (swapping
 	// the two arrays when out is empty, so a response is written where it
@@ -161,8 +167,9 @@ const (
 // where they lie, queues each as a request (its body copied into the
 // conn's arena), discards oversized frames (queueing an in-order TOO_LARGE
 // response), and decides whether the connection needs admission or
-// backpressure. Called only by the conn's current reader.
-func (s *Server) ingest(c *conn, data []byte) ingestResult {
+// backpressure. Called only by the conn's current reader. It returns the
+// number of frames queued.
+func (s *Server) ingest(c *conn, data []byte) (int, ingestResult) {
 	buf := data
 	if len(c.rbuf) > 0 {
 		c.rbuf = append(c.rbuf, data...)
@@ -176,7 +183,7 @@ func (s *Server) ingest(c *conn, data []byte) ingestResult {
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
-		return ingestDead
+		return 0, ingestDead
 	}
 	if !c.busy && !c.hasPendingLocked() {
 		c.arena = c.arena[:0]
@@ -230,14 +237,14 @@ func (s *Server) ingest(c *conn, data []byte) ingestResult {
 		c.mu.Unlock()
 		s.send(c, AppendError(nil, ErrCodeProtocol, perr.Error()))
 		s.closeConn(c)
-		return ingestDead
+		return queued, ingestDead
 	}
 	// Keep the partial tail in the conn's own buffer: buf may alias the
 	// reader's scratch slice, which is reused for other conns.
 	c.rbuf = append(c.rbuf[:0], buf...)
 	if queued == 0 {
 		c.mu.Unlock()
-		return ingestMore
+		return 0, ingestMore
 	}
 	depth := c.depthLocked()
 	if depth >= s.MaxPipeline {
@@ -254,11 +261,11 @@ func (s *Server) ingest(c *conn, data []byte) ingestResult {
 		case c.notify <- struct{}{}:
 		default:
 		}
-	} else if admit {
-		s.tryAdmit(c)
+	} else if admit && s.tryAdmit(c) {
+		paused = false // the rejection emptied the queue
 	}
 	if paused {
-		return ingestPaused
+		return queued, ingestPaused
 	}
-	return ingestMore
+	return queued, ingestMore
 }

@@ -10,6 +10,8 @@ package wire
 // compiled in. There is no portable non-blocking write either, so every
 // flush is handed to the writer pool.
 
+import phoebedb "phoebedb"
+
 type pollState struct{}
 
 // pollConn carries the resume signal for a paused (pipeline-full)
@@ -42,6 +44,26 @@ func (s *Server) pollerResume(c *conn) {
 	}
 }
 
+// awaitFrame parks a session idle inside a transaction on the scheduler
+// until its reader queues a frame or the conn closes. Called with c.mu
+// held; returns with it released, reporting whether IdleTxnTimeout passed.
+func (s *Server) awaitFrame(c *conn, ps *phoebedb.PoolSession) (expired bool) {
+	c.waiting = true
+	c.mu.Unlock()
+	fired := ps.Park(c.notify, s.IdleTxnTimeout)
+	c.mu.Lock()
+	c.waiting = false
+	c.mu.Unlock()
+	return !fired
+}
+
+// takeSocket leaves the socket with the conn's read goroutine.
+func (s *Server) takeSocket(c *conn) {}
+
+// endSelfRead has nothing to hand back: the conn's read goroutine never
+// stops reading.
+func (s *Server) endSelfRead(c *conn) {}
+
 func (s *Server) blockingReadLoop(c *conn) {
 	defer s.wg.Done()
 	buf := make([]byte, 64*1024)
@@ -64,7 +86,7 @@ func (s *Server) blockingReadLoop(c *conn) {
 		n, err := c.nc.Read(buf)
 		if n > 0 {
 			s.cBytesIn.Add(int64(n))
-			switch s.ingest(c, buf[:n]) {
+			switch _, res := s.ingest(c, buf[:n]); res {
 			case ingestDead:
 				return
 			case ingestPaused:

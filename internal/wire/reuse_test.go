@@ -23,19 +23,25 @@ import (
 // []string and their text). A ceiling, pinned where this change left it.
 const wireRoundTripAllocs = 4
 
-func TestAllocWireRoundTrip(t *testing.T) {
+// kvClient starts a server over a 32-row kv table and dials it.
+func kvClient(t testing.TB) *client.Conn {
 	db := openDB(t, phoebedb.Options{ASHSampleInterval: -1})
 	addr, _ := startWire(t, db, nil)
 	c, err := client.Dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.Close()
+	t.Cleanup(func() { c.Close() })
 	mustExec(t, c, "CREATE TABLE kv (id INT, v STRING, n INT)")
 	mustExec(t, c, "CREATE UNIQUE INDEX kv_pk ON kv (id)")
 	for i := 0; i < 32; i++ {
 		mustExec(t, c, fmt.Sprintf("INSERT INTO kv VALUES (%d, 'v%d', %d)", i, i, 1000+i))
 	}
+	return c
+}
+
+func TestAllocWireRoundTrip(t *testing.T) {
+	c := kvClient(t)
 	get := func(id int) {
 		res, err := c.Exec("SELECT * FROM kv WHERE id = " + strconv.Itoa(id))
 		if err != nil || len(res.Rows) != 1 || res.Rows[0][1] != "v"+strconv.Itoa(id) {
@@ -58,7 +64,64 @@ func TestAllocWireRoundTrip(t *testing.T) {
 	t.Logf("allocs per round trip: %.1f", allocs)
 }
 
-func mustExec(t *testing.T, c *client.Conn, q string) client.Result {
+// Inside an open transaction the session reads its own socket; a round
+// trip there allocates no more than an autocommit one.
+func TestAllocWireRoundTripInTxn(t *testing.T) {
+	c := kvClient(t)
+	if err := c.Begin(); err != nil {
+		t.Fatal(err)
+	}
+	mustExec(t, c, "SELECT * FROM kv WHERE id = 1") // plan cache, buffers
+	queries := [...]string{"SELECT * FROM kv WHERE id = 3", "SELECT * FROM kv WHERE id = 4"}
+	i := 0
+	allocs := testing.AllocsPerRun(200, func() {
+		res, err := c.Exec(queries[i&1])
+		i++
+		if err != nil || len(res.Rows) != 1 {
+			t.Errorf("(%+v, %v)", res, err)
+		}
+	})
+	if err := c.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if allocs > wireRoundTripAllocs {
+		t.Errorf("a point SELECT round trip inside a transaction allocates %.1f objects, want <= %d", allocs, wireRoundTripAllocs)
+	}
+	t.Logf("allocs per round trip: %.1f", allocs)
+}
+
+// BenchmarkWireRoundTrip times one synchronous point SELECT over loopback,
+// as an autocommit statement and inside an open transaction.
+func BenchmarkWireRoundTrip(b *testing.B) {
+	queries := [...]string{"SELECT * FROM kv WHERE id = 3", "SELECT * FROM kv WHERE id = 4"}
+	run := func(b *testing.B, c *client.Conn) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if res, err := c.Exec(queries[i&1]); err != nil || len(res.Rows) != 1 {
+				b.Fatalf("(%+v, %v)", res, err)
+			}
+		}
+	}
+	b.Run("autocommit", func(b *testing.B) {
+		c := kvClient(b)
+		b.ResetTimer()
+		run(b, c)
+	})
+	b.Run("in_txn", func(b *testing.B) {
+		c := kvClient(b)
+		if err := c.Begin(); err != nil {
+			b.Fatal(err)
+		}
+		b.ResetTimer()
+		run(b, c)
+		b.StopTimer()
+		if err := c.Commit(); err != nil {
+			b.Fatal(err)
+		}
+	})
+}
+
+func mustExec(t testing.TB, c *client.Conn, q string) client.Result {
 	t.Helper()
 	res, err := c.Exec(q)
 	if err != nil {

@@ -47,7 +47,8 @@ type Server struct {
 	WriteTimeout time.Duration
 	// IdleTxnTimeout bounds how long a session holds an explicit
 	// transaction open with no pending statements before the server rolls
-	// it back. Default 60s.
+	// it back; the connection's statements then answer TXN until COMMIT or
+	// ROLLBACK. Default 60s.
 	IdleTxnTimeout time.Duration
 	// pool sizes both the reader and the writer goroutine pools:
 	// min(GOMAXPROCS, 4).
@@ -66,6 +67,9 @@ type Server struct {
 	admitq   []*conn
 
 	poll pollState
+	// slotBufs[i] is pool slot i's read buffer for sessions that read their
+	// own socket (Linux), made on the slot's first such read.
+	slotBufs [][]byte
 
 	// writeq feeds the writer pool: connections whose socket buffer filled
 	// up under a non-blocking flush. A connection is on it at most once.
@@ -80,6 +84,7 @@ type Server struct {
 	cOversized atomic.Int64
 	cShedSlow  atomic.Int64
 	cIdleRB    atomic.Int64
+	cSessReads atomic.Int64 // frames sessions read from their own sockets
 	cDiscRB    atomic.Int64
 	cBytesIn   atomic.Int64
 	cBytesOut  atomic.Int64
@@ -128,6 +133,7 @@ func (s *Server) Serve(l net.Listener) error {
 	s.done = make(chan struct{})
 	s.conns = make(map[*conn]struct{})
 	s.writeq = make(chan *conn, s.MaxConnections+16)
+	s.slotBufs = make([][]byte, s.DB.PoolSlots())
 	s.registerMetrics()
 	if err := s.pollerInit(); err != nil {
 		return err
@@ -415,13 +421,15 @@ func (s *Server) drain(c *conn, block bool) {
 // inflight slot and start a session task, or park it in the admission
 // queue, or — with both full — reject every pending request with
 // OVERLOADED while keeping the connection (and any running peers) alive.
-func (s *Server) tryAdmit(c *conn) {
+// It reports whether a rejection lifted a pipeline pause: the reader that
+// called it (the conn's only reader) then keeps reading.
+func (s *Server) tryAdmit(c *conn) (unpaused bool) {
 	s.admitMu.Lock()
 	c.mu.Lock()
 	if c.closed || c.running || c.queued || !c.hasPendingLocked() {
 		c.mu.Unlock()
 		s.admitMu.Unlock()
-		return
+		return false
 	}
 	if s.inflight < s.MaxInflight {
 		s.inflight++
@@ -430,7 +438,7 @@ func (s *Server) tryAdmit(c *conn) {
 		s.admitMu.Unlock()
 		s.cAdmitted.Add(1)
 		s.startSession(c)
-		return
+		return false
 	}
 	if len(s.admitq) < s.MaxQueue {
 		c.queued = true
@@ -438,7 +446,7 @@ func (s *Server) tryAdmit(c *conn) {
 		c.mu.Unlock()
 		s.admitMu.Unlock()
 		s.cQueued.Add(1)
-		return
+		return false
 	}
 	var out []byte
 	n := 0
@@ -447,15 +455,13 @@ func (s *Server) tryAdmit(c *conn) {
 		out = AppendError(out, ErrCodeOverloaded, "server overloaded: admission queue full")
 		n++
 	}
-	resume := c.paused
+	unpaused = c.paused
 	c.paused = false
 	c.mu.Unlock()
 	s.admitMu.Unlock()
 	s.cRejOver.Add(int64(n))
 	s.send(c, out)
-	if resume {
-		s.pollerResume(c)
-	}
+	return unpaused
 }
 
 // finishSession releases the conn's inflight grant and hands the slot to
@@ -510,22 +516,27 @@ func (s *Server) startSession(c *conn) {
 	}
 }
 
-// sessState is per-session-task transaction bookkeeping (only the session
-// goroutine touches it).
+// sessState is the connection's transaction bookkeeping. Only session
+// tasks touch it, one at a time; it outlives the task, since a transaction
+// can end in the aborted state with no transaction left open.
 type sessState struct {
-	// aborted: a statement inside the explicit transaction failed. The
-	// transaction stays open but executes nothing further — statements
-	// error until the client sends ROLLBACK (or COMMIT, which rolls
-	// back and reports the abort) — so a pipelined batch cannot
-	// half-apply after an error.
+	// aborted: a statement inside the explicit transaction failed, or the
+	// transaction sat idle past IdleTxnTimeout and was rolled back. The
+	// connection executes nothing further — statements error until the
+	// client sends ROLLBACK (or COMMIT, which rolls back what is left and
+	// reports the abort) — so a pipelined batch cannot half-apply after an
+	// error, and nothing the client sends after an idle rollback commits
+	// on its own.
 	aborted bool
 }
 
 // runSession is the session task: it executes the conn's pending
-// requests in order on one pool slot, parks (YieldLow) while a
-// transaction is open with no pending work, and exits — releasing the
-// slot — when idle outside a transaction. One conn therefore costs a
-// pool slot only while it has work or an open transaction.
+// requests in order on one pool slot, waits for the next frame while a
+// transaction is open with no pending work (awaitFrame: on Linux the slot
+// reads its own socket, parked in the runtime poller; elsewhere it parks
+// on the scheduler), and exits — releasing the slot — when idle outside a
+// transaction. One conn therefore costs a pool slot only while it has work
+// or an open transaction.
 //
 // Responses are encoded into the conn's enc buffer and held there while
 // requests are pending; the slot releases them to the outbox and writes
@@ -538,7 +549,6 @@ func (s *Server) runSession(c *conn, ps *phoebedb.PoolSession) {
 	defer s.sessWg.Done()
 	s.nActive.Add(1)
 	defer s.nActive.Add(-1)
-	c.st = sessState{}
 	ps.BeforePark(c.flushHeld)
 	for {
 		c.mu.Lock()
@@ -553,6 +563,11 @@ func (s *Server) runSession(c *conn, ps *phoebedb.PoolSession) {
 			return
 		}
 		idle := !c.hasPendingLocked()
+		if idle && !c.selfRead && ps.InTxn() {
+			// Before the answers go out, so that the client's reply to
+			// them is the session's to read.
+			s.takeSocket(c)
+		}
 		due := len(c.enc) >= outboxFlushBytes || len(c.enc) > 0 && time.Since(c.encSince) > outboxFlushAfter
 		if (due || idle) && !s.releaseLocked(c) {
 			c.mu.Unlock()
@@ -569,6 +584,7 @@ func (s *Server) runSession(c *conn, ps *phoebedb.PoolSession) {
 			if !ps.InTxn() {
 				// Nothing of this task may touch c's session state past this
 				// point: the next frame starts the conn's next task.
+				s.endSelfRead(c)
 				c.running = false
 				if cap(c.arena) > arenaKeep {
 					c.arena = nil
@@ -577,26 +593,27 @@ func (s *Server) runSession(c *conn, ps *phoebedb.PoolSession) {
 				s.finishSession()
 				return
 			}
-			c.waiting = true
-			c.mu.Unlock()
-			fired := ps.Park(c.notify, s.IdleTxnTimeout)
-			c.mu.Lock()
-			c.waiting = false
-			empty := !c.hasPendingLocked()
-			closed := c.closed
-			c.mu.Unlock()
-			if !fired && empty && !closed {
-				ps.Rollback()
-				c.st.aborted = false
-				s.cIdleRB.Add(1)
+			if s.awaitFrame(c, ps) {
+				c.mu.Lock()
+				expired := !c.closed && !c.hasPendingLocked()
+				c.mu.Unlock()
+				if expired {
+					// Roll back, and answer TXN until the client ends the
+					// transaction, as after a statement error.
+					ps.Rollback()
+					c.st.aborted = true
+					s.cIdleRB.Add(1)
+				}
 			}
 			continue
 		}
 		req := c.popPendingLocked()
 		c.busy = true
-		resume := c.paused && c.depthLocked() < s.MaxPipeline
-		if resume {
+		resume := false
+		if c.paused && c.depthLocked() < s.MaxPipeline {
 			c.paused = false
+			// A session reading its own socket reads whenever it runs dry.
+			resume = !c.selfRead
 		}
 		c.mu.Unlock()
 		if resume {
@@ -761,6 +778,7 @@ func (s *Server) registerMetrics() {
 	reg.Counter("phoebe_server_shed_slow", "connections shed for not draining responses", s.cShedSlow.Load)
 	reg.Counter("phoebe_server_idle_rollbacks", "transactions rolled back by the idle-in-transaction timeout", s.cIdleRB.Load)
 	reg.Counter("phoebe_server_disconnect_rollbacks", "transactions rolled back because the client disconnected", s.cDiscRB.Load)
+	reg.Counter("phoebe_server_session_reads_total", "frames a session inside a transaction read from its own socket", s.cSessReads.Load)
 	reg.Counter("phoebe_server_bytes_in", "bytes read from clients", s.cBytesIn.Load)
 	reg.Counter("phoebe_server_bytes_out", "bytes written to clients", s.cBytesOut.Load)
 	reg.Histogram("phoebe_server_pipelined_depth", "pending pipelined requests per connection at enqueue (unit: requests, not seconds)",
@@ -787,6 +805,7 @@ func (s *Server) registerMetrics() {
 			row("shed_slow_clients", s.cShedSlow.Load()),
 			row("idle_txn_rollbacks", s.cIdleRB.Load()),
 			row("disconnect_rollbacks", s.cDiscRB.Load()),
+			row("session_reads", s.cSessReads.Load()),
 			row("bytes_in", s.cBytesIn.Load()),
 			row("bytes_out", s.cBytesOut.Load()),
 			row("max_connections", int64(s.MaxConnections)),

@@ -23,7 +23,7 @@ import (
 	"phoebedb/internal/wire"
 )
 
-func openDB(t *testing.T, opts phoebedb.Options) *phoebedb.DB {
+func openDB(t testing.TB, opts phoebedb.Options) *phoebedb.DB {
 	t.Helper()
 	if opts.Dir == "" {
 		opts.Dir = t.TempDir()
@@ -42,7 +42,7 @@ func openDB(t *testing.T, opts phoebedb.Options) *phoebedb.DB {
 	return db
 }
 
-func startWire(t *testing.T, db *phoebedb.DB, cfg func(*wire.Server)) (string, *wire.Server) {
+func startWire(t testing.TB, db *phoebedb.DB, cfg func(*wire.Server)) (string, *wire.Server) {
 	t.Helper()
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -478,7 +478,9 @@ func TestWireAdmissionControl(t *testing.T) {
 }
 
 // TestWireIdleTxnTimeout checks the server rolls back a transaction its
-// client abandoned without disconnecting.
+// client abandoned without disconnecting, and that the connection stays in
+// the aborted state: what the client sends next must not commit on its
+// own, and COMMIT reports the rollback.
 func TestWireIdleTxnTimeout(t *testing.T) {
 	db := openDB(t, phoebedb.Options{})
 	addr, _ := startWire(t, db, func(s *wire.Server) {
@@ -505,13 +507,34 @@ func TestWireIdleTxnTimeout(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	// The session survives; its transaction is gone.
-	if err := c.Commit(); err == nil {
-		t.Fatal("COMMIT after idle rollback succeeded")
+	// The session survives; its transaction is gone, and the connection
+	// answers TXN until the client ends it.
+	wantTxnErr := func(what string, err error, msg string) {
+		t.Helper()
+		se, ok := err.(*client.ServerError)
+		if !ok || se.Code != wire.ErrCodeTxn || !strings.Contains(se.Msg, msg) {
+			t.Fatalf("%s after the idle rollback: %v, want a TXN error %q", what, err, msg)
+		}
 	}
+	_, err = c.Exec("INSERT INTO idle VALUES (2)")
+	wantTxnErr("INSERT", err, "aborted")
+	wantTxnErr("BEGIN", c.Begin(), "in progress")
+	wantTxnErr("COMMIT", c.Commit(), "transaction aborted; changes rolled back")
 	res, err := db.ExecSQL("SELECT * FROM idle")
 	if err != nil || len(res.Rows) != 0 {
 		t.Fatalf("rows after idle rollback = (%+v, %v)", res, err)
+	}
+	// The COMMIT ended the aborted transaction: the next one runs.
+	if err := c.Begin(); err != nil {
+		t.Fatal(err)
+	}
+	mustExec(t, c, "INSERT INTO idle VALUES (3)")
+	if err := c.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	mustExec(t, c, "INSERT INTO idle VALUES (4)")
+	if res, err := db.ExecSQL("SELECT id FROM idle"); err != nil || len(res.Rows) != 2 {
+		t.Fatalf("rows = (%+v, %v), want 3 and 4", res, err)
 	}
 }
 

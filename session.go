@@ -13,8 +13,9 @@ import (
 // (internal/wire): a PoolSession runs a whole connection's statement
 // stream on ONE co-routine pool task slot, so a session transaction can
 // span many pipelined frames without a worker thread blocking on the
-// network — an idle-in-transaction session parks its slot (YieldLow) and
-// its worker keeps executing other slots.
+// network — an idle-in-transaction session parks its slot (Park, or the
+// front end's own wait on the session's socket, bracketed by
+// ClientWaitBegin/End) and its worker keeps executing other slots.
 
 // NewPoolSession returns a session handle whose task is fn: every Submit
 // runs fn(ps) once on a pool task slot. Unlike Execute, which runs exactly
@@ -120,10 +121,23 @@ func (ps *PoolSession) ExecSQL(query string, sink sql.RowSink) (int, error) {
 // than a blocked thread. The off-CPU time is charged to the "server" wait
 // event.
 func (ps *PoolSession) Park(ch <-chan struct{}, timeout time.Duration) bool {
-	start := ps.db.waits.Begin(ps.slot.ID, waitevent.EvServer)
+	start := ps.ClientWaitBegin()
 	ok := ps.slot.YieldLow(ch, timeout)
-	ps.db.waits.End(ps.slot.ID, waitevent.EvServer, start)
+	ps.ClientWaitEnd(start)
 	return ok
+}
+
+// ClientWaitBegin stamps the session's slot as waiting on its client — the
+// "server" wait event — for Park, and for a wait the front end makes
+// itself (a session parked on its own socket). Pass the returned start to
+// ClientWaitEnd.
+func (ps *PoolSession) ClientWaitBegin() time.Time {
+	return ps.db.waits.Begin(ps.slot.ID, waitevent.EvServer)
+}
+
+// ClientWaitEnd closes a ClientWaitBegin wait, charging its time.
+func (ps *PoolSession) ClientWaitEnd(start time.Time) {
+	ps.db.waits.End(ps.slot.ID, waitevent.EvServer, start)
 }
 
 // ChargeQueueWait attributes an admission-queue wait (measured by the
