@@ -286,16 +286,44 @@ func (t *Tree) Insert(key []byte, val uint64) bool {
 	return n.put(key, val)
 }
 
+// InsertIfAbsent stores val under key if key is absent, or if it holds a
+// value replace accepts (replace may be nil), and returns the value it
+// found there (0 if none): the probe and the store are one step under the
+// leaf's exclusive latch, so no other insert of key comes between them.
+// stored reports whether val is now there.
+func (t *Tree) InsertIfAbsent(key []byte, val uint64, replace func(old uint64) bool) (old uint64, stored bool) {
+	n := t.lockedLeaf(key, true)
+	defer n.lt.UnlockExclusive()
+	i, e, _ := n.find(key)
+	if e == nil {
+		n.insertAt(i, key, val)
+		return 0, true
+	}
+	old = e.val.Load()
+	if replace == nil || !replace(old) {
+		return old, false
+	}
+	e.val.Store(val)
+	return old, true
+}
+
 // put stores val under key in the exclusively latched leaf n, which has
-// room, reporting whether the key is new. A replace is one atomic store; a
-// new key copies the caller's bytes and shifts the slots above it up.
+// room, reporting whether the key is new. A replace is one atomic store.
 func (n *node) put(key []byte, val uint64) bool {
 	i, e, _ := n.find(key)
 	if e != nil {
 		e.val.Store(val)
 		return false
 	}
-	e = &entry{key: append([]byte(nil), key...)}
+	n.insertAt(i, key, val)
+	return true
+}
+
+// insertAt adds key, which n lacks, at slot i of the exclusively latched
+// leaf n, which has room: it copies the caller's bytes and shifts the
+// slots above i up.
+func (n *node) insertAt(i int, key []byte, val uint64) {
+	e := &entry{key: append([]byte(nil), key...)}
 	e.val.Store(val)
 	cnt := int(n.count.Load())
 	for j := cnt; j > i; j-- {
@@ -303,7 +331,6 @@ func (n *node) put(key []byte, val uint64) bool {
 	}
 	n.slots[i].Store(e)
 	n.count.Store(int32(cnt + 1))
-	return true
 }
 
 // Delete removes key, reporting whether it was present.

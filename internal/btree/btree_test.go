@@ -54,6 +54,66 @@ func TestInsertReplace(t *testing.T) {
 	}
 }
 
+// InsertIfAbsent stores only into an absent key or over a value replace
+// accepts, and reports the value it found.
+func TestInsertIfAbsent(t *testing.T) {
+	tr := New()
+	if old, stored := tr.InsertIfAbsent(key(1), 10, nil); !stored || old != 0 {
+		t.Fatalf("into an absent key = (%d, %v)", old, stored)
+	}
+	if old, stored := tr.InsertIfAbsent(key(1), 20, nil); stored || old != 10 {
+		t.Fatalf("over 10 with no replace = (%d, %v)", old, stored)
+	}
+	if old, stored := tr.InsertIfAbsent(key(1), 20, func(v uint64) bool { return v == 9 }); stored || old != 10 {
+		t.Fatalf("over 10, replacing only 9 = (%d, %v)", old, stored)
+	}
+	if old, stored := tr.InsertIfAbsent(key(1), 30, func(v uint64) bool { return v == 10 }); !stored || old != 10 {
+		t.Fatalf("over 10, replacing 10 = (%d, %v)", old, stored)
+	}
+	if v, _ := tr.Lookup(key(1)); v != 30 || tr.Len() != 1 {
+		t.Fatalf("value %d, %d keys; want 30 and 1", v, tr.Len())
+	}
+}
+
+// Goroutines racing InsertIfAbsent over the same keys store exactly one
+// value per key, and every loser is told the winner's value, across
+// leaf splits.
+func TestConcurrentInsertIfAbsentOneWinner(t *testing.T) {
+	tr := New()
+	const goroutines, keys = 8, 3000
+	winners := make([][]int, goroutines)
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < keys; i++ {
+				val := uint64(i*goroutines + g)
+				old, stored := tr.InsertIfAbsent(key(i), val, nil)
+				if stored {
+					winners[g] = append(winners[g], i)
+				} else if old%goroutines == uint64(g) || old/goroutines != uint64(i) {
+					t.Errorf("key %d lost to %d", i, old)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	won := 0
+	for g, ws := range winners {
+		for _, i := range ws {
+			if v, ok := tr.Lookup(key(i)); !ok || v != uint64(i*goroutines+g) {
+				t.Fatalf("key %d holds (%d, %v), stored by goroutine %d", i, v, ok, g)
+			}
+		}
+		won += len(ws)
+	}
+	if won != keys || tr.Len() != keys {
+		t.Fatalf("%d stores over %d keys, want one each", won, tr.Len())
+	}
+}
+
 func TestDelete(t *testing.T) {
 	tr := New()
 	for i := 0; i < 500; i++ {

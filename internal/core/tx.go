@@ -348,77 +348,133 @@ func (tx *Tx) Insert(tableName string, row rel.Row) (rel.RowID, error) {
 	return tx.insertRow(t, row, true)
 }
 
+// insertRow appends row and adds its index entries. With checkUnique,
+// each unique entry is claimed inside the append, under the new row's page
+// latch, by one insert-if-absent under the index leaf's latch, before the
+// row has an UNDO record or a log record: a key another row holds rolls
+// the append back, and checkUniqueHolder decides whether that row makes
+// this insert a duplicate, is waited on, or is dead, in which case the
+// next claim replaces its entry if the entry still names it. Without
+// checkUnique (warming) every entry is stored over whatever is there.
 func (tx *Tx) insertRow(t *Tbl, row rel.Row, checkUnique bool) (rel.RowID, error) {
 	if err := tx.lockTable(t, lock.ModeIX); err != nil {
 		return 0, err
 	}
 	indexes := t.Indexes()
+	var claimsBuf [4]uniqueClaim
+	claims := claimsBuf[:0]
 	if checkUnique {
 		for _, ix := range indexes {
-			if !ix.Unique {
-				continue
+			if ix.Unique {
+				claims = append(claims, uniqueClaim{ix: ix, key: indexKey(ix, row, 0)})
 			}
-			if err := tx.checkUnique(t, ix, row); err != nil {
+		}
+	}
+	var deadline time.Time
+	for {
+		var rec *undo.Record
+		held := -1 // the claim whose key another row holds
+		var holder rel.RowID
+		rid, err := t.Store.Append(row, tx.partition(), &tx.tctx, func(h table.Handle) error {
+			if held, holder = claimUnique(claims, h.RID); held >= 0 {
+				return errUniqueHeld
+			}
+			mvccStart := time.Now()
+			tt := h.TwinTable(true)
+			rec = tx.inner.AddUndo(t.ID, h.RID, undo.OpInsert, nil, nil)
+			tt.Push(h.RID, rec)
+			tx.track(metrics.CompMVCC, mvccStart)
+			tx.encBuf = rel.EncodeRow(tx.encBuf[:0], row)
+			tx.logChange(h.Pg, wal.RecInsert, t.ID, h.RID, tx.encBuf)
+			return nil
+		})
+		if err == errUniqueHeld {
+			c := &claims[held]
+			if c.dead, c.hasDead, err = tx.checkUniqueHolder(t, c.ix, holder, &deadline); err != nil {
 				return 0, err
 			}
+			continue
 		}
+		if err != nil {
+			return 0, err
+		}
+		for _, c := range claims {
+			tx.idxOps = append(tx.idxOps, recIdxOp{rec: rec, idxOp: idxOp{ix: c.ix, key: c.key, rid: uint64(rid), added: true}})
+		}
+		for _, ix := range indexes {
+			if checkUnique && ix.Unique {
+				continue
+			}
+			k := indexKey(ix, row, rid)
+			ix.Tree.Insert(k, uint64(rid))
+			tx.idxOps = append(tx.idxOps, recIdxOp{rec: rec, idxOp: idxOp{ix: ix, key: k, rid: uint64(rid), added: true}})
+		}
+		return rid, nil
 	}
-	var rec *undo.Record
-	rid, err := t.Store.Append(row, tx.partition(), &tx.tctx, func(h table.Handle) error {
-		mvccStart := time.Now()
-		tt := h.TwinTable(true)
-		rec = tx.inner.AddUndo(t.ID, h.RID, undo.OpInsert, nil, nil)
-		tt.Push(h.RID, rec)
-		tx.track(metrics.CompMVCC, mvccStart)
-		tx.encBuf = rel.EncodeRow(tx.encBuf[:0], row)
-		tx.logChange(h.Pg, wal.RecInsert, t.ID, h.RID, tx.encBuf)
-		return nil
-	})
-	if err != nil {
-		return 0, err
-	}
-	for _, ix := range indexes {
-		k := indexKey(ix, row, rid)
-		ix.Tree.Insert(k, uint64(rid))
-		tx.idxOps = append(tx.idxOps, recIdxOp{rec: rec, idxOp: idxOp{ix: ix, key: k, rid: uint64(rid), added: true}})
-	}
-	return rid, nil
 }
 
-// checkUnique rejects the insert if an entry under the same unique key
-// resolves to a row visible to this transaction, or to a live row another
-// transaction committed after this snapshot. An entry whose row another
-// transaction has written and not yet finished is waited on, as a write
-// conflict is, and probed again: that transaction's commit makes this
-// insert a duplicate, and its rollback removes the entry. Only an entry
-// for a dead row is dropped, so that the new insert can claim its key.
-func (tx *Tx) checkUnique(t *Tbl, ix *Index, row rel.Row) error {
-	k := indexKey(ix, row, 0)
-	deadline := time.Now().Add(tx.e.cfg.LockTimeout)
-	for {
-		rid, ok := ix.Tree.Lookup(k)
-		if !ok {
-			return nil
+// uniqueClaim is one unique index entry an insert claims.
+type uniqueClaim struct {
+	ix      *Index
+	key     []byte // a unique key omits the rid
+	dead    rel.RowID
+	hasDead bool // dead is a dead row whose entry the next claim replaces
+}
+
+// errUniqueHeld rolls an append back when claimUnique finds a key held.
+var errUniqueHeld = errors.New("core: unique key held")
+
+// claimUnique stores rid under every claim's key, replacing an entry only
+// if it names the claim's dead row. At the first key another row holds it
+// deletes the entries it stored and returns that claim and row (-1 when
+// every key is stored).
+func claimUnique(claims []uniqueClaim, rid rel.RowID) (int, rel.RowID) {
+	for i, c := range claims {
+		var replace func(old uint64) bool
+		if c.hasDead {
+			replace = func(old uint64) bool { return old == uint64(c.dead) }
 		}
-		_, visible, err := tx.readRow(t, rel.RowID(rid))
-		if err != nil && !errors.Is(err, ErrNotFound) {
-			return err
-		}
-		if visible {
-			return fmt.Errorf("%w: index %q", ErrDuplicate, ix.Name)
-		}
-		writer, live := tx.rowState(t, rel.RowID(rid))
-		if live {
-			return fmt.Errorf("%w: index %q", ErrDuplicate, ix.Name)
-		}
-		if writer == nil {
-			ix.Tree.Delete(k) // stale entry for a dead row
-			return nil
-		}
-		if !tx.waitOn(errWait{meta: writer}, deadline) {
-			return fmt.Errorf("unique index %q: %w", ix.Name, lock.ErrLockTimeout)
+		if old, stored := c.ix.Tree.InsertIfAbsent(c.key, uint64(rid), replace); !stored {
+			for _, done := range claims[:i] {
+				done.ix.Tree.Delete(done.key)
+			}
+			return i, rel.RowID(old)
 		}
 	}
+	return -1, 0
+}
+
+// checkUniqueHolder applies the unique rule to row rid, which holds ix's
+// key that this insert needs. A row visible to this transaction, or a live
+// row another transaction committed after this snapshot, makes the insert
+// a duplicate. A row another transaction has written and not yet finished
+// is waited on, as a write conflict is, after which the caller claims the
+// key again: that transaction's commit makes this insert a duplicate, and
+// its rollback removes the entry. A dead row's entry is stale: it returns
+// that row with isDead, and the caller's next claim replaces its entry.
+// deadline bounds the waits of one insert; it is set at the first.
+func (tx *Tx) checkUniqueHolder(t *Tbl, ix *Index, rid rel.RowID, deadline *time.Time) (dead rel.RowID, isDead bool, err error) {
+	_, visible, err := tx.readRow(t, rid)
+	if err != nil && !errors.Is(err, ErrNotFound) {
+		return 0, false, err
+	}
+	if visible {
+		return 0, false, fmt.Errorf("%w: index %q", ErrDuplicate, ix.Name)
+	}
+	writer, live := tx.rowState(t, rid)
+	if live {
+		return 0, false, fmt.Errorf("%w: index %q", ErrDuplicate, ix.Name)
+	}
+	if writer == nil {
+		return rid, true, nil
+	}
+	if deadline.IsZero() {
+		*deadline = time.Now().Add(tx.e.cfg.LockTimeout)
+	}
+	if !tx.waitOn(errWait{meta: writer}, *deadline) {
+		return 0, false, fmt.Errorf("unique index %q: %w", ix.Name, lock.ErrLockTimeout)
+	}
+	return 0, false, nil
 }
 
 // rowState returns the unfinished transaction other than tx that wrote

@@ -288,9 +288,10 @@ func (s *Store) segmentForLocked(rid rel.RowID) *segment {
 	return s.segs[i]
 }
 
-// readBlock reads block bi from the block file and parses it.
-func (s *Store) readBlock(g *segment, bi int) (storedBlock, error) {
-	comp, err := s.bf.ReadBlock(g.bodyRef(bi))
+// readBlock reads block bi from the block file into buf, grown if it is
+// too small (nil: a fresh buffer), and parses it.
+func (s *Store) readBlock(g *segment, bi int, buf []byte) (storedBlock, error) {
+	comp, err := s.bf.ReadBlockInto(g.bodyRef(bi), buf)
 	if err != nil {
 		return storedBlock{}, err
 	}
@@ -324,7 +325,7 @@ func (s *Store) loadBlock(g *segment, bi int) (storedBlock, error) {
 		return b, nil
 	}
 	s.cacheMiss.Add(1)
-	b, err := s.readBlock(g, bi)
+	b, err := s.readBlock(g, bi, nil)
 	if err != nil {
 		return storedBlock{}, err
 	}
@@ -478,7 +479,7 @@ func (s *Store) ExtractLive(rid rel.RowID) (ids []rel.RowID, rows []rel.Row, err
 	if err != nil {
 		return nil, nil, err
 	}
-	d, err := b.decode(s.schema, true)
+	d, err := b.decode(s.schema, true, nil)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -519,18 +520,20 @@ func (g *segment) snapshotDeleted() map[rel.RowID]bool {
 // without I/O. A block a point read left in the LRU spares the scan its
 // file read but is not promoted; any other is read privately and never
 // inserted, so a scan cannot sweep the point-read cache. Either way the
-// scan decodes the block itself. strs says whether fn reads any string
-// column: without it a version-3 block's var stream is never inflated,
-// and reading a string column of such a page panics. fn must not retain
-// ids/page/sel across calls (strings read from page may be kept: they
-// alias the block's var values, which are never reused); returning false
-// stops the scan. Scanning does not bump warm counters: per §5.2,
-// "operations like table scans do not warm any data".
+// scan decodes the block itself, into buffers it reuses from block to
+// block. strs says whether fn reads any string column: without it a
+// version-3 or -4 block's var stream is never decoded, and reading a
+// string column of such a page panics. fn must not retain ids/page/sel
+// across calls (strings read from page may be kept: they alias the
+// block's var values, which are never reused); returning false stops the
+// scan. Scanning does not bump warm counters: per §5.2, "operations like
+// table scans do not warm any data".
 func (s *Store) ScanBlocks(preds []rel.ColPred, strs bool, fn func(ids []rel.RowID, page *pax.Page, sel pax.Sel) bool) error {
 	s.mu.RLock()
 	segs := append([]*segment(nil), s.segs...)
 	s.mu.RUnlock()
 	var sel pax.Sel
+	var buf scanBuf
 	for _, g := range segs {
 		if zonesPrune(g.zones, preds) {
 			s.scanPruned.Add(int64(len(g.blocks)))
@@ -546,11 +549,12 @@ func (s *Store) ScanBlocks(preds []rel.ColPred, strs bool, fn func(ids []rel.Row
 			b, ok := s.cached(g, bi, false)
 			if !ok {
 				var err error
-				if b, err = s.readBlock(g, bi); err != nil {
+				if b, err = s.readBlock(g, bi, buf.comp); err != nil {
 					return err
 				}
+				buf.comp = b.comp
 			}
-			d, err := b.decode(s.schema, strs)
+			d, err := b.decode(s.schema, strs, &buf)
 			if err != nil {
 				return err
 			}
@@ -629,13 +633,15 @@ func (s *Store) Compact() (int, error) {
 
 	sb := newSegmentBuilder(s.schema, inputs[0].level+1, s.blockRows())
 	rows := 0
+	var buf scanBuf // the builder copies every value it adds
 	for i, g := range inputs {
 		for bi := range g.blocks {
-			b, err := s.readBlock(g, bi)
+			b, err := s.readBlock(g, bi, buf.comp)
 			if err != nil {
 				return 0, err
 			}
-			d, err := b.decode(s.schema, true)
+			buf.comp = b.comp
+			d, err := b.decode(s.schema, true, &buf)
 			if err != nil {
 				return 0, err
 			}

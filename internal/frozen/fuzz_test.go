@@ -149,11 +149,12 @@ func FuzzSegmentHeader(f *testing.F) {
 	})
 }
 
-// fuzzColdBlocks builds the FuzzColdBlock seeds, version-3 blocks of
+// fuzzColdBlocks builds the FuzzColdBlock seeds, version-4 blocks of
 // edgeSchema with their directory raw lengths: 16 rows of edge values
 // (MinInt64 and MaxInt64 in one strip, NaN and -0.0, empty strings), the
 // same rows under ids a merge left sparse, and the one-row block of a row
-// larger than blockTargetBytes.
+// larger than blockTargetBytes. The version-3 seeds are the corpus files
+// under testdata/fuzz/FuzzColdBlock and the blocks of testdata/v3edge.
 func fuzzColdBlocks(t testing.TB) []storedBlock {
 	build := func(ids []rel.RowID, rows []rel.Row) storedBlock {
 		sb := newSegmentBuilder(edgeSchema(), 0, len(ids))
@@ -180,14 +181,18 @@ func fuzzColdBlocks(t testing.TB) []storedBlock {
 	return []storedBlock{build(ids, rows), build(sparse, rows), build([]rel.RowID{7}, []rel.Row{big})}
 }
 
-// FuzzColdBlock throws mutated version-3 blocks at the block reader (the
-// block CRC is recomputed so mutations reach the parser). Parsing, the
-// point read of every id and both whole-block unpacks, with and without
-// strings, must return an error or a result and never panic; and when a
-// block is accepted — parsed, and its ids ascend so it unpacks — the point
-// read and the unpacked page agree on every row.
+// FuzzColdBlock throws mutated blocks at the block reader of both strip
+// versions, 3 (DEFLATE var stream) and 4 (LZ); the block CRC is
+// recomputed so mutations reach the parser. Parsing, the point read of
+// every id and both whole-block unpacks, with and without strings, must
+// return an error or a result and never panic; and when a block is
+// accepted — parsed, and its ids ascend so it unpacks — the point read and
+// the unpacked page agree on every row.
 func FuzzColdBlock(f *testing.F) {
 	for _, b := range fuzzColdBlocks(f) {
+		f.Add(b.comp, b.rawLen)
+	}
+	for _, b := range v3EdgeBlocks(f) {
 		f.Add(b.comp, b.rawLen)
 	}
 	schema := edgeSchema()
@@ -196,40 +201,115 @@ func FuzzColdBlock(f *testing.F) {
 			comp = append([]byte(nil), comp...)
 			binary.LittleEndian.PutUint32(comp[len(comp)-4:], crc32.Checksum(comp[:len(comp)-4], blockCRC))
 		}
-		bare, bareErr := decodeBlock(nil, segmentVersion, comp, rawLen, true)
-		b, err := parseBlock(schema, segmentVersion, comp, rawLen)
+		for _, version := range []uint32{3, 4} {
+			checkColdBlock(t, schema, version, comp, rawLen)
+		}
+	})
+}
+
+// checkColdBlock is FuzzColdBlock's check of one block read as version.
+func checkColdBlock(t *testing.T, schema *rel.Schema, version uint32, comp []byte, rawLen uint32) {
+	bare, bareErr := decodeBlock(nil, version, comp, rawLen, true)
+	b, err := parseBlock(schema, version, comp, rawLen)
+	if err != nil {
+		return
+	}
+	full, fullErr := b.decode(schema, true, nil)
+	fixed, err := b.decode(schema, false, nil)
+	if err != nil {
+		// Only ids out of order stop an unpack without strings: point
+		// reads may miss rows then, but must not panic.
+		for i := 0; i < b.strips.n; i++ {
+			b.get(schema, rel.RowID(b.strips.ids.at(i)))
+		}
+		return
+	}
+	if fullErr == nil && (bareErr != nil || fmt.Sprint(bare.ids) != fmt.Sprint(full.ids)) {
+		t.Fatalf("schema-less decode = (%v, %v), with the schema %v", bare.ids, bareErr, full.ids)
+	}
+	for i, rid := range fixed.ids {
+		row, ok, err := b.get(schema, rid)
+		if (err == nil) != (fullErr == nil) {
+			t.Fatalf("point read of %d: %v; whole-block unpack: %v", rid, err, fullErr)
+		}
 		if err != nil {
-			return
+			continue
 		}
-		full, fullErr := b.decode(schema, true)
-		fixed, err := b.decode(schema, false)
-		if err != nil {
-			// Only ids out of order stop an unpack without strings: point
-			// reads may miss rows then, but must not panic.
-			for i := 0; i < b.strips.n; i++ {
-				b.get(schema, rel.RowID(b.strips.ids.at(i)))
+		if !ok || !sameRow(row, full.rows.Row(i)) {
+			t.Fatalf("point read of %d = (%v, %v), unpacked row %v", rid, row, ok, full.rows.Row(i))
+		}
+		for c, col := range schema.Cols {
+			if col.Type.FixedWidth() > 0 && !sameRow(rel.Row{fixed.rows.Col(i, c)}, rel.Row{row[c]}) {
+				t.Fatalf("row %d column %d: %v unpacked without strings, %v read in place", rid, c, fixed.rows.Col(i, c), row[c])
 			}
-			return
 		}
-		if fullErr == nil && (bareErr != nil || fmt.Sprint(bare.ids) != fmt.Sprint(full.ids)) {
-			t.Fatalf("schema-less decode = (%v, %v), with the schema %v", bare.ids, bareErr, full.ids)
-		}
-		for i, rid := range fixed.ids {
-			row, ok, err := b.get(schema, rid)
-			if (err == nil) != (fullErr == nil) {
-				t.Fatalf("point read of %d: %v; whole-block unpack: %v", rid, err, fullErr)
-			}
+	}
+}
+
+// v3EdgeBlocks returns the blocks of testdata/v3edge, a store the
+// version-3 (DEFLATE) writer wrote over edgeSchema, with their directory
+// raw lengths.
+func v3EdgeBlocks(t testing.TB) []storedBlock {
+	s := openV3Edge(t)
+	var out []storedBlock
+	for _, g := range s.segs {
+		for bi, b := range g.blocks {
+			comp, err := s.bf.ReadBlock(g.bodyRef(bi))
 			if err != nil {
-				continue
+				t.Fatal(err)
 			}
-			if !ok || !sameRow(row, full.rows.Row(i)) {
-				t.Fatalf("point read of %d = (%v, %v), unpacked row %v", rid, row, ok, full.rows.Row(i))
-			}
-			for c, col := range schema.Cols {
-				if col.Type.FixedWidth() > 0 && !sameRow(rel.Row{fixed.rows.Col(i, c)}, rel.Row{row[c]}) {
-					t.Fatalf("row %d column %d: %v unpacked without strings, %v read in place", rid, c, fixed.rows.Col(i, c), row[c])
+			out = append(out, storedBlock{comp: comp, rawLen: b.rawLen})
+		}
+	}
+	return out
+}
+
+// FuzzLZ throws arbitrary streams at the LZ decoder and arbitrary inputs
+// at the encoder. Decoding into an n-byte output, guarded on both sides,
+// must never panic or write outside it, and must either fail or fill it
+// exactly, so the same stream fails into n-1 or n+1 bytes; and every
+// input must survive an encode and decode unchanged.
+func FuzzLZ(f *testing.F) {
+	var e lzEncoder
+	for _, in := range [][]byte{nil, []byte("a"), bytes.Repeat([]byte("ab"), 100),
+		[]byte(strings.Repeat("tag-000-0123456789abcdef", 40)), []byte("0123456789abcdefghij")} {
+		enc := e.encode(nil, in)
+		f.Add(enc, uint16(len(in)))
+		f.Add(in, uint16(len(in)))
+	}
+	for _, b := range fuzzColdBlocks(f) {
+		p, err := parseStrips(nil, segmentVersion, b.comp, b.rawLen)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(p.varComp, uint16(p.varRaw))
+	}
+	const guard = 16
+	f.Fuzz(func(t *testing.T, data []byte, n uint16) {
+		decode := func(n int) ([]byte, error) {
+			buf := bytes.Repeat([]byte{0xA5}, n+2*guard)
+			err := lzDecode(buf[guard:guard+n:guard+n], data)
+			for i := range guard {
+				if buf[i] != 0xA5 || buf[guard+n+i] != 0xA5 {
+					t.Fatalf("decoding into %d bytes wrote outside them", n)
 				}
 			}
+			return buf[guard : guard+n], err
+		}
+		if _, err := decode(int(n)); err == nil {
+			if _, err := decode(int(n) + 1); err == nil {
+				t.Fatalf("a stream that fills %d bytes also decoded into %d", n, n+1)
+			}
+			if n > 0 {
+				if _, err := decode(int(n) - 1); err == nil {
+					t.Fatalf("a stream that fills %d bytes also decoded into %d", n, n-1)
+				}
+			}
+		}
+		enc := e.encode(nil, data)
+		out := make([]byte, len(data))
+		if err := lzDecode(out, enc); err != nil || !bytes.Equal(out, data) {
+			t.Fatalf("round trip of %d bytes: %v", len(data), err)
 		}
 	})
 }

@@ -29,25 +29,27 @@ import (
 //	headerCRC u32
 //	body: concatenated blocks
 //
-// A version-3 block keeps fixed-width columns out of DEFLATE:
+// A version-3 or -4 block keeps fixed-width columns out of the compressor:
 //
 //	count u32 | numCols u16 | ids: FOR strip
 //	per column, in schema order: kind u8, then
 //	    int64: FOR strip | float64: raw u64[count] | string: nothing
-//	[ if any string column: varRawLen u32 | DEFLATE stream running to the CRC ]
+//	[ if any string column: varRawLen u32 | var stream running to the CRC ]
 //	blockCRC u32 (CRC-32C of everything before it)
 //
 //	FOR strip: base u64 | width u8 (0-64) | u64[ceil(count*width/64)]
 //
 // A frame-of-reference (FOR) strip stores each value as its offset from
 // the strip's minimum, width bits apiece, low bits first. The var stream
-// inflates to every string column's length-prefixed values (len u32,
-// bytes), column by column, so a point read inflates only its block's
-// strings and a scan over fixed-width columns inflates nothing. A version
-// 1 or 2 block is one DEFLATE stream of count u32 | ids u64[] | pax image.
+// decodes to every string column's length-prefixed values (len u32,
+// bytes), column by column, so a point read decodes only its block's
+// strings and a scan over fixed-width columns decodes nothing. The two
+// versions differ only in the var stream's compression: DEFLATE in version
+// 3, one LZ4 block-format stream (lz.go) in version 4. A version 1 or 2
+// block is one DEFLATE stream of count u32 | ids u64[] | pax image.
 // rawLen is that image's size in every version: it drives the block cut
-// and the raw-bytes counter, and a version-3 decoder checks its block
-// against it.
+// and the raw-bytes counter, and a version-3 or -4 decoder checks its
+// block against it.
 //
 // compOff is relative to the body start (header end), so a point read
 // issues one small sub-range read of exactly the block it needs. The
@@ -60,19 +62,19 @@ import (
 // block b — so numBlockZones is numBlocks x numZones and every block zone
 // nests inside its segment zone. Version 1 headers end after the segment
 // zones; they decode as "no block zones", which prunes nothing. Version 3
-// headers are version 2 headers; only the blocks differ. The writer emits
-// version 3 only.
+// and 4 headers are version 2 headers; only the blocks differ. The writer
+// emits version 4 only; a merge rewrites older segments as version 4.
 const (
 	segmentMagic   uint32 = 0x50435331 // "PCS1"
-	segmentVersion uint32 = 3
+	segmentVersion uint32 = 4
 
 	segFlagFlat byte = 1 << 0 // legacy flat segment (one block, no bloom/zones): read, never written
 )
 
 // blockTargetBytes is the raw block size (count | ids | pax image) at
 // which the builder cuts a block: the block is what a point read decodes
-// to return one row, so it is sized for that read, while flate still finds
-// redundancy across the strings of a few dozen rows.
+// to return one row, so it is sized for that read, while the compressor
+// still finds redundancy across the strings of a few dozen rows.
 const blockTargetBytes = 8 << 10
 
 // DefaultBlockRows caps the rows in one block. blockTargetBytes binds
@@ -251,13 +253,12 @@ func (g *segment) bodyRef(i int) storage.BlockRef {
 // --- Builder -----------------------------------------------------------------
 
 // segmentBuilder accumulates rows in rid order and emits one encoded
-// version-3 segment of independently decodable blocks. A block is closed
+// version-4 segment of independently decodable blocks. A block is closed
 // before a row that would take its raw image past blockTargetBytes (a row
 // larger than that gets a block of its own) and once it holds blockRows
 // rows. Zones fold per block and the segment's zones are the fold of its
 // blocks'; the bloom filter covers every row id. One set of column
-// buffers and one compressor serve every block of the build:
-// flate.NewWriter allocates ~1.2 MB.
+// buffers and one matcher serve every block of the build.
 type segmentBuilder struct {
 	schema    *rel.Schema
 	level     int
@@ -265,9 +266,9 @@ type segmentBuilder struct {
 
 	ids    []rel.RowID // all rids, for the bloom filter
 	blocks []segBlock
-	body   bytes.Buffer
-	fw     *flate.Writer
-	buf    []byte // the open block's strips, before the var stream
+	body   []byte
+	lz     lzEncoder
+	vars   []byte // the open block's var stream, before compression
 
 	start  int      // index in ids of the open block's first row
 	cols   []colBuf // the open block's values, per column
@@ -322,9 +323,7 @@ func (sb *segmentBuilder) add(id rel.RowID, row rel.Row) error {
 	}
 	rowBytes := rawRowBytes(row)
 	if len(sb.ids) > sb.start && sb.curRaw+rowBytes > blockTargetBytes {
-		if err := sb.flushBlock(); err != nil {
-			return err
-		}
+		sb.flushBlock()
 	}
 	for ci, v := range row {
 		cb := &sb.cols[ci]
@@ -342,7 +341,7 @@ func (sb *segmentBuilder) add(id rel.RowID, row rel.Row) error {
 	sb.ids = append(sb.ids, id)
 	sb.foldZones(row)
 	if len(sb.ids)-sb.start >= sb.blockRows {
-		return sb.flushBlock()
+		sb.flushBlock()
 	}
 	return nil
 }
@@ -389,19 +388,21 @@ func zoneLess(kind rel.Type, a, b uint64) bool {
 	return int64(a) < int64(b)
 }
 
-// flushBlock writes the open block in the version-3 layout: the strips,
-// then one DEFLATE stream of every string column's values, then the CRC.
-func (sb *segmentBuilder) flushBlock() error {
+// flushBlock writes the open block in the version-4 layout: the strips,
+// then one LZ stream of every string column's values, then the CRC.
+func (sb *segmentBuilder) flushBlock() {
 	ids := sb.ids[sb.start:]
 	n := len(ids)
 	if n == 0 {
-		return nil
+		return
 	}
 	le := binary.LittleEndian
-	b := le.AppendUint32(sb.buf[:0], uint32(n))
+	compOff := len(sb.body)
+	b := le.AppendUint32(sb.body, uint32(n))
 	b = le.AppendUint16(b, uint16(len(sb.cols)))
 	b = appendFOR(b, ids)
-	nvar, varRaw := 0, 0
+	nvar := 0
+	sb.vars = sb.vars[:0]
 	for ci, c := range sb.schema.Cols {
 		cb := &sb.cols[ci]
 		b = append(b, byte(c.Type))
@@ -412,41 +413,14 @@ func (sb *segmentBuilder) flushBlock() error {
 			b = append(b, cb.floats...)
 		default:
 			nvar++
-			varRaw += len(cb.vals)
+			sb.vars = append(sb.vars, cb.vals...)
 		}
 	}
 	if nvar > 0 {
-		b = le.AppendUint32(b, uint32(varRaw))
+		b = le.AppendUint32(b, uint32(len(sb.vars)))
+		b = sb.lz.encode(b, sb.vars)
 	}
-	sb.buf = b
-
-	compOff := sb.body.Len()
-	sb.body.Write(b)
-	if nvar > 0 {
-		if sb.fw == nil {
-			fw, err := flate.NewWriter(&sb.body, flate.BestSpeed)
-			if err != nil {
-				return err
-			}
-			sb.fw = fw
-		} else {
-			sb.fw.Reset(&sb.body)
-		}
-		for ci, c := range sb.schema.Cols {
-			if c.Type.FixedWidth() > 0 {
-				continue
-			}
-			if _, err := sb.fw.Write(sb.cols[ci].vals); err != nil {
-				return err
-			}
-		}
-		if err := sb.fw.Close(); err != nil {
-			return err
-		}
-	}
-	var crc [4]byte
-	le.PutUint32(crc[:], crc32.Checksum(sb.body.Bytes()[compOff:], blockCRC))
-	sb.body.Write(crc[:])
+	sb.body = le.AppendUint32(b, crc32.Checksum(b[compOff:], blockCRC))
 
 	sb.rawTotal += int64(sb.curRaw)
 	sb.blocks = append(sb.blocks, segBlock{
@@ -455,7 +429,7 @@ func (sb *segmentBuilder) flushBlock() error {
 		numRows:  uint32(n),
 		rawLen:   uint32(sb.curRaw),
 		compOff:  uint32(compOff),
-		compLen:  uint32(sb.body.Len() - compOff),
+		compLen:  uint32(len(sb.body) - compOff),
 	})
 	if sb.zones == nil {
 		sb.zones = append(sb.zones, sb.curZones...)
@@ -471,7 +445,6 @@ func (sb *segmentBuilder) flushBlock() error {
 	sb.start = len(sb.ids)
 	sb.curRaw = blockOverhead
 	sb.curZones = nil
-	return nil
 }
 
 // appendFOR appends vals as a frame-of-reference strip: their minimum as
@@ -510,9 +483,7 @@ func appendFOR[T ~uint64 | ~int64](dst []byte, vals []T) []byte {
 // finish encodes the full segment. Returns the segment bytes and the
 // header length (everything before the block body).
 func (sb *segmentBuilder) finish() (data []byte, headerLen int, err error) {
-	if err := sb.flushBlock(); err != nil {
-		return nil, 0, err
-	}
+	sb.flushBlock()
 	if len(sb.ids) == 0 {
 		return nil, 0, fmt.Errorf("frozen: empty segment")
 	}
@@ -522,10 +493,10 @@ func (sb *segmentBuilder) finish() (data []byte, headerLen int, err error) {
 		h.filter.add(uint64(id))
 	}
 	hdr := h.encodeHeader()
-	return append(hdr, sb.body.Bytes()...), len(hdr), nil
+	return append(hdr, sb.body...), len(hdr), nil
 }
 
-// encodeHeader emits the segment's header in its version (2 or 3: the
+// encodeHeader emits the segment's header in its version (2, 3 or 4: the
 // same fields), CRC trailer included.
 func (g *segment) encodeHeader() []byte {
 	var hdr []byte
@@ -741,18 +712,19 @@ var inflaters = sync.Pool{New: func() any {
 	return z
 }}
 
-// inflates counts DEFLATE streams inflated, process-wide (Inflates).
+// inflates counts compressed streams decoded, process-wide (Inflates).
 var inflates atomic.Int64
 
-// Inflates returns how many DEFLATE streams the cold tier has inflated in
-// this process: a test hook that shows which reads paid for one.
+// Inflates returns how many compressed streams the cold tier has decoded
+// in this process — a version-3 or -4 block's var stream, a version-1 or
+// -2 block's one stream: a test hook that shows which reads paid for one.
 func Inflates() int64 { return inflates.Load() }
 
-// inflate expands comp, which must hold exactly len(raw) bytes, into raw.
-// The inflater is pooled (flate.Resetter); what still allocates per call is
-// compress/flate rebuilding its Huffman link tables.
+// inflate expands comp, which must hold exactly len(raw) bytes, into raw:
+// the DEFLATE decoder of version-1 to -3 blocks. The inflater is pooled
+// (flate.Resetter); what still allocates per call is compress/flate
+// rebuilding its Huffman link tables.
 func inflate(raw, comp []byte) error {
-	inflates.Add(1)
 	z := inflaters.Get().(*inflater)
 	defer func() {
 		z.src.Reset(nil) // a parked inflater must not pin the caller's buffer
@@ -777,15 +749,26 @@ func inflate(raw, comp []byte) error {
 const maxInflate = 1032
 
 // storedBlock is one block as the block file stores it, parsed once when
-// it is read: a version-3 block's CRC, strips and lengths are checked and
-// located (parseStrips), a version-1 or -2 block is its one DEFLATE
-// stream. It is what the point-read cache holds, charged at len(comp),
-// and it is read-only, so one value is shared by every reader.
+// it is read: a version-3 or -4 block's CRC, strips and lengths are
+// checked and located (parseStrips), a version-1 or -2 block is its one
+// DEFLATE stream. It is what the point-read cache holds, charged at
+// len(comp), and it is read-only, so one value is shared by every reader.
 type storedBlock struct {
 	comp    []byte
 	version uint32
 	rawLen  uint32
-	strips  stripBlock // version 3 only: views over comp
+	strips  stripBlock // version 3 and 4 only: views over comp
+}
+
+// scanBuf is what one scan reuses from block to block (ScanBlocks): the
+// stored bytes of each block it reads from the file, and the unpacked row
+// ids and fixed-width strips. A consumer borrows those only for its
+// callback. A block's var values always get a fresh buffer, because
+// strings kept past the callback alias them.
+type scanBuf struct {
+	comp  []byte
+	ids   []rel.RowID
+	fixed []byte
 }
 
 // blockData is a decoded block: row ids and a read-only page view over
@@ -803,7 +786,7 @@ func parseBlock(schema *rel.Schema, version uint32, comp []byte, rawLen uint32) 
 		return b, nil
 	}
 	var err error
-	b.strips, err = parseStrips(schema, comp, rawLen)
+	b.strips, err = parseStrips(schema, version, comp, rawLen)
 	return b, err
 }
 
@@ -813,29 +796,33 @@ func decodeBlock(schema *rel.Schema, version uint32, comp []byte, rawLen uint32,
 	if err != nil {
 		return blockData{}, err
 	}
-	return b.decode(schema, strs)
+	return b.decode(schema, strs, nil)
 }
 
 // decode unpacks the whole block — what scans, compaction, ExtractLive and
 // VerifySegmentBytes read, with one branch per block layout and one
-// result: row ids and a read-only pax page. Nothing it allocates is ever
-// recycled, because the page's strips and var values are sub-slices of its
-// buffers and the strings Row/Col hand out (pax viewStr) alias them for as
-// long as any consumer keeps them — the executor's sort and hash-build
-// stages do, past the scan callback. Each kept string therefore pins its
-// block's var values (see pax.View); a stage buffering one row per block
-// holds those of every block it scanned. A nil schema decodes and checks
-// the whole block but returns the row ids only. strs=false leaves a
-// version-3 block's var stream uninflated and the page without its string
-// columns, for a consumer that reads fixed-width columns only.
-func (b *storedBlock) decode(schema *rel.Schema, strs bool) (blockData, error) {
+// result: row ids and a read-only pax page. The var values are never
+// recycled, because the page's var values are sub-slices of their buffer
+// and the strings Row/Col hand out (pax viewStr) alias them for as long
+// as any consumer keeps them — the executor's sort and hash-build stages
+// do, past the scan callback. Each kept string therefore pins its block's
+// var values (see pax.View); a stage buffering one row per block holds
+// those of every block it scanned. With buf, a version-3 or -4 block's ids
+// and fixed-width strips go into buf's buffers, which the next decode
+// into buf overwrites; without it, into fresh ones. A nil schema decodes
+// and checks the whole block but returns the row ids only. strs=false
+// leaves a version-3 or -4 block's var stream undecoded and the page
+// without its string columns, for a consumer that reads fixed-width
+// columns only.
+func (b *storedBlock) decode(schema *rel.Schema, strs bool, buf *scanBuf) (blockData, error) {
 	if b.version >= 3 {
-		return b.strips.unpack(schema, strs)
+		return b.strips.unpack(schema, strs, buf)
 	}
 	if uint64(b.rawLen) > maxInflate*uint64(len(b.comp))+64 {
 		return blockData{}, fmt.Errorf("frozen: block raw length %d impossible for %d compressed bytes", b.rawLen, len(b.comp))
 	}
 	raw := make([]byte, b.rawLen)
+	inflates.Add(1)
 	if err := inflate(raw, b.comp); err != nil {
 		return blockData{}, fmt.Errorf("frozen: decompress block (raw length %d): %w", b.rawLen, err)
 	}
@@ -866,9 +853,9 @@ func (b *storedBlock) decode(schema *rel.Schema, strs bool) (blockData, error) {
 }
 
 // get returns the row stored under rid, if the block holds it: a version-3
-// block reads it in place (stripBlock.row), an older one is decoded whole.
-// A nil schema only reports presence, which a version-3 block answers from
-// its id strip, inflating nothing.
+// or -4 block reads it in place (stripBlock.row), an older one is decoded
+// whole. A nil schema only reports presence, which a version-3 or -4 block
+// answers from its id strip, decoding nothing.
 func (b *storedBlock) get(schema *rel.Schema, rid rel.RowID) (rel.Row, bool, error) {
 	if b.version >= 3 {
 		i, ok := b.strips.find(rid)
@@ -878,7 +865,7 @@ func (b *storedBlock) get(schema *rel.Schema, rid rel.RowID) (rel.Row, bool, err
 		row, err := b.strips.row(schema, i)
 		return row, err == nil, err
 	}
-	d, err := b.decode(schema, true)
+	d, err := b.decode(schema, true, nil)
 	if err != nil {
 		return nil, false, err
 	}
@@ -892,34 +879,35 @@ func (b *storedBlock) get(schema *rel.Schema, rid rel.RowID) (rel.Row, bool, err
 	return d.rows.Row(i), true, nil
 }
 
-// blockCRC is the version-3 block checksum's polynomial: CRC-32C, which
-// the hardware computes on the platforms this runs on.
+// blockCRC is the version-3 and -4 block checksum's polynomial: CRC-32C,
+// which the hardware computes on the platforms this runs on.
 var blockCRC = crc32.MakeTable(crc32.Castagnoli)
 
-// maxStripRows bounds a version-3 block's row count before anything is
-// sized by it: the builder closes a block before its raw image passes
+// maxStripRows bounds a version-3 or -4 block's row count before anything
+// is sized by it: the builder closes a block before its raw image passes
 // blockTargetBytes, and every row adds at least its 8-byte id.
 const maxStripRows = blockTargetBytes / 8
 
-// stripBlock is a parsed version-3 block: views over its stored bytes
-// that parseStrips has checked, so reading them cannot fail.
+// stripBlock is a parsed version-3 or -4 block: views over its stored
+// bytes that parseStrips has checked, so reading them cannot fail.
 type stripBlock struct {
 	n, ncols, nvar int
 	ids            forStrip
 	cols           []byte // the per-column section: kind bytes and strips
-	varRaw         int    // the var stream's inflated length
+	varRaw         int    // the var stream's decoded length
 	varComp        []byte // the var stream, running to the CRC
+	lz             bool   // version 4: varComp is LZ, not DEFLATE
 }
 
-// parseStrips parses a version-3 block (see the format comment) and is the
-// one place its layout is checked: the CRC, the row count, the column
-// count and kinds against the schema (unless it is nil), every strip's bit
-// width and length, the var stream's length against what its compressed
-// bytes and its values' length prefixes allow, and the raw-length identity
-// with the directory's rawLen. The var stream's own framing is checked
-// where it is inflated (inflateVars), the ids' order where they are
-// unpacked.
-func parseStrips(schema *rel.Schema, body []byte, rawLen uint32) (stripBlock, error) {
+// parseStrips parses a version-3 or -4 block (see the format comment) and
+// is the one place its layout is checked: the CRC, the row count, the
+// column count and kinds against the schema (unless it is nil), every
+// strip's bit width and length, the var stream's length against what its
+// compressed bytes and its values' length prefixes allow, and the
+// raw-length identity with the directory's rawLen. The var stream's own
+// framing is checked where it is decoded (decodeVars), the ids' order
+// where they are unpacked.
+func parseStrips(schema *rel.Schema, version uint32, body []byte, rawLen uint32) (stripBlock, error) {
 	le := binary.LittleEndian
 	if len(body) < 4 {
 		return stripBlock{}, errTruncated("block checksum")
@@ -933,7 +921,7 @@ func parseStrips(schema *rel.Schema, body []byte, rawLen uint32) (stripBlock, er
 	if r.err != nil {
 		return stripBlock{}, r.err
 	}
-	p := stripBlock{n: int(le.Uint32(h)), ncols: int(le.Uint16(h[4:]))}
+	p := stripBlock{n: int(le.Uint32(h)), ncols: int(le.Uint16(h[4:])), lz: version >= 4}
 	if p.n == 0 || p.n > maxStripRows {
 		return stripBlock{}, fmt.Errorf("frozen: block row count %d", p.n)
 	}
@@ -967,7 +955,11 @@ func parseStrips(schema *rel.Schema, body []byte, rawLen uint32) (stripBlock, er
 	if p.nvar == 0 && len(p.varComp) != 0 {
 		return stripBlock{}, fmt.Errorf("frozen: %d trailing block bytes", len(p.varComp))
 	}
-	if p.nvar > 0 && (p.varRaw < 4*p.n*p.nvar || uint64(p.varRaw) > maxInflate*uint64(len(p.varComp))+64) {
+	maxExpand := uint64(maxInflate)
+	if p.lz {
+		maxExpand = lzMaxExpand
+	}
+	if p.nvar > 0 && (p.varRaw < 4*p.n*p.nvar || uint64(p.varRaw) > maxExpand*uint64(len(p.varComp))+64) {
 		return stripBlock{}, fmt.Errorf("frozen: var stream length %d impossible for %d rows in %d bytes", p.varRaw, p.n, len(p.varComp))
 	}
 	if want := uint64(blockOverhead) + uint64(8*p.n)*uint64(1+p.ncols-p.nvar) + uint64(p.varRaw); uint64(rawLen) != want {
@@ -978,11 +970,17 @@ func parseStrips(schema *rel.Schema, body []byte, rawLen uint32) (stripBlock, er
 
 // unpack decodes the whole block (see storedBlock.decode): it unpacks the
 // row ids, which must ascend strictly, every fixed-width strip into one
-// allocation of 8-byte minipages and, when strs is set, inflates the var
-// stream into one fresh buffer its values alias.
-func (p *stripBlock) unpack(schema *rel.Schema, strs bool) (blockData, error) {
+// buffer of 8-byte minipages (buf's, if given) and, when strs is set,
+// decodes the var stream into one fresh buffer its values alias.
+func (p *stripBlock) unpack(schema *rel.Schema, strs bool, buf *scanBuf) (blockData, error) {
 	le := binary.LittleEndian
-	d := blockData{ids: make([]rel.RowID, p.n)}
+	if buf == nil {
+		buf = new(scanBuf) // nothing to reuse
+	}
+	if cap(buf.ids) < p.n {
+		buf.ids = make([]rel.RowID, p.n)
+	}
+	d := blockData{ids: buf.ids[:p.n]}
 	for i := range d.ids {
 		d.ids[i] = rel.RowID(p.ids.at(i))
 		if i > 0 && d.ids[i] <= d.ids[i-1] {
@@ -994,7 +992,7 @@ func (p *stripBlock) unpack(schema *rel.Schema, strs bool) (blockData, error) {
 		if schema != nil {
 			vals = make([][]byte, p.nvar*p.n)
 		}
-		if err := p.inflateVars(make([]byte, p.varRaw), func(k int, v []byte) {
+		if err := p.decodeVars(make([]byte, p.varRaw), func(k int, v []byte) {
 			if vals != nil {
 				vals[k] = v
 			}
@@ -1005,7 +1003,10 @@ func (p *stripBlock) unpack(schema *rel.Schema, strs bool) (blockData, error) {
 	if schema == nil {
 		return d, nil
 	}
-	fixed := make([]byte, 0, (p.ncols-p.nvar)*8*p.n)
+	if need := (p.ncols - p.nvar) * 8 * p.n; cap(buf.fixed) < need {
+		buf.fixed = make([]byte, 0, need)
+	}
+	fixed := buf.fixed[:0]
 	r := stripReader{b: p.cols}
 	for c := 0; c < p.ncols; c++ {
 		switch kind, f := r.column(p.n); kind {
@@ -1032,7 +1033,7 @@ func (p *stripBlock) find(rid rel.RowID) (int, bool) {
 
 // row reads row i in place: each fixed-width value from its strip and,
 // when the block has string columns, this row's strings copied out of the
-// var stream, which is inflated into pooled scratch and checked in full on
+// var stream, which is decoded into pooled scratch and checked in full on
 // the way. The row owns everything it holds.
 func (p *stripBlock) row(schema *rel.Schema, i int) (rel.Row, error) {
 	out := make(rel.Row, p.ncols)
@@ -1051,7 +1052,7 @@ func (p *stripBlock) row(schema *rel.Schema, i int) (rel.Row, error) {
 	buf := getScratch(p.varRaw)
 	defer putScratch(buf)
 	c := -1
-	if err := p.inflateVars(*buf, func(k int, v []byte) {
+	if err := p.decodeVars(*buf, func(k int, v []byte) {
 		if k%p.n != i {
 			return
 		}
@@ -1066,13 +1067,20 @@ func (p *stripBlock) row(schema *rel.Schema, i int) (rel.Row, error) {
 	return out, nil
 }
 
-// inflateVars inflates the var stream into raw, which is p.varRaw long,
-// and walks all of its framing: nvar×n length-prefixed values, column by
+// decodeVars decodes the var stream into raw, which is p.varRaw long, and
+// walks all of its framing: nvar×n length-prefixed values, column by
 // column, that fill raw exactly. It hands value k — string column k/n,
 // row k%n — to each; the value aliases raw.
-func (p *stripBlock) inflateVars(raw []byte, each func(k int, v []byte)) error {
-	if err := inflate(raw, p.varComp); err != nil {
-		return fmt.Errorf("frozen: inflate var stream (raw length %d): %w", p.varRaw, err)
+func (p *stripBlock) decodeVars(raw []byte, each func(k int, v []byte)) error {
+	inflates.Add(1)
+	var err error
+	if p.lz {
+		err = lzDecode(raw, p.varComp)
+	} else {
+		err = inflate(raw, p.varComp)
+	}
+	if err != nil {
+		return fmt.Errorf("frozen: decode var stream (raw length %d): %w", p.varRaw, err)
 	}
 	off := 0
 	for k := 0; k < p.nvar*p.n; k++ {
@@ -1093,7 +1101,7 @@ func (p *stripBlock) inflateVars(raw []byte, each func(k int, v []byte)) error {
 	return nil
 }
 
-// varScratch pools the buffers point reads inflate var streams into. A
+// varScratch pools the buffers point reads decode var streams into. A
 // point read copies its strings out, so nothing aliases a buffer once it
 // is back in the pool.
 var varScratch = sync.Pool{New: func() any {
@@ -1119,7 +1127,8 @@ func putScratch(p *[]byte) {
 	}
 }
 
-// stripReader walks a version-3 block; its first short read sticks as err.
+// stripReader walks a version-3 or -4 block; its first short read sticks
+// as err.
 type stripReader struct {
 	b   []byte
 	err error
@@ -1198,14 +1207,14 @@ func (f forStrip) at(i int) uint64 {
 
 // VerifySegmentBytes checks a raw segment image against its manifest
 // record without needing the table schema: whole-segment CRC, header CRC
-// and shape (a version-2 or -3 header must carry one block zone per block
-// per segment zone), block directory ordering and bounds (checkBody),
-// every block decoded in full
-// (for version 3: its CRC, every strip's bit width and length, and a var
-// stream that inflates to exactly its recorded length of well-framed
-// values), row-id ordering, bloom membership of every stored row id, and
-// that every zone has min <= max with block zones nested inside their
-// segment zone. Used by backup verification.
+// and shape (a version-2, -3 or -4 header must carry one block zone per
+// block per segment zone), block directory ordering and bounds
+// (checkBody), every block decoded in full (for version 3 and 4: its CRC,
+// every strip's bit width and length, and a var stream that decodes to
+// exactly its recorded length of well-framed values), row-id ordering,
+// bloom membership of every stored row id, and that every zone has
+// min <= max with block zones nested inside their segment zone. Used by
+// backup verification.
 func VerifySegmentBytes(data []byte, m SegmentMeta) error {
 	if int64(len(data)) != int64(m.Ref.Len) {
 		return fmt.Errorf("frozen: segment length %d, manifest says %d", len(data), m.Ref.Len)

@@ -169,9 +169,9 @@ func TestStripBlocksRoundTripEdgeValues(t *testing.T) {
 }
 
 // A point read returns strings of its own: they do not alias the pooled
-// buffer its block's var stream was inflated into, so rows kept from 1,000
+// buffer its block's var stream was decoded into, so rows kept from 1,000
 // reads are intact after 2,000 more reads of other blocks have reused that
-// buffer. A delete finds its row in the id strip and inflates nothing.
+// buffer. A delete finds its row in the id strip and decodes nothing.
 func TestGetStringsAreTheirOwn(t *testing.T) {
 	const n = 20_000
 	s := newWideStore(t)
@@ -207,7 +207,7 @@ func TestGetStringsAreTheirOwn(t *testing.T) {
 		}
 	}
 	if got := Inflates() - before; got != 0 {
-		t.Fatalf("deletes inflated %d var streams, want 0", got)
+		t.Fatalf("deletes decoded %d var streams, want 0", got)
 	}
 }
 
@@ -263,11 +263,11 @@ func TestStripBlockWithoutStrings(t *testing.T) {
 	ids, rows := wideBatch(0, 200)
 	mustFreeze(t, s, ids, rows)
 	g := s.segs[0]
-	b, err := s.readBlock(g, 0)
+	b, err := s.readBlock(g, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := b.decode(s.schema, false)
+	d, err := b.decode(s.schema, false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,8 +290,8 @@ func TestStripBlockWithoutStrings(t *testing.T) {
 	}
 }
 
-// stripSections names one offset inside every section of a version-3
-// block, walking it the way the decoder does.
+// stripSections names one offset inside every section of a version-3 or
+// -4 block, walking it the way the decoder does.
 func stripSections(t *testing.T, body []byte) map[string]int {
 	t.Helper()
 	end := len(body) - 4
@@ -328,7 +328,7 @@ func stripSections(t *testing.T, body []byte) map[string]int {
 	return secs
 }
 
-// Every truncation of a version-3 block, and a flipped byte in any of
+// Every truncation of a version-4 block, and a flipped byte in any of
 // its sections, fails decoding with an error — with or without a schema,
 // with or without strings — and a flip the CRC is forged over never
 // panics the decoder.

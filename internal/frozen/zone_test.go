@@ -287,19 +287,27 @@ func TestScanLeavesPointReadCacheAlone(t *testing.T) {
 	}
 }
 
-// Strings read from a block alias its raw image, and the executor's
+// Strings read from a block alias its var values, and the executor's
 // buffering stages (ORDER BY, hash build) keep them after the scan
-// callback returns: a row buffered from block k must be intact after block
-// k+1, and every later one, has been decoded. This is why decodeBlock
-// never recycles the image.
+// callback returns, while the scan reuses its other buffers from block to
+// block: every row kept from a 40-block scan, half of its blocks cached by
+// point reads and half read from the file, must be intact after the scan
+// and after a second one. This is why decode never recycles var values.
 func TestBufferedStringsSurviveLaterBlocks(t *testing.T) {
 	s := newWideStore(t)
 	s.BlockRows = 16
 	ids, rows := wideBatch(0, 640) // 40 blocks
 	mustFreeze(t, s, ids, rows)
+	for rid := 1; rid <= 640; rid += 32 { // every other block cached
+		if _, ok, err := s.Get(rel.RowID(rid)); !ok || err != nil {
+			t.Fatalf("Get(%d) = (%v, %v)", rid, ok, err)
+		}
+	}
 	var kept []rel.Row
 	if err := s.ScanBlocks(nil, true, func(ids []rel.RowID, page *pax.Page, sel pax.Sel) bool {
-		kept = append(kept, page.Row(0), page.Row(len(ids)-1))
+		for i := range ids {
+			kept = append(kept, page.Row(i))
+		}
 		return true
 	}); err != nil {
 		t.Fatal(err)
@@ -309,23 +317,21 @@ func TestBufferedStringsSurviveLaterBlocks(t *testing.T) {
 	if n := len(scanRows(t, s, nil, true)); n != 640 {
 		t.Fatalf("second scan returned %d rows", n)
 	}
-	if len(kept) != 80 {
-		t.Fatalf("kept %d rows, want 80", len(kept))
+	if len(kept) != 640 {
+		t.Fatalf("kept %d rows, want 640", len(kept))
 	}
-	for i, row := range kept {
-		seq := (i/2)*16 + (i%2)*15
+	for seq, row := range kept {
 		if want := wideRow(seq); !row.Equal(want) {
-			t.Fatalf("row buffered from block %d = %v after later decodes, want %v", i/2, row, want)
+			t.Fatalf("row buffered from block %d = %v after later decodes, want %v", seq/16, row, want)
 		}
 	}
 }
 
-// decodeBlock's own allocations are the ids, the fixed strips, the var
-// buffer and its value headers, and the page view's headers — independent
-// of the row count. compress/flate rebuilds its Huffman link tables on
-// every stream, data-dependently, so the gate is on what decodeBlock adds
-// to a bare inflate of the block's var stream. Decoding without strings
-// inflates nothing and allocates less.
+// decodeBlock's allocations are the ids, the fixed strips, the var buffer
+// and its value headers, and the page view's headers — independent of the
+// row count, and the LZ decoder adds none. Decoding into a scan's reused
+// buffers drops the ids and the strips; decoding without strings decodes
+// no var stream and allocates less still.
 func TestDecodeBlockAllocs(t *testing.T) {
 	sb := newSegmentBuilder(wideSchema(), 0, DefaultBlockRows)
 	for i := 0; i < DefaultBlockRows; i++ {
@@ -340,38 +346,36 @@ func TestDecodeBlockAllocs(t *testing.T) {
 	b := sb.blocks[0] // a full block, cut at blockTargetBytes
 	comp := data[hlen+int(b.compOff) : hlen+int(b.compOff+b.compLen)]
 	schema := wideSchema()
-	if _, err := decodeBlock(schema, segmentVersion, comp, b.rawLen, true); err != nil { // primes the inflater pool
-		t.Fatal(err)
-	}
-	p, err := parseStrips(schema, comp, b.rawLen)
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw := make([]byte, p.varRaw)
-	flateAllocs := testing.AllocsPerRun(100, func() {
-		if err := inflate(raw, p.varComp); err != nil {
-			t.Fatal(err)
-		}
-	})
 	allocs := testing.AllocsPerRun(100, func() {
 		d, err := decodeBlock(schema, segmentVersion, comp, b.rawLen, true)
 		if err != nil || len(d.ids) != int(b.numRows) || d.rows.Col(7, wideTag).S != "tag-00007" {
 			t.Fatalf("decode: %v", err)
 		}
 	})
-	if allocs-flateAllocs > 8 {
-		t.Fatalf("decodeBlock of a 5-column block allocates %.0f times beyond flate's own %.0f, want <= 8",
-			allocs-flateAllocs, flateAllocs)
+	p, err := parseBlock(schema, segmentVersion, comp, b.rawLen)
+	if err != nil {
+		t.Fatal(err)
 	}
+	var buf scanBuf
+	reused := testing.AllocsPerRun(100, func() {
+		d, err := p.decode(schema, true, &buf)
+		if err != nil || len(d.ids) != int(b.numRows) || d.rows.Col(7, wideTag).S != "tag-00007" {
+			t.Fatalf("decode: %v", err)
+		}
+	})
 	before := Inflates()
 	fixedAllocs := testing.AllocsPerRun(100, func() {
-		d, err := decodeBlock(schema, segmentVersion, comp, b.rawLen, false)
+		d, err := p.decode(schema, false, &buf)
 		if err != nil || d.rows.Col(7, wideSeq).I != 7 || d.rows.Col(7, wideScore).F != 7.0/4 {
 			t.Fatalf("decode: %v", err)
 		}
 	})
-	if n := Inflates() - before; n != 0 || fixedAllocs > 5 {
-		t.Fatalf("decoding without strings inflated %d streams in %.0f allocations, want 0 in <= 5", n, fixedAllocs)
+	t.Logf("%.0f allocations per decode, %.0f into reused buffers, %.0f without strings", allocs, reused, fixedAllocs)
+	if allocs > 9 || reused > allocs-2 {
+		t.Fatalf("decoding a 5-column block allocates %.0f times, %.0f into reused buffers; want <= 9 and 2 fewer", allocs, reused)
+	}
+	if n := Inflates() - before; n != 0 || fixedAllocs > 4 {
+		t.Fatalf("decoding without strings decoded %d var streams in %.0f allocations, want 0 in <= 4", n, fixedAllocs)
 	}
 }
 

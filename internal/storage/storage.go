@@ -197,9 +197,19 @@ func (bf *BlockFile) AppendBlock(blk []byte) (BlockRef, error) {
 	return BlockRef{Offset: off, Len: int32(len(blk))}, nil
 }
 
-// ReadBlock returns the block's bytes.
+// ReadBlock returns the block's bytes in a fresh buffer.
 func (bf *BlockFile) ReadBlock(ref BlockRef) ([]byte, error) {
-	buf := make([]byte, ref.Len)
+	return bf.ReadBlockInto(ref, nil)
+}
+
+// ReadBlockInto reads the block into buf, grown if it is too small, and
+// returns the bytes read: a caller that reads block after block reuses
+// one buffer.
+func (bf *BlockFile) ReadBlockInto(ref BlockRef, buf []byte) ([]byte, error) {
+	if cap(buf) < int(ref.Len) {
+		buf = make([]byte, ref.Len)
+	}
+	buf = buf[:ref.Len]
 	if _, err := bf.f.ReadAt(buf, ref.Offset); err != nil {
 		return nil, fmt.Errorf("storage: read block at %d: %w", ref.Offset, err)
 	}

@@ -1,8 +1,13 @@
 package phoebedb
 
 import (
+	"errors"
+	"fmt"
 	"strings"
+	"sync"
 	"testing"
+
+	"phoebedb/internal/core"
 )
 
 func execOrFatal(t *testing.T, db *DB, q string) SQLResult {
@@ -128,6 +133,57 @@ func TestSQLConcurrent(t *testing.T) {
 	res := execOrFatal(t, db, "SELECT * FROM counters")
 	if len(res.Rows) != 21 {
 		t.Fatalf("rows = %d", len(res.Rows))
+	}
+}
+
+// Concurrent autocommit inserts of one key into a unique index admit one
+// row: 4 goroutines each insert the same 2,000 keys, all starting each key
+// together, and each key ends with exactly one successful insert and one
+// row, the others failing with ErrDuplicate.
+func TestConcurrentUniqueInsertsAdmitOneRow(t *testing.T) {
+	const writers, keys = 4, 2000
+	db := openTestDB(t, Options{})
+	execOrFatal(t, db, "CREATE TABLE t (id INT, g INT)")
+	execOrFatal(t, db, "CREATE UNIQUE INDEX t_pk ON t (id)")
+	wins := make([][keys]bool, writers)
+	errs := make(chan error, writers)
+	var ready [keys]sync.WaitGroup // every writer starts key k at once
+	for k := range ready {
+		ready[k].Add(writers)
+	}
+	for w := 0; w < writers; w++ {
+		go func(w int) {
+			for k := 0; k < keys; k++ {
+				ready[k].Done()
+				ready[k].Wait()
+				_, err := db.ExecSQL("INSERT INTO t VALUES (" + itoa(k) + ", " + itoa(w) + ")")
+				if err != nil && !errors.Is(err, core.ErrDuplicate) {
+					errs <- fmt.Errorf("writer %d, key %d: %w", w, k, err)
+					return
+				}
+				wins[w][k] = err == nil
+			}
+			errs <- nil
+		}(w)
+	}
+	for w := 0; w < writers; w++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	for k := 0; k < keys; k++ {
+		n := 0
+		for w := range wins {
+			if wins[w][k] {
+				n++
+			}
+		}
+		if n != 1 {
+			t.Fatalf("key %d: %d successful inserts, want 1", k, n)
+		}
+	}
+	if res := execOrFatal(t, db, "SELECT count(*) FROM t"); res.Rows[0][0].I != keys {
+		t.Fatalf("count(*) = %v, want %d", res.Rows[0][0], keys)
 	}
 }
 
