@@ -241,6 +241,9 @@ func (tx *Tx) backfillIndex(t *Tbl, ix *Index, snapOut *uint64) error {
 	if crash != nil {
 		panic(crash)
 	}
+	if err == nil {
+		err = tx.readErr()
+	}
 	if err != nil {
 		return err
 	}

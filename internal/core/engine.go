@@ -83,10 +83,6 @@ type Config struct {
 	// slot's page allocations land in the partition its worker maintains
 	// (§7.1). Defaults to slot modulo Partitions.
 	PartitionOf func(slot int) int
-	// GroupCommitWait bounds how long a commit leader parks for other
-	// slots' commits before the shared fsync (see wal.Options). 0 flushes
-	// immediately.
-	GroupCommitWait time.Duration
 	// IO receives I/O byte accounting; one is created if nil.
 	IO *metrics.IOCounters
 	// Waits receives per-slot wait-event stamps from the engine's blocking
@@ -265,12 +261,11 @@ func Open(cfg Config) (*Engine, error) {
 		return nil, err
 	}
 	e.WAL, err = wal.Open(wal.Options{
-		Dir:             filepath.Join(cfg.Dir, "wal"),
-		Writers:         cfg.Slots,
-		SyncOnFlush:     cfg.WALSync,
-		GroupCommitWait: cfg.GroupCommitWait,
-		IO:              e.IO,
-		Waits:           cfg.Waits,
+		Dir:         filepath.Join(cfg.Dir, "wal"),
+		Writers:     cfg.Slots,
+		SyncOnFlush: cfg.WALSync,
+		IO:          e.IO,
+		Waits:       cfg.Waits,
 	})
 	if err != nil {
 		e.pf.Close()

@@ -36,6 +36,9 @@ type EngineStats struct {
 	MVCCChainWalks atomic.Int64
 	MVCCChainLinks atomic.Int64
 	MVCCChainLen   metrics.Histogram
+	// CommitDepWaits counts reads that parked on a writer whose commit
+	// timestamp is at or below their snapshot until its commit was durable.
+	CommitDepWaits atomic.Int64
 
 	// GCRuns and GCReclaimed count garbage-collection rounds and the UNDO
 	// records they reclaimed.

@@ -36,6 +36,9 @@ type Tx struct {
 	// waitTimer backs the blocking low-urgency wait of a caller that
 	// supplied no waitLow (sessions, system slots, crash tests).
 	waitTimer park.Timer
+	// commitWait is waitCommit as a func value, made once per slot so
+	// Begin can hand it to the visibility checks without allocating.
+	commitWait func(*undo.TxnMeta) bool
 	// ownMets receives the accounting of a Begin that supplied no
 	// SlotMetrics; created on the slot's first such Begin.
 	ownMets *metrics.SlotMetrics
@@ -124,6 +127,9 @@ type txnState struct {
 	// vis accumulates visibility-check outcomes locally; finishMetrics
 	// flushes the totals into the engine's shared counters in one shot.
 	vis txn.VisStats
+	// visErr is set when a read gave up waiting for a commit; the read
+	// path that made it returns it (readErr).
+	visErr error
 }
 
 type tblLock struct {
@@ -173,7 +179,7 @@ func (e *Engine) Begin(slot int, iso txn.Isolation, mets *metrics.SlotMetrics,
 		yield: yield, waitLow: waitLow, mets: mets,
 		started: time.Now(),
 		active:  true,
-		vis:     txn.VisStats{ChainLen: &e.stats.MVCCChainLen},
+		vis:     txn.VisStats{ChainLen: &e.stats.MVCCChainLen, Wait: tx.commitWait},
 	}
 	tx.tctx.Yield = yield
 	return tx
@@ -182,6 +188,7 @@ func (e *Engine) Begin(slot int, iso txn.Isolation, mets *metrics.SlotMetrics,
 // newTx builds a slot's transaction state; called once per slot at Open.
 func newTx(e *Engine, slot int) *Tx {
 	tx := &Tx{e: e, slot: slot}
+	tx.commitWait = tx.waitCommit
 	tx.tctx = table.Ctx{Waits: e.cfg.Waits, Slot: slot}
 	tx.tableLocks = tx.tableLocksBuf[:0]
 	tx.idxOps = tx.idxOpsBuf[:0]
@@ -565,7 +572,7 @@ func (tx *Tx) readRowInto(t *Tbl, rid rel.RowID, buf *rel.Row) (rel.Row, bool, e
 		out, ok = txn.ReadVisibleAt(head, tx.inner.Snapshot(), tx.XID(),
 			tx.e.Mgr.Watermark(), cur, h.Deleted(), true, &tx.vis)
 		tx.track(metrics.CompMVCC, start)
-		return nil
+		return tx.readErr()
 	})
 	if errors.Is(err, table.ErrFrozen) {
 		start := time.Now()
@@ -855,6 +862,39 @@ func (tx *Tx) modify(tableName string, rid rel.RowID, set map[string]rel.Value, 
 // stall, not as locking work (a waiting transaction executes nothing).
 func (tx *Tx) waitOn(w errWait, deadline time.Time) bool {
 	tx.e.stats.TupleLockWaits.Add(1)
+	ch := w.ch
+	if w.meta != nil {
+		ch = w.meta.Done()
+	}
+	return tx.park(ch, waitevent.EvTupleLock, deadline)
+}
+
+// waitCommit parks a read on a writer that is Preparing at or below the
+// transaction's snapshot until the writer's commit is durable or its abort
+// published; the visibility check then decides again. The page latch the
+// read may hold is safe: a committing writer takes no latch before its
+// Done closes. Like a wait on a transaction-ID lock it gives up at the
+// lock timeout (a commit stuck in its flush), and the read then fails.
+func (tx *Tx) waitCommit(m *undo.TxnMeta) bool {
+	tx.e.stats.CommitDepWaits.Add(1)
+	if tx.park(m.Done(), waitevent.EvCommitDep, time.Now().Add(tx.e.cfg.LockTimeout)) {
+		return true
+	}
+	tx.visErr = fmt.Errorf("core: read waiting for the commit of transaction %d: %w", m.XID, lock.ErrLockTimeout)
+	return false
+}
+
+// readErr returns, and clears, the error of a read that gave up waiting
+// for a commit.
+func (tx *Tx) readErr() error {
+	err := tx.visErr
+	tx.visErr = nil
+	return err
+}
+
+// park is the one low-urgency wait: until ch closes (true) or the deadline
+// passes (false), stamped as ev and accounted as stall.
+func (tx *Tx) park(ch <-chan struct{}, ev waitevent.Event, deadline time.Time) bool {
 	start := time.Now()
 	defer func() {
 		tx.addWait(time.Since(start))
@@ -863,12 +903,8 @@ func (tx *Tx) waitOn(w errWait, deadline time.Time) bool {
 	if remaining <= 0 {
 		return false
 	}
-	seg := tx.tctx.Waits.Begin(tx.slot, waitevent.EvTupleLock)
-	defer tx.tctx.Waits.End(tx.slot, waitevent.EvTupleLock, seg)
-	ch := w.ch
-	if w.meta != nil {
-		ch = w.meta.Done()
-	}
+	seg := tx.tctx.Waits.Begin(tx.slot, ev)
+	defer tx.tctx.Waits.End(tx.slot, ev, seg)
 	if tx.waitLow != nil {
 		return tx.waitLow(ch, remaining)
 	}
@@ -1154,6 +1190,7 @@ func (tx *Tx) Commit() error {
 		err := w.Flush()
 		tx.addWait(time.Since(flushStart))
 		if err != nil {
+			tx.inner.AbortPrepared()
 			tx.rollbackChanges()
 			tx.inner.FinalizeAbort()
 			tx.releaseTableLocks()

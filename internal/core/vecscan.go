@@ -147,6 +147,9 @@ func (tx *Tx) scanTable(t *Tbl, preds []rel.ColPred, strs bool,
 	if cbErr != nil {
 		return cbErr
 	}
+	if err == nil {
+		err = tx.readErr()
+	}
 	return err
 }
 

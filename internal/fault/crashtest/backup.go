@@ -198,11 +198,10 @@ func TPCCBackupRestore(dir, archiveDir, restoreDir string, seed int64, site stri
 	const terminals = 4
 	open := func(d string) (*core.Engine, *EngineBackend, error) {
 		e, err := core.Open(core.Config{
-			Dir:             d,
-			Slots:           terminals + 1,
-			WALSync:         true,
-			LockTimeout:     time.Second,
-			GroupCommitWait: 200 * time.Microsecond,
+			Dir:         d,
+			Slots:       terminals + 1,
+			WALSync:     true,
+			LockTimeout: time.Second,
 		})
 		if err != nil {
 			return nil, nil, err

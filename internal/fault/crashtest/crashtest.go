@@ -242,10 +242,6 @@ func openEngine(dir string, slots int, bufBytes int64) (*core.Engine, error) {
 		BufferBytes: bufBytes,
 		PageCap:     16,
 		LockTimeout: 500 * time.Millisecond,
-		// Enable the adaptive leader wait, so every wal.* failpoint fires
-		// inside the group-commit path: a crash mid-flush must not lose
-		// acked commits from any slot batched into the same window.
-		GroupCommitWait: 200 * time.Microsecond,
 	})
 	if err != nil {
 		return nil, err
@@ -847,9 +843,6 @@ func TPCCCrash(dir string, seed int64, site string, after int) error {
 			Slots:       terminals + 1,
 			WALSync:     true,
 			LockTimeout: time.Second,
-			// The leader wait makes the crash land in a flush window
-			// batching commits from several terminals.
-			GroupCommitWait: 200 * time.Microsecond,
 		})
 		if err != nil {
 			return nil, nil, err

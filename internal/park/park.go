@@ -1,6 +1,17 @@
 // Package park provides the bounded wait the request path parks on: block
 // until a channel fires or a timeout elapses, without allocating a timer
 // per wait.
+//
+// The deadline is a backstop, not a schedule. When nothing else wakes the
+// process, a Go timer armed for 50, 100 or 400µs fires after ~1.1ms
+// median on a 2-vCPU KVM guest (1.09–1.10ms p50 for each, 300 waits
+// apiece; 1ms fires at 1.10ms, 2ms at 2.2ms), while a 105-byte append plus
+// fsync on the same guest's ext4 takes 70–180µs. A request-path wait must
+// therefore expect a poke — a peer that ends it — and park only when one
+// is due: a wait that runs to a sub-millisecond deadline costs about a
+// millisecond whatever the deadline says. The group-commit leader
+// (internal/wal) parks only when another commit is expected within one
+// flush, for that reason.
 package park
 
 import "time"

@@ -192,11 +192,10 @@ func TestPromoteMidTPCCConsistency(t *testing.T) {
 	const seed = 0x5EED5
 	open := func(dir string) (*core.Engine, *crashtest.EngineBackend) {
 		e, err := core.Open(core.Config{
-			Dir:             dir,
-			Slots:           terminals + 1,
-			WALSync:         true,
-			LockTimeout:     time.Second,
-			GroupCommitWait: 200 * time.Microsecond,
+			Dir:         dir,
+			Slots:       terminals + 1,
+			WALSync:     true,
+			LockTimeout: time.Second,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -5,12 +5,15 @@
 // version chains, the write-conflict rules of §6.2, and the GC watermarks
 // of §7.3.
 //
-// Commit atomicity: PrepareCommit draws the commit timestamp, the engine
-// persists the WAL commit record, and FinalizeCommit flips the
-// transaction's meta to Committed — at that instant every version the
-// transaction wrote becomes visible at its cts, without waiting for the
-// per-record ets stamping scan that follows (readers resolve XID ets fields
-// through the meta).
+// Commit atomicity: PrepareCommit marks the transaction's meta Preparing
+// and draws the commit timestamp, the engine persists the WAL commit
+// record, and FinalizeCommit flips the meta to Committed — at that instant
+// every version the transaction wrote becomes visible at its cts, without
+// waiting for the per-record ets stamping scan that follows (readers
+// resolve XID ets fields through the meta). A reader whose snapshot is at
+// or above the cts of a Preparing writer waits for the flush to end
+// (undo.Record.VisibleAt), so no snapshot sees the commit both before and
+// after it happens.
 package txn
 
 import (
@@ -179,10 +182,27 @@ func (t *Txn) AddUndo(tableID uint32, rid rel.RowID, op undo.Op, delta []undo.Co
 	return rec
 }
 
-// PrepareCommit draws the commit timestamp. The engine must persist the
-// commit WAL record before calling FinalizeCommit.
+// PrepareCommit marks a writing transaction Preparing and draws its
+// commit timestamp. The engine must persist the commit WAL record before
+// calling FinalizeCommit, or call AbortPrepared if it cannot.
 func (t *Txn) PrepareCommit() uint64 {
-	return t.mgr.Clock.Next()
+	if t.Meta == nil {
+		return t.mgr.Clock.Next()
+	}
+	t.Meta.Prepare()
+	cts := t.mgr.Clock.Next()
+	t.Meta.SetCTS(cts)
+	return cts
+}
+
+// AbortPrepared publishes the abort of a prepared transaction whose commit
+// record could not be made durable, before its changes are rolled back:
+// readers waiting on the commit may hold page latches the rollback needs,
+// and once woken they walk past its versions. FinalizeAbort follows the
+// rollback.
+func (t *Txn) AbortPrepared() {
+	t.Meta.Abort()
+	t.Meta.Finish()
 }
 
 // FinalizeCommit publishes the commit: all versions become visible at cts
@@ -231,9 +251,12 @@ func (t *Txn) FinalizeAbort() {
 		t.mgr.activeStart[t.Slot].v.Store(0)
 		return
 	}
+	released := t.Meta.Status() == undo.StatusAborted // by AbortPrepared
 	t.Meta.Abort()
 	t.mgr.activeStart[t.Slot].v.Store(0)
-	t.Meta.Finish()
+	if !released {
+		t.Meta.Finish()
+	}
 	t.releaseRecords()
 }
 
@@ -373,6 +396,8 @@ func (m *Manager) CollectSlotGarbage(slot int, onReclaim func(*undo.Record)) int
 // before deltas are applied), currentDeleted its tombstone flag. The bool
 // reports whether a visible version exists. It is the reference the
 // property test holds ReadVisibleAt to; the engine calls only the latter.
+// A head whose writer is Preparing at or below snapshot is waited out on
+// its Done.
 func ReadVisible(head *undo.Record, snapshot, xid uint64, current rel.Row, currentDeleted bool) (rel.Row, bool) {
 	// Lines 1-4: no chain, reclaimed chain, or newest version visible.
 	if head == nil || head.Reclaimed() {
@@ -381,8 +406,7 @@ func ReadVisible(head *undo.Record, snapshot, xid uint64, current rel.Row, curre
 		}
 		return current, true
 	}
-	ets, committed := head.EffectiveETS()
-	if (committed && ets <= snapshot) || head.Meta.XID == xid {
+	if head.Meta.XID == xid || head.VisibleAt(snapshot, nil) {
 		if currentDeleted {
 			return nil, false
 		}
@@ -434,6 +458,10 @@ type VisStats struct {
 	// transaction finish — walks are already the slow path, so the few
 	// atomic adds are noise there.
 	ChainLen *metrics.Histogram
+	// Wait, when non-nil, parks the reader on a writer that is Preparing
+	// at or below its snapshot and reports whether the writer finished
+	// (see undo.Record.VisibleAt); nil blocks on the writer's Done.
+	Wait func(*undo.TxnMeta) bool
 }
 
 // ReadVisibleAt is the production visibility check: ReadVisible extended
@@ -485,8 +513,11 @@ func ReadVisibleAt(head *undo.Record, snapshot, xid, watermark uint64, current r
 			return current, true
 		}
 	} else {
-		ets2, committed := head.EffectiveETS()
-		if (committed && ets2 <= snapshot) || head.Meta.XID == xid {
+		var wait func(*undo.TxnMeta) bool
+		if st != nil {
+			wait = st.Wait
+		}
+		if head.Meta.XID == xid || head.VisibleAt(snapshot, wait) {
 			if currentDeleted {
 				return nil, false
 			}
@@ -539,6 +570,10 @@ func ReadVisibleAt(head *undo.Record, snapshot, xid, watermark uint64, current r
 //     transaction; wait on its transaction-ID lock, then retry.
 //   - (nil, ErrWriteConflict): repeatable read saw a version committed
 //     after its snapshot; the transaction must abort.
+//
+// A Preparing writer is live: the caller waits on it like on an active one,
+// and the retry then judges the committed version by its cts, so the
+// repeatable-read clause sees the same commit instant readers do.
 func CheckWriteConflict(head *undo.Record, t *Txn) (*undo.TxnMeta, error) {
 	if head == nil || head.Reclaimed() {
 		return nil, nil
@@ -548,10 +583,9 @@ func CheckWriteConflict(head *undo.Record, t *Txn) (*undo.TxnMeta, error) {
 		if head.Meta == t.Meta {
 			return nil, nil // own earlier write
 		}
-		if head.Meta.Status() == undo.StatusAborted {
-			// Rollback in progress; wait for it to finish unlinking.
-			return head.Meta, nil
-		}
+		// A live writer, or a rollback still unlinking: a failed commit
+		// flush publishes its abort (closing Done) before it rolls back, so
+		// the caller's wait may return at once and retry until the unlink.
 		return head.Meta, nil
 	}
 	if t.Iso == RepeatableRead && ets > t.Snapshot() {

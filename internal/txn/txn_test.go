@@ -198,11 +198,15 @@ func TestCommitAtomicityViaMeta(t *testing.T) {
 	tx := begin(m, 0, ReadCommitted)
 	rec := tx.AddUndo(1, 1, undo.OpUpdate, delta("old"), nil)
 	cts := tx.PrepareCommit()
-	// Before FinalizeCommit: invisible to others.
+	// Before FinalizeCommit: not committed, and invisible to a snapshot
+	// taken before the commit timestamp was drawn.
 	if _, committed := rec.EffectiveETS(); committed {
 		t.Fatal("record committed before finalize")
 	}
-	got, ok := ReadVisible(rec, m.Clock.Now(), clock.MakeXID(999), row("new"), false)
+	if tx.Meta.Status() != undo.StatusPreparing || tx.Meta.CTS() != cts {
+		t.Fatalf("prepared meta: status %d cts %d, want Preparing at %d", tx.Meta.Status(), tx.Meta.CTS(), cts)
+	}
+	got, ok := ReadVisible(rec, cts-1, clock.MakeXID(999), row("new"), false)
 	if !ok || got[0].S != "old" {
 		t.Fatal("uncommitted write leaked")
 	}
@@ -210,6 +214,53 @@ func TestCommitAtomicityViaMeta(t *testing.T) {
 	got, ok = ReadVisible(rec, cts, clock.MakeXID(999), row("new"), false)
 	if !ok || got[0].S != "new" {
 		t.Fatalf("committed write invisible at cts: (%v,%v)", got, ok)
+	}
+}
+
+// A snapshot at or above a Preparing writer's cts must not decide before
+// the writer does: it waits, then sees the commit — or, when the commit
+// flush fails, the before image.
+func TestPreparingWriterIsWaitedOut(t *testing.T) {
+	for _, commit := range []bool{true, false} {
+		m := NewManager(2)
+		tx := begin(m, 0, ReadCommitted)
+		rec := tx.AddUndo(1, 1, undo.OpUpdate, delta("old"), nil)
+		cts := tx.PrepareCommit()
+		waited := 0
+		st := VisStats{Wait: func(meta *undo.TxnMeta) bool {
+			waited++
+			if meta != tx.Meta {
+				t.Fatalf("waited on meta %d, want the writer's", meta.XID)
+			}
+			if commit {
+				tx.FinalizeCommit(cts)
+			} else {
+				tx.AbortPrepared()
+			}
+			return true
+		}}
+		got, ok := ReadVisibleAt(rec, cts, clock.MakeXID(999), 0, row("new"), false, false, &st)
+		want := map[bool]string{true: "new", false: "old"}[commit]
+		if waited != 1 || !ok || got[0].S != want {
+			t.Fatalf("commit=%v: read %v (ok=%v) after %d waits, want %q after one", commit, got, ok, waited, want)
+		}
+		// Above the snapshot the writer is invisible without a wait.
+		st.Wait = func(*undo.TxnMeta) bool {
+			t.Fatal("waited on a commit above the snapshot")
+			return false
+		}
+		tx2 := begin(m, 1, ReadCommitted)
+		rec2 := tx2.AddUndo(1, 2, undo.OpUpdate, delta("old"), nil)
+		cts2 := tx2.PrepareCommit()
+		if got, _ := ReadVisibleAt(rec2, cts2-1, clock.MakeXID(999), 0, row("new"), false, false, &st); got[0].S != "old" {
+			t.Fatalf("snapshot below a preparing cts read %v", got)
+		}
+		// A reader that gives up waiting decides nothing more: the version
+		// counts as invisible, and the reader fails its read.
+		st.Wait = func(*undo.TxnMeta) bool { return false }
+		if got, _ := ReadVisibleAt(rec2, cts2, clock.MakeXID(999), 0, row("new"), false, false, &st); got[0].S != "old" {
+			t.Fatalf("a reader that gave up read %v", got)
+		}
 	}
 }
 

@@ -16,9 +16,11 @@ import (
 // ReadVisible walk. Chains are generated the way the engine builds them —
 // an insert, a run of updates, an optional delete, with every record below
 // the head committed (write locks serialize tuple writers) and the head
-// committed, still active, or reclaimed; commit-timestamp stamping of any
-// committed record may or may not have happened yet (readers race the
-// commit-phase SetETS scan).
+// committed, still active, preparing, or reclaimed; commit-timestamp
+// stamping of any committed record may or may not have happened yet
+// (readers race the commit-phase SetETS scan). A preparing head has drawn
+// its cts and waits for its commit record: a reader at or above that cts
+// must wait it out, and sees it committed or aborted afterwards.
 
 // chainScenario is one randomized single-tuple history plus a reader.
 type chainScenario struct {
@@ -31,6 +33,9 @@ type chainScenario struct {
 	// fast-path comparison makes snapshot+1 the maximal safe value, the
 	// same margin Begin's delayed slot publication requires).
 	watermark uint64
+	// commitPrepared says how a preparing head's flush ends: the commit
+	// becomes durable, or it fails and the writer aborts.
+	commitPrepared bool
 }
 
 func genChain(r *rand.Rand) chainScenario {
@@ -79,14 +84,18 @@ func genChain(r *rand.Rand) chainScenario {
 	} else {
 		deleted = true
 	}
-	// The head's writer: committed (stamped or not), still active, or —
-	// rarely — already reclaimed out from under the chain reference.
-	switch r.Intn(4) {
+	// The head's writer: committed (stamped or not), still active,
+	// preparing, or — rarely — already reclaimed out from under the chain
+	// reference.
+	switch r.Intn(5) {
 	case 0, 1:
 		commit(last)
 	case 2:
 		// still active: ets keeps the XID, meta stays StatusActive
 	case 3:
+		last.Meta.Prepare()
+		last.Meta.SetCTS(tick())
+	case 4:
 		commit(last)
 		last.MarkDead()
 	}
@@ -107,7 +116,7 @@ func genChain(r *rand.Rand) chainScenario {
 	}
 	watermark := uint64(r.Intn(int(snapshot) + 2))
 	return chainScenario{head: head, current: cur, deleted: deleted,
-		snapshot: snapshot, xid: xid, watermark: watermark}
+		snapshot: snapshot, xid: xid, watermark: watermark, commitPrepared: r.Intn(2) == 0}
 }
 
 func TestReadVisibleAtMatchesReference(t *testing.T) {
@@ -115,16 +124,33 @@ func TestReadVisibleAtMatchesReference(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		for i := 0; i < 16; i++ {
 			s := genChain(r)
-			// Reference result first, on its own copy (ReadVisible clones
-			// internally but returns the input row on the no-walk paths).
-			refIn := s.current.Clone()
-			refRow, refOK := ReadVisible(s.head, s.snapshot, s.xid, refIn, s.deleted)
-
+			meta := s.head.Meta
+			wantWait := !s.head.Reclaimed() && meta.Status() == undo.StatusPreparing && meta.CTS() <= s.snapshot
+			waits := 0
+			// The writer's flush ends while the reader waits on it.
+			st := VisStats{Wait: func(m *undo.TxnMeta) bool {
+				waits++
+				if s.commitPrepared {
+					m.Commit(m.CTS())
+				} else {
+					m.Abort()
+				}
+				m.Finish()
+				return true
+			}}
 			owns := r.Intn(2) == 0
-			var st VisStats
 			fastIn := s.current.Clone()
 			gotRow, gotOK := ReadVisibleAt(s.head, s.snapshot, s.xid, s.watermark,
 				fastIn, s.deleted, owns, &st)
+			if want := map[bool]int{true: 1}[wantWait]; waits != want {
+				t.Logf("%d waits on a %d head (cts %d, snap=%d), want %d", waits, meta.Status(), meta.CTS(), s.snapshot, want)
+				return false
+			}
+			// The reference reads on its own copy (ReadVisible clones
+			// internally but returns the input row on the no-walk paths),
+			// after the wait has settled the preparing writer.
+			refIn := s.current.Clone()
+			refRow, refOK := ReadVisible(s.head, s.snapshot, s.xid, refIn, s.deleted)
 
 			if gotOK != refOK {
 				t.Logf("verdict mismatch: got %v want %v (snap=%d wm=%d)", gotOK, refOK, s.snapshot, s.watermark)

@@ -15,10 +15,15 @@
 // commit-atomicity window: a transaction becomes durable-visible the
 // instant its meta flips to Committed with a commit timestamp, atomically
 // for all its records, and the per-record ets stamping that follows is a
-// formality for GC. Readers that find an XID in ets consult the meta.
+// formality for GC. Readers that find an XID in ets consult the meta. A
+// meta is Preparing from just before its commit timestamp is drawn until
+// the commit record is durable; a reader whose snapshot is at or above
+// that timestamp waits the commit out (Record.VisibleAt), so a commit is
+// one instant to every snapshot.
 package undo
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -58,6 +63,9 @@ type TxnStatus uint32
 const (
 	// StatusActive means the transaction is running.
 	StatusActive TxnStatus = iota
+	// StatusPreparing means the transaction is drawing, or has drawn, its
+	// commit timestamp and waits for its commit record to be durable.
+	StatusPreparing
 	// StatusCommitted means the transaction committed; CTS is valid.
 	StatusCommitted
 	// StatusAborted means the transaction rolled back.
@@ -82,8 +90,18 @@ func NewTxnMeta(xid uint64) *TxnMeta {
 // Status returns the current lifecycle state.
 func (m *TxnMeta) Status() TxnStatus { return TxnStatus(m.status.Load()) }
 
-// CTS returns the commit timestamp; meaningful once Status is Committed.
+// CTS returns the commit timestamp; meaningful once Status is Committed,
+// and 0 while a Preparing transaction has not yet published it.
 func (m *TxnMeta) CTS() uint64 { return m.cts.Load() }
+
+// Prepare moves the transaction to Preparing. Call it before drawing the
+// commit timestamp, and SetCTS right after: a reader that still finds the
+// transaction Active took its snapshot before the draw, so the commit is
+// invisible to it.
+func (m *TxnMeta) Prepare() { m.status.Store(uint32(StatusPreparing)) }
+
+// SetCTS publishes a Preparing transaction's commit timestamp.
+func (m *TxnMeta) SetCTS(cts uint64) { m.cts.Store(cts) }
 
 // Commit atomically publishes the commit timestamp and flips the status;
 // every record owned by this transaction becomes visible as of cts in one
@@ -167,6 +185,48 @@ func (r *Record) EffectiveETS() (ts uint64, committed bool) {
 		return cts, true
 	}
 	return ets, false
+}
+
+// VisibleAt reports whether the record's version is committed at or below
+// snapshot. A writer that is Preparing with a commit timestamp at or below
+// snapshot has no verdict until its commit record is durable or its abort
+// is published: VisibleAt hands it to wait (or blocks on its Done when
+// wait is nil) and decides again. A wait that gives up returns false, and
+// VisibleAt then reports the version invisible: the waiter must fail the
+// read. A writer between Prepare and SetCTS is a few instructions from
+// publishing, so the reader yields until it does.
+func (r *Record) VisibleAt(snapshot uint64, wait func(*TxnMeta) bool) bool {
+	for {
+		ets := r.ets.Load()
+		if !clock.IsXID(ets) {
+			return ets <= snapshot
+		}
+		m := r.Meta
+		if m == nil {
+			return false
+		}
+		switch m.Status() {
+		case StatusCommitted:
+			cts := m.CTS()
+			r.ets.CompareAndSwap(ets, cts)
+			return cts <= snapshot
+		case StatusPreparing:
+			cts := m.CTS()
+			for ; cts == 0; cts = m.CTS() {
+				runtime.Gosched()
+			}
+			if cts > snapshot {
+				return false
+			}
+			if wait == nil {
+				<-m.Done()
+			} else if !wait(m) {
+				return false
+			}
+		default:
+			return false
+		}
+	}
 }
 
 // MarkDead flags an aborted, unlinked record as immediately reclaimable.

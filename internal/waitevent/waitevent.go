@@ -48,9 +48,12 @@ const (
 	// wait before it reached a task slot, or an in-transaction session
 	// parked on its slot waiting for the client's next pipelined frame.
 	EvServer
+	// EvCommitDep is a reader parked on a writer whose commit timestamp is
+	// at or below its snapshot while the writer's commit record is flushed.
+	EvCommitDep
 
 	// NumEvents is the number of distinct events, including EvNone.
-	NumEvents = int(EvServer) + 1
+	NumEvents = int(EvCommitDep) + 1
 )
 
 var names = [NumEvents]string{
@@ -62,6 +65,7 @@ var names = [NumEvents]string{
 	EvWALGroupLead: "wal_group_lead",
 	EvSchedYield:   "sched_yield",
 	EvServer:       "server",
+	EvCommitDep:    "commit_dep",
 }
 
 // String implements fmt.Stringer.
@@ -78,9 +82,12 @@ func (e Event) String() string {
 type cell struct {
 	current atomic.Int32  // Event
 	stmt    atomic.Uint64 // statement ID, 0 = none
-	_       [52]byte      // pad the hot words to their own line
+	_       [48]byte      // pad the hot words to their own line
 	count   [NumEvents]atomic.Int64
 	nanos   [NumEvents]atomic.Int64
+	// Round the cell up to whole cache lines, so one slot's totals never
+	// share a line with the next slot's hot words.
+	_ [(64 - NumEvents*16%64) % 64]byte
 }
 
 // Slots is the per-slot wait-event state for a whole engine.

@@ -4,6 +4,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"phoebedb/internal/fault"
 )
 
 // TestGroupFlushDrainsAllMembers: one member's commit flush must make every
@@ -179,16 +181,18 @@ func awaitLeader(t *testing.T, m *Manager) {
 	}
 }
 
-// openWaiting opens n writers whose leaders wait up to d: the group is
-// handed the credit a batched flush would have earned.
-func openWaiting(t *testing.T, n int, d time.Duration) *Manager {
+// openWindow opens n writers and hands the group the moving averages a
+// workload would have built: f for a flush's device time (F) and g for the
+// gap to the next commit (G). A leader parks when g < f, for at most f.
+func openWindow(t *testing.T, n int, f, g time.Duration) *Manager {
 	t.Helper()
-	m, err := Open(Options{Dir: t.TempDir(), Writers: n, GroupCommitWait: d})
+	m, err := Open(Options{Dir: t.TempDir(), Writers: n})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { m.Close() })
-	m.waitCredit = waitCreditWindow
+	m.fsync.Store(int64(f))
+	m.gap.Store(int64(g))
 	return m
 }
 
@@ -196,7 +200,7 @@ func openWaiting(t *testing.T, n int, d time.Duration) *Manager {
 // parked joins it, ends the 200ms window at once because the batch is
 // complete, and both return at the one flush that covers them.
 func TestFollowerJoinsParkedLeader(t *testing.T) {
-	m := openWaiting(t, 3, 200*time.Millisecond)
+	m := openWindow(t, 3, 200*time.Millisecond, 0)
 
 	start := time.Now()
 	leaderDone := make(chan error, 1)
@@ -226,11 +230,12 @@ func TestFollowerJoinsParkedLeader(t *testing.T) {
 	}
 }
 
-// TestLeaderWaitsForOpenTransaction: a joiner does not end the window while
-// a third member is mid-transaction; that member's commit does, and one
-// flush retires all three.
+// TestLeaderWaitsForOpenTransaction: while a joiner is expected within a
+// flush, a joiner does not end the window while a third member is
+// mid-transaction; that member's commit does, and one flush retires all
+// three.
 func TestLeaderWaitsForOpenTransaction(t *testing.T) {
-	m := openWaiting(t, 3, 5*time.Second)
+	m := openWindow(t, 3, 5*time.Second, 0)
 
 	w2 := m.Writer(2)
 	mid := Record{Type: RecInsert, GSN: w2.NextGSN(0), XID: 3}
@@ -266,10 +271,94 @@ func TestLeaderWaitsForOpenTransaction(t *testing.T) {
 	}
 }
 
+// TestUnexpectedPeerDoesNotHoldLeader is the tpcc case: another slot is
+// mid-transaction, but commits arrive further apart than a flush takes
+// (G > F), so the leader flushes at once instead of parking for it.
+func TestUnexpectedPeerDoesNotHoldLeader(t *testing.T) {
+	m := openWindow(t, 2, time.Second, 2*time.Second)
+	mid := Record{Type: RecInsert, GSN: m.Writer(1).NextGSN(0), XID: 2}
+	m.Writer(1).Append(&mid)
+
+	start := time.Now()
+	commitOn(m.Writer(0), 1)
+	if err := m.Writer(0).Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if el := time.Since(start); el > 500*time.Millisecond {
+		t.Fatalf("commit took %v waiting for a peer not expected within a flush", el)
+	}
+	if w, f := m.GroupWaits(), m.Flushes(); w != 0 || f != 1 {
+		t.Fatalf("group waits = %d, flushes = %d; want no wait and one flush", w, f)
+	}
+}
+
+// TestLeaderWindowIsOneFlush: a leader that expects a joiner who never
+// comes parks for F and no longer. The timer may fire late (see
+// internal/park), so the bound carries slack, far below the window a fixed
+// wait would have left.
+func TestLeaderWindowIsOneFlush(t *testing.T) {
+	const f = 30 * time.Millisecond
+	m := openWindow(t, 2, f, 0)
+	mid := Record{Type: RecInsert, GSN: m.Writer(1).NextGSN(0), XID: 2}
+	m.Writer(1).Append(&mid) // never commits: nothing pokes the leader
+
+	start := time.Now()
+	commitOn(m.Writer(0), 1)
+	if err := m.Writer(0).Flush(); err != nil {
+		t.Fatal(err)
+	}
+	el := time.Since(start)
+	if el < f || el > f+250*time.Millisecond {
+		t.Fatalf("leader window lasted %v, want about F = %v", el, f)
+	}
+	if w, e := m.GroupWaits(), m.GroupLeadEarly(); w != 1 || e != 0 {
+		t.Fatalf("group waits = %d, ended early = %d; want one wait that ran to F", w, e)
+	}
+}
+
+// TestLockStepPeersShareFlushes is the point_update case: two writers
+// commit in lock step on a slow device (a 2ms sleep before each sync), so
+// each one's commit arrives within a flush of the other's and one flush
+// retires both.
+func TestLockStepPeersShareFlushes(t *testing.T) {
+	fault.Reset()
+	defer fault.Reset()
+	if err := fault.Enable(fault.WALPreSync, "sleep(2ms)"); err != nil {
+		t.Fatal(err)
+	}
+	m := openWindow(t, 2, 2*time.Millisecond, 0)
+	const rounds = 40
+	var wg sync.WaitGroup
+	for s := 0; s < 2; s++ {
+		wg.Add(1)
+		go func(s int) {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				commitOn(m.Writer(s), uint64(2*i+s+1))
+				if err := m.Writer(s).Flush(); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(s)
+	}
+	wg.Wait()
+	ratio := float64(m.Flushes()) / (2 * rounds)
+	f, g := m.Window()
+	t.Logf("%.2f flushes per commit, F = %v, G = %v, %d waits, %d ended early",
+		ratio, f, g, m.GroupWaits(), m.GroupLeadEarly())
+	if ratio > 0.6 {
+		t.Fatalf("%.2f flushes per commit: lock-step peers did not share flushes", ratio)
+	}
+	if g >= f {
+		t.Fatalf("G = %v is not below F = %v for lock-step peers", g, f)
+	}
+}
+
 // TestParkedLeaderWokenByForeignFlush: a flush from elsewhere (a checkpoint,
 // a catalog record) that covers a parked leader ends its window.
 func TestParkedLeaderWokenByForeignFlush(t *testing.T) {
-	m := openWaiting(t, 2, 5*time.Second)
+	m := openWindow(t, 2, 5*time.Second, 0)
 	done := make(chan error, 1)
 	go func() {
 		commitOn(m.Writer(0), 1)
@@ -292,30 +381,32 @@ func TestParkedLeaderWokenByForeignFlush(t *testing.T) {
 	}
 }
 
-// TestSerialCommitsPayOnlyTheProbe: one committer among two writers earns
-// no credit, so it pays one leader wait per probeInterval flushes.
-func TestSerialCommitsPayOnlyTheProbe(t *testing.T) {
-	const wait = 20 * time.Millisecond
-	m, err := Open(Options{Dir: t.TempDir(), Writers: 2, GroupCommitWait: wait})
+// TestSerialCommitsNeverPark: a lone committer's next commit arrives only
+// after its previous flush, so G stays above F and no leader parks, even
+// on a slow device (a 1ms sleep before each sync).
+func TestSerialCommitsNeverPark(t *testing.T) {
+	fault.Reset()
+	defer fault.Reset()
+	if err := fault.Enable(fault.WALPreSync, "sleep(1ms)"); err != nil {
+		t.Fatal(err)
+	}
+	m, err := Open(Options{Dir: t.TempDir(), Writers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer m.Close()
-	const commits = 2 * probeInterval
-	start := time.Now()
+	const commits = 64
 	for i := 0; i < commits; i++ {
-		commitOn(m.Writer(0), uint64(i+1))
-		if err := m.Writer(0).Flush(); err != nil {
+		w := m.Writer(i % 2) // the slot a pool hands a serial client varies
+		commitOn(w, uint64(i+1))
+		if err := w.Flush(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if got := m.GroupWaits(); got != commits/probeInterval {
-		t.Fatalf("%d serial commits paid %d leader waits, want %d probes", commits, got, commits/probeInterval)
+	if got := m.GroupWaits(); got != 0 {
+		t.Fatalf("%d serial commits paid %d leader waits, want none", commits, got)
 	}
-	if got := m.GroupLeadEarly(); got != 0 {
-		t.Fatalf("%d probe waits ended early with nobody to end them", got)
-	}
-	if el := time.Since(start); el < 2*wait || el > 2*wait+time.Second {
-		t.Fatalf("serial stream took %v, want about two %v probes", el, wait)
+	if f, g := m.Window(); g <= f {
+		t.Fatalf("G = %v is not above F = %v for a serial stream", g, f)
 	}
 }

@@ -27,12 +27,12 @@
 // wal-0000.log. The first committer to reach the flush mutex becomes the
 // leader and drains every writer's buffer in a single write+fsync, while
 // followers arriving behind it find their records already durable and
-// return without touching the device. A leader that expects company parks
-// for a bounded window first; a committer arriving meanwhile joins that
-// leader and ends the window as soon as the batch is complete (see
-// Writer.Flush). Buffers are trimmed only after the write succeeds, and a
-// failed fsync latches the log broken, so a torn or failed flush never
-// loses an acknowledged commit.
+// return without touching the device. A leader that expects another
+// commit within one fsync parks for at most one fsync first; a committer
+// arriving meanwhile joins that leader and ends the window as soon as the
+// batch is complete (see Writer.Flush). Buffers are trimmed only after the
+// write succeeds, and a failed fsync latches the log broken, so a torn or
+// failed flush never loses an acknowledged commit.
 //
 // Recovery reads all log files in name order (a directory written by an
 // earlier release may hold several), verifies checksums, truncates at the
@@ -180,9 +180,6 @@ type Writer struct {
 	mu  sync.Mutex
 	buf []byte
 	lsn uint64
-	// bufCommits counts RecCommit records currently in buf; the group
-	// flush uses it to measure how many commits one device write retired.
-	bufCommits int
 	// open is true while buf ends in a record that is neither a commit nor
 	// an abort: the slot is mid-transaction with unflushed records, so its
 	// commit is a candidate for the next group flush. Written under mu,
@@ -248,9 +245,6 @@ func (w *Writer) Append(r *Record) {
 	before := len(w.buf)
 	w.buf = encodeRecord(w.buf, r)
 	w.appended.Add(int64(len(w.buf) - before))
-	if r.Type == RecCommit {
-		w.bufCommits++
-	}
 	if open := r.Type != RecCommit && r.Type != RecAbort; open != w.open.Load() {
 		w.open.Store(open)
 	}
@@ -267,12 +261,16 @@ func (w *Writer) AppendedBytes() int64 { return w.appended.Load() }
 //
 //   - A committer that finds the flush mutex held blocks on it; when it
 //     gets the mutex its records are usually already durable.
-//   - A committer that becomes leader while the group expects company
-//     (shouldWaitLocked: batching credit, or the periodic probe) releases
-//     the mutex and parks for at most GroupCommitWait. It is woken early by
-//     the committer whose arrival completes the batch — no writer is left
-//     holding buffered records without a commit record — or by any other
-//     flush.
+//   - A committer that becomes leader parks only when another commit is
+//     expected within one flush: when G, the moving average of the gap from
+//     a leader's arrival to the next commit's arrival, is below F, the
+//     moving average of a flush's device time. G is sampled whether or not
+//     the leader parked. It releases the mutex and parks for at most F, and
+//     is woken early by the committer whose arrival completes the batch —
+//     no writer is left holding buffered records without a commit record —
+//     or by any other flush. In a serial stream the next commit arrives
+//     only after the leader's flush, so G exceeds F and nothing parks;
+//     without fsync F is near zero, and nothing parks either.
 //   - A committer that arrives while a leader is parked joins that leader:
 //     it opens no window of its own and returns when the flush covering its
 //     records completes.
@@ -303,8 +301,13 @@ func (w *Writer) pending() bool {
 // switches between wal_flush and wal_group_lead.
 func (w *Writer) flushCommit(ws *waitevent.Slots, seg *time.Time) error {
 	m := w.mgr
+	at := time.Now()
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	if m.gapOpen { // the first commit to arrive after the last leader's
+		m.gapOpen = false
+		ewma(&m.gap, max(at.Sub(m.leadAt), 0))
+	}
 	for {
 		if m.broken.Load() {
 			return ErrBroken
@@ -323,8 +326,9 @@ func (w *Writer) flushCommit(ws *waitevent.Slots, seg *time.Time) error {
 		}
 		m.flushed.Wait()
 	}
-	if d := m.groupWait; d > 0 && m.shouldWaitLocked() {
-		w.lead(d, ws, seg)
+	m.leadAt, m.gapOpen = at, true
+	if f := m.fsync.Load(); m.gap.Load() < f {
+		w.lead(time.Duration(f), ws, seg)
 		if broken := m.broken.Load(); broken || !w.pending() {
 			// Another flush covered the whole batch, us included, while we
 			// were parked (or the log failed). The joiners wait on a flush
@@ -340,13 +344,15 @@ func (w *Writer) flushCommit(ws *waitevent.Slots, seg *time.Time) error {
 }
 
 // lead is the group-commit leader wait: before paying the fsync, park for
-// a bounded window so concurrently executing transactions can reach their
-// own commit points and join — the flush that follows then retires the
-// whole batch under one device write. The window closes at d, or as soon
-// as a joiner (or a flush from elsewhere) pokes. Parking hands the
-// processor to sibling slots at once, where a thread entering fsync only
-// releases it after the runtime's syscall-retake latency. Caller holds
-// m.mu; lead releases it while parked and returns with it held.
+// at most one flush's device time d so a commit expected from another
+// writer can join — the flush that follows then retires the whole batch
+// under one device write. The window closes at d, or as soon as a joiner
+// (or a flush from elsewhere) pokes; the leader parks only when a joiner
+// is expected, because a sub-millisecond deadline fires late (see
+// internal/park). Parking hands the processor to sibling slots at once,
+// where a thread entering fsync only releases it after the runtime's
+// syscall-retake latency. Caller holds m.mu; lead releases it while parked
+// and returns with it held.
 func (w *Writer) lead(d time.Duration, ws *waitevent.Slots, seg *time.Time) {
 	m := w.mgr
 	select {
@@ -390,34 +396,15 @@ func (m *Manager) poke() {
 	}
 }
 
-// probeInterval is how often (in flushes) the group speculatively pays one
-// leader wait with no credit, to rediscover commit concurrency.
-// waitCreditWindow is how many single-commit flushes the group keeps
-// waiting after a batched one before concluding the workload went serial.
-const (
-	probeInterval    = 32
-	waitCreditWindow = 64
-)
+// noArrival is G before any commit has followed a leader: infinite in
+// effect, longer than any flush worth waiting out.
+const noArrival = time.Second
 
-// shouldWaitLocked decides whether the next flush leader should park for
-// more commits first: yes while recent flushes batched multiple commits
-// (credit), and on a periodic speculative probe otherwise — whether or not
-// any other writer has buffered anything yet. A serial commit stream earns
-// no credit, so it pays one probe per probeInterval flushes and nothing
-// else; a lone writer has nobody to wait for. Caller holds m.mu.
-func (m *Manager) shouldWaitLocked() bool {
-	if len(m.writers) < 2 {
-		return false
-	}
-	if m.waitCredit > 0 {
-		return true
-	}
-	m.sinceProbe++
-	if m.sinceProbe >= probeInterval {
-		m.sinceProbe = 0
-		return true
-	}
-	return false
+// ewma folds sample into the moving average v with weight 1/8. Caller
+// holds m.mu, so the load and store do not race another fold.
+func ewma(v *atomic.Int64, sample time.Duration) {
+	old := v.Load()
+	v.Store(old + (int64(sample)-old)/8)
 }
 
 // flushLocked drains every writer's buffered records to the log file in
@@ -437,23 +424,13 @@ func (m *Manager) flushLocked() error {
 	}
 	m.scratch = m.scratch[:0]
 	m.parts = m.parts[:0]
-	commits := 0
 	for _, w := range m.writers {
 		w.mu.Lock()
 		if n := len(w.buf); n > 0 {
 			m.scratch = append(m.scratch, w.buf...)
 			m.parts = append(m.parts, flushPart{w: w, n: n})
-			commits += w.bufCommits
-			w.bufCommits = 0
 		}
 		w.mu.Unlock()
-	}
-	// Feed the adaptive leader wait: batching multiple commits under this
-	// one device write earns a credit window; a serial flush burns one.
-	if commits >= 2 {
-		m.waitCredit = waitCreditWindow
-	} else if m.waitCredit > 0 {
-		m.waitCredit--
 	}
 	if len(m.scratch) > 0 {
 		if cut := fault.TornCut(fault.WALTornWrite, len(m.scratch)); cut > 0 {
@@ -465,6 +442,9 @@ func (m *Manager) flushLocked() error {
 			m.f.Write(m.scratch[:len(m.scratch)-cut])
 			fault.Crash(fault.WALTornWrite)
 		}
+		// F times the write, the pre-sync failpoint and the sync together,
+		// so a sleep armed there acts as a slower device.
+		start := time.Now()
 		n, err := m.f.Write(m.scratch)
 		if m.io != nil {
 			m.io.WALWrite.Add(int64(n))
@@ -502,6 +482,7 @@ func (m *Manager) flushLocked() error {
 				return fmt.Errorf("wal: sync: %w", err)
 			}
 		}
+		ewma(&m.fsync, time.Since(start))
 		if ferr := fault.Eval(fault.WALPostSync); ferr != nil {
 			// The records are durable but the caller never learns it: the
 			// acknowledgment is lost, not the data.
@@ -538,13 +519,13 @@ type Manager struct {
 	scratch []byte      // concatenated writer buffers for the single write
 	parts   []flushPart // per-writer drained prefix bookkeeping
 
-	// waitCredit and sinceProbe drive the adaptive group-commit leader
-	// wait (see Flush): credit is granted while flushes capture multiple
-	// commit records and drains on single-commit flushes; the probe
-	// counter forces one speculative wait per probeInterval flushes so the
-	// group can rediscover concurrency after going serial.
-	waitCredit int
-	sinceProbe int
+	// fsync (F) and gap (G) are the moving averages, in nanoseconds, the
+	// leader wait is derived from (see Flush). They are written under mu
+	// and read lock-free by the gauges. leadAt is the last flush leader's
+	// arrival; gapOpen holds until the next commit arrives.
+	fsync, gap atomic.Int64
+	leadAt     time.Time
+	gapOpen    bool
 
 	// broken latches the first flush/sync failure (fail-stop, see
 	// ErrBroken).
@@ -552,9 +533,6 @@ type Manager struct {
 	// flushes counts device writes (buffer drains that actually hit the
 	// file, not empty-buffer Flush calls).
 	flushes atomic.Int64
-	// groupWait is how long a commit leader waits for mid-flight sibling
-	// transactions before issuing the group fsync (0 = flush immediately).
-	groupWait time.Duration
 	// groupWaits counts commits that paid the leader wait; groupLeadEarly
 	// counts those of them woken before the deadline.
 	groupWaits     atomic.Int64
@@ -574,6 +552,14 @@ func (m *Manager) GroupWaits() int64 { return m.groupWaits.Load() }
 // their deadline because the batch was complete or already flushed.
 func (m *Manager) GroupLeadEarly() int64 { return m.groupLeadEarly.Load() }
 
+// Window returns the moving averages the leader wait is derived from: F,
+// a flush's device time, and G, the gap from a flush leader's arrival to
+// the next commit's arrival (one second, in effect infinite, until a
+// commit has followed a leader).
+func (m *Manager) Window() (fsync, gap time.Duration) {
+	return time.Duration(m.fsync.Load()), time.Duration(m.gap.Load())
+}
+
 // Options configures a Manager.
 type Options struct {
 	// Dir is the directory holding the log file, wal-0000.log.
@@ -583,14 +569,6 @@ type Options struct {
 	// SyncOnFlush issues fsync on every flush (the paper's "WAL sync
 	// enabled" setting). Off by default in tests for speed.
 	SyncOnFlush bool
-	// GroupCommitWait is the upper bound on how long a commit leader parks
-	// for other writers' commits before issuing the shared fsync; 0
-	// flushes immediately. The wait arms on evidence of concurrency, not
-	// on what is buffered: while recent flushes batched two or more
-	// commits, plus one probe every 32nd flush. It ends early when an
-	// arriving committer leaves no writer with buffered records short of
-	// a commit record. A serial commit stream pays the probe only.
-	GroupCommitWait time.Duration
 	// IO receives write-volume accounting; may be nil.
 	IO *metrics.IOCounters
 	// Waits receives per-slot wait-event stamps from the commit flush
@@ -610,9 +588,10 @@ func Open(opts Options) (*Manager, error) {
 	if err != nil {
 		return nil, err
 	}
-	m := &Manager{dir: opts.Dir, syncOnFlush: opts.SyncOnFlush, groupWait: opts.GroupCommitWait,
+	m := &Manager{dir: opts.Dir, syncOnFlush: opts.SyncOnFlush,
 		io: opts.IO, waits: opts.Waits, f: f, arrive: make(chan struct{}, 1)}
 	m.flushed.L = &m.mu
+	m.gap.Store(int64(noArrival))
 	for i := 0; i < opts.Writers; i++ {
 		m.writers = append(m.writers, &Writer{id: i, mgr: m})
 	}

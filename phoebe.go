@@ -104,17 +104,14 @@ type Options struct {
 	// PageSize / PageCap tune the data page geometry (defaults 32 KiB /
 	// 64 rows).
 	PageSize, PageCap int
-	// WALSync fsyncs WAL flushes on commit.
+	// WALSync fsyncs WAL flushes on commit. Commits arriving together
+	// share one flush. A commit leader parks before its flush only when
+	// another commit is expected within one flush, and for at most one
+	// flush; both times are measured on every flush, so there is nothing
+	// to tune (see internal/wal).
 	WALSync bool
-	// GroupCommitWait is the upper bound on how long a commit leader parks
-	// for other slots' commits before issuing the shared fsync (grows the
-	// batch one device write retires). 0 picks a default of 400µs when
-	// WALSync is on; negative disables the wait. The wait arms on evidence
-	// of concurrency — while recent flushes retired two or more commits,
-	// plus one probe every 32nd flush — and ends early once an arriving
-	// committer leaves no slot with buffered records short of a commit
-	// record. A serial workload pays the probe only; two synchronous
-	// clients pay the time until the second one's commit arrives.
+	// Deprecated: GroupCommitWait is ignored. The group-commit window is
+	// derived from the measured flush time.
 	GroupCommitWait time.Duration
 	// LockTimeout bounds lock waits (default 2s).
 	LockTimeout time.Duration
@@ -208,13 +205,6 @@ func Open(opts Options) (*DB, error) {
 	poolSlots := workers * opts.SlotsPerWorker
 	totalSlots := poolSlots + sessions + 1 // the system slot is the last
 	spw := opts.SlotsPerWorker
-	groupWait := opts.GroupCommitWait
-	if groupWait == 0 && opts.WALSync {
-		groupWait = 400 * time.Microsecond
-	}
-	if groupWait < 0 {
-		groupWait = 0
-	}
 	waits := waitevent.New(totalSlots)
 	eng, err := core.Open(core.Config{
 		Dir:              opts.Dir,
@@ -236,7 +226,6 @@ func Open(opts Options) (*DB, error) {
 			}
 			return slot - poolSlots
 		},
-		GroupCommitWait: groupWait,
 	})
 	if err != nil {
 		return nil, err

@@ -59,6 +59,14 @@ func buildRegistry(db *DB) *metrics.Registry {
 	reg.Counter("phoebe_wal_flushes_total", "WAL buffer drains that hit the device.", db.engine.WAL.Flushes)
 	reg.Counter("phoebe_wal_group_waits_total", "Commit leaders that parked in the group-commit wait window before flushing.", db.engine.WAL.GroupWaits)
 	reg.Counter("phoebe_wal_group_lead_early_total", "Group-commit leader waits ended before the deadline (batch complete, or covered by another flush).", db.engine.WAL.GroupLeadEarly)
+	reg.Gauge("phoebe_wal_fsync_us", "Moving average of a WAL flush's device time (F): the longest a commit leader parks.", func() int64 {
+		f, _ := db.engine.WAL.Window()
+		return f.Microseconds()
+	})
+	reg.Gauge("phoebe_wal_commit_gap_us", "Moving average of the gap from a flush leader's arrival to the next commit's arrival (G); a leader parks only while it is below phoebe_wal_fsync_us.", func() int64 {
+		_, g := db.engine.WAL.Window()
+		return g.Microseconds()
+	})
 
 	io := db.engine.IO
 	reg.Counter("phoebe_io_data_read_bytes_total", "Bytes read from the data page/block files.", io.DataRead.Load)
@@ -68,6 +76,7 @@ func buildRegistry(db *DB) *metrics.Registry {
 	reg.Counter("phoebe_mvcc_fastpath_total", "Visibility checks served by the watermark fast path (no chain walk, no TxnMeta load).", st.MVCCFastPath.Load)
 	reg.Counter("phoebe_mvcc_chain_walks_total", "Visibility checks that had to walk the UNDO version chain.", st.MVCCChainWalks.Load)
 	reg.Counter("phoebe_mvcc_chain_links_total", "UNDO links traversed across all chain walks.", st.MVCCChainLinks.Load)
+	reg.Counter("phoebe_mvcc_commit_dep_waits_total", "Reads that parked on a writer whose commit timestamp is at or below their snapshot until its commit record was durable.", st.CommitDepWaits.Load)
 
 	reg.Counter("phoebe_sql_plan_cache_hits_total", "SQL statements served from a cached prepared-statement template.", db.planCache.Hits)
 	reg.Counter("phoebe_sql_plan_cache_misses_total", "Cacheable SQL statements that had to lex, parse, and plan.", db.planCache.Misses)
