@@ -24,7 +24,7 @@ func accountSchema() *rel.Schema {
 	)
 }
 
-func openTestEngine(t *testing.T, cfg Config) *Engine {
+func openTestEngine(t testing.TB, cfg Config) *Engine {
 	t.Helper()
 	if cfg.Dir == "" {
 		cfg.Dir = t.TempDir()

@@ -494,7 +494,9 @@ func (e *Engine) MaintainWorker(worker int) {
 // number of UNDO records reclaimed.
 func (e *Engine) CollectGarbage() int {
 	n := e.Mgr.CollectGarbage(func(r *undo.Record) {
-		if r.Op != undo.OpDelete {
+		// A rolled-back delete erases nothing: its tombstone is gone, and
+		// one the row carries now belongs to a later, live delete.
+		if r.Op != undo.OpDelete || r.Dead() {
 			return
 		}
 		// Deleted-tuple GC: physically erase the tombstoned tuple and its

@@ -89,3 +89,40 @@ func TestDeleteConcurrentWithGCOnOnePage(t *testing.T) {
 		t.Fatalf("%d UNDO records left after a quiescent GC round", live)
 	}
 }
+
+// GC reclaims a rolled-back delete's UNDO record at once. That record must
+// erase nothing: the tombstone the row carries by then is a later delete's,
+// still in flight, and rolling that one back must find the row in place.
+func TestRolledBackDeleteLeavesLaterTombstone(t *testing.T) {
+	e := openTestEngine(t, Config{})
+	setupAccounts(t, e)
+	w := begin(e, 0)
+	rid, err := w.Insert("accounts", acct(1, "o", 10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	e.CollectGarbage()
+	a := begin(e, 1)
+	if err := a.Delete("accounts", rid); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Rollback(); err != nil {
+		t.Fatal(err)
+	}
+	b := begin(e, 2)
+	if err := b.Delete("accounts", rid); err != nil {
+		t.Fatal(err)
+	}
+	e.CollectGarbage() // reclaims a's dead delete record while b's is live
+	if err := b.Rollback(); err != nil {
+		t.Fatal(err)
+	}
+	r := begin(e, 3)
+	defer r.Rollback()
+	if row, ok, err := r.Get("accounts", rid); err != nil || !ok || row[0].I != 1 {
+		t.Fatalf("after both deletes rolled back: Get = (%v, %v, %v), want id 1", row, ok, err)
+	}
+}

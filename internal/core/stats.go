@@ -48,6 +48,12 @@ type EngineStats struct {
 	// Checkpoints counts completed checkpoints.
 	Checkpoints atomic.Int64
 
+	// ScanPages counts the hot pages full-table scans latched;
+	// ScanPagesPruned counts those they skipped unfiltered because a page
+	// zone refuted a predicate. Each scan adds its totals once, at its end.
+	ScanPages       atomic.Int64
+	ScanPagesPruned atomic.Int64
+
 	// IndexBackfillRows counts rows scanned into an index by online
 	// CREATE INDEX backfills (snapshot scan plus version-chain catch-up).
 	IndexBackfillRows atomic.Int64

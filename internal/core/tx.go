@@ -1314,13 +1314,14 @@ func (tx *Tx) rollbackChanges() {
 				return nil
 			})
 		case undo.OpInsert:
+			// One latch section: between popping the insert's record and
+			// erasing the slot, a scan would read the row as committed.
 			t.Store.WithRow(rid, true, &tx.tctx, func(h table.Handle) error {
 				if tt := h.TwinTable(false); tt != nil {
 					tt.Pop(rid, rec)
 				}
-				return nil
+				return h.Remove()
 			})
-			t.Store.RemoveRow(rid, &tx.tctx)
 		}
 		rec.MarkDead()
 	}

@@ -88,8 +88,10 @@ func (tx *Tx) tableForScan(tableName string) (*Tbl, error) {
 
 // scanTable runs the one full-table read loop for this transaction's
 // snapshot. Frozen rows are immutable and globally visible, so a cold block
-// arrives with only its tombstones cleared from sel (zone maps skip blocks
-// the predicates refute); a hot page arrives after qualifyPage. Either way
+// arrives with only its tombstones cleared from sel; a hot page arrives
+// after qualifyPage. Zones skip both, by one rule (pax.Zone.Prunes): a
+// segment or block zone before any I/O, a hot page's zone once ScanPages
+// has latched and touched the page, before qualifyPage. Either way
 // FilterFixed narrows sel by preds — every predicate column must be
 // fixed-width — and batch consumes the survivors straight from the strips.
 // strs says whether batch reads any string column; without it cold blocks
@@ -123,9 +125,15 @@ func (tx *Tx) scanTable(t *Tbl, preds []rel.ColPred, strs bool,
 	buf := make(rel.Row, t.Schema.NumCols())
 	var sel pax.Sel
 	var residue []int
+	var pages, pruned int64
 	err := t.Store.ScanPages(&tx.tctx, func(v table.PageView) bool {
-		start := time.Now()
 		pl := v.Pl
+		pages++
+		if pl.Rows.Prunes(preds) {
+			pruned++
+			return true
+		}
+		start := time.Now()
 		sel = sel.Reset(len(pl.IDs))
 		residue = tx.qualifyPage(v, snapshot, wm, sel, residue[:0])
 		tx.track(metrics.CompMVCC, start)
@@ -144,6 +152,8 @@ func (tx *Tx) scanTable(t *Tbl, preds []rel.ColPred, strs bool,
 		}
 		return true
 	})
+	tx.e.stats.ScanPages.Add(pages)
+	tx.e.stats.ScanPagesPruned.Add(pruned)
 	if cbErr != nil {
 		return cbErr
 	}

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"sync"
 	"testing"
 
 	"phoebedb/internal/frozen"
@@ -608,4 +609,326 @@ func TestScanFilteredThreeTemperatures(t *testing.T) {
 		t.Fatal(err)
 	}
 	check("writers committed")
+}
+
+// allIDs is the unpruned reference for a filtered scan at tx's snapshot:
+// one ScanTable with no predicates, so no zone can skip a page or block,
+// filtered by EvalRow.
+func allIDs(t *testing.T, tx *Tx, preds []rel.ColPred) []int64 {
+	t.Helper()
+	var ids []int64
+	err := tx.ScanTable("accounts", func(_ rel.RowID, row rel.Row) bool {
+		if evalPreds(preds, row) {
+			ids = append(ids, row[0].I)
+		}
+		return true
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	return ids
+}
+
+// A NaN fails every ordered comparison, so no zone covers it, and "!=" is
+// the one operator it satisfies: neither a cold block's zone nor a hot
+// page's may prune "!=" on a float column.
+func TestNaNSurvivesZonePruning(t *testing.T) {
+	e := openTestEngine(t, Config{PageCap: 8})
+	setupAccounts(t, e)
+	tb, err := e.Table("accounts")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tb.Frozen.BlockRows = 8
+	tx := begin(e, 0)
+	for i := 1; i <= 24; i++ { // three pages; ids 3 and 13 hold NaN
+		bal := 1.0
+		if i == 3 || i == 13 {
+			bal = math.NaN()
+		}
+		if _, err := tx.Insert("accounts", acct(i, "o", bal)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	e.CollectGarbage()
+	e.CollectGarbage()
+	if n, err := e.FreezeTables(1, 1<<20); err != nil || n != 8 {
+		t.Fatalf("freeze = (%d, %v), want the first page's 8 rows", n, err)
+	}
+	r := begin(e, 1)
+	defer r.Rollback()
+	for _, op := range []rel.CmpOp{rel.CmpNe, rel.CmpEq, rel.CmpLt, rel.CmpGe} {
+		preds := []rel.ColPred{{Col: 2, Op: op, Val: rel.Float(1)}}
+		want := []int64(nil)
+		switch op {
+		case rel.CmpNe:
+			want = []int64{3, 13}
+		case rel.CmpEq, rel.CmpGe:
+			for i := int64(1); i <= 24; i++ {
+				if i != 3 && i != 13 {
+					want = append(want, i)
+				}
+			}
+		}
+		if got := vecIDs(t, r, preds); !eqIDs(got, want...) {
+			t.Fatalf("balance %v 1.0: scan %v, want %v", op, got, want)
+		}
+	}
+}
+
+// A hot page's zone is widened by every value stored in it and never
+// narrowed, so it bounds every version a snapshot can still reach: after
+// an UPDATE moves a page's lowest balance far above the page, a snapshot
+// taken before it still finds the row by its old value, while the other
+// pages are pruned.
+func TestHotPageZoneKeepsSnapshotVersions(t *testing.T) {
+	e := openTestEngine(t, Config{PageCap: 8})
+	setupAccounts(t, e)
+	tx := begin(e, 0)
+	var rids []rel.RowID
+	for i := 1; i <= 32; i++ { // four pages: balances 1-8, 9-16, ...
+		rid, err := tx.Insert("accounts", acct(i, "o", float64(i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rids = append(rids, rid)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	e.CollectGarbage()
+
+	old := e.Begin(1, txn.RepeatableRead, nil, nil, nil)
+	defer old.Rollback()
+	oldPreds := []rel.ColPred{{Col: 2, Op: rel.CmpLt, Val: rel.Float(1.5)}}
+	if got := vecIDs(t, old, oldPreds); !eqIDs(got, 1) { // pins the snapshot
+		t.Fatalf("before the update: %v, want [1]", got)
+	}
+	w := begin(e, 2)
+	if err := w.Update("accounts", rids[0], map[string]rel.Value{"balance": rel.Float(1e9)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Commit(); err != nil {
+		t.Fatal(err)
+	}
+
+	before := e.Stats().ScanPagesPruned.Load()
+	if got := vecIDs(t, old, oldPreds); !eqIDs(got, 1) {
+		t.Fatalf("old snapshot after the update: %v, want [1]", got)
+	}
+	if n := e.Stats().ScanPagesPruned.Load() - before; n != 3 {
+		t.Fatalf("balance < 1.5 pruned %d pages, want the 3 pages it refutes", n)
+	}
+	newPreds := []rel.ColPred{{Col: 2, Op: rel.CmpGt, Val: rel.Float(1e6)}}
+	if got := vecIDs(t, old, newPreds); len(got) != 0 {
+		t.Fatalf("old snapshot sees the new balance: %v", got)
+	}
+	cur := begin(e, 3)
+	defer cur.Rollback()
+	if got := vecIDs(t, cur, oldPreds); len(got) != 0 {
+		t.Fatalf("new snapshot sees the old balance: %v", got)
+	}
+	if got := vecIDs(t, cur, newPreds); !eqIDs(got, 1) {
+		t.Fatalf("new snapshot: %v, want [1]", got)
+	}
+}
+
+// Property: under a writer that inserts, updates in place (some values far
+// outside their page's range), deletes and rolls back, a pruned scan at a
+// held RepeatableRead snapshot returns exactly what the unpruned scan at
+// the same snapshot returns, for 600 random predicates on the int and float
+// columns, while garbage collection drops twin tables underneath.
+func TestHotPagePruningEquivalence(t *testing.T) {
+	e := openTestEngine(t, Config{PageCap: 8})
+	setupAccounts(t, e)
+	tx := begin(e, 0)
+	var live []rel.RowID
+	for i := 1; i <= 64; i++ {
+		rid, err := tx.Insert("accounts", acct(i, "o", float64(i)*10))
+		if err != nil {
+			t.Fatal(err)
+		}
+		live = append(live, rid)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+
+	// The writer owns live and nextID; the reader never touches them. On
+	// each tick it ends its open transaction (commit, or rollback one time
+	// in three) and opens the next with one to three writes, which stays
+	// in flight while the reader scans.
+	tick, stop := make(chan struct{}, 1), make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		rng := rand.New(rand.NewSource(51))
+		nextID := 65
+		var w *Tx
+		var added, removed []rel.RowID
+		finish := func(commit bool) error {
+			if !commit {
+				live = append(live, removed...)
+				return w.Rollback()
+			}
+			live = append(live, added...)
+			return w.Commit()
+		}
+		for {
+			select {
+			case <-stop:
+				if w != nil {
+					if err := finish(false); err != nil {
+						t.Error(err)
+					}
+				}
+				return
+			case <-tick:
+			}
+			if w != nil {
+				if err := finish(rng.Intn(3) != 0); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+			w, added, removed = begin(e, 0), nil, nil
+			for n := 1 + rng.Intn(3); n > 0; n-- {
+				switch k := rng.Intn(6); {
+				case k < 2 || len(live) < 8:
+					rid, err := w.Insert("accounts", acct(nextID, "o", float64(nextID)*10+float64(rng.Intn(20))))
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					nextID++
+					added = append(added, rid)
+				case k < 5:
+					bal := float64(rng.Intn(1000))
+					if rng.Intn(2) == 0 {
+						bal = float64(rng.Intn(2_000_000) - 1_000_000)
+					}
+					if err := w.Update("accounts", live[rng.Intn(len(live))], map[string]rel.Value{"balance": rel.Float(bal)}); err != nil {
+						t.Error(err)
+						return
+					}
+				default:
+					i := rng.Intn(len(live))
+					if err := w.Delete("accounts", live[i]); err != nil {
+						t.Error(err)
+						return
+					}
+					removed = append(removed, live[i])
+					live[i] = live[len(live)-1]
+					live = live[:len(live)-1]
+				}
+			}
+		}
+	}()
+
+	rng := rand.New(rand.NewSource(52))
+	ops := []rel.CmpOp{rel.CmpEq, rel.CmpNe, rel.CmpLt, rel.CmpLe, rel.CmpGt, rel.CmpGe}
+	randVal := func(col int) rel.Value {
+		if col == 0 {
+			return rel.Int(int64(rng.Intn(600) - 20))
+		}
+		if rng.Intn(8) == 0 {
+			return rel.Float(float64(rng.Intn(2_000_000) - 1_000_000))
+		}
+		return rel.Float(float64(rng.Intn(6000) - 200))
+	}
+	held := make([]*Tx, 4) // slots 1-4; the writer has slot 0
+	before := e.Stats().ScanPagesPruned.Load()
+	for iter := 0; iter < 600; iter++ {
+		slot := rng.Intn(len(held))
+		if held[slot] == nil || rng.Intn(10) == 0 {
+			if held[slot] != nil {
+				held[slot].Rollback()
+			}
+			held[slot] = e.Begin(slot+1, txn.RepeatableRead, nil, nil, nil)
+			allIDs(t, held[slot], nil) // the first read pins the snapshot
+		}
+		if iter%50 == 0 {
+			e.CollectGarbage()
+		}
+		var preds []rel.ColPred
+		for n := 1 + rng.Intn(2); n > 0; n-- {
+			col := []int{0, 2}[rng.Intn(2)]
+			if rng.Intn(3) == 0 {
+				preds = append(preds, rel.ColPred{Col: col, Op: rel.CmpGe, Val: randVal(col)},
+					rel.ColPred{Col: col, Op: rel.CmpLe, Val: randVal(col)})
+				continue
+			}
+			preds = append(preds, rel.ColPred{Col: col, Op: ops[rng.Intn(len(ops))], Val: randVal(col)})
+		}
+		select {
+		case tick <- struct{}{}:
+		default:
+		}
+		r := held[slot]
+		if got, want := vecIDs(t, r, preds), allIDs(t, r, preds); !eqIDs(got, want...) {
+			close(stop)
+			wg.Wait()
+			t.Fatalf("iter %d: preds %+v: pruned scan %v, unpruned %v", iter, preds, got, want)
+		}
+	}
+	close(stop)
+	wg.Wait()
+	for _, r := range held {
+		if r != nil {
+			r.Rollback()
+		}
+	}
+	if e.Stats().ScanPagesPruned.Load() == before {
+		t.Fatal("600 random predicates pruned no hot page")
+	}
+}
+
+// sinkN keeps the benchmark's aggregate live.
+var sinkN int64
+
+// BenchmarkRangeAggHotPages is cold_read's range aggregate on the hot tier
+// alone: count(*) and sum(hits) over 4,096 consecutive seq values of
+// 100,000 hot rows in 64-row pages, seq following insertion order.
+func BenchmarkRangeAggHotPages(b *testing.B) {
+	const rows, span = 100_000, 4096
+	e := openTestEngine(b, Config{})
+	if _, err := e.CreateTable("big", rel.NewSchema(
+		rel.Column{Name: "id", Type: rel.TInt64},
+		rel.Column{Name: "seq", Type: rel.TInt64},
+		rel.Column{Name: "hits", Type: rel.TInt64},
+	)); err != nil {
+		b.Fatal(err)
+	}
+	for first := 0; first < rows; first += 1000 {
+		tx := begin(e, 0)
+		for i := first; i < first+1000; i++ {
+			if _, err := tx.Insert("big", rel.Row{rel.Int(int64(i + 1)), rel.Int(int64(i)), rel.Int(int64(i % 100))}); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if err := tx.Commit(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	e.CollectGarbage()
+	specs := []rel.AggSpec{{Op: rel.AggOpCount}, {Op: rel.AggOpSum, Col: 2}}
+	rng := rand.New(rand.NewSource(1))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		lo := rng.Int63n(rows - span + 1)
+		tx := begin(e, 1)
+		_, n, err := tx.AggTableFiltered("big", []rel.ColPred{{Col: 1, Op: rel.CmpGe, Val: rel.Int(lo)},
+			{Col: 1, Op: rel.CmpLe, Val: rel.Int(lo + span - 1)}}, specs)
+		tx.Rollback()
+		if err != nil || n != span {
+			b.Fatalf("range at %d = (%d rows, %v), want %d", lo, n, err, span)
+		}
+		sinkN += n
+	}
 }

@@ -535,13 +535,13 @@ func (s *Store) ScanBlocks(preds []rel.ColPred, strs bool, fn func(ids []rel.Row
 	var sel pax.Sel
 	var buf scanBuf
 	for _, g := range segs {
-		if zonesPrune(g.zones, preds) {
+		if pax.ZonesPrune(g.zones, preds) {
 			s.scanPruned.Add(int64(len(g.blocks)))
 			continue
 		}
 		dels := g.snapshotDeleted()
 		for bi := range g.blocks {
-			if zonesPrune(g.zonesOf(bi), preds) {
+			if pax.ZonesPrune(g.zonesOf(bi), preds) {
 				s.scanPruned.Add(1)
 				continue
 			}

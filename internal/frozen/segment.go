@@ -60,10 +60,12 @@ import (
 // Zone invariant: a zone bounds every value of its column in the rows it
 // summarises — the segment zones over the segment, block zone (b, z) over
 // block b — so numBlockZones is numBlocks x numZones and every block zone
-// nests inside its segment zone. Version 1 headers end after the segment
-// zones; they decode as "no block zones", which prunes nothing. Version 3
-// and 4 headers are version 2 headers; only the blocks differ. The writer
-// emits version 4 only; a merge rewrites older segments as version 4.
+// nests inside its segment zone. Zones are pax.Zone values and prune by
+// the rule hot pages prune by (pax.Zone.Prunes). Version 1 headers end
+// after the segment zones; they decode as "no block zones", which prunes
+// nothing. Version 3 and 4 headers are version 2 headers; only the blocks
+// differ. The writer emits version 4 only; a merge rewrites older
+// segments as version 4.
 const (
 	segmentMagic   uint32 = 0x50435331 // "PCS1"
 	segmentVersion uint32 = 4
@@ -90,68 +92,6 @@ func errTruncated(what string) error {
 	return fmt.Errorf("frozen: truncated segment: %s", what)
 }
 
-// zone is a per-column-strip min/max summary. Only fixed-width columns
-// carry zones; min/max hold the raw 8-byte minipage encoding interpreted
-// by kind.
-type zone struct {
-	col  uint16
-	kind rel.Type
-	min  uint64
-	max  uint64
-}
-
-// prunes reports whether the predicate provably rejects every row whose
-// column value lies within the zone.
-func (z zone) prunes(p rel.ColPred) bool {
-	switch z.kind {
-	case rel.TInt64:
-		if p.Val.Kind != rel.TInt64 {
-			return false
-		}
-		return prunesOrdered(int64(z.min), int64(z.max), p.Val.I, p.Op)
-	case rel.TFloat64:
-		if p.Val.Kind != rel.TFloat64 {
-			return false
-		}
-		return prunesOrdered(math.Float64frombits(z.min), math.Float64frombits(z.max), p.Val.F, p.Op)
-	}
-	return false
-}
-
-func prunesOrdered[T int64 | float64](min, max, v T, op rel.CmpOp) bool {
-	switch op {
-	case rel.CmpEq:
-		return v < min || v > max
-	case rel.CmpNe:
-		return min == v && max == v
-	case rel.CmpLt:
-		return min >= v
-	case rel.CmpLe:
-		return min > v
-	case rel.CmpGt:
-		return max <= v
-	case rel.CmpGe:
-		return max < v
-	}
-	return false
-}
-
-// zonesPrune reports whether any predicate alone rejects the whole zone
-// range (predicates are conjunctive).
-func zonesPrune(zones []zone, preds []rel.ColPred) bool {
-	if len(zones) == 0 || len(preds) == 0 {
-		return false
-	}
-	for _, p := range preds {
-		for _, z := range zones {
-			if int(z.col) == p.Col && z.prunes(p) {
-				return true
-			}
-		}
-	}
-	return false
-}
-
 // segBlock is one compressed block's directory entry.
 type segBlock struct {
 	firstRID rel.RowID
@@ -176,10 +116,10 @@ type segment struct {
 	crc       uint32 // whole-segment CRC (manifest / backup verification)
 	blocks    []segBlock
 	filter    *bloom
-	zones     []zone
+	zones     []pax.Zone
 	// blockZones holds len(zones) entries per block, block-major; empty
 	// for flat and version-1 segments.
-	blockZones []zone
+	blockZones []pax.Zone
 
 	reads []atomic.Uint32 // per block, drives warming
 
@@ -205,7 +145,7 @@ func (g *segment) blockFor(rid rel.RowID) int {
 }
 
 // zonesOf returns block i's zones (nil when the segment carries none).
-func (g *segment) zonesOf(i int) []zone {
+func (g *segment) zonesOf(i int) []pax.Zone {
 	if len(g.blockZones) == 0 {
 		return nil
 	}
@@ -274,9 +214,9 @@ type segmentBuilder struct {
 	cols   []colBuf // the open block's values, per column
 	curRaw int      // the open block's raw image size
 
-	curZones   []zone // the open block's; nil until its first row
-	blockZones []zone
-	zones      []zone
+	curZones   []pax.Zone // the open block's; nil until its first row
+	blockZones []pax.Zone
+	zones      []pax.Zone
 	rawTotal   int64
 }
 
@@ -353,39 +293,15 @@ func (sb *segmentBuilder) foldZones(row rel.Row) {
 			if c.Type.FixedWidth() <= 0 {
 				continue
 			}
-			sb.curZones = append(sb.curZones, zone{col: uint16(ci), kind: c.Type, min: rawBits(row[ci]), max: rawBits(row[ci])})
+			sb.curZones = append(sb.curZones, pax.Zone{Col: uint16(ci), Kind: c.Type, Min: pax.RawBits(row[ci]), Max: pax.RawBits(row[ci])})
 		}
 		return
 	}
 	for i := range sb.curZones {
 		z := &sb.curZones[i]
-		v := rawBits(row[int(z.col)])
-		z.widen(v, v)
+		v := pax.RawBits(row[int(z.Col)])
+		z.Widen(v, v)
 	}
-}
-
-// widen extends the zone to cover [min, max].
-func (z *zone) widen(min, max uint64) {
-	if zoneLess(z.kind, min, z.min) {
-		z.min = min
-	}
-	if zoneLess(z.kind, z.max, max) {
-		z.max = max
-	}
-}
-
-func rawBits(v rel.Value) uint64 {
-	if v.Kind == rel.TFloat64 {
-		return math.Float64bits(v.F)
-	}
-	return uint64(v.I)
-}
-
-func zoneLess(kind rel.Type, a, b uint64) bool {
-	if kind == rel.TFloat64 {
-		return math.Float64frombits(a) < math.Float64frombits(b)
-	}
-	return int64(a) < int64(b)
 }
 
 // flushBlock writes the open block in the version-4 layout: the strips,
@@ -435,7 +351,7 @@ func (sb *segmentBuilder) flushBlock() {
 		sb.zones = append(sb.zones, sb.curZones...)
 	}
 	for i, z := range sb.curZones {
-		sb.zones[i].widen(z.min, z.max)
+		sb.zones[i].Widen(z.Min, z.Max)
 	}
 	sb.blockZones = append(sb.blockZones, sb.curZones...)
 	for ci := range sb.cols {
@@ -540,17 +456,17 @@ func (g *segment) encodeHeader() []byte {
 		binary.LittleEndian.PutUint16(b8[:2], uint16(len(g.zones)))
 		hdr = append(hdr, b8[:2]...)
 		for _, z := range g.zones {
-			binary.LittleEndian.PutUint16(b8[:2], z.col)
+			binary.LittleEndian.PutUint16(b8[:2], z.Col)
 			hdr = append(hdr, b8[:2]...)
-			hdr = append(hdr, byte(z.kind))
-			putU64(z.min)
-			putU64(z.max)
+			hdr = append(hdr, byte(z.Kind))
+			putU64(z.Min)
+			putU64(z.Max)
 		}
 	}
 	putU32(uint32(len(g.blockZones)))
 	for _, z := range g.blockZones {
-		putU64(z.min)
-		putU64(z.max)
+		putU64(z.Min)
+		putU64(z.Max)
 	}
 	putU32(crc32.ChecksumIEEE(hdr))
 	return hdr
@@ -664,15 +580,15 @@ func decodeSegmentHeader(hdr []byte) (*segment, error) {
 			return nil, err
 		}
 		if nz > 0 {
-			g.zones = make([]zone, nz)
+			g.zones = make([]pax.Zone, nz)
 		}
 		for i := range g.zones {
-			g.zones[i].col = binary.LittleEndian.Uint16(buf[:2])
+			g.zones[i].Col = binary.LittleEndian.Uint16(buf[:2])
 			buf = buf[2:]
-			g.zones[i].kind = rel.Type(buf[0])
+			g.zones[i].Kind = rel.Type(buf[0])
 			buf = buf[1:]
-			g.zones[i].min = u64()
-			g.zones[i].max = u64()
+			g.zones[i].Min = u64()
+			g.zones[i].Max = u64()
 		}
 	}
 	if version >= 2 {
@@ -686,10 +602,10 @@ func decodeSegmentHeader(hdr []byte) (*segment, error) {
 		if err := need(nbz * 16); err != nil {
 			return nil, err
 		}
-		g.blockZones = make([]zone, nbz)
+		g.blockZones = make([]pax.Zone, nbz)
 		for i := range g.blockZones {
 			z := g.zones[i%len(g.zones)]
-			z.min, z.max = u64(), u64()
+			z.Min, z.Max = u64(), u64()
 			g.blockZones[i] = z
 		}
 	}
@@ -1263,14 +1179,14 @@ func VerifySegmentBytes(data []byte, m SegmentMeta) error {
 		total += len(ids)
 	}
 	for _, z := range g.zones {
-		if zoneLess(z.kind, z.max, z.min) {
-			return fmt.Errorf("frozen: zone map for col %d has min > max", z.col)
+		if pax.ZoneLess(z.Kind, z.Max, z.Min) {
+			return fmt.Errorf("frozen: zone map for col %d has min > max", z.Col)
 		}
 	}
 	for i, z := range g.blockZones {
 		sz := g.zones[i%len(g.zones)]
-		if zoneLess(z.kind, z.max, z.min) || zoneLess(z.kind, z.min, sz.min) || zoneLess(z.kind, sz.max, z.max) {
-			return fmt.Errorf("frozen: block %d zone for col %d is empty or outside its segment zone", i/len(g.zones), z.col)
+		if pax.ZoneLess(z.Kind, z.Max, z.Min) || pax.ZoneLess(z.Kind, z.Min, sz.Min) || pax.ZoneLess(z.Kind, sz.Max, z.Max) {
+			return fmt.Errorf("frozen: block %d zone for col %d is empty or outside its segment zone", i/len(g.zones), z.Col)
 		}
 	}
 	if total != g.numRows {

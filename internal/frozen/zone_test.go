@@ -434,10 +434,10 @@ func v1Header(t testing.TB, hdr []byte) []byte {
 		out = g.filter.encode(append(out, 1))
 		out = le.AppendUint16(append(out, 1), uint16(len(g.zones)))
 		for _, z := range g.zones {
-			out = le.AppendUint16(out, z.col)
-			out = append(out, byte(z.kind))
-			out = le.AppendUint64(out, z.min)
-			out = le.AppendUint64(out, z.max)
+			out = le.AppendUint16(out, z.Col)
+			out = append(out, byte(z.Kind))
+			out = le.AppendUint64(out, z.Min)
+			out = le.AppendUint64(out, z.Max)
 		}
 	}
 	return le.AppendUint32(out, crc32.ChecksumIEEE(out))
@@ -562,9 +562,9 @@ func TestVerifyRejectsLyingBlockZones(t *testing.T) {
 		t.Fatal("decode + encodeHeader is not the identity on a written header")
 	}
 	for name, mutate := range map[string]func(g *segment){
-		"outside the segment zone": func(g *segment) { g.zonesOf(1)[wideSeq].max = 1 << 40 },
-		"below the segment zone":   func(g *segment) { g.zonesOf(2)[wideScore].min = rawBits(rel.Float(-1)) },
-		"min above max":            func(g *segment) { z := &g.zonesOf(3)[0]; z.min, z.max = z.max, z.min },
+		"outside the segment zone": func(g *segment) { g.zonesOf(1)[wideSeq].Max = 1 << 40 },
+		"below the segment zone":   func(g *segment) { g.zonesOf(2)[wideScore].Min = pax.RawBits(rel.Float(-1)) },
+		"min above max":            func(g *segment) { z := &g.zonesOf(3)[0]; z.Min, z.Max = z.Max, z.Min },
 	} {
 		bad, bm := resealHeader(t, data, m, mutate)
 		if err := VerifySegmentBytes(bad, bm); err == nil {

@@ -164,6 +164,111 @@ func acceptFloat(op rel.CmpOp, a, b float64) bool {
 	return false
 }
 
+// Zone is a min/max summary of one fixed-width column over a set of rows
+// — a hot page, a cold block or a cold segment — that lets a scan skip
+// the set without reading it. Min and Max hold the 8-byte minipage
+// encoding (RawBits), ordered by Kind. Both tiers keep one invariant: a
+// zone bounds every value of its column that a snapshot can still read
+// from the rows it summarises. The rule below is the only one either tier
+// prunes by, and it holds FilterFixed's contract: when a zone prunes a
+// predicate, FilterFixed selects no row the zone bounds.
+type Zone struct {
+	Col  uint16
+	Kind rel.Type
+	Min  uint64
+	Max  uint64
+}
+
+// RawBits returns a fixed-width value's 8-byte minipage encoding.
+func RawBits(v rel.Value) uint64 {
+	if v.Kind == rel.TFloat64 {
+		return math.Float64bits(v.F)
+	}
+	return uint64(v.I)
+}
+
+// emptyZone returns a zone that admits no value (Min above Max), so the
+// first value stored widens it to exactly that value.
+func emptyZone(col int, kind rel.Type) Zone {
+	if kind == rel.TFloat64 {
+		return Zone{Col: uint16(col), Kind: kind, Min: math.Float64bits(math.Inf(1)), Max: math.Float64bits(math.Inf(-1))}
+	}
+	return Zone{Col: uint16(col), Kind: kind, Min: math.MaxInt64, Max: 1 << 63}
+}
+
+// Widen extends the zone to cover [min, max]. A NaN never widens a zone:
+// it fails every ordered comparison, so Prunes never counts on a zone
+// covering it.
+func (z *Zone) Widen(min, max uint64) {
+	if ZoneLess(z.Kind, min, z.Min) {
+		z.Min = min
+	}
+	if ZoneLess(z.Kind, z.Max, max) {
+		z.Max = max
+	}
+}
+
+// ZoneLess orders two minipage encodings of kind.
+func ZoneLess(kind rel.Type, a, b uint64) bool {
+	if kind == rel.TFloat64 {
+		return math.Float64frombits(a) < math.Float64frombits(b)
+	}
+	return int64(a) < int64(b)
+}
+
+// Prunes reports whether the predicate provably rejects every row whose
+// column value lies within the zone. A float zone never prunes "!=": that
+// is the one operator a NaN satisfies, and no zone covers a NaN.
+func (z Zone) Prunes(p rel.ColPred) bool {
+	switch z.Kind {
+	case rel.TInt64:
+		return p.Val.Kind == rel.TInt64 && prunesOrdered(int64(z.Min), int64(z.Max), p.Val.I, p.Op)
+	case rel.TFloat64:
+		return p.Val.Kind == rel.TFloat64 && p.Op != rel.CmpNe &&
+			prunesOrdered(math.Float64frombits(z.Min), math.Float64frombits(z.Max), p.Val.F, p.Op)
+	}
+	return false
+}
+
+func prunesOrdered[T int64 | float64](min, max, v T, op rel.CmpOp) bool {
+	switch op {
+	case rel.CmpEq:
+		return v < min || v > max
+	case rel.CmpNe:
+		return min == v && max == v
+	case rel.CmpLt:
+		return min >= v
+	case rel.CmpLe:
+		return min > v
+	case rel.CmpGt:
+		return max <= v
+	case rel.CmpGe:
+		return max < v
+	}
+	return false
+}
+
+// ZonesPrune reports whether any predicate alone rejects the whole zone
+// range (predicates are conjunctive).
+func ZonesPrune(zones []Zone, preds []rel.ColPred) bool {
+	for _, p := range preds {
+		for _, z := range zones {
+			if int(z.Col) == p.Col && z.Prunes(p) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// Prunes reports whether the page's zones refute preds, so that FilterFixed
+// would select none of its rows. A page's zone is widened by every value
+// stored in it since it was built and never narrowed, so it also bounds
+// every older version of its rows a snapshot can still reach: each was
+// once stored in place in this page. A view page carries no zones and
+// prunes nothing.
+func (p *Page) Prunes(preds []rel.ColPred) bool { return ZonesPrune(p.zones, preds) }
+
 // AggState accumulates pushed-down aggregates across pages. Call Fold once
 // per page with that page's post-filter selection, then Finish.
 type AggState struct {

@@ -10,6 +10,12 @@
 // Pages support in-place updates (§5.2): hot and cold pages are mutated
 // directly, with before-images preserved separately in the in-memory UNDO
 // log rather than in the page.
+//
+// Every page a caller builds keeps one Zone per fixed-width column: the
+// min and max of every value stored in the page since it was built,
+// widened by each store and never narrowed, so a scan skips a page whose
+// zone refutes its predicates. Cold blocks and segments carry zones of the
+// same type and prune by the same rule (Zone.Prunes).
 package pax
 
 import (
@@ -49,6 +55,9 @@ type Page struct {
 	fixIdx []int      // column -> index into fixed, or -1
 	varIdx []int      // column -> index into vars, or -1
 	view   bool       // strips alias a serialized image (View); read-only
+	// zones holds one zone per fixed column, parallel to fixed: widened by
+	// every value SetCol stores, never narrowed. A view page has none.
+	zones []Zone
 }
 
 // NewPage allocates an empty page for the schema with capacity cap rows.
@@ -67,6 +76,7 @@ func NewPage(schema *rel.Schema, cap int) *Page {
 			p.fixIdx[i] = len(p.fixed)
 			p.varIdx[i] = -1
 			p.fixed = append(p.fixed, make([]byte, cap*w))
+			p.zones = append(p.zones, emptyZone(i, c.Type))
 		} else {
 			p.fixIdx[i] = -1
 			p.varIdx[i] = len(p.vars)
@@ -168,17 +178,16 @@ func (p *Page) SetRow(at int, row rel.Row) error {
 	return nil
 }
 
-// SetCol updates one column of slot `at` in place. The caller must have
-// captured the before-image for UNDO if required.
+// SetCol updates one column of slot `at` in place and widens the column's
+// zone to cover the value. The caller must have captured the before-image
+// for UNDO if required.
 func (p *Page) SetCol(at, col int, v rel.Value) {
 	p.mustOwn()
 	if fi := p.fixIdx[col]; fi >= 0 {
-		mp := p.fixed[fi][at*8 : at*8+8]
-		switch v.Kind {
-		case rel.TInt64:
-			binary.LittleEndian.PutUint64(mp, uint64(v.I))
-		case rel.TFloat64:
-			binary.LittleEndian.PutUint64(mp, math.Float64bits(v.F))
+		if v.Kind == rel.TInt64 || v.Kind == rel.TFloat64 {
+			u := RawBits(v)
+			binary.LittleEndian.PutUint64(p.fixed[fi][at*8:at*8+8], u)
+			p.zones[fi].Widen(u, u)
 		}
 		return
 	}
@@ -313,7 +322,8 @@ func imageRows(img []byte) (int, error) {
 }
 
 // Deserialize reconstructs a page from a Serialize image. cap must be at
-// least the stored row count.
+// least the stored row count. The page's zones cover the stored values
+// only: an image holds no older versions of its rows.
 func Deserialize(schema *rel.Schema, cap int, img []byte) (*Page, error) {
 	n, err := imageRows(img)
 	if err != nil {
@@ -324,12 +334,16 @@ func Deserialize(schema *rel.Schema, cap int, img []byte) (*Page, error) {
 	}
 	p := NewPage(schema, cap)
 	off := 8
-	for _, mp := range p.fixed {
+	for fi, mp := range p.fixed {
 		if off+n*8 > len(img) {
 			return nil, fmt.Errorf("pax: truncated fixed minipage")
 		}
 		copy(mp, img[off:off+n*8])
 		off += n * 8
+		for i := 0; i < n; i++ {
+			u := binary.LittleEndian.Uint64(mp[i*8:])
+			p.zones[fi].Widen(u, u)
+		}
 	}
 	for _, vc := range p.vars {
 		for i := 0; i < n; i++ {

@@ -619,14 +619,18 @@ func (t *Table) AppendAt(rid rel.RowID, row rel.Row) error {
 
 // RemoveRow physically erases a tombstoned row (deleted-tuple GC, §7.3).
 func (t *Table) RemoveRow(rid rel.RowID, io *Ctx) error {
-	return t.WithRow(rid, true, io, func(h Handle) error {
-		if err := h.Pl.Rows.Delete(h.Slot); err != nil {
-			return err
-		}
-		h.Pl.IDs = append(h.Pl.IDs[:h.Slot], h.Pl.IDs[h.Slot+1:]...)
-		h.Pl.Deleted = append(h.Pl.Deleted[:h.Slot], h.Pl.Deleted[h.Slot+1:]...)
-		return nil
-	})
+	return t.WithRow(rid, true, io, func(h Handle) error { return h.Remove() })
+}
+
+// Remove physically erases the row from its page. The caller holds the
+// page's exclusive latch (a WithRow callback with exclusive set).
+func (h *Handle) Remove() error {
+	if err := h.Pl.Rows.Delete(h.Slot); err != nil {
+		return err
+	}
+	h.Pl.IDs = append(h.Pl.IDs[:h.Slot], h.Pl.IDs[h.Slot+1:]...)
+	h.Pl.Deleted = append(h.Pl.Deleted[:h.Slot], h.Pl.Deleted[h.Slot+1:]...)
+	return nil
 }
 
 // DropCollectibleTwins sweeps pages with twin tables and drops those whose

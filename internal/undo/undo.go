@@ -232,6 +232,9 @@ func (r *Record) VisibleAt(snapshot uint64, wait func(*TxnMeta) bool) bool {
 // MarkDead flags an aborted, unlinked record as immediately reclaimable.
 func (r *Record) MarkDead() { r.dead.Store(true) }
 
+// Dead reports whether the record was rolled back (MarkDead).
+func (r *Record) Dead() bool { return r.dead.Load() }
+
 // Reclaimed reports whether the record's storage has been recycled; a
 // chain pointer to a reclaimed record is treated as absent by visibility
 // checks (§6.2 "invalid pointer or reclaimed UNDO log").

@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"phoebedb/internal/table"
 )
 
 // statRow finds the phoebe_stat_statements row whose statement column
@@ -230,6 +232,84 @@ func TestColdScanCountersListed(t *testing.T) {
 	var buf strings.Builder
 	db.Metrics().WritePrometheus(&buf)
 	for _, name := range names[:2] {
+		if !strings.Contains(buf.String(), name) {
+			t.Fatalf("%s missing from /metrics", name)
+		}
+	}
+}
+
+// Hot pages whose rows follow seq order: a 4,096-row range aggregate
+// latches every hot page and skips, by its zone, each page holding no row
+// of the range. Both counters reach phoebe_stat_engine and /metrics.
+func TestHotScanPrunesPagesOutsideRange(t *testing.T) {
+	db := openTestDB(t, Options{Workers: 1})
+	execOrFatal(t, db, "CREATE TABLE big (id INT, seq INT, hits INT)")
+	const rows, lo, span = 16384, 5000, 4096
+	for first := 0; first < rows; first += 1024 {
+		err := db.Execute(func(tx *Tx) error {
+			for i := first; i < first+1024; i++ {
+				if _, err := tx.Insert("big", Row{Int(int64(i + 1)), Int(int64(i)), Int(int64(i % 100))}); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The reference: hot pages, and those holding a row of the range.
+	tbl, err := db.Engine().Table("big")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pages, meet int64
+	if err := tbl.Store.ScanPages(nil, func(v table.PageView) bool {
+		pages++
+		for i := range v.Pl.IDs {
+			if s := v.Pl.Rows.Col(i, 1).I; s >= lo && s < lo+span {
+				meet++
+				break
+			}
+		}
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if meet > span/64+1 {
+		t.Fatalf("%d pages hold the range's %d rows: the pages do not follow seq", meet, span)
+	}
+	read := func() map[string]int64 {
+		got := map[string]int64{}
+		for _, r := range execOrFatal(t, db, "SELECT name, value FROM phoebe_stat_engine").Rows {
+			got[r[0].S] = r[1].I
+		}
+		return got
+	}
+	names := []string{"phoebe_scan_pages_total", "phoebe_scan_pages_pruned_total"}
+	before := read()
+	for _, name := range names {
+		if _, ok := before[name]; !ok {
+			t.Fatalf("%s missing from phoebe_stat_engine", name)
+		}
+	}
+	res := execOrFatal(t, db, fmt.Sprintf("SELECT count(*), sum(hits) FROM big WHERE seq BETWEEN %d AND %d", lo, lo+span-1))
+	var sum int64
+	for v := int64(lo); v < lo+span; v++ {
+		sum += v % 100
+	}
+	if res.Rows[0][0].I != span || res.Rows[0][1].I != sum {
+		t.Fatalf("range aggregate = %v, want [%d %d]", res.Rows[0], span, sum)
+	}
+	after := read()
+	visited, pruned := after[names[0]]-before[names[0]], after[names[1]]-before[names[1]]
+	if visited != pages || pruned != pages-meet {
+		t.Fatalf("range over %d hot pages, %d of them holding it: visited %d, pruned %d; want %d and %d",
+			pages, meet, visited, pruned, pages, pages-meet)
+	}
+	var buf strings.Builder
+	db.Metrics().WritePrometheus(&buf)
+	for _, name := range names {
 		if !strings.Contains(buf.String(), name) {
 			t.Fatalf("%s missing from /metrics", name)
 		}

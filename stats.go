@@ -101,6 +101,8 @@ func buildRegistry(db *DB) *metrics.Registry {
 		cold(func(s ColdStats) int64 { return s.ScanBlocks }))
 	reg.Counter("phoebe_cold_scan_blocks_pruned_total", "Cold blocks scans skipped without I/O because a segment or block zone map refuted a predicate.",
 		cold(func(s ColdStats) int64 { return s.ScanBlocksPruned }))
+	reg.Counter("phoebe_scan_pages_total", "Hot pages full-table scans latched, pruned ones included.", st.ScanPages.Load)
+	reg.Counter("phoebe_scan_pages_pruned_total", "Hot pages scans skipped unfiltered because the page's zone map refuted a predicate.", st.ScanPagesPruned.Load)
 	reg.Counter("phoebe_cold_compactions_total", "Cold segment merges completed.",
 		cold(func(s ColdStats) int64 { return s.Compactions }))
 	reg.Counter("phoebe_cold_freeze_bytes_total", "Compressed bytes written by freezing (first cold write).",
