@@ -2,10 +2,12 @@ package phoebedb
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
 	"phoebedb/internal/rel"
+	"phoebedb/internal/table"
 )
 
 // The allocation gates where the traffic is: on the wire an autocommit
@@ -36,10 +38,12 @@ func inPoolSession(t *testing.T, db *DB, fn func(ps *PoolSession)) {
 // updateAllocFloor is what an autocommit UPDATE by primary key still
 // allocates on a plan-cache hit: the UNDO record and its before-image
 // delta (both live until GC reclaims the version), the transaction's
-// TxnMeta and its done channel (live while a version points at them), and
-// the write path's page-latch callback. A ceiling, pinned where this change
-// left it — lower it when one of those goes.
-const updateAllocFloor = 5
+// TxnMeta (live while a version points at it; its done channel is made
+// only by a waiter), and the write path's page-latch callback. A ceiling,
+// pinned where this change left it — lower it when one of those goes. It
+// holds as well when GC has collected the page's twin table since its last
+// write (TestAllocUpdateCollectedPage): the page keeps the emptied table.
+const updateAllocFloor = 4
 
 // foldAllocCeiling and limitAllocCeiling pin the cached in-scan count/sum
 // and the streaming LIMIT where this gate was introduced: output column
@@ -95,6 +99,84 @@ func TestAllocPoolSessionExecSQL(t *testing.T) {
 		t.Errorf("streaming LIMIT 3 allocates %.1f objects per statement, want <= %d", limit, limitAllocCeiling)
 	}
 	t.Logf("allocs per statement: SELECT %.1f, UPDATE %.1f, fold %.1f, LIMIT %.1f", sel, upd, fold, limit)
+}
+
+// TestAllocUpdateCollectedPage is the UPDATE gate shaped like point_update
+// traffic, where writes spread over many pages and GC collects a page's
+// twin table between two writes to it: before every measured UPDATE a GC
+// round has reclaimed the previous version and emptied the page's table.
+// Only the UPDATE is counted.
+func TestAllocUpdateCollectedPage(t *testing.T) {
+	db := openTestDB(t, Options{ASHSampleInterval: -1})
+	execOrFatal(t, db, "CREATE TABLE acct (id INT, bal INT, name STRING)")
+	execOrFatal(t, db, "CREATE UNIQUE INDEX acct_pk ON acct (id)")
+	for i := 0; i < 64; i++ {
+		execOrFatal(t, db, fmt.Sprintf("INSERT INTO acct VALUES (%d, %d, 'n%d')", i, i, i))
+	}
+	tbl, err := db.engine.Table("acct")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rid RowID
+	found := false
+	if err := db.Execute(func(tx *Tx) error {
+		return tx.ScanTable("acct", func(r RowID, row Row) bool {
+			if row[0].I == 9 {
+				rid, found = r, true
+			}
+			return true
+		})
+	}); err != nil || !found {
+		t.Fatalf("row with id 9 not found: %v", err)
+	}
+	twinEntries := func() int {
+		n := -1
+		tbl.Store.WithRow(rid, false, nil, func(h table.Handle) error {
+			n = 0
+			if tt := h.TwinTable(false); tt != nil {
+				n = tt.Len()
+			}
+			return nil
+		})
+		return n
+	}
+	const runs = 200
+	var mallocs uint64
+	var sink countSink
+	inPoolSession(t, db, func(ps *PoolSession) {
+		run := func(q string) {
+			if _, err := ps.ExecSQL(q, &sink); err != nil {
+				t.Error(err)
+			}
+		}
+		run("UPDATE acct SET bal = 1 WHERE id = 9") // plan cache, scratch
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+		var before, after runtime.MemStats
+		for i := 0; i < runs; i++ {
+			if n := db.engine.CollectGarbage(); n == 0 {
+				t.Errorf("run %d: GC reclaimed no version", i)
+				return
+			}
+			if n := twinEntries(); n != 0 {
+				t.Errorf("run %d: the page's twin table holds %d entries after GC", i, n)
+				return
+			}
+			q := "UPDATE acct SET bal = 5 WHERE id = 9"
+			runtime.ReadMemStats(&before)
+			run(q)
+			runtime.ReadMemStats(&after)
+			mallocs += after.Mallocs - before.Mallocs
+		}
+	})
+	if t.Failed() {
+		return
+	}
+	// Averaged as testing.AllocsPerRun does, in whole objects.
+	upd := mallocs / runs
+	if upd > updateAllocFloor {
+		t.Errorf("autocommit point UPDATE of a collected page allocates %d objects per statement, want <= %d", upd, updateAllocFloor)
+	}
+	t.Logf("allocs per UPDATE after a GC round: %d (%d over %d runs)", upd, mallocs, runs)
 }
 
 // TestAllocExplainAnalyzeFold checks that EXPLAIN ANALYZE of an in-scan

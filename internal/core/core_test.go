@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -887,14 +888,14 @@ func insertAsync(e *Engine, id int, owner string) <-chan error {
 }
 
 // awaitWaiter returns once a transaction has parked on another one since
-// the tuple-lock wait count read waits, and fails if the transaction behind
-// done finishes first.
-func awaitWaiter(t *testing.T, e *Engine, waits int64, done <-chan error) {
+// the wait count c read waits, and fails if the transaction behind done
+// finishes first.
+func awaitWaiter(t *testing.T, c *atomic.Int64, waits int64, done <-chan error) {
 	t.Helper()
-	for e.Stats().TupleLockWaits.Load() == waits {
+	for c.Load() == waits {
 		select {
 		case err := <-done:
-			t.Fatalf("second insert of key 1 finished without waiting for the first: %v", err)
+			t.Fatalf("finished without waiting for the other transaction: %v", err)
 		case <-time.After(time.Millisecond):
 		}
 	}
@@ -912,7 +913,7 @@ func TestUniqueInsertWaitsForUncommittedCommit(t *testing.T) {
 	}
 	waits := e.Stats().TupleLockWaits.Load()
 	done := insertAsync(e, 1, "bob")
-	awaitWaiter(t, e, waits, done)
+	awaitWaiter(t, &e.Stats().TupleLockWaits, waits, done)
 	if err := a.Commit(); err != nil {
 		t.Fatal(err)
 	}
@@ -945,7 +946,7 @@ func TestUniqueInsertWaitsForUncommittedRollback(t *testing.T) {
 	}
 	waits := e.Stats().TupleLockWaits.Load()
 	done := insertAsync(e, 1, "bob")
-	awaitWaiter(t, e, waits, done)
+	awaitWaiter(t, &e.Stats().TupleLockWaits, waits, done)
 	if err := a.Rollback(); err != nil {
 		t.Fatal(err)
 	}

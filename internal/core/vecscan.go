@@ -29,7 +29,7 @@ import (
 // Caller holds the page's shared latch via ScanPages.
 func (tx *Tx) qualifyPage(v table.PageView, snapshot, wm uint64, sel pax.Sel, residue []int) []int {
 	pl, twin := v.Pl, v.Pg.Twin
-	if twin == nil {
+	if twin.Len() == 0 {
 		// No version chains anywhere on the page: current versions are
 		// globally visible, tombstones invisible to everyone.
 		for i, d := range pl.Deleted {

@@ -680,6 +680,73 @@ func TestNaNSurvivesZonePruning(t *testing.T) {
 	}
 }
 
+// A NaN row answers a float predicate the same way on every path: the
+// batch filter over page bytes, the residue slot whose writer is in
+// flight (chain walk, then EvalRow), and the point read. IEEE-style, a
+// NaN satisfies only "!=".
+func TestNaNRowAndBatchAgree(t *testing.T) {
+	e := openTestEngine(t, Config{PageCap: 8})
+	setupAccounts(t, e)
+	tx := begin(e, 0)
+	var rids []rel.RowID
+	for i, bal := range []float64{math.NaN(), 5, 1} {
+		rid, err := tx.Insert("accounts", acct(i+1, "o", bal))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rids = append(rids, rid)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	e.CollectGarbage()
+	e.CollectGarbage()
+
+	wants := map[rel.CmpOp][]int64{
+		rel.CmpEq: {2},
+		rel.CmpNe: {1, 3},
+		rel.CmpLt: {3},
+		rel.CmpGe: {2},
+	}
+	check := func(label string, r *Tx) {
+		t.Helper()
+		for op, want := range wants {
+			preds := []rel.ColPred{{Col: 2, Op: op, Val: rel.Float(5)}}
+			if got := vecIDs(t, r, preds); !eqIDs(got, want...) {
+				t.Errorf("%s: scan of balance %v 5: %v, want %v", label, op, got, want)
+			}
+			var point []int64
+			for _, rid := range rids {
+				row, ok, err := r.Get("accounts", rid)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if ok && preds[0].EvalRow(row) {
+					point = append(point, row[0].I)
+				}
+			}
+			if !eqIDs(point, want...) {
+				t.Errorf("%s: point reads of balance %v 5: %v, want %v", label, op, point, want)
+			}
+		}
+	}
+	r := begin(e, 1)
+	check("batch", r)
+	r.Rollback()
+
+	// A writer in flight on every row sends each slot to the residue.
+	w := begin(e, 2)
+	defer w.Rollback()
+	for _, rid := range rids {
+		if err := w.Update("accounts", rid, map[string]rel.Value{"owner": rel.Str("w")}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r = begin(e, 1)
+	defer r.Rollback()
+	check("residue", r)
+}
+
 // A hot page's zone is widened by every value stored in it and never
 // narrowed, so it bounds every version a snapshot can still reach: after
 // an UPDATE moves a page's lowest balance far above the page, a snapshot

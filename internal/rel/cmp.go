@@ -64,6 +64,18 @@ func (op CmpOp) Accepts(c int) bool {
 	}
 }
 
+// Holds reports whether "lhs op rhs" holds: the one predicate rule of the
+// row path, which must answer as the batch filter (pax.FilterFixed) and
+// the zone rule do. Floats compare IEEE-style there, so a NaN on either
+// side satisfies only "!=". Compare's order, in which a NaN ties with
+// every float, stays for sorting.
+func (op CmpOp) Holds(lhs, rhs Value) bool {
+	if lhs.Kind == TFloat64 && rhs.Kind == TFloat64 && (lhs.F != lhs.F || rhs.F != rhs.F) {
+		return op == CmpNe
+	}
+	return op.Accepts(Compare(lhs, rhs))
+}
+
 // Compare orders two values: -1, 0, or +1. Mixed kinds order by kind — the
 // SQL layer coerces literals to column types before comparing, so mixed
 // kinds only arise in defensive paths.
@@ -110,7 +122,7 @@ type ColPred struct {
 
 // EvalRow evaluates the predicate against a materialized row.
 func (p ColPred) EvalRow(row Row) bool {
-	return p.Op.Accepts(Compare(row[p.Col], p.Val))
+	return p.Op.Holds(row[p.Col], p.Val)
 }
 
 // AggOp is a pushed-down aggregate function over one column strip.

@@ -606,7 +606,7 @@ func stmtTable(cat Catalog, hint *CachedStmt, table string) (planTable, error) {
 func matches(schema *rel.Schema, row rel.Row, conds []Cond) bool {
 	for _, c := range conds {
 		pos := schema.ColIndex(c.Col)
-		if pos < 0 || !c.Op.Accepts(rel.Compare(row[pos], c.Val)) {
+		if pos < 0 || !c.Op.Holds(row[pos], c.Val) {
 			return false
 		}
 	}

@@ -9,9 +9,10 @@
 // access count (§5.2's data temperature). There is no global page table: a
 // page is reached only through the directory and its swip.
 //
-// Pages holding version chains or tuple locks (a live twin table) are
+// Pages holding version chains or tuple locks (a non-empty twin table) are
 // pinned in memory — their UNDO bookkeeping must stay addressable — and
-// become evictable again once GC drops the twin table.
+// become evictable again once GC empties the twin table. The emptied table
+// stays attached for the page's next write; eviction and freezing drop it.
 package table
 
 import (
@@ -148,6 +149,8 @@ type Page struct {
 
 	// Guarded by lt (exclusive for writes):
 	Twin *undo.TwinTable
+	// twinListed is true while the page is in its table's twinPages set.
+	twinListed bool
 	// GSN is the GSN of the page's last logged change: the next change's
 	// record takes a GSN above it, so changes to one page are GSN-ordered.
 	GSN uint64
@@ -209,7 +212,7 @@ func (pg *Page) EvictIfCooling() (int, bool) {
 	if pg.swip.State() != swizzle.Cooling {
 		return 0, false
 	}
-	if pg.Twin != nil {
+	if pg.Twin.Len() > 0 {
 		pg.swip.Rescue() // pinned: version chains / locks reference it
 		return 0, false
 	}
@@ -231,6 +234,7 @@ func (pg *Page) EvictIfCooling() (int, bool) {
 	if !pg.swip.Unswizzle() {
 		return 0, false
 	}
+	pg.Twin = nil // an emptied table is not worth keeping off-page
 	return pg.table.pf.PageSize(), true
 }
 
@@ -271,8 +275,16 @@ type Table struct {
 	maxAssigned    atomic.Uint64 // highest row_id actually given to a row
 	maxFrozenRowID atomic.Uint64 // rows <= this are in the frozen store
 
-	// twinPages tracks pages with live twin tables for the GC sweep.
-	twinPages sync.Map // *Page -> struct{}
+	// twinPages is the set of pages whose twin tables the GC sweep must
+	// look at: a page joins when a writer asks for its table and leaves
+	// when the sweep empties or drops it. Lock order: page latch, then
+	// twinMu.
+	twinMu    sync.Mutex
+	twinPages map[*Page]struct{}
+	// sweepMu serializes DropCollectibleTwins and guards sweepBuf, its
+	// copy of twinPages.
+	sweepMu  sync.Mutex
+	sweepBuf []*Page
 }
 
 // New creates an empty table backed by pf, registering page frames with
@@ -280,7 +292,7 @@ type Table struct {
 // single insert lane; see SetInsertLanes.
 func New(id uint32, schema *rel.Schema, pageCap int, pf *storage.PageFile, pool *buffer.Pool) *Table {
 	return &Table{ID: id, Schema: schema, PageCap: pageCap, pf: pf, pool: pool,
-		lanes: make([]insertLane, 1)}
+		lanes: make([]insertLane, 1), twinPages: make(map[*Page]struct{})}
 }
 
 // SetInsertLanes splits the insert frontier into n independent lanes,
@@ -356,14 +368,24 @@ func (h *Handle) Deleted() bool { return h.Pl.Deleted[h.Slot] }
 // SetDeleted sets or clears the tombstone flag.
 func (h *Handle) SetDeleted(d bool) { h.Pl.Deleted[h.Slot] = d }
 
-// TwinTable returns the page's twin table, creating it when create is set
-// (the page becomes pinned until GC drops the table).
+// TwinTable returns the page's twin table, creating it when create is set.
+// A writer passes create and holds the exclusive latch: the page joins the
+// GC sweep's set, and is pinned while the table holds an entry.
 func (h *Handle) TwinTable(create bool) *undo.TwinTable {
-	if h.Pg.Twin == nil && create {
-		h.Pg.Twin = undo.NewTwinTable()
-		h.Pg.table.twinPages.Store(h.Pg, struct{}{})
+	pg := h.Pg
+	if create {
+		if pg.Twin == nil {
+			pg.Twin = undo.NewTwinTable()
+		}
+		if !pg.twinListed {
+			pg.twinListed = true
+			t := pg.table
+			t.twinMu.Lock()
+			t.twinPages[pg] = struct{}{}
+			t.twinMu.Unlock()
+		}
 	}
-	return h.Pg.Twin
+	return pg.Twin
 }
 
 // ensureResident loads a cold page's payload. Requires the exclusive latch.
@@ -633,25 +655,52 @@ func (h *Handle) Remove() error {
 	return nil
 }
 
-// DropCollectibleTwins sweeps pages with twin tables and drops those whose
-// writers are all globally visible (twin table GC, §7.3). Returns the
-// number of tables dropped.
+// keptTwinEntries is the most entries a twin table may have held for GC
+// to empty it in place rather than drop it. A map of up to eight entries
+// is one group of slots; a table a bulk transaction grew past that is
+// dropped, so loaded pages do not keep their grown maps.
+const keptTwinEntries = 8
+
+// DropCollectibleTwins sweeps pages with twin tables and empties those
+// whose writers are all globally visible (twin table GC, §7.3): in place,
+// for the page's next write, unless a bulk transaction grew the table past
+// keptTwinEntries, in which case it is dropped. Either way the page
+// leaves the sweep's set. Returns the number of tables collected.
 func (t *Table) DropCollectibleTwins(maxFrozenXID uint64) int {
-	dropped := 0
-	t.twinPages.Range(func(k, _ any) bool {
-		pg := k.(*Page)
+	t.sweepMu.Lock()
+	defer t.sweepMu.Unlock()
+	// Copy the set and release twinMu before latching any page: a writer
+	// takes twinMu under its page latch.
+	t.twinMu.Lock()
+	pages := t.sweepBuf[:0]
+	for pg := range t.twinPages {
+		pages = append(pages, pg)
+	}
+	t.twinMu.Unlock()
+	collected := 0
+	for _, pg := range pages {
 		if !pg.lt.TryLockExclusive() {
-			return true
+			continue
 		}
-		if pg.Twin != nil && pg.Twin.Collectible(maxFrozenXID) {
-			pg.Twin = nil
-			t.twinPages.Delete(pg)
-			dropped++
+		if tt := pg.Twin; tt == nil || tt.Collectible(maxFrozenXID) {
+			if tt != nil {
+				collected++
+				if tt.Peak() > keptTwinEntries {
+					pg.Twin = nil
+				} else {
+					tt.Reset()
+				}
+			}
+			pg.twinListed = false
+			t.twinMu.Lock()
+			delete(t.twinPages, pg)
+			t.twinMu.Unlock()
 		}
 		pg.lt.UnlockExclusive()
-		return true
-	})
-	return dropped
+	}
+	clear(pages)
+	t.sweepBuf = pages[:0]
+	return collected
 }
 
 // Scan iterates all live (non-tombstoned) rows in row_id order across the
@@ -700,8 +749,8 @@ func (t *Table) scan(io *Ctx, includeTombstones bool, fn func(rid rel.RowID, row
 // Everything in it is borrowed: valid only under the page's shared latch,
 // for the duration of the callback.
 type PageView struct {
-	// Pg is the page; Pg.Twin is its twin table (nil when no slot has an
-	// uncollected version chain or tuple lock).
+	// Pg is the page; Pg.Twin is its twin table (nil or empty when no slot
+	// has an uncollected version chain or tuple lock).
 	Pg *Page
 	Pl *Payload
 }
@@ -778,7 +827,7 @@ func (t *Table) DetachFrozenPrefix(maxPages int, maxHot uint32, io *Ctx) ([]Froz
 			break // an insert frontier never freezes
 		}
 		pg.lt.LockExclusive(io.yieldFunc())
-		if pg.Twin != nil {
+		if pg.Twin.Len() > 0 {
 			pg.lt.UnlockExclusive()
 			break
 		}
@@ -798,7 +847,9 @@ func (t *Table) DetachFrozenPrefix(maxPages int, maxHot uint32, io *Ctx) ([]Froz
 			pg.lt.UnlockExclusive()
 			break
 		}
-		// Detach: the page leaves the directory; its disk slot is freed.
+		// Detach: the page leaves the directory with its emptied twin
+		// table, if any; its disk slot is freed.
+		pg.Twin = nil
 		t.dir = t.dir[1:]
 		if id := pg.swip.PageID(); id != storage.InvalidPageID {
 			t.pf.Free(id)
@@ -992,10 +1043,10 @@ func insertSorted(pl *Payload, rid rel.RowID, row rel.Row) error {
 
 // splitPage moves the upper half of pg's rows into a new page placed after
 // it in the directory. Caller holds recMu and pg's exclusive latch; the
-// page must have no twin table (replication/recovery context).
+// page's twin table must be empty (replication/recovery context).
 func (t *Table) splitPage(pg *Page, pl *Payload) error {
-	if pg.Twin != nil {
-		return fmt.Errorf("table: split of page with twin table")
+	if pg.Twin.Len() > 0 {
+		return fmt.Errorf("table: split of page with twin table entries")
 	}
 	half := len(pl.IDs) / 2
 	right := &Page{firstRowID: pl.IDs[half], table: t, part: pg.part}

@@ -195,29 +195,139 @@ func TestTwinPinsPage(t *testing.T) {
 	}
 }
 
-func TestDropCollectibleTwins(t *testing.T) {
-	tb := newTestTable(t, 4, nil)
-	rids := appendN(t, tb, 2)
-	arena := undo.NewArena(0)
-	m := undo.NewTxnMeta(clock.MakeXID(1))
+// writeTwin pushes an uncommitted update record for rid into its page's
+// twin table, as a writer does.
+func writeTwin(t *testing.T, tb *Table, arena *undo.Arena, rid rel.RowID, ts uint64) (*undo.TxnMeta, *undo.Record) {
+	t.Helper()
+	m := undo.NewTxnMeta(clock.MakeXID(ts))
 	var rec *undo.Record
-	tb.WithRow(rids[0], true, nil, func(h Handle) error {
-		tt := h.TwinTable(true)
+	err := tb.WithRow(rid, true, nil, func(h Handle) error {
 		rec = arena.New(m, 1, h.RID, undo.OpUpdate, nil, nil)
-		tt.Push(h.RID, rec)
+		h.TwinTable(true).Push(h.RID, rec)
 		return nil
 	})
-	if n := tb.DropCollectibleTwins(^uint64(0)); n != 0 {
-		t.Fatal("dropped twin with live chain")
+	if err != nil {
+		t.Fatal(err)
 	}
-	m.Commit(2)
-	rec.SetETS(2)
-	arena.Reclaim(100, nil)
+	return m, rec
+}
+
+// commitReclaim commits the writer at cts and reclaims its records.
+func commitReclaim(arena *undo.Arena, m *undo.TxnMeta, recs []*undo.Record, cts uint64) {
+	m.Commit(cts)
+	for _, r := range recs {
+		r.SetETS(cts)
+	}
+	arena.Reclaim(cts+1, nil)
+}
+
+// TestDropCollectibleTwins: GC empties a collectible twin table in place
+// and the page leaves the sweep's set. The page's next write reuses the
+// table; an emptied table pins nothing, so the page can be frozen or
+// evicted, and either drops the table.
+func TestDropCollectibleTwins(t *testing.T) {
+	pool := buffer.New(1, 1) // 1-byte budget: everything unpinned evicts
+	tb := newTestTable(t, 4, pool)
+	rids := appendN(t, tb, 12) // pages [0-3][4-7][8-11(open)]
+	arena := undo.NewArena(0)
+	listed := func() int {
+		tb.twinMu.Lock()
+		defer tb.twinMu.Unlock()
+		return len(tb.twinPages)
+	}
+
+	m, rec := writeTwin(t, tb, arena, rids[0], 1)
+	if n := tb.DropCollectibleTwins(^uint64(0)); n != 0 {
+		t.Fatal("collected twin with live chain")
+	}
+	commitReclaim(arena, m, []*undo.Record{rec}, 2)
 	if n := tb.DropCollectibleTwins(^uint64(0)); n != 1 {
-		t.Fatalf("dropped %d twins, want 1", n)
+		t.Fatalf("collected %d twins, want 1", n)
+	}
+	pg0 := tb.dir[0]
+	tt := pg0.Twin
+	if tt == nil || tt.Len() != 0 || tt.MaxWriterXID != 0 {
+		t.Fatalf("twin not emptied in place: %+v", tt)
+	}
+	if pg0.twinListed || listed() != 0 {
+		t.Fatal("collected page still in the sweep's set")
+	}
+
+	// The next write reuses the table and lists the page again.
+	m, rec = writeTwin(t, tb, arena, rids[1], 3)
+	if pg0.Twin != tt || tt.Len() != 1 || !pg0.twinListed || listed() != 1 {
+		t.Fatal("second write did not reuse the emptied table")
+	}
+	commitReclaim(arena, m, []*undo.Record{rec}, 4)
+	m, rec = writeTwin(t, tb, arena, rids[5], 5)
+	commitReclaim(arena, m, []*undo.Record{rec}, 6)
+	if n := tb.DropCollectibleTwins(^uint64(0)); n != 2 {
+		t.Fatalf("collected %d twins, want 2", n)
+	}
+	pg1 := tb.dir[1]
+	if pg0.Twin.Len() != 0 || pg1.Twin == nil || pg1.Twin.Len() != 0 {
+		t.Fatal("twins not emptied")
+	}
+
+	// Emptied tables pin nothing: the first page freezes, the second
+	// evicts, and each drops its table.
+	for _, pg := range tb.dir {
+		pg.hotness.Store(0)
+	}
+	cands, err := tb.DetachFrozenPrefix(1, 0, nil)
+	if err != nil || len(cands) != 1 {
+		t.Fatalf("froze %d pages (%v), want the emptied one", len(cands), err)
+	}
+	if pg0.Twin != nil {
+		t.Fatal("frozen page kept its twin table")
+	}
+	for i := 0; i < 4; i++ {
+		pg1.hotness.Store(0)
+		pool.Maintain(0)
+	}
+	if pg1.Resident() {
+		t.Fatal("page with an emptied twin table was not evicted")
+	}
+	if pg1.Twin != nil {
+		t.Fatal("evicted page kept its twin table")
+	}
+	if listed() != 0 {
+		t.Fatal("sweep's set not empty")
+	}
+}
+
+// TestDropTwinGrownByBulk: a twin table a bulk transaction grew past
+// keptTwinEntries is dropped, not emptied, so a loaded page does not keep
+// its grown map; a page written a few rows at a time keeps its table.
+func TestDropTwinGrownByBulk(t *testing.T) {
+	tb := newTestTable(t, 32, nil)
+	rids := appendN(t, tb, 64) // pages [0-31][32-63(open)]
+	arena := undo.NewArena(0)
+	m := undo.NewTxnMeta(clock.MakeXID(1))
+	var recs []*undo.Record
+	write := func(rid rel.RowID) {
+		tb.WithRow(rid, true, nil, func(h Handle) error {
+			rec := arena.New(m, 1, h.RID, undo.OpUpdate, nil, nil)
+			h.TwinTable(true).Push(h.RID, rec)
+			recs = append(recs, rec)
+			return nil
+		})
+	}
+	for _, rid := range rids[:keptTwinEntries+1] {
+		write(rid)
+	}
+	for _, rid := range rids[32 : 32+keptTwinEntries] {
+		write(rid)
+	}
+	commitReclaim(arena, m, recs, 2)
+	if n := tb.DropCollectibleTwins(^uint64(0)); n != 2 {
+		t.Fatalf("collected %d twins, want 2", n)
 	}
 	if tb.dir[0].Twin != nil {
-		t.Fatal("twin still attached")
+		t.Fatalf("table grown to %d entries was kept", keptTwinEntries+1)
+	}
+	if tt := tb.dir[1].Twin; tt == nil || tt.Len() != 0 {
+		t.Fatalf("table of %d entries was not kept empty", keptTwinEntries)
 	}
 }
 

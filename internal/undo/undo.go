@@ -74,17 +74,30 @@ const (
 
 // TxnMeta is the shared, atomically readable state of one transaction. It
 // doubles as the transaction-ID lock of §7.2: Done() is closed exactly when
-// the transaction finishes, releasing all shared waiters at once.
+// the transaction finishes, releasing all shared waiters at once. The
+// channel is made by the first waiter, so a transaction nobody waits on
+// (nearly every one) never allocates it.
 type TxnMeta struct {
 	XID    uint64
 	status atomic.Uint32
 	cts    atomic.Uint64
-	done   chan struct{}
+
+	mu       sync.Mutex
+	done     chan struct{} // nil until the first Done
+	finished bool
 }
+
+// closedDone is the channel Done hands out after Finish when no waiter
+// made one before.
+var closedDone = func() chan struct{} {
+	ch := make(chan struct{})
+	close(ch)
+	return ch
+}()
 
 // NewTxnMeta returns an active meta for xid.
 func NewTxnMeta(xid uint64) *TxnMeta {
-	return &TxnMeta{XID: xid, done: make(chan struct{})}
+	return &TxnMeta{XID: xid}
 }
 
 // Status returns the current lifecycle state.
@@ -118,12 +131,30 @@ func (m *TxnMeta) Abort() {
 }
 
 // Finish releases the transaction-ID lock, waking all waiters.
-func (m *TxnMeta) Finish() { close(m.done) }
+func (m *TxnMeta) Finish() {
+	m.mu.Lock()
+	m.finished = true
+	if m.done != nil {
+		close(m.done)
+	}
+	m.mu.Unlock()
+}
 
 // Done returns a channel closed when the transaction finishes. Waiting on
 // it is the shared transaction-ID lock acquisition of §7.2: a low-urgency
-// yield in the scheduler's terms.
-func (m *TxnMeta) Done() <-chan struct{} { return m.done }
+// yield in the scheduler's terms. The first call before Finish makes the
+// channel; a call after Finish gets one shared closed channel.
+func (m *TxnMeta) Done() <-chan struct{} {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.done == nil {
+		if m.finished {
+			return closedDone
+		}
+		m.done = make(chan struct{})
+	}
+	return m.done
+}
 
 // ColVal is one column's before-image value.
 type ColVal struct {
@@ -410,12 +441,17 @@ func (e *TwinEntry) WakeWaiters() {
 }
 
 // TwinTable is the page-level mapping from tuple to version chain (§6.2),
-// created lazily on a page's first modification. All access happens under
-// the owning page's latch.
+// created on a page's first modification. GC empties it in place once its
+// writers are globally visible (Reset), so a page written again reuses its
+// map and entries instead of building new ones. All access happens under
+// the owning page's latch, and no *TwinEntry is held past it: that is what
+// lets Reset recycle the entries.
 type TwinTable struct {
 	entries map[rel.RowID]*TwinEntry
+	free    []*TwinEntry // emptied entries, reused by Entry
+	peak    int          // most entries held since creation or the last Reset
 	// MaxWriterXID is the largest XID that modified this table; the table
-	// may be dropped once it is <= the max-frozen-XID watermark (§7.3).
+	// may be emptied once it is <= the max-frozen-XID watermark (§7.3).
 	MaxWriterXID uint64
 }
 
@@ -428,8 +464,14 @@ func NewTwinTable() *TwinTable {
 func (t *TwinTable) Entry(rid rel.RowID, create bool) *TwinEntry {
 	e := t.entries[rid]
 	if e == nil && create {
-		e = &TwinEntry{}
+		if n := len(t.free); n > 0 {
+			e = t.free[n-1]
+			t.free = t.free[:n-1]
+		} else {
+			e = &TwinEntry{}
+		}
 		t.entries[rid] = e
+		t.peak = max(t.peak, len(t.entries))
 	}
 	return e
 }
@@ -437,8 +479,34 @@ func (t *TwinTable) Entry(rid rel.RowID, create bool) *TwinEntry {
 // Remove deletes the tuple's entry.
 func (t *TwinTable) Remove(rid rel.RowID) { delete(t.entries, rid) }
 
-// Len returns the number of entries.
-func (t *TwinTable) Len() int { return len(t.entries) }
+// recycle clears an entry that left the map and keeps it for reuse.
+func (t *TwinTable) recycle(e *TwinEntry) {
+	*e = TwinEntry{}
+	t.free = append(t.free, e)
+}
+
+// Len returns the number of entries; a nil table has none.
+func (t *TwinTable) Len() int {
+	if t == nil {
+		return 0
+	}
+	return len(t.entries)
+}
+
+// Peak returns the most entries the table has held since it was created
+// or last Reset: how far a bulk transaction grew its map.
+func (t *TwinTable) Peak() int { return t.peak }
+
+// Reset empties the table in place, keeping its map storage and recycling
+// its entries. Call it only on a Collectible table.
+func (t *TwinTable) Reset() {
+	for _, e := range t.entries {
+		t.recycle(e)
+	}
+	clear(t.entries)
+	t.peak = 0
+	t.MaxWriterXID = 0
+}
 
 // Head returns the live chain head for the tuple: the newest record that
 // has not been reclaimed, or nil. A reclaimed head invalidates the whole
@@ -471,11 +539,12 @@ func (t *TwinTable) Pop(rid rel.RowID, rec *Record) bool {
 	e.Head = rec.Prev
 	if e.Head == nil && e.LockState == 0 && len(e.waiters) == 0 {
 		delete(t.entries, rid)
+		t.recycle(e)
 	}
 	return true
 }
 
-// Collectible reports whether the whole table can be dropped: every writer
+// Collectible reports whether the whole table can be emptied: every writer
 // is globally visible (<= maxFrozenXID) and no entry holds locks, waiters,
 // or a live chain head.
 func (t *TwinTable) Collectible(maxFrozenXID uint64) bool {

@@ -1,7 +1,9 @@
 package undo
 
 import (
+	"sync"
 	"testing"
+	"time"
 
 	"phoebedb/internal/clock"
 	"phoebedb/internal/rel"
@@ -28,6 +30,77 @@ func TestTxnMetaLifecycle(t *testing.T) {
 	case <-m.Done():
 	default:
 		t.Fatal("done not closed after finish")
+	}
+}
+
+// TestTxnMetaDoneBeforeFinish: a waiter that arrives while the
+// transaction runs makes the channel and is woken by Finish.
+func TestTxnMetaDoneBeforeFinish(t *testing.T) {
+	m := metaFor(5)
+	ch := m.Done()
+	if m.Done() != ch {
+		t.Fatal("second waiter got a different channel")
+	}
+	woke := make(chan struct{})
+	go func() {
+		<-ch
+		close(woke)
+	}()
+	select {
+	case <-woke:
+		t.Fatal("waiter woke before Finish")
+	case <-time.After(10 * time.Millisecond):
+	}
+	m.Finish()
+	select {
+	case <-woke:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Finish did not wake the waiter")
+	}
+}
+
+// TestTxnMetaDoneAfterFinish: a meta nobody waited on makes no channel,
+// and a waiter that arrives after Finish gets a closed one.
+func TestTxnMetaDoneAfterFinish(t *testing.T) {
+	m := metaFor(5)
+	m.Abort()
+	m.Finish()
+	if m.done != nil {
+		t.Fatal("Finish made a channel nobody waits on")
+	}
+	select {
+	case <-m.Done():
+	default:
+		t.Fatal("Done after Finish is not closed")
+	}
+}
+
+// TestTxnMetaDoneRace: Done and Finish race on each of 1,000 metas; every
+// waiter wakes, whichever comes first.
+func TestTxnMetaDoneRace(t *testing.T) {
+	const metas = 1000
+	var wg sync.WaitGroup
+	for i := 0; i < metas; i++ {
+		m := metaFor(uint64(i + 1))
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			<-m.Done()
+		}()
+		go func() {
+			defer wg.Done()
+			m.Finish()
+		}()
+	}
+	done := make(chan struct{})
+	go func() {
+		wg.Wait()
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(30 * time.Second):
+		t.Fatal("a waiter was never woken")
 	}
 }
 
@@ -268,6 +341,45 @@ func TestTwinCollectible(t *testing.T) {
 	tt.Entry(10, true).LockState = -1
 	if tt.Collectible(clock.MakeXID(10)) {
 		t.Fatal("collectible with held tuple lock")
+	}
+}
+
+// TestTwinTableReset: Reset empties a table in place and its entries come
+// back, cleared, for the next writes.
+func TestTwinTableReset(t *testing.T) {
+	a := NewArena(0)
+	tt := NewTwinTable()
+	m := metaFor(3)
+	for rid := rel.RowID(1); rid <= 3; rid++ {
+		tt.Push(rid, a.New(m, 1, rid, OpUpdate, nil, nil))
+	}
+	old := tt.Entry(2, false)
+	old.LockOwnerXID = 7
+	tt.Pop(3, tt.Head(3)) // a rollback recycles its entry too
+	if tt.Peak() != 3 || tt.Len() != 2 {
+		t.Fatalf("peak %d, len %d, want 3 and 2", tt.Peak(), tt.Len())
+	}
+	tt.Reset()
+	if tt.Len() != 0 || tt.Peak() != 0 || tt.MaxWriterXID != 0 || tt.Head(1) != nil {
+		t.Fatal("Reset left state behind")
+	}
+	seen := map[*TwinEntry]bool{}
+	for rid := rel.RowID(10); rid < 13; rid++ {
+		e := tt.Entry(rid, true)
+		if e.Head != nil || e.LockState != 0 || e.LockOwnerXID != 0 || e.waiters != nil {
+			t.Fatalf("recycled entry not cleared: %+v", *e)
+		}
+		seen[e] = true
+	}
+	if !seen[old] {
+		t.Fatal("entries not reused after Reset")
+	}
+	if len(seen) != 3 || tt.Len() != 3 {
+		t.Fatal("reused entries alias each other")
+	}
+	var nilTable *TwinTable
+	if nilTable.Len() != 0 {
+		t.Fatal("nil table has entries")
 	}
 }
 

@@ -116,6 +116,53 @@ func TestFlushAdvancesHorizon(t *testing.T) {
 	}
 }
 
+// TestFlushReleasesGrownBuffers: a bulk transaction's records grow its
+// writer's buffer and the flush's concatenation far past a point write's.
+// Once the flush has written them, neither array stays that large; a small
+// transaction's buffer is kept for the next one.
+func TestFlushReleasesGrownBuffers(t *testing.T) {
+	m := openTestManager(t, 2)
+	w := m.Writer(0)
+	payload := make([]byte, 500)
+	const bulk = 4000 // ~2 MB of records
+	for i := 0; i < bulk; i++ {
+		r := Record{Type: RecInsert, GSN: w.NextGSN(0), Payload: payload}
+		w.Append(&r)
+	}
+	c := Record{Type: RecCommit, GSN: w.NextGSN(0)}
+	w.Append(&c)
+	if cap(w.buf) <= maxKeptBuf {
+		t.Fatalf("bulk buffer capacity %d, want above %d", cap(w.buf), maxKeptBuf)
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(logGSNs(t, m)); n != bulk+1 {
+		t.Fatalf("log holds %d records, want %d", n, bulk+1)
+	}
+	m.mu.Lock()
+	scratch := cap(m.scratch)
+	m.mu.Unlock()
+	w.mu.Lock()
+	buf := cap(w.buf)
+	w.mu.Unlock()
+	if buf > maxKeptBuf || scratch > maxKeptBuf {
+		t.Fatalf("after the flush the writer keeps %d B and the flush %d B, want <= %d", buf, scratch, maxKeptBuf)
+	}
+
+	small := Record{Type: RecUpdate, GSN: w.NextGSN(0), Payload: payload[:16]}
+	w.Append(&small)
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	w.mu.Lock()
+	buf = cap(w.buf)
+	w.mu.Unlock()
+	if buf == 0 {
+		t.Fatal("a small transaction's buffer was released")
+	}
+}
+
 // logGSNs returns the GSNs of the records in m's log file, in file order.
 func logGSNs(t *testing.T, m *Manager) []uint64 {
 	t.Helper()

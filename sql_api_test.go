@@ -3,6 +3,7 @@ package phoebedb
 import (
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -199,4 +200,29 @@ func itoa(n int) string {
 		n /= 10
 	}
 	return string(b[i:])
+}
+
+// TestSQLNaNResidual: a NaN stored through the API answers a SQL float
+// predicate IEEE-style on the row path too (an index scan checks its
+// residual per row): it satisfies only "!=".
+func TestSQLNaNResidual(t *testing.T) {
+	db := openTestDB(t, Options{})
+	execOrFatal(t, db, "CREATE TABLE m (id INT, v FLOAT)")
+	execOrFatal(t, db, "CREATE UNIQUE INDEX m_pk ON m (id)")
+	if err := db.Execute(func(tx *Tx) error {
+		_, err := tx.Insert("m", Row{Int(1), Float(math.NaN())})
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for q, want := range map[string]int{
+		"SELECT id FROM m WHERE id = 1 AND v = 5":  0,
+		"SELECT id FROM m WHERE id = 1 AND v >= 5": 0,
+		"SELECT id FROM m WHERE id = 1 AND v < 5":  0,
+		"SELECT id FROM m WHERE id = 1 AND v != 5": 1,
+	} {
+		if got := len(execOrFatal(t, db, q).Rows); got != want {
+			t.Errorf("%s: %d rows, want %d", q, got, want)
+		}
+	}
 }
