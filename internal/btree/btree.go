@@ -341,13 +341,33 @@ func (t *Tree) Delete(key []byte) bool {
 	if e == nil {
 		return false
 	}
+	n.removeAt(i)
+	return true
+}
+
+// DeleteValue removes key while it holds val, reporting whether it did:
+// the probe and the removal are one step under the leaf's exclusive
+// latch, so a store of another value under key is never removed.
+func (t *Tree) DeleteValue(key []byte, val uint64) bool {
+	n := t.lockedLeaf(key, false)
+	defer n.lt.UnlockExclusive()
+	i, e, _ := n.find(key)
+	if e == nil || e.val.Load() != val {
+		return false
+	}
+	n.removeAt(i)
+	return true
+}
+
+// removeAt drops slot i of the exclusively latched leaf n, shifting the
+// slots above it down.
+func (n *node) removeAt(i int) {
 	cnt := int(n.count.Load())
 	for j := i; j < cnt-1; j++ {
 		n.slots[j].Store(n.slots[j+1].Load())
 	}
 	n.slots[cnt-1].Store(nil)
 	n.count.Store(int32(cnt - 1))
-	return true
 }
 
 // lockedLeafPessimistic descends with exclusive lock coupling, splitting

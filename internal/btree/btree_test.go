@@ -138,6 +138,20 @@ func TestDelete(t *testing.T) {
 	}
 }
 
+func TestDeleteValue(t *testing.T) {
+	tr := New()
+	tr.Insert(key(1), 10)
+	if tr.DeleteValue(key(1), 9) || tr.Len() != 1 {
+		t.Fatal("removed a key holding another value")
+	}
+	if tr.DeleteValue(key(2), 10) {
+		t.Fatal("removed an absent key")
+	}
+	if !tr.DeleteValue(key(1), 10) || tr.Len() != 0 {
+		t.Fatal("kept a key holding the value")
+	}
+}
+
 func TestRandomOrderInsert(t *testing.T) {
 	tr := New()
 	rng := rand.New(rand.NewSource(7))

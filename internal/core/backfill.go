@@ -173,7 +173,7 @@ func (tx *Tx) backfillIndex(t *Tbl, ix *Index, snapOut *uint64) error {
 				return err
 			}
 		} else {
-			ix.Tree.Insert(indexKey(ix, row, rid), uint64(rid))
+			claimKey(ix, indexKey(ix, row, rid), rid, 0)
 		}
 		rows++
 		return nil
@@ -211,8 +211,10 @@ func (tx *Tx) backfillIndex(t *Tbl, ix *Index, snapOut *uint64) error {
 			}
 			serr = entry(visRow, rid)
 		} else {
-			// Non-unique: index every version's key, newest to oldest
-			// (catch-up). Re-inserting an unchanged key is a no-op.
+			// Non-unique: index the key of every version a snapshot can
+			// still reach, newest to oldest (catch-up), up to the first
+			// reclaimed record, past which GC has released the keys.
+			// Claiming an unchanged key again is a no-op.
 			if !h.Deleted() {
 				if serr = entry(row, rid); serr != nil {
 					return false
@@ -220,7 +222,7 @@ func (tx *Tx) backfillIndex(t *Tbl, ix *Index, snapOut *uint64) error {
 			} else if head == nil {
 				return true // long-dead tombstone: no snapshot sees it
 			}
-			for rec := head; rec != nil && serr == nil; rec = rec.Prev {
+			for rec := head; rec != nil && !rec.Reclaimed() && serr == nil; rec = rec.Prev {
 				switch rec.Op {
 				case undo.OpInsert:
 					return true // row did not exist before this
@@ -250,35 +252,26 @@ func (tx *Tx) backfillIndex(t *Tbl, ix *Index, snapOut *uint64) error {
 	return serr
 }
 
-// claimUniqueEntry inserts a unique-index entry for row rid during
+// claimUniqueEntry claims a unique-index entry for row rid during
 // backfill, detecting rows that already held the same key before the
 // index existed. An entry claimed by a concurrent writer whose row still
 // carries the key is a genuine duplicate; a stale claim (the other row's
-// visible version moved off the key, or the row died) is overwritten.
+// visible version moved off the key, or the row died) is taken over.
 func claimUniqueEntry(tx *Tx, t *Tbl, ix *Index, row rel.Row, rid rel.RowID) error {
 	k := indexKey(ix, row, rid)
-	if other, found := ix.Tree.Lookup(k); found && rel.RowID(other) != rid {
-		otherRow, visible, err := tx.readRow(t, rel.RowID(other))
-		if err != nil && !errors.Is(err, ErrNotFound) {
-			return err
-		}
-		if visible && indexColsEqual(ix, row, otherRow) {
-			return fmt.Errorf("%w: index %q (existing rows)", ErrDuplicate, ix.Name)
-		}
+	_, other := claimKey(ix, k, rid, 0)
+	if other == 0 {
+		return nil
 	}
-	ix.Tree.Insert(k, uint64(rid))
+	otherRow, visible, err := tx.readRow(t, other)
+	if err != nil && !errors.Is(err, ErrNotFound) {
+		return err
+	}
+	if visible && bytes.Equal(indexKey(ix, otherRow, other), k) {
+		return fmt.Errorf("%w: index %q (existing rows)", ErrDuplicate, ix.Name)
+	}
+	claimKey(ix, k, rid, other)
 	return nil
-}
-
-// indexColsEqual reports whether two full-width rows agree on the index
-// columns.
-func indexColsEqual(ix *Index, a, b rel.Row) bool {
-	for _, c := range ix.Cols {
-		if !a[c].Equal(b[c]) {
-			return false
-		}
-	}
-	return true
 }
 
 // verifyUniqueBackfill is the post-watermark uniqueness check of a unique
@@ -305,9 +298,8 @@ func (tx *Tx) verifyUniqueBackfill(t *Tbl, ix *Index) error {
 		}
 		// Repair entries lost to the register/scan race: the visible row
 		// is the unique key's rightful owner.
-		if owner, found := ix.Tree.Lookup(kr.key); !found || rel.RowID(owner) != kr.rid {
-			ix.Tree.Insert(kr.key, uint64(kr.rid))
-		}
+		owner, _ := ix.Tree.Lookup(kr.key)
+		claimKey(ix, kr.key, kr.rid, rel.RowID(owner))
 	}
 	return nil
 }

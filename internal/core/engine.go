@@ -12,9 +12,11 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -152,34 +154,30 @@ type Tbl struct {
 
 	mu      sync.RWMutex
 	indexes map[string]*Index
-	// indexCache is the name-sorted index slice, rebuilt on DDL. Every
-	// insert/update/delete statement walks the indexes; serving them from
-	// an immutable cached slice keeps the per-statement map iteration,
-	// allocation, and sort off the hot path.
+	// indexCache is the name-sorted index slice (see publishSorted): every
+	// write statement walks it, with no map iteration, allocation or sort.
 	indexCache atomic.Pointer[[]*Index]
 }
 
 // Indexes returns the table's indexes (stable order). The returned slice
 // is shared and must not be mutated.
-func (t *Tbl) Indexes() []*Index {
-	if p := t.indexCache.Load(); p != nil {
-		return *p
-	}
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.rebuildIndexCacheLocked()
-}
+func (t *Tbl) Indexes() []*Index { return *t.indexCache.Load() }
 
-// rebuildIndexCacheLocked recomputes the sorted index slice; the caller
-// holds t.mu (read suffices — the rebuild is idempotent).
-func (t *Tbl) rebuildIndexCacheLocked() []*Index {
-	out := make([]*Index, 0, len(t.indexes))
-	for _, ix := range t.indexes {
-		out = append(out, ix)
+// publishSorted stores in cache the values of m sorted by name: the rule
+// of the catalog's two caches, the engine's tables and a table's indexes.
+// The caller holds the lock that guards m and calls it on every change to
+// m, so readers load the slice and never lock, copy or sort.
+func publishSorted[T any](cache *atomic.Pointer[[]T], m map[string]T) {
+	names := make([]string, 0, len(m))
+	for name := range m {
+		names = append(names, name)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	t.indexCache.Store(&out)
-	return out
+	sort.Strings(names)
+	out := make([]T, len(names))
+	for i, name := range names {
+		out[i] = m[name]
+	}
+	cache.Store(&out)
 }
 
 // Index returns the named index or nil.
@@ -236,6 +234,7 @@ type Engine struct {
 	tables      map[string]*Tbl
 	tablesByID  map[uint32]*Tbl
 	nextTableID uint32
+	tableList   atomic.Pointer[[]*Tbl] // name-sorted (see publishSorted)
 }
 
 // Open creates or opens an engine in cfg.Dir. An existing directory's
@@ -250,6 +249,7 @@ func Open(cfg Config) (*Engine, error) {
 		tablesByID: make(map[uint32]*Tbl),
 		recovering: hasHistory(cfg.Dir),
 	}
+	publishSorted(&e.tableList, e.tables)
 	var err error
 	e.pf, err = storage.OpenPageFile(filepath.Join(cfg.Dir, "data.pages"), cfg.PageSize, e.IO)
 	if err != nil {
@@ -343,12 +343,14 @@ func (e *Engine) defineTable(id uint32, name string, schema *rel.Schema) *Tbl {
 		Frozen:  fs,
 		indexes: make(map[string]*Index),
 	}
+	publishSorted(&t.indexCache, t.indexes)
 	t.Lock.Stats = &e.stats.TableLocks
 	// One insert lane per buffer partition (= per worker): concurrent
 	// workers append through disjoint open pages instead of one tail.
 	t.Store.SetInsertLanes(e.cfg.Partitions)
 	e.tables[name] = t
 	e.tablesByID[id] = t
+	publishSorted(&e.tableList, e.tables)
 	return t
 }
 
@@ -409,7 +411,7 @@ func addIndex(t *Tbl, d catalogChange, hidden bool) *Index {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.indexes[d.name] = ix
-	t.rebuildIndexCacheLocked()
+	publishSorted(&t.indexCache, t.indexes)
 	return ix
 }
 
@@ -420,7 +422,7 @@ func (e *Engine) dropIndex(t *Tbl, indexName string) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	delete(t.indexes, indexName)
-	t.rebuildIndexCacheLocked()
+	publishSorted(&t.indexCache, t.indexes)
 }
 
 // Table resolves a table by name.
@@ -441,17 +443,9 @@ func (e *Engine) TableByID(id uint32) *Tbl {
 	return e.tablesByID[id]
 }
 
-// Tables returns all tables sorted by name.
-func (e *Engine) Tables() []*Tbl {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	out := make([]*Tbl, 0, len(e.tables))
-	for _, t := range e.tables {
-		out = append(out, t)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
+// Tables returns all tables sorted by name. The returned slice is shared
+// and must not be mutated.
+func (e *Engine) Tables() []*Tbl { return *e.tableList.Load() }
 
 // indexKey builds the index entry key: the encoded key columns, suffixed
 // with the row_id for non-unique indexes so entries stay distinct.
@@ -477,6 +471,75 @@ func indexPrefix(dst []byte, ix *Index, vals []rel.Value) []byte {
 	return rel.EncodeKey(dst, vals...)
 }
 
+// --- Index entries ------------------------------------------------------------
+//
+// An entry belongs to the versions that have its key (Larson et al.): a
+// write claims it, and it is released once no such version is reachable.
+
+// claimKey stores key → rid in ix under the leaf latch unless the key
+// names another row: that row's entry is replaced only if it is over, a
+// row the caller found off the key (0 for none), and otherwise nothing is
+// stored and the holder is returned. The write returned records what the
+// store replaced. A non-unique key carries its rid: no other row holds it.
+func claimKey(ix *Index, key []byte, rid, over rel.RowID) (idxOp, rel.RowID) {
+	old, stored := ix.Tree.InsertIfAbsent(key, uint64(rid), func(old uint64) bool {
+		return old == uint64(rid) || old == uint64(over)
+	})
+	if !stored {
+		return idxOp{}, rel.RowID(old)
+	}
+	return idxOp{ix: ix, key: key, rid: rid, old: rel.RowID(old)}, 0
+}
+
+// releaseKey removes ix's entry key while it names rid, unless row rid,
+// read through h under its exclusive page latch, still has the key: in
+// its current version, or in one that a record newer than the newest
+// reclaimed one ends, which an older snapshot or an unfinished writer's
+// rollback still reaches. A nil h means no version of the row remains.
+func releaseKey(ix *Index, key []byte, rid rel.RowID, h *table.Handle) {
+	if h != nil {
+		row, live := h.Row(), !h.Deleted()
+		for rec := chainHead(h); ; rec = rec.Prev {
+			if live && bytes.Equal(indexKey(ix, row, rid), key) {
+				return
+			}
+			if rec == nil || rec.Reclaimed() || rec.Op == undo.OpInsert {
+				break
+			}
+			applyDelta(row, rec)
+			live = true
+		}
+	}
+	ix.Tree.DeleteValue(key, uint64(rid))
+}
+
+// chainHead returns the newest record of h's row, reclaimed or not.
+func chainHead(h *table.Handle) *undo.Record {
+	if tt := h.TwinTable(false); tt != nil {
+		if en := tt.Entry(h.RID, false); en != nil {
+			return en.Head
+		}
+	}
+	return nil
+}
+
+// applyDelta turns row, the version rec made, into the one before it.
+func applyDelta(row rel.Row, rec *undo.Record) {
+	for _, cv := range rec.Delta {
+		row[cv.Col] = cv.Val
+	}
+}
+
+// touches reports whether delta writes one of ix's columns.
+func touches(ix *Index, delta []undo.ColVal) bool {
+	for _, cv := range delta {
+		if slices.Contains(ix.Cols, cv.Col) {
+			return true
+		}
+	}
+	return false
+}
+
 // --- Maintenance duties (§7.1) -----------------------------------------------
 
 // MaintainWorker runs one round of the worker-local duties: page swaps for
@@ -489,23 +552,20 @@ func (e *Engine) MaintainWorker(worker int) {
 	e.CollectGarbage()
 }
 
-// CollectGarbage runs one engine-wide GC round (§7.3): UNDO reclamation
-// with deleted-tuple cleanup, then twin table collection. Returns the
-// number of UNDO records reclaimed.
+// CollectGarbage runs one engine-wide GC round (§7.3): UNDO reclamation,
+// which releases the index entries of the versions it reclaims and erases
+// deleted tuples, then twin table collection. Returns the number of UNDO
+// records reclaimed.
 func (e *Engine) CollectGarbage() int {
 	n := e.Mgr.CollectGarbage(func(r *undo.Record) {
-		// A rolled-back delete erases nothing: its tombstone is gone, and
-		// one the row carries now belongs to a later, live delete.
-		if r.Op != undo.OpDelete || r.Dead() {
+		// A rolled-back record released what it claimed, and an insert
+		// ends no version.
+		if r.Dead() || r.Op == undo.OpInsert {
 			return
 		}
-		// Deleted-tuple GC: physically erase the tombstoned tuple and its
-		// index entries once the delete is globally visible.
-		t := e.TableByID(r.TableID)
-		if t == nil {
-			return
+		if t := e.TableByID(r.TableID); t != nil {
+			reclaimVersion(t, r)
 		}
-		e.eraseTuple(t, r.RowID)
 	})
 	maxFrozen := e.Mgr.MaxFrozenXID()
 	for _, t := range e.Tables() {
@@ -516,23 +576,41 @@ func (e *Engine) CollectGarbage() int {
 	return n
 }
 
-// eraseTuple removes a tombstoned row and its index entries.
-func (e *Engine) eraseTuple(t *Tbl, rid rel.RowID) {
-	var row rel.Row
-	err := t.Store.WithRow(rid, true, nil, func(h table.Handle) error {
-		if !h.Deleted() {
-			return fmt.Errorf("core: GC of live tuple %d", rid)
+// reclaimVersion releases the index keys of the version the reclaimed
+// record r ended: r's before image over the row the walk from the chain
+// head down to r rebuilds. An update that changes no indexed column costs
+// the overlap test alone. A delete ended the row's last version, so the
+// row goes, and with it the keys of every older version its chain links:
+// no snapshot reaches them, and once the row is gone no reclaim could
+// work them out.
+func reclaimVersion(t *Tbl, r *undo.Record) {
+	indexes := t.Indexes()
+	erase := r.Op == undo.OpDelete
+	if !erase && !slices.ContainsFunc(indexes, func(ix *Index) bool { return touches(ix, r.Delta) }) {
+		return
+	}
+	_ = t.Store.WithRow(r.RowID, true, nil, func(h table.Handle) error {
+		if erase && !h.Deleted() {
+			return nil // no tombstone: nothing to erase
 		}
-		row = h.Row()
+		row, at, reached := h.Row(), &h, false
+		if erase {
+			at = nil
+		}
+		for rec := chainHead(&h); rec != nil && rec.Op != undo.OpInsert && (erase || !reached); rec = rec.Prev {
+			applyDelta(row, rec)
+			reached = reached || rec == r
+			for _, ix := range indexes {
+				if reached && (rec.Op == undo.OpDelete || touches(ix, rec.Delta)) {
+					releaseKey(ix, indexKey(ix, row, r.RowID), r.RowID, at)
+				}
+			}
+		}
+		if erase {
+			return h.Remove()
+		}
 		return nil
 	})
-	if err != nil {
-		return // already erased, frozen, or resurrected
-	}
-	for _, ix := range t.Indexes() {
-		unindex(ix, row, rid)
-	}
-	_ = t.Store.RemoveRow(rid, nil)
 }
 
 // FreezeTables runs one freezing round (§5.2 case 2): for every table,

@@ -33,7 +33,7 @@ func TestDeleteConcurrentWithGCOnOnePage(t *testing.T) {
 
 	erase := func(r *undo.Record) {
 		if r.Op == undo.OpDelete {
-			e.eraseTuple(e.TableByID(r.TableID), r.RowID)
+			reclaimVersion(e.TableByID(r.TableID), r)
 		}
 	}
 	stop := make(chan struct{})

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"sort"
@@ -133,36 +132,23 @@ func (e *Engine) redo(r wal.Record) error {
 				return fmt.Errorf("update of column %d does not match table %q", c, t.Name)
 			}
 		}
-		// Only indexes over an updated column can need their entry moved.
-		var keyed []*Index
-		for _, ix := range t.Indexes() {
-			if overlaps(ix.Cols, cols) {
-				keyed = append(keyed, ix)
-			}
-		}
-		var old, cur rel.Row
-		err = t.Store.WithRow(rid, true, nil, func(h table.Handle) error {
-			if keyed != nil {
-				old = h.Row()
+		// A changed key moves: the old entry is released, the new one stored.
+		var moved []*Index
+		return t.Store.WithRow(rid, true, nil, func(h table.Handle) error {
+			for _, ix := range t.Indexes() {
+				if keyChanges(ix, &h, cols, vals) {
+					releaseKey(ix, indexKey(ix, h.Row(), rid), rid, nil)
+					moved = append(moved, ix)
+				}
 			}
 			for i, c := range cols {
 				h.SetCol(c, vals[i])
 			}
-			if keyed != nil {
-				cur = h.Row()
+			for _, ix := range moved {
+				ix.Tree.Insert(indexKey(ix, h.Row(), rid), uint64(rid))
 			}
 			return nil
 		})
-		if err != nil {
-			return err
-		}
-		for _, ix := range keyed {
-			if k := indexKey(ix, cur, rid); !bytes.Equal(k, indexKey(ix, old, rid)) {
-				unindex(ix, old, rid)
-				ix.Tree.Insert(k, uint64(rid))
-			}
-		}
-		return nil
 	case wal.RecDelete:
 		// A committed delete is globally visible after a restart and on a
 		// standby alike: the row is removed, not tombstoned. A row frozen
@@ -187,35 +173,10 @@ func (e *Engine) redo(r wal.Record) error {
 			return err
 		}
 		for _, ix := range t.Indexes() {
-			unindex(ix, row, rid)
+			releaseKey(ix, indexKey(ix, row, rid), rid, nil)
 		}
 		return nil
 	default:
 		return fmt.Errorf("unexpected record type %v", r.Type)
 	}
-}
-
-// overlaps reports whether any of cols is one of keys.
-func overlaps(keys, cols []int) bool {
-	for _, k := range keys {
-		for _, c := range cols {
-			if k == c {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// unindex removes row's entry from ix. A unique key carries no row_id
-// suffix, so its entry is removed only while it still names rid: a
-// re-insert of the same key may have taken it since.
-func unindex(ix *Index, row rel.Row, rid rel.RowID) {
-	k := indexKey(ix, row, rid)
-	if ix.Unique {
-		if cur, ok := ix.Tree.Lookup(k); !ok || rel.RowID(cur) != rid {
-			return
-		}
-	}
-	ix.Tree.Delete(k)
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -137,11 +138,23 @@ type tblLock struct {
 	m lock.Mode
 }
 
+// idxOp is one index write, as rollback reverts it: after the write key
+// names rid, and before it key named old. A rid or old of 0 is no row: an
+// entry the write removed, or one it made.
 type idxOp struct {
-	ix    *Index
-	key   []byte
-	rid   uint64
-	added bool // true: entry was inserted; false: entry was removed
+	ix       *Index
+	key      []byte
+	rid, old rel.RowID
+}
+
+// revert puts back the row the write replaced or removed, or else
+// releases the entry it made; h is as releaseKey takes it.
+func (op idxOp) revert(h *table.Handle) {
+	if op.old != 0 && op.old != op.rid {
+		claimKey(op.ix, op.key, op.old, op.rid)
+	} else {
+		releaseKey(op.ix, op.key, op.rid, h)
+	}
 }
 
 // recIdxOp ties an index mutation to the UNDO record whose rollback
@@ -352,157 +365,156 @@ func (tx *Tx) Insert(tableName string, row rel.Row) (rel.RowID, error) {
 	if err != nil {
 		return 0, err
 	}
-	return tx.insertRow(t, row, true)
+	return tx.insertRow(t, row, 0)
 }
 
-// insertRow appends row and adds its index entries. With checkUnique,
-// each unique entry is claimed inside the append, under the new row's page
-// latch, by one insert-if-absent under the index leaf's latch, before the
-// row has an UNDO record or a log record: a key another row holds rolls
-// the append back, and checkUniqueHolder decides whether that row makes
-// this insert a duplicate, is waited on, or is dead, in which case the
-// next claim replaces its entry if the entry still names it. Without
-// checkUnique (warming) every entry is stored over whatever is there.
-func (tx *Tx) insertRow(t *Tbl, row rel.Row, checkUnique bool) (rel.RowID, error) {
+// insertRow appends row and claims its index entries inside the append,
+// under the new row's page latch, before the row has an UNDO record or a
+// log record: a unique key another row holds rolls the append back, and
+// checkUniqueHolder judges that row outside the latch. warmed is the
+// frozen row this insert warms (0 for none): the claims take over its
+// unique entries, and its non-unique entries are released.
+func (tx *Tx) insertRow(t *Tbl, row rel.Row, warmed rel.RowID) (rel.RowID, error) {
 	if err := tx.lockTable(t, lock.ModeIX); err != nil {
 		return 0, err
 	}
 	indexes := t.Indexes()
-	var claimsBuf [4]uniqueClaim
-	claims := claimsBuf[:0]
-	if checkUnique {
-		for _, ix := range indexes {
-			if ix.Unique {
-				claims = append(claims, uniqueClaim{ix: ix, key: indexKey(ix, row, 0)})
-			}
-		}
-	}
-	var deadline time.Time
+	overs := []takeOver{{rid: warmed}}
+	deadline := time.Now().Add(tx.e.cfg.LockTimeout)
 	for {
-		var rec *undo.Record
-		held := -1 // the claim whose key another row holds
-		var holder rel.RowID
+		var held keyHeld
+		mark := len(tx.idxOps)
 		rid, err := t.Store.Append(row, tx.partition(), &tx.tctx, func(h table.Handle) error {
-			if held, holder = claimUnique(claims, h.RID); held >= 0 {
-				return errUniqueHeld
+			for _, ix := range indexes {
+				if held = tx.claim(ix, indexKey(ix, row, h.RID), h.RID, overs); held.holder != 0 {
+					tx.revertOps(mark, nil)
+					return errUniqueHeld
+				}
+				if warmed != 0 && !ix.Unique {
+					k := indexKey(ix, row, warmed)
+					releaseKey(ix, k, warmed, nil)
+					tx.idxOps = append(tx.idxOps, recIdxOp{idxOp: idxOp{ix: ix, key: k, old: warmed}})
+				}
 			}
 			mvccStart := time.Now()
 			tt := h.TwinTable(true)
-			rec = tx.inner.AddUndo(t.ID, h.RID, undo.OpInsert, nil, nil)
+			rec := tx.inner.AddUndo(t.ID, h.RID, undo.OpInsert, nil, nil)
 			tt.Push(h.RID, rec)
 			tx.track(metrics.CompMVCC, mvccStart)
+			tx.tagOps(mark, rec)
 			tx.encBuf = rel.EncodeRow(tx.encBuf[:0], row)
 			tx.logChange(h.Pg, wal.RecInsert, t.ID, h.RID, tx.encBuf)
 			return nil
 		})
 		if err == errUniqueHeld {
-			c := &claims[held]
-			if c.dead, c.hasDead, err = tx.checkUniqueHolder(t, c.ix, holder, &deadline); err != nil {
+			if overs, err = tx.checkUniqueHolder(t, held, overs, deadline); err != nil {
 				return 0, err
 			}
 			continue
 		}
-		if err != nil {
-			return 0, err
-		}
-		for _, c := range claims {
-			tx.idxOps = append(tx.idxOps, recIdxOp{rec: rec, idxOp: idxOp{ix: c.ix, key: c.key, rid: uint64(rid), added: true}})
-		}
-		for _, ix := range indexes {
-			if checkUnique && ix.Unique {
-				continue
-			}
-			k := indexKey(ix, row, rid)
-			ix.Tree.Insert(k, uint64(rid))
-			tx.idxOps = append(tx.idxOps, recIdxOp{rec: rec, idxOp: idxOp{ix: ix, key: k, rid: uint64(rid), added: true}})
-		}
-		return rid, nil
+		return rid, err
 	}
 }
 
-// uniqueClaim is one unique index entry an insert claims.
-type uniqueClaim struct {
-	ix      *Index
-	key     []byte // a unique key omits the rid
-	dead    rel.RowID
-	hasDead bool // dead is a dead row whose entry the next claim replaces
+// keyHeld is a unique key a claim found another row holding.
+type keyHeld struct {
+	ix     *Index
+	key    []byte
+	holder rel.RowID
 }
 
-// errUniqueHeld rolls an append back when claimUnique finds a key held.
+// takeOver lets a statement's claims in ix (in every index when ix is
+// nil) replace row rid's entry.
+type takeOver struct {
+	ix  *Index
+	rid rel.RowID
+}
+
+// errUniqueHeld rolls a write back when a claim finds its key held.
 var errUniqueHeld = errors.New("core: unique key held")
 
-// claimUnique stores rid under every claim's key, replacing an entry only
-// if it names the claim's dead row. At the first key another row holds it
-// deletes the entries it stored and returns that claim and row (-1 when
-// every key is stored).
-func claimUnique(claims []uniqueClaim, rid rel.RowID) (int, rel.RowID) {
-	for i, c := range claims {
-		var replace func(old uint64) bool
-		if c.hasDead {
-			replace = func(old uint64) bool { return old == uint64(c.dead) }
-		}
-		if old, stored := c.ix.Tree.InsertIfAbsent(c.key, uint64(rid), replace); !stored {
-			for _, done := range claims[:i] {
-				done.ix.Tree.Delete(done.key)
-			}
-			return i, rel.RowID(old)
+// claim claims key → rid in ix over the entry overs grants, and records
+// the write for the UNDO record that tagOps ties it to.
+func (tx *Tx) claim(ix *Index, key []byte, rid rel.RowID, overs []takeOver) keyHeld {
+	var over rel.RowID
+	for _, o := range overs {
+		if o.ix == nil || o.ix == ix {
+			over = o.rid
 		}
 	}
-	return -1, 0
+	op, holder := claimKey(ix, key, rid, over)
+	if holder != 0 {
+		return keyHeld{ix: ix, key: key, holder: holder}
+	}
+	tx.idxOps = append(tx.idxOps, recIdxOp{idxOp: op})
+	return keyHeld{}
 }
 
-// checkUniqueHolder applies the unique rule to row rid, which holds ix's
-// key that this insert needs. A row visible to this transaction, or a live
-// row another transaction committed after this snapshot, makes the insert
-// a duplicate. A row another transaction has written and not yet finished
-// is waited on, as a write conflict is, after which the caller claims the
-// key again: that transaction's commit makes this insert a duplicate, and
-// its rollback removes the entry. A dead row's entry is stale: it returns
-// that row with isDead, and the caller's next claim replaces its entry.
-// deadline bounds the waits of one insert; it is set at the first.
-func (tx *Tx) checkUniqueHolder(t *Tbl, ix *Index, rid rel.RowID, deadline *time.Time) (dead rel.RowID, isDead bool, err error) {
-	_, visible, err := tx.readRow(t, rid)
+// tagOps ties the index writes recorded from mark on to rec.
+func (tx *Tx) tagOps(mark int, rec *undo.Record) {
+	for i := mark; i < len(tx.idxOps); i++ {
+		tx.idxOps[i].rec = rec
+	}
+}
+
+// revertOps reverts the index writes recorded from mark on, newest first,
+// and drops them; h is as idxOp.revert takes it.
+func (tx *Tx) revertOps(mark int, h *table.Handle) {
+	for i := len(tx.idxOps) - 1; i >= mark; i-- {
+		tx.idxOps[i].revert(h)
+	}
+	clear(tx.idxOps[mark:])
+	tx.idxOps = tx.idxOps[:mark]
+}
+
+// checkUniqueHolder applies the unique rule to the row holding the key a
+// claim needs. If its version visible to this transaction, or its current
+// version, has the key, the write is a duplicate. If another transaction
+// has written it and not finished, that transaction is waited on, as a
+// write conflict is, and decides the next claim. If this transaction
+// deleted it or moved it off the key, it joins overs: the next claim
+// takes its entry over, and a rollback puts the entry back. Any other
+// holder has left the key for good, and its entry is released under its
+// page latch, which orders the release with the row's next writer.
+func (tx *Tx) checkUniqueHolder(t *Tbl, held keyHeld, overs []takeOver, deadline time.Time) ([]takeOver, error) {
+	ix, holder := held.ix, held.holder
+	row, dup, err := tx.readRow(t, holder)
 	if err != nil && !errors.Is(err, ErrNotFound) {
-		return 0, false, err
+		return overs, err
 	}
-	if visible {
-		return 0, false, fmt.Errorf("%w: index %q", ErrDuplicate, ix.Name)
-	}
-	writer, live := tx.rowState(t, rid)
-	if live {
-		return 0, false, fmt.Errorf("%w: index %q", ErrDuplicate, ix.Name)
-	}
-	if writer == nil {
-		return rid, true, nil
-	}
-	if deadline.IsZero() {
-		*deadline = time.Now().Add(tx.e.cfg.LockTimeout)
-	}
-	if !tx.waitOn(errWait{meta: writer}, *deadline) {
-		return 0, false, fmt.Errorf("unique index %q: %w", ix.Name, lock.ErrLockTimeout)
-	}
-	return 0, false, nil
-}
-
-// rowState returns the unfinished transaction other than tx that wrote
-// row rid's newest version, if there is one, and otherwise whether that
-// version is a live row. A row that is gone or frozen reports neither.
-func (tx *Tx) rowState(t *Tbl, rid rel.RowID) (writer *undo.TxnMeta, live bool) {
-	t.Store.WithRow(rid, false, &tx.tctx, func(h table.Handle) error {
-		var head *undo.Record
-		if tt := h.TwinTable(false); tt != nil {
-			head = tt.Head(rid)
-		}
-		if head != nil && !head.Reclaimed() && head.Meta != tx.inner.Meta {
-			if _, committed := head.EffectiveETS(); !committed {
+	dup = dup && bytes.Equal(indexKey(ix, row, holder), held.key)
+	var writer *undo.TxnMeta
+	own := false
+	err = t.Store.WithRow(holder, true, &tx.tctx, func(h table.Handle) error {
+		if head := chainHead(&h); head != nil && !head.Reclaimed() {
+			if _, committed := head.EffectiveETS(); head.Meta == tx.inner.Meta {
+				own = true
+			} else if !committed {
 				writer = head.Meta
 				return nil
 			}
 		}
-		live = !h.Deleted()
+		if !dup && !h.Deleted() {
+			dup = bytes.Equal(indexKey(ix, h.Row(), holder), held.key)
+		}
+		if !dup && !own {
+			releaseKey(ix, held.key, holder, nil)
+		}
 		return nil
 	})
-	return writer, live
+	switch {
+	case dup:
+		return overs, fmt.Errorf("%w: index %q", ErrDuplicate, ix.Name)
+	case errors.Is(err, table.ErrFrozen) || errors.Is(err, table.ErrNotFound):
+		releaseKey(ix, held.key, holder, nil) // a frozen row not visible is deleted
+	case err != nil:
+		return overs, err
+	case writer != nil && !tx.waitOn(errWait{meta: writer}, deadline):
+		return overs, fmt.Errorf("unique index %q: %w", ix.Name, lock.ErrLockTimeout)
+	case own:
+		overs = append(overs, takeOver{ix: ix, rid: holder})
+	}
+	return overs, nil
 }
 
 // partition maps the slot to its worker's buffer partition.
@@ -844,16 +856,28 @@ func (tx *Tx) modify(tableName string, rid rel.RowID, set map[string]rel.Value, 
 		return nil, err
 	}
 	deadline := time.Now().Add(tx.e.cfg.LockTimeout)
+	var overs []takeOver
 	for {
-		row, err := tx.modifyOnce(t, rid, set, fn)
+		row, held, err := tx.modifyOnce(t, rid, set, fn, overs)
 		var w errWait
-		if !errors.As(err, &w) {
+		switch {
+		case errors.Is(err, table.ErrFrozen):
+			// §5.2 case 3: a write to a frozen row warms it into hot
+			// storage first, and the next try updates the hot copy.
+			if rid, err = tx.warmFrozenRow(t, rid); err != nil {
+				return nil, err
+			}
+		case err == errUniqueHeld:
+			if overs, err = tx.checkUniqueHolder(t, held, overs, deadline); err != nil {
+				return nil, err
+			}
+		case !errors.As(err, &w):
 			return row, err
-		}
-		if !tx.waitOn(w, deadline) {
+		case !tx.waitOn(w, deadline):
 			return nil, fmt.Errorf("update %q row %d: %w", tableName, rid, lock.ErrLockTimeout)
+		default:
+			tx.inner.RefreshSnapshot()
 		}
-		tx.inner.RefreshSnapshot()
 	}
 }
 
@@ -911,31 +935,49 @@ func (tx *Tx) park(ch <-chan struct{}, ev waitevent.Event, deadline time.Time) b
 	return tx.waitTimer.Wait(ch, remaining)
 }
 
-func (tx *Tx) modifyOnce(t *Tbl, rid rel.RowID, set map[string]rel.Value, fn func(cur rel.Row) (map[string]rel.Value, error)) (rel.Row, error) {
+// lockRow is the prologue of an in-place write to h's row: it resolves a
+// write conflict and takes the tuple lock, returning the row's twin table,
+// chain head and entry. errWait means wait and retry; a deleted row is
+// ErrNotFound.
+func (tx *Tx) lockRow(h *table.Handle) (*undo.TwinTable, *undo.Record, *undo.TwinEntry, error) {
+	mvccStart := time.Now()
+	tt := h.TwinTable(true)
+	head := tt.Head(h.RID)
+	waitMeta, err := txn.CheckWriteConflict(head, &tx.inner)
+	tx.track(metrics.CompMVCC, mvccStart)
+	switch {
+	case err != nil:
+		return nil, nil, nil, err
+	case waitMeta != nil:
+		return nil, nil, nil, errWait{meta: waitMeta}
+	case h.Deleted():
+		return nil, nil, nil, ErrNotFound
+	}
+	lockStart := time.Now()
+	entry := tt.Entry(h.RID, true)
+	if !lock.TryLockTuple(entry, true, tx.XID()) {
+		err = errWait{ch: entry.AddWaiter()}
+	}
+	tx.track(metrics.CompLock, lockStart)
+	return tt, head, entry, err
+}
+
+// unlockRow releases the tuple lock right after the write (§7.2).
+func (tx *Tx) unlockRow(entry *undo.TwinEntry) {
+	lockStart := time.Now()
+	lock.UnlockTuple(entry, true)
+	tx.track(metrics.CompLock, lockStart)
+}
+
+func (tx *Tx) modifyOnce(t *Tbl, rid rel.RowID, set map[string]rel.Value, fn func(cur rel.Row) (map[string]rel.Value, error),
+	overs []takeOver) (rel.Row, keyHeld, error) {
 	var result rel.Row
+	var held keyHeld
 	err := t.Store.WithRow(rid, true, &tx.tctx, func(h table.Handle) error {
-		mvccStart := time.Now()
-		tt := h.TwinTable(true)
-		head := tt.Head(rid)
-		waitMeta, err := txn.CheckWriteConflict(head, &tx.inner)
-		tx.track(metrics.CompMVCC, mvccStart)
+		tt, head, entry, err := tx.lockRow(&h)
 		if err != nil {
 			return err
 		}
-		if waitMeta != nil {
-			return errWait{meta: waitMeta}
-		}
-		if h.Deleted() {
-			return ErrNotFound
-		}
-		lockStart := time.Now()
-		entry := tt.Entry(rid, true)
-		if !lock.TryLockTuple(entry, true, tx.XID()) {
-			ch := entry.AddWaiter()
-			tx.track(metrics.CompLock, lockStart)
-			return errWait{ch: ch}
-		}
-		tx.track(metrics.CompLock, lockStart)
 
 		set := set
 		if fn != nil {
@@ -950,69 +992,65 @@ func (tx *Tx) modifyOnce(t *Tbl, rid rel.RowID, set map[string]rel.Value, fn fun
 			return err
 		}
 
+		// Claim the new key of every index the update changes before the
+		// in-place write, as an insert claims before its UNDO record. The
+		// old entry stays for older snapshots until GC releases it.
+		mark := len(tx.idxOps)
+		var newRow rel.Row
+		for _, ix := range t.Indexes() {
+			if !keyChanges(ix, &h, cols, vals) {
+				continue
+			}
+			if newRow == nil {
+				newRow = h.Row()
+				for i, c := range cols {
+					newRow[c] = vals[i]
+				}
+			}
+			if held = tx.claim(ix, indexKey(ix, newRow, rid), rid, overs); held.holder != 0 {
+				tx.revertOps(mark, &h)
+				lock.UnlockTuple(entry, true)
+				return errUniqueHeld
+			}
+		}
+
 		// Before-image delta, version chain push, in-place update.
-		mvccStart = time.Now()
+		mvccStart := time.Now()
 		delta := make([]undo.ColVal, len(cols))
 		for i, c := range cols {
 			delta[i] = undo.ColVal{Col: c, Val: h.Col(c)}
 		}
 		rec := tx.inner.AddUndo(t.ID, rid, undo.OpUpdate, delta, head)
 		tt.Push(rid, rec)
+		tx.tagOps(mark, rec)
 		for i, c := range cols {
 			h.SetCol(c, vals[i])
 		}
 		tx.track(metrics.CompMVCC, mvccStart)
 		tx.encBuf = rel.EncodeDelta(tx.encBuf[:0], cols, vals)
 		tx.logChange(h.Pg, wal.RecUpdate, t.ID, rid, tx.encBuf)
-
-		// Index maintenance: if an indexed column changed, add an entry
-		// for the new key. The old entry stays for older snapshots and is
-		// filtered by the scan-side key verification; it is physically
-		// removed when the row is eventually deleted and GC'd. The new row
-		// is materialized only for that, or for Modify's caller.
-		var newRow rel.Row
 		if fn != nil {
-			newRow = h.Row()
-			result = newRow
-		}
-		for _, ix := range t.Indexes() {
-			changed := false
-			for _, c := range ix.Cols {
-				for j, uc := range cols {
-					if uc == c && !delta[j].Val.Equal(vals[j]) {
-						changed = true
-					}
-				}
-			}
-			if !changed {
-				continue
-			}
-			if newRow == nil {
-				newRow = h.Row()
-			}
-			k := indexKey(ix, newRow, rid)
-			ix.Tree.Insert(k, uint64(rid))
-			tx.idxOps = append(tx.idxOps, recIdxOp{rec: rec, idxOp: idxOp{ix: ix, key: k, rid: uint64(rid), added: true}})
+			result = h.Row()
 		}
 
-		lockStart = time.Now()
-		lock.UnlockTuple(entry, true) // released right after the operation (§7.2)
-		tx.track(metrics.CompLock, lockStart)
+		tx.unlockRow(entry)
 		return nil
 	})
-	if errors.Is(err, table.ErrFrozen) {
-		// §5.2 case 3: writes to frozen rows warm them into hot storage
-		// first, then apply the update to the hot copy.
-		newRID, werr := tx.warmFrozenRow(t, rid)
-		if werr != nil {
-			return nil, werr
-		}
-		return tx.modifyOnce(t, newRID, set, fn)
-	}
 	if errors.Is(err, table.ErrNotFound) {
-		return nil, ErrNotFound
+		return nil, held, ErrNotFound
 	}
-	return result, err
+	return result, held, err
+}
+
+// keyChanges reports whether writing vals to cols changes ix's key of the
+// row h reads.
+func keyChanges(ix *Index, h *table.Handle, cols []int, vals rel.Row) bool {
+	for j, c := range cols {
+		if slices.Contains(ix.Cols, c) && !h.Col(c).Equal(vals[j]) {
+			return true
+		}
+	}
+	return false
 }
 
 // Delete tombstones a row (physical removal happens at GC, §7.3).
@@ -1043,39 +1081,19 @@ func (tx *Tx) Delete(tableName string, rid rel.RowID) error {
 
 func (tx *Tx) deleteOnce(t *Tbl, rid rel.RowID) error {
 	err := t.Store.WithRow(rid, true, &tx.tctx, func(h table.Handle) error {
-		mvccStart := time.Now()
-		tt := h.TwinTable(true)
-		head := tt.Head(rid)
-		waitMeta, err := txn.CheckWriteConflict(head, &tx.inner)
-		tx.track(metrics.CompMVCC, mvccStart)
+		tt, head, entry, err := tx.lockRow(&h)
 		if err != nil {
 			return err
 		}
-		if waitMeta != nil {
-			return errWait{meta: waitMeta}
-		}
-		if h.Deleted() {
-			return ErrNotFound
-		}
-		lockStart := time.Now()
-		entry := tt.Entry(rid, true)
-		if !lock.TryLockTuple(entry, true, tx.XID()) {
-			ch := entry.AddWaiter()
-			tx.track(metrics.CompLock, lockStart)
-			return errWait{ch: ch}
-		}
-		tx.track(metrics.CompLock, lockStart)
 
-		mvccStart = time.Now()
+		mvccStart := time.Now()
 		rec := tx.inner.AddUndo(t.ID, rid, undo.OpDelete, nil, head)
 		tt.Push(rid, rec)
 		h.SetDeleted(true)
 		tx.track(metrics.CompMVCC, mvccStart)
 		tx.logChange(h.Pg, wal.RecDelete, t.ID, rid, nil)
 
-		lockStart = time.Now()
-		lock.UnlockTuple(entry, true)
-		tx.track(metrics.CompLock, lockStart)
+		tx.unlockRow(entry)
 		return nil
 	})
 	if errors.Is(err, table.ErrFrozen) {
@@ -1093,8 +1111,8 @@ func (tx *Tx) deleteOnce(t *Tbl, rid rel.RowID) error {
 
 // warmFrozenRow moves one frozen row into hot storage within this
 // transaction (§5.2 case 3): tombstone the frozen copy (WAL-logged so redo
-// erases the replayed hot original), repoint index entries, and insert the
-// hot copy with a fresh row_id.
+// erases the replayed hot original), and insert the hot copy with a fresh
+// row_id, which takes the frozen row's index entries over.
 func (tx *Tx) warmFrozenRow(t *Tbl, rid rel.RowID) (rel.RowID, error) {
 	row, found, err := t.Frozen.Get(rid)
 	if err != nil {
@@ -1113,35 +1131,7 @@ func (tx *Tx) warmFrozenRow(t *Tbl, rid rel.RowID) (rel.RowID, error) {
 	tx.frozenRestores = append(tx.frozenRestores, frozenRestore{t: t, rid: rid})
 	tx.logUnstamped(wal.RecDelete, t.ID, rid, nil)
 
-	newRID, err := tx.insertRow(t, row, false)
-	if err != nil {
-		return 0, err
-	}
-	// Repoint index entries. The insert already published the new rid's
-	// entries; for unique indexes that replaced the old mapping in place,
-	// while non-unique entries for the frozen rid must be removed. Both
-	// are recorded on the insert's undo record so rollback restores the
-	// old mappings.
-	insRec := tx.inner.Records[len(tx.inner.Records)-1]
-	tx.repointWarmedIndexes(insRec, t, row, rid)
-	return newRID, nil
-}
-
-// repointWarmedIndexes moves index entries from a warmed frozen rid to the
-// hot copy, recording rollback operations on insRec.
-func (tx *Tx) repointWarmedIndexes(insRec *undo.Record, t *Tbl, row rel.Row, oldRID rel.RowID) {
-	for _, ix := range t.Indexes() {
-		k := indexKey(ix, row, oldRID)
-		if ix.Unique {
-			// The insert replaced key->oldRID with key->newRID; rollback
-			// must restore the old mapping after deleting the new one.
-			tx.idxOps = append(tx.idxOps, recIdxOp{rec: insRec, idxOp: idxOp{ix: ix, key: k, rid: uint64(oldRID), added: false}})
-			continue
-		}
-		if ix.Tree.Delete(k) {
-			tx.idxOps = append(tx.idxOps, recIdxOp{rec: insRec, idxOp: idxOp{ix: ix, key: k, rid: uint64(oldRID), added: false}})
-		}
-	}
+	return tx.insertRow(t, row, rid)
 }
 
 // resolveSet orders a SET by column name and resolves it to positions and
@@ -1267,62 +1257,39 @@ func (tx *Tx) finishMetrics(committed bool) {
 // order. UNDO records are marked dead (immediately reclaimable).
 func (tx *Tx) rollbackChanges() {
 	recs := tx.inner.Records
-	// idxOps holds each record's ops as one contiguous group, groups in
-	// record order; walk groups from the tail in lockstep with the
-	// reversed record loop (ops within a group revert in forward order —
-	// a warmed unique index records delete-new before restore-old).
-	opEnd := len(tx.idxOps)
 	for i := len(recs) - 1; i >= 0; i-- {
 		rec := recs[i]
-		t := tx.e.TableByID(rec.TableID)
-		// Revert this record's index mutations.
-		opStart := opEnd
+		// rec's index writes are the tail of idxOps: each record's writes
+		// are one group, and those of the records after rec are reverted.
+		opStart := len(tx.idxOps)
 		for opStart > 0 && tx.idxOps[opStart-1].rec == rec {
 			opStart--
 		}
-		if t != nil {
-			for _, op := range tx.idxOps[opStart:opEnd] {
-				if op.added {
-					op.ix.Tree.Delete(op.key)
-				} else {
-					op.ix.Tree.Insert(op.key, op.rid)
-				}
-			}
-		}
-		opEnd = opStart
-		if t == nil {
-			continue
-		}
-		rid := rec.RowID
-		switch rec.Op {
-		case undo.OpUpdate:
-			t.Store.WithRow(rid, true, &tx.tctx, func(h table.Handle) error {
-				for _, cv := range rec.Delta {
-					h.SetCol(cv.Col, cv.Val)
+		if t := tx.e.TableByID(rec.TableID); t != nil {
+			t.Store.WithRow(rec.RowID, true, &tx.tctx, func(h table.Handle) error {
+				switch rec.Op {
+				case undo.OpUpdate:
+					for _, cv := range rec.Delta {
+						h.SetCol(cv.Col, cv.Val)
+					}
+				case undo.OpDelete:
+					h.SetDeleted(false)
 				}
 				if tt := h.TwinTable(false); tt != nil {
-					tt.Pop(rid, rec)
+					tt.Pop(rec.RowID, rec)
 				}
+				// One latch section: between popping an insert's record and
+				// erasing its slot a scan would read the row as committed,
+				// and a release keeps a key the restored version has.
+				if rec.Op == undo.OpInsert {
+					tx.revertOps(opStart, nil)
+					return h.Remove()
+				}
+				tx.revertOps(opStart, &h)
 				return nil
 			})
-		case undo.OpDelete:
-			t.Store.WithRow(rid, true, &tx.tctx, func(h table.Handle) error {
-				h.SetDeleted(false)
-				if tt := h.TwinTable(false); tt != nil {
-					tt.Pop(rid, rec)
-				}
-				return nil
-			})
-		case undo.OpInsert:
-			// One latch section: between popping the insert's record and
-			// erasing the slot, a scan would read the row as committed.
-			t.Store.WithRow(rid, true, &tx.tctx, func(h table.Handle) error {
-				if tt := h.TwinTable(false); tt != nil {
-					tt.Pop(rid, rec)
-				}
-				return h.Remove()
-			})
 		}
+		tx.revertOps(opStart, nil) // writes for a row no latch reached
 		rec.MarkDead()
 	}
 	// Clear frozen tombstones set by warming.

@@ -89,7 +89,7 @@ func (e *Engine) warmBlock(slot int, req warmRequest) (int, error) {
 	tx := e.Begin(slot, txn.ReadCommitted, nil, nil, nil)
 	for i, oldRID := range ids {
 		tx.logUnstamped(wal.RecDelete, req.t.ID, oldRID, nil)
-		if _, err := tx.insertRow(req.t, rows[i], false); err != nil {
+		if _, err := tx.insertRow(req.t, rows[i], oldRID); err != nil {
 			// Roll back the inserts and restore the frozen tombstones.
 			tx.Rollback()
 			for _, id := range ids {
@@ -97,8 +97,6 @@ func (e *Engine) warmBlock(slot int, req warmRequest) (int, error) {
 			}
 			return 0, nil
 		}
-		insRec := tx.inner.Records[len(tx.inner.Records)-1]
-		tx.repointWarmedIndexes(insRec, req.t, rows[i], oldRID)
 	}
 	if err := tx.Commit(); err != nil {
 		for _, id := range ids {
