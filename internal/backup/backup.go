@@ -259,10 +259,10 @@ func (a *Archiver) appendSegment(seg *Segment, out []byte) error {
 
 // Seal closes the current epoch at checkpoint horizon cpGSN. The engine
 // calls it quiesced, with the WAL fully flushed and the checkpoint image
-// durable, strictly before WAL truncation. Seal drains every remaining log
-// byte into the archive and refuses (aborting the truncation) if any byte
-// resists parsing — a torn tail in a flushed, quiesced WAL is corruption,
-// not an in-flight write.
+// durable, strictly before WAL truncation. Seal drains every remaining
+// whole record into the archive and refuses (aborting the truncation) if
+// any is left past the archived offsets. The bytes past the last record
+// are the log's reserved space, not lag (wal.Tailer.Lag).
 func (a *Archiver) Seal(cpGSN uint64) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()

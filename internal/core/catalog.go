@@ -40,15 +40,14 @@ func indexChange(t *Tbl, ix *Index) catalogChange {
 	return catalogChange{id: t.ID, index: true, name: ix.Name, keys: ix.Cols, unique: ix.Unique}
 }
 
-// hasHistory reports whether dir holds a checkpoint image or WAL bytes.
+// hasHistory reports whether dir holds a checkpoint image or a log record.
+// A log file's size says nothing: space reserved past its last record
+// reads as zeros.
 func hasHistory(dir string) bool {
-	paths, _ := filepath.Glob(filepath.Join(dir, "wal", "wal-*.log"))
-	for _, p := range append(paths, filepath.Join(dir, "checkpoint.db")) {
-		if st, err := os.Stat(p); err == nil && st.Size() > 0 {
-			return true
-		}
+	if st, err := os.Stat(filepath.Join(dir, "checkpoint.db")); err == nil && st.Size() > 0 {
+		return true
 	}
-	return false
+	return wal.HasRecords(filepath.Join(dir, "wal"))
 }
 
 // logCatalog makes a catalog change durable before the caller publishes

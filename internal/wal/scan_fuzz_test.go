@@ -10,7 +10,9 @@ import (
 // from disk and from the archive. It must never panic; it must stop on a
 // record boundary no greater than len(data), where the remaining bytes do
 // not decode; and every record it accepts must re-encode to exactly the
-// bytes it consumed.
+// bytes it consumed. The chunked file scanner must stop where Scan does,
+// having handed out the same bytes: a log written in place ends in
+// reserved zeros, so the file's size is not the log's length.
 func FuzzWALScan(f *testing.F) {
 	var log []byte
 	for _, r := range []Record{
@@ -29,6 +31,11 @@ func FuzzWALScan(f *testing.F) {
 	binary.LittleEndian.PutUint32(long[0:], 1<<20) // a length running past the end
 	f.Add(long)
 	f.Add([]byte{})
+	zeros := make([]byte, 3*recordHeaderSize)
+	f.Add(append(append([]byte(nil), log...), zeros...))              // reserved space past the records
+	f.Add(append(append([]byte(nil), log[:len(log)-5]...), zeros...)) // a torn record, then reserved space
+	garbage := append(encodeRecord(nil, &Record{Type: RecCommit, GSN: 9, LSN: 4}), 0xde, 0xad, 0xbe, 0xef, 7, 0, 0, 0, 1)
+	f.Add(append(garbage, zeros...)) // a record, non-zero garbage, then zeros
 	f.Fuzz(func(t *testing.T, data []byte) {
 		off := 0
 		next := Scan(data, 0, func(r Record, raw []byte) bool {
@@ -46,6 +53,17 @@ func FuzzWALScan(f *testing.F) {
 		}
 		if _, _, ok := decodeRecord(data[next:]); ok {
 			t.Fatalf("Scan stopped at %d before a decodable record", next)
+		}
+		var streamed []byte
+		end, read, err := new(scanner).scan(bytes.NewReader(data), 0, func(raw []byte) bool {
+			streamed = append(streamed, raw...)
+			return true
+		})
+		if err != nil || end != int64(next) || !bytes.Equal(streamed, data[:next]) {
+			t.Fatalf("file scan ended at %d (%v) with %d bytes, Scan at %d", end, err, len(streamed), next)
+		}
+		if read > int64(len(data)) {
+			t.Fatalf("file scan read %d bytes of %d", read, len(data))
 		}
 	})
 }

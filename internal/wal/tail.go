@@ -17,17 +17,20 @@ var ErrLostPosition = errors.New("wal: log restarted under the tailing position"
 
 // Tailer follows the group files of a live WAL directory. It owns file
 // discovery (group g is the g-th file in name order) and one byte offset
-// per group, reads only the bytes past that offset, and hands out whole
-// checksum-valid records: a torn or still-being-written tail stays
-// unconsumed and is read again by the next Fetch.
+// per group, reads past that offset in chunks up to the first record that
+// does not decode, and hands out whole checksum-valid records: a torn or
+// still-being-written tail, or the reserved zeros past the last record
+// (see the package comment), stays unconsumed and is read again by the
+// next Fetch. A file's size is not the log's length.
 //
 // Restart detection. A checkpoint truncates the log in place, so between
 // two Fetches a file can (a) shrink below the offset or (b) shrink and
-// regrow past it, leaving the offset inside unrelated bytes. (a) is a size
-// check. (b) is caught by the first record's GSN: a truncation is only
-// ever followed by records above the checkpoint horizon, which every
-// earlier record was at or below. At offset 0 there is no position to lose
-// and no check is made.
+// regrow past it, by records or by reserved space, leaving the offset
+// inside unrelated bytes. (a) is a size check. (b) is caught by the first
+// record's GSN: a truncation is only ever followed by records above the
+// checkpoint horizon, which every earlier record was at or below, and a
+// head of reserved zeros reads as GSN 0, which no record carries. At
+// offset 0 there is no position to lose and no check is made.
 //
 // Fetch takes the snapshot (every file read happens there); Scan consumes
 // from it. A Tailer is not safe for concurrent use.
@@ -35,12 +38,13 @@ type Tailer struct {
 	dir    string
 	paths  []string
 	groups []tailGroup
+	sc     scanner
 	read   int64 // bytes read from the log files so far
 }
 
 type tailGroup struct {
 	off   int64  // file offset of the next unconsumed byte
-	buf   []byte // the file's bytes from off, as of the last Fetch
+	buf   []byte // the whole records from off, as of the last Fetch
 	first uint64 // GSN of the file's first record; 0 = not known yet
 }
 
@@ -110,18 +114,20 @@ func (t *Tailer) fetchGroup(tg *tailGroup, path string) error {
 		return fmt.Errorf("%w (%s shrank to %d below offset %d)",
 			ErrLostPosition, filepath.Base(path), st.Size(), tg.off)
 	}
-	buf := make([]byte, st.Size()-tg.off)
-	n, err := f.ReadAt(buf, tg.off)
-	t.read += int64(n)
-	if err != nil && err != io.EOF {
+	var buf []byte
+	_, read, err := t.sc.scan(f, tg.off, func(raw []byte) bool {
+		buf = append(buf, raw...)
+		return true
+	})
+	t.read += read
+	if err != nil {
 		return err
 	}
-	buf = buf[:n] // short only if the file shrank since Stat
 	if tg.off > 0 {
 		// The first-record check runs after the tail read: if the file
 		// restarted before the read, the header read now sees the new file.
 		var hdr [firstGSNEnd]byte
-		n, err = f.ReadAt(hdr[:], 0)
+		n, err := f.ReadAt(hdr[:], 0)
 		t.read += int64(n)
 		if err != nil && err != io.EOF {
 			return err
@@ -130,6 +136,8 @@ func (t *Tailer) fetchGroup(tg *tailGroup, path string) error {
 		switch {
 		case n < len(hdr):
 			return fmt.Errorf("%w (%s shrank below offset %d)", ErrLostPosition, filepath.Base(path), tg.off)
+		case gsn == 0:
+			return fmt.Errorf("%w (%s restarted: reserved space at its head)", ErrLostPosition, filepath.Base(path))
 		case tg.first == 0:
 			tg.first = gsn // resumed from a persisted offset: learn it now
 		case tg.first != gsn:
@@ -185,20 +193,27 @@ func (t *Tailer) Rewind() {
 	}
 }
 
-// Lag returns how many bytes of the group files lie past the offsets.
+// Lag returns how many bytes of whole records the group files hold past
+// the offsets. Reserved space and a torn or still-being-written tail are
+// not lag: no Fetch would hand them out.
 func (t *Tailer) Lag() (int64, error) {
 	if err := t.discover(); err != nil {
 		return 0, err
 	}
 	var lag int64
 	for g, p := range t.paths {
-		st, err := os.Stat(p)
+		f, err := os.Open(p)
 		if err != nil {
 			return 0, err
 		}
-		if d := st.Size() - t.groups[g].off; d > 0 {
-			lag += d
+		off := t.groups[g].off
+		end, read, err := t.sc.scan(f, off, func([]byte) bool { return true })
+		f.Close()
+		t.read += read
+		if err != nil {
+			return 0, err
 		}
+		lag += end - off
 	}
 	return lag, nil
 }

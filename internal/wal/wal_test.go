@@ -449,9 +449,10 @@ func writeTornFixture(t *testing.T, dir string) (string, []byte, int64) {
 // TestRecoverTornTailByteByByte corrupts the tail of a WAL file at every
 // byte position — first by truncating inside the last record at each
 // possible length, then by flipping each byte of the last record — and
-// verifies that recovery (a) returns exactly the intact prefix and (b)
-// physically truncates the file back to that prefix, so post-recovery
-// appends are never stranded behind garbage by the O_APPEND writer.
+// verifies that (a) recovery returns exactly the intact prefix and leaves
+// the file as it found it, and (b) the log's owner, opening it, physically
+// truncates the file back to that prefix, so later flushes are never
+// stranded behind garbage.
 func TestRecoverTornTailByteByByte(t *testing.T) {
 	dir := t.TempDir()
 	path, full, lastOff := writeTornFixture(t, dir)
@@ -473,12 +474,24 @@ func TestRecoverTornTailByteByByte(t *testing.T) {
 				t.Fatalf("%s: record %d corrupted: rowid=%d payload=%q", what, i, r.RowID, r.Payload)
 			}
 		}
+		if st, err := os.Stat(path); err != nil {
+			t.Fatal(err)
+		} else if st.Size() != int64(len(mutated)) {
+			t.Fatalf("%s: recovery changed the file from %d to %d bytes", what, len(mutated), st.Size())
+		}
+		m, err := Open(Options{Dir: dir, Writers: 1})
+		if err != nil {
+			t.Fatalf("%s: open: %v", what, err)
+		}
 		st, err := os.Stat(path)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if st.Size() != wantSize {
-			t.Fatalf("%s: file is %d bytes after recovery, want physical truncation to %d", what, st.Size(), wantSize)
+			t.Fatalf("%s: file is %d bytes after open, want physical truncation to %d", what, st.Size(), wantSize)
+		}
+		if err := m.Close(); err != nil {
+			t.Fatal(err)
 		}
 	}
 
