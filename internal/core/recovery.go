@@ -1,7 +1,5 @@
 package core
 
-import "phoebedb/internal/wal"
-
 // Recover rebuilds the catalog and replays the write-ahead log into it,
 // implementing redo over the log files (§8). Call it after Open
 // and before any transactions.
@@ -27,7 +25,7 @@ func (e *Engine) Recover() (replayed int, err error) {
 	if err != nil {
 		return 0, err
 	}
-	recs, err := wal.Recover(e.WAL.Dir())
+	recs, err := e.WAL.Recover()
 	if err != nil {
 		return 0, err
 	}
@@ -47,7 +45,7 @@ func (e *Engine) Recover() (replayed int, err error) {
 	for _, ct := range images {
 		history = append(history, ct.catalog...)
 	}
-	for _, r := range rd.catalog { // GSN order: wal.Recover sorts by GSN
+	for _, r := range rd.catalog { // GSN order: the log's Recover sorts by GSN
 		history = append(history, r.Payload)
 	}
 	rd.catalog = nil

@@ -12,6 +12,7 @@ import (
 	"phoebedb/internal/fault/crashtest"
 	"phoebedb/internal/rel"
 	"phoebedb/internal/txn"
+	"phoebedb/internal/wal"
 )
 
 // TestStandbyAndRecoveryAgree runs one primary history two ways — a
@@ -189,18 +190,29 @@ func TestPromoteLeavesPrimaryWALAlone(t *testing.T) {
 	if _, err := s.CatchUp(); err != nil {
 		t.Fatal(err)
 	}
+	// Tear the tail right behind the last whole record, where a crash
+	// mid-flush leaves it: the live log's reserved space lies past it.
 	path := filepath.Join(primary.WAL.Dir(), "wal-0000.log")
-	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.Write([]byte{0xde, 0xad, 0xbe, 0xef, 1, 2, 3}); err != nil {
+	end := wal.Scan(data, 0, func(wal.Record, []byte) bool { return true })
+	f, err := os.OpenFile(path, os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	garbage := []byte{0xde, 0xad, 0xbe, 0xef, 1, 2, 3}
+	if _, err := f.WriteAt(garbage, int64(end)); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
 	before := walFiles(t, primary.WAL.Dir())
+	if !bytes.HasPrefix(before["wal-0000.log"][end:], garbage) {
+		t.Fatal("the torn bytes do not follow the last whole record")
+	}
 
 	if err := s.Promote(); err != nil {
 		t.Fatal(err)

@@ -144,7 +144,8 @@ type Page struct {
 	swip       swizzle.Swip[Payload]
 	hotness    atomic.Uint32
 	// open marks an active insert frontier (a lane's current page): such a
-	// page never cools and never freezes. Cleared when the lane moves on.
+	// page never cools, and freezes only once a freeze has sealed its idle
+	// lane (see sealIdleLane). Cleared when the lane moves on.
 	open atomic.Bool
 
 	// Guarded by lt (exclusive for writes):
@@ -815,7 +816,8 @@ type FrozenCandidate struct {
 // DetachFrozenPrefix removes up to maxPages cold-enough pages from the
 // front of the directory for freezing (§5.2 case 2): consecutive non-tail
 // pages with decayed access counts at or below maxHot, no twin table, and
-// no pending tombstones. It advances max_frozen_row_id to cover the
+// no pending tombstones. An idle lane's open page among them is sealed
+// first (see sealIdleLane). It advances max_frozen_row_id to cover the
 // detached range and returns the detached payloads in row_id order.
 func (t *Table) DetachFrozenPrefix(maxPages int, maxHot uint32, io *Ctx) ([]FrozenCandidate, error) {
 	t.dirMu.Lock()
@@ -823,8 +825,8 @@ func (t *Table) DetachFrozenPrefix(maxPages int, maxHot uint32, io *Ctx) ([]Froz
 	var out []FrozenCandidate
 	for len(out) < maxPages && len(t.dir) > 1 { // never empty the directory
 		pg := t.dir[0]
-		if pg.open.Load() || pg.Hotness() > maxHot {
-			break // an insert frontier never freezes
+		if pg.Hotness() > maxHot || pg.open.Load() && !t.sealIdleLane(pg) {
+			break // a busy insert frontier never freezes
 		}
 		pg.lt.LockExclusive(io.yieldFunc())
 		if pg.Twin.Len() > 0 {
@@ -862,6 +864,32 @@ func (t *Table) DetachFrozenPrefix(maxPages int, maxHot uint32, io *Ctx) ([]Froz
 		pg.lt.UnlockExclusive()
 	}
 	return out, nil
+}
+
+// sealIdleLane seals the lane whose open page pg is, burning the rest of
+// its row_id chunk, and reports whether it did. A freeze calls it for a
+// lane's page that reached the front of the directory cold enough to
+// freeze: its lane went idle while later lanes filled the pages behind
+// it, and left open it would hold every one of them back. A lane that is
+// appending is left alone: Append takes the directory lock under the
+// lane's mutex, so the mutex is tried, not waited for. Caller holds dirMu.
+func (t *Table) sealIdleLane(pg *Page) bool {
+	for i := range t.lanes {
+		l := &t.lanes[i]
+		if !l.mu.TryLock() {
+			continue
+		}
+		idle := l.pg == pg
+		if idle {
+			pg.open.Store(false)
+			l.pg, l.next, l.end = nil, 0, 0
+		}
+		l.mu.Unlock()
+		if idle {
+			return true
+		}
+	}
+	return false
 }
 
 // PageImage is one page's serialized payload for checkpointing.

@@ -379,6 +379,60 @@ func TestDetachFrozenPrefixStopsAtHotOrTombstoned(t *testing.T) {
 	}
 }
 
+// A lane that went idle does not hold the freeze back: its open page at
+// the front of the directory, once cold enough, is sealed and frozen with
+// the pages behind it, and the lane's next insert opens a fresh chunk. A
+// lane whose page is too hot, or that is appending, keeps its page open.
+func TestDetachFrozenPrefixSealsIdleLane(t *testing.T) {
+	tb := newTestTable(t, 4, nil)
+	tb.SetInsertLanes(2)
+	appendOn := func(lane, n int) (last rel.RowID) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			rid, err := tb.Append(mkRow(i), lane, nil, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			last = rid
+		}
+		return last
+	}
+	cool := func() {
+		for _, pg := range tb.dir {
+			pg.hotness.Store(0)
+		}
+	}
+	appendOn(0, 2) // lane 0: [1-4] open, then idle
+	appendOn(1, 9) // lane 1: [5-8] [9-12] sealed, [13-16] open
+	cool()
+	tb.dir[0].hotness.Store(1)
+	if cands, _ := tb.DetachFrozenPrefix(10, 0, nil); len(cands) != 0 || !tb.dir[0].open.Load() {
+		t.Fatalf("froze %d pages behind a hot lane page", len(cands))
+	}
+	cool()
+	cands, err := tb.DetachFrozenPrefix(10, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cands) != 3 || cands[0].FirstRID != 1 {
+		t.Fatalf("froze %d pages, want the idle lane's and the 2 behind it", len(cands))
+	}
+	if rid := appendOn(0, 1); rid != 17 {
+		t.Fatalf("idle lane's next insert got row_id %d, want 17 (a fresh chunk)", rid)
+	}
+	// Lane 1's page [13-16] is now at the front, lane 0's [17-20] behind it.
+	cool()
+	tb.lanes[1].mu.Lock() // mid-append
+	cands, _ = tb.DetachFrozenPrefix(10, 0, nil)
+	tb.lanes[1].mu.Unlock()
+	if len(cands) != 0 {
+		t.Fatalf("froze %d pages at an appending lane's page", len(cands))
+	}
+	if cands, _ = tb.DetachFrozenPrefix(10, 0, nil); len(cands) != 1 || cands[0].FirstRID != 13 {
+		t.Fatalf("froze %d pages, want lane 1's idle page", len(cands))
+	}
+}
+
 func TestConcurrentAppendAndRead(t *testing.T) {
 	tb := newTestTable(t, 16, nil)
 	const writers = 4
