@@ -64,7 +64,6 @@ func src(e *core.Engine, dir string) backup.BaseSource {
 				e.WAL.Writer(i).RaiseGSN(g)
 			}
 		},
-		FlushWAL: e.WAL.FlushAll,
 	}
 }
 
@@ -267,6 +266,69 @@ func TestPITRExactPrefix(t *testing.T) {
 		for k := int64(1); k <= upto; k++ {
 			if got[k] != k*10 {
 				t.Fatalf("target gsn[%d]: key %d restored as %d, want %d", upto, k, got[k], k*10)
+			}
+		}
+	}
+}
+
+// TestBaseBackupAroundRollbackAndOpenTransaction: a rolled-back or still
+// open transaction takes GSNs its records never carry to the log, so a base
+// backup's horizon may lie above every archived GSN. A backup taken right
+// after a rollback, and one taken while a transaction is open, both
+// succeed, and a restore to each one's horizon holds exactly the commits
+// acknowledged before it began.
+func TestBaseBackupAroundRollbackAndOpenTransaction(t *testing.T) {
+	dir, arch := t.TempDir(), t.TempDir()
+	e := openKV(t, dir)
+	defer e.Close()
+	a := attach(t, e, dir, arch)
+	for k := int64(1); k <= 3; k++ {
+		put(t, e, k, k*10)
+	}
+	rolled := e.Begin(0, txn.ReadCommitted, nil, nil, nil)
+	if _, err := rolled.Insert("kv", rel.Row{rel.Int(100), rel.Int(1000)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := rolled.Rollback(); err != nil {
+		t.Fatal(err)
+	}
+	afterRollback, _, err := a.BaseBackup(src(e, dir))
+	if err != nil {
+		t.Fatalf("base backup after a rollback: %v", err)
+	}
+	// Slot 1 is the system slot; no catalog change runs while it is open.
+	open := e.Begin(1, txn.ReadCommitted, nil, nil, nil)
+	if _, err := open.Insert("kv", rel.Row{rel.Int(200), rel.Int(2000)}); err != nil {
+		t.Fatal(err)
+	}
+	put(t, e, 4, 40)
+	whileOpen, _, err := a.BaseBackup(src(e, dir))
+	if err != nil {
+		t.Fatalf("base backup while a transaction is open: %v", err)
+	}
+	if err := open.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	put(t, e, 5, 50)
+	if _, err := a.Archive(); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		what   string
+		target uint64
+		want   []int64
+	}{
+		{"after the rollback", afterRollback.HorizonGSN, []int64{1, 2, 3}},
+		{"while open", whileOpen.HorizonGSN, []int64{1, 2, 3, 4}},
+		{"everything", 0, []int64{1, 2, 3, 4, 5, 200}},
+	} {
+		got := restoreAndScan(t, arch, c.target)
+		if len(got) != len(c.want) {
+			t.Fatalf("%s (target %d): restored %v, want keys %v", c.what, c.target, got, c.want)
+		}
+		for _, k := range c.want {
+			if _, ok := got[k]; !ok {
+				t.Fatalf("%s (target %d): restored %v, want keys %v", c.what, c.target, got, c.want)
 			}
 		}
 	}

@@ -14,8 +14,8 @@ import (
 	"phoebedb/internal/frozen"
 )
 
-// BaseSource describes where a base backup copies from. The three hooks
-// bind it to a live engine and are all nil for an offline (stopped
+// BaseSource describes where a base backup copies from. The two hooks
+// bind it to a live engine and are both nil for an offline (stopped
 // database) backup.
 type BaseSource struct {
 	// DataDir is the database directory holding checkpoint.db etc.
@@ -25,21 +25,20 @@ type BaseSource struct {
 	// RaiseGSN lifts every WAL writer's GSN clock to at least the given
 	// value, so records logged after the horizon capture sort above it.
 	RaiseGSN func(uint64)
-	// FlushWAL forces every writer's buffer to its group file.
-	FlushWAL func() error
 }
 
 // BaseBackup takes an online base backup into <archive>/base/<seq> and
 // returns its label and directory. The engine keeps serving transactions
-// throughout; only three cheap synchronous steps touch it.
+// throughout; only two cheap synchronous steps touch it.
 //
 // Horizon protocol (live source): capture horizon = MaxGSN, then RaiseGSN
-// so every record logged from now on sorts strictly above it, then
-// FlushWAL so every record at or below it is in the group files, then one
-// archive round so those bytes are archive-covered. After that the copied
-// image plus archived WAL up to the horizon reproduce every transaction
-// acknowledged before the backup began — that is the promise HorizonGSN
-// makes in the label.
+// so every record logged from now on sorts strictly above it, then one
+// archive round, which must cover the log's whole records as they were
+// when it began: a transaction acknowledged before then is durable, its
+// records at or below the horizon. So the copied image plus archived WAL
+// up to the horizon reproduce every such transaction — the promise
+// HorizonGSN makes in the label. (The horizon may exceed every archived
+// GSN: rolled-back and open transactions take GSNs the log never sees.)
 //
 // The label is written last, atomically: a crash at any earlier point
 // leaves a directory without backup_label, which Verify reports as
@@ -55,21 +54,26 @@ func (a *Archiver) BaseBackup(src BaseSource) (*Label, string, error) {
 	if src.RaiseGSN != nil {
 		src.RaiseGSN(horizon)
 	}
-	if src.FlushWAL != nil {
-		if err := src.FlushWAL(); err != nil {
-			return nil, "", fmt.Errorf("backup: base backup flush: %w", err)
-		}
+	// a.mu keeps Seal, and so the checkpoint's truncation, out meanwhile.
+	lag, err := a.tail.Lag()
+	if err != nil {
+		return nil, "", fmt.Errorf("backup: base backup: %w", err)
 	}
+	from := a.tail.Offsets()
 	if _, err := a.archiveLocked(); err != nil {
 		return nil, "", fmt.Errorf("backup: base backup catch-up: %w", err)
+	}
+	to := a.tail.Offsets()
+	for g := range from {
+		lag -= int64(to[g] - from[g])
+	}
+	if lag > 0 {
+		return nil, "", fmt.Errorf("backup: base backup catch-up left %d log bytes unarchived", lag)
 	}
 	if horizon == 0 {
 		// Offline source: after a full catch-up round the archive horizon
 		// is the highest GSN the database ever logged.
 		horizon = a.horizonGSN.Load()
-	}
-	if got := a.horizonGSN.Load(); got < horizon {
-		return nil, "", fmt.Errorf("backup: archive horizon %d below backup horizon %d", got, horizon)
 	}
 
 	seq := a.m.NextBase

@@ -38,6 +38,10 @@ const (
 // are running.
 var ErrActiveTransactions = fmt.Errorf("core: checkpoint requires a quiesced engine")
 
+// ErrNotRecovered reports a checkpoint attempt while the directory's
+// history awaits Recover, which the checkpoint would erase.
+var ErrNotRecovered = fmt.Errorf("core: checkpoint before Recover of the directory's history")
+
 func (e *Engine) checkpointPath() string {
 	return filepath.Join(e.cfg.Dir, "checkpoint.db")
 }
@@ -71,6 +75,9 @@ func (e *Engine) gcColdManifests(current uint64) {
 func (e *Engine) Checkpoint() error {
 	e.sysMu.Lock()
 	defer e.sysMu.Unlock()
+	if e.recovering {
+		return ErrNotRecovered
+	}
 	if n := e.Mgr.ActiveCount(); n != 0 {
 		return fmt.Errorf("%w: %d active transactions", ErrActiveTransactions, n)
 	}

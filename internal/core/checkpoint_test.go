@@ -96,6 +96,55 @@ func TestCheckpointRequiresQuiescence(t *testing.T) {
 	}
 }
 
+// TestCheckpointBeforeRecoverRefused: a checkpoint on a reopened directory
+// whose history has not been recovered would write an image without that
+// history and truncate the log that holds it. It fails with
+// ErrNotRecovered, and the history survives to the next Recover.
+func TestCheckpointBeforeRecoverRefused(t *testing.T) {
+	dir := t.TempDir()
+	e, err := Open(Config{Dir: dir, Slots: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	setupAccounts(t, e)
+	w := begin(e, 0)
+	if _, err := w.Insert("accounts", acct(1, "kept", 1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	e, err = Open(Config{Dir: dir, Slots: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Checkpoint(); !errors.Is(err, ErrNotRecovered) {
+		t.Fatalf("checkpoint before Recover = %v, want ErrNotRecovered", err)
+	}
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	e, err = Open(Config{Dir: dir, Slots: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	if _, err := e.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Checkpoint(); err != nil {
+		t.Fatalf("checkpoint after Recover: %v", err)
+	}
+	r := begin(e, 0)
+	defer r.Rollback()
+	if _, _, found, err := r.GetByIndex("accounts", "accounts_pk", rel.Int(1)); err != nil || !found {
+		t.Fatalf("committed row after the refused checkpoint = (%v, %v), want found", found, err)
+	}
+}
+
 func TestCheckpointTruncatesWAL(t *testing.T) {
 	dir := t.TempDir()
 	e, err := Open(Config{Dir: dir, Slots: 2})

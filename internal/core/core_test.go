@@ -745,11 +745,12 @@ func TestCatalogErrors(t *testing.T) {
 // TestCommitOutlivesLostForeignRecords: a commit that shares a page with
 // another slot's uncommitted change depends on nothing but its own records.
 // Slot 3 updates row A and does not commit; slot 2 inserts row B on the same
-// page and commits. A copy of the directory whose log lacks every record of
-// slot 3's transaction (what a lost foreign flush would leave) recovers B
-// and A's committed value, because redo applies only transactions whose
-// commit record is on disk and never compares page GSNs. A copy taken after
-// slot 3 commits recovers A's new value.
+// page and commits. Slot 2's flush writes its own records only: the log
+// holds none of slot 3's transaction, and a copy of the directory recovers
+// B and A's committed value, because redo applies only transactions whose
+// commit record is on disk and never compares page GSNs. Slot 3's records
+// reach the log with its own commit: a copy taken then recovers A's new
+// value.
 func TestCommitOutlivesLostForeignRecords(t *testing.T) {
 	dir := t.TempDir()
 	e := openTestEngine(t, Config{Dir: dir, Slots: 4})
@@ -777,19 +778,94 @@ func TestCommitOutlivesLostForeignRecords(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	log := filepath.Join(dir, "wal", wal.GroupFileName(0))
+	if n := countLogged(t, log, func(r wal.Record) bool { return r.XID == foreign.XID() }); n != 0 {
+		t.Fatalf("slot 2's commit wrote %d of slot 3's open records", n)
+	}
 	lost := filepath.Join(t.TempDir(), "lost")
 	copyDir(t, dir, lost)
-	if dropped := dropXID(t, filepath.Join(lost, "wal", wal.GroupFileName(0)), foreign.XID()); dropped == 0 {
-		t.Fatal("slot 3's update never reached the log: nothing to lose")
-	}
 	checkBalances(t, lost, 1)
 
 	if err := foreign.Commit(); err != nil {
 		t.Fatal(err)
 	}
+	if n := countLogged(t, log, func(r wal.Record) bool { return r.XID == foreign.XID() }); n != 2 {
+		t.Fatalf("slot 3's commit wrote %d records, want its update and its commit", n)
+	}
 	later := filepath.Join(t.TempDir(), "later")
 	copyDir(t, dir, later)
 	checkBalances(t, later, 3)
+}
+
+// TestLogHoldsCommittedWorkOnly: a flush writes each writer's buffer only
+// up to its commit point. Slot 0's transaction inserts, and stays open,
+// while slot 1 commits again and again; with the engine abandoned unclosed,
+// the log holds no record of slot 0's transaction, and a copy of the
+// directory recovers slot 1's rows alone. Once slot 0 rolls back and the
+// log is flushed again, it holds no abort record either.
+func TestLogHoldsCommittedWorkOnly(t *testing.T) {
+	dir := t.TempDir()
+	e := openTestEngine(t, Config{Dir: dir, Slots: 4})
+	setupAccounts(t, e)
+	const rows = 40
+	open := begin(e, 0)
+	done := make(chan error, 1)
+	go func() {
+		for i := 0; i < rows; i++ {
+			if _, err := open.Insert("accounts", acct(1000+i, "open", 0)); err != nil {
+				done <- err
+				return
+			}
+		}
+		done <- nil
+	}()
+	for i := 0; i < rows; i++ {
+		tx := begin(e, 1)
+		if _, err := tx.Insert("accounts", acct(i, "committed", 1)); err != nil {
+			t.Fatal(err)
+		}
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if err := e.WAL.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	log := filepath.Join(dir, "wal", wal.GroupFileName(0))
+	if n := countLogged(t, log, func(r wal.Record) bool { return r.XID == open.XID() }); n != 0 {
+		t.Fatalf("the log holds %d records of the open transaction", n)
+	}
+	crashed := filepath.Join(t.TempDir(), "crashed")
+	copyDir(t, dir, crashed)
+	re := openTestEngine(t, Config{Dir: crashed, Slots: 4})
+	if _, err := re.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	owners := make(map[string]int)
+	r := begin(re, 0)
+	if err := r.ScanTable("accounts", func(_ rel.RowID, row rel.Row) bool {
+		owners[row[1].S]++
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	r.Commit()
+	if owners["committed"] != rows || owners["open"] != 0 {
+		t.Fatalf("recovered rows by owner %v, want %d committed and no open", owners, rows)
+	}
+
+	if err := open.Rollback(); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.WAL.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	if n := countLogged(t, log, func(r wal.Record) bool { return r.XID == open.XID() || r.Type == wal.RecAbort }); n != 0 {
+		t.Fatalf("after the rollback the log holds %d of its records or abort records", n)
+	}
 }
 
 // copyDir copies the regular files under src to dst.
@@ -814,27 +890,20 @@ func copyDir(t *testing.T, src, dst string) {
 	}
 }
 
-// dropXID rewrites the log at path without xid's records and returns how
-// many it dropped.
-func dropXID(t *testing.T, path string, xid uint64) (dropped int) {
+// countLogged returns how many records of the log at path match.
+func countLogged(t *testing.T, path string, match func(wal.Record) bool) (n int) {
 	t.Helper()
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var kept []byte
-	wal.Scan(data, 0, func(r wal.Record, raw []byte) bool {
-		if r.XID == xid {
-			dropped++
-		} else {
-			kept = append(kept, raw...)
+	wal.Scan(data, 0, func(r wal.Record, _ []byte) bool {
+		if match(r) {
+			n++
 		}
 		return true
 	})
-	if err := os.WriteFile(path, kept, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	return dropped
+	return n
 }
 
 // checkBalances recovers dir and requires row 1 at balance a and row 2

@@ -65,7 +65,7 @@ func (e *Engine) Recover() (replayed int, err error) {
 			return 0, err
 		}
 	}
-	if replayed, err = rd.apply(rd.Commits()); err != nil {
+	if replayed, err = rd.apply(); err != nil {
 		return replayed, err
 	}
 	e.recovering = false

@@ -13,8 +13,10 @@ import (
 
 // Redo applies committed WAL records to an engine below MVCC: the one redo
 // path behind crash recovery (Engine.Recover) and the WAL-shipping standby
-// (internal/replica). It buffers records by transaction and drops aborted
-// ones; Apply applies catalog records in GSN order, then committed
+// (internal/replica). It buffers records by transaction until their commit
+// (a torn flush, or a log an earlier release wrote, holds some without
+// one) and drops a transaction on an abort record, which only such a log
+// holds; Apply applies catalog records in GSN order, then committed
 // transactions in commit-timestamp order — the serialization order of
 // conflicting writes — keeping every index current record by record.
 // Redo is not safe for concurrent use.
@@ -52,17 +54,13 @@ func (rd *Redo) Add(r wal.Record) {
 	rd.maxGSN = max(rd.maxGSN, r.GSN)
 }
 
-// Commits returns the number of commits added and not yet applied: the
-// cutoff Apply takes.
-func (rd *Redo) Commits() int { return len(rd.commits) }
-
-// Apply applies the buffered catalog records, then the transactions of the
-// first n buffered commits, and fast-forwards the engine's transaction
-// clock and WAL GSN clocks past every record added, so new transactions
-// and log records sort after history. It returns the number of data
-// records applied. On an error the failing record and everything after it
-// stay buffered.
-func (rd *Redo) Apply(n int) (int, error) {
+// Apply applies the buffered catalog records, then the transactions of
+// every buffered commit, and fast-forwards the engine's transaction clock
+// and WAL GSN clocks past every record added, so new transactions and log
+// records sort after history. It returns the number of data records
+// applied. On an error the failing record and everything after it stay
+// buffered.
+func (rd *Redo) Apply() (int, error) {
 	rd.e.sysMu.Lock()
 	defer rd.e.sysMu.Unlock()
 	sort.SliceStable(rd.catalog, func(i, j int) bool { return rd.catalog[i].GSN < rd.catalog[j].GSN })
@@ -72,20 +70,18 @@ func (rd *Redo) Apply(n int) (int, error) {
 		}
 		rd.catalog = rd.catalog[1:]
 	}
-	return rd.apply(n)
+	return rd.apply()
 }
 
-// apply redoes the first n buffered commits' transactions in
-// commit-timestamp order. The caller holds sysMu.
-func (rd *Redo) apply(n int) (applied int, err error) {
+// apply redoes the buffered commits' transactions in commit-timestamp
+// order. The caller holds sysMu.
+func (rd *Redo) apply() (applied int, err error) {
 	rd.e.Mgr.Clock.AdvanceTo(rd.maxTS + 1)
 	for i := 0; i < rd.e.WAL.NumWriters(); i++ {
 		rd.e.WAL.Writer(i).RaiseGSN(rd.maxGSN)
 	}
-	n = min(n, len(rd.commits))
-	due := rd.commits[:n]
-	sort.SliceStable(due, func(i, j int) bool { return due[i].cts < due[j].cts })
-	for i, c := range due {
+	sort.SliceStable(rd.commits, func(i, j int) bool { return rd.commits[i].cts < rd.commits[j].cts })
+	for i, c := range rd.commits {
 		recs := rd.pending[c.xid]
 		for j, r := range recs {
 			if err := rd.e.redo(r); err != nil {
@@ -97,7 +93,7 @@ func (rd *Redo) apply(n int) (applied int, err error) {
 		}
 		delete(rd.pending, c.xid)
 	}
-	rd.commits = rd.commits[n:]
+	rd.commits = rd.commits[:0]
 	return applied, nil
 }
 

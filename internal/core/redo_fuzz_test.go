@@ -11,8 +11,8 @@ import (
 )
 
 // redoHistory runs a small primary history — a table and two indexes,
-// inserts, key updates, a delete, an aborted insert, a second table — and
-// returns its log in GSN order.
+// inserts, key updates, a delete, a rolled-back insert (which logs
+// nothing), a second table — and returns its log in GSN order.
 func redoHistory(t testing.TB) []wal.Record {
 	t.Helper()
 	dir := t.TempDir()
@@ -88,8 +88,62 @@ func redoInto(t *testing.T, recs []wal.Record) (*Engine, error) {
 	for _, r := range recs {
 		rd.Add(r)
 	}
-	_, err = rd.Apply(rd.Commits())
+	_, err = rd.Apply()
 	return e, err
+}
+
+// TestRedoAppliesCommittedOnly: the log holds committed work only, but a
+// torn flush, or a log an earlier release wrote (which carries running
+// transactions' records and abort records), leaves records without a
+// commit. They apply nothing: an open transaction's stay buffered until its
+// commit arrives, and an abort record drops its transaction's.
+func TestRedoAppliesCommittedOnly(t *testing.T) {
+	var recs []wal.Record
+	for _, r := range redoHistory(t) {
+		if r.Type == wal.RecCatalog {
+			recs = append(recs, r)
+		}
+	}
+	kv := recs[0].TableID // the history's first table
+	row := func(k int64) []byte { return rel.EncodeRow(nil, rel.Row{rel.Int(k), rel.Float(1), rel.Str("v")}) }
+	const open, aborted, cts = 1 << 40, 1<<40 + 2, 1 << 41
+	e, err := Open(Config{Dir: t.TempDir(), Slots: 2, BufferBytes: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	rd := e.NewRedo()
+	gsn := recs[len(recs)-1].GSN
+	for _, r := range append(recs,
+		wal.Record{Type: wal.RecInsert, XID: open, TableID: kv, RowID: 1000, Payload: row(1)},
+		wal.Record{Type: wal.RecInsert, XID: aborted, TableID: kv, RowID: 1001, Payload: row(2)},
+		wal.Record{Type: wal.RecAbort, XID: aborted},
+	) {
+		if r.Type != wal.RecCatalog {
+			gsn++
+			r.GSN = gsn
+		}
+		rd.Add(r)
+	}
+	count := func() int {
+		n := 0
+		tx := e.Begin(0, txn.ReadCommitted, nil, nil, nil)
+		defer tx.Commit()
+		if err := tx.ScanTable("kv", func(rel.RowID, rel.Row) bool { n++; return true }); err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
+	if n, err := rd.Apply(); err != nil || n != 0 || count() != 0 {
+		t.Fatalf("Apply without a commit = %d, %v, %d rows; want nothing applied", n, err, count())
+	}
+	if _, ok := rd.pending[aborted]; ok || len(rd.pending) != 1 {
+		t.Fatalf("applier buffers %d transactions, the aborted one %v; want only the open one", len(rd.pending), ok)
+	}
+	rd.Add(wal.Record{Type: wal.RecCommit, GSN: gsn + 1, XID: open, RowID: cts})
+	if n, err := rd.Apply(); err != nil || n != 1 || count() != 1 {
+		t.Fatalf("Apply after the commit = %d, %v, %d rows; want the open transaction's one row", n, err, count())
+	}
 }
 
 // TestRedoRejectsBadRecords: a committed record naming a table or row that

@@ -1197,18 +1197,14 @@ func (tx *Tx) Commit() error {
 }
 
 // Rollback aborts the transaction, restoring every before image and
-// unlinking its version-chain records.
+// unlinking its version-chain records; its log records are discarded.
 func (tx *Tx) Rollback() error {
 	if !tx.active {
 		return ErrTxnDone
 	}
 	defer tx.finish()
 	tx.rollbackChanges()
-	if len(tx.inner.Records) > 0 {
-		w := tx.e.WAL.Writer(tx.slot)
-		ar := wal.Record{Type: wal.RecAbort, GSN: w.NextGSN(0), XID: tx.XID()}
-		w.Append(&ar) // no flush needed: aborts are implicit at recovery
-	}
+	tx.e.WAL.Writer(tx.slot).Discard()
 	tx.inner.FinalizeAbort()
 	tx.releaseTableLocks()
 	tx.finishMetrics(false)

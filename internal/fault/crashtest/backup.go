@@ -32,7 +32,6 @@ func baseSource(e *core.Engine, dir string) backup.BaseSource {
 				e.WAL.Writer(i).RaiseGSN(g)
 			}
 		},
-		FlushWAL: e.WAL.FlushAll,
 	}
 }
 

@@ -16,6 +16,7 @@ import (
 	"phoebedb/internal/rel"
 	"phoebedb/internal/tpcc"
 	"phoebedb/internal/txn"
+	"phoebedb/internal/wal"
 )
 
 func insertAccount(id int64) func(tx *core.Tx) error {
@@ -133,16 +134,16 @@ func TestStandbyArchiveSurvivesCheckpoint(t *testing.T) {
 	}
 }
 
-// TestPromoteDropsUncommittedTail: the primary dies mid-transaction with
-// its data records flushed to the WAL but no commit record. Promotion
-// must drop the buffered uncommitted work — exactly what the primary's
-// own crash recovery would do — and leave a writable engine.
+// TestPromoteDropsUncommittedTail: the primary dies mid-transaction, its
+// data records buffered but never written: a flush writes committed records
+// only. Promotion surfaces none of that work — exactly what the primary's
+// own crash recovery would do — and leaves a writable engine.
 func TestPromoteDropsUncommittedTail(t *testing.T) {
 	primary, s := pair(t)
 	for i := int64(1); i <= 3; i++ {
 		commitTx(t, primary, 0, insertAccount(i))
 	}
-	// In-flight transaction: records durable, commit never written.
+	// In-flight transaction: records appended, commit never written.
 	tx := primary.Begin(1, txn.ReadCommitted, nil, nil, nil)
 	if _, err := tx.Insert("accounts", rel.Row{rel.Int(100), rel.Str("x"), rel.Float(0)}); err != nil {
 		t.Fatal(err)
@@ -154,6 +155,9 @@ func TestPromoteDropsUncommittedTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The primary "dies" here: abandoned mid-transaction, never closed.
+	if n := logged(t, primary, func(r wal.Record) bool { return r.XID == tx.XID() }); n != 0 {
+		t.Fatalf("the primary's log holds %d records of the open transaction", n)
+	}
 
 	if _, err := s.CatchUp(); err != nil {
 		t.Fatal(err)

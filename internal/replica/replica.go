@@ -4,17 +4,13 @@
 // its own engine, which serves consistent read-only queries and can be
 // promoted when the primary dies.
 //
-// Mechanics: each polling round reads the new bytes of every log file
-// through a wal.Tailer (per-file byte offsets are remembered; a torn record
-// at a file's tail is retried next round; a file that restarts under its
-// offset is reported) and hands every record to the engine's redo applier
-// (core.Redo), the same one crash recovery uses. The applier buffers data
-// records per transaction, drops aborted transactions, applies catalog
-// records (CREATE TABLE, CREATE INDEX) in GSN order, and applies the
-// round's committed transactions in commit-timestamp order, keeping every
-// index current; uncommitted transactions stay buffered until their commit
-// or abort arrives. The standby owns only the reading and the cutoff of
-// which commits a round may apply.
+// Mechanics: each polling round reads the log's new records once through a
+// wal.Tailer (the byte offset is remembered; a torn record at the tail is
+// retried next round; a file that restarts under its offset is reported)
+// and hands them to the engine's redo applier (core.Redo), the same one
+// crash recovery uses: catalog records (CREATE TABLE, CREATE INDEX) apply
+// in GSN order, then the committed transactions in commit-timestamp order,
+// keeping every index current. The standby owns only the reading.
 //
 // Records apply below the MVCC layer (the standby's own transaction
 // machinery is idle), so reads on the standby see a transaction-consistent
@@ -87,15 +83,13 @@ func (s *Standby) Applied() int64 {
 	return s.applied
 }
 
-// CatchUp performs one shipping round. It reads the logs twice: the first
-// pass fixes the cutoff (the set of commits eligible to apply); the second
-// pass guarantees their happens-before dependencies are present — if
-// transaction C's commit was durable in pass one, then any conflicting
-// earlier transaction B committed (and flushed) before C's records were
-// even created, so B's commit is on disk by the time pass two runs.
-// Eligible transactions apply in commit-timestamp order, which is exactly
-// the serialization order of conflicting writes on the primary. It returns
-// the number of records applied this round.
+// CatchUp performs one shipping round: it reads the log's new records once
+// and applies every commit among them in commit-timestamp order, the
+// serialization order of conflicting writes on the primary. If a commit is
+// in the round, so is every conflicting predecessor and catalog record it
+// needs: they were flushed before its records existed, earlier in the one
+// file the round reads front to back. It returns the number of records
+// applied this round.
 func (s *Standby) CatchUp() (int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -109,38 +103,24 @@ func (s *Standby) CatchUp() (int, error) {
 // (the primary and its archiver are dead, so the live-file tail can be
 // scanned past archiver skip points).
 func (s *Standby) catchUp(final bool) (int, error) {
-	if err := s.ingest(final); err != nil { // pass one
+	recs, err := s.readNew(final)
+	if err != nil {
 		return 0, err
 	}
-	cutoff := s.redo.Commits()
-	// Pass two reads the cutoff's dependencies, catalog records included: a
-	// catalog record is flushed before its object is published.
-	if err := s.ingest(final); err != nil {
-		return 0, err
+	for _, r := range recs {
+		s.redo.Add(r)
 	}
-	if cutoff > 0 {
+	if len(recs) > 0 {
 		if err := fault.Eval(fault.ReplicaApply); err != nil {
 			return 0, fmt.Errorf("replica: apply: %w", err)
 		}
 	}
-	n, err := s.redo.Apply(cutoff)
+	n, err := s.redo.Apply()
 	s.applied += int64(n)
 	if err != nil {
 		return n, fmt.Errorf("replica: %w", err)
 	}
 	return n, nil
-}
-
-// ingest hands newly durable records to the applier.
-func (s *Standby) ingest(final bool) error {
-	recs, err := s.readNew(final)
-	if err != nil {
-		return err
-	}
-	for _, r := range recs {
-		s.redo.Add(r)
-	}
-	return nil
 }
 
 // readNew reads complete records beyond the per-file offsets.
@@ -290,11 +270,9 @@ func (s *Standby) Promote() error {
 		return errors.New("replica: standby already promoted")
 	}
 	// Terminal drain: the primary is dead, so this is the last chance to
-	// apply committed transactions. Whatever the applier still buffers
-	// afterwards is uncommitted work from transactions the primary never
-	// acknowledged — dropping it is exactly what the primary's own crash
-	// recovery would do. The applier has fast-forwarded the clocks past
-	// every record read, those included.
+	// apply committed transactions. What the applier still buffers has no
+	// commit, and the primary's own crash recovery would drop it too; the
+	// clocks are past it all the same.
 	if _, err := s.catchUp(true); err != nil {
 		return err
 	}

@@ -10,6 +10,7 @@ import (
 	"phoebedb/internal/fault"
 	"phoebedb/internal/rel"
 	"phoebedb/internal/txn"
+	"phoebedb/internal/wal"
 )
 
 func accountSchema() *rel.Schema {
@@ -48,6 +49,22 @@ func pair(t *testing.T) (*core.Engine, *Standby) {
 	t.Cleanup(func() { sEng.Close() })
 	declare(t, sEng)
 	return primary, NewStandby(sEng, primary.WAL.Dir())
+}
+
+// logged counts the records in e's log that match.
+func logged(t *testing.T, e *core.Engine, match func(wal.Record) bool) int {
+	t.Helper()
+	recs, err := wal.Recover(e.WAL.Dir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	for _, r := range recs {
+		if match(r) {
+			n++
+		}
+	}
+	return n
 }
 
 func commitTx(t *testing.T, e *core.Engine, slot int, fn func(tx *core.Tx) error) {
@@ -140,6 +157,13 @@ func TestShippingSkipsUncommittedAndAborted(t *testing.T) {
 	open := primary.Begin(1, txn.ReadCommitted, nil, nil, nil)
 	open.Insert("accounts", rel.Row{rel.Int(8), rel.Str("pending"), rel.Float(0)})
 	primary.WAL.FlushAll()
+	// Neither reaches the primary's log: a flush writes committed records
+	// only, and a rollback discards its own.
+	if n := logged(t, primary, func(r wal.Record) bool {
+		return r.XID == tx.XID() || r.XID == open.XID() || r.Type == wal.RecAbort
+	}); n != 0 {
+		t.Fatalf("the primary's log holds %d records of the rolled-back or open transaction", n)
+	}
 
 	if _, err := standby.CatchUp(); err != nil {
 		t.Fatal(err)

@@ -9,7 +9,8 @@ import (
 )
 
 // TestGroupFlushDrainsAllMembers: one member's commit flush must make every
-// member's buffered records durable in a single device write.
+// member's committed records durable in a single device write, and leave a
+// member's open records, those past its commit point, buffered.
 func TestGroupFlushDrainsAllMembers(t *testing.T) {
 	dir := t.TempDir()
 	m, err := Open(Options{Dir: dir, Writers: 4})
@@ -20,10 +21,11 @@ func TestGroupFlushDrainsAllMembers(t *testing.T) {
 		t.Fatalf("log files=%v writers=%d, want one file for four writers", logs, m.NumWriters())
 	}
 	for i := 0; i < 4; i++ {
-		w := m.Writer(i)
-		rec := Record{Type: RecInsert, GSN: w.NextGSN(0), XID: uint64(i + 1)}
-		w.Append(&rec)
+		commitOn(m.Writer(i), uint64(i+1))
 	}
+	w1 := m.Writer(1)
+	open := Record{Type: RecInsert, GSN: w1.NextGSN(0), XID: 9}
+	w1.Append(&open) // writer 1's next transaction, still running
 	// Writer 0 commits; the leader flush must carry writers 1-3 too.
 	if err := m.Writer(0).Flush(); err != nil {
 		t.Fatal(err)
@@ -33,8 +35,11 @@ func TestGroupFlushDrainsAllMembers(t *testing.T) {
 	}
 	for i := 0; i < 4; i++ {
 		if m.Writer(i).pending() {
-			t.Fatalf("writer %d still buffers records after the group flush", i)
+			t.Fatalf("writer %d still buffers committed records after the group flush", i)
 		}
+	}
+	if !w1.open.Load() {
+		t.Fatal("the group flush took writer 1's open record")
 	}
 	// A follower arriving after the leader has nothing left to write.
 	if err := m.Writer(2).Flush(); err != nil {
@@ -50,14 +55,19 @@ func TestGroupFlushDrainsAllMembers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(recs) != 4 {
-		t.Fatalf("recovered %d records, want 4", len(recs))
+	if len(recs) != 8 {
+		t.Fatalf("recovered %d records, want the 8 committed ones", len(recs))
+	}
+	for _, r := range recs {
+		if r.XID == open.XID {
+			t.Fatalf("the log holds the open transaction's record %+v", r)
+		}
 	}
 }
 
-// TestGroupFlushKeepsMidFlightAppends: records appended to a member while a
-// leader's flush is in flight must survive in the buffer (trim-by-prefix)
-// and flush later with higher GSNs.
+// TestGroupFlushKeepsMidFlightAppends: a member's open records stay in its
+// buffer through another member's flush (trim-by-prefix, up to the commit
+// point) and reach the log with their own commit, in order.
 func TestGroupFlushKeepsMidFlightAppends(t *testing.T) {
 	dir := t.TempDir()
 	m, err := Open(Options{Dir: dir, Writers: 2})
@@ -68,16 +78,19 @@ func TestGroupFlushKeepsMidFlightAppends(t *testing.T) {
 	ra := Record{Type: RecInsert, GSN: w1.NextGSN(0), XID: 2, RowID: 1}
 	w1.Append(&ra)
 	commitOn(w0, 1)
-	if err := w0.Flush(); err != nil { // drains w1's first record too
+	if err := w0.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if w1.pending() {
-		t.Fatal("w0's flush left w1's record buffered")
+	if got := logGSNs(t, m); len(got) != 2 || !w1.open.Load() || w1.pending() {
+		t.Fatalf("after w0's flush the log holds GSNs %v, w1 open = %v; want w0's two records and w1's record buffered",
+			got, w1.open.Load())
 	}
 	rb := Record{Type: RecInsert, GSN: w1.NextGSN(0), XID: 2, RowID: 2}
 	w1.Append(&rb)
+	c := Record{Type: RecCommit, GSN: w1.NextGSN(0), XID: 2}
+	w1.Append(&c)
 	if !w1.pending() {
-		t.Fatal("record appended after the flush is not buffered")
+		t.Fatal("committed records are not pending")
 	}
 	if err := w1.Flush(); err != nil {
 		t.Fatal(err)
@@ -91,12 +104,43 @@ func TestGroupFlushKeepsMidFlightAppends(t *testing.T) {
 	}
 	var rows []uint64
 	for _, r := range recs {
-		if r.XID == 2 {
+		if r.XID == 2 && r.Type == RecInsert {
 			rows = append(rows, r.RowID)
 		}
 	}
-	if len(recs) != 4 || len(rows) != 2 || rows[0] != 1 || rows[1] != 2 {
+	if len(recs) != 5 || len(rows) != 2 || rows[0] != 1 || rows[1] != 2 || recs[4].Type != RecCommit {
 		t.Fatalf("recovered %v", recs)
+	}
+}
+
+// TestDiscardDropsOpenTail: a rollback's Discard drops the records past the
+// commit point and nothing before it; the records never reach the log.
+func TestDiscardDropsOpenTail(t *testing.T) {
+	m := openTestManager(t, 1)
+	w := m.Writer(0)
+	commitOn(w, 1)
+	open := Record{Type: RecInsert, GSN: w.NextGSN(0), XID: 2}
+	w.Append(&open)
+	w.Discard()
+	if w.open.Load() || !w.pending() {
+		t.Fatalf("after Discard open = %v, pending = %v; want the commit kept and no open record", w.open.Load(), w.pending())
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	w.Append(&open)
+	w.Discard()
+	if err := m.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	if got := logGSNs(t, m); len(got) != 2 {
+		t.Fatalf("log holds GSNs %v, want only the committed transaction's two", got)
+	}
+	w.mu.Lock()
+	n := len(w.buf)
+	w.mu.Unlock()
+	if n != 0 {
+		t.Fatalf("writer buffers %d bytes after the discard and flush", n)
 	}
 }
 
@@ -117,7 +161,7 @@ func TestGroupConcurrentCommitRace(t *testing.T) {
 			defer wg.Done()
 			w := m.Writer(s)
 			for i := 0; i < perWriter; i++ {
-				rec := Record{Type: RecInsert, GSN: w.NextGSN(0), XID: uint64(s), RowID: uint64(i)}
+				rec := Record{Type: RecCommit, GSN: w.NextGSN(0), XID: uint64(s), RowID: uint64(i)}
 				w.Append(&rec)
 				if err := w.Flush(); err != nil {
 					t.Error(err)
@@ -383,7 +427,10 @@ func TestParkedLeaderWokenByForeignFlush(t *testing.T) {
 
 // TestSerialCommitsNeverPark: a lone committer's next commit arrives only
 // after its previous flush, so G stays above F and no leader parks, even
-// on a slow device (a 1ms sleep before each sync).
+// on a slow device (a 1ms sleep before each sync). A last Flush with
+// nothing pending folds the last commit's gap, so G and F average the same
+// number of samples: each gap exceeds its flush, and G starts at one
+// second, so G > F holds however long one flush overshoots.
 func TestSerialCommitsNeverPark(t *testing.T) {
 	fault.Reset()
 	defer fault.Reset()
@@ -402,6 +449,9 @@ func TestSerialCommitsNeverPark(t *testing.T) {
 		if err := w.Flush(); err != nil {
 			t.Fatal(err)
 		}
+	}
+	if err := m.Writer(0).Flush(); err != nil {
+		t.Fatal(err)
 	}
 	if got := m.GroupWaits(); got != 0 {
 		t.Fatalf("%d serial commits paid %d leader waits, want none", commits, got)

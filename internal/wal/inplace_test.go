@@ -17,7 +17,7 @@ func logRecords(t *testing.T, m *Manager, n, payload int) []byte {
 	w := m.Writer(0)
 	var want []byte
 	for i := 0; i < n; i++ {
-		rec := Record{Type: RecInsert, GSN: w.NextGSN(0), RowID: uint64(i), Payload: bytes.Repeat([]byte{byte(i)}, payload)}
+		rec := Record{Type: RecCommit, GSN: w.NextGSN(0), RowID: uint64(i), Payload: bytes.Repeat([]byte{byte(i)}, payload)}
 		w.Append(&rec)
 		want = append(want, encodeRecord(nil, &rec)...)
 		if err := w.Flush(); err != nil {
@@ -294,7 +294,7 @@ func TestTailerFollowsInPlaceLog(t *testing.T) {
 		defer close(epochDone)
 		for e := 0; e < epochs; e++ {
 			for i := 0; i < perEpoch; i++ {
-				rec := Record{Type: RecInsert, GSN: w.NextGSN(0), Payload: make([]byte, payload)}
+				rec := Record{Type: RecCommit, GSN: w.NextGSN(0), Payload: make([]byte, payload)}
 				w.Append(&rec)
 				if i%batch == batch-1 || i == perEpoch-1 {
 					m.mu.Lock()

@@ -14,19 +14,20 @@
 //     a page, so any two changes to the same page are GSN-ordered.
 //   - LSN (Log Sequence Number): strictly increasing within one writer.
 //
-// A commit flushes once and returns. The paper's Remote Flush Avoidance,
-// which makes a commit wait for another slot's flush when it touched a page
-// that slot changed, has no work here: redo applies only transactions whose
-// commit record is on disk, each writer's records reach the file in order,
-// and no transaction sees another's writes before their commit is durable.
-// A foreign record that shares a page with a commit therefore needs no
-// flush on the commit's behalf: if its transaction commits, that commit's
-// own flush makes it durable; if not, redo drops it, on disk or not.
+// A commit flushes once and returns. A flush writes each writer's buffer
+// only up to its commit point, the end of its last commit or catalog
+// record, and a rollback discards what lies past it (Writer.Discard), so
+// the log holds no record of an unfinished transaction, short of a torn
+// flush. The paper's Remote Flush Avoidance, which makes a commit wait for
+// another slot's flush when it touched a page that slot changed, has no
+// work here: redo applies committed transactions only, none sees another's
+// writes before their commit is durable, and a foreign record that shares
+// a page with a commit reaches the log with its own commit or not at all.
 //
 // Every writer drains into one commit group and one log file,
 // wal-0000.log. The first committer to reach the flush mutex becomes the
-// leader and drains every writer's buffer in a single write and sync, while
-// followers arriving behind it find their records already durable and
+// leader and drains every writer's committed records in one write and sync,
+// while followers arriving behind it find their records already durable and
 // return without touching the device. A leader that expects another
 // commit within one fsync parks for at most one fsync first; a committer
 // arriving meanwhile joins that leader and ends the window as soon as the
@@ -209,10 +210,15 @@ type Writer struct {
 	mu  sync.Mutex
 	buf []byte
 	lsn uint64
-	// open is true while buf ends in a record that is neither a commit nor
-	// an abort: the slot is mid-transaction with unflushed records, so its
-	// commit is a candidate for the next group flush. Written under mu,
-	// read lock-free by committers sizing up the batch.
+	// commit is the end in buf of the last commit or catalog record: a
+	// flush writes buf up to it, and Discard cuts buf back to it. All before
+	// it is committed, as a transaction logs on one writer; on the system
+	// slot, warm transactions and catalog records both hold the engine's
+	// sysMu, so no catalog record lands inside an open transaction.
+	commit int
+	// open is true while buf holds records past commit: the slot is
+	// mid-transaction, a commit the group's leader may wait for. Written
+	// under mu, read lock-free by committers sizing up the batch.
 	open atomic.Bool
 	// appended counts total bytes ever encoded into this writer's stream.
 	// Per-statement accounting differences it around a statement to charge
@@ -225,8 +231,9 @@ type Writer struct {
 }
 
 // flushPart records how much of one writer's buffer a group flush captured:
-// the first n buffered bytes. Only that prefix is trimmed once the write
-// succeeds — records appended while the flush was in flight stay buffered.
+// the first n buffered bytes, up to its commit point. Only that prefix is
+// trimmed once the write succeeds — records appended while the flush was in
+// flight stay buffered.
 type flushPart struct {
 	w *Writer
 	n int
@@ -274,9 +281,20 @@ func (w *Writer) Append(r *Record) {
 	before := len(w.buf)
 	w.buf = encodeRecord(w.buf, r)
 	w.appended.Add(int64(len(w.buf) - before))
-	if open := r.Type != RecCommit && r.Type != RecAbort; open != w.open.Load() {
+	if r.Type == RecCommit || r.Type == RecCatalog {
+		w.commit = len(w.buf)
+	}
+	if open := len(w.buf) > w.commit; open != w.open.Load() {
 		w.open.Store(open)
 	}
+	w.mu.Unlock()
+}
+
+// Discard drops the records past the commit point: a rollback's.
+func (w *Writer) Discard() {
+	w.mu.Lock()
+	w.buf = w.buf[:w.commit]
+	w.open.Store(false)
 	w.mu.Unlock()
 }
 
@@ -284,7 +302,7 @@ func (w *Writer) Append(r *Record) {
 // stream (durable or not) — a monotonic counter for per-statement deltas.
 func (w *Writer) AppendedBytes() int64 { return w.appended.Load() }
 
-// Flush makes every record this writer has buffered durable (synced if the
+// Flush makes this writer's committed records durable (synced if the
 // manager is in sync mode). It is the group-commit entry point, and every
 // wait in it is a park with one waker:
 //
@@ -318,11 +336,11 @@ func (w *Writer) Flush() error {
 	return err
 }
 
-// pending reports whether the writer holds records a flush has not covered.
+// pending reports whether the writer holds committed records not written.
 func (w *Writer) pending() bool {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return len(w.buf) > 0
+	return w.commit > 0
 }
 
 // flushCommit is Flush's body; seg is the current wait-segment start when
@@ -405,9 +423,9 @@ func (w *Writer) lead(d time.Duration, ws *waitevent.Slots, seg *time.Time) {
 	}
 }
 
-// anyOpen reports whether some writer holds buffered records without a
-// commit record: a transaction still on its way to the commit point, worth
-// keeping the leader's window open for.
+// anyOpen reports whether some writer holds records past its commit point:
+// a transaction still on its way to its commit, worth keeping the leader's
+// window open for.
 func (m *Manager) anyOpen() bool {
 	for _, w := range m.writers {
 		if w.open.Load() {
@@ -444,7 +462,7 @@ func ewma(v *atomic.Int64, sample time.Duration) {
 // load's allocations from 151 to 241 MB.
 const maxKeptBuf = 1 << 20
 
-// flushLocked drains every writer's buffered records to the log file in
+// flushLocked drains every writer's committed records to the log file in
 // one write (+sync) and trims the drained prefixes. Caller holds m.mu.
 // Nothing is trimmed if the write fails: the buffers still hold every
 // unacknowledged record, so an acknowledged commit can never be lost.
@@ -463,8 +481,8 @@ func (m *Manager) flushLocked() error {
 	m.parts = m.parts[:0]
 	for _, w := range m.writers {
 		w.mu.Lock()
-		if n := len(w.buf); n > 0 {
-			m.scratch = append(m.scratch, w.buf...)
+		if n := w.commit; n > 0 {
+			m.scratch = append(m.scratch, w.buf[:n]...)
 			m.parts = append(m.parts, flushPart{w: w, n: n})
 		}
 		w.mu.Unlock()
@@ -496,6 +514,7 @@ func (m *Manager) flushLocked() error {
 		// not let a later flush write them a second time. Records appended
 		// mid-flush keep their place behind the cut. A real sync failure
 		// latches broken, so trimming early never drops an acked commit.
+		// Discard cuts to the commit point, never below a captured prefix.
 		for _, p := range m.parts {
 			p.w.mu.Lock()
 			rest := p.w.buf[p.n:]
@@ -505,9 +524,7 @@ func (m *Manager) flushLocked() error {
 			} else {
 				p.w.buf = p.w.buf[:copy(p.w.buf, rest)]
 			}
-			if len(p.w.buf) == 0 {
-				p.w.open.Store(false)
-			}
+			p.w.commit -= p.n
 			p.w.mu.Unlock()
 		}
 		if cap(m.scratch) > maxKeptBuf {
@@ -920,7 +937,7 @@ func readLogs(dir string, all []Record, from int64) ([]Record, error) {
 func (m *Manager) Dir() string { return m.dir }
 
 // MaxGSN returns the highest GSN any writer has assigned (checkpoint
-// horizon). Call after FlushAll so buffers are empty.
+// horizon), a rolled-back or open transaction's included.
 func (m *Manager) MaxGSN() uint64 {
 	var max uint64
 	for _, w := range m.writers {
@@ -934,8 +951,9 @@ func (m *Manager) MaxGSN() uint64 {
 // Truncate empties every log file in the directory: the open one and any
 // a directory written by an earlier release still holds (one per commit
 // group then). The checkpoint that captured the database state must be
-// durable first. GSN clocks and LSNs keep advancing so post-truncation
-// records sort after history.
+// durable first, and no writer may buffer a byte (it is quiesced). GSN
+// clocks and LSNs keep advancing so post-truncation records sort after
+// history.
 func (m *Manager) Truncate() error {
 	m.mu.Lock()
 	defer m.mu.Unlock()

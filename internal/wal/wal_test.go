@@ -100,7 +100,7 @@ func TestLSNStrictlyIncreasing(t *testing.T) {
 func TestFlushAdvancesHorizon(t *testing.T) {
 	m := openTestManager(t, 2)
 	w := m.Writer(0)
-	r := Record{Type: RecInsert, GSN: w.NextGSN(0)}
+	r := Record{Type: RecCommit, GSN: w.NextGSN(0)}
 	w.Append(&r)
 	if !w.pending() || len(logGSNs(t, m)) != 0 {
 		t.Fatal("record left the buffer before flush")
@@ -150,7 +150,7 @@ func TestFlushReleasesGrownBuffers(t *testing.T) {
 		t.Fatalf("after the flush the writer keeps %d B and the flush %d B, want <= %d", buf, scratch, maxKeptBuf)
 	}
 
-	small := Record{Type: RecUpdate, GSN: w.NextGSN(0), Payload: payload[:16]}
+	small := Record{Type: RecCommit, GSN: w.NextGSN(0), Payload: payload[:16]}
 	w.Append(&small)
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
@@ -195,7 +195,7 @@ func TestRecoveryOrdersByGSN(t *testing.T) {
 		}
 		g := w.NextGSN(pageGSN)
 		pageGSN = g
-		rec := Record{Type: RecUpdate, GSN: g, RowID: uint64(i)}
+		rec := Record{Type: RecCommit, GSN: g, RowID: uint64(i)}
 		w.Append(&rec)
 		wantOrder = append(wantOrder, uint64(i))
 	}
@@ -203,11 +203,11 @@ func TestRecoveryOrdersByGSN(t *testing.T) {
 	// A GSN tie between writers keeps file order, whatever the LSNs: w1's
 	// record at GSN 8 (its LSN 5) reaches the file before w0's (LSN 4).
 	for _, rid := range []uint64{6, 7} {
-		rec := Record{Type: RecUpdate, GSN: w1.NextGSN(0), RowID: rid}
+		rec := Record{Type: RecCommit, GSN: w1.NextGSN(0), RowID: rid}
 		w1.Append(&rec)
 	}
 	m.FlushAll()
-	rec := Record{Type: RecUpdate, GSN: w0.NextGSN(7), RowID: 8}
+	rec := Record{Type: RecCommit, GSN: w0.NextGSN(7), RowID: 8}
 	w0.Append(&rec)
 	m.Close()
 	if rec.GSN != 8 || rec.LSN != 4 {
@@ -237,7 +237,7 @@ func TestRecoveryDropsTornTail(t *testing.T) {
 	}
 	w := m.Writer(0)
 	for i := 0; i < 3; i++ {
-		rec := Record{Type: RecInsert, GSN: w.NextGSN(0), RowID: uint64(i), Payload: []byte("data")}
+		rec := Record{Type: RecCommit, GSN: w.NextGSN(0), RowID: uint64(i), Payload: []byte("data")}
 		w.Append(&rec)
 	}
 	m.FlushAll()
@@ -286,7 +286,7 @@ func TestIOCountersAndSyncMode(t *testing.T) {
 	}
 	defer m.Close()
 	w := m.Writer(0)
-	rec := Record{Type: RecInsert, GSN: w.NextGSN(0), Payload: []byte("abc")}
+	rec := Record{Type: RecCommit, GSN: w.NextGSN(0), Payload: []byte("abc")}
 	w.Append(&rec)
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
@@ -305,7 +305,7 @@ func TestConcurrentAppendFlush(t *testing.T) {
 			defer wg.Done()
 			w := m.Writer(s)
 			for i := 0; i < 200; i++ {
-				rec := Record{Type: RecInsert, GSN: w.NextGSN(0), RowID: uint64(i)}
+				rec := Record{Type: RecCommit, GSN: w.NextGSN(0), RowID: uint64(i)}
 				w.Append(&rec)
 				if i%50 == 0 {
 					if err := w.Flush(); err != nil {
@@ -332,7 +332,7 @@ func BenchmarkAppendFlushBatch(b *testing.B) {
 	payload := make([]byte, 64)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rec := Record{Type: RecUpdate, GSN: w.NextGSN(0), Payload: payload}
+		rec := Record{Type: RecCommit, GSN: w.NextGSN(0), Payload: payload}
 		w.Append(&rec)
 		if i%128 == 127 {
 			w.Flush()
@@ -348,9 +348,9 @@ func TestMaxGSNAndTruncate(t *testing.T) {
 	}
 	defer m.Close()
 	w0, w1 := m.Writer(0), m.Writer(1)
-	r0 := Record{Type: RecInsert, GSN: w0.NextGSN(0)}
+	r0 := Record{Type: RecCommit, GSN: w0.NextGSN(0)}
 	w0.Append(&r0)
-	r1 := Record{Type: RecInsert, GSN: w1.NextGSN(5)} // GSN 6
+	r1 := Record{Type: RecCommit, GSN: w1.NextGSN(5)} // GSN 6
 	w1.Append(&r1)
 	// Truncation with unflushed buffers is refused.
 	if err := m.Truncate(); err == nil {
@@ -397,7 +397,7 @@ func TestFlushIOErrorSurfaces(t *testing.T) {
 		t.Fatal(err)
 	}
 	w := m.Writer(0)
-	rec := Record{Type: RecInsert, GSN: w.NextGSN(0), Payload: []byte("doomed")}
+	rec := Record{Type: RecCommit, GSN: w.NextGSN(0), Payload: []byte("doomed")}
 	w.Append(&rec)
 	m.f.Close() // simulate device failure
 	if err := w.Flush(); err == nil {
@@ -419,7 +419,7 @@ func writeTornFixture(t *testing.T, dir string) (string, []byte, int64) {
 	}
 	w := m.Writer(0)
 	for i := 0; i < 4; i++ {
-		rec := Record{Type: RecInsert, GSN: w.NextGSN(0), RowID: uint64(i), Payload: []byte{byte('a' + i), 'x', 'y'}}
+		rec := Record{Type: RecCommit, GSN: w.NextGSN(0), RowID: uint64(i), Payload: []byte{byte('a' + i), 'x', 'y'}}
 		w.Append(&rec)
 	}
 	if err := m.FlushAll(); err != nil {
@@ -521,7 +521,7 @@ func TestRecoverTornTailByteByByte(t *testing.T) {
 		t.Fatal(err)
 	}
 	w := m.Writer(0)
-	rec := Record{Type: RecInsert, GSN: w.NextGSN(0), RowID: 99, Payload: []byte("post")}
+	rec := Record{Type: RecCommit, GSN: w.NextGSN(0), RowID: 99, Payload: []byte("post")}
 	w.Append(&rec)
 	if err := m.FlushAll(); err != nil {
 		t.Fatal(err)

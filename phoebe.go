@@ -550,7 +550,6 @@ func (db *DB) BaseBackup() (BaseBackupInfo, error) {
 				db.engine.WAL.Writer(i).RaiseGSN(g)
 			}
 		},
-		FlushWAL: db.engine.WAL.FlushAll,
 	})
 	if err != nil {
 		return BaseBackupInfo{}, err
