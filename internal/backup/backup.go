@@ -5,7 +5,6 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
-	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -27,20 +26,16 @@ const (
 // archiver owns one archive; all methods are safe for concurrent use, but
 // the archiver assumes it is the only process writing the archive.
 //
-// Copy protocol, per WAL group, per round:
+// One archive epoch holds one log file. The manifest's position is the file
+// SealGSN names (see wal.Tailer) and SrcOff[0] bytes into it. Per round:
 //
-//  1. Read the live wal file from the persisted source offset (SrcOff).
-//  2. Parse whole checksum-valid records only; stop at the first torn or
-//     incomplete tail (those bytes are not yet durable application state —
-//     the next round picks them up once the engine finishes the write).
-//  3. Drop records with GSN <= SealGSN. Checkpoint fast-forwards every
-//     writer's GSN clock to the horizon before sealing, so the filter
-//     exactly identifies bytes from an already-sealed epoch that survived
-//     a crash between seal and WAL truncation.
-//  4. Append the kept bytes to the epoch's segment file and fsync it.
-//  5. Only then rewrite the manifest (atomically) to cover the new bytes.
+//  1. Read whole checksum-valid records from the position (wal.Tailer).
+//  2. Append them to the epoch's segment file and fsync it.
+//  3. When the tailer moved on to the next file, seal the epoch at that
+//     file's horizon and go on in the next epoch.
+//  4. Only then rewrite the manifest (atomically) to cover the new bytes.
 //
-// Step 4-before-5 ordering means the manifest-covered prefix of every
+// Step 2-before-4 ordering means the manifest-covered prefix of every
 // segment is always durable, whole records; a crash between them leaves a
 // torn segment tail that reopen truncates away and re-copies.
 type Archiver struct {
@@ -48,7 +43,7 @@ type Archiver struct {
 
 	mu sync.Mutex
 	m  *Manifest
-	// tail follows the live WAL; its offsets are m.SrcOff plus whatever
+	// tail follows the live WAL from the manifest's position plus whatever
 	// the round in progress has consumed.
 	tail *wal.Tailer
 
@@ -57,6 +52,7 @@ type Archiver struct {
 	archivedBytes atomic.Int64
 	seals         atomic.Int64
 	baseBackups   atomic.Int64
+	errs          atomic.Int64
 	horizonGSN    atomic.Uint64
 	lastBaseGSN   atomic.Uint64
 }
@@ -65,8 +61,9 @@ type Archiver struct {
 // walDir. startGSN is the engine's current checkpoint horizon: when the
 // archive is created fresh against a database that already checkpointed,
 // history at or below startGSN lives only in the checkpoint image, so the
-// archive records it as its ContinuousFrom bound (and skips any stale
-// records below it). startGSN is ignored when the archive already exists.
+// archive records it as its ContinuousFrom bound and starts at the log
+// file of that horizon. startGSN is ignored when the archive already
+// exists.
 func OpenArchiver(walDir, dir string, startGSN uint64) (*Archiver, error) {
 	if err := os.MkdirAll(filepath.Join(dir, segmentsDir), 0o755); err != nil {
 		return nil, err
@@ -90,7 +87,15 @@ func OpenArchiver(walDir, dir string, startGSN uint64) (*Archiver, error) {
 			return nil, err
 		}
 	}
-	a.tail = wal.NewTailer(walDir, a.m.SrcOff)
+	var off int64
+	for g, o := range a.m.SrcOff {
+		if g == 0 {
+			off = int64(o)
+		} else if o != 0 {
+			return nil, fmt.Errorf("backup: the archive is %d bytes into log group %d; this release follows one log", o, g)
+		}
+	}
+	a.tail = wal.NewTailer(walDir, a.m.SealGSN, off)
 	a.refreshHorizonLocked()
 	return a, nil
 }
@@ -130,8 +135,9 @@ func (a *Archiver) resyncLocked() error {
 	return nil
 }
 
-// currentSegLocked returns the unsealed segment for group g in the current
-// epoch, creating its manifest entry on first use.
+// currentSegLocked returns group g's segment of the current epoch, creating
+// its manifest entry on first use. The log is group 0; an archive written
+// when the log had one file per commit group holds the others.
 func (a *Archiver) currentSegLocked(g int) *Segment {
 	for i := range a.m.Segments {
 		s := &a.m.Segments[i]
@@ -162,51 +168,58 @@ func (a *Archiver) refreshHorizonLocked() {
 	a.horizonGSN.Store(max)
 }
 
-// Archive runs one copy round over every WAL group and returns how many
-// bytes it archived. Safe to call concurrently with transactions: it only
-// ever consumes whole checksum-valid records, which the engine never
-// rewrites in place.
+// Archive runs one copy round and returns how many bytes it archived. Safe
+// to call concurrently with transactions: it only ever consumes whole
+// checksum-valid records, which the engine never rewrites in place. A
+// failed round is counted in Errors.
 func (a *Archiver) Archive() (int64, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return a.archiveLocked()
+	n, err := a.archiveLocked()
+	if err != nil {
+		a.errs.Add(1)
+	}
+	return n, err
 }
 
 func (a *Archiver) archiveLocked() (int64, error) {
 	a.rounds.Add(1)
-	// Only Checkpoint truncates the WAL, and it seals first (which rewinds
-	// the tailer). A file that restarted under the archived offset means
-	// the archive-before-truncate protocol was violated.
+	// A file is removed only after its seal, so a position whose file is
+	// gone means the log was checkpointed without this archiver.
 	if err := a.tail.Fetch(); err != nil {
 		return 0, fmt.Errorf("backup: %w", err)
 	}
-	before := a.tail.Offsets()
 	var total int64
-	for g := 0; g < a.tail.Groups(); g++ {
+	sealed := false
+	for {
+		file, before := a.tail.Position()
+		// Only a file named below the seal horizon holds records at or
+		// below it (archived already, or in the image): an earlier
+		// release's untruncated log, or a checkpoint's before its rotation.
+		stale := file < a.m.SealGSN
 		var out []byte
 		var firstGSN, lastGSN uint64
-		a.tail.Scan(g, func(r wal.Record, raw []byte) bool {
-			if r.GSN > a.m.SealGSN {
-				out = append(out, raw...)
-				if firstGSN == 0 {
-					firstGSN = r.GSN
-				}
-				if r.GSN > lastGSN {
-					lastGSN = r.GSN
-				}
+		next := a.tail.Scan(func(r wal.Record, raw []byte) bool {
+			if stale && r.GSN <= a.m.SealGSN {
+				return true
 			}
+			out = append(out, raw...)
+			if firstGSN == 0 {
+				firstGSN = r.GSN
+			}
+			lastGSN = max(lastGSN, r.GSN)
 			return true
 		})
 		if len(out) > 0 {
-			seg := a.currentSegLocked(g)
+			seg := a.currentSegLocked(0)
 			err := fault.Eval(fault.BackupArchiveCopy)
 			if err == nil {
 				err = a.appendSegment(seg, out)
 			}
 			if err != nil {
-				// None of this group's batch reached its segment: the next
+				// None of this file's batch reached its segment: the next
 				// round must read it again.
-				a.tail.Seek(g, int64(before[g]))
+				a.tail.Seek(file, before)
 				return total, err
 			}
 			seg.CRC = crc32.Update(seg.CRC, crc32.IEEETable, out)
@@ -214,14 +227,25 @@ func (a *Archiver) archiveLocked() (int64, error) {
 			if seg.FirstGSN == 0 {
 				seg.FirstGSN = firstGSN
 			}
-			if lastGSN > seg.LastGSN {
-				seg.LastGSN = lastGSN
-			}
+			seg.LastGSN = max(seg.LastGSN, lastGSN)
 			total += int64(len(out))
 		}
+		if !next {
+			break
+		}
+		// The file is read to its end: the next one's horizon seals the
+		// epoch. Every group gets a segment entry, empty ones too, so verify
+		// can prove each group's epochs contiguous.
+		for g := 0; g < a.m.NumGroups(); g++ {
+			a.currentSegLocked(g).Sealed = true
+		}
+		a.m.SealGSN, _ = a.tail.Position()
+		a.m.Epoch++
+		a.seals.Add(1)
+		sealed = true
 	}
-	if off := a.tail.Offsets(); !slices.Equal(off, a.m.SrcOff) {
-		a.m.SrcOff = off
+	if _, off := a.tail.Position(); sealed || len(a.m.SrcOff) != 1 || a.m.SrcOff[0] != uint64(off) {
+		a.m.SrcOff = []uint64{uint64(off)}
 		if err := a.persistLocked(); err != nil {
 			return total, err
 		}
@@ -257,44 +281,20 @@ func (a *Archiver) appendSegment(seg *Segment, out []byte) error {
 	return f.Sync()
 }
 
-// Seal closes the current epoch at checkpoint horizon cpGSN. The engine
-// calls it quiesced, with the WAL fully flushed and the checkpoint image
-// durable, strictly before WAL truncation. Seal drains every remaining
-// whole record into the archive and refuses (aborting the truncation) if
-// any is left past the archived offsets. The bytes past the last record
-// are the log's reserved space, not lag (wal.Tailer.Lag).
+// Seal is the checkpoint's archive step, after the log rotated to the file
+// of cpGSN and before the older files are removed: one round reads the old
+// file to its end and seals its epoch. Seal fails, and the checkpoint keeps
+// the old files, if the archive did not reach the file of cpGSN.
 func (a *Archiver) Seal(cpGSN uint64) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if _, err := a.archiveLocked(); err != nil {
 		return err
 	}
-	if lag, err := a.tail.Lag(); err != nil {
-		return err
-	} else if lag != 0 {
-		return fmt.Errorf("backup: seal: %d unarchivable WAL bytes past offsets %v", lag, a.m.SrcOff)
+	if file, _ := a.tail.Position(); file < cpGSN {
+		return fmt.Errorf("backup: seal: the archive is in %s, not at the checkpoint's %s",
+			wal.FileName(file), wal.FileName(cpGSN))
 	}
-	// Every group gets a segment entry this epoch — empty ones too, so
-	// verify can prove per-group epoch coverage is complete, not absent.
-	for g := 0; g < a.tail.Groups(); g++ {
-		seg := a.currentSegLocked(g)
-		if seg.LastGSN > cpGSN {
-			return fmt.Errorf("backup: seal: segment %s holds GSN %d above checkpoint horizon %d",
-				seg.Name(), seg.LastGSN, cpGSN)
-		}
-		seg.Sealed = true
-	}
-	a.m.SealGSN = cpGSN
-	a.m.Epoch++
-	// The checkpoint truncates the log next: the new epoch starts at the
-	// head of every file.
-	a.tail.Rewind()
-	a.m.SrcOff = a.tail.Offsets()
-	if err := a.persistLocked(); err != nil {
-		return err
-	}
-	a.seals.Add(1)
-	a.refreshHorizonLocked()
 	return nil
 }
 
@@ -316,14 +316,21 @@ func (a *Archiver) BaseBackups() int64 { return a.baseBackups.Load() }
 // LastBaseGSN returns the horizon GSN of the newest completed base backup.
 func (a *Archiver) LastBaseGSN() uint64 { return a.lastBaseGSN.Load() }
 
+// Errors returns how many archive rounds (Archive) and lag reads
+// (LagBytes) failed.
+func (a *Archiver) Errors() int64 { return a.errs.Load() }
+
 // LagBytes returns how many live WAL bytes are not yet archive-covered —
 // the data an archive restore would lose if the primary's disk died now.
+// It returns -1, and counts the error in Errors, when the log cannot be
+// read at the archive's position: a wedged archiver is not caught up.
 func (a *Archiver) LagBytes() int64 {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	lag, err := a.tail.Lag()
 	if err != nil {
-		return 0
+		a.errs.Add(1)
+		return -1
 	}
 	return lag
 }

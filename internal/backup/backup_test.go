@@ -8,7 +8,9 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"phoebedb/internal/backup"
 	"phoebedb/internal/core"
@@ -84,6 +86,9 @@ func scanAll(t *testing.T, e *core.Engine) map[int64]int64 {
 	defer tx.Commit()
 	out := make(map[int64]int64)
 	err := tx.ScanTable("kv", func(_ rel.RowID, row rel.Row) bool {
+		if _, dup := out[row[0].I]; dup {
+			t.Fatalf("key %d held twice", row[0].I)
+		}
 		out[row[0].I] = row[1].I
 		return true
 	})
@@ -124,7 +129,7 @@ func TestArchiveRestoreRoundtrip(t *testing.T) {
 	if _, err := a.Archive(); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Checkpoint(); err != nil { // seals epoch 0, truncates WAL
+	if err := e.Checkpoint(); err != nil { // seals epoch 0, removes the old log file
 		t.Fatal(err)
 	}
 	for k := int64(11); k <= 20; k++ {
@@ -188,10 +193,10 @@ func TestFirstSegmentAppendTornBeforeManifestEntry(t *testing.T) {
 	}
 }
 
-// TestArchiverDetectsRestartedLog: a WAL file truncated without a seal
-// (the archive-before-truncate protocol violated) must stop the archiver
-// with wal.ErrLostPosition, whether the file is still shorter than the
-// archived offset or has already regrown past it.
+// TestArchiverDetectsRestartedLog: a log file removed without a seal (a
+// checkpoint the archiver was not wired into: the archive-before-remove
+// protocol violated) must stop the archiver with wal.ErrLostPosition,
+// whether or not the next file has grown past the archived offset.
 func TestArchiverDetectsRestartedLog(t *testing.T) {
 	for _, regrow := range []int64{0, 40} {
 		dir, arch := t.TempDir(), t.TempDir()
@@ -206,7 +211,7 @@ func TestArchiverDetectsRestartedLog(t *testing.T) {
 		if _, err := a.Archive(); err != nil {
 			t.Fatal(err)
 		}
-		if err := e.Checkpoint(); err != nil { // truncates behind the archiver's back
+		if err := e.Checkpoint(); err != nil { // removes the file behind the archiver's back
 			t.Fatal(err)
 		}
 		for k := int64(100); k < 100+regrow; k++ {
@@ -266,6 +271,99 @@ func TestPITRExactPrefix(t *testing.T) {
 		for k := int64(1); k <= upto; k++ {
 			if got[k] != k*10 {
 				t.Fatalf("target gsn[%d]: key %d restored as %d, want %d", upto, k, got[k], k*10)
+			}
+		}
+	}
+}
+
+// TestArchiveBesideCheckpoints: archive rounds run on a ticker, as the
+// database's background loop runs them, beside a writer that commits and
+// checkpoints in turn. No round may lose its position, and a restore to
+// every checkpoint's horizon, and one to the end, holds exactly the
+// commits acknowledged by then, each once.
+func TestArchiveBesideCheckpoints(t *testing.T) {
+	const checkpoints, perEpoch = 40, 8
+	dir, arch := t.TempDir(), t.TempDir()
+	e := openKV(t, dir)
+	defer e.Close()
+	a := attach(t, e, dir, arch)
+
+	stop := make(chan struct{})
+	var roundErrs []error
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() { // the archive loop
+		defer wg.Done()
+		tick := time.NewTicker(100 * time.Microsecond)
+		defer tick.Stop()
+		for {
+			select {
+			case <-stop:
+				return
+			case <-tick.C:
+				if _, err := a.Archive(); err != nil {
+					roundErrs = append(roundErrs, err)
+				}
+			}
+		}
+	}()
+	type horizon struct {
+		gsn  uint64
+		keys int64 // keys 1..keys were acknowledged before it
+	}
+	var horizons []horizon
+	k := int64(0)
+	commit := func() {
+		for i := 0; i < perEpoch; i++ {
+			k++
+			put(t, e, k, k*10)
+		}
+	}
+	for c := 0; c < checkpoints; c++ {
+		commit()
+		if err := e.Checkpoint(); err != nil {
+			t.Fatalf("checkpoint %d: %v", c, err)
+		}
+		horizons = append(horizons, horizon{e.WAL.MaxGSN(), k})
+	}
+	commit()
+	close(stop)
+	wg.Wait()
+	for _, err := range roundErrs {
+		t.Errorf("archive round beside the checkpoints: %v", err)
+	}
+	if _, err := a.Archive(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := backup.Verify(arch); err != nil {
+		t.Fatal(err)
+	}
+	horizons = append(horizons, horizon{0, k}) // 0: everything
+	for _, h := range horizons {
+		dest := filepath.Join(t.TempDir(), "restored")
+		if _, err := backup.Restore(arch, dest, h.gsn); err != nil {
+			t.Fatalf("restore to GSN %d: %v", h.gsn, err)
+		}
+		r := openKV(t, dest)
+		if _, err := r.Recover(); err != nil {
+			t.Fatalf("recover the restore to GSN %d: %v", h.gsn, err)
+		}
+		seen := make(map[int64]int)
+		tx := r.Begin(1, txn.ReadCommitted, nil, nil, nil)
+		if err := tx.ScanTable("kv", func(_ rel.RowID, row rel.Row) bool {
+			seen[row[0].I]++
+			return true
+		}); err != nil {
+			t.Fatal(err)
+		}
+		tx.Commit()
+		r.Close()
+		if len(seen) != int(h.keys) {
+			t.Fatalf("restore to GSN %d holds %d keys, want %d", h.gsn, len(seen), h.keys)
+		}
+		for key := int64(1); key <= h.keys; key++ {
+			if seen[key] != 1 {
+				t.Fatalf("restore to GSN %d holds key %d %d times, want once", h.gsn, key, seen[key])
 			}
 		}
 	}
@@ -533,7 +631,7 @@ func TestIncompleteBaseIgnored(t *testing.T) {
 }
 
 // TestSealFailureKeepsWAL: when archiving fails during the seal, the
-// checkpoint must refuse to truncate the WAL — archive-before-truncate is
+// checkpoint must keep the old log file — archive-before-remove is
 // the invariant that makes the archive a durability root. The next
 // checkpoint, with the fault cleared, succeeds and loses nothing.
 func TestSealFailureKeepsWAL(t *testing.T) {
@@ -551,14 +649,14 @@ func TestSealFailureKeepsWAL(t *testing.T) {
 	}
 	err := e.Checkpoint()
 	if err == nil {
-		t.Fatal("checkpoint succeeded with a failing archiver; WAL may have been truncated unarchived")
+		t.Fatal("checkpoint succeeded with a failing archiver; the old log file may have been removed unarchived")
 	}
 	if !strings.Contains(err.Error(), "kept WAL") {
 		t.Fatalf("checkpoint error %q does not indicate the WAL was kept", err)
 	}
 	fault.Reset()
 	// Nothing lost: the WAL still holds the records the failed seal could
-	// not archive, so the retried checkpoint archives and truncates them.
+	// not archive, so the retried checkpoint archives and removes them.
 	if err := e.Checkpoint(); err != nil {
 		t.Fatalf("retried checkpoint: %v", err)
 	}

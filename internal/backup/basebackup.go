@@ -54,21 +54,9 @@ func (a *Archiver) BaseBackup(src BaseSource) (*Label, string, error) {
 	if src.RaiseGSN != nil {
 		src.RaiseGSN(horizon)
 	}
-	// a.mu keeps Seal, and so the checkpoint's truncation, out meanwhile.
-	lag, err := a.tail.Lag()
-	if err != nil {
-		return nil, "", fmt.Errorf("backup: base backup: %w", err)
-	}
-	from := a.tail.Offsets()
+	// The round reads every whole record the log holds when it begins.
 	if _, err := a.archiveLocked(); err != nil {
 		return nil, "", fmt.Errorf("backup: base backup catch-up: %w", err)
-	}
-	to := a.tail.Offsets()
-	for g := range from {
-		lag -= int64(to[g] - from[g])
-	}
-	if lag > 0 {
-		return nil, "", fmt.Errorf("backup: base backup catch-up left %d log bytes unarchived", lag)
 	}
 	if horizon == 0 {
 		// Offline source: after a full catch-up round the archive horizon

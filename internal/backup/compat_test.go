@@ -2,6 +2,7 @@ package backup_test
 
 import (
 	"bytes"
+	"maps"
 	"os"
 	"path/filepath"
 	"testing"
@@ -177,4 +178,76 @@ func TestParentDirectoryOpensVerifiesRestoresAndShips(t *testing.T) {
 		t.Fatalf("recover: %v", err)
 	}
 	checkParentRows(t, primary, parentKV, "recovered database")
+}
+
+// TestParentCrashBetweenSealAndTruncate: the parent sealed an epoch and
+// crashed before it truncated its one log file, so wal-0000.log, named
+// below the seal horizon, still holds the sealed epoch's records and the
+// manifest's position is its start. The fixture is put into that state:
+// the live file holds the epoch-0 segment's records, and the archive ends
+// at the seal. The reopened archiver and an archive-following standby skip
+// the sealed records there and take the commits after them, so the archive
+// restores to the primary's rows, each once.
+func TestParentCrashBetweenSealAndTruncate(t *testing.T) {
+	dir, arch := copyParent(t)
+	m, err := backup.LoadManifest(arch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sealed := m.Segments[0]
+	sealedBytes, err := os.ReadFile(backup.SegmentPath(arch, &sealed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "wal", "wal-0000.log"), sealedBytes, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []string{filepath.Join(arch, "base"), backup.SegmentPath(arch, &m.Segments[1])} {
+		if err := os.RemoveAll(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m.Segments, m.SrcOff, m.NextBase = m.Segments[:1], []uint64{0}, 0
+	if err := os.WriteFile(filepath.Join(arch, backup.ManifestName), backup.EncodeManifest(m), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	primary := openParentSchema(t, dir)
+	if _, err := primary.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	a, err := backup.OpenArchiver(filepath.Join(dir, "wal"), arch, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	primary.SetWALArchiver(a)
+	sEng := openParentSchema(t, t.TempDir())
+	s := replica.NewStandby(sEng, filepath.Join(dir, "wal"))
+	s.ArchiveDir = arch
+	for k := int64(1000); k < 1005; k++ {
+		put(t, primary, k, k*10)
+	}
+	// The standby's first round finds the sealed records live, ahead of
+	// the archiver.
+	if _, err := s.CatchUp(); err != nil {
+		t.Fatal(err)
+	}
+	want := scanAll(t, primary)
+	if _, err := a.Archive(); err != nil {
+		t.Fatal(err)
+	}
+	put(t, primary, 1005, 10050) // live only
+	if _, err := s.CatchUp(); err != nil {
+		t.Fatal(err)
+	}
+	if got := scanAll(t, sEng); len(got) != len(want)+1 || got[1005] != 10050 {
+		t.Fatalf("standby holds %d kv rows, want %d", len(got), len(want)+1)
+	}
+	if _, err := backup.Verify(arch); err != nil {
+		t.Fatal(err)
+	}
+	got := restoreAndScan(t, arch, 0)
+	if !maps.Equal(got, want) {
+		t.Fatalf("restore holds %d kv rows, the primary %d", len(got), len(want))
+	}
 }

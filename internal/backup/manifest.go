@@ -10,17 +10,17 @@
 //	                              frozen-block file, cold manifest,
 //	                              backup_label)
 //
-// Archiving is continuous: the archiver tails the live WAL group files and
-// copies whole checksum-valid records into the current epoch's segments.
-// An epoch ends when the engine checkpoints: Seal drains every remaining
-// log byte into the archive, marks the epoch's segments sealed, and only
-// then is Checkpoint allowed to truncate the WAL — archive-before-truncate
-// is the ordering invariant that makes history recoverable after the WAL
-// itself is gone.
+// Archiving is continuous: the archiver follows the live log, a row of
+// files each named by the checkpoint horizon that opened it, and copies
+// whole checksum-valid records into the current epoch's segment; one epoch
+// holds one log file. A checkpoint rotates the log to its next file, Seal
+// reads the old one to its end and seals its epoch, and only then does the
+// checkpoint remove the old file — archive-before-remove is the ordering
+// invariant that makes history recoverable after the live log is gone.
 //
 // Restore materializes an ordinary database directory from the archive:
-// the newest complete base backup's files plus per-group wal files rebuilt
-// from the segment chain, optionally cut at a target GSN (PITR). The
+// the newest complete base backup's files plus a log file rebuilt from the
+// segment chain, optionally cut at a target GSN (PITR). The
 // engine's normal Recover path then replays it — restore introduces no
 // second recovery code path, and the catalog travels in the image and the
 // log like everything else, so a PITR target keeps exactly the tables
@@ -76,17 +76,18 @@ type Manifest struct {
 	// Zero means the archive holds the database's entire history.
 	ContinuousFrom uint64
 	// SealGSN is the GSN horizon of the newest sealed epoch (the
-	// checkpoint GSN that closed it). The archiver skips records at or
-	// below it when tailing — after a crash between seal and WAL
-	// truncation the live files still hold already-archived bytes, and the
-	// GSN filter is what keeps them from being archived twice.
+	// checkpoint GSN that closed it). It names the log file the current
+	// epoch reads: the newest at or below it (wal.Tailer). In a file named
+	// below it (the one log file of an earlier release), records at or
+	// below it are sealed history the archiver skips.
 	SealGSN uint64
 	// Epoch is the current (unsealed) epoch number.
 	Epoch uint32
 	// NextBase is the next base backup sequence number.
 	NextBase uint32
-	// SrcOff is, per WAL group, how many bytes of the live wal file have
-	// been consumed this epoch (including records the GSN filter skipped).
+	// SrcOff[0] is how many bytes of that log file have been consumed,
+	// skipped sealed history included. An archive written when the log had
+	// one file per commit group holds one offset per group.
 	SrcOff []uint64
 	// Segments holds every archived segment, sealed epochs first.
 	Segments []Segment

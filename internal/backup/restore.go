@@ -249,8 +249,9 @@ type RestoreReport struct {
 }
 
 // Restore materializes an ordinary database directory at destDir from the
-// archive: the newest complete base backup's files, plus per-group wal
-// files rebuilt from the segment chain. targetGSN optionally cuts the
+// archive: the newest complete base backup's files, plus one log file,
+// named by the base's checkpoint horizon, rebuilt from the segment chain.
+// targetGSN optionally cuts the
 // replay for point-in-time recovery: only records with GSN <= targetGSN
 // are materialized, which — because a transaction's commit record carries
 // its highest GSN — keeps exactly the transactions that committed at or
@@ -326,24 +327,20 @@ func Restore(archiveDir, destDir string, targetGSN uint64) (*RestoreReport, erro
 	if err := os.MkdirAll(walDir, 0o755); err != nil {
 		return nil, err
 	}
-	for g := 0; g < rep.Groups; g++ {
-		var out []byte
-		for _, s := range m.GroupSegments(g) {
-			if err := ScanSegment(archiveDir, &s, 0, func(r wal.Record, raw []byte) {
-				if r.GSN > rep.CheckpointGSN && r.GSN <= target {
-					out = append(out, raw...)
-					rep.Records++
-					if r.GSN > rep.MaxGSN {
-						rep.MaxGSN = r.GSN
-					}
-				}
-			}); err != nil {
-				return nil, err
+	var out []byte // recovery sorts the records by GSN
+	for _, s := range m.Segments {
+		if err := ScanSegment(archiveDir, &s, 0, func(r wal.Record, raw []byte) {
+			if r.GSN > rep.CheckpointGSN && r.GSN <= target {
+				out = append(out, raw...)
+				rep.Records++
+				rep.MaxGSN = max(rep.MaxGSN, r.GSN)
 			}
-		}
-		if err := durable.WriteFile(filepath.Join(walDir, wal.GroupFileName(g)), out); err != nil {
+		}); err != nil {
 			return nil, err
 		}
+	}
+	if err := durable.WriteFile(filepath.Join(walDir, wal.FileName(rep.CheckpointGSN)), out); err != nil {
+		return nil, err
 	}
 	// WriteFile made every file durable in its own directory; the wal/
 	// entry itself lives in destDir.

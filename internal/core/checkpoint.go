@@ -16,8 +16,9 @@ import (
 
 // Checkpointing bounds recovery work: a checkpoint captures every table's
 // hot/cold pages and frozen-block directory plus the clock and GSN
-// horizons, then truncates the WAL files. Recovery loads the
-// newest checkpoint and replays only the log written after it. This
+// horizons, moves the log to a file of its own, and removes the older log
+// files. Recovery loads the newest checkpoint and replays only the log
+// written after it. This
 // extends the paper's recovery story (which replays the full log; the
 // paper lists durability infrastructure under future work).
 //
@@ -69,9 +70,10 @@ func (e *Engine) gcColdManifests(current uint64) {
 	}
 }
 
-// Checkpoint captures the full database state and truncates the WAL. The
-// engine must be quiesced (no active transactions); run a GC round first
-// so UNDO history is drained and tombstones are erased.
+// Checkpoint captures the full database state, rotates the log and removes
+// the older log files. The engine must be quiesced (no active
+// transactions); run a GC round first so UNDO history is drained and
+// tombstones are erased.
 func (e *Engine) Checkpoint() error {
 	e.sysMu.Lock()
 	defer e.sysMu.Unlock()
@@ -92,11 +94,9 @@ func (e *Engine) Checkpoint() error {
 	// The checkpoint GSN horizon: everything at or below it is captured in
 	// the image. Fast-forward every writer past it NOW, before the image
 	// becomes durable, so each post-checkpoint record sorts strictly above
-	// the horizon — that is what lets recovery drop still-on-disk WAL
-	// records the checkpoint already covers when a crash lands between the
-	// checkpoint rename and the WAL truncation. (Without the fast-forward,
-	// a writer whose private GSN clock lagged the horizon could log
-	// post-checkpoint records below it.)
+	// the horizon: recovery drops the records at or below it that a crash
+	// before the old log files' removal leaves on disk, and the next log
+	// file, named by the horizon, holds only records above it.
 	cpGSN := e.WAL.MaxGSN()
 	for i := 0; i < e.WAL.NumWriters(); i++ {
 		e.WAL.Writer(i).RaiseGSN(cpGSN)
@@ -136,7 +136,7 @@ func (e *Engine) Checkpoint() error {
 	// footprint is one table's page images, not the database's. Only once
 	// ReplaceFile returns — image renamed into place and the directory
 	// fsynced — may the steps below that depend on it run: manifest GC,
-	// the archive seal, WAL truncation.
+	// the log's rotation, the archive seal, the old log files' removal.
 	n, err = durable.ReplaceFile(e.checkpointPath(), "", func(w *durable.Writer) error {
 		w.Header(checkpointMagic, checkpointVersion)
 		CheckpointHeader{GSN: cpGSN, Clock: e.Mgr.Clock.Now(), ColdEpoch: manifest.Epoch, ColdCRC: manifestCRC}.write(w)
@@ -174,20 +174,24 @@ func (e *Engine) Checkpoint() error {
 	e.coldEpoch.Store(manifest.Epoch)
 	e.stats.Checkpoints.Add(1)
 	e.gcColdManifests(manifest.Epoch)
-	// Archive ordering: the archiver must copy (and make durable) every
-	// remaining WAL byte before truncation destroys it. A seal failure
-	// aborts the truncation, not the checkpoint — the image is already
-	// durable, recovery drops records at or below cpGSN, and the next
-	// checkpoint retries the seal over the same (longer) log.
+	// The log moves to the file of cpGSN, and the archiver seals the old
+	// one before it is removed. A failure keeps the old files: recovery
+	// drops their records, and the next checkpoint seals and removes them.
+	if err := e.WAL.Rotate(cpGSN); err != nil {
+		return err
+	}
+	if err := fault.Eval(fault.CheckpointPreTruncate); err != nil {
+		return err
+	}
 	if e.archiver != nil {
 		if err := e.archiver.Seal(cpGSN); err != nil {
 			return fmt.Errorf("core: checkpoint kept WAL (archive seal failed): %w", err)
 		}
 	}
-	if err := fault.Eval(fault.CheckpointPreTruncate); err != nil {
+	if err := fault.Eval(fault.CheckpointPreRemove); err != nil {
 		return err
 	}
-	return e.WAL.Truncate()
+	return e.WAL.RemoveOld()
 }
 
 // loadColdManifest reads the manifest epoch a checkpoint references,

@@ -44,7 +44,7 @@ func TestCheckpointBasicRoundTrip(t *testing.T) {
 	if err := e.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	// Post-checkpoint work, to be replayed from the truncated WAL.
+	// Post-checkpoint work, to be replayed from the checkpoint's log file.
 	u := begin(e, 2)
 	u.Update("accounts", rids[3], map[string]rel.Value{"balance": rel.Float(333)})
 	u.Insert("accounts", acct(100, "post-cp", 1))
@@ -166,7 +166,7 @@ func TestCheckpointTruncatesWAL(t *testing.T) {
 		t.Fatal(err)
 	}
 	if after := walBytes(t, dir); after != 0 {
-		t.Fatalf("WAL not truncated: %d bytes", after)
+		t.Fatalf("WAL after the checkpoint holds %d bytes, want 0", after)
 	}
 }
 

@@ -778,7 +778,7 @@ func TestCommitOutlivesLostForeignRecords(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	log := filepath.Join(dir, "wal", wal.GroupFileName(0))
+	log := filepath.Join(dir, "wal", wal.FileName(0))
 	if n := countLogged(t, log, func(r wal.Record) bool { return r.XID == foreign.XID() }); n != 0 {
 		t.Fatalf("slot 2's commit wrote %d of slot 3's open records", n)
 	}
@@ -834,7 +834,7 @@ func TestLogHoldsCommittedWorkOnly(t *testing.T) {
 	if err := e.WAL.FlushAll(); err != nil {
 		t.Fatal(err)
 	}
-	log := filepath.Join(dir, "wal", wal.GroupFileName(0))
+	log := filepath.Join(dir, "wal", wal.FileName(0))
 	if n := countLogged(t, log, func(r wal.Record) bool { return r.XID == open.XID() }); n != 0 {
 		t.Fatalf("the log holds %d records of the open transaction", n)
 	}

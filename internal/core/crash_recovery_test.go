@@ -64,6 +64,7 @@ func TestCrashRecoveryWithWarmCheckpoint(t *testing.T) {
 		fault.WALTornWrite,
 		fault.CheckpointPostSave,
 		fault.CheckpointPreTruncate,
+		fault.CheckpointPreRemove,
 	}
 	for i, site := range sites {
 		site, i := site, i
@@ -88,8 +89,8 @@ func TestCrashRecoveryWithWarmCheckpoint(t *testing.T) {
 
 // TestCheckpointCrashWindows is the hand-rolled regression for the two
 // checkpoint crash windows: a crash after the checkpoint image is durable
-// but before the WAL is truncated must not replay (duplicate) rows the
-// image already holds, and a crash before the image is written must lose
+// but before the old log files are removed (before or after the log's
+// rotation) must not replay (duplicate) rows the image already holds, and a crash before the image is written must lose
 // nothing. Unlike the randomized harness this uses a known row set, so
 // lost and duplicated rows are distinguishable by exact count.
 func TestCheckpointCrashWindows(t *testing.T) {
@@ -97,6 +98,7 @@ func TestCheckpointCrashWindows(t *testing.T) {
 		fault.CheckpointPreSave,
 		fault.CheckpointPostSave,
 		fault.CheckpointPreTruncate,
+		fault.CheckpointPreRemove,
 	} {
 		site := site
 		t.Run(site, func(t *testing.T) {

@@ -188,12 +188,12 @@ func (t *Tbl) Index(name string) *Index {
 }
 
 // WALArchiver is the hook a WAL archive implementation (internal/backup)
-// plugs into the checkpoint path. Seal is called with the engine quiesced
-// and the WAL fully flushed, after the checkpoint image is durable and
-// strictly BEFORE the WAL files are truncated: it must copy every
-// remaining log byte into the archive (and make the copy durable) or
-// return an error, in which case the checkpoint completes WITHOUT
-// truncating — history is never destroyed before it is archived.
+// plugs into the checkpoint path. Seal is called with the engine quiesced,
+// after the checkpoint image is durable and the log rotated to the file of
+// cpGSN, and strictly BEFORE the older log files are removed: it must copy
+// every record of those files into the archive (and make the copy durable)
+// or return an error, in which case the checkpoint keeps the files —
+// history is never destroyed before it is archived.
 type WALArchiver interface {
 	Seal(cpGSN uint64) error
 }
@@ -207,7 +207,8 @@ type Engine struct {
 	IO    *metrics.IOCounters
 	stats EngineStats
 
-	// archiver, when set, is sealed before every checkpoint truncation.
+	// archiver, when set, is sealed before every checkpoint's removal of
+	// the old log files.
 	archiver WALArchiver
 	// coldEpoch is the cold-manifest epoch the newest durable checkpoint
 	// references; Checkpoint writes epoch+1 next.
@@ -308,8 +309,8 @@ func (e *Engine) Config() Config { return e.cfg }
 func (e *Engine) Waits() *waitevent.Slots { return e.cfg.Waits }
 
 // SetWALArchiver attaches a WAL archiver: from now on Checkpoint seals the
-// archive (copying every pre-truncation log byte out) before it is allowed
-// to truncate the WAL. Attach before the first post-Open checkpoint.
+// archive (copying every record of the old log files out) before it is
+// allowed to remove them. Attach before the first post-Open checkpoint.
 func (e *Engine) SetWALArchiver(a WALArchiver) { e.archiver = a }
 
 // CreateTable declares a relation. The definition is logged and flushed

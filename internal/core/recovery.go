@@ -29,8 +29,8 @@ func (e *Engine) Recover() (replayed int, err error) {
 	if err != nil {
 		return 0, err
 	}
-	// A crash between the checkpoint rename and the WAL truncation leaves
-	// checkpoint-covered records on disk; replaying them would duplicate
+	// A crash between the checkpoint rename and the old log files' removal
+	// leaves checkpoint-covered records on disk; replaying them would duplicate
 	// rows the image already holds. Checkpoint fast-forwards every writer
 	// past the horizon before the image is durable, so records at or below
 	// it are exactly the covered ones — drop them.

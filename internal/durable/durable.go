@@ -12,7 +12,7 @@
 // The replace protocol (ReplaceFile): create <path>.tmp, stream the
 // content, fsync the file, close it, rename it over path, fsync the parent
 // directory. A rename is not durable until the directory is fsynced, so
-// nothing that depends on the new file — WAL truncation, manifest garbage
+// nothing that depends on the new file — the WAL's rotation, manifest garbage
 // collection, the label that declares a backup complete — may run before
 // ReplaceFile returns nil. Every step's error is returned.
 package durable

@@ -1,12 +1,12 @@
 package crashtest
 
 // Backup/restore crash harness: drives the kv workload against an engine
-// with a WAL archiver attached, crashes the archiver at one of
-// fault.BackupSites() (abandoning engine and archiver like a killed
-// process), then "restarts" — reopens both, lets the archiver resync and
-// catch up, takes a fresh base backup — and finally restores the archive
-// into an empty directory and verifies the restored database matches the
-// primary row for row. TPCCBackupRestore does the same end to end under a
+// with a WAL archiver attached, crashes the archiver, or the checkpoint
+// around its seal, at one of fault.BackupSites() (abandoning engine and
+// archiver like a killed process), then "restarts" — reopens both, lets
+// the archiver resync and catch up, takes a fresh base backup — and
+// finally restores the archive into an empty directory and verifies the
+// restored database matches the primary row for row. TPCCBackupRestore does the same end to end under a
 // live TPC-C load with an online base backup taken mid-run.
 
 import (
@@ -20,6 +20,7 @@ import (
 	"phoebedb/internal/rel"
 	"phoebedb/internal/tpcc"
 	"phoebedb/internal/txn"
+	"phoebedb/internal/wal"
 )
 
 // baseSource wires an open engine's WAL hooks into an online base backup.
@@ -104,6 +105,8 @@ func BackupCrash(dir, archiveDir, restoreDir string, seed int64, site string) er
 			_, _, err := a.BaseBackup(baseSource(e, dir))
 			return err
 		})
+	case fault.CheckpointPreTruncate, fault.CheckpointPreRemove:
+		crashed, _ = crashAt(e.Checkpoint)
 	default:
 		crashed, _ = crashAt(func() error {
 			_, err := a.Archive()
@@ -139,6 +142,9 @@ func BackupCrash(dir, archiveDir, restoreDir string, seed int64, site string) er
 	}
 	if _, err := backup.Verify(archiveDir); err != nil {
 		return fmt.Errorf("backupcrash: verify: %w", err)
+	}
+	if err := commitsOnce(archiveDir); err != nil {
+		return fmt.Errorf("backupcrash: %w", err)
 	}
 
 	// The primary's own recovered state must still satisfy the model.
@@ -181,6 +187,33 @@ func BackupCrash(dir, archiveDir, restoreDir string, seed int64, site string) er
 			return fmt.Errorf("backupcrash: id %d diverged: restored (rid=%d ver=%d) primary (rid=%d ver=%d)",
 				id, r.rid, r.ver, p.rid, p.ver)
 		}
+	}
+	return nil
+}
+
+// commitsOnce checks that the archive holds no transaction's commit record
+// twice: a round that read a sealed file again would archive it anew.
+func commitsOnce(archiveDir string) error {
+	m, err := backup.LoadManifest(archiveDir)
+	if err != nil {
+		return err
+	}
+	seen := make(map[uint64]bool)
+	var dup uint64
+	for i := range m.Segments {
+		if err := backup.ScanSegment(archiveDir, &m.Segments[i], 0, func(r wal.Record, _ []byte) {
+			if r.Type == wal.RecCommit {
+				if seen[r.XID] {
+					dup = r.XID
+				}
+				seen[r.XID] = true
+			}
+		}); err != nil {
+			return err
+		}
+	}
+	if dup != 0 {
+		return fmt.Errorf("the archive holds the commit of transaction %d twice", dup)
 	}
 	return nil
 }

@@ -63,11 +63,15 @@ const (
 	// CheckpointPreSave fires before the checkpoint image is written.
 	CheckpointPreSave = "checkpoint.preSave"
 	// CheckpointPostSave fires after the checkpoint file is atomically
-	// renamed into place but before the WAL is truncated.
+	// renamed into place but before the log rotates to its next file.
 	CheckpointPostSave = "checkpoint.postSave"
-	// CheckpointPreTruncate fires immediately before WAL truncation (after
-	// the block file is synced).
+	// CheckpointPreTruncate fires after the log rotated to the checkpoint's
+	// file, before the archive seals the old one. It keeps the name of the
+	// truncation the rotation replaced, so specs that arm it still parse.
 	CheckpointPreTruncate = "checkpoint.preTruncate"
+	// CheckpointPreRemove fires after the archive sealed the old log file,
+	// before the checkpoint removes it.
+	CheckpointPreRemove = "checkpoint.preRemove"
 	// BufferEvict fires in the buffer pool's eviction loop, before a
 	// cooling frame is written out and dropped.
 	BufferEvict = "buffer.evict"
@@ -115,17 +119,19 @@ const (
 var allSites = []string{
 	WALTornWrite, WALPreSync, WALPostSync,
 	StorageWritePage, StorageReadPage, StorageAppendBlock,
-	CheckpointPreSave, CheckpointPostSave, CheckpointPreTruncate,
+	CheckpointPreSave, CheckpointPostSave, CheckpointPreTruncate, CheckpointPreRemove,
 	BufferEvict, ReplicaApply,
 	BackupArchiveCopy, BackupTornSegment, BackupPreLabel,
 	FrozenSegmentWrite, FrozenManifestSwap, FrozenCompactMerge,
 	SQLIndexBackfill, CatalogPrePublish,
 }
 
-// BackupSites are the failpoints in the backup/archive path; the backup
-// crash harness (crashtest.Backup) iterates this list.
+// BackupSites are the failpoints in the backup/archive path, the
+// checkpoint's steps around the archive seal included; the backup crash
+// harness (crashtest.BackupCrash) iterates this list.
 var backupSites = []string{
 	BackupArchiveCopy, BackupTornSegment, BackupPreLabel,
+	CheckpointPreTruncate, CheckpointPreRemove,
 }
 
 // BackupSites returns the archiver/base-backup failpoint sites.
@@ -135,7 +141,7 @@ func BackupSites() []string { return append([]string(nil), backupSites...) }
 // recoverable; the crash-recovery harness iterates this list.
 var crashSites = []string{
 	WALPreSync, WALPostSync, WALTornWrite,
-	CheckpointPreSave, CheckpointPostSave, CheckpointPreTruncate,
+	CheckpointPreSave, CheckpointPostSave, CheckpointPreTruncate, CheckpointPreRemove,
 	BufferEvict, StorageWritePage,
 	FrozenSegmentWrite, FrozenManifestSwap, FrozenCompactMerge,
 	SQLIndexBackfill, CatalogPrePublish,

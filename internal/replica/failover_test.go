@@ -1,7 +1,7 @@
 package replica
 
 // Regression tests for standby shipping across primary checkpoints (the
-// live WAL truncates under the standby) and for promotion when the
+// old log file is removed under the standby) and for promotion when the
 // primary dies mid-transaction.
 
 import (
@@ -26,11 +26,10 @@ func insertAccount(id int64) func(tx *core.Tx) error {
 	}
 }
 
-// TestCatchUpLostPositionAfterCheckpoint: a primary checkpoint truncates
-// the live WAL below the standby's shipping offset. The old behavior
-// silently reset the offset to zero and stalled (or replayed garbage);
-// the standby must instead report ErrLostPosition so the operator
-// re-seeds it or points it at an archive.
+// TestCatchUpLostPositionAfterCheckpoint: a primary checkpoint removes the
+// log file the standby was shipping from. Silently resetting the position
+// would stall (or replay garbage); the standby must instead report
+// ErrLostPosition so the operator re-seeds it or points it at an archive.
 func TestCatchUpLostPositionAfterCheckpoint(t *testing.T) {
 	primary, s := pair(t)
 	for i := int64(1); i <= 5; i++ {
@@ -44,15 +43,14 @@ func TestCatchUpLostPositionAfterCheckpoint(t *testing.T) {
 	}
 	_, err := s.CatchUp()
 	if !errors.Is(err, ErrLostPosition) {
-		t.Fatalf("CatchUp after truncation returned %v, want ErrLostPosition", err)
+		t.Fatalf("CatchUp after the checkpoint returned %v, want ErrLostPosition", err)
 	}
 }
 
-// TestCatchUpDetectsTruncateRegrow is the insidious variant: between two
-// polls the file is truncated AND regrows past the standby's offset, so a
-// pure size check passes while the offset points into the middle of an
-// unrelated record. The first record's GSN changing is what gives the
-// restart away.
+// TestCatchUpDetectsTruncateRegrow is the variant that once needed a
+// first-GSN check: between two polls the log moves to a new file that
+// grows past the standby's offset. The standby never reads the new file at
+// the old offset: its own file is gone.
 func TestCatchUpDetectsTruncateRegrow(t *testing.T) {
 	primary, s := pair(t)
 	for i := int64(1); i <= 3; i++ {
@@ -70,7 +68,7 @@ func TestCatchUpDetectsTruncateRegrow(t *testing.T) {
 	}
 	_, err := s.CatchUp()
 	if !errors.Is(err, ErrLostPosition) {
-		t.Fatalf("CatchUp after truncate+regrow returned %v, want ErrLostPosition", err)
+		t.Fatalf("CatchUp after the checkpoint and regrowth returned %v, want ErrLostPosition", err)
 	}
 }
 

@@ -5,10 +5,10 @@
 // promoted when the primary dies.
 //
 // Mechanics: each polling round reads the log's new records once through a
-// wal.Tailer (the byte offset is remembered; a torn record at the tail is
-// retried next round; a file that restarts under its offset is reported)
-// and hands them to the engine's redo applier (core.Redo), the same one
-// crash recovery uses: catalog records (CREATE TABLE, CREATE INDEX) apply
+// wal.Tailer (the position, a log file and an offset in it, is remembered;
+// a torn record at the tail is retried next round; a file a checkpoint
+// removed before the standby finished it is reported) and hands them to
+// the engine's redo applier (core.Redo), the same one crash recovery uses: catalog records (CREATE TABLE, CREATE INDEX) apply
 // in GSN order, then the committed transactions in commit-timestamp order,
 // keeping every index current. The standby owns only the reading.
 //
@@ -22,6 +22,7 @@ package replica
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -31,12 +32,12 @@ import (
 	"phoebedb/internal/wal"
 )
 
-// ErrLostPosition reports that the primary truncated its WAL (a
-// checkpoint) past the standby's shipping position. Without a WAL archive
-// the truncated records exist only inside the primary's checkpoint image,
-// which the standby cannot apply incrementally — it must be re-seeded (or
-// pointed at an archive, which never truncates). It is the tailer's error,
-// so errors.Is matches either name.
+// ErrLostPosition reports that a primary checkpoint removed the log file
+// the standby was shipping from before the standby read it to its end.
+// Without a WAL archive the removed records exist only inside the
+// primary's checkpoint image, which the standby cannot apply incrementally
+// — it must be re-seeded (or pointed at an archive, which removes
+// nothing). It is the tailer's error, so errors.Is matches either name.
 var ErrLostPosition = wal.ErrLostPosition
 
 // Standby applies a primary's WAL stream to a local engine.
@@ -49,7 +50,7 @@ type Standby struct {
 	PrimaryWALDir string
 	// ArchiveDir optionally points at the primary's WAL archive (see
 	// internal/backup). With an archive the standby survives primary
-	// checkpoints: archived bytes are never truncated, so instead of
+	// checkpoints: archived bytes are never removed, so instead of
 	// tailing the live files it consumes each group's archived stream and
 	// only reads the live file for the not-yet-archived tail. The archive
 	// must cover the database's whole history (ContinuousFrom == 0) —
@@ -58,7 +59,7 @@ type Standby struct {
 	ArchiveDir string
 
 	mu       sync.Mutex
-	tail     *wal.Tailer // live-file positions and restart detection
+	tail     *wal.Tailer // the live log's position
 	stream   []int64     // ArchiveDir only: group -> archived-stream bytes consumed
 	redo     *core.Redo  // records read and not yet applied
 	applied  int64
@@ -71,7 +72,7 @@ func NewStandby(e *core.Engine, primaryWALDir string) *Standby {
 	return &Standby{
 		Engine:        e,
 		PrimaryWALDir: primaryWALDir,
-		tail:          wal.NewTailer(primaryWALDir, nil),
+		tail:          wal.NewTailer(primaryWALDir, 0, 0),
 		redo:          e.NewRedo(),
 	}
 }
@@ -123,17 +124,24 @@ func (s *Standby) catchUp(final bool) (int, error) {
 	return n, nil
 }
 
-// readNew reads complete records beyond the per-file offsets.
+// readNew reads complete records beyond the position.
 func (s *Standby) readNew(final bool) ([]wal.Record, error) {
 	if s.ArchiveDir != "" {
-		return s.readNewArchived(final)
+		recs, err := s.readNewArchived(final)
+		if errors.Is(err, wal.ErrLostPosition) {
+			// A checkpoint can seal the file the manifest named and remove
+			// it between the manifest read and the file read: the next
+			// manifest names the file that follows.
+			recs, err = s.readNewArchived(final)
+		}
+		return recs, err
 	}
 	if err := s.tail.Fetch(); err != nil {
 		return nil, fmt.Errorf("replica: re-seed the standby or configure a WAL archive: %w", err)
 	}
 	var out []wal.Record
-	for g := 0; g < s.tail.Groups(); g++ {
-		s.tail.Scan(g, func(r wal.Record, _ []byte) bool {
+	for next := true; next; {
+		next = s.tail.Scan(func(r wal.Record, _ []byte) bool {
 			out = append(out, r)
 			return true
 		})
@@ -145,29 +153,11 @@ func (s *Standby) readNew(final bool) ([]wal.Record, error) {
 // Each group's archived stream (its segments concatenated in epoch order)
 // is append-only — checkpoints seal epochs but never remove archived
 // bytes — so a single stream offset per group survives any number of
-// primary checkpoints. The live file supplies only the not-yet-archived
-// tail.
-//
-// Ordering matters: the live files are snapshotted (Tailer.Fetch) BEFORE
-// the manifest is read. Seal persists the manifest strictly before
-// Checkpoint truncates the WAL, so a truncated-and-regrown file can never
-// be paired with a pre-seal manifest — the one combination whose offset
-// arithmetic would land mid-record in unrelated bytes. Every other
-// interleaving is safe: with a post-seal manifest the stale file's records
-// all sit at or below SealGSN and the GSN filter drops them without
-// advancing the stream. A restart the tailer does notice is the expected
-// checkpoint, not a lost position: the archive holds what the file lost,
-// so the tailer rewinds and the snapshot is retaken, still before the
-// manifest.
+// primary checkpoints. The live log supplies only the not-yet-archived
+// tail: the file the manifest's SealGSN names, from the archiver's SrcOff
+// plus what this standby has read past the archived stream. It changes
+// nothing of the standby's state when it fails.
 func (s *Standby) readNewArchived(final bool) ([]wal.Record, error) {
-	err := s.tail.Fetch()
-	if errors.Is(err, wal.ErrLostPosition) {
-		s.tail.Rewind()
-		err = s.tail.Fetch()
-	}
-	if err != nil {
-		return nil, err
-	}
 	m, err := backup.LoadManifest(s.ArchiveDir)
 	if err != nil {
 		return nil, fmt.Errorf("replica: archive manifest: %w", err)
@@ -176,16 +166,13 @@ func (s *Standby) readNewArchived(final bool) ([]wal.Record, error) {
 		return nil, fmt.Errorf("%w (archive history begins at GSN %d; start from a restored base backup)",
 			ErrLostPosition, m.ContinuousFrom)
 	}
-	groups := m.NumGroups()
-	if n := s.tail.Groups(); n > groups {
-		groups = n
-	}
-	for len(s.stream) < groups {
-		s.stream = append(s.stream, 0)
+	stream := slices.Clone(s.stream)
+	for len(stream) < max(m.NumGroups(), 1) {
+		stream = append(stream, 0)
 	}
 	var out []wal.Record
-	for g := 0; g < groups; g++ {
-		o := s.stream[g]
+	for g := range stream {
+		o := stream[g]
 		var sAll int64
 		for _, seg := range m.GroupSegments(g) {
 			segEnd := sAll + int64(seg.Length)
@@ -200,43 +187,51 @@ func (s *Standby) readNewArchived(final bool) ([]wal.Record, error) {
 			}
 			sAll = segEnd
 		}
-		// Live tail beyond the archive. The archiver has consumed SrcOff
-		// bytes of the live file this epoch (including bytes its GSN filter
-		// skipped), and we have read (o - sAll) stream bytes past the
-		// archived prefix, so the file position continues there. Records at
-		// or below SealGSN are pre-seal leftovers the archiver will skip
-		// too: drop them without advancing the stream offset.
-		if g < s.tail.Groups() && o >= sAll {
-			var srcOff uint64
-			if g < len(m.SrcOff) {
-				srcOff = m.SrcOff[g]
+		if g == 0 && o >= sAll {
+			var n int64
+			if out, n, err = s.readLive(out, m, o-sAll, final); err != nil {
+				return nil, err
 			}
-			// A position outside the snapshot (behind it after a seal, or
-			// ahead of it when the archiver outran this round) waits for the
-			// next round's snapshot. At promote time nothing runs
-			// concurrently, so the ordering above is moot: read it now.
-			if !s.tail.Seek(g, int64(srcOff)+(o-sAll)) && final {
-				if err := s.tail.Fetch(); err != nil {
-					return nil, err
-				}
-			}
-			s.tail.Scan(g, func(r wal.Record, raw []byte) bool {
-				if r.GSN > m.SealGSN {
-					out = append(out, r)
-					o += int64(len(raw))
-					return true
-				}
-				// Mid-epoch the skipped bytes desynchronize the offset
-				// arithmetic until the archiver's SrcOff absorbs them;
-				// stop here and let it catch up. At promote time
-				// (final) nothing will ever be archived again, so keep
-				// scanning — the filter alone is the dedup.
-				return final
-			})
+			o += n
 		}
-		s.stream[g] = o
+		stream[g] = o
 	}
+	s.stream = stream
 	return out, nil
+}
+
+// readLive appends to out the records of the live log past the archive,
+// and returns the bytes they take: the file the manifest names, from SrcOff
+// plus ahead, the stream bytes this standby has read past the archived
+// prefix. In a file named below SealGSN, records at or below it are sealed
+// history the archiver skips too: a round stops at them and lets the
+// archiver's SrcOff absorb them. At promote time (final) nothing will be
+// archived again, so the round reads on past them, and into every later
+// file: the filter alone is the dedup.
+func (s *Standby) readLive(out []wal.Record, m *backup.Manifest, ahead int64, final bool) ([]wal.Record, int64, error) {
+	var srcOff int64
+	if len(m.SrcOff) > 0 {
+		srcOff = int64(m.SrcOff[0])
+	}
+	s.tail.Seek(m.SealGSN, srcOff+ahead)
+	if err := s.tail.Fetch(); err != nil {
+		return nil, 0, err
+	}
+	file, _ := s.tail.Position()
+	var n int64
+	for next := true; next; next = next && final {
+		stale := file < m.SealGSN
+		next = s.tail.Scan(func(r wal.Record, raw []byte) bool {
+			if stale && r.GSN <= m.SealGSN {
+				return final
+			}
+			out = append(out, r)
+			n += int64(len(raw))
+			return true
+		})
+		file, _ = s.tail.Position()
+	}
+	return out, n, nil
 }
 
 // Run polls until stop closes, applying new log continuously.
@@ -279,8 +274,9 @@ func (s *Standby) Promote() error {
 	s.promoted = true
 	s.redo = nil
 	if s.ArchiveDir != "" {
-		// Archived history can reach past the live files (they truncate on
-		// checkpoint); the promoted timeline must sort above it too.
+		// Archived history can reach past the live files (a checkpoint
+		// removes the old ones); the promoted timeline must sort above it
+		// too.
 		if m, merr := backup.LoadManifest(s.ArchiveDir); merr == nil {
 			maxGSN := m.SealGSN
 			for _, seg := range m.Segments {

@@ -17,7 +17,7 @@ func TestGroupFlushDrainsAllMembers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if logs, _ := groupFiles(dir); len(logs) != 1 || m.NumWriters() != 4 {
+	if logs, _ := logFiles(dir); len(logs) != 1 || m.NumWriters() != 4 {
 		t.Fatalf("log files=%v writers=%d, want one file for four writers", logs, m.NumWriters())
 	}
 	for i := 0; i < 4; i++ {

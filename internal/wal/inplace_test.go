@@ -2,7 +2,6 @@ package wal
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -54,7 +53,7 @@ func TestInPlaceFlushKeepsFileSize(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer m.Close()
-	path := filepath.Join(dir, GroupFileName(0))
+	path := filepath.Join(dir, FileName(0))
 	logRecords(t, m, 1, 60)
 	requireInPlace(t, m)
 	size := fileSize(t, path)
@@ -78,7 +77,7 @@ func TestCloseLeavesOnlyRecords(t *testing.T) {
 	if err := m.Close(); err != nil {
 		t.Fatal(err)
 	}
-	got, err := os.ReadFile(filepath.Join(dir, GroupFileName(0)))
+	got, err := os.ReadFile(filepath.Join(dir, FileName(0)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +99,7 @@ func TestOpenAfterTornWriteKeepsNewRecordsReachable(t *testing.T) {
 	if err := m.Close(); err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(dir, GroupFileName(0))
+	path := filepath.Join(dir, FileName(0))
 	torn := encodeRecord(nil, &Record{Type: RecInsert, GSN: 99, Payload: []byte("torn away")})
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
 	if err != nil {
@@ -137,7 +136,7 @@ func TestOpenAfterTornWriteKeepsNewRecordsReachable(t *testing.T) {
 
 // The owner's Recover returns what the package's Recover reads from the
 // directory: the records Open read, each once, those flushed since Open,
-// and none a checkpoint truncated away.
+// and none of a file a checkpoint removed.
 func TestManagerRecoverMatchesDirectory(t *testing.T) {
 	dir := t.TempDir()
 	m, err := Open(Options{Dir: dir, Writers: 1})
@@ -183,11 +182,14 @@ func TestManagerRecoverMatchesDirectory(t *testing.T) {
 		t.Fatal(err)
 	}
 	m.Writer(0).RaiseGSN(9)
-	if err := m.Truncate(); err != nil {
+	if err := m.Rotate(9); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.RemoveOld(); err != nil {
 		t.Fatal(err)
 	}
 	logRecords(t, m, 2, 20)
-	check("after truncate", 2)
+	check("after rotation", 2)
 }
 
 // Recover only reads: a torn tail and a live log's reserved space are both
@@ -200,7 +202,7 @@ func TestRecoverLeavesFileUnchanged(t *testing.T) {
 	}
 	defer m.Close()
 	logRecords(t, m, 5, 20)
-	path := filepath.Join(dir, GroupFileName(0))
+	path := filepath.Join(dir, FileName(0))
 	check := func(what string) {
 		t.Helper()
 		before, err := os.ReadFile(path)
@@ -226,11 +228,11 @@ func TestRecoverLeavesFileUnchanged(t *testing.T) {
 	// A second, torn file, as a directory written by an earlier release
 	// may hold.
 	legacy := encodeRecord(nil, &Record{Type: RecInsert, GSN: 50})
-	if err := os.WriteFile(filepath.Join(dir, GroupFileName(1)), legacy[:len(legacy)-1], 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, FileName(1)), legacy[:len(legacy)-1], 0o644); err != nil {
 		t.Fatal(err)
 	}
 	check("torn legacy file")
-	if got := fileSize(t, filepath.Join(dir, GroupFileName(1))); got != int64(len(legacy)-1) {
+	if got := fileSize(t, filepath.Join(dir, FileName(1))); got != int64(len(legacy)-1) {
 		t.Fatalf("torn legacy file is %d bytes after Recover, want %d", got, len(legacy)-1)
 	}
 }
@@ -250,7 +252,7 @@ func TestTailerLagZeroOnReservedLog(t *testing.T) {
 	if err := m.f.Truncate(int64(len(want)) + reserveChunk); err != nil {
 		t.Fatal(err)
 	}
-	tl := NewTailer(dir, nil)
+	tl := NewTailer(dir, 0, 0)
 	got, err := poll(t, tl)
 	if err != nil || len(got) != 20 {
 		t.Fatalf("poll = %d records, %v; want 20", len(got), err)
@@ -265,10 +267,11 @@ func TestTailerLagZeroOnReservedLog(t *testing.T) {
 }
 
 // A tailer follows a log while the manager reserves new chunks, writes
-// into them, and checkpoints truncate it, each checkpoint sealed the way
-// the archiver seals one: drain to lag 0, rewind, drop records at or
-// below the seal's horizon. Every record is handed out exactly once, and
-// no Fetch reads more than one chunk past the whole records it found.
+// into them, and checkpoints rotate it, each checkpoint sealed the way the
+// archiver seals one: the tailer reads the old file to its end and moves to
+// the new one, and only then is the old file removed. Every record is
+// handed out exactly once, no Fetch reads more than one chunk past the
+// whole records it found, and a rotated file holds its records only.
 func TestTailerFollowsInPlaceLog(t *testing.T) {
 	const (
 		epochs   = 3
@@ -283,7 +286,7 @@ func TestTailerFollowsInPlaceLog(t *testing.T) {
 	}
 	defer m.Close()
 	w := m.Writer(0)
-	epochDone := make(chan uint64) // the epoch's last GSN
+	epochDone := make(chan uint64) // the horizon of the checkpoint ending the epoch
 	sealed := make(chan struct{})
 	var werr error
 	reserves := 0
@@ -310,43 +313,47 @@ func TestTailerFollowsInPlaceLog(t *testing.T) {
 					m.mu.Unlock()
 				}
 			}
-			epochDone <- m.MaxGSN()
+			cp := m.MaxGSN()
+			if werr = m.Rotate(cp); werr != nil {
+				return
+			}
+			epochDone <- cp
 			<-sealed
-			if werr = m.Truncate(); werr != nil {
+			if werr = m.RemoveOld(); werr != nil {
 				return
 			}
 		}
 	}()
 
-	tl := NewTailer(dir, nil)
+	tl := NewTailer(dir, 0, 0)
 	seen := make(map[uint64]int)
-	var sealGSN, last uint64
 	fetch := func() error {
 		before := tl.read
-		err := tl.Fetch()
-		if errors.Is(err, ErrLostPosition) && sealGSN > 0 {
-			// The checkpoint truncated under a position inside the sealed
-			// epoch's records: nothing above the seal was lost.
-			tl.Rewind()
-			before, err = tl.read, tl.Fetch()
-		}
-		if err != nil {
+		if err := tl.Fetch(); err != nil {
 			return err
 		}
-		if tl.Groups() == 0 {
-			return nil
+		var whole int64
+		for _, f := range tl.snap {
+			whole += int64(len(f.buf))
 		}
-		whole := int64(len(tl.groups[0].buf))
-		if past := tl.read - before - whole; past > readChunk+firstGSNEnd {
+		if past := tl.read - before - whole; past > readChunk {
 			return fmt.Errorf("fetch read %d bytes past %d bytes of whole records", past, whole)
 		}
-		tl.Scan(0, func(r Record, _ []byte) bool {
-			if r.GSN > sealGSN {
+		for next := true; next; {
+			file, off := tl.Position()
+			end := off + int64(len(tl.snap[0].buf))
+			next = tl.Scan(func(r Record, _ []byte) bool {
 				seen[r.GSN]++
-				last = max(last, r.GSN)
+				return true
+			})
+			if !next {
+				break
 			}
-			return true
-		})
+			// A rotated file is cut to its records, as Close cuts one.
+			if size := fileSize(t, filepath.Join(dir, FileName(file))); size != end {
+				return fmt.Errorf("rotated file %s is %d bytes, its records end at %d", FileName(file), size, end)
+			}
+		}
 		return nil
 	}
 	for {
@@ -354,7 +361,7 @@ func TestTailerFollowsInPlaceLog(t *testing.T) {
 			t.Fatal(err)
 		}
 		select {
-		case end, ok := <-epochDone:
+		case cp, ok := <-epochDone:
 			if !ok {
 				wg.Wait()
 				if werr != nil {
@@ -373,7 +380,7 @@ func TestTailerFollowsInPlaceLog(t *testing.T) {
 				}
 				return
 			}
-			for last < end {
+			for file, _ := tl.Position(); file != cp; file, _ = tl.Position() {
 				if err := fetch(); err != nil {
 					t.Fatal(err)
 				}
@@ -381,8 +388,6 @@ func TestTailerFollowsInPlaceLog(t *testing.T) {
 			if lag, err := tl.Lag(); err != nil || lag != 0 {
 				t.Fatalf("lag at seal = %d, %v; want 0", lag, err)
 			}
-			tl.Rewind()
-			sealGSN = end
 			sealed <- struct{}{}
 		default:
 		}
@@ -404,7 +409,7 @@ func TestRecordLongerThanReadChunk(t *testing.T) {
 	if recs, err := Recover(dir); err != nil || len(recs) != 3 || len(recs[1].Payload) != 3*readChunk+7 {
 		t.Fatalf("Recover = %d records, %v; want 3, the second of %d bytes", len(recs), err, 3*readChunk+7)
 	}
-	if got, err := poll(t, NewTailer(dir, nil)); err != nil || len(got) != 3 {
+	if got, err := poll(t, NewTailer(dir, 0, 0)); err != nil || len(got) != 3 {
 		t.Fatalf("poll = %v, %v; want 3 records", got, err)
 	}
 }

@@ -1,219 +1,159 @@
 package wal
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 )
 
-// ErrLostPosition reports that a group file restarted under a Tailer: it
-// shrank below the tailing offset, or its first record's GSN changed. Only
-// a checkpoint truncates the log, so the bytes between the offset and the
-// truncation are gone from the live files.
-var ErrLostPosition = errors.New("wal: log restarted under the tailing position")
+// ErrLostPosition reports that the log file a reader's position is in is
+// gone: a checkpoint removed it before the reader read it to its end, so
+// the records between the position and that end are no longer in the live
+// log.
+var ErrLostPosition = errors.New("wal: log file removed under the reading position")
 
-// Tailer follows the group files of a live WAL directory. It owns file
-// discovery (group g is the g-th file in name order) and one byte offset
-// per group, reads past that offset in chunks up to the first record that
-// does not decode, and hands out whole checksum-valid records: a torn or
-// still-being-written tail, or the reserved zeros past the last record
-// (see the package comment), stays unconsumed and is read again by the
-// next Fetch. A file's size is not the log's length.
+// Tailer follows a live log directory. Its position is a file, named by
+// its horizon, and an offset in it; a position given by a horizon names
+// the newest file at or below it, so a position an archive manifest holds
+// (SealGSN) finds the one log file of an earlier release too. Fetch reads past the offset in chunks
+// up to the first record that does not decode, and Scan hands out whole
+// checksum-valid records: a torn or still-being-written tail, or the
+// reserved zeros past the last record (see the package comment), waits for
+// the next Fetch. A file's size is not the log's length.
 //
-// Restart detection. A checkpoint truncates the log in place, so between
-// two Fetches a file can (a) shrink below the offset or (b) shrink and
-// regrow past it, by records or by reserved space, leaving the offset
-// inside unrelated bytes. (a) is a size check. (b) is caught by the first
-// record's GSN: a truncation is only ever followed by records above the
-// checkpoint horizon, which every earlier record was at or below, and a
-// head of reserved zeros reads as GSN 0, which no record carries. At
-// offset 0 there is no position to lose and no check is made.
-//
-// Fetch takes the snapshot (every file read happens there); Scan consumes
-// from it. A Tailer is not safe for concurrent use.
+// The manager writes only the newest file and never cuts one below a whole
+// record, so a file with a successor is complete: a Fetch that lists a
+// later file before it reads reads the position's file to its end and goes
+// on to the next. Nothing is inferred from sizes or records. A position
+// whose file is gone is ErrLostPosition: files are removed oldest first,
+// so none older is left either. A Tailer is not safe for concurrent use.
 type Tailer struct {
-	dir    string
-	paths  []string
-	groups []tailGroup
-	sc     scanner
-	read   int64 // bytes read from the log files so far
+	dir  string
+	file uint64 // horizon of the position's file
+	off  int64  // its offset of the next unconsumed byte
+	// snap is what the last Fetch read: the whole records of the position's
+	// file from off, then those of every later file from its start.
+	snap []tailFile
+	sc   scanner
+	read int64 // bytes read from the log files so far
 }
 
-type tailGroup struct {
-	off   int64  // file offset of the next unconsumed byte
-	buf   []byte // the whole records from off, as of the last Fetch
-	first uint64 // GSN of the file's first record; 0 = not known yet
+type tailFile struct {
+	h   uint64
+	buf []byte
 }
 
-// firstGSNEnd is the end of the GSN field in a record header.
-const firstGSNEnd = 4 + 4 + 1 + 8
-
-// NewTailer returns a Tailer over dir that resumes at the given per-group
-// offsets (nil: the start of every file).
-func NewTailer(dir string, offsets []uint64) *Tailer {
-	t := &Tailer{dir: dir, groups: make([]tailGroup, len(offsets))}
-	for g, off := range offsets {
-		t.groups[g].off = int64(off)
-	}
-	return t
+// NewTailer returns a Tailer over dir that resumes at byte off of the log
+// file of horizon file.
+func NewTailer(dir string, file uint64, off int64) *Tailer {
+	return &Tailer{dir: dir, file: file, off: off}
 }
 
-// Groups returns how many group files the last Fetch (or Lag) found.
-func (t *Tailer) Groups() int { return len(t.paths) }
+// Position returns the position: the horizon of its file and the bytes of
+// that file consumed.
+func (t *Tailer) Position() (file uint64, off int64) { return t.file, t.off }
 
-// Offsets returns every group's offset: the bytes of its file consumed.
-func (t *Tailer) Offsets() []uint64 {
-	out := make([]uint64, len(t.groups))
-	for g := range t.groups {
-		out[g] = uint64(t.groups[g].off)
-	}
-	return out
+// Seek moves the position and drops the snapshot: the next Fetch reads
+// from there.
+func (t *Tailer) Seek(file uint64, off int64) {
+	t.file, t.off, t.snap = file, off, nil
 }
 
-func (t *Tailer) discover() error {
-	paths, err := groupFiles(t.dir)
+// files returns the position's file and every later one, oldest first.
+func (t *Tailer) files() ([]logFile, error) {
+	files, err := logFiles(t.dir)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	t.paths = paths
-	for len(t.groups) < len(paths) {
-		t.groups = append(t.groups, tailGroup{})
-	}
-	return nil
-}
-
-// Fetch snapshots, for every group, the bytes past its offset. It returns
-// ErrLostPosition (wrapped) when a file restarted under its offset.
-func (t *Tailer) Fetch() error {
-	if err := t.discover(); err != nil {
-		return err
-	}
-	for g, p := range t.paths {
-		if err := t.fetchGroup(&t.groups[g], p); err != nil {
-			return err
+	for i := len(files) - 1; i >= 0; i-- {
+		if files[i].h <= t.file {
+			t.file = files[i].h
+			return files[i:], nil
 		}
 	}
-	return nil
+	return nil, fmt.Errorf("%w (%s at offset %d)", ErrLostPosition, FileName(t.file), t.off)
 }
 
-func (t *Tailer) fetchGroup(tg *tailGroup, path string) error {
-	f, err := os.Open(path)
+// scanFile hands fn the whole records of lf from byte off, as scanner.scan
+// does, and returns where they end.
+func (t *Tailer) scanFile(lf logFile, off int64, fn func(raw []byte) bool) (int64, error) {
+	f, err := os.Open(lf.path)
+	if os.IsNotExist(err) {
+		return 0, fmt.Errorf("%w (%s)", ErrLostPosition, filepath.Base(lf.path))
+	}
 	if err != nil {
-		return err
+		return 0, err
 	}
 	defer f.Close()
-	st, err := f.Stat()
-	if err != nil {
-		return err
-	}
-	tg.buf = nil
-	if st.Size() < tg.off {
-		return fmt.Errorf("%w (%s shrank to %d below offset %d)",
-			ErrLostPosition, filepath.Base(path), st.Size(), tg.off)
-	}
-	var buf []byte
-	_, read, err := t.sc.scan(f, tg.off, func(raw []byte) bool {
-		buf = append(buf, raw...)
-		return true
-	})
+	end, read, err := t.sc.scan(f, off, fn)
 	t.read += read
+	return end, err
+}
+
+// Fetch snapshots the whole records past the position, in its file and in
+// every later one. It returns ErrLostPosition (wrapped) when a file it
+// must read is gone.
+func (t *Tailer) Fetch() error {
+	t.snap = nil
+	files, err := t.files()
 	if err != nil {
 		return err
 	}
-	if tg.off > 0 {
-		// The first-record check runs after the tail read: if the file
-		// restarted before the read, the header read now sees the new file.
-		var hdr [firstGSNEnd]byte
-		n, err := f.ReadAt(hdr[:], 0)
-		t.read += int64(n)
-		if err != nil && err != io.EOF {
+	off := t.off
+	for _, lf := range files {
+		var buf []byte
+		if _, err := t.scanFile(lf, off, func(raw []byte) bool {
+			buf = append(buf, raw...)
+			return true
+		}); err != nil {
+			t.snap = nil
 			return err
 		}
-		gsn := binary.LittleEndian.Uint64(hdr[firstGSNEnd-8:])
-		switch {
-		case n < len(hdr):
-			return fmt.Errorf("%w (%s shrank below offset %d)", ErrLostPosition, filepath.Base(path), tg.off)
-		case gsn == 0:
-			return fmt.Errorf("%w (%s restarted: reserved space at its head)", ErrLostPosition, filepath.Base(path))
-		case tg.first == 0:
-			tg.first = gsn // resumed from a persisted offset: learn it now
-		case tg.first != gsn:
-			return fmt.Errorf("%w (%s restarted: first GSN %d -> %d)",
-				ErrLostPosition, filepath.Base(path), tg.first, gsn)
-		}
+		t.snap = append(t.snap, tailFile{h: lf.h, buf: buf})
+		off = 0
 	}
-	tg.buf = buf
 	return nil
 }
 
-// Scan walks group g's snapshot with wal.Scan, advancing the offset past
-// every record fn accepts. The raw bytes handed to fn are valid until the
-// next Fetch.
-func (t *Tailer) Scan(g int, fn func(r Record, raw []byte) bool) {
-	tg := &t.groups[g]
-	atStart := tg.off == 0
-	n := Scan(tg.buf, 0, func(r Record, raw []byte) bool {
-		if !fn(r, raw) {
-			return false
-		}
-		if atStart {
-			tg.first, atStart = r.GSN, false
-		}
-		return true
-	})
-	tg.off += int64(n)
-	tg.buf = tg.buf[n:]
-}
-
-// Seek moves group g's offset. It reports whether the snapshot still
-// covers the new position; if not (the position lies before the offset or
-// beyond the snapshot) the snapshot is dropped and the next Fetch reads
-// from there.
-func (t *Tailer) Seek(g int, off int64) bool {
-	tg := &t.groups[g]
-	d := off - tg.off
-	tg.off = off
-	if d < 0 || d > int64(len(tg.buf)) {
-		tg.buf = nil
+// Scan walks the snapshot of the position's file with wal.Scan, advancing
+// the offset past every record fn accepts. When fn took every record and
+// the snapshot holds a later file, the position moves to that file's start
+// and Scan returns true: the caller calls it again for that file's
+// records. The raw bytes handed to fn are valid until the next Fetch.
+func (t *Tailer) Scan(fn func(r Record, raw []byte) bool) (next bool) {
+	if len(t.snap) == 0 {
 		return false
 	}
-	tg.buf = tg.buf[d:]
+	cur := &t.snap[0]
+	n := Scan(cur.buf, 0, fn)
+	t.off += int64(n)
+	cur.buf = cur.buf[n:]
+	if len(cur.buf) > 0 || len(t.snap) == 1 {
+		return false
+	}
+	t.snap = t.snap[1:]
+	t.file, t.off = t.snap[0].h, 0
 	return true
 }
 
-// Rewind returns every group to the start of its file and forgets the
-// first GSNs: for the owner of the truncation once it has drained the log
-// (the archiver at Seal), and for a consumer that expected the restart.
-func (t *Tailer) Rewind() {
-	for g := range t.groups {
-		t.groups[g] = tailGroup{}
-	}
-}
-
-// Lag returns how many bytes of whole records the group files hold past
-// the offsets. Reserved space and a torn or still-being-written tail are
-// not lag: no Fetch would hand them out.
+// Lag returns how many bytes of whole records the log holds past the
+// position, in its file and every later one. Reserved space and a torn or
+// still-being-written tail are not lag: no Fetch would hand them out.
 func (t *Tailer) Lag() (int64, error) {
-	if err := t.discover(); err != nil {
+	files, err := t.files()
+	if err != nil {
 		return 0, err
 	}
 	var lag int64
-	for g, p := range t.paths {
-		f, err := os.Open(p)
-		if err != nil {
-			return 0, err
-		}
-		off := t.groups[g].off
-		end, read, err := t.sc.scan(f, off, func([]byte) bool { return true })
-		f.Close()
-		t.read += read
+	off := t.off
+	for _, lf := range files {
+		end, err := t.scanFile(lf, off, func([]byte) bool { return true })
 		if err != nil {
 			return 0, err
 		}
 		lag += end - off
+		off = 0
 	}
 	return lag, nil
 }

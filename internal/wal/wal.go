@@ -24,8 +24,11 @@
 // writes before their commit is durable, and a foreign record that shares
 // a page with a commit reaches the log with its own commit or not at all.
 //
-// Every writer drains into one commit group and one log file,
-// wal-0000.log. The first committer to reach the flush mutex becomes the
+// Every writer drains into one commit group and the newest of a row of log
+// files, each named by the checkpoint horizon that opened it (FileName; a
+// fresh log writes wal-0000.log). A file with a successor is complete and
+// never changes again, so no file restarts under a reader (Manager.Rotate,
+// Manager.RemoveOld). The first committer to reach the flush mutex becomes the
 // leader and drains every writer's committed records in one write and sync,
 // while followers arriving behind it find their records already durable and
 // return without touching the device. A leader that expects another
@@ -44,17 +47,17 @@
 // record, not the file's size; every reader stops at the first record
 // that does not decode, which the reserved zeros never do. Open reads the
 // records and cuts the file at their end (a torn tail, or reserved space
-// never written), and Close cuts the reserve, so a cleanly closed log
-// holds only records. Where fallocate is missing or fails, the log is
+// never written), and Close and Rotate cut the reserve, so a cleanly
+// closed or a rotated file holds only records. Where fallocate is missing or fails, the log is
 // appended to, and the same fdatasync also syncs the size each append
 // changes (fsync off Linux).
 //
-// Recovery reads all log files in name order (a directory written by an
-// earlier release may hold several), verifies checksums, stops each file
-// at its first record that does not decode, sorts the records stably by
-// GSN, and hands the ordered stream to the engine for redo. It changes no
-// file. The log's owner recovers through Manager.Recover, which takes the
-// records Open already read instead of reading them again. Per-writer
+// Recovery reads all log files oldest first (a directory written by an
+// earlier release may hold one per commit group), verifies checksums, stops
+// each file at its first record that does not decode, sorts the records
+// stably by GSN, and hands the ordered stream to the engine for redo. It
+// changes no file. The log's owner recovers through Manager.Recover, which
+// takes the records Open already read instead of reading them again. Per-writer
 // order survives the sort because a writer's records carry strictly
 // increasing GSNs and drain to the file in LSN order.
 package wal
@@ -74,6 +77,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"phoebedb/internal/durable"
 	"phoebedb/internal/fault"
 	"phoebedb/internal/metrics"
 	"phoebedb/internal/park"
@@ -593,7 +597,7 @@ func (m *Manager) write(b []byte) (int, error) {
 func (m *Manager) sync() error { return datasync(m.f) }
 
 // Manager owns the per-slot writers, the one commit group they all drain
-// through, and its log file.
+// through, and the log file they write.
 type Manager struct {
 	dir         string
 	syncOnFlush bool
@@ -615,6 +619,7 @@ type Manager struct {
 	arrive  chan struct{}
 	timer   park.Timer
 	f       *os.File
+	horizon uint64      // f's name (FileName); under mu
 	scratch []byte      // concatenated writer buffers for the single write
 	parts   []flushPart // per-writer drained prefix bookkeeping
 	// off is the end of the last record written to f, where the next flush
@@ -669,7 +674,7 @@ func (m *Manager) Window() (fsync, gap time.Duration) {
 
 // Options configures a Manager.
 type Options struct {
-	// Dir is the directory holding the log file, wal-0000.log.
+	// Dir is the directory holding the log files.
 	Dir string
 	// Writers is the number of task-slot writers.
 	Writers int
@@ -684,10 +689,11 @@ type Options struct {
 	Waits *waitevent.Slots
 }
 
-// Open creates a Manager, its writers, and the log file they share. The
-// file is read once: its records are kept for Manager.Recover, and the
-// file is cut at the end of the last whole one, which drops a torn tail
-// and any space reserved but never written. The first flush writes there.
+// Open creates a Manager, its writers, and the log file they write, the
+// directory's newest. The file is read once: its records are kept for
+// Manager.Recover, and the file is cut at the end of the last whole one,
+// which drops a torn tail and any space reserved but never written. The
+// first flush writes there.
 func Open(opts Options) (*Manager, error) {
 	if opts.Writers <= 0 {
 		return nil, fmt.Errorf("wal: need at least one writer")
@@ -695,7 +701,15 @@ func Open(opts Options) (*Manager, error) {
 	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
 		return nil, err
 	}
-	f, err := os.OpenFile(filepath.Join(opts.Dir, GroupFileName(0)), os.O_RDWR|os.O_CREATE, 0o644)
+	files, err := logFiles(opts.Dir)
+	if err != nil {
+		return nil, err
+	}
+	var h uint64
+	if len(files) > 0 {
+		h = files[len(files)-1].h
+	}
+	f, err := os.OpenFile(filepath.Join(opts.Dir, FileName(h)), os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return nil, err
 	}
@@ -705,12 +719,15 @@ func Open(opts Options) (*Manager, error) {
 		return nil, err
 	}
 	m := &Manager{dir: opts.Dir, syncOnFlush: opts.SyncOnFlush,
-		io: opts.IO, waits: opts.Waits, f: f, arrive: make(chan struct{}, 1),
+		io: opts.IO, waits: opts.Waits, f: f, horizon: h, arrive: make(chan struct{}, 1),
 		off: off, end: off, found: found, foundEnd: off}
 	m.flushed.L = &m.mu
 	m.gap.Store(int64(noArrival))
 	for i := 0; i < opts.Writers; i++ {
 		m.writers = append(m.writers, &Writer{id: i, mgr: m})
+		// Every record is above its file's horizon, also in a directory an
+		// earlier release wrote, whose files are named by group number.
+		m.writers[i].localGSN.Store(h)
 	}
 	return m, nil
 }
@@ -759,10 +776,8 @@ func (m *Manager) Close() error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	err := m.flushLocked()
-	if m.end > m.off {
-		if terr := m.f.Truncate(m.off); err == nil {
-			err = terr
-		}
+	if cerr := m.cutReserve(); err == nil {
+		err = cerr
 	}
 	if cerr := m.f.Close(); err == nil {
 		err = cerr
@@ -770,21 +785,102 @@ func (m *Manager) Close() error {
 	return err
 }
 
+// cutReserve cuts the space reserved past the last record. Caller holds
+// m.mu.
+func (m *Manager) cutReserve() (err error) {
+	if m.end > m.off {
+		err = m.f.Truncate(m.off)
+	}
+	return err
+}
+
+// Rotate moves the log to the file of checkpoint horizon h, once the image
+// holding every record at or below h is durable. The old file is cut as
+// Close cuts it and never written again before the new file is created and
+// the directory synced, so a reader that finds the new file finds the old
+// one complete. No writer may hold a record (the engine is quiesced), and
+// every GSN clock is at h. A log whose file is named h or later stays.
+func (m *Manager) Rotate(h uint64) error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if h <= m.horizon {
+		return nil
+	}
+	for _, w := range m.writers {
+		if w.open.Load() || w.pending() {
+			return fmt.Errorf("wal: rotate with unflushed records on writer %d", w.id)
+		}
+	}
+	if err := m.cutReserve(); err != nil {
+		return fmt.Errorf("wal: rotate: %w", err)
+	}
+	f, err := os.OpenFile(filepath.Join(m.dir, FileName(h)), os.O_RDWR|os.O_CREATE, 0o644)
+	if err != nil {
+		return fmt.Errorf("wal: rotate: %w", err)
+	}
+	if err := durable.SyncDir(m.dir); err != nil {
+		// A crash may lose the new file, and a reader that found it takes
+		// the old one for complete: neither may be written (fail-stop).
+		f.Close()
+		m.broken.Store(true)
+		return fmt.Errorf("wal: rotate: %w", err)
+	}
+	_ = m.f.Close() // every record in it went through a flush already
+	m.f, m.horizon, m.off, m.found, m.foundEnd = f, h, 0, nil, 0
+	if m.end != noReserve {
+		m.end = 0
+	}
+	return nil
+}
+
+// RemoveOld removes the log files older than the one being written, oldest
+// first, once an attached archive has sealed them.
+func (m *Manager) RemoveOld() error {
+	m.mu.Lock()
+	h := m.horizon
+	m.mu.Unlock()
+	files, err := logFiles(m.dir)
+	if err != nil {
+		return err
+	}
+	for _, lf := range files {
+		if lf.h < h {
+			if err := os.Remove(lf.path); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
 // --- Reading the log ----------------------------------------------------------
 
-// GroupFileName returns the name of the g-th log file. The manager writes
-// file 0; a directory or archive written by an earlier release may hold
-// more, one per commit group then, and every reader reads them all.
-func GroupFileName(g int) string { return fmt.Sprintf("wal-%04d.log", g) }
+// FileName returns the name of the log file the checkpoint at horizon h
+// opened; a fresh log's is FileName(0). The files an earlier release wrote
+// one per commit group, wal-0000.log to wal-000n.log, read as a row too.
+func FileName(h uint64) string { return fmt.Sprintf("wal-%04d.log", h) }
 
-// groupFiles returns dir's log files in name order.
-func groupFiles(dir string) ([]string, error) {
+// logFile is one log file and the horizon its name carries.
+type logFile struct {
+	h    uint64
+	path string
+}
+
+// logFiles returns dir's log files, oldest first.
+func logFiles(dir string) ([]logFile, error) {
 	paths, err := filepath.Glob(filepath.Join(dir, "wal-*.log"))
 	if err != nil {
 		return nil, err
 	}
-	sort.Strings(paths)
-	return paths, nil
+	var files []logFile
+	for _, p := range paths {
+		var h uint64
+		if _, err := fmt.Sscanf(filepath.Base(p), "wal-%d.log", &h); err == nil {
+			files = append(files, logFile{h: h, path: p})
+		}
+	}
+	sort.Slice(files, func(i, j int) bool { return files[i].h < files[j].h })
+	return files, nil
 }
 
 // Scan is the one walk over log bytes: starting at off it decodes whole,
@@ -862,10 +958,10 @@ func (s *scanner) scan(f io.ReaderAt, off int64, fn func(raw []byte) bool) (end,
 // record: a file of reserved zeros, or one torn in its first record,
 // holds no history.
 func HasRecords(dir string) bool {
-	paths, _ := groupFiles(dir)
+	files, _ := logFiles(dir)
 	var sc scanner
-	for _, p := range paths {
-		f, err := os.Open(p)
+	for _, lf := range files {
+		f, err := os.Open(lf.path)
 		if err != nil {
 			continue
 		}
@@ -880,7 +976,7 @@ func HasRecords(dir string) bool {
 }
 
 // Recover reads every log file in dir and returns the records sorted
-// stably by GSN for redo. Records are gathered in file-name order, so ties
+// stably by GSN for redo. Records are gathered oldest file first, so ties
 // keep file order; one writer's records never tie. Each file is read up
 // to its first record that does not decode: a torn tail, or space
 // reserved and never written.
@@ -888,7 +984,7 @@ func HasRecords(dir string) bool {
 // Recover only reads, so a standby or a verify pass may call it on a
 // primary's directory. Cutting the tail is the log's owner's: Open does
 // it before the first flush writes there.
-func Recover(dir string) ([]Record, error) { return readLogs(dir, nil, 0) }
+func Recover(dir string) ([]Record, error) { return readLogs(dir, nil, 0, 0) }
 
 // Recover is the package's Recover for the log's owner: the records of
 // its own file up to where Open stopped reading come from that read, and
@@ -899,21 +995,20 @@ func (m *Manager) Recover() ([]Record, error) {
 	defer m.mu.Unlock()
 	found, from := m.found, m.foundEnd
 	m.found, m.foundEnd = nil, 0
-	return readLogs(m.dir, found, from)
+	return readLogs(m.dir, found, m.horizon, from)
 }
 
 // readLogs appends the records of every log file in dir to all, reading
-// the manager's file, wal-0000.log, from byte from, and sorts them stably
-// by GSN.
-func readLogs(dir string, all []Record, from int64) ([]Record, error) {
-	paths, err := groupFiles(dir)
+// the file of horizon own from byte from, and sorts them stably by GSN.
+func readLogs(dir string, all []Record, own uint64, from int64) ([]Record, error) {
+	files, err := logFiles(dir)
 	if err != nil {
 		return nil, err
 	}
 	var sc scanner
-	for _, p := range paths {
-		start := int64(0)
-		if filepath.Base(p) == GroupFileName(0) {
+	for _, lf := range files {
+		p, start := lf.path, int64(0)
+		if lf.h == own {
 			start = from
 		}
 		f, err := os.Open(p)
@@ -933,7 +1028,7 @@ func readLogs(dir string, all []Record, from int64) ([]Record, error) {
 	return all, nil
 }
 
-// Dir returns the directory holding the writer files.
+// Dir returns the directory holding the log files.
 func (m *Manager) Dir() string { return m.dir }
 
 // MaxGSN returns the highest GSN any writer has assigned (checkpoint
@@ -946,37 +1041,4 @@ func (m *Manager) MaxGSN() uint64 {
 		}
 	}
 	return max
-}
-
-// Truncate empties every log file in the directory: the open one and any
-// a directory written by an earlier release still holds (one per commit
-// group then). The checkpoint that captured the database state must be
-// durable first, and no writer may buffer a byte (it is quiesced). GSN
-// clocks and LSNs keep advancing so post-truncation records sort after
-// history.
-func (m *Manager) Truncate() error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for _, w := range m.writers {
-		w.mu.Lock()
-		pending := len(w.buf) != 0
-		w.mu.Unlock()
-		if pending {
-			return fmt.Errorf("wal: truncate with unflushed records on writer %d", w.id)
-		}
-	}
-	paths, err := groupFiles(m.dir)
-	if err != nil {
-		return err
-	}
-	for _, p := range paths {
-		if err := os.Truncate(p, 0); err != nil {
-			return fmt.Errorf("wal: truncate: %w", err)
-		}
-	}
-	m.off, m.found, m.foundEnd = 0, nil, 0
-	if m.end != noReserve {
-		m.end = 0
-	}
-	return nil
 }

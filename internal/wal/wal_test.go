@@ -166,7 +166,7 @@ func TestFlushReleasesGrownBuffers(t *testing.T) {
 // logGSNs returns the GSNs of the records in m's log file, in file order.
 func logGSNs(t *testing.T, m *Manager) []uint64 {
 	t.Helper()
-	data, err := os.ReadFile(filepath.Join(m.Dir(), GroupFileName(0)))
+	data, err := os.ReadFile(filepath.Join(m.Dir(), FileName(0)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -340,6 +340,9 @@ func BenchmarkAppendFlushBatch(b *testing.B) {
 	}
 }
 
+// A checkpoint's log steps: rotation to the file of the horizon, then
+// removal of every older file, a second one a directory written with
+// several commit groups holds included.
 func TestMaxGSNAndTruncate(t *testing.T) {
 	dir := t.TempDir()
 	m, err := Open(Options{Dir: dir, Writers: 2})
@@ -352,9 +355,9 @@ func TestMaxGSNAndTruncate(t *testing.T) {
 	w0.Append(&r0)
 	r1 := Record{Type: RecCommit, GSN: w1.NextGSN(5)} // GSN 6
 	w1.Append(&r1)
-	// Truncation with unflushed buffers is refused.
-	if err := m.Truncate(); err == nil {
-		t.Fatal("truncate with pending records accepted")
+	// Rotation with unflushed buffers is refused.
+	if err := m.Rotate(6); err == nil {
+		t.Fatal("rotate with pending records accepted")
 	}
 	if err := m.FlushAll(); err != nil {
 		t.Fatal(err)
@@ -362,13 +365,14 @@ func TestMaxGSNAndTruncate(t *testing.T) {
 	if g := m.MaxGSN(); g != 6 {
 		t.Fatalf("MaxGSN = %d, want 6", g)
 	}
-	// A second log file, as a directory written with several commit groups
-	// holds: truncation must empty it too.
-	legacy := filepath.Join(dir, GroupFileName(3))
+	legacy := filepath.Join(dir, FileName(3))
 	if err := os.WriteFile(legacy, encodeRecord(nil, &Record{Type: RecInsert, GSN: 2}), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Truncate(); err != nil {
+	if err := m.Rotate(m.MaxGSN()); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.RemoveOld(); err != nil {
 		t.Fatal(err)
 	}
 	recs, err := Recover(dir)
@@ -376,16 +380,14 @@ func TestMaxGSNAndTruncate(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(recs) != 0 {
-		t.Fatalf("recovered %d records after truncate", len(recs))
+		t.Fatalf("recovered %d records after the old files' removal", len(recs))
 	}
-	if st, err := os.Stat(legacy); err != nil {
-		t.Fatal(err)
-	} else if st.Size() != 0 {
-		t.Fatalf("second log file holds %d bytes after truncate, want 0", st.Size())
+	if files, err := logFiles(dir); err != nil || len(files) != 1 || files[0].h != 6 {
+		t.Fatalf("log files after removal = %v, %v; want %s alone", files, err, FileName(6))
 	}
-	// GSN clock survives truncation: new records sort after history.
+	// GSN clock survives the rotation: new records sort after history.
 	if g := w1.NextGSN(0); g <= 6 {
-		t.Fatalf("GSN regressed to %d after truncate", g)
+		t.Fatalf("GSN regressed to %d after rotation", g)
 	}
 }
 

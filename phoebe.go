@@ -33,7 +33,6 @@ import (
 	"path/filepath"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"phoebedb/internal/backup"
@@ -131,7 +130,7 @@ type Options struct {
 	ASHSampleInterval time.Duration
 	// ArchiveDir enables continuous WAL archiving into this directory: a
 	// background archiver copies committed log bytes there, checkpoints
-	// seal (and never truncate) archived history, and BaseBackup takes
+	// seal (and never remove) archived history, and BaseBackup takes
 	// online base backups into it. Restore and point-in-time recovery run
 	// from this directory alone (phoebectl backup restore).
 	ArchiveDir string
@@ -156,7 +155,6 @@ type DB struct {
 	sessNext int
 
 	archiver *backup.Archiver
-	archErrs atomic.Int64
 	archStop chan struct{}
 	archDone chan error // the final round's error, sent as the loop exits
 
@@ -314,15 +312,12 @@ func (db *DB) archiveLoop(interval time.Duration) {
 			// Close reports its failure, since the archive then lacks the tail.
 			_, err := db.archiver.Archive()
 			if err != nil {
-				db.archErrs.Add(1)
 				err = fmt.Errorf("phoebedb: final archive round: %w", err)
 			}
 			db.archDone <- err
 			return
 		case <-t.C:
-			if _, err := db.archiver.Archive(); err != nil {
-				db.archErrs.Add(1)
-			}
+			db.archiver.Archive() // a failed round counts in ArchiveErrors
 		}
 	}
 }
@@ -512,8 +507,9 @@ func (db *DB) ProcessWarmQueue() (int, error) {
 // CollectGarbage runs one engine-wide GC round (§7.3).
 func (db *DB) CollectGarbage() int { return db.engine.CollectGarbage() }
 
-// Checkpoint captures the full database state and truncates the WAL, so a
-// later Recover replays only the log written afterwards. The engine must
+// Checkpoint captures the full database state, moves the WAL to a new file
+// and removes the older ones, so a later Recover replays only the log
+// written afterwards. The engine must
 // be quiesced (no in-flight transactions) — call it from a maintenance
 // window.
 func (db *DB) Checkpoint() error { return db.engine.Checkpoint() }
@@ -522,8 +518,14 @@ func (db *DB) Checkpoint() error { return db.engine.Checkpoint() }
 // unset. Used by the server, tooling, and tests.
 func (db *DB) Archiver() *backup.Archiver { return db.archiver }
 
-// ArchiveErrors reports background archiving rounds that failed.
-func (db *DB) ArchiveErrors() int64 { return db.archErrs.Load() }
+// ArchiveErrors reports archiving rounds and archive lag reads that
+// failed (backup.Archiver.Errors); 0 without an archive.
+func (db *DB) ArchiveErrors() int64 {
+	if db.archiver == nil {
+		return 0
+	}
+	return db.archiver.Errors()
+}
 
 // BaseBackupInfo summarizes a completed online base backup.
 type BaseBackupInfo struct {

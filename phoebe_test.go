@@ -3,6 +3,8 @@ package phoebedb
 import (
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -322,5 +324,49 @@ func TestCloseReportsFailedFinalArchive(t *testing.T) {
 	}
 	if n := db.ArchiveErrors(); n != 1 {
 		t.Fatalf("archive errors = %d, want 1", n)
+	}
+}
+
+// TestArchiveLagReportsWedgedArchiver: a log file removed under the
+// archiver leaves it unable to read at its position. The lag gauge then
+// reads -1, not a caught-up 0, and the failed read counts as an archive
+// error.
+func TestArchiveLagReportsWedgedArchiver(t *testing.T) {
+	dir := t.TempDir()
+	db, err := Open(Options{Dir: dir, ArchiveDir: t.TempDir(), ArchiveInterval: time.Hour, Workers: 1, SlotsPerWorker: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	declareUsers(t, db)
+	if err := db.Execute(func(tx *Tx) error {
+		_, err := tx.Insert("users", Row{Int(1), Str("lag"), Float(0)})
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	metric := func(name string) int64 {
+		t.Helper()
+		for _, r := range execOrFatal(t, db, "SELECT name, value FROM phoebe_stat_engine").Rows {
+			if r[0].S == name {
+				return r[1].I
+			}
+		}
+		t.Fatalf("%s missing from phoebe_stat_engine", name)
+		return 0
+	}
+	if lag := metric("phoebe_archive_lag_bytes"); lag <= 0 {
+		t.Fatalf("lag before any archive round = %d, want the log's bytes", lag)
+	}
+	if err := os.Remove(filepath.Join(dir, "wal", "wal-0000.log")); err != nil {
+		t.Fatal(err)
+	}
+	if lag := metric("phoebe_archive_lag_bytes"); lag != -1 {
+		t.Fatalf("lag with the archive's log file gone = %d, want -1", lag)
+	}
+	if n := metric("phoebe_archive_errors_total"); n < 1 {
+		t.Fatalf("archive errors = %d after a failed lag read, want at least 1", n)
+	}
+	if err := db.Close(); err == nil {
+		t.Fatal("Close returned nil although its final archive round cannot read the log")
 	}
 }

@@ -141,8 +141,8 @@ func buildRegistry(db *DB) *metrics.Registry {
 		reg.Counter("phoebe_archive_rounds_total", "WAL archiving rounds run.", a.Rounds)
 		reg.Counter("phoebe_archive_bytes_total", "Log bytes copied into the WAL archive.", a.ArchivedBytes)
 		reg.Counter("phoebe_archive_seals_total", "Archive epochs sealed by checkpoints.", a.Seals)
-		reg.Counter("phoebe_archive_errors_total", "Background archiving rounds that failed.", db.archErrs.Load)
-		reg.Gauge("phoebe_archive_lag_bytes", "Live WAL bytes not yet covered by the archive.", a.LagBytes)
+		reg.Counter("phoebe_archive_errors_total", "Archiving rounds and archive lag reads that failed.", a.Errors)
+		reg.Gauge("phoebe_archive_lag_bytes", "Live WAL bytes not yet covered by the archive (-1: the log cannot be read at the archive's position).", a.LagBytes)
 		reg.Gauge("phoebe_archive_horizon_gsn", "Highest GSN the archive durably holds.", func() int64 {
 			return int64(a.HorizonGSN())
 		})

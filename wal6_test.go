@@ -1,10 +1,13 @@
 package phoebedb
 
 import (
+	"maps"
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 
+	"phoebedb/internal/backup"
 	"phoebedb/internal/core"
 	"phoebedb/internal/replica"
 )
@@ -16,8 +19,10 @@ import (
 // then Close. Its wal/ holds six files: wal-0000 for the pool slots,
 // wal-0001..0004 for the sessions and wal-0005 for the system slot. The
 // records sit in wal-0000, wal-0001 and wal-0005 (the catalog record).
-// Today's code must recover it, checkpoint it down to six empty files and
-// ship it to a standby.
+// Today's code reads the six as a row of log files named by horizons 0 to
+// 5 and writes the newest, wal-0005. It must recover the directory,
+// checkpoint it down to that one file, and ship it to a standby and an
+// archive.
 
 // copyWAL6 copies the fixture into a scratch directory (recovery and
 // checkpoints write to what they open) and returns it.
@@ -60,14 +65,16 @@ func checkWAL6Rows(t *testing.T, tx *Tx, what string) {
 }
 
 // openWAL6 opens dir with the fixture's options, recovers it and checks
-// its rows. The caller closes it.
-func openWAL6(t *testing.T, dir string) *DB {
+// its rows. It returns the database, which the caller closes, and the
+// number of log records the recovery replayed.
+func openWAL6(t *testing.T, dir string) (*DB, int) {
 	t.Helper()
 	db, err := Open(Options{Dir: dir, Workers: 1, SlotsPerWorker: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.Recover(); err != nil {
+	replayed, err := db.Recover()
+	if err != nil {
 		t.Fatal(err)
 	}
 	if err := db.Execute(func(tx *Tx) error {
@@ -76,15 +83,16 @@ func openWAL6(t *testing.T, dir string) *DB {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	return db
+	return db, replayed
 }
 
 // TestSixWALFileDirectory: a directory with one log file per commit group
-// recovers, checkpoints every file empty (the archiver and a standby read
-// them all again from the start), and reopens with the same rows.
+// recovers, checkpoints down to the newest file, which the log writes (the
+// checkpoint removes the older ones), and reopens with the same rows and
+// no record to replay.
 func TestSixWALFileDirectory(t *testing.T) {
 	dir := copyWAL6(t)
-	db := openWAL6(t, dir)
+	db, _ := openWAL6(t, dir)
 	if err := db.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
@@ -92,22 +100,17 @@ func TestSixWALFileDirectory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(logs) != 6 {
-		t.Fatalf("log files after checkpoint: %v, want the fixture's six", logs)
-	}
-	for _, p := range logs {
-		st, err := os.Stat(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st.Size() != 0 {
-			t.Fatalf("%s holds %d bytes after the checkpoint, want 0", filepath.Base(p), st.Size())
-		}
+	if len(logs) != 1 || filepath.Base(logs[0]) != "wal-0005.log" {
+		t.Fatalf("log files after checkpoint: %v, want wal-0005.log alone", logs)
 	}
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := openWAL6(t, dir).Close(); err != nil {
+	db, replayed := openWAL6(t, dir)
+	if replayed != 0 {
+		t.Fatalf("reopen after the checkpoint replayed %d records, want 0", replayed)
+	}
+	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -128,4 +131,100 @@ func TestSixWALFileDirectoryShips(t *testing.T) {
 	tx := e.Begin(0, ReadCommitted, nil, nil, nil)
 	defer tx.Commit()
 	checkWAL6Rows(t, tx, "standby")
+}
+
+// wal6Rows returns table t's rows by id, and fails on an id seen twice.
+func wal6Rows(t *testing.T, tx *Tx, what string) map[int64]string {
+	t.Helper()
+	got := map[int64]string{}
+	if err := tx.ScanTable("t", func(_ RowID, row Row) bool {
+		if _, dup := got[row[0].I]; dup {
+			t.Fatalf("%s: row %d twice", what, row[0].I)
+		}
+		got[row[0].I] = row[1].S
+		return true
+	}); err != nil {
+		t.Fatalf("%s: %v", what, err)
+	}
+	return got
+}
+
+// TestSixWALFileDirectoryArchives: an archiver attached to the fixture
+// reads its six files as a row of six, one archive epoch each, so a
+// standby following the archive and a restore of it both hold every row
+// of every file, each once. They still do after a checkpoint moved the
+// log on and removed the older files, with a commit on either side of it.
+func TestSixWALFileDirectoryArchives(t *testing.T) {
+	dir, arch := copyWAL6(t), t.TempDir()
+	db, err := Open(Options{Dir: dir, Workers: 1, SlotsPerWorker: 2, ArchiveDir: arch, ArchiveInterval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if _, err := db.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	sEng, err := core.Open(core.Config{Dir: t.TempDir(), Slots: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sEng.Close()
+	standby := replica.NewStandby(sEng, filepath.Join(dir, "wal"))
+	standby.ArchiveDir = arch
+	check := func(what string, want map[int64]string) {
+		t.Helper()
+		if _, err := db.Archiver().Archive(); err != nil {
+			t.Fatalf("%s: archive: %v", what, err)
+		}
+		if _, err := standby.CatchUp(); err != nil {
+			t.Fatalf("%s: standby: %v", what, err)
+		}
+		tx := sEng.Begin(0, ReadCommitted, nil, nil, nil)
+		got := wal6Rows(t, tx, what+": standby")
+		tx.Commit()
+		if !maps.Equal(got, want) {
+			t.Fatalf("%s: standby rows = %v, want %v", what, got, want)
+		}
+		dest := filepath.Join(t.TempDir(), "restored")
+		if _, err := backup.Restore(arch, dest, 0); err != nil {
+			t.Fatalf("%s: restore: %v", what, err)
+		}
+		rdb, err := Open(Options{Dir: dest, Workers: 1, SlotsPerWorker: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer rdb.Close()
+		if _, err := rdb.Recover(); err != nil {
+			t.Fatalf("%s: restored recover: %v", what, err)
+		}
+		if err := rdb.Execute(func(tx *Tx) error {
+			if got := wal6Rows(t, tx, what+": restore"); !maps.Equal(got, want) {
+				t.Fatalf("%s: restored rows = %v, want %v", what, got, want)
+			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := map[int64]string{1: "pool", 2: "session"}
+	check("fixture", want)
+	if n := db.Archiver().Seals(); n != 5 {
+		t.Fatalf("the archive sealed %d epochs over six files, want 5", n)
+	}
+	insert := func(id int64, who string) {
+		t.Helper()
+		if err := db.Execute(func(tx *Tx) error {
+			_, err := tx.Insert("t", Row{Int(id), Str(who)})
+			return err
+		}); err != nil {
+			t.Fatal(err)
+		}
+		want[id] = who
+	}
+	insert(3, "before")
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	insert(4, "after")
+	check("after a checkpoint", want)
 }
