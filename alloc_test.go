@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"phoebedb/internal/frozen"
 	"phoebedb/internal/rel"
 	"phoebedb/internal/table"
 )
@@ -99,6 +100,63 @@ func TestAllocPoolSessionExecSQL(t *testing.T) {
 		t.Errorf("streaming LIMIT 3 allocates %.1f objects per statement, want <= %d", limit, limitAllocCeiling)
 	}
 	t.Logf("allocs per statement: SELECT %.1f, UPDATE %.1f, fold %.1f, LIMIT %.1f", sel, upd, fold, limit)
+}
+
+// A point SELECT of a frozen row reads it into the slot's row buffer, as
+// one of a hot row does, so on a block-cache hit the statement allocates
+// only the row's strings, one object per string column: the cold tier
+// copies each string out of its block, so that no row pins one.
+func TestAllocFrozenPointSelect(t *testing.T) {
+	db := openTestDB(t, Options{PageCap: 8, Workers: 1, ASHSampleInterval: -1})
+	tables := []struct {
+		name, cols string
+		strs       float64
+	}{
+		{"c1", "id INT, bal INT, name STRING", 1},
+		{"c2", "id INT, name STRING, bal FLOAT, note STRING", 2},
+	}
+	for _, tc := range tables {
+		execOrFatal(t, db, fmt.Sprintf("CREATE TABLE %s (%s)", tc.name, tc.cols))
+		execOrFatal(t, db, fmt.Sprintf("CREATE UNIQUE INDEX %s_pk ON %s (id)", tc.name, tc.name))
+		for i := 0; i < 48; i++ { // six pages; the open last one stays hot
+			vals := fmt.Sprintf("%d, %d, 'n%d'", i, i, i)
+			if tc.strs == 2 {
+				vals = fmt.Sprintf("%d, 'n%d', %d.5, 'note %d'", i, i, i, i)
+			}
+			execOrFatal(t, db, fmt.Sprintf("INSERT INTO %s VALUES (%s)", tc.name, vals))
+		}
+	}
+	db.CollectGarbage()
+	if n, err := db.Freeze(10, ^uint32(0)); err != nil || n != 80 {
+		t.Fatalf("freeze = (%d, %v), want 80 rows", n, err)
+	}
+	var sink countSink
+	for _, tc := range tables {
+		tbl, err := db.Engine().Table(tc.name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		q := fmt.Sprintf("SELECT * FROM %s WHERE id = 9", tc.name)
+		var allocs float64
+		var before frozen.ColdStats
+		inPoolSession(t, db, func(ps *PoolSession) {
+			run := func() {
+				if _, err := ps.ExecSQL(q, &sink); err != nil {
+					t.Error(err)
+				}
+			}
+			run() // fills the plan cache and the block cache
+			before = tbl.Frozen.Stats()
+			allocs = testing.AllocsPerRun(200, run)
+		})
+		st := tbl.Frozen.Stats()
+		if hits := st.CacheHits - before.CacheHits; st.CacheMisses != before.CacheMisses || hits < 200 {
+			t.Fatalf("%s: %d block-cache hits and %d misses, want every read a hit", tc.name, hits, st.CacheMisses-before.CacheMisses)
+		}
+		if allocs != tc.strs {
+			t.Errorf("%s: autocommit point SELECT of a frozen row allocates %.1f objects per statement, want %.0f (one per string column)", tc.name, allocs, tc.strs)
+		}
+	}
 }
 
 // TestAllocUpdateCollectedPage is the UPDATE gate shaped like point_update

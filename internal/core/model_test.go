@@ -235,7 +235,7 @@ func TestWarmQueueProcessing(t *testing.T) {
 			t.Fatalf("row %d value %v", i, row[2])
 		}
 	}
-	if _, stillFrozen, _ := tbl.Frozen.Get(1); stillFrozen {
+	if _, stillFrozen, _ := tbl.Frozen.Get(1, nil); stillFrozen {
 		t.Fatal("warmed row still live in the frozen layer")
 	}
 	count := 0

@@ -158,7 +158,7 @@ func (e *Engine) redo(r wal.Record) error {
 			err = t.Store.RemoveRow(rid, nil)
 		} else if errors.Is(err, table.ErrFrozen) {
 			var found bool
-			if row, found, err = t.Frozen.Get(rid); err == nil && !found {
+			if row, found, err = t.Frozen.Get(rid, nil); err == nil && !found {
 				err = table.ErrNotFound
 			}
 			if err == nil {

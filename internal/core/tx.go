@@ -565,7 +565,8 @@ func (tx *Tx) readRow(t *Tbl, rid rel.RowID) (rel.Row, bool, error) {
 // visibility check applies before-image deltas in place, so the returned
 // row aliases *buf and is valid until the buffer's next reuse. This is the
 // allocation-free fast path: no fresh row, no chain walk when the head
-// version's stamped commit timestamp is below the global watermark.
+// version's stamped commit timestamp is below the global watermark. A
+// frozen row is read into *buf too; only its strings are fresh.
 func (tx *Tx) readRowInto(t *Tbl, rid rel.RowID, buf *rel.Row) (rel.Row, bool, error) {
 	var out rel.Row
 	var ok bool
@@ -588,7 +589,10 @@ func (tx *Tx) readRowInto(t *Tbl, rid rel.RowID, buf *rel.Row) (rel.Row, bool, e
 	})
 	if errors.Is(err, table.ErrFrozen) {
 		start := time.Now()
-		row, found, ferr := t.Frozen.Get(rid)
+		row, found, ferr := t.Frozen.Get(rid, *buf)
+		if found {
+			*buf = row
+		}
 		tx.track(metrics.CompBuffer, start)
 		if ferr != nil {
 			return nil, false, ferr
@@ -1114,7 +1118,7 @@ func (tx *Tx) deleteOnce(t *Tbl, rid rel.RowID) error {
 // erases the replayed hot original), and insert the hot copy with a fresh
 // row_id, which takes the frozen row's index entries over.
 func (tx *Tx) warmFrozenRow(t *Tbl, rid rel.RowID) (rel.RowID, error) {
-	row, found, err := t.Frozen.Get(rid)
+	row, found, err := t.Frozen.Get(rid, nil)
 	if err != nil {
 		return 0, err
 	}

@@ -87,12 +87,12 @@ func getAllocBytes(t *testing.T, s *Store, n, gets int) (perGet, poolCost uint64
 	for i := range rids {
 		rids[i] = rel.RowID(1 + r.Intn(n))
 	}
-	s.Get(rids[0]) // primes the pool
+	s.Get(rids[0], nil) // primes the pool
 	scratchBuilt, scratchCost := countNews(t, &varScratch)
 	var failed error
 	perGet = totalAlloc(func() {
 		for _, rid := range rids {
-			if row, ok, err := s.Get(rid); err != nil || !ok || row[0].I != int64(rid) {
+			if row, ok, err := s.Get(rid, nil); err != nil || !ok || row[0].I != int64(rid) {
 				failed = fmt.Errorf("Get(%d) = (%v, %v, %v)", rid, row, ok, err)
 				return
 			}
@@ -141,7 +141,7 @@ func TestColdGetCachedAllocBytes(t *testing.T) {
 	const n, gets = 20_000, 1000
 	s := newBigStore(t, n) // ~260 stored blocks: well inside DefaultCacheBytes
 	for rid := 1; rid <= n; rid += 16 {
-		if _, ok, err := s.Get(rel.RowID(rid)); !ok || err != nil {
+		if _, ok, err := s.Get(rel.RowID(rid), nil); !ok || err != nil {
 			t.Fatalf("Get(%d) = (%v, %v)", rid, ok, err)
 		}
 	}
@@ -218,7 +218,7 @@ func TestOversizeRowGetsItsOwnBlock(t *testing.T) {
 		t.Fatalf("the oversize row shares a %d-row, %d-byte block", b.numRows, b.rawLen)
 	}
 	for i, id := range ids {
-		if row, ok, err := s.Get(id); err != nil || !ok || !row.Equal(rows[i]) {
+		if row, ok, err := s.Get(id, nil); err != nil || !ok || !row.Equal(rows[i]) {
 			t.Fatalf("Get(%d) = (%v, %v, %v)", id, row, ok, err)
 		}
 	}
@@ -286,7 +286,7 @@ func TestParent512BlocksReadAndMerge(t *testing.T) {
 	readAll := func() {
 		t.Helper()
 		for i := 0; i < 2048; i++ {
-			if row, ok, err := s.Get(rel.RowID(i + 1)); err != nil || !ok || !row.Equal(wideRow(i)) {
+			if row, ok, err := s.Get(rel.RowID(i+1), nil); err != nil || !ok || !row.Equal(wideRow(i)) {
 				t.Fatalf("Get(%d) = (%v, %v, %v), want %v", i+1, row, ok, err, wideRow(i))
 			}
 		}
@@ -390,7 +390,7 @@ func TestV3SegmentsReadAndMerge(t *testing.T) {
 		verifySegments(t, s, version)
 		for rid := rel.RowID(1); rid <= n; rid++ {
 			want, live := v3EdgeRow(rid)
-			if row, ok, err := s.Get(rid); err != nil || ok != live || (ok && !sameRow(row, want)) {
+			if row, ok, err := s.Get(rid, nil); err != nil || ok != live || (ok && !sameRow(row, want)) {
 				t.Fatalf("v%d: Get(%d) = (%v, %v, %v), want %v (live %v)", version, rid, row, ok, err, want, live)
 			}
 		}
@@ -436,6 +436,8 @@ func TestV3SegmentsReadAndMerge(t *testing.T) {
 // read fetches its block from the file (20k rows, a 1-byte cache).
 // cached: cold_read's shape, 300k rows behind the default cache, which
 // holds most of their ~3,900 stored blocks; it reports the hit ratio.
+// hit: the same rows behind a cache that holds every block, so every read
+// is a hit.
 func BenchmarkColdGet(b *testing.B) {
 	run := func(b *testing.B, s *Store, n int) {
 		r := rand.New(rand.NewSource(1))
@@ -443,7 +445,7 @@ func BenchmarkColdGet(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, ok, err := s.Get(rel.RowID(1 + r.Intn(n))); !ok || err != nil {
+			if _, ok, err := s.Get(rel.RowID(1+r.Intn(n)), nil); !ok || err != nil {
 				b.Fatalf("Get = (%v, %v)", ok, err)
 			}
 		}
@@ -460,9 +462,17 @@ func BenchmarkColdGet(b *testing.B) {
 	cached := newBigStore(b, n)
 	r := rand.New(rand.NewSource(2))
 	for i := 0; i < n/10; i++ { // warm the cache to its steady state
-		cached.Get(rel.RowID(1 + r.Intn(n)))
+		cached.Get(rel.RowID(1+r.Intn(n)), nil)
 	}
 	b.Run("cached", func(b *testing.B) { run(b, cached, n) })
+
+	cached.CacheBytes = 1 << 30
+	for _, g := range cached.segs {
+		for _, blk := range g.blocks {
+			cached.Get(blk.firstRID, nil)
+		}
+	}
+	b.Run("hit", func(b *testing.B) { run(b, cached, n) })
 }
 
 // BenchmarkColdRangeScan4096 is the benchmark's range aggregate over

@@ -39,14 +39,14 @@ func TestExportImportRoundTrip(t *testing.T) {
 		t.Fatalf("imported = %d segments, max %d", dst.NumSegments(), dst.MaxRID())
 	}
 	// Live row reads back; tombstones survived.
-	row, ok, err := dst.Get(5)
+	row, ok, err := dst.Get(5, nil)
 	if err != nil || !ok || row[0].I != 5 {
 		t.Fatalf("Get(5) = (%v,%v,%v)", row, ok, err)
 	}
-	if _, ok, _ := dst.Get(3); ok {
+	if _, ok, _ := dst.Get(3, nil); ok {
 		t.Fatal("tombstone lost on import")
 	}
-	if _, ok, _ := dst.Get(22); ok {
+	if _, ok, _ := dst.Get(22, nil); ok {
 		t.Fatal("tombstone in block 2 lost on import")
 	}
 	// Import into a non-empty store is rejected.
@@ -65,7 +65,7 @@ func TestExportEmptyStore(t *testing.T) {
 	if err := s.Import(nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok, _ := s.Get(rel.RowID(1)); ok {
+	if _, ok, _ := s.Get(rel.RowID(1), nil); ok {
 		t.Fatal("phantom row")
 	}
 }
@@ -96,7 +96,7 @@ func TestImportRejectsBlockOutsideSegment(t *testing.T) {
 		}
 		err := dst.Import([]SegmentMeta{fm})
 		if err == nil {
-			_, _, gerr := dst.Get(1)
+			_, _, gerr := dst.Get(1, nil)
 			t.Fatalf("compLen %d: Import accepted the segment; Get(1) = %v", compLen, gerr)
 		}
 		if !errors.As(err, &re) || re.Block != 0 || re.Len != compLen {

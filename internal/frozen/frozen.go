@@ -9,9 +9,10 @@
 // (8 KiB) raw and DefaultBlockRows rows: what a cold point read fetches to
 // return one row. Within a block, row ids and integer columns are
 // frame-of-reference bit-packed, floats are raw words and only the
-// strings pass through DEFLATE, so a point read finds its row in the id
-// strip and reads its fixed-width values in place, inflating only the
-// block's strings, and a scan over fixed-width columns inflates nothing.
+// strings are compressed, as one LZ stream (lz.go), so a point read finds
+// its row in the id strip and reads its fixed-width values in place,
+// decoding the block's strings only as far as its own, and a scan over
+// fixed-width columns decodes no string.
 // Each segment carries a block directory, a bloom filter over its row_ids
 // and min/max zone maps per fixed-width column, for the segment and for
 // each block, so a cold point read touches at most one segment (bloom
@@ -29,9 +30,10 @@
 // manifest written at checkpoint; between checkpoints recovery replays
 // them from the WAL. Each block counts its reads; once a block crosses
 // the warm threshold the engine extracts its surviving rows back into hot
-// storage. A byte-bounded LRU of blocks as they are stored (parsed and
-// CRC-checked, charged at their stored size) spares point reads the file
-// read; scans read it but never fill or reorder it.
+// storage. A byte-bounded LRU of blocks as they are stored, each checked
+// whole when a point read admits it and charged at its stored size,
+// spares later point reads the file read and every check; scans read it
+// but never fill or reorder it.
 package frozen
 
 import (
@@ -104,6 +106,11 @@ type cacheKey struct {
 	idx int
 }
 
+// cacheEntry is one block in the point-read cache. A block enters it only
+// through storedBlock.admit, which checks it whole, so a point read that
+// hits decodes only what its row needs and checks nothing again. Once
+// admitted an entry is read-only and shared by every reader, evicted or
+// not.
 type cacheEntry struct {
 	key cacheKey
 	b   storedBlock
@@ -302,50 +309,72 @@ func (s *Store) readBlock(g *segment, bi int, buf []byte) (storedBlock, error) {
 	return b, nil
 }
 
-// cached returns block (g, bi) if the LRU holds it, promoting it when
-// asked to.
-func (s *Store) cached(g *segment, bi int, promote bool) (storedBlock, bool) {
+// cached returns block (g, bi)'s entry if the LRU holds it (nil if not),
+// promoting it when asked to.
+func (s *Store) cached(g *segment, bi int, promote bool) *cacheEntry {
 	s.cacheMu.Lock()
 	defer s.cacheMu.Unlock()
 	el, ok := s.cacheMap[cacheKey{seg: g, idx: bi}]
 	if !ok {
-		return storedBlock{}, false
+		return nil
 	}
 	if promote {
 		s.cacheLRU.MoveToFront(el)
 	}
-	return el.Value.(*cacheEntry).b, true
+	return el.Value.(*cacheEntry)
 }
 
-// loadBlock returns a parsed stored block through the byte-bounded LRU —
-// the point-read path; what the LRU holds is what point reads put there.
-func (s *Store) loadBlock(g *segment, bi int) (storedBlock, error) {
-	if b, ok := s.cached(g, bi, true); ok {
+// loadBlock returns block (g, bi) from the byte-bounded LRU — Get's path;
+// what the LRU holds is what point reads put there. A miss is the one
+// step that admits a block: it reads the block, checks it whole
+// (storedBlock.admit) and inserts it. It also returns the var stream that
+// check decoded, in pooled scratch the caller puts back, so the read that
+// missed serves its row from that decode; a hit returns nil there.
+func (s *Store) loadBlock(g *segment, bi int) (*storedBlock, *[]byte, error) {
+	if e := s.cached(g, bi, true); e != nil {
 		s.cacheHits.Add(1)
-		return b, nil
+		return &e.b, nil, nil
 	}
 	s.cacheMiss.Add(1)
 	b, err := s.readBlock(g, bi, nil)
 	if err != nil {
-		return storedBlock{}, err
+		return nil, nil, err
 	}
-	key := cacheKey{seg: g, idx: bi}
+	e := &cacheEntry{key: cacheKey{seg: g, idx: bi}, b: b}
+	vars, err := e.b.admit()
+	if err != nil {
+		return nil, nil, fmt.Errorf("frozen: segment block at %d: %w", g.ref.Offset, err)
+	}
 	s.cacheMu.Lock()
-	if _, ok := s.cacheMap[key]; !ok {
-		el := s.cacheLRU.PushFront(&cacheEntry{key: key, b: b})
-		s.cacheMap[key] = el
+	if _, ok := s.cacheMap[e.key]; !ok {
+		s.cacheMap[e.key] = s.cacheLRU.PushFront(e)
 		s.cacheUsed += int64(len(b.comp))
 		cap := s.cacheCapBytes()
 		for s.cacheUsed > cap && s.cacheLRU.Len() > 1 {
 			back := s.cacheLRU.Back()
-			e := back.Value.(*cacheEntry)
+			old := back.Value.(*cacheEntry)
 			s.cacheLRU.Remove(back)
-			delete(s.cacheMap, e.key)
-			s.cacheUsed -= int64(len(e.b.comp))
+			delete(s.cacheMap, old.key)
+			s.cacheUsed -= int64(len(old.b.comp))
 		}
 	}
 	s.cacheMu.Unlock()
-	return b, nil
+	return &e.b, vars, nil
+}
+
+// storedFor returns block (g, bi) for a point path that reads no row in
+// place (MarkDeleted, ExtractLive): the cached block if the LRU holds it,
+// promoted, or else the block read and parsed for this call alone and not
+// admitted. A delete needs only the id strip, and warming moves every row
+// of the block out of the frozen layer, so neither would use the check
+// that admission pays for.
+func (s *Store) storedFor(g *segment, bi int) (storedBlock, error) {
+	if e := s.cached(g, bi, true); e != nil {
+		s.cacheHits.Add(1)
+		return e.b, nil
+	}
+	s.cacheMiss.Add(1)
+	return s.readBlock(g, bi, nil)
 }
 
 // dropCached evicts every cached block of a segment (after compaction
@@ -362,10 +391,11 @@ func (s *Store) dropCached(g *segment) {
 	s.cacheMu.Unlock()
 }
 
-// Get returns the frozen row, if present and not deleted. The bool
-// reports presence. Bloom-negative lookups return without touching any
-// segment block.
-func (s *Store) Get(rid rel.RowID) (rel.Row, bool, error) {
+// Get returns the frozen row, if present and not deleted, in row: grown
+// to the schema's width if it is shorter, so a nil row gets a fresh one.
+// Its strings are the row's own. The bool reports presence.
+// Bloom-negative lookups return without touching any segment block.
+func (s *Store) Get(rid rel.RowID, row rel.Row) (rel.Row, bool, error) {
 	s.lookups.Add(1)
 	s.mu.RLock()
 	g := s.segmentForLocked(rid)
@@ -392,18 +422,20 @@ func (s *Store) Get(rid rel.RowID) (rel.Row, bool, error) {
 		return nil, false, nil
 	}
 	s.segProbes.Add(1)
-	b, err := s.loadBlock(g, bi)
+	b, vars, err := s.loadBlock(g, bi)
 	if err != nil {
 		return nil, false, err
 	}
-	return b.get(s.schema, rid)
+	row, ok, err := b.get(s.schema, rid, row, vars)
+	putScratch(vars)
+	return row, ok, err
 }
 
 // MarkDeleted tombstones a frozen row (out-of-place delete/update). It
-// reports whether the row existed and was live; a version-3 block answers
-// that from its id strip, inflating nothing. The whole operation runs
-// under the directory read-lock so a concurrent compaction swap cannot
-// strand the tombstone on a retired segment.
+// reports whether the row existed and was live; a version-3 or -4 block
+// answers that from its id strip, decoding nothing. The whole operation
+// runs under the directory read-lock so a concurrent compaction swap
+// cannot strand the tombstone on a retired segment.
 func (s *Store) MarkDeleted(rid rel.RowID) (bool, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -418,11 +450,11 @@ func (s *Store) MarkDeleted(rid rel.RowID) (bool, error) {
 	if bi < 0 {
 		return false, nil
 	}
-	b, err := s.loadBlock(g, bi)
+	b, err := s.storedFor(g, bi)
 	if err != nil {
 		return false, err
 	}
-	if _, ok, err := b.get(nil, rid); !ok || err != nil {
+	if ok, err := b.has(rid); !ok || err != nil {
 		return false, err
 	}
 	g.mu.Lock()
@@ -475,7 +507,7 @@ func (s *Store) ExtractLive(rid rel.RowID) (ids []rel.RowID, rows []rel.Row, err
 	if bi < 0 {
 		return nil, nil, nil
 	}
-	b, err := s.loadBlock(g, bi)
+	b, err := s.storedFor(g, bi)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -546,8 +578,10 @@ func (s *Store) ScanBlocks(preds []rel.ColPred, strs bool, fn func(ids []rel.Row
 				continue
 			}
 			s.scanBlocks.Add(1)
-			b, ok := s.cached(g, bi, false)
-			if !ok {
+			var b storedBlock
+			if e := s.cached(g, bi, false); e != nil {
+				b = e.b
+			} else {
 				var err error
 				if b, err = s.readBlock(g, bi, buf.comp); err != nil {
 					return err

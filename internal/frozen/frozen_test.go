@@ -57,7 +57,7 @@ func TestFreezeAndGet(t *testing.T) {
 		t.Fatalf("NumSegments=%d MaxRID=%d", s.NumSegments(), s.MaxRID())
 	}
 	for i, id := range ids {
-		row, ok, err := s.Get(id)
+		row, ok, err := s.Get(id, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -65,7 +65,7 @@ func TestFreezeAndGet(t *testing.T) {
 			t.Fatalf("Get(%d) = (%v,%v)", id, row, ok)
 		}
 	}
-	if _, ok, _ := s.Get(999); ok {
+	if _, ok, _ := s.Get(999, nil); ok {
 		t.Fatal("absent rid found")
 	}
 	if s.CompressedBytes() <= 0 {
@@ -108,12 +108,12 @@ func TestMultipleSegmentsAndRouting(t *testing.T) {
 		t.Fatalf("NumSegments = %d", s.NumSegments())
 	}
 	// Row in third segment.
-	row, ok, err := s.Get(215)
+	row, ok, err := s.Get(215, nil)
 	if err != nil || !ok || row[0].I != 215 {
 		t.Fatalf("Get(215) = (%v,%v,%v)", row, ok, err)
 	}
 	// Gap between segments: absent.
-	if _, ok, _ := s.Get(50); ok {
+	if _, ok, _ := s.Get(50, nil); ok {
 		t.Fatal("rid in gap found")
 	}
 }
@@ -133,7 +133,7 @@ func TestBloomNegativesTouchNothing(t *testing.T) {
 	mustFreeze(t, s, ids, rows)
 	misses := 0
 	for i := 1; i < n; i++ { // odd rids 3..2n-1, all inside the segment's range
-		if _, ok, err := s.Get(rel.RowID(2*i + 1)); ok || err != nil {
+		if _, ok, err := s.Get(rel.RowID(2*i+1), nil); ok || err != nil {
 			t.Fatalf("odd rid %d = (%v, %v)", 2*i+1, ok, err)
 		}
 		misses++
@@ -156,7 +156,7 @@ func TestMarkDeleted(t *testing.T) {
 	if err != nil || !ok {
 		t.Fatalf("MarkDeleted = (%v,%v)", ok, err)
 	}
-	if _, ok, _ := s.Get(5); ok {
+	if _, ok, _ := s.Get(5, nil); ok {
 		t.Fatal("deleted row still visible")
 	}
 	if ok, _ := s.MarkDeleted(5); ok {
@@ -166,12 +166,12 @@ func TestMarkDeleted(t *testing.T) {
 		t.Fatal("delete of absent row reported live")
 	}
 	// Neighbors unaffected.
-	if _, ok, _ := s.Get(4); !ok {
+	if _, ok, _ := s.Get(4, nil); !ok {
 		t.Fatal("neighbor lost")
 	}
 	// Undelete restores visibility (warming-txn rollback).
 	s.Undelete(5)
-	if _, ok, _ := s.Get(5); !ok {
+	if _, ok, _ := s.Get(5, nil); !ok {
 		t.Fatal("undeleted row invisible")
 	}
 }
@@ -226,7 +226,7 @@ func TestWarmThresholdAndExtract(t *testing.T) {
 		t.Fatal("cold block reported warm")
 	}
 	for i := 0; i < 3; i++ {
-		s.Get(1)
+		s.Get(1, nil)
 	}
 	if !s.ShouldWarm(1) {
 		t.Fatal("block not warm after threshold reads")
@@ -244,7 +244,7 @@ func TestWarmThresholdAndExtract(t *testing.T) {
 		}
 	}
 	// After extraction everything is tombstoned.
-	if _, ok, _ := s.Get(1); ok {
+	if _, ok, _ := s.Get(1, nil); ok {
 		t.Fatal("extracted row still live")
 	}
 	n := 0
@@ -269,7 +269,7 @@ func TestWarmingIsPerBlock(t *testing.T) {
 		t.Fatalf("blocks = %d, want 3", s.Stats().Blocks)
 	}
 	for i := 0; i < 2; i++ {
-		s.Get(1) // first block only
+		s.Get(1, nil) // first block only
 	}
 	if !s.ShouldWarm(2) {
 		t.Fatal("read block not warm")
@@ -285,7 +285,7 @@ func TestWarmingIsPerBlock(t *testing.T) {
 		t.Fatalf("extracted %d rows, want the 4-row block", len(gotIDs))
 	}
 	// Rows in the other blocks stay frozen and live.
-	if _, ok, _ := s.Get(6); !ok {
+	if _, ok, _ := s.Get(6, nil); !ok {
 		t.Fatal("row in unwarmed block lost")
 	}
 }
@@ -298,7 +298,7 @@ func TestCacheEvictionAndCounters(t *testing.T) {
 		mustFreeze(t, s, ids, rows)
 	}
 	for b := 0; b < 6; b++ {
-		if _, ok, err := s.Get(rel.RowID(b*10 + 1)); !ok || err != nil {
+		if _, ok, err := s.Get(rel.RowID(b*10+1), nil); !ok || err != nil {
 			t.Fatalf("segment %d unreadable", b)
 		}
 	}
@@ -307,7 +307,7 @@ func TestCacheEvictionAndCounters(t *testing.T) {
 		t.Fatalf("hits=%d misses=%d, want 0/6", st.CacheHits, st.CacheMisses)
 	}
 	// Evicted blocks remain readable (re-decompress, counted as misses).
-	if _, ok, _ := s.Get(1); !ok {
+	if _, ok, _ := s.Get(1, nil); !ok {
 		t.Fatal("evicted block unreadable")
 	}
 	if st = s.Stats(); st.CacheMisses != 7 {
@@ -318,7 +318,7 @@ func TestCacheEvictionAndCounters(t *testing.T) {
 	ids, rows := batch(1, 50)
 	mustFreeze(t, s2, ids, rows)
 	for i := 0; i < 10; i++ {
-		s2.Get(25)
+		s2.Get(25, nil)
 	}
 	if st := s2.Stats(); st.CacheMisses != 1 || st.CacheHits != 9 {
 		t.Fatalf("hits=%d misses=%d, want 9/1", st.CacheHits, st.CacheMisses)
@@ -360,18 +360,18 @@ func TestCompactionMergesAndPurges(t *testing.T) {
 		}
 	}
 	for _, rid := range []rel.RowID{5, 105} {
-		if _, ok, _ := s.Get(rid); ok {
+		if _, ok, _ := s.Get(rid, nil); ok {
 			t.Fatalf("purged rid %d still visible", rid)
 		}
 	}
-	if row, ok, _ := s.Get(301); !ok || row[0].I != 301 {
+	if row, ok, _ := s.Get(301, nil); !ok || row[0].I != 301 {
 		t.Fatal("survivor lost in merge")
 	}
 	// Deletes keep working against the merged segment.
 	if ok, err := s.MarkDeleted(301); err != nil || !ok {
 		t.Fatalf("delete after compaction = (%v,%v)", ok, err)
 	}
-	if _, ok, _ := s.Get(301); ok {
+	if _, ok, _ := s.Get(301, nil); ok {
 		t.Fatal("post-compaction tombstone ignored")
 	}
 }
@@ -421,10 +421,10 @@ func TestLegacyFlatSegmentsRead(t *testing.T) {
 			t.Fatalf("flat segment at %d rejected: %v", m.FirstRID, err)
 		}
 	}
-	if row, ok, _ := s.Get(215); !ok || row[0].I != 215 {
+	if row, ok, _ := s.Get(215, nil); !ok || row[0].I != 215 {
 		t.Fatal("flat segment unreadable")
 	}
-	if _, ok, _ := s.Get(50); ok {
+	if _, ok, _ := s.Get(50, nil); ok {
 		t.Fatal("gap rid found")
 	}
 	if st := s.Stats(); st.BloomNegatives != 0 {
@@ -442,7 +442,7 @@ func TestLegacyFlatSegmentsRead(t *testing.T) {
 	if got := scanRows(t, s, nil, true); len(got) != 100 {
 		t.Fatalf("%d rows after the merge, want 100", len(got))
 	}
-	if row, ok, _ := s.Get(215); !ok || row[0].I != 215 {
+	if row, ok, _ := s.Get(215, nil); !ok || row[0].I != 215 {
 		t.Fatal("row lost in the merge")
 	}
 	checkGetMatchesScan(t, s)
@@ -475,7 +475,7 @@ func TestCompactedPointReadAmplification(t *testing.T) {
 	}
 	before := s.Stats()
 	for _, rid := range present {
-		if row, ok, err := s.Get(rid); err != nil || !ok || row[0].I != int64(rid) {
+		if row, ok, err := s.Get(rid, nil); err != nil || !ok || row[0].I != int64(rid) {
 			t.Fatalf("Get(%d) = (%v, %v, %v)", rid, row, ok, err)
 		}
 	}
@@ -489,13 +489,13 @@ func TestCompactedPointReadAmplification(t *testing.T) {
 	before = after
 	absent := 0
 	for _, rid := range present {
-		if _, ok, err := s.Get(rid + 1); ok || err != nil {
+		if _, ok, err := s.Get(rid+1, nil); ok || err != nil {
 			t.Fatalf("absent rid %d = (%v, %v)", rid+1, ok, err)
 		}
 		absent++
 	}
 	for rid := rel.RowID(5000); rid < 5100; rid++ {
-		if _, ok, _ := s.Get(rid); ok {
+		if _, ok, _ := s.Get(rid, nil); ok {
 			t.Fatalf("rid %d past the tier found", rid)
 		}
 		absent++
@@ -614,6 +614,6 @@ func BenchmarkFrozenGet(b *testing.B) {
 	s.Freeze(ids, rows)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.Get(rel.RowID(i%1000 + 1))
+		s.Get(rel.RowID(i%1000+1), nil)
 	}
 }

@@ -183,14 +183,22 @@ func fuzzColdBlocks(t testing.TB) []storedBlock {
 
 // FuzzColdBlock throws mutated blocks at the block reader of both strip
 // versions, 3 (DEFLATE var stream) and 4 (LZ); the block CRC is
-// recomputed so mutations reach the parser. Parsing, the point read of
-// every id and both whole-block unpacks, with and without strings, must
-// return an error or a result and never panic; and when a block is
-// accepted — parsed, and its ids ascend so it unpacks — the point read and
-// the unpacked page agree on every row.
+// recomputed so mutations reach the parser. Parsing, the presence check
+// of every id, admission to the point-read cache and both whole-block
+// unpacks, with and without strings, must return an error or a result and
+// never panic. Admission must fail exactly when the whole-block unpack
+// does, and on an admitted block every point read — the miss that serves
+// its row from admission's decode, and a hit that decodes only as far as
+// its row — returns the unpacked row, both of edgeSchema's string columns
+// included.
 func FuzzColdBlock(f *testing.F) {
 	for _, b := range fuzzColdBlocks(f) {
 		f.Add(b.comp, b.rawLen)
+		// The same block with its id base forged near 2^64, so that its
+		// ascending offsets give ids that wrap; both paths must refuse it.
+		wrapped := append([]byte(nil), b.comp...)
+		binary.LittleEndian.PutUint64(wrapped[6:], ^uint64(0)-8)
+		f.Add(wrapped, b.rawLen)
 	}
 	for _, b := range v3EdgeBlocks(f) {
 		f.Add(b.comp, b.rawLen)
@@ -214,33 +222,34 @@ func checkColdBlock(t *testing.T, schema *rel.Schema, version uint32, comp []byt
 	if err != nil {
 		return
 	}
+	for i := 0; i < b.strips.n; i++ {
+		b.has(rel.RowID(b.strips.ids.at(i)))
+	}
 	full, fullErr := b.decode(schema, true, nil)
-	fixed, err := b.decode(schema, false, nil)
-	if err != nil {
-		// Only ids out of order stop an unpack without strings: point
-		// reads may miss rows then, but must not panic.
-		for i := 0; i < b.strips.n; i++ {
-			b.get(schema, rel.RowID(b.strips.ids.at(i)))
-		}
+	fixed, fixedErr := b.decode(schema, false, nil)
+	vars, admitErr := b.admit()
+	if (admitErr == nil) != (fullErr == nil) {
+		t.Fatalf("admission: %v; whole-block unpack: %v", admitErr, fullErr)
+	}
+	if admitErr != nil {
 		return
 	}
-	if fullErr == nil && (bareErr != nil || fmt.Sprint(bare.ids) != fmt.Sprint(full.ids)) {
-		t.Fatalf("schema-less decode = (%v, %v), with the schema %v", bare.ids, bareErr, full.ids)
+	defer putScratch(vars)
+	if fixedErr != nil || bareErr != nil || fmt.Sprint(bare.ids) != fmt.Sprint(full.ids) {
+		t.Fatalf("admitted block: unpack without strings %v; schema-less decode = (%v, %v), with the schema %v", fixedErr, bare.ids, bareErr, full.ids)
 	}
-	for i, rid := range fixed.ids {
-		row, ok, err := b.get(schema, rid)
-		if (err == nil) != (fullErr == nil) {
-			t.Fatalf("point read of %d: %v; whole-block unpack: %v", rid, err, fullErr)
+	var hit, miss rel.Row // reused from read to read, as a transaction's row buffer is
+	for i, rid := range full.ids {
+		want := full.rows.Row(i)
+		if hit, _, err = b.get(schema, rid, hit, nil); err != nil || !sameRow(hit, want) {
+			t.Fatalf("hit read of %d = (%v, %v), unpacked row %v", rid, hit, err, want)
 		}
-		if err != nil {
-			continue
-		}
-		if !ok || !sameRow(row, full.rows.Row(i)) {
-			t.Fatalf("point read of %d = (%v, %v), unpacked row %v", rid, row, ok, full.rows.Row(i))
+		if miss, _, err = b.get(schema, rid, miss, vars); err != nil || !sameRow(miss, want) {
+			t.Fatalf("miss read of %d = (%v, %v), unpacked row %v", rid, miss, err, want)
 		}
 		for c, col := range schema.Cols {
-			if col.Type.FixedWidth() > 0 && !sameRow(rel.Row{fixed.rows.Col(i, c)}, rel.Row{row[c]}) {
-				t.Fatalf("row %d column %d: %v unpacked without strings, %v read in place", rid, c, fixed.rows.Col(i, c), row[c])
+			if col.Type.FixedWidth() > 0 && !sameRow(rel.Row{fixed.rows.Col(i, c)}, rel.Row{hit[c]}) {
+				t.Fatalf("row %d column %d: %v unpacked without strings, %v read in place", rid, c, fixed.rows.Col(i, c), hit[c])
 			}
 		}
 	}
@@ -268,7 +277,9 @@ func v3EdgeBlocks(t testing.TB) []storedBlock {
 // at the encoder. Decoding into an n-byte output, guarded on both sides,
 // must never panic or write outside it, and must either fail or fill it
 // exactly, so the same stream fails into n-1 or n+1 bytes; and every
-// input must survive an encode and decode unchanged.
+// input must survive an encode and decode unchanged, also when the decode
+// stops and resumes (lzStream.fill) every few bytes, as a point read's
+// does.
 func FuzzLZ(f *testing.F) {
 	var e lzEncoder
 	for _, in := range [][]byte{nil, []byte("a"), bytes.Repeat([]byte("ab"), 100),
@@ -310,6 +321,16 @@ func FuzzLZ(f *testing.F) {
 		out := make([]byte, len(data))
 		if err := lzDecode(out, enc); err != nil || !bytes.Equal(out, data) {
 			t.Fatalf("round trip of %d bytes: %v", len(data), err)
+		}
+		z := lzStream{dst: make([]byte, len(data)), src: enc}
+		for want := 0; !z.done; {
+			want += 1 + int(n%64)
+			if err := z.fill(want); err != nil || (z.d < want && !z.done) {
+				t.Fatalf("resumed decode stopped at %d of %d bytes: %v", z.d, want, err)
+			}
+		}
+		if z.d != len(data) || !bytes.Equal(z.dst, data) {
+			t.Fatalf("resumed decode filled %d of %d bytes, equal %v", z.d, len(data), bytes.Equal(z.dst, data))
 		}
 	})
 }

@@ -106,8 +106,32 @@ func lzAppendLen(dst []byte, n int) []byte {
 // is checked before it is used, so no input makes it read or write
 // outside the two slices.
 func lzDecode(dst, src []byte) error {
-	d, s := 0, 0
-	for {
+	z := lzStream{dst: dst, src: src}
+	// The output never passes len(dst), so this runs to the stream's end.
+	if err := z.fill(len(dst) + 1); err != nil {
+		return err
+	}
+	if z.d != len(dst) {
+		return fmt.Errorf("lz: stream fills %d of %d bytes", z.d, len(dst))
+	}
+	return nil
+}
+
+// lzStream is a decode of src into dst that can stop after any sequence
+// and resume there: a point read decodes a var stream only as far as the
+// values it reads.
+type lzStream struct {
+	dst, src []byte
+	d, s     int  // bytes written to dst, bytes read from src
+	done     bool // the last sequence is decoded
+}
+
+// fill decodes whole sequences until at least want bytes of dst are
+// written or the stream has ended, with lzDecode's checks; a caller that
+// needs want bytes checks z.d. After an error the stream is spent.
+func (z *lzStream) fill(want int) error {
+	dst, src, d, s := z.dst, z.src, z.d, z.s
+	for d < want && !z.done {
 		if s >= len(src) {
 			return fmt.Errorf("lz: missing token at %d", s)
 		}
@@ -126,6 +150,7 @@ func lzDecode(dst, src []byte) error {
 		d += copy(dst[d:], src[s:s+lit])
 		s += lit
 		if s == len(src) {
+			z.done = true
 			break
 		}
 		if len(src)-s < 2 {
@@ -154,8 +179,26 @@ func lzDecode(dst, src []byte) error {
 			d += copy(dst[d:end], dst[start:d])
 		}
 	}
-	if d != len(dst) {
-		return fmt.Errorf("lz: stream fills %d of %d bytes", d, len(dst))
+	z.d, z.s = d, s
+	return nil
+}
+
+// need decodes until at least n bytes of dst are written, failing if the
+// stream ends first. It inlines to a compare when they already are.
+func (z *lzStream) need(n int) error {
+	if z.d >= n {
+		return nil
+	}
+	return z.fillTo(n)
+}
+
+// fillTo is need's decoding half.
+func (z *lzStream) fillTo(n int) error {
+	if err := z.fill(n); err != nil {
+		return err
+	}
+	if z.d < n {
+		return fmt.Errorf("lz: stream ends at %d of %d bytes", z.d, n)
 	}
 	return nil
 }

@@ -43,7 +43,8 @@ import (
 // the strip's minimum, width bits apiece, low bits first. The var stream
 // decodes to every string column's length-prefixed values (len u32,
 // bytes), column by column, so a point read decodes only its block's
-// strings and a scan over fixed-width columns decodes nothing. The two
+// strings, and those only as far as its own, and a scan over fixed-width
+// columns decodes nothing. The two
 // versions differ only in the var stream's compression: DEFLATE in version
 // 3, one LZ4 block-format stream (lz.go) in version 4. A version 1 or 2
 // block is one DEFLATE stream of count u32 | ids u64[] | pax image.
@@ -667,8 +668,8 @@ const maxInflate = 1032
 // storedBlock is one block as the block file stores it, parsed once when
 // it is read: a version-3 or -4 block's CRC, strips and lengths are
 // checked and located (parseStrips), a version-1 or -2 block is its one
-// DEFLATE stream. It is what the point-read cache holds, charged at
-// len(comp), and it is read-only, so one value is shared by every reader.
+// DEFLATE stream. It is read-only, so one value is shared by every reader;
+// the point-read cache holds it, once admitted, charged at len(comp).
 type storedBlock struct {
 	comp    []byte
 	version uint32
@@ -768,31 +769,20 @@ func (b *storedBlock) decode(schema *rel.Schema, strs bool, buf *scanBuf) (block
 	return d, nil
 }
 
-// get returns the row stored under rid, if the block holds it: a version-3
-// or -4 block reads it in place (stripBlock.row), an older one is decoded
-// whole. A nil schema only reports presence, which a version-3 or -4 block
-// answers from its id strip, decoding nothing.
-func (b *storedBlock) get(schema *rel.Schema, rid rel.RowID) (rel.Row, bool, error) {
+// has reports whether the block holds rid: a version-3 or -4 block
+// answers from its id strip, decoding nothing; an older one decodes its
+// row ids.
+func (b *storedBlock) has(rid rel.RowID) (bool, error) {
 	if b.version >= 3 {
-		i, ok := b.strips.find(rid)
-		if !ok || schema == nil {
-			return nil, ok, nil
-		}
-		row, err := b.strips.row(schema, i)
-		return row, err == nil, err
+		_, ok := b.strips.find(rid)
+		return ok, nil
 	}
-	d, err := b.decode(schema, true, nil)
+	d, err := b.decode(nil, true, nil)
 	if err != nil {
-		return nil, false, err
+		return false, err
 	}
 	i := sort.Search(len(d.ids), func(i int) bool { return d.ids[i] >= rid })
-	if i == len(d.ids) || d.ids[i] != rid {
-		return nil, false, nil
-	}
-	if schema == nil {
-		return nil, true, nil
-	}
-	return d.rows.Row(i), true, nil
+	return i < len(d.ids) && d.ids[i] == rid, nil
 }
 
 // blockCRC is the version-3 and -4 block checksum's polynomial: CRC-32C,
@@ -821,8 +811,8 @@ type stripBlock struct {
 // strip's bit width and length, the var stream's length against what its
 // compressed bytes and its values' length prefixes allow, and the
 // raw-length identity with the directory's rawLen. The var stream's own
-// framing is checked where it is decoded (decodeVars), the ids' order
-// where they are unpacked.
+// framing is checked where it is decoded whole (decodeVars), the ids'
+// order where they are unpacked or admitted to the point-read cache.
 func parseStrips(schema *rel.Schema, version uint32, body []byte, rawLen uint32) (stripBlock, error) {
 	le := binary.LittleEndian
 	if len(body) < 4 {
@@ -908,11 +898,7 @@ func (p *stripBlock) unpack(schema *rel.Schema, strs bool, buf *scanBuf) (blockD
 		if schema != nil {
 			vals = make([][]byte, p.nvar*p.n)
 		}
-		if err := p.decodeVars(make([]byte, p.varRaw), func(k int, v []byte) {
-			if vals != nil {
-				vals[k] = v
-			}
-		}); err != nil {
+		if err := p.decodeVars(make([]byte, p.varRaw), vals); err != nil {
 			return blockData{}, err
 		}
 	}
@@ -947,47 +933,12 @@ func (p *stripBlock) find(rid rel.RowID) (int, bool) {
 	return i, i < p.n && rel.RowID(p.ids.at(i)) == rid
 }
 
-// row reads row i in place: each fixed-width value from its strip and,
-// when the block has string columns, this row's strings copied out of the
-// var stream, which is decoded into pooled scratch and checked in full on
-// the way. The row owns everything it holds.
-func (p *stripBlock) row(schema *rel.Schema, i int) (rel.Row, error) {
-	out := make(rel.Row, p.ncols)
-	r := stripReader{b: p.cols}
-	for c := range out {
-		switch kind, f := r.column(p.n); kind {
-		case rel.TInt64:
-			out[c] = rel.Int(int64(f.at(i)))
-		case rel.TFloat64:
-			out[c] = rel.Float(math.Float64frombits(f.at(i)))
-		}
-	}
-	if p.nvar == 0 {
-		return out, nil
-	}
-	buf := getScratch(p.varRaw)
-	defer putScratch(buf)
-	c := -1
-	if err := p.decodeVars(*buf, func(k int, v []byte) {
-		if k%p.n != i {
-			return
-		}
-		c++ // the next string column: value k is string column k/n's
-		for schema.Cols[c].Type != rel.TString {
-			c++
-		}
-		out[c] = rel.Str(string(v))
-	}); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// decodeVars decodes the var stream into raw, which is p.varRaw long, and
-// walks all of its framing: nvar×n length-prefixed values, column by
-// column, that fill raw exactly. It hands value k — string column k/n,
-// row k%n — to each; the value aliases raw.
-func (p *stripBlock) decodeVars(raw []byte, each func(k int, v []byte)) error {
+// decodeVars decodes the whole var stream into raw, which is p.varRaw
+// long, and walks all of its framing: nvar×n length-prefixed values,
+// column by column, that fill raw exactly. With vals, which is nvar×n
+// long, it stores value k — string column k/n, row k%n — in vals[k],
+// aliasing raw.
+func (p *stripBlock) decodeVars(raw []byte, vals [][]byte) error {
 	inflates.Add(1)
 	var err error
 	if p.lz {
@@ -1008,11 +959,144 @@ func (p *stripBlock) decodeVars(raw []byte, each func(k int, v []byte)) error {
 		if l > len(raw)-off {
 			return errTruncated("var value")
 		}
-		each(k, raw[off:off+l:off+l])
+		if vals != nil {
+			vals[k] = raw[off : off+l : off+l]
+		}
 		off += l
 	}
 	if off != len(raw) {
 		return fmt.Errorf("frozen: %d trailing var stream bytes", len(raw)-off)
+	}
+	return nil
+}
+
+// admit checks a block whole before it enters the point-read cache. For
+// a version-3 or -4 block parseStrips has checked its CRC and strips;
+// admit checks that its row ids ascend and decodes its var stream in full
+// (decodeVars), into pooled scratch that it returns for the caller to
+// serve its row from and then put back (nil when the block has no string
+// column). A block that passes is exactly one that unpacks whole. A
+// version-1 or -2 block is one DEFLATE stream that every point read
+// decodes and checks whole, so admit checks nothing there.
+func (b *storedBlock) admit() (*[]byte, error) {
+	if b.version < 3 {
+		return nil, nil
+	}
+	p := &b.strips
+	if !p.ids.ascends(p.n) {
+		return nil, fmt.Errorf("frozen: block row ids not ascending")
+	}
+	var vars *[]byte
+	if p.nvar > 0 {
+		vars = getScratch(p.varRaw)
+		if err := p.decodeVars(*vars, nil); err != nil {
+			putScratch(vars)
+			return nil, err
+		}
+	}
+	return vars, nil
+}
+
+// get returns the row stored under rid, if the block holds it, in row
+// (grown to the schema's width; nil gets a fresh row). A version-3 or -4
+// block reads it in place: each fixed-width value from its strip and each
+// string copied out of the var stream, so the row owns every string it
+// holds and pins no block. vars is admit's whole decode of the stream,
+// when the read is the miss that admitted the block; otherwise the stream
+// is decoded into pooled scratch only as far as the row's last string. An
+// older block is decoded whole.
+func (b *storedBlock) get(schema *rel.Schema, rid rel.RowID, row rel.Row, vars *[]byte) (rel.Row, bool, error) {
+	p := &b.strips
+	var d blockData
+	var i int
+	var ok bool
+	if b.version < 3 {
+		var err error
+		if d, err = b.decode(schema, true, nil); err != nil {
+			return nil, false, err
+		}
+		i = sort.Search(len(d.ids), func(i int) bool { return d.ids[i] >= rid })
+		ok = i < len(d.ids) && d.ids[i] == rid
+	} else {
+		i, ok = p.find(rid)
+	}
+	if !ok {
+		return nil, false, nil
+	}
+	if cap(row) < schema.NumCols() {
+		row = make(rel.Row, schema.NumCols())
+	}
+	row = row[:schema.NumCols()]
+	if b.version < 3 {
+		d.rows.ReadRowInto(i, row)
+		return row, true, nil
+	}
+	r := stripReader{b: p.cols}
+	for c := range row {
+		switch kind, f := r.column(p.n); kind {
+		case rel.TInt64:
+			row[c] = rel.Int(int64(f.at(i)))
+		case rel.TFloat64:
+			row[c] = rel.Float(math.Float64frombits(f.at(i)))
+		}
+	}
+	if p.nvar == 0 {
+		return row, true, nil
+	}
+	z := lzStream{src: p.varComp}
+	if vars != nil {
+		z.dst, z.d, z.done = *vars, len(*vars), true
+	} else {
+		buf := getScratch(p.varRaw)
+		defer putScratch(buf)
+		z.dst = *buf
+		inflates.Add(1)
+		if !p.lz { // a DEFLATE stream is decoded whole
+			if err := inflate(z.dst, p.varComp); err != nil {
+				return nil, false, fmt.Errorf("frozen: decode var stream (raw length %d): %w", p.varRaw, err)
+			}
+			z.d, z.done = len(z.dst), true
+		}
+	}
+	if err := p.readStrings(schema, i, row, &z); err != nil {
+		return nil, false, err
+	}
+	return row, true, nil
+}
+
+// readStrings copies row i's strings into row, walking the var stream's
+// framing from its start and decoding z only as far as the row's last
+// value. Value k is string column k/n's row k%n, so with nvar string
+// columns the last value read is (nvar-1)*n+i.
+func (p *stripBlock) readStrings(schema *rel.Schema, i int, row rel.Row, z *lzStream) error {
+	raw := z.dst
+	off, c := 0, -1
+	for j := 0; j < p.nvar; j++ {
+		c++ // string column j
+		for schema.Cols[c].Type != rel.TString {
+			c++
+		}
+		rows := p.n
+		if j == p.nvar-1 {
+			rows = i + 1
+		}
+		for r := 0; r < rows; r++ {
+			if err := z.need(off + 4); err != nil {
+				return err
+			}
+			l := int(binary.LittleEndian.Uint32(raw[off:]))
+			off += 4
+			if l > len(raw)-off {
+				return errTruncated("var value")
+			}
+			if r == i {
+				if err := z.need(off + l); err != nil {
+					return err
+				}
+				row[c] = rel.Str(string(raw[off : off+l]))
+			}
+			off += l
+		}
 	}
 	return nil
 }
@@ -1038,7 +1122,7 @@ func getScratch(n int) *[]byte {
 // putScratch returns a buffer to the pool; one larger than
 // blockTargetBytes, for a block holding one oversize row, goes to the GC.
 func putScratch(p *[]byte) {
-	if cap(*p) <= blockTargetBytes {
+	if p != nil && cap(*p) <= blockTargetBytes {
 		varScratch.Put(p)
 	}
 }
@@ -1098,6 +1182,40 @@ func (r *stripReader) forStrip(n int, what string) forStrip {
 	}
 	f.words = r.take((n*int(f.width)+63)/64*8, what)
 	return f
+}
+
+// ascends reports whether the strip's n values (base plus each packed
+// offset, mod 2^64, as at reads them) ascend strictly, reading its words
+// in one pass: admission's check of a block's row ids, which an unpack
+// checks as it unpacks them. They do when the offsets ascend strictly and
+// the last one does not carry its value past 2^64.
+func (f forStrip) ascends(n int) bool {
+	if f.width == 0 {
+		return n < 2
+	}
+	w := f.width
+	mask := ^uint64(0) >> (64 - w)
+	var acc, prev uint64
+	have := uint(0) // bits of acc not yet consumed
+	for i, next := 0, 0; i < n; i++ {
+		var v uint64
+		if have >= w {
+			v = acc & mask
+			acc >>= w
+			have -= w
+		} else { // v's high bits start the next word
+			word := binary.LittleEndian.Uint64(f.words[next:])
+			next += 8
+			v = (acc | word<<have) & mask
+			acc = word >> (w - have)
+			have += 64 - w
+		}
+		if i > 0 && v <= prev {
+			return false
+		}
+		prev = v
+	}
+	return prev <= ^uint64(0)-f.base // no id wraps past 2^64
 }
 
 // forStrip is a parsed frame-of-reference strip (see appendFOR).

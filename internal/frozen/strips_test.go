@@ -66,7 +66,7 @@ func checkGetMatchesScan(t *testing.T, s *Store) {
 		t.Fatal("ScanLive streamed no row")
 	}
 	for i, rid := range rids {
-		if got, ok, err := s.Get(rid); err != nil || !ok || !sameRow(got, rows[i]) {
+		if got, ok, err := s.Get(rid, nil); err != nil || !ok || !sameRow(got, rows[i]) {
 			t.Fatalf("Get(%d) = (%v, %v, %v), ScanLive read %v", rid, got, ok, err, rows[i])
 		}
 	}
@@ -96,10 +96,14 @@ func TestStripBlocksRoundTripEdgeValues(t *testing.T) {
 	}
 	check := func(stage string, live func(k int) bool) {
 		t.Helper()
+		var buf rel.Row // reused, so a value Get fails to set shows
 		for k, id := range ids {
-			row, ok, err := s.Get(id)
+			row, ok, err := s.Get(id, buf)
 			if err != nil || ok != live(k) || (ok && !sameRow(row, rows[k])) {
 				t.Fatalf("%s: Get(%d) = (%v, %v, %v), want %v (live %v)", stage, id, row, ok, err, rows[k], live(k))
+			}
+			if ok {
+				buf = row
 			}
 		}
 		var got []rel.RowID
@@ -181,7 +185,7 @@ func TestGetStringsAreTheirOwn(t *testing.T) {
 	kept := make(map[rel.RowID]rel.Row)
 	for len(kept) < 1000 {
 		rid := rel.RowID(1 + r.Intn(n/2))
-		row, ok, err := s.Get(rid)
+		row, ok, err := s.Get(rid, nil)
 		if err != nil || !ok {
 			t.Fatalf("Get(%d) = (%v, %v)", rid, ok, err)
 		}
@@ -189,7 +193,7 @@ func TestGetStringsAreTheirOwn(t *testing.T) {
 	}
 	for i := 0; i < 2000; i++ {
 		rid := rel.RowID(n/2 + 1 + r.Intn(n/2))
-		if row, ok, err := s.Get(rid); err != nil || !ok || !row.Equal(rows[rid-1]) {
+		if row, ok, err := s.Get(rid, nil); err != nil || !ok || !row.Equal(rows[rid-1]) {
 			t.Fatalf("Get(%d) = (%v, %v, %v)", rid, row, ok, err)
 		}
 	}
@@ -211,9 +215,115 @@ func TestGetStringsAreTheirOwn(t *testing.T) {
 	}
 }
 
-// Point reads from several goroutines share cached stored blocks and the
-// scratch pool, beside a scan and beside evictions from a cache a few
-// blocks large, and each still reads its own row.
+// forStrip.ascends, the one-pass check admission makes of a block's row
+// ids, agrees with reading every value with at: for every width, on
+// strictly ascending values, on two values swapped, on a repeat, on
+// values all equal (a strip of width 0), and on each of those moved to a
+// base near 2^64, where ascending offsets may still give ids that wrap.
+func TestForStripAscends(t *testing.T) {
+	ref := func(f forStrip, n int) bool {
+		for i := 1; i < n; i++ {
+			if f.at(i) <= f.at(i-1) {
+				return false
+			}
+		}
+		return true
+	}
+	strip := func(vals []uint64) forStrip {
+		r := stripReader{b: appendFOR(nil, vals)}
+		return r.forStrip(len(vals), "test strip")
+	}
+	for w := 0; w <= 64; w++ {
+		for _, n := range []int{1, 2, 3, 9, 64, 65, 200} {
+			vals := make([]uint64, n)
+			for i := range vals {
+				vals[i] = 1000 + uint64(i)
+				if w > 0 { // n values spread over w bits above the base
+					vals[i] = 1000 + uint64(i)*((^uint64(0)>>(64-w))/uint64(n))
+				}
+			}
+			cases := [][]uint64{vals}
+			if n > 2 {
+				swapped := append([]uint64(nil), vals...)
+				swapped[n/2], swapped[n/2+1] = swapped[n/2+1], swapped[n/2]
+				repeat := append([]uint64(nil), vals...)
+				repeat[n-1] = repeat[n-2]
+				cases = append(cases, swapped, repeat)
+			}
+			if n > 1 {
+				cases = append(cases, make([]uint64, n))
+			}
+			for k, c := range cases {
+				f := strip(c)
+				// A forged base: the last offsets cross 2^64 unless the
+				// strip's span is under 8, and exactly reach 2^64-1 below.
+				near := []uint64{f.base, ^uint64(0) - 7, ^uint64(0) - (f.at(n-1) - f.base)}
+				for _, base := range near {
+					f.base = base
+					if got, want := f.ascends(n), ref(f, n); got != want {
+						t.Fatalf("width %d (strip %d), %d values, case %d, base %#x: ascends = %v, want %v", w, f.width, n, k, base, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// A block whose var stream breaks its framing after row 0, under a CRC
+// forged to match, is refused whole: a Get of row 0, whose own string lies
+// before the break, fails, and the block stays out of the point-read
+// cache, so no later read is served from a block nobody checked.
+func TestGetRefusesBlockBrokenPastItsRow(t *testing.T) {
+	src := newWideStore(t)
+	ids, rows := wideBatch(0, 16)
+	mustFreeze(t, src, ids, rows)
+	m := src.Export()[0]
+	data, err := src.bf.ReadBlock(m.Ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := decodeSegmentHeader(data[:m.HeaderLen])
+	if err != nil || len(g.blocks) != 1 {
+		t.Fatalf("fixture: %v, want one block", err)
+	}
+	body := data[m.HeaderLen:]
+	p, err := parseStrips(src.schema, segmentVersion, body, g.blocks[0].rawLen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vars := make([]byte, p.varRaw)
+	if err := lzDecode(vars, p.varComp); err != nil {
+		t.Fatal(err)
+	}
+	// Row 1's length prefix claims more bytes than the stream holds.
+	l0 := binary.LittleEndian.Uint32(vars)
+	binary.LittleEndian.PutUint32(vars[4+l0:], uint32(len(vars)))
+	var enc lzEncoder
+	forged := enc.encode(append([]byte(nil), body[:len(body)-4-len(p.varComp)]...), vars)
+	forged = binary.LittleEndian.AppendUint32(forged, crc32.Checksum(forged, blockCRC))
+	g.blocks[0].compLen = uint32(len(forged))
+	img, fm := sealed(g.encodeHeader(), forged, m)
+
+	s := newWideStore(t)
+	if fm.Ref, err = s.bf.AppendBlock(img); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Import([]SegmentMeta{fm}); err != nil {
+		t.Fatal(err)
+	}
+	for try := 0; try < 2; try++ {
+		if row, ok, err := s.Get(1, nil); err == nil {
+			t.Fatalf("Get(1) of a block broken past row 0 = (%v, %v), want an error", row, ok)
+		}
+		if s.cacheLRU.Len() != 0 || s.cacheUsed != 0 {
+			t.Fatalf("a refused block is in the cache: %d entries, %d B", s.cacheLRU.Len(), s.cacheUsed)
+		}
+	}
+}
+
+// Point reads from several goroutines share cached blocks, their stored
+// bytes and the scratch pool, beside a scan and beside evictions from a
+// cache a few blocks large, and each still reads its own row.
 func TestConcurrentColdGets(t *testing.T) {
 	const n, readers = 5000, 4
 	s := newWideStore(t)
@@ -229,7 +339,7 @@ func TestConcurrentColdGets(t *testing.T) {
 			r := rand.New(rand.NewSource(seed))
 			for i := 0; i < 2000; i++ {
 				rid := rel.RowID(1 + r.Intn(n))
-				if row, ok, err := s.Get(rid); err != nil || !ok || !row.Equal(rows[rid-1]) {
+				if row, ok, err := s.Get(rid, nil); err != nil || !ok || !row.Equal(rows[rid-1]) {
 					errs <- fmt.Errorf("Get(%d) = (%v, %v, %v)", rid, row, ok, err)
 					return
 				}
@@ -282,7 +392,7 @@ func TestStripBlockWithoutStrings(t *testing.T) {
 		}()
 		d.rows.Col(3, wideTag)
 	}()
-	if _, ok, err := s.Get(1); !ok || err != nil {
+	if _, ok, err := s.Get(1, nil); !ok || err != nil {
 		t.Fatalf("Get(1) = (%v, %v)", ok, err)
 	}
 	if want := int64(g.blocks[0].compLen); s.cacheUsed != want {

@@ -258,7 +258,7 @@ func TestScanLeavesPointReadCacheAlone(t *testing.T) {
 	ids, rows := wideBatch(0, 320) // 20 blocks
 	mustFreeze(t, s, ids, rows)
 	for _, seq := range []int{5, 100, 200} { // three blocks, oldest first
-		if _, ok, err := s.Get(rel.RowID(seq + 1)); !ok || err != nil {
+		if _, ok, err := s.Get(rel.RowID(seq+1), nil); !ok || err != nil {
 			t.Fatalf("Get(seq %d) = (%v, %v)", seq, ok, err)
 		}
 	}
@@ -299,7 +299,7 @@ func TestBufferedStringsSurviveLaterBlocks(t *testing.T) {
 	ids, rows := wideBatch(0, 640) // 40 blocks
 	mustFreeze(t, s, ids, rows)
 	for rid := 1; rid <= 640; rid += 32 { // every other block cached
-		if _, ok, err := s.Get(rel.RowID(rid)); !ok || err != nil {
+		if _, ok, err := s.Get(rel.RowID(rid), nil); !ok || err != nil {
 			t.Fatalf("Get(%d) = (%v, %v)", rid, ok, err)
 		}
 	}
@@ -611,7 +611,7 @@ func TestVersion1SegmentReadsWithoutBlockZones(t *testing.T) {
 	if fetched != 10 || pruned != 0 {
 		t.Fatalf("version-1 segment fetched %d, pruned %d blocks; want 10/0 (no block zones)", fetched, pruned)
 	}
-	if row, ok, err := old.Get(30); err != nil || !ok || !row.Equal(wideRow(29)) {
+	if row, ok, err := old.Get(30, nil); err != nil || !ok || !row.Equal(wideRow(29)) {
 		t.Fatalf("Get on version-1 segment = (%v, %v, %v)", row, ok, err)
 	}
 	checkGetMatchesScan(t, old)
@@ -683,7 +683,7 @@ func TestVersion1AllVarWidthSegmentReads(t *testing.T) {
 	if got, want := scanRows(t, old, nil, true), scanRows(t, s, nil, true); fmt.Sprint(got) != fmt.Sprint(want) || len(got) != 40 {
 		t.Fatalf("version-1 scan = %v, want %v", got, want)
 	}
-	if row, ok, err := old.Get(30); err != nil || !ok || !row.Equal(rows[29]) {
+	if row, ok, err := old.Get(30, nil); err != nil || !ok || !row.Equal(rows[29]) {
 		t.Fatalf("Get on version-1 segment = (%v, %v, %v)", row, ok, err)
 	}
 	// A merge rewrites it as version 3, with the one spelling of "no zones".

@@ -259,8 +259,19 @@ func TestFreezeViaFacade(t *testing.T) {
 
 // TestPoolSlotsShareFsyncs: every pool slot, whichever worker owns it,
 // commits into the one WAL commit group, so commits arriving together from different
-// workers share one device flush instead of paying one fsync each.
+// workers share one device flush instead of paying one fsync each. A 2 ms
+// sleep before each sync stands in for a slow device, as in internal/wal's
+// group-commit tests: a flush then outlasts the delays other processes on
+// the machine put between the clients' commits, so the others arrive
+// while it runs and share the next flush. On a fast device the sharing
+// the gate counts depended on that scheduling, and a loaded machine could
+// push it past the gate.
 func TestPoolSlotsShareFsyncs(t *testing.T) {
+	fault.Reset()
+	defer fault.Reset()
+	if err := fault.Enable(fault.WALPreSync, "sleep(2ms)"); err != nil {
+		t.Fatal(err)
+	}
 	db := openTestDB(t, Options{WALSync: true, Workers: 4, SlotsPerWorker: 1})
 	declareUsers(t, db)
 	const clients, perClient = 4, 200
