@@ -68,8 +68,8 @@ func runBackup(args []string) error {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("archive ok: %d groups, %d sealed epochs, %d segments, %d records, %d bytes, horizon GSN %d\n",
-			rep.Groups, rep.Epochs, rep.Segments, rep.Records, rep.ArchivedBytes, rep.HorizonGSN)
+		fmt.Printf("archive ok: %d sealed epochs, %d segments, %d records, %d bytes, horizon GSN %d\n",
+			rep.Epochs, rep.Segments, rep.Records, rep.ArchivedBytes, rep.HorizonGSN)
 		if rep.ContinuousFrom != 0 {
 			fmt.Printf("history continuous from GSN %d (earlier history requires a base backup)\n", rep.ContinuousFrom)
 		}

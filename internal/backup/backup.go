@@ -5,7 +5,6 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -88,12 +87,8 @@ func OpenArchiver(walDir, dir string, startGSN uint64) (*Archiver, error) {
 		}
 	}
 	var off int64
-	for g, o := range a.m.SrcOff {
-		if g == 0 {
-			off = int64(o)
-		} else if o != 0 {
-			return nil, fmt.Errorf("backup: the archive is %d bytes into log group %d; this release follows one log", o, g)
-		}
+	if len(a.m.SrcOff) > 0 {
+		off = int64(a.m.SrcOff[0])
 	}
 	a.tail = wal.NewTailer(walDir, a.m.SealGSN, off)
 	a.refreshHorizonLocked()
@@ -135,17 +130,15 @@ func (a *Archiver) resyncLocked() error {
 	return nil
 }
 
-// currentSegLocked returns group g's segment of the current epoch, creating
-// its manifest entry on first use. The log is group 0; an archive written
-// when the log had one file per commit group holds the others.
-func (a *Archiver) currentSegLocked(g int) *Segment {
-	for i := range a.m.Segments {
-		s := &a.m.Segments[i]
-		if !s.Sealed && s.Group == uint32(g) && s.Epoch == a.m.Epoch {
+// currentSegLocked returns the current epoch's segment, creating its
+// manifest entry on first use.
+func (a *Archiver) currentSegLocked() *Segment {
+	if n := len(a.m.Segments); n > 0 {
+		if s := &a.m.Segments[n-1]; !s.Sealed && s.Epoch == a.m.Epoch {
 			return s
 		}
 	}
-	a.m.Segments = append(a.m.Segments, Segment{Group: uint32(g), Epoch: a.m.Epoch})
+	a.m.Segments = append(a.m.Segments, Segment{Epoch: a.m.Epoch})
 	return &a.m.Segments[len(a.m.Segments)-1]
 }
 
@@ -211,7 +204,7 @@ func (a *Archiver) archiveLocked() (int64, error) {
 			return true
 		})
 		if len(out) > 0 {
-			seg := a.currentSegLocked(0)
+			seg := a.currentSegLocked()
 			err := fault.Eval(fault.BackupArchiveCopy)
 			if err == nil {
 				err = a.appendSegment(seg, out)
@@ -234,11 +227,9 @@ func (a *Archiver) archiveLocked() (int64, error) {
 			break
 		}
 		// The file is read to its end: the next one's horizon seals the
-		// epoch. Every group gets a segment entry, empty ones too, so verify
-		// can prove each group's epochs contiguous.
-		for g := 0; g < a.m.NumGroups(); g++ {
-			a.currentSegLocked(g).Sealed = true
-		}
+		// epoch. An empty epoch gets a segment entry too, so verify can
+		// prove the epochs contiguous.
+		a.currentSegLocked().Sealed = true
 		a.m.SealGSN, _ = a.tail.Position()
 		a.m.Epoch++
 		a.seals.Add(1)
@@ -342,30 +333,6 @@ func LoadManifest(dir string) (*Manifest, error) {
 		return nil, err
 	}
 	return DecodeManifest(data)
-}
-
-// GroupSegments returns group g's segments in epoch order (the group's
-// archived byte stream is their concatenation).
-func (m *Manifest) GroupSegments(g int) []Segment {
-	var segs []Segment
-	for _, s := range m.Segments {
-		if s.Group == uint32(g) {
-			segs = append(segs, s)
-		}
-	}
-	sort.Slice(segs, func(i, j int) bool { return segs[i].Epoch < segs[j].Epoch })
-	return segs
-}
-
-// NumGroups returns how many WAL groups the archive tracks.
-func (m *Manifest) NumGroups() int {
-	n := len(m.SrcOff)
-	for _, s := range m.Segments {
-		if int(s.Group)+1 > n {
-			n = int(s.Group) + 1
-		}
-	}
-	return n
 }
 
 // SegmentPath returns the segment's location under the archive root.

@@ -5,7 +5,7 @@
 // cheap storage:
 //
 //	<archive>/MANIFEST            checksummed index of everything below
-//	<archive>/segments/seg-E-G.wal archived log bytes, epoch E, WAL group G
+//	<archive>/segments/seg-E-0000.wal archived log bytes of epoch E
 //	<archive>/base/<seq>/         online base backups (checkpoint image,
 //	                              frozen-block file, cold manifest,
 //	                              backup_label)
@@ -28,6 +28,7 @@
 package backup
 
 import (
+	"errors"
 	"fmt"
 
 	"phoebedb/internal/durable"
@@ -44,12 +45,11 @@ const (
 	labelVersion    uint32 = 1
 )
 
-// Segment is one archived run of a WAL group's log bytes. Length/CRC cover
-// the acknowledged prefix of the segment file: bytes beyond Length are an
+// Segment is one epoch's run of archived log bytes. Length/CRC cover the
+// acknowledged prefix of the segment file: bytes beyond Length are an
 // unacknowledged torn tail (a crash between the segment append and the
 // manifest rewrite) and are discarded when the archiver reopens.
 type Segment struct {
-	Group  uint32
 	Epoch  uint32
 	Sealed bool
 	Length uint64
@@ -60,9 +60,10 @@ type Segment struct {
 	LastGSN  uint64
 }
 
-// Name returns the segment's file name under <archive>/segments.
+// Name returns the segment's file name under <archive>/segments. The
+// -0000 suffix is the per-group format's group field, which is always 0.
 func (s *Segment) Name() string {
-	return fmt.Sprintf("seg-%08d-%04d.wal", s.Epoch, s.Group)
+	return fmt.Sprintf("seg-%08d-0000.wal", s.Epoch)
 }
 
 // Manifest is the archive's checksummed index, rewritten atomically after
@@ -86,15 +87,20 @@ type Manifest struct {
 	// NextBase is the next base backup sequence number.
 	NextBase uint32
 	// SrcOff[0] is how many bytes of that log file have been consumed,
-	// skipped sealed history included. An archive written when the log had
-	// one file per commit group holds one offset per group.
+	// skipped sealed history included; a fresh archive has none yet.
 	SrcOff []uint64
-	// Segments holds every archived segment, sealed epochs first.
+	// Segments holds every archived segment in epoch order: the archived
+	// stream is their concatenation.
 	Segments []Segment
 }
 
-// segmentWire is the encoded size of one Segment.
+// segmentWire is the encoded size of one Segment, its group field (0)
+// included.
 const segmentWire = 4 + 4 + 1 + 8 + 4 + 8 + 8
+
+// errPerGroup refuses a manifest of the per-group format: an archive written
+// when the log had one file per commit group.
+var errPerGroup = errors.New("backup: manifest is in the per-group format (one log file per commit group); this release archives one log")
 
 // EncodeManifest renders the manifest in its canonical binary form.
 func EncodeManifest(m *Manifest) []byte {
@@ -109,7 +115,7 @@ func EncodeManifest(m *Manifest) []byte {
 		}
 		w.U32(uint32(len(m.Segments)))
 		for _, s := range m.Segments {
-			w.U32(s.Group)
+			w.U32(0) // group
 			w.U32(s.Epoch)
 			w.Bool(s.Sealed)
 			w.U64(s.Length)
@@ -135,9 +141,12 @@ func DecodeManifest(data []byte) (*Manifest, error) {
 	for i, n := 0, r.Count(8); i < n; i++ {
 		m.SrcOff = append(m.SrcOff, r.U64())
 	}
+	perGroup := len(m.SrcOff) > 1
 	for i, n := 0, r.Count(segmentWire); i < n; i++ {
+		if r.U32() != 0 { // group
+			perGroup = true
+		}
 		m.Segments = append(m.Segments, Segment{
-			Group:    r.U32(),
 			Epoch:    r.U32(),
 			Sealed:   r.Bool(),
 			Length:   r.U64(),
@@ -148,6 +157,9 @@ func DecodeManifest(data []byte) (*Manifest, error) {
 	}
 	if err := r.Done(); err != nil {
 		return nil, err
+	}
+	if perGroup {
+		return nil, errPerGroup
 	}
 	return m, nil
 }

@@ -2,6 +2,10 @@ package backup
 
 import (
 	"bytes"
+	"errors"
+	"os"
+	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -19,10 +23,11 @@ func FuzzManifest(f *testing.F) {
 		SealGSN:        99,
 		Epoch:          2,
 		NextBase:       1,
-		SrcOff:         []uint64{1024, 0},
+		SrcOff:         []uint64{1024},
 		Segments: []Segment{
-			{Group: 0, Epoch: 0, Sealed: true, Length: 4096, CRC: 0xDEADBEEF, FirstGSN: 1, LastGSN: 99},
-			{Group: 1, Epoch: 2, Length: 128, CRC: 0x1234, FirstGSN: 100, LastGSN: 117},
+			{Epoch: 0, Sealed: true, Length: 4096, CRC: 0xDEADBEEF, FirstGSN: 1, LastGSN: 99},
+			{Epoch: 1, Sealed: true},
+			{Epoch: 2, Length: 128, CRC: 0x1234, FirstGSN: 100, LastGSN: 117},
 		},
 	}))
 	whole := EncodeManifest(&Manifest{SrcOff: []uint64{5}})
@@ -61,4 +66,27 @@ func FuzzLabel(f *testing.F) {
 			t.Fatalf("accepted non-canonical label: % x re-encodes to % x", data, re)
 		}
 	})
+}
+
+// A manifest of the per-group format — a second offset, or a segment of
+// group 1, as the stored seed_two_groups corpus entry holds — is refused.
+func TestPerGroupManifestRefused(t *testing.T) {
+	corpus, err := os.ReadFile("testdata/fuzz/FuzzManifest/seed_two_groups")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lit := strings.TrimSuffix(strings.TrimSpace(string(corpus)), ")")
+	lit = lit[strings.Index(lit, "[]byte(")+len("[]byte("):]
+	twoGroups, err := strconv.Unquote(lit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, data := range map[string][]byte{
+		"seed_two_groups": []byte(twoGroups),
+		"two offsets":     EncodeManifest(&Manifest{SrcOff: []uint64{1024, 0}}),
+	} {
+		if _, err := DecodeManifest(data); !errors.Is(err, errPerGroup) {
+			t.Errorf("%s: err = %v, want the per-group refusal", name, err)
+		}
+	}
 }

@@ -27,7 +27,6 @@ type VerifyReport struct {
 	ContinuousFrom uint64
 	HorizonGSN     uint64
 	Epochs         uint32 // sealed epochs
-	Groups         int
 	Segments       int
 	ArchivedBytes  int64
 	Records        int
@@ -36,11 +35,11 @@ type VerifyReport struct {
 
 // Verify checks the whole archive: the manifest's checksum and structure,
 // every segment's checksum and record-level parseability against its
-// manifest entry, per-group epoch coverage (no sealed epoch may be
-// missing — that is a gap), and every base backup's files against its
-// label. Incomplete base backups (no label: a crash mid-backup) are
-// reported but are not errors; any integrity failure in the manifest,
-// a segment, or a labeled base backup is.
+// manifest entry, epoch coverage (no sealed epoch may be missing — that is
+// a gap), and every base backup's files against its label. Incomplete base
+// backups (no label: a crash mid-backup) are reported but are not errors;
+// any integrity failure in the manifest, a segment, or a labeled base
+// backup is.
 func Verify(archiveDir string) (*VerifyReport, error) {
 	m, err := LoadManifest(archiveDir)
 	if err != nil {
@@ -49,35 +48,24 @@ func Verify(archiveDir string) (*VerifyReport, error) {
 	rep := &VerifyReport{
 		ContinuousFrom: m.ContinuousFrom,
 		Epochs:         m.Epoch,
-		Groups:         m.NumGroups(),
 		Segments:       len(m.Segments),
 	}
-	for g := 0; g < rep.Groups; g++ {
-		segs := m.GroupSegments(g)
-		// A group's sealed epochs must be a contiguous run ending at the
-		// current epoch (groups created later start at a higher epoch). A
-		// hole in the middle means archived history went missing.
-		for i, s := range segs {
-			if i > 0 && s.Epoch != segs[i-1].Epoch+1 {
-				return nil, fmt.Errorf("backup: group %d missing epochs %d..%d",
-					g, segs[i-1].Epoch+1, s.Epoch-1)
-			}
-			if s.Sealed && s.Epoch >= m.Epoch {
-				return nil, fmt.Errorf("backup: group %d epoch %d sealed beyond current epoch %d",
-					g, s.Epoch, m.Epoch)
-			}
-			if !s.Sealed && s.Epoch != m.Epoch {
-				return nil, fmt.Errorf("backup: group %d epoch %d unsealed but not current",
-					g, s.Epoch)
-			}
+	// The segments' epochs must be a contiguous run ending at the current
+	// epoch. A hole in the middle means archived history went missing.
+	segs := m.Segments
+	for i, s := range segs {
+		if i > 0 && s.Epoch != segs[i-1].Epoch+1 {
+			return nil, fmt.Errorf("backup: missing epochs %d..%d", segs[i-1].Epoch+1, s.Epoch-1)
 		}
-		if n := len(segs); n > 0 {
-			last := segs[n-1]
-			if last.Sealed && last.Epoch != m.Epoch-1 {
-				return nil, fmt.Errorf("backup: group %d missing epochs %d..%d",
-					g, last.Epoch+1, m.Epoch-1)
-			}
+		if s.Sealed && s.Epoch >= m.Epoch {
+			return nil, fmt.Errorf("backup: epoch %d sealed beyond current epoch %d", s.Epoch, m.Epoch)
 		}
+		if !s.Sealed && s.Epoch != m.Epoch {
+			return nil, fmt.Errorf("backup: epoch %d unsealed but not current", s.Epoch)
+		}
+	}
+	if n := len(segs); n > 0 && segs[n-1].Sealed && segs[n-1].Epoch != m.Epoch-1 {
+		return nil, fmt.Errorf("backup: missing epochs %d..%d", segs[n-1].Epoch+1, m.Epoch-1)
 	}
 	for i := range m.Segments {
 		s := &m.Segments[i]
@@ -243,7 +231,6 @@ type RestoreReport struct {
 	CheckpointGSN uint64
 	HorizonGSN    uint64 // newest base backup's acknowledged-durability horizon
 	TargetGSN     uint64 // 0 = everything
-	Groups        int
 	Records       int    // WAL records materialized for replay
 	MaxGSN        uint64 // highest GSN materialized
 }
@@ -298,7 +285,7 @@ func Restore(archiveDir, destDir string, targetGSN uint64) (*RestoreReport, erro
 		return nil, fmt.Errorf("backup: restore destination %s is not empty", destDir)
 	}
 
-	rep := &RestoreReport{BaseSeq: -1, TargetGSN: targetGSN, Groups: m.NumGroups()}
+	rep := &RestoreReport{BaseSeq: -1, TargetGSN: targetGSN}
 	if base != nil {
 		rep.BaseSeq = base.seq
 		rep.BaseDir = base.dir

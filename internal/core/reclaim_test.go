@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"phoebedb/internal/rel"
-	"phoebedb/internal/undo"
 )
 
 // A deleter holds its page's latch while it appends an UNDO record to its
@@ -31,30 +30,20 @@ func TestDeleteConcurrentWithGCOnOnePage(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	erase := func(r *undo.Record) {
-		if r.Op == undo.OpDelete {
-			reclaimVersion(e.TableByID(r.TableID), r)
-		}
-	}
 	stop := make(chan struct{})
 	var gc sync.WaitGroup
-	for _, collect := range []func(){
-		func() { e.CollectGarbage() },
-		func() { e.Mgr.CollectSlotGarbage(0, erase) },
-	} {
-		gc.Add(1)
-		go func() {
-			defer gc.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-					collect()
-				}
+	gc.Add(1)
+	go func() {
+		defer gc.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				e.CollectGarbage()
 			}
-		}()
-	}
+		}
+	}()
 	done := make(chan error, 1)
 	go func() {
 		for _, rid := range rids {

@@ -151,11 +151,6 @@ func (l *Latch) UnlockShared() {
 	l.word.Add(^uint64(0)) // -1
 }
 
-// IsLockedExclusive reports whether a writer currently holds the latch.
-func (l *Latch) IsLockedExclusive() bool {
-	return l.word.Load()&stateMask == stateExclusive
-}
-
 // SharedCount returns the current number of shared holders (0 if a writer
 // holds the latch).
 func (l *Latch) SharedCount() int {
@@ -164,10 +159,4 @@ func (l *Latch) SharedCount() int {
 		return 0
 	}
 	return int(s)
-}
-
-// CurrentVersion returns the version component, primarily for tests and
-// diagnostics.
-func (l *Latch) CurrentVersion() Version {
-	return Version(l.word.Load() &^ stateMask)
 }

@@ -10,8 +10,9 @@
 //   - Transaction-ID locks are the transaction's own TxnMeta: a
 //     transaction implicitly holds the exclusive lock on its ID from start
 //     to finish, and "acquiring a shared lock on B's ID" is waiting on B's
-//     done channel — all waiters wake together when B finishes, exactly
-//     the semantics of §7.2's remark.
+//     TxnMeta.Done channel, which the engine does in core's Tx.park — all
+//     waiters wake together when B finishes, exactly the semantics of
+//     §7.2's remark.
 //   - Tuple locks live in twin table entries and are mutated under the
 //     owning page's latch; this package provides the state transitions.
 package lock
@@ -28,27 +29,6 @@ import (
 // ErrLockTimeout reports that a lock wait exceeded its bound; the caller
 // is expected to abort its transaction (timeout-based deadlock recovery).
 var ErrLockTimeout = errors.New("lock: wait timed out (possible deadlock)")
-
-// --- Transaction-ID locks -----------------------------------------------------
-
-// WaitTxn blocks until the other transaction finishes (commits or aborts),
-// i.e. acquires and immediately releases a shared lock on its transaction
-// ID. A zero timeout waits forever. This is a low-urgency yield point: the
-// goroutine parks and its worker runs other task slots (§7.1).
-func WaitTxn(other *undo.TxnMeta, timeout time.Duration) error {
-	if timeout <= 0 {
-		<-other.Done()
-		return nil
-	}
-	t := time.NewTimer(timeout)
-	defer t.Stop()
-	select {
-	case <-other.Done():
-		return nil
-	case <-t.C:
-		return ErrLockTimeout
-	}
-}
 
 // --- Tuple locks ----------------------------------------------------------------
 

@@ -6,51 +6,8 @@ import (
 	"testing"
 	"time"
 
-	"phoebedb/internal/clock"
 	"phoebedb/internal/undo"
 )
-
-func TestWaitTxnReleasedOnFinish(t *testing.T) {
-	m := undo.NewTxnMeta(clock.MakeXID(1))
-	done := make(chan error, 1)
-	go func() { done <- WaitTxn(m, 0) }()
-	select {
-	case <-done:
-		t.Fatal("WaitTxn returned before finish")
-	case <-time.After(10 * time.Millisecond):
-	}
-	m.Commit(2)
-	m.Finish()
-	if err := <-done; err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestWaitTxnTimeout(t *testing.T) {
-	m := undo.NewTxnMeta(clock.MakeXID(1))
-	err := WaitTxn(m, 5*time.Millisecond)
-	if !errors.Is(err, ErrLockTimeout) {
-		t.Fatalf("err = %v", err)
-	}
-}
-
-func TestWaitTxnAllWaitersWake(t *testing.T) {
-	// §7.2 remark: all waiting shared locks release simultaneously.
-	m := undo.NewTxnMeta(clock.MakeXID(1))
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if err := WaitTxn(m, time.Second); err != nil {
-				t.Error(err)
-			}
-		}()
-	}
-	m.Abort()
-	m.Finish()
-	wg.Wait()
-}
 
 func TestTupleLockModes(t *testing.T) {
 	e := &undo.TwinEntry{}

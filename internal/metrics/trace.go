@@ -118,9 +118,6 @@ type SlowLog struct {
 // SetThreshold arms the log at d (0 disables).
 func (s *SlowLog) SetThreshold(d time.Duration) { s.threshold.Store(int64(d)) }
 
-// Threshold reports the current threshold.
-func (s *SlowLog) Threshold() time.Duration { return time.Duration(s.threshold.Load()) }
-
 // SetOutput directs per-offender log lines to l (nil keeps collecting
 // silently into the ring).
 func (s *SlowLog) SetOutput(l *log.Logger) { s.out.Store(l) }

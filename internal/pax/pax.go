@@ -31,7 +31,7 @@ import (
 //
 // Safety contract: var-column backing slices are content-immutable — SetCol
 // always installs a freshly allocated slice (never writes into the old one),
-// and Insert/Delete/SplitInto only move or nil the per-slot slice headers.
+// and Insert/Delete only move or nil the per-slot slice headers.
 // A view therefore stays valid for the life of the Go heap object it points
 // at, regardless of later updates to the slot; retaining one merely pins
 // that allocation. This is what makes allocation-free point reads possible:
@@ -166,18 +166,6 @@ func (p *Page) set(at int, row rel.Row) {
 	}
 }
 
-// SetRow overwrites every column of slot `at` in place.
-func (p *Page) SetRow(at int, row rel.Row) error {
-	if at < 0 || at >= p.n {
-		return fmt.Errorf("pax: slot %d out of range [0,%d)", at, p.n)
-	}
-	if err := row.Conforms(p.schema); err != nil {
-		return err
-	}
-	p.set(at, row)
-	return nil
-}
-
 // SetCol updates one column of slot `at` in place and widens the column's
 // zone to cover the value. The caller must have captured the before-image
 // for UNDO if required.
@@ -225,49 +213,6 @@ func (p *Page) ReadRowInto(at int, dst rel.Row) {
 	for ci := range dst {
 		dst[ci] = p.Col(at, ci)
 	}
-}
-
-// ScanCol invokes fn for every row's value of one column, in slot order.
-// This is the PAX fast path: for fixed columns it walks a single minipage.
-func (p *Page) ScanCol(col int, fn func(slot int, v rel.Value)) {
-	t := p.schema.Cols[col].Type
-	if fi := p.fixIdx[col]; fi >= 0 {
-		mp := p.fixed[fi]
-		for i := 0; i < p.n; i++ {
-			u := binary.LittleEndian.Uint64(mp[i*8 : i*8+8])
-			if t == rel.TInt64 {
-				fn(i, rel.Int(int64(u)))
-			} else {
-				fn(i, rel.Float(math.Float64frombits(u)))
-			}
-		}
-		return
-	}
-	vc := p.vars[p.varIdx[col]]
-	for i := 0; i < p.n; i++ {
-		fn(i, rel.Str(viewStr(vc[i])))
-	}
-}
-
-// SplitInto moves the upper half of the page's rows into dst (which must be
-// empty and share the schema) and returns the number of rows moved.
-func (p *Page) SplitInto(dst *Page) int {
-	p.mustOwn()
-	half := p.n / 2
-	moved := p.n - half
-	for i := half; i < p.n; i++ {
-		if _, err := dst.Append(p.Row(i)); err != nil {
-			panic(fmt.Sprintf("pax: split overflow: %v", err))
-		}
-	}
-	// Truncate: clear var refs so the backing arrays can be collected.
-	for _, vc := range p.vars {
-		for i := half; i < p.n; i++ {
-			vc[i] = nil
-		}
-	}
-	p.n = half
-	return moved
 }
 
 // --- Serialization ---------------------------------------------------------

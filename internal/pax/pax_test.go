@@ -111,64 +111,6 @@ func TestInPlaceUpdate(t *testing.T) {
 	}
 }
 
-func TestSetRow(t *testing.T) {
-	p := NewPage(testSchema(), 4)
-	p.Append(mkRow(0))
-	if err := p.SetRow(0, mkRow(7)); err != nil {
-		t.Fatal(err)
-	}
-	if !p.Row(0).Equal(mkRow(7)) {
-		t.Fatal("SetRow did not overwrite")
-	}
-	if err := p.SetRow(3, mkRow(1)); err == nil {
-		t.Fatal("out-of-range SetRow accepted")
-	}
-}
-
-func TestScanColFixedAndVar(t *testing.T) {
-	p := NewPage(testSchema(), 8)
-	for i := 0; i < 6; i++ {
-		p.Append(mkRow(i))
-	}
-	var ids []int64
-	p.ScanCol(0, func(slot int, v rel.Value) { ids = append(ids, v.I) })
-	if !reflect.DeepEqual(ids, []int64{0, 1, 2, 3, 4, 5}) {
-		t.Fatalf("fixed scan = %v", ids)
-	}
-	var names []string
-	p.ScanCol(1, func(slot int, v rel.Value) { names = append(names, v.S) })
-	if len(names) != 6 || names[0] != "a" || names[5] != "f" {
-		t.Fatalf("var scan = %v", names)
-	}
-	var sum float64
-	p.ScanCol(2, func(slot int, v rel.Value) { sum += v.F })
-	if sum != 0+0.5+1+1.5+2+2.5 {
-		t.Fatalf("float scan sum = %g", sum)
-	}
-}
-
-func TestSplitInto(t *testing.T) {
-	p := NewPage(testSchema(), 8)
-	for i := 0; i < 7; i++ {
-		p.Append(mkRow(i))
-	}
-	q := NewPage(testSchema(), 8)
-	moved := p.SplitInto(q)
-	if moved != 4 || p.Len() != 3 || q.Len() != 4 {
-		t.Fatalf("split: moved=%d left=%d right=%d", moved, p.Len(), q.Len())
-	}
-	for i := 0; i < 3; i++ {
-		if !p.Row(i).Equal(mkRow(i)) {
-			t.Fatalf("left row %d wrong", i)
-		}
-	}
-	for i := 0; i < 4; i++ {
-		if !q.Row(i).Equal(mkRow(i + 3)) {
-			t.Fatalf("right row %d wrong", i)
-		}
-	}
-}
-
 func TestSerializeRoundTrip(t *testing.T) {
 	p := NewPage(testSchema(), 16)
 	for i := 0; i < 9; i++ {
@@ -312,11 +254,9 @@ func TestViewMatchesDeserialize(t *testing.T) {
 
 	v, _ := View(s, large.Serialize(nil))
 	for name, write := range map[string]func(){
-		"SetCol":    func() { v.SetCol(0, 0, rel.Int(1)) },
-		"SetRow":    func() { v.SetRow(0, mkRow(1)) },
-		"Insert":    func() { v.Insert(0, mkRow(1)) },
-		"Delete":    func() { v.Delete(0) },
-		"SplitInto": func() { v.SplitInto(NewPage(s, 512)) },
+		"SetCol": func() { v.SetCol(0, 0, rel.Int(1)) },
+		"Insert": func() { v.Insert(0, mkRow(1)) },
+		"Delete": func() { v.Delete(0) },
 	} {
 		func() {
 			defer func() {
@@ -327,19 +267,6 @@ func TestViewMatchesDeserialize(t *testing.T) {
 			write()
 		}()
 	}
-}
-
-func BenchmarkScanColFixed(b *testing.B) {
-	p := NewPage(testSchema(), 256)
-	for i := 0; i < 256; i++ {
-		p.Append(mkRow(i))
-	}
-	b.ResetTimer()
-	var sink int64
-	for i := 0; i < b.N; i++ {
-		p.ScanCol(0, func(_ int, v rel.Value) { sink += v.I })
-	}
-	_ = sink
 }
 
 func BenchmarkAppend(b *testing.B) {

@@ -22,7 +22,6 @@ package replica
 import (
 	"errors"
 	"fmt"
-	"slices"
 	"sync"
 	"time"
 
@@ -51,8 +50,8 @@ type Standby struct {
 	// ArchiveDir optionally points at the primary's WAL archive (see
 	// internal/backup). With an archive the standby survives primary
 	// checkpoints: archived bytes are never removed, so instead of
-	// tailing the live files it consumes each group's archived stream and
-	// only reads the live file for the not-yet-archived tail. The archive
+	// tailing the live files it consumes the archived stream and only
+	// reads the live file for the not-yet-archived tail. The archive
 	// must cover the database's whole history (ContinuousFrom == 0) —
 	// otherwise the standby would need to start from a restored base
 	// backup, and CatchUp reports ErrLostPosition.
@@ -60,7 +59,7 @@ type Standby struct {
 
 	mu       sync.Mutex
 	tail     *wal.Tailer // the live log's position
-	stream   []int64     // ArchiveDir only: group -> archived-stream bytes consumed
+	stream   int64       // ArchiveDir only: archived-stream bytes consumed
 	redo     *core.Redo  // records read and not yet applied
 	applied  int64
 	promoted bool
@@ -150,53 +149,43 @@ func (s *Standby) readNew(final bool) ([]wal.Record, error) {
 }
 
 // readNewArchived ships from the WAL archive instead of the live files.
-// Each group's archived stream (its segments concatenated in epoch order)
-// is append-only — checkpoints seal epochs but never remove archived
-// bytes — so a single stream offset per group survives any number of
-// primary checkpoints. The live log supplies only the not-yet-archived
-// tail: the file the manifest's SealGSN names, from the archiver's SrcOff
-// plus what this standby has read past the archived stream. It changes
-// nothing of the standby's state when it fails.
+// The archived stream (the segments concatenated in epoch order) is
+// append-only — checkpoints seal epochs but never remove archived bytes —
+// so a single stream offset survives any number of primary checkpoints.
+// The live log supplies only the not-yet-archived tail: the file the
+// manifest's SealGSN names, from the archiver's SrcOff plus what this
+// standby has read past the archived stream. It changes nothing of the
+// standby's state when it fails.
 func (s *Standby) readNewArchived(final bool) ([]wal.Record, error) {
 	m, err := backup.LoadManifest(s.ArchiveDir)
 	if err != nil {
 		return nil, fmt.Errorf("replica: archive manifest: %w", err)
 	}
-	if m.ContinuousFrom != 0 && s.stream == nil {
+	if m.ContinuousFrom != 0 {
 		return nil, fmt.Errorf("%w (archive history begins at GSN %d; start from a restored base backup)",
 			ErrLostPosition, m.ContinuousFrom)
 	}
-	stream := slices.Clone(s.stream)
-	for len(stream) < max(m.NumGroups(), 1) {
-		stream = append(stream, 0)
-	}
+	o := s.stream
 	var out []wal.Record
-	for g := range stream {
-		o := stream[g]
-		var sAll int64
-		for _, seg := range m.GroupSegments(g) {
-			segEnd := sAll + int64(seg.Length)
-			if o < segEnd && seg.Length > 0 {
-				// o - sAll is a record boundary: o only advances whole records.
-				if err := backup.ScanSegment(s.ArchiveDir, &seg, int(o-sAll), func(r wal.Record, _ []byte) {
-					out = append(out, r)
-				}); err != nil {
-					return nil, err
-				}
-				o = segEnd
-			}
-			sAll = segEnd
-		}
-		if g == 0 && o >= sAll {
-			var n int64
-			if out, n, err = s.readLive(out, m, o-sAll, final); err != nil {
+	var archived int64
+	for _, seg := range m.Segments {
+		end := archived + int64(seg.Length)
+		if o < end {
+			// o - archived is a record boundary: o only advances whole records.
+			if err := backup.ScanSegment(s.ArchiveDir, &seg, int(o-archived), func(r wal.Record, _ []byte) {
+				out = append(out, r)
+			}); err != nil {
 				return nil, err
 			}
-			o += n
+			o = end
 		}
-		stream[g] = o
+		archived = end
 	}
-	s.stream = stream
+	out, n, err := s.readLive(out, m, o-archived, final)
+	if err != nil {
+		return nil, err
+	}
+	s.stream = o + n
 	return out, nil
 }
 

@@ -160,9 +160,6 @@ type Page struct {
 	part  int // buffer partition owning this page
 }
 
-// FirstRowID returns the smallest row_id ever stored in the page.
-func (pg *Page) FirstRowID() rel.RowID { return pg.firstRowID }
-
 // touch records an access for temperature tracking and rescues a cooling
 // page.
 func (pg *Page) touch() {

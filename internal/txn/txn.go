@@ -379,14 +379,6 @@ func (m *Manager) CollectGarbage(onReclaim func(*undo.Record)) int {
 	return n
 }
 
-// CollectSlotGarbage runs UNDO GC for a single slot's arena — the
-// partitioned form used by worker-local duty tasks ("UNDO logs are managed
-// and garbage is collected by the same worker thread that generates them",
-// §7.1).
-func (m *Manager) CollectSlotGarbage(slot int, onReclaim func(*undo.Record)) int {
-	return m.arenas[slot].Reclaim(m.MinActiveStartTS(), onReclaim)
-}
-
 // --- Visibility (Algorithm 1) -------------------------------------------------
 
 // ReadVisible reconstructs the tuple version visible to (snapshot, xid)

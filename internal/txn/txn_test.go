@@ -341,21 +341,6 @@ func TestCollectGarbageRespectsActiveSnapshot(t *testing.T) {
 	}
 }
 
-func TestCollectSlotGarbagePartitioned(t *testing.T) {
-	m := NewManager(2)
-	for slot := 0; slot < 2; slot++ {
-		w := begin(m, slot, ReadCommitted)
-		w.AddUndo(1, rel.RowID(slot), undo.OpUpdate, delta("v"), nil)
-		w.FinalizeCommit(w.PrepareCommit())
-	}
-	if n := m.CollectSlotGarbage(0, nil); n != 1 {
-		t.Fatalf("slot 0 reclaimed %d", n)
-	}
-	if m.Arena(1).Live() != 1 {
-		t.Fatal("slot 1 arena touched by slot 0 GC")
-	}
-}
-
 func TestMaxFrozenXIDAdvances(t *testing.T) {
 	m := NewManager(1)
 	w := begin(m, 0, ReadCommitted)
