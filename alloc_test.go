@@ -261,3 +261,100 @@ func TestAllocExplainAnalyzeFold(t *testing.T) {
 	}
 	t.Logf("EXPLAIN ANALYZE fold allocs: %.1f over 64 rows, %.1f over 640", small, large)
 }
+
+// memPerRun is testing.AllocsPerRun that also reports bytes: the average
+// objects and bytes one call of fn allocates, fn having run once first.
+func memPerRun(runs int, fn func()) (objs, bytes float64) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	fn()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		fn()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.Mallocs-before.Mallocs) / float64(runs),
+		float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
+}
+
+// The shaped SELECTs TPC-C sends, each on a plan-cache hit through
+// PoolSession.ExecSQL, with what each may allocate per statement: pinned
+// where the change that stopped their row copies left them.
+//   - Stock-Level's join probes the stock table's composite key under the
+//     bound warehouse and streams, instead of hash-building a copy of
+//     every stock row of the warehouse;
+//   - the customer-by-name lookup copies the two columns its output and
+//     ORDER BY read out of each wide row, not all 21;
+//   - Delivery's sum over an order's lines folds in the index scan's
+//     callback, instead of copying each line.
+const (
+	stockJoinAllocCeiling  = 33
+	stockJoinBytesCeiling  = 3100
+	custByNameAllocCeiling = 14
+	custByNameBytesCeiling = 448
+	lineSumAllocCeiling    = 10
+	lineSumBytesCeiling    = 384
+)
+
+func TestAllocPoolSessionShapedSelect(t *testing.T) {
+	db := openTestDB(t, Options{ASHSampleInterval: -1})
+	execOrFatal(t, db, "CREATE TABLE stock (s_w_id INT, s_i_id INT, s_quantity INT, s_data STRING)")
+	execOrFatal(t, db, "CREATE UNIQUE INDEX stock_pk ON stock (s_w_id, s_i_id)")
+	execOrFatal(t, db, "CREATE TABLE order_line (ol_w_id INT, ol_d_id INT, ol_o_id INT, ol_number INT, ol_i_id INT, ol_amount FLOAT)")
+	execOrFatal(t, db, "CREATE UNIQUE INDEX order_line_pk ON order_line (ol_w_id, ol_d_id, ol_o_id, ol_number)")
+	pad := make([]string, 16)
+	for i := range pad {
+		pad[i] = fmt.Sprintf("c_pad%d INT", i)
+	}
+	execOrFatal(t, db, "CREATE TABLE customer (c_w_id INT, c_d_id INT, c_id INT, c_first STRING, c_last STRING, "+strings.Join(pad, ", ")+")")
+	execOrFatal(t, db, "CREATE INDEX customer_name ON customer (c_w_id, c_d_id, c_last)")
+	for w := 1; w <= 2; w++ {
+		for i := 1; i <= 200; i++ {
+			execOrFatal(t, db, fmt.Sprintf("INSERT INTO stock VALUES (%d, %d, %d, 'data%d')", w, i, 10+i%20, i))
+		}
+		for o := 1; o <= 20; o++ {
+			for n := 1; n <= 10; n++ {
+				execOrFatal(t, db, fmt.Sprintf("INSERT INTO order_line VALUES (%d, 1, %d, %d, %d, %d.5)", w, o, n, (o*7+n*13)%200+1, n))
+			}
+		}
+		for c := 1; c <= 30; c++ {
+			vals := strings.Repeat(", 0", 16)
+			execOrFatal(t, db, fmt.Sprintf("INSERT INTO customer VALUES (%d, 1, %d, 'first%02d', 'last%d'%s)", w, c, 30-c, c%3, vals))
+		}
+	}
+	queries := []struct {
+		name, q     string
+		rows        int
+		objs, bytes float64
+	}{
+		{name: "Stock-Level join", q: "SELECT ol_i_id FROM order_line JOIN stock ON ol_i_id = s_i_id WHERE ol_w_id = 1 AND ol_d_id = 1 " +
+			"AND ol_o_id >= 5 AND ol_o_id < 10 AND s_w_id = 1 AND s_quantity < 20", objs: stockJoinAllocCeiling, bytes: stockJoinBytesCeiling},
+		{name: "customer by name", q: "SELECT c_id FROM customer WHERE c_w_id = 1 AND c_d_id = 1 AND c_last = 'last1' ORDER BY c_first",
+			rows: 10, objs: custByNameAllocCeiling, bytes: custByNameBytesCeiling},
+		{name: "order-line sum", q: "SELECT sum(ol_amount) FROM order_line WHERE ol_w_id = 1 AND ol_d_id = 1 AND ol_o_id = 7",
+			rows: 1, objs: lineSumAllocCeiling, bytes: lineSumBytesCeiling},
+	}
+	var sink countSink
+	inPoolSession(t, db, func(ps *PoolSession) {
+		for _, qc := range queries {
+			run := func() {
+				sink.rows = 0
+				if _, err := ps.ExecSQL(qc.q, &sink); err != nil {
+					t.Error(err)
+				}
+			}
+			run() // fills the plan cache, the hints and the scratch
+			if sink.rows == 0 || (qc.rows > 0 && sink.rows != qc.rows) {
+				t.Errorf("%s: %d rows, want %d", qc.name, sink.rows, qc.rows)
+			}
+			objs, bytes := memPerRun(200, run)
+			if objs > qc.objs {
+				t.Errorf("%s allocates %.1f objects per statement, want <= %.0f", qc.name, objs, qc.objs)
+			}
+			if bytes > qc.bytes {
+				t.Errorf("%s allocates %.0f bytes per statement, want <= %.0f", qc.name, bytes, qc.bytes)
+			}
+			t.Logf("%s: %.1f objects, %.0f bytes per statement", qc.name, objs, bytes)
+		}
+	})
+}

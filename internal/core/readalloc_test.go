@@ -8,7 +8,7 @@ import (
 
 // The allocation-free read path: steady-state point reads and index scans
 // must not allocate. These gates guard the scratch-reuse machinery (Tx
-// rowBuf/scanRowBuf/keyBuf, value Handle callbacks, in-place visibility)
+// rowBuf/scan frames/keyBuf, value Handle callbacks, in-place visibility)
 // against regressions — a single escaped value shows up as a fractional
 // alloc count here.
 

@@ -24,8 +24,9 @@ import (
 //
 // The engine keeps exactly one Tx per slot and Begin resets it in place, so
 // the handle Begin returns IS the slot's transaction state: its scratch
-// buffers (rowBuf, cands, encBuf, the UNDO record list, ...) survive from
-// one transaction to the next and a steady-state Begin allocates nothing.
+// buffers (rowBuf, the scan frames, encBuf, the UNDO record list, ...)
+// survive from one transaction to the next and a steady-state Begin
+// allocates nothing.
 // A handle used after Commit/Rollback reports ErrTxnDone until the slot's
 // next Begin, from which point it names that new transaction — callers
 // must not keep a handle past the transaction it was returned for.
@@ -67,28 +68,18 @@ type Tx struct {
 	// into its own buffer synchronously, so one per-transaction buffer is
 	// reused across every EncodeRow/EncodeDelta call.
 	encBuf []byte
-	// cands is the index-scan candidate scratch, reused across scans.
-	cands []rel.RowID
-	// candKeys/candEnds hold the candidates' full entry keys (concatenated,
-	// with end offsets): the scan verifies each visible row against the
-	// entry that produced it, not just the search prefix, so stale entries
-	// left behind by updates to non-prefix index columns are filtered even
-	// when they fall inside the scanned range. Taken off the transaction
-	// during a scan, like cands.
-	candKeys []byte
-	candEnds []int
-	// verifyBuf is the recomputed-entry-key scratch for that check.
-	verifyBuf []byte
 	// rowBuf is the point-read scratch: readRow materializes the current
 	// version here and the visibility check applies before-image deltas in
 	// place. Rows returned from Get/GetByIndex alias it, hence the borrowed
 	// contract: they are valid only until the transaction's next operation.
 	rowBuf rel.Row
-	// scanRowBuf is the index-scan row scratch. Like cands it is taken off
-	// the transaction during a scan so point reads issued from inside the
-	// scan callback keep their own buffer (rowBuf) rather than clobbering
-	// the row the callback is looking at.
-	scanRowBuf rel.Row
+	// scans holds one index scan's scratch per nesting depth: scans[d] is
+	// what a scan running inside d enclosing scans' callbacks uses, and
+	// scanDepth is the number running now. A nested scan (a join's probe)
+	// so reuses its own frame from one call to the next, and never touches
+	// the candidates or the row its enclosing scan's callback is looking at.
+	scans     []*scanScratch
+	scanDepth int
 	// keyBuf and endBuf hold the encoded index search prefix and its
 	// exclusive upper bound, reused across scans (both are consumed before
 	// any callback runs, so nested scans may clobber them freely).
@@ -234,8 +225,10 @@ func (tx *Tx) finish() {
 	}
 	clear(tx.frozenRestores)
 	tx.frozenRestores = tx.frozenRestores[:0]
-	if cap(tx.cands) > maxKeptCands {
-		tx.cands, tx.candKeys, tx.candEnds = nil, nil, nil
+	for _, sc := range tx.scans {
+		if cap(sc.cands) > maxKeptCands {
+			sc.cands, sc.candKeys, sc.candEnds = nil, nil, nil
+		}
 	}
 }
 
@@ -691,7 +684,9 @@ func (tx *Tx) scanIndexRaw(t *Tbl, ix *Index, vals []rel.Value, fn func(rid rel.
 		if !ok {
 			return nil
 		}
-		row, ok, err := tx.readRow(t, rel.RowID(v))
+		f := tx.pushScan()
+		defer tx.popScan()
+		row, ok, err := tx.readRowInto(t, rel.RowID(v), &f.row)
 		if err != nil && !errors.Is(err, ErrNotFound) {
 			return err
 		}
@@ -761,24 +756,41 @@ func (tx *Tx) ScanIndexRange(tableName, indexName string, prefix []rel.Value, lo
 	return tx.scanIndexKeys(t, ix, loKey, hiKey, fn)
 }
 
+// scanScratch is one index scan's reusable memory: the candidates it
+// snapshots under the leaf latch (row ids, and their full entry keys
+// concatenated with end offsets), the recomputed-entry-key buffer that
+// verifies each, and the row each visible version is read into.
+type scanScratch struct {
+	cands     []rel.RowID
+	candKeys  []byte
+	candEnds  []int
+	verifyBuf []byte
+	row       rel.Row
+}
+
+// pushScan enters one more level of scan nesting and returns its frame,
+// which stays the caller's until the matching popScan.
+func (tx *Tx) pushScan() *scanScratch {
+	if tx.scanDepth == len(tx.scans) {
+		tx.scans = append(tx.scans, new(scanScratch))
+	}
+	f := tx.scans[tx.scanDepth]
+	tx.scanDepth++
+	return f
+}
+
+func (tx *Tx) popScan() { tx.scanDepth-- }
+
 // scanIndexKeys is the shared key-range scan core: snapshot the matching
 // index entries under [loKey, hiKey), then visibility-check and
 // stale-entry-verify each candidate outside the leaf latch.
 func (tx *Tx) scanIndexKeys(t *Tbl, ix *Index, loKey, hiKey []byte, fn func(rid rel.RowID, row rel.Row) bool) error {
 	// Collect candidates first: the row reads below take page latches and
-	// must not run inside the index leaf snapshot loop. The candidate and
-	// row scratches are taken off the transaction for the duration so a
-	// nested scan or point read from inside fn allocates (or uses) its own
-	// rather than clobbering ours.
-	cands := tx.cands[:0]
-	tx.cands = nil
-	candKeys := tx.candKeys[:0]
-	candEnds := tx.candEnds[:0]
-	tx.candKeys, tx.candEnds = nil, nil
-	rowBuf := tx.scanRowBuf
-	tx.scanRowBuf = nil
-	verifyBuf := tx.verifyBuf
-	tx.verifyBuf = nil
+	// must not run inside the index leaf snapshot loop. The frame is this
+	// nesting depth's own, so a scan from inside fn uses the next one.
+	f := tx.pushScan()
+	defer tx.popScan()
+	cands, candKeys, candEnds := f.cands[:0], f.candKeys[:0], f.candEnds[:0]
 	latchStart := time.Now()
 	ix.Tree.Scan(loKey, hiKey, func(k []byte, v uint64) bool {
 		cands = append(cands, rel.RowID(v))
@@ -787,15 +799,12 @@ func (tx *Tx) scanIndexKeys(t *Tbl, ix *Index, loKey, hiKey []byte, fn func(rid 
 		return true
 	})
 	tx.track(metrics.CompLatch, latchStart)
-	defer func() {
-		tx.cands, tx.scanRowBuf = cands, rowBuf
-		tx.candKeys, tx.candEnds, tx.verifyBuf = candKeys, candEnds, verifyBuf
-	}()
+	f.cands, f.candKeys, f.candEnds = cands, candKeys, candEnds
 	start := 0
 	for i, rid := range cands {
 		entry := candKeys[start:candEnds[i]]
 		start = candEnds[i]
-		row, ok, err := tx.readRowInto(t, rid, &rowBuf)
+		row, ok, err := tx.readRowInto(t, rid, &f.row)
 		if err != nil && !errors.Is(err, ErrNotFound) {
 			return err
 		}
@@ -808,8 +817,8 @@ func (tx *Tx) scanIndexKeys(t *Tbl, ix *Index, loKey, hiKey []byte, fn func(rid 
 		// the scanned range, pointing at a row that still matches the
 		// prefix — the row would be emitted once per entry, and at the
 		// stale entry's sort position.
-		verifyBuf = indexKeyInto(verifyBuf[:0], ix, row, rid)
-		if !bytes.Equal(verifyBuf, entry) {
+		f.verifyBuf = indexKeyInto(f.verifyBuf[:0], ix, row, rid)
+		if !bytes.Equal(f.verifyBuf, entry) {
 			continue // stale entry
 		}
 		if !fn(rid, row) {

@@ -273,7 +273,7 @@ func (sp *selectPlan) planTree(tr *execTrace) *planNode {
 
 // outColNames names the plan's output columns.
 func (sp *selectPlan) outColNames() []string {
-	if sp.kind == selStream {
+	if sp.proj != nil {
 		return sp.proj.cols
 	}
 	return colNames(sp.outCols)
@@ -283,13 +283,13 @@ func (sp *selectPlan) outColNames() []string {
 // single table's access path, or the join.
 func (sp *selectPlan) gatherNode(tr *execTrace) *planNode {
 	var n *planNode
-	switch sp.kind {
-	case selStat:
+	switch {
+	case sp.kind == selStat:
 		n = &planNode{label: "Stat Scan on " + sp.from.name, op: tr.op(opScan)}
 		if len(sp.scan.residual) > 0 {
 			n.notes = append(n.notes, "Filter: "+condsString(sp.scan.residual))
 		}
-	case selJoin:
+	case sp.join != nil:
 		n = sp.joinNode(tr)
 	default:
 		n = scanPlanNode(sp.from, sp.scan, tr.op(opScan))
@@ -315,8 +315,13 @@ func (sp *selectPlan) joinNode(tr *execTrace) *planNode {
 		return &planNode{label: "Hash Join (" + cond + ")", op: tr.op(opProbe), children: []*planNode{drive, build}}
 	}
 	probe := &planNode{label: "Index Scan using " + jp.probeIndex + " on " + jp.other.name, op: tr.op(opProbe)}
-	probe.notes = append(probe.notes, "Index Cond: "+jp.other.schema.Cols[jp.other.col].Name+
-		" = "+jp.drive.name+"."+jp.drive.schema.Cols[jp.drive.col].Name)
+	var conds []string
+	ix := indexNamed(jp.other.indexes, jp.probeIndex)
+	for i, v := range jp.probeKey[:len(jp.probeKey)-1] {
+		conds = append(conds, jp.other.schema.Cols[ix.Cols[i]].Name+" = "+v.String())
+	}
+	conds = append(conds, jp.other.schema.Cols[jp.other.col].Name+" = "+jp.drive.name+"."+jp.drive.schema.Cols[jp.drive.col].Name)
+	probe.notes = append(probe.notes, "Index Cond: "+strings.Join(conds, " AND "))
 	switch {
 	case jp.probeEmpty:
 		probe.notes = append(probe.notes, "One-Time Filter: false (contradictory WHERE)")

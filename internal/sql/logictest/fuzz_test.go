@@ -36,6 +36,8 @@ var fuzzSeeds = []string{
 	"SELECT a FROM ft WHERE a > 2 AND a < 1",
 	"UPDATE ft SET f = 0.5 WHERE f BETWEEN 1 AND 3",
 	"DELETE FROM ft WHERE a != 1 AND a >= 2",
+	"CREATE INDEX ft_sa ON ft (s, a)",
+	"SELECT fu.g, ft.f FROM fu JOIN ft ON fu.x = ft.a WHERE ft.s = 'a' AND ft.f > 0",
 }
 
 // FuzzSQLVsReference feeds arbitrary statements to the engine and the

@@ -366,6 +366,133 @@ func TestDifferentialOracle(t *testing.T) {
 	}
 }
 
+// prefixProbes are the join shapes TestDifferentialBoundPrefixJoin draws:
+// a composite index's leading column, which the WHERE binds by =, on the
+// table that declares it, and the (t1, t2) join pair whose column on that
+// table is the index's second.
+var prefixProbes = []struct {
+	table string
+	lead  oracleCol
+	pair  [2]oracleCol
+}{
+	{"t2", oracleCol{"g", 's'}, [2]oracleCol{{"a", 'i'}, {"x", 'i'}}},
+	{"t2", oracleCol{"h", 'f'}, [2]oracleCol{{"b", 'i'}, {"y", 'i'}}},
+	{"t1", oracleCol{"f", 'f'}, [2]oracleCol{{"b", 'i'}, {"y", 'i'}}},
+	{"t1", oracleCol{"s", 's'}, [2]oracleCol{{"a", 'i'}, {"x", 'i'}}},
+}
+
+// prefixJoin draws a join that can probe a composite index under its
+// bound leading column: sometimes with that column bound twice (the last
+// = wins) or by an int literal on a float column, plus random conditions
+// on either table, a projection, a scalar aggregate, ORDER BY and LIMIT.
+func (g *gen) prefixJoin() string {
+	p := prefixProbes[g.rng.Intn(len(prefixProbes))]
+	outer, inner := "t1", "t2"
+	if g.rng.Intn(2) == 0 {
+		outer, inner = inner, outer
+	}
+	l, r := "t1."+p.pair[0].name, "t2."+p.pair[1].name
+	if g.rng.Intn(2) == 0 {
+		l, r = r, l
+	}
+	bind := func() string { return g.ref(p.table, p.lead) + " = " + g.literal(p.lead.typ) }
+	conds := []string{bind()}
+	if g.rng.Intn(4) == 0 {
+		conds = append(conds, bind())
+	}
+	for n := g.rng.Intn(3); n > 0; n-- {
+		tbl := g.table()
+		c := g.col(tbl)
+		conds = append(conds, g.cond(g.ref(tbl, c), c.typ))
+	}
+	g.rng.Shuffle(len(conds), func(i, j int) { conds[i], conds[j] = conds[j], conds[i] })
+	from := fmt.Sprintf(" FROM %s JOIN %s ON %s = %s WHERE %s", outer, inner, l, r, strings.Join(conds, " AND "))
+	if g.rng.Intn(5) == 0 {
+		return "SELECT count(*), sum(b), min(g), max(h)" + from
+	}
+	var exprs []string
+	var order []oracleCol
+	if g.rng.Intn(4) == 0 {
+		exprs = []string{"*"}
+		order = append(append(order, oracleT1...), oracleT2...)
+	} else {
+		for n := 1 + g.rng.Intn(3); n > 0; n-- {
+			tbl := g.table()
+			c := g.col(tbl)
+			exprs = append(exprs, g.ref(tbl, c))
+			order = append(order, c)
+		}
+	}
+	q := "SELECT " + strings.Join(exprs, ", ") + from
+	if g.rng.Intn(10) < 4 {
+		q += g.orderBy(order)
+	}
+	if g.rng.Intn(10) < 3 {
+		q += fmt.Sprintf(" LIMIT %d", 1+g.rng.Intn(5))
+	}
+	return q
+}
+
+// TestDifferentialBoundPrefixJoin diffs, against the reference, joins
+// whose probe side has a composite index under a bound leading column,
+// amid writes and cold-tier maintenance rounds: the probe then reads hot
+// rows and frozen ones, through unique point lookups and prefix scans.
+func TestDifferentialBoundPrefixJoin(t *testing.T) {
+	db := openDB(t)
+	ref := NewReference()
+	g := &gen{rng: rand.New(rand.NewSource(0xb0a7))}
+	exec := func(i int, stmt string) {
+		t.Helper()
+		if err := Diff(stmt, db.ExecSQL, ref); err != nil {
+			t.Fatalf("statement %d: %v", i, err)
+		}
+	}
+	for _, ddl := range []string{
+		"CREATE TABLE t1 (a INT, b INT, s STRING, f FLOAT)",
+		"CREATE TABLE t2 (x INT, y INT, g STRING, h FLOAT)",
+		"CREATE INDEX t2_gx ON t2 (g, x)",
+		"CREATE INDEX t2_hy ON t2 (h, y)",
+		"CREATE INDEX t1_fb ON t1 (f, b)",
+		"CREATE INDEX t1_sa ON t1 (s, a)",
+	} {
+		exec(-1, ddl)
+	}
+	e := db.Engine()
+	for _, tbl := range e.Tables() {
+		tbl.Frozen.Fanout = 2
+	}
+	for i := 0; i < 600; i++ {
+		var stmt string
+		switch r := g.rng.Intn(10); {
+		case r < 4:
+			stmt = g.insert()
+		case r < 5:
+			stmt = g.update()
+		case r < 6:
+			stmt = g.delete()
+		default:
+			stmt = g.prefixJoin()
+		}
+		exec(i, stmt)
+		if i%150 == 149 {
+			e.CollectGarbage()
+			e.CollectGarbage()
+			if _, err := e.FreezeTables(2, ^uint32(0)); err != nil {
+				t.Fatalf("statement %d: freeze: %v", i, err)
+			}
+			if _, err := e.CompactColdAll(); err != nil {
+				t.Fatalf("statement %d: compact: %v", i, err)
+			}
+			if _, err := e.ProcessWarmQueue(0); err != nil {
+				t.Fatalf("statement %d: warm: %v", i, err)
+			}
+		}
+	}
+	if st := e.ColdStats(); st.Segments == 0 {
+		t.Fatalf("the stream never froze a row: %+v", st)
+	}
+}
+
 // One string conjunct must not cost a full scan its strips: over hot
 // pages, an L0 segment and a compacted one, a fixed-width range ANDed with
 // a string equality returns the reference's rows, and the range still

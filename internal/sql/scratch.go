@@ -53,10 +53,10 @@ func (discard) Row(rel.Row) bool { return true }
 
 // Scratch is the reusable memory of one statement execution: the normalized
 // cache key, the extracted literals, the bound WHERE/SET/VALUES, the rebuilt
-// plan's value lists, the projection row and the scan callbacks. It has one
-// owner at a time — the task slot a statement runs on — and every statement
-// starts by overwriting what the previous one left, so nothing in it may be
-// retained past the statement. The zero value is ready to use; a throwaway
+// plan's value lists, the projection row, a join's combined row, a gather's
+// rows and the scan callbacks. It has one owner at a time — the task slot a
+// statement runs on — and every statement starts by overwriting what the
+// previous one left, so nothing in it may be retained past the statement. The zero value is ready to use; a throwaway
 // Scratch behaves exactly like a long-lived one, it just allocates.
 //
 // One planned scan runs at a time per Scratch (the hash join's build and
@@ -79,6 +79,13 @@ type Scratch struct {
 
 	row  rel.Row
 	rids []rel.RowID
+	// comb is a join's combined (outer ++ inner) row.
+	comb rel.Row
+	// gathered are a shaped SELECT's gathered rows, their values in
+	// gatheredVals (a row that does not fit starts a larger array, which
+	// the next statement reuses).
+	gathered     []rel.Row
+	gatheredVals []rel.Value
 
 	scan scanState
 	emit emitState
@@ -141,6 +148,21 @@ func (sc *Scratch) emitRow(_ rel.RowID, row rel.Row) bool {
 func (sc *Scratch) collect(rid rel.RowID, _ rel.Row) bool {
 	sc.rids = append(sc.rids, rid)
 	return true
+}
+
+// maxKeptGathered bounds, in values, the gather array a statement leaves
+// for the next one: a large result's is dropped.
+const maxKeptGathered = 4096
+
+// releaseGathered lets go of what the gathered rows reference (a string
+// value pins its page's bytes or a whole decoded cold block).
+func (sc *Scratch) releaseGathered() {
+	clear(sc.gathered)
+	clear(sc.gatheredVals)
+	sc.gathered, sc.gatheredVals = sc.gathered[:0], sc.gatheredVals[:0]
+	if cap(sc.gatheredVals) > maxKeptGathered || cap(sc.gathered) > maxKeptGathered {
+		sc.gathered, sc.gatheredVals = nil, nil
+	}
 }
 
 // rowBuf returns the scratch row resized to n values.

@@ -2,6 +2,7 @@ package sql
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -15,18 +16,20 @@ import (
 // columns — into one selectPlan value. execSelect runs that value and
 // EXPLAIN renders it, so what EXPLAIN shows is what runs, traced or not.
 //
-// A plan produces rows one of five ways (selectKind): a plain projection
-// streams from the scan into the sink; an all-aggregate scalar select list
-// over a strip-filtered full scan folds inside the engine (§5.2); every
-// other shape gathers its matching rows — cloned, since scan callbacks only
-// borrow their row — from one table, a join, or a stat table, and shapes
-// them:
+// A plan produces rows from one source — a table's access path, a
+// two-table join, or a stat table — in one of five ways (selectKind): a
+// plain projection streams each source row into the sink; an all-aggregate
+// scalar select list folds, inside the engine's scan over a strip-filtered
+// full scan (§5.2) or row by row in the source's callback on any other
+// path; every other shape gathers its matching rows, copying only the
+// columns the later stages read, since the source only lends its row, and
+// shapes them:
 //
 //	gather (scan / join)  →  aggregate  →  sort  →  limit  →  project
 //
-// LIMIT stops the gather early whenever output order is scan order, and an
-// ORDER BY whose keys the chosen index scan already delivers skips the sort
-// (counted in Counters.SortAvoided).
+// LIMIT stops the source early whenever output order is source order, and
+// an ORDER BY whose keys the chosen index scan already delivers skips the
+// sort (counted in Counters.SortAvoided).
 
 // srcSchema describes the row shape a shaped SELECT operates on: one
 // table, or two concatenated (outer ++ inner) for a join. A value with
@@ -145,7 +148,8 @@ type outCol struct {
 	name string
 	agg  AggFunc
 	star bool // COUNT(*)
-	pos  int  // combined-row position (aggregate argument, or plain output)
+	pos  int  // source-row position (aggregate argument, or plain output)
+	at   int  // the same column's position in a gathered row
 	spec int  // in-scan fold: index of the column's AggSpec (-1: the row count)
 }
 
@@ -202,27 +206,18 @@ func buildOutCols(ss *srcSchema, s SelectStmt) ([]outCol, error) {
 }
 
 // shapeRows applies aggregation, ordering, LIMIT, and projection to the
-// gathered rows, which it owns (sorting is in place).
-func (sp *selectPlan) shapeRows(rows []rel.Row, c *Counters, tr *execTrace, sink RowSink) (int, error) {
-	s := &sp.s
-	var keys []int // ORDER BY key positions in rows
-	if len(s.OrderBy) > 0 && !sp.sorted {
-		keys = make([]int, len(s.OrderBy))
-		for i, k := range s.OrderBy {
-			p, err := sp.ss.resolve(k.Ref)
-			if err != nil {
-				return 0, err
-			}
-			keys[i] = p
-		}
-	}
+// gathered rows, which it owns.
+func (sp *selectPlan) shapeRows(rows []rel.Row, c *Counters, tr *execTrace, sink RowSink) int {
 	if sp.aggregate {
-		var err error
-		if rows, err = sp.aggregateRows(rows, keys, tr); err != nil {
-			return 0, err
-		}
+		rows = sp.aggregateRows(rows, tr)
 	}
-	if len(keys) > 0 {
+	return sp.finish(rows, c, tr, sink)
+}
+
+// finish sorts (in place), limits and projects shaped rows.
+func (sp *selectPlan) finish(rows []rel.Row, c *Counters, tr *execTrace, sink RowSink) int {
+	s := &sp.s
+	if keys := sp.orderAt; len(keys) > 0 {
 		sop := tr.op(opSort)
 		sstart := sop.begin()
 		sort.SliceStable(rows, func(i, j int) bool {
@@ -242,11 +237,11 @@ func (sp *selectPlan) shapeRows(rows []rel.Row, c *Counters, tr *execTrace, sink
 		rows = rows[:min(in, s.Limit)]
 		tr.op(opLimit).count(int64(in), int64(len(rows)))
 	}
-	return sp.project(rows, tr, sink), nil
+	return sp.project(rows, tr, sink)
 }
 
 // project hands the shaped rows to the sink, picking each output column
-// out of its row; an aggregate's rows already are output rows.
+// out of its gathered row; an aggregate's rows already are output rows.
 func (sp *selectPlan) project(rows []rel.Row, tr *execTrace, sink RowSink) int {
 	pop := tr.op(opProject)
 	pstart := pop.begin()
@@ -259,7 +254,7 @@ func (sp *selectPlan) project(rows []rel.Row, tr *execTrace, sink RowSink) int {
 	for _, row := range rows {
 		if out != nil {
 			for j, oc := range sp.outCols {
-				out[j] = row[oc.pos]
+				out[j] = row[oc.at]
 			}
 			row = out
 		}
@@ -343,57 +338,35 @@ func (st *aggState) final(agg AggFunc, ct rel.Type) rel.Value {
 	return rel.Value{}
 }
 
-// aggregateRows hash-aggregates the combined rows by the GROUP BY keys (or
+// final renders output column oc's aggregate from its state.
+func (sp *selectPlan) final(oc outCol, st *aggState) rel.Value {
+	if oc.star {
+		return st.final(oc.agg, rel.TInt64)
+	}
+	return st.final(oc.agg, sp.ss.colMeta(oc.pos).Type)
+}
+
+// aggregateRows hash-aggregates the gathered rows by the GROUP BY keys (or
 // into a single scalar group), in encoded group-key order — deterministic.
 // Each result row is the output columns followed by the group's key
-// values; keys, the ORDER BY positions, are remapped onto the latter, so
-// ORDER BY may only name grouping columns.
-func (sp *selectPlan) aggregateRows(rows []rel.Row, keys []int, tr *execTrace) ([]rel.Row, error) {
-	s, ss, outCols := &sp.s, &sp.ss, sp.outCols
+// values, which is where planGather pointed the ORDER BY positions.
+func (sp *selectPlan) aggregateRows(rows []rel.Row, tr *execTrace) []rel.Row {
+	outCols, groupAt := sp.outCols, sp.groupAt
 	width := len(outCols)
-	groupPos := make([]int, len(s.GroupBy))
-	for i, ref := range s.GroupBy {
-		p, err := ss.resolve(ref)
-		if err != nil {
-			return nil, err
-		}
-		groupPos[i] = p
-	}
-	inGroup := func(pos int) int {
-		for j, gp := range groupPos {
-			if gp == pos {
-				return j
-			}
-		}
-		return -1
-	}
-	// Every plain output column must be one of the grouping columns.
-	for _, oc := range outCols {
-		if oc.agg == AggNone && inGroup(oc.pos) < 0 {
-			return nil, fmt.Errorf("sql: column %q must appear in GROUP BY or an aggregate", oc.name)
-		}
-	}
-	for i, p := range keys {
-		gi := inGroup(p)
-		if gi < 0 {
-			return nil, fmt.Errorf("sql: ORDER BY column %q must appear in GROUP BY", s.OrderBy[i].Ref.Col)
-		}
-		keys[i] = width + gi
-	}
 	type group struct {
 		row    rel.Row // output columns, then the grouping values
 		states []aggState
 	}
 	newGroup := func() *group {
-		return &group{row: make(rel.Row, width+len(groupPos)), states: make([]aggState, width)}
+		return &group{row: make(rel.Row, width+len(groupAt)), states: make([]aggState, width)}
 	}
 	aop := tr.op(opAgg)
 	astart := aop.begin()
 	groups := make(map[string]*group)
-	keyBuf := make([]rel.Value, len(groupPos))
+	keyBuf := make([]rel.Value, len(groupAt))
 	var keyBytes []byte
 	for _, row := range rows {
-		for i, gp := range groupPos {
+		for i, gp := range groupAt {
 			keyBuf[i] = row[gp]
 		}
 		keyBytes = rel.EncodeKey(keyBytes[:0], keyBuf...)
@@ -409,12 +382,12 @@ func (sp *selectPlan) aggregateRows(rows []rel.Row, keys []int, tr *execTrace) (
 			}
 			var v rel.Value
 			if !oc.star {
-				v = row[oc.pos]
+				v = row[oc.at]
 			}
 			g.states[i].add(oc.agg, v)
 		}
 	}
-	if len(groupPos) == 0 && len(groups) == 0 {
+	if len(groupAt) == 0 && len(groups) == 0 {
 		// A scalar aggregate over zero rows still yields one row.
 		groups[""] = newGroup()
 	}
@@ -427,20 +400,17 @@ func (sp *selectPlan) aggregateRows(rows []rel.Row, keys []int, tr *execTrace) (
 	for i, k := range order {
 		g := groups[k]
 		for j, oc := range outCols {
-			switch {
-			case oc.agg == AggNone:
-				g.row[j] = g.row[width+inGroup(oc.pos)]
-			case oc.star:
-				g.row[j] = g.states[j].final(oc.agg, rel.TInt64)
-			default:
-				g.row[j] = g.states[j].final(oc.agg, ss.colMeta(oc.pos).Type)
+			if oc.agg == AggNone {
+				g.row[j] = g.row[width+slices.Index(groupAt, oc.at)]
+			} else {
+				g.row[j] = sp.final(oc, &g.states[j])
 			}
 		}
 		out[i] = g.row
 	}
 	aop.rows(int64(len(rows)), int64(len(out)))
 	aop.end(astart)
-	return out, nil
+	return out
 }
 
 // fold runs the in-scan aggregate and emits its one row.
@@ -483,22 +453,44 @@ func (sp *selectPlan) fold(tx Txn, tr *execTrace, sc *Scratch, sink RowSink) (in
 	return sp.project([]rel.Row{row}, tr, sink), nil
 }
 
+// foldRows folds a scalar aggregate row by row as the source yields it,
+// then emits its one row. The fold runs inside the source's callback,
+// whose time the source carries: the aggregate counts rows only.
+func (sp *selectPlan) foldRows(tx Txn, tr *execTrace, sc *Scratch, c *Counters, sink RowSink) (int, error) {
+	outCols := sp.outCols
+	states := make([]aggState, len(outCols))
+	var n int64
+	err := sp.produce(tx, tr, sc, c, func(_ rel.RowID, row rel.Row) bool {
+		n++
+		for i, oc := range outCols {
+			var v rel.Value
+			if !oc.star {
+				v = row[oc.pos]
+			}
+			states[i].add(oc.agg, v)
+		}
+		return true
+	})
+	if err != nil {
+		return 0, err
+	}
+	row := sc.rowBuf(len(outCols))
+	for i, oc := range outCols {
+		row[i] = sp.final(oc, &states[i])
+	}
+	tr.op(opAgg).count(n, 1)
+	out := sp.finish([]rel.Row{row}, c, tr, sink)
+	clear(row) // a MIN or MAX string pins its page's bytes
+	return out, nil
+}
+
 // orderSatisfied reports whether the planned index scan already emits
 // rows in ORDER BY order: every key ascending, and the key columns
 // matching the index columns after the equality prefix, in sequence.
 // Columns pinned by the equality prefix are constant within the scan and
 // satisfy a key anywhere.
 func orderSatisfied(ss *srcSchema, indexes []IndexMeta, p plan, keys []OrderKey) (bool, error) {
-	if p.index == "" {
-		return false, nil
-	}
-	var ix *IndexMeta
-	for i := range indexes {
-		if indexes[i].Name == p.index {
-			ix = &indexes[i]
-			break
-		}
-	}
+	ix := indexNamed(indexes, p.index)
 	if ix == nil {
 		return false, nil
 	}
@@ -512,15 +504,8 @@ func orderSatisfied(ss *srcSchema, indexes []IndexMeta, p plan, keys []OrderKey)
 		if err != nil {
 			return false, err
 		}
-		pinned := false
-		for _, pc := range ix.Cols[:prefix] {
-			if pc == pos {
-				pinned = true
-				break
-			}
-		}
-		if pinned {
-			continue
+		if slices.Contains(ix.Cols[:prefix], pos) {
+			continue // pinned
 		}
 		if next < len(ix.Cols) && ix.Cols[next] == pos {
 			next++
@@ -531,18 +516,29 @@ func orderSatisfied(ss *srcSchema, indexes []IndexMeta, p plan, keys []OrderKey)
 	return true, nil
 }
 
-// selectKind is how a planned SELECT produces its rows.
+// indexNamed returns the named index's metadata, or nil.
+func indexNamed(indexes []IndexMeta, name string) *IndexMeta {
+	for i := range indexes {
+		if indexes[i].Name == name {
+			return &indexes[i]
+		}
+	}
+	return nil
+}
+
+// selectKind is how a planned SELECT consumes its source's rows.
 type selectKind uint8
 
 const (
-	// selStream projects matching rows straight from the scan into the sink.
+	// selStream projects each source row straight into the sink.
 	selStream selectKind = iota
 	// selFold folds an all-aggregate select list inside the engine's scan.
 	selFold
-	// selGather clones one table's matching rows, then shapes them.
+	// selRowFold folds an all-aggregate select list in the source's
+	// callback, where the engine's fold does not apply.
+	selRowFold
+	// selGather copies the source rows' kept columns, then shapes them.
 	selGather
-	// selJoin gathers a two-table equi-join's combined rows, then shapes them.
-	selJoin
 	// selStat filters a virtual stat table's rows, then shapes them.
 	selStat
 )
@@ -566,17 +562,26 @@ type selectPlan struct {
 	// scan is from's access path.
 	scan plan
 	// sorted reports that the scan delivers ORDER BY order (no sort runs);
-	// early is the LIMIT the scan stops at (0: none).
+	// early is the LIMIT the source stops at (0: none).
 	sorted bool
 	early  int
-	// proj is a streaming plan's output; every other kind has ss and outCols.
+	// proj is a one-table stream's output; every other plan has ss and
+	// outCols.
 	proj    *projection
 	ss      srcSchema
 	outCols []outCol
+	// keep lists the source positions a gathered row copies (nil: a stat
+	// table's rows, which are shaped as they are); orderAt and groupAt are
+	// the ORDER BY and GROUP BY positions in the rows the sort and the
+	// aggregate see.
+	keep    []int
+	orderAt []int
+	groupAt []int
 	// strips and specs are the in-scan fold's filter and aggregates.
 	strips []rel.ColPred
 	specs  []rel.AggSpec
-	join   *joinPlan
+	// join, when non-nil, makes the source a join driven through scan.
+	join *joinPlan
 	// statRows are a stat table's materialized rows.
 	statRows []rel.Row
 }
@@ -586,10 +591,10 @@ type selectPlan struct {
 func planSelect(cat Catalog, s SelectStmt, hint *CachedStmt, sc *Scratch) (sp selectPlan, err error) {
 	sp.s = s
 	sp.aggregate = len(s.GroupBy) > 0 || hasAggs(s.Exprs)
+	sp.kind = selGather
 	if s.Join != nil {
 		return sp, sp.planJoin(cat, hint)
 	}
-	sp.kind = selGather
 	if schema, rows, ok := statTable(cat, s.Table); ok {
 		sp.kind, sp.statRows = selStat, rows
 		sp.from = planTable{name: s.Table, schema: schema}
@@ -610,45 +615,60 @@ func planSelect(cat Catalog, s SelectStmt, hint *CachedStmt, sc *Scratch) (sp se
 	return sp, sp.planShape(singleSource(s.Table, sp.from.schema), sc)
 }
 
-// planShape resolves the select list over ss and decides what the shaping
-// pipeline can skip: the sort (index order), the gather's tail (LIMIT), or
-// the whole gather (the in-scan fold).
+// planShape resolves the select list over ss and decides how the source's
+// rows are consumed: streamed (a join with nothing to shape), folded, or
+// gathered — and then what the shaping pipeline can skip: the sort (index
+// order) or the gather's tail (LIMIT).
 func (sp *selectPlan) planShape(ss srcSchema, sc *Scratch) (err error) {
 	sp.ss = ss
 	if sp.outCols, err = buildOutCols(&sp.ss, sp.s); err != nil {
 		return err
 	}
-	if sp.kind == selGather && !sp.aggregate && len(sp.s.OrderBy) > 0 {
+	if sp.join != nil && !sp.aggregate && len(sp.s.OrderBy) == 0 {
+		sp.kind, sp.early = selStream, sp.s.Limit
+		sp.proj = &projection{cols: colNames(sp.outCols), pos: make([]int, len(sp.outCols))}
+		for i, oc := range sp.outCols {
+			sp.proj.pos[i] = oc.pos
+		}
+		return nil
+	}
+	if sp.kind == selGather && sp.join == nil && !sp.aggregate && len(sp.s.OrderBy) > 0 {
 		if sp.sorted, err = orderSatisfied(&sp.ss, sp.from.indexes, sp.scan, sp.s.OrderBy); err != nil {
 			return err
 		}
 	}
-	sp.planFold(sc)
+	if sp.planFold(sc) {
+		return nil
+	}
 	if !sp.aggregate && sp.s.Limit > 0 && (len(sp.s.OrderBy) == 0 || sp.sorted) {
 		sp.early = sp.s.Limit
 	}
-	return nil
+	return sp.planGather()
 }
 
-// planFold lowers an all-aggregate scalar SELECT over a full table scan to
-// the engine's in-scan fold: predicates filter column strips into a
-// selection vector and each aggregate folds directly over its minipage, so
-// no qualifying row is materialized (§5.2). It applies when every output
-// column is an aggregate and every filter column is fixed-width.
-func (sp *selectPlan) planFold(sc *Scratch) {
+// planFold makes an all-aggregate scalar SELECT fold instead of gather,
+// and reports whether it did. Over a full table scan whose every filter
+// column is fixed-width it lowers to the engine's in-scan fold: predicates
+// filter column strips into a selection vector and each aggregate folds
+// directly over its minipage, so no qualifying row is materialized (§5.2).
+// On any other source it folds each row in the source's callback.
+func (sp *selectPlan) planFold(sc *Scratch) bool {
 	s := &sp.s
-	if sp.kind != selGather || !sp.aggregate || len(s.GroupBy) > 0 || len(s.OrderBy) > 0 ||
-		sp.scan.index != "" || sp.scan.empty {
-		return
+	if sp.kind != selGather || !sp.aggregate || len(s.GroupBy) > 0 || len(s.OrderBy) > 0 {
+		return false
 	}
 	for _, oc := range sp.outCols {
 		if oc.agg == AggNone {
-			return
+			return false
 		}
+	}
+	sp.kind = selRowFold
+	if sp.join != nil || sp.scan.index != "" || sp.scan.empty {
+		return true
 	}
 	strips, rest := sp.scan.splitResidual(sp.from.schema, sc)
 	if len(rest) > 0 {
-		return
+		return true
 	}
 	// COUNT (star or column — the dialect has no NULLs, so they agree)
 	// reads the shared row count; AVG folds a SUM and divides by it.
@@ -672,6 +692,85 @@ func (sp *selectPlan) planFold(sc *Scratch) {
 	}
 	sp.kind, sp.strips, sp.specs = selFold, strips, specs
 	s.Limit = 0 // no LIMIT cuts the fold's one row
+	return true
+}
+
+// planGather resolves the ORDER BY and GROUP BY of a gathered (or stat)
+// source and decides what a gathered row keeps: only the columns the
+// output, the sort, the grouping and the aggregate arguments read. Every
+// reader's position is then remapped into that row.
+func (sp *selectPlan) planGather() error {
+	s, ss := &sp.s, &sp.ss
+	var order []int
+	if len(s.OrderBy) > 0 && !sp.sorted {
+		order = make([]int, len(s.OrderBy))
+		for i, k := range s.OrderBy {
+			p, err := ss.resolve(k.Ref)
+			if err != nil {
+				return err
+			}
+			order[i] = p
+		}
+	}
+	group := make([]int, len(s.GroupBy))
+	for i, ref := range s.GroupBy {
+		p, err := ss.resolve(ref)
+		if err != nil {
+			return err
+		}
+		group[i] = p
+	}
+	if sp.aggregate {
+		// Every plain output column and ORDER BY key must be one of the
+		// grouping columns.
+		for _, oc := range sp.outCols {
+			if oc.agg == AggNone && !slices.Contains(group, oc.pos) {
+				return fmt.Errorf("sql: column %q must appear in GROUP BY or an aggregate", oc.name)
+			}
+		}
+		for i, p := range order {
+			if !slices.Contains(group, p) {
+				return fmt.Errorf("sql: ORDER BY column %q must appear in GROUP BY", s.OrderBy[i].Ref.Col)
+			}
+		}
+	}
+	if sp.kind == selGather {
+		keep := make([]int, 0, len(sp.outCols)+len(order)+len(group))
+		for _, oc := range sp.outCols {
+			if !oc.star {
+				keep = append(keep, oc.pos)
+			}
+		}
+		keep = append(append(keep, order...), group...)
+		slices.Sort(keep)
+		sp.keep = slices.Compact(keep)
+	}
+	for i := range sp.outCols {
+		sp.outCols[i].at = sp.gatheredAt(sp.outCols[i].pos)
+	}
+	for i, p := range group {
+		group[i] = sp.gatheredAt(p)
+	}
+	sp.groupAt = group
+	for i, p := range order {
+		order[i] = sp.gatheredAt(p)
+		if sp.aggregate {
+			// An aggregate's rows are its output columns, then the
+			// group's keys.
+			order[i] = len(sp.outCols) + slices.Index(group, order[i])
+		}
+	}
+	sp.orderAt = order
+	return nil
+}
+
+// gatheredAt maps a source position to its position in a gathered row.
+func (sp *selectPlan) gatheredAt(pos int) int {
+	if sp.keep == nil {
+		return pos
+	}
+	i, _ := slices.BinarySearch(sp.keep, pos)
+	return i
 }
 
 // execSelect plans s and runs the plan.
@@ -686,48 +785,43 @@ func execSelect(cat Catalog, tx Txn, s SelectStmt, hint *CachedStmt, tr *execTra
 // run executes the plan. tr, when non-nil, collects per-operator actuals
 // for EXPLAIN ANALYZE; it never changes what runs.
 func (sp *selectPlan) run(cat Catalog, tx Txn, tr *execTrace, sc *Scratch, sink RowSink) (int, error) {
+	c := countersOf(cat)
 	switch sp.kind {
 	case selStream:
-		return sp.stream(tx, tr, sc, sink)
+		return sp.stream(tx, tr, sc, c, sink)
 	case selFold:
 		return sp.fold(tx, tr, sc, sink)
-	}
-	c := countersOf(cat)
-	var rows []rel.Row
-	var err error
-	switch sp.kind {
+	case selRowFold:
+		return sp.foldRows(tx, tr, sc, c, sink)
 	case selStat:
-		rows = sp.filterStat(tr)
-	case selJoin:
-		rows, err = sp.gatherJoin(tx, tr, sc)
-		c.JoinRows.Add(int64(len(rows)))
-	default:
-		if sp.sorted {
-			c.SortAvoided.Add(1)
-		}
-		rows, err = sp.gather(tx, tr, sc)
+		return sp.shapeRows(sp.filterStat(tr), c, tr, sink), nil
 	}
-	if err != nil {
-		return 0, err
+	if sp.sorted {
+		c.SortAvoided.Add(1)
 	}
-	return sp.shapeRows(rows, c, tr, sink)
+	rows, err := sp.gather(tx, tr, sc, c)
+	n := 0
+	if err == nil {
+		n = sp.shapeRows(rows, c, tr, sink)
+	}
+	sc.releaseGathered()
+	return n, err
 }
 
-// stream runs a plain projection: each matching row is projected into the
+// stream runs a plain projection: each source row is projected into the
 // Scratch's row and handed to the sink, until LIMIT.
-func (sp *selectPlan) stream(tx Txn, tr *execTrace, sc *Scratch, sink RowSink) (int, error) {
-	notePlan(tx, sp.from.name, sp.scan)
+func (sp *selectPlan) stream(tx Txn, tr *execTrace, sc *Scratch, c *Counters, sink RowSink) (int, error) {
 	sink.Header(sp.proj.cols)
 	sc.bindCallbacks()
 	sc.emit = emitState{sink: sink, proj: sp.proj.pos, limit: sp.early}
-	err := scanMatching(tx, sp.from.schema, sp.from.name, sp.scan, tr.op(opScan), sc, sc.emitFn)
+	err := sp.produce(tx, tr, sc, c, sc.emitFn)
 	n := sc.emit.n
 	// Let go of the sink and of what the projected values reference (a
 	// string value pins its page's bytes or a whole decoded cold block).
 	sc.emit = emitState{}
 	clear(sc.row[:cap(sc.row)])
-	// LIMIT and the projection run inside the scan's callback, whose time
-	// the scan carries: they count rows only.
+	// LIMIT and the projection run inside the source's callback, whose
+	// time the source carries: they count rows only.
 	if sp.s.Limit > 0 {
 		tr.op(opLimit).count(int64(n), int64(n))
 	}
@@ -735,16 +829,32 @@ func (sp *selectPlan) stream(tx Txn, tr *execTrace, sc *Scratch, sink RowSink) (
 	return n, err
 }
 
-// gather clones one table's matching rows, stopping at the early LIMIT.
-func (sp *selectPlan) gather(tx Txn, tr *execTrace, sc *Scratch) ([]rel.Row, error) {
-	notePlan(tx, sp.from.name, sp.scan)
-	early := sp.early
-	var rows []rel.Row
-	err := scanMatching(tx, sp.from.schema, sp.from.name, sp.scan, tr.op(opScan), sc, func(_ rel.RowID, row rel.Row) bool {
-		rows = append(rows, row.Clone()) // the scan only lends us the row
+// gather copies the kept columns of the source's rows (the source only
+// lends its row) into the Scratch, stopping at the early LIMIT. The rows
+// are the statement's until releaseGathered.
+func (sp *selectPlan) gather(tx Txn, tr *execTrace, sc *Scratch, c *Counters) ([]rel.Row, error) {
+	keep, early := sp.keep, sp.early
+	rows, vals := sc.gathered[:0], sc.gatheredVals[:0]
+	err := sp.produce(tx, tr, sc, c, func(_ rel.RowID, row rel.Row) bool {
+		start := len(vals)
+		for _, p := range keep {
+			vals = append(vals, row[p])
+		}
+		rows = append(rows, vals[start:len(vals):len(vals)])
 		return early == 0 || len(rows) < early
 	})
+	sc.gathered, sc.gatheredVals = rows, vals
 	return rows, err
+}
+
+// produce runs the plan's source, one table's access path or the join,
+// handing each matching row to fn until fn returns false.
+func (sp *selectPlan) produce(tx Txn, tr *execTrace, sc *Scratch, c *Counters, fn func(rel.RowID, rel.Row) bool) error {
+	if sp.join != nil {
+		return sp.runJoin(tx, tr, sc, c, fn)
+	}
+	notePlan(tx, sp.from.name, sp.scan)
+	return scanMatching(tx, sp.from.schema, sp.from.name, sp.scan, tr.op(opScan), sc, fn)
 }
 
 // filterStat filters a stat table's materialized rows: its WHERE is pure
@@ -770,28 +880,15 @@ func (sp *selectPlan) filterStat(tr *execTrace) []rel.Row {
 
 // selectHint caches a join's strategy for a prepared statement: which
 // side drives and which index the other side is probed through. It is
-// literal-independent, and DDL invalidation drops the whole cache entry,
+// literal-independent — whether a column is bound by = is part of the
+// statement's shape — and DDL invalidation drops the whole cache entry,
 // so a stored hint never outlives the schema it was computed against.
 type selectHint struct {
 	swapped    bool   // drive over the JOIN table, probe the FROM table
 	probeIndex string // "" = hash join (no usable index on either side)
-}
-
-// indexOnCol returns an index whose first column is pos (so an equality
-// probe on that column is an index prefix scan), preferring unique ones.
-func indexOnCol(indexes []IndexMeta, pos int) string {
-	name := ""
-	for _, ix := range indexes {
-		if len(ix.Cols) > 0 && ix.Cols[0] == pos {
-			if ix.Unique {
-				return ix.Name
-			}
-			if name == "" {
-				name = ix.Name
-			}
-		}
-	}
-	return name
+	// probePrefix is how many leading probeIndex columns the probed side's
+	// WHERE binds by =; the join column is the next one.
+	probePrefix int
 }
 
 // joinSide is one table of a two-table equi-join.
@@ -801,14 +898,53 @@ type joinSide struct {
 	conds []Cond // this side's WHERE conjuncts, qualifiers stripped
 }
 
+// eqBound reports whether the side's WHERE binds column pos by =.
+func (js *joinSide) eqBound(pos int) bool {
+	for _, c := range js.conds {
+		if c.Op == rel.CmpEq && js.schema.ColIndex(c.Col) == pos {
+			return true
+		}
+	}
+	return false
+}
+
+// probeIndex returns an index through which a join can probe the side,
+// and its bound prefix: the index's leading columns must all be bound by
+// = in the side's WHERE, and its next column must be the join column.
+// A longer bound prefix wins, then a unique index, then the first
+// declared. "" when no index qualifies.
+func (js *joinSide) probeIndex() (name string, prefix int) {
+	best := -1
+	for _, ix := range js.indexes {
+		k := 0
+		for k < len(ix.Cols) && ix.Cols[k] != js.col && js.eqBound(ix.Cols[k]) {
+			k++
+		}
+		if k == len(ix.Cols) || ix.Cols[k] != js.col {
+			continue
+		}
+		score := 2 * k
+		if ix.Unique {
+			score++
+		}
+		if score > best {
+			name, prefix, best = ix.Name, k, score
+		}
+	}
+	return name, prefix
+}
+
 // joinPlan is a planned join. The driving side is scanned through
 // selectPlan.scan; the other side is probed through probeIndex per driving
 // row (index nested loop) or scanned once into a hash table (hash join).
 type joinPlan struct {
 	selectHint
 	drive, other joinSide
-	// Index nested loop: other's WHERE, normalized like planWhere's;
-	// probeEmpty marks it contradictory, so nothing runs at all.
+	// Index nested loop: the probe key, whose bound prefix is filled in
+	// and whose last value each driving row's join value overwrites, and
+	// the rest of other's WHERE, normalized like planWhere's; probeEmpty
+	// marks that WHERE contradictory, so nothing runs at all.
+	probeKey   []rel.Value
 	probeConds []Cond
 	probeEmpty bool
 	// Hash join: other's access path for the build scan.
@@ -856,24 +992,30 @@ func resolveJoin(cat Catalog, s SelectStmt) (ss srcSchema, outer, inner joinSide
 	}
 
 	// Partition WHERE by side, stripping qualifiers: each side's planner
-	// resolves bare column names against its own schema.
-	for _, cd := range s.Where {
-		pos, err := ss.resolve(ColRef{Table: cd.Table, Col: cd.Col})
-		if err != nil {
-			return ss, outer, inner, err
+	// resolves bare column names against its own schema. Both lists share
+	// one array, the outer side's conditions first.
+	conds := make([]Cond, 0, len(s.Where))
+	for _, side := range []*joinSide{&outer, &inner} {
+		start := len(conds)
+		for _, cd := range s.Where {
+			pos, err := ss.resolve(ColRef{Table: cd.Table, Col: cd.Col})
+			if err != nil {
+				return ss, outer, inner, err
+			}
+			if (pos >= ss.offsets[1]) == (side == &inner) {
+				conds = append(conds, Cond{Col: cd.Col, Op: cd.Op, Val: cd.Val})
+			}
 		}
-		side := &outer
-		if pos >= ss.offsets[1] {
-			side = &inner
+		if len(conds) > start {
+			side.conds = conds[start:len(conds):len(conds)]
 		}
-		side.conds = append(side.conds, Cond{Col: cd.Col, Op: cd.Op, Val: cd.Val})
 	}
 	return ss, outer, inner, nil
 }
 
 // chooseJoinStrategy picks (and caches on hint) the join strategy: index
-// nested loop through whichever side has an index on its join column
-// (preferring the JOIN-clause table), else hash join.
+// nested loop through whichever side has a probe index (preferring the
+// JOIN-clause table), else hash join.
 func chooseJoinStrategy(hint *CachedStmt, outer, inner *joinSide) selectHint {
 	var sh *selectHint
 	if hint != nil {
@@ -881,10 +1023,10 @@ func chooseJoinStrategy(hint *CachedStmt, outer, inner *joinSide) selectHint {
 	}
 	if sh == nil {
 		sh = &selectHint{}
-		if ixn := indexOnCol(inner.indexes, inner.col); ixn != "" {
-			sh.probeIndex = ixn
-		} else if ixn := indexOnCol(outer.indexes, outer.col); ixn != "" {
-			sh.probeIndex, sh.swapped = ixn, true
+		if ixn, k := inner.probeIndex(); ixn != "" {
+			sh.probeIndex, sh.probePrefix = ixn, k
+		} else if ixn, k := outer.probeIndex(); ixn != "" {
+			sh.probeIndex, sh.probePrefix, sh.swapped = ixn, k, true
 		}
 		if hint != nil {
 			hint.sel.Store(sh)
@@ -894,7 +1036,8 @@ func chooseJoinStrategy(hint *CachedStmt, outer, inner *joinSide) selectHint {
 }
 
 // planJoin plans a two-table inner equi-join: the strategy, the driving
-// side's access path, and the other side's probe conditions or build path.
+// side's access path, and the other side's probe key and conditions or
+// build path.
 func (sp *selectPlan) planJoin(cat Catalog, hint *CachedStmt) error {
 	ss, outer, inner, err := resolveJoin(cat, sp.s)
 	if err != nil {
@@ -904,16 +1047,19 @@ func (sp *selectPlan) planJoin(cat Catalog, hint *CachedStmt) error {
 	if jp.swapped {
 		jp.drive, jp.other = inner, outer
 	}
-	sp.kind, sp.join, sp.from = selJoin, jp, jp.drive.planTable
+	sp.join, sp.from = jp, jp.drive.planTable
 	if sp.scan, err = planWhere(jp.drive.schema, jp.drive.indexes, jp.drive.conds); err != nil {
 		return err
 	}
 	if jp.probeIndex != "" {
 		// The probe side bypasses planWhere, so apply the same dedupe (last
 		// condition wins), range intersection, and int→float coercion here;
-		// matches() compares raw values and must see normalized conditions.
+		// the probe key and matches() must see normalized values.
 		prw, err := resolveWhere(jp.other.schema, jp.other.conds)
 		if err != nil {
+			return err
+		}
+		if err := jp.bindProbeKey(&prw); err != nil {
 			return err
 		}
 		jp.probeEmpty, jp.probeConds = prw.empty, prw.flatten(jp.other.schema)
@@ -923,21 +1069,46 @@ func (sp *selectPlan) planJoin(cat Catalog, hint *CachedStmt) error {
 	return sp.planShape(ss, nil)
 }
 
-// gatherJoin runs the planned join into combined (outer ++ inner) rows.
-func (sp *selectPlan) gatherJoin(tx Txn, tr *execTrace, sc *Scratch) ([]rel.Row, error) {
+// bindProbeKey fills the probe key's bound prefix from the probed side's
+// = conditions and takes those conditions out of rw: the index enforces
+// them.
+func (jp *joinPlan) bindProbeKey(rw *resolvedWhere) error {
+	ix := indexNamed(jp.other.indexes, jp.probeIndex)
+	if ix == nil || jp.probePrefix >= len(ix.Cols) {
+		return fmt.Errorf("sql: join probe index %q on %q changed", jp.probeIndex, jp.other.name)
+	}
+	jp.probeKey = make([]rel.Value, jp.probePrefix+1)
+	for i, pos := range ix.Cols[:jp.probePrefix] {
+		j := slices.IndexFunc(rw.conds, func(rc resolvedCond) bool { return rc.col == pos && rc.op == rel.CmpEq })
+		if j < 0 {
+			return fmt.Errorf("sql: join probe index %q: column %q is not bound by =", jp.probeIndex, jp.other.schema.Cols[pos].Name)
+		}
+		jp.probeKey[i] = rw.conds[j].val
+		rw.conds = slices.Delete(rw.conds, j, j+1)
+	}
+	return nil
+}
+
+// runJoin runs the planned join, handing each combined (outer ++ inner)
+// row to fn in one reused buffer, without a row id, and counts them in
+// Counters.JoinRows.
+func (sp *selectPlan) runJoin(tx Txn, tr *execTrace, sc *Scratch, c *Counters, fn func(rel.RowID, rel.Row) bool) error {
 	jp := sp.join
 	noteLabel(tx, joinLabel(jp.selectHint, scanLabel(jp.drive.name, sp.scan), jp.other.name))
-	width, split, early, swapped := sp.ss.width, sp.ss.offsets[1], sp.early, jp.swapped
-	var rows []rel.Row
+	if cap(sc.comb) < sp.ss.width {
+		sc.comb = make(rel.Row, sp.ss.width)
+	}
+	comb := sc.comb[:sp.ss.width]
+	driveVals, otherVals := comb[:sp.ss.offsets[1]], comb[sp.ss.offsets[1]:]
+	if jp.swapped {
+		driveVals, otherVals = otherVals, driveVals
+	}
+	var n int64
 	emit := func(drow, orow rel.Row) bool {
-		if swapped {
-			drow, orow = orow, drow
-		}
-		out := make(rel.Row, width)
-		copy(out, drow)
-		copy(out[split:], orow)
-		rows = append(rows, out)
-		return early == 0 || len(rows) < early
+		copy(driveVals, drow)
+		copy(otherVals, orow)
+		n++
+		return fn(0, comb)
 	}
 	var err error
 	if jp.probeIndex != "" {
@@ -945,30 +1116,38 @@ func (sp *selectPlan) gatherJoin(tx Txn, tr *execTrace, sc *Scratch) ([]rel.Row,
 	} else {
 		err = jp.hashJoin(tx, sp.scan, tr, sc, emit)
 	}
-	return rows, err
+	clear(comb) // its strings pin their pages' bytes
+	c.JoinRows.Add(n)
+	return err
 }
 
 // indexNestedLoop scans the driving side through drive, probing the other
-// side's index with each driving row's join value.
+// side's index with the bound prefix and each driving row's join value.
+// The key and the probe's callback are made once per statement.
 func (jp *joinPlan) indexNestedLoop(tx Txn, drive plan, tr *execTrace, sc *Scratch, emit func(drow, orow rel.Row) bool) error {
 	if jp.probeEmpty {
 		return nil
 	}
 	other, probeConds, probeIndex, driveCol := jp.other, jp.probeConds, jp.probeIndex, jp.drive.col
+	key := jp.probeKey
 	pop := tr.op(opProbe)
+	var drow rel.Row
+	more := true
+	probe := func(_ rel.RowID, orow rel.Row) bool {
+		pop.rows(1, 0)
+		if !matches(other.schema, orow, probeConds) {
+			return true
+		}
+		pop.rows(0, 1)
+		more = emit(drow, orow)
+		return more
+	}
 	var perr error
-	err := scanMatching(tx, jp.drive.schema, jp.drive.name, drive, tr.op(opScan), sc, func(_ rel.RowID, drow rel.Row) bool {
-		more := true
+	err := scanMatching(tx, jp.drive.schema, jp.drive.name, drive, tr.op(opScan), sc, func(_ rel.RowID, row rel.Row) bool {
+		drow = row
+		key[len(key)-1] = row[driveCol]
 		pstart := pop.begin()
-		perr = tx.ScanIndex(other.name, probeIndex, []rel.Value{drow[driveCol]}, func(_ rel.RowID, orow rel.Row) bool {
-			pop.rows(1, 0)
-			if !matches(other.schema, orow, probeConds) {
-				return true
-			}
-			pop.rows(0, 1)
-			more = emit(drow, orow)
-			return more
-		})
+		perr = tx.ScanIndex(other.name, probeIndex, key, probe)
 		pop.end(pstart)
 		return perr == nil && more
 	})

@@ -2,6 +2,8 @@ package phoebedb
 
 import (
 	"fmt"
+	"sort"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -174,6 +176,43 @@ func TestPlanCacheJoinAndGroupBy(t *testing.T) {
 	hits2, _ := db.PlanCacheStats()
 	if hits2 != hits1+1 {
 		t.Fatalf("group rebind: hits %d -> %d, want +1", hits1, hits2)
+	}
+}
+
+// A cached join that probes a composite index under its bound leading
+// column keeps only the probe strategy across executions, never the
+// bound value: the same statement with another constant returns that
+// constant's rows.
+func TestPlanCacheJoinBoundPrefix(t *testing.T) {
+	db := openTestDB(t, Options{})
+	execOrFatal(t, db, "CREATE TABLE stock (s_w_id INT, s_i_id INT, s_quantity INT)")
+	execOrFatal(t, db, "CREATE UNIQUE INDEX stock_pk ON stock (s_w_id, s_i_id)")
+	execOrFatal(t, db, "CREATE TABLE line (l_id INT, l_i_id INT)")
+	execOrFatal(t, db, "INSERT INTO stock VALUES (1, 1, 10), (1, 2, 20), (2, 1, 30), (2, 2, 40)")
+	execOrFatal(t, db, "INSERT INTO line VALUES (7, 1), (8, 2), (9, 3)")
+
+	const q = "SELECT l_id, s_quantity FROM line JOIN stock ON l_i_id = s_i_id WHERE s_w_id = %d"
+	plan := execOrFatal(t, db, "EXPLAIN "+fmt.Sprintf(q, 1))
+	if got := plan.Rows[1][0].S; !strings.Contains(got, "IndexNestedLoop Join") {
+		t.Fatalf("join plan %q, want an index nested loop", got)
+	}
+	hits0, _ := db.PlanCacheStats()
+	for _, tc := range []struct {
+		w    int
+		want string
+	}{{1, "7:10 8:20"}, {2, "7:30 8:40"}, {1, "7:10 8:20"}, {3, ""}} {
+		res := execOrFatal(t, db, fmt.Sprintf(q, tc.w))
+		var got []string
+		for _, r := range res.Rows {
+			got = append(got, fmt.Sprintf("%d:%d", r[0].I, r[1].I))
+		}
+		sort.Strings(got)
+		if strings.Join(got, " ") != tc.want {
+			t.Errorf("s_w_id = %d: rows %q, want %q", tc.w, strings.Join(got, " "), tc.want)
+		}
+	}
+	if hits, _ := db.PlanCacheStats(); hits != hits0+3 {
+		t.Errorf("plan cache hits %d -> %d, want +3", hits0, hits)
 	}
 }
 
